@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-serve bench-load trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
+.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-serve bench-load benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
 
 check: fmt vet vet-analyzers build race conformance test lint cover fuzz-smoke bench-quick bench-serve bench-load serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
 
@@ -92,6 +92,18 @@ bench-load:
 	if [ "$$met" -eq 1 ] && [ "$$sat" -eq 1 ]; then \
 		echo "load bench: SLO held at recorded speed; saturation point is interior"; \
 	else echo "load bench: degenerate saturation point"; exit 1; fi
+
+# The repo benchmark (BENCHMARK.json, benchmark/README.md): all four
+# workloads, both passes, into out/benchmark/result.json. Minutes long
+# and wall-clock bound, so not part of `make check`. Compare two result
+# files against BENCHMARK.json's bounds with
+# `make benchmark-compare BASE=a.json NEW=b.json`.
+benchmark:
+	$(GO) run ./benchmark
+
+benchmark-compare:
+	@[ -n "$(BASE)" ] && [ -n "$(NEW)" ] || { echo "usage: make benchmark-compare BASE=a.json NEW=b.json"; exit 2; }
+	$(GO) run ./benchmark -compare $(BASE) $(NEW)
 
 # Render a merged scheduler+device timeline from the time-sharing example.
 trace-demo:

@@ -122,6 +122,7 @@ func BenchmarkFlowPlaceALU8(b *testing.B) {
 		b.Fatal(err)
 	}
 	w, h := place.Shape(m.NumCells())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := place.Place(m, w, h, place.Options{Seed: uint64(i)}); err != nil {
@@ -151,6 +152,7 @@ func BenchmarkFlowRouteALU8(b *testing.B) {
 func BenchmarkFlowCompileStripCounter16(b *testing.B) {
 	nl := netlist.Counter(16)
 	tm := fabric.DefaultTiming()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := compile.CompileStrip(nl, 16, 12, compile.Options{Seed: uint64(i), Timing: &tm}); err != nil {

@@ -219,6 +219,22 @@ func TestF5Shape(t *testing.T) {
 	}
 }
 
+// TestF5RandomVictimSeeds replays the two seeds in 1..1024 at which the
+// full F5 sweep used to die with "random found no victim": two of three
+// frames pinned leave one evictable frame, and the random policy's
+// bounded rejection sampling missed it 30 times in a row.
+func TestF5RandomVictimSeeds(t *testing.T) {
+	for _, seed := range []uint64{112, 217} {
+		tbl, err := F5Pagination(Config{Seed: seed})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(tbl.Rows) != 12 {
+			t.Fatalf("seed %d: %d rows, want 3 page sizes x 4 policies", seed, len(tbl.Rows))
+		}
+	}
+}
+
 func TestF6Shape(t *testing.T) {
 	tbl := runExp(t, "F6")
 	if len(tbl.rows) < 5 {

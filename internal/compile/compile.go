@@ -81,6 +81,31 @@ func (c *Circuit) String() string {
 
 // Compile runs the full flow on nl.
 func Compile(nl *netlist.Netlist, opt Options) (*Circuit, error) {
+	m, err := frontEnd(nl, opt)
+	if err != nil {
+		return nil, err
+	}
+	return backEnd(nl, m, opt)
+}
+
+// frontEnd is the shape-independent half of the flow: logic optimization
+// and technology mapping.
+func frontEnd(nl *netlist.Netlist, opt Options) (*techmap.Mapped, error) {
+	src := nl
+	if !opt.DisableOpt {
+		src = netlist.Optimize(nl)
+	}
+	m, err := techmap.Map(src)
+	if err != nil {
+		return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
+	}
+	return m, nil
+}
+
+// backEnd places, routes and generates the mapped design m of nl into the
+// region shape opt asks for, growing it until the design routes when opt
+// leaves the shape open.
+func backEnd(nl *netlist.Netlist, m *techmap.Mapped, opt Options) (*Circuit, error) {
 	timing := fabric.DefaultTiming()
 	if opt.Timing != nil {
 		timing = *opt.Timing
@@ -92,15 +117,6 @@ func Compile(nl *netlist.Netlist, opt Options) (*Circuit, error) {
 	maxGrowth := opt.MaxGrowth
 	if maxGrowth <= 0 {
 		maxGrowth = 6
-	}
-
-	src := nl
-	if !opt.DisableOpt {
-		src = netlist.Optimize(nl)
-	}
-	m, err := techmap.Map(src)
-	if err != nil {
-		return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
 	}
 
 	w, h := opt.W, opt.H
@@ -176,13 +192,9 @@ func MustCompile(nl *netlist.Netlist, opt Options) *Circuit {
 // garbage collection all deal in contiguous column ranges, the direct
 // analogue of the paper's memory-style partitions.
 func CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit, error) {
-	src := nl
-	if !opt.DisableOpt {
-		src = netlist.Optimize(nl)
-	}
-	m, err := techmap.Map(src)
+	m, err := frontEnd(nl, opt)
 	if err != nil {
-		return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
+		return nil, err
 	}
 	cells := m.NumCells()
 	minW := (cells + cells/8 + rows - 1) / rows
@@ -191,9 +203,8 @@ func CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit,
 	}
 	var lastErr error
 	for w := minW; w <= minW+8; w++ {
-		opt := opt
 		opt.W, opt.H = w, rows
-		c, err := Compile(nl, opt)
+		c, err := backEnd(nl, m, opt)
 		if err == nil {
 			return c, nil
 		}

@@ -377,3 +377,46 @@ func TestLibraryCompilesVerified(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileStripMapsOnce holds a strip compile to one front end: for a
+// circuit that routes at its first width, what CompileStrip allocates fits
+// in one optimize-and-map plus one back end. A second front end — a
+// Compile call per width — costs four times the slack allowed here.
+func TestCompileStripMapsOnce(t *testing.T) {
+	nl := netlist.ALU(8)
+	const rows = 16
+	opt := Options{Seed: 1}
+	c, err := CompileStrip(nl, rows, 12, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := frontEnd(nl, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := m.NumCells()
+	if minW := (cells + cells/8 + rows - 1) / rows; c.BS.W != minW {
+		t.Fatalf("alu8 routed at width %d, not its first width %d: pick another circuit", c.BS.W, minW)
+	}
+	front := testing.AllocsPerRun(5, func() {
+		if _, err := frontEnd(nl, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pinned := opt
+	pinned.W, pinned.H = c.BS.W, rows
+	back := testing.AllocsPerRun(5, func() {
+		if _, err := backEnd(nl, m, pinned); err != nil {
+			t.Fatal(err)
+		}
+	})
+	strip := testing.AllocsPerRun(5, func() {
+		if _, err := CompileStrip(nl, rows, 12, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := front + back + front/4; strip > limit {
+		t.Fatalf("CompileStrip allocates %.0f objects; one front end (%.0f) + one back end (%.0f) allows %.0f",
+			strip, front, back, limit)
+	}
+}

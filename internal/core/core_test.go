@@ -6,6 +6,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/hostos"
 	"repro/internal/netlist"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -634,6 +635,32 @@ func TestPagedLRUBeatsRandomOnReuse(t *testing.T) {
 	if lru > random {
 		t.Fatalf("LRU faults %d > Random faults %d on a reuse-heavy string", lru, random)
 	}
+}
+
+// TestRandomVictimWhenSamplingMisses drives the random policy with a
+// stream whose first 30 draws over three frames all land on the two
+// pinned ones: the bounded rejection sampling gives up, and the victim
+// must then be the one unpinned frame, not a panic.
+func TestRandomVictimWhenSamplingMisses(t *testing.T) {
+	const seed = 127898
+	pinned := map[int]bool{0: true, 1: true}
+	probe := rng.New(seed)
+	for i := 0; i < 30; i++ {
+		if !pinned[probe.Intn(3)] {
+			t.Fatalf("draw %d of seed %d hits the free frame: pick a seed that exhausts the tries", i, seed)
+		}
+	}
+	pl := &PagedLoader{Cfg: PagedConfig{Policy: Random}, frames: make([]frame, 3), src: rng.New(seed)}
+	if got := pl.victim(pinned); got != 2 {
+		t.Fatalf("victim = %d, want the only unpinned frame 2", got)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic with every frame pinned")
+		}
+	}()
+	pl.victim(map[int]bool{0: true, 1: true, 2: true})
 }
 
 func TestPagedPoliciesAllTerminate(t *testing.T) {

@@ -233,7 +233,18 @@ func (pl *PagedLoader) victim(pinned map[int]bool) int {
 				return i
 			}
 		}
-		panic("core: random found no victim; working set exceeds frame count")
+		// Rejection sampling can run out of tries when most frames are
+		// pinned; draw once among the unpinned frames directly.
+		var free []int
+		for i := range pl.frames {
+			if !pinned[i] {
+				free = append(free, i)
+			}
+		}
+		if len(free) == 0 {
+			panic("core: all page frames pinned; working set exceeds frame count")
+		}
+		return free[pl.src.Intn(len(free))]
 	}
 	panic("core: unknown replacement policy")
 }

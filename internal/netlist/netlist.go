@@ -206,37 +206,55 @@ func (n *Netlist) Fanouts() [][]NodeID {
 // sink (their D input), so they appear in the order but contribute no
 // combinational dependency.
 func (n *Netlist) computeTopo() error {
+	// Combinational fanouts in CSR form: node f feeds
+	// succs[start[f]:start[f+1]], consumers in id order.
 	indeg := make([]int, len(n.Nodes))
-	fanouts := make([][]NodeID, len(n.Nodes))
+	start := make([]int, len(n.Nodes)+1)
 	for i := range n.Nodes {
 		nd := &n.Nodes[i]
 		if nd.Kind == KindDFF {
 			continue // D input is a sequential, not combinational, dependency
 		}
+		indeg[i] = len(nd.Fanin)
 		for _, f := range nd.Fanin {
-			indeg[i]++
-			fanouts[f] = append(fanouts[f], NodeID(i))
+			start[f+1]++
 		}
 	}
-	// Seed the queue with all sources, in id order for determinism.
-	queue := make([]NodeID, 0, len(n.Nodes))
+	for i := range n.Nodes {
+		start[i+1] += start[i]
+	}
+	succs := make([]NodeID, start[len(n.Nodes)])
+	fill := make([]int, len(n.Nodes))
+	copy(fill, start)
+	for i := range n.Nodes {
+		nd := &n.Nodes[i]
+		if nd.Kind == KindDFF {
+			continue
+		}
+		for _, f := range nd.Fanin {
+			succs[fill[f]] = NodeID(i)
+			fill[f]++
+		}
+	}
+	// Kahn's algorithm with the order itself as the queue: seeded with all
+	// sources in id order for determinism, read from head while successors
+	// whose fanins are all ordered are appended.
+	order := make([]NodeID, 0, len(n.Nodes))
 	for i := range n.Nodes {
 		if indeg[i] == 0 {
-			queue = append(queue, NodeID(i))
+			order = append(order, NodeID(i))
 		}
 	}
-	n.topo = n.topo[:0]
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		n.topo = append(n.topo, id)
-		for _, succ := range fanouts[id] {
+	for head := 0; head < len(order); head++ {
+		id := order[head]
+		for _, succ := range succs[start[id]:start[id+1]] {
 			indeg[succ]--
 			if indeg[succ] == 0 {
-				queue = append(queue, succ)
+				order = append(order, succ)
 			}
 		}
 	}
+	n.topo = order
 	if len(n.topo) != len(n.Nodes) {
 		return fmt.Errorf("netlist %q: combinational cycle detected (%d of %d nodes ordered)",
 			n.Name, len(n.topo), len(n.Nodes))

@@ -1,9 +1,6 @@
 package netlist
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Optimize returns a functionally equivalent netlist with constants
 // folded through the logic, algebraic identities applied (x AND x = x,
@@ -27,34 +24,35 @@ func Optimize(nl *Netlist) *Netlist {
 	have := make([]bool, len(nl.Nodes))
 
 	// Structural hashing: identical (kind, fanins) gates share one node.
-	cse := map[string]NodeID{}
-	hashed := func(kind Kind, commutative bool, fanins ...NodeID) NodeID {
-		ids := append([]NodeID(nil), fanins...)
-		if commutative {
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Unused fanin slots of the key stay zero; the kind fixes the arity.
+	type cseKey struct {
+		kind    Kind
+		x, y, z NodeID
+	}
+	cse := map[cseKey]NodeID{}
+	hashed := func(kind Kind, x, y, z NodeID) NodeID {
+		switch kind {
+		case KindAnd, KindOr, KindXor:
+			if y < x { // commutative: one key for either operand order
+				x, y = y, x
+			}
 		}
-		key := fmt.Sprintf("%d:%v", kind, ids)
+		key := cseKey{kind, x, y, z}
 		if id, ok := cse[key]; ok {
 			return id
 		}
 		var id NodeID
 		switch kind {
 		case KindNot:
-			id = b.Not(ids[0])
+			id = b.Not(x)
 		case KindAnd:
-			id = b.And(ids[0], ids[1])
+			id = b.And(x, y)
 		case KindOr:
-			id = b.Or(ids[0], ids[1])
+			id = b.Or(x, y)
 		case KindXor:
-			id = b.Xor(ids[0], ids[1])
-		case KindNand:
-			id = b.Nand(ids[0], ids[1])
-		case KindNor:
-			id = b.Nor(ids[0], ids[1])
+			id = b.Xor(x, y)
 		case KindMux:
-			// Mux is not commutative; ids arrive unsorted.
-			id = b.Mux(fanins[0], fanins[1], fanins[2])
-			key = fmt.Sprintf("%d:%v", kind, fanins)
+			id = b.Mux(x, y, z)
 		default:
 			panic("netlist: unhashable kind")
 		}
@@ -86,7 +84,7 @@ func Optimize(nl *Netlist) *Netlist {
 		if v.isConst {
 			return constVal(!v.c)
 		}
-		return val{id: hashed(KindNot, false, v.id)}
+		return val{id: hashed(KindNot, v.id, 0, 0)}
 	}
 
 	// Pre-create flip-flops (their D inputs may form loops).
@@ -139,7 +137,7 @@ func Optimize(nl *Netlist) *Netlist {
 			case a.id == c.id:
 				v = a
 			default:
-				v = val{id: hashed(KindAnd, true, a.id, c.id)}
+				v = val{id: hashed(KindAnd, a.id, c.id, 0)}
 			}
 			if nd.Kind == KindNand {
 				v = notOf(v)
@@ -156,7 +154,7 @@ func Optimize(nl *Netlist) *Netlist {
 			case a.id == c.id:
 				v = a
 			default:
-				v = val{id: hashed(KindOr, true, a.id, c.id)}
+				v = val{id: hashed(KindOr, a.id, c.id, 0)}
 			}
 			if nd.Kind == KindNor {
 				v = notOf(v)
@@ -177,7 +175,7 @@ func Optimize(nl *Netlist) *Netlist {
 			case a.id == c.id:
 				v = constVal(false)
 			default:
-				v = val{id: hashed(KindXor, true, a.id, c.id)}
+				v = val{id: hashed(KindXor, a.id, c.id, 0)}
 			}
 		case KindMux:
 			s, z, o := valOf(nd.Fanin[0]), valOf(nd.Fanin[1]), valOf(nd.Fanin[2])
@@ -195,7 +193,7 @@ func Optimize(nl *Netlist) *Netlist {
 			case z.isConst && o.isConst && z.c && !o.c:
 				v = notOf(s) // mux(s, 1, 0) = !s
 			default:
-				v = val{id: hashed(KindMux, false, materialize(s), materialize(z), materialize(o))}
+				v = val{id: hashed(KindMux, materialize(s), materialize(z), materialize(o))}
 			}
 		default:
 			panic(fmt.Sprintf("netlist: optimize unknown kind %v", nd.Kind))

@@ -64,23 +64,69 @@ func Shape(cells int) (w, h int) {
 	return w, h
 }
 
-// net is a source position index plus sink position indices into the
-// placer's combined position table.
-type net struct {
-	pins []int // indices into pos; pins[0] is the source
+// placer state. Everything the annealing loop touches is a flat array
+// sized once in newPlacer, so a move allocates nothing.
+type placer struct {
+	m      *techmap.Mapped
+	w, h   int
+	nCells int
+	// pos is the combined position table: [0, nCells) are the movable
+	// cells, then the input ports, then the output ports (both fixed).
+	pos []Loc
+	// Nets in CSR form: net n's pins are netPins[netStart[n]:netStart[n+1]],
+	// indices into pos with the source first.
+	netStart []int
+	netPins  []int
+	// The nets touching each cell, CSR over cell index. A cell wired to a
+	// net twice lists it twice; costAround deduplicates.
+	cellNetStart []int
+	cellNets     []int
+	// netGen[n] == gen: net n is already counted in this costAround call.
+	// Bumping gen clears every mark in O(1) — routeScratch's convention.
+	netGen []uint32
+	gen    uint32
 }
 
-// placer state: positions 0..numCells-1 are movable cells; the rest are
-// fixed port positions.
-type placer struct {
-	m        *techmap.Mapped
-	w, h     int
-	cellLoc  []Loc
-	inPorts  []Loc
-	outPorts []Loc
-	nets     []net
-	netsAt   [][]int // nets touching each cell
-	src      *rng.Source
+// newPlacer seeds the ports and cells of m in a w x h region and builds
+// its nets.
+func newPlacer(m *techmap.Mapped, w, h int) *placer {
+	p := &placer{m: m, w: w, h: h, nCells: m.NumCells()}
+	p.pos = make([]Loc, p.nCells+m.NumInputs+len(m.Outputs))
+	// Cells in scan order, which keeps topologically adjacent cells
+	// physically adjacent (the mapper creates cells in topological-ish
+	// order).
+	for i := 0; i < p.nCells; i++ {
+		p.pos[i] = Loc{X: i % w, Y: i / w}
+	}
+	// Input ports spread along the left edge, output ports along the right.
+	spread := func(locs []Loc, edgeX int) {
+		for i := range locs {
+			y := 0
+			if len(locs) > 1 {
+				y = i * (h - 1) / (len(locs) - 1)
+			}
+			locs[i] = Loc{X: edgeX, Y: y}
+		}
+	}
+	spread(p.pos[p.nCells:p.nCells+m.NumInputs], 0)
+	spread(p.pos[p.nCells+m.NumInputs:], w-1)
+	p.buildNets()
+	return p
+}
+
+// placement snapshots the placer's positions as a Placement. The three
+// location slices share pos's backing array, each capped to its own part.
+func (p *placer) placement() *Placement {
+	in, out := p.nCells, p.nCells+p.m.NumInputs
+	return &Placement{
+		Mapped:     p.m,
+		W:          p.w,
+		H:          p.h,
+		Cells:      p.pos[:in:in],
+		InPorts:    p.pos[in:out:out],
+		OutPorts:   p.pos[out:],
+		Wirelength: p.wirelength(),
+	}
 }
 
 // Place places m into a w x h region. It returns an error if the region
@@ -90,113 +136,99 @@ func Place(m *techmap.Mapped, w, h int, opt Options) (*Placement, error) {
 		return nil, fmt.Errorf("place: %s needs %d cells, region %dx%d has %d",
 			m.Name, m.NumCells(), w, h, w*h)
 	}
-	p := &placer{m: m, w: w, h: h, src: rng.New(opt.Seed ^ 0x9e3779b97f4a7c15)}
-	p.seedPorts()
-	p.seedCells()
-	p.buildNets()
+	p := newPlacer(m, w, h)
 	effort := opt.Effort
 	if effort <= 0 {
 		effort = 1
 	}
-	p.anneal(effort)
-	res := &Placement{
-		Mapped:   m,
-		W:        w,
-		H:        h,
-		Cells:    p.cellLoc,
-		InPorts:  p.inPorts,
-		OutPorts: p.outPorts,
-	}
-	res.Wirelength = res.TotalWirelength()
-	return res, nil
+	p.anneal(effort, rng.New(opt.Seed^0x9e3779b97f4a7c15))
+	return p.placement(), nil
 }
 
-// seedPorts distributes input ports along the left edge and output ports
-// along the right edge.
-func (p *placer) seedPorts() {
-	spread := func(n, edgeX int) []Loc {
-		locs := make([]Loc, n)
-		for i := range locs {
-			y := 0
-			if n > 1 {
-				y = i * (p.h - 1) / (n - 1)
-			}
-			locs[i] = Loc{X: edgeX, Y: y}
-		}
-		return locs
-	}
-	p.inPorts = spread(p.m.NumInputs, 0)
-	p.outPorts = spread(len(p.m.Outputs), p.w-1)
-}
-
-// seedCells assigns initial locations in scan order, which keeps
-// topologically adjacent cells physically adjacent (cells are created in
-// topological-ish order by the mapper).
-func (p *placer) seedCells() {
-	p.cellLoc = make([]Loc, p.m.NumCells())
-	for i := range p.cellLoc {
-		p.cellLoc[i] = Loc{X: i % p.w, Y: i / p.w}
-	}
-}
-
-// position returns the current location of a combined position index:
-// [0, numCells) are cells, then input ports, then output ports.
-func (p *placer) position(idx int) Loc {
-	n := p.m.NumCells()
-	if idx < n {
-		return p.cellLoc[idx]
-	}
-	idx -= n
-	if idx < len(p.inPorts) {
-		return p.inPorts[idx]
-	}
-	return p.outPorts[idx-len(p.inPorts)]
-}
-
-// buildNets creates one net per driving signal.
+// buildNets creates one net per driving signal that has a sink, in source
+// position order; a net's sinks keep the order the design lists them in
+// (cell inputs, then primary outputs).
 func (p *placer) buildNets() {
-	n := p.m.NumCells()
-	bySource := map[int][]int{} // source position index -> sink position indices
-	addSink := func(sig techmap.Signal, sinkIdx int) {
-		switch sig.Kind {
-		case techmap.SigCell:
-			bySource[int(sig.Cell)] = append(bySource[int(sig.Cell)], sinkIdx)
-		case techmap.SigInput:
-			bySource[n+sig.Input] = append(bySource[n+sig.Input], sinkIdx)
+	n, m := p.nCells, p.m
+	nSrc := n + m.NumInputs
+	// eachSink calls f(source, sink) for every connection, as position
+	// indices; constants drive no net.
+	eachSink := func(f func(src, sink int)) {
+		visit := func(sig techmap.Signal, sink int) {
+			switch sig.Kind {
+			case techmap.SigCell:
+				f(int(sig.Cell), sink)
+			case techmap.SigInput:
+				f(n+sig.Input, sink)
+			}
+		}
+		for ci := range m.Cells {
+			for _, in := range m.Cells[ci].Inputs {
+				visit(in, ci)
+			}
+		}
+		for oi, sig := range m.Outputs {
+			visit(sig, nSrc+oi)
 		}
 	}
-	for ci := range p.m.Cells {
-		for _, in := range p.m.Cells[ci].Inputs {
-			addSink(in, ci)
-		}
-	}
-	for oi, sig := range p.m.Outputs {
-		addSink(sig, n+p.m.NumInputs+oi)
-	}
-	p.netsAt = make([][]int, n)
-	// Deterministic net order: iterate sources in index order.
-	for srcIdx := 0; srcIdx < n+p.m.NumInputs; srcIdx++ {
-		sinks, ok := bySource[srcIdx]
-		if !ok {
+
+	// next[src] counts the sinks of src, then becomes the write cursor
+	// into netPins for the net src drives.
+	next := make([]int, nSrc)
+	conns := 0
+	eachSink(func(src, _ int) { next[src]++; conns++ })
+	p.netStart = make([]int, 0, nSrc+1)
+	p.netPins = make([]int, 0, conns+nSrc)
+	for src, sinks := range next {
+		if sinks == 0 {
 			continue
 		}
-		pins := append([]int{srcIdx}, sinks...)
-		netID := len(p.nets)
-		p.nets = append(p.nets, net{pins: pins})
-		for _, pin := range pins {
+		p.netStart = append(p.netStart, len(p.netPins))
+		p.netPins = append(p.netPins, src)
+		next[src] = len(p.netPins)
+		p.netPins = p.netPins[:len(p.netPins)+sinks]
+	}
+	p.netStart = append(p.netStart, len(p.netPins))
+	eachSink(func(src, sink int) {
+		p.netPins[next[src]] = sink
+		next[src]++
+	})
+	p.netGen = make([]uint32, p.numNets())
+
+	// The per-cell net lists, counted then filled in net order.
+	p.cellNetStart = make([]int, n+1)
+	cellPins := 0
+	for _, pin := range p.netPins {
+		if pin < n {
+			p.cellNetStart[pin+1]++
+			cellPins++
+		}
+	}
+	for c := 0; c < n; c++ {
+		p.cellNetStart[c+1] += p.cellNetStart[c]
+	}
+	p.cellNets = make([]int, cellPins)
+	fill := next[:n] // reuse as the per-cell write cursor
+	copy(fill, p.cellNetStart)
+	for nid := 0; nid < p.numNets(); nid++ {
+		for _, pin := range p.netPins[p.netStart[nid]:p.netStart[nid+1]] {
 			if pin < n {
-				p.netsAt[pin] = append(p.netsAt[pin], netID)
+				p.cellNets[fill[pin]] = nid
+				fill[pin]++
 			}
 		}
 	}
 }
 
-// hpwl returns the half-perimeter wirelength of one net.
-func (p *placer) hpwl(nt *net) int {
-	minX, minY := math.MaxInt32, math.MaxInt32
-	maxX, maxY := -1, -1
-	for _, pin := range nt.pins {
-		l := p.position(pin)
+func (p *placer) numNets() int { return len(p.netStart) - 1 }
+
+// hpwl returns the half-perimeter wirelength of net nid.
+func (p *placer) hpwl(nid int) int {
+	pins := p.netPins[p.netStart[nid]:p.netStart[nid+1]]
+	l := p.pos[pins[0]]
+	minX, maxX, minY, maxY := l.X, l.X, l.Y, l.Y
+	for _, pin := range pins[1:] {
+		l := p.pos[pin]
 		if l.X < minX {
 			minX = l.X
 		}
@@ -213,70 +245,77 @@ func (p *placer) hpwl(nt *net) int {
 	return (maxX - minX) + (maxY - minY)
 }
 
-// costAround sums the wirelength of all nets touching the given cells.
-func (p *placer) costAround(cells ...int) int {
-	seen := map[int]bool{}
+// wirelength sums the HPWL of every net.
+func (p *placer) wirelength() int {
 	total := 0
-	for _, c := range cells {
-		if c < 0 || c >= len(p.netsAt) {
+	for nid := 0; nid < p.numNets(); nid++ {
+		total += p.hpwl(nid)
+	}
+	return total
+}
+
+// costAround sums the wirelength of all nets touching cell a or cell b,
+// each net once; b < 0 means there is no second cell.
+func (p *placer) costAround(a, b int) int {
+	p.gen++
+	if p.gen == 0 { // wrapped: stale stamps could collide, so clear
+		for i := range p.netGen {
+			p.netGen[i] = 0
+		}
+		p.gen = 1
+	}
+	total := 0
+	for _, c := range [2]int{a, b} {
+		if c < 0 {
 			continue
 		}
-		for _, nid := range p.netsAt[c] {
-			if !seen[nid] {
-				seen[nid] = true
-				total += p.hpwl(&p.nets[nid])
+		for _, nid := range p.cellNets[p.cellNetStart[c]:p.cellNetStart[c+1]] {
+			if p.netGen[nid] != p.gen {
+				p.netGen[nid] = p.gen
+				total += p.hpwl(nid)
 			}
 		}
 	}
 	return total
 }
 
-// anneal runs simulated annealing with swap and relocate moves.
-func (p *placer) anneal(effort int) {
-	nCells := p.m.NumCells()
-	if nCells <= 1 || len(p.nets) == 0 {
+// anneal runs simulated annealing: each move takes a random cell to a
+// random site, swapping with the cell already there if there is one.
+func (p *placer) anneal(effort int, src *rng.Source) {
+	nCells := p.nCells
+	if nCells <= 1 || p.numNets() == 0 {
 		return
 	}
-	occupied := make(map[Loc]int, nCells) // loc -> cell index
-	for i, l := range p.cellLoc {
-		occupied[l] = i
+	occupant := make([]int, p.w*p.h) // site -> cell index, -1 when free
+	for i := range occupant {
+		occupant[i] = -1
+	}
+	site := func(l Loc) int { return l.Y*p.w + l.X }
+	for i, l := range p.pos[:nCells] {
+		occupant[site(l)] = i
 	}
 	iters := effort * 160 * nCells
 	temp := float64(p.w + p.h)
 	cooling := math.Pow(0.005/temp, 1/float64(iters+1))
 	for it := 0; it < iters; it++ {
-		ci := p.src.Intn(nCells)
-		target := Loc{X: p.src.Intn(p.w), Y: p.src.Intn(p.h)}
-		cj, swap := occupied[target]
-		if swap && cj == ci {
-			temp *= cooling
-			continue
-		}
-		var before, after int
-		if swap {
-			before = p.costAround(ci, cj)
-			p.cellLoc[ci], p.cellLoc[cj] = p.cellLoc[cj], p.cellLoc[ci]
-			after = p.costAround(ci, cj)
-		} else {
-			before = p.costAround(ci)
-			old := p.cellLoc[ci]
-			p.cellLoc[ci] = target
-			after = p.costAround(ci)
-			if accept(before, after, temp, p.src) {
-				delete(occupied, old)
-				occupied[target] = ci
-				temp *= cooling
-				continue
+		ci := src.Intn(nCells)
+		target := Loc{X: src.Intn(p.w), Y: src.Intn(p.h)}
+		if cj := occupant[site(target)]; cj != ci {
+			from := p.pos[ci]
+			before := p.costAround(ci, cj)
+			p.pos[ci] = target
+			if cj >= 0 {
+				p.pos[cj] = from
 			}
-			p.cellLoc[ci] = old
-			temp *= cooling
-			continue
-		}
-		if accept(before, after, temp, p.src) {
-			occupied[p.cellLoc[ci]] = ci
-			occupied[p.cellLoc[cj]] = cj
-		} else {
-			p.cellLoc[ci], p.cellLoc[cj] = p.cellLoc[cj], p.cellLoc[ci]
+			if accept(before, p.costAround(ci, cj), temp, src) {
+				occupant[site(target)] = ci
+				occupant[site(from)] = cj
+			} else {
+				p.pos[ci] = from
+				if cj >= 0 {
+					p.pos[cj] = target
+				}
+			}
 		}
 		temp *= cooling
 	}
@@ -292,13 +331,11 @@ func accept(before, after int, temp float64, src *rng.Source) bool {
 // TotalWirelength recomputes the HPWL of the placement (exposed for tests
 // and reports).
 func (pl *Placement) TotalWirelength() int {
-	p := &placer{m: pl.Mapped, w: pl.W, h: pl.H, cellLoc: pl.Cells, inPorts: pl.InPorts, outPorts: pl.OutPorts}
+	pos := make([]Loc, 0, len(pl.Cells)+len(pl.InPorts)+len(pl.OutPorts))
+	pos = append(append(append(pos, pl.Cells...), pl.InPorts...), pl.OutPorts...)
+	p := &placer{m: pl.Mapped, w: pl.W, h: pl.H, nCells: pl.Mapped.NumCells(), pos: pos}
 	p.buildNets()
-	total := 0
-	for i := range p.nets {
-		total += p.hpwl(&p.nets[i])
-	}
-	return total
+	return p.wirelength()
 }
 
 // Validate checks that the placement is legal: every cell inside the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/netlist"
+	"repro/internal/rng"
 	"repro/internal/techmap"
 )
 
@@ -78,17 +79,8 @@ func TestPlaceDeterministic(t *testing.T) {
 func TestAnnealingImprovesOverScanOrder(t *testing.T) {
 	m := mustMap(t, netlist.Multiplier(6))
 	w, h := Shape(m.NumCells())
-	// Scan-order-only baseline: effort so tiny annealing barely runs is
-	// not expressible, so construct the seed placement by hand.
-	seed := &Placement{Mapped: m, W: w, H: h}
-	seed.Cells = make([]Loc, m.NumCells())
-	for i := range seed.Cells {
-		seed.Cells[i] = Loc{X: i % w, Y: i / w}
-	}
-	p := &placer{m: m, w: w, h: h}
-	p.seedPorts()
-	seed.InPorts, seed.OutPorts = p.inPorts, p.outPorts
-	base := seed.TotalWirelength()
+	// Scan-order-only baseline: the placer's seed, before any annealing.
+	base := newPlacer(m, w, h).placement().TotalWirelength()
 
 	annealed, err := Place(m, w, h, Options{Seed: 3})
 	if err != nil {
@@ -167,12 +159,137 @@ func TestValidateCatchesOutOfRegion(t *testing.T) {
 	}
 }
 
+// randomMapped builds a structurally arbitrary mapped design: cells read
+// any mix of cells (themselves included), inputs and constants, with
+// repeats, and some cells and inputs drive nothing.
+func randomMapped(src *rng.Source) *techmap.Mapped {
+	nCells, nIn, nOut := 2+src.Intn(40), 1+src.Intn(6), 1+src.Intn(6)
+	signal := func() techmap.Signal {
+		switch src.Intn(5) {
+		case 0:
+			return techmap.Signal{Kind: techmap.SigConst, Const: src.Bool()}
+		case 1:
+			return techmap.Signal{Kind: techmap.SigInput, Input: src.Intn(nIn)}
+		}
+		return techmap.Signal{Kind: techmap.SigCell, Cell: techmap.CellID(src.Intn(nCells))}
+	}
+	m := &techmap.Mapped{Name: "random", NumInputs: nIn}
+	for c := 0; c < nCells; c++ {
+		cell := techmap.Cell{ID: techmap.CellID(c)}
+		for k := src.Intn(5); k > 0; k-- {
+			cell.Inputs = append(cell.Inputs, signal())
+		}
+		m.Cells = append(m.Cells, cell)
+	}
+	for o := 0; o < nOut; o++ {
+		m.Outputs = append(m.Outputs, signal())
+	}
+	return m
+}
+
+// bruteCost is the reference for costAround: it finds the nets touching
+// the given cells by scanning the whole design per driving signal, and
+// sums the bounding-box half perimeter of each once.
+func bruteCost(m *techmap.Mapped, pos []Loc, cells ...int) int {
+	n := m.NumCells()
+	sourceOf := func(sig techmap.Signal) int {
+		switch sig.Kind {
+		case techmap.SigCell:
+			return int(sig.Cell)
+		case techmap.SigInput:
+			return n + sig.Input
+		}
+		return -1 // constants drive no net
+	}
+	touched := map[int]bool{}
+	for _, c := range cells {
+		if c < 0 {
+			continue
+		}
+		touched[c] = true
+		for _, in := range m.Cells[c].Inputs {
+			touched[sourceOf(in)] = true
+		}
+	}
+	delete(touched, -1)
+	total := 0
+	for source := range touched {
+		pins := []Loc{pos[source]}
+		for ci := range m.Cells {
+			for _, in := range m.Cells[ci].Inputs {
+				if sourceOf(in) == source {
+					pins = append(pins, pos[ci])
+				}
+			}
+		}
+		for oi, sig := range m.Outputs {
+			if sourceOf(sig) == source {
+				pins = append(pins, pos[n+m.NumInputs+oi])
+			}
+		}
+		if len(pins) == 1 {
+			continue // nothing reads it: no net
+		}
+		minX, maxX, minY, maxY := pins[0].X, pins[0].X, pins[0].Y, pins[0].Y
+		for _, l := range pins[1:] {
+			minX, maxX = min(minX, l.X), max(maxX, l.X)
+			minY, maxY = min(minY, l.Y), max(maxY, l.Y)
+		}
+		total += (maxX - minX) + (maxY - minY)
+	}
+	return total
+}
+
+func TestCostAroundMatchesBruteForce(t *testing.T) {
+	src := rng.New(7)
+	for design := 0; design < 60; design++ {
+		m := randomMapped(src)
+		w, h := Shape(m.NumCells())
+		p := newPlacer(m, w, h)
+		for move := 0; move < 50; move++ {
+			a, b := src.Intn(p.nCells), src.Intn(p.nCells+1)-1
+			if got, want := p.costAround(a, b), bruteCost(m, p.pos, a, b); got != want {
+				t.Fatalf("design %d move %d: costAround(%d, %d) = %d, brute force %d", design, move, a, b, got, want)
+			}
+			// Overlaps are fine here: cost depends on positions only.
+			p.pos[a] = Loc{X: src.Intn(w), Y: src.Intn(h)}
+			if b >= 0 {
+				p.pos[b] = Loc{X: src.Intn(w), Y: src.Intn(h)}
+			}
+		}
+	}
+}
+
+// TestPlaceLoopAllocatesNothing holds the annealing loop to zero
+// allocations per move — four times the moves allocate exactly what one
+// times do — and the set-up to a fixed handful of arrays.
+func TestPlaceLoopAllocatesNothing(t *testing.T) {
+	m := mustMap(t, netlist.ALU(8))
+	w, h := Shape(m.NumCells())
+	allocs := func(effort int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Place(m, w, h, Options{Seed: 5, Effort: effort}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	low, high := allocs(1), allocs(4)
+	if low != high {
+		t.Fatalf("Place allocates %v objects at effort 1 but %v at effort 4: the loop allocates", low, high)
+	}
+	const budget = 16
+	if low > budget {
+		t.Fatalf("Place allocates %v objects for alu8, budget %d", low, budget)
+	}
+}
+
 func BenchmarkPlaceAdder16(b *testing.B) {
 	m, err := techmap.Map(netlist.Adder(16))
 	if err != nil {
 		b.Fatal(err)
 	}
 	w, h := Shape(m.NumCells())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Place(m, w, h, Options{Seed: uint64(i)}); err != nil {

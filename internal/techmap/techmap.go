@@ -80,9 +80,9 @@ func (m *Mapped) String() string {
 // mapper carries the per-run state of one Map invocation.
 type mapper struct {
 	nl     *netlist.Netlist
-	fanout []int                               // resolved fanout count per node
-	cut    map[netlist.NodeID][]netlist.NodeID // chosen cut per gate node
-	cellOf map[netlist.NodeID]CellID           // realized cell per root node
+	fanout []int                     // resolved fanout count per node
+	cut    [][]netlist.NodeID        // chosen cut per gate node, indexed by NodeID
+	cellOf map[netlist.NodeID]CellID // realized cell per root node
 	out    *Mapped
 }
 
@@ -92,7 +92,6 @@ type mapper struct {
 func Map(nl *netlist.Netlist) (*Mapped, error) {
 	m := &mapper{
 		nl:     nl,
-		cut:    make(map[netlist.NodeID][]netlist.NodeID),
 		cellOf: make(map[netlist.NodeID]CellID),
 		out: &Mapped{
 			Name:        nl.Name,
@@ -153,8 +152,8 @@ func (m *mapper) countFanouts() {
 	}
 }
 
-// leafSet merges cut leaves, dropping constants (they consume no LUT
-// input: the truth table folds them).
+// addLeaves merges cut leaves into dst, dropping constants (they consume
+// no LUT input: the truth table folds them).
 func (m *mapper) addLeaves(dst []netlist.NodeID, leaves []netlist.NodeID) []netlist.NodeID {
 	for _, l := range leaves {
 		if m.nl.Node(l).Kind == netlist.KindConst {
@@ -174,40 +173,43 @@ func (m *mapper) addLeaves(dst []netlist.NodeID, leaves []netlist.NodeID) []netl
 	return dst
 }
 
-// expandOf returns the leaves contributed by fanin f when expanded (its
-// own cut, if it is a gate) or not (itself).
-func (m *mapper) expandOf(f netlist.NodeID, expand bool) []netlist.NodeID {
-	if expand && m.isGate(f) {
-		return m.cut[f]
-	}
-	return []netlist.NodeID{f}
-}
+// maxArity is the widest primitive gate (the mux).
+const maxArity = 3
 
 // chooseCuts picks, for every gate in topological order, a set of at most
 // four leaf nodes from which its value is computable. Expanding a fanin
 // absorbs that gate into this LUT; we prefer to absorb single-fanout gates
 // (saving a cell) and then to minimize leaf count.
 func (m *mapper) chooseCuts() {
-	for _, id := range m.nl.TopoOrder() {
+	order := m.nl.TopoOrder()
+	m.cut = make([][]netlist.NodeID, len(m.nl.Nodes))
+	// Every chosen cut is a slice of store, which is sized for the worst
+	// case so it never moves. Candidates are built in the leaves scratch
+	// (an unpruned candidate holds up to maxArity whole cuts) and only the
+	// best so far is copied out, over the one it beats.
+	store := make([]netlist.NodeID, 0, 4*len(order))
+	var fanins [maxArity]netlist.NodeID
+	var scratch [4 * maxArity]netlist.NodeID
+	for _, id := range order {
 		if !m.isGate(id) {
 			continue
 		}
 		nd := m.nl.Node(id)
-		fanins := make([]netlist.NodeID, len(nd.Fanin))
+		nf := len(nd.Fanin)
 		for i, f := range nd.Fanin {
 			fanins[i] = m.resolve(f)
 		}
-		nf := len(fanins)
-		bestScore := -1
-		var best []netlist.NodeID
+		bestScore, at := -1, len(store)
 		for mask := (1 << uint(nf)) - 1; mask >= 0; mask-- {
-			var leaves []netlist.NodeID
+			leaves := scratch[:0]
 			absorbed := 0
-			for i, f := range fanins {
-				expand := mask&(1<<uint(i)) != 0 && m.isGate(f)
-				leaves = m.addLeaves(leaves, m.expandOf(f, expand))
-				if expand {
+			for i, f := range fanins[:nf] {
+				if mask&(1<<uint(i)) != 0 && m.isGate(f) {
+					// Expanded: the fanin contributes its own cut.
+					leaves = m.addLeaves(leaves, m.cut[f])
 					absorbed++
+				} else {
+					leaves = m.addLeaves(leaves, fanins[i:i+1])
 				}
 			}
 			if len(leaves) > 4 {
@@ -219,14 +221,12 @@ func (m *mapper) chooseCuts() {
 			score := absorbed*16 + (4 - len(leaves))
 			if score > bestScore {
 				bestScore = score
-				best = leaves
+				store = append(store[:at], leaves...)
 			}
 		}
-		if best == nil {
-			// Fall back to the fanins themselves (arity <= 3 < 4).
-			best = m.addLeaves(nil, fanins)
-		}
-		m.cut[id] = best
+		// The mask-0 candidate is the fanins themselves (arity <= 3 < 4),
+		// so there always is a winner.
+		m.cut[id] = store[at:len(store):len(store)]
 	}
 }
 
