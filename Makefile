@@ -27,9 +27,10 @@ build:
 # The race gate covers the concurrency-bearing packages: the parallel
 # experiment runner (bench), the compile cache (compile), the service
 # daemon (serve), the fleet scheduler (fleet), the router scratch, and
-# the simulation layers they drive.
+# the simulation layers they drive, and the shared circuit library
+# (netlist) with the spec builder that reads it from every worker.
 race:
-	$(GO) test -race ./internal/core/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/route/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
+	$(GO) test -race ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/route/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
 
 test:
 	$(GO) test ./...

@@ -17,6 +17,7 @@
 //	vfpgad -boards 3 -faults seed=7,retries=2,config-error=0.1
 //	vfpgad -nodes 3 -boards-per-node 2 -placement packing
 //	vfpgad -nodes 3 -faults seed=1,config-error=0.9 -fault-node 1
+//	vfpgad -pprof 127.0.0.1:6060
 //
 // SIGINT/SIGTERM stop intake, drain every accepted job, and exit 0.
 package main
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -45,6 +47,7 @@ import (
 // and fleet paths on the same configuration.
 type options struct {
 	addr, addrFile   string
+	pprofAddr        string
 	boards           int
 	nodes            int
 	boardsPerNode    int
@@ -67,6 +70,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free one)")
 	flag.StringVar(&o.addrFile, "addr-file", "", "write the bound address to this file once listening")
+	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off)")
 	flag.IntVar(&o.boards, "boards", 2, "number of boards in the pool (single-node mode)")
 	flag.IntVar(&o.nodes, "nodes", 1, "number of nodes; > 1 serves a fleet from this one process")
 	flag.IntVar(&o.boardsPerNode, "boards-per-node", 0, "boards per fleet node (0 = the -boards value)")
@@ -200,6 +204,14 @@ func run(o options) error {
 	}
 	fmt.Printf("vfpgad: %s listening on %s\n", banner, ln.Addr())
 
+	if o.pprofAddr != "" {
+		stopPprof, err := servePprof(o.pprofAddr)
+		if err != nil {
+			return err
+		}
+		defer stopPprof()
+	}
+
 	srv.Start()
 	hs := &http.Server{Handler: srv.Handler()}
 
@@ -227,4 +239,31 @@ func run(o options) error {
 	srv.Drain()
 	fmt.Println("vfpgad: drained, bye")
 	return nil
+}
+
+// servePprof serves the runtime profiles on a listener of their own, so
+// a profile of the daemon comes from the daemon and the job API never
+// exposes /debug/pprof. The returned stop closes it and waits.
+func servePprof(addr string) (stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("pprof: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	ps := &http.Server{Handler: mux}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = ps.Serve(ln) // returns ErrServerClosed on stop; a profile listener's other failures are not the daemon's
+	}()
+	fmt.Printf("vfpgad: pprof on http://%s/debug/pprof/\n", ln.Addr())
+	return func() {
+		_ = ps.Close()
+		<-done
+	}, nil
 }

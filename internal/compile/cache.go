@@ -26,8 +26,13 @@ import (
 // change the compiled output participates in the key, so two lookups with
 // equal keys always denote byte-identical circuits — the property that
 // makes sharing the cache between concurrent experiments deterministic.
-// Netlist names are assumed to identify netlist content (true for the
-// registry library and the deterministic Segment/Concat derivations).
+// The netlist enters the key by name alone, so a name must identify
+// netlist content. For the registry library that holds by construction:
+// netlist.MustLookup hands out one immutable instance per name for the life
+// of the process, and no two entries share a name (a netlist test pins
+// it). The deterministic Segment/Concat derivations name their outputs
+// after their inputs and parameters; a hand-built netlist must not reuse
+// a library name for different logic.
 type CacheKey struct {
 	Name       string
 	Rows       int

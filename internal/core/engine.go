@@ -284,8 +284,16 @@ func (e *Engine) AllocPins(want int) (pins []int, mux int, err error) {
 	return pins, mux, nil
 }
 
-// FreePins returns pins to the pool.
+// FreePins returns pins to the pool and clears their configuration, so a
+// pin never outlives the residency it was bound for: ClearRegion only
+// disconnects output pins driven from inside the region, which leaves a
+// pass-through output (driven straight from an input pin) reading a pin
+// the next circuit is free to re-purpose. Clearing is free in the timing
+// model, like every configuration clear.
 func (e *Engine) FreePins(pins []int) {
+	for _, p := range pins {
+		e.Dev.WritePin(p, fabric.PinConfig{})
+	}
 	e.pins = append(e.pins, pins...)
 	sort.Ints(e.pins) // determinism of future allocations
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/serve"
 )
 
 // Fleet-level Prometheus text exposition, alongside (not replacing)
@@ -30,12 +31,6 @@ func (m *metricsWriter) family(name, help, typ string) {
 	_, m.err = fmt.Fprintf(m.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
 // series writes one sample line. Labels come as ordered key/value pairs.
 func (m *metricsWriter) series(name string, value string, kv ...string) {
 	if m.err != nil {
@@ -49,7 +44,7 @@ func (m *metricsWriter) series(name string, value string, kv ...string) {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(&b, `%s="%s"`, kv[i], escapeLabel(kv[i+1]))
+			fmt.Fprintf(&b, `%s="%s"`, kv[i], serve.EscapeLabel(kv[i+1]))
 		}
 		b.WriteByte('}')
 	}

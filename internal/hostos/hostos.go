@@ -12,6 +12,7 @@ package hostos
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -159,6 +160,12 @@ type Task struct {
 
 	lastChange sim.Time
 	started    bool
+
+	// Kernel callbacks that concern this task alone, bound once when the
+	// task is created instead of once per event: the first segment after
+	// a dispatch, and the switch-out that follows a state save.
+	startFn   func()
+	preemptFn func()
 }
 
 // State returns the task's current state.
@@ -229,9 +236,20 @@ type OS struct {
 	ready   []*Task
 	current *Task
 
-	segEvt   *sim.Event // end of the running segment
-	segStart sim.Time
-	segKind  segKind
+	// The running segment. The CPU runs one task and a task one op phase
+	// at a time, so at most one segment is in flight, and it belongs to
+	// current: its parameters live here, not in a closure per segment, and
+	// segEnd — segmentEnd, bound once in New — reads them when segEvt
+	// fires. segEvt goes stale on firing; Cancel reports whether it was
+	// still pending.
+	segEvt      sim.Event
+	segEnd      func()
+	dispatchFn  func() // dispatch, bound once like segEnd
+	segStart    sim.Time
+	segKind     segKind
+	segRun      sim.Time // length of the segment
+	segSliceEnd sim.Time // quantum it runs under (0: run to completion)
+	segPreempt  bool     // segExec only: the quantum ends before the op does
 
 	CtxSwitches int64
 	lastTask    *Task
@@ -254,7 +272,9 @@ func New(k *sim.Kernel, cfg Config, fpga FPGA) *OS {
 	if cfg.TimeSlice <= 0 {
 		cfg.TimeSlice = DefaultConfig().TimeSlice
 	}
-	return &OS{K: k, cfg: cfg, fpga: fpga}
+	o := &OS{K: k, cfg: cfg, fpga: fpga}
+	o.segEnd, o.dispatchFn = o.segmentEnd, o.dispatch
+	return o
 }
 
 // Config returns the OS configuration.
@@ -291,11 +311,13 @@ func (o *OS) spawnAt(at sim.Time, name string, priority int, program []Op, admit
 		Created:  at,
 		state:    TaskNew,
 	}
+	t.startFn = func() { o.runSegment(t, o.sliceFor(t)) }
+	t.preemptFn = func() { o.preemptNow(t) }
 	o.tasks = append(o.tasks, t)
-	seen := map[string]bool{}
+	seen := make([]string, 0, 8) // distinct circuits of one program: a handful
 	for _, op := range program {
-		if op.Kind == OpFPGA && !seen[op.Req.Circuit] {
-			seen[op.Req.Circuit] = true
+		if op.Kind == OpFPGA && !slices.Contains(seen, op.Req.Circuit) {
+			seen = append(seen, op.Req.Circuit)
 			if err := o.fpga.Register(t, op.Req.Circuit); err != nil {
 				return nil, fmt.Errorf("hostos: task %q: %w", name, err)
 			}
@@ -349,7 +371,7 @@ func (o *OS) kick() {
 	if o.current != nil {
 		return
 	}
-	o.K.SchedulePri(o.K.Now(), 10, o.dispatch)
+	o.K.SchedulePri(o.K.Now(), 10, o.dispatchFn)
 }
 
 // pickNext removes and returns the next task to run, per policy.
@@ -395,7 +417,7 @@ func (o *OS) dispatch() {
 		start += o.cfg.CtxSwitch
 	}
 	o.lastTask = t
-	o.K.Schedule(start, func() { o.runSegment(t, o.sliceFor(t)) })
+	o.K.Schedule(start, t.startFn)
 }
 
 // sliceFor returns the absolute time at which the task's quantum expires,
@@ -429,21 +451,7 @@ func (o *OS) runSegment(t *Task, sliceEnd sim.Time) {
 		if sliceEnd > 0 && now+run > sliceEnd {
 			run = sliceEnd - now
 		}
-		o.segKind = segCompute
-		o.segStart = now
-		o.segEvt = o.K.Schedule(now+run, func() {
-			t.computeLeft -= run
-			t.CPUTime += run
-			o.BusyTime += run
-			o.segEvt = nil
-			if t.computeLeft == 0 {
-				t.pc++
-				o.continueOrYield(t, sliceEnd)
-				return
-			}
-			t.Preemptions++
-			o.preemptNow(t)
-		})
+		o.startSegment(segCompute, run, sliceEnd, false)
 
 	case OpFPGA:
 		if !t.fl.active {
@@ -459,11 +467,7 @@ func (o *OS) runSegment(t *Task, sliceEnd sim.Time) {
 			cost := o.cfg.Syscall + setup
 			t.Overhead += cost
 			o.BusyTime += cost
-			o.segKind = segSetup
-			o.segEvt = o.K.Schedule(now+cost, func() {
-				o.segEvt = nil
-				o.runSegment(t, o.extendIfExpired(t, sliceEnd))
-			})
+			o.startSegment(segSetup, cost, sliceEnd, false)
 			return
 		}
 		if !t.fl.acquired {
@@ -472,11 +476,7 @@ func (o *OS) runSegment(t *Task, sliceEnd sim.Time) {
 			t.fl.acquired = true
 			t.Overhead += cost
 			o.BusyTime += cost
-			o.segKind = segSetup
-			o.segEvt = o.K.Schedule(now+cost, func() {
-				o.segEvt = nil
-				o.runSegment(t, o.extendIfExpired(t, sliceEnd))
-			})
+			o.startSegment(segSetup, cost, sliceEnd, false)
 			return
 		}
 		// Execute.
@@ -489,38 +489,74 @@ func (o *OS) runSegment(t *Task, sliceEnd sim.Time) {
 			run = sliceEnd - now
 			willPreempt = true
 		}
-		o.segKind = segExec
-		o.segStart = now
-		o.segEvt = o.K.Schedule(now+run, func() {
-			o.segEvt = nil
-			t.HWTime += run
-			o.BusyTime += run
-			if !willPreempt {
-				t.fl = flight{}
-				o.fpga.Complete(t)
-				t.pc++
-				o.continueOrYield(t, sliceEnd)
-				return
-			}
-			t.fl.execLeft -= run
-			if len(o.ready) == 0 {
-				// Nobody else is runnable: keep the circuit going with a
-				// fresh quantum instead of preempting into thin air (which
-				// would livelock rollback-mode circuits longer than a slice).
-				o.runSegment(t, o.sliceFor(t))
-				return
-			}
-			done := t.fl.total - t.fl.execLeft
-			overhead, preserved := o.fpga.Preempt(t, done, t.fl.total)
-			t.fl.execLeft = t.fl.total - preserved
-			t.fl.acquired = false
-			t.Preemptions++
-			t.Overhead += overhead
-			o.BusyTime += overhead
-			// State save runs before the switch completes.
-			o.K.Schedule(o.K.Now()+overhead, func() { o.preemptNow(t) })
-		})
+		o.startSegment(segExec, run, sliceEnd, willPreempt)
 	}
+}
+
+// startSegment records the running task's next segment and schedules its
+// end, run from now.
+func (o *OS) startSegment(kind segKind, run, sliceEnd sim.Time, willPreempt bool) {
+	now := o.K.Now()
+	o.segKind, o.segStart = kind, now
+	o.segRun, o.segSliceEnd, o.segPreempt = run, sliceEnd, willPreempt
+	o.segEvt = o.K.Schedule(now+run, o.segEnd)
+}
+
+// segmentEnd fires when the running segment ends undisturbed: it charges
+// the segment to the task and moves on to the next phase, op or task.
+func (o *OS) segmentEnd() {
+	// Copied out first: the calls below may start the next segment.
+	t, run, sliceEnd := o.current, o.segRun, o.segSliceEnd
+	switch o.segKind {
+	case segCompute:
+		t.computeLeft -= run
+		t.CPUTime += run
+		o.BusyTime += run
+		if t.computeLeft == 0 {
+			t.pc++
+			o.continueOrYield(t, sliceEnd)
+			return
+		}
+		t.Preemptions++
+		o.preemptNow(t)
+
+	case segSetup:
+		o.runSegment(t, o.extendIfExpired(t, sliceEnd))
+
+	case segExec:
+		t.HWTime += run
+		o.BusyTime += run
+		if !o.segPreempt {
+			t.fl = flight{}
+			o.fpga.Complete(t)
+			t.pc++
+			o.continueOrYield(t, sliceEnd)
+			return
+		}
+		t.fl.execLeft -= run
+		if len(o.ready) == 0 {
+			// Nobody else is runnable: keep the circuit going with a
+			// fresh quantum instead of preempting into thin air (which
+			// would livelock rollback-mode circuits longer than a slice).
+			o.runSegment(t, o.sliceFor(t))
+			return
+		}
+		o.saveAndSwitch(t, t.fl.total-t.fl.execLeft)
+	}
+}
+
+// saveAndSwitch preempts t's in-flight hardware op after done of its
+// execution: the manager saves (or abandons) the circuit state, and the
+// task leaves the CPU once that overhead has run.
+func (o *OS) saveAndSwitch(t *Task, done sim.Time) {
+	overhead, preserved := o.fpga.Preempt(t, done, t.fl.total)
+	t.fl.execLeft = t.fl.total - preserved
+	t.fl.acquired = false
+	t.Preemptions++
+	t.Overhead += overhead
+	o.BusyTime += overhead
+	// State save runs before the switch completes.
+	o.K.Schedule(o.K.Now()+overhead, t.preemptFn)
 }
 
 // extendIfExpired grants a fresh quantum when a non-preemptable setup
@@ -564,9 +600,7 @@ func (o *OS) preemptCurrent() {
 	}
 	switch o.segKind {
 	case segCompute:
-		if o.segEvt != nil {
-			o.K.Cancel(o.segEvt)
-			o.segEvt = nil
+		if o.K.Cancel(o.segEvt) {
 			ran := o.K.Now() - o.segStart
 			t.computeLeft -= ran
 			t.CPUTime += ran
@@ -575,20 +609,11 @@ func (o *OS) preemptCurrent() {
 		t.Preemptions++
 		o.preemptNow(t)
 	case segExec:
-		if o.fpga.Preemptable(t) && o.segEvt != nil {
-			o.K.Cancel(o.segEvt)
-			o.segEvt = nil
+		if o.fpga.Preemptable(t) && o.K.Cancel(o.segEvt) {
 			ran := o.K.Now() - o.segStart
 			t.HWTime += ran
 			o.BusyTime += ran
-			done := t.fl.total - t.fl.execLeft + ran
-			overhead, preserved := o.fpga.Preempt(t, done, t.fl.total)
-			t.fl.execLeft = t.fl.total - preserved
-			t.fl.acquired = false
-			t.Preemptions++
-			t.Overhead += overhead
-			o.BusyTime += overhead
-			o.K.Schedule(o.K.Now()+overhead, func() { o.preemptNow(t) })
+			o.saveAndSwitch(t, t.fl.total-t.fl.execLeft+ran)
 		}
 		// Non-preemptable: let the op finish; dispatch will re-sort.
 	case segSetup:
@@ -638,7 +663,7 @@ func (o *OS) Reset() {
 	o.tasks = nil
 	o.ready = nil
 	o.current = nil
-	o.segEvt = nil
+	o.segEvt = sim.Event{}
 	o.segStart = 0
 	o.segKind = segNone
 	o.CtxSwitches = 0

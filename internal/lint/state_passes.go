@@ -143,85 +143,112 @@ func passFabricConfig(t *Target, r *Reporter) {
 	if name == "" {
 		name = "device"
 	}
-	used := map[[2]int]bool{}
+	// Dense per-CLB tables in the device's own x-major order. A clean
+	// device — every device the daemon audits after a job — must cost a
+	// few slices here and no formatting at all: positions are rendered
+	// only for a source about to be reported.
+	at := func(x, y int) int { return x*g.Rows + y }
+	used := make([]bool, g.NumCLBs())
+	nUsed := 0
 	d.EachUsedCLB(func(x, y int, cfg fabric.CLBConfig) {
-		used[[2]int{x, y}] = true
+		used[at(x, y)] = true
+		nUsed++
 	})
-	checkSource := func(pos string, s fabric.Source) {
+	// sourceFault returns what is wrong with s, or "" for a sound source.
+	sourceFault := func(s fabric.Source) string {
 		switch s.Kind {
 		case fabric.SrcUnused, fabric.SrcConst0, fabric.SrcConst1:
 		case fabric.SrcCLB:
 			if s.X < 0 || s.X >= g.Cols || s.Y < 0 || s.Y >= g.Rows {
-				r.Errorf(pos, "reads CLB (%d,%d) outside device %v", s.X, s.Y, g)
-			} else if !used[[2]int{s.X, s.Y}] {
-				r.Errorf(pos, "reads unconfigured CLB (%d,%d)", s.X, s.Y)
+				return fmt.Sprintf("reads CLB (%d,%d) outside device %v", s.X, s.Y, g)
+			} else if !used[at(s.X, s.Y)] {
+				return fmt.Sprintf("reads unconfigured CLB (%d,%d)", s.X, s.Y)
 			}
 		case fabric.SrcPin:
 			if s.Pin < 0 || s.Pin >= g.NumPins() {
-				r.Errorf(pos, "reads pin %d outside device %v", s.Pin, g)
+				return fmt.Sprintf("reads pin %d outside device %v", s.Pin, g)
 			} else if d.Pin(s.Pin).Mode != fabric.PinInput {
-				r.Errorf(pos, "reads pin %d which is not configured as an input", s.Pin)
+				return fmt.Sprintf("reads pin %d which is not configured as an input", s.Pin)
 			}
 		default:
-			r.Errorf(pos, "unknown source kind %d", s.Kind)
+			return fmt.Sprintf("unknown source kind %d", s.Kind)
 		}
+		return ""
 	}
+	// The same walk counts the combinational in-edges of every used CLB
+	// for the loop check below (registered CLBs break cycles: their
+	// output is the FF, not the LUT).
+	combEdge := func(s fabric.Source) bool {
+		return s.Kind == fabric.SrcCLB && s.X >= 0 && s.X < g.Cols && s.Y >= 0 && s.Y < g.Rows &&
+			used[at(s.X, s.Y)] && !d.CLB(s.X, s.Y).UseFF
+	}
+	indeg := make([]int32, g.NumCLBs())
+	outdeg := make([]int32, g.NumCLBs()+1)
+	edges := 0
 	d.EachUsedCLB(func(x, y int, cfg fabric.CLBConfig) {
 		for k, s := range cfg.Inputs {
-			checkSource(fmt.Sprintf("%s: CLB (%d,%d) input %d", name, x, y, k), s)
+			if fault := sourceFault(s); fault != "" {
+				r.Errorf(fmt.Sprintf("%s: CLB (%d,%d) input %d", name, x, y, k), "%s", fault)
+			}
+			if combEdge(s) {
+				indeg[at(x, y)]++
+				outdeg[at(s.X, s.Y)]++
+				edges++
+			}
 		}
 	})
 	for p := 0; p < g.NumPins(); p++ {
 		cfg := d.Pin(p)
 		if cfg.Mode == fabric.PinOutput {
-			checkSource(fmt.Sprintf("%s: output pin %d", name, p), cfg.Driver)
+			if fault := sourceFault(cfg.Driver); fault != "" {
+				r.Errorf(fmt.Sprintf("%s: output pin %d", name, p), "%s", fault)
+			}
 		}
 	}
-	// Configuration-level combinational loop check (registered CLBs break
-	// cycles: their output is the FF, not the LUT).
-	type xy = [2]int
-	indeg := map[xy]int{}
-	succ := map[xy][]xy{}
+	if edges == 0 {
+		return // no combinational edge, no loop
+	}
+	// Kahn's algorithm over a CSR successor list: succ[start[c]:start[c+1]]
+	// are the CLBs reading c combinationally. How many CLBs it orders does
+	// not depend on the order it visits them in.
+	start := outdeg // prefix-summed in place: start[c] is where c's successors end up
+	sum := int32(0)
+	for c := range start {
+		n := start[c]
+		start[c] = sum
+		sum += n
+	}
+	succ := make([]int32, edges)
+	fill := make([]int32, g.NumCLBs())
 	d.EachUsedCLB(func(x, y int, cfg fabric.CLBConfig) {
-		me := xy{x, y}
-		if _, ok := indeg[me]; !ok {
-			indeg[me] = 0
-		}
 		for _, s := range cfg.Inputs {
-			if s.Kind != fabric.SrcCLB || !used[xy{s.X, s.Y}] {
-				continue
+			if combEdge(s) {
+				src := at(s.X, s.Y)
+				succ[start[src]+fill[src]] = int32(at(x, y))
+				fill[src]++
 			}
-			src := d.CLB(s.X, s.Y)
-			if src.UseFF {
-				continue // sequential edge
-			}
-			indeg[me]++
-			succ[xy{s.X, s.Y}] = append(succ[xy{s.X, s.Y}], me)
 		}
 	})
-	var queue []xy
-	for c, n := range indeg {
-		if n == 0 {
-			queue = append(queue, c)
+	queue := fill[:0] // fill is spent; at most one entry per CLB
+	for c, u := range used {
+		if u && indeg[c] == 0 {
+			queue = append(queue, int32(c))
 		}
 	}
-	sort.Slice(queue, func(i, j int) bool {
-		return queue[i][0] < queue[j][0] || (queue[i][0] == queue[j][0] && queue[i][1] < queue[j][1])
-	})
 	ordered := 0
 	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
+		c := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
 		ordered++
-		for _, s := range succ[c] {
+		for _, s := range succ[start[c]:start[c+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				queue = append(queue, s)
 			}
 		}
 	}
-	if ordered != len(indeg) {
+	if ordered != nUsed {
 		r.Errorf(name+": logic", "configured fabric contains a combinational loop (%d of %d CLBs unordered)",
-			len(indeg)-ordered, len(indeg))
+			nUsed-ordered, nUsed)
 	}
 }

@@ -89,14 +89,10 @@ func BinToBCD8() *Netlist {
 	return b.MustBuild()
 }
 
-func init() {
-	// Registered here rather than in Registry2 to keep each tier's file
-	// self-contained; Registry() merges everything.
-	registryExtra["div8"] = func() *Netlist { return Divider(8) }
-	registryExtra["div16"] = func() *Netlist { return Divider(16) }
-	registryExtra["bintobcd8"] = BinToBCD8
+// extraGenerators is the third library tier, kept in this file so each
+// tier's file is self-contained; the library merges all three.
+var extraGenerators = map[string]func() *Netlist{
+	"div8":      func() *Netlist { return Divider(8) },
+	"div16":     func() *Netlist { return Divider(16) },
+	"bintobcd8": BinToBCD8,
 }
-
-// registryExtra collects generators registered by init functions of the
-// later library tiers.
-var registryExtra = map[string]func() *Netlist{}

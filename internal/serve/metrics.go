@@ -28,11 +28,13 @@ func (m *metricsWriter) family(name, help, typ string) {
 	_, m.err = fmt.Fprintf(m.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper is built once: a Replacer is safe for concurrent use, and
+// building one per label value was most of what a scrape allocated.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// EscapeLabel escapes a label value per the exposition format. The fleet
+// exposition uses it too.
+func EscapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // series writes one sample line. Labels come as ordered key/value pairs.
 func (m *metricsWriter) series(name string, value string, kv ...string) {
@@ -47,7 +49,7 @@ func (m *metricsWriter) series(name string, value string, kv ...string) {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(&b, `%s="%s"`, kv[i], escapeLabel(kv[i+1]))
+			fmt.Fprintf(&b, `%s="%s"`, kv[i], EscapeLabel(kv[i+1]))
 		}
 		b.WriteByte('}')
 	}

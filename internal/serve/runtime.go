@@ -81,8 +81,10 @@ func compileSet(cache *compile.StripCache, bc BoardConfig, set *workload.Set) ([
 // SpecWidth returns the widest compiled strip among the spec's circuits
 // on the given board geometry — the placement-relevant footprint of a
 // job (its rectangle width in the strip-packing-with-delays view). The
-// compiles go through the shared cache, so repeated calls for the same
-// spec are lookups, not work.
+// circuits come from the shared netlist library and their compiles from
+// the shared cache, so a repeated call for the same spec generates the
+// spec's task programs and looks the rest up: no netlist is rebuilt and
+// nothing is compiled.
 func SpecWidth(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (int, error) {
 	set, err := spec.Build()
 	if err != nil {

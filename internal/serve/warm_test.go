@@ -165,6 +165,55 @@ func TestPoolWarmCounters(t *testing.T) {
 	}
 }
 
+// TestWarmJobAllocBudget pins what a warm job allocates, Submit to
+// Done(), so the warm path's gains cannot erode silently: the circuits
+// come from the shared library, the event loop and a clean lint pass
+// allocate nothing per event or per CLB, and what is left is the job's
+// own programs, tasks, loads and result. Budgets sit ~25 % above what
+// the path reads today (multimedia: 184 on dynamic, 345 on paged, most of
+// the latter PagedLoader.neededPages; before the warm job path they read
+// 1 838 and 1 670).
+func TestWarmJobAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		manager string
+		budget  float64
+	}{
+		{"dynamic", 230},
+		{"paged", 430},
+	} {
+		t.Run(tc.manager, func(t *testing.T) {
+			bc := DefaultBoardConfig()
+			bc.Manager = tc.manager
+			p, err := NewPool([]BoardConfig{bc}, PoolOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Start()
+			defer p.Drain()
+			spec := specFor(t, "multimedia")
+			job := func() {
+				j, err := p.Submit(SubmitArgs{Tenant: "acme", Spec: spec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				<-j.Done()
+				if st := j.Status(); st.State != StateDone || !st.Result.LintClean {
+					t.Fatalf("job ended %s (%s)", st.State, st.Error)
+				}
+			}
+			job() // compiles the circuits and builds the board: the cold job
+			got := testing.AllocsPerRun(20, job)
+			t.Logf("%s: %.0f allocations per warm job", tc.manager, got)
+			if got > tc.budget {
+				t.Errorf("%s: a warm job allocates %.0f times, budget %.0f", tc.manager, got, tc.budget)
+			}
+			if bi := p.boards[0].info(); bi.ColdResets != 1 {
+				t.Errorf("%s: %d cold resets, want the first job's only", tc.manager, bi.ColdResets)
+			}
+		})
+	}
+}
+
 // BenchmarkJobColdVsWarm measures the tentpole's point: serving a job by
 // snapshot-restore reset vs. rebuilding the whole stack from scratch
 // (fresh compile cache — the true cold start, place and route included).
@@ -172,6 +221,7 @@ func BenchmarkJobColdVsWarm(b *testing.B) {
 	bc := DefaultBoardConfig()
 	spec := specFor(b, "multimedia")
 	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cache := compile.NewStripCache(compile.DefaultCacheCapacity)
 			if _, err := runJob(cache, bc, spec, false); err != nil {
@@ -196,6 +246,7 @@ func BenchmarkJobColdVsWarm(b *testing.B) {
 		if _, err := rt.run(set, circs, false, false); err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := rt.run(set, circs, false, true); err != nil {
@@ -214,6 +265,32 @@ func TestEmptySetTypedError(t *testing.T) {
 		bc.Manager = mgr
 		if _, err := buildRuntime(bc, &workload.Set{}, nil); !errors.Is(err, workload.ErrNoCircuits) {
 			t.Errorf("%s: buildRuntime(empty set) = %v, want ErrNoCircuits", mgr, err)
+		}
+	}
+}
+
+// A pass-through output pin (gray8's top bit, hamming74enc's data bits,
+// bintobcd8's lowest are wired straight from an input pin) must not
+// survive its circuit's eviction: ClearRegion only disconnects output
+// pins driven from inside the region, so the pin kept reading an input
+// pin the next circuit re-purposed, and the post-run audit reported
+// "output pin 15: reads pin 7 which is not configured as an input".
+// Freeing a residency's pins now clears them. These seeds were not
+// lint-clean before that.
+func TestPassThroughPinClearedOnEvict(t *testing.T) {
+	bc := DefaultBoardConfig() // dynamic
+	cache := compile.NewStripCache(compile.DefaultCacheCapacity)
+	for _, seed := range []uint64{9, 14, 30} {
+		syn := workload.DefaultSynthetic()
+		syn.Pool = []string{"gray8", "hamming74enc", "bintobcd8", "alu16"}
+		syn.Seed = seed
+		spec := &workload.Spec{Scenario: "synthetic", Synthetic: &syn}
+		res, err := runJob(cache, bc, spec, false)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !res.LintClean {
+			t.Errorf("seed %d: not lint-clean: %v", seed, res.LintDiags)
 		}
 	}
 }

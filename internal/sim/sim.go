@@ -9,10 +9,7 @@
 // never touches the wall clock, so experiment results are bit-reproducible.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64
@@ -49,60 +46,51 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Milliseconds returns the time as a float64 millisecond count.
 func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
 
-// Event is a scheduled callback. It is returned by Schedule so that the
-// caller can cancel it (e.g. a preemption timer that is no longer needed).
+// Event is a handle on a scheduled callback, returned by Schedule so the
+// caller can cancel it (e.g. a preemption timer that is no longer
+// needed). It is a plain value: the zero Event names no event, and a
+// handle goes stale — Cancel ignores it — once its event has fired, been
+// canceled, or been dropped by Reset. Sequence numbers are never reused,
+// so a stale handle cannot name a later event that recycled its slot.
 type Event struct {
+	slot int32
+	seq  uint64
+}
+
+// event is one queued callback. Events live by value in the kernel's
+// heap; slot is the entry in Kernel.pos that tracks where.
+type event struct {
 	at       Time
 	priority int
 	seq      uint64
 	fn       func()
-	index    int // heap index, -1 when not queued
+	slot     int32
 }
 
-// Time returns the virtual time at which the event fires (or fired).
-func (e *Event) Time() Time { return e.at }
-
-// Canceled reports whether the event has been canceled or already fired.
-func (e *Event) Canceled() bool { return e.fn == nil }
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	if q[i].priority != q[j].priority {
-		return q[i].priority < q[j].priority
+	if e.priority != o.priority {
+		return e.priority < o.priority
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Kernel is a discrete-event simulation engine. The zero value is ready
 // to use at virtual time zero.
+//
+// The queue is a binary heap of event values ordered by (time, priority,
+// sequence). Each queued event owns a slot: pos[slot] is its current heap
+// index, which is what lets Cancel find it, and -1 once the slot is back
+// on the free list. The heap, pos and free keep their backing arrays
+// across Reset, so a kernel in steady state schedules without allocating.
 type Kernel struct {
 	now     Time
-	queue   eventQueue
-	seq     uint64
+	heap    []event
+	pos     []int32
+	free    []int32
+	seq     uint64 // last sequence number issued; never reset
 	running bool
 	fired   int64
 }
@@ -117,67 +105,129 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) EventsFired() int64 { return k.fired }
 
 // Pending returns the number of events currently queued.
-func (k *Kernel) Pending() int { return len(k.queue) }
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // Schedule arranges for fn to run at absolute virtual time at. Events at
 // equal times run in scheduling order. Scheduling in the past panics —
 // that is always a logic error in a discrete-event model.
-func (k *Kernel) Schedule(at Time, fn func()) *Event {
+func (k *Kernel) Schedule(at Time, fn func()) Event {
 	return k.SchedulePri(at, 0, fn)
 }
 
 // SchedulePri schedules fn at time at with an explicit priority; among
 // events at the same time, lower priority values fire first. The host OS
 // uses priorities to order hardware completions before scheduler decisions.
-func (k *Kernel) SchedulePri(at Time, priority int, fn func()) *Event {
+func (k *Kernel) SchedulePri(at Time, priority int, fn func()) Event {
 	if fn == nil {
 		panic("sim: Schedule with nil function")
 	}
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", at, k.now))
 	}
-	e := &Event{at: at, priority: priority, seq: k.seq, fn: fn}
+	var slot int32
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		slot = int32(len(k.pos))
+		k.pos = append(k.pos, -1)
+	}
 	k.seq++
-	heap.Push(&k.queue, e)
-	return e
+	k.heap = append(k.heap, event{at: at, priority: priority, seq: k.seq, fn: fn, slot: slot})
+	k.up(len(k.heap) - 1)
+	return Event{slot: slot, seq: k.seq}
 }
 
 // After schedules fn to run delay after the current time.
-func (k *Kernel) After(delay Time, fn func()) *Event {
+func (k *Kernel) After(delay Time, fn func()) Event {
 	if delay < 0 {
 		panic("sim: negative delay")
 	}
 	return k.Schedule(k.now+delay, fn)
 }
 
-// Cancel removes a scheduled event. Canceling an event that already fired
-// or was already canceled is a no-op.
-func (k *Kernel) Cancel(e *Event) {
-	if e == nil || e.fn == nil {
-		return
+// Cancel removes a scheduled event and reports whether it did. A stale
+// or zero handle — the event already fired, was already canceled, or was
+// dropped by Reset — is a no-op that reports false.
+func (k *Kernel) Cancel(e Event) bool {
+	if e.seq == 0 || int(e.slot) >= len(k.pos) {
+		return false
 	}
-	e.fn = nil
-	if e.index >= 0 {
-		heap.Remove(&k.queue, e.index)
+	i := int(k.pos[e.slot])
+	if i < 0 || k.heap[i].seq != e.seq {
+		return false
 	}
+	k.remove(i)
+	return true
+}
+
+// remove deletes heap[i], frees its slot, and restores heap order.
+func (k *Kernel) remove(i int) {
+	slot := k.heap[i].slot
+	k.pos[slot] = -1
+	k.free = append(k.free, slot)
+	last := len(k.heap) - 1
+	moved := k.heap[last]
+	k.heap[last] = event{} // drop the callback reference
+	k.heap = k.heap[:last]
+	if i != last {
+		k.heap[i] = moved
+		k.down(i)
+		k.up(i)
+	}
+}
+
+// up sifts heap[i] toward the root.
+func (k *Kernel) up(i int) {
+	e := k.heap[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&k.heap[parent]) {
+			break
+		}
+		k.heap[i] = k.heap[parent]
+		k.pos[k.heap[i].slot] = int32(i)
+		i = parent
+	}
+	k.heap[i] = e
+	k.pos[e.slot] = int32(i)
+}
+
+// down sifts heap[i] toward the leaves.
+func (k *Kernel) down(i int) {
+	e := k.heap[i]
+	n := len(k.heap)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && k.heap[r].before(&k.heap[child]) {
+			child = r
+		}
+		if !k.heap[child].before(&e) {
+			break
+		}
+		k.heap[i] = k.heap[child]
+		k.pos[k.heap[i].slot] = int32(i)
+		i = child
+	}
+	k.heap[i] = e
+	k.pos[e.slot] = int32(i)
 }
 
 // Step executes the single next event, advancing the clock to its time.
 // It returns false when the queue is empty.
 func (k *Kernel) Step() bool {
-	for len(k.queue) > 0 {
-		e := heap.Pop(&k.queue).(*Event)
-		if e.fn == nil {
-			continue // canceled while queued (defensive; Cancel removes eagerly)
-		}
-		k.now = e.at
-		fn := e.fn
-		e.fn = nil
-		k.fired++
-		fn()
-		return true
+	if len(k.heap) == 0 {
+		return false
 	}
-	return false
+	at, fn := k.heap[0].at, k.heap[0].fn
+	k.remove(0)
+	k.now = at
+	k.fired++
+	fn()
+	return true
 }
 
 // Run executes events until the queue drains, and returns the final time.
@@ -193,22 +243,21 @@ func (k *Kernel) Run() Time {
 }
 
 // Reset returns the kernel to virtual time zero with an empty queue, as
-// if freshly constructed. Pending events are dropped. Resetting while
-// Run/RunUntil is executing panics — the event loop must have drained
-// (or been abandoned) first.
+// if freshly constructed, but keeps the queue's backing arrays. Pending
+// events are dropped and every handle issued so far goes stale.
+// Resetting while Run/RunUntil is executing panics — the event loop must
+// have drained (or been abandoned) first.
 func (k *Kernel) Reset() {
 	if k.running {
 		panic("sim: Reset during Run")
 	}
-	for _, e := range k.queue {
-		if e != nil {
-			e.fn = nil
-			e.index = -1
-		}
+	for i := range k.heap {
+		k.heap[i] = event{}
 	}
+	k.heap = k.heap[:0]
+	k.pos = k.pos[:0]
+	k.free = k.free[:0]
 	k.now = 0
-	k.queue = nil
-	k.seq = 0
 	k.fired = 0
 }
 
@@ -222,7 +271,7 @@ func (k *Kernel) RunUntil(deadline Time) int64 {
 	k.running = true
 	defer func() { k.running = false }()
 	start := k.fired
-	for len(k.queue) > 0 && k.queue[0].at <= deadline {
+	for len(k.heap) > 0 && k.heap[0].at <= deadline {
 		k.Step()
 	}
 	if k.now < deadline {

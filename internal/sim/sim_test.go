@@ -107,23 +107,23 @@ func TestCancel(t *testing.T) {
 	k := New()
 	fired := false
 	e := k.Schedule(10, func() { fired = true })
-	k.Cancel(e)
+	if !k.Cancel(e) {
+		t.Fatal("Cancel of a pending event reported false")
+	}
 	k.Run()
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("event does not report canceled")
+	// Double-cancel and zero-handle cancel are no-ops.
+	if k.Cancel(e) || k.Cancel(Event{}) {
+		t.Fatal("Cancel of a stale or zero handle reported true")
 	}
-	// Double-cancel and nil-cancel are no-ops.
-	k.Cancel(e)
-	k.Cancel(nil)
 }
 
 func TestCancelOneOfMany(t *testing.T) {
 	k := New()
 	var got []int
-	var events []*Event
+	var events []Event
 	for i := 0; i < 5; i++ {
 		i := i
 		events = append(events, k.Schedule(Time(i*10), func() { got = append(got, i) }))
@@ -260,6 +260,7 @@ func TestTimeConversions(t *testing.T) {
 }
 
 func BenchmarkScheduleRun(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := New()
 		for j := 0; j < 1000; j++ {

@@ -38,21 +38,31 @@ type SyntheticSpec struct {
 	Seed         uint64   `json:"seed"`
 }
 
-// Config resolves the named pool against the netlist registry and
-// returns the equivalent SyntheticConfig.
+// checkPool reports the first pool name the circuit library does not
+// know, without building anything.
+func (s *SyntheticSpec) checkPool() error {
+	for _, name := range s.Pool {
+		if !netlist.Known(name) {
+			return fmt.Errorf("workload: circuit %q not in registry", name)
+		}
+	}
+	return nil
+}
+
+// Config resolves the named pool against the circuit library and
+// returns the equivalent SyntheticConfig. The pool holds the library's
+// shared netlists: two Configs of one spec name the same circuits.
 func (s *SyntheticSpec) Config() (SyntheticConfig, error) {
 	cfg := SyntheticConfig{
 		Tasks: s.Tasks, OpsPerTask: s.OpsPerTask, EvalsPerOp: s.EvalsPerOp,
 		ComputeTime: s.ComputeTime, MeanInterval: s.MeanInterval,
 		SwitchProb: s.SwitchProb, Seed: s.Seed,
 	}
-	reg := netlist.Registry()
+	if err := s.checkPool(); err != nil {
+		return cfg, err
+	}
 	for _, name := range s.Pool {
-		gen, ok := reg[name]
-		if !ok {
-			return cfg, fmt.Errorf("workload: circuit %q not in registry", name)
-		}
-		cfg.CircuitPool = append(cfg.CircuitPool, gen())
+		cfg.CircuitPool = append(cfg.CircuitPool, netlist.MustLookup(name))
 	}
 	return cfg, nil
 }
@@ -155,7 +165,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if s.Scenario == "synthetic" && s.Synthetic != nil {
-		if _, err := s.Synthetic.Config(); err != nil {
+		if err := s.Synthetic.checkPool(); err != nil {
 			return err
 		}
 	}

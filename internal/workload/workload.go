@@ -85,9 +85,9 @@ func DefaultMultimedia() MultimediaConfig {
 // datapath circuits of comparable size (transform, entropy-code, filter).
 func Multimedia(cfg MultimediaConfig) *Set {
 	codecs := []*netlist.Netlist{
-		netlist.Multiplier(4),     // transform-like datapath
-		netlist.ALU(8),            // predictive filter
-		netlist.BarrelShifter(16), // bit-plane packing
+		netlist.MustLookup("mul4"),   // transform-like datapath
+		netlist.MustLookup("alu8"),   // predictive filter
+		netlist.MustLookup("rotl16"), // bit-plane packing
 	}
 	src := rng.New(cfg.Seed)
 	set := &Set{Circuits: codecs}
@@ -141,10 +141,10 @@ func DefaultTelecom() TelecomConfig {
 // one protocol (Zipf-popular), implemented as coding/CRC engines.
 func Telecom(cfg TelecomConfig) *Set {
 	protocols := []*netlist.Netlist{
-		netlist.CRC(16, 0x8005),                 // framing check
-		netlist.CRC(8, 0x07),                    // legacy framing
-		netlist.LFSR(16, []int{15, 13, 12, 10}), // scrambler
-		netlist.GrayEncoder(8),                  // modulation mapping
+		netlist.MustLookup("crc16"),  // framing check
+		netlist.MustLookup("crc8"),   // legacy framing
+		netlist.MustLookup("lfsr16"), // scrambler
+		netlist.MustLookup("gray8"),  // modulation mapping
 	}
 	src := rng.New(cfg.Seed)
 	zipf := rng.NewZipf(src.Split(), len(protocols), cfg.ProtocolSkew)
@@ -197,9 +197,9 @@ func DefaultDiagnosis() DiagnosisConfig {
 // using a small resident-worthy circuit, plus low-priority diagnostic
 // tasks arriving periodically with a rarely-used test circuit.
 func Diagnosis(cfg DiagnosisConfig) *Set {
-	control := netlist.ALU(8)        // control-law datapath
-	diag := netlist.PopCount(32)     // signature analysis
-	tuning := netlist.Comparator(16) // threshold tuning
+	control := netlist.MustLookup("alu8")    // control-law datapath
+	diag := netlist.MustLookup("popcount32") // signature analysis
+	tuning := netlist.MustLookup("cmp16")    // threshold tuning
 	set := &Set{Circuits: []*netlist.Netlist{control, diag, tuning}}
 
 	var ctrl []hostos.Op
@@ -259,9 +259,9 @@ func DefaultStorage() StorageConfig {
 // coding, reads run integrity checking only. The two hardware functions
 // are natural residents for overlaying.
 func Storage(cfg StorageConfig) *Set {
-	parity := netlist.Parity(32)          // stripe parity (XOR across units)
-	integrity := netlist.CRC(16, 0x8005)  // block integrity code
-	correct := netlist.Hamming74Decoder() // degraded-mode reconstruction
+	parity := netlist.MustLookup("parity32")      // stripe parity (XOR across units)
+	integrity := netlist.MustLookup("crc16")      // block integrity code
+	correct := netlist.MustLookup("hamming74dec") // degraded-mode reconstruction
 	set := &Set{Circuits: []*netlist.Netlist{parity, integrity, correct}}
 	src := rng.New(cfg.Seed)
 	arrival := sim.Time(0)
@@ -313,12 +313,12 @@ type SyntheticConfig struct {
 // wide multiplier, matching the paper's "heterogeneous circuit sizes".
 func DefaultPool() []*netlist.Netlist {
 	return []*netlist.Netlist{
-		netlist.Parity(16),
-		netlist.Adder(8),
-		netlist.Comparator(16),
-		netlist.Counter(8),
-		netlist.ALU(8),
-		netlist.Multiplier(4),
+		netlist.MustLookup("parity16"),
+		netlist.MustLookup("adder8"),
+		netlist.MustLookup("cmp16"),
+		netlist.MustLookup("counter8"),
+		netlist.MustLookup("alu8"),
+		netlist.MustLookup("mul4"),
 	}
 }
 
