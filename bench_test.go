@@ -36,6 +36,7 @@ func benchExperiment(b *testing.B, id string) {
 	cfg := bench.Config{Seed: 1, Quick: true}
 	var rows int
 	var virtualMs float64
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tbl, err := e.Run(cfg)
 		if err != nil {
@@ -102,6 +103,7 @@ func BenchmarkF6Segmentation(b *testing.B)           { benchExperiment(b, "F6") 
 func BenchmarkF7Applications(b *testing.B)           { benchExperiment(b, "F7") }
 func BenchmarkF8MultiBoard(b *testing.B)             { benchExperiment(b, "F8") }
 func BenchmarkF9AmorphousRegions(b *testing.B)       { benchExperiment(b, "F9") }
+func BenchmarkF10PlacementBakeoff(b *testing.B)      { benchExperiment(b, "F10") }
 func BenchmarkA1OptimizerAblation(b *testing.B)      { benchExperiment(b, "A1") }
 
 // --- CAD-flow micro-benchmarks: the substrate costs behind every table ---
@@ -141,6 +143,7 @@ func BenchmarkFlowRouteALU8(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := route.Route(p, 12, route.Options{}); err != nil {

@@ -20,26 +20,24 @@ import (
 // quality alone — identical arrivals, identical rectangles, identical
 // mid-run node failure.
 
+type fleetClass struct {
+	nl     *netlist.Netlist
+	evals  int64
+	weight int
+}
+
 // fleetClassPool is the churn mix: recurring narrow strips that
 // checkerboard boards, a mid band, and wide multipliers that demand
 // contiguity — the same tension the F4/F9 fragmentation studies create,
 // lifted to fleet scale. Service time models evaluation work at the
 // simulated 100 MHz fabric clock (evals × 10 ns).
-func fleetClassPool() []struct {
-	nl     *netlist.Netlist
-	evals  int64
-	weight int
-} {
-	return []struct {
-		nl     *netlist.Netlist
-		evals  int64
-		weight int
-	}{
-		{netlist.Parity(16), 40_000, 5},
-		{netlist.Adder(8), 60_000, 3},
-		{netlist.ALU(8), 80_000, 2},
-		{netlist.Multiplier(6), 120_000, 2},
-		{netlist.Multiplier(8), 160_000, 1},
+func fleetClassPool() []fleetClass {
+	return []fleetClass{
+		{netlist.MustLookup("parity16"), 40_000, 5},
+		{netlist.MustLookup("adder8"), 60_000, 3},
+		{netlist.MustLookup("alu8"), 80_000, 2},
+		{netlist.Multiplier(6), 120_000, 2}, // not a library circuit
+		{netlist.MustLookup("mul8"), 160_000, 1},
 	}
 }
 
@@ -67,7 +65,7 @@ func FleetBakeoffConfig(cfg Config) (fleet.BakeoffConfig, error) {
 	var totalWeight int
 	for i, cl := range fleetClassPool() {
 		tm := opt.Timing
-		c, err := compile.CompileStrip(cl.nl, geo.Rows, geo.TracksPerChannel,
+		c, err := stripCache.CompileStrip(cl.nl, geo.Rows, geo.TracksPerChannel,
 			compile.Options{Seed: opt.Seed + uint64(i), Timing: &tm})
 		if err != nil {
 			return fleet.BakeoffConfig{}, fmt.Errorf("bench F10: compile %s: %w", cl.nl.Name, err)

@@ -596,6 +596,48 @@ func TestPagedHitIsFree(t *testing.T) {
 	}
 }
 
+// TestPagedFaultInAllocatesNothing: an operation whose working set is
+// resident resolves its pages into the loader's scratch slice and pins
+// frames by stamp, so Acquire allocates nothing — both for an explicit
+// page list and for the whole-circuit default.
+func TestPagedFaultInAllocatesNothing(t *testing.T) {
+	for name, op := range map[string]hostos.Op{
+		"page list":     pagedOp("adder8", 10, 0, 1),
+		"whole circuit": fpgaOp("adder8", 10),
+	} {
+		h, pl := pagedHarness(t, testOptions(), hostos.Config{Policy: hostos.FIFO},
+			PagedConfig{PageCells: 8, Frames: 16, Policy: LRU})
+		task, err := h.OS.Spawn("a", 0, []hostos.Op{op})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost, ok := pl.Acquire(task); !ok || cost == 0 {
+			t.Fatalf("%s: first Acquire = (%v, %v), want faults", name, cost, ok)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if cost, _ := pl.Acquire(task); cost != 0 {
+				t.Fatalf("%s: resident working set faulted (%v)", name, cost)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Acquire on a resident working set allocates %.0f objects, want 0", name, allocs)
+		}
+	}
+}
+
+func BenchmarkPagedAcquire(b *testing.B) {
+	h, pl := pagedHarness(b, testOptions(), hostos.Config{Policy: hostos.FIFO},
+		PagedConfig{PageCells: 8, Frames: 16, Policy: LRU})
+	task, err := h.OS.Spawn("a", 0, []hostos.Op{pagedOp("adder8", 10, 0, 1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pl.Acquire(task)
+	}
+}
+
 func TestPagedEvictionUnderPressure(t *testing.T) {
 	h, _ := pagedHarness(t, testOptions(), hostos.Config{Policy: hostos.FIFO},
 		PagedConfig{PageCells: 4, Frames: 2, Policy: LRU})
@@ -650,8 +692,9 @@ func TestRandomVictimWhenSamplingMisses(t *testing.T) {
 			t.Fatalf("draw %d of seed %d hits the free frame: pick a seed that exhausts the tries", i, seed)
 		}
 	}
-	pl := &PagedLoader{Cfg: PagedConfig{Policy: Random}, frames: make([]frame, 3), src: rng.New(seed)}
-	if got := pl.victim(pinned); got != 2 {
+	pl := &PagedLoader{Cfg: PagedConfig{Policy: Random}, frames: make([]frame, 3), src: rng.New(seed), pinGen: 1}
+	pl.frames[0].pin, pl.frames[1].pin = 1, 1
+	if got := pl.victim(); got != 2 {
 		t.Fatalf("victim = %d, want the only unpinned frame 2", got)
 	}
 
@@ -660,7 +703,8 @@ func TestRandomVictimWhenSamplingMisses(t *testing.T) {
 			t.Fatal("no panic with every frame pinned")
 		}
 	}()
-	pl.victim(map[int]bool{0: true, 1: true, 2: true})
+	pl.frames[2].pin = 1
+	pl.victim()
 }
 
 func TestPagedPoliciesAllTerminate(t *testing.T) {

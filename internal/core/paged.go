@@ -60,6 +60,7 @@ type frame struct {
 	loadedAt int64 // FIFO sequence
 	lastUse  int64 // LRU clock
 	ref      bool  // Clock reference bit
+	pin      int64 // == PagedLoader.pinGen: pinned by the faultIn in progress
 }
 
 // PagedLoader implements hostos.FPGA with §2's pagination: every
@@ -85,6 +86,12 @@ type PagedLoader struct {
 	hand    int // Clock hand
 	src     *rng.Source
 	pagesOf map[string][]bitstream.Page
+	// need and pinGen are faultIn's scratch: the request's resolved page
+	// set, and the stamp that marks a frame pinned for the current call
+	// (bumping it unpins every frame at once). An Engine, and so its
+	// loader, is single-goroutine by contract.
+	need   []pageID
+	pinGen int64
 	// users counts the live tasks registered per circuit; when the last
 	// user exits, the circuit's resident pages are released so long
 	// multi-task runs cannot strand frames (see Remove).
@@ -124,13 +131,13 @@ func NewPagedLoader(k *sim.Kernel, e *Engine, cfg PagedConfig) (*PagedLoader, er
 // names. The random-replacement stream is re-seeded so page choices
 // depend only on the job, never on what ran before.
 func (pl *PagedLoader) ResetForJob() {
-	pl.frames = make([]frame, pl.Cfg.Frames)
-	pl.where = map[pageID]int{}
+	clear(pl.frames)
+	clear(pl.where)
 	pl.seq = 0
 	pl.hand = 0
 	pl.src = rng.New(pl.Cfg.Seed ^ 0xfeed)
-	pl.pagesOf = map[string][]bitstream.Page{}
-	pl.users = map[string]map[hostos.TaskID]bool{}
+	clear(pl.pagesOf)
+	clear(pl.users)
 }
 
 // Register implements hostos.FPGA.
@@ -157,16 +164,16 @@ func (pl *PagedLoader) circuitOf(t *hostos.Task) *compile.Circuit {
 	return c
 }
 
-// neededPages resolves the request's page working set.
+// neededPages resolves the request's page working set into the loader's
+// scratch slice, valid until the next call.
 func (pl *PagedLoader) neededPages(t *hostos.Task) []pageID {
 	req := t.CurrentRequest()
 	pages := pl.pagesOf[req.Circuit]
-	var ids []pageID
+	ids := pl.need[:0]
 	if len(req.Pages) == 0 {
 		for i := range pages {
 			ids = append(ids, pageID{req.Circuit, i})
 		}
-		return ids
 	}
 	for _, p := range req.Pages {
 		if p < 0 || p >= len(pages) {
@@ -175,6 +182,7 @@ func (pl *PagedLoader) neededPages(t *hostos.Task) []pageID {
 		}
 		ids = append(ids, pageID{req.Circuit, p})
 	}
+	pl.need = ids
 	return ids
 }
 
@@ -185,13 +193,17 @@ func (pl *PagedLoader) touch(fi int) {
 	pl.frames[fi].ref = true
 }
 
-// victim picks a frame to evict, never one in the pinned set.
-func (pl *PagedLoader) victim(pinned map[int]bool) int {
+// pinned reports whether frame i holds a page of the working set being
+// faulted in.
+func (pl *PagedLoader) pinned(i int) bool { return pl.frames[i].pin == pl.pinGen }
+
+// victim picks a frame to evict, never a pinned one.
+func (pl *PagedLoader) victim() int {
 	switch pl.Cfg.Policy {
 	case LRU, PageFIFO:
 		best := -1
 		for i := range pl.frames {
-			if pinned[i] {
+			if pl.pinned(i) {
 				continue
 			}
 			if !pl.frames[i].used {
@@ -213,7 +225,7 @@ func (pl *PagedLoader) victim(pinned map[int]bool) int {
 		for spins := 0; spins < 2*len(pl.frames)+1; spins++ {
 			i := pl.hand
 			pl.hand = (pl.hand + 1) % len(pl.frames)
-			if pinned[i] {
+			if pl.pinned(i) {
 				continue
 			}
 			if !pl.frames[i].used {
@@ -229,7 +241,7 @@ func (pl *PagedLoader) victim(pinned map[int]bool) int {
 	case Random:
 		for tries := 0; tries < 10*len(pl.frames); tries++ {
 			i := pl.src.Intn(len(pl.frames))
-			if !pinned[i] {
+			if !pl.pinned(i) {
 				return i
 			}
 		}
@@ -237,7 +249,7 @@ func (pl *PagedLoader) victim(pinned map[int]bool) int {
 		// pinned; draw once among the unpinned frames directly.
 		var free []int
 		for i := range pl.frames {
-			if !pinned[i] {
+			if !pl.pinned(i) {
 				free = append(free, i)
 			}
 		}
@@ -265,10 +277,10 @@ func (pl *PagedLoader) faultIn(t *hostos.Task, ids []pageID) sim.Time {
 	}
 	// Pin the whole working set so faults never evict pages needed by the
 	// same operation.
-	pinned := map[int]bool{}
+	pl.pinGen++
 	for _, id := range ids {
 		if fi, ok := pl.where[id]; ok {
-			pinned[fi] = true
+			pl.frames[fi].pin = pl.pinGen
 		}
 	}
 	led := pl.E.Ledger()
@@ -278,16 +290,15 @@ func (pl *PagedLoader) faultIn(t *hostos.Task, ids []pageID) sim.Time {
 			pl.touch(fi)
 			continue
 		}
-		fi := pl.victim(pinned)
+		fi := pl.victim()
 		if pl.frames[fi].used {
 			old := pl.frames[fi].page
 			delete(pl.where, old)
 			led.EvictPage(t.Name, old.circuit, old.index)
 		}
 		pl.seq++
-		pl.frames[fi] = frame{page: id, used: true, loadedAt: pl.seq, lastUse: pl.seq, ref: true}
+		pl.frames[fi] = frame{page: id, used: true, loadedAt: pl.seq, lastUse: pl.seq, ref: true, pin: pl.pinGen}
 		pl.where[id] = fi
-		pinned[fi] = true
 		pages := pl.pagesOf[id.circuit]
 		cost += led.LoadPage(t.Name, id.circuit, id.index, len(pages[id.index].Cells))
 	}

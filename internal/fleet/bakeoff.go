@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/core"
@@ -92,86 +91,57 @@ type BakeoffRecord struct {
 	Rows   []BakeoffRow  `json:"rows"`
 }
 
-// bakeJob is one rectangle moving through the replay.
+// The replay rides sim.Kernel (DESIGN §3.12). Three event kinds share
+// it, and at equal times their priorities stand in for the order a loop
+// that pushed every arrival up front would give them: arrivals first
+// (in job order), then the node failure, then completions in start
+// order.
+const (
+	priArrival = iota
+	priFail
+	priComplete
+)
+
+// bakeJob is one rectangle moving through the replay. Jobs live by
+// value in bakeoffSim.jobs; pointers into that slice are stable.
 type bakeJob struct {
-	id      int
-	class   int
-	arrival sim.Time
-	start   sim.Time
-	span    *core.Span
-	node    int
-	board   int
-	gen     int // bumped when displaced; stale completion events skip
-	running bool
-	done    bool
+	class    int
+	arrival  sim.Time
+	start    sim.Time
+	span     *core.Span
+	node     int
+	board    int
+	complete sim.Event // in-flight completion; canceled when displaced
 }
 
 // bakeNode is one node's replay state.
 type bakeNode struct {
 	healthy bool
 	boards  []*core.RegionMap
-	queue   []*bakeJob
+	queue   []*bakeJob // FIFO; queue[head:] is waiting
+	head    int
 	running []*bakeJob // in start order
 }
-
-func (n *bakeNode) view(id int) NodeView {
-	v := NodeView{ID: id, Healthy: n.healthy, Queued: len(n.queue) + len(n.running)}
-	for _, rm := range n.boards {
-		f := rm.Frag()
-		v.Boards = append(v.Boards, BoardView{
-			Cols: rm.Cols(), LargestFree: f.LargestFree, FragRatio: f.Ratio(),
-			Quarantined: !n.healthy,
-		})
-	}
-	return v
-}
-
-// Event kinds, processed in (time, seq) order.
-const (
-	evArrival = iota
-	evComplete
-	evFail
-)
-
-type bakeEvent struct {
-	t    sim.Time
-	seq  int64
-	kind int
-	job  *bakeJob
-	node int
-	gen  int
-}
-
-type eventHeap []bakeEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(bakeEvent)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h *eventHeap) push(ev bakeEvent) { heap.Push(h, ev) }
 
 // bakeoffSim is one policy's replay.
 type bakeoffSim struct {
 	cfg      BakeoffConfig
 	policy   PlacementPolicy
-	jobs     []*bakeJob
-	nodes    []*bakeNode
-	events   eventHeap
-	seq      int64
-	now      sim.Time
+	k        sim.Kernel
+	jobs     []bakeJob
+	next     int    // index of the next job to arrive
+	arriveFn func() // s.arrive, bound once
+	nodes    []bakeNode
+	// views is the one fleet view every Place call sees; its Boards are
+	// sub-slices of one backing array, refilled per placement. A policy
+	// must not retain it.
+	views    []NodeView
 	makespan sim.Time
 	busyArea int64 // completed column-time
 	waits    *stats.Sample
 	scores   *stats.Sample
 	requeues int64
 	finished int
-	lost     int
 }
 
 // RunBakeoff replays the configured job stream against one policy and
@@ -188,15 +158,23 @@ func RunBakeoff(cfg BakeoffConfig, policyName string) (BakeoffRow, error) {
 	s := &bakeoffSim{
 		cfg:    cfg,
 		policy: policy,
+		jobs:   make([]bakeJob, cfg.Jobs),
+		nodes:  make([]bakeNode, cfg.Nodes),
+		views:  make([]NodeView, cfg.Nodes),
 		waits:  stats.NewSample(true),
 		scores: stats.NewSample(false),
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		n := &bakeNode{healthy: true}
+	s.waits.Reserve(cfg.Jobs)
+	s.arriveFn = s.arrive
+	boardViews := make([]BoardView, cfg.Nodes*cfg.BoardsPerNode)
+	for i := range s.nodes {
+		n := &s.nodes[i]
+		n.healthy = true
 		for b := 0; b < cfg.BoardsPerNode; b++ {
 			n.boards = append(n.boards, core.NewRegionMap(cfg.Cols))
 		}
-		s.nodes = append(s.nodes, n)
+		lo := i * cfg.BoardsPerNode
+		s.views[i] = NodeView{ID: i, Boards: boardViews[lo : lo+cfg.BoardsPerNode : lo+cfg.BoardsPerNode]}
 	}
 
 	// The arrival stream: Poisson arrivals over a weighted class mix,
@@ -207,7 +185,7 @@ func RunBakeoff(cfg BakeoffConfig, policyName string) (BakeoffRow, error) {
 		totalWeight += cl.Weight
 	}
 	t := sim.Time(0)
-	for i := 0; i < cfg.Jobs; i++ {
+	for i := range s.jobs {
 		t += sim.Time(src.ExpFloat64() * float64(cfg.MeanInterval))
 		pick := src.Intn(totalWeight)
 		class := 0
@@ -218,26 +196,20 @@ func RunBakeoff(cfg BakeoffConfig, policyName string) (BakeoffRow, error) {
 			}
 			pick -= cl.Weight
 		}
-		j := &bakeJob{id: i, class: class, arrival: t, node: -1}
-		s.jobs = append(s.jobs, j)
-		s.push(bakeEvent{t: t, kind: evArrival, job: j})
-	}
-	if cfg.FailNode >= 0 {
-		s.push(bakeEvent{t: cfg.FailAt, kind: evFail, node: cfg.FailNode})
+		s.jobs[i] = bakeJob{class: class, arrival: t}
 	}
 
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(bakeEvent)
-		s.now = ev.t
-		switch ev.kind {
-		case evArrival:
-			s.place(ev.job)
-		case evComplete:
-			s.complete(ev)
-		case evFail:
-			s.fail(ev.node)
+	// Arrivals are time-sorted, so one event walks them: the kernel holds
+	// the next arrival, the failure and the running jobs' completions.
+	s.k.SchedulePri(s.jobs[0].arrival, priArrival, s.arriveFn)
+	if cfg.FailNode >= 0 {
+		if cfg.FailAt < 0 { // before time zero: the node never serves
+			s.fail(cfg.FailNode)
+		} else {
+			s.k.SchedulePri(cfg.FailAt, priFail, func() { s.fail(cfg.FailNode) })
 		}
 	}
+	s.k.Run()
 
 	row := BakeoffRow{
 		Policy:     policy.Name(),
@@ -269,45 +241,63 @@ func RunBakeoffAll(cfg BakeoffConfig, policies []string) (*BakeoffRecord, error)
 	return rec, nil
 }
 
-func (s *bakeoffSim) push(ev bakeEvent) {
-	s.seq++
-	ev.seq = s.seq
-	s.events.push(ev)
+// arrive places the next job of the stream and schedules itself for the
+// one after.
+func (s *bakeoffSim) arrive() {
+	j := &s.jobs[s.next]
+	s.next++
+	if s.next < len(s.jobs) {
+		s.k.SchedulePri(s.jobs[s.next].arrival, priArrival, s.arriveFn)
+	}
+	s.place(j)
 }
 
-func (s *bakeoffSim) class(j *bakeJob) JobClass { return s.cfg.Classes[j.class] }
+// refreshViews rewrites the shared fleet view from the live node state.
+func (s *bakeoffSim) refreshViews() {
+	for i := range s.nodes {
+		n, v := &s.nodes[i], &s.views[i]
+		v.Healthy = n.healthy
+		v.Queued = len(n.queue) - n.head + len(n.running)
+		for b, rm := range n.boards {
+			f := rm.Frag()
+			v.Boards[b] = BoardView{
+				Cols: rm.Cols(), LargestFree: f.LargestFree, FragRatio: f.Ratio(),
+				Quarantined: !n.healthy,
+			}
+		}
+	}
+}
 
 // place routes one job through the policy into a node queue. A job with
 // no healthy node left is lost (only possible when every node failed).
 func (s *bakeoffSim) place(j *bakeJob) {
-	views := make([]NodeView, len(s.nodes))
-	for i, n := range s.nodes {
-		views[i] = n.view(i)
-	}
-	cl := s.class(j)
-	idx, score, ok := s.policy.Place(JobView{Width: cl.Width}, views)
+	s.refreshViews()
+	idx, score, ok := s.policy.Place(JobView{Width: s.cfg.Classes[j.class].Width}, s.views)
 	if !ok {
-		s.lost++
 		return
 	}
 	s.scores.Observe(score)
 	j.node = idx
-	s.nodes[idx].queue = append(s.nodes[idx].queue, j)
-	s.dispatch(idx)
+	n := &s.nodes[idx]
+	if n.head > len(n.queue)/2 { // mostly served: slide the waiting jobs down
+		n.queue = n.queue[:copy(n.queue, n.queue[n.head:])]
+		n.head = 0
+	}
+	n.queue = append(n.queue, j)
+	s.dispatch(n)
 }
 
 // dispatch starts queued jobs on the node while its queue head fits on
 // some board — FIFO with head-of-line blocking, the delay half of
 // strip-packing with delays. Best fit across boards: the tightest
 // adequate free span, ties to the lowest board id.
-func (s *bakeoffSim) dispatch(ni int) {
-	n := s.nodes[ni]
+func (s *bakeoffSim) dispatch(n *bakeNode) {
 	if !n.healthy {
 		return
 	}
-	for len(n.queue) > 0 {
-		j := n.queue[0]
-		cl := s.class(j)
+	for n.head < len(n.queue) {
+		j := n.queue[n.head]
+		cl := s.cfg.Classes[j.class]
 		bestBoard := -1
 		var bestSpan *core.Span
 		for bi, rm := range n.boards {
@@ -320,22 +310,19 @@ func (s *bakeoffSim) dispatch(ni int) {
 		if bestBoard < 0 {
 			return
 		}
-		n.queue = n.queue[1:]
+		n.head++
 		j.span = n.boards[bestBoard].Alloc(bestSpan, cl.Width, j)
 		j.board = bestBoard
-		j.start = s.now
-		j.running = true
+		j.start = s.k.Now()
 		n.running = append(n.running, j)
-		s.push(bakeEvent{t: s.now + cl.Duration, kind: evComplete, job: j, gen: j.gen})
+		j.complete = s.k.SchedulePri(j.start+cl.Duration, priComplete, func() { s.finish(j) })
 	}
 }
 
-func (s *bakeoffSim) complete(ev bakeEvent) {
-	j := ev.job
-	if ev.gen != j.gen || j.done {
-		return // displaced before finishing; a re-routed run is in flight
-	}
-	n := s.nodes[j.node]
+// finish retires a job whose completion event fired; a displaced job's
+// event was canceled, so every call is for a live run.
+func (s *bakeoffSim) finish(j *bakeJob) {
+	n := &s.nodes[j.node]
 	n.boards[j.board].Release(j.span)
 	for i, r := range n.running {
 		if r == j {
@@ -343,15 +330,14 @@ func (s *bakeoffSim) complete(ev bakeEvent) {
 			break
 		}
 	}
-	cl := s.class(j)
-	j.done, j.running = true, false
+	cl := s.cfg.Classes[j.class]
 	s.finished++
 	s.busyArea += int64(cl.Width) * int64(cl.Duration)
 	s.waits.Observe(float64(j.start - j.arrival))
-	if s.now > s.makespan {
-		s.makespan = s.now
+	if now := s.k.Now(); now > s.makespan {
+		s.makespan = now
 	}
-	s.dispatch(j.node)
+	s.dispatch(n)
 }
 
 // fail takes a node out: queued jobs and running jobs displace (in
@@ -360,21 +346,17 @@ func (s *bakeoffSim) complete(ev bakeEvent) {
 // done is lost; it restarts from scratch elsewhere, charging the
 // failure's true cost to the latency tail.
 func (s *bakeoffSim) fail(ni int) {
-	n := s.nodes[ni]
+	n := &s.nodes[ni]
 	if !n.healthy {
 		return
 	}
 	n.healthy = false
-	displaced := make([]*bakeJob, 0, len(n.queue)+len(n.running))
-	displaced = append(displaced, n.queue...)
-	n.queue = nil
+	displaced := append(append([]*bakeJob(nil), n.queue[n.head:]...), n.running...)
 	for _, j := range n.running {
 		n.boards[j.board].Release(j.span)
-		j.gen++ // invalidate the in-flight completion event
-		j.running = false
-		displaced = append(displaced, j)
+		s.k.Cancel(j.complete)
 	}
-	n.running = nil
+	n.queue, n.head, n.running = nil, 0, nil
 	for _, j := range displaced {
 		s.requeues++
 		s.place(j)

@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
 	"testing"
 
 	"repro/internal/sim"
@@ -73,5 +75,119 @@ func TestBakeoffValidates(t *testing.T) {
 	}
 	if _, err := RunBakeoff(testBakeoffConfig(10), "nope"); err == nil {
 		t.Error("unknown policy accepted")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// pinnedBakeoffConfigs is the table behind testdata/bakeoff_rows.json:
+// four seeds with and without the node casualty, a tight 12-column
+// fleet, integer-nanosecond configs where arrivals, completions and the
+// failure share timestamps, and a one-node fleet that loses every job
+// after its only node fails.
+func pinnedBakeoffConfigs() []BakeoffConfig {
+	var cfgs []BakeoffConfig
+	for _, seed := range []uint64{1, 7, 42, 300} {
+		for _, failNode := range []int{1, -1} {
+			cfg := testBakeoffConfig(1200)
+			cfg.Seed, cfg.FailNode = seed, failNode
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	tight := BakeoffConfig{
+		Nodes: 4, BoardsPerNode: 2, Cols: 12,
+		Jobs: 1500, Seed: 5,
+		MeanInterval: 60 * sim.Microsecond,
+		Classes: []JobClass{
+			{Name: "a", Width: 2, Duration: 400 * sim.Microsecond, Weight: 5},
+			{Name: "b", Width: 3, Duration: 600 * sim.Microsecond, Weight: 3},
+			{Name: "c", Width: 5, Duration: 800 * sim.Microsecond, Weight: 2},
+			{Name: "d", Width: 7, Duration: 1200 * sim.Microsecond, Weight: 2},
+			{Name: "e", Width: 10, Duration: 1600 * sim.Microsecond, Weight: 1},
+		},
+		FailNode: 1, FailAt: 36 * sim.Millisecond,
+	}
+	cfgs = append(cfgs, tight)
+	for _, seed := range []uint64{3, 11} {
+		ties := BakeoffConfig{
+			Nodes: 3, BoardsPerNode: 2, Cols: 24,
+			Jobs: 1000, Seed: seed,
+			MeanInterval: 3 * sim.Nanosecond,
+			Classes: []JobClass{
+				{Name: "narrow", Width: 4, Duration: 30 * sim.Nanosecond, Weight: 5},
+				{Name: "medium", Width: 9, Duration: 45 * sim.Nanosecond, Weight: 3},
+				{Name: "wide", Width: 18, Duration: 60 * sim.Nanosecond, Weight: 2},
+			},
+			FailNode: 2, FailAt: 1200 * sim.Nanosecond,
+		}
+		cfgs = append(cfgs, ties)
+	}
+	lone := testBakeoffConfig(300)
+	lone.Nodes, lone.FailNode = 1, 0
+	return append(cfgs, lone)
+}
+
+// TestBakeoffRowsPinned compares every policy's row over the config
+// table byte-for-byte with rows recorded before the replay moved onto
+// sim.Kernel. Regenerate (go test ./internal/fleet -run
+// TestBakeoffRowsPinned -update) only when the model is meant to change.
+func TestBakeoffRowsPinned(t *testing.T) {
+	var recs []*BakeoffRecord
+	for _, cfg := range pinnedBakeoffConfigs() {
+		rec, err := RunBakeoffAll(cfg, PolicyNames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	got, err := json.MarshalIndent(recs, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	const path = "testdata/bakeoff_rows.json"
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("bake-off rows differ from %s (%d vs %d bytes)", path, len(got), len(want))
+	}
+}
+
+// TestBakeoffAllocBudget pins what a replay allocates: per job, the
+// span its board carves for it and the completion callback bound to it
+// — not views, boxed events or per-job structs (which read ~15 objects
+// a job before the replay moved onto sim.Kernel).
+func TestBakeoffAllocBudget(t *testing.T) {
+	cfg := testBakeoffConfig(2000)
+	for _, policy := range PolicyNames {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := RunBakeoff(cfg, policy); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perJob := allocs / float64(cfg.Jobs); perJob > 2.5 {
+			t.Errorf("%s: %.0f allocations for %d jobs = %.2f per job, budget 2.5", policy, allocs, cfg.Jobs, perJob)
+		}
+	}
+}
+
+func BenchmarkBakeoff(b *testing.B) {
+	cfg := testBakeoffConfig(1500)
+	for _, policy := range PolicyNames {
+		b.Run(policy, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunBakeoff(cfg, policy); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

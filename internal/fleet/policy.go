@@ -67,7 +67,9 @@ type PlacementPolicy interface {
 	Name() string
 	// Place returns the index into nodes of the chosen node and the
 	// score it assigned (lower is better; recorded for telemetry). ok
-	// is false when no healthy node exists.
+	// is false when no healthy node exists. nodes is only valid for the
+	// call: the bake-off refills one view in place between placements, so
+	// a policy must not retain it or its Boards.
 	Place(job JobView, nodes []NodeView) (idx int, score float64, ok bool)
 }
 
@@ -197,18 +199,29 @@ func newRandomPolicy(seed uint64) *randomPolicy {
 func (r *randomPolicy) Name() string { return "random" }
 
 func (r *randomPolicy) Place(job JobView, nodes []NodeView) (int, float64, bool) {
-	healthy := make([]int, 0, len(nodes))
-	for i, n := range nodes {
+	healthy := 0
+	for _, n := range nodes {
 		if n.Healthy {
-			healthy = append(healthy, i)
+			healthy++
 		}
 	}
-	if len(healthy) == 0 {
+	if healthy == 0 {
 		return 0, 0, false
 	}
 	r.mu.Lock()
-	idx := healthy[r.src.Intn(len(healthy))]
+	k := r.src.Intn(healthy)
 	r.mu.Unlock()
+	idx := 0 // the k-th healthy node
+	for i, n := range nodes {
+		if !n.Healthy {
+			continue
+		}
+		if k == 0 {
+			idx = i
+			break
+		}
+		k--
+	}
 	score := float64(nodes[idx].Queued)
 	if !nodes[idx].Fits(job.Width) {
 		score += nonFitPenalty

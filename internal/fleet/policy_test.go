@@ -125,3 +125,40 @@ func TestPackingNeverOverflowsWhenAlternativeFits(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomPolicyDrawsUnchanged checks the count-and-walk pick against
+// the reference it replaced — build the healthy index list, draw one
+// Intn(len) — over random health masks: same picks, same scores, and
+// (the streams staying in step) the same single draw per call.
+func TestRandomPolicyDrawsUnchanged(t *testing.T) {
+	const seed = 99
+	p := newRandomPolicy(seed)
+	ref := rng.New(seed)
+	mask := rng.New(7)
+	for iter := 0; iter < 5000; iter++ {
+		nodes := make([]NodeView, 1+mask.Intn(9))
+		var healthy []int
+		for i := range nodes {
+			nodes[i] = view(mask.Intn(3) > 0, mask.Intn(6), board(24, mask.Intn(25), 0))
+			if nodes[i].Healthy {
+				healthy = append(healthy, i)
+			}
+		}
+		job := JobView{Width: 1 + mask.Intn(24)}
+		idx, score, ok := p.Place(job, nodes)
+		if len(healthy) == 0 {
+			if ok {
+				t.Fatalf("iter %d: placed on a fleet with no healthy node", iter)
+			}
+			continue
+		}
+		want := healthy[ref.Intn(len(healthy))]
+		wantScore := float64(nodes[want].Queued)
+		if !nodes[want].Fits(job.Width) {
+			wantScore += nonFitPenalty
+		}
+		if !ok || idx != want || score != wantScore {
+			t.Fatalf("iter %d: Place = (%d, %v, %v), reference (%d, %v)", iter, idx, score, ok, want, wantScore)
+		}
+	}
+}

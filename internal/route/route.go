@@ -109,7 +109,11 @@ func (g grid) neighbors(n int, buf []int) []int {
 // connections enumerates every routable connection of a placement in
 // deterministic order.
 func connections(p *place.Placement) []Connection {
-	var conns []Connection
+	n := 0
+	for ci := range p.Mapped.Cells {
+		n += len(p.Mapped.Cells[ci].Inputs)
+	}
+	conns := make([]Connection, 0, n+len(p.Mapped.Outputs))
 	for ci := range p.Mapped.Cells {
 		for k, in := range p.Mapped.Cells[ci].Inputs {
 			if in.Kind == techmap.SigConst {
@@ -133,6 +137,55 @@ func connections(p *place.Placement) []Connection {
 	return conns
 }
 
+// netTable groups connections into nets by driving signal, in CSR form:
+// net n's connections are conns[start[n]:start[n+1]], in connection
+// order, and nets are numbered in order of first appearance — the order
+// the negotiation loop routes them in.
+type netTable struct {
+	start []int32
+	conns []int32
+}
+
+func (t *netTable) numNets() int { return len(t.start) - 1 }
+
+// buildNets indexes sources the way the placer does (cells, then primary
+// inputs), which identifies a driving signal without hashing it.
+func buildNets(m *techmap.Mapped, conns []Connection) netTable {
+	srcPos := func(sig techmap.Signal) int {
+		if sig.Kind == techmap.SigCell {
+			return int(sig.Cell)
+		}
+		return len(m.Cells) + sig.Input
+	}
+	nSrc := len(m.Cells) + m.NumInputs
+	// slot[src] is the source's net id + 1 while nets are numbered and
+	// counted (0: not seen yet), then the write cursor into t.conns.
+	slot := make([]int32, nSrc)
+	t := netTable{start: make([]int32, 1, nSrc+1), conns: make([]int32, len(conns))}
+	for i := range conns {
+		src := srcPos(conns[i].Src)
+		if slot[src] == 0 {
+			t.start = append(t.start, 0)
+			slot[src] = int32(t.numNets())
+		}
+		t.start[slot[src]]++
+	}
+	for n := 1; n < len(t.start); n++ {
+		t.start[n] += t.start[n-1]
+	}
+	for src, id := range slot {
+		if id != 0 {
+			slot[src] = t.start[id-1]
+		}
+	}
+	for i := range conns {
+		src := srcPos(conns[i].Src)
+		t.conns[slot[src]] = int32(i)
+		slot[src]++
+	}
+	return t
+}
+
 func (r *Result) srcLoc(sig techmap.Signal) place.Loc {
 	if sig.Kind == techmap.SigCell {
 		return r.P.Cells[sig.Cell]
@@ -145,6 +198,13 @@ func (r *Result) sinkLoc(s Sink) place.Loc {
 		return r.P.OutPorts[s.Port]
 	}
 	return r.P.Cells[s.Cell]
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // pqItem is a priority-queue entry for Dijkstra.
@@ -168,7 +228,7 @@ type routeScratch struct {
 }
 
 func newRouteScratch(nodes int) *routeScratch {
-	s := &routeScratch{}
+	s := &routeScratch{heap: make([]pqItem, 0, nodes), path: make([]int, 0, nodes)}
 	s.ensure(nodes)
 	return s
 }
@@ -249,20 +309,24 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 	// Group connections into nets by driving signal: a net's fanout shares
 	// one routing tree, so a channel segment carries a net once no matter
 	// how many sinks lie beyond it.
-	netOf := map[techmap.Signal][]int{}
-	var netOrder []techmap.Signal
-	for i := range res.Conns {
-		s := res.Conns[i].Src
-		if _, ok := netOf[s]; !ok {
-			netOrder = append(netOrder, s)
-		}
-		netOf[s] = append(netOf[s], i)
-	}
+	nets := buildNets(p.Mapped, res.Conns)
 
 	occ := make([]int, g.numEdges())      // present occupancy
 	hist := make([]float64, g.numEdges()) // history cost
-	paths := make([][]int, len(res.Conns))
-	inNet := make([]bool, g.numEdges()) // scratch: edges already in current net
+	inNet := make([]bool, g.numEdges())   // scratch: edges already in current net
+	// The working paths of one negotiation pass live back to back in one
+	// arena of node ids, rewound when the pass rips everything up;
+	// connection i's path is arena[pathAt[i].off:][:pathAt[i].n]. A path is
+	// at least its endpoints' Manhattan distance long, which sizes the
+	// arena for an uncongested pass; the extra quarter is room for detours.
+	type pathSpan struct{ off, n int32 }
+	pathAt := make([]pathSpan, len(res.Conns))
+	minNodes := 0
+	for i := range res.Conns {
+		a, b := res.srcLoc(res.Conns[i].Src), res.sinkLoc(res.Conns[i].Sink)
+		minNodes += abs(a.X-b.X) + abs(a.Y-b.Y) + 1
+	}
+	arena := make([]int, 0, minNodes+minNodes/4)
 
 	presFac := 0.5
 	scratch := newRouteScratch(g.nodes())
@@ -286,14 +350,15 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 		for i := range occ {
 			occ[i] = 0
 		}
-		for _, src := range netOrder {
-			conns := netOf[src]
+		arena = arena[:0]
+		for n := 0; n < nets.numNets(); n++ {
 			netEdges = netEdges[:0]
-			for _, i := range conns {
+			for _, i := range nets.conns[nets.start[n]:nets.start[n+1]] {
 				c := &res.Conns[i]
 				from, to := g.node(res.srcLoc(c.Src)), g.node(res.sinkLoc(c.Sink))
 				path := scratch.shortestPath(g, from, to, cost)
-				paths[i] = append(paths[i][:0], path...)
+				pathAt[i] = pathSpan{off: int32(len(arena)), n: int32(len(path))}
+				arena = append(arena, path...)
 				for k := 0; k+1 < len(path); k++ {
 					e := g.edgeBetween(path[k], path[k+1])
 					if !inNet[e] {
@@ -320,12 +385,18 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 		}
 		res.MaxUse = maxUse
 		if !over {
+			// The result paths share one backing store, each capped to
+			// its own extent so an append cannot run into its neighbor.
+			locs := make([]place.Loc, len(arena))
 			res.TotalHops = 0
 			for i := range res.Conns {
-				res.Conns[i].Path = make([]place.Loc, len(paths[i]))
-				for k, n := range paths[i] {
-					res.Conns[i].Path[k] = g.loc(n)
+				sp := pathAt[i]
+				out := locs[:sp.n:sp.n]
+				locs = locs[sp.n:]
+				for k, n := range arena[sp.off : sp.off+sp.n] {
+					out[k] = g.loc(n)
 				}
+				res.Conns[i].Path = out
 				res.TotalHops += res.Conns[i].Hops()
 			}
 			return res, nil

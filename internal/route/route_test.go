@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -282,10 +283,68 @@ func BenchmarkRouteAdder16(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Route(p, 12, Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRouteSetupAllocBudget pins Route's set-up cost: nets in CSR, one
+// arena of working paths and one backing store of result paths, so a
+// call allocates a fixed handful of arrays (it read 285 objects on alu8
+// when every net and every path was its own slice) — and the count does
+// not follow the connection count: mul8 has nine times alu8's
+// connections and may differ only by amortized growth.
+func TestRouteSetupAllocBudget(t *testing.T) {
+	allocs := func(name string) (float64, int) {
+		p := placed(t, netlist.MustLookup(name))
+		r, err := Route(p, 12, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() { Route(p, 12, Options{}) }), len(r.Conns)
+	}
+	small, smallConns := allocs("alu8")
+	if small > 40 {
+		t.Errorf("Route(alu8) allocates %.0f objects, budget 40", small)
+	}
+	big, bigConns := allocs("mul8")
+	if bigConns < 5*smallConns {
+		t.Fatalf("mul8 has %d connections, alu8 %d: not the contrast this test wants", bigConns, smallConns)
+	}
+	if big > small+8 {
+		t.Errorf("Route allocations follow the connection count: alu8 %.0f (%d conns), mul8 %.0f (%d conns)",
+			small, smallConns, big, bigConns)
+	}
+}
+
+// TestNetTableMatchesGrouping checks the CSR net table against the
+// grouping it replaced: a map from driving signal to connection indices
+// plus the order signals first appear in.
+func TestNetTableMatchesGrouping(t *testing.T) {
+	for _, name := range []string{"adder8", "alu8", "counter8", "mul4"} {
+		p := placed(t, netlist.MustLookup(name))
+		conns := connections(p)
+		byNet := map[techmap.Signal][]int32{}
+		var order []techmap.Signal
+		for i, c := range conns {
+			if _, ok := byNet[c.Src]; !ok {
+				order = append(order, c.Src)
+			}
+			byNet[c.Src] = append(byNet[c.Src], int32(i))
+		}
+		nets := buildNets(p.Mapped, conns)
+		if nets.numNets() != len(order) {
+			t.Fatalf("%s: %d nets, want %d", name, nets.numNets(), len(order))
+		}
+		for n, src := range order {
+			got := nets.conns[nets.start[n]:nets.start[n+1]]
+			if !slices.Equal(got, byNet[src]) {
+				t.Fatalf("%s: net %d = %v, want %v", name, n, got, byNet[src])
+			}
 		}
 	}
 }

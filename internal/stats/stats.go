@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -63,6 +64,7 @@ type Sample struct {
 	max    float64
 	values []float64 // retained only when keep is true
 	keep   bool
+	sorted bool // values is in ascending order (no Observe since the last Quantile)
 }
 
 // NewSample returns an empty Sample. If keepValues is true the individual
@@ -84,6 +86,16 @@ func (s *Sample) Observe(v float64) {
 	}
 	if s.keep {
 		s.values = append(s.values, v)
+		s.sorted = false
+	}
+}
+
+// Reserve makes room for n more retained observations, so a caller that
+// knows its sample size up front pays for one array instead of append's
+// doublings. It is a no-op on a Sample that does not retain values.
+func (s *Sample) Reserve(n int) {
+	if s.keep {
+		s.values = slices.Grow(s.values, n)
 	}
 }
 
@@ -136,7 +148,10 @@ func (s *Sample) Max() float64 {
 
 // Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank on the
 // retained values. It panics if the sample was not created with
-// keepValues, and returns 0 for an empty sample.
+// keepValues, and returns 0 for an empty sample. The retained values are
+// sorted in place, once per run of Quantile calls between observations
+// (nothing exposes their insertion order), so like Observe it needs the
+// caller's exclusive access.
 func (s *Sample) Quantile(q float64) float64 {
 	if !s.keep {
 		panic("stats: Quantile on Sample without retained values")
@@ -144,16 +159,18 @@ func (s *Sample) Quantile(q float64) float64 {
 	if len(s.values) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), s.values...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
+	if !s.sorted {
+		sort.Float64s(s.values)
+		s.sorted = true
+	}
+	idx := int(math.Ceil(q*float64(len(s.values)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	if idx >= len(s.values) {
+		idx = len(s.values) - 1
 	}
-	return sorted[idx]
+	return s.values[idx]
 }
 
 // TimeWeighted tracks the time-weighted average of a piecewise-constant

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -79,6 +81,43 @@ func TestSampleQuantile(t *testing.T) {
 	if got := s.Quantile(1); got != 100 {
 		t.Fatalf("p100 = %v, want 100", got)
 	}
+}
+
+// TestQuantileInterleavedWithObserve: Quantile sorts the retained values
+// in place and remembers that it did, so an Observe after a Quantile
+// must unset the mark — every answer equals the sort-a-copy reference —
+// and a run of Quantile calls on an unchanged sample sorts once.
+func TestQuantileInterleavedWithObserve(t *testing.T) {
+	src := rand.New(rand.NewSource(3))
+	s := NewSample(true)
+	s.Reserve(500)
+	var all []float64
+	for i := 0; i < 500; i++ {
+		v := src.Float64() * 1000
+		s.Observe(v)
+		all = append(all, v)
+		if i%7 != 0 {
+			continue
+		}
+		ref := append([]float64(nil), all...)
+		sort.Float64s(ref)
+		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+			idx := int(math.Ceil(q*float64(len(ref)))) - 1
+			if idx < 0 {
+				idx = 0
+			}
+			if got := s.Quantile(q); got != ref[idx] {
+				t.Fatalf("after %d observations q=%v: got %v, want %v", i+1, q, got, ref[idx])
+			}
+		}
+	}
+	if s.Sum() == 0 || s.Count() != 500 {
+		t.Fatal("moments disturbed by the in-place sort")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.Quantile(0.5); s.Quantile(0.99) }); allocs != 0 {
+		t.Fatalf("Quantile on an unchanged sample allocates %.0f objects", allocs)
+	}
+	NewSample(false).Reserve(10) // no-op without retention
 }
 
 func TestQuantileWithoutRetentionPanics(t *testing.T) {

@@ -376,14 +376,19 @@ func Paged(cfg PagedConfig) *Set {
 	src := rng.New(cfg.Seed)
 	zipf := rng.NewZipf(src.Split(), cfg.Pages, cfg.Skew)
 	perm := src.Split().Perm(cfg.Pages) // decouple popularity from page index
-	var prog []hostos.Op
+	prog := make([]hostos.Op, 0, cfg.Refs)
+	size := max(0, min(cfg.WorkSet, cfg.Pages))
+	// The working sets are cut from one backing array, and seenAt[p] ==
+	// r+1 marks page p already drawn for reference r: one stamp array for
+	// the whole string instead of a set per reference.
+	sets := make([]int, cfg.Refs*size)
+	seenAt := make([]int, cfg.Pages)
 	for r := 0; r < cfg.Refs; r++ {
-		seen := map[int]bool{}
-		var pages []int
-		for len(pages) < cfg.WorkSet && len(pages) < cfg.Pages {
+		pages := sets[r*size : r*size : (r+1)*size]
+		for len(pages) < size {
 			p := perm[zipf.Draw()]
-			if !seen[p] {
-				seen[p] = true
+			if seenAt[p] != r+1 {
+				seenAt[p] = r + 1
 				pages = append(pages, p)
 			}
 		}

@@ -132,6 +132,9 @@ func TestPagedReferencesValid(t *testing.T) {
 		if len(op.Req.Pages) == 0 || len(op.Req.Pages) > cfg.WorkSet {
 			t.Fatalf("working set size %d", len(op.Req.Pages))
 		}
+		if cap(op.Req.Pages) != len(op.Req.Pages) {
+			t.Fatal("working set has spare capacity: an append would run into the next reference's set")
+		}
 		seen := map[int]bool{}
 		for _, p := range op.Req.Pages {
 			if p < 0 || p >= cfg.Pages {
