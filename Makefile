@@ -39,11 +39,12 @@ test:
 lint:
 	$(GO) run ./cmd/vfpgalint
 
-# The hostos.FPGA conformance suite and the golden merged-timeline
-# determinism test, explicitly under -race (they also run in `race` and
-# `test`; this target pins them as a named gate).
+# The hostos.FPGA conformance suite, the golden merged-timeline
+# determinism test and the pinned manager digests, explicitly under -race
+# (they also run in `race` and `test`; this target pins them as a named
+# gate).
 conformance:
-	$(GO) test -race -run 'TestConformance|TestGoldenTimeline' ./internal/core/
+	$(GO) test -race -run 'TestConformance|TestGoldenTimeline|TestManagerDigestsPinned' ./internal/core/
 
 # Coverage: per-package summary, then a combined core+serve profile
 # gated against the committed baseline — new subsystems must arrive with
@@ -110,137 +111,58 @@ benchmark-compare:
 trace-demo:
 	$(GO) run ./examples/timeshare
 
-# End-to-end service smoke: boot vfpgad on an ephemeral port, drive it
-# with vfpgaload (200 jobs, 8 concurrent closed-loop clients, lint-checked
-# results), then SIGTERM it and require a clean drain. vfpgaload exits
-# nonzero on any 5xx, transport error, failed job, or lint-dirty result;
-# vfpgad exits nonzero if the drain does not complete.
+# The six service smokes share one driver, scripts/smoke.sh: build vfpgad
+# and vfpgaload, boot the daemon on an ephemeral port with the first
+# argument string, drive it with vfpgaload and the second ({addr} is the
+# daemon's address), SIGTERM it and require a clean drain. vfpgaload
+# exits nonzero on any 5xx, transport error, untyped failed job or
+# lint-dirty result, and on whatever its -expect-* flags demand; vfpgad
+# exits nonzero if the drain does not complete.
+SMOKE = GO="$(GO)" bash scripts/smoke.sh $@
+
+# 200 jobs, 8 concurrent closed-loop clients, lint-checked results.
 serve-smoke:
-	@rm -rf .smoke && mkdir -p .smoke
-	$(GO) build -o .smoke/vfpgad ./cmd/vfpgad
-	$(GO) build -o .smoke/vfpgaload ./cmd/vfpgaload
-	@set -e; \
-	./.smoke/vfpgad -addr 127.0.0.1:0 -addr-file .smoke/addr -boards 2 -managers dynamic,partition -rate 0 > .smoke/vfpgad.log 2>&1 & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -s .smoke/addr ] && break; sleep 0.1; done; \
-	[ -s .smoke/addr ] || { echo "vfpgad did not come up"; cat .smoke/vfpgad.log; kill $$pid 2>/dev/null; exit 1; }; \
-	addr=$$(cat .smoke/addr); \
-	if ./.smoke/vfpgaload -target "http://$$addr" -requests 200 -concurrency 8 -workload synthetic -check-lint; then ok=1; else ok=0; fi; \
-	kill -TERM $$pid; \
-	if wait $$pid && [ $$ok -eq 1 ]; then echo "serve-smoke: ok"; else echo "serve-smoke: FAILED"; cat .smoke/vfpgad.log; exit 1; fi
-	@rm -rf .smoke
+	@$(SMOKE) "-boards 2 -managers dynamic,partition -rate 0" \
+		"-target http://{addr} -requests 200 -concurrency 8 -workload synthetic -check-lint"
 
 # The same smoke under a pinned fault campaign: with this plan and three
 # boards, exactly one board's derived stream escalates (injectors are
 # rebuilt per job, so board outcomes are deterministic), its jobs rerun
-# on the healthy boards, and the quarantine must be visible. vfpgaload
-# exits nonzero on any untyped failure, any 5xx, or zero quarantined
-# boards; vfpgad exits nonzero if the drain does not complete.
+# on the healthy boards, and the quarantine must be visible.
 serve-smoke-faults:
-	@rm -rf .smoke && mkdir -p .smoke
-	$(GO) build -o .smoke/vfpgad ./cmd/vfpgad
-	$(GO) build -o .smoke/vfpgaload ./cmd/vfpgaload
-	@set -e; \
-	./.smoke/vfpgad -addr 127.0.0.1:0 -addr-file .smoke/addr -boards 3 -managers dynamic -rate 0 \
-		-faults "seed=1,retries=1,backoff=20us,config-error=0.13" > .smoke/vfpgad.log 2>&1 & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -s .smoke/addr ] && break; sleep 0.1; done; \
-	[ -s .smoke/addr ] || { echo "vfpgad did not come up"; cat .smoke/vfpgad.log; kill $$pid 2>/dev/null; exit 1; }; \
-	addr=$$(cat .smoke/addr); \
-	if ./.smoke/vfpgaload -target "http://$$addr" -requests 200 -concurrency 8 -workload synthetic \
-		-check-lint -allow-faults -expect-quarantine; then ok=1; else ok=0; fi; \
-	kill -TERM $$pid; \
-	if wait $$pid && [ $$ok -eq 1 ]; then echo "serve-smoke-faults: ok"; else echo "serve-smoke-faults: FAILED"; cat .smoke/vfpgad.log; exit 1; fi
-	@rm -rf .smoke
+	@$(SMOKE) "-boards 3 -managers dynamic -rate 0 -faults 'seed=1,retries=1,backoff=20us,config-error=0.13'" \
+		"-target http://{addr} -requests 200 -concurrency 8 -workload synthetic -check-lint -allow-faults -expect-quarantine"
 
 # The warm-board smoke: many jobs through few boards, so every board
-# must serve the bulk of them from warm snapshot-restore resets.
-# vfpgaload exits nonzero on any 5xx, transport error, failed job,
-# lint-dirty result, or any board with zero warm resets; vfpgad exits
-# nonzero if the drain does not complete.
+# must serve the bulk of them from warm snapshot-restore resets (any
+# board with zero warm resets fails it).
 serve-smoke-warm:
-	@rm -rf .smoke && mkdir -p .smoke
-	$(GO) build -o .smoke/vfpgad ./cmd/vfpgad
-	$(GO) build -o .smoke/vfpgaload ./cmd/vfpgaload
-	@set -e; \
-	./.smoke/vfpgad -addr 127.0.0.1:0 -addr-file .smoke/addr -boards 2 -managers dynamic,partition -rate 0 > .smoke/vfpgad.log 2>&1 & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -s .smoke/addr ] && break; sleep 0.1; done; \
-	[ -s .smoke/addr ] || { echo "vfpgad did not come up"; cat .smoke/vfpgad.log; kill $$pid 2>/dev/null; exit 1; }; \
-	addr=$$(cat .smoke/addr); \
-	if ./.smoke/vfpgaload -target "http://$$addr" -requests 100 -concurrency 8 -workload synthetic -check-lint -expect-warm; then ok=1; else ok=0; fi; \
-	kill -TERM $$pid; \
-	if wait $$pid && [ $$ok -eq 1 ]; then echo "serve-smoke-warm: ok"; else echo "serve-smoke-warm: FAILED"; cat .smoke/vfpgad.log; exit 1; fi
-	@rm -rf .smoke
+	@$(SMOKE) "-boards 2 -managers dynamic,partition -rate 0" \
+		"-target http://{addr} -requests 100 -concurrency 8 -workload synthetic -check-lint -expect-warm"
 
 # The defragmentation smoke: amorphous boards on a narrow device, so the
 # adoption cache leaves residual fragmentation after jobs and the
 # idle-cycle compactor (armed at a low watermark) must run real passes.
-# vfpgaload exits nonzero on any 5xx, transport error, failed job,
-# lint-dirty result, or if no board ever compacted.
 serve-smoke-defrag:
-	@rm -rf .smoke && mkdir -p .smoke
-	$(GO) build -o .smoke/vfpgad ./cmd/vfpgad
-	$(GO) build -o .smoke/vfpgaload ./cmd/vfpgaload
-	@set -e; \
-	./.smoke/vfpgad -addr 127.0.0.1:0 -addr-file .smoke/addr -boards 2 -managers amorphous -cols 20 -rate 0 -compact-watermark 0.01 > .smoke/vfpgad.log 2>&1 & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -s .smoke/addr ] && break; sleep 0.1; done; \
-	[ -s .smoke/addr ] || { echo "vfpgad did not come up"; cat .smoke/vfpgad.log; kill $$pid 2>/dev/null; exit 1; }; \
-	addr=$$(cat .smoke/addr); \
-	if ./.smoke/vfpgaload -target "http://$$addr" -requests 60 -concurrency 4 -workload multimedia -check-lint -expect-compaction; then ok=1; else ok=0; fi; \
-	kill -TERM $$pid; \
-	if wait $$pid && [ $$ok -eq 1 ]; then echo "serve-smoke-defrag: ok"; else echo "serve-smoke-defrag: FAILED"; cat .smoke/vfpgad.log; exit 1; fi
-	@rm -rf .smoke
+	@$(SMOKE) "-boards 2 -managers amorphous -cols 20 -rate 0 -compact-watermark 0.01" \
+		"-target http://{addr} -requests 60 -concurrency 4 -workload multimedia -check-lint -expect-compaction"
 
 # The fleet smoke: one process serving 3 nodes x 2 boards behind the
 # packing policy, 500 jobs through the round-robin loader. Node 1's
 # boards run a deterministic always-escalate campaign, so the first job
 # routed there quarantines the whole node mid-run; the fleet must
 # re-route its jobs with zero untyped (or even typed) client-visible
-# failures, end with node 1 out of the rotation
-# (-expect-node-quarantine), and drain cleanly on SIGTERM.
+# failures and end with node 1 out of the rotation.
 serve-smoke-fleet:
-	@rm -rf .smoke && mkdir -p .smoke
-	$(GO) build -o .smoke/vfpgad ./cmd/vfpgad
-	$(GO) build -o .smoke/vfpgaload ./cmd/vfpgaload
-	@set -e; \
-	./.smoke/vfpgad -addr 127.0.0.1:0 -addr-file .smoke/addr -nodes 3 -boards-per-node 2 \
-		-placement packing -managers dynamic -rate 0 \
-		-faults "seed=1,retries=0,config-error@1" -fault-node 1 > .smoke/vfpgad.log 2>&1 & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -s .smoke/addr ] && break; sleep 0.1; done; \
-	[ -s .smoke/addr ] || { echo "vfpgad did not come up"; cat .smoke/vfpgad.log; kill $$pid 2>/dev/null; exit 1; }; \
-	addr=$$(cat .smoke/addr); \
-	if ./.smoke/vfpgaload -targets "http://$$addr,http://$$addr" -requests 500 -concurrency 8 \
-		-workload multimedia -check-lint -expect-node-quarantine; then ok=1; else ok=0; fi; \
-	kill -TERM $$pid; \
-	if wait $$pid && [ $$ok -eq 1 ]; then echo "serve-smoke-fleet: ok"; else echo "serve-smoke-fleet: FAILED"; cat .smoke/vfpgad.log; exit 1; fi
-	@rm -rf .smoke
+	@$(SMOKE) "-nodes 3 -boards-per-node 2 -placement packing -managers dynamic -rate 0 -faults 'seed=1,retries=0,config-error@1' -fault-node 1" \
+		"-targets http://{addr},http://{addr} -requests 500 -concurrency 8 -workload multimedia -check-lint -expect-node-quarantine"
 
 # The trace smoke: replay the committed golden trace (60 jobs, 3
 # tenants, all five scenario families) open-loop against a live vfpgad
 # at 4x recorded pace, with the committed SLO enforced on the virtual
-# replay. vfpgaload exits nonzero on any untyped failure, transport
-# error, lint-dirty result, or SLO violation; the emitted CSV must be
-# byte-identical to the committed golden (the wire-measured makespans
-# reproduce the direct runner's exactly), and vfpgad must drain cleanly
-# on SIGTERM.
+# replay. The emitted CSV must be byte-identical to the committed golden
+# (the wire-measured makespans reproduce the direct runner's exactly).
 serve-smoke-trace:
-	@rm -rf .smoke && mkdir -p .smoke
-	$(GO) build -o .smoke/vfpgad ./cmd/vfpgad
-	$(GO) build -o .smoke/vfpgaload ./cmd/vfpgaload
-	@set -e; \
-	./.smoke/vfpgad -addr 127.0.0.1:0 -addr-file .smoke/addr -boards 4 -rate 0 > .smoke/vfpgad.log 2>&1 & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -s .smoke/addr ] && break; sleep 0.1; done; \
-	[ -s .smoke/addr ] || { echo "vfpgad did not come up"; cat .smoke/vfpgad.log; kill $$pid 2>/dev/null; exit 1; }; \
-	addr=$$(cat .smoke/addr); \
-	if ./.smoke/vfpgaload -target "http://$$addr" -trace internal/loadgen/testdata/golden_trace.json \
-		-pace 4 -slo 'p99<750ms' -check-lint \
-		-csv-out .smoke/results.csv -json-out .smoke/results.json; then ok=1; else ok=0; fi; \
-	kill -TERM $$pid; \
-	wait $$pid || ok=0; \
-	cmp -s .smoke/results.csv internal/loadgen/testdata/golden_results.csv || { echo "trace CSV diverged from golden"; ok=0; }; \
-	if [ $$ok -eq 1 ]; then echo "serve-smoke-trace: ok"; else echo "serve-smoke-trace: FAILED"; cat .smoke/vfpgad.log; exit 1; fi
-	@rm -rf .smoke
+	@$(SMOKE) "-boards 4 -rate 0" \
+		"-target http://{addr} -trace internal/loadgen/testdata/golden_trace.json -pace 4 -slo 'p99<750ms' -check-lint -csv-out .smoke/results.csv -json-out .smoke/results.json" \
+		"cmp -s .smoke/results.csv internal/loadgen/testdata/golden_results.csv || { echo 'trace CSV diverged from golden'; false; }"

@@ -205,35 +205,7 @@ func run(cfg runConfig) (err error) {
 	}
 
 	engines := []*core.Engine{e}
-	var mgr hostos.FPGA
-	switch cfg.manager {
-	case "dynamic":
-		mgr = core.NewDynamicLoader(k, e)
-	case "partition":
-		pm, err := core.NewPartitionManager(k, e, core.PartitionConfig{
-			Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true,
-		})
-		if err != nil {
-			return err
-		}
-		mgr = pm
-	case "amorphous":
-		mgr = core.NewAmorphousManager(k, e, core.DefaultAmorphousConfig())
-	case "overlay":
-		// The most-used circuit (first in the set) stays resident.
-		om, initCost, err := core.NewOverlayManager(k, e, set.CircuitNames()[:1])
-		if err != nil {
-			return err
-		}
-		fmt.Printf("overlay init download: %v\n", initCost)
-		mgr = om
-	case "paged":
-		pl, err := core.NewPagedLoader(k, e, core.PagedConfig{PageCells: 16, Policy: core.LRU, Seed: cfg.seed})
-		if err != nil {
-			return err
-		}
-		mgr = pl
-	case "multi":
+	if cfg.manager == "multi" {
 		if cfg.boards < 1 {
 			return fmt.Errorf("multi manager needs at least one board")
 		}
@@ -248,26 +220,13 @@ func run(cfg runConfig) (err error) {
 			}
 			engines = append(engines, be)
 		}
-		mm, err := core.NewMultiManager(k, engines, core.PartitionConfig{
-			Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true,
-		})
-		if err != nil {
-			return err
-		}
-		mgr = mm
-	case "exclusive":
-		mgr = baseline.NewExclusive(k, e)
-	case "software":
-		mgr = baseline.NewSoftware(e, 20)
-	case "merged":
-		m, initCost, err := baseline.NewMerged(k, e, set.CircuitNames())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("merged init download: %v\n", initCost)
-		mgr = m
-	default:
-		return fmt.Errorf("unknown manager %q", cfg.manager)
+	}
+	mgr, initCost, err := baseline.NewManager(cfg.manager, k, engines, set.CircuitNames(), cfg.seed)
+	if err != nil {
+		return err
+	}
+	if initCost > 0 {
+		fmt.Printf("%s init download: %v\n", cfg.manager, initCost)
 	}
 
 	if cfg.faults != nil {
@@ -279,21 +238,13 @@ func run(cfg runConfig) (err error) {
 		fmt.Printf("fault injection armed: %s\n", cfg.faults)
 	}
 
-	osCfg := hostos.Config{TimeSlice: cfg.slice, CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond}
-	switch cfg.sched {
-	case "fifo":
-		osCfg.Policy = hostos.FIFO
-	case "rr":
-		osCfg.Policy = hostos.RR
-	case "priority":
-		osCfg.Policy = hostos.Priority
-	default:
-		return fmt.Errorf("unknown scheduler %q", cfg.sched)
+	policy, err := hostos.ParsePolicy(cfg.sched)
+	if err != nil {
+		return err
 	}
-	osim := hostos.New(k, osCfg, mgr)
-	if att, ok := mgr.(interface{ AttachOS(*hostos.OS) }); ok {
-		att.AttachOS(osim)
-	}
+	osim := hostos.New(k, hostos.Config{
+		Policy: policy, TimeSlice: cfg.slice, CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
+	}, mgr)
 	var tlog *hostos.EventLog
 	if cfg.gantt || cfg.trace {
 		tlog = hostos.NewEventLog(0)

@@ -44,7 +44,6 @@ func run(boards, colsEach int) error {
 		Policy: hostos.RR, TimeSlice: sim.Millisecond,
 		CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
 	}, mm)
-	mm.AttachOS(osim)
 	set.Spawn(osim)
 	k.Run()
 	if !osim.AllDone() {

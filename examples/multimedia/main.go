@@ -35,9 +35,6 @@ func run(name string, cols int, mk func(*sim.Kernel, *core.Engine, *workload.Set
 		Policy: hostos.RR, TimeSlice: 5 * sim.Millisecond,
 		CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
 	}, mgr)
-	if att, ok := mgr.(interface{ AttachOS(*hostos.OS) }); ok {
-		att.AttachOS(osim)
-	}
 	set.Spawn(osim)
 	k.Run()
 	if !osim.AllDone() {

@@ -46,7 +46,6 @@ func main() {
 		Policy: hostos.RR, TimeSlice: 2 * sim.Millisecond,
 		CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
 	}, pm)
-	pm.AttachOS(osim)
 	set.Spawn(osim)
 	k.Run()
 	if !osim.AllDone() {

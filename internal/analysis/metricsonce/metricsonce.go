@@ -13,8 +13,9 @@
 // over the whole module (RunModule) rather than per package. Sites in
 // _test.go files do not count: tests prime counters deliberately.
 // Exposition names that are not string constants are skipped; the only
-// such sites are the int/float->series forwarding helpers inside
-// metricsWriter.
+// such sites are the Int/Float->Series forwarding helpers inside
+// serve.MetricsWriter. The writer is recognised by type and method name,
+// whatever their case.
 package metricsonce
 
 import (
@@ -106,7 +107,7 @@ type familyDecl struct {
 	name string
 }
 
-// checkExposition validates metricsWriter.family/series/int call sites.
+// checkExposition validates MetricsWriter.Family/Series/Int/Float call sites.
 func checkExposition(passes []*analysis.Pass) {
 	var families []familyDecl
 	declared := map[string]site{}
@@ -128,7 +129,7 @@ func checkExposition(passes []*analysis.Pass) {
 					return true
 				}
 				named := astq.Named(pass.Info.TypeOf(sel.X))
-				if named == nil || named.Obj().Name() != "metricsWriter" {
+				if named == nil || !strings.EqualFold(named.Obj().Name(), "metricsWriter") {
 					return true
 				}
 				name, isConst := constString(pass, call.Args[0])
@@ -136,7 +137,7 @@ func checkExposition(passes []*analysis.Pass) {
 					return true
 				}
 				s := site{pass: pass, pos: call.Pos(), file: pass.Fset.Position(call.Pos()).Filename}
-				switch sel.Sel.Name {
+				switch strings.ToLower(sel.Sel.Name) {
 				case "family":
 					families = append(families, familyDecl{site: s, name: name})
 					if len(call.Args) >= 3 {

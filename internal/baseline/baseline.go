@@ -19,34 +19,24 @@ package baseline
 import (
 	"fmt"
 
-	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
 // Exclusive models the non-preemptable FPGA: the first task to use it
 // holds it until exit; reconfiguration happens only between holders.
 type Exclusive struct {
-	E  *core.Engine
-	K  *sim.Kernel
-	OS *hostos.OS
-
-	holder  *hostos.Task
-	waiters []*hostos.Task
+	core.TaskKernel
+	holder *hostos.Task
 }
 
 var _ hostos.FPGA = (*Exclusive)(nil)
 
 // NewExclusive returns an exclusive-FPGA baseline over the engine.
 func NewExclusive(k *sim.Kernel, e *core.Engine) *Exclusive {
-	e.Ledger().Bind(k)
-	return &Exclusive{E: e, K: k}
+	return &Exclusive{TaskKernel: core.NewTaskKernel(k, e, "exclusive")}
 }
-
-// AttachOS wires the baseline to the OS for unblocking waiters.
-func (x *Exclusive) AttachOS(os *hostos.OS) { x.OS = os }
 
 // ResetForJob returns the baseline to its post-construction state (no
 // holder, no waiters) for warm-board reuse. The device configuration a
@@ -54,7 +44,7 @@ func (x *Exclusive) AttachOS(os *hostos.OS) { x.OS = os }
 // restore, which runs alongside this.
 func (x *Exclusive) ResetForJob() {
 	x.holder = nil
-	x.waiters = nil
+	x.ResetWaiters()
 }
 
 // Register implements hostos.FPGA.
@@ -63,24 +53,15 @@ func (x *Exclusive) Register(t *hostos.Task, circuit string) error {
 	return err
 }
 
-func (x *Exclusive) circuitOf(t *hostos.Task) *compile.Circuit {
-	c, err := x.E.Circuit(t.CurrentRequest().Circuit)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Acquire implements hostos.FPGA: the device is granted whole, FIFO.
 func (x *Exclusive) Acquire(t *hostos.Task) (sim.Time, bool) {
 	led := x.E.Ledger()
 	if x.holder != nil && x.holder != t {
-		led.NoteBlock(t.Name)
-		x.waiters = append(x.waiters, t)
+		x.Block(t)
 		return 0, false
 	}
 	x.holder = t
-	c := x.circuitOf(t)
+	c := x.CircuitOf(t)
 	if r := led.ResidentAt(0); r != nil {
 		if r.Circuit == c.Name {
 			return 0, true
@@ -93,16 +74,7 @@ func (x *Exclusive) Acquire(t *hostos.Task) (sim.Time, bool) {
 }
 
 // ExecTime implements hostos.FPGA.
-func (x *Exclusive) ExecTime(t *hostos.Task) sim.Time {
-	c := x.circuitOf(t)
-	req := t.CurrentRequest()
-	pure := sim.Time(req.Evaluations+req.Cycles) * c.ClockPeriod
-	mux := 1
-	if r := x.E.Ledger().ResidentAt(0); r != nil {
-		mux = r.Mux
-	}
-	return x.E.ExecQuantum(pure, mux)
-}
+func (x *Exclusive) ExecTime(t *hostos.Task) sim.Time { return x.ExecAt(t, 0) }
 
 // Preemptable implements hostos.FPGA: never (the defining property).
 func (x *Exclusive) Preemptable(t *hostos.Task) bool { return false }
@@ -126,28 +98,18 @@ func (x *Exclusive) Remove(t *hostos.Task) {
 		return
 	}
 	x.holder = nil
-	ws := x.waiters
-	x.waiters = nil
-	for _, w := range ws {
-		x.OS.Unblock(w)
-	}
+	x.Wake()
 }
 
 // Holder returns the task currently owning the device (nil if free).
 func (x *Exclusive) Holder() *hostos.Task { return x.holder }
-
-// LintTargets implements core.LintTargeter.
-func (x *Exclusive) LintTargets() []*lint.Target {
-	return []*lint.Target{x.E.Ledger().LintTarget("exclusive")}
-}
 
 // Merged models the all-circuits-in-one configuration: every registered
 // circuit is loaded side by side at initialization and never moves. It
 // fails construction when the device is too small — which is exactly the
 // regime the VFPGA exists for.
 type Merged struct {
-	E     *core.Engine
-	K     *sim.Kernel
+	core.TaskKernel
 	slots map[string]int // circuit -> strip origin column
 }
 
@@ -157,8 +119,7 @@ var _ hostos.FPGA = (*Merged)(nil)
 // deterministic order) side by side. It returns the initialization cost
 // (one big download) or an error if the circuits do not all fit.
 func NewMerged(k *sim.Kernel, e *core.Engine, order []string) (*Merged, sim.Time, error) {
-	e.Ledger().Bind(k)
-	m := &Merged{E: e, K: k, slots: map[string]int{}}
+	m := &Merged{TaskKernel: core.NewTaskKernel(k, e, "merged"), slots: map[string]int{}}
 	led := e.Ledger()
 	x := 0
 	var cost sim.Time
@@ -202,17 +163,7 @@ func (m *Merged) Acquire(t *hostos.Task) (sim.Time, bool) { return 0, true }
 
 // ExecTime implements hostos.FPGA.
 func (m *Merged) ExecTime(t *hostos.Task) sim.Time {
-	req := t.CurrentRequest()
-	c, err := m.E.Circuit(req.Circuit)
-	if err != nil {
-		panic(err)
-	}
-	mux := 1
-	if r := m.E.Ledger().ResidentAt(m.slots[req.Circuit]); r != nil {
-		mux = r.Mux
-	}
-	pure := sim.Time(req.Evaluations+req.Cycles) * c.ClockPeriod
-	return m.E.ExecQuantum(pure, mux)
+	return m.ExecAt(t, m.slots[t.CurrentRequest().Circuit])
 }
 
 // Preemptable implements hostos.FPGA: circuits never move, so preemption
@@ -222,15 +173,7 @@ func (m *Merged) Preemptable(t *hostos.Task) bool { return true }
 // Preempt implements hostos.FPGA.
 func (m *Merged) Preempt(t *hostos.Task, done, total sim.Time) (sim.Time, sim.Time) {
 	req := t.CurrentRequest()
-	n := req.Evaluations + req.Cycles
-	if n <= 0 {
-		return 0, done
-	}
-	per := total / sim.Time(n)
-	if per <= 0 {
-		return 0, done
-	}
-	return 0, (done / per) * per
+	return 0, core.Boundary(req.Evaluations+req.Cycles, done, total)
 }
 
 // Resume implements hostos.FPGA.
@@ -242,15 +185,12 @@ func (m *Merged) Complete(t *hostos.Task) {}
 // Remove implements hostos.FPGA.
 func (m *Merged) Remove(t *hostos.Task) {}
 
-// LintTargets implements core.LintTargeter.
-func (m *Merged) LintTargets() []*lint.Target {
-	return []*lint.Target{m.E.Ledger().LintTarget("merged")}
-}
-
 // Software runs every "FPGA" operation on the host CPU at a slowdown
-// factor — the no-FPGA null hypothesis of the paper's motivation.
+// factor — the no-FPGA null hypothesis of the paper's motivation. Its
+// lint view is an empty device: nothing is ever configured, but the
+// verifier wiring stays uniform.
 type Software struct {
-	E *core.Engine
+	core.TaskKernel
 	// Slowdown multiplies the hardware execution time (the paper's
 	// motivation: general-purpose processors "cannot satisfy performance
 	// requirements"). Typical datapaths gain 10-100x on FPGAs.
@@ -264,7 +204,7 @@ func NewSoftware(e *core.Engine, slowdown int64) *Software {
 	if slowdown <= 0 {
 		slowdown = 20
 	}
-	return &Software{E: e, Slowdown: slowdown}
+	return &Software{TaskKernel: core.NewTaskKernel(nil, e, "software"), Slowdown: slowdown}
 }
 
 // ResetForJob is a no-op: software execution keeps no cross-job state.
@@ -282,11 +222,7 @@ func (s *Software) Acquire(t *hostos.Task) (sim.Time, bool) { return 0, true }
 // ExecTime implements hostos.FPGA.
 func (s *Software) ExecTime(t *hostos.Task) sim.Time {
 	req := t.CurrentRequest()
-	c, err := s.E.Circuit(req.Circuit)
-	if err != nil {
-		panic(err)
-	}
-	return sim.Time(req.Evaluations+req.Cycles) * c.ClockPeriod * sim.Time(s.Slowdown)
+	return sim.Time(req.Evaluations+req.Cycles) * s.CircuitOf(t).ClockPeriod * sim.Time(s.Slowdown)
 }
 
 // Preemptable implements hostos.FPGA: software state lives in memory.
@@ -305,9 +241,3 @@ func (s *Software) Complete(t *hostos.Task) {}
 
 // Remove implements hostos.FPGA.
 func (s *Software) Remove(t *hostos.Task) {}
-
-// LintTargets implements core.LintTargeter: nothing on a device, but an
-// empty device target keeps the verifier wiring uniform.
-func (s *Software) LintTargets() []*lint.Target {
-	return []*lint.Target{s.E.Ledger().LintTarget("software")}
-}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/hostos"
 	"repro/internal/netlist"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func testEngine(t testing.TB) *core.Engine {
@@ -32,7 +34,6 @@ func TestExclusiveSerializes(t *testing.T) {
 	e := testEngine(t)
 	x := NewExclusive(k, e)
 	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, x)
-	x.AttachOS(os)
 	a, _ := os.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 100_000), hostos.Compute(2 * sim.Millisecond)})
 	b, _ := os.Spawn("b", 0, []hostos.Op{hostos.Compute(100 * sim.Microsecond), fpgaOp("parity16", 100)})
 	k.Run()
@@ -58,7 +59,6 @@ func TestExclusiveNonPreemptable(t *testing.T) {
 	e := testEngine(t)
 	x := NewExclusive(k, e)
 	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, x)
-	x.AttachOS(os)
 	hw, _ := os.Spawn("hw", 0, []hostos.Op{fpgaOp("adder8", 400_000)})
 	os.Spawn("cpu", 0, []hostos.Op{hostos.Compute(sim.Millisecond)})
 	k.Run()
@@ -72,7 +72,6 @@ func TestExclusiveSameTaskSwitchesCircuits(t *testing.T) {
 	e := testEngine(t)
 	x := NewExclusive(k, e)
 	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, x)
-	x.AttachOS(os)
 	a, _ := os.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 10), fpgaOp("parity16", 10), fpgaOp("adder8", 10)})
 	k.Run()
 	if a.State() != hostos.TaskDone {
@@ -169,5 +168,52 @@ func TestSoftwarePreemptionLossless(t *testing.T) {
 	want := sim.Time(40_000) * e.Lib["adder8"].ClockPeriod * 10
 	if hw.HWTime != want {
 		t.Fatalf("software HW time %v, want %v", hw.HWTime, want)
+	}
+}
+
+// TestNewManagerByName builds each of the nine managers the way the
+// daemon and vfpgasim do and runs a two-task job on it; a name outside
+// the nine, or a set-dependent manager with no circuits, is an error that
+// leaves no half-built manager behind.
+func TestNewManagerByName(t *testing.T) {
+	circuits := []string{"adder8", "parity16", "counter8"}
+	for _, name := range []string{"dynamic", "partition", "amorphous", "overlay", "paged", "multi", "exclusive", "software", "merged"} {
+		k := sim.New()
+		engines := []*core.Engine{testEngine(t)}
+		if name == "multi" {
+			engines = append(engines, testEngine(t))
+		}
+		mgr, initCost, err := NewManager(name, k, engines, circuits, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if preloads := name == "overlay" || name == "merged"; (initCost > 0) != preloads {
+			t.Errorf("%s: init download %v", name, initCost)
+		}
+		os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, mgr)
+		for _, task := range []string{"a", "b"} {
+			if _, err := os.Spawn(task, 0, []hostos.Op{fpgaOp("adder8", 5000), fpgaOp("parity16", 5000)}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		k.Run()
+		if !os.AllDone() {
+			t.Errorf("%s: job did not finish", name)
+		}
+	}
+	if mgr, _, err := NewManager("nosuch", sim.New(), []*core.Engine{testEngine(t)}, circuits, 1); err == nil || mgr != nil {
+		t.Errorf("unknown manager: got %v, %v", mgr, err)
+	}
+	for _, name := range []string{"overlay", "merged"} {
+		mgr, _, err := NewManager(name, sim.New(), []*core.Engine{testEngine(t)}, nil, 1)
+		if !errors.Is(err, workload.ErrNoCircuits) || mgr != nil {
+			t.Errorf("%s with no circuits: got %v, %v", name, mgr, err)
+		}
+	}
+	// A constructor that fails must not leak its typed nil pointer.
+	wide := testEngine(t)
+	wide.Opt.Geometry.Cols = 1
+	if mgr, _, err := NewManager("merged", sim.New(), []*core.Engine{wide}, circuits, 1); err == nil || mgr != nil {
+		t.Errorf("merged on a one-column device: got %v, %v", mgr, err)
 	}
 }

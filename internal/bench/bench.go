@@ -128,8 +128,7 @@ type runResult struct {
 }
 
 // runSet spawns the workload under the given manager factory and runs to
-// completion. Managers exposing AttachOS (partitioning, exclusive) are
-// wired to the OS for task unblocking.
+// completion.
 func runSet(opt core.Options, osCfg hostos.Config, set *workload.Set,
 	mk func(k *sim.Kernel, e *core.Engine) hostos.FPGA) (*runResult, error) {
 
@@ -140,9 +139,6 @@ func runSet(opt core.Options, osCfg hostos.Config, set *workload.Set,
 	}
 	mgr := mk(k, e)
 	osRef := hostos.New(k, osCfg, mgr)
-	if att, ok := mgr.(interface{ AttachOS(*hostos.OS) }); ok {
-		att.AttachOS(osRef)
-	}
 	set.Spawn(osRef)
 	k.Run()
 	if !osRef.AllDone() {

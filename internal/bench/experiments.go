@@ -708,7 +708,6 @@ func F4Fragmentation(cfg Config) (*trace.Table, error) {
 			return nil, err
 		}
 		os := hostos.New(k, defaultOS(), pm)
-		pm.AttachOS(os)
 		set.Spawn(os)
 		frag := stats.NewSample(false)
 		// Sample fragmentation every millisecond while the run progresses.

@@ -78,7 +78,6 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 		osCfg := defaultOS()
 		osCfg.TimeSlice = 1 * sim.Millisecond
 		osim := hostos.New(k, osCfg, mm)
-		mm.AttachOS(osim)
 		set.Spawn(osim)
 		k.Run()
 		if !osim.AllDone() {

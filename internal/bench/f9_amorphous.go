@@ -95,9 +95,6 @@ func F9AmorphousRegions(cfg Config) (*trace.Table, error) {
 			mgr, frag = am, am.Frag
 		}
 		os := hostos.New(k, defaultOS(), mgr)
-		if att, ok := mgr.(interface{ AttachOS(*hostos.OS) }); ok {
-			att.AttachOS(os)
-		}
 		set.Spawn(os)
 		fragSample := stats.NewSample(false)
 		// Sample fragmentation every millisecond while the run progresses.

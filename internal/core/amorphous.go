@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/compile"
-	"repro/internal/fabric"
 	"repro/internal/hostos"
 	"repro/internal/lint"
 	"repro/internal/sim"
@@ -34,15 +32,6 @@ func DefaultAmorphousConfig() AmorphousConfig {
 	return AmorphousConfig{Fit: BestFit, GC: true, Rotate: true, Cache: true}
 }
 
-// aspan is the amorphous manager's payload on an occupied span: nil
-// owner marks a cached (unowned) resident strip.
-type aspan struct {
-	owner   *hostos.Task
-	circuit string
-	lastUse sim.Time
-	pinned  bool // owner has an in-flight preempted op; never evict
-}
-
 // AmorphousManager implements hostos.FPGA with flexible-boundary
 // regions in the style of Nguyen & Hoe's amorphous DPR, replacing §4's
 // disjoint split/merge partitions: every circuit gets an exact-fit
@@ -53,16 +42,15 @@ type aspan struct {
 // to configurations), so a recurring circuit re-enters at zero
 // configuration cost — at the price of post-exit fragmentation, which
 // the serve layer's background compactor grinds back down between jobs.
+//
+// It is the strip table with three policy choices of its own: a task
+// switching algorithms demotes its old strip to the cache instead of
+// reusing it in place, a cached strip with the requested circuit is
+// adopted before any space is searched, and holes merge by sliding the
+// narrowest block between two of them.
 type AmorphousManager struct {
-	E   *Engine
-	K   *sim.Kernel
+	stripTable
 	Cfg AmorphousConfig
-	OS  *hostos.OS // set via AttachOS before running
-
-	rm      *RegionMap
-	byTask  map[hostos.TaskID]*Span
-	waiters []*hostos.Task
-	saved   map[savedKey][]bool // displaced sequential state per task+circuit
 }
 
 var _ hostos.FPGA = (*AmorphousManager)(nil)
@@ -70,24 +58,22 @@ var _ hostos.FPGA = (*AmorphousManager)(nil)
 // NewAmorphousManager builds the manager over an empty sliding region
 // map covering the whole device.
 func NewAmorphousManager(k *sim.Kernel, e *Engine, cfg AmorphousConfig) *AmorphousManager {
-	e.Ledger().Bind(k)
-	return &AmorphousManager{
-		E: e, K: k, Cfg: cfg,
-		rm:     NewRegionMap(e.Opt.Geometry.Cols),
-		byTask: map[hostos.TaskID]*Span{},
+	am := &AmorphousManager{
+		stripTable: newStripTable(NewTaskKernel(k, e, ""), NewRegionMap(e.Opt.Geometry.Cols)),
+		Cfg:        cfg,
 	}
+	am.view = am.lintView
+	am.fit, am.rotate, am.cache = cfg.Fit, cfg.Rotate, cfg.Cache
+	if cfg.GC {
+		am.reclaim = am.slideFor
+	}
+	return am
 }
-
-// AttachOS wires the manager to the OS for unblocking suspended tasks.
-func (am *AmorphousManager) AttachOS(os *hostos.OS) { am.OS = os }
 
 // ResetForJob clears every region and per-task table, returning the
 // manager to its post-construction state for warm-board reuse.
 func (am *AmorphousManager) ResetForJob() {
-	am.rm = NewRegionMap(am.E.Opt.Geometry.Cols)
-	am.byTask = map[hostos.TaskID]*Span{}
-	am.waiters = nil
-	am.saved = nil
+	am.reset(NewRegionMap(am.rm.Cols()))
 }
 
 // Register implements hostos.FPGA.
@@ -102,113 +88,23 @@ func (am *AmorphousManager) Register(t *hostos.Task, circuit string) error {
 	return nil
 }
 
-func (am *AmorphousManager) circuitOf(t *hostos.Task) *compile.Circuit {
-	c, err := am.E.Circuit(t.CurrentRequest().Circuit)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-func (am *AmorphousManager) region(s *Span) fabric.Region {
-	return fabric.Region{X: s.X, Y: 0, W: s.W, H: am.E.Opt.Geometry.Rows}
-}
-
-func (am *AmorphousManager) savedMap() map[savedKey][]bool {
-	if am.saved == nil {
-		am.saved = map[savedKey][]bool{}
-	}
-	return am.saved
-}
-
-// saveFor reads the sequential state of owner's circuit c out of span s
-// into OS tables.
-func (am *AmorphousManager) saveFor(s *Span, owner *hostos.Task, c *compile.Circuit) sim.Time {
-	st, cost := am.E.Ledger().Readback(owner.Name, c, am.region(s))
-	am.savedMap()[savedKey{owner.ID, c.Name}] = st
-	return cost
-}
-
-// restoreFor writes task t's displaced state for c back into span s; if
-// none is saved, a sequential circuit's flip-flops are reset instead
-// (the strip may carry a previous user's state — adopted caches do).
-func (am *AmorphousManager) restoreFor(s *Span, t *hostos.Task, c *compile.Circuit, resetStale bool) sim.Time {
-	key := savedKey{t.ID, c.Name}
-	led := am.E.Ledger()
-	if st, ok := am.savedMap()[key]; ok {
-		cost := led.Restore(t.Name, c, am.region(s), st)
-		delete(am.saved, key)
-		return cost
-	}
-	if resetStale && c.Sequential {
-		return led.Reset(t.Name, c, am.region(s))
-	}
-	return 0
-}
-
-// dropSpan releases the resident strip in span s. displaced marks an
-// involuntary eviction (rotation) as opposed to a voluntary release
-// (task exit, cache reclaim).
-func (am *AmorphousManager) dropSpan(s *Span, displaced bool) {
-	as := s.Owner.(*aspan)
-	if displaced {
-		am.E.Ledger().Evict(s.X)
-	} else {
-		am.E.Ledger().Release(s.X)
-	}
-	if as.owner != nil {
-		delete(am.byTask, as.owner.ID)
-	}
-	am.rm.Release(s)
-}
-
-// cacheFor returns the most-recently-used cached span holding circuit,
+// cacheFor returns the most-recently-used cached strip holding circuit,
 // or nil.
-func (am *AmorphousManager) cacheFor(circuit string) *Span {
-	var best *Span
+func (am *AmorphousManager) cacheFor(circuit string) *strip {
+	var best *strip
 	for _, s := range am.rm.Spans() {
 		if s.Free() {
 			continue
 		}
-		as := s.Owner.(*aspan)
-		if as.owner != nil || as.circuit != circuit {
+		p := s.Owner.(*strip)
+		if p.owner != nil || p.circuit != circuit {
 			continue
 		}
-		if best == nil || as.lastUse > best.Owner.(*aspan).lastUse {
-			best = s
+		if best == nil || p.lastUse > best.lastUse {
+			best = p
 		}
 	}
 	return best
-}
-
-// dropOneCache reclaims the least-recently-used cached strip, returning
-// false when no cache remains.
-func (am *AmorphousManager) dropOneCache() bool {
-	var victim *Span
-	for _, s := range am.rm.Spans() {
-		if s.Free() {
-			continue
-		}
-		as := s.Owner.(*aspan)
-		if as.owner != nil {
-			continue
-		}
-		if victim == nil || as.lastUse < victim.Owner.(*aspan).lastUse {
-			victim = s
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	am.dropSpan(victim, false)
-	return true
-}
-
-// dropCachesFor reclaims cached strips (LRU first) until a free span of
-// width need exists or no cache remains.
-func (am *AmorphousManager) dropCachesFor(need int) {
-	for am.rm.FindFree(need, am.Cfg.Fit) == nil && am.dropOneCache() {
-	}
 }
 
 // slideFor merges adjacent free holes by sliding the occupied strips
@@ -247,242 +143,37 @@ func (am *AmorphousManager) slideFor(need int) sim.Time {
 	}
 }
 
-// evictLRU displaces the least-recently-used unpinned owned strip whose
-// owner is not t. It returns the state-save cost, or ok=false if
-// nothing is evictable.
-func (am *AmorphousManager) evictLRU(t *hostos.Task) (cost sim.Time, ok bool) {
-	var victim *Span
-	for _, s := range am.rm.Spans() {
-		if s.Free() {
-			continue
-		}
-		as := s.Owner.(*aspan)
-		if as.owner == nil || as.pinned || as.owner == t {
-			continue
-		}
-		if victim == nil || as.lastUse < victim.Owner.(*aspan).lastUse {
-			victim = s
-		}
-	}
-	if victim == nil {
-		return 0, false
-	}
-	as := victim.Owner.(*aspan)
-	c, err := am.E.Circuit(as.circuit)
-	if err != nil {
-		panic(err)
-	}
-	if c.Sequential {
-		cost += am.saveFor(victim, as.owner, c)
-	}
-	am.dropSpan(victim, true)
-	return cost, true
-}
-
-// releaseOwn gives up task t's span when it switches circuits: the
-// outgoing strip is demoted to a cached resident (or dropped when
-// caching is off).
-func (am *AmorphousManager) releaseOwn(t *hostos.Task, s *Span) {
-	as := s.Owner.(*aspan)
-	if am.Cfg.Cache {
-		delete(am.byTask, t.ID)
-		as.owner = nil
-		as.pinned = false
-		as.lastUse = am.K.Now()
-		return
-	}
-	am.dropSpan(s, false)
-}
-
 // Acquire implements hostos.FPGA.
 func (am *AmorphousManager) Acquire(t *hostos.Task) (sim.Time, bool) {
-	c := am.circuitOf(t)
-	need := c.BS.W
-	now := am.K.Now()
+	c := am.CircuitOf(t)
 	var cost sim.Time
-
-	// Already holding a span?
-	if sp := am.byTask[t.ID]; sp != nil {
-		as := sp.Owner.(*aspan)
-		if as.circuit == c.Name {
-			as.lastUse = now
+	if p := am.byTask[t.ID]; p != nil {
+		if p.circuit == c.Name {
+			p.lastUse = am.K.Now()
 			return 0, true // loaded and state in place: zero-cost reuse
 		}
 		// Switching algorithms: save the outgoing sequential state, then
 		// let the old strip go (into the cache — the task may switch
 		// back). The new circuit allocates fresh below; exact-fit spans
 		// never reuse a differently-sized hole in place.
-		if old, err := am.E.Circuit(as.circuit); err == nil && old.Sequential {
-			cost += am.saveFor(sp, t, old)
-		}
-		am.releaseOwn(t, sp)
+		cost += am.saveOutgoing(p)
+		am.giveUp(p)
 	}
 
 	// A cached strip with this circuit is adopted in place: no download,
 	// no pin allocation — the whole point of keeping it resident.
-	if sp := am.cacheFor(c.Name); sp != nil {
-		as := sp.Owner.(*aspan)
-		as.owner = t
-		as.lastUse = now
-		am.byTask[t.ID] = sp
-		am.E.Ledger().Adopt(sp.X, t.Name)
-		cost += am.restoreFor(sp, t, c, true)
-		return cost, true
+	if p := am.cacheFor(c.Name); p != nil {
+		p.owner, p.lastUse = t, am.K.Now()
+		am.byTask[t.ID] = p
+		am.E.Ledger().Adopt(p.span.X, t.Name)
+		return cost + am.restoreFor(p.span, t, c, true), true
 	}
 
-	s := am.rm.FindFree(need, am.Cfg.Fit)
-	if s == nil && am.Cfg.Cache {
-		am.dropCachesFor(need)
-		s = am.rm.FindFree(need, am.Cfg.Fit)
-	}
-	if s == nil && am.Cfg.GC {
-		if f := am.rm.Frag(); f.FreeCols >= need {
-			cost += am.slideFor(need)
-			s = am.rm.FindFree(need, am.Cfg.Fit)
-		}
-	}
-	if s == nil && am.Cfg.Rotate {
-		for {
-			evictCost, ok := am.evictLRU(t)
-			if !ok {
-				break
-			}
-			cost += evictCost
-			if s = am.rm.FindFree(need, am.Cfg.Fit); s != nil {
-				break
-			}
-			if am.Cfg.GC {
-				if f := am.rm.Frag(); f.FreeCols >= need {
-					cost += am.slideFor(need)
-					s = am.rm.FindFree(need, am.Cfg.Fit)
-					break
-				}
-			}
-		}
-	}
-	// Pins are a shared physical resource: cached strips hold theirs, and
-	// caching must never starve a fresh download below a full (mux-free)
-	// pin binding — so caches are reclaimed whenever free pins fall short
-	// of the circuit's full port count, then rotation handles genuine
-	// exhaustion like area shortage.
-	if s != nil {
-		wantPins := c.BS.NumIn + c.BS.NumOut
-		changed := false
-		for am.E.FreePinCount() < wantPins && am.dropOneCache() {
-			changed = true
-		}
-		if am.E.FreePinCount() == 0 && am.Cfg.Rotate {
-			if evictCost, ok := am.evictLRU(t); ok {
-				cost += evictCost
-				changed = true
-			}
-		}
-		if changed {
-			s = am.rm.FindFree(need, am.Cfg.Fit) // reclaim reshaped the free list
-		}
-	}
-	if s == nil || am.E.FreePinCount() == 0 {
-		am.E.Ledger().NoteBlock(t.Name)
-		am.waiters = append(am.waiters, t)
+	placeCost, ready := am.place(t, c)
+	if !ready {
 		return 0, false
 	}
-	as := &aspan{owner: t, circuit: c.Name, lastUse: now}
-	sp := am.rm.Alloc(s, need, as)
-	am.byTask[t.ID] = sp
-	_, loadCost := am.E.Ledger().Load(t.Name, c, sp.X, false)
-	cost += loadCost
-	cost += am.restoreFor(sp, t, c, false) // fresh strip: FFs at init values
-	return cost, true
-}
-
-// ExecTime implements hostos.FPGA.
-func (am *AmorphousManager) ExecTime(t *hostos.Task) sim.Time {
-	c := am.circuitOf(t)
-	req := t.CurrentRequest()
-	mux := 1
-	if sp := am.byTask[t.ID]; sp != nil {
-		if r := am.E.Ledger().ResidentAt(sp.X); r != nil {
-			mux = r.Mux
-		}
-	}
-	pure := sim.Time(req.Evaluations+req.Cycles) * c.ClockPeriod
-	return am.E.ExecQuantum(pure, mux)
-}
-
-// Preemptable implements hostos.FPGA: a resident circuit keeps its span
-// across preemption (it is pinned), so preemption costs nothing unless
-// policy forbids it.
-func (am *AmorphousManager) Preemptable(t *hostos.Task) bool {
-	if !am.circuitOf(t).Sequential {
-		return true
-	}
-	return am.E.Opt.State != NonPreemptable
-}
-
-// Preempt implements hostos.FPGA: the state stays in the span, so only
-// the in-flight vector/cycle granularity is lost.
-func (am *AmorphousManager) Preempt(t *hostos.Task, done, total sim.Time) (sim.Time, sim.Time) {
-	if sp := am.byTask[t.ID]; sp != nil {
-		as := sp.Owner.(*aspan)
-		as.pinned = true
-		as.lastUse = am.K.Now()
-	}
-	req := t.CurrentRequest()
-	n := req.Evaluations + req.Cycles
-	if n <= 0 {
-		return 0, done
-	}
-	per := total / sim.Time(n)
-	if per <= 0 {
-		return 0, done
-	}
-	return 0, (done / per) * per
-}
-
-// Resume implements hostos.FPGA: the pinned span is exactly as the task
-// left it.
-func (am *AmorphousManager) Resume(t *hostos.Task) sim.Time {
-	if sp := am.byTask[t.ID]; sp != nil {
-		sp.Owner.(*aspan).lastUse = am.K.Now()
-	}
-	return 0
-}
-
-// Complete implements hostos.FPGA.
-func (am *AmorphousManager) Complete(t *hostos.Task) {
-	if sp := am.byTask[t.ID]; sp != nil {
-		as := sp.Owner.(*aspan)
-		as.pinned = false
-		as.lastUse = am.K.Now()
-	}
-}
-
-// Remove implements hostos.FPGA: the exiting task's strip is demoted to
-// a cached resident (or released outright when caching is off), its
-// saved state is purged, and suspended tasks get a chance to allocate.
-func (am *AmorphousManager) Remove(t *hostos.Task) {
-	if sp := am.byTask[t.ID]; sp != nil {
-		am.releaseOwn(t, sp)
-	}
-	for k := range am.saved {
-		if k.task == t.ID {
-			delete(am.saved, k)
-		}
-	}
-	am.wakeWaiters()
-}
-
-// wakeWaiters unblocks every suspended task; each retries its Acquire
-// in scheduling order and re-suspends if space is still short.
-func (am *AmorphousManager) wakeWaiters() {
-	if len(am.waiters) == 0 {
-		return
-	}
-	ws := am.waiters
-	am.waiters = nil
-	for _, w := range ws {
-		am.OS.Unblock(w)
-	}
+	return cost + placeCost, true
 }
 
 // Frag returns the manager's live fragmentation statistics.
@@ -496,10 +187,10 @@ func (am *AmorphousManager) Regions() []lint.RegionView {
 	for _, s := range am.rm.Spans() {
 		v := lint.RegionView{X: s.X, W: s.W, Free: s.Free()}
 		if !s.Free() {
-			as := s.Owner.(*aspan)
-			v.Circuit = as.circuit
-			if as.owner != nil {
-				v.Owner = as.owner.Name
+			p := s.Owner.(*strip)
+			v.Circuit = p.circuit
+			if p.owner != nil {
+				v.Owner = p.owner.Name
 			}
 		}
 		out = append(out, v)
@@ -507,19 +198,14 @@ func (am *AmorphousManager) Regions() []lint.RegionView {
 	return out
 }
 
-// LintTarget exports the manager's current state as a static-verifier
+// lintView exports the manager's current state as a static-verifier
 // target for the region-state pass (exact tiling, no shared columns,
 // coalesced free spans).
-func (am *AmorphousManager) LintTarget() *lint.Target {
+func (am *AmorphousManager) lintView() *lint.Target {
 	return &lint.Target{
 		Name:    "amorphous",
 		Regions: am.Regions(),
 		Cols:    am.E.Opt.Geometry.Cols,
 		Device:  am.E.Dev,
 	}
-}
-
-// LintTargets implements LintTargeter.
-func (am *AmorphousManager) LintTargets() []*lint.Target {
-	return []*lint.Target{am.LintTarget()}
 }

@@ -59,7 +59,6 @@ func amFixture(t *testing.T, cols int, cfg AmorphousConfig, nls ...*netlist.Netl
 	e := amorphousEngine(t, cols, nls...)
 	am := NewAmorphousManager(k, e, cfg)
 	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, am)
-	am.AttachOS(os)
 	return e, am, os
 }
 
@@ -233,7 +232,6 @@ func TestAmorphousBlockAndWake(t *testing.T) {
 	os := hostos.New(k, hostos.Config{
 		Policy: hostos.RR, TimeSlice: 50 * sim.Microsecond, CtxSwitch: 5 * sim.Microsecond,
 	}, am)
-	am.AttachOS(os)
 	// Two tasks, a one-strip device: round-robin gives b the CPU while a
 	// still owns the strip (computing after its FPGA phase), so b must
 	// suspend until a exits, then be woken and run to completion.

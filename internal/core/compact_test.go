@@ -210,7 +210,7 @@ func TestPartitionCompactStopsEarly(t *testing.T) {
 	opt := testOptions()
 	opt.Geometry.Cols = n * pc.BS.W
 
-	build := func(t *testing.T) (*Engine, *PartitionManager, []*partition) {
+	build := func(t *testing.T) (*Engine, *PartitionManager, []*strip) {
 		e := newEngine(t, opt)
 		pm, err := NewPartitionManager(sim.New(), e, PartitionConfig{
 			Mode: VariablePartitions, Fit: FirstFit, GC: true,
@@ -220,9 +220,9 @@ func TestPartitionCompactStopsEarly(t *testing.T) {
 		}
 		c := e.Lib["parity16"]
 		w := c.BS.W
-		var parts []*partition
+		var parts []*strip
 		for i := 0; i < n; i++ {
-			p := &partition{}
+			p := &strip{}
 			p.span = pm.rm.Alloc(pm.rm.FindFree(w, FirstFit), w, p)
 			e.Ledger().Load(fmt.Sprintf("t%d", i), c, p.span.X, false)
 			p.circuit = c.Name
@@ -235,8 +235,8 @@ func TestPartitionCompactStopsEarly(t *testing.T) {
 	// exactly one slide to merge them.
 	e, pm, parts := build(t)
 	need := 2 * parts[0].span.W
-	pm.releasePartition(parts[1], false)
-	pm.releasePartition(parts[3], false)
+	pm.drop(parts[1].span, false)
+	pm.drop(parts[3].span, false)
 	pm.compact(need)
 	if got := e.M.Relocations.Value(); got != 1 {
 		t.Fatalf("early-stop compact relocated %d strips, want 1", got)
@@ -250,8 +250,8 @@ func TestPartitionCompactStopsEarly(t *testing.T) {
 
 	// The old full pack slides every out-of-place strip.
 	e2, pm2, parts2 := build(t)
-	pm2.releasePartition(parts2[1], false)
-	pm2.releasePartition(parts2[3], false)
+	pm2.drop(parts2[1].span, false)
+	pm2.drop(parts2[3].span, false)
 	pm2.compact(0)
 	if full := e2.M.Relocations.Value(); full <= 1 {
 		t.Fatalf("full pack relocated %d strips, expected more than the early stop's 1", full)

@@ -21,11 +21,13 @@ import (
 	"repro/internal/sim"
 )
 
-// randomScript spawns 2-4 tasks of 1-4 random ops each, with random
-// arrivals, priorities and scheduler-visible durations drawn from src.
-func randomScript(t testing.TB, os *hostos.OS, src *rng.Source) {
+// randomScript spawns 2-4 tasks (plus crowd more) of 1-4 random ops each,
+// with random arrivals, priorities and scheduler-visible durations drawn
+// from src. From crowd = 4 up the strip managers run out of columns and
+// pins, so suspension, rotation, compaction and pin multiplexing trigger.
+func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int) {
 	t.Helper()
-	tasks := 2 + src.Intn(3)
+	tasks := 2 + crowd + src.Intn(3)
 	for i := 0; i < tasks; i++ {
 		var prog []hostos.Op
 		ops := 1 + src.Intn(4)
@@ -67,10 +69,7 @@ func runRandomConformance(t *testing.T, seed uint64, plan *fault.Plan) {
 				Policy: hostos.RR, TimeSlice: slices[src.Intn(len(slices))],
 				CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
 			}, checked)
-			if att, ok := mgr.(interface{ AttachOS(*hostos.OS) }); ok {
-				att.AttachOS(os)
-			}
-			randomScript(t, os, src)
+			randomScript(t, os, src, 0)
 			k.Run()
 			if !os.AllDone() {
 				t.Fatal("random script did not run to completion")

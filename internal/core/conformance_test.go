@@ -145,6 +145,13 @@ type checkedFPGA struct {
 	preempts int
 }
 
+// AttachOS passes hostos.New's attachment through to the wrapped manager.
+func (c *checkedFPGA) AttachOS(os *hostos.OS) {
+	if a, ok := c.FPGA.(hostos.Attacher); ok {
+		a.AttachOS(os)
+	}
+}
+
 func (c *checkedFPGA) Preempt(t *hostos.Task, done, total sim.Time) (sim.Time, sim.Time) {
 	overhead, preserved := c.FPGA.Preempt(t, done, total)
 	c.preempts++
@@ -345,9 +352,6 @@ func TestConformance(t *testing.T) {
 					Policy: hostos.RR, TimeSlice: 300 * sim.Microsecond,
 					CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
 				}, checked)
-				if att, ok := mgr.(interface{ AttachOS(*hostos.OS) }); ok {
-					att.AttachOS(os)
-				}
 				confScript(t, os)
 				k.Run()
 				if !os.AllDone() {

@@ -151,9 +151,6 @@ func TestConformanceWarmReset(t *testing.T) {
 					Policy: hostos.RR, TimeSlice: 300 * sim.Microsecond,
 					CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
 				}, mgr)
-				if att, ok := mgr.(interface{ AttachOS(*hostos.OS) }); ok {
-					att.AttachOS(os)
-				}
 				confScript(t, os)
 				k.Run()
 				if !os.AllDone() {

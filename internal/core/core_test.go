@@ -50,11 +50,7 @@ func newHarness(t testing.TB, opt Options, osCfg hostos.Config, mk func(*sim.Ker
 	k := sim.New()
 	e := newEngine(t, opt)
 	mgr := mk(k, e)
-	os := hostos.New(k, osCfg, mgr)
-	if pm, ok := mgr.(*PartitionManager); ok {
-		pm.AttachOS(os)
-	}
-	return &harness{K: k, E: e, OS: os}
+	return &harness{K: k, E: e, OS: hostos.New(k, osCfg, mgr)}
 }
 
 func dynHarness(t testing.TB, opt Options, osCfg hostos.Config) (*harness, *DynamicLoader) {

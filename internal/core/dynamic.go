@@ -1,10 +1,7 @@
 package core
 
 import (
-	"repro/internal/compile"
-	"repro/internal/fabric"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -13,58 +10,31 @@ import (
 // task needs it. Tasks never block — contention shows up as
 // reconfiguration time instead. A configuration shared by several tasks
 // (the paper's device-driver case) stays resident across them; sequential
-// state is virtualized per task via readback/restore.
+// state is virtualized per task by the state table.
 //
 // The loader is pure policy: every device touch (download, eviction,
 // readback, restore, reset) goes through the engine's residency ledger,
 // which charges time and metrics and emits the device-side trace.
 type DynamicLoader struct {
-	E *Engine
-	K *sim.Kernel
-
-	stateOwner     hostos.TaskID // whose state the on-device FFs hold
-	stateOwnerName string
-	hasStateOwner  bool
-
-	// saved holds per-task flip-flop state for circuits whose on-device
-	// state was displaced (preemption or eviction).
-	saved map[hostos.TaskID]map[string][]bool
-	// rolledBack marks in-flight ops that must restart from reset state.
-	rolledBack map[hostos.TaskID]bool
-	// rollbackStreak counts consecutive rollbacks of a task's current op;
-	// after rollbackLimit the op runs non-preemptable to completion, or a
-	// long operation under persistent contention would starve forever.
-	rollbackStreak map[hostos.TaskID]int
+	stateTable
+	dev *slot // the whole device: one slot at column 0
 }
-
-// rollbackLimit bounds consecutive rollbacks before an operation is
-// allowed to run to completion (starvation guard).
-const rollbackLimit = 3
 
 var _ hostos.FPGA = (*DynamicLoader)(nil)
 
 // NewDynamicLoader returns a dynamic-loading manager over the engine.
 func NewDynamicLoader(k *sim.Kernel, e *Engine) *DynamicLoader {
-	e.Ledger().Bind(k)
-	return &DynamicLoader{
-		E:              e,
-		K:              k,
-		saved:          map[hostos.TaskID]map[string][]bool{},
-		rolledBack:     map[hostos.TaskID]bool{},
-		rollbackStreak: map[hostos.TaskID]int{},
-	}
+	d := &DynamicLoader{stateTable: newStateTable(NewTaskKernel(k, e, "dynamic"))}
+	d.dev = d.addSlot(0)
+	return d
 }
 
-// ResetForJob returns the manager to its post-construction state (no
-// state owner, empty save/rollback tables) for warm-board reuse. The
-// engine itself is reset separately via Ledger.ResetForJob.
+// ResetForJob returns the manager to its post-construction state (empty
+// device, empty save/rollback tables) for warm-board reuse. The engine
+// itself is reset separately via Ledger.ResetForJob.
 func (d *DynamicLoader) ResetForJob() {
-	d.stateOwner = 0
-	d.stateOwnerName = ""
-	d.hasStateOwner = false
-	d.saved = map[hostos.TaskID]map[string][]bool{}
-	d.rolledBack = map[hostos.TaskID]bool{}
-	d.rollbackStreak = map[hostos.TaskID]int{}
+	d.reset()
+	d.dev.circuit = nil
 }
 
 // Register declares a task's configuration (stored in the engine library;
@@ -74,32 +44,20 @@ func (d *DynamicLoader) Register(t *hostos.Task, circuit string) error {
 	return err
 }
 
-func (d *DynamicLoader) circuitOf(t *hostos.Task) *compile.Circuit {
-	c, err := d.E.Circuit(t.CurrentRequest().Circuit)
-	if err != nil {
-		panic(err) // Register validated at spawn; absence is a program bug
-	}
-	return c
-}
-
-// region returns the on-device footprint of the resident circuit.
-func (d *DynamicLoader) region(c *compile.Circuit) fabric.Region {
-	return c.BS.Region(0, 0)
-}
-
 // ensureLoaded makes the task's circuit resident with the task's state,
 // returning the time this costs. It mutates the device immediately; the
 // OS charges the returned duration to the task.
 func (d *DynamicLoader) ensureLoaded(t *hostos.Task) sim.Time {
-	c := d.circuitOf(t)
+	c := d.CircuitOf(t)
 	led := d.E.Ledger()
+	s := d.dev
 	var cost sim.Time
 
-	if cur := led.ResidentAt(0); cur == nil || cur.Circuit != c.Name {
+	if s.circuit == nil || s.circuit.Name != c.Name {
 		// Evict the current resident, saving its owner's sequential state.
-		if cur != nil {
-			if cur.C.Sequential && d.hasStateOwner {
-				cost += d.saveState(d.stateOwner, d.stateOwnerName, cur.C)
+		if s.circuit != nil {
+			if s.circuit.Sequential && s.hasOwner {
+				cost += d.save(s)
 			}
 			led.Evict(0)
 		}
@@ -107,55 +65,12 @@ func (d *DynamicLoader) ensureLoaded(t *hostos.Task) sim.Time {
 		// the whole device is rewritten (the paper's plain-XC4000 case).
 		_, loadCost := led.Load(t.Name, c, 0, true)
 		cost += loadCost
-		d.hasStateOwner = false
+		s.circuit, s.hasOwner = c, false
 	}
 
 	if c.Sequential {
-		cost += d.adoptState(t, c)
+		cost += d.adopt(s, t, c)
 	}
-	return cost
-}
-
-// saveState reads back the on-device FF state into the owner's table.
-func (d *DynamicLoader) saveState(owner hostos.TaskID, ownerName string, c *compile.Circuit) sim.Time {
-	st, cost := d.E.Ledger().Readback(ownerName, c, d.region(c))
-	m := d.saved[owner]
-	if m == nil {
-		m = map[string][]bool{}
-		d.saved[owner] = m
-	}
-	m[c.Name] = st
-	return cost
-}
-
-// adoptState makes the on-device FF state belong to task t: restoring
-// saved state, resetting after a rollback, or resetting when another
-// task's state occupies the registers.
-func (d *DynamicLoader) adoptState(t *hostos.Task, c *compile.Circuit) sim.Time {
-	if d.hasStateOwner && d.stateOwner == t.ID && !d.rolledBack[t.ID] {
-		return 0 // device already holds this task's live state
-	}
-	led := d.E.Ledger()
-	var cost sim.Time
-	// Save the displaced owner's state first.
-	if d.hasStateOwner && d.stateOwner != t.ID {
-		cost += d.saveState(d.stateOwner, d.stateOwnerName, c)
-	}
-	region := d.region(c)
-	switch {
-	case d.rolledBack[t.ID]:
-		delete(d.rolledBack, t.ID)
-		cost += led.Reset(t.Name, c, region)
-	case d.saved[t.ID][c.Name] != nil:
-		cost += led.Restore(t.Name, c, region, d.saved[t.ID][c.Name])
-		delete(d.saved[t.ID], c.Name)
-	default:
-		// First use: reset to init values (cheap, but still a write).
-		cost += led.Reset(t.Name, c, region)
-	}
-	d.stateOwner = t.ID
-	d.stateOwnerName = t.Name
-	d.hasStateOwner = true
 	return cost
 }
 
@@ -165,86 +80,16 @@ func (d *DynamicLoader) Acquire(t *hostos.Task) (sim.Time, bool) {
 }
 
 // ExecTime implements hostos.FPGA.
-func (d *DynamicLoader) ExecTime(t *hostos.Task) sim.Time {
-	c := d.circuitOf(t)
-	req := t.CurrentRequest()
-	pure := sim.Time(req.Evaluations+req.Cycles) * c.ClockPeriod
-	mux := 1
-	if r := d.E.Ledger().ResidentAt(0); r != nil {
-		mux = r.Mux
-	}
-	return d.E.ExecQuantum(pure, mux)
-}
-
-// Preemptable implements hostos.FPGA.
-func (d *DynamicLoader) Preemptable(t *hostos.Task) bool {
-	c := d.circuitOf(t)
-	if !c.Sequential {
-		return true // combinational streams preempt at vector boundaries
-	}
-	if d.E.Opt.State == Rollback && d.rollbackStreak[t.ID] >= rollbackLimit {
-		return false // starvation guard: let the op finish this time
-	}
-	return d.E.Opt.State != NonPreemptable
-}
+func (d *DynamicLoader) ExecTime(t *hostos.Task) sim.Time { return d.ExecAt(t, 0) }
 
 // Preempt implements hostos.FPGA (§3's preemption analysis).
 func (d *DynamicLoader) Preempt(t *hostos.Task, done, total sim.Time) (overhead, preserved sim.Time) {
-	c := d.circuitOf(t)
-	req := t.CurrentRequest()
-	if !c.Sequential {
-		// The input stream position is task (CPU-side) state: completed
-		// evaluations survive; the in-flight vector is re-presented.
-		n := req.Evaluations
-		if n <= 0 {
-			return 0, done
-		}
-		per := total / sim.Time(n)
-		if per <= 0 {
-			return 0, done
-		}
-		return 0, (done / per) * per
-	}
-	switch d.E.Opt.State {
-	case SaveRestore:
-		overhead = d.saveState(t.ID, t.Name, c)
-		d.hasStateOwner = false
-		n := req.Cycles
-		if n <= 0 {
-			return overhead, done
-		}
-		per := total / sim.Time(n)
-		if per <= 0 {
-			return overhead, done
-		}
-		return overhead, (done / per) * per
-	case Rollback:
-		d.E.Ledger().Rollback(t.Name, c.Name)
-		d.rolledBack[t.ID] = true
-		d.rollbackStreak[t.ID]++
-		return 0, 0
-	}
-	panic("core: Preempt called on non-preemptable operation")
+	return d.preempt(d.dev, t, done, total)
 }
 
 // Resume implements hostos.FPGA.
 func (d *DynamicLoader) Resume(t *hostos.Task) sim.Time {
 	return d.ensureLoaded(t)
-}
-
-// Complete implements hostos.FPGA.
-func (d *DynamicLoader) Complete(t *hostos.Task) {
-	delete(d.rollbackStreak, t.ID)
-}
-
-// Remove implements hostos.FPGA.
-func (d *DynamicLoader) Remove(t *hostos.Task) {
-	delete(d.saved, t.ID)
-	delete(d.rolledBack, t.ID)
-	delete(d.rollbackStreak, t.ID)
-	if d.hasStateOwner && d.stateOwner == t.ID {
-		d.hasStateOwner = false
-	}
 }
 
 // Resident returns the name of the currently loaded circuit ("" if none).
@@ -253,15 +98,4 @@ func (d *DynamicLoader) Resident() string {
 		return r.Circuit
 	}
 	return ""
-}
-
-// LintTarget exports the manager's live device state for the static
-// verifier via the ledger's residency view.
-func (d *DynamicLoader) LintTarget() *lint.Target {
-	return d.E.Ledger().LintTarget("dynamic")
-}
-
-// LintTargets implements LintTargeter.
-func (d *DynamicLoader) LintTargets() []*lint.Target {
-	return []*lint.Target{d.LintTarget()}
 }

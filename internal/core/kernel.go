@@ -1,0 +1,120 @@
+package core
+
+import (
+	"slices"
+
+	"repro/internal/compile"
+	"repro/internal/hostos"
+	"repro/internal/lint"
+	"repro/internal/sim"
+)
+
+// TaskKernel is the operating-system mechanism every hostos.FPGA
+// implementation embeds (MultiManager through its boards), so that a
+// manager file holds only its placement, eviction and blocking policy: the engine and simulation kernel it runs
+// on, the lookup of a task's registered configuration, the execution-time
+// and preserved-work arithmetic, the base preemption rule, the queue of
+// tasks suspended for space, and the lint view. Its methods are exported
+// because internal/baseline embeds it too.
+type TaskKernel struct {
+	E  *Engine
+	K  *sim.Kernel
+	OS *hostos.OS // set by hostos.New through AttachOS
+
+	// view is the manager's own device view for the static verifier; nil
+	// means the ledger's plain one under name.
+	name    string
+	view    func() *lint.Target
+	waiters []*hostos.Task
+}
+
+// NewTaskKernel binds the engine's ledger to k (nil for a manager that
+// never touches the device) and names the manager's lint target.
+func NewTaskKernel(k *sim.Kernel, e *Engine, name string) TaskKernel {
+	if k != nil {
+		e.Ledger().Bind(k)
+	}
+	return TaskKernel{E: e, K: k, name: name}
+}
+
+// AttachOS implements hostos.Attacher.
+func (tk *TaskKernel) AttachOS(os *hostos.OS) { tk.OS = os }
+
+// CircuitOf returns the compiled circuit of the task's current request.
+func (tk *TaskKernel) CircuitOf(t *hostos.Task) *compile.Circuit {
+	c, err := tk.E.Circuit(t.CurrentRequest().Circuit)
+	if err != nil {
+		panic(err) // Register validated at spawn; absence is a program bug
+	}
+	return c
+}
+
+// ExecAt returns the hardware time of the task's current request on the
+// strip at column originX, stretched by that strip's pin multiplexing
+// (none when nothing is resident there) and by completion detection.
+func (tk *TaskKernel) ExecAt(t *hostos.Task, originX int) sim.Time {
+	req := t.CurrentRequest()
+	mux := 1
+	if r := tk.E.Ledger().ResidentAt(originX); r != nil {
+		mux = r.Mux
+	}
+	return tk.E.ExecQuantum(sim.Time(req.Evaluations+req.Cycles)*tk.CircuitOf(t).ClockPeriod, mux)
+}
+
+// Boundary rounds the work done on a preempted operation down to the last
+// of its n steps (input vectors or clock cycles) that completed: the step
+// in flight is re-presented on resume. n is the caller's because a state
+// policy rounds by Evaluations or by Cycles and a resident strip by their
+// sum.
+func Boundary(n int64, done, total sim.Time) sim.Time {
+	if n <= 0 {
+		return done
+	}
+	per := total / sim.Time(n)
+	if per <= 0 {
+		return done
+	}
+	return (done / per) * per
+}
+
+// Preemptable implements hostos.FPGA's base rule: combinational streams
+// preempt at vector boundaries; sequential circuits unless policy forbids.
+func (tk *TaskKernel) Preemptable(t *hostos.Task) bool {
+	return !tk.CircuitOf(t).Sequential || tk.E.Opt.State != NonPreemptable
+}
+
+// Block suspends t until the manager's next Wake.
+func (tk *TaskKernel) Block(t *hostos.Task) {
+	tk.E.Ledger().NoteBlock(t.Name)
+	tk.waiters = append(tk.waiters, t)
+}
+
+// Wake unblocks every suspended task; each retries its Acquire in
+// scheduling order and re-suspends if space is still short.
+func (tk *TaskKernel) Wake() {
+	ws := tk.waiters
+	tk.waiters = nil
+	for _, w := range ws {
+		tk.OS.Unblock(w)
+	}
+}
+
+// Waiting reports whether t is suspended here.
+func (tk *TaskKernel) Waiting(t *hostos.Task) bool { return slices.Contains(tk.waiters, t) }
+
+// ResetWaiters forgets the suspended tasks (warm-board reuse).
+func (tk *TaskKernel) ResetWaiters() { tk.waiters = nil }
+
+// LintTarget exports the manager's live device state for the static
+// verifier.
+func (tk *TaskKernel) LintTarget() *lint.Target {
+	if tk.view != nil {
+		return tk.view()
+	}
+	return tk.E.Ledger().LintTarget(tk.name)
+}
+
+// LintTargets implements LintTargeter: one device, one target.
+func (tk *TaskKernel) LintTargets() []*lint.Target {
+	return []*lint.Target{tk.LintTarget()}
+}

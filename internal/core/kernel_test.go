@@ -1,0 +1,234 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/hostos"
+	"repro/internal/sim"
+)
+
+func TestBoundary(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		n           int64
+		done, total sim.Time
+		want        sim.Time
+	}{
+		{"no steps: nothing to round to", 0, 37, 100, 37},
+		{"negative step count", -3, 37, 100, 37},
+		{"more steps than time units: per-step time rounds to zero", 200, 37, 100, 37},
+		{"done on a step boundary", 10, 40, 100, 40},
+		{"remainder: the step in flight is lost", 10, 47, 100, 40},
+		{"before the first boundary", 10, 9, 100, 0},
+		{"uneven split rounds by the truncated step", 3, 70, 100, 66},
+		{"all done", 10, 100, 100, 100},
+	} {
+		if got := Boundary(c.n, c.done, c.total); got != c.want {
+			t.Errorf("%s: Boundary(%d, %d, %d) = %d, want %d", c.name, c.n, c.done, c.total, got, c.want)
+		}
+	}
+}
+
+// spawnMid spawns a task whose current op is a hardware op on circuit,
+// without running it: the managers under test are driven by hand.
+func spawnMid(t *testing.T, os *hostos.OS, name, circuit string) *hostos.Task {
+	t.Helper()
+	task, err := os.Spawn(name, 0, []hostos.Op{seqOp(circuit, 1000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return task
+}
+
+// ledgerOps returns the kinds of the device events logged since the last
+// call, in order.
+func ledgerOps(log *DeviceLog, from *int) []LedgerOp {
+	var ops []LedgerOp
+	for _, ev := range log.Events()[*from:] {
+		ops = append(ops, ev.Op)
+	}
+	*from = len(log.Events())
+	return ops
+}
+
+func sameOps(a []LedgerOp, b ...LedgerOp) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStateTableAdoptOrder pins what adopt does to the registers, in
+// precedence order: a pending rollback beats saved state, saved state
+// beats first use, and the live owner pays nothing.
+func TestStateTableAdoptOrder(t *testing.T) {
+	k := sim.New()
+	e := newEngine(t, testOptions())
+	log := NewDeviceLog(0)
+	e.Ledger().AttachLog(log)
+	d := NewDynamicLoader(k, e)
+	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d)
+	a := spawnMid(t, os, "a", "counter8")
+	b := spawnMid(t, os, "b", "counter8")
+	c := e.Lib["counter8"]
+	at := 0
+
+	d.Acquire(a)
+	if got := ledgerOps(log, &at); !sameOps(got, OpLoad, OpReset) {
+		t.Fatalf("first use = %v, want load then reset", got)
+	}
+	if cost := d.adopt(d.dev, a, c); cost != 0 || len(ledgerOps(log, &at)) != 0 {
+		t.Fatalf("live owner paid %v to adopt its own state", cost)
+	}
+	d.Acquire(b) // displaces a's state into the table; b is a first use
+	if got := ledgerOps(log, &at); !sameOps(got, OpReadback, OpReset) {
+		t.Fatalf("second task = %v, want readback of a then reset", got)
+	}
+	d.Acquire(a) // a has saved state: restored, and forgotten once used
+	if got := ledgerOps(log, &at); !sameOps(got, OpReadback, OpRestore) {
+		t.Fatalf("return of a = %v, want readback of b then restore", got)
+	}
+	if _, kept := d.saved[savedKey{a.ID, c.Name}]; kept {
+		t.Error("restored state still in the table")
+	}
+
+	// b has saved state AND a pending rollback: the rollback wins, and the
+	// saved state survives for the attempt after.
+	d.rolledBack[b.ID] = true
+	d.Acquire(b)
+	if got := ledgerOps(log, &at); !sameOps(got, OpReadback, OpReset) {
+		t.Fatalf("rolled-back b = %v, want readback of a then reset", got)
+	}
+	if d.rolledBack[b.ID] {
+		t.Error("rollback mark not consumed")
+	}
+	if _, kept := d.saved[savedKey{b.ID, c.Name}]; !kept {
+		t.Error("rollback consumed b's saved state")
+	}
+}
+
+// TestStateTableStreak pins the starvation guard's bookkeeping: the
+// streak grows per rollback, makes the op non-preemptable at the limit,
+// and ends on Complete; Remove leaves nothing of the task behind.
+func TestStateTableStreak(t *testing.T) {
+	opt := testOptions()
+	opt.State = Rollback
+	k := sim.New()
+	e := newEngine(t, opt)
+	d := NewDynamicLoader(k, e)
+	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d)
+	a := spawnMid(t, os, "a", "counter8")
+	for i := 0; i < rollbackLimit; i++ {
+		if !d.Preemptable(a) {
+			t.Fatalf("non-preemptable after %d rollbacks, limit is %d", i, rollbackLimit)
+		}
+		d.Acquire(a)
+		if overhead, preserved := d.Preempt(a, 500, 1000); overhead != 0 || preserved != 0 {
+			t.Fatalf("rollback preserved %v at overhead %v", preserved, overhead)
+		}
+	}
+	if d.Preemptable(a) {
+		t.Fatal("still preemptable at the rollback limit")
+	}
+	d.Complete(a)
+	if !d.Preemptable(a) {
+		t.Fatal("streak survived Complete")
+	}
+	d.Preempt(a, 500, 1000)
+	d.Remove(a)
+	if len(d.saved)+len(d.rolledBack)+len(d.rollbackStreak) != 0 || d.dev.hasOwner {
+		t.Fatalf("Remove left state behind: %d saved, %d rolled back, %d streaks, owner=%v",
+			len(d.saved), len(d.rolledBack), len(d.rollbackStreak), d.dev.hasOwner)
+	}
+}
+
+// TestStripTableHolds walks a task through the three ways a strip table
+// can hold it — a strip, displaced state, a place in the queue — which is
+// how MultiManager finds a task's board.
+func TestStripTableHolds(t *testing.T) {
+	k := sim.New()
+	e := newEngine(t, testOptions())
+	pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{4}, Rotate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, pm)
+	a := spawnMid(t, os, "a", "counter8")
+	b := spawnMid(t, os, "b", "counter8")
+	if pm.holds(a) || pm.holds(b) {
+		t.Fatal("holds a task that never acquired")
+	}
+	if _, ready := pm.Acquire(a); !ready || !pm.holds(a) {
+		t.Fatal("a not held by its strip")
+	}
+	pm.Preempt(a, 500, 1000) // pins a's strip: b cannot rotate it out
+	if _, ready := pm.Acquire(b); ready || !pm.holds(b) {
+		t.Fatal("b not held by the suspension queue")
+	}
+	pm.Complete(a)
+	pm.ResetWaiters()
+	if pm.holds(b) {
+		t.Fatal("b still held after leaving the queue")
+	}
+	if _, ready := pm.Acquire(b); !ready { // rotates a out, saving its state
+		t.Fatal("b could not rotate a out")
+	}
+	if pm.byTask[a.ID] != nil || !pm.holds(a) {
+		t.Fatal("a not held by its displaced state alone")
+	}
+	pm.Remove(a)
+	if pm.holds(a) {
+		t.Fatal("a still held after Remove")
+	}
+}
+
+// TestSwitchToWiderStripStateDivergence pins a difference between the two
+// strip managers that the shared strip table must not paper over. A task
+// runs a small sequential circuit, switches to one too wide for its
+// strip, and switches back. AmorphousManager saves the counter's state on
+// the way out and restores it on the way back. PartitionManager's
+// "partition too small, give it back" path releases the strip WITHOUT
+// saving, so the task finds no state: a model defect, but fixing it
+// charges one more readback and moves golden makespans, so it is filed
+// in ROADMAP as a model change of its own and held still here.
+func TestSwitchToWiderStripStateDivergence(t *testing.T) {
+	program := []hostos.Op{seqOp("counter8", 1000), fpgaOp("adder8", 1000), seqOp("counter8", 1000)}
+	run := func(mk func(*sim.Kernel, *Engine) hostos.FPGA) *Metrics {
+		h := newHarness(t, testOptions(), hostos.Config{Policy: hostos.FIFO}, mk)
+		if h.E.Lib["counter8"].BS.W >= h.E.Lib["adder8"].BS.W {
+			t.Fatal("test needs adder8 wider than counter8")
+		}
+		if _, err := h.OS.Spawn("t", 0, program); err != nil {
+			t.Fatal(err)
+		}
+		h.K.Run()
+		if !h.OS.AllDone() {
+			t.Fatal("did not finish")
+		}
+		return &h.E.M
+	}
+	part := run(func(k *sim.Kernel, e *Engine) hostos.FPGA {
+		pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: VariablePartitions, Fit: BestFit, GC: true, Rotate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pm
+	})
+	if part.Readbacks.Value() != 0 || part.Restores.Value() != 0 {
+		t.Errorf("partition: %d readbacks, %d restores; the give-back path saves nothing today — "+
+			"if that is now fixed on purpose, regenerate the goldens and update ROADMAP",
+			part.Readbacks.Value(), part.Restores.Value())
+	}
+	am := run(func(k *sim.Kernel, e *Engine) hostos.FPGA {
+		return NewAmorphousManager(k, e, DefaultAmorphousConfig())
+	})
+	if am.Readbacks.Value() != 1 || am.Restores.Value() != 1 {
+		t.Errorf("amorphous: %d readbacks, %d restores, want the counter saved once and restored once",
+			am.Readbacks.Value(), am.Restores.Value())
+	}
+}

@@ -40,7 +40,8 @@ func NewMultiManager(k *sim.Kernel, engines []*Engine, cfg PartitionConfig) (*Mu
 	return m, nil
 }
 
-// AttachOS wires every board to the OS.
+// AttachOS implements hostos.Attacher: every board unblocks through the
+// same OS.
 func (m *MultiManager) AttachOS(os *hostos.OS) {
 	for _, b := range m.Boards {
 		b.AttachOS(os)
@@ -72,18 +73,8 @@ func (m *MultiManager) Register(t *hostos.Task, circuit string) error {
 // boardOf returns the board already hosting the task, or nil.
 func (m *MultiManager) boardOf(t *hostos.Task) *PartitionManager {
 	for _, b := range m.Boards {
-		if b.byTask[t.ID] != nil {
+		if b.holds(t) {
 			return b
-		}
-		for k := range b.saved {
-			if k.task == t.ID {
-				return b
-			}
-		}
-		for _, w := range b.waiters {
-			if w == t {
-				return b
-			}
 		}
 	}
 	return nil
@@ -91,10 +82,7 @@ func (m *MultiManager) boardOf(t *hostos.Task) *PartitionManager {
 
 // chooseBoard picks the board for a task's first allocation.
 func (m *MultiManager) chooseBoard(t *hostos.Task) *PartitionManager {
-	c, err := m.Boards[0].E.Circuit(t.CurrentRequest().Circuit)
-	if err != nil {
-		panic(err)
-	}
+	c := m.Boards[0].CircuitOf(t)
 	need := c.BS.W
 	var best *PartitionManager
 	bestFree := -1
@@ -170,7 +158,7 @@ func (m *MultiManager) Remove(t *hostos.Task) {
 		b.Remove(t)
 	}
 	for _, b := range m.Boards {
-		b.wakeWaiters()
+		b.Wake()
 	}
 }
 

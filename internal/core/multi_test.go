@@ -19,7 +19,6 @@ func multiHarness(t testing.TB, boards int, opt Options, osCfg hostos.Config, cf
 		t.Fatal(err)
 	}
 	os := hostos.New(k, osCfg, mm)
-	mm.AttachOS(os)
 	return &harness{K: k, E: engines[0], OS: os}, mm
 }
 

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/compile"
-	"repro/internal/fabric"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -19,30 +17,14 @@ import (
 // device and stay pinned; everything else shares a single overlay area on
 // the right, holding one configuration at a time (the functions are
 // mutually exclusive, as in classic code overlays). Sequential state is
-// virtualized per task exactly as in dynamic loading. All device touches
-// go through the engine's residency ledger.
+// virtualized per task by the state table, exactly as in dynamic loading.
+// All device touches go through the engine's residency ledger.
 type OverlayManager struct {
-	E *Engine
-	K *sim.Kernel
+	stateTable
 
 	residents map[string]*slot
-	overlay   slot
-	overlayX  int
+	overlay   *slot
 	overlayW  int
-
-	saved          map[savedKey][]bool
-	rolledBack     map[hostos.TaskID]bool
-	rollbackStreak map[hostos.TaskID]int
-}
-
-// slot is one placed circuit (resident or the overlay area's occupant).
-// Pins and mux live in the ledger's residency table.
-type slot struct {
-	x         int
-	circuit   *compile.Circuit // nil when empty
-	owner     hostos.TaskID    // whose state the FFs hold
-	ownerName string
-	hasOwner  bool
 }
 
 var _ hostos.FPGA = (*OverlayManager)(nil)
@@ -52,14 +34,9 @@ var _ hostos.FPGA = (*OverlayManager)(nil)
 // system initialization, not to any task (the paper's device-driver
 // downloading "performed once for all tasks").
 func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string) (*OverlayManager, sim.Time, error) {
-	e.Ledger().Bind(k)
 	om := &OverlayManager{
-		E:              e,
-		K:              k,
-		residents:      map[string]*slot{},
-		saved:          map[savedKey][]bool{},
-		rolledBack:     map[hostos.TaskID]bool{},
-		rollbackStreak: map[hostos.TaskID]int{},
+		stateTable: newStateTable(NewTaskKernel(k, e, "overlay")),
+		residents:  map[string]*slot{},
 	}
 	x := 0
 	var initCost sim.Time
@@ -72,7 +49,7 @@ func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string) (*OverlayMan
 			return nil, 0, fmt.Errorf("core: resident circuits exceed the device (%d+%d > %d cols)",
 				x, c.BS.W, e.Opt.Geometry.Cols)
 		}
-		s := &slot{x: x}
+		s := om.addSlot(x)
 		cost, err := om.loadSlot(s, "", c)
 		if err != nil {
 			return nil, 0, err
@@ -81,9 +58,8 @@ func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string) (*OverlayMan
 		om.residents[name] = s
 		x += c.BS.W
 	}
-	om.overlayX = x
+	om.overlay = om.addSlot(x)
 	om.overlayW = e.Opt.Geometry.Cols - x
-	om.overlay = slot{x: x}
 	return om, initCost, nil
 }
 
@@ -95,15 +71,8 @@ func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string) (*OverlayMan
 // reset to the pristine image captured right after this manager's
 // construction, with the same compiled circuits.
 func (om *OverlayManager) ResetForJob() {
-	for _, s := range om.residents {
-		s.owner = 0
-		s.ownerName = ""
-		s.hasOwner = false
-	}
-	om.overlay = slot{x: om.overlayX}
-	om.saved = map[savedKey][]bool{}
-	om.rolledBack = map[hostos.TaskID]bool{}
-	om.rollbackStreak = map[hostos.TaskID]int{}
+	om.reset()
+	om.overlay.circuit = nil
 }
 
 // loadSlot downloads c at the slot's origin on behalf of owner ("" for
@@ -113,8 +82,7 @@ func (om *OverlayManager) loadSlot(s *slot, owner string, c *compile.Circuit) (s
 	if err != nil {
 		return 0, err
 	}
-	s.circuit = c
-	s.hasOwner = false
+	s.circuit, s.hasOwner = c, false
 	return cost, nil
 }
 
@@ -134,30 +102,18 @@ func (om *OverlayManager) Register(t *hostos.Task, circuit string) error {
 	return nil
 }
 
-func (om *OverlayManager) circuitOf(t *hostos.Task) *compile.Circuit {
-	c, err := om.E.Circuit(t.CurrentRequest().Circuit)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // slotFor returns the slot holding (or destined to hold) the circuit and
 // whether it is already loaded.
 func (om *OverlayManager) slotFor(c *compile.Circuit) (*slot, bool) {
 	if s, ok := om.residents[c.Name]; ok {
 		return s, true
 	}
-	return &om.overlay, om.overlay.circuit != nil && om.overlay.circuit.Name == c.Name
-}
-
-func (om *OverlayManager) region(s *slot) fabric.Region {
-	return fabric.Region{X: s.x, Y: 0, W: s.circuit.BS.W, H: om.E.Opt.Geometry.Rows}
+	return om.overlay, om.overlay.circuit != nil && om.overlay.circuit.Name == c.Name
 }
 
 // ensure makes the task's circuit loaded with the task's state.
 func (om *OverlayManager) ensure(t *hostos.Task) sim.Time {
-	c := om.circuitOf(t)
+	c := om.CircuitOf(t)
 	s, loaded := om.slotFor(c)
 	var cost sim.Time
 	if !loaded {
@@ -165,7 +121,7 @@ func (om *OverlayManager) ensure(t *hostos.Task) sim.Time {
 		// download the requested function.
 		if s.circuit != nil {
 			if s.circuit.Sequential && s.hasOwner {
-				cost += om.saveSlot(s)
+				cost += om.save(s)
 			}
 			om.E.Ledger().Evict(s.x)
 			s.circuit = nil
@@ -184,40 +140,6 @@ func (om *OverlayManager) ensure(t *hostos.Task) sim.Time {
 	return cost
 }
 
-func (om *OverlayManager) saveSlot(s *slot) sim.Time {
-	st, cost := om.E.Ledger().Readback(s.ownerName, s.circuit, om.region(s))
-	om.saved[savedKey{s.owner, s.circuit.Name}] = st
-	s.hasOwner = false
-	return cost
-}
-
-func (om *OverlayManager) adopt(s *slot, t *hostos.Task, c *compile.Circuit) sim.Time {
-	if s.hasOwner && s.owner == t.ID && !om.rolledBack[t.ID] {
-		return 0
-	}
-	led := om.E.Ledger()
-	var cost sim.Time
-	if s.hasOwner && s.owner != t.ID {
-		cost += om.saveSlot(s)
-	}
-	region := om.region(s)
-	key := savedKey{t.ID, c.Name}
-	switch {
-	case om.rolledBack[t.ID]:
-		delete(om.rolledBack, t.ID)
-		cost += led.Reset(t.Name, c, region)
-	case om.saved[key] != nil:
-		cost += led.Restore(t.Name, c, region, om.saved[key])
-		delete(om.saved, key)
-	default:
-		cost += led.Reset(t.Name, c, region)
-	}
-	s.owner = t.ID
-	s.ownerName = t.Name
-	s.hasOwner = true
-	return cost
-}
-
 // Acquire implements hostos.FPGA: overlaying never blocks.
 func (om *OverlayManager) Acquire(t *hostos.Task) (sim.Time, bool) {
 	return om.ensure(t), true
@@ -225,89 +147,19 @@ func (om *OverlayManager) Acquire(t *hostos.Task) (sim.Time, bool) {
 
 // ExecTime implements hostos.FPGA.
 func (om *OverlayManager) ExecTime(t *hostos.Task) sim.Time {
-	c := om.circuitOf(t)
-	s, _ := om.slotFor(c)
-	req := t.CurrentRequest()
-	mux := 1
-	if r := om.E.Ledger().ResidentAt(s.x); r != nil {
-		mux = r.Mux
-	}
-	pure := sim.Time(req.Evaluations+req.Cycles) * c.ClockPeriod
-	return om.E.ExecQuantum(pure, mux)
-}
-
-// Preemptable implements hostos.FPGA.
-func (om *OverlayManager) Preemptable(t *hostos.Task) bool {
-	if !om.circuitOf(t).Sequential {
-		return true
-	}
-	if om.E.Opt.State == Rollback && om.rollbackStreak[t.ID] >= rollbackLimit {
-		return false // starvation guard (see DynamicLoader)
-	}
-	return om.E.Opt.State != NonPreemptable
+	s, _ := om.slotFor(om.CircuitOf(t))
+	return om.ExecAt(t, s.x)
 }
 
 // Preempt implements hostos.FPGA.
 func (om *OverlayManager) Preempt(t *hostos.Task, done, total sim.Time) (sim.Time, sim.Time) {
-	c := om.circuitOf(t)
-	req := t.CurrentRequest()
-	boundary := func(n int64) sim.Time {
-		if n <= 0 {
-			return done
-		}
-		per := total / sim.Time(n)
-		if per <= 0 {
-			return done
-		}
-		return (done / per) * per
-	}
-	if !c.Sequential {
-		return 0, boundary(req.Evaluations)
-	}
-	switch om.E.Opt.State {
-	case SaveRestore:
-		s, loaded := om.slotFor(c)
-		var overhead sim.Time
-		if loaded && s.hasOwner && s.owner == t.ID {
-			overhead = om.saveSlot(s)
-		}
-		return overhead, boundary(req.Cycles)
-	case Rollback:
-		om.E.Ledger().Rollback(t.Name, c.Name)
-		om.rolledBack[t.ID] = true
-		om.rollbackStreak[t.ID]++
-		return 0, 0
-	}
-	panic("core: Preempt on non-preemptable overlay operation")
+	s, _ := om.slotFor(om.CircuitOf(t))
+	return om.preempt(s, t, done, total)
 }
 
 // Resume implements hostos.FPGA.
 func (om *OverlayManager) Resume(t *hostos.Task) sim.Time {
 	return om.ensure(t)
-}
-
-// Complete implements hostos.FPGA.
-func (om *OverlayManager) Complete(t *hostos.Task) {
-	delete(om.rollbackStreak, t.ID)
-}
-
-// Remove implements hostos.FPGA.
-func (om *OverlayManager) Remove(t *hostos.Task) {
-	for k := range om.saved {
-		if k.task == t.ID {
-			delete(om.saved, k)
-		}
-	}
-	delete(om.rolledBack, t.ID)
-	delete(om.rollbackStreak, t.ID)
-	for _, s := range om.residents {
-		if s.hasOwner && s.owner == t.ID {
-			s.hasOwner = false
-		}
-	}
-	if om.overlay.hasOwner && om.overlay.owner == t.ID {
-		om.overlay.hasOwner = false
-	}
 }
 
 // OverlayCircuit returns the name of the circuit currently in the overlay
@@ -317,15 +169,4 @@ func (om *OverlayManager) OverlayCircuit() string {
 		return ""
 	}
 	return om.overlay.circuit.Name
-}
-
-// LintTarget exports the manager's live device state for the static
-// verifier via the ledger's residency view.
-func (om *OverlayManager) LintTarget() *lint.Target {
-	return om.E.Ledger().LintTarget("overlay")
-}
-
-// LintTargets implements LintTargeter.
-func (om *OverlayManager) LintTargets() []*lint.Target {
-	return []*lint.Target{om.LintTarget()}
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitstream"
-	"repro/internal/compile"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -76,8 +74,7 @@ type frame struct {
 // paper itself raises for relocated configurations; functional correctness
 // of page-wise downloads is covered by the bitstream tests.
 type PagedLoader struct {
-	E   *Engine
-	K   *sim.Kernel
+	TaskKernel
 	Cfg PagedConfig
 
 	frames  []frame
@@ -111,16 +108,14 @@ func NewPagedLoader(k *sim.Kernel, e *Engine, cfg PagedConfig) (*PagedLoader, er
 	if cfg.Frames <= 0 {
 		return nil, fmt.Errorf("core: device too small for any page frame")
 	}
-	e.Ledger().Bind(k)
 	return &PagedLoader{
-		E:       e,
-		K:       k,
-		Cfg:     cfg,
-		frames:  make([]frame, cfg.Frames),
-		where:   map[pageID]int{},
-		src:     rng.New(cfg.Seed ^ 0xfeed),
-		pagesOf: map[string][]bitstream.Page{},
-		users:   map[string]map[hostos.TaskID]bool{},
+		TaskKernel: NewTaskKernel(k, e, "paged"),
+		Cfg:        cfg,
+		frames:     make([]frame, cfg.Frames),
+		where:      map[pageID]int{},
+		src:        rng.New(cfg.Seed ^ 0xfeed),
+		pagesOf:    map[string][]bitstream.Page{},
+		users:      map[string]map[hostos.TaskID]bool{},
 	}, nil
 }
 
@@ -154,14 +149,6 @@ func (pl *PagedLoader) Register(t *hostos.Task, circuit string) error {
 	}
 	pl.users[circuit][t.ID] = true
 	return nil
-}
-
-func (pl *PagedLoader) circuitOf(t *hostos.Task) *compile.Circuit {
-	c, err := pl.E.Circuit(t.CurrentRequest().Circuit)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // neededPages resolves the request's page working set into the loader's
@@ -311,35 +298,18 @@ func (pl *PagedLoader) Acquire(t *hostos.Task) (sim.Time, bool) {
 	return pl.faultIn(t, pl.neededPages(t)), true
 }
 
-// ExecTime implements hostos.FPGA.
+// ExecTime implements hostos.FPGA: page frames bind no pins, so nothing
+// is multiplexed.
 func (pl *PagedLoader) ExecTime(t *hostos.Task) sim.Time {
-	c := pl.circuitOf(t)
 	req := t.CurrentRequest()
-	pure := sim.Time(req.Evaluations+req.Cycles) * c.ClockPeriod
-	return pl.E.ExecQuantum(pure, 1)
-}
-
-// Preemptable implements hostos.FPGA.
-func (pl *PagedLoader) Preemptable(t *hostos.Task) bool {
-	if !pl.circuitOf(t).Sequential {
-		return true
-	}
-	return pl.E.Opt.State != NonPreemptable
+	return pl.E.ExecQuantum(sim.Time(req.Evaluations+req.Cycles)*pl.CircuitOf(t).ClockPeriod, 1)
 }
 
 // Preempt implements hostos.FPGA: resident pages stay resident across
 // preemption; only vector granularity is lost.
 func (pl *PagedLoader) Preempt(t *hostos.Task, done, total sim.Time) (sim.Time, sim.Time) {
 	req := t.CurrentRequest()
-	n := req.Evaluations + req.Cycles
-	if n <= 0 {
-		return 0, done
-	}
-	per := total / sim.Time(n)
-	if per <= 0 {
-		return 0, done
-	}
-	return 0, (done / per) * per
+	return 0, Boundary(req.Evaluations+req.Cycles, done, total)
 }
 
 // Resume implements hostos.FPGA: fault back in whatever was evicted while
@@ -405,16 +375,4 @@ func (pl *PagedLoader) hits() int64 {
 		return 0
 	}
 	return h
-}
-
-// LintTarget exports the manager's live device state for the static
-// verifier via the ledger. Page frames write no fabric cells (see the
-// type comment), so the device view is empty but still checkable.
-func (pl *PagedLoader) LintTarget() *lint.Target {
-	return pl.E.Ledger().LintTarget("paged")
-}
-
-// LintTargets implements LintTargeter.
-func (pl *PagedLoader) LintTargets() []*lint.Target {
-	return []*lint.Target{pl.LintTarget()}
 }

@@ -247,9 +247,15 @@ func (rm *RegionMap) Move(s *Span, newX int) {
 	}
 }
 
-// MaxSlotWidth returns the widest span in the table, free or not — in a
-// fixed map, the widest slot a circuit could ever occupy.
+// Movable reports whether boundaries slide: spans split, merge and move.
+func (rm *RegionMap) Movable() bool { return !rm.fixed }
+
+// MaxSlotWidth returns the widest span a circuit could ever occupy: the
+// whole range when boundaries slide, the widest slot of a fixed table.
 func (rm *RegionMap) MaxSlotWidth() int {
+	if !rm.fixed {
+		return rm.cols
+	}
 	w := 0
 	for _, s := range rm.spans {
 		if s.W > w {

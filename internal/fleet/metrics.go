@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -16,95 +14,47 @@ import (
 // scrape of an individual daemon. Same determinism contract as the
 // serve exposition: fixed series order, no wall-clock values.
 
-// metricsWriter accumulates families in emission order. It mirrors the
-// serve writer (the metricsonce analyzer keys on this type name and
-// method set, so exposition hygiene is enforced here too).
-type metricsWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (m *metricsWriter) family(name, help, typ string) {
-	if m.err != nil {
-		return
-	}
-	_, m.err = fmt.Fprintf(m.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// series writes one sample line. Labels come as ordered key/value pairs.
-func (m *metricsWriter) series(name string, value string, kv ...string) {
-	if m.err != nil {
-		return
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	if len(kv) > 0 {
-		b.WriteByte('{')
-		for i := 0; i+1 < len(kv); i += 2 {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, `%s="%s"`, kv[i], serve.EscapeLabel(kv[i+1]))
-		}
-		b.WriteByte('}')
-	}
-	b.WriteByte(' ')
-	b.WriteString(value)
-	b.WriteByte('\n')
-	_, m.err = io.WriteString(m.w, b.String())
-}
-
-func (m *metricsWriter) int(name string, v int64, kv ...string) {
-	m.series(name, strconv.FormatInt(v, 10), kv...)
-}
-
-// float renders with a fixed four decimal places so a fixed scenario
-// stays byte-identical across platforms.
-func (m *metricsWriter) float(name string, v float64, kv ...string) {
-	m.series(name, strconv.FormatFloat(v, 'f', 4, 64), kv...)
-}
-
 // writeMetrics renders the fleet exposition.
 func (s *Server) writeMetrics(w io.Writer) error {
-	m := &metricsWriter{w: w}
+	m := serve.NewMetricsWriter(w)
 	sched := s.sched
 
-	m.family("vfpgad_fleet_info", "Fleet identification; value is always 1.", "gauge")
-	m.series("vfpgad_fleet_info", "1", "version", s.version, "policy", sched.Policy())
+	m.Family("vfpgad_fleet_info", "Fleet identification; value is always 1.", "gauge")
+	m.Series("vfpgad_fleet_info", "1", "version", s.version, "policy", sched.Policy())
 
-	m.family("vfpgad_fleet_nodes", "Number of nodes in the fleet.", "gauge")
-	m.int("vfpgad_fleet_nodes", int64(len(sched.Nodes())))
+	m.Family("vfpgad_fleet_nodes", "Number of nodes in the fleet.", "gauge")
+	m.Int("vfpgad_fleet_nodes", int64(len(sched.Nodes())))
 
-	m.family("vfpgad_fleet_draining", "1 while the fleet is draining, 0 otherwise.", "gauge")
+	m.Family("vfpgad_fleet_draining", "1 while the fleet is draining, 0 otherwise.", "gauge")
 	draining := int64(0)
 	if sched.IsDraining() {
 		draining = 1
 	}
-	m.int("vfpgad_fleet_draining", draining)
+	m.Int("vfpgad_fleet_draining", draining)
 
 	// Fleet-wide admission and job outcomes, per tenant: the shared
 	// budget domain, not any single node's.
 	tenants := s.adm.Snapshot()
-	m.family("vfpgad_fleet_admission_total", "Fleet-wide submissions by admission decision.", "counter")
+	m.Family("vfpgad_fleet_admission_total", "Fleet-wide submissions by admission decision.", "counter")
 	for _, t := range tenants {
-		m.int("vfpgad_fleet_admission_total", t.Admitted, "tenant", t.Tenant, "decision", "admitted")
-		m.int("vfpgad_fleet_admission_total", t.Throttled, "tenant", t.Tenant, "decision", "throttled")
-		m.int("vfpgad_fleet_admission_total", t.QueueFull, "tenant", t.Tenant, "decision", "queue_full")
+		m.Int("vfpgad_fleet_admission_total", t.Admitted, "tenant", t.Tenant, "decision", "admitted")
+		m.Int("vfpgad_fleet_admission_total", t.Throttled, "tenant", t.Tenant, "decision", "throttled")
+		m.Int("vfpgad_fleet_admission_total", t.QueueFull, "tenant", t.Tenant, "decision", "queue_full")
 	}
-	m.family("vfpgad_fleet_jobs_total", "Finished jobs fleet-wide by outcome.", "counter")
+	m.Family("vfpgad_fleet_jobs_total", "Finished jobs fleet-wide by outcome.", "counter")
 	for _, t := range tenants {
-		m.int("vfpgad_fleet_jobs_total", t.Completed, "tenant", t.Tenant, "outcome", "completed")
-		m.int("vfpgad_fleet_jobs_total", t.Failed, "tenant", t.Tenant, "outcome", "failed")
+		m.Int("vfpgad_fleet_jobs_total", t.Completed, "tenant", t.Tenant, "outcome", "completed")
+		m.Int("vfpgad_fleet_jobs_total", t.Failed, "tenant", t.Tenant, "outcome", "failed")
 	}
 
 	// Routing decisions.
-	m.family("vfpgad_fleet_routed_total", "Accepted placements by policy and node.", "counter")
+	m.Family("vfpgad_fleet_routed_total", "Accepted placements by policy and node.", "counter")
 	routed := sched.Routed()
 	for i, n := range routed {
-		m.int("vfpgad_fleet_routed_total", n, "policy", sched.Policy(), "node", strconv.Itoa(i))
+		m.Int("vfpgad_fleet_routed_total", n, "policy", sched.Policy(), "node", strconv.Itoa(i))
 	}
-	m.family("vfpgad_fleet_reroutes_total", "Placements made after a node-level casualty displaced the job.", "counter")
-	m.int("vfpgad_fleet_reroutes_total", sched.RerouteCount())
+	m.Family("vfpgad_fleet_reroutes_total", "Placements made after a node-level casualty displaced the job.", "counter")
+	m.Int("vfpgad_fleet_reroutes_total", sched.RerouteCount())
 
 	// Placement score summary (lower is better; the policy's own
 	// scale). The _sum/_count series belong to the summary family per
@@ -112,47 +62,47 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	// the analyzer's declared-family check keys on the summary name.
 	p50, p95, scoreSum, scoreCount := sched.ScoreStats()
 	scoreFamily := "vfpgad_fleet_placement_score"
-	m.family("vfpgad_fleet_placement_score", "Placement score of accepted placements (policy scale; lower is better).", "summary")
-	m.float("vfpgad_fleet_placement_score", p50, "quantile", "0.5")
-	m.float("vfpgad_fleet_placement_score", p95, "quantile", "0.95")
-	m.float(scoreFamily+"_sum", scoreSum)
-	m.int(scoreFamily+"_count", scoreCount)
+	m.Family("vfpgad_fleet_placement_score", "Placement score of accepted placements (policy scale; lower is better).", "summary")
+	m.Float("vfpgad_fleet_placement_score", p50, "quantile", "0.5")
+	m.Float("vfpgad_fleet_placement_score", p95, "quantile", "0.95")
+	m.Float(scoreFamily+"_sum", scoreSum)
+	m.Int(scoreFamily+"_count", scoreCount)
 
 	// Per-node health, pressure and fragmentation — the inputs the
 	// packing policy scores against, exported so a dashboard can replay
 	// its decisions.
-	m.family("vfpgad_fleet_node_healthy", "1 while the node has at least one non-quarantined board.", "gauge")
+	m.Family("vfpgad_fleet_node_healthy", "1 while the node has at least one non-quarantined board.", "gauge")
 	for _, n := range sched.Nodes() {
 		v := n.View()
 		healthy := int64(0)
 		if v.Healthy {
 			healthy = 1
 		}
-		m.int("vfpgad_fleet_node_healthy", healthy, "node", strconv.Itoa(n.ID()))
+		m.Int("vfpgad_fleet_node_healthy", healthy, "node", strconv.Itoa(n.ID()))
 	}
-	m.family("vfpgad_fleet_node_queue_depth", "Queued plus running jobs across the node's boards.", "gauge")
+	m.Family("vfpgad_fleet_node_queue_depth", "Queued plus running jobs across the node's boards.", "gauge")
 	for _, n := range sched.Nodes() {
-		m.int("vfpgad_fleet_node_queue_depth", int64(n.View().Queued), "node", strconv.Itoa(n.ID()))
+		m.Int("vfpgad_fleet_node_queue_depth", int64(n.View().Queued), "node", strconv.Itoa(n.ID()))
 	}
-	m.family("vfpgad_fleet_node_fragmentation", "External-fragmentation ratio of the node's merged board view.", "gauge")
-	for _, n := range sched.Nodes() {
-		var frag core.FragStats
-		for _, f := range n.Pool().FragSnapshots() {
-			frag.Merge(f)
-		}
-		m.float("vfpgad_fleet_node_fragmentation", frag.Ratio(), "node", strconv.Itoa(n.ID()))
-	}
-	m.family("vfpgad_fleet_node_largest_free_cols", "Widest contiguous free column extent across the node's boards.", "gauge")
+	m.Family("vfpgad_fleet_node_fragmentation", "External-fragmentation ratio of the node's merged board view.", "gauge")
 	for _, n := range sched.Nodes() {
 		var frag core.FragStats
 		for _, f := range n.Pool().FragSnapshots() {
 			frag.Merge(f)
 		}
-		m.int("vfpgad_fleet_node_largest_free_cols", int64(frag.LargestFree), "node", strconv.Itoa(n.ID()))
+		m.Float("vfpgad_fleet_node_fragmentation", frag.Ratio(), "node", strconv.Itoa(n.ID()))
 	}
-	m.family("vfpgad_fleet_node_board_requeues_total", "Jobs the node moved between its own boards after a quarantine.", "counter")
+	m.Family("vfpgad_fleet_node_largest_free_cols", "Widest contiguous free column extent across the node's boards.", "gauge")
 	for _, n := range sched.Nodes() {
-		m.int("vfpgad_fleet_node_board_requeues_total", n.Pool().RequeueCount(), "node", strconv.Itoa(n.ID()))
+		var frag core.FragStats
+		for _, f := range n.Pool().FragSnapshots() {
+			frag.Merge(f)
+		}
+		m.Int("vfpgad_fleet_node_largest_free_cols", int64(frag.LargestFree), "node", strconv.Itoa(n.ID()))
 	}
-	return m.err
+	m.Family("vfpgad_fleet_node_board_requeues_total", "Jobs the node moved between its own boards after a quarantine.", "counter")
+	for _, n := range sched.Nodes() {
+		m.Int("vfpgad_fleet_node_board_requeues_total", n.Pool().RequeueCount(), "node", strconv.Itoa(n.ID()))
+	}
+	return m.Err()
 }

@@ -2,11 +2,10 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/compile"
@@ -97,15 +96,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{sched: sched, adm: adm, version: cfg.Version}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/boards", s.handleBoards)
-	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux = mux
+	s.mux = serve.NewAPI(backend{s}, adm, cfg.Version)
+	s.mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteJSON(w, http.StatusOK, s.fleetInfo())
+	})
 	return s, nil
 }
 
@@ -122,108 +116,51 @@ func (s *Server) Start() { s.sched.Start() }
 // on every node.
 func (s *Server) Drain() { s.sched.Drain() }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
+// backend is the job API's view of the fleet: the same routes and
+// bodies as a single vfpgad, routed through the scheduler.
+type backend struct{ s *Server }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, serve.ErrorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req serve.SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Tenant == "" {
-		writeError(w, http.StatusBadRequest, "tenant is required")
-		return
-	}
-	if err := req.Workload.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "bad workload: %v", err)
-		return
-	}
+func (backend) PinError(req *serve.SubmitRequest) string {
 	if req.Board != nil && req.Node == nil {
-		writeError(w, http.StatusBadRequest, "board pinning in a fleet requires a node pin too")
-		return
+		return "board pinning in a fleet requires a node pin too"
 	}
+	return ""
+}
 
-	// One admission decision for the whole fleet: the bucket is shared
-	// across nodes, so a 429's Retry-After is the earliest token
-	// fleet-wide — not the local bucket of whichever node would have
-	// taken the job.
-	if ok, retry := s.adm.Allow(req.Tenant); !ok {
-		secs := int(retry / time.Second)
-		if retry%time.Second != 0 || secs == 0 {
-			secs++ // round up: retrying earlier than the hint just throttles again
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests, "tenant %q over admission rate", req.Tenant)
-		return
-	}
-
-	// The job's context outlives the HTTP request: it governs the job's
-	// whole lifetime, so a deadline set here still fires while queued.
-	ctx, cancel := context.WithCancel(context.Background())
-	if req.TimeoutMS > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), time.Duration(req.TimeoutMS)*time.Millisecond)
-	}
-	spec := req.Workload
-	j, err := s.sched.Submit(Request{
-		Tenant: req.Tenant, Spec: &spec, Trace: req.Trace,
+func (b backend) Submit(ctx context.Context, cancel context.CancelFunc, req *serve.SubmitRequest) (serve.SubmitResponse, error) {
+	j, err := b.s.sched.Submit(Request{
+		Tenant: req.Tenant, Spec: &req.Workload, Trace: req.Trace,
 		Node: req.Node, Board: req.Board,
 		Ctx: ctx, Cancel: cancel,
 	})
-	switch {
-	case errors.Is(err, serve.ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	case errors.Is(err, ErrNoSuchNode), errors.Is(err, serve.ErrNoSuchBoard):
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	case errors.Is(err, serve.ErrBoardQuarantined):
-		writeError(w, http.StatusConflict, "%v", err)
-		return
-	case errors.Is(err, ErrNoHealthyNode), errors.Is(err, serve.ErrNoHealthyBoard):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case errors.Is(err, serve.ErrQueueFull):
-		s.adm.NoteQueueFull(req.Tenant)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "every node's board queues are full")
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+	if err != nil {
+		return serve.SubmitResponse{}, err
 	}
 	st := j.Status()
-	writeJSON(w, http.StatusAccepted, serve.SubmitResponse{ID: j.ID(), Board: st.Board, Node: st.Node})
+	return serve.SubmitResponse{ID: j.ID(), Board: st.Board, Node: st.Node}, nil
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.sched.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
+func (backend) SubmitStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrNoSuchNode):
+		return http.StatusBadRequest
+	case errors.Is(err, ErrNoHealthyNode):
+		return http.StatusServiceUnavailable
 	}
-	writeJSON(w, http.StatusOK, j.Status())
+	return 0
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.sched.Job(r.PathValue("id"))
+func (backend) QueueFull() string { return "every node's board queues are full" }
+
+func (b backend) JobStatus(id string, cancel bool) (any, bool) {
+	j, ok := b.s.sched.Job(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
+		return nil, false
 	}
-	j.Cancel()
-	writeJSON(w, http.StatusOK, j.Status())
+	if cancel {
+		j.Cancel()
+	}
+	return j.Status(), true
 }
 
 // BoardInfo is one entry of a fleet's GET /v1/boards: the node's board
@@ -234,14 +171,14 @@ type BoardInfo struct {
 	Node int `json:"node"`
 }
 
-func (s *Server) handleBoards(w http.ResponseWriter, r *http.Request) {
+func (b backend) Boards() any {
 	var infos []BoardInfo
-	for _, n := range s.sched.Nodes() {
+	for _, n := range b.s.sched.Nodes() {
 		for _, bi := range n.Pool().BoardInfos() {
 			infos = append(infos, BoardInfo{BoardInfo: bi, Node: n.ID()})
 		}
 	}
-	writeJSON(w, http.StatusOK, infos)
+	return infos
 }
 
 // NodeInfo is one node's entry of GET /v1/fleet.
@@ -298,26 +235,16 @@ func (s *Server) fleetInfo() Info {
 	return info
 }
 
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.fleetInfo())
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+func (b backend) Health() serve.Health {
 	status := "ok"
-	if s.sched.IsDraining() {
+	if b.s.sched.IsDraining() {
 		status = "draining"
 	}
 	boards := 0
-	for _, n := range s.sched.Nodes() {
+	for _, n := range b.s.sched.Nodes() {
 		boards += len(n.Pool().BoardInfos())
 	}
-	writeJSON(w, http.StatusOK, serve.Health{
-		Status: status, Version: s.version,
-		Boards: boards, Nodes: len(s.sched.Nodes()),
-	})
+	return serve.Health{Status: status, Boards: boards, Nodes: len(b.s.sched.Nodes())}
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.writeMetrics(w)
-}
+func (b backend) WriteMetrics(w io.Writer) error { return b.s.writeMetrics(w) }

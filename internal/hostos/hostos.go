@@ -39,6 +39,16 @@ func (p Policy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
+// ParsePolicy is the inverse of Policy.String for the three disciplines.
+func ParsePolicy(name string) (Policy, error) {
+	for _, p := range []Policy{FIFO, RR, Priority} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("hostos: unknown scheduler %q", name)
+}
+
 // Config parameterizes the OS.
 type Config struct {
 	Policy    Policy
@@ -225,6 +235,10 @@ type FPGA interface {
 	Remove(t *Task)
 }
 
+// Attacher is implemented by managers that suspend tasks: they need the
+// OS to call Unblock on, and New hands it to them.
+type Attacher interface{ AttachOS(*OS) }
+
 // OS is the simulated operating system. Create with New, add tasks with
 // Spawn/SpawnAt, then drive the kernel.
 type OS struct {
@@ -267,13 +281,17 @@ const (
 	segExec  // hardware execution
 )
 
-// New returns an OS over the given kernel and FPGA manager.
+// New returns an OS over the given kernel and FPGA manager, and attaches
+// itself to a manager that is an Attacher.
 func New(k *sim.Kernel, cfg Config, fpga FPGA) *OS {
 	if cfg.TimeSlice <= 0 {
 		cfg.TimeSlice = DefaultConfig().TimeSlice
 	}
 	o := &OS{K: k, cfg: cfg, fpga: fpga}
 	o.segEnd, o.dispatchFn = o.segmentEnd, o.dispatch
+	if a, ok := fpga.(Attacher); ok {
+		a.AttachOS(o)
+	}
 	return o
 }
 

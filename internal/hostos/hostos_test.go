@@ -92,11 +92,13 @@ func (m *mockFPGA) Remove(t *Task) {
 	}
 }
 
+// AttachOS makes the mock an Attacher: New hands it the OS it unblocks
+// waiters through, and TestFPGABlockingAndHandoff would nil-deref if it
+// did not.
+func (m *mockFPGA) AttachOS(o *OS) { m.os = o }
+
 func newOS(cfg Config, m *mockFPGA) *OS {
-	k := sim.New()
-	o := New(k, cfg, m)
-	m.os = o
-	return o
+	return New(sim.New(), cfg, m)
 }
 
 func TestSingleComputeTask(t *testing.T) {
@@ -369,6 +371,17 @@ func TestPolicyStrings(t *testing.T) {
 	}
 	if TaskReady.String() != "ready" || TaskDone.String() != "done" {
 		t.Fatal("state names wrong")
+	}
+}
+
+func TestParsePolicy(t *testing.T) {
+	for _, p := range []Policy{FIFO, RR, Priority} {
+		if got, err := ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	if _, err := ParsePolicy("lottery"); err == nil {
+		t.Error("ParsePolicy accepted an unknown discipline")
 	}
 }
 

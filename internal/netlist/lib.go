@@ -371,37 +371,3 @@ func ShiftRegister(width int) *Netlist {
 	b.OutputBus("q", q)
 	return b.MustBuild()
 }
-
-// baseGenerators is the first library tier at its standard sizes;
-// Registry2 and extraGenerators are the later ones. The library in
-// library.go merges the three and builds each circuit at most once.
-var baseGenerators = map[string]func() *Netlist{
-	"adder8":     func() *Netlist { return Adder(8) },
-	"adder16":    func() *Netlist { return Adder(16) },
-	"adder32":    func() *Netlist { return Adder(32) },
-	"sub8":       func() *Netlist { return Subtractor(8) },
-	"sub16":      func() *Netlist { return Subtractor(16) },
-	"cmp8":       func() *Netlist { return Comparator(8) },
-	"cmp16":      func() *Netlist { return Comparator(16) },
-	"mul4":       func() *Netlist { return Multiplier(4) },
-	"mul8":       func() *Netlist { return Multiplier(8) },
-	"popcount16": func() *Netlist { return PopCount(16) },
-	"popcount32": func() *Netlist { return PopCount(32) },
-	"parity16":   func() *Netlist { return Parity(16) },
-	"parity32":   func() *Netlist { return Parity(32) },
-	"mux16":      func() *Netlist { return MuxTree(4) },
-	"prienc8":    func() *Netlist { return PriorityEncoder(8) },
-	"rotl8":      func() *Netlist { return BarrelShifter(8) },
-	"rotl16":     func() *Netlist { return BarrelShifter(16) },
-	"alu8":       func() *Netlist { return ALU(8) },
-	"alu16":      func() *Netlist { return ALU(16) },
-	"gray8":      func() *Netlist { return GrayEncoder(8) },
-	"counter8":   func() *Netlist { return Counter(8) },
-	"counter16":  func() *Netlist { return Counter(16) },
-	"lfsr16":     func() *Netlist { return LFSR(16, []int{15, 13, 12, 10}) },
-	"crc8":       func() *Netlist { return CRC(8, 0x07) },
-	"crc16":      func() *Netlist { return CRC(16, 0x8005) },
-	"acc8":       func() *Netlist { return Accumulator(8) },
-	"acc16":      func() *Netlist { return Accumulator(16) },
-	"shreg16":    func() *Netlist { return ShiftRegister(16) },
-}

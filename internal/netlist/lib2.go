@@ -483,26 +483,3 @@ func UARTTx() *Netlist {
 	b.Output("busy", busy)
 	return b.MustBuild()
 }
-
-// Registry2 returns the extended-library generators at standard sizes.
-// Registry() includes these, so managers and tools see one flat library.
-func Registry2() map[string]func() *Netlist {
-	return map[string]func() *Netlist{
-		"cla16":        func() *Netlist { return CLAAdder(16) },
-		"cla32":        func() *Netlist { return CLAAdder(32) },
-		"csel16":       func() *Netlist { return CarrySelectAdder(16, 4) },
-		"absdiff8":     func() *Netlist { return AbsDiff(8) },
-		"minmax8":      func() *Netlist { return MinMax(8) },
-		"clz16":        func() *Netlist { return CLZ(16) },
-		"hamming74enc": Hamming74Encoder,
-		"hamming74dec": Hamming74Decoder,
-		"sevenseg":     SevenSeg,
-		"sort4x4":      func() *Netlist { return SortNet4(4) },
-		"johnson8":     func() *Netlist { return JohnsonCounter(8) },
-		"graycnt8":     func() *Netlist { return GrayCounter(8) },
-		"seqdet1011":   func() *Netlist { return SeqDetector([]bool{true, false, true, true}) },
-		"pwm8":         func() *Netlist { return PWM(8) },
-		"traffic":      TrafficLight,
-		"uarttx":       UARTTx,
-	}
-}

@@ -382,8 +382,11 @@ func TestUARTTxIgnoresStartWhileBusy(t *testing.T) {
 }
 
 func TestRegistry2AllBuildAndMap(t *testing.T) {
-	for name, gen := range Registry2() {
-		nl := gen()
+	for _, name := range []string{
+		"cla16", "cla32", "csel16", "absdiff8", "minmax8", "clz16", "hamming74enc", "hamming74dec",
+		"sevenseg", "sort4x4", "johnson8", "graycnt8", "seqdet1011", "pwm8", "traffic", "uarttx",
+	} {
+		nl := MustLookup(name)
 		if nl.NumOutputs() == 0 {
 			t.Fatalf("%s has no outputs", name)
 		}

@@ -88,11 +88,3 @@ func BinToBCD8() *Netlist {
 	b.OutputBus("hundreds", bcd[8:12])
 	return b.MustBuild()
 }
-
-// extraGenerators is the third library tier, kept in this file so each
-// tier's file is self-contained; the library merges all three.
-var extraGenerators = map[string]func() *Netlist{
-	"div8":      func() *Netlist { return Divider(8) },
-	"div16":     func() *Netlist { return Divider(16) },
-	"bintobcd8": BinToBCD8,
-}

@@ -22,15 +22,64 @@ func (e *libEntry) netlist() *Netlist {
 	return e.nl
 }
 
-// library merges the three generator tiers. It is filled during package
-// initialization and read-only afterwards; only the entries mutate, each
-// behind its own Once.
+// generators names every library circuit at its standard size.
+var generators = map[string]func() *Netlist{
+	"adder8":       func() *Netlist { return Adder(8) },
+	"adder16":      func() *Netlist { return Adder(16) },
+	"adder32":      func() *Netlist { return Adder(32) },
+	"sub8":         func() *Netlist { return Subtractor(8) },
+	"sub16":        func() *Netlist { return Subtractor(16) },
+	"cmp8":         func() *Netlist { return Comparator(8) },
+	"cmp16":        func() *Netlist { return Comparator(16) },
+	"mul4":         func() *Netlist { return Multiplier(4) },
+	"mul8":         func() *Netlist { return Multiplier(8) },
+	"popcount16":   func() *Netlist { return PopCount(16) },
+	"popcount32":   func() *Netlist { return PopCount(32) },
+	"parity16":     func() *Netlist { return Parity(16) },
+	"parity32":     func() *Netlist { return Parity(32) },
+	"mux16":        func() *Netlist { return MuxTree(4) },
+	"prienc8":      func() *Netlist { return PriorityEncoder(8) },
+	"rotl8":        func() *Netlist { return BarrelShifter(8) },
+	"rotl16":       func() *Netlist { return BarrelShifter(16) },
+	"alu8":         func() *Netlist { return ALU(8) },
+	"alu16":        func() *Netlist { return ALU(16) },
+	"gray8":        func() *Netlist { return GrayEncoder(8) },
+	"counter8":     func() *Netlist { return Counter(8) },
+	"counter16":    func() *Netlist { return Counter(16) },
+	"lfsr16":       func() *Netlist { return LFSR(16, []int{15, 13, 12, 10}) },
+	"crc8":         func() *Netlist { return CRC(8, 0x07) },
+	"crc16":        func() *Netlist { return CRC(16, 0x8005) },
+	"acc8":         func() *Netlist { return Accumulator(8) },
+	"acc16":        func() *Netlist { return Accumulator(16) },
+	"shreg16":      func() *Netlist { return ShiftRegister(16) },
+	"cla16":        func() *Netlist { return CLAAdder(16) },
+	"cla32":        func() *Netlist { return CLAAdder(32) },
+	"csel16":       func() *Netlist { return CarrySelectAdder(16, 4) },
+	"absdiff8":     func() *Netlist { return AbsDiff(8) },
+	"minmax8":      func() *Netlist { return MinMax(8) },
+	"clz16":        func() *Netlist { return CLZ(16) },
+	"hamming74enc": Hamming74Encoder,
+	"hamming74dec": Hamming74Decoder,
+	"sevenseg":     SevenSeg,
+	"sort4x4":      func() *Netlist { return SortNet4(4) },
+	"johnson8":     func() *Netlist { return JohnsonCounter(8) },
+	"graycnt8":     func() *Netlist { return GrayCounter(8) },
+	"seqdet1011":   func() *Netlist { return SeqDetector([]bool{true, false, true, true}) },
+	"pwm8":         func() *Netlist { return PWM(8) },
+	"traffic":      TrafficLight,
+	"uarttx":       UARTTx,
+	"div8":         func() *Netlist { return Divider(8) },
+	"div16":        func() *Netlist { return Divider(16) },
+	"bintobcd8":    BinToBCD8,
+}
+
+// library is filled from generators during package initialization and
+// read-only afterwards; only the entries mutate, each behind its own
+// Once.
 var library = func() map[string]*libEntry {
-	lib := map[string]*libEntry{}
-	for _, tier := range []map[string]func() *Netlist{baseGenerators, Registry2(), extraGenerators} {
-		for name, gen := range tier {
-			lib[name] = &libEntry{gen: gen}
-		}
+	lib := make(map[string]*libEntry, len(generators))
+	for name, gen := range generators {
+		lib[name] = &libEntry{gen: gen}
 	}
 	return lib
 }()

@@ -15,13 +15,22 @@ import (
 // exposes byte-identical text — the golden test pins that, which is
 // what keeps dashboards from breaking silently.
 
-// metricsWriter accumulates families in emission order.
-type metricsWriter struct {
+// MetricsWriter accumulates families in emission order; the fleet
+// exposition is written through it too. The metricsonce analyzer keys on
+// this type's name and method set.
+type MetricsWriter struct {
 	w   io.Writer
 	err error
 }
 
-func (m *metricsWriter) family(name, help, typ string) {
+// NewMetricsWriter starts an exposition on w.
+func NewMetricsWriter(w io.Writer) *MetricsWriter { return &MetricsWriter{w: w} }
+
+// Err returns the first write error.
+func (m *MetricsWriter) Err() error { return m.err }
+
+// Family declares a metric family: its HELP and TYPE lines.
+func (m *MetricsWriter) Family(name, help, typ string) {
 	if m.err != nil {
 		return
 	}
@@ -32,12 +41,11 @@ func (m *metricsWriter) family(name, help, typ string) {
 // building one per label value was most of what a scrape allocated.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
-// EscapeLabel escapes a label value per the exposition format. The fleet
-// exposition uses it too.
-func EscapeLabel(v string) string { return labelEscaper.Replace(v) }
+// escapeLabel escapes a label value per the exposition format.
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
-// series writes one sample line. Labels come as ordered key/value pairs.
-func (m *metricsWriter) series(name string, value string, kv ...string) {
+// Series writes one sample line. Labels come as ordered key/value pairs.
+func (m *MetricsWriter) Series(name string, value string, kv ...string) {
 	if m.err != nil {
 		return
 	}
@@ -49,7 +57,7 @@ func (m *metricsWriter) series(name string, value string, kv ...string) {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(&b, `%s="%s"`, kv[i], EscapeLabel(kv[i+1]))
+			fmt.Fprintf(&b, `%s="%s"`, kv[i], escapeLabel(kv[i+1]))
 		}
 		b.WriteByte('}')
 	}
@@ -59,14 +67,15 @@ func (m *metricsWriter) series(name string, value string, kv ...string) {
 	_, m.err = io.WriteString(m.w, b.String())
 }
 
-func (m *metricsWriter) int(name string, v int64, kv ...string) {
-	m.series(name, strconv.FormatInt(v, 10), kv...)
+// Int writes an integer sample.
+func (m *MetricsWriter) Int(name string, v int64, kv ...string) {
+	m.Series(name, strconv.FormatInt(v, 10), kv...)
 }
 
-// float renders with a fixed four decimal places so a fixed scenario
+// Float renders with a fixed four decimal places so a fixed scenario
 // stays byte-identical across platforms.
-func (m *metricsWriter) float(name string, v float64, kv ...string) {
-	m.series(name, strconv.FormatFloat(v, 'f', 4, 64), kv...)
+func (m *MetricsWriter) Float(name string, v float64, kv ...string) {
+	m.Series(name, strconv.FormatFloat(v, 'f', 4, 64), kv...)
 }
 
 // ledgerOpCounts flattens a metrics snapshot into the per-op counter
@@ -99,37 +108,37 @@ func ledgerOpCounts(s core.MetricsSnapshot) []struct {
 
 // writeMetrics renders the whole exposition.
 func (s *Server) writeMetrics(w io.Writer) error {
-	m := &metricsWriter{w: w}
+	m := NewMetricsWriter(w)
 
-	m.family("vfpgad_build_info", "Build identification; value is always 1.", "gauge")
-	m.series("vfpgad_build_info", "1", "version", s.version)
+	m.Family("vfpgad_build_info", "Build identification; value is always 1.", "gauge")
+	m.Series("vfpgad_build_info", "1", "version", s.version)
 
-	m.family("vfpgad_draining", "1 while the daemon is draining, 0 otherwise.", "gauge")
+	m.Family("vfpgad_draining", "1 while the daemon is draining, 0 otherwise.", "gauge")
 	draining := int64(0)
 	if s.pool.IsDraining() {
 		draining = 1
 	}
-	m.int("vfpgad_draining", draining)
+	m.Int("vfpgad_draining", draining)
 
-	m.family("vfpgad_boards", "Number of boards in the pool.", "gauge")
-	m.int("vfpgad_boards", int64(len(s.pool.boards)))
+	m.Family("vfpgad_boards", "Number of boards in the pool.", "gauge")
+	m.Int("vfpgad_boards", int64(len(s.pool.boards)))
 
 	// Admission and job outcomes, per tenant.
 	tenants := s.adm.Snapshot()
-	m.family("vfpgad_admission_total", "Submissions by admission decision.", "counter")
+	m.Family("vfpgad_admission_total", "Submissions by admission decision.", "counter")
 	for _, t := range tenants {
-		m.int("vfpgad_admission_total", t.Admitted, "tenant", t.Tenant, "decision", "admitted")
-		m.int("vfpgad_admission_total", t.Throttled, "tenant", t.Tenant, "decision", "throttled")
-		m.int("vfpgad_admission_total", t.QueueFull, "tenant", t.Tenant, "decision", "queue_full")
+		m.Int("vfpgad_admission_total", t.Admitted, "tenant", t.Tenant, "decision", "admitted")
+		m.Int("vfpgad_admission_total", t.Throttled, "tenant", t.Tenant, "decision", "throttled")
+		m.Int("vfpgad_admission_total", t.QueueFull, "tenant", t.Tenant, "decision", "queue_full")
 	}
-	m.family("vfpgad_jobs_total", "Finished jobs by outcome.", "counter")
+	m.Family("vfpgad_jobs_total", "Finished jobs by outcome.", "counter")
 	for _, t := range tenants {
-		m.int("vfpgad_jobs_total", t.Completed, "tenant", t.Tenant, "outcome", "completed")
-		m.int("vfpgad_jobs_total", t.Failed, "tenant", t.Tenant, "outcome", "failed")
+		m.Int("vfpgad_jobs_total", t.Completed, "tenant", t.Tenant, "outcome", "completed")
+		m.Int("vfpgad_jobs_total", t.Failed, "tenant", t.Tenant, "outcome", "failed")
 	}
 
 	// Board occupancy and queues.
-	m.family("vfpgad_board_busy", "1 while the board is running a job.", "gauge")
+	m.Family("vfpgad_board_busy", "1 while the board is running a job.", "gauge")
 	infos := make([]BoardInfo, 0, len(s.pool.boards))
 	aggs := make([]core.MetricsSnapshot, 0, len(s.pool.boards))
 	for _, b := range s.pool.boards {
@@ -143,60 +152,60 @@ func (s *Server) writeMetrics(w io.Writer) error {
 		if bi.State == "busy" {
 			busy = 1
 		}
-		m.int("vfpgad_board_busy", busy, "board", strconv.Itoa(bi.ID), "manager", bi.Manager)
+		m.Int("vfpgad_board_busy", busy, "board", strconv.Itoa(bi.ID), "manager", bi.Manager)
 	}
-	m.family("vfpgad_queue_depth", "Jobs waiting in the board queue.", "gauge")
+	m.Family("vfpgad_queue_depth", "Jobs waiting in the board queue.", "gauge")
 	for _, bi := range infos {
-		m.int("vfpgad_queue_depth", int64(bi.QueueDepth), "board", strconv.Itoa(bi.ID))
+		m.Int("vfpgad_queue_depth", int64(bi.QueueDepth), "board", strconv.Itoa(bi.ID))
 	}
-	m.family("vfpgad_queue_capacity", "Board queue capacity.", "gauge")
+	m.Family("vfpgad_queue_capacity", "Board queue capacity.", "gauge")
 	for _, bi := range infos {
-		m.int("vfpgad_queue_capacity", int64(bi.QueueCap), "board", strconv.Itoa(bi.ID))
+		m.Int("vfpgad_queue_capacity", int64(bi.QueueCap), "board", strconv.Itoa(bi.ID))
 	}
-	m.family("vfpgad_board_jobs_total", "Jobs finished by the board, by outcome.", "counter")
+	m.Family("vfpgad_board_jobs_total", "Jobs finished by the board, by outcome.", "counter")
 	for _, bi := range infos {
-		m.int("vfpgad_board_jobs_total", bi.JobsDone, "board", strconv.Itoa(bi.ID), "outcome", "completed")
-		m.int("vfpgad_board_jobs_total", bi.JobsFailed, "board", strconv.Itoa(bi.ID), "outcome", "failed")
+		m.Int("vfpgad_board_jobs_total", bi.JobsDone, "board", strconv.Itoa(bi.ID), "outcome", "completed")
+		m.Int("vfpgad_board_jobs_total", bi.JobsFailed, "board", strconv.Itoa(bi.ID), "outcome", "failed")
 	}
-	m.family("vfpgad_board_resets_total", "Jobs started on the board by reset mode: warm snapshot-restore vs. cold rebuild.", "counter")
+	m.Family("vfpgad_board_resets_total", "Jobs started on the board by reset mode: warm snapshot-restore vs. cold rebuild.", "counter")
 	for _, bi := range infos {
-		m.int("vfpgad_board_resets_total", bi.WarmResets, "board", strconv.Itoa(bi.ID), "mode", "warm")
-		m.int("vfpgad_board_resets_total", bi.ColdResets, "board", strconv.Itoa(bi.ID), "mode", "cold")
+		m.Int("vfpgad_board_resets_total", bi.WarmResets, "board", strconv.Itoa(bi.ID), "mode", "warm")
+		m.Int("vfpgad_board_resets_total", bi.ColdResets, "board", strconv.Itoa(bi.ID), "mode", "cold")
 	}
-	m.family("vfpgad_board_fragmentation", "External-fragmentation ratio of the board's device after its last job or compaction pass (0 means one contiguous free extent).", "gauge")
+	m.Family("vfpgad_board_fragmentation", "External-fragmentation ratio of the board's device after its last job or compaction pass (0 means one contiguous free extent).", "gauge")
 	for _, bi := range infos {
-		m.float("vfpgad_board_fragmentation", bi.Fragmentation, "board", strconv.Itoa(bi.ID), "manager", bi.Manager)
+		m.Float("vfpgad_board_fragmentation", bi.Fragmentation, "board", strconv.Itoa(bi.ID), "manager", bi.Manager)
 	}
-	m.family("vfpgad_board_largest_free_cols", "Widest contiguous free column extent on the board's device.", "gauge")
+	m.Family("vfpgad_board_largest_free_cols", "Widest contiguous free column extent on the board's device.", "gauge")
 	for _, bi := range infos {
-		m.int("vfpgad_board_largest_free_cols", int64(bi.LargestFreeCols), "board", strconv.Itoa(bi.ID))
+		m.Int("vfpgad_board_largest_free_cols", int64(bi.LargestFreeCols), "board", strconv.Itoa(bi.ID))
 	}
-	m.family("vfpgad_compactions_total", "Idle-cycle defragmentation passes the board ran.", "counter")
+	m.Family("vfpgad_compactions_total", "Idle-cycle defragmentation passes the board ran.", "counter")
 	for _, bi := range infos {
-		m.int("vfpgad_compactions_total", bi.Compactions, "board", strconv.Itoa(bi.ID))
+		m.Int("vfpgad_compactions_total", bi.Compactions, "board", strconv.Itoa(bi.ID))
 	}
-	m.family("vfpgad_compaction_moved_total", "Strips relocated by idle-cycle compaction.", "counter")
+	m.Family("vfpgad_compaction_moved_total", "Strips relocated by idle-cycle compaction.", "counter")
 	for _, bi := range infos {
-		m.int("vfpgad_compaction_moved_total", bi.CompactionMoved, "board", strconv.Itoa(bi.ID))
+		m.Int("vfpgad_compaction_moved_total", bi.CompactionMoved, "board", strconv.Itoa(bi.ID))
 	}
-	m.family("vfpgad_compaction_aborts_total", "Compaction passes cut short by an injected fault (retried on a later idle cycle).", "counter")
+	m.Family("vfpgad_compaction_aborts_total", "Compaction passes cut short by an injected fault (retried on a later idle cycle).", "counter")
 	for _, bi := range infos {
-		m.int("vfpgad_compaction_aborts_total", bi.CompactionAborts, "board", strconv.Itoa(bi.ID))
+		m.Int("vfpgad_compaction_aborts_total", bi.CompactionAborts, "board", strconv.Itoa(bi.ID))
 	}
-	m.family("vfpgad_board_quarantined", "1 while the board is quarantined after a fault escalation.", "gauge")
+	m.Family("vfpgad_board_quarantined", "1 while the board is quarantined after a fault escalation.", "gauge")
 	for _, bi := range infos {
 		quarantined := int64(0)
 		if bi.Quarantined {
 			quarantined = 1
 		}
-		m.int("vfpgad_board_quarantined", quarantined, "board", strconv.Itoa(bi.ID), "manager", bi.Manager)
+		m.Int("vfpgad_board_quarantined", quarantined, "board", strconv.Itoa(bi.ID), "manager", bi.Manager)
 	}
-	m.family("vfpgad_board_escalations_total", "Fault escalations the board saw.", "counter")
+	m.Family("vfpgad_board_escalations_total", "Fault escalations the board saw.", "counter")
 	for _, bi := range infos {
-		m.int("vfpgad_board_escalations_total", bi.Escalations, "board", strconv.Itoa(bi.ID))
+		m.Int("vfpgad_board_escalations_total", bi.Escalations, "board", strconv.Itoa(bi.ID))
 	}
-	m.family("vfpgad_job_requeues_total", "Jobs rerun on another board after a quarantine.", "counter")
-	m.int("vfpgad_job_requeues_total", s.pool.RequeueCount())
+	m.Family("vfpgad_job_requeues_total", "Jobs rerun on another board after a quarantine.", "counter")
+	m.Int("vfpgad_job_requeues_total", s.pool.RequeueCount())
 
 	// Job service time, in virtual nanoseconds (makespan of completed
 	// jobs). The _sum/_count series belong to the summary family per the
@@ -204,50 +213,50 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	// analyzer's declared-family check keys on the summary name.
 	p50, p95, svcSum, svcCount := s.pool.ServiceStats()
 	svcFamily := "vfpgad_job_service_time_ns"
-	m.family("vfpgad_job_service_time_ns", "Virtual service time of completed jobs (makespan, ns).", "summary")
-	m.int("vfpgad_job_service_time_ns", p50, "quantile", "0.5")
-	m.int("vfpgad_job_service_time_ns", p95, "quantile", "0.95")
-	m.int(svcFamily+"_sum", svcSum)
-	m.int(svcFamily+"_count", svcCount)
+	m.Family("vfpgad_job_service_time_ns", "Virtual service time of completed jobs (makespan, ns).", "summary")
+	m.Int("vfpgad_job_service_time_ns", p50, "quantile", "0.5")
+	m.Int("vfpgad_job_service_time_ns", p95, "quantile", "0.95")
+	m.Int(svcFamily+"_sum", svcSum)
+	m.Int(svcFamily+"_count", svcCount)
 
 	// The same service-time sample sliced per tenant: the load harness
 	// reads these to cross-check its per-tenant latency breakdowns.
 	tenantSvcFamily := "vfpgad_tenant_service_time_ns"
-	m.family("vfpgad_tenant_service_time_ns", "Virtual service time of completed jobs by tenant (makespan, ns).", "summary")
+	m.Family("vfpgad_tenant_service_time_ns", "Virtual service time of completed jobs by tenant (makespan, ns).", "summary")
 	for _, ts := range s.pool.TenantServiceStats() {
-		m.int("vfpgad_tenant_service_time_ns", ts.P50, "tenant", ts.Tenant, "quantile", "0.5")
-		m.int("vfpgad_tenant_service_time_ns", ts.P95, "tenant", ts.Tenant, "quantile", "0.95")
-		m.int(tenantSvcFamily+"_sum", ts.Sum, "tenant", ts.Tenant)
-		m.int(tenantSvcFamily+"_count", ts.Count, "tenant", ts.Tenant)
+		m.Int("vfpgad_tenant_service_time_ns", ts.P50, "tenant", ts.Tenant, "quantile", "0.5")
+		m.Int("vfpgad_tenant_service_time_ns", ts.P95, "tenant", ts.Tenant, "quantile", "0.95")
+		m.Int(tenantSvcFamily+"_sum", ts.Sum, "tenant", ts.Tenant)
+		m.Int(tenantSvcFamily+"_count", ts.Count, "tenant", ts.Tenant)
 	}
 
 	// Device-side ledger counters accumulated across jobs, per board.
-	m.family("vfpgad_ledger_ops_total", "Residency-ledger operations across all jobs.", "counter")
+	m.Family("vfpgad_ledger_ops_total", "Residency-ledger operations across all jobs.", "counter")
 	for i, agg := range aggs {
 		for _, oc := range ledgerOpCounts(agg) {
-			m.int("vfpgad_ledger_ops_total", oc.N, "board", strconv.Itoa(i), "op", oc.Op)
+			m.Int("vfpgad_ledger_ops_total", oc.N, "board", strconv.Itoa(i), "op", oc.Op)
 		}
 	}
-	m.family("vfpgad_device_time_ns_total", "Virtual nanoseconds of device overhead across all jobs.", "counter")
+	m.Family("vfpgad_device_time_ns_total", "Virtual nanoseconds of device overhead across all jobs.", "counter")
 	for i, agg := range aggs {
-		m.int("vfpgad_device_time_ns_total", int64(agg.ConfigTime), "board", strconv.Itoa(i), "kind", "config")
-		m.int("vfpgad_device_time_ns_total", int64(agg.ReadbackTime), "board", strconv.Itoa(i), "kind", "readback")
-		m.int("vfpgad_device_time_ns_total", int64(agg.RestoreTime), "board", strconv.Itoa(i), "kind", "restore")
-		m.int("vfpgad_device_time_ns_total", int64(agg.FaultTime), "board", strconv.Itoa(i), "kind", "fault")
+		m.Int("vfpgad_device_time_ns_total", int64(agg.ConfigTime), "board", strconv.Itoa(i), "kind", "config")
+		m.Int("vfpgad_device_time_ns_total", int64(agg.ReadbackTime), "board", strconv.Itoa(i), "kind", "readback")
+		m.Int("vfpgad_device_time_ns_total", int64(agg.RestoreTime), "board", strconv.Itoa(i), "kind", "restore")
+		m.Int("vfpgad_device_time_ns_total", int64(agg.FaultTime), "board", strconv.Itoa(i), "kind", "fault")
 	}
 
 	// Compile-cache effectiveness (shared across boards).
 	cs := s.pool.cache.Stats()
-	m.family("vfpgad_compile_cache_lookups_total", "Strip-cache lookups by result.", "counter")
-	m.int("vfpgad_compile_cache_lookups_total", cs.Hits, "result", "hit")
-	m.int("vfpgad_compile_cache_lookups_total", cs.Misses, "result", "miss")
-	m.int("vfpgad_compile_cache_lookups_total", cs.Dedups, "result", "dedup")
-	m.family("vfpgad_compile_cache_evictions_total", "Strip-cache LRU evictions.", "counter")
-	m.int("vfpgad_compile_cache_evictions_total", cs.Evictions)
-	m.family("vfpgad_compile_cache_entries", "Strips currently cached.", "gauge")
-	m.int("vfpgad_compile_cache_entries", int64(cs.Size))
-	m.family("vfpgad_compile_cache_capacity", "Strip-cache LRU bound.", "gauge")
-	m.int("vfpgad_compile_cache_capacity", int64(cs.Capacity))
+	m.Family("vfpgad_compile_cache_lookups_total", "Strip-cache lookups by result.", "counter")
+	m.Int("vfpgad_compile_cache_lookups_total", cs.Hits, "result", "hit")
+	m.Int("vfpgad_compile_cache_lookups_total", cs.Misses, "result", "miss")
+	m.Int("vfpgad_compile_cache_lookups_total", cs.Dedups, "result", "dedup")
+	m.Family("vfpgad_compile_cache_evictions_total", "Strip-cache LRU evictions.", "counter")
+	m.Int("vfpgad_compile_cache_evictions_total", cs.Evictions)
+	m.Family("vfpgad_compile_cache_entries", "Strips currently cached.", "gauge")
+	m.Int("vfpgad_compile_cache_entries", int64(cs.Size))
+	m.Family("vfpgad_compile_cache_capacity", "Strip-cache LRU bound.", "gauge")
+	m.Int("vfpgad_compile_cache_capacity", int64(cs.Capacity))
 
 	return m.err
 }

@@ -149,8 +149,8 @@ func TestMetricsWellFormed(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	var buf bytes.Buffer
-	m := &metricsWriter{w: &buf}
-	m.series("x_total", "1", "label", "a\"b\\c\nd")
+	m := NewMetricsWriter(&buf)
+	m.Series("x_total", "1", "label", "a\"b\\c\nd")
 	if m.err != nil {
 		t.Fatal(m.err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/fault"
+	"repro/internal/hostos"
 	"repro/internal/loadgen"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -66,9 +67,7 @@ func (bc *BoardConfig) Validate() error {
 	if !found {
 		return fmt.Errorf("serve: unknown manager %q (have %v)", bc.Manager, Managers)
 	}
-	switch bc.Sched {
-	case "fifo", "rr", "priority":
-	default:
+	if _, err := hostos.ParsePolicy(bc.Sched); err != nil {
 		return fmt.Errorf("serve: unknown scheduler %q", bc.Sched)
 	}
 	if bc.Cols <= 0 || bc.Rows <= 0 {

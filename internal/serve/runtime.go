@@ -132,87 +132,23 @@ func buildRuntime(bc BoardConfig, set *workload.Set, circs []*compile.Circuit) (
 		return e
 	}
 
-	e := newEngine()
-	engines := []*core.Engine{e}
-
-	var mgr hostos.FPGA
-	switch bc.Manager {
-	case "dynamic":
-		mgr = core.NewDynamicLoader(k, e)
-	case "partition":
-		pm, err := core.NewPartitionManager(k, e, core.PartitionConfig{
-			Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		mgr = pm
-	case "amorphous":
-		mgr = core.NewAmorphousManager(k, e, core.DefaultAmorphousConfig())
-	case "overlay":
-		// workload.Spec.Build rejects empty sets with ErrNoCircuits, but
-		// guard the index anyway: a panic here would read as a board bug.
-		if len(names) == 0 {
-			return nil, fmt.Errorf("serve: overlay manager: %w", workload.ErrNoCircuits)
-		}
-		om, _, err := core.NewOverlayManager(k, e, names[:1])
-		if err != nil {
-			return nil, err
-		}
-		mgr = om
-	case "paged":
-		pl, err := core.NewPagedLoader(k, e, core.PagedConfig{PageCells: 16, Policy: core.LRU, Seed: bc.Seed})
-		if err != nil {
-			return nil, err
-		}
-		mgr = pl
-	case "multi":
-		n := bc.SubBoards
-		if n < 1 {
-			n = 1
-		}
-		for i := 1; i < n; i++ {
+	engines := []*core.Engine{newEngine()}
+	if bc.Manager == "multi" {
+		for i := 1; i < bc.SubBoards; i++ {
 			engines = append(engines, newEngine())
 		}
-		mm, err := core.NewMultiManager(k, engines, core.PartitionConfig{
-			Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		mgr = mm
-	case "exclusive":
-		mgr = baseline.NewExclusive(k, e)
-	case "software":
-		mgr = baseline.NewSoftware(e, 20)
-	case "merged":
-		if len(names) == 0 {
-			return nil, fmt.Errorf("serve: merged baseline: %w", workload.ErrNoCircuits)
-		}
-		m, _, err := baseline.NewMerged(k, e, names)
-		if err != nil {
-			return nil, err
-		}
-		mgr = m
-	default:
-		return nil, fmt.Errorf("serve: unknown manager %q", bc.Manager)
 	}
-
-	osCfg := hostos.Config{TimeSlice: bc.Slice, CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond}
-	switch bc.Sched {
-	case "fifo":
-		osCfg.Policy = hostos.FIFO
-	case "rr":
-		osCfg.Policy = hostos.RR
-	case "priority":
-		osCfg.Policy = hostos.Priority
-	default:
-		return nil, fmt.Errorf("serve: unknown scheduler %q", bc.Sched)
+	mgr, _, err := baseline.NewManager(bc.Manager, k, engines, names, bc.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	osim := hostos.New(k, osCfg, mgr)
-	if att, ok := mgr.(interface{ AttachOS(*hostos.OS) }); ok {
-		att.AttachOS(osim)
+	policy, err := hostos.ParsePolicy(bc.Sched)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
+	osim := hostos.New(k, hostos.Config{
+		Policy: policy, TimeSlice: bc.Slice, CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
+	}, mgr)
 
 	rt := &boardRuntime{
 		bc: bc, k: k, engines: engines, mgr: mgr, osim: osim,

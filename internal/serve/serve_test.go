@@ -120,9 +120,6 @@ func directRun(t *testing.T, spec *workload.Spec, bc BoardConfig) *JobResult {
 		Policy: hostos.RR, TimeSlice: bc.Slice,
 		CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
 	}, mgr)
-	if att, ok := any(mgr).(interface{ AttachOS(*hostos.OS) }); ok {
-		att.AttachOS(osim)
-	}
 	set.Spawn(osim)
 	k.Run()
 	if !osim.AllDone() {

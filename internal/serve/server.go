@@ -2,11 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
+	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/fault"
@@ -78,14 +75,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{pool: p, adm: adm, version: cfg.Version}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/boards", s.handleBoards)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux = mux
+	s.mux = NewAPI(poolBackend{s}, adm, cfg.Version)
 	return s, nil
 }
 
@@ -98,120 +88,50 @@ func (s *Server) Start() { s.pool.Start() }
 // Drain stops intake and blocks until every accepted job has finished.
 func (s *Server) Drain() { s.pool.Drain() }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
+// poolBackend is the job API's view of a single daemon.
+type poolBackend struct{ s *Server }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.Tenant == "" {
-		writeError(w, http.StatusBadRequest, "tenant is required")
-		return
-	}
-	if err := req.Workload.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "bad workload: %v", err)
-		return
-	}
+func (poolBackend) PinError(req *SubmitRequest) string {
 	if req.Node != nil {
-		writeError(w, http.StatusBadRequest, "node pinning requires a fleet (vfpgad -nodes > 1)")
-		return
+		return "node pinning requires a fleet (vfpgad -nodes > 1)"
 	}
+	return ""
+}
 
-	if ok, retry := s.adm.Allow(req.Tenant); !ok {
-		secs := int(retry / time.Second)
-		if retry%time.Second != 0 || secs == 0 {
-			secs++ // round up: retrying earlier than the hint just throttles again
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests, "tenant %q over admission rate", req.Tenant)
-		return
-	}
-
-	// The job's context outlives the HTTP request: it governs the job's
-	// whole lifetime, so a deadline set here still fires while queued.
-	ctx, cancel := context.WithCancel(context.Background())
-	if req.TimeoutMS > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), time.Duration(req.TimeoutMS)*time.Millisecond)
-	}
-	spec := req.Workload
-	j, err := s.pool.Submit(SubmitArgs{
-		Tenant: req.Tenant, Spec: &spec, Trace: req.Trace,
+func (b poolBackend) Submit(ctx context.Context, cancel context.CancelFunc, req *SubmitRequest) (SubmitResponse, error) {
+	j, err := b.s.pool.Submit(SubmitArgs{
+		Tenant: req.Tenant, Spec: &req.Workload, Trace: req.Trace,
 		Board: req.Board, Ctx: ctx, Cancel: cancel,
 	})
-	switch {
-	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	case errors.Is(err, ErrNoSuchBoard):
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	case errors.Is(err, ErrBoardQuarantined):
-		writeError(w, http.StatusConflict, "%v", err)
-		return
-	case errors.Is(err, ErrNoHealthyBoard):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case errors.Is(err, ErrQueueFull):
-		s.adm.NoteQueueFull(req.Tenant)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "all board queues full")
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+	if err != nil {
+		return SubmitResponse{}, err
 	}
-	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: j.ID(), Board: j.Status().Board})
+	return SubmitResponse{ID: j.ID(), Board: j.Status().Board}, nil
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.pool.Job(r.PathValue("id"))
+func (poolBackend) SubmitStatus(error) int { return 0 }
+
+func (poolBackend) QueueFull() string { return "all board queues full" }
+
+func (b poolBackend) JobStatus(id string, cancel bool) (any, bool) {
+	j, ok := b.s.pool.Job(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
+		return nil, false
 	}
-	writeJSON(w, http.StatusOK, j.Status())
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.pool.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
+	if cancel {
+		j.Cancel()
 	}
-	// Cancellation is advisory: a queued job fails when its worker picks
-	// it up; a running or finished job is unaffected (the simulation is
-	// not preemptible mid-run).
-	j.Cancel()
-	writeJSON(w, http.StatusOK, j.Status())
+	return j.Status(), true
 }
 
-func (s *Server) handleBoards(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.pool.BoardInfos())
-}
+func (b poolBackend) Boards() any { return b.s.pool.BoardInfos() }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+func (b poolBackend) Health() Health {
 	status := "ok"
-	if s.pool.IsDraining() {
+	if b.s.pool.IsDraining() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, Health{Status: status, Version: s.version, Boards: len(s.pool.boards)})
+	return Health{Status: status, Boards: len(b.s.pool.boards)}
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.writeMetrics(w)
-}
+func (b poolBackend) WriteMetrics(w io.Writer) error { return b.s.writeMetrics(w) }
