@@ -17,7 +17,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,22 +26,16 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/fleet"
-	"repro/internal/loadgen"
-	"repro/internal/serve"
 	"repro/internal/version"
-	"repro/internal/workload"
 )
 
 func main() {
-	run := flag.String("run", "all", "comma-separated experiment ids (T1..T5, F1..F10, A1), 'all', or 'none'")
+	run := flag.String("run", "all", "comma-separated experiment ids (T1..T5, F1..F10, A1) or 'all'")
 	quick := flag.Bool("quick", false, "reduced sweeps")
 	seed := flag.Uint64("seed", 1, "experiment seed")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent workers (1 = serial)")
 	csvDir := flag.String("csv", "", "directory to write per-table CSV files")
 	jsonPath := flag.String("json", "", "file to write a perf record (JSON) to")
-	serveJSONPath := flag.String("serve-json", "", "file to write the cold-vs-warm serving benchmark (JSON) to")
-	serveJobs := flag.Int("serve-jobs", 10, "jobs per mode for the cold-vs-warm serving benchmark")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -53,11 +46,9 @@ func main() {
 	cfg := bench.Config{Seed: *seed, Quick: *quick, Jobs: *jobs, Now: time.Now}
 
 	var selected []bench.Experiment
-	switch *run {
-	case "all":
+	if *run == "all" {
 		selected = bench.All()
-	case "none": // skip experiments (useful with -serve-json alone)
-	default:
+	} else {
 		for _, id := range strings.Split(*run, ",") {
 			id = strings.TrimSpace(id)
 			e, ok := bench.Find(id)
@@ -130,70 +121,7 @@ func main() {
 		}
 		f.Close()
 	}
-	if *serveJSONPath != "" {
-		if err := writeServeBench(*serveJSONPath, *serveJobs, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "vfpgabench: serve bench: %v\n", err)
-			failed = true
-		}
-	}
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// writeServeBench runs the cold-vs-warm serving benchmark on the default
-// board plus the F10 fleet placement bake-off and the trace-driven load
-// bench, and records all three in one JSON file: the cold/warm fields at
-// top level (the speedup gate greps them there), the bake-off under
-// "fleet", and the open-loop latency/saturation record under "load".
-// Everything runs in virtual time and costs well under a second.
-func writeServeBench(path string, jobs int, seed uint64) error {
-	const scenario = "multimedia"
-	spec, err := workload.BuiltinSpec(scenario)
-	if err != nil {
-		return err
-	}
-	rec, err := serve.BenchColdVsWarm(serve.DefaultBoardConfig(), &spec, scenario, jobs)
-	if err != nil {
-		return err
-	}
-	fcfg, err := bench.FleetBakeoffConfig(bench.Config{Seed: seed})
-	if err != nil {
-		return err
-	}
-	frec, err := fleet.RunBakeoffAll(fcfg, fleet.PolicyNames)
-	if err != nil {
-		return err
-	}
-	runFn, err := serve.NewDirectRunner(serve.DefaultBoardConfig())
-	if err != nil {
-		return err
-	}
-	lrec, err := loadgen.RunBench(loadgen.DefaultBenchConfig(), loadgen.DefaultBenchServers, loadgen.DefaultBenchSLO, runFn)
-	if err != nil {
-		return err
-	}
-	out := struct {
-		serve.ColdWarmBench
-		Fleet *fleet.BakeoffRecord `json:"fleet"`
-		Load  *loadgen.BenchRecord `json:"load"`
-	}{rec, frec, lrec}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("serve bench: warm p50 %v vs cold p50 %v (%.1fx); p95 %v vs %v (%.1fx) -> %s\n",
-		time.Duration(rec.WarmP50NS), time.Duration(rec.ColdP50NS), rec.SpeedupP50,
-		time.Duration(rec.WarmP95NS), time.Duration(rec.ColdP95NS), rec.SpeedupP95, path)
-	for _, row := range frec.Rows {
-		fmt.Printf("fleet bench: %-9s %d jobs, hw_util %.4f, p99 admit %.2fms, %d requeues\n",
-			row.Policy, row.Jobs, row.HWUtil, row.P99AdmitMS, row.Requeues)
-	}
-	fmt.Printf("load bench: %d jobs on %d servers, baseline p99 %v (SLO %s), saturation at %.2fx = %.1f jobs/s offered\n",
-		lrec.Baseline.Jobs, lrec.Baseline.Servers, time.Duration(lrec.Baseline.P99Ns),
-		lrec.SLO, lrec.Saturation.Point.Speedup, lrec.Saturation.Point.OfferedPerSec)
-	return nil
 }

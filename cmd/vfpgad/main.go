@@ -43,6 +43,11 @@ import (
 	"repro/internal/version"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that opens a socket and stalls cannot
+// hold it forever.
+const readHeaderTimeout = 10 * time.Second
+
 // options collects the flag values; one struct keeps the single-daemon
 // and fleet paths on the same configuration.
 type options struct {
@@ -213,7 +218,7 @@ func run(o options) error {
 	}
 
 	srv.Start()
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

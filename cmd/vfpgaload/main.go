@@ -63,7 +63,7 @@ var sleep = time.Sleep
 // throttled tenant's 429 budget never pollutes its latency quantiles.
 type tenantAcct struct {
 	completed int
-	svc       *istats.Sample
+	svc       *istats.LatencyRecorder
 	throttled int
 	waited    time.Duration
 }
@@ -81,9 +81,22 @@ type stats struct {
 	tenants   map[string]*tenantAcct
 }
 
-func (s *stats) code(c int) {
+// wireTally is what one awaitJob call adds to the shared counters; it
+// tallies without the lock and merges once on return.
+type wireTally struct {
+	codes                                 []int
+	submitted, failed, transport, retries int
+}
+
+func (s *stats) merge(t *wireTally) {
 	s.mu.Lock()
-	s.codes[c]++
+	for _, c := range t.codes {
+		s.codes[c]++
+	}
+	s.submitted += t.submitted
+	s.failed += t.failed
+	s.transport += t.transport
+	s.retries += t.retries
 	s.mu.Unlock()
 }
 
@@ -94,23 +107,19 @@ func (s *stats) tenantLocked(tenant string) *tenantAcct {
 	}
 	a := s.tenants[tenant]
 	if a == nil {
-		a = &tenantAcct{svc: istats.NewSample(true)}
+		a = &tenantAcct{svc: istats.NewLatencyRecorder()}
 		s.tenants[tenant] = a
 	}
 	return a
 }
 
-// noteService records one completed job's service latency (throttle
-// waits already excluded; negatives clamp to zero).
-func (s *stats) noteService(tenant string, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.mu.Lock()
+// noteServiceLocked records one completed job's service latency
+// (throttle waits already excluded; the recorder clamps negatives to
+// zero). Callers hold s.mu.
+func (s *stats) noteServiceLocked(tenant string, d time.Duration) {
 	a := s.tenantLocked(tenant)
 	a.completed++
-	a.svc.Observe(float64(d))
-	s.mu.Unlock()
+	a.svc.Observe(int64(d))
 }
 
 // noteThrottleWait records one 429-induced wait charged to the tenant.
@@ -302,21 +311,24 @@ func main() {
 	wg.Wait()
 
 	probe := ts.targets[0].url
-	quarantined := -1
-	if *expectQuarantine {
-		quarantined = countQuarantined(probe, deadline, st)
+	quarantined, minWarm, compactions := -1, int64(-1), int64(-1)
+	if *expectQuarantine || *expectWarm || *expectCompaction {
+		if boards, err := fetchBoards(probe, deadline, st); err == nil {
+			quarantined, compactions = 0, 0
+			for i, bi := range boards {
+				if bi.Quarantined {
+					quarantined++
+				}
+				if i == 0 || bi.WarmResets < minWarm {
+					minWarm = bi.WarmResets
+				}
+				compactions += bi.Compactions
+			}
+		}
 	}
 	nodesOut := -1
 	if *expectNodeQuarantine {
 		nodesOut = countUnhealthyNodes(probe, deadline, st)
-	}
-	minWarm := int64(-1)
-	if *expectWarm {
-		minWarm = minWarmResets(probe, deadline, st)
-	}
-	compactions := int64(-1)
-	if *expectCompaction {
-		compactions = sumCompactions(probe, deadline, st)
 	}
 
 	st.mu.Lock()
@@ -435,49 +447,38 @@ func retryAfterWait(resp *http.Response) time.Duration {
 	return wait
 }
 
-// countQuarantined asks /v1/boards how many boards ended the campaign
-// out of service; -1 means the query itself failed.
-func countQuarantined(target string, deadline time.Time, st *stats) int {
+// getJSON decodes one target's GET path into v. A transport failure
+// counts in st.
+func getJSON(url, path string, deadline time.Time, st *stats, v any) error {
 	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := doReq(client, http.MethodGet, target+"/v1/boards", nil, deadline)
+	resp, err := doReq(client, http.MethodGet, url+path, nil, deadline)
 	if err != nil {
 		st.mu.Lock()
 		st.transport++
 		st.mu.Unlock()
-		return -1
+		return err
 	}
 	defer resp.Body.Close()
-	var infos []serve.BoardInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-		return -1
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s%s: HTTP %d", url, path, resp.StatusCode)
 	}
-	n := 0
-	for _, bi := range infos {
-		if bi.Quarantined {
-			n++
-		}
-	}
-	return n
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// fetchBoards reads one target's /v1/boards: what the -expect-* verdicts
+// and the trace mode's server count are read from.
+func fetchBoards(url string, deadline time.Time, st *stats) ([]serve.BoardInfo, error) {
+	var boards []serve.BoardInfo
+	err := getJSON(url, "/v1/boards", deadline, st, &boards)
+	return boards, err
 }
 
 // countUnhealthyNodes asks /v1/fleet how many nodes dropped out of the
 // healthy rotation; -1 means the query failed (e.g. a single-daemon
 // target, which serves no /v1/fleet).
 func countUnhealthyNodes(target string, deadline time.Time, st *stats) int {
-	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := doReq(client, http.MethodGet, target+"/v1/fleet", nil, deadline)
-	if err != nil {
-		st.mu.Lock()
-		st.transport++
-		st.mu.Unlock()
-		return -1
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return -1
-	}
 	var info fleet.Info
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	if getJSON(target, "/v1/fleet", deadline, st, &info) != nil {
 		return -1
 	}
 	n := 0
@@ -489,67 +490,28 @@ func countUnhealthyNodes(target string, deadline time.Time, st *stats) int {
 	return n
 }
 
-// minWarmResets asks /v1/boards for the smallest warm-reset count any
-// board served; -1 means the query itself failed or there are no boards.
-func minWarmResets(target string, deadline time.Time, st *stats) int64 {
-	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := doReq(client, http.MethodGet, target+"/v1/boards", nil, deadline)
-	if err != nil {
-		st.mu.Lock()
-		st.transport++
-		st.mu.Unlock()
-		return -1
-	}
-	defer resp.Body.Close()
-	var infos []serve.BoardInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil || len(infos) == 0 {
-		return -1
-	}
-	min := infos[0].WarmResets
-	for _, bi := range infos[1:] {
-		if bi.WarmResets < min {
-			min = bi.WarmResets
-		}
-	}
-	return min
-}
-
-// sumCompactions asks /v1/boards how many idle-cycle compaction passes
-// ran across the pool; -1 means the query itself failed.
-func sumCompactions(target string, deadline time.Time, st *stats) int64 {
-	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := doReq(client, http.MethodGet, target+"/v1/boards", nil, deadline)
-	if err != nil {
-		st.mu.Lock()
-		st.transport++
-		st.mu.Unlock()
-		return -1
-	}
-	defer resp.Body.Close()
-	var infos []serve.BoardInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-		return -1
-	}
-	var n int64
-	for _, bi := range infos {
-		n += bi.Compactions
-	}
-	return n
-}
-
-// runOne submits one job (rotating targets, honoring each target's
-// Retry-After window, and retrying transient transport errors) and polls
-// it to a terminal state on the target that accepted it.
-func runOne(client *http.Client, ts *targetSet, tenant string, spec *workload.Spec, checkLint, allowFaults bool, deadline time.Time, st *stats) {
+// awaitJob runs one job over the wire: submit (rotating targets,
+// honoring each target's Retry-After window, retrying transient
+// transport errors), then poll it to a terminal state on the target that
+// accepted it. It returns that status and the service latency: accepted
+// submit to terminal status, less the Retry-After windows slept through
+// while polling, so the latency is the server's, not the throttle
+// budget's. Everything on the way — status codes, 429 retries, throttle
+// waits, transport and protocol failures — is counted in st; an error
+// means no terminal status was reached. Closed-loop and trace mode fold
+// the status into their own verdicts.
+func awaitJob(client *http.Client, ts *targetSet, tenant string, spec *workload.Spec, deadline time.Time, st *stats) (js serve.JobStatus, svc time.Duration, err error) {
 	body, err := json.Marshal(serve.SubmitRequest{Tenant: tenant, Workload: *spec})
 	if err != nil {
-		panic(err) // specs come from BuiltinSpec; marshal cannot fail
+		panic(err) // specs come from BuiltinSpec or a validated trace; marshal cannot fail
 	}
+	var n wireTally
+	defer st.merge(&n)
 	var sub serve.SubmitResponse
 	var tgt *target
-	for {
+	for tgt == nil {
 		if time.Now().After(deadline) {
-			return
+			return js, 0, fmt.Errorf("deadline exceeded before submit")
 		}
 		t, wait := ts.pick()
 		if t == nil {
@@ -562,97 +524,85 @@ func runOne(client *http.Client, ts *targetSet, tenant string, spec *workload.Sp
 		}
 		resp, err := doReq(client, http.MethodPost, t.url+"/v1/jobs", body, deadline)
 		if err != nil {
-			st.mu.Lock()
-			st.transport++
-			st.mu.Unlock()
-			return
+			n.transport++
+			return js, 0, err
 		}
 		code := resp.StatusCode
-		st.code(code)
+		n.codes = append(n.codes, code)
 		if code == http.StatusTooManyRequests {
 			t.noteThrottled(retryAfterWait(resp))
-			st.mu.Lock()
-			st.retries++
-			st.mu.Unlock()
+			n.retries++
 			continue // the rotation moves on; this target sits out its window
 		}
 		err = json.NewDecoder(resp.Body).Decode(&sub)
 		resp.Body.Close()
-		if code != http.StatusAccepted || err != nil {
-			st.mu.Lock()
-			st.failed++
-			st.mu.Unlock()
-			return
+		if err != nil {
+			n.failed++
+			return js, 0, fmt.Errorf("submit: HTTP %d: %w", code, err)
+		}
+		if code != http.StatusAccepted {
+			n.failed++
+			return js, 0, fmt.Errorf("submit: HTTP %d", code)
 		}
 		t.noteSubmitted()
 		tgt = t
-		break
 	}
-	st.mu.Lock()
-	st.submitted++
-	st.mu.Unlock()
+	n.submitted++
 
-	// Service latency starts at the accepted submit; Retry-After windows
-	// slept through while polling are subtracted back out, so the
-	// reported latency is the server's, not the throttle budget's.
 	acceptedAt := time.Now()
 	var waited time.Duration
-
 	for {
 		if time.Now().After(deadline) {
-			st.mu.Lock()
-			st.failed++
-			st.mu.Unlock()
-			return
+			n.failed++
+			return js, 0, fmt.Errorf("deadline exceeded polling job %s", sub.ID)
 		}
 		resp, err := doReq(client, http.MethodGet, tgt.url+"/v1/jobs/"+sub.ID, nil, deadline)
 		if err != nil {
-			st.mu.Lock()
-			st.transport++
-			st.mu.Unlock()
-			return
+			n.transport++
+			return js, 0, err
 		}
-		st.code(resp.StatusCode)
+		n.codes = append(n.codes, resp.StatusCode)
 		if resp.StatusCode == http.StatusTooManyRequests {
 			wait := retryAfterWait(resp)
-			st.mu.Lock()
-			st.retries++
-			st.mu.Unlock()
+			n.retries++
 			st.noteThrottleWait(tenant, wait)
 			waited += wait
 			sleep(wait)
 			continue
 		}
-		var js serve.JobStatus
 		err = json.NewDecoder(resp.Body).Decode(&js)
 		resp.Body.Close()
 		if err != nil {
-			st.mu.Lock()
-			st.failed++
-			st.mu.Unlock()
-			return
+			n.failed++
+			return js, 0, fmt.Errorf("poll job %s: %w", sub.ID, err)
 		}
-		switch js.State {
-		case serve.StateDone:
-			st.noteService(tenant, time.Since(acceptedAt)-waited)
-			st.mu.Lock()
-			st.completed++
-			if checkLint && (js.Result == nil || !js.Result.LintClean) {
-				st.lintDirty++
-			}
-			st.mu.Unlock()
-			return
-		case serve.StateFailed:
-			st.mu.Lock()
-			if allowFaults && js.FaultKind != "" {
-				// A typed casualty of the fault campaign, not a bug.
-				st.faulted++
-			} else {
-				st.failed++
-			}
-			st.mu.Unlock()
-			return
+		if js.State == serve.StateDone || js.State == serve.StateFailed {
+			return js, time.Since(acceptedAt) - waited, nil
 		}
 		sleep(20 * time.Millisecond)
+	}
+}
+
+// runOne is one closed-loop job: awaitJob, then the closed-loop verdict.
+// A failure carrying a typed fault kind counts apart when allowFaults is
+// set; a done job without a lint-clean result is lint-dirty.
+func runOne(client *http.Client, ts *targetSet, tenant string, spec *workload.Spec, checkLint, allowFaults bool, deadline time.Time, st *stats) {
+	js, svc, err := awaitJob(client, ts, tenant, spec, deadline, st)
+	if err != nil {
+		return // counted where it happened
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	switch {
+	case js.State == serve.StateDone:
+		st.noteServiceLocked(tenant, svc)
+		st.completed++
+		if checkLint && (js.Result == nil || !js.Result.LintClean) {
+			st.lintDirty++
+		}
+	case allowFaults && js.FaultKind != "":
+		st.faulted++ // a typed casualty of the fault campaign, not a bug
+	default:
+		st.failed++
 	}
 }

@@ -12,7 +12,6 @@ package main
 // CSV/JSON is byte-identical across runs of the same trace.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -210,9 +209,9 @@ func runTrace(ts *targetSet, path string, opts traceOpts) int {
 // round-robin across the targets) and collects one virtual Outcome per
 // entry. Submissions do not wait for each other: pacing follows the
 // recorded arrival clock, not completions.
-func executeTrace(ts *targetSet, tr *workload.Trace, opts traceOpts, st *stats) ([]loadgen.Outcome, error) {
+func executeTrace(ts *targetSet, tr *workload.Trace, opts traceOpts, st *stats) ([]workload.Outcome, error) {
 	client := &http.Client{Timeout: 30 * time.Second}
-	outcomes := make([]loadgen.Outcome, len(tr.Entries))
+	outcomes := make([]workload.Outcome, len(tr.Entries))
 	errs := make([]error, len(tr.Entries))
 	// Bound in-flight jobs so huge traces cannot exhaust sockets; 64 is
 	// far beyond any pool's aggregate queue depth.
@@ -244,154 +243,46 @@ func executeTrace(ts *targetSet, tr *workload.Trace, opts traceOpts, st *stats) 
 	return outcomes, nil
 }
 
-// submitAndAwait runs one trace entry over the wire: submit (honoring
-// Retry-After windows), poll to a terminal state, and convert the
-// result into a virtual Outcome. A typed injected-fault failure is an
-// outcome; an untyped failure or exhausted transport is an error.
-func submitAndAwait(client *http.Client, ts *targetSet, tenant string, spec *workload.Spec, opts traceOpts, st *stats) (loadgen.Outcome, error) {
-	body, err := json.Marshal(serve.SubmitRequest{Tenant: tenant, Workload: *spec})
+// submitAndAwait is one trace entry: awaitJob, then the trace verdict —
+// the result as a virtual Outcome. A typed injected-fault failure is an
+// outcome (data for the model's error breakdown); an untyped failure, a
+// done job without a result, or a wire failure is an error.
+func submitAndAwait(client *http.Client, ts *targetSet, tenant string, spec *workload.Spec, opts traceOpts, st *stats) (workload.Outcome, error) {
+	js, svc, err := awaitJob(client, ts, tenant, spec, opts.deadline, st)
 	if err != nil {
-		panic(err) // trace specs passed Validate; marshal cannot fail
+		return workload.Outcome{}, err
 	}
-	var sub serve.SubmitResponse
-	var tgt *target
-	for {
-		if time.Now().After(opts.deadline) {
-			return loadgen.Outcome{}, fmt.Errorf("deadline exceeded before submit")
-		}
-		t, wait := ts.pick()
-		if t == nil {
-			st.noteThrottleWait(tenant, wait)
-			sleep(wait)
-			continue
-		}
-		resp, err := doReq(client, http.MethodPost, t.url+"/v1/jobs", body, opts.deadline)
-		if err != nil {
-			st.mu.Lock()
-			st.transport++
-			st.mu.Unlock()
-			return loadgen.Outcome{}, err
-		}
-		code := resp.StatusCode
-		st.code(code)
-		if code == http.StatusTooManyRequests {
-			t.noteThrottled(retryAfterWait(resp))
-			st.mu.Lock()
-			st.retries++
-			st.mu.Unlock()
-			continue
-		}
-		err = json.NewDecoder(resp.Body).Decode(&sub)
-		resp.Body.Close()
-		if err != nil {
-			st.mu.Lock()
-			st.failed++
-			st.mu.Unlock()
-			return loadgen.Outcome{}, fmt.Errorf("submit: HTTP %d: %w", code, err)
-		}
-		if code != http.StatusAccepted {
-			st.mu.Lock()
-			st.failed++
-			st.mu.Unlock()
-			return loadgen.Outcome{}, fmt.Errorf("submit: HTTP %d", code)
-		}
-		t.noteSubmitted()
-		tgt = t
-		break
-	}
+	done := js.State == serve.StateDone
 	st.mu.Lock()
-	st.submitted++
-	st.mu.Unlock()
-
-	acceptedAt := time.Now()
-	var waited time.Duration
-	for {
-		if time.Now().After(opts.deadline) {
-			st.mu.Lock()
-			st.failed++
-			st.mu.Unlock()
-			return loadgen.Outcome{}, fmt.Errorf("deadline exceeded polling job %s", sub.ID)
+	defer st.mu.Unlock()
+	switch {
+	case done && js.Result != nil:
+		st.noteServiceLocked(tenant, svc)
+		st.completed++
+		if opts.checkLint && !js.Result.LintClean {
+			st.lintDirty++
 		}
-		resp, err := doReq(client, http.MethodGet, tgt.url+"/v1/jobs/"+sub.ID, nil, opts.deadline)
-		if err != nil {
-			st.mu.Lock()
-			st.transport++
-			st.mu.Unlock()
-			return loadgen.Outcome{}, err
-		}
-		st.code(resp.StatusCode)
-		if resp.StatusCode == http.StatusTooManyRequests {
-			wait := retryAfterWait(resp)
-			st.mu.Lock()
-			st.retries++
-			st.mu.Unlock()
-			st.noteThrottleWait(tenant, wait)
-			waited += wait
-			sleep(wait)
-			continue
-		}
-		var js serve.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&js)
-		resp.Body.Close()
-		if err != nil {
-			st.mu.Lock()
-			st.failed++
-			st.mu.Unlock()
-			return loadgen.Outcome{}, fmt.Errorf("poll job %s: %w", sub.ID, err)
-		}
-		switch js.State {
-		case serve.StateDone:
-			if js.Result == nil {
-				st.mu.Lock()
-				st.failed++
-				st.mu.Unlock()
-				return loadgen.Outcome{}, fmt.Errorf("job %s done without a result", sub.ID)
-			}
-			st.noteService(tenant, time.Since(acceptedAt)-waited)
-			st.mu.Lock()
-			st.completed++
-			if opts.checkLint && !js.Result.LintClean {
-				st.lintDirty++
-			}
-			st.mu.Unlock()
-			return loadgen.Outcome{Service: js.Result.Makespan}, nil
-		case serve.StateFailed:
-			if js.FaultKind != "" {
-				// A typed chaos-campaign casualty is data for the model's
-				// error breakdown, not an infrastructure failure.
-				st.mu.Lock()
-				st.faulted++
-				st.mu.Unlock()
-				return loadgen.Outcome{Failed: true, FaultKind: js.FaultKind}, nil
-			}
-			st.mu.Lock()
-			st.failed++
-			st.mu.Unlock()
-			return loadgen.Outcome{}, fmt.Errorf("job %s failed: %s", sub.ID, js.Error)
-		}
-		sleep(20 * time.Millisecond)
+		return workload.Outcome{Service: js.Result.Makespan}, nil
+	case done:
+		st.failed++
+		return workload.Outcome{}, fmt.Errorf("job %s done without a result", js.ID)
+	case js.FaultKind != "":
+		st.faulted++
+		return workload.Outcome{Failed: true, FaultKind: js.FaultKind}, nil
 	}
+	st.failed++
+	return workload.Outcome{}, fmt.Errorf("job %s failed: %s", js.ID, js.Error)
 }
 
 // queryServerCount sums the board counts of every target's /v1/boards.
 func queryServerCount(ts *targetSet, deadline time.Time, st *stats) int {
-	client := &http.Client{Timeout: 30 * time.Second}
 	total := 0
 	for _, t := range ts.targets {
-		resp, err := doReq(client, http.MethodGet, t.url+"/v1/boards", nil, deadline)
-		if err != nil {
-			st.mu.Lock()
-			st.transport++
-			st.mu.Unlock()
-			return -1
-		}
-		var infos []serve.BoardInfo
-		err = json.NewDecoder(resp.Body).Decode(&infos)
-		resp.Body.Close()
+		boards, err := fetchBoards(t.url, deadline, st)
 		if err != nil {
 			return -1
 		}
-		total += len(infos)
+		total += len(boards)
 	}
 	return total
 }

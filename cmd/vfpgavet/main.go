@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/layering"
 	"repro/internal/analysis/ledgeronly"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/lockproto"
@@ -45,6 +46,7 @@ var all = []*analysis.Analyzer{
 	metricsonce.Analyzer,
 	mapiter.Analyzer,
 	lockproto.Analyzer,
+	layering.Analyzer,
 }
 
 func main() {

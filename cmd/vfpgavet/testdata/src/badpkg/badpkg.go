@@ -1,6 +1,6 @@
-// Package badpkg trips every vfpgavet analyzer exactly once; the CLI
-// test drives the built binary over it and asserts the exit status and
-// one diagnostic per analyzer.
+// Package badpkg trips every vfpgavet analyzer exactly once (but for
+// layering: a package under cmd/, the top layer, cannot); the CLI test
+// drives the binary over it and asserts exit status and diagnostics.
 //
 //vfpgavet:deterministic
 package badpkg

@@ -24,6 +24,26 @@ func testBakeoffConfig(jobs int) BakeoffConfig {
 	}
 }
 
+// BakeoffRecord is one config's rows as testdata/bakeoff_rows.json
+// holds them.
+type BakeoffRecord struct {
+	Config BakeoffConfig `json:"config"`
+	Rows   []BakeoffRow  `json:"rows"`
+}
+
+// RunBakeoffAll replays the stream against each named policy in order.
+func RunBakeoffAll(cfg BakeoffConfig, policies []string) (*BakeoffRecord, error) {
+	rec := &BakeoffRecord{Config: cfg}
+	for _, name := range policies {
+		row, err := RunBakeoff(cfg, name)
+		if err != nil {
+			return nil, err
+		}
+		rec.Rows = append(rec.Rows, row)
+	}
+	return rec, nil
+}
+
 func TestBakeoffDeterministic(t *testing.T) {
 	cfg := testBakeoffConfig(800)
 	a, err := RunBakeoffAll(cfg, PolicyNames)

@@ -187,6 +187,25 @@ func TestFleetRejectsBadPins(t *testing.T) {
 	}
 }
 
+// The body cap lives in the NewAPI both front-ends share: an oversized
+// POST is refused with the typed 413 here too, and a normal job after it
+// still runs.
+func TestFleetOversizedSubmitRefused(t *testing.T) {
+	s := newTestFleet(t, ServerConfig{}, 2, 1)
+	huge := `{"tenant":"` + strings.Repeat("a", 1<<20) + `","workload":{"scenario":"multimedia"}}`
+	rec := do(t, s, "POST", "/v1/jobs", huge)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: got %d, want 413", rec.Code)
+	}
+	var body serve.ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Fatalf("413 without a JSON error body: %v (%.200s)", err, rec.Body)
+	}
+	if st := submitWait(t, s, "acme", "multimedia"); st.State != serve.StateDone {
+		t.Fatalf("job after the refusal: %+v", st)
+	}
+}
+
 // TestFleetSharedAdmission is the Retry-After satellite: one admission
 // domain spans the fleet, so a tenant's budget does not multiply with
 // node count, and a 429's Retry-After reflects the earliest token of

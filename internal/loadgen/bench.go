@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // DefaultCurveSpeedups is the sweep behind the bench record's (and
@@ -41,9 +42,10 @@ const (
 	DefaultBenchSLO     = "p99<750ms"
 )
 
-// BenchRecord is the "load" section of BENCH_serve.json: the generator
-// recipe, the baseline replay at recorded speed, the throughput curve,
-// and the saturation point under the declared SLO.
+// BenchRecord is the committed load record
+// (testdata/golden_summary.json): the generator recipe, the baseline
+// replay at recorded speed, the throughput curve, and the saturation
+// point under the declared SLO.
 type BenchRecord struct {
 	Gen        GenConfig       `json:"gen"`
 	SLO        string          `json:"slo"`
@@ -57,7 +59,7 @@ type BenchRecord struct {
 // curve, and through the saturation search. Deterministic end to end:
 // the only non-model input is run's measured virtual makespans, which
 // are themselves pure per spec.
-func RunBench(cfg GenConfig, servers int, sloSpec string, run RunFunc) (*BenchRecord, error) {
+func RunBench(cfg GenConfig, servers int, sloSpec string, run workload.RunFunc) (*BenchRecord, error) {
 	slo, err := ParseSLO(sloSpec)
 	if err != nil {
 		return nil, err

@@ -6,15 +6,16 @@
 // a saturation point under a declared latency SLO.
 //
 // The split that makes replay reproducible: executing a trace entry on
-// the serving stack yields a virtual-time Outcome (the job's makespan is
-// a pure function of the spec — the warm-board equivalence suite pins
-// that), and everything else — queueing, admission, latency, saturation
-// — is computed here in virtual time by a K-server FIFO model. Real
-// submissions happen at the wall-clock boundary (cmd/vfpgaload paces
-// them open-loop against a live daemon); the numbers the harness emits
-// are all virtual, so the same trace file and speedup produce
-// byte-identical CSV and JSON results on every run, single node or
-// fleet. This package is therefore under the determinism contract:
+// the serving stack yields a virtual-time workload.Outcome (the job's
+// makespan is a pure function of the spec — the warm-board equivalence
+// suite pins that), and everything else — queueing, admission, latency,
+// saturation — is computed in virtual time by fleet.Simulate, the one
+// queueing kernel, configured here as a K-server FIFO. Real submissions
+// happen at the wall-clock boundary (cmd/vfpgaload paces them open-loop
+// against a live daemon); the numbers the harness emits are all virtual,
+// so the same trace file and speedup produce byte-identical CSV and JSON
+// results on every run, single node or fleet. This package is therefore
+// under the determinism contract:
 //
 //vfpgavet:deterministic
 package loadgen
@@ -22,34 +23,21 @@ package loadgen
 import (
 	"fmt"
 
+	"repro/internal/fleet"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// Outcome is what actually running one trace entry on the serving stack
-// produced: the job's virtual makespan, and whether it failed (with the
-// typed injected-fault kind when the failure was a chaos-campaign
-// casualty). Outcomes are pure values: equal specs yield equal outcomes.
-type Outcome struct {
-	Service   sim.Time `json:"service_ns"`
-	Failed    bool     `json:"failed,omitempty"`
-	FaultKind string   `json:"fault_kind,omitempty"`
-}
-
-// RunFunc executes one submission on the serving stack and reports its
-// outcome. A non-nil error aborts the whole replay (infrastructure
-// broke); a job that merely failed comes back as Outcome.Failed.
-type RunFunc func(tenant string, spec *workload.Spec) (Outcome, error)
 
 // Execute runs every trace entry through run, in entry order, and
 // returns the per-entry outcomes the model consumes. Implementations
 // that memoize by spec (serve.NewDirectRunner) make this cheap for
 // traces with repeated specs.
-func Execute(tr *workload.Trace, run RunFunc) ([]Outcome, error) {
+func Execute(tr *workload.Trace, run workload.RunFunc) ([]workload.Outcome, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	out := make([]Outcome, len(tr.Entries))
+	out := make([]workload.Outcome, len(tr.Entries))
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
 		o, err := run(e.Tenant, &e.Spec)
@@ -59,4 +47,53 @@ func Execute(tr *workload.Trace, run RunFunc) ([]Outcome, error) {
 		out[i] = o
 	}
 	return out, nil
+}
+
+// Replay pushes the trace through the queueing kernel configured as a
+// K-server FIFO: one node of cfg.Servers one-column boards, every entry
+// a width-1 job arriving at At/Speedup and holding its board for its
+// measured virtual service time, the daemon's own per-tenant
+// token-bucket admission in front when cfg.AdmitRate > 0. outcomes must
+// be positional per trace entry (from Execute). Everything is integer
+// virtual time or order-fixed float arithmetic, so equal inputs give
+// equal Results, byte for byte.
+func Replay(tr *workload.Trace, outcomes []workload.Outcome, cfg ModelConfig) (*Result, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if len(outcomes) != len(tr.Entries) {
+		return nil, fmt.Errorf("loadgen: %d outcomes for %d trace entries", len(outcomes), len(tr.Entries))
+	}
+
+	tenantIndex := make(map[string]int32, len(tr.Tenants))
+	for i, t := range tr.Tenants {
+		tenantIndex[t] = int32(i)
+	}
+	jobs := make([]fleet.SimJob, len(tr.Entries))
+	for i := range tr.Entries {
+		e := &tr.Entries[i]
+		jobs[i] = fleet.SimJob{
+			Arrival:  sim.Time(float64(e.At) / cfg.Speedup),
+			Duration: outcomes[i].Service,
+			Tenant:   tenantIndex[e.Tenant],
+			Width:    1,
+		}
+	}
+	// With one node every policy routes alike; firstfit is the cheapest.
+	policy, err := fleet.NewPolicy("firstfit", 0)
+	if err != nil {
+		return nil, err
+	}
+	tot, err := fleet.Simulate(fleet.Shape{
+		Nodes: 1, BoardsPerNode: cfg.Servers, Cols: 1, FailNode: -1,
+		Limits:  serve.TenantLimits{Rate: cfg.AdmitRate, Burst: cfg.AdmitBurst},
+		Tenants: tr.Tenants,
+	}, policy, jobs)
+	if err != nil {
+		return nil, err
+	}
+	return foldResult(tr, outcomes, cfg, jobs, tot.Makespan), nil
 }

@@ -5,23 +5,24 @@ import (
 	"testing"
 
 	"repro/internal/loadgen"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // evenTrace returns n single-tenant arrivals spaced gap apart, plus a
 // uniform outcome list with the given service time.
-func evenTrace(t *testing.T, n int, gap, service sim.Time) (*workload.Trace, []loadgen.Outcome) {
+func evenTrace(t *testing.T, n int, gap, service sim.Time) (*workload.Trace, []workload.Outcome) {
 	t.Helper()
 	spec, err := workload.BuiltinSpec("multimedia")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := &workload.Trace{Version: workload.TraceVersion, Seed: 1, Tenants: []string{"solo"}}
-	outcomes := make([]loadgen.Outcome, n)
+	outcomes := make([]workload.Outcome, n)
 	for i := 0; i < n; i++ {
 		tr.Entries = append(tr.Entries, workload.TraceEntry{At: sim.Time(i) * gap, Tenant: "solo", Spec: spec})
-		outcomes[i] = loadgen.Outcome{Service: service}
+		outcomes[i] = workload.Outcome{Service: service}
 	}
 	return tr, outcomes
 }
@@ -58,7 +59,7 @@ func TestReplayFIFOQueueing(t *testing.T) {
 			{At: 0, Tenant: "b", Spec: spec},
 		},
 	}
-	outcomes := []loadgen.Outcome{{Service: 100}, {Service: 50}}
+	outcomes := []workload.Outcome{{Service: 100}, {Service: 50}}
 	res, err := loadgen.Replay(tr, outcomes, loadgen.ModelConfig{Servers: 1, Speedup: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestReplayTokenBucketThrottles(t *testing.T) {
 
 func TestReplayRecordsFailures(t *testing.T) {
 	tr, outcomes := evenTrace(t, 3, 1000, 100)
-	outcomes[1] = loadgen.Outcome{Service: 100, Failed: true, FaultKind: "bitstream-corrupt"}
+	outcomes[1] = workload.Outcome{Service: 100, Failed: true, FaultKind: "bitstream-corrupt"}
 	res, err := loadgen.Replay(tr, outcomes, loadgen.ModelConfig{Servers: 1, Speedup: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -265,9 +266,9 @@ func TestSaturateEdges(t *testing.T) {
 func TestExecuteRunsEntriesInOrder(t *testing.T) {
 	tr, _ := evenTrace(t, 5, 1000, 0)
 	var seen []string
-	outcomes, err := loadgen.Execute(tr, func(tenant string, spec *workload.Spec) (loadgen.Outcome, error) {
+	outcomes, err := loadgen.Execute(tr, func(tenant string, spec *workload.Spec) (workload.Outcome, error) {
 		seen = append(seen, tenant+"/"+spec.Scenario)
-		return loadgen.Outcome{Service: sim.Time(len(seen))}, nil
+		return workload.Outcome{Service: sim.Time(len(seen))}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,5 +280,150 @@ func TestExecuteRunsEntriesInOrder(t *testing.T) {
 		if o.Service != sim.Time(i+1) {
 			t.Fatalf("outcomes out of order: %+v", outcomes)
 		}
+	}
+}
+
+// refRow is what the reference and the kernel must agree on per request.
+type refRow struct {
+	wait, latency sim.Time
+	outcome       string
+}
+
+// referenceReplay is the closed-form K-server FIFO the replay was before
+// it became a configuration of fleet.Simulate, kept as the model the
+// kernel is checked against: a free-at time per server, each admitted
+// request taking the earliest-free one, and a float token bucket per
+// tenant in the parent's own arithmetic. edges counts admission
+// decisions taken on a bucket holding exactly one token.
+func referenceReplay(tr *workload.Trace, outcomes []workload.Outcome, cfg loadgen.ModelConfig) (rows []refRow, edges int) {
+	free := make([]sim.Time, cfg.Servers)
+	type bucket struct {
+		tokens float64
+		last   sim.Time
+	}
+	buckets := map[string]*bucket{}
+	for _, t := range tr.Tenants {
+		buckets[t] = &bucket{tokens: cfg.AdmitBurst}
+	}
+	rows = make([]refRow, len(tr.Entries))
+	for i := range tr.Entries {
+		e, o := &tr.Entries[i], outcomes[i]
+		arrival := sim.Time(float64(e.At) / cfg.Speedup)
+		if cfg.AdmitRate > 0 {
+			b := buckets[e.Tenant]
+			b.tokens += float64(arrival-b.last) * cfg.AdmitRate / 1e9
+			if b.tokens > cfg.AdmitBurst {
+				b.tokens = cfg.AdmitBurst
+			}
+			b.last = arrival
+			if b.tokens == 1 {
+				edges++
+			}
+			if b.tokens < 1 {
+				rows[i] = refRow{outcome: loadgen.OutcomeThrottled}
+				continue
+			}
+			b.tokens--
+		}
+		srv := 0
+		for s := 1; s < cfg.Servers; s++ {
+			if free[s] < free[srv] {
+				srv = s
+			}
+		}
+		start := arrival
+		if free[srv] > start {
+			start = free[srv]
+		}
+		free[srv] = start + o.Service
+		rows[i] = refRow{wait: start - arrival, latency: free[srv] - arrival, outcome: loadgen.OutcomeOK}
+		if o.Failed {
+			rows[i].outcome = loadgen.OutcomeFailed
+		}
+	}
+	return rows, edges
+}
+
+// TestReplayMatchesClosedForm drives the kernel-backed Replay and the
+// closed form over seeded random traces built to hit what distinguishes
+// an event loop from a formula: arrivals that share a timestamp (before
+// or only after speedup scaling), zero-service failures, bursts longer
+// than K, a job arriving at the instant another finishes, and — with
+// admission on — gaps of whole token periods, so decisions land exactly
+// on the tokens >= 1 edge. Every request must come out identical.
+func TestReplayMatchesClosedForm(t *testing.T) {
+	spec, err := workload.BuiltinSpec("storage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	speedups := []float64{0.25, 1, 3.7, 64}
+	rates := []float64{1, 2, 3.3, 5, 7, 10, 20}
+	bursts := []float64{1, 1.5, 2, 3, 5}
+	tenants := []string{"a", "b", "c"}
+	edges, throttled, queued := 0, 0, 0
+	for seed := uint64(1); seed <= 240; seed++ {
+		src := rng.New(seed)
+		cfg := loadgen.ModelConfig{Servers: 1 + src.Intn(8), Speedup: speedups[src.Intn(len(speedups))]}
+		period := float64(100 * sim.Millisecond)
+		if seed%2 == 0 {
+			cfg.AdmitRate = rates[src.Intn(len(rates))]
+			cfg.AdmitBurst = bursts[src.Intn(len(bursts))]
+			period = 1e9 / cfg.AdmitRate
+		}
+		step := period * cfg.Speedup // one period of scaled time, in trace time
+		tr := &workload.Trace{Version: workload.TraceVersion, Seed: seed, Tenants: tenants[:1+src.Intn(len(tenants))]}
+		var outcomes []workload.Outcome
+		at := sim.Time(0)
+		for n := 20 + src.Intn(60); len(tr.Entries) < n; {
+			switch src.Intn(6) {
+			case 0: // same timestamp as the previous entry
+			case 1: // distinct in the trace, equal after a speedup > 1
+				at += sim.Time(1 + src.Intn(3))
+			case 2, 3: // whole token periods: the bucket refills to an integer
+				at += sim.Time(float64(1+src.Intn(3)) * step)
+			default:
+				at += sim.Time(src.Float64() * 2 * step)
+			}
+			batch := 1
+			if src.Intn(8) == 0 { // a burst longer than K at one instant
+				batch = cfg.Servers + 1 + src.Intn(cfg.Servers+3)
+			}
+			for b := 0; b < batch; b++ {
+				o := workload.Outcome{Service: sim.Time(src.Float64() * 1.5 * period * float64(cfg.Servers))}
+				switch src.Intn(8) {
+				case 0:
+					o = workload.Outcome{Failed: true, FaultKind: "config-error"} // zero service
+				case 1:
+					o.Failed = true
+				case 2: // whole periods: completions coincide with later arrivals
+					o.Service = sim.Time(float64(1+src.Intn(4)) * period)
+				}
+				tr.Entries = append(tr.Entries, workload.TraceEntry{At: at, Tenant: tr.Tenants[src.Intn(len(tr.Tenants))], Spec: spec})
+				outcomes = append(outcomes, o)
+			}
+		}
+
+		res, err := loadgen.Replay(tr, outcomes, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want, e := referenceReplay(tr, outcomes, cfg)
+		edges += e
+		for i, w := range want {
+			r := res.Requests[i]
+			if got := (refRow{r.Wait, r.Latency, r.Outcome}); got != w {
+				t.Fatalf("seed %d (%+v) request %d of %d: kernel %+v, closed form %+v", seed, cfg, i, len(want), got, w)
+			}
+			if w.outcome == loadgen.OutcomeThrottled {
+				throttled++
+			} else if w.wait > 0 {
+				queued++
+			}
+		}
+	}
+	// The streams must actually reach the cases they were built for.
+	t.Logf("%d edge decisions, %d throttled, %d queued", edges, throttled, queued)
+	if edges < 100 || throttled < 100 || queued < 1000 {
+		t.Fatalf("streams too tame: %d edge decisions, %d throttled, %d queued", edges, throttled, queued)
 	}
 }

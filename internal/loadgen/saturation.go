@@ -19,7 +19,7 @@ type CurvePoint struct {
 	SLOMet         bool    `json:"slo_met"`
 }
 
-func pointAt(tr *workload.Trace, outcomes []Outcome, cfg ModelConfig, slo SLO) (CurvePoint, error) {
+func pointAt(tr *workload.Trace, outcomes []workload.Outcome, cfg ModelConfig, slo SLO) (CurvePoint, error) {
 	res, err := Replay(tr, outcomes, cfg)
 	if err != nil {
 		return CurvePoint{}, err
@@ -41,7 +41,7 @@ func pointAt(tr *workload.Trace, outcomes []Outcome, cfg ModelConfig, slo SLO) (
 // per step: the offered-vs-achieved throughput curve with its latency
 // quantiles. Execution happens once (outcomes are reused); each point is
 // a pure model replay.
-func Curve(tr *workload.Trace, outcomes []Outcome, base ModelConfig, speedups []float64, slo SLO) ([]CurvePoint, error) {
+func Curve(tr *workload.Trace, outcomes []workload.Outcome, base ModelConfig, speedups []float64, slo SLO) ([]CurvePoint, error) {
 	if len(speedups) == 0 {
 		return nil, fmt.Errorf("loadgen: curve needs at least one speedup")
 	}
@@ -75,7 +75,7 @@ type SaturationPoint struct {
 // load whose replay still meets the SLO. iters halvings bound the work;
 // the search is over a deterministic model, so the result is exact to
 // the final interval width and reproducible.
-func Saturate(tr *workload.Trace, outcomes []Outcome, base ModelConfig, slo SLO, lo, hi float64, iters int) (SaturationPoint, error) {
+func Saturate(tr *workload.Trace, outcomes []workload.Outcome, base ModelConfig, slo SLO, lo, hi float64, iters int) (SaturationPoint, error) {
 	if !(lo > 0) || hi < lo || iters <= 0 {
 		return SaturationPoint{}, fmt.Errorf("loadgen: saturation search needs 0 < lo <= hi and iters > 0")
 	}

@@ -79,11 +79,20 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxSubmitBytes caps a POST /v1/jobs body; the builtin specs encode to
+// well under 200 bytes.
+const maxSubmitBytes = 1 << 20
+
 func (a *api) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -208,8 +208,11 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	m.Int("vfpgad_job_requeues_total", s.pool.RequeueCount())
 
 	// Job service time, in virtual nanoseconds (makespan of completed
-	// jobs). The _sum/_count series belong to the summary family per the
-	// exposition format; their names are built from a variable so the
+	// jobs). The quantiles come from a bounded log-linear recorder
+	// (stats.LatencyRecorder): each reads at most 1/16 above the exact
+	// value and never above the largest makespan seen; _sum and _count
+	// are exact. The _sum/_count series belong to the summary family per
+	// the exposition format; their names are built from a variable so the
 	// analyzer's declared-family check keys on the summary name.
 	p50, p95, svcSum, svcCount := s.pool.ServiceStats()
 	svcFamily := "vfpgad_job_service_time_ns"

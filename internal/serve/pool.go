@@ -305,35 +305,36 @@ type Pool struct {
 	seq      int64
 	requeues int64 // jobs handed to another board after a quarantine
 	draining bool
-	// svc samples completed jobs' virtual service time (makespan, ns)
+	// svc records completed jobs' virtual service time (makespan, ns)
 	// across all boards, feeding the /metrics summary; tenantSvc holds
-	// the same sample sliced per tenant. Observations are retained for
-	// quantiles; one float per job is fine at this scale.
-	svc       *stats.Sample
-	tenantSvc map[string]*stats.Sample
+	// the same record sliced per tenant. Both are bounded: a fixed set of
+	// buckets however many jobs the daemon has served.
+	svc       *stats.LatencyRecorder
+	tenantSvc map[string]*stats.LatencyRecorder
 }
 
 // observeService records one completed job's virtual service time,
 // both in the pool-wide sample and the tenant's slice of it.
 func (p *Pool) observeService(tenant string, ns int64) {
 	p.mu.Lock()
-	p.svc.Observe(float64(ns))
+	p.svc.Observe(ns)
 	ts := p.tenantSvc[tenant]
 	if ts == nil {
-		ts = stats.NewSample(true)
+		ts = stats.NewLatencyRecorder()
 		p.tenantSvc[tenant] = ts
 	}
-	ts.Observe(float64(ns))
+	ts.Observe(ns)
 	p.mu.Unlock()
 }
 
 // ServiceStats returns the p50/p95 quantiles, sum and count of the
-// service-time sample, all in virtual nanoseconds.
+// service-time record, all in virtual nanoseconds. The quantiles are a
+// bucket's upper bound: at most 1/16 above the exact value, never above
+// the observed maximum.
 func (p *Pool) ServiceStats() (p50, p95, sum, count int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return int64(p.svc.Quantile(0.5)), int64(p.svc.Quantile(0.95)),
-		int64(p.svc.Sum()), p.svc.Count()
+	return p.svc.Quantile(0.5), p.svc.Quantile(0.95), p.svc.Sum(), p.svc.Count()
 }
 
 // TenantServiceSummary is one tenant's slice of the service-time
@@ -355,9 +356,9 @@ func (p *Pool) TenantServiceStats() []TenantServiceSummary {
 	for tenant, s := range p.tenantSvc {
 		out = append(out, TenantServiceSummary{
 			Tenant: tenant,
-			P50:    int64(s.Quantile(0.5)),
-			P95:    int64(s.Quantile(0.95)),
-			Sum:    int64(s.Sum()),
+			P50:    s.Quantile(0.5),
+			P95:    s.Quantile(0.95),
+			Sum:    s.Sum(),
 			Count:  s.Count(),
 		})
 	}
@@ -386,8 +387,8 @@ func NewPool(cfgs []BoardConfig, opts PoolOptions) (*Pool, error) {
 		compactWatermark: opts.CompactWatermark,
 		compactBudget:    opts.CompactBudget,
 		jobs:             map[string]*Job{},
-		svc:              stats.NewSample(true),
-		tenantSvc:        map[string]*stats.Sample{},
+		svc:              stats.NewLatencyRecorder(),
+		tenantSvc:        map[string]*stats.LatencyRecorder{},
 	}
 	for i, bc := range cfgs {
 		if err := bc.Validate(); err != nil {

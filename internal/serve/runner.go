@@ -7,7 +7,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/fault"
 	"repro/internal/hostos"
-	"repro/internal/loadgen"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -79,7 +78,7 @@ func (bc *BoardConfig) Validate() error {
 	return nil
 }
 
-// NewDirectRunner returns a loadgen.RunFunc that executes each spec on
+// NewDirectRunner returns a workload.RunFunc that executes each spec on
 // a board built from bc: the same cold path as runJob, memoized by the
 // spec's canonical JSON. Memoization is sound because a job's result is
 // a pure function of (config, spec) — the warm-board equivalence suite
@@ -88,31 +87,31 @@ func (bc *BoardConfig) Validate() error {
 // typed kind); any other error is infrastructure and aborts the replay.
 // The returned func keeps single-goroutine state: call it from one
 // goroutine (loadgen.Execute does).
-func NewDirectRunner(bc BoardConfig) (loadgen.RunFunc, error) {
+func NewDirectRunner(bc BoardConfig) (workload.RunFunc, error) {
 	if err := bc.Validate(); err != nil {
 		return nil, err
 	}
 	cache := compile.NewStripCache(compile.DefaultCacheCapacity)
-	memo := map[string]loadgen.Outcome{}
-	return func(tenant string, spec *workload.Spec) (loadgen.Outcome, error) {
+	memo := map[string]workload.Outcome{}
+	return func(tenant string, spec *workload.Spec) (workload.Outcome, error) {
 		key, err := json.Marshal(spec)
 		if err != nil {
-			return loadgen.Outcome{}, fmt.Errorf("serve: canonicalize spec: %w", err)
+			return workload.Outcome{}, fmt.Errorf("serve: canonicalize spec: %w", err)
 		}
 		if o, ok := memo[string(key)]; ok {
 			return o, nil
 		}
 		res, err := runJob(cache, bc, spec, false)
-		var o loadgen.Outcome
+		var o workload.Outcome
 		switch {
 		case err == nil:
-			o = loadgen.Outcome{Service: res.Makespan}
+			o = workload.Outcome{Service: res.Makespan}
 		default:
 			esc, ok := fault.AsEscalation(err)
 			if !ok {
-				return loadgen.Outcome{}, err
+				return workload.Outcome{}, err
 			}
-			o = loadgen.Outcome{Failed: true, FaultKind: esc.Kind.String()}
+			o = workload.Outcome{Failed: true, FaultKind: esc.Kind.String()}
 		}
 		memo[string(key)] = o
 		return o, nil

@@ -350,15 +350,21 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", `{"tenant":"a","workload":{"scenario":"multimedia"},"bogus":1}`, http.StatusBadRequest},
 		{"mismatched block", `{"tenant":"a","workload":{"scenario":"multimedia","telecom":{}}}`, http.StatusBadRequest},
 		{"bad board pin", `{"tenant":"a","workload":{"scenario":"multimedia"},"board":7}`, http.StatusBadRequest},
+		{"oversized body", `{"tenant":"` + strings.Repeat("a", maxSubmitBytes) + `","workload":{"scenario":"multimedia"}}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			rec := do(t, s, "POST", "/v1/jobs", c.body)
 			if rec.Code != c.want {
-				t.Errorf("got %d, want %d (body %s)", rec.Code, c.want, rec.Body)
+				t.Errorf("got %d, want %d (body %.200s)", rec.Code, c.want, rec.Body)
+			}
+			var body ErrorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+				t.Errorf("no JSON error body: %v (body %.200s)", err, rec.Body)
 			}
 		})
 	}
+	submitOK(t, s, "a", "multimedia") // a refused request leaves the server serving
 	if rec := do(t, s, "GET", "/v1/jobs/j999999", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown job: got %d, want 404", rec.Code)
 	}

@@ -10,7 +10,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/compile"
 	"repro/internal/fault"
@@ -230,30 +232,70 @@ func BenchmarkJobColdVsWarm(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		cache := compile.NewStripCache(compile.DefaultCacheCapacity)
-		set, err := spec.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		circs, err := compileSet(cache, bc, set)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt, err := buildRuntime(bc, set, circs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rt.run(set, circs, false, false); err != nil {
-			b.Fatal(err)
-		}
+		warm := warmedRun(b, bc, spec)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := rt.run(set, circs, false, true); err != nil {
-				b.Fatal(err)
-			}
+			warm()
 		}
 	})
+}
+
+// warmedRun builds spec's board, serves one job on it, and returns a
+// func that serves the same job again by warm reset.
+func warmedRun(tb testing.TB, bc BoardConfig, spec *workload.Spec) func() {
+	tb.Helper()
+	cache := compile.NewStripCache(compile.DefaultCacheCapacity)
+	set, err := spec.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	circs, err := compileSet(cache, bc, set)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rt, err := buildRuntime(bc, set, circs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := rt.run(set, circs, false, false); err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		if _, err := rt.run(set, circs, false, true); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestWarmAtLeastTwiceAsFastAsCold is the warm-board guarantee as a
+// gate: on the default board, the median of five warm resets must be at
+// least twice as fast as the median of five cold rebuilds with a fresh
+// compile cache (place and route included). The ratio reads ~25x; 2x
+// leaves room for any host.
+func TestWarmAtLeastTwiceAsFastAsCold(t *testing.T) {
+	bc := DefaultBoardConfig()
+	spec := specFor(t, "multimedia")
+	median := func(run func()) time.Duration {
+		var d [5]time.Duration
+		for i := range d {
+			start := time.Now()
+			run()
+			d[i] = time.Since(start)
+		}
+		sort.Slice(d[:], func(i, j int) bool { return d[i] < d[j] })
+		return d[len(d)/2]
+	}
+	cold := median(func() {
+		if _, err := runJob(compile.NewStripCache(compile.DefaultCacheCapacity), bc, spec, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	warm := median(warmedRun(t, bc, spec))
+	t.Logf("cold p50 %v, warm p50 %v (%.1fx)", cold, warm, float64(cold)/float64(warm))
+	if cold < 2*warm {
+		t.Errorf("warm reset p50 %v is not at least 2x faster than a cold rebuild's %v", warm, cold)
+	}
 }
 
 // An empty circuit set must fail at Build time with the typed workload

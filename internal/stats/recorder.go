@@ -1,24 +1,22 @@
-package loadgen
+package stats
 
-import (
-	"math/bits"
+import "math/bits"
 
-	"repro/internal/sim"
-)
-
-// LatencyRecorder is a log-linear bucketed latency accumulator in the
-// HDR-histogram mold: values below 16 ns land in exact unit buckets,
-// larger values in 16 sub-buckets per power of two, so any quantile is
-// reported with relative error at most 1/16 while Observe stays O(1)
-// and the memory footprint fixed. Quantiles come back as the bucket's
-// inclusive upper bound — a deterministic integer, which is what lets
-// replay results be compared byte for byte.
+// LatencyRecorder is the repo's bounded quantile recorder: a log-linear
+// bucketed accumulator of int64 nanoseconds in the HDR-histogram mold.
+// Values below 16 ns land in exact unit buckets, larger values in 16
+// sub-buckets per power of two, so any quantile is reported with
+// relative error at most 1/16 while Observe stays O(1) and the memory
+// footprint fixed — what a long-lived process needs where Sample would
+// keep one float per observation forever. Quantiles come back as the
+// bucket's inclusive upper bound — a deterministic integer, which is
+// what lets replay results be compared byte for byte.
 type LatencyRecorder struct {
 	counts [960]int64 // 16 unit buckets + 59 majors x 16 minors
 	n      int64
 	sum    int64
-	min    sim.Time
-	max    sim.Time
+	min    int64
+	max    int64
 }
 
 // NewLatencyRecorder returns an empty recorder.
@@ -49,13 +47,13 @@ func bucketUpper(idx int) int64 {
 
 // Observe records one latency. Negative values clamp to zero (they can
 // only arise from arithmetic bugs upstream; the recorder stays total).
-func (r *LatencyRecorder) Observe(v sim.Time) {
+func (r *LatencyRecorder) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	r.counts[bucketIndex(int64(v))]++
+	r.counts[bucketIndex(v)]++
 	r.n++
-	r.sum += int64(v)
+	r.sum += v
 	if r.min < 0 || v < r.min {
 		r.min = v
 	}
@@ -71,7 +69,7 @@ func (r *LatencyRecorder) Count() int64 { return r.n }
 func (r *LatencyRecorder) Sum() int64 { return r.sum }
 
 // Min returns the smallest observation, or 0 when empty.
-func (r *LatencyRecorder) Min() sim.Time {
+func (r *LatencyRecorder) Min() int64 {
 	if r.min < 0 {
 		return 0
 	}
@@ -79,13 +77,13 @@ func (r *LatencyRecorder) Min() sim.Time {
 }
 
 // Max returns the largest observation, or 0 when empty.
-func (r *LatencyRecorder) Max() sim.Time { return r.max }
+func (r *LatencyRecorder) Max() int64 { return r.max }
 
 // Quantile returns the q-quantile (0 <= q <= 1) by nearest rank over
 // the buckets: the upper bound of the bucket holding the rank-th
 // observation, capped at the exact observed maximum. Returns 0 for an
 // empty recorder.
-func (r *LatencyRecorder) Quantile(q float64) sim.Time {
+func (r *LatencyRecorder) Quantile(q float64) int64 {
 	if r.n == 0 {
 		return 0
 	}
@@ -103,7 +101,7 @@ func (r *LatencyRecorder) Quantile(q float64) sim.Time {
 	for idx, c := range r.counts {
 		seen += c
 		if seen >= rank {
-			v := sim.Time(bucketUpper(idx))
+			v := bucketUpper(idx)
 			if v > r.max {
 				v = r.max
 			}

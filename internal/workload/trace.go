@@ -56,6 +56,21 @@ type Trace struct {
 	Entries []TraceEntry `json:"entries"`
 }
 
+// Outcome is what actually running one trace entry on the serving stack
+// produced: the job's virtual makespan, and whether it failed (with the
+// typed injected-fault kind when the failure was a chaos-campaign
+// casualty). Outcomes are pure values: equal specs yield equal outcomes.
+type Outcome struct {
+	Service   sim.Time `json:"service_ns"`
+	Failed    bool     `json:"failed,omitempty"`
+	FaultKind string   `json:"fault_kind,omitempty"`
+}
+
+// RunFunc executes one submission on the serving stack and reports its
+// outcome. A non-nil error aborts the whole replay (infrastructure
+// broke); a job that merely failed comes back as Outcome.Failed.
+type RunFunc func(tenant string, spec *Spec) (Outcome, error)
+
 // Validate checks the trace invariants: supported version, at least one
 // tenant and entry, unique declared tenants, non-negative monotonically
 // non-decreasing timestamps, every entry tenant declared, every spec
