@@ -28,10 +28,11 @@ build:
 # The race gate covers the concurrency-bearing packages: the parallel
 # experiment runner (bench), the compile cache (compile), the service
 # daemon (serve), the fleet scheduler (fleet), the router scratch, and
-# the simulation layers they drive, and the shared circuit library
-# (netlist) with the spec builder that reads it from every worker.
+# the simulation layers they drive — the board stack (baseline) runs on
+# every board worker goroutine — and the shared circuit library (netlist)
+# with the spec builder that reads it from every worker.
 race:
-	$(GO) test -race ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/route/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
+	$(GO) test -race ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/route/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
 
 test:
 	$(GO) test ./...
@@ -47,15 +48,15 @@ lint:
 conformance:
 	$(GO) test -race -run 'TestConformance|TestGoldenTimeline|TestManagerDigestsPinned' ./internal/core/
 
-# Coverage: per-package summary, then a combined core+serve profile
-# gated against the committed baseline — new subsystems must arrive with
-# tests, or the gate trips.
+# Coverage: per-package summary, then a combined core+baseline+serve
+# profile gated against the committed baseline — new subsystems must
+# arrive with tests, or the gate trips.
 cover:
 	$(GO) test -cover ./internal/...
-	@$(GO) test -coverprofile=.cover.out ./internal/core/ ./internal/serve/ ./internal/loadgen/ > /dev/null
+	@$(GO) test -coverprofile=.cover.out ./internal/core/ ./internal/baseline/ ./internal/serve/ ./internal/loadgen/ > /dev/null
 	@total=$$($(GO) tool cover -func=.cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 	base=$$(cat COVERAGE_BASELINE); \
-	echo "combined core+serve coverage: $$total% (baseline $$base%)"; \
+	echo "combined core+baseline+serve coverage: $$total% (baseline $$base%)"; \
 	awk -v t="$$total" -v b="$$base" 'BEGIN { exit (t + 0 < b + 0) ? 1 : 0 }' \
 		|| { echo "coverage dropped below the committed baseline"; rm -f .cover.out; exit 1; }
 	@rm -f .cover.out

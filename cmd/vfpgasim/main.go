@@ -13,12 +13,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hostos"
@@ -29,25 +32,36 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	scenario := flag.String("scenario", "multimedia", "multimedia | telecom | diagnosis | storage | synthetic")
-	manager := flag.String("manager", "dynamic", "dynamic | partition | amorphous | overlay | paged | multi | exclusive | software | merged")
-	sched := flag.String("sched", "rr", "fifo | rr | priority")
-	slice := flag.Duration("slice", 10*time.Millisecond, "round-robin time slice")
-	tasks := flag.Int("tasks", 6, "task count (synthetic scenario)")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	cols := flag.Int("cols", 32, "device columns")
-	rows := flag.Int("rows", 16, "device rows")
-	boards := flag.Int("boards", 2, "board count (multi manager)")
-	gantt := flag.Bool("gantt", false, "print an ASCII scheduling timeline")
-	traceFlag := flag.Bool("trace", false, "print the merged scheduler+device event timeline")
-	lintFlag := flag.Bool("lint", false, "run the static verifier on the circuits before and on the device state after simulating; abort on errors")
-	faults := flag.String("faults", "", "fault-injection plan, e.g. seed=7,retries=2,config-error=0.05,readback-flip@3")
-	showVersion := flag.Bool("version", false, "print the build version and exit")
-	flag.Parse()
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main with its arguments and streams passed in, so the golden
+// test drives the documented invocations in-process.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vfpgasim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenario := fs.String("scenario", "multimedia", "multimedia | telecom | diagnosis | storage | synthetic")
+	manager := fs.String("manager", "dynamic", "dynamic | partition | amorphous | overlay | paged | multi | exclusive | software | merged")
+	sched := fs.String("sched", "rr", "fifo | rr | priority")
+	slice := fs.Duration("slice", 10*time.Millisecond, "round-robin time slice")
+	tasks := fs.Int("tasks", 6, "task count (synthetic scenario)")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	cols := fs.Int("cols", 32, "device columns")
+	rows := fs.Int("rows", 16, "device rows")
+	boards := fs.Int("boards", 2, "board count (multi manager)")
+	gantt := fs.Bool("gantt", false, "print an ASCII scheduling timeline")
+	traceFlag := fs.Bool("trace", false, "print the merged scheduler+device event timeline")
+	lintFlag := fs.Bool("lint", false, "run the static verifier on the circuits before and on the device state after simulating; abort on errors")
+	faults := fs.String("faults", "", "fault-injection plan, e.g. seed=7,retries=2,config-error=0.05,readback-flip@3")
+	showVersion := fs.Bool("version", false, "print the build version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *showVersion {
-		fmt.Println("vfpgasim", version.String())
-		return
+		fmt.Fprintln(stdout, "vfpgasim", version.String())
+		return 0
 	}
 
 	cfg := runConfig{
@@ -59,8 +73,8 @@ func main() {
 	if *faults != "" {
 		plan, err := fault.ParseSpec(*faults)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "vfpgasim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "vfpgasim: %v\n", err)
+			return 1
 		}
 		// ParseSpec only checks syntax; the fault-plan lint pass checks
 		// semantics (probability mass per injection point, script
@@ -69,18 +83,19 @@ func main() {
 		diags := lint.RunTarget(&lint.Target{Name: "faults", FaultPlan: &plan},
 			lint.Options{Passes: []string{"fault-plan"}, MinSeverity: lint.Warning})
 		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "vfpgasim: %s\n", d)
+			fmt.Fprintf(stderr, "vfpgasim: %s\n", d)
 		}
 		if lint.HasErrors(diags) {
-			fmt.Fprintf(os.Stderr, "vfpgasim: refusing to run a malformed fault plan\n")
-			os.Exit(1)
+			fmt.Fprintf(stderr, "vfpgasim: refusing to run a malformed fault plan\n")
+			return 1
 		}
 		cfg.faults = &plan
 	}
-	if err := run(cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "vfpgasim: %v\n", err)
-		os.Exit(1)
+	if err := run(cfg, stdout); err != nil {
+		fmt.Fprintf(stderr, "vfpgasim: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
 type runConfig struct {
@@ -96,47 +111,22 @@ type runConfig struct {
 // lintCircuits runs the netlist- and bitstream-domain passes over every
 // compiled workload circuit; error diagnostics abort the run before any
 // simulated time is spent on a broken artifact.
-func lintCircuits(set *workload.Set, e *core.Engine) error {
+func lintCircuits(w io.Writer, set *workload.Set, circs []*compile.Circuit) error {
 	var targets []*lint.Target
-	for _, nl := range set.Circuits {
-		t := &lint.Target{Netlist: nl}
-		if c, ok := e.Lib[nl.Name]; ok {
-			t.Bitstream = c.BS
-		}
-		targets = append(targets, t)
+	for i, nl := range set.Circuits {
+		targets = append(targets, &lint.Target{Netlist: nl, Bitstream: circs[i].BS})
 	}
 	diags, err := lint.Run(targets, lint.Options{MinSeverity: lint.Warning})
 	if err != nil {
 		return err
 	}
 	for _, d := range diags {
-		fmt.Printf("lint: %s\n", d)
+		fmt.Fprintf(w, "lint: %s\n", d)
 	}
 	if lint.HasErrors(diags) {
 		return fmt.Errorf("lint found %d error(s); refusing to simulate broken circuits", len(lint.Errors(diags)))
 	}
-	fmt.Printf("lint: %d circuits verified, %d warning(s)\n", len(targets), lint.Count(diags, lint.Warning))
-	return nil
-}
-
-// lintFinal audits the manager's live device state through its ledger
-// view — every manager exposes one via core.LintTargeter.
-func lintFinal(mgr hostos.FPGA) error {
-	lt, ok := mgr.(core.LintTargeter)
-	if !ok {
-		return nil
-	}
-	diags, err := lint.Run(lt.LintTargets(), lint.Options{MinSeverity: lint.Warning})
-	if err != nil {
-		return err
-	}
-	for _, d := range diags {
-		fmt.Printf("lint: %s\n", d)
-	}
-	if lint.HasErrors(diags) {
-		return fmt.Errorf("device-state invariants violated after the run")
-	}
-	fmt.Println("lint: final device state verified")
+	fmt.Fprintf(w, "lint: %d circuits verified, %d warning(s)\n", len(targets), lint.Count(diags, lint.Warning))
 	return nil
 }
 
@@ -168,7 +158,7 @@ func buildSet(cfg runConfig) (*workload.Set, error) {
 	}
 }
 
-func run(cfg runConfig) (err error) {
+func run(cfg runConfig, w io.Writer) (err error) {
 	// Ledger operations that cannot return errors report an exhausted
 	// fault-retry budget as a typed panic; surface it as a normal error.
 	defer func() {
@@ -188,81 +178,50 @@ func run(cfg runConfig) (err error) {
 	opt := core.DefaultOptions()
 	opt.Geometry.Cols, opt.Geometry.Rows = cfg.cols, cfg.rows
 	opt.Seed = cfg.seed + 1
-	k := sim.New()
-	e := core.NewEngine(opt)
-	fmt.Printf("compiling %d circuits for a %v device...\n", len(set.Circuits), opt.Geometry)
-	for _, nl := range set.Circuits {
-		if err := e.AddCircuit(nl); err != nil {
-			return err
-		}
-		c := e.Lib[nl.Name]
-		fmt.Printf("  %s\n", c)
+	fmt.Fprintf(w, "compiling %d circuits for a %v device...\n", len(set.Circuits), opt.Geometry)
+	circs, err := core.CompileSet(nil, opt, set.Circuits)
+	if err != nil {
+		return err
+	}
+	for _, c := range circs {
+		fmt.Fprintf(w, "  %s\n", c)
 	}
 	if cfg.lint {
-		if err := lintCircuits(set, e); err != nil {
+		if err := lintCircuits(w, set, circs); err != nil {
 			return err
 		}
 	}
 
-	engines := []*core.Engine{e}
+	boards := 1
 	if cfg.manager == "multi" {
-		if cfg.boards < 1 {
+		if boards = cfg.boards; boards < 1 {
 			return fmt.Errorf("multi manager needs at least one board")
 		}
-		// Each additional board is its own engine (device, pins, metrics)
-		// with the circuits compiled into its own library.
-		for i := 1; i < cfg.boards; i++ {
-			be := core.NewEngine(opt)
-			for _, nl := range set.Circuits {
-				if err := be.AddCircuit(nl); err != nil {
-					return err
-				}
-			}
-			engines = append(engines, be)
-		}
 	}
-	mgr, initCost, err := baseline.NewManager(cfg.manager, k, engines, set.CircuitNames(), cfg.seed)
+	osCfg := hostos.DefaultConfig()
+	osCfg.TimeSlice = cfg.slice
+	if osCfg.Policy, err = hostos.ParsePolicy(cfg.sched); err != nil {
+		return err
+	}
+	st, err := baseline.NewStack(opt, boards, osCfg, cfg.faults, set, circs,
+		baseline.NewManager(cfg.manager, set.CircuitNames(), cfg.seed))
 	if err != nil {
 		return err
 	}
-	if initCost > 0 {
-		fmt.Printf("%s init download: %v\n", cfg.manager, initCost)
+	if st.InitCost > 0 {
+		fmt.Fprintf(w, "%s init download: %v\n", cfg.manager, st.InitCost)
 	}
-
 	if cfg.faults != nil {
-		// Board i draws from its own derived stream, so adding boards
-		// never perturbs the faults earlier boards see.
-		for i, eng := range engines {
-			eng.Ledger().InjectFaults(fault.NewInjector(cfg.faults.Derive(uint64(i))))
-		}
-		fmt.Printf("fault injection armed: %s\n", cfg.faults)
+		fmt.Fprintf(w, "fault injection armed: %s\n", cfg.faults)
 	}
-
-	policy, err := hostos.ParsePolicy(cfg.sched)
-	if err != nil {
-		return err
-	}
-	osim := hostos.New(k, hostos.Config{
-		Policy: policy, TimeSlice: cfg.slice, CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
-	}, mgr)
 	var tlog *hostos.EventLog
 	if cfg.gantt || cfg.trace {
-		tlog = hostos.NewEventLog(0)
-		osim.AttachTrace(tlog)
+		tlog = st.Trace()
 	}
-	var devLogs []*core.DeviceLog
-	if cfg.trace {
-		for _, eng := range engines {
-			dl := core.NewDeviceLog(0)
-			eng.Ledger().AttachLog(dl)
-			devLogs = append(devLogs, dl)
-		}
+	if err := st.Run(set); err != nil {
+		return err
 	}
-	set.Spawn(osim)
-	k.Run()
-	if !osim.AllDone() {
-		return fmt.Errorf("simulation ended with unfinished tasks")
-	}
+	osim, engines := st.OS, st.Engines
 
 	tbl := &trace.Table{
 		ID:      "RUN",
@@ -279,50 +238,60 @@ func run(cfg runConfig) (err error) {
 			fmt.Sprintf("%.3f", t.BlockWait.Milliseconds()),
 			t.Preemptions)
 	}
-	if err := tbl.Render(os.Stdout); err != nil {
+	if err := tbl.Render(w); err != nil {
 		return err
 	}
 
-	fmt.Printf("makespan: %v   ctx switches: %d\n", osim.Makespan(), osim.CtxSwitches)
+	fmt.Fprintf(w, "makespan: %v   ctx switches: %d\n", osim.Makespan(), osim.CtxSwitches)
 	for i, eng := range engines {
 		m := &eng.M
 		label := "manager:"
 		if len(engines) > 1 {
 			label = fmt.Sprintf("board %d:", i)
 		}
-		fmt.Printf("%s loads=%d evictions=%d readbacks=%d restores=%d rollbacks=%d\n",
+		fmt.Fprintf(w, "%s loads=%d evictions=%d readbacks=%d restores=%d rollbacks=%d\n",
 			label, m.Loads.Value(), m.Evictions.Value(), m.Readbacks.Value(), m.Restores.Value(), m.Rollbacks.Value())
-		fmt.Printf("         page faults=%d gc runs=%d relocations=%d blocks=%d muxed ops=%d\n",
+		fmt.Fprintf(w, "         page faults=%d gc runs=%d relocations=%d blocks=%d muxed ops=%d\n",
 			m.PageFaults.Value(), m.GCRuns.Value(), m.Relocations.Value(), m.Blocks.Value(), m.MuxedOps.Value())
-		fmt.Printf("         config time=%v readback time=%v restore time=%v\n",
+		fmt.Fprintf(w, "         config time=%v readback time=%v restore time=%v\n",
 			m.ConfigTime, m.ReadbackTime, m.RestoreTime)
 		if cfg.faults != nil {
-			fmt.Printf("faults:  injected=%d retries=%d recoveries=%d escalations=%d fault time=%v\n",
+			fmt.Fprintf(w, "faults:  injected=%d retries=%d recoveries=%d escalations=%d fault time=%v\n",
 				m.FaultsInjected.Value(), m.FaultRetries.Value(),
 				m.FaultRecoveries.Value(), m.FaultEscalations.Value(), m.FaultTime)
 			if inj := eng.Ledger().Injector(); inj != nil {
-				fmt.Printf("         %s\n", inj.Summary())
+				fmt.Fprintf(w, "         %s\n", inj.Summary())
 			}
 		}
-		fmt.Printf("device:  %d/%d CLBs configured at end, mean occupancy %.1f CLBs\n",
-			eng.Dev.UsedCells(), opt.Geometry.NumCLBs(), m.Util.Average(int64(k.Now())))
+		fmt.Fprintf(w, "device:  %d/%d CLBs configured at end, mean occupancy %.1f CLBs\n",
+			eng.Dev.UsedCells(), opt.Geometry.NumCLBs(), m.Util.Average(int64(st.K.Now())))
 	}
-	if tlog != nil && cfg.gantt {
-		fmt.Println()
-		fmt.Println("timeline ('#' running, '.' ready, 'b' blocked):")
-		fmt.Print(tlog.Gantt(100, osim.Makespan()))
+	if cfg.gantt {
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "timeline ('#' running, '.' ready, 'b' blocked):")
+		fmt.Fprint(w, tlog.Gantt(100, osim.Makespan()))
 	}
 	if cfg.trace {
-		fmt.Println()
-		fmt.Println("merged scheduler+device timeline:")
-		if err := core.MergeTimeline(tlog, devLogs...).Render(os.Stdout); err != nil {
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "merged scheduler+device timeline:")
+		if err := st.Timeline().Render(w); err != nil {
 			return err
 		}
 	}
 	if cfg.lint {
-		if err := lintFinal(mgr); err != nil {
+		// Every manager exposes its live device state through its ledger
+		// view; audit it once the run is over.
+		diags, err := st.Lint()
+		if err != nil {
 			return err
 		}
+		for _, d := range diags {
+			fmt.Fprintf(w, "lint: %s\n", d)
+		}
+		if lint.HasErrors(diags) {
+			return fmt.Errorf("device-state invariants violated after the run")
+		}
+		fmt.Fprintln(w, "lint: final device state verified")
 	}
 	return nil
 }

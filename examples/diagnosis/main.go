@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/hostos"
 	"repro/internal/sim"
@@ -20,31 +21,25 @@ func main() {
 
 	opt := core.DefaultOptions()
 	opt.Geometry.Cols, opt.Geometry.Rows = 24, 16
-	k := sim.New()
-	e := core.NewEngine(opt)
-	for _, nl := range set.Circuits {
-		if err := e.AddCircuit(nl); err != nil {
-			log.Fatal(err)
-		}
+	circs, err := core.CompileSet(nil, opt, set.Circuits)
+	if err != nil {
+		log.Fatal(err)
 	}
 	// The control-law datapath (first circuit) is the frequent common
 	// function: it stays resident. Diagnostics overlay on the right.
 	resident := set.CircuitNames()[:1]
-	om, initCost, err := core.NewOverlayManager(k, e, resident)
+	osCfg := hostos.DefaultConfig()
+	osCfg.Policy, osCfg.TimeSlice = hostos.Priority, 5*sim.Millisecond
+	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs,
+		baseline.NewManager("overlay", resident, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("resident control circuit %v downloaded at boot in %v\n", resident, initCost)
-
-	osim := hostos.New(k, hostos.Config{
-		Policy: hostos.Priority, TimeSlice: 5 * sim.Millisecond,
-		CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
-	}, om)
-	set.Spawn(osim)
-	k.Run()
-	if !osim.AllDone() {
-		log.Fatal("unfinished tasks")
+	fmt.Printf("resident control circuit %v downloaded at boot in %v\n", resident, st.InitCost)
+	if err := st.Run(set); err != nil {
+		log.Fatal(err)
 	}
+	osim, e, om := st.OS, st.Engines[0], st.Mgr.(*core.OverlayManager)
 
 	fmt.Println()
 	fmt.Printf("%-10s %-4s %12s %12s %12s %9s\n", "task", "prio", "turnaround", "hw", "overhead", "preempts")

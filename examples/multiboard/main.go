@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/hostos"
 	"repro/internal/sim"
@@ -23,32 +24,20 @@ func run(boards, colsEach int) error {
 
 	opt := core.DefaultOptions()
 	opt.Geometry.Cols, opt.Geometry.Rows = colsEach, 16
-	k := sim.New()
-	var engines []*core.Engine
-	for i := 0; i < boards; i++ {
-		e := core.NewEngine(opt)
-		for _, nl := range set.Circuits {
-			if err := e.AddCircuit(nl); err != nil {
-				return err
-			}
-		}
-		engines = append(engines, e)
-	}
-	mm, err := core.NewMultiManager(k, engines, core.PartitionConfig{
-		Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true,
-	})
+	circs, err := core.CompileSet(nil, opt, set.Circuits)
 	if err != nil {
 		return err
 	}
-	osim := hostos.New(k, hostos.Config{
-		Policy: hostos.RR, TimeSlice: sim.Millisecond,
-		CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
-	}, mm)
-	set.Spawn(osim)
-	k.Run()
-	if !osim.AllDone() {
-		return fmt.Errorf("unfinished requests")
+	osCfg := hostos.DefaultConfig()
+	osCfg.TimeSlice = sim.Millisecond
+	st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, baseline.NewManager("multi", nil, 0))
+	if err != nil {
+		return err
 	}
+	if err := st.Run(set); err != nil {
+		return err
+	}
+	osim, mm := st.OS, st.Mgr.(*core.MultiManager)
 	var mean sim.Time
 	for _, t := range osim.Tasks() {
 		mean += t.Turnaround() / sim.Time(len(osim.Tasks()))

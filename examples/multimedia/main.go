@@ -16,36 +16,30 @@ import (
 	"repro/internal/workload"
 )
 
-func run(name string, cols int, mk func(*sim.Kernel, *core.Engine, *workload.Set) (hostos.FPGA, error)) error {
+func run(name string, cols int, manager string) error {
 	set := workload.Multimedia(workload.DefaultMultimedia())
 	opt := core.DefaultOptions()
 	opt.Geometry.Cols, opt.Geometry.Rows = cols, 16
-	k := sim.New()
-	e := core.NewEngine(opt)
-	for _, nl := range set.Circuits {
-		if err := e.AddCircuit(nl); err != nil {
-			return err
-		}
-	}
-	mgr, err := mk(k, e, set)
+	circs, err := core.CompileSet(nil, opt, set.Circuits)
 	if err != nil {
 		return err
 	}
-	osim := hostos.New(k, hostos.Config{
-		Policy: hostos.RR, TimeSlice: 5 * sim.Millisecond,
-		CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
-	}, mgr)
-	set.Spawn(osim)
-	k.Run()
-	if !osim.AllDone() {
-		return fmt.Errorf("%s: unfinished tasks", name)
+	osCfg := hostos.DefaultConfig()
+	osCfg.TimeSlice = 5 * sim.Millisecond
+	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs,
+		baseline.NewManager(manager, set.CircuitNames(), 0))
+	if err != nil {
+		return err
+	}
+	if err := st.Run(set); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
 	}
 	var mean sim.Time
-	for _, t := range osim.Tasks() {
-		mean += t.Turnaround() / sim.Time(len(osim.Tasks()))
+	for _, t := range st.OS.Tasks() {
+		mean += t.Turnaround() / sim.Time(len(st.OS.Tasks()))
 	}
 	fmt.Printf("%-28s cols=%-3d makespan=%-12v mean-turnaround=%-12v reloads=%d\n",
-		name, cols, osim.Makespan(), mean, e.M.Loads.Value())
+		name, cols, st.OS.Makespan(), mean, st.Engines[0].M.Loads.Value())
 	return nil
 }
 
@@ -53,40 +47,24 @@ func main() {
 	fmt.Println("multimedia: 4 streams x 24 frames, codec standard switches every 8 frames")
 	fmt.Println()
 
-	// A small device: only one codec fits at a time -> dynamic loading.
-	err := run("VFPGA dynamic (small)", 12, func(k *sim.Kernel, e *core.Engine, _ *workload.Set) (hostos.FPGA, error) {
-		return core.NewDynamicLoader(k, e), nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// The same small device with variable partitions: codecs shared by
-	// several streams stay loaded side by side while they fit.
-	err = run("VFPGA partitions (small)", 12, func(k *sim.Kernel, e *core.Engine, _ *workload.Set) (hostos.FPGA, error) {
-		return core.NewPartitionManager(k, e, core.PartitionConfig{
-			Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true,
-		})
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// The brute-force alternative: a device big enough for all codecs.
-	err = run("merged big FPGA", 32, func(k *sim.Kernel, e *core.Engine, set *workload.Set) (hostos.FPGA, error) {
-		m, _, err := baseline.NewMerged(k, e, set.CircuitNames())
-		return m, err
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// And the no-FPGA null hypothesis.
-	err = run("software only", 12, func(k *sim.Kernel, e *core.Engine, _ *workload.Set) (hostos.FPGA, error) {
-		return baseline.NewSoftware(e, 20), nil
-	})
-	if err != nil {
-		log.Fatal(err)
+	for _, r := range []struct {
+		name    string
+		cols    int
+		manager string
+	}{
+		// A small device: only one codec fits at a time -> dynamic loading.
+		{"VFPGA dynamic (small)", 12, "dynamic"},
+		// The same small device with variable partitions: codecs shared by
+		// several streams stay loaded side by side while they fit.
+		{"VFPGA partitions (small)", 12, "partition"},
+		// The brute-force alternative: a device big enough for all codecs.
+		{"merged big FPGA", 32, "merged"},
+		// And the no-FPGA null hypothesis, at a 20x slowdown.
+		{"software only", 12, "software"},
+	} {
+		if err := run(r.name, r.cols, r.manager); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	fmt.Println()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/hostos"
 	"repro/internal/sim"
@@ -23,34 +24,33 @@ func main() {
 
 	opt := core.DefaultOptions()
 	opt.Geometry.Cols, opt.Geometry.Rows = 2, 16 // deliberately tight
-	k := sim.New()
-	e := core.NewEngine(opt)
 	fmt.Printf("device: %v; compiling %d protocol engines\n", opt.Geometry, len(set.Circuits))
-	for _, nl := range set.Circuits {
-		if err := e.AddCircuit(nl); err != nil {
-			log.Fatal(err)
-		}
-		c := e.Lib[nl.Name]
+	circs, err := core.CompileSet(nil, opt, set.Circuits)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, c := range circs {
 		fmt.Printf("  %-12s %2d cols, %3d cells, clock %v\n", c.Name, c.BS.W, c.Cells(), c.ClockPeriod)
 	}
 
 	// No rotation: a session keeps its partition until it ends, so excess
 	// sessions suspend — the paper's waiting-state behaviour.
-	pm, err := core.NewPartitionManager(k, e, core.PartitionConfig{
-		Mode: core.VariablePartitions, Fit: core.BestFit, GC: true,
-	})
+	osCfg := hostos.DefaultConfig()
+	osCfg.TimeSlice = 2 * sim.Millisecond
+	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs,
+		func(k *sim.Kernel, e []*core.Engine) (hostos.FPGA, sim.Time, error) {
+			pm, err := core.NewPartitionManager(k, e[0], core.PartitionConfig{
+				Mode: core.VariablePartitions, Fit: core.BestFit, GC: true,
+			})
+			return pm, 0, err
+		})
 	if err != nil {
 		log.Fatal(err)
 	}
-	osim := hostos.New(k, hostos.Config{
-		Policy: hostos.RR, TimeSlice: 2 * sim.Millisecond,
-		CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
-	}, pm)
-	set.Spawn(osim)
-	k.Run()
-	if !osim.AllDone() {
-		log.Fatal("unfinished sessions")
+	if err := st.Run(set); err != nil {
+		log.Fatal(err)
 	}
+	osim, e, pm := st.OS, st.Engines[0], st.Mgr.(*core.PartitionManager)
 
 	fmt.Println()
 	fmt.Printf("%-10s %-9s %12s %12s %12s\n", "session", "arrival", "turnaround", "blocked", "overhead")

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/baseline"
 	"repro/internal/bitstream"
 	"repro/internal/compile"
 	"repro/internal/core"
@@ -92,32 +93,32 @@ func osLevelDemo() {
 	opt := core.DefaultOptions()
 	opt.Geometry = fabric.Geometry{Cols: 16, Rows: 16, TracksPerChannel: 12, PinsPerSide: 32}
 	opt.State = core.SaveRestore
-	k := sim.New()
-	e := core.NewEngine(opt)
-	for _, nl := range []*netlist.Netlist{netlist.Counter(8), netlist.Accumulator(8)} {
-		if err := e.AddCircuit(nl); err != nil {
-			log.Fatal(err)
-		}
+	set := &workload.Set{
+		Tasks: []workload.TaskSpec{
+			{Name: "metronome", Program: []hostos.Op{
+				hostos.UseFPGA(hostos.FPGARequest{Circuit: "counter8", Cycles: 300_000}),
+			}},
+			{Name: "integrator", Program: []hostos.Op{
+				hostos.UseFPGA(hostos.FPGARequest{Circuit: "acc8", Cycles: 300_000}),
+			}},
+		},
+		Circuits: []*netlist.Netlist{netlist.Counter(8), netlist.Accumulator(8)},
 	}
-	d := core.NewDynamicLoader(k, e)
-	devLog := core.NewDeviceLog(0)
-	e.Ledger().AttachLog(devLog)
-	osim := hostos.New(k, hostos.Config{
-		Policy: hostos.RR, TimeSlice: 2 * sim.Millisecond,
-		CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
-	}, d)
-	schedLog := hostos.NewEventLog(0)
-	osim.AttachTrace(schedLog)
-	set := &workload.Set{Tasks: []workload.TaskSpec{
-		{Name: "metronome", Program: []hostos.Op{
-			hostos.UseFPGA(hostos.FPGARequest{Circuit: "counter8", Cycles: 300_000}),
-		}},
-		{Name: "integrator", Program: []hostos.Op{
-			hostos.UseFPGA(hostos.FPGARequest{Circuit: "acc8", Cycles: 300_000}),
-		}},
-	}}
-	set.Spawn(osim)
-	k.Run()
+	circs, err := core.CompileSet(nil, opt, set.Circuits)
+	if err != nil {
+		log.Fatal(err)
+	}
+	osCfg := hostos.DefaultConfig()
+	osCfg.TimeSlice = 2 * sim.Millisecond
+	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs, baseline.NewManager("dynamic", nil, 0))
+	if err != nil {
+		log.Fatal(err)
+	}
+	st.Trace()
+	if err := st.Run(set); err != nil {
+		log.Fatal(err)
+	}
+	osim, e := st.OS, st.Engines[0]
 	circuitOf := map[string]string{"metronome": "counter8", "integrator": "acc8"}
 	for _, t := range osim.Tasks() {
 		pure := sim.Time(300_000) * e.Lib[circuitOf[t.Name]].ClockPeriod
@@ -129,7 +130,7 @@ func osLevelDemo() {
 
 	// The merged timeline interleaves both layers: each scheduler decision
 	// (sched) followed by the device work it caused (device).
-	tl := core.MergeTimeline(schedLog, devLog)
+	tl := st.Timeline()
 	const show = 24
 	fmt.Printf("\nmerged scheduler+device timeline (first %d of %d events):\n", show, len(tl.Events))
 	head := *tl

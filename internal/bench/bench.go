@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -99,20 +100,25 @@ var stripCache = compile.NewStripCache(compile.DefaultCacheCapacity)
 // singleflight joins, evictions) accumulated by this process.
 func CacheStats() compile.CacheStats { return stripCache.Stats() }
 
-// engineFor builds an engine over geometry with the given circuits
-// available, reusing cached compilations.
-func engineFor(opt core.Options, circuits []*netlist.Netlist) (*core.Engine, error) {
-	e := core.NewEngine(opt)
-	for i, nl := range circuits {
-		tm := opt.Timing
-		c, err := stripCache.CompileStrip(nl, opt.Geometry.Rows, opt.Geometry.TracksPerChannel,
-			compile.Options{Seed: opt.Seed + uint64(i), Timing: &tm})
-		if err != nil {
-			return nil, fmt.Errorf("bench: %w", err)
-		}
-		e.Lib[nl.Name] = c
+// compileSet compiles the circuits through the shared cache, in order —
+// all a sizing probe needs: widths and cell counts come off the result
+// without a device being built.
+func compileSet(opt core.Options, circuits []*netlist.Netlist) ([]*compile.Circuit, error) {
+	circs, err := core.CompileSet(stripCache, opt, circuits)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
-	return e, nil
+	return circs, nil
+}
+
+// newStack assembles a fault-free stack of the given engine count over
+// the set's circuits, compiled through the shared cache.
+func newStack(opt core.Options, engines int, osCfg hostos.Config, set *workload.Set, mk baseline.ManagerFunc) (*baseline.Stack, error) {
+	circs, err := compileSet(opt, set.Circuits)
+	if err != nil {
+		return nil, err
+	}
+	return baseline.NewStack(opt, engines, osCfg, nil, set, circs, mk)
 }
 
 // runResult summarizes one simulated run.
@@ -121,54 +127,51 @@ type runResult struct {
 	MeanTurnaround sim.Time
 	MeanWait       sim.Time // ready + blocked
 	MeanBlock      sim.Time
-	TotalHW        sim.Time
-	TotalOverhead  sim.Time
 	Engine         *core.Engine
 	OS             *hostos.OS
 }
 
-// runSet spawns the workload under the given manager factory and runs to
-// completion.
-func runSet(opt core.Options, osCfg hostos.Config, set *workload.Set,
-	mk func(k *sim.Kernel, e *core.Engine) hostos.FPGA) (*runResult, error) {
-
-	k := sim.New()
-	e, err := engineFor(opt, set.Circuits)
+// runSet runs the workload to completion on a one-engine stack under the
+// given manager.
+func runSet(opt core.Options, osCfg hostos.Config, set *workload.Set, mk baseline.ManagerFunc) (*runResult, error) {
+	st, err := newStack(opt, 1, osCfg, set, mk)
 	if err != nil {
 		return nil, err
 	}
-	mgr := mk(k, e)
-	osRef := hostos.New(k, osCfg, mgr)
-	set.Spawn(osRef)
-	k.Run()
-	if !osRef.AllDone() {
-		return nil, fmt.Errorf("bench: run ended with unfinished tasks (deadlock?)")
+	if err := st.Run(set); err != nil {
+		return nil, err
 	}
-	res := &runResult{Engine: e, OS: osRef, Makespan: osRef.Makespan()}
-	n := sim.Time(len(osRef.Tasks()))
-	for _, t := range osRef.Tasks() {
+	res := &runResult{Engine: st.Engines[0], OS: st.OS, Makespan: st.OS.Makespan()}
+	n := sim.Time(len(st.OS.Tasks()))
+	for _, t := range st.OS.Tasks() {
 		res.MeanTurnaround += t.Turnaround() / n
 		res.MeanWait += (t.ReadyWait + t.BlockWait) / n
 		res.MeanBlock += t.BlockWait / n
-		res.TotalHW += t.HWTime
-		res.TotalOverhead += t.Overhead
 	}
 	return res, nil
 }
 
-// manager factories used across experiments.
+// Managers used across experiments: the by-name ones in the daemon's
+// configuration, and partitions under an experiment's own.
+var (
+	dynamicMgr   = baseline.NewManager("dynamic", nil, 0)
+	variableMgr  = baseline.NewManager("partition", nil, 0) // variable best-fit, GC, rotation
+	exclusiveMgr = baseline.NewManager("exclusive", nil, 0)
+	softwareMgr  = baseline.NewManager("software", nil, 0) // 20x slowdown
+)
 
-func dynamicMgr(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-	return core.NewDynamicLoader(k, e)
+func partitionMgr(cfg core.PartitionConfig) baseline.ManagerFunc {
+	return func(k *sim.Kernel, e []*core.Engine) (hostos.FPGA, sim.Time, error) {
+		pm, err := core.NewPartitionManager(k, e[0], cfg)
+		return pm, 0, err
+	}
 }
 
-func partitionMgr(cfg core.PartitionConfig) func(*sim.Kernel, *core.Engine) hostos.FPGA {
-	return func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-		pm, err := core.NewPartitionManager(k, e, cfg)
-		if err != nil {
-			panic(err)
-		}
-		return pm
+// overlayMgr keeps the named circuits resident and swaps the rest
+// through the overlay area.
+func overlayMgr(resident []string) baseline.ManagerFunc {
+	return func(k *sim.Kernel, e []*core.Engine) (hostos.FPGA, sim.Time, error) {
+		return core.NewOverlayManager(k, e[0], resident)
 	}
 }
 

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/baseline"
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/hostos"
 	"repro/internal/netlist"
@@ -20,15 +22,6 @@ func defaultOpt(cfg Config) core.Options {
 	opt.Geometry = benchGeometry()
 	opt.Seed = cfg.Seed + 1
 	return opt
-}
-
-func defaultOS() hostos.Config {
-	return hostos.Config{
-		Policy:    hostos.RR,
-		TimeSlice: 10 * sim.Millisecond,
-		CtxSwitch: 50 * sim.Microsecond,
-		Syscall:   10 * sim.Microsecond,
-	}
 }
 
 // T1DynamicLoadingOverhead — the paper's §2/§3 feasibility claim:
@@ -85,7 +78,7 @@ func T1DynamicLoadingOverhead(cfg Config) (*trace.Table, error) {
 			Tasks:    []workload.TaskSpec{{Name: "alt", Program: prog}},
 			Circuits: circuits,
 		}
-		res, err := runSet(opt, defaultOS(), set, dynamicMgr)
+		res, err := runSet(opt, hostos.DefaultConfig(), set, dynamicMgr)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +128,7 @@ func T2StatePreemption(cfg Config) (*trace.Table, error) {
 		pt := points[i]
 		opt := defaultOpt(cfg)
 		opt.State = pt.policy
-		osCfg := defaultOS()
+		osCfg := hostos.DefaultConfig()
 		osCfg.TimeSlice = pt.slice
 		set := &workload.Set{
 			Tasks: []workload.TaskSpec{
@@ -188,18 +181,18 @@ func T3Partitioning(cfg Config) (*trace.Table, error) {
 	}
 	managers := []struct {
 		name string
-		mk   func(*sim.Kernel, *core.Engine) hostos.FPGA
+		mk   baseline.ManagerFunc
 	}{
 		{"dynamic (whole device)", dynamicMgr},
 		{"fixed 4x8", partitionMgr(core.PartitionConfig{Mode: core.FixedPartitions, FixedWidths: []int{8, 8, 8, 8}, Rotate: true})},
 		{"fixed 2x16", partitionMgr(core.PartitionConfig{Mode: core.FixedPartitions, FixedWidths: []int{16, 16}, Rotate: true})},
 		{"variable first-fit", partitionMgr(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.FirstFit, Rotate: true})},
 		{"variable best-fit", partitionMgr(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, Rotate: true})},
-		{"variable + GC", partitionMgr(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true})},
+		{"variable + GC", variableMgr},
 	}
 	rows, err := parRows(cfg.Jobs, len(managers), func(i int) ([]any, error) {
 		m := managers[i]
-		res, err := runSet(defaultOpt(cfg), defaultOS(), mkSet(), m.mk)
+		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), mkSet(), m.mk)
 		if err != nil {
 			return nil, err
 		}
@@ -263,14 +256,7 @@ func T4Overlay(cfg Config) (*trace.Table, error) {
 	}
 	rows, err := parRows(cfg.Jobs, len(residentSets), func(i int) ([]any, error) {
 		resident := residentSets[i]
-		res, err := runSet(defaultOpt(cfg), defaultOS(), mkSet(),
-			func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-				om, _, err := core.NewOverlayManager(k, e, resident)
-				if err != nil {
-					panic(err)
-				}
-				return om
-			})
+		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), mkSet(), overlayMgr(resident))
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +305,7 @@ func T5IOMux(cfg Config) (*trace.Table, error) {
 			}}},
 			Circuits: []*netlist.Netlist{c},
 		}
-		res, err := runSet(opt, defaultOS(), set, dynamicMgr)
+		res, err := runSet(opt, hostos.DefaultConfig(), set, dynamicMgr)
 		if err != nil {
 			return point{}, err
 		}
@@ -371,24 +357,20 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 
 	// Pre-compile at the bench geometry to learn widths and cells.
 	opt := defaultOpt(cfg)
-	probe, err := engineFor(opt, stages)
+	probe, err := compileSet(opt, stages)
 	if err != nil {
 		return nil, err
 	}
+	// widths in stage order, for resident-set planning.
+	widths := make([]int, len(stages))
 	appCells, sumW, maxW := 0, 0, 0
-	for _, s := range stages {
-		c := probe.Lib[s.Name]
+	for i, c := range probe {
 		appCells += c.Cells()
+		widths[i] = c.BS.W
 		sumW += c.BS.W
 		if c.BS.W > maxW {
 			maxW = c.BS.W
 		}
-	}
-
-	// widths in stage order, for resident-set planning.
-	widths := make([]int, len(stages))
-	for i, s := range stages {
-		widths[i] = probe.Lib[s.Name].BS.W
 	}
 	// residentPrefix returns the largest k such that stages[0:k] stay
 	// resident and the widest remaining stage still fits in the leftover
@@ -442,18 +424,9 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 		if i == 0 {
 			optRef := defaultOpt(cfg)
 			optRef.Geometry.Cols = colSweep[0]
-			mergedRes, err := runSet(optRef, defaultOS(), mkSet(),
-				func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-					names := make([]string, len(stages))
-					for j, s := range stages {
-						names[j] = s.Name
-					}
-					m, _, err := baseline.NewMerged(k, e, names)
-					if err != nil {
-						panic(err)
-					}
-					return m
-				})
+			set := mkSet()
+			mergedRes, err := runSet(optRef, hostos.DefaultConfig(), set,
+				baseline.NewManager("merged", set.CircuitNames(), 0))
 			if err != nil {
 				return 0, err
 			}
@@ -469,14 +442,7 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 		for _, s := range stages[:k] {
 			resident = append(resident, s.Name)
 		}
-		res, err := runSet(opt, defaultOS(), mkSet(),
-			func(kk *sim.Kernel, e *core.Engine) hostos.FPGA {
-				om, _, err := core.NewOverlayManager(kk, e, resident)
-				if err != nil {
-					panic(err)
-				}
-				return om
-			})
+		res, err := runSet(opt, hostos.DefaultConfig(), mkSet(), overlayMgr(resident))
 		if err != nil {
 			return 0, err
 		}
@@ -529,11 +495,11 @@ func F2SchedulingModes(cfg Config) (*trace.Table, error) {
 	}
 	managers := []struct {
 		name string
-		mk   func(*sim.Kernel, *core.Engine) hostos.FPGA
+		mk   baseline.ManagerFunc
 	}{
-		{"exclusive (non-preemptable)", func(k *sim.Kernel, e *core.Engine) hostos.FPGA { return baseline.NewExclusive(k, e) }},
+		{"exclusive (non-preemptable)", exclusiveMgr},
 		{"dynamic loading", dynamicMgr},
-		{"variable partitions", partitionMgr(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true})},
+		{"variable partitions", variableMgr},
 	}
 	type point struct {
 		tasks int
@@ -550,7 +516,7 @@ func F2SchedulingModes(cfg Config) (*trace.Table, error) {
 		m := managers[pt.mgr]
 		// A 1 ms slice forces interleaving, so holders of the exclusive
 		// device yield the CPU between operations while keeping the FPGA.
-		osCfg := defaultOS()
+		osCfg := hostos.DefaultConfig()
 		osCfg.TimeSlice = 1 * sim.Millisecond
 		res, err := runSet(defaultOpt(cfg), osCfg, mkSet(pt.tasks), m.mk)
 		if err != nil {
@@ -576,10 +542,6 @@ func F3MergedVsDynamic(cfg Config) (*trace.Table, error) {
 		Columns: []string{"device_cols", "merged_makespan_ms", "dynamic_makespan_ms", "dynamic_loads"},
 	}
 	pool := []*netlist.Netlist{netlist.Parity(16), netlist.Adder(8), netlist.ALU(8), netlist.Multiplier(4)}
-	names := make([]string, len(pool))
-	for i, c := range pool {
-		names[i] = c.Name
-	}
 	mkSet := func() *workload.Set {
 		return workload.Synthetic(workload.SyntheticConfig{
 			Tasks:       6,
@@ -593,13 +555,13 @@ func F3MergedVsDynamic(cfg Config) (*trace.Table, error) {
 	}
 	// Probe the merged footprint once: merged fits iff the strip widths
 	// sum within the device columns.
-	probe, err := engineFor(defaultOpt(cfg), pool)
+	probe, err := compileSet(defaultOpt(cfg), pool)
 	if err != nil {
 		return nil, err
 	}
 	sumW := 0
-	for _, c := range pool {
-		sumW += probe.Lib[c.Name].BS.W
+	for _, c := range probe {
+		sumW += c.BS.W
 	}
 
 	colSweep := []int{6, 9, 12, 16, 24}
@@ -612,20 +574,15 @@ func F3MergedVsDynamic(cfg Config) (*trace.Table, error) {
 		opt.Geometry.Cols = cols
 		merged := fmt.Sprintf("n/a (needs %d cols)", sumW)
 		if sumW <= cols {
-			mres, err := runSet(opt, defaultOS(), mkSet(),
-				func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-					m, _, err := baseline.NewMerged(k, e, names)
-					if err != nil {
-						panic(err)
-					}
-					return m
-				})
+			set := mkSet()
+			mres, err := runSet(opt, hostos.DefaultConfig(), set,
+				baseline.NewManager("merged", set.CircuitNames(), 0))
 			if err != nil {
 				return nil, err
 			}
 			merged = ms(mres.Makespan)
 		}
-		dres, err := runSet(opt, defaultOS(), mkSet(), dynamicMgr)
+		dres, err := runSet(opt, hostos.DefaultConfig(), mkSet(), dynamicMgr)
 		if err != nil {
 			return nil, err
 		}
@@ -638,28 +595,20 @@ func F3MergedVsDynamic(cfg Config) (*trace.Table, error) {
 	return tbl, nil
 }
 
-// F4Fragmentation — §4: variable partitions fragment under churn; garbage
-// collection merges idle fragments at relocation cost.
-func F4Fragmentation(cfg Config) (*trace.Table, error) {
-	tbl := &trace.Table{
-		ID:      "F4",
-		Title:   "External fragmentation under churn, GC off vs on",
-		Note:    "paper §4: merge idle partitions so no task waits while total space suffices",
-		Columns: []string{"gc", "mean_frag", "max_frag", "blocks", "mean_block_ms", "gc_runs", "relocations", "makespan_ms"},
-	}
-	small := 24
-	wide := 6
+// churnSets returns the builder of the fragmenting workload F4 and F9
+// share (one fresh set per run, over circuits generated once): a stream
+// of narrow long-lived tasks creates a checkerboard of partitions;
+// staggered exits leave holes. Wide tasks then need more contiguous
+// columns than any single hole provides — the paper's "space may be
+// actually available even if split in more idle existing partitions".
+func churnSets(cfg Config) func() *workload.Set {
+	small, wide := 24, 6
 	if cfg.Quick {
 		small, wide = 10, 3
 	}
-	// Churn: a stream of narrow long-lived tasks creates a checkerboard of
-	// partitions; staggered exits leave holes. Wide tasks then need more
-	// contiguous columns than any single hole provides — the paper's
-	// "space may be actually available even if split in more idle
-	// existing partitions".
 	narrowPool := []*netlist.Netlist{netlist.Parity(16), netlist.Adder(8), netlist.Comparator(16)}
 	widePool := []*netlist.Netlist{netlist.Multiplier(6), netlist.Multiplier(8)}
-	mkSet := func() *workload.Set {
+	return func() *workload.Set {
 		src := rng.New(cfg.Seed + 17)
 		set := &workload.Set{Circuits: append(append([]*netlist.Netlist{}, narrowPool...), widePool...)}
 		arrival := sim.Time(0)
@@ -690,43 +639,59 @@ func F4Fragmentation(cfg Config) (*trace.Table, error) {
 		}
 		return set
 	}
+}
+
+// runChurn runs a churn set under a strip manager on a 12-column device
+// — tight enough that holes matter — sampling the manager's
+// external-fragmentation ratio every millisecond of the run.
+func runChurn(cfg Config, set *workload.Set, mk baseline.ManagerFunc) (*baseline.Stack, *stats.Sample, error) {
+	opt := defaultOpt(cfg)
+	opt.Geometry.Cols = 12
+	st, err := newStack(opt, 1, hostos.DefaultConfig(), set, mk)
+	if err != nil {
+		return nil, nil, err
+	}
+	mgr := st.Mgr.(interface{ Frag() core.FragStats })
+	frag := stats.NewSample(false)
+	set.Spawn(st.OS)
+	for !st.OS.AllDone() {
+		fired := st.K.RunUntil(st.K.Now() + sim.Millisecond)
+		if f := mgr.Frag(); f.FreeCols > 0 && f.FreeCols < opt.Geometry.Cols {
+			frag.Observe(f.Ratio())
+		}
+		if fired == 0 && st.K.Pending() == 0 && !st.OS.AllDone() {
+			return nil, nil, errors.New("bench: churn run deadlocked")
+		}
+	}
+	return st, frag, nil
+}
+
+// F4Fragmentation — §4: variable partitions fragment under churn; garbage
+// collection merges idle fragments at relocation cost.
+func F4Fragmentation(cfg Config) (*trace.Table, error) {
+	tbl := &trace.Table{
+		ID:      "F4",
+		Title:   "External fragmentation under churn, GC off vs on",
+		Note:    "paper §4: merge idle partitions so no task waits while total space suffices",
+		Columns: []string{"gc", "mean_frag", "max_frag", "blocks", "mean_block_ms", "gc_runs", "relocations", "makespan_ms"},
+	}
+	mkSet := churnSets(cfg)
 	gcSweep := []bool{false, true}
 	rows, err := parRows(cfg.Jobs, len(gcSweep), func(i int) ([]any, error) {
 		gc := gcSweep[i]
-		k := sim.New()
-		set := mkSet()
-		opt := defaultOpt(cfg)
-		opt.Geometry.Cols = 12 // tight enough that holes matter
-		e, err := engineFor(opt, set.Circuits)
-		if err != nil {
-			return nil, err
-		}
-		pm, err := core.NewPartitionManager(k, e, core.PartitionConfig{
+		st, frag, err := runChurn(cfg, mkSet(), partitionMgr(core.PartitionConfig{
 			Mode: core.VariablePartitions, Fit: core.BestFit, GC: gc,
-		})
+		}))
 		if err != nil {
-			return nil, err
-		}
-		os := hostos.New(k, defaultOS(), pm)
-		set.Spawn(os)
-		frag := stats.NewSample(false)
-		// Sample fragmentation every millisecond while the run progresses.
-		for !os.AllDone() {
-			fired := k.RunUntil(k.Now() + sim.Millisecond)
-			total, largest := pm.FreeCols()
-			if total > 0 && total < opt.Geometry.Cols {
-				frag.Observe(1 - float64(largest)/float64(total))
-			}
-			if fired == 0 && k.Pending() == 0 && !os.AllDone() {
-				return nil, fmt.Errorf("bench F4: deadlock with gc=%v", gc)
-			}
+			return nil, fmt.Errorf("F4 gc=%v: %w", gc, err)
 		}
 		var meanBlock sim.Time
-		for _, t := range os.Tasks() {
-			meanBlock += t.BlockWait / sim.Time(len(os.Tasks()))
+		for _, t := range st.OS.Tasks() {
+			meanBlock += t.BlockWait / sim.Time(len(st.OS.Tasks()))
 		}
-		return []any{gc, frag.Mean(), frag.Max(), e.M.Blocks.Value(), ms(meanBlock),
-			e.M.GCRuns.Value(), e.M.Relocations.Value(), ms(os.Makespan())}, nil
+		m := &st.Engines[0].M
+		return []any{gc, frag.Mean(), frag.Max(), m.Blocks.Value(), ms(meanBlock),
+			m.GCRuns.Value(), m.Relocations.Value(), ms(st.OS.Makespan())}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -770,11 +735,11 @@ func F5Pagination(cfg Config) (*trace.Table, error) {
 	rows, err := parRows(cfg.Jobs, len(points), func(i int) ([]any, error) {
 		pt := points[i]
 		// Probe the page count (a cache hit after the first worker).
-		probe, err := engineFor(defaultOpt(cfg), []*netlist.Netlist{circuit})
+		probe, err := compileSet(defaultOpt(cfg), []*netlist.Netlist{circuit})
 		if err != nil {
 			return nil, err
 		}
-		pages := (probe.Lib[circuit.Name].Cells() + pt.pageCells - 1) / pt.pageCells
+		pages := (probe[0].Cells() + pt.pageCells - 1) / pt.pageCells
 		frames := pages/2 + 1
 		set := workload.Paged(workload.PagedConfig{
 			Circuit: circuit,
@@ -785,15 +750,12 @@ func F5Pagination(cfg Config) (*trace.Table, error) {
 			Evals:   5_000,
 			Seed:    cfg.Seed + 19,
 		})
-		res, err := runSet(defaultOpt(cfg), defaultOS(), set,
-			func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-				pl, err := core.NewPagedLoader(k, e, core.PagedConfig{
+		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), set,
+			func(k *sim.Kernel, e []*core.Engine) (hostos.FPGA, sim.Time, error) {
+				pl, err := core.NewPagedLoader(k, e[0], core.PagedConfig{
 					PageCells: pt.pageCells, Frames: frames, Policy: pt.policy, Seed: cfg.Seed,
 				})
-				if err != nil {
-					panic(err)
-				}
-				return pl
+				return pl, 0, err
 			})
 		if err != nil {
 			return nil, err
@@ -865,40 +827,37 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 	// whole mul8, and each auto-segmentation) run in parallel; the
 	// device-sizing arithmetic below consumes their widths.
 	type probeResult struct {
-		engine *core.Engine
-		segs   []*netlist.Netlist // auto-segmentation probes only
+		segs  []*netlist.Netlist // what was compiled; the auto-segmentation runs reuse it
+		circs []*compile.Circuit
 	}
 	probes, err := parMap(cfg.Jobs, 2+len(ks), func(i int) (probeResult, error) {
+		var segs []*netlist.Netlist
 		switch i {
 		case 0:
-			e, err := engineFor(defaultOpt(cfg), append(append([]*netlist.Netlist{}, stages...), mono))
-			return probeResult{engine: e}, err
+			segs = append(append(segs, stages...), mono)
 		case 1:
-			e, err := engineFor(defaultOpt(cfg), []*netlist.Netlist{big})
-			return probeResult{engine: e}, err
+			segs = []*netlist.Netlist{big}
 		default:
-			segs, err := netlist.Segment(big, ks[i-2])
-			if err != nil {
+			var err error
+			if segs, err = netlist.Segment(big, ks[i-2]); err != nil {
 				return probeResult{}, err
 			}
-			e, err := engineFor(defaultOpt(cfg), segs)
-			return probeResult{engine: e, segs: segs}, err
 		}
+		circs, err := compileSet(defaultOpt(cfg), segs)
+		return probeResult{segs, circs}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	probe, wholeProbe := probes[0].engine, probes[1].engine
+	monoC, wholeC := probes[0].circs[len(stages)], probes[1].circs[0]
 	maxSegW, segCells := 0, 0
-	for _, s := range stages {
-		c := probe.Lib[s.Name]
+	for _, c := range probes[0].circs[:len(stages)] {
 		segCells += c.Cells()
 		if c.BS.W > maxSegW {
 			maxSegW = c.BS.W
 		}
 	}
-	monoW := probe.Lib[mono.Name].BS.W
-	wholeW := wholeProbe.Lib[big.Name].BS.W
+	monoW, wholeW := monoC.BS.W, wholeC.BS.W
 
 	// Phase 2 — runs: monolithic big, segmented small, one per
 	// auto-segmentation k, and the whole-mul8 reference.
@@ -907,16 +866,16 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 		case 0: // monolithic on a device sized for it
 			optBig := defaultOpt(cfg)
 			optBig.Geometry.Cols = monoW + 2
-			res, err := runSet(optBig, defaultOS(), monoSet(), dynamicMgr)
+			res, err := runSet(optBig, hostos.DefaultConfig(), monoSet(), dynamicMgr)
 			if err != nil {
 				return nil, err
 			}
-			return []any{"monolithic (big device)", optBig.Geometry.Cols, probe.Lib[mono.Name].Cells(),
+			return []any{"monolithic (big device)", optBig.Geometry.Cols, monoC.Cells(),
 				res.Engine.M.Loads.Value(), ms(res.Makespan)}, nil
 		case 1: // segmented on a small device sized for the largest segment
 			optSmall := defaultOpt(cfg)
 			optSmall.Geometry.Cols = maxSegW + 2
-			res, err := runSet(optSmall, defaultOS(), segSet(), dynamicMgr)
+			res, err := runSet(optSmall, hostos.DefaultConfig(), segSet(), dynamicMgr)
 			if err != nil {
 				return nil, err
 			}
@@ -931,21 +890,19 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 			}
 			optWhole := defaultOpt(cfg)
 			optWhole.Geometry.Cols = wholeW + 2
-			res, err := runSet(optWhole, defaultOS(),
+			res, err := runSet(optWhole, hostos.DefaultConfig(),
 				&workload.Set{Tasks: []workload.TaskSpec{{Name: "app", Program: prog}}, Circuits: []*netlist.Netlist{big}},
 				dynamicMgr)
 			if err != nil {
 				return nil, err
 			}
 			return []any{"whole mul8 (big device)", optWhole.Geometry.Cols,
-				wholeProbe.Lib[big.Name].Cells(), res.Engine.M.Loads.Value(), ms(res.Makespan)}, nil
+				wholeC.Cells(), res.Engine.M.Loads.Value(), ms(res.Makespan)}, nil
 		default: // auto-segmented mul8 at ks[i-2]
 			kSeg := ks[i-2]
 			segs := probes[i].segs
-			segProbe := probes[i].engine
 			maxSegCols, totalCells := 0, 0
-			for _, s := range segs {
-				c := segProbe.Lib[s.Name]
+			for _, c := range probes[i].circs {
 				totalCells += c.Cells()
 				if c.BS.W > maxSegCols {
 					maxSegCols = c.BS.W
@@ -960,7 +917,7 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 			set := &workload.Set{Tasks: []workload.TaskSpec{{Name: "app", Program: prog}}, Circuits: segs}
 			optSeg := defaultOpt(cfg)
 			optSeg.Geometry.Cols = maxSegCols + 2
-			res, err := runSet(optSeg, defaultOS(), set, dynamicMgr)
+			res, err := runSet(optSeg, hostos.DefaultConfig(), set, dynamicMgr)
 			if err != nil {
 				return nil, err
 			}
@@ -974,7 +931,7 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 	tbl.AddRow(runs[0]...)
 	tbl.AddRow(runs[1]...)
 	// Monolithic on the small device: infeasible by construction.
-	tbl.AddRow("monolithic (small device)", maxSegW+2, probe.Lib[mono.Name].Cells(),
+	tbl.AddRow("monolithic (small device)", maxSegW+2, monoC.Cells(),
 		"n/a", fmt.Sprintf("infeasible: needs %d cols", monoW))
 	addRows(tbl, runs[2:])
 	return tbl, nil
@@ -990,6 +947,8 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 		Note:    "paper §5: cost reduction expands the market — same workloads, smaller device",
 		Columns: []string{"scenario", "manager", "device_cols", "makespan_ms", "mean_turnaround_ms", "loads"},
 	}
+	priorityOS := hostos.DefaultConfig()
+	priorityOS.Policy = hostos.Priority
 	scenarios := []struct {
 		name string
 		set  func() *workload.Set
@@ -1002,7 +961,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 				c.Streams, c.Frames = 2, 8
 			}
 			return workload.Multimedia(c)
-		}, defaultOS()},
+		}, hostos.DefaultConfig()},
 		{"telecom", func() *workload.Set {
 			c := workload.DefaultTelecom()
 			c.Seed = cfg.Seed + 29
@@ -1010,7 +969,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 				c.Sessions = 4
 			}
 			return workload.Telecom(c)
-		}, defaultOS()},
+		}, hostos.DefaultConfig()},
 		{"diagnosis", func() *workload.Set {
 			c := workload.DefaultDiagnosis()
 			c.Seed = cfg.Seed + 31
@@ -1018,7 +977,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 				c.ControlOps = 20
 			}
 			return workload.Diagnosis(c)
-		}, hostos.Config{Policy: hostos.Priority, TimeSlice: 10 * sim.Millisecond, CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond}},
+		}, priorityOS},
 		{"storage", func() *workload.Set {
 			c := workload.DefaultStorage()
 			c.Seed = cfg.Seed + 41
@@ -1026,7 +985,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 				c.Requests = 6
 			}
 			return workload.Storage(c)
-		}, defaultOS()},
+		}, hostos.DefaultConfig()},
 	}
 	// Scenarios fan out in parallel, and each scenario fans its manager
 	// comparison out again; rows flatten back in scenario-then-manager
@@ -1035,19 +994,16 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 		sc := scenarios[si]
 		// Probe widths to size the small and big devices.
 		probeSet := sc.set()
-		probe, err := engineFor(defaultOpt(cfg), probeSet.Circuits)
+		probe, err := compileSet(defaultOpt(cfg), probeSet.Circuits)
 		if err != nil {
 			return nil, err
 		}
 		sumW, maxW := 0, 0
-		var names []string
-		for _, c := range probeSet.Circuits {
-			w := probe.Lib[c.Name].BS.W
-			sumW += w
-			if w > maxW {
-				maxW = w
+		for _, c := range probe {
+			sumW += c.BS.W
+			if c.BS.W > maxW {
+				maxW = c.BS.W
 			}
-			names = append(names, c.Name)
 		}
 		smallCols := maxW + 2
 		bigCols := sumW + 2
@@ -1055,19 +1011,12 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 		managers := []struct {
 			name string
 			cols int
-			mk   func(*sim.Kernel, *core.Engine) hostos.FPGA
+			mk   baseline.ManagerFunc
 		}{
-			{"software only", smallCols, func(k *sim.Kernel, e *core.Engine) hostos.FPGA { return baseline.NewSoftware(e, 20) }},
+			{"software only", smallCols, softwareMgr},
 			{"vfpga dynamic (small)", smallCols, dynamicMgr},
-			{"vfpga partitions (mid)", (smallCols + bigCols) / 2,
-				partitionMgr(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true})},
-			{"merged big FPGA", bigCols, func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-				m, _, err := baseline.NewMerged(k, e, names)
-				if err != nil {
-					panic(err)
-				}
-				return m
-			}},
+			{"vfpga partitions (mid)", (smallCols + bigCols) / 2, variableMgr},
+			{"merged big FPGA", bigCols, baseline.NewManager("merged", probeSet.CircuitNames(), 0)},
 		}
 		return parRows(cfg.Jobs, len(managers), func(mi int) ([]any, error) {
 			m := managers[mi]

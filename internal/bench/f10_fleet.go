@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/compile"
 	"repro/internal/fleet"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -47,7 +46,6 @@ func fleetClassPool() []fleetClass {
 // 40% through the expected arrival span so every policy absorbs the
 // same casualty.
 func FleetBakeoffConfig(cfg Config) (fleet.BakeoffConfig, error) {
-	geo := benchGeometry()
 	jobs := 12_000
 	if cfg.Quick {
 		jobs = 1_500
@@ -60,17 +58,19 @@ func FleetBakeoffConfig(cfg Config) (fleet.BakeoffConfig, error) {
 		Jobs: jobs, Seed: cfg.Seed,
 		FailNode: 1,
 	}
-	opt := defaultOpt(cfg)
+	classes := fleetClassPool()
+	nls := make([]*netlist.Netlist, len(classes))
+	for i, cl := range classes {
+		nls[i] = cl.nl
+	}
+	circs, err := compileSet(defaultOpt(cfg), nls)
+	if err != nil {
+		return fleet.BakeoffConfig{}, fmt.Errorf("F10: %w", err)
+	}
 	var meanArea float64
 	var totalWeight int
-	for i, cl := range fleetClassPool() {
-		tm := opt.Timing
-		c, err := stripCache.CompileStrip(cl.nl, geo.Rows, geo.TracksPerChannel,
-			compile.Options{Seed: opt.Seed + uint64(i), Timing: &tm})
-		if err != nil {
-			return fleet.BakeoffConfig{}, fmt.Errorf("bench F10: compile %s: %w", cl.nl.Name, err)
-		}
-		w, _ := c.Footprint()
+	for i, cl := range classes {
+		w, _ := circs[i].Footprint()
 		dur := sim.Time(cl.evals) * 10 * sim.Nanosecond
 		bcfg.Classes = append(bcfg.Classes, fleet.JobClass{
 			Name: cl.nl.Name, Width: w, Duration: dur, Weight: cl.weight,

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/hostos"
 	"repro/internal/sim"
@@ -42,7 +43,6 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 	if cfg.Quick {
 		splits = []int{1, 2, 4}
 	}
-	pcfg := core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true}
 	rows, err := parRows(cfg.Jobs, len(splits), func(i int) ([]any, error) {
 		boards := splits[i]
 		cols := totalCols / boards
@@ -50,44 +50,37 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 		opt.Geometry.Cols = cols
 
 		set := mkSet()
-		k := sim.New()
-		var engines []*core.Engine
-		var widest int
-		for b := 0; b < boards; b++ {
-			e, err := engineFor(opt, set.Circuits)
-			if err != nil {
-				return nil, err
-			}
-			engines = append(engines, e)
+		circs, err := compileSet(opt, set.Circuits)
+		if err != nil {
+			return nil, err
 		}
-		for _, c := range set.Circuits {
-			if w := engines[0].Lib[c.Name].BS.W; w > widest {
-				widest = w
+		widest := 0
+		for _, c := range circs {
+			if c.BS.W > widest {
+				widest = c.BS.W
 			}
 		}
 		if widest > cols {
 			return []any{boards, cols, "infeasible", "-", "-", "-",
 				fmt.Sprintf("no (widest needs %d)", widest)}, nil
 		}
-		mm, err := core.NewMultiManager(k, engines, pcfg)
+		// A short slice interleaves the tasks so concurrent partition
+		// demand actually reaches the boards.
+		osCfg := hostos.DefaultConfig()
+		osCfg.TimeSlice = 1 * sim.Millisecond
+		st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, baseline.NewManager("multi", nil, 0))
 		if err != nil {
 			return nil, err
 		}
-		// A short slice interleaves the tasks so concurrent partition
-		// demand actually reaches the boards.
-		osCfg := defaultOS()
-		osCfg.TimeSlice = 1 * sim.Millisecond
-		osim := hostos.New(k, osCfg, mm)
-		set.Spawn(osim)
-		k.Run()
-		if !osim.AllDone() {
-			return nil, fmt.Errorf("bench F8: unfinished tasks with %d boards", boards)
+		if err := st.Run(set); err != nil {
+			return nil, fmt.Errorf("F8 with %d boards: %w", boards, err)
 		}
 		var meanBlock sim.Time
-		for _, t := range osim.Tasks() {
-			meanBlock += t.BlockWait / sim.Time(len(osim.Tasks()))
+		for _, t := range st.OS.Tasks() {
+			meanBlock += t.BlockWait / sim.Time(len(st.OS.Tasks()))
 		}
-		return []any{boards, cols, ms(osim.Makespan()), ms(meanBlock),
+		mm := st.Mgr.(*core.MultiManager)
+		return []any{boards, cols, ms(st.OS.Makespan()), ms(meanBlock),
 			mm.TotalLoads(), mm.TotalBlocks(), "yes"}, nil
 	})
 	if err != nil {

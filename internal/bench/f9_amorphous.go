@@ -3,14 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/hostos"
-	"repro/internal/netlist"
-	"repro/internal/rng"
+	"repro/internal/baseline"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // F9AmorphousRegions — §4 refined: fixed-boundary variable partitions
@@ -27,87 +23,14 @@ func F9AmorphousRegions(cfg Config) (*trace.Table, error) {
 		Note:    "flexible boundaries slide instead of split/merge; exited strips stay cached for adoption",
 		Columns: []string{"manager", "mean_frag", "max_frag", "util_mean_clbs", "hw_util", "blocks", "p95_block_ms", "loads", "relocations", "makespan_ms"},
 	}
-	small := 24
-	wide := 6
-	if cfg.Quick {
-		small, wide = 10, 3
-	}
-	// The F4 churn shape, kept verbatim so the comparison isolates the
-	// residency model: narrow recurring tasks checkerboard the device,
-	// staggered exits leave holes, and wide tasks demand contiguity no
-	// single hole provides.
-	narrowPool := []*netlist.Netlist{netlist.Parity(16), netlist.Adder(8), netlist.Comparator(16)}
-	widePool := []*netlist.Netlist{netlist.Multiplier(6), netlist.Multiplier(8)}
-	mkSet := func() *workload.Set {
-		src := rng.New(cfg.Seed + 17)
-		set := &workload.Set{Circuits: append(append([]*netlist.Netlist{}, narrowPool...), widePool...)}
-		arrival := sim.Time(0)
-		for i := 0; i < small; i++ {
-			taskSrc := src.Split()
-			arrival += sim.Time(float64(sim.Millisecond) * taskSrc.ExpFloat64())
-			c := narrowPool[taskSrc.Intn(len(narrowPool))]
-			dur := sim.Time(taskSrc.Intn(5)+1) * 2 * sim.Millisecond
-			set.Tasks = append(set.Tasks, workload.TaskSpec{
-				Name:    fmt.Sprintf("small%d", i),
-				Arrival: arrival,
-				Program: []hostos.Op{
-					hostos.UseFPGA(hostos.FPGARequest{Circuit: c.Name, Evaluations: 50_000}),
-					hostos.Compute(dur),
-					hostos.UseFPGA(hostos.FPGARequest{Circuit: c.Name, Evaluations: 50_000}),
-				},
-			})
-		}
-		for i := 0; i < wide; i++ {
-			c := widePool[i%len(widePool)]
-			set.Tasks = append(set.Tasks, workload.TaskSpec{
-				Name:    fmt.Sprintf("wide%d", i),
-				Arrival: sim.Time(6+5*i) * sim.Millisecond,
-				Program: []hostos.Op{
-					hostos.UseFPGA(hostos.FPGARequest{Circuit: c.Name, Evaluations: 80_000}),
-				},
-			})
-		}
-		return set
-	}
+	mkSet := churnSets(cfg) // F4's churn, so the comparison isolates the residency model
 	managers := []string{"partition", "amorphous"}
 	rows, err := parRows(cfg.Jobs, len(managers), func(i int) ([]any, error) {
-		k := sim.New()
-		set := mkSet()
-		opt := defaultOpt(cfg)
-		opt.Geometry.Cols = 12 // tight enough that holes matter
-		e, err := engineFor(opt, set.Circuits)
+		st, fragSample, err := runChurn(cfg, mkSet(), baseline.NewManager(managers[i], nil, 0))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("F9 %s: %w", managers[i], err)
 		}
-		var mgr hostos.FPGA
-		var frag func() core.FragStats
-		switch managers[i] {
-		case "partition":
-			pm, err := core.NewPartitionManager(k, e, core.PartitionConfig{
-				Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			mgr, frag = pm, pm.Frag
-		case "amorphous":
-			am := core.NewAmorphousManager(k, e, core.DefaultAmorphousConfig())
-			mgr, frag = am, am.Frag
-		}
-		os := hostos.New(k, defaultOS(), mgr)
-		set.Spawn(os)
-		fragSample := stats.NewSample(false)
-		// Sample fragmentation every millisecond while the run progresses.
-		for !os.AllDone() {
-			fired := k.RunUntil(k.Now() + sim.Millisecond)
-			f := frag()
-			if f.FreeCols > 0 && f.FreeCols < opt.Geometry.Cols {
-				fragSample.Observe(f.Ratio())
-			}
-			if fired == 0 && k.Pending() == 0 && !os.AllDone() {
-				return nil, fmt.Errorf("bench F9: deadlock with manager=%s", managers[i])
-			}
-		}
+		e, os := st.Engines[0], st.OS
 		block := stats.NewSample(true)
 		var hwTotal sim.Time
 		for _, t := range os.Tasks() {
@@ -121,7 +44,7 @@ func F9AmorphousRegions(cfg Config) (*trace.Table, error) {
 		// show this — it averages configured CLBs over each run's own
 		// (different) makespan.
 		hwUtil := float64(hwTotal) / float64(os.Makespan())
-		snap := e.M.Snapshot(k.Now())
+		snap := e.M.Snapshot(st.K.Now())
 		return []any{managers[i], fragSample.Mean(), fragSample.Max(), snap.UtilMean, hwUtil,
 			e.M.Blocks.Value(), ms(sim.Time(block.Quantile(0.95))),
 			e.M.Loads.Value(), e.M.Relocations.Value(), ms(os.Makespan())}, nil

@@ -231,27 +231,43 @@ func (e *Engine) CapturePristine() *PristineImage {
 	return img
 }
 
-// AddCircuit compiles nl as a full-height strip and registers it under its
-// netlist name.
+// CompileSet compiles nls as full-height strips for opt's geometry and
+// timing and returns them in order. It is the one statement of the seed
+// rule every golden depends on: circuit i of a set compiles with
+// opt.Seed+i. A nil cache compiles uncached; a shared cache returns the
+// same *Circuit for the same netlist name, shape, timing and seed.
+func CompileSet(cache *compile.StripCache, opt Options, nls []*netlist.Netlist) ([]*compile.Circuit, error) {
+	rows, tracks := opt.Geometry.Rows, opt.Geometry.TracksPerChannel
+	circs := make([]*compile.Circuit, len(nls))
+	for i, nl := range nls {
+		copt := compile.Options{Seed: opt.Seed + uint64(i), Timing: &opt.Timing}
+		var err error
+		if cache != nil {
+			circs[i], err = cache.CompileStrip(nl, rows, tracks, copt)
+		} else {
+			circs[i], err = compile.CompileStrip(nl, rows, tracks, copt)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return circs, nil
+}
+
+// AddCircuit compiles nl as the library's next circuit and registers it
+// under its netlist name.
 func (e *Engine) AddCircuit(nl *netlist.Netlist) error {
 	if _, dup := e.Lib[nl.Name]; dup {
 		return nil // idempotent: same generator registered by many tasks
 	}
-	tm := e.Opt.Timing
-	c, err := compile.CompileStrip(nl, e.Opt.Geometry.Rows, e.Opt.Geometry.TracksPerChannel,
-		compile.Options{Seed: e.Opt.Seed + uint64(len(e.Lib)), Timing: &tm})
+	opt := e.Opt
+	opt.Seed += uint64(len(e.Lib))
+	circs, err := CompileSet(nil, opt, []*netlist.Netlist{nl})
 	if err != nil {
 		return err
 	}
-	e.Lib[nl.Name] = c
+	e.Lib[nl.Name] = circs[0]
 	return nil
-}
-
-// MustAddCircuit is AddCircuit that panics on error.
-func (e *Engine) MustAddCircuit(nl *netlist.Netlist) {
-	if err := e.AddCircuit(nl); err != nil {
-		panic(err)
-	}
 }
 
 // Circuit returns the named compiled circuit.

@@ -357,22 +357,3 @@ func (pl *PagedLoader) Remove(t *hostos.Task) {
 
 // ResidentPages returns the number of currently resident pages.
 func (pl *PagedLoader) ResidentPages() int { return len(pl.where) }
-
-// FaultRate returns faults per page reference so far.
-func (pl *PagedLoader) FaultRate() float64 {
-	refs := pl.E.M.PageFaults.Value() + pl.hits()
-	if refs == 0 {
-		return 0
-	}
-	return float64(pl.E.M.PageFaults.Value()) / float64(refs)
-}
-
-// hits is derived: every touch that was not a fault.
-func (pl *PagedLoader) hits() int64 {
-	// seq increments on every touch and every load; loads == PageLoads.
-	h := pl.seq - pl.E.M.PageLoads.Value()
-	if h < 0 {
-		return 0
-	}
-	return h
-}

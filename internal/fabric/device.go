@@ -162,10 +162,6 @@ func (d *Device) SetPin(p int, v bool) {
 // FF returns the live flip-flop value of the CLB at (x, y).
 func (d *Device) FF(x, y int) bool { return d.ffs[d.idx(x, y)] }
 
-// SetFF overwrites the live flip-flop value of the CLB at (x, y). This is
-// the "controllability" path used for state restore.
-func (d *Device) SetFF(x, y int, v bool) { d.ffs[d.idx(x, y)] = v }
-
 // ReadRegionState returns the FF values of every registered CLB in the
 // region, in x-major scan order. This is the readback path the paper's
 // "observability" requirement describes.

@@ -184,8 +184,7 @@ type Scheduler struct {
 	wg     sync.WaitGroup
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	seq      int64
+	jobs     *serve.JobTable[*Job]
 	routed   []int64 // accepted placements per node
 	reroutes int64   // placements after a node-level casualty
 	scores   *stats.Sample
@@ -210,7 +209,7 @@ func NewScheduler(nodes []*Node, policy PlacementPolicy, cache *compile.StripCac
 		policy: policy,
 		cache:  cache,
 		geom:   nodes[0].cfgs[0],
-		jobs:   map[string]*Job{},
+		jobs:   serve.NewJobTable[*Job]("f"),
 		routed: make([]int64, len(nodes)),
 		scores: stats.NewSample(true),
 	}, nil
@@ -299,15 +298,13 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 		cancel()
 		return nil, serve.ErrDraining
 	}
-	s.seq++
-	j.id = fmt.Sprintf("f%06d", s.seq)
-	s.jobs[j.id] = j
+	j.id = s.jobs.Put(j)
 	s.wg.Add(1)
 	s.mu.Unlock()
 
 	if err := s.place(j); err != nil {
 		s.mu.Lock()
-		delete(s.jobs, j.id)
+		s.jobs.Remove(j.id)
 		s.mu.Unlock()
 		s.wg.Done()
 		cancel()
@@ -317,12 +314,21 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	return j, nil
 }
 
-// Job returns the fleet job by id.
-func (s *Scheduler) Job(id string) (*Job, bool) {
+// Job returns the fleet job by id, serve.ErrJobExpired once its record
+// has been dropped, or serve.ErrNoSuchJob.
+func (s *Scheduler) Job(id string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	return s.jobs.Get(id)
+}
+
+// finish records j's final status and starts its retention in the job
+// table.
+func (s *Scheduler) finish(j *Job, st serve.JobStatus) {
+	j.finish(st)
+	s.mu.Lock()
+	s.jobs.Finish(j.id)
+	s.mu.Unlock()
 }
 
 // place routes one attempt of j: policy choice, then submission into
@@ -401,7 +407,7 @@ func (s *Scheduler) watch(j *Job) {
 		<-inner.Done()
 		st := inner.Status()
 		if st.State == serve.StateDone || st.FaultKind == "" || j.pinNode != nil {
-			j.finish(st)
+			s.finish(j, st)
 			return
 		}
 		j.mu.Lock()
@@ -413,7 +419,7 @@ func (s *Scheduler) watch(j *Job) {
 		s.mu.Unlock()
 		if err := s.place(j); err != nil {
 			st.Error = fmt.Sprintf("%s (re-route: %v)", st.Error, err)
-			j.finish(st)
+			s.finish(j, st)
 			return
 		}
 	}

@@ -152,15 +152,15 @@ func (backend) SubmitStatus(err error) int {
 
 func (backend) QueueFull() string { return "every node's board queues are full" }
 
-func (b backend) JobStatus(id string, cancel bool) (any, bool) {
-	j, ok := b.s.sched.Job(id)
-	if !ok {
-		return nil, false
+func (b backend) JobStatus(id string, cancel bool) (any, error) {
+	j, err := b.s.sched.Job(id)
+	if err != nil {
+		return nil, err
 	}
 	if cancel {
 		j.Cancel()
 	}
-	return j.Status(), true
+	return j.Status(), nil
 }
 
 // BoardInfo is one entry of a fleet's GET /v1/boards: the node's board

@@ -90,9 +90,9 @@ func submitWait(t *testing.T, s *Server, tenant, scenario string) JobStatus {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	j, ok := s.Scheduler().Job(resp.ID)
-	if !ok {
-		t.Fatalf("job %s not registered", resp.ID)
+	j, err := s.Scheduler().Job(resp.ID)
+	if err != nil {
+		t.Fatalf("job %s not registered: %v", resp.ID, err)
 	}
 	select {
 	case <-j.Done():
@@ -334,5 +334,58 @@ func TestFleetDrainRejectsNewWork(t *testing.T) {
 	}
 	if h.Status != "draining" {
 		t.Fatalf("health status %q, want draining", h.Status)
+	}
+}
+
+// TestFleetJobTableBounded runs more fleet jobs than the retention cap
+// through the HTTP surface of a one-board fleet: the scheduler's table
+// stops growing at the cap, the first fleet id answers a typed 410, the
+// last 200, an unissued one 404.
+func TestFleetJobTableBounded(t *testing.T) {
+	s := newTestFleet(t, ServerConfig{}, 1, 1)
+	b, err := json.Marshal(serve.SubmitRequest{Tenant: "soak", Workload: workload.Spec{
+		Scenario:  "synthetic",
+		Synthetic: &workload.SyntheticSpec{Tasks: 1, OpsPerTask: 1, EvalsPerOp: 1, Pool: []string{"parity16"}, Seed: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 5
+	var last string
+	for i := 0; i < serve.JobRetention+extra; i++ {
+		rec := do(t, s, "POST", "/v1/jobs", string(b))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: got %d (body %s)", i, rec.Code, rec.Body)
+		}
+		var resp serve.SubmitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.sched.Job(resp.ID)
+		if err != nil {
+			t.Fatalf("job %s: %v", resp.ID, err)
+		}
+		<-j.Done()
+		last = resp.ID
+	}
+	// Watchers and workers retire a job just after closing Done.
+	s.Drain()
+	s.sched.mu.Lock()
+	held := s.sched.jobs.Len()
+	s.sched.mu.Unlock()
+	if held != serve.JobRetention {
+		t.Errorf("fleet table holds %d jobs after %d, want the cap %d", held, serve.JobRetention+extra, serve.JobRetention)
+	}
+	for _, method := range []string{"GET", "DELETE"} {
+		rec := do(t, s, method, "/v1/jobs/f000001", "")
+		if rec.Code != http.StatusGone || !strings.Contains(rec.Body.String(), `"error": "job expired"`) {
+			t.Errorf("%s first job: got %d %s, want 410 job expired", method, rec.Code, rec.Body)
+		}
+		if rec := do(t, s, method, "/v1/jobs/"+last, ""); rec.Code != http.StatusOK {
+			t.Errorf("%s last job %s: got %d, want 200", method, last, rec.Code)
+		}
+		if rec := do(t, s, method, "/v1/jobs/f999999", ""); rec.Code != http.StatusNotFound {
+			t.Errorf("%s unissued job: got %d, want 404", method, rec.Code)
+		}
 	}
 }

@@ -224,27 +224,8 @@ var builtin = []Pass{
 	{"fault-plan", "fault campaign sanity: probability ranges, script ordering, retry policy", passFaultPlan},
 }
 
-// extra holds passes added by RegisterPass, run after the builtins.
-var extra []Pass
-
-// RegisterPass adds a custom pass to every subsequent Run. It panics on
-// a name collision with an existing pass.
-func RegisterPass(p Pass) {
-	for _, q := range Passes() {
-		if q.Name == p.Name {
-			panic(fmt.Sprintf("lint: duplicate pass %q", p.Name))
-		}
-	}
-	extra = append(extra, p)
-}
-
-// Passes returns the full ordered pass list (builtins, then registered).
-func Passes() []Pass {
-	out := make([]Pass, 0, len(builtin)+len(extra))
-	out = append(out, builtin...)
-	out = append(out, extra...)
-	return out
-}
+// Passes returns the full ordered pass list.
+func Passes() []Pass { return append([]Pass(nil), builtin...) }
 
 // Options tunes a lint run.
 type Options struct {

@@ -27,8 +27,8 @@ type Backend interface {
 	// QueueFull is the 429 message when no queue has room.
 	QueueFull() string
 	// JobStatus returns the body of GET (or, with cancel set, DELETE)
-	// /v1/jobs/{id}; false when there is no such job.
-	JobStatus(id string, cancel bool) (any, bool)
+	// /v1/jobs/{id}, or ErrJobExpired or ErrNoSuchJob.
+	JobStatus(id string, cancel bool) (any, error)
 	// Boards returns the body of GET /v1/boards.
 	Boards() any
 	// Health returns the body of GET /healthz, less the version.
@@ -169,10 +169,13 @@ func (a *api) submitFailure(err error) (int, string) {
 // advisory: a queued job fails when its worker picks it up; a running or
 // finished job is unaffected (the simulation is not preemptible mid-run).
 func (a *api) handleJob(w http.ResponseWriter, r *http.Request) {
-	st, ok := a.b.JobStatus(r.PathValue("id"), r.Method == http.MethodDelete)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
-		return
+	st, err := a.b.JobStatus(r.PathValue("id"), r.Method == http.MethodDelete)
+	switch {
+	case errors.Is(err, ErrJobExpired):
+		writeError(w, http.StatusGone, "%v", err)
+	case err != nil:
+		writeError(w, http.StatusNotFound, "%v", err)
+	default:
+		WriteJSON(w, http.StatusOK, st)
 	}
-	WriteJSON(w, http.StatusOK, st)
 }

@@ -49,7 +49,7 @@ func fragBoard(t *testing.T, manager, scenario string) (*Pool, *board) {
 // two free spans, ratio > 0 — and returns the strip width.
 func fragment(t *testing.T, b *board, ci int) int {
 	t.Helper()
-	eng := b.rt.engines[0]
+	eng := b.rt.Engines[0]
 	c := b.rt.circs[ci]
 	w := c.BS.W
 	eng.Ledger().Load("frag-a", c, 0, false)
@@ -123,7 +123,7 @@ func TestBoardMaintAbortRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.rt.engines[0].Ledger().InjectFaults(fault.NewInjector(plan))
+	b.rt.Engines[0].Ledger().InjectFaults(fault.NewInjector(plan))
 
 	p.boardMaint(b)
 	bi := b.info()

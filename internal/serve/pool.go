@@ -174,7 +174,7 @@ func (b *board) sampleFrag() {
 	var ratio float64
 	largest := 0
 	var merged core.FragStats
-	for _, eng := range b.rt.engines {
+	for _, eng := range b.rt.Engines {
 		f := eng.Ledger().Frag()
 		if r := f.Ratio(); r > ratio {
 			ratio = r
@@ -301,8 +301,7 @@ type Pool struct {
 	compactBudget    sim.Time
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	seq      int64
+	jobs     *JobTable[*Job]
 	requeues int64 // jobs handed to another board after a quarantine
 	draining bool
 	// svc records completed jobs' virtual service time (makespan, ns)
@@ -386,7 +385,7 @@ func NewPool(cfgs []BoardConfig, opts PoolOptions) (*Pool, error) {
 		outcomes:         outcomes,
 		compactWatermark: opts.CompactWatermark,
 		compactBudget:    opts.CompactBudget,
-		jobs:             map[string]*Job{},
+		jobs:             NewJobTable[*Job]("j"),
 		svc:              stats.NewLatencyRecorder(),
 		tenantSvc:        map[string]*stats.LatencyRecorder{},
 	}
@@ -441,7 +440,7 @@ func (p *Pool) boardMaint(b *board) {
 	}
 	var moved, aborts int64
 	ran := false
-	for _, eng := range b.rt.engines {
+	for _, eng := range b.rt.Engines {
 		f := eng.Ledger().Frag()
 		// One mid-device hole is enough to cross a low watermark, but
 		// with a single free span there is nothing to merge.
@@ -484,7 +483,7 @@ func (p *Pool) runOne(b *board, j *Job) {
 	if err := j.ctx.Err(); err != nil {
 		// Canceled or deadline-expired while queued: fail without
 		// spending board time on it.
-		j.finish(nil, fmt.Errorf("job %s not run: %w", j.id, err))
+		p.finish(j, nil, fmt.Errorf("job %s not run: %w", j.id, err))
 		b.mu.Lock()
 		b.failed++
 		b.mu.Unlock()
@@ -499,7 +498,7 @@ func (p *Pool) runOne(b *board, j *Job) {
 			return
 		}
 		j.noteFault(kind)
-		j.finish(nil, fmt.Errorf("serve: board %d quarantined (%s); no healthy board for job %s", b.id, kind, j.id))
+		p.finish(j, nil, fmt.Errorf("serve: board %d quarantined (%s); no healthy board for job %s", b.id, kind, j.id))
 		b.mu.Lock()
 		b.failed++
 		b.mu.Unlock()
@@ -521,7 +520,7 @@ func (p *Pool) runOne(b *board, j *Job) {
 		if p.requeue(j) {
 			return
 		}
-		j.finish(nil, err)
+		p.finish(j, nil, err)
 		b.mu.Lock()
 		b.failed++
 		b.mu.Unlock()
@@ -546,7 +545,7 @@ func (p *Pool) runOne(b *board, j *Job) {
 		p.observeService(j.tenant, int64(res.Makespan))
 		p.outcomes.NoteCompleted(j.tenant)
 	}
-	j.finish(res, err)
+	p.finish(j, res, err)
 }
 
 // runWarm executes j on b, reusing the board's warm runtime when one is
@@ -557,15 +556,6 @@ func (p *Pool) runOne(b *board, j *Job) {
 // requeues cold). Runs on b's worker goroutine, the sole owner of b.rt.
 func (p *Pool) runWarm(b *board, j *Job) (res *JobResult, err error) {
 	defer func() {
-		// rt.run recovers its own panics; this one covers the build path,
-		// so a panicking constructor fails the job, not the worker.
-		if r := recover(); r != nil {
-			if esc, ok := fault.AsEscalation(r); ok {
-				res, err = nil, esc
-			} else {
-				res, err = nil, fmt.Errorf("serve: job panicked: %v", r)
-			}
-		}
 		if err != nil {
 			b.rt = nil
 		}
@@ -573,6 +563,7 @@ func (p *Pool) runWarm(b *board, j *Job) (res *JobResult, err error) {
 		b.warm = b.rt != nil
 		b.mu.Unlock()
 	}()
+	defer recoverJob(&res, &err)
 	set, err := j.spec.Build()
 	if err != nil {
 		return nil, err
@@ -673,15 +664,14 @@ func (p *Pool) submit(j *Job, pin *int) (int, error) {
 	// All job fields are written before the channel send: the send
 	// happens-before the worker's receive, so the worker may read them
 	// without holding j.mu.
-	j.id = fmt.Sprintf("j%06d", p.seq+1)
+	j.id = p.jobs.NextID()
 	for _, target := range ordered {
 		j.mu.Lock()
 		j.board = target.id
 		j.mu.Unlock()
 		select {
 		case target.queue <- j:
-			p.seq++
-			p.jobs[j.id] = j
+			p.jobs.Put(j)
 			return target.id, nil
 		default: // full; try the next board
 		}
@@ -756,12 +746,21 @@ func (p *Pool) RequeueCount() int64 {
 	return p.requeues
 }
 
-// Job returns the job by id.
-func (p *Pool) Job(id string) (*Job, bool) {
+// Job returns the job by id, ErrJobExpired once its record has been
+// dropped, or ErrNoSuchJob.
+func (p *Pool) Job(id string) (*Job, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	j, ok := p.jobs[id]
-	return j, ok
+	return p.jobs.Get(id)
+}
+
+// finish moves j to its terminal state and starts its retention in the
+// job table.
+func (p *Pool) finish(j *Job, res *JobResult, err error) {
+	j.finish(res, err)
+	p.mu.Lock()
+	p.jobs.Finish(j.id)
+	p.mu.Unlock()
 }
 
 // BoardInfos returns a snapshot of every board, in board-id order.

@@ -120,23 +120,11 @@ func NewDirectRunner(bc BoardConfig) (workload.RunFunc, error) {
 
 // runJob executes one workload spec on a freshly built board and
 // returns the wire-form result: build the stack cold, run once, drop it.
-// It is the warm path's rebuild fallback and the reference the warm
-// equivalence suite compares against. It is called from the board's
-// goroutine only: everything it builds (kernel, engine, managers, OS) is
+// It is what NewDirectRunner memoizes and the reference the warm
+// equivalence suite compares against; everything it builds is
 // single-goroutine state confined to that stack.
 func runJob(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec, withTrace bool) (res *JobResult, err error) {
-	// rt.run recovers panics raised while simulating; this recover covers
-	// the build path too, so a panicking constructor fails the job, not
-	// the daemon. Fault escalations stay typed through both.
-	defer func() {
-		if r := recover(); r != nil {
-			if esc, ok := fault.AsEscalation(r); ok {
-				res, err = nil, esc
-				return
-			}
-			res, err = nil, fmt.Errorf("serve: job panicked: %v", r)
-		}
-	}()
+	defer recoverJob(&res, &err)
 	set, err := spec.Build()
 	if err != nil {
 		return nil, err

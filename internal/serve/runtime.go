@@ -22,25 +22,14 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hostos"
 	"repro/internal/lint"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// jobResetter is the warm-reset hook every manager implements: return
-// the manager's own bookkeeping to its post-construction state. Device
-// and metrics state is reset separately via Ledger.ResetForJob.
-type jobResetter interface{ ResetForJob() }
-
-// boardRuntime is one board's resident simulated stack, reused across
-// jobs. It is owned by the board's worker goroutine exclusively; nothing
-// in it is safe for concurrent use.
+// boardRuntime is one board's resident stack, reused across jobs. It is
+// owned by the board's worker goroutine exclusively; nothing in it is
+// safe for concurrent use.
 type boardRuntime struct {
-	bc      BoardConfig
-	k       *sim.Kernel
-	engines []*core.Engine
-	images  []*core.PristineImage
-	mgr     hostos.FPGA
-	osim    *hostos.OS
+	*baseline.Stack
 
 	// setDependent marks managers that bake the construction job's
 	// circuits into device state (overlay, merged): warm reuse needs the
@@ -59,21 +48,13 @@ func boardOptions(bc BoardConfig) core.Options {
 	return opt
 }
 
-// compileSet compiles every circuit of the set through the shared strip
-// cache, with the same per-circuit seeds the engines have always used,
-// and returns them in set order. The cache canonicalizes: identical
+// compileSet compiles every circuit of the set for the board through the
+// shared strip cache, in set order. The cache canonicalizes: identical
 // netlists compiled with identical options return the same *Circuit.
 func compileSet(cache *compile.StripCache, bc BoardConfig, set *workload.Set) ([]*compile.Circuit, error) {
-	opt := boardOptions(bc)
-	circs := make([]*compile.Circuit, 0, len(set.Circuits))
-	for i, nl := range set.Circuits {
-		tm := opt.Timing
-		c, err := cache.CompileStrip(nl, opt.Geometry.Rows, opt.Geometry.TracksPerChannel,
-			compile.Options{Seed: opt.Seed + uint64(i), Timing: &tm})
-		if err != nil {
-			return nil, fmt.Errorf("serve: compile %s: %w", nl.Name, err)
-		}
-		circs = append(circs, c)
+	circs, err := core.CompileSet(cache, boardOptions(bc), set.Circuits)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return circs, nil
 }
@@ -103,63 +84,32 @@ func SpecWidth(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (
 	return w, nil
 }
 
-// buildRuntime constructs the full simulated stack for one board config
-// and circuit set — exactly the construction the per-job rebuild used to
-// do — and captures each engine's pristine image for later warm resets.
-// The images are taken after manager construction (overlay and merged
-// configure the device then) and before any tracing or spawning, so a
-// restore lands on the state a fresh build would present to its first
-// job.
+// buildRuntime assembles the stack for one board config and circuit set
+// and captures its pristine images for later warm resets.
 func buildRuntime(bc BoardConfig, set *workload.Set, circs []*compile.Circuit) (*boardRuntime, error) {
-	opt := boardOptions(bc)
-	k := sim.New()
-	names := set.CircuitNames()
-
-	engIdx := 0
-	newEngine := func() *core.Engine {
-		e := core.NewEngine(opt)
-		if bc.Faults != nil {
-			// Each engine derives its own stream from the board plan, keyed
-			// by engine index only: which faults a job sees depends on the
-			// plan and the job's own op sequence, never on queue order.
-			plan := bc.Faults.Derive(uint64(engIdx))
-			e.Ledger().InjectFaults(fault.NewInjector(plan))
-		}
-		engIdx++
-		for i, name := range names {
-			e.Lib[name] = circs[i]
-		}
-		return e
+	osCfg := hostos.DefaultConfig()
+	osCfg.TimeSlice = bc.Slice
+	var err error
+	if osCfg.Policy, err = hostos.ParsePolicy(bc.Sched); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-
-	engines := []*core.Engine{newEngine()}
+	engines := 1
 	if bc.Manager == "multi" {
-		for i := 1; i < bc.SubBoards; i++ {
-			engines = append(engines, newEngine())
-		}
+		engines = bc.SubBoards
 	}
-	mgr, _, err := baseline.NewManager(bc.Manager, k, engines, names, bc.Seed)
+	names := set.CircuitNames()
+	st, err := baseline.NewStack(boardOptions(bc), engines, osCfg, bc.Faults, set, circs,
+		baseline.NewManager(bc.Manager, names, bc.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	policy, err := hostos.ParsePolicy(bc.Sched)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	osim := hostos.New(k, hostos.Config{
-		Policy: policy, TimeSlice: bc.Slice, CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
-	}, mgr)
-
-	rt := &boardRuntime{
-		bc: bc, k: k, engines: engines, mgr: mgr, osim: osim,
+	st.CapturePristine()
+	return &boardRuntime{
+		Stack:        st,
 		setDependent: bc.Manager == "overlay" || bc.Manager == "merged",
 		names:        names,
-		circs:        append([]*compile.Circuit(nil), circs...),
-	}
-	for _, eng := range engines {
-		rt.images = append(rt.images, eng.CapturePristine())
-	}
-	return rt, nil
+		circs:        circs,
+	}, nil
 }
 
 // compatible reports whether this runtime, built for a previous job, can
@@ -183,29 +133,19 @@ func (rt *boardRuntime) compatible(set *workload.Set, circs []*compile.Circuit) 
 	return true
 }
 
-// reset returns the whole stack to the pristine state buildRuntime
-// captured, then points the engine libraries at the new job's circuits.
-// After it returns, running the job is indistinguishable from running it
-// on a freshly built board.
-func (rt *boardRuntime) reset(set *workload.Set, circs []*compile.Circuit) error {
-	rt.k.Reset()
-	for i, eng := range rt.engines {
-		if err := eng.Ledger().ResetForJob(rt.images[i]); err != nil {
-			return err
+// recoverJob, deferred, fails a panicking job instead of taking the
+// daemon down with it. The caller discards the runtime on any error, so
+// recovery cannot leak corrupted state into the next job. A fault
+// escalation stays typed through the recover so the pool can quarantine
+// the board. Deferred by run for the simulation and again by its callers
+// to cover a panicking constructor on the build path.
+func recoverJob(res **JobResult, err *error) {
+	if r := recover(); r != nil {
+		*res, *err = nil, fmt.Errorf("serve: job panicked: %v", r)
+		if esc, ok := fault.AsEscalation(r); ok {
+			*err = esc
 		}
-		lib := make(map[string]*compile.Circuit, len(circs))
-		for j, nl := range set.Circuits {
-			lib[nl.Name] = circs[j]
-		}
-		eng.Lib = lib
 	}
-	r, ok := rt.mgr.(jobResetter)
-	if !ok {
-		return fmt.Errorf("serve: manager %q cannot warm-reset", rt.bc.Manager)
-	}
-	r.ResetForJob()
-	rt.osim.Reset()
-	return nil
 }
 
 // run executes one job on the runtime and returns the wire-form result.
@@ -213,49 +153,25 @@ func (rt *boardRuntime) reset(set *workload.Set, circs []*compile.Circuit) error
 // a job); a fresh runtime runs cold, with no reset. Called from the
 // board's worker goroutine only.
 func (rt *boardRuntime) run(set *workload.Set, circs []*compile.Circuit, withTrace, warm bool) (res *JobResult, err error) {
-	// A panicking job must fail, not take the daemon down with it. The
-	// caller discards the runtime on any error, so recovery cannot leak
-	// corrupted state into the next job. A fault escalation stays typed
-	// through the recover so the pool can quarantine the board.
-	defer func() {
-		if r := recover(); r != nil {
-			if esc, ok := fault.AsEscalation(r); ok {
-				res, err = nil, esc
-				return
-			}
-			res, err = nil, fmt.Errorf("serve: job panicked: %v", r)
-		}
-	}()
+	defer recoverJob(&res, &err)
 	if warm {
-		if err := rt.reset(set, circs); err != nil {
+		if err := rt.Reset(set, circs); err != nil {
 			return nil, err
 		}
 	}
-
-	var tlog *hostos.EventLog
-	var devLogs []*core.DeviceLog
 	if withTrace {
-		tlog = hostos.NewEventLog(0)
-		rt.osim.AttachTrace(tlog)
-		for _, eng := range rt.engines {
-			dl := core.NewDeviceLog(0)
-			eng.Ledger().AttachLog(dl)
-			devLogs = append(devLogs, dl)
-		}
+		rt.Trace()
 	}
-
-	set.Spawn(rt.osim)
-	rt.k.Run()
-	if !rt.osim.AllDone() {
-		return nil, fmt.Errorf("serve: simulation ended with unfinished tasks")
+	if err := rt.Run(set); err != nil {
+		return nil, err
 	}
 
 	res = &JobResult{
-		Makespan:    rt.osim.Makespan(),
-		CtxSwitches: rt.osim.CtxSwitches,
+		Makespan:    rt.OS.Makespan(),
+		CtxSwitches: rt.OS.CtxSwitches,
 		LintClean:   true,
 	}
-	for _, t := range rt.osim.Tasks() {
+	for _, t := range rt.OS.Tasks() {
 		res.Tasks = append(res.Tasks, TaskResult{
 			Name:        t.Name,
 			Turnaround:  t.Turnaround(),
@@ -268,22 +184,20 @@ func (rt *boardRuntime) run(set *workload.Set, circs []*compile.Circuit, withTra
 			Acquires:    t.Acquires,
 		})
 	}
-	for _, eng := range rt.engines {
-		res.Metrics = append(res.Metrics, eng.M.Snapshot(rt.k.Now()))
+	for _, eng := range rt.Engines {
+		res.Metrics = append(res.Metrics, eng.M.Snapshot(rt.K.Now()))
 	}
-	if lt, ok := rt.mgr.(core.LintTargeter); ok {
-		diags, err := lint.Run(lt.LintTargets(), lint.Options{MinSeverity: lint.Warning})
-		if err != nil {
-			return nil, err
-		}
-		sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pass < diags[j].Pass })
-		for _, d := range diags {
-			res.LintDiags = append(res.LintDiags, d.String())
-		}
-		res.LintClean = !lint.HasErrors(diags)
+	diags, err := rt.Lint()
+	if err != nil {
+		return nil, err
 	}
+	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pass < diags[j].Pass })
+	for _, d := range diags {
+		res.LintDiags = append(res.LintDiags, d.String())
+	}
+	res.LintClean = !lint.HasErrors(diags)
 	if withTrace {
-		res.Timeline = core.MergeTimeline(tlog, devLogs...).Events
+		res.Timeline = rt.Timeline().Events
 	}
 	return res, nil
 }

@@ -75,9 +75,9 @@ func submitOK(t *testing.T, s *Server, tenant, scenario string) *Job {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	j, ok := s.pool.Job(resp.ID)
-	if !ok {
-		t.Fatalf("job %s not registered", resp.ID)
+	j, err := s.pool.Job(resp.ID)
+	if err != nil {
+		t.Fatalf("job %s not registered: %v", resp.ID, err)
 	}
 	return j
 }

@@ -113,15 +113,15 @@ func (poolBackend) SubmitStatus(error) int { return 0 }
 
 func (poolBackend) QueueFull() string { return "all board queues full" }
 
-func (b poolBackend) JobStatus(id string, cancel bool) (any, bool) {
-	j, ok := b.s.pool.Job(id)
-	if !ok {
-		return nil, false
+func (b poolBackend) JobStatus(id string, cancel bool) (any, error) {
+	j, err := b.s.pool.Job(id)
+	if err != nil {
+		return nil, err
 	}
 	if cancel {
 		j.Cancel()
 	}
-	return j.Status(), true
+	return j.Status(), nil
 }
 
 func (b poolBackend) Boards() any { return b.s.pool.BoardInfos() }

@@ -16,9 +16,6 @@ type TenantLimits struct {
 	Burst float64
 }
 
-// DefaultTenantLimits allows short bursts over a sustained 20 jobs/s.
-func DefaultTenantLimits() TenantLimits { return TenantLimits{Rate: 20, Burst: 40} }
-
 // tenantState is one tenant's bucket plus admission/outcome accounting.
 type tenantState struct {
 	tokens float64

@@ -1,6 +1,7 @@
 // Package stats provides the measurement primitives used by the VFPGA
 // experiments: counters, sample accumulators, time-weighted averages (for
-// quantities like "fraction of CLBs in use"), and fixed-bucket histograms.
+// quantities like "fraction of CLBs in use"), and the bounded latency
+// recorder.
 //
 // All statistics operate on virtual time expressed as int64 nanoseconds,
 // matching the simulation kernel; nothing here touches the wall clock.
@@ -11,7 +12,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 )
 
@@ -59,7 +59,6 @@ func (c *AtomicCounter) Value() int64 { return c.n.Load() }
 type Sample struct {
 	n      int64
 	sum    float64
-	sumSq  float64
 	min    float64
 	max    float64
 	values []float64 // retained only when keep is true
@@ -77,7 +76,6 @@ func NewSample(keepValues bool) *Sample {
 func (s *Sample) Observe(v float64) {
 	s.n++
 	s.sum += v
-	s.sumSq += v * v
 	if v < s.min {
 		s.min = v
 	}
@@ -112,23 +110,6 @@ func (s *Sample) Mean() float64 {
 	}
 	return s.sum / float64(s.n)
 }
-
-// Variance returns the population variance, or 0 for fewer than two
-// observations.
-func (s *Sample) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.sumSq/float64(s.n) - m*m
-	if v < 0 { // numerical noise
-		return 0
-	}
-	return v
-}
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Min returns the smallest observation, or 0 if there are none.
 func (s *Sample) Min() float64 {
@@ -221,59 +202,4 @@ func (w *TimeWeighted) Average(t int64) float64 {
 	}
 	area := w.area + w.lastV*float64(t-w.lastT)
 	return area / float64(t-w.start)
-}
-
-// Histogram is a fixed-bucket histogram over [lo, hi) with out-of-range
-// observations clamped into the first/last bucket.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int64
-	total   int64
-}
-
-// NewHistogram returns a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int64, n)}
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	idx := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
-	}
-	h.buckets[idx]++
-	h.total++
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// NumBuckets returns the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// String renders the histogram as a compact ASCII bar chart.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxCount := int64(1)
-	for _, c := range h.buckets {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	width := (h.hi - h.lo) / float64(len(h.buckets))
-	for i, c := range h.buckets {
-		bar := strings.Repeat("#", int(40*c/maxCount))
-		fmt.Fprintf(&b, "[%10.3g,%10.3g) %8d %s\n", h.lo+float64(i)*width, h.lo+float64(i+1)*width, c, bar)
-	}
-	return b.String()
 }
