@@ -114,11 +114,14 @@ serve-smoke-faults:
 		"-target http://{addr} -requests 200 -concurrency 8 -workload synthetic -check-lint -allow-faults -expect-quarantine"
 
 # The warm-board smoke: many jobs through few boards, so every board
-# must serve the bulk of them from warm snapshot-restore resets (any
-# board with zero warm resets fails it).
+# must serve the bulk of them on the hardware of its last job — overlay
+# and merged included, which configure the device from each job's
+# circuit set — and build on new hardware exactly once (any board with
+# zero warm resets, or more than one cold, fails it). Four clients a
+# board, as before: the opening burst queues on every board.
 serve-smoke-warm:
-	@$(SMOKE) "-boards 2 -managers dynamic,partition -rate 0" \
-		"-target http://{addr} -requests 100 -concurrency 8 -workload synthetic -check-lint -expect-warm"
+	@$(SMOKE) "-boards 4 -managers dynamic,partition,overlay,merged -rate 0" \
+		"-target http://{addr} -requests 100 -concurrency 16 -workload synthetic -check-lint -expect-warm"
 
 # The defragmentation smoke: amorphous boards on a narrow device, so the
 # adoption cache leaves residual fragmentation after jobs and the

@@ -135,6 +135,9 @@ func run(o options) error {
 	if o.boards < 1 || o.nodes < 1 {
 		return fmt.Errorf("need at least one board and one node")
 	}
+	if o.faultNode >= 0 && o.nodes == 1 {
+		return fmt.Errorf("-fault-node %d needs a fleet (-nodes > 1); without it -faults arms every board", o.faultNode)
+	}
 	var plan *fault.Plan
 	if o.faults != "" {
 		p, err := fault.ParseSpec(o.faults)
@@ -190,7 +193,7 @@ func run(o options) error {
 	}
 	if plan != nil {
 		scope := ""
-		if o.nodes > 1 && o.faultNode >= 0 {
+		if o.faultNode >= 0 {
 			scope = fmt.Sprintf(" (node %d only)", o.faultNode)
 		}
 		fmt.Printf("vfpgad: fault injection armed%s: %s\n", scope, plan)

@@ -211,7 +211,7 @@ func main() {
 	allowFaults := flag.Bool("allow-faults", false, "count job failures with a typed fault kind separately, not as failures")
 	expectQuarantine := flag.Bool("expect-quarantine", false, "fail unless at least one board ends up quarantined")
 	expectNodeQuarantine := flag.Bool("expect-node-quarantine", false, "fail unless at least one fleet node ends up unhealthy (needs a fleet target)")
-	expectWarm := flag.Bool("expect-warm", false, "fail unless every board served at least one job via warm reset")
+	expectWarm := flag.Bool("expect-warm", false, "fail unless every board ran at least one job on its recycled hardware and built on new hardware at most once")
 	expectCompaction := flag.Bool("expect-compaction", false, "fail unless the boards ran at least one idle-cycle compaction pass")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall deadline")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
@@ -311,7 +311,7 @@ func main() {
 	wg.Wait()
 
 	probe := ts.targets[0].url
-	quarantined, minWarm, compactions := -1, int64(-1), int64(-1)
+	quarantined, minWarm, maxCold, compactions := -1, int64(-1), int64(-1), int64(-1)
 	if *expectQuarantine || *expectWarm || *expectCompaction {
 		if boards, err := fetchBoards(probe, deadline, st); err == nil {
 			quarantined, compactions = 0, 0
@@ -322,6 +322,7 @@ func main() {
 				if i == 0 || bi.WarmResets < minWarm {
 					minWarm = bi.WarmResets
 				}
+				maxCold = max(maxCold, bi.ColdResets)
 				compactions += bi.Compactions
 			}
 		}
@@ -387,7 +388,8 @@ func main() {
 	}
 	if *expectWarm {
 		fmt.Printf("  min warm resets per board: %d\n", minWarm)
-		if minWarm < 1 {
+		fmt.Printf("  max cold resets per board: %d\n", maxCold)
+		if minWarm < 1 || maxCold > 1 {
 			bad = true
 		}
 	}

@@ -38,15 +38,6 @@ func NewExclusive(k *sim.Kernel, e *core.Engine) *Exclusive {
 	return &Exclusive{TaskKernel: core.NewTaskKernel(k, e, "exclusive")}
 }
 
-// ResetForJob returns the baseline to its post-construction state (no
-// holder, no waiters) for warm-board reuse. The device configuration a
-// past holder left resident is cleared by the engine's pristine-image
-// restore, which runs alongside this.
-func (x *Exclusive) ResetForJob() {
-	x.holder = nil
-	x.ResetWaiters()
-}
-
 // Register implements hostos.FPGA.
 func (x *Exclusive) Register(t *hostos.Task, circuit string) error {
 	_, err := x.E.Circuit(circuit)
@@ -143,13 +134,6 @@ func NewMerged(k *sim.Kernel, e *core.Engine, order []string) (*Merged, sim.Time
 	return m, cost, nil
 }
 
-// ResetForJob is a no-op: the merged configuration is loaded once at
-// construction and never changes, and the slot table is immutable. Warm
-// reuse is valid only when the engine is reset to the pristine image
-// captured after this baseline's construction, with the same compiled
-// circuits.
-func (m *Merged) ResetForJob() {}
-
 // Register implements hostos.FPGA.
 func (m *Merged) Register(t *hostos.Task, circuit string) error {
 	if _, ok := m.slots[circuit]; !ok {
@@ -206,9 +190,6 @@ func NewSoftware(e *core.Engine, slowdown int64) *Software {
 	}
 	return &Software{TaskKernel: core.NewTaskKernel(nil, e, "software"), Slowdown: slowdown}
 }
-
-// ResetForJob is a no-op: software execution keeps no cross-job state.
-func (s *Software) ResetForJob() {}
 
 // Register implements hostos.FPGA.
 func (s *Software) Register(t *hostos.Task, circuit string) error {

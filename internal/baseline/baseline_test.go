@@ -16,7 +16,7 @@ func testEngine(t testing.TB) *core.Engine {
 	t.Helper()
 	opt := core.DefaultOptions()
 	opt.Geometry = fabric.Geometry{Cols: 24, Rows: 8, TracksPerChannel: 12, PinsPerSide: 24}
-	e := core.NewEngine(opt)
+	e := core.NewEngine(opt, nil)
 	for _, nl := range []*netlist.Netlist{netlist.Adder(8), netlist.Parity(16), netlist.Counter(8)} {
 		if err := e.AddCircuit(nl); err != nil {
 			t.Fatal(err)
@@ -111,7 +111,7 @@ func TestMergedRejectsOversizedSet(t *testing.T) {
 	k := sim.New()
 	opt := core.DefaultOptions()
 	opt.Geometry = fabric.Geometry{Cols: 4, Rows: 8, TracksPerChannel: 12, PinsPerSide: 24}
-	e := core.NewEngine(opt)
+	e := core.NewEngine(opt, nil)
 	if err := e.AddCircuit(netlist.Adder(8)); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/hostos"
 	"repro/internal/lint"
@@ -33,9 +34,13 @@ type Stack struct {
 	OS       *hostos.OS
 	InitCost sim.Time // the manager's initialization download
 
-	images []*core.PristineImage // per engine; nil until CapturePristine
-	sched  *hostos.EventLog      // nil until Trace
-	devs   []*core.DeviceLog
+	// What the stack was built from, for Next.
+	opt    core.Options
+	osCfg  hostos.Config
+	faults *fault.Plan
+
+	sched *hostos.EventLog // nil until Trace
+	devs  []*core.DeviceLog
 }
 
 // NewStack assembles a stack in the one order every golden pins: each
@@ -50,20 +55,51 @@ type Stack struct {
 func NewStack(opt core.Options, engines int, osCfg hostos.Config, faults *fault.Plan,
 	set *workload.Set, circs []*compile.Circuit, mk ManagerFunc) (*Stack, error) {
 
-	s := &Stack{K: sim.New()}
-	for i := 0; i < max(engines, 1); i++ {
-		e := core.NewEngine(opt)
+	return assemble(sim.New(), nil, max(engines, 1), opt, osCfg, faults, set, circs, mk)
+}
+
+// Next builds the stack of the board's next job on this stack's
+// hardware: the kernel, reset, and each engine's device, erased — the
+// two parts whose blank state is the state a new one has. Everything
+// else is built as NewStack builds it, from the options, OS
+// configuration and fault plan this stack was given, so running set on
+// the result is indistinguishable from running it on a new stack (a
+// manager that downloads at initialization does so again, into the
+// blank device). This stack is dead once Next is called, whether or not
+// it succeeds.
+func (s *Stack) Next(set *workload.Set, circs []*compile.Circuit, mk ManagerFunc) (*Stack, error) {
+	s.K.Reset()
+	for _, e := range s.Engines {
+		e.Dev.Erase()
+	}
+	return assemble(s.K, s.Engines, len(s.Engines), s.opt, s.osCfg, s.faults, set, circs, mk)
+}
+
+// assemble is the body NewStack and Next share: n engines on kernel k,
+// engine i over the blank device of used[i] when there is used hardware
+// and over a new device when there is none, then the manager and the
+// host OS.
+func assemble(k *sim.Kernel, used []*core.Engine, n int, opt core.Options, osCfg hostos.Config, faults *fault.Plan,
+	set *workload.Set, circs []*compile.Circuit, mk ManagerFunc) (*Stack, error) {
+
+	s := &Stack{K: k, Engines: make([]*core.Engine, n), opt: opt, osCfg: osCfg, faults: faults}
+	for i := range s.Engines {
+		var dev *fabric.Device
+		if used != nil {
+			dev = used[i].Dev
+		}
+		e := core.NewEngine(opt, dev)
 		if faults != nil {
 			e.Ledger().InjectFaults(fault.NewInjector(faults.Derive(uint64(i))))
 		}
 		fill(e, set, circs)
-		s.Engines = append(s.Engines, e)
+		s.Engines[i] = e
 	}
 	var err error
-	if s.Mgr, s.InitCost, err = mk(s.K, s.Engines); err != nil {
+	if s.Mgr, s.InitCost, err = mk(k, s.Engines); err != nil {
 		return nil, err
 	}
-	s.OS = hostos.New(s.K, osCfg, s.Mgr)
+	s.OS = hostos.New(k, osCfg, s.Mgr)
 	return s, nil
 }
 
@@ -114,38 +150,4 @@ func (s *Stack) Lint() ([]lint.Diagnostic, error) {
 		return nil, nil
 	}
 	return lint.Run(lt.LintTargets(), lint.Options{MinSeverity: lint.Warning})
-}
-
-// CapturePristine records each engine's post-construction image for
-// Reset. Call it before tracing or running anything: the image must be
-// the state a fresh build presents to its first job. Only a caller that
-// will Reset pays for the snapshots.
-func (s *Stack) CapturePristine() {
-	s.images = s.images[:0]
-	for _, e := range s.Engines {
-		s.images = append(s.images, e.CapturePristine())
-	}
-}
-
-// Reset returns the whole stack to the captured state and points the
-// engine libraries at the next set's circuits; running that set is then
-// indistinguishable from running it on a freshly built stack. A manager
-// that baked its construction set into device state (overlay, merged)
-// needs the same circuits again — that check is the caller's.
-func (s *Stack) Reset(set *workload.Set, circs []*compile.Circuit) error {
-	r, ok := s.Mgr.(interface{ ResetForJob() })
-	if !ok || s.images == nil {
-		return errors.New("baseline: stack cannot warm-reset")
-	}
-	s.K.Reset()
-	for i, e := range s.Engines {
-		if err := e.Ledger().ResetForJob(s.images[i]); err != nil {
-			return err
-		}
-		fill(e, set, circs)
-	}
-	r.ResetForJob()
-	s.OS.Reset()
-	s.sched, s.devs = nil, nil
-	return nil
 }

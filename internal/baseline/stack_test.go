@@ -97,11 +97,12 @@ func tracedRun(t *testing.T, st *Stack, set *workload.Set) outcome {
 	return o
 }
 
-// TestStackResetMatchesFresh runs a second job on a stack after Reset
-// and on a freshly assembled one: makespan, device counters and the
-// merged timeline must be identical, under a set-independent manager
-// (the library is swapped for another scenario's) and a set-dependent
-// one (the same set again).
+// TestStackResetMatchesFresh runs a second job on the stack Next builds
+// over the first job's hardware and on a freshly assembled one: makespan,
+// device counters and the merged timeline must be identical, whatever the
+// first job left on the devices — under a set-independent manager, a
+// two-engine one, and one that downloads at initialization (overlay,
+// whose second job keeps a different circuit resident).
 func TestStackResetMatchesFresh(t *testing.T) {
 	plan, err := fault.ParseSpec("seed=5,retries=4,config-error=0.2")
 	if err != nil {
@@ -114,30 +115,35 @@ func TestStackResetMatchesFresh(t *testing.T) {
 	}{
 		{"dynamic", 1, "multimedia", "telecom"},
 		{"multi", 2, "storage", "multimedia"},
-		{"overlay", 1, "diagnosis", "diagnosis"},
+		{"overlay", 1, "diagnosis", "multimedia"},
 	} {
-		warm, firstSet := stackFor(t, c.first, c.manager, c.engines, &plan)
-		warm.CapturePristine()
-		tracedRun(t, warm, firstSet)
+		used, firstSet := stackFor(t, c.first, c.manager, c.engines, &plan)
+		tracedRun(t, used, firstSet)
 
 		fresh, set := stackFor(t, c.second, c.manager, c.engines, &plan)
 		circs, err := core.CompileSet(nil, core.DefaultOptions(), set.Circuits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := warm.Reset(set, circs); err != nil {
+		next, err := used.Next(set, circs, NewManager(c.manager, set.CircuitNames(), 1))
+		if err != nil {
 			t.Fatalf("%s: %v", c.manager, err)
 		}
-		got, want := tracedRun(t, warm, set), tracedRun(t, fresh, set)
+		if next.K != used.K {
+			t.Errorf("%s: Next did not keep the kernel", c.manager)
+		}
+		for i, e := range next.Engines {
+			if e.Dev != used.Engines[i].Dev {
+				t.Errorf("%s: engine %d does not stand on the first job's device", c.manager, i)
+			}
+		}
+		got, want := tracedRun(t, next, set), tracedRun(t, fresh, set)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: %s after Reset diverged from a fresh stack:\n--- reset ---\n%+v\n--- fresh ---\n%+v",
+			t.Errorf("%s: %s on used hardware diverged from a fresh stack:\n--- used ---\n%+v\n--- fresh ---\n%+v",
 				c.manager, c.second, got, want)
 		}
 		if got.timeline == "" {
 			t.Errorf("%s: traced run recorded no timeline", c.manager)
-		}
-		if err := fresh.Reset(set, circs); err == nil {
-			t.Errorf("%s: Reset without CapturePristine succeeded", c.manager)
 		}
 	}
 }

@@ -70,12 +70,6 @@ func NewAmorphousManager(k *sim.Kernel, e *Engine, cfg AmorphousConfig) *Amorpho
 	return am
 }
 
-// ResetForJob clears every region and per-task table, returning the
-// manager to its post-construction state for warm-board reuse.
-func (am *AmorphousManager) ResetForJob() {
-	am.reset(NewRegionMap(am.rm.Cols()))
-}
-
 // Register implements hostos.FPGA.
 func (am *AmorphousManager) Register(t *hostos.Task, circuit string) error {
 	c, err := am.E.Circuit(circuit)

@@ -19,7 +19,7 @@ func amorphousEngine(t *testing.T, cols int, nls ...*netlist.Netlist) *Engine {
 	t.Helper()
 	opt := testOptions()
 	opt.Geometry.Cols = cols
-	e := NewEngine(opt)
+	e := NewEngine(opt, nil)
 	for _, nl := range nls {
 		if err := e.AddCircuit(nl); err != nil {
 			t.Fatalf("add %s: %v", nl.Name, err)

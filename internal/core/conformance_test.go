@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/hostos"
 	"repro/internal/lint"
 	"repro/internal/netlist"
@@ -29,12 +30,14 @@ import (
 // that even Merged fits them side by side on the test device.
 var confCircuits = []string{"adder8", "counter8", "mul4"}
 
-func confEngine(t testing.TB) (*core.Engine, *core.DeviceLog) {
+// confEngine builds the test engine over dev (nil: a new device) with
+// the script's circuits compiled and a device log attached.
+func confEngine(t testing.TB, dev *fabric.Device) (*core.Engine, *core.DeviceLog) {
 	t.Helper()
 	opt := core.DefaultOptions()
 	opt.Geometry.Cols, opt.Geometry.Rows = 24, 8
 	opt.Geometry.TracksPerChannel, opt.Geometry.PinsPerSide = 12, 24
-	e := core.NewEngine(opt)
+	e := core.NewEngine(opt, dev)
 	for _, nl := range []func() *netlist.Netlist{
 		func() *netlist.Netlist { return netlist.Adder(8) },
 		func() *netlist.Netlist { return netlist.Counter(8) },
@@ -49,91 +52,73 @@ func confEngine(t testing.TB) (*core.Engine, *core.DeviceLog) {
 	return e, log
 }
 
-// confImpl builds one hostos.FPGA implementation under test, returning
+// confBuild builds one hostos.FPGA implementation under test, returning
 // the manager, every engine behind it (for metric/event auditing) and
-// every attached device log.
+// every attached device log. The engines stand on the used devices, one
+// each, erased by the caller; nil builds new devices.
+type confBuild func(t testing.TB, k *sim.Kernel, used []*fabric.Device) (hostos.FPGA, []*core.Engine, []*core.DeviceLog)
+
 type confImpl struct {
 	name  string
-	build func(t testing.TB, k *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog)
+	build confBuild
+}
+
+// usedDev returns used[i], or nil when there is no used hardware.
+func usedDev(used []*fabric.Device, i int) *fabric.Device {
+	if used == nil {
+		return nil
+	}
+	return used[i]
 }
 
 func confImpls() []confImpl {
-	one := func(t testing.TB, mk func(k *sim.Kernel, e *core.Engine) hostos.FPGA) func(testing.TB, *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-		return func(t testing.TB, k *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			e, log := confEngine(t)
-			return mk(k, e), []*core.Engine{e}, []*core.DeviceLog{log}
+	strips := core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true}
+	one := func(mk func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error)) confBuild {
+		return func(t testing.TB, k *sim.Kernel, used []*fabric.Device) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
+			e, log := confEngine(t, usedDev(used, 0))
+			mgr, err := mk(k, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mgr, []*core.Engine{e}, []*core.DeviceLog{log}
 		}
 	}
 	return []confImpl{
-		{"dynamic", func(t testing.TB, k *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			return one(t, func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-				return core.NewDynamicLoader(k, e)
-			})(t, k)
-		}},
-		{"overlay", func(t testing.TB, k *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			return one(t, func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-				om, _, err := core.NewOverlayManager(k, e, []string{"adder8"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return om
-			})(t, k)
-		}},
-		{"paged", func(t testing.TB, k *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			return one(t, func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-				pl, err := core.NewPagedLoader(k, e, core.PagedConfig{PageCells: 8, Policy: core.LRU})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return pl
-			})(t, k)
-		}},
-		{"partition", func(t testing.TB, k *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			return one(t, func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-				pm, err := core.NewPartitionManager(k, e, core.PartitionConfig{
-					Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return pm
-			})(t, k)
-		}},
-		{"amorphous", func(t testing.TB, k *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			return one(t, func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-				return core.NewAmorphousManager(k, e, core.DefaultAmorphousConfig())
-			})(t, k)
-		}},
-		{"multi", func(t testing.TB, k *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			e0, l0 := confEngine(t)
-			e1, l1 := confEngine(t)
-			mm, err := core.NewMultiManager(k, []*core.Engine{e0, e1}, core.PartitionConfig{
-				Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true,
-			})
+		{"dynamic", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
+			return core.NewDynamicLoader(k, e), nil
+		})},
+		{"overlay", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
+			om, _, err := core.NewOverlayManager(k, e, []string{"adder8"})
+			return om, err
+		})},
+		{"paged", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
+			return core.NewPagedLoader(k, e, core.PagedConfig{PageCells: 8, Policy: core.LRU})
+		})},
+		{"partition", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
+			return core.NewPartitionManager(k, e, strips)
+		})},
+		{"amorphous", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
+			return core.NewAmorphousManager(k, e, core.DefaultAmorphousConfig()), nil
+		})},
+		{"multi", func(t testing.TB, k *sim.Kernel, used []*fabric.Device) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
+			e0, l0 := confEngine(t, usedDev(used, 0))
+			e1, l1 := confEngine(t, usedDev(used, 1))
+			mm, err := core.NewMultiManager(k, []*core.Engine{e0, e1}, strips)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return mm, []*core.Engine{e0, e1}, []*core.DeviceLog{l0, l1}
 		}},
-		{"exclusive", func(t testing.TB, k *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			return one(t, func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-				return baseline.NewExclusive(k, e)
-			})(t, k)
-		}},
-		{"merged", func(t testing.TB, k *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			return one(t, func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-				m, _, err := baseline.NewMerged(k, e, confCircuits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return m
-			})(t, k)
-		}},
-		{"software", func(t testing.TB, k *sim.Kernel) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			return one(t, func(k *sim.Kernel, e *core.Engine) hostos.FPGA {
-				return baseline.NewSoftware(e, 20)
-			})(t, k)
-		}},
+		{"exclusive", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
+			return baseline.NewExclusive(k, e), nil
+		})},
+		{"merged", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
+			m, _, err := baseline.NewMerged(k, e, confCircuits)
+			return m, err
+		})},
+		{"software", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
+			return baseline.NewSoftware(e, 20), nil
+		})},
 	}
 }
 
@@ -343,7 +328,7 @@ func TestConformance(t *testing.T) {
 			pol := pol
 			t.Run(fmt.Sprintf("%s/%s", impl.name, pol), func(t *testing.T) {
 				k := sim.New()
-				mgr, engines, logs := impl.build(t, k)
+				mgr, engines, logs := impl.build(t, k, nil)
 				for _, e := range engines {
 					e.Opt.State = pol
 				}

@@ -24,7 +24,7 @@ func testOptions() Options {
 // newEngine builds an engine preloaded with the small test circuits.
 func newEngine(t testing.TB, opt Options) *Engine {
 	t.Helper()
-	e := NewEngine(opt)
+	e := NewEngine(opt, nil)
 	for _, nl := range []*netlist.Netlist{
 		netlist.Adder(8),      // comb, ~3 cols
 		netlist.Parity(16),    // comb, tiny
@@ -265,7 +265,7 @@ func TestPinMultiplexing(t *testing.T) {
 }
 
 func TestAllocPins(t *testing.T) {
-	e := NewEngine(testOptions())
+	e := NewEngine(testOptions(), nil)
 	total := e.FreePinCount()
 	pins, mux, err := e.AllocPins(10)
 	if err != nil || mux != 1 || len(pins) != 10 {

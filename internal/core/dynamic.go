@@ -29,14 +29,6 @@ func NewDynamicLoader(k *sim.Kernel, e *Engine) *DynamicLoader {
 	return d
 }
 
-// ResetForJob returns the manager to its post-construction state (empty
-// device, empty save/rollback tables) for warm-board reuse. The engine
-// itself is reset separately via Ledger.ResetForJob.
-func (d *DynamicLoader) ResetForJob() {
-	d.reset()
-	d.dev.circuit = nil
-}
-
 // Register declares a task's configuration (stored in the engine library;
 // workloads pre-populate the library, so registration validates).
 func (d *DynamicLoader) Register(t *hostos.Task, circuit string) error {

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/fabric"
-	"repro/internal/fault"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -142,6 +141,8 @@ type Metrics struct {
 
 // Engine bundles the device, timing model, pin pool, compiled-circuit
 // library, metrics and the residency ledger that every manager shares.
+// An engine serves one run; of all it holds only the device may outlive
+// it, erased, under the engine of a board's next job (NewEngine).
 //
 // An Engine is single-goroutine by design, like the sim.Kernel that
 // drives it: the device, metrics, pin pool and ledger perform no
@@ -159,22 +160,28 @@ type Engine struct {
 	pins []int // free pin pool
 }
 
-// NewEngine creates a device and an empty circuit library.
-func NewEngine(opt Options) *Engine {
+// NewEngine creates an engine with an empty circuit library over dev, a
+// blank device of opt's geometry: one just erased (a board recycles its
+// hardware from job to job), or a new one when dev is nil.
+func NewEngine(opt Options, dev *fabric.Device) *Engine {
 	if opt.PollInterval <= 0 {
 		opt.PollInterval = 100 * sim.Microsecond
 	}
 	if opt.PollCost <= 0 {
 		opt.PollCost = 1 * sim.Microsecond
 	}
+	if dev == nil {
+		dev = fabric.NewDevice(opt.Geometry)
+	}
 	e := &Engine{
-		Dev: fabric.NewDevice(opt.Geometry),
-		Opt: opt,
-		Lib: map[string]*compile.Circuit{},
+		Dev:  dev,
+		Opt:  opt,
+		Lib:  map[string]*compile.Circuit{},
+		pins: make([]int, opt.Geometry.NumPins()),
 	}
 	e.led = Ledger{e: e, residents: map[int]*Resident{}, frag: newFragTracker(opt.Geometry.Cols)}
-	for p := 0; p < opt.Geometry.NumPins(); p++ {
-		e.pins = append(e.pins, p)
+	for p := range e.pins {
+		e.pins[p] = p
 	}
 	return e
 }
@@ -182,54 +189,6 @@ func NewEngine(opt Options) *Engine {
 // Ledger returns the engine's residency ledger — the single transaction
 // layer through which every manager touches the device.
 func (e *Engine) Ledger() *Ledger { return &e.led }
-
-// PristineImage is an engine's post-construction state, captured once by
-// CapturePristine and restored per job by Ledger.ResetForJob: the fabric
-// snapshot, the metrics, the free-pin pool, the residency table, and the
-// fault injector's stream position. It realizes the paper's §2 outlook —
-// "the whole system operation can be virtualized and downloaded at the
-// beginning of the activities" — as the warm-board reset image: instead
-// of rebuilding the engine stack per job, the serving layer downloads
-// this image back onto the (simulated) hardware.
-//
-// The image is immutable after capture: restores deep-copy everything
-// mutable, so no job can corrupt the image another job restores from.
-type PristineImage struct {
-	snap      *fabric.Snapshot
-	metrics   Metrics
-	pins      []int
-	residents map[int]*Resident
-	inj       *fault.Injector // post-construction position (nil when unarmed)
-}
-
-// copyResidents deep-copies a residency table (entries and pin slices).
-func copyResidents(src map[int]*Resident) map[int]*Resident {
-	out := make(map[int]*Resident, len(src))
-	for x, r := range src {
-		cp := *r
-		cp.Pins = append([]int(nil), r.Pins...)
-		out[x] = &cp
-	}
-	return out
-}
-
-// CapturePristine snapshots the engine immediately after construction
-// (device image, metrics, pin pool, residency table, injector position)
-// so Ledger.ResetForJob can later return the engine to exactly this
-// state. Capture before attaching any per-job device log or spawning
-// work: the image must be the state every job starts from.
-func (e *Engine) CapturePristine() *PristineImage {
-	img := &PristineImage{
-		snap:      e.Dev.Snapshot(),
-		metrics:   e.M,
-		pins:      append([]int(nil), e.pins...),
-		residents: copyResidents(e.led.residents),
-	}
-	if e.led.inj != nil {
-		img.inj = e.led.inj.Clone()
-	}
-	return img
-}
 
 // CompileSet compiles nls as full-height strips for opt's geometry and
 // timing and returns them in order. It is the one statement of the seed
@@ -339,8 +298,8 @@ func (e *Engine) noteUtil(now sim.Time) {
 // allocated physical pins: with fewer pins than ports, several virtual
 // ports share a pin (time multiplexing; functional use requires mux==1).
 func binding(c *compile.Circuit, pins []int) ([]int, []int) {
-	in := make([]int, c.BS.NumIn)
-	out := make([]int, c.BS.NumOut)
+	ports := make([]int, c.BS.NumIn+c.BS.NumOut)
+	in, out := ports[:c.BS.NumIn:c.BS.NumIn], ports[c.BS.NumIn:]
 	if len(pins) == 0 {
 		for i := range in {
 			in[i] = -1

@@ -9,7 +9,7 @@ import (
 )
 
 func TestExecQuantumApriori(t *testing.T) {
-	e := NewEngine(testOptions())
+	e := NewEngine(testOptions(), nil)
 	if got := e.ExecQuantum(100*sim.Microsecond, 1); got != 100*sim.Microsecond {
 		t.Fatalf("a-priori quantum %v", got)
 	}
@@ -26,7 +26,7 @@ func TestExecQuantumDoneSignalQuantizes(t *testing.T) {
 	opt.Completion = DoneSignal
 	opt.PollInterval = 100 * sim.Microsecond
 	opt.PollCost = 1 * sim.Microsecond
-	e := NewEngine(opt)
+	e := NewEngine(opt, nil)
 	// 250us of work -> 3 polls -> 300us + 3us poll cost.
 	if got := e.ExecQuantum(250*sim.Microsecond, 1); got != 303*sim.Microsecond {
 		t.Fatalf("done-signal quantum %v, want 303us", got)
@@ -40,21 +40,21 @@ func TestExecQuantumDoneSignalQuantizes(t *testing.T) {
 func TestEngineDefaultsApplied(t *testing.T) {
 	opt := testOptions()
 	opt.PollInterval, opt.PollCost = 0, 0
-	e := NewEngine(opt)
+	e := NewEngine(opt, nil)
 	if e.Opt.PollInterval <= 0 || e.Opt.PollCost <= 0 {
 		t.Fatal("poll defaults not applied")
 	}
 }
 
 func TestCircuitLookupError(t *testing.T) {
-	e := NewEngine(testOptions())
+	e := NewEngine(testOptions(), nil)
 	if _, err := e.Circuit("nope"); err == nil {
 		t.Fatal("unknown circuit accepted")
 	}
 }
 
 func TestAddCircuitIdempotent(t *testing.T) {
-	e := NewEngine(testOptions())
+	e := NewEngine(testOptions(), nil)
 	if err := e.AddCircuit(netlist.Adder(8)); err != nil {
 		t.Fatal(err)
 	}

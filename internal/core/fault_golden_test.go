@@ -38,7 +38,7 @@ func goldenFaultPlan(t *testing.T) fault.Plan {
 func goldenFaultRun(t *testing.T) (string, *core.Engine) {
 	t.Helper()
 	k := sim.New()
-	e, log := confEngine(t)
+	e, log := confEngine(t, nil)
 	e.Ledger().InjectFaults(fault.NewInjector(goldenFaultPlan(t)))
 	d := core.NewDynamicLoader(k, e)
 	os := hostos.New(k, hostos.Config{
@@ -98,7 +98,7 @@ func TestLoadEscalation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, log := confEngine(t)
+	e, log := confEngine(t, nil)
 	e.Ledger().InjectFaults(fault.NewInjector(plan))
 	_, _, err = e.Ledger().TryLoad("task", e.Lib["adder8"], 0, false)
 	if err == nil {
@@ -149,7 +149,7 @@ func TestReadbackEscalationPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := confEngine(t)
+	e, _ := confEngine(t, nil)
 	led := e.Ledger()
 	c := e.Lib["counter8"]
 	if _, _, err := led.TryLoad("task", c, 0, false); err != nil {
@@ -172,7 +172,7 @@ func TestReadbackEscalationPanics(t *testing.T) {
 // than a clean one — wasted download plus backoff — while the nominal
 // accounting (Loads, ConfigTime) stays identical.
 func TestFaultRecoveryCharged(t *testing.T) {
-	clean, _ := confEngine(t)
+	clean, _ := confEngine(t, nil)
 	_, cleanCost, err := clean.Ledger().TryLoad("task", clean.Lib["adder8"], 0, false)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestFaultRecoveryCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, _ := confEngine(t)
+	faulted, _ := confEngine(t, nil)
 	faulted.Ledger().InjectFaults(fault.NewInjector(plan))
 	_, faultedCost, err := faulted.Ledger().TryLoad("task", faulted.Lib["adder8"], 0, false)
 	if err != nil {

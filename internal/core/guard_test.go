@@ -12,7 +12,7 @@ import (
 // invisible to well-behaved single-goroutine use (every other test in
 // this package exercises that side).
 func TestLedgerConcurrencyGuard(t *testing.T) {
-	e := NewEngine(DefaultOptions())
+	e := NewEngine(DefaultOptions(), nil)
 	l := e.Ledger()
 
 	// Simulate an operation held mid-flight on another goroutine.
@@ -37,7 +37,7 @@ func TestLedgerConcurrencyGuard(t *testing.T) {
 // Reentrant composite operations (Relocate performs readback + restore
 // internally) must not trip the guard.
 func TestLedgerGuardAllowsComposites(t *testing.T) {
-	e := NewEngine(DefaultOptions())
+	e := NewEngine(DefaultOptions(), nil)
 	nl := netlist.Counter(8)
 	if err := e.AddCircuit(nl); err != nil {
 		t.Fatal(err)

@@ -102,9 +102,6 @@ func (tk *TaskKernel) Wake() {
 // Waiting reports whether t is suspended here.
 func (tk *TaskKernel) Waiting(t *hostos.Task) bool { return slices.Contains(tk.waiters, t) }
 
-// ResetWaiters forgets the suspended tasks (warm-board reuse).
-func (tk *TaskKernel) ResetWaiters() { tk.waiters = nil }
-
 // LintTarget exports the manager's live device state for the static
 // verifier.
 func (tk *TaskKernel) LintTarget() *lint.Target {

@@ -324,33 +324,6 @@ func (l *Ledger) LintTarget(name string) *lint.Target {
 	return &lint.Target{Name: name, Device: l.e.Dev}
 }
 
-// ResetForJob restores the engine to the pristine post-construction
-// image: the device fabric is overwritten from the snapshot (charging
-// configuration-write accounting, as a restore is a full-device
-// download), the metrics, free-pin pool and residency table are returned
-// to their captured values, the device log is detached, and the fault
-// injector is replaced by a fresh clone positioned exactly where the
-// captured one was — so a warm job draws the same fault stream a cold
-// rebuild would. The kernel binding is kept; the caller resets the
-// kernel itself (sim.Kernel.Reset) before running the next job.
-func (l *Ledger) ResetForJob(img *PristineImage) error {
-	defer l.enter()()
-	if err := l.e.Dev.Restore(img.snap); err != nil {
-		return err
-	}
-	l.e.M = img.metrics
-	l.e.pins = append([]int(nil), img.pins...)
-	l.residents = copyResidents(img.residents)
-	l.frag.rebuild(l.residents)
-	l.log = nil
-	if img.inj != nil {
-		l.inj = img.inj.Clone()
-	} else {
-		l.inj = nil
-	}
-	return nil
-}
-
 // TryLoad downloads circuit c as a full-height strip at column x for
 // owner: it allocates pins, applies the bitstream, charges the download
 // from the timing model (the full-device serial cost when wholeDevice is
@@ -771,9 +744,9 @@ type CompactResult struct {
 // the caller retries on a later idle cycle.
 //
 // Compact bypasses manager placement policy, so it is for idle,
-// between-job use (the serve layer's background compactor): any manager
-// whose bookkeeping survives a job must be reset before the board runs
-// again, which the warm-board reset already guarantees.
+// between-job use (the serve layer's background compactor): the manager
+// over this ledger must not run again, which a board guarantees by
+// building a new one for every job.
 func (l *Ledger) Compact(budget sim.Time) CompactResult {
 	defer l.enter()()
 	var res CompactResult

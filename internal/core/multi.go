@@ -48,14 +48,6 @@ func (m *MultiManager) AttachOS(os *hostos.OS) {
 	}
 }
 
-// ResetForJob resets every board's partition manager for warm-board
-// reuse (each board's engine is reset separately via Ledger.ResetForJob).
-func (m *MultiManager) ResetForJob() {
-	for _, b := range m.Boards {
-		b.ResetForJob()
-	}
-}
-
 // Register implements hostos.FPGA: the circuit must fit at least one
 // board.
 func (m *MultiManager) Register(t *hostos.Task, circuit string) error {

@@ -63,18 +63,6 @@ func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string) (*OverlayMan
 	return om, initCost, nil
 }
 
-// ResetForJob returns the manager to its post-construction state for
-// warm-board reuse: resident slots keep their construction-time circuits
-// (the engine's pristine image holds the matching device configuration
-// and residency table) but lose their state owners; the overlay area
-// empties; the save/rollback tables clear. Valid only when the engine is
-// reset to the pristine image captured right after this manager's
-// construction, with the same compiled circuits.
-func (om *OverlayManager) ResetForJob() {
-	om.reset()
-	om.overlay.circuit = nil
-}
-
 // loadSlot downloads c at the slot's origin on behalf of owner ("" for
 // system initialization).
 func (om *OverlayManager) loadSlot(s *slot, owner string, c *compile.Circuit) (sim.Time, error) {

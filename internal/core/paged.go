@@ -119,22 +119,6 @@ func NewPagedLoader(k *sim.Kernel, e *Engine, cfg PagedConfig) (*PagedLoader, er
 	}, nil
 }
 
-// ResetForJob returns the loader to its post-construction state for
-// warm-board reuse: all frames free, an empty page table, the
-// replacement clock rewound, and — crucially — the page cache cleared,
-// since the next job's circuits may compile differently under the same
-// names. The random-replacement stream is re-seeded so page choices
-// depend only on the job, never on what ran before.
-func (pl *PagedLoader) ResetForJob() {
-	clear(pl.frames)
-	clear(pl.where)
-	pl.seq = 0
-	pl.hand = 0
-	pl.src = rng.New(pl.Cfg.Seed ^ 0xfeed)
-	clear(pl.pagesOf)
-	clear(pl.users)
-}
-
 // Register implements hostos.FPGA.
 func (pl *PagedLoader) Register(t *hostos.Task, circuit string) error {
 	c, err := pl.E.Circuit(circuit)

@@ -108,18 +108,6 @@ func (pm *PartitionManager) carve(cols int) (*RegionMap, error) {
 	return nil, fmt.Errorf("core: unknown partition mode %d", pm.Cfg.Mode)
 }
 
-// ResetForJob re-carves the initial partitions and clears every
-// per-task table, returning the manager to its post-construction state
-// for warm-board reuse. The config was validated at construction, so the
-// re-carve cannot fail.
-func (pm *PartitionManager) ResetForJob() {
-	rm, err := pm.carve(pm.rm.Cols())
-	if err != nil {
-		panic(err)
-	}
-	pm.reset(rm)
-}
-
 // Register implements hostos.FPGA.
 func (pm *PartitionManager) Register(t *hostos.Task, circuit string) error {
 	c, err := pm.E.Circuit(circuit)

@@ -443,20 +443,3 @@ func (ft *fragTracker) stats() FragStats {
 	}
 	return f
 }
-
-// rebuild recomputes the free list from a residency table (warm reset).
-func (ft *fragTracker) rebuild(residents map[int]*Resident) {
-	ft.spans = ft.spans[:0]
-	if ft.cols > 0 {
-		ft.spans = append(ft.spans, fragSpan{0, ft.cols})
-	}
-	xs := make([]int, 0, len(residents))
-	for x := range residents {
-		xs = append(xs, x)
-	}
-	sort.Ints(xs)
-	for _, x := range xs {
-		r := residents[x]
-		ft.alloc(r.Region.X, r.Region.W)
-	}
-}

@@ -77,17 +77,6 @@ func (st *stateTable) addSlot(x int) *slot {
 	return s
 }
 
-// reset empties the tables and disowns every slot (warm-board reuse);
-// which slots keep their circuit is the manager's call.
-func (st *stateTable) reset() {
-	clear(st.saved)
-	clear(st.rolledBack)
-	clear(st.rollbackStreak)
-	for _, s := range st.slots {
-		s.owner, s.ownerName, s.hasOwner = 0, "", false
-	}
-}
-
 // save reads the owner's flip-flop state out of s into the table; the
 // slot is left holding nobody's state.
 func (st *stateTable) save(s *slot) sim.Time {

@@ -55,15 +55,6 @@ func newStripTable(tk TaskKernel, rm *RegionMap) stripTable {
 	}
 }
 
-// reset empties every per-task table over a fresh region map (warm-board
-// reuse).
-func (st *stripTable) reset(rm *RegionMap) {
-	st.rm = rm
-	clear(st.byTask)
-	clear(st.saved)
-	st.ResetWaiters()
-}
-
 func (st *stripTable) region(s *Span) fabric.Region {
 	return fabric.Region{X: s.X, Y: 0, W: s.W, H: st.E.Opt.Geometry.Rows}
 }

@@ -95,6 +95,18 @@ func NewDevice(geom Geometry) *Device {
 	}
 }
 
+// Erase returns the device to power-up: blank configuration RAM, every
+// flip-flop and latched pin value low, no cell written yet. An erased
+// device is indistinguishable from NewDevice of the same geometry, which
+// is what lets a board serve its next job on the hardware of the last.
+func (d *Device) Erase() {
+	clear(d.clbs)
+	clear(d.ffs)
+	clear(d.pins)
+	clear(d.pinV)
+	d.configWrites = 0
+}
+
 // Geometry returns the device geometry.
 func (d *Device) Geometry() Geometry { return d.geom }
 

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -359,5 +360,31 @@ func TestConfigWritesAccounting(t *testing.T) {
 	d.ClearRegion(d.Geometry().Bounds())
 	if d.ConfigWrites() != 10 {
 		t.Fatalf("config writes after clear = %d, want 10", d.ConfigWrites())
+	}
+}
+
+// TestEraseIsPowerUp dirties every field of a device — configuration
+// RAM, flip-flop state, pin configuration, a latched input value, the
+// write count — and requires Erase to leave it indistinguishable from a
+// new device of the same geometry.
+func TestEraseIsPowerUp(t *testing.T) {
+	g := Geometry{Cols: 4, Rows: 4, TracksPerChannel: 4, PinsPerSide: 4}
+	d := NewDevice(g)
+	configureNot(d, 1, 1, 0, 1)
+	var notLUT [16]bool
+	for i := 0; i < 16; i++ {
+		notLUT[i] = i&1 == 0
+	}
+	d.WriteCLB(2, 3, CLBConfig{Used: true, LUT: notLUT, Inputs: [4]Source{CLBSource(2, 3)}, UseFF: true})
+	d.SetPin(0, true)
+	if _, err := d.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if !d.FF(2, 3) || d.ConfigWrites() == 0 || reflect.DeepEqual(d, NewDevice(g)) {
+		t.Fatal("the device is not dirty; the test would prove nothing")
+	}
+	d.Erase()
+	if !reflect.DeepEqual(d, NewDevice(g)) {
+		t.Fatalf("erased device differs from a new one:\n%+v", d)
 	}
 }

@@ -263,24 +263,6 @@ func (in *Injector) Next(p Point) (Kind, uint64) {
 	return kind, aux
 }
 
-// Clone returns an independent injector positioned exactly where in is:
-// same plan, same per-point attempt ordinals, same injected-fault counts,
-// and — because Next consumes a fixed number of draws per attempt — the
-// same stream positions. It works by replaying the recorded attempts
-// against a fresh injector, so the clone's future draws are byte-for-byte
-// the draws in would have produced. Warm-board serving uses this to
-// capture an injector's post-construction position once and restore it
-// per job without re-running construction.
-func (in *Injector) Clone() *Injector {
-	out := NewInjector(in.plan)
-	for p := Point(0); p < numPoints; p++ {
-		for i := 0; i < in.attempts[p]; i++ {
-			out.Next(p)
-		}
-	}
-	return out
-}
-
 // Counts returns how many faults of each kind have been injected.
 func (in *Injector) Counts() map[Kind]int64 {
 	out := map[Kind]int64{}

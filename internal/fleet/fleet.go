@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/compile"
@@ -187,7 +188,9 @@ type Scheduler struct {
 	jobs     *serve.JobTable[*Job]
 	routed   []int64 // accepted placements per node
 	reroutes int64   // placements after a node-level casualty
-	scores   *stats.Sample
+	// scores is bounded: buckets of 1/scoreScale units, not a value kept
+	// per placement.
+	scores   *stats.LatencyRecorder
 	draining bool
 }
 
@@ -211,7 +214,7 @@ func NewScheduler(nodes []*Node, policy PlacementPolicy, cache *compile.StripCac
 		geom:   nodes[0].cfgs[0],
 		jobs:   serve.NewJobTable[*Job]("f"),
 		routed: make([]int64, len(nodes)),
-		scores: stats.NewSample(true),
+		scores: stats.NewLatencyRecorder(),
 	}, nil
 }
 
@@ -375,7 +378,7 @@ func (s *Scheduler) placeOn(j *Job, idx int, score float64) error {
 	j.setAttempt(idx, inner)
 	s.mu.Lock()
 	s.routed[idx]++
-	s.scores.Observe(score)
+	s.scores.Observe(int64(math.Round(score * scoreScale)))
 	s.mu.Unlock()
 	return nil
 }
@@ -439,10 +442,18 @@ func (s *Scheduler) RerouteCount() int64 {
 	return s.reroutes
 }
 
+// scoreScale is the fixed point placement scores are recorded in: 1e-4,
+// the four decimals the exposition prints. Scores are non-negative.
+const scoreScale = 1e4
+
 // ScoreStats summarizes the placement scores the policy assigned to
-// accepted placements.
+// accepted placements. The record is bounded — a fixed set of buckets
+// however many jobs were placed — so a quantile is its bucket's upper
+// bound: at most 1/16 above the exact value and never above the largest
+// score. sum and count are exact to the fixed point.
 func (s *Scheduler) ScoreStats() (p50, p95, sum float64, count int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.scores.Quantile(0.5), s.scores.Quantile(0.95), s.scores.Sum(), s.scores.Count()
+	return float64(s.scores.Quantile(0.5)) / scoreScale, float64(s.scores.Quantile(0.95)) / scoreScale,
+		float64(s.scores.Sum()) / scoreScale, s.scores.Count()
 }

@@ -39,7 +39,8 @@ type ServerConfig struct {
 	Faults *fault.Plan
 	// FaultNode, when >= 0, restricts the campaign to that node's
 	// boards — the smoke uses it to take exactly one node out
-	// deterministically. < 0 arms every node.
+	// deterministically. < 0 arms every node; a node the fleet does not
+	// have is an error.
 	FaultNode int
 	// CompactWatermark / CompactBudget configure idle-cycle defrag on
 	// every node's boards (see serve.Config).
@@ -62,6 +63,9 @@ type Server struct {
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("fleet: a fleet needs at least one node")
+	}
+	if cfg.FaultNode >= len(cfg.Nodes) {
+		return nil, fmt.Errorf("fleet: fault node %d outside 0..%d (below 0 arms every node)", cfg.FaultNode, len(cfg.Nodes)-1)
 	}
 	policy, err := NewPolicy(cfg.Policy, cfg.Seed)
 	if err != nil {
@@ -200,13 +204,16 @@ type NodeInfo struct {
 
 // Info is the body of GET /v1/fleet.
 type Info struct {
-	Policy     string     `json:"policy"`
-	Draining   bool       `json:"draining"`
-	Placements int64      `json:"placements"`
-	Reroutes   int64      `json:"reroutes"`
-	ScoreP50   float64    `json:"score_p50"`
-	ScoreP95   float64    `json:"score_p95"`
-	Nodes      []NodeInfo `json:"nodes"`
+	Policy     string `json:"policy"`
+	Draining   bool   `json:"draining"`
+	Placements int64  `json:"placements"`
+	Reroutes   int64  `json:"reroutes"`
+	// ScoreP50 and ScoreP95 come from a bounded bucketed record of the
+	// placement scores: each is its bucket's upper bound, at most 1/16
+	// above the exact quantile and never above the largest score.
+	ScoreP50 float64    `json:"score_p50"`
+	ScoreP95 float64    `json:"score_p95"`
+	Nodes    []NodeInfo `json:"nodes"`
 }
 
 func (s *Server) fleetInfo() Info {

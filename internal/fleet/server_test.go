@@ -5,8 +5,10 @@ package fleet
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -292,6 +294,52 @@ func TestFleetNodeCasualtyReroutes(t *testing.T) {
 	}
 }
 
+// TestFleetFaultNodeRange: FaultNode arms exactly the node it names, and
+// one the fleet does not have — which used to arm no board at all,
+// silently — is refused. The plan escalates a board's first download, so
+// a job pinned to a node fails there if and only if the node is armed.
+func TestFleetFaultNodeRange(t *testing.T) {
+	plan, err := fault.ParseSpec("seed=1,retries=0,config-error@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := workload.BuiltinSpec("multimedia")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		faultNode int
+		armed     []bool // per node; nil = NewServer must refuse
+	}{
+		{-1, []bool{true, true, true}},
+		{0, []bool{true, false, false}},
+		{2, []bool{false, false, true}},
+		{3, nil},
+		{7, nil},
+	} {
+		cfg := ServerConfig{Faults: &plan, FaultNode: c.faultNode}
+		if c.armed == nil {
+			cfg.Nodes = [][]serve.BoardConfig{{serve.DefaultBoardConfig()}, {serve.DefaultBoardConfig()}, {serve.DefaultBoardConfig()}}
+			cfg.Policy = "firstfit"
+			if _, err := NewServer(cfg); err == nil {
+				t.Errorf("fault node %d of a 3-node fleet accepted", c.faultNode)
+			}
+			continue
+		}
+		s := newTestFleet(t, cfg, 3, 1)
+		for node, armed := range c.armed {
+			j, err := s.Scheduler().Submit(Request{Tenant: "acme", Spec: &spec, Node: &node})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.Done()
+			if failed := j.Status().State != serve.StateDone; failed != armed {
+				t.Errorf("fault node %d: job on node %d failed = %v, want %v", c.faultNode, node, failed, armed)
+			}
+		}
+	}
+}
+
 func TestFleetMetricsExposition(t *testing.T) {
 	s := newTestFleet(t, ServerConfig{Policy: "packing"}, 2, 1)
 	if st := submitWait(t, s, "acme", "multimedia"); st.State != serve.StateDone {
@@ -386,6 +434,69 @@ func TestFleetJobTableBounded(t *testing.T) {
 		}
 		if rec := do(t, s, method, "/v1/jobs/f999999", ""); rec.Code != http.StatusNotFound {
 			t.Errorf("%s unissued job: got %d, want 404", method, rec.Code)
+		}
+	}
+}
+
+// scriptedPolicy places every job on node 0 with the next score of its
+// script.
+type scriptedPolicy struct {
+	scores []float64
+	next   int
+}
+
+func (*scriptedPolicy) Name() string { return "scripted" }
+
+func (p *scriptedPolicy) Place(JobView, []NodeView) (int, float64, bool) {
+	s := p.scores[p.next]
+	p.next++
+	return 0, s, true
+}
+
+// TestScoreStatsBounded: the scheduler keeps placement scores in a fixed
+// set of buckets, not one value per placement. Count and sum stay exact
+// (to the 1e-4 fixed point); a quantile is its bucket's upper bound —
+// at or above the exact nearest-rank value, at most 1/16 above it, and
+// never above the largest score.
+func TestScoreStatsBounded(t *testing.T) {
+	// Both tiers of the packing scale, four decimals at most.
+	scores := []float64{0, 0.25, 0.3125, 0.0313, 1.5, 2.0625, 7.75, 3.3333, 1000, 1003, 0.125, 1.0001, 4.5, 0.75, 2, 1.25, 0.5, 6.0002, 1.75, 1001.5}
+	node, err := NewNode(0, []serve.BoardConfig{serve.DefaultBoardConfig()}, serve.PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := NewScheduler([]*Node{node}, &scriptedPolicy{scores: scores}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.Start()
+	defer sched.Drain()
+	spec, err := workload.BuiltinSpec("multimedia")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantSum float64
+	for _, s := range scores {
+		j, err := sched.Submit(Request{Tenant: "acme", Spec: &spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		wantSum += s
+	}
+	p50, p95, sum, count := sched.ScoreStats()
+	if count != int64(len(scores)) || math.Abs(sum-wantSum) > 1e-9 {
+		t.Errorf("count, sum = %d, %v; want %d, %v", count, sum, len(scores), wantSum)
+	}
+	sorted := append([]float64(nil), scores...)
+	sort.Float64s(sorted)
+	largest := sorted[len(sorted)-1]
+	for _, c := range []struct {
+		q, got float64
+	}{{0.5, p50}, {0.95, p95}} {
+		exact := sorted[int(math.Ceil(c.q*float64(len(sorted))))-1]
+		if c.got < exact || c.got > exact*(1+1.0/16) || c.got > largest {
+			t.Errorf("q%.2f = %v, want within [%v, %v] and at most %v", c.q, c.got, exact, exact*(1+1.0/16), largest)
 		}
 	}
 }

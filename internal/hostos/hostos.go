@@ -671,26 +671,6 @@ func (o *OS) finish(t *Task) {
 	o.kick()
 }
 
-// Reset clears the task table and every piece of scheduler state,
-// returning the OS to its post-construction state over the same kernel
-// and FPGA manager. Warm-board serving calls it between jobs instead of
-// building a new OS; the caller must have drained (or Reset) the kernel
-// first so no stale events reference the old tasks. The trace log is
-// detached — per-job tracing re-attaches a fresh one.
-func (o *OS) Reset() {
-	o.tasks = nil
-	o.ready = nil
-	o.current = nil
-	o.segEvt = sim.Event{}
-	o.segStart = 0
-	o.segKind = segNone
-	o.CtxSwitches = 0
-	o.lastTask = nil
-	o.idleSince = 0
-	o.BusyTime = 0
-	o.trace = nil
-}
-
 // AllDone reports whether every spawned task has completed.
 func (o *OS) AllDone() bool {
 	for _, t := range o.tasks {

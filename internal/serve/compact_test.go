@@ -2,21 +2,23 @@ package serve
 
 // Idle-cycle defragmentation tests. boardMaint runs on the worker
 // goroutine between jobs; these tests call it directly on a hand-built
-// warm runtime so the fragmentation layout — and therefore every
+// stack so the fragmentation layout — and therefore every
 // counter — is exact, with one end-to-end run through the HTTP surface
 // on top.
 
 import (
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
-// fragBoard builds a single-board pool with a resident warm runtime
-// over the given builtin scenario's circuit set. No job has run: the
-// engine ledger is empty, so tests lay out residency explicitly.
-func fragBoard(t *testing.T, manager, scenario string) (*Pool, *board) {
+// fragBoard builds a single-board pool with a resident stack over the
+// given builtin scenario's circuit set, and returns the set's compiled
+// circuits. No job has run: the engine ledger is empty, so tests lay out
+// residency explicitly.
+func fragBoard(t *testing.T, manager, scenario string) (*Pool, *board, []*compile.Circuit) {
 	t.Helper()
 	bc := DefaultBoardConfig()
 	bc.Manager = manager
@@ -36,21 +38,18 @@ func fragBoard(t *testing.T, manager, scenario string) (*Pool, *board) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := buildRuntime(bc, set, circs)
-	if err != nil {
+	b := p.boards[0]
+	if b.stack, err = buildStack(nil, bc, set, circs); err != nil {
 		t.Fatal(err)
 	}
-	b := p.boards[0]
-	b.rt = rt
-	return p, b
+	return p, b, circs
 }
 
-// fragment loads two strips of circuit ci with a hole between them —
+// fragment loads two strips of circuit c with a hole between them —
 // two free spans, ratio > 0 — and returns the strip width.
-func fragment(t *testing.T, b *board, ci int) int {
+func fragment(t *testing.T, b *board, c *compile.Circuit) int {
 	t.Helper()
-	eng := b.rt.Engines[0]
-	c := b.rt.circs[ci]
+	eng := b.stack.Engines[0]
 	w := c.BS.W
 	eng.Ledger().Load("frag-a", c, 0, false)
 	eng.Ledger().Load("frag-b", c, w+3, false)
@@ -58,9 +57,9 @@ func fragment(t *testing.T, b *board, ci int) int {
 }
 
 func TestBoardMaintCompacts(t *testing.T) {
-	p, b := fragBoard(t, "amorphous", "multimedia")
+	p, b, circs := fragBoard(t, "amorphous", "multimedia")
 	p.compactWatermark, p.compactBudget = 0.05, 0
-	w := fragment(t, b, 0)
+	w := fragment(t, b, circs[0])
 
 	p.boardMaint(b)
 	bi := b.info()
@@ -81,8 +80,8 @@ func TestBoardMaintCompacts(t *testing.T) {
 }
 
 func TestBoardMaintWatermark(t *testing.T) {
-	p, b := fragBoard(t, "amorphous", "multimedia")
-	fragment(t, b, 0)
+	p, b, circs := fragBoard(t, "amorphous", "multimedia")
+	fragment(t, b, circs[0])
 
 	// Watermark disabled: maint samples the gauges but never compacts.
 	p.compactWatermark = 0
@@ -103,13 +102,13 @@ func TestBoardMaintWatermark(t *testing.T) {
 }
 
 func TestBoardMaintAbortRetries(t *testing.T) {
-	p, b := fragBoard(t, "amorphous", "telecom")
+	p, b, circs := fragBoard(t, "amorphous", "telecom")
 	p.compactWatermark = 0.05
 	// Readback faults only fire on stateful strips: pick a sequential
 	// circuit from the set. The fault aborts the pass before the strip
 	// is touched; the layout survives and the next idle cycle retries.
 	seq := -1
-	for i, c := range b.rt.circs {
+	for i, c := range circs {
 		if c.Sequential {
 			seq = i
 			break
@@ -118,12 +117,12 @@ func TestBoardMaintAbortRetries(t *testing.T) {
 	if seq < 0 {
 		t.Fatal("telecom set has no sequential circuit")
 	}
-	fragment(t, b, seq)
+	fragment(t, b, circs[seq])
 	plan, err := fault.ParseSpec("seed=3,retries=0,readback-flip@1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.rt.Engines[0].Ledger().InjectFaults(fault.NewInjector(plan))
+	b.stack.Engines[0].Ledger().InjectFaults(fault.NewInjector(plan))
 
 	p.boardMaint(b)
 	bi := b.info()
@@ -148,9 +147,9 @@ func TestBoardMaintAbortRetries(t *testing.T) {
 }
 
 func TestBoardMaintSkipsQuarantined(t *testing.T) {
-	p, b := fragBoard(t, "amorphous", "multimedia")
+	p, b, circs := fragBoard(t, "amorphous", "multimedia")
 	p.compactWatermark = 0.05
-	fragment(t, b, 0)
+	fragment(t, b, circs[0])
 	b.quarantine("config-error")
 
 	p.boardMaint(b)

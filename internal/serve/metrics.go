@@ -167,7 +167,7 @@ func (s *Server) writeMetrics(w io.Writer) error {
 		m.Int("vfpgad_board_jobs_total", bi.JobsDone, "board", strconv.Itoa(bi.ID), "outcome", "completed")
 		m.Int("vfpgad_board_jobs_total", bi.JobsFailed, "board", strconv.Itoa(bi.ID), "outcome", "failed")
 	}
-	m.Family("vfpgad_board_resets_total", "Jobs started on the board by reset mode: warm snapshot-restore vs. cold rebuild.", "counter")
+	m.Family("vfpgad_board_resets_total", "Jobs started on the board by reset mode: warm on the erased hardware of the board's last job vs. cold on new hardware.", "counter")
 	for _, bi := range infos {
 		m.Int("vfpgad_board_resets_total", bi.WarmResets, "board", strconv.Itoa(bi.ID), "mode", "warm")
 		m.Int("vfpgad_board_resets_total", bi.ColdResets, "board", strconv.Itoa(bi.ID), "mode", "cold")

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/baseline"
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -119,13 +120,13 @@ type board struct {
 	cfg   BoardConfig
 	queue chan *Job
 
-	// rt is the board's warm runtime: the simulated stack kept resident
-	// across jobs and reset to its pristine snapshot instead of rebuilt.
-	// nil until the first job builds it, and discarded whenever a job
-	// fails (mid-job state is not pristine). Owned by the board's worker
-	// goroutine exclusively; like pool.wg/gate it sits above mu because
-	// the fields below mu are the ones mu guards.
-	rt *boardRuntime
+	// stack is the stack of the board's last job; the next job's is built
+	// on its hardware (baseline.Stack.Next). nil until the first job
+	// builds one, and discarded — hardware included — whenever a job
+	// fails. Owned by the board's worker goroutine exclusively; like
+	// pool.wg/gate it sits above mu because the fields below mu are the
+	// ones mu guards.
+	stack *baseline.Stack
 
 	mu      sync.Mutex
 	current string // running job id ("" when idle)
@@ -138,15 +139,16 @@ type board struct {
 	quarantined bool
 	quarKind    string
 	escalations int64
-	// warm mirrors rt != nil for readers outside the worker goroutine;
-	// warmResets/coldResets count jobs started on a snapshot-restore
-	// reset vs. a full (re)build.
+	// warm mirrors stack != nil for readers outside the worker goroutine;
+	// warmResets/coldResets count jobs run on the board's recycled
+	// hardware vs. on new hardware (the first job, or the first after a
+	// failure).
 	warm       bool
 	warmResets int64
 	coldResets int64
 	// fragRatio, largestFree and frag are the board's fragmentation
-	// view, sampled from the warm runtime after every job and after
-	// every compaction pass (a discarded runtime keeps the last sample).
+	// view, sampled from the last job's stack after every job and after
+	// every compaction pass (a discarded stack keeps the last sample).
 	// A board that has never run a job reports one full-width free span:
 	// fleet placement must see fresh capacity, not zero. frag is the
 	// merged FragStats across the board's engines; fragRatio keeps the
@@ -162,19 +164,19 @@ type board struct {
 }
 
 // sampleFrag refreshes the board's exported fragmentation view from the
-// warm runtime's engines: the worst external-fragmentation ratio and the
+// last job's engines: the worst external-fragmentation ratio and the
 // widest contiguous free extent across them (a multi-device board
 // reports its most fragmented device), plus the merged FragStats the
 // fleet layer aggregates. Runs on the board's worker goroutine, the
-// sole owner of b.rt.
+// sole owner of b.stack.
 func (b *board) sampleFrag() {
-	if b.rt == nil {
+	if b.stack == nil {
 		return
 	}
 	var ratio float64
 	largest := 0
 	var merged core.FragStats
-	for _, eng := range b.rt.Engines {
+	for _, eng := range b.stack.Engines {
 		f := eng.Ledger().Frag()
 		if r := f.Ratio(); r > ratio {
 			ratio = r
@@ -189,7 +191,7 @@ func (b *board) sampleFrag() {
 	b.mu.Unlock()
 }
 
-// noteReset records how a job's board state was prepared.
+// noteReset records whether a job ran on the board's recycled hardware.
 func (b *board) noteReset(warm bool) {
 	b.mu.Lock()
 	if warm {
@@ -425,13 +427,13 @@ func (p *Pool) worker(b *board) {
 // the board's fragmentation view and, when the queue is idle and the
 // ratio has crossed the configured watermark, spends the idle cycle on
 // a budgeted compaction pass through each engine's ledger. The pass
-// charges real relocation costs, but the next job starts from the
-// pristine image anyway (warm reset or rebuild), so job results stay
-// independent of whether the board defragmented in between — compaction
-// here models reclaiming otherwise-dead device time, and its effect is
-// visible through the board's exported fragmentation gauges.
+// charges real relocation costs, but the next job starts from an erased
+// device anyway, so job results stay independent of whether the board
+// defragmented in between — compaction here models reclaiming
+// otherwise-dead device time, and its effect is visible through the
+// board's exported fragmentation gauges.
 func (p *Pool) boardMaint(b *board) {
-	if b.rt == nil || b.isQuarantined() {
+	if b.stack == nil || b.isQuarantined() {
 		return
 	}
 	b.sampleFrag()
@@ -440,7 +442,7 @@ func (p *Pool) boardMaint(b *board) {
 	}
 	var moved, aborts int64
 	ran := false
-	for _, eng := range b.rt.Engines {
+	for _, eng := range b.stack.Engines {
 		f := eng.Ledger().Frag()
 		// One mid-device hole is enough to cross a low watermark, but
 		// with a single free span there is nothing to merge.
@@ -548,19 +550,19 @@ func (p *Pool) runOne(b *board, j *Job) {
 	p.finish(j, res, err)
 }
 
-// runWarm executes j on b, reusing the board's warm runtime when one is
-// resident and compatible with the job's circuit set, and rebuilding the
-// whole simulated stack otherwise. Any failure — build error, fault
-// escalation, panic — discards the runtime: mid-job state is not
-// pristine and must not leak into the next job (a quarantined board thus
-// requeues cold). Runs on b's worker goroutine, the sole owner of b.rt.
+// runWarm executes j on b: on the hardware of the board's last job when
+// its stack is resident, on new hardware otherwise. Any failure — build
+// error, fault escalation, panic — discards the stack, hardware
+// included: a device abandoned mid-job is not one to build on (a
+// quarantined board thus requeues cold). Runs on b's worker goroutine,
+// the sole owner of b.stack.
 func (p *Pool) runWarm(b *board, j *Job) (res *JobResult, err error) {
 	defer func() {
 		if err != nil {
-			b.rt = nil
+			b.stack = nil
 		}
 		b.mu.Lock()
-		b.warm = b.rt != nil
+		b.warm = b.stack != nil
 		b.mu.Unlock()
 	}()
 	defer recoverJob(&res, &err)
@@ -572,17 +574,12 @@ func (p *Pool) runWarm(b *board, j *Job) (res *JobResult, err error) {
 	if err != nil {
 		return nil, err
 	}
-	warm := b.rt != nil && b.rt.compatible(set, circs)
-	if !warm {
-		b.rt = nil
-		rt, err := buildRuntime(b.cfg, set, circs)
-		if err != nil {
-			return nil, err
-		}
-		b.rt = rt
+	warm := b.stack != nil
+	if b.stack, err = buildStack(b.stack, b.cfg, set, circs); err != nil {
+		return nil, err
 	}
 	b.noteReset(warm)
-	return b.rt.run(set, circs, j.trace, warm)
+	return run(b.stack, set, j.trace)
 }
 
 // SubmitArgs describes one submission into a Pool.

@@ -15,11 +15,11 @@ import (
 var Managers = []string{"dynamic", "partition", "amorphous", "overlay", "paged", "multi", "exclusive", "software", "merged"}
 
 // BoardConfig describes one simulated board of the pool. The simulated
-// hardware is built from this config once, then reset to its pristine
-// snapshot between jobs (see boardRuntime) — with a full rebuild as the
-// fallback — so per-job results are exactly what a direct hostos run of
-// the same workload produces, independent of queue order and of whatever
-// ran on the board before.
+// hardware is built from this config once and erased between jobs; the
+// stack over it is built anew for every job (see runtime.go), so per-job
+// results are exactly what a direct hostos run of the same workload
+// produces, independent of queue order and of whatever ran on the board
+// before.
 type BoardConfig struct {
 	// Manager is one of Managers.
 	Manager string
@@ -37,11 +37,10 @@ type BoardConfig struct {
 	// 429 backpressure.
 	QueueDepth int
 	// Faults, when non-nil, arms this board's engines with the fault
-	// plan (each engine derives its own stream from it). Every job sees
-	// the injector at its post-construction stream position — cold builds
-	// get a fresh injector, warm resets replay a clone to the captured
-	// position — so which faults a job sees depends only on the plan and
-	// the job's own op sequence, never on queue order.
+	// plan (each engine derives its own stream from it). Every job's
+	// engines are armed with a new injector before the manager is built,
+	// so which faults a job sees depends only on the plan and the job's
+	// own op sequence, never on queue order.
 	Faults *fault.Plan
 }
 
@@ -119,9 +118,9 @@ func NewDirectRunner(bc BoardConfig) (workload.RunFunc, error) {
 }
 
 // runJob executes one workload spec on a freshly built board and
-// returns the wire-form result: build the stack cold, run once, drop it.
-// It is what NewDirectRunner memoizes and the reference the warm
-// equivalence suite compares against; everything it builds is
+// returns the wire-form result: build the stack on new hardware, run
+// once, drop it. It is what NewDirectRunner memoizes and the reference
+// the warm equivalence suite compares against; everything it builds is
 // single-goroutine state confined to that stack.
 func runJob(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec, withTrace bool) (res *JobResult, err error) {
 	defer recoverJob(&res, &err)
@@ -133,9 +132,9 @@ func runJob(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec, with
 	if err != nil {
 		return nil, err
 	}
-	rt, err := buildRuntime(bc, set, circs)
+	st, err := buildStack(nil, bc, set, circs)
 	if err != nil {
 		return nil, err
 	}
-	return rt.run(set, circs, withTrace, false)
+	return run(st, set, withTrace)
 }

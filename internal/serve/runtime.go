@@ -1,14 +1,12 @@
-// Warm boards: the simulated stack (kernel, engines, manager, host OS)
-// is expensive to build — place-and-route compilation dominates — and,
-// per job, almost all of it is rebuilt into an identical pristine state.
-// A boardRuntime builds the stack once, captures a per-engine pristine
-// image (fabric snapshot, metrics, pins, residents, fault-injector
-// position), and resets to that image between jobs instead of
-// rebuilding: the moral equivalent of restoring a saved full-device
-// configuration instead of re-deriving it, the virtualization outlook
-// the paper's §2 sketches. Results are bit-for-bit those of a fresh
-// rebuild — the equivalence suite in warm_test.go pins that — so warm
-// reuse is purely a service-time optimization.
+// Warm boards: between two jobs a board is nothing but hardware the next
+// download overwrites, so a board keeps exactly that — each engine's
+// device, erased, and the kernel's event arrays, reset — and builds the
+// rest of the simulated stack (engines, manager, host OS) anew for every
+// job through the one path a first job takes, baseline.NewStack's. A job
+// on recycled hardware is a job on new hardware by construction; the
+// equivalence suite in warm_test.go holds the results bit-for-bit equal.
+// What makes a warm job fast is the shared strip cache: place and route
+// are not repeated.
 
 package serve
 
@@ -24,21 +22,6 @@ import (
 	"repro/internal/lint"
 	"repro/internal/workload"
 )
-
-// boardRuntime is one board's resident stack, reused across jobs. It is
-// owned by the board's worker goroutine exclusively; nothing in it is
-// safe for concurrent use.
-type boardRuntime struct {
-	*baseline.Stack
-
-	// setDependent marks managers that bake the construction job's
-	// circuits into device state (overlay, merged): warm reuse needs the
-	// next job to compile to exactly the same circuits. names and circs
-	// record what this runtime was built for, in set order.
-	setDependent bool
-	names        []string
-	circs        []*compile.Circuit
-}
 
 // boardOptions maps a board config onto engine options.
 func boardOptions(bc BoardConfig) core.Options {
@@ -84,57 +67,33 @@ func SpecWidth(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (
 	return w, nil
 }
 
-// buildRuntime assembles the stack for one board config and circuit set
-// and captures its pristine images for later warm resets.
-func buildRuntime(bc BoardConfig, set *workload.Set, circs []*compile.Circuit) (*boardRuntime, error) {
-	osCfg := hostos.DefaultConfig()
-	osCfg.TimeSlice = bc.Slice
-	var err error
-	if osCfg.Policy, err = hostos.ParsePolicy(bc.Sched); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+// buildStack assembles the stack for one job on a board: on the
+// hardware of prev, the stack of the board's previous job, or on new
+// hardware when prev is nil. prev is dead afterwards either way.
+func buildStack(prev *baseline.Stack, bc BoardConfig, set *workload.Set, circs []*compile.Circuit) (st *baseline.Stack, err error) {
+	mk := baseline.NewManager(bc.Manager, set.CircuitNames(), bc.Seed)
+	if prev != nil {
+		st, err = prev.Next(set, circs, mk)
+	} else {
+		osCfg := hostos.DefaultConfig()
+		osCfg.TimeSlice = bc.Slice
+		if osCfg.Policy, err = hostos.ParsePolicy(bc.Sched); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+		engines := 1
+		if bc.Manager == "multi" {
+			engines = bc.SubBoards
+		}
+		st, err = baseline.NewStack(boardOptions(bc), engines, osCfg, bc.Faults, set, circs, mk)
 	}
-	engines := 1
-	if bc.Manager == "multi" {
-		engines = bc.SubBoards
-	}
-	names := set.CircuitNames()
-	st, err := baseline.NewStack(boardOptions(bc), engines, osCfg, bc.Faults, set, circs,
-		baseline.NewManager(bc.Manager, names, bc.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	st.CapturePristine()
-	return &boardRuntime{
-		Stack:        st,
-		setDependent: bc.Manager == "overlay" || bc.Manager == "merged",
-		names:        names,
-		circs:        circs,
-	}, nil
-}
-
-// compatible reports whether this runtime, built for a previous job, can
-// be warm-reset for a job over the given circuit set. Set-independent
-// managers always can: the reset swaps the circuit library wholesale.
-// Overlay and merged configured the device from the construction set, so
-// they need the same circuit names compiling to the same circuits (the
-// strip cache makes that a pointer comparison).
-func (rt *boardRuntime) compatible(set *workload.Set, circs []*compile.Circuit) bool {
-	if !rt.setDependent {
-		return true
-	}
-	if len(circs) != len(rt.circs) {
-		return false
-	}
-	for i, c := range circs {
-		if rt.circs[i] != c || rt.names[i] != set.Circuits[i].Name {
-			return false
-		}
-	}
-	return true
+	return st, nil
 }
 
 // recoverJob, deferred, fails a panicking job instead of taking the
-// daemon down with it. The caller discards the runtime on any error, so
+// daemon down with it. The caller discards the stack on any error, so
 // recovery cannot leak corrupted state into the next job. A fault
 // escalation stays typed through the recover so the pool can quarantine
 // the board. Deferred by run for the simulation and again by its callers
@@ -148,30 +107,23 @@ func recoverJob(res **JobResult, err *error) {
 	}
 }
 
-// run executes one job on the runtime and returns the wire-form result.
-// warm asks for a snapshot-restore reset first (the runtime already ran
-// a job); a fresh runtime runs cold, with no reset. Called from the
-// board's worker goroutine only.
-func (rt *boardRuntime) run(set *workload.Set, circs []*compile.Circuit, withTrace, warm bool) (res *JobResult, err error) {
+// run executes one job on a stack built for it and returns the
+// wire-form result. Called from the board's worker goroutine only.
+func run(st *baseline.Stack, set *workload.Set, withTrace bool) (res *JobResult, err error) {
 	defer recoverJob(&res, &err)
-	if warm {
-		if err := rt.Reset(set, circs); err != nil {
-			return nil, err
-		}
-	}
 	if withTrace {
-		rt.Trace()
+		st.Trace()
 	}
-	if err := rt.Run(set); err != nil {
+	if err := st.Run(set); err != nil {
 		return nil, err
 	}
 
 	res = &JobResult{
-		Makespan:    rt.OS.Makespan(),
-		CtxSwitches: rt.OS.CtxSwitches,
+		Makespan:    st.OS.Makespan(),
+		CtxSwitches: st.OS.CtxSwitches,
 		LintClean:   true,
 	}
-	for _, t := range rt.OS.Tasks() {
+	for _, t := range st.OS.Tasks() {
 		res.Tasks = append(res.Tasks, TaskResult{
 			Name:        t.Name,
 			Turnaround:  t.Turnaround(),
@@ -184,10 +136,10 @@ func (rt *boardRuntime) run(set *workload.Set, circs []*compile.Circuit, withTra
 			Acquires:    t.Acquires,
 		})
 	}
-	for _, eng := range rt.Engines {
-		res.Metrics = append(res.Metrics, eng.M.Snapshot(rt.K.Now()))
+	for _, eng := range st.Engines {
+		res.Metrics = append(res.Metrics, eng.M.Snapshot(st.K.Now()))
 	}
-	diags, err := rt.Lint()
+	diags, err := st.Lint()
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +149,7 @@ func (rt *boardRuntime) run(set *workload.Set, circs []*compile.Circuit, withTra
 	}
 	res.LintClean = !lint.HasErrors(diags)
 	if withTrace {
-		res.Timeline = rt.Timeline().Events
+		res.Timeline = st.Timeline().Events
 	}
 	return res, nil
 }

@@ -105,7 +105,7 @@ func directRun(t *testing.T, spec *workload.Spec, bc BoardConfig) *JobResult {
 	opt.Geometry.Cols, opt.Geometry.Rows = bc.Cols, bc.Rows
 	opt.Seed = bc.Seed
 	k := sim.New()
-	e := core.NewEngine(opt)
+	e := core.NewEngine(opt, nil)
 	for i, nl := range set.Circuits {
 		tm := opt.Timing
 		c, err := compile.CompileStrip(nl, opt.Geometry.Rows, opt.Geometry.TracksPerChannel,

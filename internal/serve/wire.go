@@ -131,10 +131,11 @@ type BoardInfo struct {
 	Quarantined bool   `json:"quarantined,omitempty"`
 	FaultKind   string `json:"fault_kind,omitempty"`
 	Escalations int64  `json:"escalations,omitempty"`
-	// Warm reports that the board holds a warm runtime: the next
-	// compatible job is reset from the pristine snapshot instead of
-	// rebuilding the simulated stack. WarmResets and ColdResets count
-	// jobs started on a snapshot-restore reset vs. a full (re)build.
+	// Warm reports that the board holds the hardware of its last job —
+	// the devices and the simulation kernel — which the next job's stack
+	// is built on, erased. WarmResets counts jobs that ran on such
+	// recycled hardware, ColdResets jobs that ran on new hardware: a
+	// board's first, and the first after a failed job.
 	Warm       bool  `json:"warm"`
 	WarmResets int64 `json:"warm_resets"`
 	ColdResets int64 `json:"cold_resets"`

@@ -41,7 +41,7 @@ func (s *Set) Spawn(os *hostos.OS) {
 
 // CircuitNames returns the names of all referenced circuits, in order.
 func (s *Set) CircuitNames() []string {
-	var names []string
+	names := make([]string, 0, len(s.Circuits))
 	for _, c := range s.Circuits {
 		names = append(names, c.Name)
 	}
