@@ -42,11 +42,12 @@ lint:
 	$(GO) run ./cmd/vfpgalint
 
 # The hostos.FPGA conformance suite, the golden merged-timeline
-# determinism test and the pinned manager digests, explicitly under -race
-# (they also run in `race` and `test`; this target pins them as a named
-# gate).
+# determinism test, the pinned manager digests, the residency-table
+# property test and the relocation-escalation contract, explicitly under
+# -race (they also run in `race` and `test`; this target pins them as a
+# named gate).
 conformance:
-	$(GO) test -race -run 'TestConformance|TestGoldenTimeline|TestManagerDigestsPinned' ./internal/core/
+	$(GO) test -race -run 'TestConformance|TestGoldenTimeline|TestManagerDigestsPinned|TestLedgerResidency|TestRelocateEscalation' ./internal/core/
 
 # Coverage: per-package summary, then a combined core+baseline+serve
 # profile gated against the committed baseline — new subsystems must

@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/hostos"
+	"repro/internal/lint"
 )
 
 func quick() Config { return Config{Seed: 1, Quick: true} }
@@ -118,6 +121,30 @@ func TestT3Shape(t *testing.T) {
 	for i := 1; i < len(tbl.rows); i++ {
 		if tbl.f(i, "loads") > dynLoads {
 			t.Fatalf("%s loads %.0f > dynamic %.0f", tbl.rows[i][0], tbl.f(i, "loads"), dynLoads)
+		}
+	}
+}
+
+// Every T3 manager leaves a lint-clean board behind — the two fixed
+// tables included, whose slots are all free and side by side once the
+// tasks have exited.
+func TestT3BoardsLintClean(t *testing.T) {
+	cfg := quick()
+	for _, m := range t3Managers {
+		set := t3Set(cfg)
+		st, err := newStack(defaultOpt(cfg), 1, hostos.DefaultConfig(), set, m.mk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Run(set); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		diags, err := st.Lint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lint.HasErrors(diags) {
+			t.Errorf("%s: board not lint-clean after the run: %v", m.name, lint.Errors(diags))
 		}
 	}
 }

@@ -154,6 +154,36 @@ func T2StatePreemption(cfg Config) (*trace.Table, error) {
 	return tbl, nil
 }
 
+// t3Managers are T3's rows.
+var t3Managers = []struct {
+	name string
+	mk   baseline.ManagerFunc
+}{
+	{"dynamic (whole device)", dynamicMgr},
+	{"fixed 4x8", partitionMgr(core.PartitionConfig{Mode: core.FixedPartitions, FixedWidths: []int{8, 8, 8, 8}, Rotate: true})},
+	{"fixed 2x16", partitionMgr(core.PartitionConfig{Mode: core.FixedPartitions, FixedWidths: []int{16, 16}, Rotate: true})},
+	{"variable first-fit", partitionMgr(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.FirstFit, Rotate: true})},
+	{"variable best-fit", partitionMgr(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, Rotate: true})},
+	{"variable + GC", variableMgr},
+}
+
+// t3Set is T3's heterogeneous task mix.
+func t3Set(cfg Config) *workload.Set {
+	tasks := 8
+	ops := 6
+	if cfg.Quick {
+		tasks, ops = 4, 4
+	}
+	return workload.Synthetic(workload.SyntheticConfig{
+		Tasks:       tasks,
+		OpsPerTask:  ops,
+		EvalsPerOp:  30_000,
+		ComputeTime: 300 * sim.Microsecond,
+		SwitchProb:  0.25,
+		Seed:        cfg.Seed + 7,
+	})
+}
+
 // T3Partitioning — §4: partitioning reduces reloads versus whole-device
 // dynamic loading; fixed partitions are simple but rigid, variable ones
 // adapt; rotation and GC trade management overhead for utilization.
@@ -164,35 +194,9 @@ func T3Partitioning(cfg Config) (*trace.Table, error) {
 		Note:    "paper §4: partitions cut reload traffic without impairing parallelism",
 		Columns: []string{"manager", "makespan_ms", "mean_turnaround_ms", "mean_block_ms", "loads", "evictions", "blocks", "gc_runs"},
 	}
-	tasks := 8
-	ops := 6
-	if cfg.Quick {
-		tasks, ops = 4, 4
-	}
-	mkSet := func() *workload.Set {
-		return workload.Synthetic(workload.SyntheticConfig{
-			Tasks:       tasks,
-			OpsPerTask:  ops,
-			EvalsPerOp:  30_000,
-			ComputeTime: 300 * sim.Microsecond,
-			SwitchProb:  0.25,
-			Seed:        cfg.Seed + 7,
-		})
-	}
-	managers := []struct {
-		name string
-		mk   baseline.ManagerFunc
-	}{
-		{"dynamic (whole device)", dynamicMgr},
-		{"fixed 4x8", partitionMgr(core.PartitionConfig{Mode: core.FixedPartitions, FixedWidths: []int{8, 8, 8, 8}, Rotate: true})},
-		{"fixed 2x16", partitionMgr(core.PartitionConfig{Mode: core.FixedPartitions, FixedWidths: []int{16, 16}, Rotate: true})},
-		{"variable first-fit", partitionMgr(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.FirstFit, Rotate: true})},
-		{"variable best-fit", partitionMgr(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, Rotate: true})},
-		{"variable + GC", variableMgr},
-	}
-	rows, err := parRows(cfg.Jobs, len(managers), func(i int) ([]any, error) {
-		m := managers[i]
-		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), mkSet(), m.mk)
+	rows, err := parRows(cfg.Jobs, len(t3Managers), func(i int) ([]any, error) {
+		m := t3Managers[i]
+		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), t3Set(cfg), m.mk)
 		if err != nil {
 			return nil, err
 		}

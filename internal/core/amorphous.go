@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -59,7 +58,7 @@ var _ hostos.FPGA = (*AmorphousManager)(nil)
 // map covering the whole device.
 func NewAmorphousManager(k *sim.Kernel, e *Engine, cfg AmorphousConfig) *AmorphousManager {
 	am := &AmorphousManager{
-		stripTable: newStripTable(NewTaskKernel(k, e, ""), NewRegionMap(e.Opt.Geometry.Cols)),
+		stripTable: newStripTable(NewTaskKernel(k, e, "amorphous"), NewRegionMap(e.Opt.Geometry.Cols)),
 		Cfg:        cfg,
 	}
 	am.view = am.lintView
@@ -168,38 +167,4 @@ func (am *AmorphousManager) Acquire(t *hostos.Task) (sim.Time, bool) {
 		return 0, false
 	}
 	return cost + placeCost, true
-}
-
-// Frag returns the manager's live fragmentation statistics.
-func (am *AmorphousManager) Frag() FragStats { return am.rm.Frag() }
-
-// Regions returns a snapshot of the region map, sorted by origin, for
-// inspection, tests and the static verifier. Cached strips report their
-// circuit with an empty owner.
-func (am *AmorphousManager) Regions() []lint.RegionView {
-	var out []lint.RegionView
-	for _, s := range am.rm.Spans() {
-		v := lint.RegionView{X: s.X, W: s.W, Free: s.Free()}
-		if !s.Free() {
-			p := s.Owner.(*strip)
-			v.Circuit = p.circuit
-			if p.owner != nil {
-				v.Owner = p.owner.Name
-			}
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// lintView exports the manager's current state as a static-verifier
-// target for the region-state pass (exact tiling, no shared columns,
-// coalesced free spans).
-func (am *AmorphousManager) lintView() *lint.Target {
-	return &lint.Target{
-		Name:    "amorphous",
-		Regions: am.Regions(),
-		Cols:    am.E.Opt.Geometry.Cols,
-		Device:  am.E.Dev,
-	}
 }

@@ -283,17 +283,16 @@ func auditLedger(t *testing.T, e *core.Engine, log *core.DeviceLog) {
 		t.Errorf("FaultRecoveries = %d exceeds FaultRetries = %d",
 			m.FaultRecoveries.Value(), m.FaultRetries.Value())
 	}
-	// The ledger's incremental fragmentation model must mirror the
-	// residency table exactly, whatever sequence of loads, evictions and
-	// relocations the run performed.
+	// Ledger.Frag() must agree with the reference scan of the residency
+	// table, whatever sequence of loads, evictions and relocations the run
+	// performed.
 	if got, want := e.Ledger().Frag(), recomputeFrag(e); got != want {
 		t.Errorf("Ledger.Frag() = %+v, residency table says %+v", got, want)
 	}
 }
 
-// recomputeFrag derives FragStats from scratch out of the residency
-// table — the reference the ledger's incremental model is audited
-// against.
+// recomputeFrag derives FragStats from scratch out of the exported
+// residency table — the reference Ledger.Frag() is audited against.
 func recomputeFrag(e *core.Engine) core.FragStats {
 	cols := e.Opt.Geometry.Cols
 	f := core.FragStats{Cols: cols}

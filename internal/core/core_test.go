@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/hostos"
+	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -322,7 +323,7 @@ func TestPartitionTwoTasksCoexist(t *testing.T) {
 		t.Fatal("nothing should block")
 	}
 	// After both tasks exit, all partitions merge back into one free strip.
-	parts := pm.Partitions()
+	parts := pm.Regions()
 	if len(parts) != 1 || !parts[0].Free {
 		t.Fatalf("partitions after exit: %+v", parts)
 	}
@@ -377,7 +378,7 @@ func TestPartitionVariableSplitsAndMerges(t *testing.T) {
 		t.Fatal("not done")
 	}
 	// After the only task exits, everything merges back to one free strip.
-	parts := pm.Partitions()
+	parts := pm.Regions()
 	if len(parts) != 1 || !parts[0].Free || parts[0].W != testGeometry().Cols {
 		t.Fatalf("partitions after release: %+v", parts)
 	}
@@ -454,6 +455,23 @@ func TestPartitionFixedInvalidWidths(t *testing.T) {
 	}
 }
 
+// A fixed table's free slots sit side by side and never merge: the static
+// verifier takes the coalescing and tiling rules from the map, so a fresh
+// table is clean.
+func TestPartitionFixedTableLintClean(t *testing.T) {
+	e := newEngine(t, testOptions())
+	pm, err := NewPartitionManager(sim.New(), e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{8, 8, 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tgt := pm.LintTarget(); !tgt.FixedSlots || len(tgt.Regions) != 3 || tgt.Name != "partitions(fixed)" {
+		t.Fatalf("target = %+v", tgt)
+	}
+	if errs := lint.Errors(lint.RunTarget(pm.LintTarget(), lint.Options{})); len(errs) > 0 {
+		t.Fatalf("fresh fixed table is lint-dirty: %v", errs)
+	}
+}
+
 func TestPartitionBestFitPicksTightest(t *testing.T) {
 	h, pm := partHarness(t, testOptions(), hostos.Config{Policy: hostos.FIFO},
 		PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{12, 3}, Fit: BestFit})
@@ -461,7 +479,7 @@ func TestPartitionBestFitPicksTightest(t *testing.T) {
 	a, _ := h.OS.Spawn("a", 0, []hostos.Op{fpgaOp("parity16", 10), hostos.Compute(sim.Millisecond)})
 	h.K.RunUntil(500 * sim.Microsecond)
 	_ = a
-	parts := pm.Partitions()
+	parts := pm.Regions()
 	if parts[1].Circuit != "parity16" {
 		t.Fatalf("best fit chose wrong partition: %+v", parts)
 	}

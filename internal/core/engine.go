@@ -179,7 +179,7 @@ func NewEngine(opt Options, dev *fabric.Device) *Engine {
 		Lib:  map[string]*compile.Circuit{},
 		pins: make([]int, opt.Geometry.NumPins()),
 	}
-	e.led = Ledger{e: e, residents: map[int]*Resident{}, frag: newFragTracker(opt.Geometry.Cols)}
+	e.led = Ledger{e: e}
 	for p := range e.pins {
 		e.pins[p] = p
 	}

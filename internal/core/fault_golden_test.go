@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hostos"
+	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -199,5 +200,98 @@ func TestFaultRecoveryCharged(t *testing.T) {
 	}
 	if faulted.M.FaultRecoveries.Value() != 1 {
 		t.Fatalf("FaultRecoveries = %d, want 1", faulted.M.FaultRecoveries.Value())
+	}
+}
+
+// TestRelocateEscalationDropsStrip drives the two garbage-collection
+// policies that move strips for a manager — PartitionManager's compaction
+// and AmorphousManager's boundary slide — into a relocation whose retry
+// budget is gone. The manager cannot unwind the move, so the typed
+// escalation panics; before it does, the ledger drops the destroyed (or
+// corrupted) strip, so the books still balance and no pin is lost.
+func TestRelocateEscalationDropsStrip(t *testing.T) {
+	probe, _ := confEngine(t, nil)
+	wa, wc, wm := probe.Lib["adder8"].BS.W, probe.Lib["counter8"].BS.W, probe.Lib["mul4"].BS.W
+	if wa >= wm {
+		t.Fatalf("adder8 (%d cols) not narrower than mul4 (%d): test geometry assumption broken", wa, wm)
+	}
+	for _, m := range []struct {
+		name  string
+		build func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error)
+	}{
+		{"partition", func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
+			return core.NewPartitionManager(k, e, core.PartitionConfig{Mode: core.VariablePartitions, GC: true})
+		}},
+		{"amorphous", func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
+			return core.NewAmorphousManager(k, e, core.AmorphousConfig{Fit: core.BestFit, GC: true}), nil
+		}},
+	} {
+		for _, c := range []struct{ spec, op string }{
+			{"seed=3,retries=0,config-error@1", "relocate"},
+			{"seed=3,retries=0,restore-mismatch@1", "restore"},
+		} {
+			t.Run(m.name+"/"+c.op, func(t *testing.T) {
+				// adder8 | counter8 | a tail one column short of mul4: once
+				// adder8 leaves, mul4 fits only if counter8 moves left.
+				opt := probe.Opt
+				opt.Geometry.Cols = wa + wc + wm - 1
+				e := core.NewEngine(opt, nil)
+				for _, circuit := range confCircuits {
+					e.Lib[circuit] = probe.Lib[circuit]
+				}
+				log := core.NewDeviceLog(0)
+				e.Ledger().AttachLog(log)
+				k := sim.New()
+				mgr, err := m.build(k, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, mgr)
+				task := func(name string, req hostos.FPGARequest) *hostos.Task {
+					task, err := os.Spawn(name, 0, []hostos.Op{hostos.UseFPGA(req)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return task
+				}
+				a := task("a", hostos.FPGARequest{Circuit: "adder8", Evaluations: 100})
+				b := task("b", hostos.FPGARequest{Circuit: "counter8", Cycles: 100})
+				for _, task := range []*hostos.Task{a, b} {
+					if _, ok := mgr.Acquire(task); !ok {
+						t.Fatalf("%s blocked", task.Name)
+					}
+				}
+				mgr.Remove(a)
+				plan, err := fault.ParseSpec(c.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Ledger().InjectFaults(fault.NewInjector(plan))
+
+				d := task("d", hostos.FPGARequest{Circuit: "mul4", Evaluations: 100})
+				func() {
+					defer func() {
+						esc, ok := fault.AsEscalation(recover())
+						if !ok || esc.Op != c.op {
+							t.Fatalf("escalation = %+v, want a typed panic with Op %q", esc, c.op)
+						}
+					}()
+					mgr.Acquire(d)
+				}()
+
+				auditLedger(t, e, log)
+				if len(e.Ledger().Residents()) != 0 || e.M.Evictions.Value() != 1 || e.M.FaultEscalations.Value() != 1 {
+					t.Fatalf("residents = %+v, evictions = %d, escalations = %d: doomed strip not dropped",
+						e.Ledger().Residents(), e.M.Evictions.Value(), e.M.FaultEscalations.Value())
+				}
+				if got, want := e.FreePinCount(), opt.Geometry.NumPins(); got != want {
+					t.Fatalf("%d pins free, want all %d back in the pool", got, want)
+				}
+				diags := lint.RunTarget(e.Ledger().LintTarget(m.name), lint.Options{Passes: []string{"fabric-config"}})
+				if lint.HasErrors(diags) {
+					t.Fatalf("device not lint-clean after the drop: %v", lint.Errors(diags))
+				}
+			})
+		}
 	}
 }

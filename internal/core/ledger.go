@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -188,12 +188,13 @@ type Resident struct {
 // cheap mutex-backed assertion that panics on concurrent entry, so
 // misuse fails loudly instead of racing.
 type Ledger struct {
-	e         *Engine
-	k         *sim.Kernel
-	log       *DeviceLog
-	inj       *fault.Injector   // nil = no injection (the common case)
-	residents map[int]*Resident // keyed by strip origin column
-	frag      *fragTracker      // free-column model mirroring residents
+	e   *Engine
+	k   *sim.Kernel
+	log *DeviceLog
+	inj *fault.Injector // nil = no injection (the common case)
+	// residents is the residency table: sorted by strip origin, pairwise
+	// disjoint, inside the device. Only find, insert and remove index it.
+	residents []*Resident
 
 	// guard backs the single-goroutine assertion: TryLock fails only if
 	// another operation is mid-flight, which under the ownership contract
@@ -302,17 +303,52 @@ func (l *Ledger) emitNote(op LedgerOp, task, circuit string, region fabric.Regio
 	})
 }
 
+// find returns where a strip with origin column x sits in the residency
+// table, or would be inserted, and whether one is there.
+func (l *Ledger) find(x int) (int, bool) {
+	return slices.BinarySearchFunc(l.residents, x, func(r *Resident, x int) int { return r.Region.X - x })
+}
+
+// insert enters r into the residency table. Resident strips are disjoint
+// and inside the device by construction — a violation is a manager bug,
+// and this is the only place that would notice two strips with different
+// origins sharing a column.
+func (l *Ledger) insert(r *Resident) {
+	i, _ := l.find(r.Region.X)
+	lo, hi := r.Region.X, r.Region.X+r.Region.W
+	if cols := l.e.Opt.Geometry.Cols; lo < 0 || hi > cols {
+		panic(fmt.Sprintf("core: residency [%d,%d) outside the device's %d columns", lo, hi, cols))
+	}
+	for _, n := range l.residents[max(i-1, 0):min(i+1, len(l.residents))] {
+		if n.Region.X < hi && lo < n.Region.X+n.Region.W {
+			panic(fmt.Sprintf("core: residency [%d,%d) overlaps %s at column %d", lo, hi, n.Circuit, n.Region.X))
+		}
+	}
+	l.residents = slices.Insert(l.residents, i, r)
+}
+
+// remove takes r out of the residency table.
+func (l *Ledger) remove(r *Resident) {
+	i, _ := l.find(r.Region.X)
+	l.residents = slices.Delete(l.residents, i, i+1)
+}
+
 // ResidentAt returns the residency entry whose strip starts at column x,
 // or nil.
-func (l *Ledger) ResidentAt(x int) *Resident { return l.residents[x] }
-
-// Residents returns the residency table sorted by origin column.
-func (l *Ledger) Residents() []Resident {
-	out := make([]Resident, 0, len(l.residents))
-	for _, r := range l.residents {
-		out = append(out, *r)
+func (l *Ledger) ResidentAt(x int) *Resident {
+	if i, ok := l.find(x); ok {
+		return l.residents[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Region.X < out[j].Region.X })
+	return nil
+}
+
+// Residents returns a copy of the residency table, sorted by origin
+// column.
+func (l *Ledger) Residents() []Resident {
+	out := make([]Resident, len(l.residents))
+	for i, r := range l.residents {
+		out[i] = *r
+	}
 	return out
 }
 
@@ -332,7 +368,7 @@ func (l *Ledger) LintTarget(name string) *lint.Target {
 // factor and the charged cost.
 func (l *Ledger) TryLoad(owner string, c *compile.Circuit, x int, wholeDevice bool) (mux int, cost sim.Time, err error) {
 	defer l.enter()()
-	if r := l.residents[x]; r != nil {
+	if r := l.ResidentAt(x); r != nil {
 		return 0, 0, fmt.Errorf("core: column %d already holds %s; evict first", x, r.Circuit)
 	}
 	pins, mux, err := l.e.AllocPins(c.BS.NumIn + c.BS.NumOut)
@@ -359,8 +395,7 @@ func (l *Ledger) TryLoad(owner string, c *compile.Circuit, x int, wholeDevice bo
 	if mux > 1 {
 		l.e.M.MuxedOps.Inc()
 	}
-	l.residents[x] = &Resident{Circuit: c.Name, C: c, Owner: owner, Region: region, Pins: pins, Mux: mux}
-	l.frag.alloc(region.X, region.W)
+	l.insert(&Resident{Circuit: c.Name, C: c, Owner: owner, Region: region, Pins: pins, Mux: mux})
 	l.emit(OpLoad, owner, c.Name, region, -1, base, false)
 	l.e.noteUtil(l.now())
 	return mux, cost, nil
@@ -382,38 +417,58 @@ func configFaultCharge(kind fault.Kind, base sim.Time) sim.Time {
 	}
 }
 
-// applyConfig writes c's bitstream at column x under the fault plan:
-// each injected config fault wipes the partial strip, charges wasted
-// time into Metrics.FaultTime, and either retries (with doubling
-// backoff) or — once the attempt budget is gone — escalates with a
-// typed *fault.EscalationError. It returns the fault/backoff time
-// charged on top of the caller's nominal cost; on success the device
-// holds the applied configuration.
-func (l *Ledger) applyConfig(op, owner string, c *compile.Circuit, x int, in, out []int, region fabric.Region, base sim.Time) (sim.Time, error) {
-	var extra sim.Time
+// attempt runs one device operation under the fault plan: try does the
+// device work of an attempt (nil when there is none), then the injector is
+// asked about point p. A clean draw ends the operation. An injected fault
+// calls faulted, which undoes or corrupts what try did and says what the
+// fault wastes and how the timeline names it; the waste goes to
+// Metrics.FaultTime, and the operation either retries (with doubling
+// backoff) or, once the attempt budget is gone, escalates with a typed
+// *fault.EscalationError. It returns the fault and backoff time charged on
+// top of the caller's nominal cost.
+func (l *Ledger) attempt(p fault.Point, op, owner, circuit string, region fabric.Region, page int,
+	try func() error, faulted func(kind fault.Kind, aux uint64) (charge sim.Time, note string)) (extra sim.Time, err error) {
 	attempts := l.maxAttempts()
 	for attempt := 1; ; attempt++ {
-		if _, _, err := c.BS.Apply(l.e.Dev, x, 0, &bitstream.PinBinding{In: in, Out: out}); err != nil {
-			return extra, fmt.Errorf("core: apply %s at column %d: %w", c.Name, x, err)
+		if try != nil {
+			if err := try(); err != nil {
+				return extra, err
+			}
 		}
-		kind, _ := l.nextFault(fault.PointConfig)
+		kind, aux := l.nextFault(p)
 		if kind == fault.None {
 			if attempt > 1 {
 				l.e.M.FaultRecoveries.Inc()
 			}
 			return extra, nil
 		}
-		l.e.Dev.ClearRegion(region)
-		charge := configFaultCharge(kind, base)
+		charge, note := faulted(kind, aux)
 		extra += charge
 		if attempt >= attempts {
-			l.noteFault(owner, c.Name, region, -1, charge, kind.String()+" escalated")
+			l.noteFault(owner, circuit, region, page, charge, note+" escalated")
 			l.e.M.FaultEscalations.Inc()
-			return extra, &fault.EscalationError{Kind: kind, Op: op, Circuit: c.Name, Attempts: attempt}
+			return extra, &fault.EscalationError{Kind: kind, Op: op, Circuit: circuit, Attempts: attempt}
 		}
-		l.noteFault(owner, c.Name, region, -1, charge, kind.String())
-		extra += l.noteRetry(owner, c.Name, region, -1, attempt, kind)
+		l.noteFault(owner, circuit, region, page, charge, note)
+		extra += l.noteRetry(owner, circuit, region, page, attempt, kind)
 	}
+}
+
+// applyConfig writes c's bitstream at column x; an injected config fault
+// wipes the partial strip. On success the device holds the applied
+// configuration.
+func (l *Ledger) applyConfig(op, owner string, c *compile.Circuit, x int, in, out []int, region fabric.Region, base sim.Time) (sim.Time, error) {
+	return l.attempt(fault.PointConfig, op, owner, c.Name, region, -1,
+		func() error {
+			if _, _, err := c.BS.Apply(l.e.Dev, x, 0, &bitstream.PinBinding{In: in, Out: out}); err != nil {
+				return fmt.Errorf("core: apply %s at column %d: %w", c.Name, x, err)
+			}
+			return nil
+		},
+		func(kind fault.Kind, _ uint64) (sim.Time, string) {
+			l.e.Dev.ClearRegion(region)
+			return configFaultCharge(kind, base), kind.String()
+		})
 }
 
 // Load is TryLoad for contexts where failure is a program bug (managers
@@ -428,14 +483,13 @@ func (l *Ledger) Load(owner string, c *compile.Circuit, x int, wholeDevice bool)
 
 // evict clears the strip at x, returns its pins, and drops the residency.
 func (l *Ledger) evict(x int, voluntary bool) {
-	r := l.residents[x]
+	r := l.ResidentAt(x)
 	if r == nil {
 		panic(fmt.Sprintf("core: evict of empty column %d", x))
 	}
 	l.e.Dev.ClearRegion(r.Region)
 	l.e.FreePins(r.Pins)
-	delete(l.residents, x)
-	l.frag.free(r.Region.X, r.Region.W)
+	l.remove(r)
 	if !voluntary {
 		l.e.M.Evictions.Inc()
 	}
@@ -461,94 +515,88 @@ func (l *Ledger) Release(x int) {
 
 // Readback reads the flip-flop state of c's footprint at region into OS
 // tables (the paper's §3 observability requirement), charging the
-// readback time.
+// readback time. An escalation panics with the typed error: the callers
+// (preemption paths deep inside managers) have no error return, and a
+// failed state save is not a placement condition policy can route around.
+// The serve layer maps the panic to a typed job failure.
 func (l *Ledger) Readback(owner string, c *compile.Circuit, region fabric.Region) ([]bool, sim.Time) {
 	defer l.enter()()
-	return l.readback(owner, c, region)
+	st, cost, err := l.readback(owner, c, region)
+	if err != nil {
+		panic(err)
+	}
+	return st, cost
 }
 
-// readback escalates by panicking with a *fault.EscalationError: its
-// callers (preemption paths deep inside managers) have no error return,
-// and a failed state save is not a placement condition policy can route
-// around. The serve layer maps the panic to a typed job failure.
-func (l *Ledger) readback(owner string, c *compile.Circuit, region fabric.Region) ([]bool, sim.Time) {
+// bitNote names an injected state fault by the bit of the n-bit vector it
+// flips.
+func bitNote(kind fault.Kind, aux uint64, n int) string {
+	if n == 0 {
+		return kind.String()
+	}
+	return fmt.Sprintf("%s bit %d", kind, int(aux%uint64(n)))
+}
+
+func (l *Ledger) readback(owner string, c *compile.Circuit, region fabric.Region) ([]bool, sim.Time, error) {
 	cost := l.e.Opt.Timing.ReadbackTime(c.BS.FFCells)
-	var extra sim.Time
-	attempts := l.maxAttempts()
-	for attempt := 1; ; attempt++ {
-		st := l.e.Dev.ReadRegionState(region)
-		kind, aux := l.nextFault(fault.PointReadback)
-		if kind == fault.None {
-			l.e.M.Readbacks.Inc()
-			l.e.M.ReadbackTime += cost
-			if attempt > 1 {
-				l.e.M.FaultRecoveries.Inc()
-			}
-			l.emit(OpReadback, owner, c.Name, region, -1, cost, false)
-			return st, cost + extra
-		}
+	var st []bool
+	extra, err := l.attempt(fault.PointReadback, "readback", owner, c.Name, region, -1,
+		func() error {
+			st = l.e.Dev.ReadRegionState(region)
+			return nil
+		},
 		// The shadow CRC catches the flipped bit; the whole read is
 		// discarded and its time wasted.
-		note := kind.String()
-		if len(st) > 0 {
-			note = fmt.Sprintf("%s bit %d", kind, int(aux%uint64(len(st))))
-		}
-		extra += cost
-		if attempt >= attempts {
-			l.noteFault(owner, c.Name, region, -1, cost, note+" escalated")
-			l.e.M.FaultEscalations.Inc()
-			panic(&fault.EscalationError{Kind: kind, Op: "readback", Circuit: c.Name, Attempts: attempt})
-		}
-		l.noteFault(owner, c.Name, region, -1, cost, note)
-		extra += l.noteRetry(owner, c.Name, region, -1, attempt, kind)
+		func(kind fault.Kind, aux uint64) (sim.Time, string) { return cost, bitNote(kind, aux, len(st)) })
+	if err != nil {
+		return nil, extra, err
 	}
+	l.e.M.Readbacks.Inc()
+	l.e.M.ReadbackTime += cost
+	l.emit(OpReadback, owner, c.Name, region, -1, cost, false)
+	return st, cost + extra, nil
 }
 
 // Restore writes previously saved flip-flop state back into c's
-// footprint (§3 controllability), charging the restore time.
+// footprint (§3 controllability), charging the restore time. It escalates
+// by panic for the same reason Readback does.
 func (l *Ledger) Restore(owner string, c *compile.Circuit, region fabric.Region, state []bool) sim.Time {
 	defer l.enter()()
-	return l.restore(owner, c, region, state)
+	cost, err := l.restore(owner, c, region, state)
+	if err != nil {
+		panic(err)
+	}
+	return cost
 }
 
-// restore escalates by panic for the same reason readback does.
-func (l *Ledger) restore(owner string, c *compile.Circuit, region fabric.Region, state []bool) sim.Time {
+func (l *Ledger) restore(owner string, c *compile.Circuit, region fabric.Region, state []bool) (sim.Time, error) {
 	cost := l.e.Opt.Timing.RestoreTime(c.BS.FFCells)
-	var extra sim.Time
-	attempts := l.maxAttempts()
-	for attempt := 1; ; attempt++ {
-		kind, aux := l.nextFault(fault.PointRestore)
-		if kind == fault.None {
+	extra, err := l.attempt(fault.PointRestore, "restore", owner, c.Name, region, -1,
+		func() error {
 			l.e.Dev.WriteRegionState(region, state)
-			l.e.M.Restores.Inc()
-			l.e.M.RestoreTime += cost
-			if attempt > 1 {
-				l.e.M.FaultRecoveries.Inc()
+			return nil
+		},
+		// The write-back lands with one bit wrong (on top of the good one
+		// above, which every attempt writes before its draw); the verifying
+		// readback disagrees and the attempt is rolled back. The corrupted
+		// state really reaches the device so an escalated board is
+		// observably wrong, not just slow.
+		func(kind fault.Kind, aux uint64) (sim.Time, string) {
+			if len(state) > 0 {
+				corrupt := slices.Clone(state)
+				bit := int(aux % uint64(len(state)))
+				corrupt[bit] = !corrupt[bit]
+				l.e.Dev.WriteRegionState(region, corrupt)
 			}
-			l.emit(OpRestore, owner, c.Name, region, -1, cost, false)
-			return cost + extra
-		}
-		// The write-back lands with one bit wrong; the verifying readback
-		// disagrees and the attempt is rolled back. The corrupted state
-		// really reaches the device so an escalated board is observably
-		// wrong, not just slow.
-		note := kind.String()
-		if len(state) > 0 {
-			bit := int(aux % uint64(len(state)))
-			corrupt := append([]bool(nil), state...)
-			corrupt[bit] = !corrupt[bit]
-			l.e.Dev.WriteRegionState(region, corrupt)
-			note = fmt.Sprintf("%s bit %d", kind, bit)
-		}
-		extra += cost
-		if attempt >= attempts {
-			l.noteFault(owner, c.Name, region, -1, cost, note+" escalated")
-			l.e.M.FaultEscalations.Inc()
-			panic(&fault.EscalationError{Kind: kind, Op: "restore", Circuit: c.Name, Attempts: attempt})
-		}
-		l.noteFault(owner, c.Name, region, -1, cost, note)
-		extra += l.noteRetry(owner, c.Name, region, -1, attempt, kind)
+			return cost, bitNote(kind, aux, len(state))
+		})
+	if err != nil {
+		return extra, err
 	}
+	l.e.M.Restores.Inc()
+	l.e.M.RestoreTime += cost
+	l.emit(OpRestore, owner, c.Name, region, -1, cost, false)
+	return cost + extra, nil
 }
 
 // Reset forces every flip-flop in c's footprint back to its configured
@@ -583,59 +631,71 @@ func (l *Ledger) Rollback(owner, circuit string) {
 }
 
 // Relocate moves the resident strip at oldX to newX (§4's garbage
-// collection): sequential state is read back, the configuration is
-// re-applied at the new origin with the same pins, and the state is
-// restored. It returns the total time charged. The regions may overlap —
-// the old strip is cleared before the new one is written.
+// collection) and returns the total time charged. A manager cannot unwind
+// a move whose retry budget ran out, so the typed escalation panics, as
+// Readback's does.
 func (l *Ledger) Relocate(oldX, newX int) sim.Time {
 	defer l.enter()()
-	r := l.residents[oldX]
+	cost, err := l.relocate(oldX, newX)
+	if err != nil {
+		panic(err)
+	}
+	return cost
+}
+
+// relocate is the one mover under Relocate and Compact: sequential state
+// is read back, the old strip cleared, the configuration re-applied at
+// the new origin with the same pins, and the state restored. The regions
+// may overlap — the old strip is cleared before the new one is written.
+// A readback escalation leaves the strip untouched at oldX; an apply or
+// restore escalation has already destroyed (or corrupted) it, so it is
+// dropped as an involuntary eviction, which keeps table and audit
+// balanced.
+func (l *Ledger) relocate(oldX, newX int) (cost sim.Time, err error) {
+	r := l.ResidentAt(oldX)
 	if r == nil {
 		panic(fmt.Sprintf("core: relocate of empty column %d", oldX))
 	}
 	if oldX == newX {
-		return 0
+		return 0, nil
 	}
-	if l.residents[newX] != nil {
-		panic(fmt.Sprintf("core: relocate target column %d already holds %s", newX, l.residents[newX].Circuit))
-	}
-	var cost sim.Time
 	var state []bool
 	if r.C.Sequential {
-		st, c := l.readback(r.Owner, r.C, r.Region)
-		state, cost = st, c
+		if state, cost, err = l.readback(r.Owner, r.C, r.Region); err != nil {
+			return cost, err
+		}
 	}
 	l.e.Dev.ClearRegion(r.Region)
-	l.frag.free(r.Region.X, r.Region.W)
 	in, out := binding(r.C, r.Pins)
 	newRegion := r.C.BS.Region(newX, 0)
 	ccost := r.C.BS.ConfigCost(l.e.Opt.Timing)
 	extra, err := l.applyConfig("relocate", r.Owner, r.C, newX, in, out, newRegion, ccost)
-	if err != nil {
-		// The residency table keeps the doomed entry at oldX, so the
-		// fragmentation model must claim those columns back to stay its
-		// exact mirror.
-		l.frag.alloc(r.Region.X, r.Region.W)
-		if esc, ok := fault.AsEscalation(err); ok {
-			// The strip is gone from both columns: relocation cannot be
-			// unwound by policy, so escalate like readback does.
-			panic(esc)
+	cost += extra
+	if err == nil {
+		l.e.M.ConfigTime += ccost
+		cost += ccost
+		l.remove(r)
+		r.Region = newRegion
+		l.insert(r)
+		l.e.M.Relocations.Inc()
+		l.emit(OpRelocate, r.Owner, r.Circuit, newRegion, -1, ccost, false)
+		if r.C.Sequential {
+			var rcost sim.Time
+			rcost, err = l.restore(r.Owner, r.C, newRegion, state)
+			cost += rcost
 		}
-		panic(fmt.Sprintf("core: relocate %s to column %d: %v", r.Circuit, newX, err))
 	}
-	l.e.M.ConfigTime += ccost
-	cost += ccost + extra
-	delete(l.residents, oldX)
-	r.Region = newRegion
-	l.residents[newX] = r
-	l.frag.alloc(newRegion.X, newRegion.W)
-	l.e.M.Relocations.Inc()
-	l.emit(OpRelocate, r.Owner, r.Circuit, newRegion, -1, ccost, false)
-	if r.C.Sequential {
-		cost += l.restore(r.Owner, r.C, newRegion, state)
+	if err != nil {
+		if _, ok := fault.AsEscalation(err); !ok {
+			panic(fmt.Sprintf("core: relocate %s to column %d: %v", r.Circuit, newX, err))
+		}
+		// Destroyed by the apply (the table still has it at the old
+		// origin) or corrupted by the restore (already at the new one).
+		l.evict(r.Region.X, false)
+		return cost, err
 	}
 	l.e.noteUtil(l.now())
-	return cost
+	return cost, nil
 }
 
 // LoadPage charges one demand-paged configuration download of cells CLB
@@ -649,25 +709,12 @@ func (l *Ledger) LoadPage(owner, circuit string, page, cells int) sim.Time {
 	// Page downloads share the configuration port, so they share the
 	// config injection point. There is no fabric region to wipe (frames
 	// are a residency view); a faulted download is simply re-sent.
-	var extra sim.Time
-	attempts := l.maxAttempts()
-	for attempt := 1; ; attempt++ {
-		kind, _ := l.nextFault(fault.PointConfig)
-		if kind == fault.None {
-			if attempt > 1 {
-				l.e.M.FaultRecoveries.Inc()
-			}
-			break
-		}
-		charge := configFaultCharge(kind, base)
-		extra += charge
-		if attempt >= attempts {
-			l.noteFault(owner, circuit, fabric.Region{}, page, charge, kind.String()+" escalated")
-			l.e.M.FaultEscalations.Inc()
-			panic(&fault.EscalationError{Kind: kind, Op: "page", Circuit: circuit, Attempts: attempt})
-		}
-		l.noteFault(owner, circuit, fabric.Region{}, page, charge, kind.String())
-		extra += l.noteRetry(owner, circuit, fabric.Region{}, page, attempt, kind)
+	extra, err := l.attempt(fault.PointConfig, "page", owner, circuit, fabric.Region{}, page, nil,
+		func(kind fault.Kind, _ uint64) (sim.Time, string) {
+			return configFaultCharge(kind, base), kind.String()
+		})
+	if err != nil {
+		panic(err)
 	}
 	l.e.M.PageFaults.Inc()
 	l.e.M.PageLoads.Inc()
@@ -706,12 +753,24 @@ func (l *Ledger) NoteGC() {
 	l.emit(OpGC, "", "", fabric.Region{}, -1, 0, false)
 }
 
-// Frag returns the device's live external-fragmentation statistics, per
+// Frag returns the device's external-fragmentation statistics, read off
 // the residency table: a column is free when no resident strip covers
-// it. The model is maintained incrementally on every load, evict,
-// release and relocate; a manager's own view may be narrower (a fixed
-// partition table cannot use its slack), never wider.
-func (l *Ledger) Frag() FragStats { return l.frag.stats() }
+// it. A manager's own view may be narrower (a fixed partition table
+// cannot use its slack), never wider.
+func (l *Ledger) Frag() FragStats {
+	f := FragStats{Cols: l.e.Opt.Geometry.Cols}
+	at := 0
+	for _, r := range l.residents {
+		if r.Region.X > at {
+			f.observe(r.Region.X - at)
+		}
+		at = r.Region.X + r.Region.W
+	}
+	if f.Cols > at {
+		f.observe(f.Cols - at)
+	}
+	return f
+}
 
 // Adopt transfers the residency at column x to a new owner without
 // touching the device: the configured strip is reused in place (the
@@ -719,7 +778,7 @@ func (l *Ledger) Frag() FragStats { return l.frag.stats() }
 // metrics, no event; any state reset is the adopter's policy to charge.
 func (l *Ledger) Adopt(x int, owner string) {
 	defer l.enter()()
-	r := l.residents[x]
+	r := l.ResidentAt(x)
 	if r == nil {
 		panic(fmt.Sprintf("core: adopt of empty column %d", x))
 	}
@@ -736,12 +795,10 @@ type CompactResult struct {
 
 // Compact slides resident strips leftward until the free space is one
 // contiguous hole, stopping early when the next move would exceed
-// budget (0 = unbounded). Every move is charged through the same
-// relocation accounting as Relocate. Unlike Relocate, an injected fault
-// that escalates mid-move aborts the pass cleanly: the doomed strip is
-// dropped from the device and the residency table (an involuntary
-// eviction on the timeline), the typed error is returned in Err, and
-// the caller retries on a later idle cycle.
+// budget (0 = unbounded). Every move goes through relocate, and an
+// injected fault that escalates mid-move aborts the pass cleanly: the
+// strip is kept or dropped as relocate says, the typed error is returned
+// in Err, and the caller retries on a later idle cycle.
 //
 // Compact bypasses manager placement policy, so it is for idle,
 // between-job use (the serve layer's background compactor): the manager
@@ -750,16 +807,10 @@ type CompactResult struct {
 func (l *Ledger) Compact(budget sim.Time) CompactResult {
 	defer l.enter()()
 	var res CompactResult
-	origins := make([]int, 0, len(l.residents))
-	for x := range l.residents {
-		origins = append(origins, x)
-	}
-	sort.Ints(origins)
 	gcNoted := false
 	x := 0
-	for _, ox := range origins {
-		r := l.residents[ox]
-		w := r.Region.W
+	for _, r := range slices.Clone(l.residents) { // relocate edits the table
+		ox, w := r.Region.X, r.Region.W
 		if ox != x {
 			if budget > 0 && res.Cost+l.relocateEstimate(r) > budget {
 				return res
@@ -769,7 +820,7 @@ func (l *Ledger) Compact(budget sim.Time) CompactResult {
 				l.emitNote(OpGC, "", "", fabric.Region{}, -1, 0, false, "compact")
 				gcNoted = true
 			}
-			cost, err := l.relocateCompact(ox, x)
+			cost, err := l.relocate(ox, x)
 			res.Cost += cost
 			if err != nil {
 				res.Err = err
@@ -792,97 +843,4 @@ func (l *Ledger) relocateEstimate(r *Resident) sim.Time {
 		cost += tm.ReadbackTime(r.C.BS.FFCells) + tm.RestoreTime(r.C.BS.FFCells)
 	}
 	return cost
-}
-
-// relocateCompact is Relocate with escalation returned instead of
-// panicked, for Compact's clean-abort contract. A readback escalation
-// leaves the strip untouched at oldX; an apply or restore escalation
-// has already destroyed (or corrupted) the strip, so it is dropped —
-// region cleared, pins refunded, residency removed, an involuntary
-// eviction on the timeline — keeping table, fragmentation model and
-// audit balanced.
-func (l *Ledger) relocateCompact(oldX, newX int) (cost sim.Time, err error) {
-	r := l.residents[oldX]
-	var state []bool
-	if r.C.Sequential {
-		st, c, rerr := l.readbackRecover(r)
-		cost += c
-		if rerr != nil {
-			return cost, rerr
-		}
-		state = st
-	}
-	l.e.Dev.ClearRegion(r.Region)
-	l.frag.free(r.Region.X, r.Region.W)
-	in, out := binding(r.C, r.Pins)
-	newRegion := r.C.BS.Region(newX, 0)
-	ccost := r.C.BS.ConfigCost(l.e.Opt.Timing)
-	extra, aerr := l.applyConfig("relocate", r.Owner, r.C, newX, in, out, newRegion, ccost)
-	cost += extra
-	if aerr != nil {
-		if _, ok := fault.AsEscalation(aerr); !ok {
-			panic(fmt.Sprintf("core: relocate %s to column %d: %v", r.Circuit, newX, aerr))
-		}
-		l.e.FreePins(r.Pins)
-		delete(l.residents, oldX)
-		l.e.M.Evictions.Inc()
-		l.emit(OpEvict, r.Owner, r.Circuit, r.Region, -1, 0, false)
-		l.e.noteUtil(l.now())
-		return cost, aerr
-	}
-	l.e.M.ConfigTime += ccost
-	cost += ccost
-	delete(l.residents, oldX)
-	r.Region = newRegion
-	l.residents[newX] = r
-	l.frag.alloc(newRegion.X, newRegion.W)
-	l.e.M.Relocations.Inc()
-	l.emit(OpRelocate, r.Owner, r.Circuit, newRegion, -1, ccost, false)
-	if r.C.Sequential {
-		rcost, rerr := l.restoreRecover(r, newRegion, state)
-		cost += rcost
-		if rerr != nil {
-			l.e.Dev.ClearRegion(newRegion)
-			l.frag.free(newRegion.X, newRegion.W)
-			l.e.FreePins(r.Pins)
-			delete(l.residents, newX)
-			l.e.M.Evictions.Inc()
-			l.emit(OpEvict, r.Owner, r.Circuit, newRegion, -1, 0, false)
-			l.e.noteUtil(l.now())
-			return cost, rerr
-		}
-	}
-	l.e.noteUtil(l.now())
-	return cost, nil
-}
-
-// readbackRecover runs readback, converting its escalation panic into
-// an error for Compact's abort path.
-func (l *Ledger) readbackRecover(r *Resident) (st []bool, cost sim.Time, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			esc, ok := rec.(*fault.EscalationError)
-			if !ok {
-				panic(rec)
-			}
-			err = esc
-		}
-	}()
-	st, cost = l.readback(r.Owner, r.C, r.Region)
-	return st, cost, nil
-}
-
-// restoreRecover runs restore, converting its escalation panic into an
-// error for Compact's abort path.
-func (l *Ledger) restoreRecover(r *Resident, region fabric.Region, state []bool) (cost sim.Time, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			esc, ok := rec.(*fault.EscalationError)
-			if !ok {
-				panic(rec)
-			}
-			err = esc
-		}
-	}()
-	return l.restore(r.Owner, r.C, region, state), nil
 }

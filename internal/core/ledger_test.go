@@ -1,9 +1,13 @@
 package core
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/compile"
+	"repro/internal/fabric"
 	"repro/internal/sim"
 )
 
@@ -244,4 +248,177 @@ func TestLedgerSettersHoldGuard(t *testing.T) {
 	}
 	exit()
 	led.Bind(sim.New()) // uncontended: must not panic
+}
+
+// bitmapStats recomputes FragStats from a plain occupancy bitmap — the
+// brute-force reference for the residency table.
+func bitmapStats(occ []bool) FragStats {
+	f := FragStats{Cols: len(occ)}
+	run := 0
+	flush := func() {
+		if run > 0 {
+			f.observe(run)
+		}
+		run = 0
+	}
+	for _, o := range occ {
+		if o {
+			flush()
+		} else {
+			run++
+		}
+	}
+	flush()
+	return f
+}
+
+// TestLedgerResidencyProperty drives random TryLoad/Evict/Release/
+// Relocate/Compact sequences through the ledger and checks the residency
+// table against a plain occupancy bitmap after every operation: Frag()
+// equals the stats recomputed from the bitmap, and Residents() is sorted,
+// disjoint and covers exactly the occupied columns.
+func TestLedgerResidencyProperty(t *testing.T) {
+	type strip struct{ x, w int }
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := newEngine(t, testOptions())
+		led := e.Ledger()
+		cols := e.Opt.Geometry.Cols
+		circuits := []*compile.Circuit{e.Lib["adder8"], e.Lib["parity16"], e.Lib["counter8"], e.Lib["mul4"], e.Lib["acc8"]}
+		occ := make([]bool, cols)
+		var strips []strip
+		mark := func(s strip, v bool) {
+			for c := s.x; c < s.x+s.w; c++ {
+				occ[c] = v
+			}
+		}
+		isFree := func(s strip) bool {
+			for c := s.x; c < s.x+s.w; c++ {
+				if occ[c] {
+					return false
+				}
+			}
+			return true
+		}
+		for op := 0; op < 2000; op++ {
+			switch k := rng.Intn(20); {
+			case k == 0:
+				sort.Slice(strips, func(i, j int) bool { return strips[i].x < strips[j].x })
+				clear(occ)
+				x := 0
+				for i := range strips {
+					strips[i].x = x
+					mark(strips[i], true)
+					x += strips[i].w
+				}
+				if res := led.Compact(0); !res.Done || res.Err != nil {
+					t.Fatalf("seed %d op %d: compact = %+v", seed, op, res)
+				}
+			case k < 8 && len(strips) > 0:
+				i := rng.Intn(len(strips))
+				if k%2 == 0 {
+					led.Evict(strips[i].x)
+				} else {
+					led.Release(strips[i].x)
+				}
+				mark(strips[i], false)
+				strips = append(strips[:i], strips[i+1:]...)
+			case k < 12 && len(strips) > 0:
+				i := rng.Intn(len(strips))
+				mark(strips[i], false) // a strip may move onto its own extent
+				to := strip{rng.Intn(cols - strips[i].w + 1), strips[i].w}
+				if isFree(to) {
+					led.Relocate(strips[i].x, to.x)
+					strips[i] = to
+				}
+				mark(strips[i], true)
+			default:
+				c := circuits[rng.Intn(len(circuits))]
+				s := strip{rng.Intn(cols - c.BS.W + 1), c.BS.W}
+				if !isFree(s) {
+					continue
+				}
+				if _, _, err := led.TryLoad("t", c, s.x, false); err != nil {
+					if e.FreePinCount() != 0 {
+						t.Fatalf("seed %d op %d: load into free columns: %v", seed, op, err)
+					}
+					continue
+				}
+				mark(s, true)
+				strips = append(strips, s)
+			}
+			want := bitmapStats(occ)
+			if got := led.Frag(); got != want {
+				t.Fatalf("seed %d op %d: Frag() %+v, bitmap %+v", seed, op, got, want)
+			}
+			covered, at := 0, 0
+			for _, r := range led.Residents() {
+				if r.Region.X < at {
+					t.Fatalf("seed %d op %d: residents unsorted or overlapping: %+v", seed, op, led.Residents())
+				}
+				for c := r.Region.X; c < r.Region.X+r.Region.W; c++ {
+					if !occ[c] {
+						t.Fatalf("seed %d op %d: resident %s covers free column %d", seed, op, r.Circuit, c)
+					}
+				}
+				at = r.Region.X + r.Region.W
+				covered += r.Region.W
+			}
+			if occupied := cols - want.FreeCols; covered != occupied {
+				t.Fatalf("seed %d op %d: residents cover %d columns, bitmap has %d occupied", seed, op, covered, occupied)
+			}
+		}
+	}
+}
+
+// TestLedgerResidencyPanics pins the table's safety checks: resident
+// strips are disjoint and inside the device, and only a resident strip
+// can be evicted. TryLoad itself tests equal origins only.
+func TestLedgerResidencyPanics(t *testing.T) {
+	for name, f := range map[string]func(e *Engine, led *Ledger){
+		"load-overlapping": func(e *Engine, led *Ledger) { led.Load("b", e.Lib["parity16"], 1, false) },
+		"load-straddling":  func(e *Engine, led *Ledger) { led.Load("b", e.Lib["adder8"], e.Lib["adder8"].BS.W-1, false) },
+		"load-past-device": func(e *Engine, led *Ledger) { led.Load("b", e.Lib["adder8"], e.Opt.Geometry.Cols-1, false) },
+		"evict-empty":      func(e *Engine, led *Ledger) { led.Evict(e.Lib["adder8"].BS.W) },
+		// Apply refuses the load above before the table sees it; the table
+		// keeps its own bound all the same.
+		"insert-past-device": func(e *Engine, led *Ledger) {
+			led.insert(&Resident{Circuit: "x", Region: fabric.Region{X: e.Opt.Geometry.Cols - 1, W: 2}})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, led, _ := ledgerFixture(t)
+			if w := e.Lib["adder8"].BS.W; w < 2 {
+				t.Fatalf("adder8 is %d columns wide: test geometry assumption broken", w)
+			}
+			led.Load("a", e.Lib["adder8"], 0, false)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f(e, led)
+		})
+	}
+}
+
+// TestLedgerOpAllocs guards the fault-free cost of the shared attempt
+// loop: the closures handed to it must stay on the stack. Four is the
+// count before the loop was shared — the pin slice, the port binding, the
+// residency entry and the state vector — so a closure that starts
+// escaping fails here before it reaches the benchmark's allocs_per_op.
+func TestLedgerOpAllocs(t *testing.T) {
+	e := newEngine(t, testOptions())
+	led := e.Ledger()
+	c := e.Lib["counter8"]
+	region := c.BS.Region(0, 0)
+	got := testing.AllocsPerRun(100, func() {
+		led.Load("a", c, 0, false)
+		st, _ := led.Readback("a", c, region)
+		led.Restore("a", c, region, st)
+		led.Evict(0)
+	})
+	if got > 4 {
+		t.Fatalf("Load+Readback+Restore+Evict = %v allocs, want at most 4", got)
+	}
 }

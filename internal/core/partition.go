@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -88,7 +87,7 @@ func NewPartitionManager(k *sim.Kernel, e *Engine, cfg PartitionConfig) (*Partit
 	if err != nil {
 		return nil, err
 	}
-	pm.stripTable = newStripTable(NewTaskKernel(k, e, ""), rm)
+	pm.stripTable = newStripTable(NewTaskKernel(k, e, "partitions("+cfg.Mode.String()+")"), rm)
 	pm.view = pm.lintView
 	pm.fit, pm.rotate = cfg.Fit, cfg.Rotate
 	if cfg.GC && rm.Movable() {
@@ -127,10 +126,6 @@ func (pm *PartitionManager) Register(t *hostos.Task, circuit string) error {
 func (pm *PartitionManager) FreeCols() (total, largest int) {
 	return pm.rm.FreeCols()
 }
-
-// Frag returns the manager's live fragmentation statistics (a fixed
-// table counts each free slot separately; slots never merge).
-func (pm *PartitionManager) Frag() FragStats { return pm.rm.Frag() }
 
 // compact relocates occupied partitions leftward so free space merges
 // at the right (§4's garbage collection) — but only until a free hole
@@ -191,45 +186,4 @@ func (pm *PartitionManager) Acquire(t *hostos.Task) (sim.Time, bool) {
 		pm.giveUp(p)
 	}
 	return pm.place(t, c)
-}
-
-// PartitionView is one row of the manager's partition-table snapshot:
-// a column strip, what it holds, and whether it is free.
-type PartitionView struct {
-	X, W    int
-	Circuit string
-	Free    bool
-}
-
-// Partitions returns a snapshot of the partition table, sorted by
-// origin, for inspection, tests and the static verifier.
-func (pm *PartitionManager) Partitions() []PartitionView {
-	var out []PartitionView
-	for _, s := range pm.rm.Spans() {
-		v := PartitionView{X: s.X, W: s.W, Free: s.Free()}
-		if !s.Free() {
-			v.Circuit = s.Owner.(*strip).circuit
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// lintView exports the manager's current state as a static-verifier
-// target, so callers can audit the §4 invariants (disjoint strips, no
-// leaked columns, merged free space) at any point of a run:
-//
-//	diags := lint.RunTarget(pm.LintTarget(), lint.Options{})
-func (pm *PartitionManager) lintView() *lint.Target {
-	views := make([]lint.PartitionView, 0, len(pm.rm.Spans()))
-	for _, v := range pm.Partitions() {
-		views = append(views, lint.PartitionView(v))
-	}
-	return &lint.Target{
-		Name:          "partitions(" + pm.Cfg.Mode.String() + ")",
-		Partitions:    views,
-		Cols:          pm.E.Opt.Geometry.Cols,
-		PartitionMode: pm.Cfg.Mode.String(),
-		Device:        pm.E.Dev,
-	}
 }

@@ -2,16 +2,12 @@ package core
 
 // Amorphous region support (Nguyen & Hoe's flexible boundaries): the
 // device's columns are tracked as contiguous spans whose boundaries
-// slide, instead of the paper's disjoint split/merge partitions. Two
-// consumers share this file's machinery:
-//
-//   - RegionMap is the manager-side table: owner-carrying spans with
-//     grow/shrink/slide operations, used by PartitionManager (which
-//     keeps §4's policy on top) and AmorphousManager (exact-fit spans,
-//     neighbor sliding).
-//   - fragTracker is the ledger-side model: a sorted, coalesced free
-//     list over the residency table, maintained incrementally on every
-//     load, evict and relocate, so FragStats is always live.
+// slide, instead of the paper's disjoint split/merge partitions.
+// RegionMap is the manager-side table: owner-carrying spans with
+// grow/shrink/slide operations, used by PartitionManager (which keeps
+// §4's policy on top) and AmorphousManager (exact-fit spans, neighbor
+// sliding). FragStats is the measure both it and the ledger's residency
+// table report.
 
 import (
 	"fmt"
@@ -349,97 +345,4 @@ func (rm *RegionMap) coalesce(s *Span) {
 		rm.spans = append(rm.spans[:i-1], rm.spans[i:]...)
 		i--
 	}
-}
-
-// fragSpan is one free column range of the ledger's tracker.
-type fragSpan struct{ x, w int }
-
-// fragTracker is the ledger's incremental fragmentation model: a
-// sorted, disjoint, coalesced list of free column ranges over [0, cols),
-// mirroring the residency table's complement exactly — including on
-// escalation paths, where the table keeps the doomed entry. Updated in
-// O(free spans) per operation; FragStats is a scan of the (short) free
-// list instead of a walk of the residency table.
-type fragTracker struct {
-	cols  int
-	spans []fragSpan
-}
-
-func newFragTracker(cols int) *fragTracker {
-	ft := &fragTracker{cols: cols}
-	if cols > 0 {
-		ft.spans = []fragSpan{{0, cols}}
-	}
-	return ft
-}
-
-// alloc marks [x, x+w) occupied. The range must be free — resident
-// strips are disjoint by construction, so a violation is a ledger bug.
-func (ft *fragTracker) alloc(x, w int) {
-	if w <= 0 {
-		return
-	}
-	i := sort.Search(len(ft.spans), func(i int) bool { return ft.spans[i].x+ft.spans[i].w > x })
-	if i == len(ft.spans) || ft.spans[i].x > x || x+w > ft.spans[i].x+ft.spans[i].w {
-		panic(fmt.Sprintf("core: fragment tracker: alloc of non-free columns [%d,%d)", x, x+w))
-	}
-	s := ft.spans[i]
-	pre := fragSpan{s.x, x - s.x}
-	post := fragSpan{x + w, s.x + s.w - (x + w)}
-	switch {
-	case pre.w > 0 && post.w > 0:
-		ft.spans[i] = pre
-		ft.spans = append(ft.spans, fragSpan{})
-		copy(ft.spans[i+2:], ft.spans[i+1:])
-		ft.spans[i+1] = post
-	case pre.w > 0:
-		ft.spans[i] = pre
-	case post.w > 0:
-		ft.spans[i] = post
-	default:
-		ft.spans = append(ft.spans[:i], ft.spans[i+1:]...)
-	}
-}
-
-// free marks [x, x+w) free again, coalescing with neighbors. The range
-// must be fully occupied and inside the device.
-func (ft *fragTracker) free(x, w int) {
-	if w <= 0 {
-		return
-	}
-	if x < 0 || x+w > ft.cols {
-		panic(fmt.Sprintf("core: fragment tracker: free of columns [%d,%d) outside [0,%d)", x, x+w, ft.cols))
-	}
-	j := sort.Search(len(ft.spans), func(i int) bool { return ft.spans[i].x >= x })
-	if j > 0 && ft.spans[j-1].x+ft.spans[j-1].w > x {
-		panic(fmt.Sprintf("core: fragment tracker: free of already-free columns [%d,%d)", x, x+w))
-	}
-	if j < len(ft.spans) && x+w > ft.spans[j].x {
-		panic(fmt.Sprintf("core: fragment tracker: free of already-free columns [%d,%d)", x, x+w))
-	}
-	mergeLeft := j > 0 && ft.spans[j-1].x+ft.spans[j-1].w == x
-	mergeRight := j < len(ft.spans) && x+w == ft.spans[j].x
-	switch {
-	case mergeLeft && mergeRight:
-		ft.spans[j-1].w += w + ft.spans[j].w
-		ft.spans = append(ft.spans[:j], ft.spans[j+1:]...)
-	case mergeLeft:
-		ft.spans[j-1].w += w
-	case mergeRight:
-		ft.spans[j].x = x
-		ft.spans[j].w += w
-	default:
-		ft.spans = append(ft.spans, fragSpan{})
-		copy(ft.spans[j+1:], ft.spans[j:])
-		ft.spans[j] = fragSpan{x, w}
-	}
-}
-
-// stats computes FragStats from the free list.
-func (ft *fragTracker) stats() FragStats {
-	f := FragStats{Cols: ft.cols}
-	for _, s := range ft.spans {
-		f.observe(s.w)
-	}
-	return f
 }

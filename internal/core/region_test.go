@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -156,94 +155,5 @@ func TestFragHistBuckets(t *testing.T) {
 		if got := histBucket(c.w); got != c.bucket {
 			t.Errorf("histBucket(%d) = %d, want %d", c.w, got, c.bucket)
 		}
-	}
-}
-
-// bitmapStats recomputes FragStats from a plain occupancy bitmap — the
-// brute-force reference for the incremental tracker.
-func bitmapStats(occ []bool) FragStats {
-	f := FragStats{Cols: len(occ)}
-	run := 0
-	flush := func() {
-		if run > 0 {
-			f.observe(run)
-		}
-		run = 0
-	}
-	for _, o := range occ {
-		if o {
-			flush()
-		} else {
-			run++
-		}
-	}
-	flush()
-	return f
-}
-
-// TestFragTrackerProperty drives random alloc/free sequences through the
-// incremental tracker and checks it against the brute-force bitmap after
-// every operation: the live FragStats must always equal the
-// recomputed-from-scratch one.
-func TestFragTrackerProperty(t *testing.T) {
-	const cols = 48
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ft := newFragTracker(cols)
-		occ := make([]bool, cols)
-		type strip struct{ x, w int }
-		var strips []strip
-		for op := 0; op < 2000; op++ {
-			if len(strips) > 0 && rng.Intn(2) == 0 {
-				i := rng.Intn(len(strips))
-				s := strips[i]
-				ft.free(s.x, s.w)
-				for c := s.x; c < s.x+s.w; c++ {
-					occ[c] = false
-				}
-				strips = append(strips[:i], strips[i+1:]...)
-			} else {
-				// Pick a random free hole and allocate a random sub-range.
-				w := 1 + rng.Intn(6)
-				x := rng.Intn(cols - w + 1)
-				ok := true
-				for c := x; c < x+w; c++ {
-					if occ[c] {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				ft.alloc(x, w)
-				for c := x; c < x+w; c++ {
-					occ[c] = true
-				}
-				strips = append(strips, strip{x, w})
-			}
-			if got, want := ft.stats(), bitmapStats(occ); got != want {
-				t.Fatalf("seed %d op %d: tracker %+v, bitmap %+v", seed, op, got, want)
-			}
-		}
-	}
-}
-
-func TestFragTrackerPanics(t *testing.T) {
-	for name, f := range map[string]func(*fragTracker){
-		"alloc-occupied":   func(ft *fragTracker) { ft.alloc(0, 4); ft.alloc(2, 2) },
-		"alloc-straddling": func(ft *fragTracker) { ft.alloc(0, 4); ft.alloc(3, 3) },
-		"free-free":        func(ft *fragTracker) { ft.free(0, 2) },
-		"free-outside":     func(ft *fragTracker) { ft.free(6, 4) },
-	} {
-		name, f := name, f
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f(newFragTracker(8))
-		})
 	}
 }

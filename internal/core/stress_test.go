@@ -157,7 +157,7 @@ func TestStressPartitionsMergeBack(t *testing.T) {
 		if !h.OS.AllDone() {
 			t.Fatalf("rep %d: tasks unfinished", rep)
 		}
-		parts := pm.Partitions()
+		parts := pm.Regions()
 		if len(parts) != 1 || !parts[0].Free || parts[0].W != opt.Geometry.Cols {
 			t.Fatalf("rep %d: partitions did not merge back: %+v", rep, parts)
 		}

@@ -4,6 +4,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/fabric"
 	"repro/internal/hostos"
+	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -57,6 +58,45 @@ func newStripTable(tk TaskKernel, rm *RegionMap) stripTable {
 
 func (st *stripTable) region(s *Span) fabric.Region {
 	return fabric.Region{X: s.X, Y: 0, W: s.W, H: st.E.Opt.Geometry.Rows}
+}
+
+// Regions returns a snapshot of the column map, sorted by origin, for
+// inspection, tests and the static verifier. Cached strips report their
+// circuit with an empty owner.
+func (st *stripTable) Regions() []lint.RegionView {
+	out := make([]lint.RegionView, 0, len(st.rm.spans))
+	for _, s := range st.rm.spans {
+		v := lint.RegionView{X: s.X, W: s.W, Free: s.Free()}
+		if !s.Free() {
+			p := s.Owner.(*strip)
+			v.Circuit = p.circuit
+			if p.owner != nil {
+				v.Owner = p.owner.Name
+			}
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// Frag returns the manager's live fragmentation statistics (a fixed
+// table counts each free slot separately; slots never merge).
+func (st *stripTable) Frag() FragStats { return st.rm.Frag() }
+
+// lintView exports the column map and the device under it as a
+// static-verifier target under the kernel's name, so callers can audit the
+// §4 invariants (disjoint strips, no leaked columns, merged free space) at
+// any point of a run:
+//
+//	diags := lint.RunTarget(pm.LintTarget(), lint.Options{})
+func (st *stripTable) lintView() *lint.Target {
+	return &lint.Target{
+		Name:       st.name,
+		Regions:    st.Regions(),
+		Cols:       st.rm.Cols(),
+		FixedSlots: !st.rm.Movable(),
+		Device:     st.E.Dev,
+	}
 }
 
 // holds reports whether t has anything on this device: a strip, displaced

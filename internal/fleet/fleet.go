@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/compile"
+	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -67,6 +68,16 @@ func (n *Node) View() NodeView {
 		v.Healthy = false
 	}
 	return v
+}
+
+// frag merges the fragmentation stats of the node's boards: the node-level
+// view behind /v1/fleet and the per-node gauges.
+func (n *Node) frag() core.FragStats {
+	var frag core.FragStats
+	for _, f := range n.pool.FragSnapshots() {
+		frag.Merge(f)
+	}
+	return frag
 }
 
 // Job is one unit of work moving through the fleet: a serve job plus

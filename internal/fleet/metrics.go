@@ -4,7 +4,6 @@ import (
 	"io"
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -86,19 +85,11 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	}
 	m.Family("vfpgad_fleet_node_fragmentation", "External-fragmentation ratio of the node's merged board view.", "gauge")
 	for _, n := range sched.Nodes() {
-		var frag core.FragStats
-		for _, f := range n.Pool().FragSnapshots() {
-			frag.Merge(f)
-		}
-		m.Float("vfpgad_fleet_node_fragmentation", frag.Ratio(), "node", strconv.Itoa(n.ID()))
+		m.Float("vfpgad_fleet_node_fragmentation", n.frag().Ratio(), "node", strconv.Itoa(n.ID()))
 	}
 	m.Family("vfpgad_fleet_node_largest_free_cols", "Widest contiguous free column extent across the node's boards.", "gauge")
 	for _, n := range sched.Nodes() {
-		var frag core.FragStats
-		for _, f := range n.Pool().FragSnapshots() {
-			frag.Merge(f)
-		}
-		m.Int("vfpgad_fleet_node_largest_free_cols", int64(frag.LargestFree), "node", strconv.Itoa(n.ID()))
+		m.Int("vfpgad_fleet_node_largest_free_cols", int64(n.frag().LargestFree), "node", strconv.Itoa(n.ID()))
 	}
 	m.Family("vfpgad_fleet_node_board_requeues_total", "Jobs the node moved between its own boards after a quarantine.", "counter")
 	for _, n := range sched.Nodes() {

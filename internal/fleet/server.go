@@ -229,14 +229,10 @@ func (s *Server) fleetInfo() Info {
 	routed := s.sched.Routed()
 	for i, n := range s.sched.Nodes() {
 		v := n.View()
-		var frag core.FragStats
-		for _, f := range n.Pool().FragSnapshots() {
-			frag.Merge(f)
-		}
 		info.Nodes = append(info.Nodes, NodeInfo{
 			ID: n.ID(), Healthy: v.Healthy, Queued: v.Queued,
 			Routed: routed[i], BoardRequeues: n.Pool().RequeueCount(),
-			Frag: frag, Boards: n.Pool().BoardInfos(),
+			Frag: n.frag(), Boards: n.Pool().BoardInfos(),
 		})
 	}
 	return info

@@ -97,19 +97,12 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s: %s", d.Severity, d.Pass, d.Pos, d.Msg)
 }
 
-// PartitionView is a lint-side snapshot of one partition-table row.
-// core.PartitionManager exports its state in this shape (the lint
-// package cannot import core without a cycle through compile).
-type PartitionView struct {
-	X, W    int
-	Circuit string
-	Free    bool
-}
-
-// RegionView is a lint-side snapshot of one amorphous region-map span:
-// a column range, what circuit it holds, which task owns it ("" for a
-// cached, unowned resident), and whether it is free.
-// core.AmorphousManager exports its state in this shape.
+// RegionView is a lint-side snapshot of one span of a manager's column
+// map (§4's partition table or an amorphous region map): a column range,
+// what circuit it holds, which task owns it ("" for a cached, unowned
+// resident), and whether it is free. The strip managers in core export
+// their state in this shape (the lint package cannot import core without
+// a cycle through compile).
 type RegionView struct {
 	X, W    int
 	Circuit string
@@ -121,7 +114,7 @@ type RegionView struct {
 // nil/empty; each pass checks only what is present.
 type Target struct {
 	// Name labels the target in diagnostics when no netlist or bitstream
-	// supplies one (e.g. pure partition-state targets).
+	// supplies one (e.g. pure region-state targets).
 	Name string
 
 	// Netlist is a gate-level circuit (the netlist-domain passes).
@@ -141,16 +134,13 @@ type Target struct {
 	// Pages, when non-empty, is the page set to check against Bitstream.
 	Pages []bitstream.Page
 
-	// Partitions is a partition-table snapshot; Cols the device width it
-	// must fit, and PartitionMode "fixed" or "variable".
-	Partitions []PartitionView
-	// Regions is an amorphous region-map snapshot (flexible-boundary
-	// spans); Cols bounds it like Partitions.
-	Regions []RegionView
-	Cols    int
-	// PartitionMode selects the coverage rule: "variable" partitions
-	// must tile the device exactly; "fixed" tables may leave a tail.
-	PartitionMode string
+	// Regions is a column-map snapshot and Cols the device width it must
+	// fit. FixedSlots marks a table of static slots (§4's fixed
+	// partitions): free neighbours never merge and a tail may stay
+	// uncovered, where a sliding map must tile the device exactly.
+	Regions    []RegionView
+	Cols       int
+	FixedSlots bool
 
 	// Device is a configured fabric to cross-check (dangling sources,
 	// configuration-level combinational loops).
@@ -218,8 +208,7 @@ var builtin = []Pass{
 	{"seq-preempt", "flip-flop state that is not fully readback-observable", passSeqPreempt},
 	{"bitstream-bounds", "cell writes, sources and pin bindings inside the claimed region", passBitstreamBounds},
 	{"page-coverage", "pages partition the bitstream's cells exactly once", passPageCoverage},
-	{"partition-state", "disjoint, merged, non-leaking partition tables", passPartitionState},
-	{"region-state", "amorphous region maps: exact tiling, no shared columns, coalesced free spans", passRegionState},
+	{"region-state", "partition tables and region maps: no shared or leaked columns, coalesced free spans", passRegionState},
 	{"fabric-config", "configured devices: dangling sources, config-level loops", passFabricConfig},
 	{"fault-plan", "fault campaign sanity: probability ranges, script ordering, retry policy", passFaultPlan},
 }

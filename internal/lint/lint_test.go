@@ -242,83 +242,68 @@ func TestPageCoverage(t *testing.T) {
 	wantDiag(t, diags, Error, "paged in but not part of the bitstream")
 }
 
-func TestPartitionStateInvariants(t *testing.T) {
-	clean := &Target{
-		Name: "pt", Cols: 10, PartitionMode: "variable",
-		Partitions: []PartitionView{
-			{X: 0, W: 4, Circuit: "a"},
-			{X: 4, W: 6, Free: true},
-		},
-	}
-	wantNone(t, only(t, "partition-state", clean))
-
-	broken := &Target{
-		Name: "pt", Cols: 10, PartitionMode: "variable",
-		Partitions: []PartitionView{
-			{X: 0, W: 4, Circuit: "a"},
-			{X: 3, W: 2, Circuit: "b"},             // overlaps a
-			{X: 6, W: 2, Free: true, Circuit: "c"}, // freed but still claims c; gap 5..5 leaked
-			{X: 8, W: 2, Free: true},               // adjacent free strips unmerged
-		},
-	}
-	diags := only(t, "partition-state", broken)
-	wantDiag(t, diags, Error, "overlaps the previous strip")
-	wantDiag(t, diags, Error, "leaked")
-	wantDiag(t, diags, Error, "still claims circuit")
-	wantDiag(t, diags, Error, "not merged")
-}
-
+// TestRegionStateInvariants feeds the one column-map audit its inputs:
+// each case is a snapshot and the findings it must produce (none = clean).
 func TestRegionStateInvariants(t *testing.T) {
-	clean := &Target{
-		Name: "rm", Cols: 12,
-		Regions: []RegionView{
-			{X: 0, W: 4, Circuit: "a", Owner: "t1"},
-			{X: 4, W: 3, Circuit: "b"}, // cached resident: circuit, no owner
-			{X: 7, W: 5, Free: true},
-		},
+	for _, c := range []struct {
+		name   string
+		target *Target
+		want   []string
+	}{
+		{"sliding-clean", &Target{
+			Name: "rm", Cols: 12,
+			Regions: []RegionView{
+				{X: 0, W: 4, Circuit: "a", Owner: "t1"},
+				{X: 4, W: 3, Circuit: "b"}, // cached resident: circuit, no owner
+				{X: 7, W: 5, Free: true},
+			},
+		}, nil},
+		{"sliding-broken", &Target{
+			Name: "rm", Cols: 12,
+			Regions: []RegionView{
+				{X: 0, W: 4, Circuit: "a", Owner: "t1"},
+				{X: 3, W: 2, Circuit: "b", Owner: "t2"},             // shares column 3 with a
+				{X: 6, W: 2, Free: true, Circuit: "c", Owner: "t3"}, // freed but still claimed; gap 5..5 leaked
+				{X: 8, W: 2, Free: true},                            // adjacent free spans uncoalesced
+				{X: 10, W: 2},                                       // occupied, no circuit
+			},
+		}, []string{"two regions share a column", "leaked", "still claims circuit", "still claims owner",
+			"not coalesced", "names no circuit"}},
+		{"sliding-must-tile", &Target{
+			Name: "rm", Cols: 12,
+			Regions: []RegionView{
+				{X: 0, W: 4, Circuit: "a"},
+				// columns 4..11 never accounted for: a sliding map has no tail.
+			},
+		}, []string{"must tile the device"}},
+		{"fixed-clean", &Target{
+			Name: "pt", Cols: 10, FixedSlots: true,
+			Regions: []RegionView{
+				{X: 0, W: 2, Free: true},
+				{X: 2, W: 2, Free: true}, // slots never merge
+				{X: 4, W: 4, Circuit: "a"},
+				// columns 8..9 are the uncovered tail of the fixed table: fine.
+			},
+		}, nil},
+		{"fixed-broken", &Target{
+			Name: "pt", Cols: 10, FixedSlots: true,
+			Regions: []RegionView{
+				{X: 0, W: 4, Circuit: "a"},
+				{X: 3, W: 2, Free: true},
+				{X: 6, W: 2, Free: true},
+			},
+		}, []string{"two regions share a column", "inside a fixed slot table"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			diags := only(t, "region-state", c.target)
+			if len(c.want) == 0 {
+				wantNone(t, diags)
+			}
+			for _, frag := range c.want {
+				wantDiag(t, diags, Error, frag)
+			}
+		})
 	}
-	wantNone(t, only(t, "region-state", clean))
-
-	broken := &Target{
-		Name: "rm", Cols: 12,
-		Regions: []RegionView{
-			{X: 0, W: 4, Circuit: "a", Owner: "t1"},
-			{X: 3, W: 2, Circuit: "b", Owner: "t2"}, // shares column 3 with a
-			{X: 6, W: 2, Free: true, Owner: "t3"},   // free but owned; gap 5..5 leaked
-			{X: 8, W: 2, Free: true},                // adjacent free spans uncoalesced
-			{X: 10, W: 2},                           // occupied, no circuit
-		},
-	}
-	diags := only(t, "region-state", broken)
-	wantDiag(t, diags, Error, "two regions share a column")
-	wantDiag(t, diags, Error, "leaked")
-	wantDiag(t, diags, Error, "still claims owner")
-	wantDiag(t, diags, Error, "not coalesced")
-	wantDiag(t, diags, Error, "names no circuit")
-}
-
-func TestRegionStateMustTileDevice(t *testing.T) {
-	short := &Target{
-		Name: "rm", Cols: 12,
-		Regions: []RegionView{
-			{X: 0, W: 4, Circuit: "a"},
-			// columns 4..11 never accounted for: a sliding map has no tail.
-		},
-	}
-	diags := only(t, "region-state", short)
-	wantDiag(t, diags, Error, "must tile the device")
-}
-
-func TestPartitionStateFixedModeAllowsTail(t *testing.T) {
-	fixed := &Target{
-		Name: "pt", Cols: 10, PartitionMode: "fixed",
-		Partitions: []PartitionView{
-			{X: 0, W: 4, Free: true},
-			{X: 4, W: 4, Circuit: "a"},
-			// columns 8..9 are the uncovered tail of the fixed table: fine.
-		},
-	}
-	wantNone(t, only(t, "partition-state", fixed))
 }
 
 func TestFabricConfig(t *testing.T) {

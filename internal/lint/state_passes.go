@@ -7,73 +7,17 @@ import (
 	"repro/internal/fabric"
 )
 
-// passPartitionState audits a partition-table snapshot against the §4
-// invariants: every strip inside the device, strips pairwise disjoint,
-// no columns leaked (variable mode must tile the device exactly — free
-// space is represented, never dropped), adjacent free strips merged
-// after release/garbage collection, and freed strips carrying no stale
-// circuit claim. Fragmentation and overlap bugs are the dominant
-// failure mode of virtual areas, so this pass is the one to run after
-// every Remove/compact in stress tests.
-func passPartitionState(t *Target, r *Reporter) {
-	if len(t.Partitions) == 0 {
-		return
-	}
-	name := t.Name
-	if name == "" {
-		name = "partitions"
-	}
-	views := append([]PartitionView(nil), t.Partitions...)
-	sort.Slice(views, func(i, j int) bool { return views[i].X < views[j].X })
-	ppos := func(v PartitionView) string {
-		return fmt.Sprintf("%s: strip x=%d w=%d", name, v.X, v.W)
-	}
-	for _, v := range views {
-		if v.W <= 0 {
-			r.Errorf(ppos(v), "non-positive width")
-		}
-		if v.X < 0 {
-			r.Errorf(ppos(v), "negative origin")
-		}
-		if t.Cols > 0 && v.X+v.W > t.Cols {
-			r.Errorf(ppos(v), "extends past the device's %d columns", t.Cols)
-		}
-		if v.Free && v.Circuit != "" {
-			r.Errorf(ppos(v), "free strip still claims circuit %q", v.Circuit)
-		}
-	}
-	variable := t.PartitionMode == "variable"
-	at := 0
-	for i, v := range views {
-		if v.X < at {
-			r.Errorf(ppos(v), "overlaps the previous strip by %d column(s)", at-v.X)
-		} else if v.X > at {
-			if variable {
-				r.Errorf(ppos(v), "columns %d..%d leaked: not covered by any strip", at, v.X-1)
-			} else if i > 0 {
-				// Fixed tables are carved contiguously from x=0; only the
-				// tail beyond the configured widths may be uncovered.
-				r.Errorf(ppos(v), "gap of %d column(s) inside a fixed partition table", v.X-at)
-			}
-		}
-		if v.X+v.W > at {
-			at = v.X + v.W
-		}
-		if i > 0 && v.Free && views[i-1].Free && views[i-1].X+views[i-1].W == v.X {
-			r.Errorf(ppos(v), "adjacent free strips not merged (previous ends at %d)", v.X)
-		}
-	}
-	if variable && t.Cols > 0 && at < t.Cols {
-		r.Errorf(fmt.Sprintf("%s: table", name), "columns %d..%d leaked: variable mode must tile the device", at, t.Cols-1)
-	}
-}
-
-// passRegionState audits an amorphous region-map snapshot against the
-// flexible-boundary invariants: every span inside the device, no two
-// owners sharing a column (spans pairwise disjoint), the device tiled
-// exactly (free space is explicit, never dropped — a sliding map has no
-// unusable tail), free spans sorted and coalesced, free spans carrying
-// no stale circuit or owner claim, and occupied spans naming a circuit.
+// passRegionState audits a column-map snapshot — §4's partition table or
+// an amorphous region map, the same RegionMap underneath — against the
+// invariants the allocator promises: every span inside the device, no two
+// owners sharing a column (spans pairwise disjoint), free spans carrying
+// no stale circuit or owner claim, and occupied spans naming a circuit. A
+// sliding map must also tile the device exactly (free space is explicit,
+// never dropped) with adjacent free spans coalesced; a table of fixed
+// slots never merges them and may leave an unusable tail, but no gap
+// before it. Fragmentation and overlap bugs are the dominant failure mode
+// of virtual areas, so this pass is the one to run after every
+// Remove/compact in stress tests.
 func passRegionState(t *Target, r *Reporter) {
 	if len(t.Regions) == 0 {
 		return
@@ -113,17 +57,21 @@ func passRegionState(t *Target, r *Reporter) {
 		if v.X < at {
 			r.Errorf(rpos(v), "overlaps the previous span by %d column(s): two regions share a column", at-v.X)
 		} else if v.X > at {
-			r.Errorf(rpos(v), "columns %d..%d leaked: not covered by any span", at, v.X-1)
+			if t.FixedSlots {
+				r.Errorf(rpos(v), "gap of %d column(s) inside a fixed slot table", v.X-at)
+			} else {
+				r.Errorf(rpos(v), "columns %d..%d leaked: not covered by any span", at, v.X-1)
+			}
 		}
 		if v.X+v.W > at {
 			at = v.X + v.W
 		}
-		if i > 0 && v.Free && views[i-1].Free && views[i-1].X+views[i-1].W == v.X {
+		if !t.FixedSlots && i > 0 && v.Free && views[i-1].Free && views[i-1].X+views[i-1].W == v.X {
 			r.Errorf(rpos(v), "adjacent free spans not coalesced (previous ends at %d)", v.X)
 		}
 	}
-	if t.Cols > 0 && at < t.Cols {
-		r.Errorf(fmt.Sprintf("%s: map", name), "columns %d..%d leaked: the region map must tile the device", at, t.Cols-1)
+	if !t.FixedSlots && t.Cols > 0 && at < t.Cols {
+		r.Errorf(fmt.Sprintf("%s: map", name), "columns %d..%d leaked: a sliding map must tile the device", at, t.Cols-1)
 	}
 }
 

@@ -146,17 +146,17 @@ type board struct {
 	warm       bool
 	warmResets int64
 	coldResets int64
-	// fragRatio, largestFree and frag are the board's fragmentation
-	// view, sampled from the last job's stack after every job and after
-	// every compaction pass (a discarded stack keeps the last sample).
-	// A board that has never run a job reports one full-width free span:
-	// fleet placement must see fresh capacity, not zero. frag is the
-	// merged FragStats across the board's engines; fragRatio keeps the
-	// worst single engine's ratio. compactions counts idle-cycle defrag
-	// passes, compactionMoved the strips they relocated, compactionAborts
-	// the passes an injected fault cut short.
+	// fragRatio and frag are the board's fragmentation view, sampled
+	// from the last job's stack after every job and after every
+	// compaction pass (a discarded stack keeps the last sample). A board
+	// that has never run a job reports one full-width free span: fleet
+	// placement must see fresh capacity, not zero. frag is the merged
+	// FragStats across the board's engines (its LargestFree is the widest
+	// hole on any of them); fragRatio keeps the worst single engine's
+	// ratio. compactions counts idle-cycle defrag passes, compactionMoved
+	// the strips they relocated, compactionAborts the passes an injected
+	// fault cut short.
 	fragRatio        float64
-	largestFree      int
 	frag             core.FragStats
 	compactions      int64
 	compactionMoved  int64
@@ -164,30 +164,25 @@ type board struct {
 }
 
 // sampleFrag refreshes the board's exported fragmentation view from the
-// last job's engines: the worst external-fragmentation ratio and the
-// widest contiguous free extent across them (a multi-device board
-// reports its most fragmented device), plus the merged FragStats the
-// fleet layer aggregates. Runs on the board's worker goroutine, the
-// sole owner of b.stack.
+// last job's engines: the worst external-fragmentation ratio across
+// them (a multi-device board reports its most fragmented device) and the
+// merged FragStats the fleet layer aggregates. Runs on the board's worker
+// goroutine, the sole owner of b.stack.
 func (b *board) sampleFrag() {
 	if b.stack == nil {
 		return
 	}
 	var ratio float64
-	largest := 0
 	var merged core.FragStats
 	for _, eng := range b.stack.Engines {
 		f := eng.Ledger().Frag()
 		if r := f.Ratio(); r > ratio {
 			ratio = r
 		}
-		if f.LargestFree > largest {
-			largest = f.LargestFree
-		}
 		merged.Merge(f)
 	}
 	b.mu.Lock()
-	b.fragRatio, b.largestFree, b.frag = ratio, largest, merged
+	b.fragRatio, b.frag = ratio, merged
 	b.mu.Unlock()
 }
 
@@ -243,7 +238,7 @@ func (b *board) info() BoardInfo {
 		JobsDone: b.done, JobsFailed: b.failed,
 		Quarantined: b.quarantined, FaultKind: b.quarKind, Escalations: b.escalations,
 		Warm: b.warm, WarmResets: b.warmResets, ColdResets: b.coldResets,
-		Fragmentation: b.fragRatio, LargestFreeCols: b.largestFree,
+		Fragmentation: b.fragRatio, LargestFreeCols: b.frag.LargestFree,
 		Compactions: b.compactions, CompactionMoved: b.compactionMoved,
 		CompactionAborts: b.compactionAborts,
 	}
@@ -397,8 +392,7 @@ func NewPool(cfgs []BoardConfig, opts PoolOptions) (*Pool, error) {
 		}
 		p.boards = append(p.boards, &board{
 			id: i, cfg: bc, queue: make(chan *Job, bc.QueueDepth),
-			largestFree: bc.Cols,
-			frag:        core.FreshFrag(bc.Cols),
+			frag: core.FreshFrag(bc.Cols),
 		})
 	}
 	return p, nil
