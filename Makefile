@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
+.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-flow benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
 
 check: fmt vet vet-analyzers build race conformance test lint cover fuzz-smoke bench-quick serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
 
@@ -75,6 +75,14 @@ fuzz-smoke:
 # gated by Go tests in serve, loadgen and fleet, under `test`.)
 bench-quick:
 	$(GO) run ./cmd/vfpgabench -quick -json BENCH_quick.json
+
+# The CAD flow alone, before and after a change to it: place, route and
+# the whole strip compile over every registry circuit, div16 apart (it is
+# three quarters of the pass). Ten fixed iterations, five readings each;
+# seconds, not the repo benchmark's minutes. Wall-clock bound, so not part
+# of `make check`.
+bench-flow:
+	$(GO) test -run '^$$' -bench 'Benchmark(Place|Route|Strip)Registry' -benchtime 10x -count 5 ./internal/place/ ./internal/route/ ./internal/compile/
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md): all four
 # workloads, both passes, into out/benchmark/result.json. Minutes long

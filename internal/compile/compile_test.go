@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -305,6 +306,36 @@ func BenchmarkCompileAdder16(b *testing.B) {
 		if _, err := Compile(nl, Options{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStripRegistry is a node's first touch of the whole library:
+// every registry circuit through CompileStrip at the default board's 16
+// rows. div16 runs apart: it is three quarters of the pass.
+func BenchmarkStripRegistry(b *testing.B) {
+	reg := netlist.Registry()
+	var rest []string
+	for name := range reg {
+		if name != "div16" {
+			rest = append(rest, name)
+		}
+	}
+	sort.Strings(rest)
+	tracks := fabric.DefaultGeometry().TracksPerChannel
+	for _, set := range []struct {
+		name     string
+		circuits []string
+	}{{"rest", rest}, {"div16", []string{"div16"}}} {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, name := range set.circuits {
+					if _, err := CompileStrip(reg[name](), 16, tracks, Options{Seed: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -78,14 +78,27 @@ type placer struct {
 	netStart []int
 	netPins  []int
 	// The nets touching each cell, CSR over cell index. A cell wired to a
-	// net twice lists it twice; costAround deduplicates.
+	// net twice lists it twice; delta deduplicates.
 	cellNetStart []int
 	cellNets     []int
-	// netGen[n] == gen: net n is already counted in this costAround call.
-	// Bumping gen clears every mark in O(1) — routeScratch's convention.
-	netGen []uint32
-	gen    uint32
+	// Per-net annealing state, beside the tables it is derived from.
+	nets []netState
+	gen  uint32
+	// pending is delta's result: the nets the move under evaluation touches,
+	// each at its wirelength after the move; accepting the move commits it.
+	pending []netCost
 }
+
+type netState struct {
+	// cost is the net's committed wirelength: hpwl at the positions the
+	// last accepted move left, so a move is charged only its "after" side.
+	cost int32
+	// gen == placer.gen: net already counted in this delta call. Bumping
+	// placer.gen clears every mark in O(1) — routeScratch's convention.
+	gen uint32
+}
+
+type netCost struct{ net, cost int32 }
 
 // newPlacer seeds the ports and cells of m in a w x h region and builds
 // its nets.
@@ -193,7 +206,7 @@ func (p *placer) buildNets() {
 		p.netPins[next[src]] = sink
 		next[src]++
 	})
-	p.netGen = make([]uint32, p.numNets())
+	p.nets = make([]netState, p.numNets())
 
 	// The per-cell net lists, counted then filled in net order.
 	p.cellNetStart = make([]int, n+1)
@@ -229,18 +242,8 @@ func (p *placer) hpwl(nid int) int {
 	minX, maxX, minY, maxY := l.X, l.X, l.Y, l.Y
 	for _, pin := range pins[1:] {
 		l := p.pos[pin]
-		if l.X < minX {
-			minX = l.X
-		}
-		if l.X > maxX {
-			maxX = l.X
-		}
-		if l.Y < minY {
-			minY = l.Y
-		}
-		if l.Y > maxY {
-			maxY = l.Y
-		}
+		minX, maxX = min(minX, l.X), max(maxX, l.X)
+		minY, maxY = min(minY, l.Y), max(maxY, l.Y)
 	}
 	return (maxX - minX) + (maxY - minY)
 }
@@ -254,29 +257,47 @@ func (p *placer) wirelength() int {
 	return total
 }
 
-// costAround sums the wirelength of all nets touching cell a or cell b,
-// each net once; b < 0 means there is no second cell.
-func (p *placer) costAround(a, b int) int {
+// delta returns the change in total wirelength of the move already written
+// into pos — cell a moved, and cell b if b >= 0 — against the committed
+// costs, scanning each net that touches a or b once. The nets' new costs
+// are left in pending.
+func (p *placer) delta(a, b int) int {
 	p.gen++
 	if p.gen == 0 { // wrapped: stale stamps could collide, so clear
-		for i := range p.netGen {
-			p.netGen[i] = 0
+		for i := range p.nets {
+			p.nets[i].gen = 0
 		}
 		p.gen = 1
 	}
-	total := 0
+	p.pending = p.pending[:0]
+	d := 0
 	for _, c := range [2]int{a, b} {
 		if c < 0 {
 			continue
 		}
 		for _, nid := range p.cellNets[p.cellNetStart[c]:p.cellNetStart[c+1]] {
-			if p.netGen[nid] != p.gen {
-				p.netGen[nid] = p.gen
-				total += p.hpwl(nid)
+			if net := &p.nets[nid]; net.gen != p.gen {
+				net.gen = p.gen
+				cost := p.hpwl(nid)
+				d += cost - int(net.cost)
+				p.pending = append(p.pending, netCost{net: int32(nid), cost: int32(cost)})
 			}
 		}
 	}
-	return total
+	return d
+}
+
+// commitAll charges every net its wirelength at the current positions and
+// sizes pending for the two busiest cells: the state delta works against.
+func (p *placer) commitAll() {
+	for nid := range p.nets {
+		p.nets[nid].cost = int32(p.hpwl(nid))
+	}
+	maxNets := 0
+	for c := 0; c < p.nCells; c++ {
+		maxNets = max(maxNets, p.cellNetStart[c+1]-p.cellNetStart[c])
+	}
+	p.pending = make([]netCost, 0, 2*maxNets)
 }
 
 // anneal runs simulated annealing: each move takes a random cell to a
@@ -294,6 +315,7 @@ func (p *placer) anneal(effort int, src *rng.Source) {
 	for i, l := range p.pos[:nCells] {
 		occupant[site(l)] = i
 	}
+	p.commitAll()
 	iters := effort * 160 * nCells
 	temp := float64(p.w + p.h)
 	cooling := math.Pow(0.005/temp, 1/float64(iters+1))
@@ -302,14 +324,16 @@ func (p *placer) anneal(effort int, src *rng.Source) {
 		target := Loc{X: src.Intn(p.w), Y: src.Intn(p.h)}
 		if cj := occupant[site(target)]; cj != ci {
 			from := p.pos[ci]
-			before := p.costAround(ci, cj)
 			p.pos[ci] = target
 			if cj >= 0 {
 				p.pos[cj] = from
 			}
-			if accept(before, p.costAround(ci, cj), temp, src) {
+			if accept(p.delta(ci, cj), temp, src) {
 				occupant[site(target)] = ci
 				occupant[site(from)] = cj
+				for _, nc := range p.pending {
+					p.nets[nc.net].cost = nc.cost
+				}
 			} else {
 				p.pos[ci] = from
 				if cj >= 0 {
@@ -321,11 +345,13 @@ func (p *placer) anneal(effort int, src *rng.Source) {
 	}
 }
 
-func accept(before, after int, temp float64, src *rng.Source) bool {
-	if after <= before {
+// accept decides a move that changes the wirelength by delta: downhill
+// and level moves always pass, without a draw.
+func accept(delta int, temp float64, src *rng.Source) bool {
+	if delta <= 0 {
 		return true
 	}
-	return src.Float64() < math.Exp(float64(before-after)/temp)
+	return src.Float64() < math.Exp(float64(-delta)/temp)
 }
 
 // TotalWirelength recomputes the HPWL of the placement (exposed for tests

@@ -1,6 +1,8 @@
 package place
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/netlist"
@@ -187,9 +189,9 @@ func randomMapped(src *rng.Source) *techmap.Mapped {
 	return m
 }
 
-// bruteCost is the reference for costAround: it finds the nets touching
-// the given cells by scanning the whole design per driving signal, and
-// sums the bounding-box half perimeter of each once.
+// bruteCost is the reference for delta: it finds the nets touching the
+// given cells by scanning the whole design per driving signal, and sums
+// the bounding-box half perimeter of each once.
 func bruteCost(m *techmap.Mapped, pos []Loc, cells ...int) int {
 	n := m.NumCells()
 	sourceOf := func(sig techmap.Signal) int {
@@ -240,21 +242,116 @@ func bruteCost(m *techmap.Mapped, pos []Loc, cells ...int) int {
 	return total
 }
 
-func TestCostAroundMatchesBruteForce(t *testing.T) {
+// checkCommitted holds every net's committed cost to a fresh hpwl and
+// returns their sum.
+func checkCommitted(t *testing.T, p *placer, when string) int {
+	t.Helper()
+	sum := 0
+	for nid := range p.nets {
+		if got, want := int(p.nets[nid].cost), p.hpwl(nid); got != want {
+			t.Fatalf("%s: net %d committed at %d, hpwl %d", when, nid, got, want)
+		}
+		sum += int(p.nets[nid].cost)
+	}
+	return sum
+}
+
+// TestDeltaMatchesBruteForce drives delta the way anneal does — write the
+// move, evaluate, then commit pending or put the cells back — and holds
+// each evaluation to the brute-force cost after minus before.
+func TestDeltaMatchesBruteForce(t *testing.T) {
 	src := rng.New(7)
+	var swapsSharingNet, twiceOnNet, toFreeSite int
 	for design := 0; design < 60; design++ {
 		m := randomMapped(src)
 		w, h := Shape(m.NumCells())
 		p := newPlacer(m, w, h)
+		p.commitAll()
+		netsOf := func(c int) []int { return p.cellNets[p.cellNetStart[c]:p.cellNetStart[c+1]] }
 		for move := 0; move < 50; move++ {
 			a, b := src.Intn(p.nCells), src.Intn(p.nCells+1)-1
-			if got, want := p.costAround(a, b), bruteCost(m, p.pos, a, b); got != want {
-				t.Fatalf("design %d move %d: costAround(%d, %d) = %d, brute force %d", design, move, a, b, got, want)
+			if a == b {
+				continue // anneal never evaluates a cell against itself
 			}
-			// Overlaps are fine here: cost depends on positions only.
-			p.pos[a] = Loc{X: src.Intn(w), Y: src.Intn(h)}
+			for i, nid := range netsOf(a) {
+				if slices.Contains(netsOf(a)[:i], nid) {
+					twiceOnNet++
+				}
+				if b >= 0 && slices.Contains(netsOf(b), nid) {
+					swapsSharingNet++
+				}
+			}
+			before := bruteCost(m, p.pos, a, b)
+			fromA := p.pos[a]
 			if b >= 0 {
-				p.pos[b] = Loc{X: src.Intn(w), Y: src.Intn(h)}
+				p.pos[a], p.pos[b] = p.pos[b], fromA
+			} else {
+				// Overlaps are fine here: cost depends on positions only.
+				p.pos[a] = Loc{X: src.Intn(w), Y: src.Intn(h)}
+				toFreeSite++
+			}
+			if got, want := p.delta(a, b), bruteCost(m, p.pos, a, b)-before; got != want {
+				t.Fatalf("design %d move %d: delta(%d, %d) = %d, brute force %d", design, move, a, b, got, want)
+			}
+			// pending lists every touched net once, at its cost after the move.
+			want := slices.Clone(netsOf(a))
+			if b >= 0 {
+				want = append(want, netsOf(b)...)
+			}
+			slices.Sort(want)
+			want = slices.Compact(want)
+			if len(p.pending) != len(want) {
+				t.Fatalf("design %d move %d: %d nets pending, the cells touch %d", design, move, len(p.pending), len(want))
+			}
+			for _, nc := range p.pending {
+				if !slices.Contains(want, int(nc.net)) || int(nc.cost) != p.hpwl(int(nc.net)) {
+					t.Fatalf("design %d move %d: pending %+v, hpwl %d, touched nets %v", design, move, nc, p.hpwl(int(nc.net)), want)
+				}
+			}
+			if src.Bool() { // accept
+				for _, nc := range p.pending {
+					p.nets[nc.net].cost = nc.cost
+				}
+			} else if b >= 0 {
+				p.pos[a], p.pos[b] = fromA, p.pos[a]
+			} else {
+				p.pos[a] = fromA
+			}
+			checkCommitted(t, p, "after a decided move")
+		}
+	}
+	if swapsSharingNet == 0 || twiceOnNet == 0 || toFreeSite == 0 {
+		t.Fatalf("moves missed a case: %d swaps of cells sharing a net, %d cells twice on a net, %d moves to a free site",
+			swapsSharingNet, twiceOnNet, toFreeSite)
+	}
+}
+
+// TestAnnealKeepsCommittedCosts checks the invariant delta rests on: after
+// a whole annealing run every net's committed cost is its wirelength, so
+// their sum is the placement's, and a move that is evaluated and put back
+// leaves them alone.
+func TestAnnealKeepsCommittedCosts(t *testing.T) {
+	src := rng.New(11)
+	for design := 0; design < 20; design++ {
+		m := randomMapped(src)
+		w, h := Shape(m.NumCells())
+		p := newPlacer(m, w, h)
+		if p.numNets() == 0 {
+			continue
+		}
+		p.anneal(1, rng.New(uint64(design)))
+		if sum, wl := checkCommitted(t, p, "after anneal"), p.placement().Wirelength; sum != wl {
+			t.Fatalf("design %d: committed costs sum to %d, placement wirelength %d", design, sum, wl)
+		}
+		committed := slices.Clone(p.nets)
+		a, b := 0, p.nCells-1
+		p.pos[a], p.pos[b] = p.pos[b], p.pos[a]
+		p.delta(a, b)
+		p.pos[a], p.pos[b] = p.pos[b], p.pos[a]
+		for nid := range p.nets {
+			if p.nets[nid].cost != committed[nid].cost {
+				t.Fatalf("design %d: evaluating a move changed net %d's committed cost %d to %d",
+					design, nid, committed[nid].cost, p.nets[nid].cost)
 			}
 		}
 	}
@@ -283,17 +380,44 @@ func TestPlaceLoopAllocatesNothing(t *testing.T) {
 	}
 }
 
-func BenchmarkPlaceAdder16(b *testing.B) {
-	m, err := techmap.Map(netlist.Adder(16))
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkPlaceRegistry places every library circuit into the tightest
+// 16-row strip that holds it — the first shape compile.CompileStrip tries.
+// div16 runs apart: it is three quarters of the pass.
+func BenchmarkPlaceRegistry(b *testing.B) {
+	const rows = 16
+	reg := netlist.Registry()
+	names := make([]string, 0, len(reg))
+	for name := range reg {
+		names = append(names, name)
 	}
-	w, h := Shape(m.NumCells())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Place(m, w, h, Options{Seed: uint64(i)}); err != nil {
+	sort.Strings(names)
+	var rest, div16 []*techmap.Mapped
+	for _, name := range names {
+		m, err := techmap.Map(netlist.Optimize(reg[name]()))
+		if err != nil {
 			b.Fatal(err)
 		}
+		if name == "div16" {
+			div16 = append(div16, m)
+		} else {
+			rest = append(rest, m)
+		}
+	}
+	for _, set := range []struct {
+		name    string
+		designs []*techmap.Mapped
+	}{{"rest", rest}, {"div16", div16}} {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, m := range set.designs {
+					cells := m.NumCells()
+					w := max((cells+cells/8+rows-1)/rows, 1)
+					if _, err := Place(m, w, rows, Options{Seed: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -88,22 +88,40 @@ func (g grid) edgeBetween(a, b int) edgeID {
 	return edgeID((g.w-1)*g.h + y*g.w + la.X)
 }
 
-// neighbors appends the orthogonal neighbors of node n to buf.
-func (g grid) neighbors(n int, buf []int) []int {
-	l := g.loc(n)
-	if l.X > 0 {
-		buf = append(buf, n-1)
+// hop is one step of a search: the neighbor reached and the edge crossed.
+type hop struct {
+	node int
+	edge edgeID
+}
+
+// expand returns the hops out of node n, written into buf. The order —
+// left, right, up, down — is part of the artifact: it decides which of two
+// equally cheap paths the search finds first. With n = y*w + x, the
+// horizontal edge from (x, y) to the right is y*(w-1) + x = n - y and the
+// vertical one downwards is n past the horizontal edges, so a node costs
+// one division, not one per edge.
+func (g grid) expand(n int, buf *[4]hop) []hop {
+	y := n / g.w
+	x := n - y*g.w
+	vEdge := (g.w-1)*g.h + n
+	k := 0
+	if x > 0 {
+		buf[k] = hop{n - 1, edgeID(n - y - 1)}
+		k++
 	}
-	if l.X < g.w-1 {
-		buf = append(buf, n+1)
+	if x < g.w-1 {
+		buf[k] = hop{n + 1, edgeID(n - y)}
+		k++
 	}
-	if l.Y > 0 {
-		buf = append(buf, n-g.w)
+	if y > 0 {
+		buf[k] = hop{n - g.w, edgeID(vEdge - g.w)}
+		k++
 	}
-	if l.Y < g.h-1 {
-		buf = append(buf, n+g.w)
+	if y < g.h-1 {
+		buf[k] = hop{n + g.w, edgeID(vEdge)}
+		k++
 	}
-	return buf
+	return buf[:k]
 }
 
 // connections enumerates every routable connection of a placement in
@@ -213,11 +231,21 @@ type pqItem struct {
 	cost float64
 }
 
-// routeScratch holds every buffer shortestPath needs, so the thousands of
-// per-net searches a negotiation run performs share one set of
-// allocations. Visited state is generation-stamped instead of cleared:
-// bumping gen invalidates dist/prev/done for all nodes in O(1).
+// routeScratch is what the per-net searches of one negotiation run share:
+// the congestion they price edges from, and every buffer shortestPath
+// needs, so thousands of searches cost one set of allocations. Visited
+// state is generation-stamped instead of cleared: bumping gen invalidates
+// dist/prev/done for all nodes in O(1).
 type routeScratch struct {
+	g grid
+	// The negotiated congestion, per edge: present occupancy, history
+	// cost, and whether the net being routed already carries the edge.
+	tracks  int
+	presFac float64
+	occ     []int
+	hist    []float64
+	inNet   []bool
+
 	dist    []float64
 	prev    []int
 	seenGen []uint32 // seenGen[n] == gen: dist/prev valid this search
@@ -227,22 +255,37 @@ type routeScratch struct {
 	path    []int
 }
 
-func newRouteScratch(nodes int) *routeScratch {
-	s := &routeScratch{heap: make([]pqItem, 0, nodes), path: make([]int, 0, nodes)}
-	s.ensure(nodes)
-	return s
+func newRouteScratch(g grid, tracks int) *routeScratch {
+	nodes, edges := g.nodes(), g.numEdges()
+	return &routeScratch{
+		g:       g,
+		tracks:  tracks,
+		presFac: 0.5,
+		occ:     make([]int, edges),
+		hist:    make([]float64, edges),
+		inNet:   make([]bool, edges),
+		dist:    make([]float64, nodes),
+		prev:    make([]int, nodes),
+		seenGen: make([]uint32, nodes),
+		doneGen: make([]uint32, nodes),
+		heap:    make([]pqItem, 0, nodes),
+		path:    make([]int, 0, nodes),
+	}
 }
 
-// ensure sizes the node-indexed buffers for a grid of n nodes.
-func (s *routeScratch) ensure(n int) {
-	if len(s.dist) >= n {
-		return
+// cost is the negotiated price of crossing edge e for the net being
+// routed. The conversion rounds the product before a caller adds to it:
+// inlined, it could otherwise fuse into that sum on a target with a fused
+// multiply-add and round differently than the call it replaces.
+func (s *routeScratch) cost(e edgeID) float64 {
+	if s.inNet[e] {
+		return 1e-4 // already carried by this net: reuse freely
 	}
-	s.dist = make([]float64, n)
-	s.prev = make([]int, n)
-	s.seenGen = make([]uint32, n)
-	s.doneGen = make([]uint32, n)
-	s.gen = 0
+	over := float64(s.occ[e] + 1 - s.tracks)
+	if over < 0 {
+		over = 0
+	}
+	return float64((1 + s.hist[e]) * (1 + over*s.presFac))
 }
 
 // nextGen starts a new search, handling the (theoretical) wraparound.
@@ -257,39 +300,47 @@ func (s *routeScratch) nextGen() {
 	}
 }
 
+// hpush and hpop sift by moving a hole, not by swapping: they make the
+// comparisons a swapping sift makes and leave the array it leaves. That
+// array is part of the routing contract — the pop order among equal keys
+// decides which of two equally cheap paths a net takes.
 func (s *routeScratch) hpush(it pqItem) {
+	i := len(s.heap)
 	s.heap = append(s.heap, it)
-	i := len(s.heap) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if s.heap[parent].cost <= s.heap[i].cost {
+		if s.heap[parent].cost <= it.cost {
 			break
 		}
-		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
+		s.heap[i] = s.heap[parent]
 		i = parent
 	}
+	s.heap[i] = it
 }
 
 func (s *routeScratch) hpop() pqItem {
 	top := s.heap[0]
 	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
+	it := s.heap[last]
+	h := s.heap[:last]
+	s.heap = h
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < last && s.heap[l].cost < s.heap[min].cost {
-			min = l
-		}
-		if r < last && s.heap[r].cost < s.heap[min].cost {
-			min = r
-		}
-		if min == i {
+		m := 2*i + 1 // the smaller child; the left one on a tie
+		if m >= last {
 			break
 		}
-		s.heap[i], s.heap[min] = s.heap[min], s.heap[i]
-		i = min
+		if r := m + 1; r < last && h[r].cost < h[m].cost {
+			m = r
+		}
+		if !(h[m].cost < it.cost) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if last > 0 {
+		h[i] = it
 	}
 	return top
 }
@@ -311,9 +362,8 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 	// how many sinks lie beyond it.
 	nets := buildNets(p.Mapped, res.Conns)
 
-	occ := make([]int, g.numEdges())      // present occupancy
-	hist := make([]float64, g.numEdges()) // history cost
-	inNet := make([]bool, g.numEdges())   // scratch: edges already in current net
+	s := newRouteScratch(g, tracks)
+	occ, hist, inNet := s.occ, s.hist, s.inNet
 	// The working paths of one negotiation pass live back to back in one
 	// arena of node ids, rewound when the pass rips everything up;
 	// connection i's path is arena[pathAt[i].off:][:pathAt[i].n]. A path is
@@ -328,21 +378,6 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 	}
 	arena := make([]int, 0, minNodes+minNodes/4)
 
-	presFac := 0.5
-	scratch := newRouteScratch(g.nodes())
-	// One cost closure for the whole negotiation: it reads presFac and the
-	// occupancy arrays by reference, so allocating it per connection (as a
-	// literal in the loop would) is pure garbage-collector churn.
-	cost := func(e edgeID) float64 {
-		if inNet[e] {
-			return 1e-4 // already carried by this net: reuse freely
-		}
-		over := float64(occ[e] + 1 - tracks)
-		if over < 0 {
-			over = 0
-		}
-		return (1 + hist[e]) * (1 + over*presFac)
-	}
 	var netEdges []edgeID
 	for iter := 1; iter <= maxIter; iter++ {
 		res.Iterations = iter
@@ -356,7 +391,7 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 			for _, i := range nets.conns[nets.start[n]:nets.start[n+1]] {
 				c := &res.Conns[i]
 				from, to := g.node(res.srcLoc(c.Src)), g.node(res.sinkLoc(c.Sink))
-				path := scratch.shortestPath(g, from, to, cost)
+				path := s.shortestPath(from, to)
 				pathAt[i] = pathSpan{off: int32(len(arena)), n: int32(len(path))}
 				arena = append(arena, path...)
 				for k := 0; k+1 < len(path); k++ {
@@ -401,49 +436,49 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 			}
 			return res, nil
 		}
-		presFac *= 1.6
+		s.presFac *= 1.6
 	}
 	return nil, fmt.Errorf("route: %s unroutable in %dx%d with %d tracks after %d iterations (max use %d)",
 		p.Mapped.Name, p.W, p.H, tracks, maxIter, res.MaxUse)
 }
 
-// shortestPath runs Dijkstra over the grid with the given edge cost. The
-// returned slice aliases the scratch buffer and is valid only until the
-// next call; callers that keep a path must copy it. Beyond amortized
-// buffer growth the search allocates nothing.
-func (s *routeScratch) shortestPath(g grid, from, to int, cost func(edgeID) float64) []int {
+// shortestPath runs Dijkstra over the grid under the negotiated edge
+// cost. The returned slice aliases the scratch buffer and is valid only
+// until the next call; callers that keep a path must copy it. Beyond
+// amortized buffer growth the search allocates nothing.
+func (s *routeScratch) shortestPath(from, to int) []int {
 	s.path = s.path[:0]
 	if from == to {
 		s.path = append(s.path, from)
 		return s.path
 	}
-	s.ensure(g.nodes())
 	s.nextGen()
 	s.heap = s.heap[:0]
 	s.dist[from] = 0
 	s.prev[from] = -1
 	s.seenGen[from] = s.gen
 	s.hpush(pqItem{node: from})
-	var nbuf [4]int
+	var hops [4]hop
 	for len(s.heap) > 0 {
 		it := s.hpop()
-		if s.doneGen[it.node] == s.gen {
+		n := it.node
+		if s.doneGen[n] == s.gen {
 			continue
 		}
-		s.doneGen[it.node] = s.gen
-		if it.node == to {
+		s.doneGen[n] = s.gen
+		if n == to {
 			break
 		}
-		for _, nb := range g.neighbors(it.node, nbuf[:0]) {
-			if s.doneGen[nb] == s.gen {
+		for _, nb := range s.g.expand(n, &hops) {
+			if s.doneGen[nb.node] == s.gen {
 				continue
 			}
-			c := it.cost + cost(g.edgeBetween(it.node, nb))
-			if s.seenGen[nb] != s.gen || c < s.dist[nb] {
-				s.seenGen[nb] = s.gen
-				s.dist[nb] = c
-				s.prev[nb] = it.node
-				s.hpush(pqItem{node: nb, cost: c})
+			c := it.cost + s.cost(nb.edge)
+			if s.seenGen[nb.node] != s.gen || c < s.dist[nb.node] {
+				s.seenGen[nb.node] = s.gen
+				s.dist[nb.node] = c
+				s.prev[nb.node] = n
+				s.hpush(pqItem{node: nb.node, cost: c})
 			}
 		}
 	}
@@ -468,15 +503,21 @@ func (s *routeScratch) shortestPath(g grid, from, to int, cost func(edgeID) floa
 // and input-to-output paths.
 func (r *Result) CriticalPath(lutDelay, hopDelay sim.Time) sim.Time {
 	m := r.P.Mapped
-	// hops[sink] for cell-input connections, indexed [cell][pin].
-	hops := make(map[[2]int]int)
-	outHops := make(map[int]int)
+	// Hops by sink, in the order connections emits them: pin k of cell ci
+	// at pinAt[ci]+k, then output port oi at ports+oi. A constant is not
+	// routed, so its slot stays 0.
+	pinAt := make([]int32, len(m.Cells)+1)
+	for ci := range m.Cells {
+		pinAt[ci+1] = pinAt[ci] + int32(len(m.Cells[ci].Inputs))
+	}
+	ports := int(pinAt[len(m.Cells)])
+	hops := make([]int32, ports+len(m.Outputs))
 	for i := range r.Conns {
 		c := &r.Conns[i]
 		if c.Sink.IsPort {
-			outHops[c.Sink.Port] = c.Hops()
+			hops[ports+c.Sink.Port] = int32(c.Hops())
 		} else {
-			hops[[2]int{int(c.Sink.Cell), c.Sink.Input}] = c.Hops()
+			hops[int(pinAt[c.Sink.Cell])+c.Sink.Input] = int32(c.Hops())
 		}
 	}
 	// arrival time of each cell's output (combinational cells only; FF
@@ -487,6 +528,7 @@ func (r *Result) CriticalPath(lutDelay, hopDelay sim.Time) sim.Time {
 	var arrive func(ci int) sim.Time
 	inputArrival := func(ci int) sim.Time {
 		worst := sim.Time(0)
+		pins := hops[pinAt[ci]:pinAt[ci+1]]
 		for k, in := range m.Cells[ci].Inputs {
 			var src sim.Time
 			switch in.Kind {
@@ -497,7 +539,7 @@ func (r *Result) CriticalPath(lutDelay, hopDelay sim.Time) sim.Time {
 			case techmap.SigInput, techmap.SigConst:
 				src = 0
 			}
-			t := src + sim.Time(hops[[2]int{ci, k}])*hopDelay
+			t := src + sim.Time(pins[k])*hopDelay
 			if t > worst {
 				worst = t
 			}
@@ -530,7 +572,7 @@ func (r *Result) CriticalPath(lutDelay, hopDelay sim.Time) sim.Time {
 		if sig.Kind == techmap.SigCell && !m.Cells[sig.Cell].UseFF {
 			src = arrive(int(sig.Cell))
 		}
-		t := src + sim.Time(outHops[oi])*hopDelay
+		t := src + sim.Time(hops[ports+oi])*hopDelay
 		if t > crit {
 			crit = t
 		}

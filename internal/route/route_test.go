@@ -2,6 +2,7 @@ package route
 
 import (
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/netlist"
@@ -170,6 +171,109 @@ func TestCriticalPathSequentialBounded(t *testing.T) {
 	}
 }
 
+// neighbors appends the orthogonal neighbors of node n to buf: with
+// edgeBetween, the reference grid.expand is held to.
+func (g grid) neighbors(n int, buf []int) []int {
+	l := g.loc(n)
+	if l.X > 0 {
+		buf = append(buf, n-1)
+	}
+	if l.X < g.w-1 {
+		buf = append(buf, n+1)
+	}
+	if l.Y > 0 {
+		buf = append(buf, n-g.w)
+	}
+	if l.Y < g.h-1 {
+		buf = append(buf, n+g.w)
+	}
+	return buf
+}
+
+// TestExpandMatchesNeighbors holds the arithmetic expansion to the
+// coordinate-based one: same neighbors in the same order, each with the
+// edge edgeBetween names, on degenerate, tiny and strip-shaped grids.
+func TestExpandMatchesNeighbors(t *testing.T) {
+	for _, g := range []grid{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {5, 16}, {53, 16}} {
+		for n := 0; n < g.nodes(); n++ {
+			var want []hop
+			for _, nb := range g.neighbors(n, nil) {
+				want = append(want, hop{nb, g.edgeBetween(n, nb)})
+			}
+			var buf [4]hop
+			if got := g.expand(n, &buf); !slices.Equal(got, want) {
+				t.Fatalf("%dx%d node %d: expand = %v, neighbors + edgeBetween = %v", g.w, g.h, n, got, want)
+			}
+		}
+	}
+}
+
+// swapHeap is the sift hpush and hpop replaced, kept as their reference:
+// it exchanges whole items on the way up and down.
+type swapHeap []pqItem
+
+func (h *swapHeap) push(it pqItem) {
+	*h = append(*h, it)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent].cost <= s[i].cost {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+}
+
+func (h *swapHeap) pop() pqItem {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < last && s[l].cost < s[min].cost {
+			min = l
+		}
+		if r < last && s[r].cost < s[min].cost {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	return top
+}
+
+// TestHeapMatchesSwapSift checks the heap's contract — not just the pop
+// order but the whole array after every operation — on random push/pop
+// runs drawn from a handful of keys, so ties are the common case.
+func TestHeapMatchesSwapSift(t *testing.T) {
+	src := rng.New(3)
+	for run := 0; run < 200; run++ {
+		s := &routeScratch{}
+		var ref swapHeap
+		keys := 1 + src.Intn(6)
+		for step := 0; step < 300; step++ {
+			if len(ref) == 0 || src.Intn(5) < 3 {
+				it := pqItem{node: step, cost: float64(src.Intn(keys))}
+				s.hpush(it)
+				ref.push(it)
+			} else if got, want := s.hpop(), ref.pop(); got != want {
+				t.Fatalf("run %d step %d: popped %+v, swap-based heap %+v", run, step, got, want)
+			}
+			if !slices.Equal(s.heap, []pqItem(ref)) {
+				t.Fatalf("run %d step %d: heap %v, swap-based heap %v", run, step, s.heap, []pqItem(ref))
+			}
+		}
+	}
+}
+
 func TestGridEdgeIndexing(t *testing.T) {
 	g := grid{w: 4, h: 3}
 	if g.numEdges() != (4-1)*3+4*(3-1) {
@@ -194,11 +298,13 @@ func TestGridEdgeIndexing(t *testing.T) {
 	}
 }
 
+// An idle scratch (no occupancy, so nothing over capacity) prices edge e at
+// 1 + hist[e]: the tests below write their cost fields into hist.
+
 func TestShortestPathStraightLine(t *testing.T) {
 	g := grid{w: 5, h: 5}
-	s := newRouteScratch(g.nodes())
-	path := s.shortestPath(g, g.node(place.Loc{X: 0, Y: 2}), g.node(place.Loc{X: 4, Y: 2}),
-		func(edgeID) float64 { return 1 })
+	s := newRouteScratch(g, 1)
+	path := s.shortestPath(g.node(place.Loc{X: 0, Y: 2}), g.node(place.Loc{X: 4, Y: 2}))
 	if len(path) != 5 {
 		t.Fatalf("path length %d, want 5", len(path))
 	}
@@ -206,8 +312,8 @@ func TestShortestPathStraightLine(t *testing.T) {
 
 func TestShortestPathSameNode(t *testing.T) {
 	g := grid{w: 3, h: 3}
-	s := newRouteScratch(g.nodes())
-	path := s.shortestPath(g, 4, 4, func(edgeID) float64 { return 1 })
+	s := newRouteScratch(g, 1)
+	path := s.shortestPath(4, 4)
 	if len(path) != 1 || path[0] != 4 {
 		t.Fatalf("self path = %v", path)
 	}
@@ -217,14 +323,9 @@ func TestShortestPathAvoidsExpensiveEdges(t *testing.T) {
 	// Make the direct row expensive; the path should detour.
 	g := grid{w: 3, h: 2}
 	direct := g.edgeBetween(g.node(place.Loc{X: 0, Y: 0}), g.node(place.Loc{X: 1, Y: 0}))
-	s := newRouteScratch(g.nodes())
-	path := s.shortestPath(g, g.node(place.Loc{X: 0, Y: 0}), g.node(place.Loc{X: 2, Y: 0}),
-		func(e edgeID) float64 {
-			if e == direct {
-				return 100
-			}
-			return 1
-		})
+	s := newRouteScratch(g, 1)
+	s.hist[direct] = 99
+	path := s.shortestPath(g.node(place.Loc{X: 0, Y: 0}), g.node(place.Loc{X: 2, Y: 0}))
 	if len(path) != 5 { // detour via row 1
 		t.Fatalf("expected detour of 4 hops, got path %v", path)
 	}
@@ -235,18 +336,18 @@ func TestShortestPathAvoidsExpensiveEdges(t *testing.T) {
 // earlier searches, including ones over a different cost field.
 func TestShortestPathScratchReuse(t *testing.T) {
 	g := grid{w: 7, h: 5}
-	reused := newRouteScratch(g.nodes())
+	reused := newRouteScratch(g, 1)
 	src := rng.New(42)
-	costs := make([]float64, g.numEdges())
 	for trial := 0; trial < 50; trial++ {
-		for i := range costs {
-			costs[i] = 0.1 + src.Float64()
+		for i := range reused.hist {
+			reused.hist[i] = src.Float64() - 0.9
 		}
-		cost := func(e edgeID) float64 { return costs[e] }
 		from := src.Intn(g.nodes())
 		to := src.Intn(g.nodes())
-		got := reused.shortestPath(g, from, to, cost)
-		want := newRouteScratch(g.nodes()).shortestPath(g, from, to, cost)
+		got := reused.shortestPath(from, to)
+		fresh := newRouteScratch(g, 1)
+		copy(fresh.hist, reused.hist)
+		want := fresh.shortestPath(from, to)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: path length %d != fresh %d", trial, len(got), len(want))
 		}
@@ -262,33 +363,67 @@ func TestShortestPathScratchReuse(t *testing.T) {
 // search must not allocate (the scratch owns every buffer).
 func BenchmarkRouteShortestPath(b *testing.B) {
 	g := grid{w: 32, h: 16}
-	s := newRouteScratch(g.nodes())
-	cost := func(e edgeID) float64 { return 1 + float64(e%7)*0.25 }
+	s := newRouteScratch(g, 1)
+	for e := range s.hist {
+		s.hist[e] = float64(e%7) * 0.25
+	}
 	from, to := 0, g.nodes()-1
-	s.shortestPath(g, from, to, cost) // warm the scratch buffers
+	s.shortestPath(from, to) // warm the scratch buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.shortestPath(g, from, to, cost)
+		s.shortestPath(from, to)
 	}
 }
 
-func BenchmarkRouteAdder16(b *testing.B) {
-	m, err := techmap.Map(netlist.Adder(16))
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkRouteRegistry routes every library circuit as the 16-row strip
+// compile.CompileStrip settles on: the tightest one that holds the cells,
+// a column wider per failed route. div16 runs apart: it is three quarters
+// of the pass.
+func BenchmarkRouteRegistry(b *testing.B) {
+	const rows, tracks = 16, 12
+	reg := netlist.Registry()
+	names := make([]string, 0, len(reg))
+	for name := range reg {
+		names = append(names, name)
 	}
-	w, h := place.Shape(m.NumCells())
-	p, err := place.Place(m, w, h, place.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Route(p, 12, Options{}); err != nil {
+	sort.Strings(names)
+	var rest, div16 []*place.Placement
+	for _, name := range names {
+		m, err := techmap.Map(netlist.Optimize(reg[name]()))
+		if err != nil {
 			b.Fatal(err)
 		}
+		cells := m.NumCells()
+		var p *place.Placement
+		for w := max((cells+cells/8+rows-1)/rows, 1); ; w++ {
+			if p, err = place.Place(m, w, rows, place.Options{Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Route(p, tracks, Options{}); err == nil {
+				break
+			}
+		}
+		if name == "div16" {
+			div16 = append(div16, p)
+		} else {
+			rest = append(rest, p)
+		}
+	}
+	for _, set := range []struct {
+		name    string
+		designs []*place.Placement
+	}{{"rest", rest}, {"div16", div16}} {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range set.designs {
+					if _, err := Route(p, tracks, Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 
