@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-flow benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
+.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-flow bench-device benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
 
 check: fmt vet vet-analyzers build race conformance test lint cover fuzz-smoke bench-quick serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
 
@@ -83,6 +83,15 @@ bench-quick:
 # of `make check`.
 bench-flow:
 	$(GO) test -run '^$$' -bench 'Benchmark(Place|Route|Strip)Registry' -benchtime 10x -count 5 ./internal/place/ ./internal/route/ ./internal/compile/
+
+# The device layer alone, before and after a change to it: a new board,
+# one strip download, the pin pool under eviction churn, the fabric-config
+# audit of a configured device, and a whole cold and warm job over them.
+# Fixed iterations, five readings each, bytes and allocations beside the
+# time. Wall-clock bound, so not part of `make check`.
+bench-device:
+	$(GO) test -run '^$$' -bench 'Benchmark(NewDevice|ApplyStrip|PinPool|FabricConfig)$$' -benchmem -benchtime 100000x -count 5 ./internal/fabric/ ./internal/compile/ ./internal/core/ ./internal/lint/
+	$(GO) test -run '^$$' -bench 'BenchmarkJobColdVsWarm$$' -benchmem -benchtime 100x -count 5 ./internal/serve/
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md): all four
 # workloads, both passes, into out/benchmark/result.json. Minutes long

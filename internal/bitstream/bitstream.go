@@ -30,17 +30,19 @@ const (
 	SrcConst1
 )
 
-// Src is a relocatable signal source.
+// Src is a relocatable signal source, packed like the fabric.Source it
+// translates to: a compiled circuit is mostly these, and the strip cache
+// holds every one of them.
 type Src struct {
 	Kind   SrcKind
-	DX, DY int
-	Port   int
+	DX, DY int16
+	Port   int16
 }
 
 // CellWrite is the configuration of one CLB at a region-relative location.
 type CellWrite struct {
-	X, Y   int
-	LUT    [1 << fabric.LUTInputs]bool
+	X, Y   int16
+	LUT    fabric.LUT
 	Inputs [fabric.LUTInputs]Src
 	UseFF  bool
 	FFInit bool
@@ -86,15 +88,17 @@ func relSrc(sig techmap.Signal, r *route.Result) Src {
 		}
 		return Src{Kind: SrcConst0}
 	case techmap.SigInput:
-		return Src{Kind: SrcPort, Port: sig.Input}
+		return Src{Kind: SrcPort, Port: fabric.Coord(sig.Input)}
 	case techmap.SigCell:
 		l := r.P.Cells[sig.Cell]
-		return Src{Kind: SrcRel, DX: l.X, DY: l.Y}
+		return Src{Kind: SrcRel, DX: fabric.Coord(l.X), DY: fabric.Coord(l.Y)}
 	}
 	panic("bitstream: bad signal kind")
 }
 
-// Generate encodes a routed design into a relocatable bitstream.
+// Generate encodes a routed design into a relocatable bitstream. A
+// placement or port count beyond fabric.MaxDim panics: the flow never
+// produces one for a valid geometry.
 func Generate(r *route.Result, timing fabric.Timing) *Bitstream {
 	m := r.P.Mapped
 	b := &Bitstream{
@@ -106,25 +110,33 @@ func Generate(r *route.Result, timing fabric.Timing) *Bitstream {
 		TotalHops: r.TotalHops,
 		Delay:     r.CriticalPath(timing.LUTDelay, timing.HopDelay),
 	}
+	// Sized once; an empty list stays nil, which format version 1 writes
+	// as null.
+	if n := len(m.Cells); n > 0 {
+		b.Cells = make([]CellWrite, n)
+	}
+	if n := len(m.Outputs); n > 0 {
+		b.OutDrivers = make([]Src, n)
+	}
 	for ci := range m.Cells {
 		cell := &m.Cells[ci]
-		cw := CellWrite{
-			X:      r.P.Cells[ci].X,
-			Y:      r.P.Cells[ci].Y,
-			LUT:    cell.LUT,
+		cw := &b.Cells[ci]
+		*cw = CellWrite{
+			X:      fabric.Coord(r.P.Cells[ci].X),
+			Y:      fabric.Coord(r.P.Cells[ci].Y),
+			LUT:    fabric.PackLUT(cell.LUT),
 			UseFF:  cell.UseFF,
 			FFInit: cell.FFInit,
 		}
 		for k, in := range cell.Inputs {
 			cw.Inputs[k] = relSrc(in, r)
 		}
-		b.Cells = append(b.Cells, cw)
 		if cell.UseFF {
 			b.FFCells++
 		}
 	}
-	for _, o := range m.Outputs {
-		b.OutDrivers = append(b.OutDrivers, relSrc(o, r))
+	for o, sig := range m.Outputs {
+		b.OutDrivers[o] = relSrc(sig, r)
 	}
 	return b
 }
@@ -146,9 +158,9 @@ func translate(s Src, ox, oy int, binding *PinBinding) (fabric.Source, error) {
 	case SrcConst1:
 		return fabric.ConstSource(true), nil
 	case SrcRel:
-		return fabric.CLBSource(ox+s.DX, oy+s.DY), nil
+		return fabric.CLBSource(ox+int(s.DX), oy+int(s.DY)), nil
 	case SrcPort:
-		if s.Port >= len(binding.In) || binding.In[s.Port] < 0 {
+		if int(s.Port) >= len(binding.In) || binding.In[s.Port] < 0 {
 			return fabric.Source{}, fmt.Errorf("bitstream: input port %d unbound", s.Port)
 		}
 		return fabric.PinSource(binding.In[s.Port]), nil
@@ -187,7 +199,8 @@ func (b *Bitstream) ApplyPage(dev *fabric.Device, ox, oy int, binding *PinBindin
 }
 
 func (b *Bitstream) applyCells(dev *fabric.Device, ox, oy int, binding *PinBinding, cws []CellWrite) (cells, pins int, err error) {
-	for _, cw := range cws {
+	for i := range cws {
+		cw := &cws[i]
 		cfg := fabric.CLBConfig{Used: true, LUT: cw.LUT, UseFF: cw.UseFF, FFInit: cw.FFInit}
 		for k, s := range cw.Inputs {
 			src, err := translate(s, ox, oy, binding)
@@ -196,14 +209,13 @@ func (b *Bitstream) applyCells(dev *fabric.Device, ox, oy int, binding *PinBindi
 			}
 			cfg.Inputs[k] = src
 		}
-		dev.WriteCLB(ox+cw.X, oy+cw.Y, cfg)
+		dev.WriteCLB(ox+int(cw.X), oy+int(cw.Y), cfg)
 		cells++
 	}
-	for i, pin := range binding.In {
+	for _, pin := range binding.In {
 		if pin < 0 {
 			continue
 		}
-		_ = i
 		dev.WritePin(pin, fabric.PinConfig{Mode: fabric.PinInput})
 		pins++
 	}

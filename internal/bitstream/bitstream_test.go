@@ -1,12 +1,16 @@
 package bitstream
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fabric"
 	"repro/internal/netlist"
 	"repro/internal/place"
+	"repro/internal/rng"
 	"repro/internal/route"
 	"repro/internal/techmap"
 )
@@ -83,14 +87,14 @@ func TestSequentialFFCells(t *testing.T) {
 func TestCellsStayInsideRegion(t *testing.T) {
 	bs := gen(t, netlist.Multiplier(4))
 	for _, cw := range bs.Cells {
-		if cw.X < 0 || cw.X >= bs.W || cw.Y < 0 || cw.Y >= bs.H {
+		if cw.X < 0 || int(cw.X) >= bs.W || cw.Y < 0 || int(cw.Y) >= bs.H {
 			t.Fatalf("cell (%d,%d) outside %dx%d", cw.X, cw.Y, bs.W, bs.H)
 		}
 		for _, in := range cw.Inputs {
-			if in.Kind == SrcRel && (in.DX < 0 || in.DX >= bs.W || in.DY < 0 || in.DY >= bs.H) {
+			if in.Kind == SrcRel && (in.DX < 0 || int(in.DX) >= bs.W || in.DY < 0 || int(in.DY) >= bs.H) {
 				t.Fatalf("relative source (%d,%d) outside region", in.DX, in.DY)
 			}
-			if in.Kind == SrcPort && (in.Port < 0 || in.Port >= bs.NumIn) {
+			if in.Kind == SrcPort && (in.Port < 0 || int(in.Port) >= bs.NumIn) {
 				t.Fatalf("port source %d out of range", in.Port)
 			}
 		}
@@ -238,4 +242,64 @@ func TestConstSources(t *testing.T) {
 	if !out[pb.Out[0]] || out[pb.Out[1]] {
 		t.Fatalf("const logic wrong: %v", out)
 	}
+}
+
+// TestPackedLayout pins the sizes a cached circuit is made of.
+func TestPackedLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Src{}); got != 8 {
+		t.Errorf("Src is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(CellWrite{}); got > 48 {
+		t.Errorf("CellWrite is %d bytes, want at most 48", got)
+	}
+}
+
+// TestGeneratePacksTechmapLUTs overwrites a routed design's truth tables
+// with random ones and requires the one conversion site — Generate — to
+// hand each on exactly: the packed table agrees with techmap's [16]bool at
+// all sixteen indices, and survives the on-disk format.
+func TestGeneratePacksTechmapLUTs(t *testing.T) {
+	r := routed(t, netlist.ALU(8))
+	cells := r.P.Mapped.Cells
+	src := rng.New(11)
+	for ci := range cells {
+		for i := range cells[ci].LUT {
+			cells[ci].LUT[i] = src.Bool()
+		}
+	}
+	bs := Generate(r, fabric.DefaultTiming())
+	if len(bs.Cells) != len(cells) {
+		t.Fatalf("%d cell writes for %d mapped cells", len(bs.Cells), len(cells))
+	}
+	for ci := range cells {
+		for i, want := range cells[ci].LUT {
+			if bs.Cells[ci].LUT.At(i) != want {
+				t.Fatalf("cell %d: packed table differs from techmap's at index %d", ci, i)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := bs.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(bs, back) {
+		t.Fatal("random truth tables did not survive WriteJSON/ReadJSON")
+	}
+}
+
+// TestGenerateOutOfRangePanics: a placement the packed fields cannot hold
+// is a bug upstream, and must not become a write to some other cell.
+func TestGenerateOutOfRangePanics(t *testing.T) {
+	r := routed(t, netlist.Adder(8))
+	r.P.Cells[0].X += 1 << 16
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Generate narrowed an out-of-range cell coordinate")
+		}
+	}()
+	Generate(r, fabric.DefaultTiming())
 }

@@ -7,6 +7,10 @@ package bitstream_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -67,4 +71,47 @@ func FuzzBitstreamParse(f *testing.F) {
 			t.Fatalf("serialized form is not a fixpoint:\n first %s\nsecond %s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// TestCorpusOutOfRangeRejected reads the corpus documents that are the
+// valid two-cell seed with one coordinate, offset, port or dimension
+// pushed out of range — 2^15, 2^16+1, negative — and requires every one
+// to fail to parse. The 2^16 ones are the seed's own value plus a multiple
+// of 2^16: decoded wide and narrowed afterwards they would wrap onto the
+// legal cell and be accepted.
+func TestCorpusOutOfRangeRejected(t *testing.T) {
+	var valid bytes.Buffer
+	if err := fuzzSeedBitstream().WriteJSON(&valid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bitstream.ReadJSON(&valid); err != nil {
+		t.Fatalf("the seed the corpus documents are cut from does not parse: %v", err)
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzBitstreamParse")
+	var files []string
+	for _, pattern := range []string{"unrepresentable-*", "negative-*"} {
+		m, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	if len(files) < 10 {
+		t.Fatalf("found %d out-of-range corpus documents under %s, want at least 10", len(files), dir)
+	}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "go test fuzz v1\n[]byte(\"...\")\n"
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		doc, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: not a one-value corpus file: %v", path, err)
+		}
+		if b, err := bitstream.ReadJSON(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s parsed as %v; an out-of-range value aliased a legal one", filepath.Base(path), b)
+		}
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/fabric"
 )
 
 // WriteJSON serializes the bitstream. The format is a stable, versioned
@@ -52,19 +54,26 @@ func (b *Bitstream) Validate() error {
 	if b.W <= 0 || b.H <= 0 {
 		return fmt.Errorf("bitstream %s: non-positive footprint %dx%d", b.Name, b.W, b.H)
 	}
+	if b.W > fabric.MaxDim || b.H > fabric.MaxDim {
+		return fmt.Errorf("bitstream %s: footprint %dx%d beyond the representable %d", b.Name, b.W, b.H, fabric.MaxDim)
+	}
 	if b.NumIn < 0 || b.NumOut < 0 {
 		return fmt.Errorf("bitstream %s: negative port counts", b.Name)
+	}
+	if b.NumIn > fabric.MaxDim {
+		return fmt.Errorf("bitstream %s: %d input ports beyond the representable %d", b.Name, b.NumIn, fabric.MaxDim)
 	}
 	if len(b.OutDrivers) != b.NumOut {
 		return fmt.Errorf("bitstream %s: %d out drivers for %d outputs", b.Name, len(b.OutDrivers), b.NumOut)
 	}
 	ffs := 0
-	seen := make(map[[2]int]bool, len(b.Cells))
-	for i, cw := range b.Cells {
-		if cw.X < 0 || cw.X >= b.W || cw.Y < 0 || cw.Y >= b.H {
+	seen := make(map[[2]int16]bool, len(b.Cells))
+	for i := range b.Cells {
+		cw := &b.Cells[i]
+		if cw.X < 0 || int(cw.X) >= b.W || cw.Y < 0 || int(cw.Y) >= b.H {
 			return fmt.Errorf("bitstream %s: cell %d at (%d,%d) outside %dx%d", b.Name, i, cw.X, cw.Y, b.W, b.H)
 		}
-		at := [2]int{cw.X, cw.Y}
+		at := [2]int16{cw.X, cw.Y}
 		if seen[at] {
 			return fmt.Errorf("bitstream %s: two cells at (%d,%d)", b.Name, cw.X, cw.Y)
 		}
@@ -97,12 +106,12 @@ func (b *Bitstream) checkSrc(s Src) error {
 	case SrcNone, SrcConst0, SrcConst1:
 		return nil
 	case SrcRel:
-		if s.DX < 0 || s.DX >= b.W || s.DY < 0 || s.DY >= b.H {
+		if s.DX < 0 || int(s.DX) >= b.W || s.DY < 0 || int(s.DY) >= b.H {
 			return fmt.Errorf("relative source (%d,%d) outside %dx%d", s.DX, s.DY, b.W, b.H)
 		}
 		return nil
 	case SrcPort:
-		if s.Port < 0 || s.Port >= b.NumIn {
+		if s.Port < 0 || int(s.Port) >= b.NumIn {
 			return fmt.Errorf("port source %d outside %d inputs", s.Port, b.NumIn)
 		}
 		return nil

@@ -88,7 +88,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	mk := func() *Bitstream { return gen(t, netlist.Adder(8)) }
 
 	bs := mk()
-	bs.Cells[0].X = bs.W + 5
+	bs.Cells[0].X = int16(bs.W + 5)
 	if err := bs.Validate(); err == nil {
 		t.Fatal("out-of-region cell accepted")
 	}
@@ -100,7 +100,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 
 	bs = mk()
-	bs.Cells[0].Inputs[0] = Src{Kind: SrcPort, Port: bs.NumIn + 3}
+	bs.Cells[0].Inputs[0] = Src{Kind: SrcPort, Port: int16(bs.NumIn + 3)}
 	if err := bs.Validate(); err == nil {
 		t.Fatal("out-of-range port source accepted")
 	}
@@ -127,6 +127,18 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	bs.W = 0
 	if err := bs.Validate(); err == nil {
 		t.Fatal("zero footprint accepted")
+	}
+
+	bs = mk()
+	bs.H = fabric.MaxDim + 1
+	if err := bs.Validate(); err == nil {
+		t.Fatal("footprint beyond the packed range accepted")
+	}
+
+	bs = mk()
+	bs.NumIn = fabric.MaxDim + 1
+	if err := bs.Validate(); err == nil {
+		t.Fatal("port count beyond the packed range accepted")
 	}
 }
 

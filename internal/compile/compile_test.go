@@ -339,6 +339,32 @@ func BenchmarkStripRegistry(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyStrip is one download: the compiled alu8 strip written
+// into the configuration RAM of a default device, erased before the first
+// write (later iterations overwrite the same cells, the same work per CLB).
+func BenchmarkApplyStrip(b *testing.B) {
+	g := fabric.DefaultGeometry()
+	c, err := CompileStrip(netlist.MustLookup("alu8"), g.Rows, g.TracksPerChannel, Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bind := &bitstream.PinBinding{In: make([]int, c.BS.NumIn), Out: make([]int, c.BS.NumOut)}
+	for i := range bind.In {
+		bind.In[i] = i
+	}
+	for o := range bind.Out {
+		bind.Out[o] = c.BS.NumIn + o
+	}
+	dev := fabric.NewDevice(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := c.BS.Apply(dev, 0, 0, bind); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestOptimizerAblation(t *testing.T) {
 	// The optimizer may only shrink (or keep) the CLB count, never grow
 	// it, and must not change behaviour (behaviour is covered by the fuzz
@@ -383,7 +409,7 @@ func TestVerifyHookRejectsCorruptArtifacts(t *testing.T) {
 	}
 	// Push a cell write outside the claimed region: relocation would
 	// scribble over a neighboring partition.
-	c.BS.Cells[0].X = c.BS.W + 3
+	c.BS.Cells[0].X = int16(c.BS.W + 3)
 	if errs := lint.Errors(Verify(c)); len(errs) == 0 {
 		t.Fatal("out-of-region cell write not detected")
 	}

@@ -26,7 +26,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/compile"
 	"repro/internal/fabric"
@@ -152,12 +152,18 @@ type Metrics struct {
 // reason. The ledger backs this contract with a cheap assertion that
 // panics on concurrent mutation (see Ledger).
 type Engine struct {
-	Dev  *fabric.Device
-	Opt  Options
-	Lib  map[string]*compile.Circuit
-	M    Metrics
-	led  Ledger
-	pins []int // free pin pool
+	Dev *fabric.Device
+	Opt Options
+	Lib map[string]*compile.Circuit
+	M   Metrics
+	led Ledger
+
+	// The free pin pool: bit p%64 of freePins[p/64] is set while pin p is
+	// unallocated. AllocPins hands out the lowest-numbered free pins, so
+	// which pins a circuit gets depends only on which are free, never on
+	// the order they came back in.
+	freePins []uint64
+	nFree    int
 }
 
 // NewEngine creates an engine with an empty circuit library over dev, a
@@ -173,15 +179,17 @@ func NewEngine(opt Options, dev *fabric.Device) *Engine {
 	if dev == nil {
 		dev = fabric.NewDevice(opt.Geometry)
 	}
+	n := opt.Geometry.NumPins()
 	e := &Engine{
-		Dev:  dev,
-		Opt:  opt,
-		Lib:  map[string]*compile.Circuit{},
-		pins: make([]int, opt.Geometry.NumPins()),
+		Dev:      dev,
+		Opt:      opt,
+		Lib:      map[string]*compile.Circuit{},
+		freePins: make([]uint64, (n+63)/64),
+		nFree:    n,
 	}
 	e.led = Ledger{e: e}
-	for p := range e.pins {
-		e.pins[p] = p
+	for p := 0; p < n; p++ {
+		e.freePins[p/64] |= 1 << (p % 64)
 	}
 	return e
 }
@@ -238,23 +246,31 @@ func (e *Engine) Circuit(name string) (*compile.Circuit, error) {
 	return c, nil
 }
 
-// AllocPins takes up to want pins from the pool. It returns the pins and
-// the multiplexing factor: 1 when fully satisfied, >1 when the circuit's
-// virtual pins must be time-multiplexed over fewer physical pins (§2's
-// input/output multiplexing). At least one pin is required.
+// AllocPins takes up to want pins from the pool, lowest-numbered first
+// and in ascending order. It returns the pins and the multiplexing
+// factor: 1 when fully satisfied, >1 when the circuit's virtual pins must
+// be time-multiplexed over fewer physical pins (§2's input/output
+// multiplexing). At least one pin is required.
 func (e *Engine) AllocPins(want int) (pins []int, mux int, err error) {
 	if want == 0 {
 		return nil, 1, nil
 	}
-	if len(e.pins) == 0 {
+	if e.nFree == 0 {
 		return nil, 0, fmt.Errorf("core: no physical pins available")
 	}
 	n := want
-	if n > len(e.pins) {
-		n = len(e.pins)
+	if n > e.nFree {
+		n = e.nFree
 	}
-	pins = append(pins, e.pins[:n]...)
-	e.pins = e.pins[n:]
+	pins = make([]int, 0, n)
+	for w := 0; len(pins) < n; w++ {
+		for e.freePins[w] != 0 && len(pins) < n {
+			b := bits.TrailingZeros64(e.freePins[w])
+			e.freePins[w] &^= 1 << b
+			pins = append(pins, w*64+b)
+		}
+	}
+	e.nFree -= n
 	mux = (want + n - 1) / n
 	return pins, mux, nil
 }
@@ -264,17 +280,22 @@ func (e *Engine) AllocPins(want int) (pins []int, mux int, err error) {
 // disconnects output pins driven from inside the region, which leaves a
 // pass-through output (driven straight from an input pin) reading a pin
 // the next circuit is free to re-purpose. Clearing is free in the timing
-// model, like every configuration clear.
+// model, like every configuration clear. The slice stays the caller's:
+// it is neither changed nor kept.
 func (e *Engine) FreePins(pins []int) {
 	for _, p := range pins {
 		e.Dev.WritePin(p, fabric.PinConfig{})
+		word, bit := &e.freePins[p/64], uint64(1)<<(p%64)
+		if *word&bit != 0 {
+			panic(fmt.Sprintf("core: pin %d freed twice", p))
+		}
+		*word |= bit
 	}
-	e.pins = append(e.pins, pins...)
-	sort.Ints(e.pins) // determinism of future allocations
+	e.nFree += len(pins)
 }
 
 // FreePinCount returns the number of unallocated pins.
-func (e *Engine) FreePinCount() int { return len(e.pins) }
+func (e *Engine) FreePinCount() int { return e.nFree }
 
 // ExecQuantum converts a pure hardware duration into the time the OS
 // observes, applying completion detection (§3) and pin multiplexing.

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
+	"testing/quick"
 
+	"repro/internal/fabric"
 	"repro/internal/hostos"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -95,5 +100,137 @@ func TestUtilizationTracksLoadsAndEvictions(t *testing.T) {
 	h.K.Run()
 	if h.E.M.Util.Max() <= 0 {
 		t.Fatal("utilization never rose")
+	}
+}
+
+// refPinPool is the pin pool as it was before the bitset, kept as the
+// reference the property test below compares against: a sorted slice,
+// allocations cut from its front, frees appended and the whole re-sorted.
+type refPinPool []int
+
+func (p *refPinPool) alloc(want int) (pins []int, mux int, ok bool) {
+	if want == 0 {
+		return nil, 1, true
+	}
+	if len(*p) == 0 {
+		return nil, 0, false
+	}
+	n := want
+	if n > len(*p) {
+		n = len(*p)
+	}
+	pins = append(pins, (*p)[:n]...)
+	*p = (*p)[n:]
+	return pins, (want + n - 1) / n, true
+}
+
+func (p *refPinPool) free(pins []int) {
+	*p = append(*p, pins...)
+	sort.Ints(*p)
+}
+
+// TestPinPoolMatchesSortedReference: over random alloc/free sequences —
+// whole and partial frees in any order, requests beyond what is free
+// (multiplexing), requests of zero, requests on an empty pool — the engine
+// hands out exactly the pins, in exactly the order, with exactly the mux
+// factor of the append-and-sort pool, and never touches a slice it is
+// handed. Pin counts that are not a multiple of the bitset's word size are
+// included.
+func TestPinPoolMatchesSortedReference(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		opt := testOptions()
+		opt.Geometry.PinsPerSide = []int{1, 5, 16, 25, 48}[r.Intn(5)]
+		total := opt.Geometry.NumPins()
+		e := NewEngine(opt, nil)
+		ref := make(refPinPool, total)
+		for p := range ref {
+			ref[p] = p
+		}
+		var held [][]int
+		for step := 0; step < 300; step++ {
+			switch op := r.Intn(10); {
+			case op < 5:
+				want := r.Intn(total/3 + 2)
+				if r.Intn(8) == 0 {
+					want = e.FreePinCount() + 1 + r.Intn(total) // more than is free
+				}
+				got, mux, err := e.AllocPins(want)
+				wantPins, wantMux, ok := ref.alloc(want)
+				if (err == nil) != ok || mux != wantMux || !reflect.DeepEqual(got, wantPins) {
+					t.Errorf("seed %d step %d: AllocPins(%d) = %v mux %d err %v, reference %v mux %d ok %v",
+						seed, step, want, got, mux, err, wantPins, wantMux, ok)
+					return false
+				}
+				if len(got) > 0 {
+					held = append(held, got)
+				}
+			case len(held) > 0:
+				// Free all of one allocation, or a shuffled part of it.
+				i := r.Intn(len(held))
+				pins := held[i]
+				r.Shuffle(len(pins), func(a, b int) { pins[a], pins[b] = pins[b], pins[a] })
+				n := len(pins)
+				if op < 8 {
+					n = 1 + r.Intn(len(pins))
+				}
+				back, rest := pins[:n:n], pins[n:]
+				before := append([]int(nil), back...)
+				e.FreePins(back)
+				ref.free(before)
+				if !reflect.DeepEqual(back, before) {
+					t.Errorf("seed %d step %d: FreePins changed its argument: %v -> %v", seed, step, before, back)
+					return false
+				}
+				if held[i] = rest; len(rest) == 0 {
+					held = append(held[:i], held[i+1:]...)
+				}
+			}
+			if e.FreePinCount() != len(ref) {
+				t.Errorf("seed %d step %d: %d pins free, reference %d", seed, step, e.FreePinCount(), len(ref))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFreePinsTwicePanics(t *testing.T) {
+	e := NewEngine(testOptions(), nil)
+	pins, _, err := e.AllocPins(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.FreePins(pins)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a pin freed twice went unnoticed; two circuits could be bound to it")
+		}
+	}()
+	e.FreePins(pins[:1])
+}
+
+// BenchmarkPinPool is the pool under eviction churn on the default 192
+// pins: eight residents of a circuit's worth of ports each, the oldest
+// freed for every newcomer.
+func BenchmarkPinPool(b *testing.B) {
+	opt := DefaultOptions()
+	opt.Geometry = fabric.DefaultGeometry()
+	e := NewEngine(opt, nil)
+	sizes := [...]int{17, 34, 25, 12, 30, 9, 28} // any eight in a row fit 192 pins
+	var held [8][]int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot := &held[i%len(held)]
+		e.FreePins(*slot)
+		pins, mux, err := e.AllocPins(sizes[i%len(sizes)])
+		if err != nil || mux != 1 {
+			b.Fatalf("AllocPins: mux %d, %v", mux, err)
+		}
+		*slot = pins
 	}
 }

@@ -1,9 +1,29 @@
 package fabric
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 )
+
+// MaxDim is the largest column, row, pin or port count the configuration
+// plane represents: every coordinate and index in it is an int16. A byte
+// would hold the default board's 192 pins and nothing larger, and the
+// fields are signed so that a corrupt reference one step off an edge
+// stays visible to the static verifier as the negative it is.
+const MaxDim = math.MaxInt16
+
+// Coord narrows a column, row, pin or port index to the packed field
+// width. Geometry.Valid and bitstream.Validate bound everything that
+// arrives from outside, so a value that does not fit is a programmer
+// error and panics rather than wrap onto a legal cell.
+func Coord(v int) int16 {
+	if v < math.MinInt16 || v > math.MaxInt16 {
+		panic(fmt.Sprintf("fabric: index %d does not fit the packed configuration plane (max %d)", v, MaxDim))
+	}
+	return int16(v)
+}
 
 // SourceKind enumerates where a configured signal comes from.
 type SourceKind uint8
@@ -17,18 +37,20 @@ const (
 	SrcConst1
 )
 
-// Source identifies the driver of a CLB input or an output pin.
+// Source identifies the driver of a CLB input or an output pin. It is
+// eight bytes: a CLB carries four of them and a device hundreds of CLBs,
+// so the width of these fields is the size of a board.
 type Source struct {
 	Kind SourceKind
-	X, Y int // CLB coordinates when Kind == SrcCLB
-	Pin  int // pin index when Kind == SrcPin
+	X, Y int16 // CLB coordinates when Kind == SrcCLB
+	Pin  int16 // pin index when Kind == SrcPin
 }
 
 // CLBSource returns a Source reading the CLB output at (x, y).
-func CLBSource(x, y int) Source { return Source{Kind: SrcCLB, X: x, Y: y} }
+func CLBSource(x, y int) Source { return Source{Kind: SrcCLB, X: Coord(x), Y: Coord(y)} }
 
 // PinSource returns a Source reading device input pin p.
-func PinSource(p int) Source { return Source{Kind: SrcPin, Pin: p} }
+func PinSource(p int) Source { return Source{Kind: SrcPin, Pin: Coord(p)} }
 
 // ConstSource returns a constant Source.
 func ConstSource(v bool) Source {
@@ -41,12 +63,54 @@ func ConstSource(v bool) Source {
 // LUTInputs is the number of LUT inputs per CLB (a 4-LUT, as in XC4000).
 const LUTInputs = 4
 
+// LUT is the truth table of one look-up table, a bit per input
+// combination: bit i is the output when the inputs, input k at bit k, read
+// as the number i.
+type LUT uint16
+
+// PackLUT packs a truth table given as one bool per input combination.
+func PackLUT(table [1 << LUTInputs]bool) LUT {
+	var l LUT
+	for i, v := range table {
+		if v {
+			l |= 1 << uint(i)
+		}
+	}
+	return l
+}
+
+// At returns the table's output for input combination i.
+func (l LUT) At(i int) bool { return l>>uint(i)&1 != 0 }
+
+// Table unpacks the truth table into one bool per input combination.
+func (l LUT) Table() [1 << LUTInputs]bool {
+	var table [1 << LUTInputs]bool
+	for i := range table {
+		table[i] = l.At(i)
+	}
+	return table
+}
+
+// MarshalJSON writes the table as the sixteen booleans it stands for, the
+// form the bitstream format has always carried.
+func (l LUT) MarshalJSON() ([]byte, error) { return json.Marshal(l.Table()) }
+
+// UnmarshalJSON reads the form MarshalJSON writes.
+func (l *LUT) UnmarshalJSON(data []byte) error {
+	var table [1 << LUTInputs]bool
+	if err := json.Unmarshal(data, &table); err != nil {
+		return err
+	}
+	*l = PackLUT(table)
+	return nil
+}
+
 // CLBConfig is the configuration of one logic block: a 4-input LUT truth
 // table, the input routing selection, and the optional output register.
 // The zero value is an unused CLB.
 type CLBConfig struct {
 	Used   bool
-	LUT    [1 << LUTInputs]bool
+	LUT    LUT
 	Inputs [LUTInputs]Source
 	UseFF  bool // when set, the CLB output is the FF; FF.D is the LUT output
 	FFInit bool
@@ -78,6 +142,7 @@ type Device struct {
 	pins []PinConfig
 	pinV []bool // live input pin values, latched by SetPin
 
+	used         int   // CLBs with Used set, kept by every write to clbs
 	configWrites int64 // cells written since power-up (for tests/metrics)
 }
 
@@ -104,6 +169,7 @@ func (d *Device) Erase() {
 	clear(d.ffs)
 	clear(d.pins)
 	clear(d.pinV)
+	d.used = 0
 	d.configWrites = 0
 }
 
@@ -128,6 +194,7 @@ func (d *Device) CLB(x, y int) CLBConfig { return d.clbs[d.idx(x, y)] }
 // it takes is accounted by Timing, not here.
 func (d *Device) WriteCLB(x, y int, cfg CLBConfig) {
 	i := d.idx(x, y)
+	d.used += count(cfg.Used) - count(d.clbs[i].Used)
 	d.clbs[i] = cfg
 	d.ffs[i] = cfg.FFInit
 	d.configWrites++
@@ -139,6 +206,7 @@ func (d *Device) ClearRegion(r Region) {
 	for x := r.X; x < r.X+r.W; x++ {
 		for y := r.Y; y < r.Y+r.H; y++ {
 			i := d.idx(x, y)
+			d.used -= count(d.clbs[i].Used)
 			d.clbs[i] = CLBConfig{}
 			d.ffs[i] = false
 			d.configWrites++
@@ -146,7 +214,7 @@ func (d *Device) ClearRegion(r Region) {
 	}
 	for p := range d.pins {
 		cfg := &d.pins[p]
-		if cfg.Mode == PinOutput && cfg.Driver.Kind == SrcCLB && r.Contains(cfg.Driver.X, cfg.Driver.Y) {
+		if cfg.Mode == PinOutput && cfg.Driver.Kind == SrcCLB && r.Contains(int(cfg.Driver.X), int(cfg.Driver.Y)) {
 			*cfg = PinConfig{}
 		}
 	}
@@ -181,7 +249,7 @@ func (d *Device) ReadRegionState(r Region) []bool {
 	var state []bool
 	for x := r.X; x < r.X+r.W; x++ {
 		for y := r.Y; y < r.Y+r.H; y++ {
-			if c := d.clbs[d.idx(x, y)]; c.Used && c.UseFF {
+			if c := &d.clbs[d.idx(x, y)]; c.Used && c.UseFF {
 				state = append(state, d.ffs[d.idx(x, y)])
 			}
 		}
@@ -196,7 +264,7 @@ func (d *Device) WriteRegionState(r Region, state []bool) {
 	k := 0
 	for x := r.X; x < r.X+r.W; x++ {
 		for y := r.Y; y < r.Y+r.H; y++ {
-			if c := d.clbs[d.idx(x, y)]; c.Used && c.UseFF {
+			if c := &d.clbs[d.idx(x, y)]; c.Used && c.UseFF {
 				if k >= len(state) {
 					panic("fabric: WriteRegionState vector too short")
 				}
@@ -215,7 +283,7 @@ func (d *Device) RegionFFCount(r Region) int {
 	n := 0
 	for x := r.X; x < r.X+r.W; x++ {
 		for y := r.Y; y < r.Y+r.H; y++ {
-			if c := d.clbs[d.idx(x, y)]; c.Used && c.UseFF {
+			if c := &d.clbs[d.idx(x, y)]; c.Used && c.UseFF {
 				n++
 			}
 		}
@@ -224,25 +292,31 @@ func (d *Device) RegionFFCount(r Region) int {
 }
 
 // UsedCells returns the number of configured CLBs on the whole device.
-func (d *Device) UsedCells() int {
-	n := 0
-	for i := range d.clbs {
-		if d.clbs[i].Used {
-			n++
-		}
+// It is a count WriteCLB, ClearRegion and Erase maintain, not a scan: the
+// engine samples it after every load, eviction and relocation.
+func (d *Device) UsedCells() int { return d.used }
+
+// count is 1 for a used CLB and 0 for a blank one.
+func count(used bool) int {
+	if used {
+		return 1
 	}
-	return n
+	return 0
 }
 
 // EachUsedCLB calls f for every configured CLB in x-major scan order.
 // This is the read path the static verifier uses to audit a configured
-// device without reaching into the configuration RAM layout.
-func (d *Device) EachUsedCLB(f func(x, y int, cfg CLBConfig)) {
+// device without reaching into the configuration RAM layout. cfg points
+// into the configuration RAM: it is read-only and valid only during the
+// call; a caller that keeps a configuration copies it (or asks CLB).
+func (d *Device) EachUsedCLB(f func(x, y int, cfg *CLBConfig)) {
+	i := 0
 	for x := 0; x < d.geom.Cols; x++ {
 		for y := 0; y < d.geom.Rows; y++ {
-			if c := d.clbs[d.idx(x, y)]; c.Used {
+			if c := &d.clbs[i]; c.Used {
 				f(x, y, c)
 			}
+			i++
 		}
 	}
 }
@@ -258,20 +332,20 @@ func (d *Device) resolve(s Source, outs []bool) bool {
 	case SrcPin:
 		return d.pinV[s.Pin]
 	case SrcCLB:
-		return outs[d.idx(s.X, s.Y)]
+		return outs[d.idx(int(s.X), int(s.Y))]
 	}
 	panic(fmt.Sprintf("fabric: bad source kind %d", s.Kind))
 }
 
 // lutEval evaluates a CLB's LUT on the given input values.
-func lutEval(lut *[1 << LUTInputs]bool, in [LUTInputs]bool) bool {
+func lutEval(lut LUT, in [LUTInputs]bool) bool {
 	idx := 0
 	for i, b := range in {
 		if b {
 			idx |= 1 << uint(i)
 		}
 	}
-	return lut[idx]
+	return lut.At(idx)
 }
 
 // combOrder returns a topological order of the used CLBs over their
@@ -293,7 +367,7 @@ func (d *Device) combOrder() ([]int, error) {
 			if src.Kind != SrcCLB {
 				continue
 			}
-			j := d.idx(src.X, src.Y)
+			j := d.idx(int(src.X), int(src.Y))
 			if d.clbs[j].UseFF {
 				continue // sequential edge, not combinational
 			}
@@ -347,7 +421,7 @@ func (d *Device) propagate() (outs, lutOuts []bool, err error) {
 		for k, src := range cfg.Inputs {
 			in[k] = d.resolve(src, outs)
 		}
-		lutOuts[i] = lutEval(&cfg.LUT, in)
+		lutOuts[i] = lutEval(cfg.LUT, in)
 		if !cfg.UseFF {
 			outs[i] = lutOuts[i]
 		}

@@ -1,9 +1,13 @@
 package fabric
 
 import (
+	"encoding/json"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -24,6 +28,20 @@ func TestGeometry(t *testing.T) {
 	}
 	if (Geometry{}).Valid() {
 		t.Fatal("zero geometry reported valid")
+	}
+	// The packed plane names columns, rows and pins with an int16 each.
+	big := Geometry{Cols: MaxDim, Rows: MaxDim, TracksPerChannel: 1, PinsPerSide: MaxDim / 4}
+	if !big.Valid() {
+		t.Fatalf("largest representable geometry %v reported invalid", big)
+	}
+	for _, g := range []Geometry{
+		{Cols: MaxDim + 1, Rows: 1, TracksPerChannel: 1, PinsPerSide: 1},
+		{Cols: 1, Rows: MaxDim + 1, TracksPerChannel: 1, PinsPerSide: 1},
+		{Cols: 1, Rows: 1, TracksPerChannel: 1, PinsPerSide: MaxDim/4 + 1},
+	} {
+		if g.Valid() {
+			t.Errorf("geometry %+v does not fit the packed plane but reported valid", g)
+		}
 	}
 }
 
@@ -111,7 +129,7 @@ func configureNot(d *Device, x, y, inPin, outPin int) {
 	}
 	d.WriteCLB(x, y, CLBConfig{
 		Used:   true,
-		LUT:    lut,
+		LUT:    PackLUT(lut),
 		Inputs: [4]Source{PinSource(inPin)},
 	})
 	d.WritePin(inPin, PinConfig{Mode: PinInput})
@@ -143,8 +161,8 @@ func TestDeviceChainedLogic(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		notLUT[i] = i&1 == 0
 	}
-	d.WriteCLB(1, 1, CLBConfig{Used: true, LUT: notLUT, Inputs: [4]Source{PinSource(0)}})
-	d.WriteCLB(2, 2, CLBConfig{Used: true, LUT: notLUT, Inputs: [4]Source{CLBSource(1, 1)}})
+	d.WriteCLB(1, 1, CLBConfig{Used: true, LUT: PackLUT(notLUT), Inputs: [4]Source{PinSource(0)}})
+	d.WriteCLB(2, 2, CLBConfig{Used: true, LUT: PackLUT(notLUT), Inputs: [4]Source{CLBSource(1, 1)}})
 	d.WritePin(0, PinConfig{Mode: PinInput})
 	d.WritePin(1, PinConfig{Mode: PinOutput, Driver: CLBSource(2, 2)})
 	for _, v := range []bool{false, true} {
@@ -168,7 +186,7 @@ func TestDeviceSequentialToggle(t *testing.T) {
 	}
 	d.WriteCLB(0, 0, CLBConfig{
 		Used:   true,
-		LUT:    notLUT,
+		LUT:    PackLUT(notLUT),
 		Inputs: [4]Source{CLBSource(0, 0)},
 		UseFF:  true,
 	})
@@ -194,8 +212,8 @@ func TestCombinationalLoopDetected(t *testing.T) {
 		}
 		return lut
 	}()
-	d.WriteCLB(0, 0, CLBConfig{Used: true, LUT: id, Inputs: [4]Source{CLBSource(1, 1)}})
-	d.WriteCLB(1, 1, CLBConfig{Used: true, LUT: id, Inputs: [4]Source{CLBSource(0, 0)}})
+	d.WriteCLB(0, 0, CLBConfig{Used: true, LUT: PackLUT(id), Inputs: [4]Source{CLBSource(1, 1)}})
+	d.WriteCLB(1, 1, CLBConfig{Used: true, LUT: PackLUT(id), Inputs: [4]Source{CLBSource(0, 0)}})
 	if _, err := d.Eval(); err == nil {
 		t.Fatal("combinational loop not detected")
 	}
@@ -228,7 +246,7 @@ func TestStateReadbackRestore(t *testing.T) {
 		notLUT[i] = i&1 == 0
 	}
 	mk := func(x, y int) {
-		d.WriteCLB(x, y, CLBConfig{Used: true, LUT: notLUT, Inputs: [4]Source{CLBSource(x, y)}, UseFF: true})
+		d.WriteCLB(x, y, CLBConfig{Used: true, LUT: PackLUT(notLUT), Inputs: [4]Source{CLBSource(x, y)}, UseFF: true})
 	}
 	mk(0, 0)
 	mk(1, 1)
@@ -291,7 +309,7 @@ func TestLUTEval(t *testing.T) {
 		{[4]bool{true, true}, false},
 	}
 	for _, c := range cases {
-		if got := lutEval(&lut, c.in); got != c.want {
+		if got := lutEval(PackLUT(lut), c.in); got != c.want {
 			t.Fatalf("lutEval(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
@@ -375,7 +393,7 @@ func TestEraseIsPowerUp(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		notLUT[i] = i&1 == 0
 	}
-	d.WriteCLB(2, 3, CLBConfig{Used: true, LUT: notLUT, Inputs: [4]Source{CLBSource(2, 3)}, UseFF: true})
+	d.WriteCLB(2, 3, CLBConfig{Used: true, LUT: PackLUT(notLUT), Inputs: [4]Source{CLBSource(2, 3)}, UseFF: true})
 	d.SetPin(0, true)
 	if _, err := d.Step(); err != nil {
 		t.Fatal(err)
@@ -386,5 +404,133 @@ func TestEraseIsPowerUp(t *testing.T) {
 	d.Erase()
 	if !reflect.DeepEqual(d, NewDevice(g)) {
 		t.Fatalf("erased device differs from a new one:\n%+v", d)
+	}
+}
+
+// TestPackedLayout pins the sizes the configuration plane was packed to:
+// a field added to any of these types shows here before it shows as a
+// board four times the size.
+func TestPackedLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Source{}); got != 8 {
+		t.Errorf("Source is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(CLBConfig{}); got > 40 {
+		t.Errorf("CLBConfig is %d bytes, want at most 40", got)
+	}
+	if got := unsafe.Sizeof(PinConfig{}); got > 12 {
+		t.Errorf("PinConfig is %d bytes, want at most 12", got)
+	}
+}
+
+var sinkDevice *Device
+
+// TestNewDeviceByteBudget holds the default board (32x16, 192 pins) to
+// the 24 KiB its packed configuration RAM rounds up to.
+func TestNewDeviceByteBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := Geometry{Cols: 32, Rows: 16, TracksPerChannel: 12, PinsPerSide: 48}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sinkDevice = NewDevice(g)
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 24<<10 {
+		t.Fatalf("NewDevice(%v) allocates %d bytes, budget %d", g, perRun, 24<<10)
+	}
+}
+
+func TestSourceOutOfRangePanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"column": func() { CLBSource(MaxDim+1, 0) },
+		"row":    func() { CLBSource(0, -MaxDim-2) },
+		"pin":    func() { PinSource(1 << 16) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s beyond the packed range did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	// One step off an edge is representable: the verifier has to see it.
+	if s := CLBSource(-1, MaxDim); s.X != -1 || s.Y != MaxDim {
+		t.Fatalf("CLBSource(-1, MaxDim) = %+v", s)
+	}
+}
+
+// TestLUTPacking checks the packed truth table against the bool-per-entry
+// form it replaced: same value at all sixteen indices, same JSON bytes,
+// and an exact round trip, for random tables.
+func TestLUTPacking(t *testing.T) {
+	f := func(table [1 << LUTInputs]bool) bool {
+		l := PackLUT(table)
+		for i, want := range table {
+			if l.At(i) != want {
+				return false
+			}
+		}
+		packed, err := json.Marshal(l)
+		if err != nil {
+			return false
+		}
+		wide, _ := json.Marshal(table)
+		var back LUT
+		if err := json.Unmarshal(packed, &back); err != nil {
+			return false
+		}
+		return string(packed) == string(wide) && back == l && l.Table() == table
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUsedCellsIsARecount drives random sequences of every operation that
+// writes configuration RAM — WriteCLB (used over used, used over blank,
+// blank over used, blank over blank), ClearRegion, Erase — and requires the
+// maintained count to equal a recount through EachUsedCLB after each.
+func TestUsedCellsIsARecount(t *testing.T) {
+	g := Geometry{Cols: 6, Rows: 5, TracksPerChannel: 4, PinsPerSide: 2}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := NewDevice(g)
+		for step := 0; step < 200; step++ {
+			switch op := r.Intn(10); {
+			case op < 7: // few cells, so overwrites of both kinds are common
+				d.WriteCLB(r.Intn(g.Cols), r.Intn(g.Rows), CLBConfig{Used: r.Intn(3) > 0, UseFF: r.Intn(2) == 0})
+			case op < 9:
+				x, y := r.Intn(g.Cols), r.Intn(g.Rows)
+				d.ClearRegion(Region{X: x, Y: y, W: r.Intn(g.Cols - x + 1), H: r.Intn(g.Rows - y + 1)})
+			default:
+				d.Erase()
+			}
+			recount := 0
+			d.EachUsedCLB(func(x, y int, cfg *CLBConfig) {
+				if !cfg.Used || *cfg != d.CLB(x, y) {
+					t.Errorf("EachUsedCLB visited (%d,%d) with %+v, CLB reads %+v", x, y, *cfg, d.CLB(x, y))
+				}
+				recount++
+			})
+			if d.UsedCells() != recount {
+				t.Errorf("seed %d step %d: UsedCells %d, recount %d", seed, step, d.UsedCells(), recount)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func BenchmarkNewDevice(b *testing.B) {
+	g := Geometry{Cols: 32, Rows: 16, TracksPerChannel: 12, PinsPerSide: 48}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkDevice = NewDevice(g)
 	}
 }

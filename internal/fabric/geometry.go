@@ -36,9 +36,11 @@ func (g Geometry) NumCLBs() int { return g.Cols * g.Rows }
 // NumPins returns the total I/O pin count.
 func (g Geometry) NumPins() int { return 4 * g.PinsPerSide }
 
-// Valid reports whether the geometry is usable.
+// Valid reports whether the geometry is usable: positive everywhere, and
+// no more columns, rows or pins than a packed Source can name (MaxDim).
 func (g Geometry) Valid() bool {
-	return g.Cols > 0 && g.Rows > 0 && g.TracksPerChannel > 0 && g.PinsPerSide > 0
+	return g.Cols > 0 && g.Cols <= MaxDim && g.Rows > 0 && g.Rows <= MaxDim &&
+		g.TracksPerChannel > 0 && g.PinsPerSide > 0 && g.PinsPerSide <= MaxDim/4
 }
 
 // Bounds returns the full-device region.

@@ -6,7 +6,7 @@ import (
 	"repro/internal/bitstream"
 )
 
-func cellPos(name string, i int, x, y int) string {
+func cellPos(name string, i int, x, y int16) string {
 	return fmt.Sprintf("%s: cell %d at (%d,%d)", name, i, x, y)
 }
 
@@ -27,8 +27,8 @@ func passBitstreamBounds(t *Target, r *Reporter) {
 		r.Errorf(b.Name+": region", "empty region %dx%d", b.W, b.H)
 		return
 	}
-	inRegion := func(x, y int) bool { return x >= 0 && x < b.W && y >= 0 && y < b.H }
-	occupied := map[[2]int]int{}
+	inRegion := func(x, y int16) bool { return x >= 0 && int(x) < b.W && y >= 0 && int(y) < b.H }
+	occupied := map[[2]int16]int{}
 	for i := range b.Cells {
 		cw := &b.Cells[i]
 		pos := cellPos(b.Name, i, cw.X, cw.Y)
@@ -36,10 +36,10 @@ func passBitstreamBounds(t *Target, r *Reporter) {
 			r.Errorf(pos, "cell write outside the claimed %dx%d region", b.W, b.H)
 			continue
 		}
-		if prev, dup := occupied[[2]int{cw.X, cw.Y}]; dup {
+		if prev, dup := occupied[[2]int16{cw.X, cw.Y}]; dup {
 			r.Errorf(pos, "multiply-driven cell: already written by cell %d", prev)
 		} else {
-			occupied[[2]int{cw.X, cw.Y}] = i
+			occupied[[2]int16{cw.X, cw.Y}] = i
 		}
 		for k, s := range cw.Inputs {
 			checkSrc(r, b, fmt.Sprintf("%s input %d", pos, k), s, inRegion)
@@ -63,7 +63,7 @@ func passBitstreamBounds(t *Target, r *Reporter) {
 		cw := &b.Cells[i]
 		for k, s := range cw.Inputs {
 			if s.Kind == bitstream.SrcRel && inRegion(s.DX, s.DY) {
-				if _, ok := occupied[[2]int{s.DX, s.DY}]; !ok {
+				if _, ok := occupied[[2]int16{s.DX, s.DY}]; !ok {
 					r.Errorf(cellPos(b.Name, i, cw.X, cw.Y),
 						"input %d reads unconfigured cell (%d,%d)", k, s.DX, s.DY)
 				}
@@ -72,7 +72,7 @@ func passBitstreamBounds(t *Target, r *Reporter) {
 	}
 	for o, s := range b.OutDrivers {
 		if s.Kind == bitstream.SrcRel && inRegion(s.DX, s.DY) {
-			if _, ok := occupied[[2]int{s.DX, s.DY}]; !ok {
+			if _, ok := occupied[[2]int16{s.DX, s.DY}]; !ok {
 				r.Errorf(fmt.Sprintf("%s: output %d", b.Name, o), "driven by unconfigured cell (%d,%d)", s.DX, s.DY)
 			}
 		}
@@ -87,7 +87,7 @@ func passBitstreamBounds(t *Target, r *Reporter) {
 	}
 }
 
-func checkSrc(r *Reporter, b *bitstream.Bitstream, pos string, s bitstream.Src, inRegion func(x, y int) bool) {
+func checkSrc(r *Reporter, b *bitstream.Bitstream, pos string, s bitstream.Src, inRegion func(x, y int16) bool) {
 	switch s.Kind {
 	case bitstream.SrcNone, bitstream.SrcConst0, bitstream.SrcConst1:
 	case bitstream.SrcRel:
@@ -95,7 +95,7 @@ func checkSrc(r *Reporter, b *bitstream.Bitstream, pos string, s bitstream.Src, 
 			r.Errorf(pos, "region-relative source (%d,%d) outside the claimed %dx%d region", s.DX, s.DY, b.W, b.H)
 		}
 	case bitstream.SrcPort:
-		if s.Port < 0 || s.Port >= b.NumIn {
+		if s.Port < 0 || int(s.Port) >= b.NumIn {
 			r.Errorf(pos, "references input port %d of %d", s.Port, b.NumIn)
 		}
 	default:
@@ -123,11 +123,11 @@ func passPageCoverage(t *Target, r *Reporter) {
 	}
 	// Multiset of cells the bitstream owns, keyed by coordinate (bounds
 	// duplicates are bitstream-bounds findings; coverage compares 1:1).
-	want := map[[2]int]int{}
+	want := map[[2]int16]int{}
 	for i := range b.Cells {
-		want[[2]int{b.Cells[i].X, b.Cells[i].Y}]++
+		want[[2]int16{b.Cells[i].X, b.Cells[i].Y}]++
 	}
-	got := map[[2]int]int{}
+	got := map[[2]int16]int{}
 	for pi, p := range pages {
 		pos := fmt.Sprintf("%s: page %d", b.Name, pi)
 		if p.Index != pi {
@@ -140,7 +140,7 @@ func passPageCoverage(t *Target, r *Reporter) {
 			r.Errorf(pos, "page holds %d cells, page size is %d", len(p.Cells), t.PageCells)
 		}
 		for i := range p.Cells {
-			got[[2]int{p.Cells[i].X, p.Cells[i].Y}]++
+			got[[2]int16{p.Cells[i].X, p.Cells[i].Y}]++
 		}
 	}
 	for xy, n := range got {

@@ -96,26 +96,37 @@ func passFabricConfig(t *Target, r *Reporter) {
 	// few slices here and no formatting at all: positions are rendered
 	// only for a source about to be reported.
 	at := func(x, y int) int { return x*g.Rows + y }
-	used := make([]bool, g.NumCLBs())
-	nUsed := 0
-	d.EachUsedCLB(func(x, y int, cfg fabric.CLBConfig) {
-		used[at(x, y)] = true
-		nUsed++
+	inDevice := func(s fabric.Source) bool {
+		return s.X >= 0 && int(s.X) < g.Cols && s.Y >= 0 && int(s.Y) < g.Rows
+	}
+	// What each CLB's output is, read once so that no later walk has to
+	// fetch a neighbour's configuration to classify an edge.
+	const (
+		blank      = iota
+		registered // the output is the FF, not the LUT: it breaks cycles
+		combinational
+	)
+	state := make([]uint8, g.NumCLBs())
+	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
+		state[at(x, y)] = combinational
+		if cfg.UseFF {
+			state[at(x, y)] = registered
+		}
 	})
 	// sourceFault returns what is wrong with s, or "" for a sound source.
 	sourceFault := func(s fabric.Source) string {
 		switch s.Kind {
 		case fabric.SrcUnused, fabric.SrcConst0, fabric.SrcConst1:
 		case fabric.SrcCLB:
-			if s.X < 0 || s.X >= g.Cols || s.Y < 0 || s.Y >= g.Rows {
+			if !inDevice(s) {
 				return fmt.Sprintf("reads CLB (%d,%d) outside device %v", s.X, s.Y, g)
-			} else if !used[at(s.X, s.Y)] {
+			} else if state[at(int(s.X), int(s.Y))] == blank {
 				return fmt.Sprintf("reads unconfigured CLB (%d,%d)", s.X, s.Y)
 			}
 		case fabric.SrcPin:
-			if s.Pin < 0 || s.Pin >= g.NumPins() {
+			if s.Pin < 0 || int(s.Pin) >= g.NumPins() {
 				return fmt.Sprintf("reads pin %d outside device %v", s.Pin, g)
-			} else if d.Pin(s.Pin).Mode != fabric.PinInput {
+			} else if d.Pin(int(s.Pin)).Mode != fabric.PinInput {
 				return fmt.Sprintf("reads pin %d which is not configured as an input", s.Pin)
 			}
 		default:
@@ -124,23 +135,21 @@ func passFabricConfig(t *Target, r *Reporter) {
 		return ""
 	}
 	// The same walk counts the combinational in-edges of every used CLB
-	// for the loop check below (registered CLBs break cycles: their
-	// output is the FF, not the LUT).
+	// for the loop check below.
 	combEdge := func(s fabric.Source) bool {
-		return s.Kind == fabric.SrcCLB && s.X >= 0 && s.X < g.Cols && s.Y >= 0 && s.Y < g.Rows &&
-			used[at(s.X, s.Y)] && !d.CLB(s.X, s.Y).UseFF
+		return s.Kind == fabric.SrcCLB && inDevice(s) && state[at(int(s.X), int(s.Y))] == combinational
 	}
 	indeg := make([]int32, g.NumCLBs())
 	outdeg := make([]int32, g.NumCLBs()+1)
 	edges := 0
-	d.EachUsedCLB(func(x, y int, cfg fabric.CLBConfig) {
+	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		for k, s := range cfg.Inputs {
 			if fault := sourceFault(s); fault != "" {
 				r.Errorf(fmt.Sprintf("%s: CLB (%d,%d) input %d", name, x, y, k), "%s", fault)
 			}
 			if combEdge(s) {
 				indeg[at(x, y)]++
-				outdeg[at(s.X, s.Y)]++
+				outdeg[at(int(s.X), int(s.Y))]++
 				edges++
 			}
 		}
@@ -168,18 +177,18 @@ func passFabricConfig(t *Target, r *Reporter) {
 	}
 	succ := make([]int32, edges)
 	fill := make([]int32, g.NumCLBs())
-	d.EachUsedCLB(func(x, y int, cfg fabric.CLBConfig) {
+	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		for _, s := range cfg.Inputs {
 			if combEdge(s) {
-				src := at(s.X, s.Y)
+				src := at(int(s.X), int(s.Y))
 				succ[start[src]+fill[src]] = int32(at(x, y))
 				fill[src]++
 			}
 		}
 	})
 	queue := fill[:0] // fill is spent; at most one entry per CLB
-	for c, u := range used {
-		if u && indeg[c] == 0 {
+	for c, st := range state {
+		if st != blank && indeg[c] == 0 {
 			queue = append(queue, int32(c))
 		}
 	}
@@ -195,7 +204,7 @@ func passFabricConfig(t *Target, r *Reporter) {
 			}
 		}
 	}
-	if ordered != nUsed {
+	if nUsed := d.UsedCells(); ordered != nUsed {
 		r.Errorf(name+": logic", "configured fabric contains a combinational loop (%d of %d CLBs unordered)",
 			nUsed-ordered, nUsed)
 	}
