@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-flow bench-device benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
+.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-flow bench-device bench-warm benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
 
 check: fmt vet vet-analyzers build race conformance test lint cover fuzz-smoke bench-quick serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-defrag serve-smoke-fleet serve-smoke-trace
 
@@ -92,6 +92,15 @@ bench-flow:
 bench-device:
 	$(GO) test -run '^$$' -bench 'Benchmark(NewDevice|ApplyStrip|PinPool|FabricConfig)$$' -benchmem -benchtime 100000x -count 5 ./internal/fabric/ ./internal/compile/ ./internal/core/ ./internal/lint/
 	$(GO) test -run '^$$' -bench 'BenchmarkJobColdVsWarm$$' -benchmem -benchtime 100x -count 5 ./internal/serve/
+
+# The warm job path alone, before and after a change to it: building each
+# builtin scenario's task set, encoding a terminal status (plain and with
+# its timeline), the fabric-config audit, and a whole warm job over them.
+# Fixed iterations, five readings each, bytes and allocations beside the
+# time. Wall-clock bound, so not part of `make check`.
+bench-warm:
+	$(GO) test -run '^$$' -bench 'Benchmark(SpecBuild|StatusEncode|FabricConfig)$$' -benchmem -benchtime 20000x -count 5 ./internal/workload/ ./internal/serve/ ./internal/lint/
+	$(GO) test -run '^$$' -bench 'BenchmarkJobColdVsWarm$$/warm' -benchmem -benchtime 2000x -count 5 ./internal/serve/
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md): all four
 # workloads, both passes, into out/benchmark/result.json. Minutes long

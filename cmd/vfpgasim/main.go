@@ -149,10 +149,14 @@ func buildSet(cfg runConfig) (*workload.Set, error) {
 		c.Seed = cfg.seed
 		return workload.Storage(c), nil
 	case "synthetic":
-		return workload.Synthetic(workload.SyntheticConfig{
+		c := workload.SyntheticConfig{
 			Tasks: cfg.tasks, OpsPerTask: 6, EvalsPerOp: 30_000,
 			ComputeTime: 300 * sim.Microsecond, SwitchProb: 0.3, Seed: cfg.seed,
-		}), nil
+		}
+		if err := c.Validate(); err != nil { // -tasks is the one parameter a flag sets
+			return nil, err
+		}
+		return workload.Synthetic(c), nil
 	default:
 		return nil, fmt.Errorf("unknown scenario %q", cfg.scenario)
 	}

@@ -169,3 +169,15 @@ func TestMatchesDaemonJob(t *testing.T) {
 		})
 	}
 }
+
+// A flag outside its parameter's range is a one-line refusal, not a
+// generator's panic.
+func TestBadTasksFlagRefused(t *testing.T) {
+	for _, tasks := range []string{"0", "-3", "20000"} {
+		var stdout, stderr bytes.Buffer
+		code := cli([]string{"-scenario", "synthetic", "-tasks", tasks}, &stdout, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), "parameter out of range") || stdout.Len() != 0 {
+			t.Errorf("-tasks %s: exit %d, stderr %q, stdout %q; want exit 1 naming the parameter", tasks, code, &stderr, &stdout)
+		}
+	}
+}

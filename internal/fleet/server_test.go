@@ -68,6 +68,16 @@ func do(t *testing.T, s *Server, method, path, body string) *httptest.ResponseRe
 	return rec
 }
 
+// errorOf decodes a non-2xx response's ErrorBody.
+func errorOf(t *testing.T, rec *httptest.ResponseRecorder) string {
+	t.Helper()
+	var body serve.ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("error body %q: %v", rec.Body, err)
+	}
+	return body.Error
+}
+
 func submitBody(t *testing.T, tenant, scenario string) string {
 	t.Helper()
 	spec, err := workload.BuiltinSpec(scenario)
@@ -186,6 +196,36 @@ func TestFleetRejectsBadPins(t *testing.T) {
 	b, _ = json.Marshal(serve.SubmitRequest{Tenant: "acme", Workload: spec, Board: &zero})
 	if rec := do(t, s, "POST", "/v1/jobs", string(b)); rec.Code != http.StatusBadRequest {
 		t.Fatalf("board pin without node pin: got %d, want 400", rec.Code)
+	}
+}
+
+// Out-of-range parameters stop at the shared NewAPI with 400: the fleet's
+// Submit builds the spec on the HTTP goroutine to size it, so a
+// diag_every of 0 used to be a division by zero there.
+func TestFleetOutOfRangeParamsRefused(t *testing.T) {
+	s := newTestFleet(t, ServerConfig{}, 1, 1)
+	if st := submitWait(t, s, "acme", "multimedia"); st.State != serve.StateDone {
+		t.Fatalf("first job: %+v", st)
+	}
+	board := func() serve.BoardInfo { return s.sched.nodes[0].Pool().BoardInfos()[0] }
+	before := board()
+	for _, block := range []string{
+		`"scenario":"diagnosis","diagnosis":{"diag_every":0}`,
+		`"scenario":"multimedia","multimedia":{"streams":-1}`,
+		`"scenario":"telecom","telecom":{"packets_per":0}`,
+		`"scenario":"multimedia","multimedia":{"streams":2000000000}`,
+	} {
+		rec := do(t, s, "POST", "/v1/jobs", `{"tenant":"acme","workload":{`+block+`}}`)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(errorOf(t, rec), "parameter out of range") {
+			t.Errorf("%s: got %d %s, want 400 naming the parameter", block, rec.Code, rec.Body)
+		}
+	}
+	if st := submitWait(t, s, "acme", "multimedia"); st.State != serve.StateDone {
+		t.Fatalf("job after the refusals: %+v", st)
+	}
+	if after := board(); after.ColdResets != before.ColdResets || after.WarmResets != before.WarmResets+1 {
+		t.Errorf("resets %d cold / %d warm after the refusals, were %d / %d",
+			after.ColdResets, after.WarmResets, before.ColdResets, before.WarmResets)
 	}
 }
 
@@ -426,7 +466,7 @@ func TestFleetJobTableBounded(t *testing.T) {
 	}
 	for _, method := range []string{"GET", "DELETE"} {
 		rec := do(t, s, method, "/v1/jobs/f000001", "")
-		if rec.Code != http.StatusGone || !strings.Contains(rec.Body.String(), `"error": "job expired"`) {
+		if rec.Code != http.StatusGone || errorOf(t, rec) != "job expired" {
 			t.Errorf("%s first job: got %d %s, want 410 job expired", method, rec.Code, rec.Body)
 		}
 		if rec := do(t, s, method, "/v1/jobs/"+last, ""); rec.Code != http.StatusOK {

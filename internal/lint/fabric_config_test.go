@@ -1,10 +1,12 @@
 package lint
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/rng"
 )
 
 var fcGeom = fabric.Geometry{Cols: 4, Rows: 4, TracksPerChannel: 4, PinsPerSide: 2}
@@ -157,5 +159,90 @@ func TestFabricConfigDiagnosticsPinned(t *testing.T) {
 	diags := only(t, "fabric-config", &Target{Device: d})
 	if want := "error: fabric-config: device: CLB (0,0) input 0: reads unconfigured CLB (1,1)"; len(diags) != 1 || diags[0].String() != want {
 		t.Errorf("unnamed target: got %v, want %q", diags, want)
+	}
+}
+
+// The pass's loop check against the fabric's own evaluator, an
+// independent Kahn over maps (fabric.combOrder): on random dangling-free
+// configurations — acyclic by construction, with a loop planted, or wired
+// at random — the pass reports a combinational loop exactly when
+// Device.Eval refuses the device for one, and counts the same CLBs.
+func TestFabricConfigLoopMatchesEvaluator(t *testing.T) {
+	g := fabric.Geometry{Cols: 6, Rows: 5, TracksPerChannel: 4, PinsPerSide: 2}
+	src := rng.New(23)
+	loops, clean := 0, 0
+	for trial := 0; trial < 600; trial++ {
+		d := fabric.NewDevice(g)
+		var used [][2]int
+		for x := 0; x < g.Cols; x++ {
+			for y := 0; y < g.Rows; y++ {
+				if src.Float64() < 0.6 {
+					used = append(used, [2]int{x, y})
+				}
+			}
+		}
+		if len(used) < 2 {
+			continue
+		}
+		shape := trial % 3 // 0: acyclic, 1: acyclic with a planted loop, 2: wired at random
+		cfgs := make([]fabric.CLBConfig, len(used))
+		for i := range cfgs {
+			cfgs[i] = fabric.CLBConfig{Used: true, UseFF: src.Float64() < 0.25}
+			for k := range cfgs[i].Inputs {
+				switch from := len(used); {
+				case src.Float64() < 0.4:
+					cfgs[i].Inputs[k] = fabric.ConstSource(src.Bool())
+				case shape != 2 && i == 0:
+					// acyclic: the first CLB has no earlier one to read
+				default:
+					if shape != 2 {
+						from = i // only earlier CLBs: a DAG
+					}
+					j := src.Intn(from)
+					cfgs[i].Inputs[k] = fabric.CLBSource(used[j][0], used[j][1])
+				}
+			}
+		}
+		if shape == 1 {
+			// Close a ring through two combinational CLBs.
+			a, b := src.Intn(len(used)), src.Intn(len(used))
+			cfgs[a].UseFF, cfgs[b].UseFF = false, false
+			cfgs[a].Inputs[src.Intn(fabric.LUTInputs)] = fabric.CLBSource(used[b][0], used[b][1])
+			cfgs[b].Inputs[src.Intn(fabric.LUTInputs)] = fabric.CLBSource(used[a][0], used[a][1])
+		}
+		for i, at := range used {
+			d.WriteCLB(at[0], at[1], cfgs[i])
+		}
+
+		_, evalErr := d.Eval()
+		diags := only(t, "fabric-config", &Target{Name: "dev", Device: d})
+		switch {
+		case evalErr == nil && len(diags) == 0:
+			clean++
+		case evalErr != nil && len(diags) == 1:
+			loops++
+			// "(N of M CLBs unordered)" here, "(M-N of M CLBs ordered)" there.
+			var unordered, ordered, of1, of2 int
+			if _, err := fmt.Sscanf(diags[0].Msg, "configured fabric contains a combinational loop (%d of %d CLBs unordered)", &unordered, &of1); err != nil {
+				t.Fatalf("trial %d: unexpected diagnostic %q", trial, diags[0])
+			}
+			if _, err := fmt.Sscanf(evalErr.Error(), "fabric: configured logic contains a combinational loop (%d of %d CLBs ordered)", &ordered, &of2); err != nil {
+				t.Fatalf("trial %d: unexpected Eval error %q", trial, evalErr)
+			}
+			if of1 != of2 || unordered+ordered != of1 {
+				t.Fatalf("trial %d: pass says %q, evaluator %q", trial, diags[0].Msg, evalErr)
+			}
+		default:
+			t.Fatalf("trial %d (shape %d): evaluator says %v, pass says %v", trial, shape, evalErr, diags)
+		}
+		if shape == 0 && evalErr != nil {
+			t.Fatalf("trial %d: acyclic by construction, evaluator says %v", trial, evalErr)
+		}
+		if shape == 1 && evalErr == nil {
+			t.Fatalf("trial %d: planted loop not found", trial)
+		}
+	}
+	if loops < 100 || clean < 100 {
+		t.Fatalf("%d looped and %d clean devices: the generator no longer covers both", loops, clean)
 	}
 }

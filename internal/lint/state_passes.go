@@ -100,12 +100,17 @@ func passFabricConfig(t *Target, r *Reporter) {
 		return s.X >= 0 && int(s.X) < g.Cols && s.Y >= 0 && int(s.Y) < g.Rows
 	}
 	// What each CLB's output is, read once so that no later walk has to
-	// fetch a neighbour's configuration to classify an edge.
+	// fetch a neighbour's configuration to classify an edge. The byte's
+	// upper bits count the CLB's combinational in-edges for the loop check
+	// below: a CLB has LUTInputs of them at most.
 	const (
 		blank      = iota
 		registered // the output is the FF, not the LUT: it breaks cycles
 		combinational
+		kindMask = 3
+		oneEdge  = kindMask + 1 // one in-edge, in the bits above the kind
 	)
+	const _ = uint8(kindMask + fabric.LUTInputs*oneEdge) // the count fits the byte
 	state := make([]uint8, g.NumCLBs())
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		state[at(x, y)] = combinational
@@ -134,23 +139,20 @@ func passFabricConfig(t *Target, r *Reporter) {
 		}
 		return ""
 	}
-	// The same walk counts the combinational in-edges of every used CLB
-	// for the loop check below.
+	// The same walk counts the combinational in-edges of every used CLB,
+	// and in start[c] how many CLBs read c combinationally.
 	combEdge := func(s fabric.Source) bool {
-		return s.Kind == fabric.SrcCLB && inDevice(s) && state[at(int(s.X), int(s.Y))] == combinational
+		return s.Kind == fabric.SrcCLB && inDevice(s) && state[at(int(s.X), int(s.Y))]&kindMask == combinational
 	}
-	indeg := make([]int32, g.NumCLBs())
-	outdeg := make([]int32, g.NumCLBs()+1)
-	edges := 0
+	start := make([]int32, g.NumCLBs()+1)
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		for k, s := range cfg.Inputs {
 			if fault := sourceFault(s); fault != "" {
 				r.Errorf(fmt.Sprintf("%s: CLB (%d,%d) input %d", name, x, y, k), "%s", fault)
 			}
 			if combEdge(s) {
-				indeg[at(x, y)]++
-				outdeg[at(int(s.X), int(s.Y))]++
-				edges++
+				state[at(x, y)] += oneEdge
+				start[at(int(s.X), int(s.Y))]++
 			}
 		}
 	})
@@ -162,33 +164,33 @@ func passFabricConfig(t *Target, r *Reporter) {
 			}
 		}
 	}
+	// Kahn's algorithm over a CSR successor list: succ[start[c]:start[c+1]]
+	// are the CLBs reading c combinationally. start is summed to where each
+	// CLB's successors end, and filling walks it back down to where they
+	// begin. How many CLBs the algorithm orders does not depend on the
+	// order it visits them in.
+	edges := int32(0)
+	for c := range start {
+		edges += start[c]
+		start[c] = edges
+	}
 	if edges == 0 {
 		return // no combinational edge, no loop
 	}
-	// Kahn's algorithm over a CSR successor list: succ[start[c]:start[c+1]]
-	// are the CLBs reading c combinationally. How many CLBs it orders does
-	// not depend on the order it visits them in.
-	start := outdeg // prefix-summed in place: start[c] is where c's successors end up
-	sum := int32(0)
-	for c := range start {
-		n := start[c]
-		start[c] = sum
-		sum += n
-	}
 	succ := make([]int32, edges)
-	fill := make([]int32, g.NumCLBs())
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		for _, s := range cfg.Inputs {
 			if combEdge(s) {
 				src := at(int(s.X), int(s.Y))
-				succ[start[src]+fill[src]] = int32(at(x, y))
-				fill[src]++
+				start[src]--
+				succ[start[src]] = int32(at(x, y))
 			}
 		}
 	})
-	queue := fill[:0] // fill is spent; at most one entry per CLB
+	nUsed := d.UsedCells()
+	queue := make([]int32, 0, nUsed) // a used CLB enters once, when its last in-edge goes
 	for c, st := range state {
-		if st != blank && indeg[c] == 0 {
+		if st != blank && st < oneEdge { // used, no in-edge
 			queue = append(queue, int32(c))
 		}
 	}
@@ -198,13 +200,13 @@ func passFabricConfig(t *Target, r *Reporter) {
 		queue = queue[:len(queue)-1]
 		ordered++
 		for _, s := range succ[start[c]:start[c+1]] {
-			indeg[s]--
-			if indeg[s] == 0 {
+			state[s] -= oneEdge
+			if state[s] < oneEdge {
 				queue = append(queue, s)
 			}
 		}
 	}
-	if nUsed := d.UsedCells(); ordered != nUsed {
+	if ordered != nUsed {
 		r.Errorf(name+": logic", "configured fabric contains a combinational loop (%d of %d CLBs unordered)",
 			nUsed-ordered, nUsed)
 	}

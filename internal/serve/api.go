@@ -66,13 +66,13 @@ func NewAPI(b Backend, adm *Admission, version string) *http.ServeMux {
 	return mux
 }
 
-// WriteJSON writes v as the indented JSON body of a response.
+// WriteJSON writes v as the JSON body of a response: compact, one line,
+// encoded once straight into it. A reader who wants it indented pipes it
+// through jq.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

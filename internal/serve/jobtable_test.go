@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -110,7 +109,7 @@ func TestServerJobTableBounded(t *testing.T) {
 	}
 	for _, method := range []string{"GET", "DELETE"} {
 		rec := do(t, s, method, "/v1/jobs/j000001", "")
-		if rec.Code != http.StatusGone || !strings.Contains(rec.Body.String(), `"error": "job expired"`) {
+		if rec.Code != http.StatusGone || errorOf(t, rec) != "job expired" {
 			t.Errorf("%s first job: got %d %s, want 410 job expired", method, rec.Code, rec.Body)
 		}
 		if rec := do(t, s, method, "/v1/jobs/"+last, ""); rec.Code != http.StatusOK {

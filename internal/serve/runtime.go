@@ -48,7 +48,11 @@ func compileSet(cache *compile.StripCache, bc BoardConfig, set *workload.Set) ([
 // circuits come from the shared netlist library and their compiles from
 // the shared cache, so a repeated call for the same spec generates the
 // spec's task programs and looks the rest up: no netlist is rebuilt and
-// nothing is compiled.
+// nothing is compiled. The programs stay, though the width needs only the
+// circuits: a circuits-only variant was measured, twice, to return
+// fleet.Submit soon enough to shift the queue depths packing routes on
+// (fleet_open's virtual_ms_per_op up 2–7 % on six of six seeds) — a
+// routing change, to be made as one (ROADMAP item 9).
 func SpecWidth(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (int, error) {
 	set, err := spec.Build()
 	if err != nil {
@@ -118,12 +122,15 @@ func run(st *baseline.Stack, set *workload.Set, withTrace bool) (res *JobResult,
 		return nil, err
 	}
 
+	tasks := st.OS.Tasks()
 	res = &JobResult{
+		Tasks:       make([]TaskResult, 0, len(tasks)),
 		Makespan:    st.OS.Makespan(),
 		CtxSwitches: st.OS.CtxSwitches,
+		Metrics:     make([]core.MetricsSnapshot, 0, len(st.Engines)),
 		LintClean:   true,
 	}
-	for _, t := range st.OS.Tasks() {
+	for _, t := range tasks {
 		res.Tasks = append(res.Tasks, TaskResult{
 			Name:        t.Name,
 			Turnaround:  t.Turnaround(),

@@ -51,6 +51,16 @@ func do(t *testing.T, s *Server, method, path, body string) *httptest.ResponseRe
 	return rec
 }
 
+// errorOf decodes a non-2xx response's ErrorBody.
+func errorOf(t *testing.T, rec *httptest.ResponseRecorder) string {
+	t.Helper()
+	var body ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("error body %q: %v", rec.Body, err)
+	}
+	return body.Error
+}
+
 func submitBody(t *testing.T, tenant, scenario string) string {
 	t.Helper()
 	spec, err := workload.BuiltinSpec(scenario)
@@ -472,26 +482,20 @@ func TestSubmitSequenceIDs(t *testing.T) {
 	}
 }
 
-// TestJobPanicDoesNotKillDaemon: a workload whose tasks have empty
-// programs makes hostos panic at spawn; the worker must convert that
-// into a failed job and keep serving.
+// TestJobPanicDoesNotKillDaemon: a job that panics on the board's worker
+// must become a failed job, and the worker keep serving. No body the API
+// admits panics any more (Spec.Validate range-checks what the generators
+// divide and index by), so the job here is a caller's bug: a nil spec,
+// handed straight to the pool.
 func TestJobPanicDoesNotKillDaemon(t *testing.T) {
 	s := newTestServer(t, Config{Tenant: TenantLimits{Rate: 0}})
 	s.Start()
 	defer s.Drain()
 
-	// Explicit zeros defeat the defaults merge: one session, zero
-	// packets, zero compute → an empty task program.
-	body := `{"tenant":"acme","workload":{"scenario":"telecom","telecom":{"sessions":1,"packets_per":0,"cycles_per_pkt":0}}}`
-	rec := do(t, s, "POST", "/v1/jobs", body)
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("submit: got %d (%s)", rec.Code, rec.Body)
+	j, err := s.pool.Submit(SubmitArgs{Tenant: "acme"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
 	}
-	var resp SubmitResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	j, _ := s.pool.Job(resp.ID)
 	waitDone(t, j)
 	if st := j.Status(); st.State != StateFailed || !strings.Contains(st.Error, "panicked") {
 		t.Errorf("bad job: state %s error %q, want failed/panicked", st.State, st.Error)
@@ -529,5 +533,38 @@ func TestPartialParamBlock(t *testing.T) {
 	}
 	if n := len(st.Result.Tasks); n != 4 {
 		t.Errorf("got %d tasks, want 4 sessions", n)
+	}
+}
+
+// TestOutOfRangeParamsRefused: a parameter a generator would divide by,
+// loop to or allocate for is refused with 400 before admission spends a
+// token — and so before it can reach a board, whose warm stack a
+// panicking job used to cost.
+func TestOutOfRangeParamsRefused(t *testing.T) {
+	s := newTestServer(t, Config{Tenant: TenantLimits{Rate: 0.001, Burst: 2}})
+	s.Start()
+	defer s.Drain()
+
+	waitDone(t, submitOK(t, s, "acme", "multimedia"))
+	before := s.pool.BoardInfos()[0]
+	for _, block := range []string{
+		`"scenario":"diagnosis","diagnosis":{"diag_every":0}`,
+		`"scenario":"multimedia","multimedia":{"streams":-1}`,
+		`"scenario":"telecom","telecom":{"packets_per":0}`,
+		`"scenario":"multimedia","multimedia":{"streams":2000000000}`,
+	} {
+		rec := do(t, s, "POST", "/v1/jobs", `{"tenant":"acme","workload":{`+block+`}}`)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(errorOf(t, rec), "parameter out of range") {
+			t.Errorf("%s: got %d %s, want 400 naming the parameter", block, rec.Code, rec.Body)
+		}
+	}
+	// The second token of the burst is still there, and the board still
+	// warm.
+	good := submitOK(t, s, "acme", "multimedia")
+	waitDone(t, good)
+	after := s.pool.BoardInfos()[0]
+	if good.Status().State != StateDone || after.ColdResets != before.ColdResets || after.WarmResets != before.WarmResets+1 {
+		t.Errorf("after the refusals: job %s, resets %d cold / %d warm, were %d / %d",
+			good.Status().State, after.ColdResets, after.WarmResets, before.ColdResets, before.WarmResets)
 	}
 }

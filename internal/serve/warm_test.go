@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -154,16 +156,18 @@ func TestPoolWarmCounters(t *testing.T) {
 // from the board's last job, the event loop and a clean lint pass
 // allocate nothing per event or per CLB, and what is left is the stack
 // over the hardware and the job's own programs, tasks, loads and result.
-// Budgets sit ~25 % above what the path reads today (multimedia: 176 on
-// dynamic, 126 on paged; before the warm job path they read 1 838 and
-// 1 670).
+// Budgets sit ~25 % above what the path reads today (multimedia: 142
+// allocations and 32.9 KiB on dynamic, 95 and 26.6 KiB on paged; 170 and
+// 63.9 KiB, 123 and 55.6 KiB while the generators grew each program by
+// doubling; 1 838 and 1 670 allocations before the warm job path).
 func TestWarmJobAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
-		manager string
-		budget  float64
+		manager   string
+		budget    float64
+		budgetKiB float64
 	}{
-		{"dynamic", 220},
-		{"paged", 160},
+		{"dynamic", 176, 41},
+		{"paged", 118, 33},
 	} {
 		t.Run(tc.manager, func(t *testing.T) {
 			bc := DefaultBoardConfig()
@@ -186,10 +190,21 @@ func TestWarmJobAllocBudget(t *testing.T) {
 				}
 			}
 			job() // compiles the circuits and builds the board: the cold job
-			got := testing.AllocsPerRun(20, job)
-			t.Logf("%s: %.0f allocations per warm job", tc.manager, got)
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				job()
+			}
+			runtime.ReadMemStats(&after)
+			got := float64(after.Mallocs-before.Mallocs) / runs
+			kib := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+			t.Logf("%s: %.0f allocations, %.1f KiB per warm job", tc.manager, got, kib)
 			if got > tc.budget {
 				t.Errorf("%s: a warm job allocates %.0f times, budget %.0f", tc.manager, got, tc.budget)
+			}
+			if kib > tc.budgetKiB {
+				t.Errorf("%s: a warm job allocates %.1f KiB, budget %.0f", tc.manager, kib, tc.budgetKiB)
 			}
 			if bi := p.boards[0].info(); bi.ColdResets != 1 {
 				t.Errorf("%s: %d cold resets, want the first job's only", tc.manager, bi.ColdResets)
@@ -221,6 +236,41 @@ func BenchmarkJobColdVsWarm(b *testing.B) {
 			warm()
 		}
 	})
+}
+
+// discard is a ResponseWriter that counts the body and keeps nothing.
+type discard struct {
+	h http.Header
+	n int
+}
+
+func (d *discard) Header() http.Header         { return d.h }
+func (d *discard) WriteHeader(int)             {}
+func (d *discard) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+
+// BenchmarkStatusEncode is the poll that ends a job: a terminal
+// multimedia JobStatus through WriteJSON, without and with its timeline.
+func BenchmarkStatusEncode(b *testing.B) {
+	for _, withTrace := range []bool{false, true} {
+		name := "plain"
+		if withTrace {
+			name = "trace"
+		}
+		b.Run(name, func(b *testing.B) {
+			res, err := runJob(compile.NewStripCache(compile.DefaultCacheCapacity), DefaultBoardConfig(), specFor(b, "multimedia"), withTrace)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := JobStatus{ID: "j000001", Tenant: "acme", State: StateDone, Result: res}
+			w := &discard{h: http.Header{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				WriteJSON(w, http.StatusOK, st)
+			}
+			b.ReportMetric(float64(w.n)/float64(b.N), "body-B/op")
+		})
+	}
 }
 
 // warmedRun builds spec's board, serves one job on it, and returns a

@@ -1,4 +1,4 @@
-package workload_test
+package workload
 
 // Fuzz target for the spec wire format: DecodeJSON on arbitrary bytes
 // must never panic, must reject what it cannot represent, and for every
@@ -6,13 +6,16 @@ package workload_test
 // byte-identical canonical form (decode → encode is a fixpoint). The
 // partial-block defaults merge makes this non-trivial: a sparse block
 // decodes into a fully populated one, and that full form has to decode
-// back to itself.
+// back to itself. And whatever decodes and validates must build: Validate
+// is the only thing between the wire and the generators, so a parameter it
+// lets through that makes one panic, size a set past MaxSpecOps or leave
+// a task without a program is found here (testdata/fuzz/FuzzSpecDecode
+// seeds the ones that used to: diag_every 0, negative and 2^40 counts,
+// packets_per 0, a streams x frames product that overflows int).
 
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/workload"
 )
 
 func FuzzSpecDecode(f *testing.F) {
@@ -32,16 +35,22 @@ func FuzzSpecDecode(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := workload.DecodeJSON(data)
+		spec, err := DecodeJSON(data)
 		if err != nil {
 			return // rejected inputs just must not panic
 		}
-		_ = spec.Validate() // must not panic on anything decode accepted
+		if spec.Validate() == nil { // must not panic on anything decode accepted
+			set, err := spec.Build()
+			if err != nil {
+				t.Fatalf("valid spec does not build: %v\n%s", err, data)
+			}
+			checkPrograms(t, set)
+		}
 		canonical, err := spec.EncodeJSON()
 		if err != nil {
 			t.Fatalf("accepted spec failed to encode: %v", err)
 		}
-		again, err := workload.DecodeJSON(canonical)
+		again, err := DecodeJSON(canonical)
 		if err != nil {
 			t.Fatalf("canonical form rejected on re-decode: %v\n%s", err, canonical)
 		}

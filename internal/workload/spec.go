@@ -49,15 +49,29 @@ func (s *SyntheticSpec) checkPool() error {
 	return nil
 }
 
-// Config resolves the named pool against the circuit library and
-// returns the equivalent SyntheticConfig. The pool holds the library's
-// shared netlists: two Configs of one spec name the same circuits.
-func (s *SyntheticSpec) Config() (SyntheticConfig, error) {
-	cfg := SyntheticConfig{
+// params returns the spec's parameters as a SyntheticConfig, pool unset.
+func (s *SyntheticSpec) params() SyntheticConfig {
+	return SyntheticConfig{
 		Tasks: s.Tasks, OpsPerTask: s.OpsPerTask, EvalsPerOp: s.EvalsPerOp,
 		ComputeTime: s.ComputeTime, MeanInterval: s.MeanInterval,
 		SwitchProb: s.SwitchProb, Seed: s.Seed,
 	}
+}
+
+// Validate reports an unknown pool name, or what SyntheticConfig.Validate
+// finds in the parameters, without building anything.
+func (s *SyntheticSpec) Validate() error {
+	if err := s.checkPool(); err != nil {
+		return err
+	}
+	return s.params().Validate()
+}
+
+// Config resolves the named pool against the circuit library and
+// returns the equivalent SyntheticConfig. The pool holds the library's
+// shared netlists: two Configs of one spec name the same circuits.
+func (s *SyntheticSpec) Config() (SyntheticConfig, error) {
+	cfg := s.params()
 	if err := s.checkPool(); err != nil {
 		return cfg, err
 	}
@@ -134,9 +148,12 @@ func BuiltinSpecs() []Spec {
 	return out
 }
 
-// Validate checks that the scenario is known and that no parameter block
+// Validate checks that the scenario is known, that no parameter block
 // for a different scenario is set (a typo'd submission should fail at
-// admission, not build a surprise default).
+// admission, not build a surprise default), and that every parameter of
+// the block that is set lies in its legal range with the whole set at
+// most MaxSpecOps ops — an error wrapping ErrSpecParam otherwise, so the
+// generators never see a configuration they would panic on.
 func (s *Spec) Validate() error {
 	known := false
 	for _, n := range scenarios {
@@ -164,10 +181,18 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("workload: scenario %q with %s parameters set", s.Scenario, b.name)
 		}
 	}
-	if s.Scenario == "synthetic" && s.Synthetic != nil {
-		if err := s.Synthetic.checkPool(); err != nil {
-			return err
-		}
+	// At most the scenario's own block is set by now.
+	switch {
+	case s.Multimedia != nil:
+		return s.Multimedia.Validate()
+	case s.Telecom != nil:
+		return s.Telecom.Validate()
+	case s.Diagnosis != nil:
+		return s.Diagnosis.Validate()
+	case s.Storage != nil:
+		return s.Storage.Validate()
+	case s.Synthetic != nil:
+		return s.Synthetic.Validate()
 	}
 	return nil
 }

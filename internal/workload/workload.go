@@ -10,7 +10,9 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/hostos"
 	"repro/internal/netlist"
@@ -26,7 +28,10 @@ type TaskSpec struct {
 	Program  []hostos.Op
 }
 
-// Set is a complete workload: the tasks and the circuits they use.
+// Set is a complete workload: the tasks and the circuits they use. The
+// generators cut every task's Program from one array sized for the whole
+// set, each at exactly its length (cap == len); a built Set is read-only
+// — the OS only ever indexes program[pc].
 type Set struct {
 	Tasks    []TaskSpec
 	Circuits []*netlist.Netlist
@@ -46,6 +51,100 @@ func (s *Set) CircuitNames() []string {
 		names = append(names, c.Name)
 	}
 	return names
+}
+
+// MaxSpecOps bounds the ops one workload may hold across all its tasks.
+// Every configuration in the repo builds a few hundred; the bound is what
+// keeps a submitted spec from sizing the daemon's memory.
+const MaxSpecOps = 1 << 16
+
+// Bounds on one op's duration and hardware work. With MaxSpecOps they
+// keep a run's virtual time far inside int64: a parameter is range
+// checked, never left to wrap.
+const (
+	maxSpecTime = sim.Time(1) << 40 // about 18 virtual minutes
+	maxSpecWork = int64(1) << 32    // evaluations or cycles
+)
+
+// ErrSpecParam is wrapped by every Validate error below: a workload
+// parameter outside its legal range.
+var ErrSpecParam = errors.New("workload: parameter out of range")
+
+// ranges checks one config's parameters and keeps the first violation.
+type ranges struct {
+	scenario string
+	err      error
+}
+
+func (r *ranges) fail(name string, v any, want string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s %s %v, want %s", ErrSpecParam, r.scenario, name, v, want)
+	}
+}
+
+// count is a number of tasks or of ops per task.
+func (r *ranges) count(name string, v int) {
+	if v < 1 || v > MaxSpecOps {
+		r.fail(name, v, fmt.Sprintf("1..%d", MaxSpecOps))
+	}
+}
+
+func (r *ranges) atLeast(name string, v, lo int) {
+	if v < lo {
+		r.fail(name, v, fmt.Sprintf("at least %d", lo))
+	}
+}
+
+func (r *ranges) time(name string, v sim.Time) {
+	if v < 0 || v > maxSpecTime {
+		r.fail(name, int64(v), fmt.Sprintf("0..%d", int64(maxSpecTime)))
+	}
+}
+
+func (r *ranges) work(name string, v int64) {
+	if v < 0 || v > maxSpecWork {
+		r.fail(name, v, fmt.Sprintf("0..%d", maxSpecWork))
+	}
+}
+
+// unit is a probability; the comparison's form rejects NaN.
+func (r *ranges) unit(name string, v float64) {
+	if !(v >= 0 && v <= 1) {
+		r.fail(name, v, "0..1")
+	}
+}
+
+// ops returns the first violation, or the op count n of a config whose
+// counts passed count — so n, a product of a few of them, cannot have
+// overflowed — checked against MaxSpecOps.
+func (r *ranges) ops(n int64) (int, error) {
+	if n > MaxSpecOps {
+		r.fail("ops", n, fmt.Sprintf("at most %d (MaxSpecOps)", MaxSpecOps))
+	}
+	return int(n), r.err
+}
+
+// mustSize is how a generator takes its config's op count: a config its
+// Validate rejects is a programmer error here, as an unknown name is to
+// netlist.MustLookup. Specs off the wire are refused by Spec.Validate
+// long before.
+func mustSize(n int, err error) int {
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+// programs is the unused rest of the one array a Set's task programs are
+// cut from.
+type programs []hostos.Op
+
+// next cuts the next program, empty with room for exactly n ops:
+// appending past n reallocates instead of writing into the next task's.
+func (p *programs) next(n int) []hostos.Op {
+	prog := (*p)[:0:n]
+	*p = (*p)[n:]
+	return prog
 }
 
 func fpga(circuit string, evals int64) hostos.Op {
@@ -81,20 +180,36 @@ func DefaultMultimedia() MultimediaConfig {
 	}
 }
 
+// size checks the parameters' ranges and returns the set's op count.
+func (c MultimediaConfig) size() (int, error) {
+	r := ranges{scenario: "multimedia"}
+	r.count("streams", c.Streams)
+	r.count("frames", c.Frames)
+	r.work("evals_per_op", c.EvalsPerOp)
+	r.atLeast("switch_every", c.SwitchEvery, 0)
+	r.time("compute_time_ns", c.ComputeTime)
+	return r.ops(int64(c.Streams) * 2 * int64(c.Frames))
+}
+
+// Validate reports the first parameter outside its legal range, or a
+// set over MaxSpecOps; the error wraps ErrSpecParam.
+func (c MultimediaConfig) Validate() error { _, err := c.size(); return err }
+
 // Multimedia generates the codec scenario. The "codecs" are distinct
 // datapath circuits of comparable size (transform, entropy-code, filter).
 func Multimedia(cfg MultimediaConfig) *Set {
+	ops := make(programs, mustSize(cfg.size()))
 	codecs := []*netlist.Netlist{
 		netlist.MustLookup("mul4"),   // transform-like datapath
 		netlist.MustLookup("alu8"),   // predictive filter
 		netlist.MustLookup("rotl16"), // bit-plane packing
 	}
 	src := rng.New(cfg.Seed)
-	set := &Set{Circuits: codecs}
+	set := &Set{Tasks: make([]TaskSpec, 0, cfg.Streams), Circuits: codecs}
 	for s := 0; s < cfg.Streams; s++ {
 		taskSrc := src.Split()
 		codec := taskSrc.Intn(len(codecs))
-		var prog []hostos.Op
+		prog := ops.next(2 * cfg.Frames)
 		for f := 0; f < cfg.Frames; f++ {
 			if cfg.SwitchEvery > 0 && f > 0 && f%cfg.SwitchEvery == 0 {
 				codec = (codec + 1 + taskSrc.Intn(len(codecs)-1)) % len(codecs)
@@ -137,9 +252,27 @@ func DefaultTelecom() TelecomConfig {
 	}
 }
 
+// size checks the parameters' ranges and returns the set's op count.
+func (c TelecomConfig) size() (int, error) {
+	r := ranges{scenario: "telecom"}
+	r.count("sessions", c.Sessions)
+	r.time("mean_interval_ns", c.MeanInterval)
+	r.count("packets_per", c.PacketsPer)
+	r.work("cycles_per_pkt", c.CyclesPerPkt)
+	if !(c.ProtocolSkew >= 0) {
+		r.fail("protocol_skew", c.ProtocolSkew, "at least 0")
+	}
+	return r.ops(int64(c.Sessions) * 2 * int64(c.PacketsPer))
+}
+
+// Validate reports the first parameter outside its legal range, or a
+// set over MaxSpecOps; the error wraps ErrSpecParam.
+func (c TelecomConfig) Validate() error { _, err := c.size(); return err }
+
 // Telecom generates the protocol scenario: each arriving session speaks
 // one protocol (Zipf-popular), implemented as coding/CRC engines.
 func Telecom(cfg TelecomConfig) *Set {
+	ops := make(programs, mustSize(cfg.size()))
 	protocols := []*netlist.Netlist{
 		netlist.MustLookup("crc16"),  // framing check
 		netlist.MustLookup("crc8"),   // legacy framing
@@ -148,12 +281,12 @@ func Telecom(cfg TelecomConfig) *Set {
 	}
 	src := rng.New(cfg.Seed)
 	zipf := rng.NewZipf(src.Split(), len(protocols), cfg.ProtocolSkew)
-	set := &Set{Circuits: protocols}
+	set := &Set{Tasks: make([]TaskSpec, 0, cfg.Sessions), Circuits: protocols}
 	arrival := sim.Time(0)
 	for s := 0; s < cfg.Sessions; s++ {
 		arrival += sim.Time(float64(cfg.MeanInterval) * src.ExpFloat64())
 		proto := protocols[zipf.Draw()]
-		var prog []hostos.Op
+		prog := ops.next(2 * cfg.PacketsPer)
 		for p := 0; p < cfg.PacketsPer; p++ {
 			prog = append(prog,
 				hostos.Compute(200*sim.Microsecond),
@@ -193,23 +326,43 @@ func DefaultDiagnosis() DiagnosisConfig {
 	}
 }
 
+// size checks the parameters' ranges and returns the set's op count:
+// the control loop's, and two per diagnostic run.
+func (c DiagnosisConfig) size() (int, error) {
+	r := ranges{scenario: "diagnosis"}
+	r.count("control_ops", c.ControlOps)
+	r.work("control_evals", c.ControlEvals)
+	r.atLeast("diag_every", c.DiagEvery, 1)
+	r.work("diag_evals", c.DiagEvals)
+	r.time("compute_time_ns", c.ComputeTime)
+	if r.err != nil {
+		return 0, r.err // diag_every may be 0
+	}
+	return r.ops(2 * int64(c.ControlOps+c.ControlOps/c.DiagEvery))
+}
+
+// Validate reports the first parameter outside its legal range, or a
+// set over MaxSpecOps; the error wraps ErrSpecParam.
+func (c DiagnosisConfig) Validate() error { _, err := c.size(); return err }
+
 // Diagnosis generates the embedded scenario: a high-priority control task
 // using a small resident-worthy circuit, plus low-priority diagnostic
 // tasks arriving periodically with a rarely-used test circuit.
 func Diagnosis(cfg DiagnosisConfig) *Set {
+	ops := make(programs, mustSize(cfg.size()))
 	control := netlist.MustLookup("alu8")    // control-law datapath
 	diag := netlist.MustLookup("popcount32") // signature analysis
 	tuning := netlist.MustLookup("cmp16")    // threshold tuning
-	set := &Set{Circuits: []*netlist.Netlist{control, diag, tuning}}
+	n := cfg.ControlOps / cfg.DiagEvery
+	set := &Set{Tasks: make([]TaskSpec, 0, 1+n), Circuits: []*netlist.Netlist{control, diag, tuning}}
 
-	var ctrl []hostos.Op
+	ctrl := ops.next(2 * cfg.ControlOps)
 	for i := 0; i < cfg.ControlOps; i++ {
 		ctrl = append(ctrl, hostos.Compute(cfg.ComputeTime), fpga(control.Name, cfg.ControlEvals))
 	}
 	set.Tasks = append(set.Tasks, TaskSpec{Name: "control", Priority: 0, Program: ctrl})
 
 	period := sim.Time(cfg.DiagEvery) * (cfg.ComputeTime + 2*sim.Millisecond)
-	n := cfg.ControlOps / cfg.DiagEvery
 	for i := 0; i < n; i++ {
 		circuit := diag.Name
 		if i%2 == 1 {
@@ -219,10 +372,10 @@ func Diagnosis(cfg DiagnosisConfig) *Set {
 			Name:     fmt.Sprintf("diag%d", i),
 			Priority: 5,
 			Arrival:  sim.Time(i+1) * period,
-			Program: []hostos.Op{
-				hostos.Compute(100 * sim.Microsecond),
+			Program: append(ops.next(2),
+				hostos.Compute(100*sim.Microsecond),
 				fpga(circuit, cfg.DiagEvals),
-			},
+			),
 		})
 	}
 	return set
@@ -254,22 +407,41 @@ func DefaultStorage() StorageConfig {
 	}
 }
 
+// storageMaxOps is the longest request program: parse, two hardware
+// ops, completion.
+const storageMaxOps = 4
+
+// size checks the parameters' ranges and returns the set's op count —
+// its upper bound: how long a request's program is depends on the draws.
+func (c StorageConfig) size() (int, error) {
+	r := ranges{scenario: "storage"}
+	r.count("requests", c.Requests)
+	r.time("mean_interval_ns", c.MeanInterval)
+	r.unit("write_ratio", c.WriteRatio)
+	r.work("block_cycles", c.BlockCycles)
+	return r.ops(int64(c.Requests) * storageMaxOps)
+}
+
+// Validate reports the first parameter outside its legal range, or a
+// set over MaxSpecOps; the error wraps ErrSpecParam.
+func (c StorageConfig) Validate() error { _, err := c.size(); return err }
+
 // Storage generates the disk-array scenario: request tasks arrive over
 // time; writes run parity generation (RAID-style XOR) then integrity
 // coding, reads run integrity checking only. The two hardware functions
 // are natural residents for overlaying.
 func Storage(cfg StorageConfig) *Set {
+	ops := make(programs, mustSize(cfg.size()))
 	parity := netlist.MustLookup("parity32")      // stripe parity (XOR across units)
 	integrity := netlist.MustLookup("crc16")      // block integrity code
 	correct := netlist.MustLookup("hamming74dec") // degraded-mode reconstruction
-	set := &Set{Circuits: []*netlist.Netlist{parity, integrity, correct}}
+	set := &Set{Tasks: make([]TaskSpec, 0, cfg.Requests), Circuits: []*netlist.Netlist{parity, integrity, correct}}
 	src := rng.New(cfg.Seed)
 	arrival := sim.Time(0)
 	for r := 0; r < cfg.Requests; r++ {
 		taskSrc := src.Split()
 		arrival += sim.Time(float64(cfg.MeanInterval) * taskSrc.ExpFloat64())
-		var prog []hostos.Op
-		prog = append(prog, hostos.Compute(150*sim.Microsecond)) // request parsing
+		prog := append(ops.next(storageMaxOps), hostos.Compute(150*sim.Microsecond)) // request parsing
 		if taskSrc.Float64() < cfg.WriteRatio {
 			// Write: parity across the stripe, then integrity code.
 			prog = append(prog,
@@ -287,7 +459,7 @@ func Storage(cfg StorageConfig) *Set {
 		set.Tasks = append(set.Tasks, TaskSpec{
 			Name:    fmt.Sprintf("req%d", r),
 			Arrival: arrival,
-			Program: prog,
+			Program: slices.Clip(prog), // a three-op request leaves its fourth slot unused
 		})
 	}
 	return set
@@ -322,13 +494,30 @@ func DefaultPool() []*netlist.Netlist {
 	}
 }
 
+// size checks the parameters' ranges and returns the set's op count.
+func (c SyntheticConfig) size() (int, error) {
+	r := ranges{scenario: "synthetic"}
+	r.count("tasks", c.Tasks)
+	r.count("ops_per_task", c.OpsPerTask)
+	r.work("evals_per_op", c.EvalsPerOp)
+	r.time("compute_time_ns", c.ComputeTime)
+	r.time("mean_interval_ns", c.MeanInterval)
+	r.unit("switch_prob", c.SwitchProb)
+	return r.ops(int64(c.Tasks) * 2 * int64(c.OpsPerTask))
+}
+
+// Validate reports the first parameter outside its legal range, or a
+// set over MaxSpecOps; the error wraps ErrSpecParam.
+func (c SyntheticConfig) Validate() error { _, err := c.size(); return err }
+
 // Synthetic generates the generic mix.
 func Synthetic(cfg SyntheticConfig) *Set {
+	ops := make(programs, mustSize(cfg.size()))
 	if len(cfg.CircuitPool) == 0 {
 		cfg.CircuitPool = DefaultPool()
 	}
 	src := rng.New(cfg.Seed)
-	set := &Set{Circuits: cfg.CircuitPool}
+	set := &Set{Tasks: make([]TaskSpec, 0, cfg.Tasks), Circuits: cfg.CircuitPool}
 	arrival := sim.Time(0)
 	for ti := 0; ti < cfg.Tasks; ti++ {
 		taskSrc := src.Split()
@@ -336,7 +525,7 @@ func Synthetic(cfg SyntheticConfig) *Set {
 			arrival += sim.Time(float64(cfg.MeanInterval) * taskSrc.ExpFloat64())
 		}
 		cur := taskSrc.Intn(len(cfg.CircuitPool))
-		var prog []hostos.Op
+		prog := ops.next(2 * cfg.OpsPerTask)
 		for op := 0; op < cfg.OpsPerTask; op++ {
 			if op > 0 && taskSrc.Float64() < cfg.SwitchProb && len(cfg.CircuitPool) > 1 {
 				cur = (cur + 1 + taskSrc.Intn(len(cfg.CircuitPool)-1)) % len(cfg.CircuitPool)
