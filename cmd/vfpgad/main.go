@@ -51,24 +51,22 @@ const readHeaderTimeout = 10 * time.Second
 // options collects the flag values; one struct keeps the single-daemon
 // and fleet paths on the same configuration.
 type options struct {
-	addr, addrFile   string
-	pprofAddr        string
-	boards           int
-	nodes            int
-	boardsPerNode    int
-	placement        string
-	managers         string
-	cols, rows       int
-	subBoards        int
-	sched            string
-	slice            time.Duration
-	queue            int
-	rate, burst      float64
-	seed             uint64
-	faults           string
-	faultNode        int
-	compactWatermark float64
-	compactBudget    time.Duration
+	addr, addrFile string
+	pprofAddr      string
+	boards         int
+	nodes          int
+	boardsPerNode  int
+	placement      string
+	managers       string
+	cols, rows     int
+	subBoards      int
+	sched          string
+	slice          time.Duration
+	queue          int
+	rate, burst    float64
+	seed           uint64
+	faults         string
+	faultNode      int
 }
 
 func main() {
@@ -92,8 +90,6 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 1, "compilation seed")
 	flag.StringVar(&o.faults, "faults", "", "fault-injection plan applied per board (board i derives its own stream)")
 	flag.IntVar(&o.faultNode, "fault-node", -1, "restrict -faults to this node's boards (fleet mode; -1 arms every node)")
-	flag.Float64Var(&o.compactWatermark, "compact-watermark", 0.5, "fragmentation ratio at which an idle board defragments its device (<= 0 disables)")
-	flag.DurationVar(&o.compactBudget, "compact-budget", 0, "virtual device time one compaction pass may spend on relocations (0 = unbounded)")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -161,15 +157,13 @@ func run(o options) error {
 			nodeCfgs[i] = o.boardConfigs(per)
 		}
 		fs, err := fleet.NewServer(fleet.ServerConfig{
-			Nodes:            nodeCfgs,
-			Policy:           o.placement,
-			Seed:             o.seed,
-			Tenant:           limits,
-			Version:          ver,
-			Faults:           plan,
-			FaultNode:        o.faultNode,
-			CompactWatermark: o.compactWatermark,
-			CompactBudget:    sim.Time(o.compactBudget.Nanoseconds()),
+			Nodes:     nodeCfgs,
+			Policy:    o.placement,
+			Seed:      o.seed,
+			Tenant:    limits,
+			Version:   ver,
+			Faults:    plan,
+			FaultNode: o.faultNode,
 		})
 		if err != nil {
 			return err
@@ -178,12 +172,10 @@ func run(o options) error {
 		banner = fmt.Sprintf("%d node(s) x %d board(s), placement=%s,", o.nodes, per, o.placement)
 	} else {
 		ss, err := serve.New(serve.Config{
-			Boards:           o.boardConfigs(o.boards),
-			Tenant:           limits,
-			Version:          ver,
-			Faults:           plan,
-			CompactWatermark: o.compactWatermark,
-			CompactBudget:    sim.Time(o.compactBudget.Nanoseconds()),
+			Boards:  o.boardConfigs(o.boards),
+			Tenant:  limits,
+			Version: ver,
+			Faults:  plan,
 		})
 		if err != nil {
 			return err

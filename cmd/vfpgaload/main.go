@@ -212,7 +212,6 @@ func main() {
 	expectQuarantine := flag.Bool("expect-quarantine", false, "fail unless at least one board ends up quarantined")
 	expectNodeQuarantine := flag.Bool("expect-node-quarantine", false, "fail unless at least one fleet node ends up unhealthy (needs a fleet target)")
 	expectWarm := flag.Bool("expect-warm", false, "fail unless every board ran at least one job on its recycled hardware and built on new hardware at most once")
-	expectCompaction := flag.Bool("expect-compaction", false, "fail unless the boards ran at least one idle-cycle compaction pass")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall deadline")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 
@@ -311,10 +310,10 @@ func main() {
 	wg.Wait()
 
 	probe := ts.targets[0].url
-	quarantined, minWarm, maxCold, compactions := -1, int64(-1), int64(-1), int64(-1)
-	if *expectQuarantine || *expectWarm || *expectCompaction {
+	quarantined, minWarm, maxCold := -1, int64(-1), int64(-1)
+	if *expectQuarantine || *expectWarm {
 		if boards, err := fetchBoards(probe, deadline, st); err == nil {
-			quarantined, compactions = 0, 0
+			quarantined = 0
 			for i, bi := range boards {
 				if bi.Quarantined {
 					quarantined++
@@ -323,7 +322,6 @@ func main() {
 					minWarm = bi.WarmResets
 				}
 				maxCold = max(maxCold, bi.ColdResets)
-				compactions += bi.Compactions
 			}
 		}
 	}
@@ -390,12 +388,6 @@ func main() {
 		fmt.Printf("  min warm resets per board: %d\n", minWarm)
 		fmt.Printf("  max cold resets per board: %d\n", maxCold)
 		if minWarm < 1 || maxCold > 1 {
-			bad = true
-		}
-	}
-	if *expectCompaction {
-		fmt.Printf("  compaction passes across boards: %d\n", compactions)
-		if compactions < 1 {
 			bad = true
 		}
 	}

@@ -39,8 +39,7 @@ func DefaultAmorphousConfig() AmorphousConfig {
 // rather than packing the whole device. Exited tasks' strips stay
 // resident as an adoption cache (the virtual-memory page cache applied
 // to configurations), so a recurring circuit re-enters at zero
-// configuration cost — at the price of post-exit fragmentation, which
-// the serve layer's background compactor grinds back down between jobs.
+// configuration cost — at the price of post-exit fragmentation.
 //
 // It is the strip table with three policy choices of its own: a task
 // switching algorithms demotes its old strip to the cache instead of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fabric"
@@ -414,6 +415,73 @@ func TestPartitionGCCompacts(t *testing.T) {
 	}
 	if h.E.M.Relocations.Value() == 0 {
 		t.Fatal("GC ran without relocating")
+	}
+}
+
+// TestPartitionCompactStopsEarly is the regression test for the §4 GC
+// fix: compaction now stops as soon as a hole of the requested width
+// exists, charging only the relocations actually performed, instead of
+// sliding every resident strip.
+func TestPartitionCompactStopsEarly(t *testing.T) {
+	// Size the device so n strips tile it exactly (no free tail): every
+	// hole in the test comes from a release, never from slack.
+	probe := newEngine(t, testOptions())
+	pc := probe.Lib["parity16"]
+	n := probe.Opt.Geometry.Cols / pc.BS.W
+	if byPins := probe.FreePinCount() / (pc.BS.NumIn + pc.BS.NumOut); byPins < n {
+		n = byPins
+	}
+	if n < 5 {
+		t.Fatalf("only %d parity16 strips fit, need >= 5", n)
+	}
+	opt := testOptions()
+	opt.Geometry.Cols = n * pc.BS.W
+
+	build := func(t *testing.T) (*Engine, *PartitionManager, []*strip) {
+		e := newEngine(t, opt)
+		pm, err := NewPartitionManager(sim.New(), e, PartitionConfig{
+			Mode: VariablePartitions, Fit: FirstFit, GC: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := e.Lib["parity16"]
+		w := c.BS.W
+		var parts []*strip
+		for i := 0; i < n; i++ {
+			p := &strip{}
+			p.span = pm.rm.Alloc(pm.rm.FindFree(w, FirstFit), w, p)
+			e.Ledger().Load(fmt.Sprintf("t%d", i), c, p.span.X, false)
+			p.circuit = c.Name
+			parts = append(parts, p)
+		}
+		return e, pm, parts
+	}
+
+	// Two single-strip holes; a request for a double-width strip needs
+	// exactly one slide to merge them.
+	e, pm, parts := build(t)
+	need := 2 * parts[0].span.W
+	pm.drop(parts[1].span, false)
+	pm.drop(parts[3].span, false)
+	pm.compact(need)
+	if got := e.M.Relocations.Value(); got != 1 {
+		t.Fatalf("early-stop compact relocated %d strips, want 1", got)
+	}
+	if e.M.GCRuns.Value() != 1 {
+		t.Fatalf("gc runs = %d", e.M.GCRuns.Value())
+	}
+	if _, largest := pm.FreeCols(); largest < need {
+		t.Fatalf("largest hole = %d after compact, need %d", largest, need)
+	}
+
+	// The old full pack slides every out-of-place strip.
+	e2, pm2, parts2 := build(t)
+	pm2.drop(parts2[1].span, false)
+	pm2.drop(parts2[3].span, false)
+	pm2.compact(0)
+	if full := e2.M.Relocations.Value(); full <= 1 {
+		t.Fatalf("full pack relocated %d strips, expected more than the early stop's 1", full)
 	}
 }
 

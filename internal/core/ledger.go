@@ -631,38 +631,30 @@ func (l *Ledger) Rollback(owner, circuit string) {
 }
 
 // Relocate moves the resident strip at oldX to newX (§4's garbage
-// collection) and returns the total time charged. A manager cannot unwind
-// a move whose retry budget ran out, so the typed escalation panics, as
-// Readback's does.
-func (l *Ledger) Relocate(oldX, newX int) sim.Time {
+// collection) and returns the total time charged: sequential state is read
+// back, the old strip cleared, the configuration re-applied at the new
+// origin with the same pins, and the state restored. The regions may
+// overlap — the old strip is cleared before the new one is written.
+//
+// A manager cannot unwind a move whose retry budget ran out, so the typed
+// escalation panics, as Readback's does. A readback escalation leaves the
+// strip untouched at oldX; an apply or restore escalation has already
+// destroyed (or corrupted) it, so it is dropped as an involuntary eviction
+// before the panic, which keeps table and audit balanced.
+func (l *Ledger) Relocate(oldX, newX int) (cost sim.Time) {
 	defer l.enter()()
-	cost, err := l.relocate(oldX, newX)
-	if err != nil {
-		panic(err)
-	}
-	return cost
-}
-
-// relocate is the one mover under Relocate and Compact: sequential state
-// is read back, the old strip cleared, the configuration re-applied at
-// the new origin with the same pins, and the state restored. The regions
-// may overlap — the old strip is cleared before the new one is written.
-// A readback escalation leaves the strip untouched at oldX; an apply or
-// restore escalation has already destroyed (or corrupted) it, so it is
-// dropped as an involuntary eviction, which keeps table and audit
-// balanced.
-func (l *Ledger) relocate(oldX, newX int) (cost sim.Time, err error) {
 	r := l.ResidentAt(oldX)
 	if r == nil {
 		panic(fmt.Sprintf("core: relocate of empty column %d", oldX))
 	}
 	if oldX == newX {
-		return 0, nil
+		return 0
 	}
 	var state []bool
 	if r.C.Sequential {
+		var err error
 		if state, cost, err = l.readback(r.Owner, r.C, r.Region); err != nil {
-			return cost, err
+			panic(err)
 		}
 	}
 	l.e.Dev.ClearRegion(r.Region)
@@ -692,10 +684,10 @@ func (l *Ledger) relocate(oldX, newX int) (cost sim.Time, err error) {
 		// Destroyed by the apply (the table still has it at the old
 		// origin) or corrupted by the restore (already at the new one).
 		l.evict(r.Region.X, false)
-		return cost, err
+		panic(err)
 	}
 	l.e.noteUtil(l.now())
-	return cost, nil
+	return cost
 }
 
 // LoadPage charges one demand-paged configuration download of cells CLB
@@ -783,64 +775,4 @@ func (l *Ledger) Adopt(x int, owner string) {
 		panic(fmt.Sprintf("core: adopt of empty column %d", x))
 	}
 	r.Owner = owner
-}
-
-// CompactResult reports one Compact pass.
-type CompactResult struct {
-	Moved int      // resident strips relocated
-	Cost  sim.Time // simulated time charged through the ledger
-	Done  bool     // free space is fully coalesced (nothing left to move)
-	Err   error    // typed escalation that aborted the pass, nil otherwise
-}
-
-// Compact slides resident strips leftward until the free space is one
-// contiguous hole, stopping early when the next move would exceed
-// budget (0 = unbounded). Every move goes through relocate, and an
-// injected fault that escalates mid-move aborts the pass cleanly: the
-// strip is kept or dropped as relocate says, the typed error is returned
-// in Err, and the caller retries on a later idle cycle.
-//
-// Compact bypasses manager placement policy, so it is for idle,
-// between-job use (the serve layer's background compactor): the manager
-// over this ledger must not run again, which a board guarantees by
-// building a new one for every job.
-func (l *Ledger) Compact(budget sim.Time) CompactResult {
-	defer l.enter()()
-	var res CompactResult
-	gcNoted := false
-	x := 0
-	for _, r := range slices.Clone(l.residents) { // relocate edits the table
-		ox, w := r.Region.X, r.Region.W
-		if ox != x {
-			if budget > 0 && res.Cost+l.relocateEstimate(r) > budget {
-				return res
-			}
-			if !gcNoted {
-				l.e.M.GCRuns.Inc()
-				l.emitNote(OpGC, "", "", fabric.Region{}, -1, 0, false, "compact")
-				gcNoted = true
-			}
-			cost, err := l.relocate(ox, x)
-			res.Cost += cost
-			if err != nil {
-				res.Err = err
-				return res
-			}
-			res.Moved++
-		}
-		x += w
-	}
-	res.Done = true
-	return res
-}
-
-// relocateEstimate returns the nominal (fault-free) cost of relocating
-// r, used to gate Compact's budget before committing to a move.
-func (l *Ledger) relocateEstimate(r *Resident) sim.Time {
-	tm := l.e.Opt.Timing
-	cost := r.C.BS.ConfigCost(tm)
-	if r.C.Sequential {
-		cost += tm.ReadbackTime(r.C.BS.FFCells) + tm.RestoreTime(r.C.BS.FFCells)
-	}
-	return cost
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/fabric"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -172,6 +173,38 @@ func TestLedgerRelocateMovesResidencyAndState(t *testing.T) {
 	}
 }
 
+// TestLedgerRelocateReadbackEscalationKeepsStrip pins the first half of
+// Relocate's escalation contract: a readback whose retry budget is gone
+// panics before the strip is touched, so it stays resident at its old
+// column with nothing evicted, and the same move succeeds once the fault
+// is spent. (TestRelocateEscalationDropsStrip covers the apply and
+// restore halves, which drop the strip.)
+func TestLedgerRelocateReadbackEscalationKeepsStrip(t *testing.T) {
+	e, led, _ := ledgerFixture(t)
+	led.Load("t0", e.Lib["counter8"], 4, false)
+	plan, err := fault.ParseSpec("seed=3,retries=0,readback-flip@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	led.InjectFaults(fault.NewInjector(plan))
+
+	func() {
+		defer func() {
+			if esc, ok := fault.AsEscalation(recover()); !ok || esc.Op != "readback" {
+				t.Fatalf("escalation = %+v, want a typed panic with Op \"readback\"", esc)
+			}
+		}()
+		led.Relocate(4, 0)
+	}()
+	if led.ResidentAt(4) == nil || e.M.Evictions.Value() != 0 || e.M.Relocations.Value() != 0 {
+		t.Fatalf("strip not preserved: residents %+v, evictions %d, relocations %d",
+			led.Residents(), e.M.Evictions.Value(), e.M.Relocations.Value())
+	}
+	if led.Relocate(4, 0) <= 0 || led.ResidentAt(0) == nil || led.ResidentAt(4) != nil {
+		t.Fatalf("retry did not move the strip: residents %+v", led.Residents())
+	}
+}
+
 func TestLedgerAnnotations(t *testing.T) {
 	e, led, log := ledgerFixture(t)
 	led.NoteBlock("a")
@@ -273,8 +306,8 @@ func bitmapStats(occ []bool) FragStats {
 }
 
 // TestLedgerResidencyProperty drives random TryLoad/Evict/Release/
-// Relocate/Compact sequences through the ledger and checks the residency
-// table against a plain occupancy bitmap after every operation: Frag()
+// Relocate sequences (single moves and whole pack-left sweeps) through
+// the ledger and checks the residency table against a plain occupancy bitmap after every operation: Frag()
 // equals the stats recomputed from the bitmap, and Residents() is sorted,
 // disjoint and covers exactly the occupied columns.
 func TestLedgerResidencyProperty(t *testing.T) {
@@ -303,16 +336,15 @@ func TestLedgerResidencyProperty(t *testing.T) {
 		for op := 0; op < 2000; op++ {
 			switch k := rng.Intn(20); {
 			case k == 0:
+				// Pack left, the multi-strip move a manager's GC makes.
 				sort.Slice(strips, func(i, j int) bool { return strips[i].x < strips[j].x })
 				clear(occ)
 				x := 0
 				for i := range strips {
+					led.Relocate(strips[i].x, x)
 					strips[i].x = x
 					mark(strips[i], true)
 					x += strips[i].w
-				}
-				if res := led.Compact(0); !res.Done || res.Err != nil {
-					t.Fatalf("seed %d op %d: compact = %+v", seed, op, res)
 				}
 			case k < 8 && len(strips) > 0:
 				i := rng.Intn(len(strips))

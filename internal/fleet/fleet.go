@@ -49,9 +49,12 @@ func (n *Node) Pool() *serve.Pool { return n.pool }
 // View snapshots the node for placement: health, queue pressure and
 // per-board fragmentation. A node is healthy while at least one board
 // is not quarantined and the pool is not draining.
-func (n *Node) View() NodeView {
+func (n *Node) View() NodeView { return n.viewOf(n.pool.BoardInfos()) }
+
+// viewOf is View over board infos the caller already holds.
+func (n *Node) viewOf(infos []serve.BoardInfo) NodeView {
 	v := NodeView{ID: n.id}
-	for _, bi := range n.pool.BoardInfos() {
+	for _, bi := range infos {
 		v.Boards = append(v.Boards, BoardView{
 			Cols: bi.Cols, LargestFree: bi.LargestFreeCols,
 			FragRatio: bi.Fragmentation, Quarantined: bi.Quarantined,
@@ -70,14 +73,23 @@ func (n *Node) View() NodeView {
 	return v
 }
 
-// frag merges the fragmentation stats of the node's boards: the node-level
-// view behind /v1/fleet and the per-node gauges.
-func (n *Node) frag() core.FragStats {
-	var frag core.FragStats
-	for _, f := range n.pool.FragSnapshots() {
-		frag.Merge(f)
+// nodeSnap is everything the front end reports about a node, derived
+// from one read of its boards so the families of one response agree
+// with each other: the placement view, the merged fragmentation stats
+// behind /v1/fleet and the per-node gauges, and the board infos.
+type nodeSnap struct {
+	view   NodeView
+	frag   core.FragStats
+	boards []serve.BoardInfo
+}
+
+func (n *Node) snapshot() nodeSnap {
+	s := nodeSnap{boards: n.pool.BoardInfos()}
+	for _, bi := range s.boards {
+		s.frag.Merge(bi.Frag)
 	}
-	return frag
+	s.view = n.viewOf(s.boards)
+	return s
 }
 
 // Job is one unit of work moving through the fleet: a serve job plus

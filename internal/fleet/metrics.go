@@ -70,26 +70,29 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	// Per-node health, pressure and fragmentation — the inputs the
 	// packing policy scores against, exported so a dashboard can replay
 	// its decisions.
-	m.Family("vfpgad_fleet_node_healthy", "1 while the node has at least one non-quarantined board.", "gauge")
+	snaps := make([]nodeSnap, 0, len(sched.Nodes()))
 	for _, n := range sched.Nodes() {
-		v := n.View()
+		snaps = append(snaps, n.snapshot())
+	}
+	m.Family("vfpgad_fleet_node_healthy", "1 while the node has at least one non-quarantined board.", "gauge")
+	for _, ns := range snaps {
 		healthy := int64(0)
-		if v.Healthy {
+		if ns.view.Healthy {
 			healthy = 1
 		}
-		m.Int("vfpgad_fleet_node_healthy", healthy, "node", strconv.Itoa(n.ID()))
+		m.Int("vfpgad_fleet_node_healthy", healthy, "node", strconv.Itoa(ns.view.ID))
 	}
 	m.Family("vfpgad_fleet_node_queue_depth", "Queued plus running jobs across the node's boards.", "gauge")
-	for _, n := range sched.Nodes() {
-		m.Int("vfpgad_fleet_node_queue_depth", int64(n.View().Queued), "node", strconv.Itoa(n.ID()))
+	for _, ns := range snaps {
+		m.Int("vfpgad_fleet_node_queue_depth", int64(ns.view.Queued), "node", strconv.Itoa(ns.view.ID))
 	}
 	m.Family("vfpgad_fleet_node_fragmentation", "External-fragmentation ratio of the node's merged board view.", "gauge")
-	for _, n := range sched.Nodes() {
-		m.Float("vfpgad_fleet_node_fragmentation", n.frag().Ratio(), "node", strconv.Itoa(n.ID()))
+	for _, ns := range snaps {
+		m.Float("vfpgad_fleet_node_fragmentation", ns.frag.Ratio(), "node", strconv.Itoa(ns.view.ID))
 	}
 	m.Family("vfpgad_fleet_node_largest_free_cols", "Widest contiguous free column extent across the node's boards.", "gauge")
-	for _, n := range sched.Nodes() {
-		m.Int("vfpgad_fleet_node_largest_free_cols", int64(n.frag().LargestFree), "node", strconv.Itoa(n.ID()))
+	for _, ns := range snaps {
+		m.Int("vfpgad_fleet_node_largest_free_cols", int64(ns.frag.LargestFree), "node", strconv.Itoa(ns.view.ID))
 	}
 	m.Family("vfpgad_fleet_node_board_requeues_total", "Jobs the node moved between its own boards after a quarantine.", "counter")
 	for _, n := range sched.Nodes() {

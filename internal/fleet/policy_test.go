@@ -62,6 +62,47 @@ func TestPackingPrefersTightFitAndLowQueue(t *testing.T) {
 	}
 }
 
+// TestPackingRoutesOnResidue pins the placements the live fleet makes
+// today from the views fleet_open shows it (EXPERIMENTS "Residue"). A
+// board's view is the layout its last job left behind, not capacity — the
+// next job runs on an erased device — yet at equal queue depth it decides:
+// the dynamic board reads 29–31 free columns, partition and paged 32, the
+// amorphous board 7–28, so the best-fit term sends three jobs in four to
+// the amorphous node. With honest views every score ties and index order
+// decides. A change to what Node.View reports changes these placements.
+func TestPackingRoutesOnResidue(t *testing.T) {
+	p, _ := NewPolicy("packing", 0)
+	node0 := view(true, 0, board(32, 30, 0), board(32, 32, 0)) // dynamic, partition
+	node1 := func(largest int, frag float64) NodeView {        // amorphous, paged
+		return view(true, 0, board(32, largest, frag), board(32, 32, 0))
+	}
+	fresh := view(true, 0, board(32, 32, 0), board(32, 32, 0))
+	full := view(true, 0, board(32, 7, 0.222), board(32, 10, 0))
+	busy := node1(14, 0.067)
+	busy.Queued = 1
+	for _, c := range []struct {
+		name  string
+		width int
+		nodes []NodeView
+		want  int
+		fits  bool
+	}{
+		{"widest strip, amorphous residue just holds it: tighter fit wins", 12, []NodeView{node0, node1(14, 0.067)}, 1, true},
+		{"narrow strip, amorphous nearly empty: still the tighter fit", 3, []NodeView{node0, node1(28, 0)}, 1, true},
+		{"amorphous residue too narrow: the node fits on its paged board, looser than node 0", 12, []NodeView{node0, node1(7, 0.222)}, 0, true},
+		{"honest views tie and index order decides", 12, []NodeView{fresh, fresh}, 0, true},
+		{"no board of a node reads wide enough: the fit tier decides", 12, []NodeView{full, fresh}, 1, true},
+		{"whatever the node order", 12, []NodeView{fresh, full}, 0, true},
+		{"no node reads wide enough: penalty tier, least queued, first", 12, []NodeView{full, full}, 0, false},
+		{"one queued job outweighs any residue", 12, []NodeView{node0, busy}, 0, true},
+	} {
+		idx, score, ok := p.Place(JobView{Width: c.width}, c.nodes)
+		if !ok || idx != c.want || (score < nonFitPenalty) != c.fits {
+			t.Errorf("%s: Place = (%d, %v, %v), want node %d, fit tier %v", c.name, idx, score, ok, c.want, c.fits)
+		}
+	}
+}
+
 func TestRandomPolicyDeterministicPerSeed(t *testing.T) {
 	nodes := []NodeView{
 		view(true, 0, board(24, 24, 0)),

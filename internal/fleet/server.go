@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 // ServerConfig parameterizes a fleet Server.
@@ -42,10 +41,6 @@ type ServerConfig struct {
 	// deterministically. < 0 arms every node; a node the fleet does not
 	// have is an error.
 	FaultNode int
-	// CompactWatermark / CompactBudget configure idle-cycle defrag on
-	// every node's boards (see serve.Config).
-	CompactWatermark float64
-	CompactBudget    sim.Time
 }
 
 // Server is the fleet front-end: scheduler + fleet-wide admission +
@@ -84,12 +79,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			}
 		}
 		boardSeq += len(boards)
-		n, err := NewNode(i, boards, serve.PoolOptions{
-			Outcomes:         adm,
-			Cache:            cache,
-			CompactWatermark: cfg.CompactWatermark,
-			CompactBudget:    cfg.CompactBudget,
-		})
+		n, err := NewNode(i, boards, serve.PoolOptions{Outcomes: adm, Cache: cache})
 		if err != nil {
 			return nil, err
 		}
@@ -228,11 +218,11 @@ func (s *Server) fleetInfo() Info {
 	}
 	routed := s.sched.Routed()
 	for i, n := range s.sched.Nodes() {
-		v := n.View()
+		snap := n.snapshot()
 		info.Nodes = append(info.Nodes, NodeInfo{
-			ID: n.ID(), Healthy: v.Healthy, Queued: v.Queued,
+			ID: n.ID(), Healthy: snap.view.Healthy, Queued: snap.view.Queued,
 			Routed: routed[i], BoardRequeues: n.Pool().RequeueCount(),
-			Frag: n.frag(), Boards: n.Pool().BoardInfos(),
+			Frag: snap.frag, Boards: snap.boards,
 		})
 	}
 	return info

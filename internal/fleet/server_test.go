@@ -248,6 +248,83 @@ func TestFleetOversizedSubmitRefused(t *testing.T) {
 	}
 }
 
+// TestNodeViewIsLastJobResidue pins the routing input: a board's entry
+// in Node.View is full capacity until it runs a job, and afterwards the
+// layout that job left behind (the board's BoardInfo sample) — although
+// the next job starts on an erased device. The packing policy routes on
+// this (TestPackingRoutesOnResidue); changing it is a routing change.
+func TestNodeViewIsLastJobResidue(t *testing.T) {
+	dyn, amo := serve.DefaultBoardConfig(), serve.DefaultBoardConfig()
+	amo.Manager = "amorphous"
+	n, err := NewNode(0, []serve.BoardConfig{dyn, amo}, serve.PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(bc serve.BoardConfig) BoardView { return BoardView{Cols: bc.Cols, LargestFree: bc.Cols} }
+	if v := n.View(); len(v.Boards) != 2 || v.Boards[0] != fresh(dyn) || v.Boards[1] != fresh(amo) {
+		t.Fatalf("view before any job: %+v, want every board at full capacity", v)
+	}
+
+	n.Pool().Start()
+	spec, err := workload.BuiltinSpec("multimedia")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := 1
+	j, err := n.Pool().Submit(serve.SubmitArgs{Tenant: "acme", Spec: &spec, Board: &pin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	n.Pool().Drain() // the board samples after it finishes the job; wait for it
+	if st := j.Status(); st.State != serve.StateDone {
+		t.Fatalf("job: %+v", st)
+	}
+
+	v, bi := n.View(), n.Pool().BoardInfos()[1]
+	if v.Boards[0] != fresh(dyn) {
+		t.Errorf("idle board's view moved: %+v", v.Boards[0])
+	}
+	if want := (BoardView{Cols: amo.Cols, LargestFree: bi.LargestFreeCols, FragRatio: bi.Fragmentation}); v.Boards[1] != want {
+		t.Errorf("view after the job: %+v, want the board's sample %+v", v.Boards[1], want)
+	}
+	if v.Boards[1] == fresh(amo) {
+		t.Errorf("view after an amorphous job reads as a fresh board: %+v", v.Boards[1])
+	}
+}
+
+// The tenant-name bound lives in the shared NewAPI too: the fleet-wide
+// admission domain never learns a refused name.
+func TestFleetTenantNameBounded(t *testing.T) {
+	s := newTestFleet(t, ServerConfig{}, 2, 1)
+	for _, c := range []struct {
+		name, tenant string
+		want         int
+	}{
+		{"200 KB", strings.Repeat("a", 200<<10), http.StatusBadRequest},
+		{"129 bytes", strings.Repeat("a", 129), http.StatusBadRequest},
+		{"newline", "a\nb", http.StatusBadRequest},
+		{"128 bytes", strings.Repeat("a", 128), http.StatusAccepted},
+	} {
+		rec := do(t, s, "POST", "/v1/jobs", submitBody(t, c.tenant, "multimedia"))
+		if rec.Code != c.want {
+			t.Fatalf("%s: got %d, want %d (body %.200s)", c.name, rec.Code, c.want, rec.Body)
+		}
+		if c.want != http.StatusBadRequest {
+			continue
+		}
+		if !strings.Contains(errorOf(t, rec), "tenant name") {
+			t.Errorf("%s: error %.200q does not name the tenant name", c.name, rec.Body)
+		}
+		if tenants := s.adm.Snapshot(); len(tenants) != 0 {
+			t.Fatalf("%s: the refusal reached admission: %d tenants", c.name, len(tenants))
+		}
+	}
+	if tenants := s.adm.Snapshot(); len(tenants) != 1 || tenants[0].Admitted != 1 {
+		t.Errorf("admission after the accepted name: %+v", tenants)
+	}
+}
+
 // TestFleetSharedAdmission is the Retry-After satellite: one admission
 // domain spans the fleet, so a tenant's budget does not multiply with
 // node count, and a 429's Retry-After reflects the earliest token of

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
+	"unicode"
 )
 
 // Backend is what the job API fronts: one board pool (this package's
@@ -83,6 +85,25 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // well under 200 bytes.
 const maxSubmitBytes = 1 << 20
 
+// maxTenantBytes caps a tenant name. An accepted name is a key in the
+// admission and service-time tables and a label on every per-tenant
+// /metrics series for the life of the process.
+const maxTenantBytes = 128
+
+// tenantError returns the 400 message for a tenant name the API does not
+// accept, or "".
+func tenantError(name string) string {
+	switch {
+	case name == "":
+		return "tenant is required"
+	case len(name) > maxTenantBytes:
+		return fmt.Sprintf("tenant name over %d bytes", maxTenantBytes)
+	case strings.ContainsFunc(name, unicode.IsControl):
+		return "tenant name contains a control character"
+	}
+	return ""
+}
+
 func (a *api) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
@@ -96,8 +117,8 @@ func (a *api) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.Tenant == "" {
-		writeError(w, http.StatusBadRequest, "tenant is required")
+	if msg := tenantError(req.Tenant); msg != "" {
+		writeError(w, http.StatusBadRequest, "%s", msg)
 		return
 	}
 	if err := req.Workload.Validate(); err != nil {

@@ -172,25 +172,13 @@ func (s *Server) writeMetrics(w io.Writer) error {
 		m.Int("vfpgad_board_resets_total", bi.WarmResets, "board", strconv.Itoa(bi.ID), "mode", "warm")
 		m.Int("vfpgad_board_resets_total", bi.ColdResets, "board", strconv.Itoa(bi.ID), "mode", "cold")
 	}
-	m.Family("vfpgad_board_fragmentation", "External-fragmentation ratio of the board's device after its last job or compaction pass (0 means one contiguous free extent).", "gauge")
+	m.Family("vfpgad_board_fragmentation", "External-fragmentation ratio of the board's device after its last job (0 means one contiguous free extent).", "gauge")
 	for _, bi := range infos {
 		m.Float("vfpgad_board_fragmentation", bi.Fragmentation, "board", strconv.Itoa(bi.ID), "manager", bi.Manager)
 	}
 	m.Family("vfpgad_board_largest_free_cols", "Widest contiguous free column extent on the board's device.", "gauge")
 	for _, bi := range infos {
 		m.Int("vfpgad_board_largest_free_cols", int64(bi.LargestFreeCols), "board", strconv.Itoa(bi.ID))
-	}
-	m.Family("vfpgad_compactions_total", "Idle-cycle defragmentation passes the board ran.", "counter")
-	for _, bi := range infos {
-		m.Int("vfpgad_compactions_total", bi.Compactions, "board", strconv.Itoa(bi.ID))
-	}
-	m.Family("vfpgad_compaction_moved_total", "Strips relocated by idle-cycle compaction.", "counter")
-	for _, bi := range infos {
-		m.Int("vfpgad_compaction_moved_total", bi.CompactionMoved, "board", strconv.Itoa(bi.ID))
-	}
-	m.Family("vfpgad_compaction_aborts_total", "Compaction passes cut short by an injected fault (retried on a later idle cycle).", "counter")
-	for _, bi := range infos {
-		m.Int("vfpgad_compaction_aborts_total", bi.CompactionAborts, "board", strconv.Itoa(bi.ID))
 	}
 	m.Family("vfpgad_board_quarantined", "1 while the board is quarantined after a fault escalation.", "gauge")
 	for _, bi := range infos {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -147,20 +146,14 @@ type board struct {
 	warmResets int64
 	coldResets int64
 	// fragRatio and frag are the board's fragmentation view, sampled
-	// from the last job's stack after every job and after every
-	// compaction pass (a discarded stack keeps the last sample). A board
-	// that has never run a job reports one full-width free span: fleet
-	// placement must see fresh capacity, not zero. frag is the merged
-	// FragStats across the board's engines (its LargestFree is the widest
-	// hole on any of them); fragRatio keeps the worst single engine's
-	// ratio. compactions counts idle-cycle defrag passes, compactionMoved
-	// the strips they relocated, compactionAborts the passes an injected
-	// fault cut short.
-	fragRatio        float64
-	frag             core.FragStats
-	compactions      int64
-	compactionMoved  int64
-	compactionAborts int64
+	// from the last job's stack after every job (a discarded stack keeps
+	// the last sample). A board that has never run a job reports one
+	// full-width free span: fleet placement must see fresh capacity, not
+	// zero. frag is the merged FragStats across the board's engines (its
+	// LargestFree is the widest hole on any of them); fragRatio keeps the
+	// worst single engine's ratio.
+	fragRatio float64
+	frag      core.FragStats
 }
 
 // sampleFrag refreshes the board's exported fragmentation view from the
@@ -238,9 +231,7 @@ func (b *board) info() BoardInfo {
 		JobsDone: b.done, JobsFailed: b.failed,
 		Quarantined: b.quarantined, FaultKind: b.quarKind, Escalations: b.escalations,
 		Warm: b.warm, WarmResets: b.warmResets, ColdResets: b.coldResets,
-		Fragmentation: b.fragRatio, LargestFreeCols: b.frag.LargestFree,
-		Compactions: b.compactions, CompactionMoved: b.compactionMoved,
-		CompactionAborts: b.compactionAborts,
+		Fragmentation: b.fragRatio, LargestFreeCols: b.frag.LargestFree, Frag: b.frag,
 	}
 }
 
@@ -268,12 +259,6 @@ type PoolOptions struct {
 	// fleet shares one cache across its nodes' pools, so a circuit
 	// compiled on any node is warm everywhere.
 	Cache *compile.StripCache
-	// CompactWatermark turns on idle-cycle defragmentation (see
-	// Config.CompactWatermark); <= 0 disables it.
-	CompactWatermark float64
-	// CompactBudget bounds one compaction pass's relocation time; 0
-	// means unbounded.
-	CompactBudget sim.Time
 }
 
 // Pool owns the boards and the job store. One worker goroutine per
@@ -290,12 +275,6 @@ type Pool struct {
 	// queues full deterministically. Both are written before Start().
 	wg   sync.WaitGroup
 	gate chan struct{}
-
-	// compactWatermark and compactBudget configure idle-cycle
-	// defragmentation; both are written before Start() and read only by
-	// the worker goroutines. A watermark <= 0 disables compaction.
-	compactWatermark float64
-	compactBudget    sim.Time
 
 	mu       sync.Mutex
 	jobs     *JobTable[*Job]
@@ -378,13 +357,11 @@ func NewPool(cfgs []BoardConfig, opts PoolOptions) (*Pool, error) {
 		cache = compile.NewStripCache(compile.DefaultCacheCapacity)
 	}
 	p := &Pool{
-		cache:            cache,
-		outcomes:         outcomes,
-		compactWatermark: opts.CompactWatermark,
-		compactBudget:    opts.CompactBudget,
-		jobs:             NewJobTable[*Job]("j"),
-		svc:              stats.NewLatencyRecorder(),
-		tenantSvc:        map[string]*stats.LatencyRecorder{},
+		cache:     cache,
+		outcomes:  outcomes,
+		jobs:      NewJobTable[*Job]("j"),
+		svc:       stats.NewLatencyRecorder(),
+		tenantSvc: map[string]*stats.LatencyRecorder{},
 	}
 	for i, bc := range cfgs {
 		if err := bc.Validate(); err != nil {
@@ -413,77 +390,15 @@ func (p *Pool) worker(b *board) {
 			<-p.gate
 		}
 		p.runOne(b, j)
-		p.boardMaint(b)
+		b.sampleFrag()
 	}
-}
-
-// boardMaint runs on b's worker goroutine after every job: it samples
-// the board's fragmentation view and, when the queue is idle and the
-// ratio has crossed the configured watermark, spends the idle cycle on
-// a budgeted compaction pass through each engine's ledger. The pass
-// charges real relocation costs, but the next job starts from an erased
-// device anyway, so job results stay independent of whether the board
-// defragmented in between — compaction here models reclaiming
-// otherwise-dead device time, and its effect is visible through the
-// board's exported fragmentation gauges.
-func (p *Pool) boardMaint(b *board) {
-	if b.stack == nil || b.isQuarantined() {
-		return
-	}
-	b.sampleFrag()
-	if p.compactWatermark <= 0 || len(b.queue) != 0 {
-		return
-	}
-	var moved, aborts int64
-	ran := false
-	for _, eng := range b.stack.Engines {
-		f := eng.Ledger().Frag()
-		// One mid-device hole is enough to cross a low watermark, but
-		// with a single free span there is nothing to merge.
-		if f.Ratio() < p.compactWatermark || f.FreeSpans < 2 {
-			continue
-		}
-		res := p.compactEngine(eng)
-		ran = true
-		moved += int64(res.Moved)
-		if res.Err != nil {
-			aborts++
-		}
-	}
-	if !ran {
-		return
-	}
-	b.mu.Lock()
-	b.compactions++
-	b.compactionMoved += moved
-	b.compactionAborts += aborts
-	b.mu.Unlock()
-	b.sampleFrag()
-}
-
-// compactEngine runs one budgeted compaction pass over an engine's
-// ledger, converting any stray panic into an aborted result. An abort —
-// an injected fault firing mid-move — never quarantines the board: the
-// ledger already resolved the fault (strip kept or cleanly dropped),
-// and the next idle cycle simply retries.
-func (p *Pool) compactEngine(eng *core.Engine) (res core.CompactResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = core.CompactResult{Err: fmt.Errorf("serve: compaction panicked: %v", r)}
-		}
-	}()
-	return eng.Ledger().Compact(p.compactBudget)
 }
 
 func (p *Pool) runOne(b *board, j *Job) {
 	if err := j.ctx.Err(); err != nil {
 		// Canceled or deadline-expired while queued: fail without
 		// spending board time on it.
-		p.finish(j, nil, fmt.Errorf("job %s not run: %w", j.id, err))
-		b.mu.Lock()
-		b.failed++
-		b.mu.Unlock()
-		p.outcomes.NoteFailed(j.tenant)
+		p.failJob(b, j, fmt.Errorf("job %s not run: %w", j.id, err))
 		return
 	}
 	if kind, quarantined := b.quarantineState(); quarantined {
@@ -494,11 +409,7 @@ func (p *Pool) runOne(b *board, j *Job) {
 			return
 		}
 		j.noteFault(kind)
-		p.finish(j, nil, fmt.Errorf("serve: board %d quarantined (%s); no healthy board for job %s", b.id, kind, j.id))
-		b.mu.Lock()
-		b.failed++
-		b.mu.Unlock()
-		p.outcomes.NoteFailed(j.tenant)
+		p.failJob(b, j, fmt.Errorf("serve: board %d quarantined (%s); no healthy board for job %s", b.id, kind, j.id))
 		return
 	}
 	b.mu.Lock()
@@ -516,32 +427,33 @@ func (p *Pool) runOne(b *board, j *Job) {
 		if p.requeue(j) {
 			return
 		}
-		p.finish(j, nil, err)
-		b.mu.Lock()
-		b.failed++
-		b.mu.Unlock()
-		p.outcomes.NoteFailed(j.tenant)
+	}
+	if err != nil {
+		p.failJob(b, j, err)
 		return
 	}
-
 	b.mu.Lock()
 	b.current = ""
-	if err != nil {
-		b.failed++
-	} else {
-		b.done++
-		for _, m := range res.Metrics {
-			b.agg.Accumulate(m)
-		}
+	b.done++
+	for _, m := range res.Metrics {
+		b.agg.Accumulate(m)
 	}
 	b.mu.Unlock()
-	if err != nil {
-		p.outcomes.NoteFailed(j.tenant)
-	} else {
-		p.observeService(j.tenant, int64(res.Makespan))
-		p.outcomes.NoteCompleted(j.tenant)
-	}
-	p.finish(j, res, err)
+	p.observeService(j.tenant, int64(res.Makespan))
+	p.outcomes.NoteCompleted(j.tenant)
+	p.finish(j, res, nil)
+}
+
+// failJob is the one failure tail: the board and the tenant count the
+// job before finish closes its done channel, so a client that sees the
+// terminal status finds the job in /v1/boards and /metrics already.
+func (p *Pool) failJob(b *board, j *Job, err error) {
+	b.mu.Lock()
+	b.current = ""
+	b.failed++
+	b.mu.Unlock()
+	p.outcomes.NoteFailed(j.tenant)
+	p.finish(j, nil, err)
 }
 
 // runWarm executes j on b: on the hardware of the board's last job when
@@ -761,19 +673,6 @@ func (p *Pool) BoardInfos() []BoardInfo {
 		infos = append(infos, b.info())
 	}
 	return infos
-}
-
-// FragSnapshots returns each board's merged ledger fragmentation stats,
-// in board-id order. Fleet placement aggregates these per node; a board
-// that has never run a job reports one full-width free span.
-func (p *Pool) FragSnapshots() []core.FragStats {
-	out := make([]core.FragStats, 0, len(p.boards))
-	for _, b := range p.boards {
-		b.mu.Lock()
-		out = append(out, b.frag)
-		b.mu.Unlock()
-	}
-	return out
 }
 
 // CacheStats reports the pool's strip-cache counters.

@@ -380,6 +380,39 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestTenantNameBounded: a tenant name is bounded at the door — an
+// oversized or control-character name is a 400 before admission spends a
+// token or either tenant table learns the name.
+func TestTenantNameBounded(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, c := range []struct {
+		name, tenant string
+		want         int
+	}{
+		{"200 KB", strings.Repeat("a", 200<<10), http.StatusBadRequest},
+		{"129 bytes", strings.Repeat("a", maxTenantBytes+1), http.StatusBadRequest},
+		{"newline", "a\nb", http.StatusBadRequest},
+		{"128 bytes", strings.Repeat("a", maxTenantBytes), http.StatusAccepted},
+	} {
+		rec := do(t, s, "POST", "/v1/jobs", submitBody(t, c.tenant, "multimedia"))
+		if rec.Code != c.want {
+			t.Fatalf("%s: got %d, want %d (body %.200s)", c.name, rec.Code, c.want, rec.Body)
+		}
+		if c.want != http.StatusBadRequest {
+			continue
+		}
+		if !strings.Contains(errorOf(t, rec), "tenant name") {
+			t.Errorf("%s: error %.200q does not name the tenant name", c.name, rec.Body)
+		}
+		if tenants := s.adm.Snapshot(); len(tenants) != 0 {
+			t.Fatalf("%s: the refusal reached admission: %d tenants", c.name, len(tenants))
+		}
+	}
+	if tenants := s.adm.Snapshot(); len(tenants) != 1 || tenants[0].Admitted != 1 {
+		t.Errorf("admission after the accepted name: %+v", tenants)
+	}
+}
+
 // TestBoardPin runs every manager as a pinned single-job board, proving
 // the whole manager matrix works behind the service.
 func TestBoardPin(t *testing.T) {
@@ -466,6 +499,28 @@ func TestJobTimeoutWhileQueued(t *testing.T) {
 	}
 	go s.Drain()
 	s.pool.gate <- struct{}{}
+}
+
+// TestFailedJobCountedBeforeDone: by the time a failed job reads as
+// finished, its board and its tenant have already counted it — a client
+// that polls a terminal status and then reads /v1/boards or /metrics
+// finds the job there.
+func TestFailedJobCountedBeforeDone(t *testing.T) {
+	s := newTestServer(t, Config{Tenant: TenantLimits{Rate: 0}})
+	s.pool.gate = make(chan struct{}, 1)
+	s.Start()
+	defer s.Drain()
+
+	j := submitOK(t, s, "acme", "multimedia")
+	j.Cancel() // while the gated worker holds it queued
+	s.pool.gate <- struct{}{}
+	<-j.Done()
+	if bi := s.pool.BoardInfos()[0]; bi.JobsFailed != 1 || bi.State != "idle" {
+		t.Errorf("board after the job's Done: %+v, want 1 failed job and an idle board", bi)
+	}
+	if tenants := s.adm.Snapshot(); len(tenants) != 1 || tenants[0].Failed != 1 {
+		t.Errorf("tenant counters after the job's Done: %+v, want 1 failed", tenants)
+	}
 }
 
 // TestSubmitSequenceIDs pins the job id format the load generator and

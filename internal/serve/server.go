@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/sim"
 )
 
 // Config parameterizes a Server.
@@ -26,14 +25,6 @@ type Config struct {
 	// independently but reproducibly). Boards with their own Faults plan
 	// keep it. Nil means no injection anywhere.
 	Faults *fault.Plan
-	// CompactWatermark turns on idle-cycle defragmentation: after a job,
-	// a board whose queue is empty and whose external-fragmentation
-	// ratio is at or above the watermark runs a compaction pass through
-	// its ledger. <= 0 disables compaction.
-	CompactWatermark float64
-	// CompactBudget bounds the virtual device time one compaction pass
-	// may spend on relocations; 0 means unbounded (pack fully).
-	CompactBudget sim.Time
 	// Admission, when non-nil, replaces the server's own per-tenant
 	// bucket — the fleet layer shares one Admission across every node so
 	// budgets (and Retry-After hints) are fleet-wide, not per daemon.
@@ -66,11 +57,7 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 	}
-	p, err := NewPool(boards, PoolOptions{
-		Outcomes:         adm,
-		CompactWatermark: cfg.CompactWatermark,
-		CompactBudget:    cfg.CompactBudget,
-	})
+	p, err := NewPool(boards, PoolOptions{Outcomes: adm})
 	if err != nil {
 		return nil, err
 	}

@@ -139,18 +139,17 @@ type BoardInfo struct {
 	Warm       bool  `json:"warm"`
 	WarmResets int64 `json:"warm_resets"`
 	ColdResets int64 `json:"cold_resets"`
-	// Fragmentation is the device's external-fragmentation ratio after
-	// the board's last job or compaction pass (worst engine; 0 means the
-	// free columns form one contiguous extent), and LargestFreeCols the
-	// widest contiguous free extent. Compactions counts idle-cycle
-	// defragmentation passes, CompactionMoved the strips those passes
-	// relocated, and CompactionAborts the passes an injected fault cut
-	// short (retried on a later idle cycle).
-	Fragmentation    float64 `json:"fragmentation"`
-	LargestFreeCols  int     `json:"largest_free_cols"`
-	Compactions      int64   `json:"compactions"`
-	CompactionMoved  int64   `json:"compaction_moved"`
-	CompactionAborts int64   `json:"compaction_aborts"`
+	// Fragmentation is the device's external-fragmentation ratio as the
+	// board's last job left it (worst engine; 0 means the free columns
+	// form one contiguous extent), and LargestFreeCols the widest
+	// contiguous free extent then. The next job starts on an erased
+	// device: the pair is what fleet placement routes on, not free
+	// capacity.
+	Fragmentation   float64 `json:"fragmentation"`
+	LargestFreeCols int     `json:"largest_free_cols"`
+	// Frag is the same sample in full, merged across the board's
+	// engines; the fleet front end merges it again per node. Off the wire.
+	Frag core.FragStats `json:"-"`
 }
 
 // Health is the body of GET /healthz.
