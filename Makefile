@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-flow bench-device bench-warm benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
+.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-flow bench-device bench-warm bench-harness benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
 
 check: fmt vet vet-analyzers build race conformance test lint cover fuzz-smoke bench-quick serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
 
@@ -29,12 +29,14 @@ build:
 # experiment runner (bench), the compile cache (compile), the service
 # daemon (serve), the fleet scheduler (fleet), the router scratch, and
 # the simulation layers they drive — the board stack (baseline) runs on
-# every board worker goroutine — and the shared circuit library (netlist)
-# with the spec builder that reads it from every worker. The second run
+# every board worker goroutine, the event kernel (sim) with both its
+# callback shapes under bench.Run's parallel workers — and the shared
+# circuit library (netlist) with the spec builder that reads it from
+# every worker. The second run
 # repeats the one test of an ordering between two goroutines (a failed
 # job is counted before its done channel closes): once is not evidence.
 race:
-	$(GO) test -race ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/route/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
+	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/route/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
 	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone' ./internal/serve/
 
 test:
@@ -104,6 +106,15 @@ bench-device:
 bench-warm:
 	$(GO) test -run '^$$' -bench 'Benchmark(SpecBuild|StatusEncode|FabricConfig)$$' -benchmem -benchtime 20000x -count 5 ./internal/workload/ ./internal/serve/ ./internal/lint/
 	$(GO) test -run '^$$' -bench 'BenchmarkJobColdVsWarm$$/warm' -benchmem -benchtime 2000x -count 5 ./internal/serve/
+
+# The bookkeeping under a table regeneration, before and after a change
+# to it: the fleet bake-off replay, the event kernel, building, optimizing
+# and segmenting mul8, and the two experiments that lean on them hardest
+# (F6 segmentation, F10 the bake-off). Five readings each, allocations
+# beside the time. Wall-clock bound, so not part of `make check`.
+bench-harness:
+	$(GO) test -run '^$$' -bench 'Benchmark(Bakeoff|ScheduleRun|BuildMul8|OptimizeMul8|SegmentMul8)$$' -benchmem -count 5 ./internal/fleet/ ./internal/sim/ ./internal/netlist/
+	$(GO) test -run '^$$' -bench 'Benchmark(F6Segmentation|F10PlacementBakeoff)$$' -benchmem -count 5 .
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md): all four
 # workloads, both passes, into out/benchmark/result.json. Minutes long

@@ -48,7 +48,7 @@ func T1DynamicLoadingOverhead(cfg Config) (*trace.Table, error) {
 		{true, core.DoneSignal},
 		{false, core.Apriori},
 	}
-	circuits := []*netlist.Netlist{netlist.Adder(8), netlist.ALU(8)}
+	circuits := []*netlist.Netlist{netlist.MustLookup("adder8"), netlist.MustLookup("alu8")}
 	type point struct {
 		evals      int64
 		partial    bool
@@ -113,7 +113,7 @@ func T2StatePreemption(cfg Config) (*trace.Table, error) {
 		slices = []sim.Time{2 * sim.Millisecond}
 	}
 	const cycles = 400_000
-	circuits := []*netlist.Netlist{netlist.Counter(8)}
+	circuits := []*netlist.Netlist{netlist.MustLookup("counter8")}
 	type point struct {
 		slice  sim.Time
 		policy core.StatePolicy
@@ -221,8 +221,8 @@ func T4Overlay(cfg Config) (*trace.Table, error) {
 		Note:    "paper §2: frequent common functions stay resident; rare ones share the overlay area",
 		Columns: []string{"resident_set", "loads", "config_ms", "makespan_ms", "mean_turnaround_ms"},
 	}
-	hot := netlist.ALU(8)
-	cold := []*netlist.Netlist{netlist.Multiplier(4), netlist.BarrelShifter(16), netlist.CRC(16, 0x8005)}
+	hot := netlist.MustLookup("alu8")
+	cold := []*netlist.Netlist{netlist.MustLookup("mul4"), netlist.MustLookup("rotl16"), netlist.MustLookup("crc16")}
 	circuits := append([]*netlist.Netlist{hot}, cold...)
 
 	tasks := 6
@@ -288,7 +288,7 @@ func T5IOMux(cfg Config) (*trace.Table, error) {
 		Note:    "paper §2: multiplexing increases apparent I/O count at a throughput cost",
 		Columns: []string{"phys_pins", "virt_pins", "mux_factor", "hw_ms", "slowdown"},
 	}
-	c := netlist.Adder(16) // 33 inputs + 17 outputs = 50 virtual pins
+	c := netlist.MustLookup("adder16") // 33 inputs + 17 outputs = 50 virtual pins
 	virt := 50
 	pinSweep := []int{16, 8, 4, 2} // pins per side -> 64, 32, 16, 8 pins
 	if cfg.Quick {
@@ -340,8 +340,8 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 		Columns: []string{"device_cols", "device_cells", "app_cells", "size_ratio", "makespan_ms", "slowdown"},
 	}
 	stages := []*netlist.Netlist{
-		netlist.Multiplier(4), netlist.ALU(8), netlist.BarrelShifter(16),
-		netlist.PopCount(32), netlist.Adder(16), netlist.Comparator(16),
+		netlist.MustLookup("mul4"), netlist.MustLookup("alu8"), netlist.MustLookup("rotl16"),
+		netlist.MustLookup("popcount32"), netlist.MustLookup("adder16"), netlist.MustLookup("cmp16"),
 	}
 	passes := 3
 	if cfg.Quick {
@@ -482,7 +482,7 @@ func F2SchedulingModes(cfg Config) (*trace.Table, error) {
 	if cfg.Quick {
 		taskSweep = []int{2, 4}
 	}
-	pool := []*netlist.Netlist{netlist.Parity(16), netlist.Adder(8), netlist.ALU(8), netlist.Comparator(16)}
+	pool := []*netlist.Netlist{netlist.MustLookup("parity16"), netlist.MustLookup("adder8"), netlist.MustLookup("alu8"), netlist.MustLookup("cmp16")}
 	mkSet := func(n int) *workload.Set {
 		set := &workload.Set{Circuits: pool}
 		for ti := 0; ti < n; ti++ {
@@ -545,7 +545,7 @@ func F3MergedVsDynamic(cfg Config) (*trace.Table, error) {
 		Note:    "paper §3: 'if the FPGA is large enough ... merge all circuits into only one'",
 		Columns: []string{"device_cols", "merged_makespan_ms", "dynamic_makespan_ms", "dynamic_loads"},
 	}
-	pool := []*netlist.Netlist{netlist.Parity(16), netlist.Adder(8), netlist.ALU(8), netlist.Multiplier(4)}
+	pool := []*netlist.Netlist{netlist.MustLookup("parity16"), netlist.MustLookup("adder8"), netlist.MustLookup("alu8"), netlist.MustLookup("mul4")}
 	mkSet := func() *workload.Set {
 		return workload.Synthetic(workload.SyntheticConfig{
 			Tasks:       6,
@@ -610,8 +610,8 @@ func churnSets(cfg Config) func() *workload.Set {
 	if cfg.Quick {
 		small, wide = 10, 3
 	}
-	narrowPool := []*netlist.Netlist{netlist.Parity(16), netlist.Adder(8), netlist.Comparator(16)}
-	widePool := []*netlist.Netlist{netlist.Multiplier(6), netlist.Multiplier(8)}
+	narrowPool := []*netlist.Netlist{netlist.MustLookup("parity16"), netlist.MustLookup("adder8"), netlist.MustLookup("cmp16")}
+	widePool := []*netlist.Netlist{netlist.Multiplier(6), netlist.MustLookup("mul8")}
 	return func() *workload.Set {
 		src := rng.New(cfg.Seed + 17)
 		set := &workload.Set{Circuits: append(append([]*netlist.Netlist{}, narrowPool...), widePool...)}
@@ -713,7 +713,7 @@ func F5Pagination(cfg Config) (*trace.Table, error) {
 		Note:    "paper §2: configurations split into fixed-size pages loaded on demand",
 		Columns: []string{"page_cells", "pages", "frames", "policy", "faults", "fault_rate", "config_ms", "makespan_ms"},
 	}
-	circuit := netlist.Multiplier(8)
+	circuit := netlist.MustLookup("mul8")
 	refs := 300
 	if cfg.Quick {
 		refs = 80
@@ -787,7 +787,7 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 		Columns: []string{"approach", "device_cols", "app_cells", "loads", "makespan_ms"},
 	}
 	stages := []*netlist.Netlist{
-		netlist.ALU(8), netlist.Multiplier(4), netlist.BarrelShifter(16), netlist.PopCount(32),
+		netlist.MustLookup("alu8"), netlist.MustLookup("mul4"), netlist.MustLookup("rotl16"), netlist.MustLookup("popcount32"),
 	}
 	mono, err := netlist.Concat("monolithic", stages...)
 	if err != nil {
@@ -820,7 +820,7 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 	// cut into k level-balanced stages by netlist.Segment — the paper's
 	// "self-contained sub-functions having variable size" derived
 	// mechanically rather than by hand.
-	big := netlist.Multiplier(8)
+	big := netlist.MustLookup("mul8")
 	ks := []int{2, 4}
 	if cfg.Quick {
 		ks = []int{2}

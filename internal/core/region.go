@@ -90,8 +90,11 @@ func (f *FragStats) observe(w int) {
 // Span is one contiguous column range of a RegionMap. Owner is
 // manager-defined payload; nil marks the span free. Occupied spans keep
 // object identity across every map operation (including Move), so a
-// manager can hold the pointer in its own tables; free-span pointers
-// are invalidated by the next mutation.
+// manager can hold the pointer in its own tables until it releases the
+// span. The map recycles the span objects it merges away, so two other
+// pointers are dead, not just stale: a free-span pointer after the next
+// mutation (it may already name a different span, free or occupied), and
+// a released span's pointer from the moment Release returns.
 type Span struct {
 	X, W  int
 	Owner any
@@ -106,10 +109,19 @@ func (s *Span) Free() bool { return s.Owner == nil }
 // move on Alloc/Release/Move. A fixed map (NewFixedRegionMap) has
 // static slots that never split, merge or move, like §4's fixed
 // partition table.
+//
+// A sliding map reuses its span objects: the free spans coalesce merges
+// away and the entries Move retires go onto spare, and every span the
+// map carves (Alloc's claim, Move's husk and free remainder) comes from
+// spare before the allocator. A span is at least one column wide, so a
+// map never makes more than cols+1 span objects (the one being Move's
+// husk, made while the moving span is still in the table), and spare is
+// bounded by the column count.
 type RegionMap struct {
 	cols  int
 	fixed bool
 	spans []*Span // sorted by X, non-overlapping
+	spare []*Span // out of the table, ready for reuse
 }
 
 // NewRegionMap returns a sliding map with one free span covering the
@@ -181,14 +193,16 @@ func (rm *RegionMap) Alloc(s *Span, need int, owner any) *Span {
 		s.Owner = owner
 		return s
 	}
-	claimed := &Span{X: s.X, W: need, Owner: owner}
+	claimed := rm.newSpan(s.X, need, owner)
 	s.X += need
 	s.W -= need
 	rm.insert(claimed)
 	return claimed
 }
 
-// Release frees s. In a sliding map adjacent free spans coalesce.
+// Release frees s. In a sliding map adjacent free spans coalesce, and
+// the caller's pointer is dead from here on: the map may merge s away
+// and hand the object out again as another span.
 func (rm *RegionMap) Release(s *Span) {
 	s.Owner = nil
 	if !rm.fixed {
@@ -212,12 +226,11 @@ func (rm *RegionMap) Move(s *Span, newX int) {
 	}
 	owner, w := s.Owner, s.W
 	// Free the old extent, letting it coalesce with its neighbors — but
-	// keep the table entry in a fresh husk object so s can be reused as
-	// the claimed destination span.
+	// keep the table entry in a husk object so s can be reused as the
+	// claimed destination span.
 	s.Owner = nil
 	rm.coalesce(s)
-	husk := &Span{X: s.X, W: s.W}
-	rm.spans[rm.index(s)] = husk
+	rm.spans[rm.index(s)] = rm.newSpan(s.X, s.W, nil)
 	// The destination must now lie inside one free span (possibly the
 	// husk itself).
 	var f *Span
@@ -237,9 +250,10 @@ func (rm *RegionMap) Move(s *Span, newX int) {
 		rm.insert(s)
 	} else {
 		rm.spans[rm.index(f)] = s
+		rm.spare = append(rm.spare, f)
 	}
 	if end := newX + w; end < fx+fw {
-		rm.insert(&Span{X: end, W: fx + fw - end})
+		rm.insert(rm.newSpan(end, fx+fw-end, nil))
 	}
 }
 
@@ -306,6 +320,20 @@ func (rm *RegionMap) SpansIn(lo, hi int) []*Span {
 	return out
 }
 
+// newSpan returns a span object for a carved extent: a spare one when
+// the map has one, a new one otherwise.
+func (rm *RegionMap) newSpan(x, w int, owner any) *Span {
+	n := len(rm.spare)
+	if n == 0 {
+		return &Span{X: x, W: w, Owner: owner}
+	}
+	s := rm.spare[n-1]
+	rm.spare[n-1] = nil
+	rm.spare = rm.spare[:n-1]
+	s.X, s.W, s.Owner = x, w, owner
+	return s
+}
+
 // index returns s's position in the table.
 func (rm *RegionMap) index(s *Span) int {
 	i := sort.Search(len(rm.spans), func(i int) bool { return rm.spans[i].X >= s.X })
@@ -324,7 +352,7 @@ func (rm *RegionMap) insert(s *Span) {
 }
 
 // coalesce merges s with adjacent free neighbors; s survives, the
-// neighbors are removed.
+// neighbors leave the table for spare.
 func (rm *RegionMap) coalesce(s *Span) {
 	i := rm.index(s)
 	for i+1 < len(rm.spans) {
@@ -334,6 +362,7 @@ func (rm *RegionMap) coalesce(s *Span) {
 		}
 		s.W += n.W
 		rm.spans = append(rm.spans[:i+1], rm.spans[i+2:]...)
+		rm.spare = append(rm.spare, n)
 	}
 	for i > 0 {
 		n := rm.spans[i-1]
@@ -343,6 +372,7 @@ func (rm *RegionMap) coalesce(s *Span) {
 		s.X = n.X
 		s.W += n.W
 		rm.spans = append(rm.spans[:i-1], rm.spans[i:]...)
+		rm.spare = append(rm.spare, n)
 		i--
 	}
 }

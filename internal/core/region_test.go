@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func spanLayout(t *testing.T, rm *RegionMap, want [][3]int) {
@@ -155,5 +157,161 @@ func TestFragHistBuckets(t *testing.T) {
 		if got := histBucket(c.w); got != c.bucket {
 			t.Errorf("histBucket(%d) = %d, want %d", c.w, got, c.bucket)
 		}
+	}
+}
+
+// TestRegionMapSpanReuse runs random Alloc / Release / Move scripts on
+// sliding maps and checks, after every step, that recycling the span
+// objects coalescing retires changes nothing a caller can see: every
+// occupied span the test holds keeps its pointer and its extent, no
+// pointer appears twice in the table, no spare object is in it, the
+// table tiles the device with its free space coalesced, and Frag equals
+// a reference computed from a column bitmap. The map must also stop
+// allocating: it never makes more span objects than a table can hold.
+func TestRegionMapSpanReuse(t *testing.T) {
+	type held struct {
+		s     *Span
+		x, w  int
+		owner int
+	}
+	for seed := uint64(1); seed <= 60; seed++ {
+		src := rng.New(seed)
+		cols := 4 + src.Intn(40)
+		rm := NewRegionMap(cols)
+		var live []held
+		objects := map[*Span]bool{}
+		check := func(step int, op string) {
+			t.Helper()
+			owner := make([]int, cols) // column bitmap: owner id + 1, 0 free
+			for _, h := range live {
+				if h.s.X != h.x || h.s.W != h.w || h.s.Owner != h.owner {
+					t.Fatalf("seed %d step %d (%s): held span %d moved to {x=%d w=%d owner=%v}, want {x=%d w=%d}",
+						seed, step, op, h.owner, h.s.X, h.s.W, h.s.Owner, h.x, h.w)
+				}
+				for c := h.x; c < h.x+h.w; c++ {
+					owner[c] = h.owner + 1
+				}
+			}
+			inTable := map[*Span]bool{}
+			x, occupied := 0, 0
+			for i, s := range rm.spans {
+				objects[s] = true
+				if inTable[s] {
+					t.Fatalf("seed %d step %d (%s): span %p twice in the table", seed, step, op, s)
+				}
+				inTable[s] = true
+				if s.X != x || s.W <= 0 {
+					t.Fatalf("seed %d step %d (%s): span %d {x=%d w=%d} does not tile from %d", seed, step, op, i, s.X, s.W, x)
+				}
+				if s.Free() && i > 0 && rm.spans[i-1].Free() {
+					t.Fatalf("seed %d step %d (%s): adjacent free spans at %d", seed, step, op, s.X)
+				}
+				if !s.Free() {
+					occupied++
+				}
+				x += s.W
+			}
+			if x != cols {
+				t.Fatalf("seed %d step %d (%s): table covers %d of %d columns", seed, step, op, x, cols)
+			}
+			if occupied != len(live) {
+				t.Fatalf("seed %d step %d (%s): %d occupied spans, test holds %d", seed, step, op, occupied, len(live))
+			}
+			for _, h := range live {
+				if !inTable[h.s] {
+					t.Fatalf("seed %d step %d (%s): held span %d is not in the table", seed, step, op, h.owner)
+				}
+			}
+			for _, s := range rm.spare {
+				if inTable[s] {
+					t.Fatalf("seed %d step %d (%s): spare span %p is in the table or listed twice", seed, step, op, s)
+				}
+				inTable[s] = true
+				objects[s] = true
+			}
+			if len(objects) > cols+1 {
+				t.Fatalf("seed %d step %d (%s): %d span objects for %d columns", seed, step, op, len(objects), cols)
+			}
+			var want FragStats
+			want.Cols = cols
+			for c := 0; c < cols; {
+				if owner[c] != 0 {
+					c++
+					continue
+				}
+				run := 0
+				for c < cols && owner[c] == 0 {
+					run++
+					c++
+				}
+				want.observe(run)
+			}
+			if got := rm.Frag(); got != want {
+				t.Fatalf("seed %d step %d (%s): Frag = %+v, bitmap says %+v", seed, step, op, got, want)
+			}
+		}
+		nextOwner := 0
+		for step := 0; step < 400; step++ {
+			switch op := src.Intn(10); {
+			case op < 4 || len(live) == 0:
+				need := 1 + src.Intn(cols/2)
+				fit := FirstFit
+				if src.Bool() {
+					fit = BestFit
+				}
+				if f := rm.FindFree(need, fit); f != nil {
+					s := rm.Alloc(f, need, nextOwner)
+					live = append(live, held{s: s, x: s.X, w: need, owner: nextOwner})
+					nextOwner++
+				}
+				check(step, "alloc")
+			case op < 7:
+				i := src.Intn(len(live))
+				rm.Release(live[i].s)
+				live = append(live[:i], live[i+1:]...)
+				check(step, "release")
+			default:
+				i := src.Intn(len(live))
+				h := &live[i]
+				// Any origin whose columns are free or h's own.
+				var targets []int
+				for x := 0; x+h.w <= cols; x++ {
+					ok := true
+					for _, o := range live {
+						if o.s != h.s && x < o.x+o.w && o.x < x+h.w {
+							ok = false
+							break
+						}
+					}
+					if ok {
+						targets = append(targets, x)
+					}
+				}
+				h.x = targets[src.Intn(len(targets))]
+				rm.Move(h.s, h.x)
+				check(step, "move")
+			}
+		}
+	}
+}
+
+// Once a map has carved and merged its spans a few times, alloc/release
+// churn allocates nothing: every claim reuses a span an earlier release
+// coalesced away.
+func TestRegionMapChurnAllocatesNothing(t *testing.T) {
+	rm := NewRegionMap(24)
+	var held [4]*Span
+	round := func() {
+		for i := range held {
+			held[i] = rm.Alloc(rm.FindFree(3+i, BestFit), 3+i, i)
+		}
+		rm.Move(held[3], 18)
+		for _, i := range []int{1, 3, 0, 2} {
+			rm.Release(held[i])
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("alloc/move/release churn allocates %v times per round, want 0", n)
 	}
 }

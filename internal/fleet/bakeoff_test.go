@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -180,21 +181,37 @@ func TestBakeoffRowsPinned(t *testing.T) {
 	}
 }
 
-// TestBakeoffAllocBudget pins what a replay allocates: per job, the
-// span its board carves for it and the completion callback bound to it
-// — not views, boxed events or per-job structs (which read ~15 objects
-// a job before the replay moved onto sim.Kernel).
+// TestBakeoffAllocBudget pins what a replay allocates: per run, the job
+// array, the board maps and the queues' doublings, and nothing per job.
+// Completions name their job by index through a handler bound once, and
+// a board reuses the spans its releases coalesce, so 8 000 jobs cost
+// what 2 000 do. (A job cost ~15 objects before the replay moved onto
+// sim.Kernel, then 1.9: its span and its completion closure.)
 func TestBakeoffAllocBudget(t *testing.T) {
-	cfg := testBakeoffConfig(2000)
-	for _, policy := range PolicyNames {
-		allocs := testing.AllocsPerRun(5, func() {
+	replay := func(jobs int, policy string) float64 {
+		cfg := testBakeoffConfig(jobs)
+		return testing.AllocsPerRun(3, func() {
 			if _, err := RunBakeoff(cfg, policy); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if perJob := allocs / float64(cfg.Jobs); perJob > 2.5 {
-			t.Errorf("%s: %.0f allocations for %d jobs = %.2f per job, budget 2.5", policy, allocs, cfg.Jobs, perJob)
+	}
+	for _, policy := range PolicyNames {
+		small, large := replay(2000, policy), replay(8000, policy)
+		t.Logf("%s: %.0f allocations for 2 000 jobs, %.0f for 8 000", policy, small, large)
+		if large > small+16 {
+			t.Errorf("%s: a replay allocates %.0f times for 8 000 jobs and %.0f for 2 000: something allocates per job", policy, large, small)
 		}
+		if small > 400 {
+			t.Errorf("%s: a 2 000-job replay allocates %.0f times, budget 400", policy, small)
+		}
+	}
+}
+
+// SimJob stays at 64 bytes: F10 keeps 36 000 of them live a pass.
+func TestSimJobSize(t *testing.T) {
+	if got := unsafe.Sizeof(SimJob{}); got != 64 {
+		t.Errorf("SimJob is %d bytes, want 64", got)
 	}
 }
 

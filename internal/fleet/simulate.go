@@ -27,7 +27,7 @@ import (
 // is the only per-job array of a run. (F10 makes 36 000 of these a pass:
 // a private copy plus an array of fates read +11 % allocated bytes on
 // the harness benchmark; this field order keeps the struct at 64 bytes,
-// what the bake-off's own job took.)
+// what the bake-off's own job took — TestSimJobSize holds it there.)
 type SimJob struct {
 	Arrival  sim.Time
 	Duration sim.Time // service time once started; zero is legal
@@ -85,25 +85,28 @@ const (
 	priComplete
 )
 
-// simNode is one node's state.
+// simNode is one node's state. Jobs are named by their index in the
+// caller's slice.
 type simNode struct {
 	healthy bool
 	boards  []*core.RegionMap
-	queue   []*SimJob // FIFO; queue[head:] is waiting
+	queue   []int // FIFO; queue[head:] is waiting
 	head    int
-	running []*SimJob // in start order
+	running []int // in start order
 }
 
 // simulation is one run of the kernel. Jobs live by value in the
-// caller's slice; pointers into it are stable.
+// caller's slice, and every event names its job by index: the
+// handlers are bound once per run, so an event closes over nothing.
 type simulation struct {
 	shape    Shape
 	policy   PlacementPolicy
 	adm      *serve.Admission // nil: everything is admitted
 	k        sim.Kernel
 	jobs     []SimJob
-	next     int    // index of the next job to arrive
-	arriveFn func() // s.arrive, bound once
+	next     int       // index of the next job to arrive
+	arriveFn func()    // s.arrive, bound once
+	finishFn func(int) // s.finish, bound once
 	nodes    []simNode
 	// views is the one fleet view every Place call sees; its Boards are
 	// sub-slices of one backing array, refilled per placement. A policy
@@ -146,7 +149,7 @@ func Simulate(shape Shape, policy PlacementPolicy, jobs []SimJob) (SimTotals, er
 		views:  make([]NodeView, shape.Nodes),
 		scores: stats.NewSample(false),
 	}
-	s.arriveFn = s.arrive
+	s.arriveFn, s.finishFn = s.arrive, s.finish
 	if admit {
 		s.adm = serve.NewAdmission(shape.Limits, func() time.Time { return time.Unix(0, int64(s.k.Now())) })
 	}
@@ -170,7 +173,7 @@ func Simulate(shape Shape, policy PlacementPolicy, jobs []SimJob) (SimTotals, er
 		if shape.FailAt < 0 { // before time zero: the node never serves
 			s.fail(shape.FailNode)
 		} else {
-			s.k.SchedulePri(shape.FailAt, priFail, func() { s.fail(shape.FailNode) })
+			s.k.ScheduleArg(shape.FailAt, priFail, s.fail, shape.FailNode)
 		}
 	}
 	s.k.Run()
@@ -181,7 +184,8 @@ func Simulate(shape Shape, policy PlacementPolicy, jobs []SimJob) (SimTotals, er
 // arrive admits and places the next job of the stream and schedules
 // itself for the one after.
 func (s *simulation) arrive() {
-	j := &s.jobs[s.next]
+	i := s.next
+	j := &s.jobs[i]
 	s.next++
 	if s.next < len(s.jobs) {
 		s.k.SchedulePri(s.jobs[s.next].Arrival, priArrival, s.arriveFn)
@@ -192,7 +196,7 @@ func (s *simulation) arrive() {
 		}
 	}
 	j.Admitted = true
-	s.place(j)
+	s.place(i)
 }
 
 // refreshViews rewrites the shared fleet view from the live node state.
@@ -213,9 +217,9 @@ func (s *simulation) refreshViews() {
 
 // place routes one job through the policy into a node queue. A job with
 // no healthy node left is lost (only possible when every node failed).
-func (s *simulation) place(j *SimJob) {
+func (s *simulation) place(i int) {
 	s.refreshViews()
-	idx, score, ok := s.policy.Place(JobView{Width: int(j.Width)}, s.views)
+	idx, score, ok := s.policy.Place(JobView{Width: int(s.jobs[i].Width)}, s.views)
 	if !ok {
 		return
 	}
@@ -225,7 +229,7 @@ func (s *simulation) place(j *SimJob) {
 		n.queue = n.queue[:copy(n.queue, n.queue[n.head:])]
 		n.head = 0
 	}
-	n.queue = append(n.queue, j)
+	n.queue = append(n.queue, i)
 	s.dispatch(idx)
 }
 
@@ -239,7 +243,8 @@ func (s *simulation) dispatch(ni int) {
 		return
 	}
 	for n.head < len(n.queue) {
-		j := n.queue[n.head]
+		i := n.queue[n.head]
+		j := &s.jobs[i]
 		bestBoard := -1
 		var bestSpan *core.Span
 		for bi, rm := range n.boards {
@@ -256,20 +261,21 @@ func (s *simulation) dispatch(ni int) {
 		j.span = n.boards[bestBoard].Alloc(bestSpan, int(j.Width), j)
 		j.slot = int32(ni*s.shape.BoardsPerNode + bestBoard)
 		j.Start = s.k.Now()
-		n.running = append(n.running, j)
-		j.complete = s.k.SchedulePri(j.Start+j.Duration, priComplete, func() { s.finish(j) })
+		n.running = append(n.running, i)
+		j.complete = s.k.ScheduleArg(j.Start+j.Duration, priComplete, s.finishFn, i)
 	}
 }
 
 // finish retires a job whose completion event fired; a displaced job's
 // event was canceled, so every call is for a live run.
-func (s *simulation) finish(j *SimJob) {
+func (s *simulation) finish(i int) {
+	j := &s.jobs[i]
 	ni, board := int(j.slot)/s.shape.BoardsPerNode, int(j.slot)%s.shape.BoardsPerNode
 	n := &s.nodes[ni]
 	n.boards[board].Release(j.span)
-	for i, r := range n.running {
-		if r == j {
-			n.running = append(n.running[:i], n.running[i+1:]...)
+	for r, ri := range n.running {
+		if ri == i {
+			n.running = append(n.running[:r], n.running[r+1:]...)
 			break
 		}
 	}
@@ -289,14 +295,15 @@ func (s *simulation) fail(ni int) {
 		return
 	}
 	n.healthy = false
-	displaced := append(append([]*SimJob(nil), n.queue[n.head:]...), n.running...)
-	for _, j := range n.running {
+	displaced := append(append([]int(nil), n.queue[n.head:]...), n.running...)
+	for _, i := range n.running {
+		j := &s.jobs[i]
 		n.boards[int(j.slot)%s.shape.BoardsPerNode].Release(j.span)
 		s.k.Cancel(j.complete)
 	}
 	n.queue, n.head, n.running = nil, 0, nil
-	for _, j := range displaced {
+	for _, i := range displaced {
 		s.tot.Requeues++
-		s.place(j)
+		s.place(i)
 	}
 }

@@ -170,12 +170,6 @@ type Task struct {
 
 	lastChange sim.Time
 	started    bool
-
-	// Kernel callbacks that concern this task alone, bound once when the
-	// task is created instead of once per event: the first segment after
-	// a dispatch, and the switch-out that follows a state save.
-	startFn   func()
-	preemptFn func()
 }
 
 // State returns the task's current state.
@@ -270,6 +264,13 @@ type OS struct {
 	idleSince   sim.Time
 	BusyTime    sim.Time
 	trace       *EventLog
+
+	// The two events that concern one task name it by ID, its index in
+	// tasks, instead of closing over it, so their handlers are bound once
+	// in New: the first segment after a dispatch, and the switch-out that
+	// follows a state save.
+	startFn   func(id int)
+	preemptFn func(id int)
 }
 
 type segKind int
@@ -289,6 +290,11 @@ func New(k *sim.Kernel, cfg Config, fpga FPGA) *OS {
 	}
 	o := &OS{K: k, cfg: cfg, fpga: fpga}
 	o.segEnd, o.dispatchFn = o.segmentEnd, o.dispatch
+	o.startFn = func(id int) {
+		t := o.tasks[id]
+		o.runSegment(t, o.sliceFor(t))
+	}
+	o.preemptFn = func(id int) { o.preemptNow(o.tasks[id]) }
 	if a, ok := fpga.(Attacher); ok {
 		a.AttachOS(o)
 	}
@@ -329,8 +335,6 @@ func (o *OS) spawnAt(at sim.Time, name string, priority int, program []Op, admit
 		Created:  at,
 		state:    TaskNew,
 	}
-	t.startFn = func() { o.runSegment(t, o.sliceFor(t)) }
-	t.preemptFn = func() { o.preemptNow(t) }
 	o.tasks = append(o.tasks, t)
 	seen := make([]string, 0, 8) // distinct circuits of one program: a handful
 	for _, op := range program {
@@ -435,7 +439,7 @@ func (o *OS) dispatch() {
 		start += o.cfg.CtxSwitch
 	}
 	o.lastTask = t
-	o.K.Schedule(start, t.startFn)
+	o.K.ScheduleArg(start, 0, o.startFn, int(t.ID))
 }
 
 // sliceFor returns the absolute time at which the task's quantum expires,
@@ -574,7 +578,7 @@ func (o *OS) saveAndSwitch(t *Task, done sim.Time) {
 	t.Overhead += overhead
 	o.BusyTime += overhead
 	// State save runs before the switch completes.
-	o.K.Schedule(o.K.Now()+overhead, t.preemptFn)
+	o.K.ScheduleArg(o.K.Now()+overhead, 0, o.preemptFn, int(t.ID))
 }
 
 // extendIfExpired grants a fresh quantum when a non-preemptable setup

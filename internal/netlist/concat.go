@@ -8,7 +8,20 @@ import "fmt"
 // paper's §3: the monolithic alternative to dynamic loading, which needs
 // the area of all parts together.
 func Concat(name string, nls ...*Netlist) (*Netlist, error) {
-	out := &Netlist{Name: name}
+	var nodes, edges, ins, outs, dffs int
+	for _, src := range nls {
+		nodes += len(src.Nodes)
+		edges += src.numEdges()
+		ins, outs, dffs = ins+len(src.Inputs), outs+len(src.Outputs), dffs+len(src.DFFs)
+	}
+	out := &Netlist{
+		Name:    name,
+		Nodes:   make([]Node, 0, nodes),
+		Inputs:  make([]NodeID, 0, ins),
+		Outputs: make([]NodeID, 0, outs),
+		DFFs:    make([]NodeID, 0, dffs),
+	}
+	fanins := make([]NodeID, edges) // every copy's fanins; each node a capped window
 	for i, src := range nls {
 		offset := NodeID(len(out.Nodes))
 		prefix := fmt.Sprintf("c%d_", i)
@@ -22,9 +35,11 @@ func Concat(name string, nls ...*Netlist) (*Netlist, error) {
 			if nd.Name != "" && (nd.Kind == KindInput || nd.Kind == KindOutput) {
 				cp.Name = prefix + nd.Name
 			}
-			cp.Fanin = make([]NodeID, len(nd.Fanin))
-			for k, f := range nd.Fanin {
-				cp.Fanin[k] = f + offset
+			if n := len(nd.Fanin); n > 0 {
+				cp.Fanin, fanins = fanins[:n:n], fanins[n:]
+				for k, f := range nd.Fanin {
+					cp.Fanin[k] = f + offset
+				}
 			}
 			out.Nodes = append(out.Nodes, cp)
 		}

@@ -271,8 +271,8 @@ func Counter(width int) *Netlist {
 // source; until the setter is called the DFF feeds back on itself.
 func feedback(b *Builder, init bool) (q NodeID, setD func(NodeID)) {
 	q = b.DFF(0, init)
-	b.nl.Nodes[q].Fanin = []NodeID{q}
-	return q, func(d NodeID) { b.nl.Nodes[q].Fanin = []NodeID{d} }
+	b.nl.Nodes[q].Fanin[0] = q
+	return q, func(d NodeID) { b.nl.Nodes[q].Fanin[0] = d }
 }
 
 // LFSR returns a width-bit Fibonacci linear-feedback shift register with

@@ -68,7 +68,10 @@ func (k Kind) Arity() int {
 // NodeID identifies a node within one Netlist.
 type NodeID int
 
-// Node is one primitive element of the network.
+// Node is one primitive element of the network. A netlist keeps its
+// nodes' fanins back to back in an array it shares between them, not a
+// slice per node: Fanin is the node's window into it, capped (cap == len)
+// so an append can never reach a neighbour's fanins.
 type Node struct {
 	ID    NodeID
 	Kind  Kind
@@ -185,6 +188,15 @@ func (n *Netlist) String() string {
 		n.Name, s.Inputs, s.Outputs, s.Gates, s.DFFs, s.Depth)
 }
 
+// numEdges returns the total fanin count over all nodes.
+func (n *Netlist) numEdges() int {
+	e := 0
+	for i := range n.Nodes {
+		e += len(n.Nodes[i].Fanin)
+	}
+	return e
+}
+
 // TopoOrder returns the combinational evaluation order: every non-source
 // node appears after all of its combinational fanins (DFF outputs count as
 // sources). The returned slice must not be modified.
@@ -298,8 +310,15 @@ func (n *Netlist) validate() error {
 
 // Builder incrementally constructs a Netlist. All methods return NodeIDs
 // that can be used as fanins to later nodes. Build validates the result.
+//
+// The Builder owns one fanin array: add appends a node's fanins to it
+// and hands the node a capped window, so a gate costs no allocation of
+// its own and its operands never escape. When the array grows, windows
+// cut earlier keep the old backing array, which stays correct — a window
+// is never written through except by feedback, on its own node.
 type Builder struct {
 	nl    Netlist
+	edges []NodeID // every node's fanins, in node order
 	built bool
 }
 
@@ -308,13 +327,42 @@ func NewBuilder(name string) *Builder {
 	return &Builder{nl: Netlist{Name: name}}
 }
 
+// rebuilderFor returns a Builder sized for a rewrite of src that keeps
+// its ports and flip-flops and grows nothing else (Optimize): at most one
+// node per source node plus the two shared constants, at most the
+// source's fanin count, so no array grows by doubling. (A NAND folds to
+// an AND and a NOT; append absorbs the rare overshoot.)
+func rebuilderFor(src *Netlist) *Builder {
+	return &Builder{
+		nl: Netlist{
+			Name:    src.Name,
+			Nodes:   make([]Node, 0, len(src.Nodes)+2),
+			Inputs:  make([]NodeID, 0, len(src.Inputs)),
+			Outputs: make([]NodeID, 0, len(src.Outputs)),
+			DFFs:    make([]NodeID, 0, len(src.DFFs)),
+		},
+		edges: make([]NodeID, 0, src.numEdges()),
+	}
+}
+
 func (b *Builder) add(kind Kind, name string, init bool, fanin ...NodeID) NodeID {
 	if b.built {
 		panic("netlist: Builder reused after Build")
 	}
 	id := NodeID(len(b.nl.Nodes))
-	b.nl.Nodes = append(b.nl.Nodes, Node{ID: id, Kind: kind, Fanin: fanin, Name: name, Init: init})
+	b.nl.Nodes = append(b.nl.Nodes, Node{ID: id, Kind: kind, Fanin: b.window(fanin), Name: name, Init: init})
 	return id
+}
+
+// window appends fanin to the edge array and returns the capped slice of
+// it that now holds them; nil for a node without fanins.
+func (b *Builder) window(fanin []NodeID) []NodeID {
+	if len(fanin) == 0 {
+		return nil
+	}
+	lo := len(b.edges)
+	b.edges = append(b.edges, fanin...)
+	return b.edges[lo:len(b.edges):len(b.edges)]
 }
 
 // Input declares a primary input port.

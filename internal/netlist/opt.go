@@ -11,7 +11,7 @@ import "fmt"
 // removed: their state is externally observable through readback (the
 // paper's preemption mechanism), so "dead" state is still state.
 func Optimize(nl *Netlist) *Netlist {
-	b := NewBuilder(nl.Name)
+	b := rebuilderFor(nl)
 
 	// val is the optimized form of an original node: a constant or a node
 	// in the new netlist.
@@ -247,7 +247,21 @@ func sweep(nl *Netlist) *Netlist {
 	if all {
 		return nl
 	}
-	out := &Netlist{Name: nl.Name}
+	nodes, edges := 0, 0
+	for i, k := range keep {
+		if k {
+			nodes++
+			edges += len(nl.Nodes[i].Fanin)
+		}
+	}
+	out := &Netlist{
+		Name:    nl.Name,
+		Nodes:   make([]Node, 0, nodes),
+		Inputs:  make([]NodeID, len(nl.Inputs)),
+		Outputs: make([]NodeID, len(nl.Outputs)),
+		DFFs:    make([]NodeID, len(nl.DFFs)),
+	}
+	fanins := make([]NodeID, edges) // every kept node's fanins; each a capped window
 	remap := make([]NodeID, len(nl.Nodes))
 	for i := range nl.Nodes {
 		if !keep[i] {
@@ -256,7 +270,10 @@ func sweep(nl *Netlist) *Netlist {
 		nd := nl.Nodes[i]
 		nd.ID = NodeID(len(out.Nodes))
 		remap[i] = nd.ID
-		nd.Fanin = append([]NodeID(nil), nd.Fanin...)
+		if n := len(nd.Fanin); n > 0 {
+			nd.Fanin, fanins = fanins[:n:n], fanins[n:]
+			copy(nd.Fanin, nl.Nodes[i].Fanin)
+		}
 		out.Nodes = append(out.Nodes, nd)
 	}
 	for i := range out.Nodes {
@@ -264,14 +281,14 @@ func sweep(nl *Netlist) *Netlist {
 			out.Nodes[i].Fanin[k] = remap[f]
 		}
 	}
-	for _, id := range nl.Inputs {
-		out.Inputs = append(out.Inputs, remap[id])
+	for i, id := range nl.Inputs {
+		out.Inputs[i] = remap[id]
 	}
-	for _, id := range nl.Outputs {
-		out.Outputs = append(out.Outputs, remap[id])
+	for i, id := range nl.Outputs {
+		out.Outputs[i] = remap[id]
 	}
-	for _, id := range nl.DFFs {
-		out.DFFs = append(out.DFFs, remap[id])
+	for i, id := range nl.DFFs {
+		out.DFFs[i] = remap[id]
 	}
 	if err := out.validate(); err != nil {
 		panic(fmt.Sprintf("netlist: sweep produced invalid netlist: %v", err))

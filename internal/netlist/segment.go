@@ -82,30 +82,24 @@ func Segment(nl *Netlist, k int) ([]*Netlist, error) {
 		return true
 	}
 
-	// Which stages consume each producing node?
-	consumers := map[NodeID]map[int]bool{} // producer -> stages needing it
-	note := func(producer NodeID, stage int) {
-		m := consumers[producer]
-		if m == nil {
-			m = map[int]bool{}
-			consumers[producer] = m
-		}
-		m[stage] = true
+	// The latest stage that consumes each producing node, -1 for none: a
+	// producer exports a wire exactly when a later stage reads it.
+	// (Primary outputs are emitted under their own port names below, not
+	// as wires, so they do not count.)
+	latest := make([]int, len(nl.Nodes))
+	for i := range latest {
+		latest[i] = -1
 	}
 	for i := range nl.Nodes {
-		nd := &nl.Nodes[i]
 		if !isGate(NodeID(i)) {
 			continue
 		}
 		s := stageOf(NodeID(i))
-		for _, f := range nd.Fanin {
-			note(resolve(f), s)
+		for _, f := range nl.Nodes[i].Fanin {
+			if p := resolve(f); s > latest[p] {
+				latest[p] = s
+			}
 		}
-	}
-	// Primary outputs "consume" in a virtual stage k (so producers export).
-	outStage := k
-	for _, o := range nl.Outputs {
-		note(resolve(nl.Nodes[o].Fanin[0]), outStage)
 	}
 
 	stages := make([]*Builder, k)
@@ -152,7 +146,8 @@ func Segment(nl *Netlist, k int) ([]*Netlist, error) {
 		s := stageOf(id)
 		b := stages[s]
 		nd := &nl.Nodes[id]
-		fan := make([]NodeID, len(nd.Fanin))
+		var buf [3]NodeID // a gate has at most three fanins
+		fan := buf[:len(nd.Fanin)]
 		for i, f := range nd.Fanin {
 			fan[i] = valueIn(s, f)
 		}
@@ -178,35 +173,15 @@ func Segment(nl *Netlist, k int) ([]*Netlist, error) {
 		localID[s][id] = local
 	}
 
-	// Export boundary wires: producer stages emit an output port for each
-	// consumer in a later stage (or the virtual output stage). Producers
-	// are visited in id order so stage port order (and hence downstream
-	// placement) is deterministic.
-	producers := make([]NodeID, 0, len(consumers))
-	for producer := range consumers {
-		producers = append(producers, producer)
-	}
-	sort.Slice(producers, func(i, j int) bool { return producers[i] < producers[j] })
-	for _, producer := range producers {
-		users := consumers[producer]
-		ps := 0
-		if isGate(producer) {
-			ps = stageOf(producer)
-		} else {
-			continue // inputs/consts are imported directly, never exported
+	// Export boundary wires: a gate read by a later stage becomes an
+	// output port of its own stage (inputs and constants are imported
+	// directly, never exported). Producers are visited in id order so
+	// stage port order (and hence downstream placement) is deterministic.
+	for i := range nl.Nodes {
+		p := NodeID(i)
+		if ps := stageOf(p); isGate(p) && latest[p] > ps {
+			stages[ps].Output(wireName(p), localID[ps][p])
 		}
-		needed := false
-		for s := range users {
-			// Primary outputs (the virtual stage) are exported under their
-			// own port names below, not as wires.
-			if s > ps && s != outStage {
-				needed = true
-			}
-		}
-		if !needed {
-			continue
-		}
-		stages[ps].Output(wireName(producer), localID[ps][producer])
 	}
 	// Primary outputs: emitted by the stage producing their driver (or,
 	// for input/const-driven outputs, by stage 0).

@@ -156,18 +156,19 @@ func TestPoolWarmCounters(t *testing.T) {
 // from the board's last job, the event loop and a clean lint pass
 // allocate nothing per event or per CLB, and what is left is the stack
 // over the hardware and the job's own programs, tasks, loads and result.
-// Budgets sit ~25 % above what the path reads today (multimedia: 142
-// allocations and 32.9 KiB on dynamic, 95 and 26.6 KiB on paged; 170 and
-// 63.9 KiB, 123 and 55.6 KiB while the generators grew each program by
-// doubling; 1 838 and 1 670 allocations before the warm job path).
+// Budgets sit ~18 % above what the path reads today (multimedia: 136
+// allocations and 32.7 KiB on dynamic, 88 and 26.3 KiB on paged; 142 and
+// 94 while each task carried two closures of its own; 170 and 63.9 KiB,
+// 123 and 55.6 KiB while the generators grew each program by doubling;
+// 1 838 and 1 670 allocations before the warm job path).
 func TestWarmJobAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		manager   string
 		budget    float64
 		budgetKiB float64
 	}{
-		{"dynamic", 176, 41},
-		{"paged", 118, 33},
+		{"dynamic", 160, 38},
+		{"paged", 104, 31},
 	} {
 		t.Run(tc.manager, func(t *testing.T) {
 			bc := DefaultBoardConfig()

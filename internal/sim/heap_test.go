@@ -33,6 +33,33 @@ func TestScheduleStepAllocatesNothing(t *testing.T) {
 	}
 }
 
+// An argument event is how a run schedules per-job or per-task work
+// without a closure per event: the handler is bound once, the subject
+// rides in the event, and nothing is allocated per schedule, fire or
+// cancel.
+func TestScheduleArgAllocatesNothing(t *testing.T) {
+	k := New()
+	sum := 0
+	fn := func(i int) { sum += i }
+	round := func() {
+		for i := 0; i < 64; i++ {
+			k.ScheduleArg(k.Now()+Time(i%7), i%3, fn, i)
+		}
+		k.Cancel(k.ScheduleArg(k.Now()+3, 0, fn, 1000))
+		for k.Step() {
+		}
+	}
+	round() // grow the heap and slot tables once
+	if n := testing.AllocsPerRun(50, round); n != 0 {
+		t.Errorf("ScheduleArg+cancel+step allocates %v times per round, want 0", n)
+	}
+	// One warm-up round, AllocsPerRun's own warm-up, then 50 measured:
+	// every argument but the canceled one's arrives, once per round.
+	if want := 52 * (63 * 64 / 2); sum != want {
+		t.Errorf("handlers saw argument sum %d, want %d", sum, want)
+	}
+}
+
 // refEvent is the reference model's view of one scheduled event.
 type refEvent struct {
 	at       Time
@@ -44,9 +71,12 @@ type refEvent struct {
 // TestKernelMatchesSortedReference drives random schedule / cancel /
 // step / reset scripts through the kernel and through a reference that
 // keeps pending events in a slice and sorts it by (at, priority, seq).
-// Cancel must report exactly whether the handle named a pending event —
-// including handles whose event already fired, was already canceled,
-// was dropped by a Reset, or whose slot a later event has recycled.
+// Events are a random mix of closures (SchedulePri) and argument events
+// (ScheduleArg, one handler for all of them): the two shapes share one
+// order. Cancel must report exactly whether the handle named a pending
+// event — including handles whose event already fired, was already
+// canceled, was dropped by a Reset, or whose slot a later event has
+// recycled.
 func TestKernelMatchesSortedReference(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		src := rng.New(seed)
@@ -58,11 +88,16 @@ func TestKernelMatchesSortedReference(t *testing.T) {
 			want    []int      // ids in the order the reference fires them
 			nextSeq int
 		)
+		byArg := func(id int) { fired = append(fired, id) }
 		schedule := func() {
 			id := len(handles)
 			at := k.Now() + Time(src.Intn(20))
 			pri := src.Intn(3)
-			handles = append(handles, k.SchedulePri(at, pri, func() { fired = append(fired, id) }))
+			if src.Intn(2) == 0 {
+				handles = append(handles, k.ScheduleArg(at, pri, byArg, id))
+			} else {
+				handles = append(handles, k.SchedulePri(at, pri, func() { fired = append(fired, id) }))
+			}
 			pending = append(pending, refEvent{at: at, priority: pri, seq: nextSeq, id: id})
 			nextSeq++
 		}

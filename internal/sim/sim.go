@@ -57,14 +57,31 @@ type Event struct {
 	seq  uint64
 }
 
-// event is one queued callback. Events live by value in the kernel's
-// heap; slot is the entry in Kernel.pos that tracks where.
+// event is one queued event's place in the order. Events live by value
+// in the kernel's heap; slot is the entry in Kernel.slots that tracks
+// where and holds what the event runs, so a sift moves only the ordering
+// key.
 type event struct {
 	at       Time
 	priority int
 	seq      uint64
-	fn       func()
 	slot     int32
+}
+
+// call is what a queued event runs. Exactly one of fn and argFn is set:
+// argFn is a handler bound once by its owner and called with arg, the
+// event's subject (ScheduleArg).
+type call struct {
+	fn    func()
+	argFn func(int)
+	arg   int
+}
+
+// slotEntry is the kernel's record of one slot: the heap index of the
+// event that owns it (-1 while the slot is free) and what that event runs.
+type slotEntry struct {
+	pos int32
+	call
 }
 
 func (e *event) before(o *event) bool {
@@ -81,14 +98,15 @@ func (e *event) before(o *event) bool {
 // to use at virtual time zero.
 //
 // The queue is a binary heap of event values ordered by (time, priority,
-// sequence). Each queued event owns a slot: pos[slot] is its current heap
-// index, which is what lets Cancel find it, and -1 once the slot is back
-// on the free list. The heap, pos and free keep their backing arrays
-// across Reset, so a kernel in steady state schedules without allocating.
+// sequence). Each queued event owns a slot: slots[slot].pos is its
+// current heap index, which is what lets Cancel find it, and -1 once the
+// slot is back on the free list; slots[slot].call is what it runs. The
+// heap, slots and free keep their backing arrays across Reset, so a
+// kernel in steady state schedules without allocating.
 type Kernel struct {
 	now     Time
 	heap    []event
-	pos     []int32
+	slots   []slotEntry
 	free    []int32
 	seq     uint64 // last sequence number issued; never reset
 	running bool
@@ -121,6 +139,23 @@ func (k *Kernel) SchedulePri(at Time, priority int, fn func()) Event {
 	if fn == nil {
 		panic("sim: Schedule with nil function")
 	}
+	return k.push(at, priority, call{fn: fn})
+}
+
+// ScheduleArg is SchedulePri for a handler that takes the event's subject
+// — a job or task index — as its argument: fn is bound once by its owner
+// and arg names what this event is about, so scheduling closes over
+// nothing and allocates nothing. Ordering and Cancel are SchedulePri's.
+func (k *Kernel) ScheduleArg(at Time, priority int, fn func(int), arg int) Event {
+	if fn == nil {
+		panic("sim: Schedule with nil function")
+	}
+	return k.push(at, priority, call{argFn: fn, arg: arg})
+}
+
+// push queues c at time at and the given priority under the next
+// sequence number.
+func (k *Kernel) push(at Time, priority int, c call) Event {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", at, k.now))
 	}
@@ -128,12 +163,13 @@ func (k *Kernel) SchedulePri(at Time, priority int, fn func()) Event {
 	if n := len(k.free); n > 0 {
 		slot = k.free[n-1]
 		k.free = k.free[:n-1]
+		k.slots[slot].call = c
 	} else {
-		slot = int32(len(k.pos))
-		k.pos = append(k.pos, -1)
+		slot = int32(len(k.slots))
+		k.slots = append(k.slots, slotEntry{pos: -1, call: c})
 	}
 	k.seq++
-	k.heap = append(k.heap, event{at: at, priority: priority, seq: k.seq, fn: fn, slot: slot})
+	k.heap = append(k.heap, event{at: at, priority: priority, seq: k.seq, slot: slot})
 	k.up(len(k.heap) - 1)
 	return Event{slot: slot, seq: k.seq}
 }
@@ -150,10 +186,10 @@ func (k *Kernel) After(delay Time, fn func()) Event {
 // or zero handle — the event already fired, was already canceled, or was
 // dropped by Reset — is a no-op that reports false.
 func (k *Kernel) Cancel(e Event) bool {
-	if e.seq == 0 || int(e.slot) >= len(k.pos) {
+	if e.seq == 0 || int(e.slot) >= len(k.slots) {
 		return false
 	}
-	i := int(k.pos[e.slot])
+	i := int(k.slots[e.slot].pos)
 	if i < 0 || k.heap[i].seq != e.seq {
 		return false
 	}
@@ -164,11 +200,10 @@ func (k *Kernel) Cancel(e Event) bool {
 // remove deletes heap[i], frees its slot, and restores heap order.
 func (k *Kernel) remove(i int) {
 	slot := k.heap[i].slot
-	k.pos[slot] = -1
+	k.slots[slot] = slotEntry{pos: -1} // and drop the callback references
 	k.free = append(k.free, slot)
 	last := len(k.heap) - 1
 	moved := k.heap[last]
-	k.heap[last] = event{} // drop the callback reference
 	k.heap = k.heap[:last]
 	if i != last {
 		k.heap[i] = moved
@@ -186,11 +221,11 @@ func (k *Kernel) up(i int) {
 			break
 		}
 		k.heap[i] = k.heap[parent]
-		k.pos[k.heap[i].slot] = int32(i)
+		k.slots[k.heap[i].slot].pos = int32(i)
 		i = parent
 	}
 	k.heap[i] = e
-	k.pos[e.slot] = int32(i)
+	k.slots[e.slot].pos = int32(i)
 }
 
 // down sifts heap[i] toward the leaves.
@@ -209,11 +244,11 @@ func (k *Kernel) down(i int) {
 			break
 		}
 		k.heap[i] = k.heap[child]
-		k.pos[k.heap[i].slot] = int32(i)
+		k.slots[k.heap[i].slot].pos = int32(i)
 		i = child
 	}
 	k.heap[i] = e
-	k.pos[e.slot] = int32(i)
+	k.slots[e.slot].pos = int32(i)
 }
 
 // Step executes the single next event, advancing the clock to its time.
@@ -222,11 +257,15 @@ func (k *Kernel) Step() bool {
 	if len(k.heap) == 0 {
 		return false
 	}
-	at, fn := k.heap[0].at, k.heap[0].fn
+	at, c := k.heap[0].at, k.slots[k.heap[0].slot].call
 	k.remove(0)
 	k.now = at
 	k.fired++
-	fn()
+	if c.argFn != nil {
+		c.argFn(c.arg)
+	} else {
+		c.fn()
+	}
 	return true
 }
 
@@ -252,11 +291,9 @@ func (k *Kernel) Reset() {
 	if k.running {
 		panic("sim: Reset during Run")
 	}
-	for i := range k.heap {
-		k.heap[i] = event{}
-	}
+	clear(k.slots) // drop the callback references
 	k.heap = k.heap[:0]
-	k.pos = k.pos[:0]
+	k.slots = k.slots[:0]
 	k.free = k.free[:0]
 	k.now = 0
 	k.fired = 0
