@@ -33,11 +33,12 @@ build:
 # callback shapes under bench.Run's parallel workers — and the shared
 # circuit library (netlist) with the spec builder that reads it from
 # every worker. The second run
-# repeats the one test of an ordering between two goroutines (a failed
-# job is counted before its done channel closes): once is not evidence.
+# repeats the tests of orderings between goroutines (a failed job is
+# counted before its done channel closes; every queued-work charge is
+# released, whichever worker the job leaves): once is not evidence.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/route/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
-	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone' ./internal/serve/
+	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved' ./internal/serve/
 
 test:
 	$(GO) test ./...

@@ -40,35 +40,6 @@ func (f FragStats) Ratio() float64 {
 	return 1 - float64(f.LargestFree)/float64(f.FreeCols)
 }
 
-// Merge folds another device's stats into f: totals and the histogram
-// add, LargestFree takes the maximum. Merging per-device stats gives a
-// board- or node-level view — the fleet layer aggregates every board of
-// a node this way to feed placement scoring and the per-node gauges.
-func (f *FragStats) Merge(o FragStats) {
-	f.Cols += o.Cols
-	f.FreeCols += o.FreeCols
-	f.FreeSpans += o.FreeSpans
-	if o.LargestFree > f.LargestFree {
-		f.LargestFree = o.LargestFree
-	}
-	for i, n := range o.Hist {
-		f.Hist[i] += n
-	}
-}
-
-// FreshFrag returns the stats of a device that has never been touched:
-// one free span covering all cols. Exposed so layers that track boards
-// before their first job (the serve pool, fleet placement) report full
-// capacity rather than zero.
-func FreshFrag(cols int) FragStats {
-	var f FragStats
-	f.Cols = cols
-	if cols > 0 {
-		f.observe(cols)
-	}
-	return f
-}
-
 func histBucket(w int) int {
 	b := 0
 	for w > 1 && b < FragHistBuckets-1 {

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -47,20 +46,25 @@ func (n *Node) ID() int { return n.id }
 func (n *Node) Pool() *serve.Pool { return n.pool }
 
 // View snapshots the node for placement: health, queue pressure and
-// per-board fragmentation. A node is healthy while at least one board
-// is not quarantined and the pool is not draining.
-func (n *Node) View() NodeView { return n.viewOf(n.pool.BoardInfos()) }
+// per-board width. A node is healthy while at least one board is not
+// quarantined and the pool is not draining. Every job starts on an
+// erased device, so each board offers its full width, unfragmented.
+func (n *Node) View() NodeView { return n.viewOf(n.pool.BoardInfos(), -1) }
 
-// viewOf is View over board infos the caller already holds.
-func (n *Node) viewOf(infos []serve.BoardInfo) NodeView {
+// viewOf is View over board infos the caller already holds, with EstNS
+// set for a job of scenario scen (-1: none): the least estimate among
+// the healthy boards that have one.
+func (n *Node) viewOf(infos []serve.BoardInfo, scen int) NodeView {
 	v := NodeView{ID: n.id}
 	for _, bi := range infos {
-		v.Boards = append(v.Boards, BoardView{
-			Cols: bi.Cols, LargestFree: bi.LargestFreeCols,
-			FragRatio: bi.Fragmentation, Quarantined: bi.Quarantined,
-		})
+		v.Boards = append(v.Boards, BoardView{Cols: bi.Cols, LargestFree: bi.Cols, Quarantined: bi.Quarantined})
 		if !bi.Quarantined {
 			v.Healthy = true
+			if scen >= 0 {
+				if est := bi.ServiceEstNS[scen]; est > 0 && (v.EstNS == 0 || est < v.EstNS) {
+					v.EstNS = est
+				}
+			}
 		}
 		v.Queued += bi.QueueDepth
 		if bi.State == "busy" {
@@ -71,25 +75,6 @@ func (n *Node) viewOf(infos []serve.BoardInfo) NodeView {
 		v.Healthy = false
 	}
 	return v
-}
-
-// nodeSnap is everything the front end reports about a node, derived
-// from one read of its boards so the families of one response agree
-// with each other: the placement view, the merged fragmentation stats
-// behind /v1/fleet and the per-node gauges, and the board infos.
-type nodeSnap struct {
-	view   NodeView
-	frag   core.FragStats
-	boards []serve.BoardInfo
-}
-
-func (n *Node) snapshot() nodeSnap {
-	s := nodeSnap{boards: n.pool.BoardInfos()}
-	for _, bi := range s.boards {
-		s.frag.Merge(bi.Frag)
-	}
-	s.view = n.viewOf(s.boards)
-	return s
 }
 
 // Job is one unit of work moving through the fleet: a serve job plus
@@ -370,8 +355,9 @@ func (s *Scheduler) place(j *Job) error {
 		}
 		return s.placeOn(j, idx, 0)
 	}
+	scen := workload.ScenarioIndex(j.spec.Scenario)
 	for attempt := 0; attempt < len(s.nodes); attempt++ {
-		views := s.views(j.excludedCopy())
+		views := s.views(j.excludedCopy(), scen)
 		idx, score, ok := s.policy.Place(j.view(), views)
 		if !ok {
 			return ErrNoHealthyNode
@@ -406,12 +392,12 @@ func (s *Scheduler) placeOn(j *Job, idx int, score float64) error {
 	return nil
 }
 
-// views snapshots every node, marking excluded ones unhealthy so the
-// policy routes around them.
-func (s *Scheduler) views(excluded []bool) []NodeView {
+// views snapshots every node for a job of scenario scen, marking
+// excluded ones unhealthy so the policy routes around them.
+func (s *Scheduler) views(excluded []bool, scen int) []NodeView {
 	views := make([]NodeView, len(s.nodes))
 	for i, n := range s.nodes {
-		views[i] = n.View()
+		views[i] = n.viewOf(n.pool.BoardInfos(), scen)
 		if i < len(excluded) && excluded[i] {
 			views[i].Healthy = false
 		}

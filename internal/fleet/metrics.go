@@ -67,32 +67,24 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	m.Float(scoreFamily+"_sum", scoreSum)
 	m.Int(scoreFamily+"_count", scoreCount)
 
-	// Per-node health, pressure and fragmentation — the inputs the
-	// packing policy scores against, exported so a dashboard can replay
-	// its decisions.
-	snaps := make([]nodeSnap, 0, len(sched.Nodes()))
+	// Per-node health and pressure — inputs the packing policy scores
+	// against, exported so a dashboard can replay its decisions; the
+	// per-board service estimates and queued work are on /v1/boards.
+	views := make([]NodeView, 0, len(sched.Nodes()))
 	for _, n := range sched.Nodes() {
-		snaps = append(snaps, n.snapshot())
+		views = append(views, n.View())
 	}
 	m.Family("vfpgad_fleet_node_healthy", "1 while the node has at least one non-quarantined board.", "gauge")
-	for _, ns := range snaps {
+	for _, v := range views {
 		healthy := int64(0)
-		if ns.view.Healthy {
+		if v.Healthy {
 			healthy = 1
 		}
-		m.Int("vfpgad_fleet_node_healthy", healthy, "node", strconv.Itoa(ns.view.ID))
+		m.Int("vfpgad_fleet_node_healthy", healthy, "node", strconv.Itoa(v.ID))
 	}
 	m.Family("vfpgad_fleet_node_queue_depth", "Queued plus running jobs across the node's boards.", "gauge")
-	for _, ns := range snaps {
-		m.Int("vfpgad_fleet_node_queue_depth", int64(ns.view.Queued), "node", strconv.Itoa(ns.view.ID))
-	}
-	m.Family("vfpgad_fleet_node_fragmentation", "External-fragmentation ratio of the node's merged board view.", "gauge")
-	for _, ns := range snaps {
-		m.Float("vfpgad_fleet_node_fragmentation", ns.frag.Ratio(), "node", strconv.Itoa(ns.view.ID))
-	}
-	m.Family("vfpgad_fleet_node_largest_free_cols", "Widest contiguous free column extent across the node's boards.", "gauge")
-	for _, ns := range snaps {
-		m.Int("vfpgad_fleet_node_largest_free_cols", int64(ns.frag.LargestFree), "node", strconv.Itoa(ns.view.ID))
+	for _, v := range views {
+		m.Int("vfpgad_fleet_node_queue_depth", int64(v.Queued), "node", strconv.Itoa(v.ID))
 	}
 	m.Family("vfpgad_fleet_node_board_requeues_total", "Jobs the node moved between its own boards after a quarantine.", "counter")
 	for _, n := range sched.Nodes() {

@@ -5,8 +5,9 @@
 // host-OS analogy each node is one virtual device manager; the fleet
 // layer is the placement half of the operating system above them —
 // jobs are rectangles (strip width × duration) and placement is
-// strip-packing with delays (Angermeier et al.), scored against each
-// node's live fragmentation view.
+// strip-packing with delays (Angermeier et al.): a job goes where it can
+// start and finish first, judged by each node's queue, its boards'
+// widths and, on a live fleet, the service time its boards measured.
 //
 // The scheduler owns fleet-wide concerns the per-daemon serve layer
 // cannot see: one shared admission budget per tenant (so Retry-After
@@ -39,12 +40,17 @@ type BoardView struct {
 }
 
 // NodeView is what a placement policy sees of one node: health, queue
-// pressure and per-board fragmentation.
+// pressure, per-board fragmentation and how fast the node serves the job.
 type NodeView struct {
 	ID      int
 	Healthy bool // at least one non-quarantined board, not draining
 	Queued  int  // queued plus running jobs across the node's boards
-	Boards  []BoardView
+	// EstNS is the job's estimated virtual service time on the node's
+	// fastest healthy board: the mean makespan of the jobs of its
+	// scenario that board completed. 0 when no board has completed one,
+	// and always in Simulate, whose nodes are alike.
+	EstNS  int64
+	Boards []BoardView
 }
 
 // Fits reports whether any healthy board of the node currently shows a
@@ -124,22 +130,29 @@ func (firstFit) Place(job JobView, nodes []NodeView) (int, float64, bool) {
 	return best, nonFitPenalty + float64(bestQ), true
 }
 
-// packing scores every healthy node by strip-packing fit: among nodes
-// whose boards can hold the strip now, it minimizes queue pressure
-// first, then the leftover of the tightest fitting extent (best fit)
-// and the node's fragmentation ratio — so wide jobs go where wide holes
-// are, narrow jobs avoid breaking them up, and load still spreads.
-// Nodes that cannot currently fit the strip only ever score in the
-// penalty tier.
+// packing scores every healthy node by when the job can finish there and
+// by strip-packing fit: among nodes whose boards can hold the strip now,
+// it minimizes queue pressure plus the node's slowdown first, then the
+// leftover of the tightest fitting extent (best fit) and the node's
+// fragmentation ratio — so jobs go where they finish first, wide jobs go
+// where wide holes are, narrow jobs avoid breaking them up, and load
+// still spreads. Nodes that cannot currently fit the strip only ever
+// score in the penalty tier.
 type packing struct{}
 
 func (packing) Name() string { return "packing" }
 
-// packingScore is exported to the bake-off and property tests through
-// Place; weights: a queued job costs a full point (it delays the strip
-// by roughly one service time), leftover and fragmentation are
-// tie-breakers within one queue level.
-func (packing) score(job JobView, n NodeView) (float64, bool) {
+// score is reached by the bake-off and property tests through Place;
+// weights: a queued job costs a full point (it delays the strip by
+// roughly one service time), and so does a node that serves the job one
+// service time slower than the fastest node — its slowdown
+// (EstNS − minEst) / minEst, 0 when either estimate is missing; leftover
+// and fragmentation are tie-breakers within one level.
+func (packing) score(job JobView, n NodeView, minEst int64) (float64, bool) {
+	var slow float64
+	if minEst > 0 && n.EstNS > 0 {
+		slow = float64(n.EstNS-minEst) / float64(minEst)
+	}
 	fits := false
 	bestGap := 0.0
 	var frag float64
@@ -163,18 +176,24 @@ func (packing) score(job JobView, n NodeView) (float64, bool) {
 		}
 	}
 	if !fits {
-		return nonFitPenalty + float64(n.Queued), false
+		return nonFitPenalty + float64(n.Queued) + slow, false
 	}
-	return float64(n.Queued) + 0.5*bestGap + 0.25*frag, true
+	return float64(n.Queued) + 0.5*bestGap + 0.25*frag + slow, true
 }
 
 func (p packing) Place(job JobView, nodes []NodeView) (int, float64, bool) {
+	var minEst int64
+	for _, n := range nodes {
+		if n.Healthy && n.EstNS > 0 && (minEst == 0 || n.EstNS < minEst) {
+			minEst = n.EstNS
+		}
+	}
 	best, bestScore := -1, 0.0
 	for i, n := range nodes {
 		if !n.Healthy {
 			continue
 		}
-		s, _ := p.score(job, n)
+		s, _ := p.score(job, n, minEst)
 		if best < 0 || s < bestScore {
 			best, bestScore = i, s
 		}

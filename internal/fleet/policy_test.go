@@ -62,43 +62,92 @@ func TestPackingPrefersTightFitAndLowQueue(t *testing.T) {
 	}
 }
 
-// TestPackingRoutesOnResidue pins the placements the live fleet makes
-// today from the views fleet_open shows it (EXPERIMENTS "Residue"). A
-// board's view is the layout its last job left behind, not capacity — the
-// next job runs on an erased device — yet at equal queue depth it decides:
-// the dynamic board reads 29–31 free columns, partition and paged 32, the
-// amorphous board 7–28, so the best-fit term sends three jobs in four to
-// the amorphous node. With honest views every score ties and index order
-// decides. A change to what Node.View reports changes these placements.
-func TestPackingRoutesOnResidue(t *testing.T) {
+// TestPackingPrefersEarliestFinish pins the speed term on the views a
+// live fleet shows: every board full width, so fit and fragmentation tie
+// and a node's score is its queued jobs plus its slowdown against the
+// fastest node, in job-equivalents.
+func TestPackingPrefersEarliestFinish(t *testing.T) {
 	p, _ := NewPolicy("packing", 0)
-	node0 := view(true, 0, board(32, 30, 0), board(32, 32, 0)) // dynamic, partition
-	node1 := func(largest int, frag float64) NodeView {        // amorphous, paged
-		return view(true, 0, board(32, largest, frag), board(32, 32, 0))
+	node := func(queued int, estNS int64) NodeView {
+		v := view(true, queued, board(32, 32, 0), board(32, 32, 0))
+		v.EstNS = estNS
+		return v
 	}
-	fresh := view(true, 0, board(32, 32, 0), board(32, 32, 0))
-	full := view(true, 0, board(32, 7, 0.222), board(32, 10, 0))
-	busy := node1(14, 0.067)
-	busy.Queued = 1
 	for _, c := range []struct {
 		name  string
-		width int
 		nodes []NodeView
 		want  int
-		fits  bool
 	}{
-		{"widest strip, amorphous residue just holds it: tighter fit wins", 12, []NodeView{node0, node1(14, 0.067)}, 1, true},
-		{"narrow strip, amorphous nearly empty: still the tighter fit", 3, []NodeView{node0, node1(28, 0)}, 1, true},
-		{"amorphous residue too narrow: the node fits on its paged board, looser than node 0", 12, []NodeView{node0, node1(7, 0.222)}, 0, true},
-		{"honest views tie and index order decides", 12, []NodeView{fresh, fresh}, 0, true},
-		{"no board of a node reads wide enough: the fit tier decides", 12, []NodeView{full, fresh}, 1, true},
-		{"whatever the node order", 12, []NodeView{fresh, full}, 0, true},
-		{"no node reads wide enough: penalty tier, least queued, first", 12, []NodeView{full, full}, 0, false},
-		{"one queued job outweighs any residue", 12, []NodeView{node0, busy}, 0, true},
+		{"an idle fast node beats an idle slow one", []NodeView{node(0, 180), node(0, 100)}, 1},
+		{"whatever the node order", []NodeView{node(0, 100), node(0, 180)}, 0},
+		{"one queued job on the fast node loses to an idle node 1.8x slower", []NodeView{node(1, 100), node(0, 180)}, 1},
+		{"but not to one 2.2x slower", []NodeView{node(1, 100), node(0, 220)}, 0},
+		{"a node with no estimate is priced as the fastest", []NodeView{node(0, 180), node(0, 0), node(0, 100)}, 1},
+		{"equal estimates tie and index order decides", []NodeView{node(0, 150), node(0, 150)}, 0},
+		{"an unhealthy node's estimate sets no floor", []NodeView{{EstNS: 10, Boards: []BoardView{board(32, 32, 0)}}, node(1, 100), node(0, 180)}, 2},
 	} {
-		idx, score, ok := p.Place(JobView{Width: c.width}, c.nodes)
-		if !ok || idx != c.want || (score < nonFitPenalty) != c.fits {
-			t.Errorf("%s: Place = (%d, %v, %v), want node %d, fit tier %v", c.name, idx, score, ok, c.want, c.fits)
+		if idx, score, ok := p.Place(JobView{Width: 12}, c.nodes); !ok || idx != c.want || score >= nonFitPenalty {
+			t.Errorf("%s: Place = (%d, %v, %v), want node %d in the fit tier", c.name, idx, score, ok, c.want)
+		}
+	}
+}
+
+// fitScore is packing's score without the speed term: queue pressure,
+// then best fit and fragmentation, in two tiers.
+func fitScore(job JobView, n NodeView) float64 {
+	fits, bestGap, frag := false, 0.0, 0.0
+	for _, b := range n.Boards {
+		if b.Quarantined {
+			continue
+		}
+		if b.LargestFree >= job.Width {
+			if gap := float64(b.LargestFree-job.Width) / float64(b.Cols); !fits || gap < bestGap {
+				bestGap = gap
+			}
+			fits = true
+		}
+		frag = max(frag, b.FragRatio)
+	}
+	if !fits {
+		return nonFitPenalty + float64(n.Queued)
+	}
+	return float64(n.Queued) + 0.5*bestGap + 0.25*frag
+}
+
+// TestPackingSpeedTermSilentWithoutSpread: over random fleets whose nodes
+// all report the same estimate or none — Simulate's always report none —
+// packing picks the node fitScore picks, with the very same score, so the
+// bake-off and the load replay route as they did before nodes were priced.
+func TestPackingSpeedTermSilentWithoutSpread(t *testing.T) {
+	p, _ := NewPolicy("packing", 0)
+	src := rng.New(0x5EED)
+	for trial := 0; trial < 5000; trial++ {
+		est := int64(0)
+		if src.Intn(2) == 0 {
+			est = 1 + int64(src.Intn(1_000_000_000))
+		}
+		nodes := make([]NodeView, 1+src.Intn(6))
+		for i := range nodes {
+			boards := make([]BoardView, 1+src.Intn(3))
+			for b := range boards {
+				cols := 8 + src.Intn(25)
+				boards[b] = BoardView{Cols: cols, LargestFree: src.Intn(cols + 1), FragRatio: src.Float64(), Quarantined: src.Intn(8) == 0}
+			}
+			nodes[i] = NodeView{ID: i, Healthy: src.Intn(6) != 0, Queued: src.Intn(10), Boards: boards}
+			if src.Intn(3) > 0 {
+				nodes[i].EstNS = est
+			}
+		}
+		job := JobView{Width: 1 + src.Intn(32)}
+		want, wantScore := -1, 0.0
+		for i, n := range nodes {
+			if s := fitScore(job, n); n.Healthy && (want < 0 || s < wantScore) {
+				want, wantScore = i, s
+			}
+		}
+		idx, score, ok := p.Place(job, nodes)
+		if ok != (want >= 0) || ok && (idx != want || score != wantScore) {
+			t.Fatalf("trial %d: Place = (%d, %v, %v), without the speed term (%d, %v)", trial, idx, score, ok, want, wantScore)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/serve"
 )
@@ -186,9 +185,8 @@ type NodeInfo struct {
 	// after a board quarantine (node-internal; fleet-level re-routes are
 	// in Info.Reroutes).
 	BoardRequeues int64 `json:"board_requeues"`
-	// Frag is the node's merged fragmentation view across boards — the
-	// stats the packing policy scores against.
-	Frag   core.FragStats    `json:"frag"`
+	// Boards carries each board's queued work and service estimates,
+	// what the packing policy prices the node by.
 	Boards []serve.BoardInfo `json:"boards"`
 }
 
@@ -218,11 +216,13 @@ func (s *Server) fleetInfo() Info {
 	}
 	routed := s.sched.Routed()
 	for i, n := range s.sched.Nodes() {
-		snap := n.snapshot()
+		// One read of the boards, so a node's entry agrees with itself.
+		boards := n.Pool().BoardInfos()
+		view := n.viewOf(boards, -1)
 		info.Nodes = append(info.Nodes, NodeInfo{
-			ID: n.ID(), Healthy: snap.view.Healthy, Queued: snap.view.Queued,
+			ID: n.ID(), Healthy: view.Healthy, Queued: view.Queued,
 			Routed: routed[i], BoardRequeues: n.Pool().RequeueCount(),
-			Frag: snap.frag, Boards: snap.boards,
+			Boards: boards,
 		})
 	}
 	return info

@@ -155,7 +155,7 @@ func TestFleetSubmitRoutesAndCompletes(t *testing.T) {
 		if !n.Healthy {
 			t.Fatalf("node %d unhealthy: %+v", n.ID, n)
 		}
-		if n.Frag.Cols == 0 || len(n.Boards) != 2 {
+		if len(n.Boards) != 2 {
 			t.Fatalf("node %d view incomplete: %+v", n.ID, n)
 		}
 	}
@@ -248,21 +248,22 @@ func TestFleetOversizedSubmitRefused(t *testing.T) {
 	}
 }
 
-// TestNodeViewIsLastJobResidue pins the routing input: a board's entry
-// in Node.View is full capacity until it runs a job, and afterwards the
-// layout that job left behind (the board's BoardInfo sample) — although
-// the next job starts on an erased device. The packing policy routes on
-// this (TestPackingRoutesOnResidue); changing it is a routing change.
-func TestNodeViewIsLastJobResidue(t *testing.T) {
-	dyn, amo := serve.DefaultBoardConfig(), serve.DefaultBoardConfig()
-	amo.Manager = "amorphous"
-	n, err := NewNode(0, []serve.BoardConfig{dyn, amo}, serve.PoolOptions{})
+// TestNodeViewPricesFastestBoard pins the routing input: every board of a
+// node offers its full width, unfragmented — each job starts on an erased
+// device, whatever the last one left — and a job's estimate on the node
+// is the least its healthy boards measured for the job's scenario, none
+// before a board has completed one.
+func TestNodeViewPricesFastestBoard(t *testing.T) {
+	dyn, paged := serve.DefaultBoardConfig(), serve.DefaultBoardConfig()
+	paged.Manager = "paged"
+	n, err := NewNode(0, []serve.BoardConfig{dyn, paged}, serve.PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := func(bc serve.BoardConfig) BoardView { return BoardView{Cols: bc.Cols, LargestFree: bc.Cols} }
-	if v := n.View(); len(v.Boards) != 2 || v.Boards[0] != fresh(dyn) || v.Boards[1] != fresh(amo) {
-		t.Fatalf("view before any job: %+v, want every board at full capacity", v)
+	scen := workload.ScenarioIndex("multimedia")
+	honest := []BoardView{{Cols: dyn.Cols, LargestFree: dyn.Cols}, {Cols: paged.Cols, LargestFree: paged.Cols}}
+	if v := n.viewOf(n.Pool().BoardInfos(), scen); len(v.Boards) != 2 || v.Boards[0] != honest[0] || v.Boards[1] != honest[1] || v.EstNS != 0 {
+		t.Fatalf("view before any job: %+v, want full-width boards and no estimate", v)
 	}
 
 	n.Pool().Start()
@@ -270,26 +271,33 @@ func TestNodeViewIsLastJobResidue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin := 1
-	j, err := n.Pool().Submit(serve.SubmitArgs{Tenant: "acme", Spec: &spec, Board: &pin})
-	if err != nil {
-		t.Fatal(err)
+	var makespans []int64
+	for pin := range 2 {
+		j, err := n.Pool().Submit(serve.SubmitArgs{Tenant: "acme", Spec: &spec, Board: &pin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		st := j.Status()
+		if st.State != serve.StateDone {
+			t.Fatalf("job on board %d: %+v", pin, st)
+		}
+		makespans = append(makespans, int64(st.Result.Makespan))
 	}
-	<-j.Done()
-	n.Pool().Drain() // the board samples after it finishes the job; wait for it
-	if st := j.Status(); st.State != serve.StateDone {
-		t.Fatalf("job: %+v", st)
+	n.Pool().Drain()
+	if makespans[0] == makespans[1] {
+		t.Fatalf("dynamic and paged ran multimedia in the same %d ns: nothing to choose between", makespans[0])
 	}
 
-	v, bi := n.View(), n.Pool().BoardInfos()[1]
-	if v.Boards[0] != fresh(dyn) {
-		t.Errorf("idle board's view moved: %+v", v.Boards[0])
+	v := n.viewOf(n.Pool().BoardInfos(), scen)
+	if v.Boards[0] != honest[0] || v.Boards[1] != honest[1] {
+		t.Errorf("view after the jobs: %+v, want the boards' full widths", v.Boards)
 	}
-	if want := (BoardView{Cols: amo.Cols, LargestFree: bi.LargestFreeCols, FragRatio: bi.Fragmentation}); v.Boards[1] != want {
-		t.Errorf("view after the job: %+v, want the board's sample %+v", v.Boards[1], want)
+	if want := min(makespans[0], makespans[1]); v.EstNS != want {
+		t.Errorf("EstNS = %d, want the faster board's %d (makespans %v)", v.EstNS, want, makespans)
 	}
-	if v.Boards[1] == fresh(amo) {
-		t.Errorf("view after an amorphous job reads as a fresh board: %+v", v.Boards[1])
+	if other := n.viewOf(n.Pool().BoardInfos(), workload.ScenarioIndex("telecom")); other.EstNS != 0 {
+		t.Errorf("telecom estimate %d with no telecom job run", other.EstNS)
 	}
 }
 
@@ -471,8 +479,8 @@ func TestFleetMetricsExposition(t *testing.T) {
 		`vfpgad_fleet_routed_total{policy="packing",node="1"}`,
 		"# TYPE vfpgad_fleet_placement_score summary",
 		"vfpgad_fleet_placement_score_count 1",
-		`vfpgad_fleet_node_fragmentation{node="0"}`,
-		`vfpgad_fleet_node_largest_free_cols{node="1"}`,
+		`vfpgad_fleet_node_healthy{node="0"} 1`,
+		`vfpgad_fleet_node_queue_depth{node="1"} 0`,
 		`vfpgad_fleet_admission_total{tenant="acme",decision="admitted"} 1`,
 		`vfpgad_fleet_jobs_total{tenant="acme",outcome="completed"} 1`,
 		"vfpgad_fleet_reroutes_total 0",

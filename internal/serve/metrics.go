@@ -172,13 +172,9 @@ func (s *Server) writeMetrics(w io.Writer) error {
 		m.Int("vfpgad_board_resets_total", bi.WarmResets, "board", strconv.Itoa(bi.ID), "mode", "warm")
 		m.Int("vfpgad_board_resets_total", bi.ColdResets, "board", strconv.Itoa(bi.ID), "mode", "cold")
 	}
-	m.Family("vfpgad_board_fragmentation", "External-fragmentation ratio of the board's device after its last job (0 means one contiguous free extent).", "gauge")
+	m.Family("vfpgad_board_queued_work_ns", "Estimated virtual service time of the jobs queued on the board and the one it runs (ns); placement adds a job where this plus its estimate is least.", "gauge")
 	for _, bi := range infos {
-		m.Float("vfpgad_board_fragmentation", bi.Fragmentation, "board", strconv.Itoa(bi.ID), "manager", bi.Manager)
-	}
-	m.Family("vfpgad_board_largest_free_cols", "Widest contiguous free column extent on the board's device.", "gauge")
-	for _, bi := range infos {
-		m.Int("vfpgad_board_largest_free_cols", int64(bi.LargestFreeCols), "board", strconv.Itoa(bi.ID))
+		m.Int("vfpgad_board_queued_work_ns", bi.QueuedWorkNS, "board", strconv.Itoa(bi.ID), "manager", bi.Manager)
 	}
 	m.Family("vfpgad_board_quarantined", "1 while the board is quarantined after a fault escalation.", "gauge")
 	for _, bi := range infos {

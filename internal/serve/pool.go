@@ -46,6 +46,12 @@ type Job struct {
 	// elsewhere when that board is quarantined. Written once before the
 	// first channel send, read by workers after the receive.
 	pinned bool
+	// scen is the spec's index in workload.Scenarios() (-1: none), set at
+	// construction. charge is the estimate the job's board holds it at in
+	// its queued work; written before each channel send, read by the
+	// receiving worker.
+	scen   int
+	charge int64
 	// done is created at construction and closed exactly once (under
 	// mu, in finish); waiting on it needs no lock.
 	done chan struct{}
@@ -145,37 +151,29 @@ type board struct {
 	warm       bool
 	warmResets int64
 	coldResets int64
-	// fragRatio and frag are the board's fragmentation view, sampled
-	// from the last job's stack after every job (a discarded stack keeps
-	// the last sample). A board that has never run a job reports one
-	// full-width free span: fleet placement must see fresh capacity, not
-	// zero. frag is the merged FragStats across the board's engines (its
-	// LargestFree is the widest hole on any of them); fragRatio keeps the
-	// worst single engine's ratio.
-	fragRatio float64
-	frag      core.FragStats
+	// svc is the board's own service record, per scenario: the summed
+	// virtual makespan and count of the jobs it completed. queuedWork sums
+	// the charges of the jobs queued on the board and the one it runs:
+	// added when a job is enqueued, taken off when the job leaves —
+	// finished, failed or requeued to another board.
+	svc        [workload.NumScenarios]struct{ sum, n int64 }
+	queuedWork int64
 }
 
-// sampleFrag refreshes the board's exported fragmentation view from the
-// last job's engines: the worst external-fragmentation ratio across
-// them (a multi-device board reports its most fragmented device) and the
-// merged FragStats the fleet layer aggregates. Runs on the board's worker
-// goroutine, the sole owner of b.stack.
-func (b *board) sampleFrag() {
-	if b.stack == nil {
-		return
+// estimateLocked returns the board's mean virtual makespan over the jobs
+// of scenario scen it completed; 0 before the first, or for scen < 0.
+// Caller holds b.mu.
+func (b *board) estimateLocked(scen int) int64 {
+	if scen < 0 || b.svc[scen].n == 0 {
+		return 0
 	}
-	var ratio float64
-	var merged core.FragStats
-	for _, eng := range b.stack.Engines {
-		f := eng.Ledger().Frag()
-		if r := f.Ratio(); r > ratio {
-			ratio = r
-		}
-		merged.Merge(f)
-	}
+	return b.svc[scen].sum / b.svc[scen].n
+}
+
+// release takes a job's charge off the board's queued work.
+func (b *board) release(charge int64) {
 	b.mu.Lock()
-	b.fragRatio, b.frag = ratio, merged
+	b.queuedWork -= charge
 	b.mu.Unlock()
 }
 
@@ -224,15 +222,19 @@ func (b *board) info() BoardInfo {
 	if b.quarantined {
 		state = "quarantined"
 	}
-	return BoardInfo{
+	bi := BoardInfo{
 		ID: b.id, Manager: b.cfg.Manager, Cols: b.cfg.Cols, Rows: b.cfg.Rows,
 		State: state, CurrentJob: b.current,
 		QueueDepth: len(b.queue), QueueCap: cap(b.queue),
 		JobsDone: b.done, JobsFailed: b.failed,
 		Quarantined: b.quarantined, FaultKind: b.quarKind, Escalations: b.escalations,
 		Warm: b.warm, WarmResets: b.warmResets, ColdResets: b.coldResets,
-		Fragmentation: b.fragRatio, LargestFreeCols: b.frag.LargestFree, Frag: b.frag,
+		QueuedWorkNS: b.queuedWork,
 	}
+	for s := range bi.ServiceEstNS {
+		bi.ServiceEstNS[s] = b.estimateLocked(s)
+	}
+	return bi
 }
 
 // OutcomeSink receives per-tenant job outcomes from a Pool, after the
@@ -283,10 +285,20 @@ type Pool struct {
 	// svc records completed jobs' virtual service time (makespan, ns)
 	// across all boards, feeding the /metrics summary; tenantSvc holds
 	// the same record sliced per tenant. Both are bounded: a fixed set of
-	// buckets however many jobs the daemon has served.
+	// buckets however many jobs the daemon has served, and at most
+	// maxTenantRows tenants plus the otherTenants row.
 	svc       *stats.LatencyRecorder
 	tenantSvc map[string]*stats.LatencyRecorder
 }
+
+// maxTenantRows bounds the per-tenant service-time table; a row is a
+// recorder of about 7.7 KB. The tenants seen after the table is full
+// share the otherTenants row, whose name the API refuses (tenantError),
+// so no tenant's own row can be taken for it.
+const (
+	maxTenantRows = 256
+	otherTenants  = ""
+)
 
 // observeService records one completed job's virtual service time,
 // both in the pool-wide sample and the tenant's slice of it.
@@ -295,8 +307,14 @@ func (p *Pool) observeService(tenant string, ns int64) {
 	p.svc.Observe(ns)
 	ts := p.tenantSvc[tenant]
 	if ts == nil {
-		ts = stats.NewLatencyRecorder()
-		p.tenantSvc[tenant] = ts
+		if len(p.tenantSvc) >= maxTenantRows {
+			tenant = otherTenants
+			ts = p.tenantSvc[tenant]
+		}
+		if ts == nil {
+			ts = stats.NewLatencyRecorder()
+			p.tenantSvc[tenant] = ts
+		}
 	}
 	ts.Observe(ns)
 	p.mu.Unlock()
@@ -367,10 +385,7 @@ func NewPool(cfgs []BoardConfig, opts PoolOptions) (*Pool, error) {
 		if err := bc.Validate(); err != nil {
 			return nil, fmt.Errorf("board %d: %w", i, err)
 		}
-		p.boards = append(p.boards, &board{
-			id: i, cfg: bc, queue: make(chan *Job, bc.QueueDepth),
-			frag: core.FreshFrag(bc.Cols),
-		})
+		p.boards = append(p.boards, &board{id: i, cfg: bc, queue: make(chan *Job, bc.QueueDepth)})
 	}
 	return p, nil
 }
@@ -390,7 +405,6 @@ func (p *Pool) worker(b *board) {
 			<-p.gate
 		}
 		p.runOne(b, j)
-		b.sampleFrag()
 	}
 }
 
@@ -405,7 +419,7 @@ func (p *Pool) runOne(b *board, j *Job) {
 		// The board was quarantined with this job still in its queue:
 		// hand the job to a healthy board, or fail it with the typed
 		// fault reason so the caller can tell casualty from bug.
-		if p.requeue(j) {
+		if p.requeue(b, j) {
 			return
 		}
 		j.noteFault(kind)
@@ -424,7 +438,7 @@ func (p *Pool) runOne(b *board, j *Job) {
 		// and rerun the job on a healthy one when possible. Pinned jobs
 		// fail in place — the client asked for exactly this board.
 		b.quarantine(esc.Kind.String())
-		if p.requeue(j) {
+		if p.requeue(b, j) {
 			return
 		}
 	}
@@ -435,6 +449,11 @@ func (p *Pool) runOne(b *board, j *Job) {
 	b.mu.Lock()
 	b.current = ""
 	b.done++
+	b.queuedWork -= j.charge
+	if j.scen >= 0 {
+		b.svc[j.scen].sum += int64(res.Makespan)
+		b.svc[j.scen].n++
+	}
 	for _, m := range res.Metrics {
 		b.agg.Accumulate(m)
 	}
@@ -451,6 +470,7 @@ func (p *Pool) failJob(b *board, j *Job, err error) {
 	b.mu.Lock()
 	b.current = ""
 	b.failed++
+	b.queuedWork -= j.charge
 	b.mu.Unlock()
 	p.outcomes.NoteFailed(j.tenant)
 	p.finish(j, nil, err)
@@ -497,7 +517,7 @@ type SubmitArgs struct {
 	// Trace includes the merged timeline in the result.
 	Trace bool
 	// Board pins the job to one board id; nil lets the pool pick the
-	// least loaded healthy board.
+	// healthy board where the job finishes first.
 	Board *int
 	// Ctx bounds the job's whole lifetime (nil means Background); a
 	// deadline set here still fires while queued. Cancel, when non-nil,
@@ -521,8 +541,11 @@ func (p *Pool) Submit(args SubmitArgs) (*Job, error) {
 	}
 	j := &Job{
 		tenant: args.Tenant, spec: args.Spec, trace: args.Trace,
-		ctx: ctx, cancel: cancel,
+		ctx: ctx, cancel: cancel, scen: -1,
 		state: StateQueued, done: make(chan struct{}),
+	}
+	if args.Spec != nil { // a nil spec fails on the board, as a panicking job
+		j.scen = workload.ScenarioIndex(args.Spec.Scenario)
 	}
 	if _, err := p.submit(j, args.Board); err != nil {
 		cancel()
@@ -532,80 +555,110 @@ func (p *Pool) Submit(args SubmitArgs) (*Job, error) {
 }
 
 // submit enqueues a job: onto the pinned board when pin is non-nil,
-// otherwise onto the board with the most free queue capacity (ties to
-// the lowest id). A full queue — or all full queues — is backpressure,
-// not an error of the job. The whole decision runs under the pool lock
-// so it cannot interleave with drain closing the queues.
+// otherwise onto the board pick chooses. A full queue — or all full
+// queues — is backpressure, not an error of the job. The whole decision
+// runs under the pool lock so it cannot interleave with drain closing
+// the queues.
 func (p *Pool) submit(j *Job, pin *int) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.draining {
 		return 0, ErrDraining
 	}
-	var candidates []*board
+	var target *board
 	if pin != nil {
 		if *pin < 0 || *pin >= len(p.boards) {
 			return 0, fmt.Errorf("%w: %d", ErrNoSuchBoard, *pin)
 		}
-		b := p.boards[*pin]
-		if b.isQuarantined() {
+		target = p.boards[*pin]
+		if target.isQuarantined() {
 			return 0, fmt.Errorf("%w: board %d", ErrBoardQuarantined, *pin)
 		}
-		candidates = []*board{b}
 		j.pinned = true
 	} else {
-		for _, b := range p.boards {
-			if !b.isQuarantined() {
-				candidates = append(candidates, b)
-			}
+		var err error
+		if target, err = p.pick(j.scen); err != nil {
+			return 0, err
 		}
-		if len(candidates) == 0 {
-			return 0, ErrNoHealthyBoard
+		if target == nil {
+			return 0, ErrQueueFull
 		}
 	}
-	ordered := orderByLoad(candidates)
-	// All job fields are written before the channel send: the send
-	// happens-before the worker's receive, so the worker may read them
-	// without holding j.mu.
 	j.id = p.jobs.NextID()
-	for _, target := range ordered {
-		j.mu.Lock()
-		j.board = target.id
-		j.mu.Unlock()
-		select {
-		case target.queue <- j:
-			p.jobs.Put(j)
-			return target.id, nil
-		default: // full; try the next board
-		}
+	if !p.enqueue(target, j) {
+		return 0, ErrQueueFull
 	}
-	return 0, ErrQueueFull
+	p.jobs.Put(j)
+	return target.id, nil
 }
 
-// orderByLoad returns the boards sorted by load — queued jobs plus the
-// one in flight, since a running job no longer occupies the queue —
-// stable, so ties keep board order.
-func orderByLoad(candidates []*board) []*board {
-	ordered := append([]*board(nil), candidates...)
-	loads := make(map[*board]int, len(ordered))
-	for _, b := range ordered {
-		n := len(b.queue)
+// pick returns the healthy board with queue room where a job of scenario
+// scen finishes first: the least queued work plus the job's estimate
+// there, then the fewest jobs queued or running, then the lowest id. A
+// pool with no completions of scen compares boards by load alone. pick
+// returns nil when every healthy board's queue is full, and
+// ErrNoHealthyBoard when no board is healthy. Caller holds p.mu, under
+// which queues only drain, so the board it returns has room.
+func (p *Pool) pick(scen int) (*board, error) {
+	var best *board
+	var bestCost int64
+	bestLoad, healthy := 0, false
+	for _, b := range p.boards {
 		b.mu.Lock()
-		if b.current != "" {
-			n++
-		}
+		quarantined, busy := b.quarantined, b.current != ""
+		cost := b.queuedWork + b.estimateLocked(scen)
 		b.mu.Unlock()
-		loads[b] = n
+		if quarantined {
+			continue
+		}
+		healthy = true
+		load := len(b.queue)
+		if load == cap(b.queue) {
+			continue
+		}
+		if busy {
+			load++
+		}
+		if best == nil || cost < bestCost || (cost == bestCost && load < bestLoad) {
+			best, bestCost, bestLoad = b, cost, load
+		}
 	}
-	sort.SliceStable(ordered, func(a, b int) bool { return loads[ordered[a]] < loads[ordered[b]] })
-	return ordered
+	if !healthy {
+		return nil, ErrNoHealthyBoard
+	}
+	return best, nil
 }
 
-// requeue hands a job displaced by a quarantine to a healthy board.
-// Bounded: each job moves at most len(boards)-1 times, so a campaign
-// that quarantines every board still terminates. Runs under the pool
-// lock so it cannot interleave with drain closing the queues.
-func (p *Pool) requeue(j *Job) bool {
+// enqueue charges j's estimate on b to b's queued work and sends j to b's
+// queue. Every job field is written before the send, which
+// happens-before the worker's receive, so the worker reads them without
+// holding j.mu. On a full queue it undoes both and returns false.
+func (p *Pool) enqueue(b *board, j *Job) bool {
+	b.mu.Lock()
+	charge := b.estimateLocked(j.scen)
+	b.queuedWork += charge
+	b.mu.Unlock()
+	prev := j.charge
+	j.charge = charge
+	j.mu.Lock()
+	j.board = b.id
+	j.mu.Unlock()
+	select {
+	case b.queue <- j:
+		return true
+	default:
+	}
+	j.charge = prev
+	b.release(charge)
+	return false
+}
+
+// requeue hands a job displaced by a quarantine of board from to a
+// healthy board, moving its charge there. Bounded: each job moves at most
+// len(boards)-1 times, so a campaign that quarantines every board still
+// terminates. Runs under the pool lock so it cannot interleave with drain
+// closing the queues.
+func (p *Pool) requeue(from *board, j *Job) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.draining || j.pinned {
@@ -617,29 +670,24 @@ func (p *Pool) requeue(j *Job) bool {
 	if exhausted {
 		return false
 	}
-	var healthy []*board
-	for _, b := range p.boards {
-		if !b.isQuarantined() {
-			healthy = append(healthy, b)
-		}
+	target, _ := p.pick(j.scen) // no healthy board or no room: nil either way
+	if target == nil {
+		return false
 	}
-	for _, target := range orderByLoad(healthy) {
-		j.mu.Lock()
-		j.board = target.id
-		j.state = StateQueued
-		j.requeues++
-		j.mu.Unlock()
-		select {
-		case target.queue <- j:
-			p.requeues++
-			return true
-		default: // full; try the next board
-		}
+	charge := j.charge
+	j.mu.Lock()
+	j.state = StateQueued
+	j.requeues++
+	j.mu.Unlock()
+	if !p.enqueue(target, j) {
 		j.mu.Lock()
 		j.requeues--
 		j.mu.Unlock()
+		return false
 	}
-	return false
+	from.release(charge)
+	p.requeues++
+	return true
 }
 
 // RequeueCount reports jobs handed to another board after a quarantine.

@@ -33,8 +33,8 @@ type SubmitRequest struct {
 	Tenant string `json:"tenant"`
 	// Workload is the workload to run.
 	Workload workload.Spec `json:"workload"`
-	// Board pins the job to one board; nil lets the pool pick the least
-	// loaded one.
+	// Board pins the job to one board; nil lets the pool pick the one
+	// where the job finishes first (BoardInfo.QueuedWorkNS).
 	Board *int `json:"board,omitempty"`
 	// Node pins the job to one node of a fleet; only valid against a
 	// fleet front-end (vfpgad -nodes > 1). A single-node daemon rejects
@@ -139,17 +139,15 @@ type BoardInfo struct {
 	Warm       bool  `json:"warm"`
 	WarmResets int64 `json:"warm_resets"`
 	ColdResets int64 `json:"cold_resets"`
-	// Fragmentation is the device's external-fragmentation ratio as the
-	// board's last job left it (worst engine; 0 means the free columns
-	// form one contiguous extent), and LargestFreeCols the widest
-	// contiguous free extent then. The next job starts on an erased
-	// device: the pair is what fleet placement routes on, not free
-	// capacity.
-	Fragmentation   float64 `json:"fragmentation"`
-	LargestFreeCols int     `json:"largest_free_cols"`
-	// Frag is the same sample in full, merged across the board's
-	// engines; the fleet front end merges it again per node. Off the wire.
-	Frag core.FragStats `json:"-"`
+	// QueuedWorkNS and ServiceEstNS are what placement reads. A job's
+	// estimate on the board is the mean virtual makespan of the jobs of
+	// its scenario the board completed, one entry per scenario in
+	// workload.Scenarios() order (0: none completed yet); QueuedWorkNS
+	// sums the estimates of the jobs queued on the board and the one it
+	// runs. A job goes to the board where queued work plus its own
+	// estimate is least.
+	QueuedWorkNS int64                        `json:"queued_work_ns"`
+	ServiceEstNS [workload.NumScenarios]int64 `json:"service_est_ns"`
 }
 
 // Health is the body of GET /healthz.

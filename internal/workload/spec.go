@@ -95,10 +95,25 @@ type Spec struct {
 }
 
 // Scenario names understood by Spec.
-var scenarios = []string{"diagnosis", "multimedia", "storage", "synthetic", "telecom"}
+var scenarios = [...]string{"diagnosis", "multimedia", "storage", "synthetic", "telecom"}
+
+// NumScenarios is the size of the closed scenario set: a table indexed by
+// ScenarioIndex has this many entries.
+const NumScenarios = len(scenarios)
 
 // Scenarios returns the known scenario names, sorted.
-func Scenarios() []string { return append([]string(nil), scenarios...) }
+func Scenarios() []string { return append([]string(nil), scenarios[:]...) }
+
+// ScenarioIndex returns name's position in Scenarios(), or -1 when name
+// is not a scenario.
+func ScenarioIndex(name string) int {
+	for i, n := range scenarios {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
 
 // DefaultSynthetic returns the synthetic mix used by default specs:
 // a moderate load over the default circuit pool.
@@ -155,14 +170,7 @@ func BuiltinSpecs() []Spec {
 // most MaxSpecOps ops — an error wrapping ErrSpecParam otherwise, so the
 // generators never see a configuration they would panic on.
 func (s *Spec) Validate() error {
-	known := false
-	for _, n := range scenarios {
-		if s.Scenario == n {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if ScenarioIndex(s.Scenario) < 0 {
 		return fmt.Errorf("workload: unknown scenario %q (have %v)", s.Scenario, scenarios)
 	}
 	type block struct {
