@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke bench-quick bench-flow bench-device bench-warm bench-harness benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
+.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke docs bench-flow bench-device bench-warm bench-harness benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
 
-check: fmt vet vet-analyzers build race conformance test lint cover fuzz-smoke bench-quick serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
+check: fmt vet vet-analyzers build race conformance test lint cover fuzz-smoke serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
 
 fmt:
 	@out=$$(gofmt -l cmd internal examples); \
@@ -76,11 +76,17 @@ fuzz-smoke:
 	$(GO) test ./internal/workload/ -run '^$$' -fuzz FuzzTraceDecode -fuzztime 10s
 	$(GO) test ./internal/bitstream/ -run '^$$' -fuzz FuzzBitstreamParse -fuzztime 10s
 
-# Quick end-to-end harness run; leaves a machine-readable perf record.
-# (Warm >= 2x cold, the interior saturation point and the F10 rows are
-# gated by Go tests in serve, loadgen and fleet, under `test`.)
-bench-quick:
-	$(GO) run ./cmd/vfpgabench -quick -json BENCH_quick.json
+# Regenerate the result tables EXPERIMENTS.md carries between
+# `<!-- table:ID -->` markers: the experiment tables from bench.Run at
+# seed 1, the Load table from the committed load record. One package at
+# a time: both rewrite the same file. The README excerpts of vfpgasim
+# output are checked against their goldens, not rewritten: an excerpt is
+# a chosen subset. `go test ./...` runs all three as plain checks, so this
+# target is for after an intended change to a table, not part of `check`.
+docs:
+	$(GO) test ./internal/bench -run '^TestExperimentsTables$$' -update
+	$(GO) test ./internal/loadgen -run '^TestLoadTable$$' -update
+	$(GO) test ./cmd/vfpgasim -run '^TestReadmeExcerpts$$'
 
 # The CAD flow alone, before and after a change to it: place, route and
 # the whole strip compile over every registry circuit, div16 apart (it is

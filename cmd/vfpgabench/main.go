@@ -9,7 +9,6 @@
 //	vfpgabench -quick          # reduced sweeps
 //	vfpgabench -jobs 4         # worker-pool width (1 = serial)
 //	vfpgabench -csv out/       # also write one CSV per table
-//	vfpgabench -json perf.json # write a machine-readable perf record
 //
 // Experiments fan out across a worker pool (-jobs, default NumCPU) and
 // the tables print in the usual order with byte-identical content for
@@ -35,7 +34,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "experiment seed")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent workers (1 = serial)")
 	csvDir := flag.String("csv", "", "directory to write per-table CSV files")
-	jsonPath := flag.String("json", "", "file to write a perf record (JSON) to")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -108,19 +106,6 @@ func main() {
 		rec.Speedup)
 	fmt.Printf("compile cache: %d hits, %d misses, %d dedups (%.0f%% hit rate, %d/%d entries)\n",
 		cs.Hits, cs.Misses, cs.Dedups, 100*cs.HitRate(), cs.Size, cs.Capacity)
-
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vfpgabench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rec.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "vfpgabench: json: %v\n", err)
-			failed = true
-		}
-		f.Close()
-	}
 	if failed {
 		os.Exit(1)
 	}

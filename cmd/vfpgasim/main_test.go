@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,6 +69,58 @@ func TestGoldenStdout(t *testing.T) {
 				t.Errorf("vfpgasim %s: stdout differs from %s\ngot:\n%s", g.args, path, stdout.String())
 			}
 		})
+	}
+}
+
+// excerptBlock matches a README code block marked as an excerpt of one
+// golden: the golden's name and the block's lines.
+var excerptBlock = regexp.MustCompile("(?s)<!-- golden:(\\w+) -->\n```\n(.*?)```")
+
+// TestReadmeExcerpts holds the vfpgasim output README quotes to the
+// goldens TestGoldenStdout pins: README quotes the golden's invocation,
+// and the lines of the block after `<!-- golden:NAME -->` appear in
+// testdata/NAME.golden in the same order ("..." marks elided lines).
+func TestReadmeExcerpts(t *testing.T) {
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(data)
+	blocks := excerptBlock.FindAllStringSubmatch(readme, -1)
+	if len(blocks) == 0 {
+		t.Fatal("README marks no vfpgasim excerpt")
+	}
+	for _, m := range blocks {
+		name, excerpt := m[1], m[2]
+		args := ""
+		for _, g := range goldenRuns {
+			if g.name == name {
+				args = g.args
+			}
+		}
+		if args == "" {
+			t.Errorf("README excerpt names %q, which TestGoldenStdout does not pin", name)
+			continue
+		}
+		if !strings.Contains(readme, "vfpgasim "+args) {
+			t.Errorf("README quotes %s without its invocation `vfpgasim %s`", name, args)
+		}
+		golden, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest := strings.Split(string(golden), "\n")
+		for _, line := range strings.Split(strings.TrimSuffix(excerpt, "\n"), "\n") {
+			if line == "..." {
+				continue
+			}
+			at := slices.Index(rest, line)
+			if at < 0 {
+				t.Errorf("README excerpt of %s: %q is not in the golden after the lines before it", name, line)
+				break
+			}
+			rest = rest[at+1:]
+		}
 	}
 }
 

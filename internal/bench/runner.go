@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"io"
-	"strconv"
 	"time"
 
 	"repro/internal/trace"
@@ -47,150 +44,33 @@ func Run(cfg Config, exps []Experiment) []Outcome {
 	return out
 }
 
-// --- perf record (the BENCH_*.json trajectory) ---
-
-// PerfCache is the compile-cache section of a perf record.
-type PerfCache struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Dedups    int64   `json:"dedups"`
-	Evictions int64   `json:"evictions"`
-	Size      int     `json:"size"`
-	Capacity  int     `json:"capacity"`
-	HitRate   float64 `json:"hit_rate"`
-}
-
-// PerfExperiment is one experiment's line in a perf record.
+// PerfExperiment is one experiment's wall time in a harness run.
 type PerfExperiment struct {
-	ID     string  `json:"id"`
-	WallMS float64 `json:"wall_ms"`
-	Rows   int     `json:"rows"`
-	Error  string  `json:"error,omitempty"`
+	ID     string
+	WallMS float64
 }
 
-// PerfFragRow is one manager's line of the F9 residency comparison,
-// lifted from the experiment table into the perf record so the
-// amorphous-vs-partition gap (fragmentation, sustained utilization,
-// tail block latency) is tracked across PRs alongside wall-clock.
-type PerfFragRow struct {
-	Manager     string  `json:"manager"`
-	MeanFrag    float64 `json:"mean_frag"`
-	MaxFrag     float64 `json:"max_frag"`
-	UtilMean    float64 `json:"util_mean_clbs"`
-	HWUtil      float64 `json:"hw_util"`
-	Blocks      int64   `json:"blocks"`
-	P95BlockMS  float64 `json:"p95_block_ms"`
-	Loads       int64   `json:"loads"`
-	Relocations int64   `json:"relocations"`
-	MakespanMS  float64 `json:"makespan_ms"`
-}
-
-// PerfRecord is the machine-readable performance summary of one harness
-// run, written by `vfpgabench -json` so successive PRs can track harness
-// wall-clock, parallel speedup and cache effectiveness over time.
+// PerfRecord summarizes the wall clock of one harness run: each
+// experiment's time, their sum (what -jobs 1 would roughly cost) and the
+// speedup the fan-out bought over that serial estimate on this machine.
 type PerfRecord struct {
-	Schema      string           `json:"schema"`
-	Quick       bool             `json:"quick"`
-	Seed        uint64           `json:"seed"`
-	Jobs        int              `json:"jobs"`
-	WallMS      float64          `json:"wall_ms"`
-	SerialEstMS float64          `json:"serial_est_ms"`
-	Speedup     float64          `json:"speedup"`
-	Cache       PerfCache        `json:"cache"`
-	Frag        []PerfFragRow    `json:"frag,omitempty"`
-	Experiments []PerfExperiment `json:"experiments"`
+	SerialEstMS float64
+	Speedup     float64
+	Experiments []PerfExperiment
 }
 
-// PerfSchema identifies the perf-record format.
-const PerfSchema = "vfpgabench/perf-v1"
-
-// NewPerfRecord summarizes a finished harness run. wall is the elapsed
-// time of the whole run; the serial estimate is the sum of per-experiment
-// walls (what -jobs 1 would roughly cost), so Speedup reports how much
-// the fan-out actually bought on this machine.
-func NewPerfRecord(cfg Config, outcomes []Outcome, wall time.Duration) *PerfRecord {
-	r := &PerfRecord{
-		Schema: PerfSchema,
-		Quick:  cfg.Quick,
-		Seed:   cfg.Seed,
-		Jobs:   cfg.Jobs,
-		WallMS: float64(wall) / float64(time.Millisecond),
-	}
+// NewPerfRecord summarizes a finished harness run; wall is the elapsed
+// time of the whole run. The Config is not read: the parameter keeps the
+// signature the repo benchmark (benchmark/harness.go) calls.
+func NewPerfRecord(_ Config, outcomes []Outcome, wall time.Duration) *PerfRecord {
+	r := &PerfRecord{}
 	for _, o := range outcomes {
-		pe := PerfExperiment{
-			ID:     o.Exp.ID,
-			WallMS: float64(o.Wall) / float64(time.Millisecond),
-		}
-		if o.Table != nil {
-			pe.Rows = len(o.Table.Rows)
-		}
-		if o.Err != nil {
-			pe.Error = o.Err.Error()
-		}
+		pe := PerfExperiment{ID: o.Exp.ID, WallMS: float64(o.Wall) / float64(time.Millisecond)}
 		r.SerialEstMS += pe.WallMS
 		r.Experiments = append(r.Experiments, pe)
 	}
-	if r.WallMS > 0 {
-		r.Speedup = r.SerialEstMS / r.WallMS
-	}
-	for _, o := range outcomes {
-		if o.Exp.ID == "F9" && o.Table != nil {
-			r.Frag = fragRows(o.Table)
-		}
-	}
-	cs := CacheStats()
-	r.Cache = PerfCache{
-		Hits:      cs.Hits,
-		Misses:    cs.Misses,
-		Dedups:    cs.Dedups,
-		Evictions: cs.Evictions,
-		Size:      cs.Size,
-		Capacity:  cs.Capacity,
-		HitRate:   cs.HitRate(),
+	if wall > 0 {
+		r.Speedup = r.SerialEstMS / (float64(wall) / float64(time.Millisecond))
 	}
 	return r
-}
-
-// fragRows parses the F9 table back into typed rows. Tables hold
-// formatted strings; anything unparsable reads as zero — the record is
-// telemetry, not a gate.
-func fragRows(tbl *trace.Table) []PerfFragRow {
-	col := map[string]int{}
-	for i, c := range tbl.Columns {
-		col[c] = i
-	}
-	f := func(row []string, name string) float64 {
-		i, ok := col[name]
-		if !ok || i >= len(row) {
-			return 0
-		}
-		v, _ := strconv.ParseFloat(row[i], 64)
-		return v
-	}
-	rows := make([]PerfFragRow, 0, len(tbl.Rows))
-	for _, row := range tbl.Rows {
-		pr := PerfFragRow{
-			MeanFrag:    f(row, "mean_frag"),
-			MaxFrag:     f(row, "max_frag"),
-			UtilMean:    f(row, "util_mean_clbs"),
-			HWUtil:      f(row, "hw_util"),
-			Blocks:      int64(f(row, "blocks")),
-			P95BlockMS:  f(row, "p95_block_ms"),
-			Loads:       int64(f(row, "loads")),
-			Relocations: int64(f(row, "relocations")),
-			MakespanMS:  f(row, "makespan_ms"),
-		}
-		if i, ok := col["manager"]; ok && i < len(row) {
-			pr.Manager = row[i]
-		}
-		rows = append(rows, pr)
-	}
-	return rows
-}
-
-// WriteJSON writes the record as indented JSON.
-func (r *PerfRecord) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -107,32 +107,20 @@ func TestParMapOrderAndFirstIndexError(t *testing.T) {
 }
 
 func TestPerfRecordShape(t *testing.T) {
-	cfg := Config{Seed: 1, Quick: true, Jobs: 2}
+	var ticks int64
+	fake := func() time.Time { ticks++; return time.Unix(0, ticks*int64(time.Millisecond)) }
+	cfg := Config{Seed: 1, Quick: true, Jobs: 1, Now: fake}
 	exps := []Experiment{
 		{ID: "T2", Title: "t", Run: T2StatePreemption},
+		{ID: "T5", Title: "t", Run: T5IOMux},
 	}
 	outs := Run(cfg, exps)
-	rec := NewPerfRecord(cfg, outs, outs[0].Wall)
-	if rec.Schema != PerfSchema || rec.Jobs != 2 || !rec.Quick {
-		t.Fatalf("record header wrong: %+v", rec)
-	}
-	if len(rec.Experiments) != 1 || rec.Experiments[0].ID != "T2" {
+	rec := NewPerfRecord(cfg, outs, time.Millisecond)
+	if len(rec.Experiments) != 2 || rec.Experiments[0].ID != "T2" || rec.Experiments[1].ID != "T5" {
 		t.Fatalf("experiments wrong: %+v", rec.Experiments)
 	}
-	if rec.Experiments[0].Rows == 0 {
-		t.Fatal("row count missing")
-	}
-	if rec.Cache.Misses == 0 && rec.Cache.Hits == 0 {
-		t.Fatal("cache counters never moved")
-	}
-	var b strings.Builder
-	if err := rec.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"schema": "vfpgabench/perf-v1"`, `"id": "T2"`, `"hit_rate"`} {
-		if !strings.Contains(b.String(), want) {
-			t.Fatalf("JSON missing %s:\n%s", want, b.String())
-		}
+	if rec.Experiments[0].WallMS != 1 || rec.SerialEstMS != 2 || rec.Speedup != 2 {
+		t.Fatalf("two 1 ms experiments in a 1 ms run: %+v", rec)
 	}
 }
 

@@ -10,7 +10,8 @@
 //     key block on one compilation instead of redoing it;
 //   - bounded LRU eviction, so a long-lived process cannot grow the cache
 //     without limit;
-//   - hit/miss/in-flight counters (internal/stats) for the perf record.
+//   - hit/miss/in-flight counters (internal/stats) for vfpgabench's
+//     summary line and the daemon's /metrics.
 package compile
 
 import (

@@ -91,6 +91,32 @@ func computeManagerDigests(t *testing.T) map[string]string {
 	return out
 }
 
+// TestSilentFaultPlanIsNoPlan: a plan armed on every injection point at
+// probability 0, with no script, draws from its streams but injects
+// nothing, so every manager's timeline and metrics are byte-identical to
+// a run with no plan at all — what keeps faults from moving any
+// fault-free number.
+func TestSilentFaultPlanIsNoPlan(t *testing.T) {
+	silent, err := fault.ParseSpec("seed=5,retries=2,backoff=10us," +
+		"config-error=0,config-timeout=0,readback-flip=0,restore-mismatch=0,pin-glitch=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, impl := range confImpls() {
+		for _, pol := range []core.StatePolicy{core.SaveRestore, core.Rollback} {
+			for _, crowd := range []int{0, 4} {
+				for seed := uint64(1); seed <= 2; seed++ {
+					plan := silent.Derive(seed)
+					none := managerDigest(t, impl, pol, hostos.RR, crowd, seed, nil)
+					if armed := managerDigest(t, impl, pol, hostos.RR, crowd, seed, &plan); armed != none {
+						t.Errorf("%s/%s/crowd=%d/seed=%d: a silent plan moved the run", impl.name, pol, crowd, seed)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestManagerDigestsPinned(t *testing.T) {
 	got := computeManagerDigests(t)
 	if *update {

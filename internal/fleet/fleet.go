@@ -122,16 +122,20 @@ type JobStatus struct {
 	Attempts int `json:"attempts"`
 }
 
-// Status reports the fleet job. While the scheduler is between a failed
-// attempt and its re-route the job reads as queued — clients never see
-// a transient failure that the fleet is about to absorb.
+// Status reports the fleet job. A job is in the table before its first
+// placement, and while the scheduler is between a failed attempt and its
+// re-route; both read as queued — clients never see a transient failure
+// that the fleet is about to absorb.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var st serve.JobStatus
-	if j.final != nil {
+	switch {
+	case j.final != nil:
 		st = *j.final
-	} else {
+	case j.inner == nil:
+		st = serve.JobStatus{Tenant: j.tenant, State: serve.StateQueued, Board: -1}
+	default:
 		st = j.inner.Status()
 		if st.State == serve.StateFailed {
 			st.State = serve.StateQueued

@@ -510,6 +510,31 @@ func TestFleetDrainRejectsNewWork(t *testing.T) {
 	}
 }
 
+// TestFleetStatusBeforePlacement reads a job in the window between
+// Submit registering it and its first placement (ids are sequential, so
+// a client can ask for the next one early): it is queued on no node and
+// no board, over the API and in process.
+func TestFleetStatusBeforePlacement(t *testing.T) {
+	s := newTestFleet(t, ServerConfig{}, 2, 1)
+	j := &Job{tenant: "acme", cancel: func() {}, node: -1, excluded: make([]bool, 2), done: make(chan struct{})}
+	s.sched.mu.Lock()
+	j.id = s.sched.jobs.Put(j)
+	s.sched.mu.Unlock()
+
+	rec := do(t, s, "GET", "/v1/jobs/"+j.id, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET unplaced job: got %d (body %s)", rec.Code, rec.Body)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	want := JobStatus{JobStatus: serve.JobStatus{ID: j.id, Tenant: "acme", State: serve.StateQueued, Board: -1}, Node: -1}
+	if st != want || j.Status() != want {
+		t.Errorf("unplaced job reads %+v over the API and %+v in process, want %+v", st, j.Status(), want)
+	}
+}
+
 // TestFleetJobTableBounded runs more fleet jobs than the retention cap
 // through the HTTP surface of a one-board fleet: the scheduler's table
 // stops growing at the cap, the first fleet id answers a typed 410, the

@@ -19,7 +19,7 @@ import (
 // maps and queues what does not fit FIFO with head-of-line blocking. The
 // run is deterministic: virtual clock, no goroutines. The policy bake-off
 // (RunBakeoff) and the load replay (loadgen.Replay) are two
-// configurations of it; DESIGN §3.12 has the table.
+// configurations of it; DESIGN §3.9 has the table.
 
 // SimJob is one rectangle offered to the fleet. The caller fills
 // Arrival, Duration, Tenant and Width; Simulate writes the job's fate —

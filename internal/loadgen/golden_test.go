@@ -12,8 +12,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/loadgen"
@@ -133,6 +136,55 @@ func TestGoldenSaturationMeaningful(t *testing.T) {
 	}
 	if rec.Baseline.Failed != 0 {
 		t.Fatalf("golden run has failed jobs: %+v", rec.Baseline)
+	}
+}
+
+const experimentsPath = "../../EXPERIMENTS.md"
+
+// loadBlock matches EXPERIMENTS.md's generated Load table.
+var loadBlock = regexp.MustCompile(`(?s)<!-- table:Load -->\n(.*?)<!-- /table -->`)
+
+// TestLoadTable holds EXPERIMENTS.md's Load table to the committed load
+// record: the throughput curve and the saturation point, rendered as
+// Markdown. Regenerate it with -update after the record changes.
+func TestLoadTable(t *testing.T) {
+	data, err := os.ReadFile(goldenSummaryPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec loadgen.BenchRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString("| speedup | offered_jobs_s | achieved_jobs_s | p50_ms | p95_ms | p99_ms | slo_met |\n|---|---|---|---|---|---|---|\n")
+	row := func(speedup string, p loadgen.CurvePoint) {
+		ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+		fmt.Fprintf(&b, "| %s | %.1f | %.1f | %.1f | %.1f | %.1f | %t |\n", speedup,
+			p.OfferedPerSec, p.AchievedPerSec, ms(p.P50Ns), ms(p.P95Ns), ms(p.P99Ns), p.SLOMet)
+	}
+	for _, p := range rec.Curve {
+		row(fmt.Sprintf("%.2f", p.Speedup), p)
+	}
+	row(fmt.Sprintf("%.2f (saturation)", rec.Saturation.Point.Speedup), rec.Saturation.Point)
+
+	doc, err := os.ReadFile(experimentsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := loadBlock.FindSubmatchIndex(doc)
+	if m == nil {
+		t.Fatal("EXPERIMENTS.md has no table:Load block")
+	}
+	if *update {
+		out := append(append(append([]byte{}, doc[:m[2]]...), b.String()...), doc[m[3]:]...)
+		if err := os.WriteFile(experimentsPath, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if got := string(doc[m[2]:m[3]]); got != b.String() {
+		t.Errorf("EXPERIMENTS.md table:Load is stale (run with -update if the change is intended)\n--- in the file ---\n%s--- from %s ---\n%s", got, goldenSummaryPath, b.String())
 	}
 }
 

@@ -291,10 +291,11 @@ type Pool struct {
 	tenantSvc map[string]*stats.LatencyRecorder
 }
 
-// maxTenantRows bounds the per-tenant service-time table; a row is a
-// recorder of about 7.7 KB. The tenants seen after the table is full
-// share the otherTenants row, whose name the API refuses (tenantError),
-// so no tenant's own row can be taken for it.
+// maxTenantRows bounds each per-tenant table (the service-time
+// recorders here, whose rows are about 7.7 KB, and Admission's
+// counters). The tenants seen after a table is full share its
+// otherTenants row, whose name the API refuses (tenantError), so no
+// tenant's own row can be taken for it.
 const (
 	maxTenantRows = 256
 	otherTenants  = ""
@@ -305,19 +306,26 @@ const (
 func (p *Pool) observeService(tenant string, ns int64) {
 	p.mu.Lock()
 	p.svc.Observe(ns)
-	ts := p.tenantSvc[tenant]
-	if ts == nil {
-		if len(p.tenantSvc) >= maxTenantRows {
+	tenantRow(p.tenantSvc, tenant, stats.NewLatencyRecorder).Observe(ns)
+	p.mu.Unlock()
+}
+
+// tenantRow returns tenant's row of a per-tenant table, building it with
+// mk; once the table holds maxTenantRows rows, a tenant without one
+// shares the otherTenants row.
+func tenantRow[T any](rows map[string]*T, tenant string, mk func() *T) *T {
+	r := rows[tenant]
+	if r == nil {
+		if len(rows) >= maxTenantRows {
 			tenant = otherTenants
-			ts = p.tenantSvc[tenant]
+			r = rows[tenant]
 		}
-		if ts == nil {
-			ts = stats.NewLatencyRecorder()
-			p.tenantSvc[tenant] = ts
+		if r == nil {
+			r = mk()
+			rows[tenant] = r
 		}
 	}
-	ts.Observe(ns)
-	p.mu.Unlock()
+	return r
 }
 
 // ServiceStats returns the p50/p95 quantiles, sum and count of the

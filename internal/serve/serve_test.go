@@ -8,9 +8,12 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,6 +276,89 @@ func TestTenantThrottle(t *testing.T) {
 	}
 	if rec := do(t, s, "POST", "/v1/jobs", submitBody(t, "a", "multimedia")); rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("second post-refill submit: got %d, want 429", rec.Code)
+	}
+}
+
+// TestAdmissionBounded: ten thousand distinct tenants, from four
+// goroutines, leave the counter table at its cap plus the shared row and
+// the bucket table small, with every admission counted; and one tenant
+// interleaved with thousands of others is admitted and throttled, with
+// the same Retry-After, exactly as by a bucket that is never dropped.
+func TestAdmissionBounded(t *testing.T) {
+	limits := TenantLimits{Rate: 2, Burst: 3}
+	var clk atomic.Int64 // ns; every reading advances it 10 ms
+	a := NewAdmission(limits, func() time.Time { return time.Unix(0, clk.Add(int64(10*time.Millisecond))) })
+	const tenants, workers = 10_000, 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < tenants; i += workers {
+				name := fmt.Sprintf("t%05d", i)
+				if ok, _ := a.Allow(name); !ok {
+					t.Errorf("%s throttled on its first submission", name)
+				}
+				a.NoteCompleted(name)
+			}
+		}(w)
+	}
+	wg.Wait()
+	rows := a.Snapshot()
+	var admitted, completed int64
+	for _, r := range rows {
+		admitted += r.Admitted
+		completed += r.Completed
+	}
+	if len(rows) != maxTenantRows+1 || rows[0].Tenant != otherTenants || admitted != tenants || completed != tenants {
+		t.Errorf("%d counter rows (first %q), %d admitted, %d completed; want %d rows with the shared one first, %d each",
+			len(rows), rows[0].Tenant, admitted, completed, maxTenantRows+1, tenants)
+	}
+	if n := len(a.buckets); n > 2*minBucketSweep {
+		t.Errorf("%d buckets held after %d tenants, want at most %d", n, tenants, 2*minBucketSweep)
+	}
+
+	// One tenant against the never-dropped bucket, on a hand-set clock.
+	now := time.Unix(1000, 0)
+	a = NewAdmission(limits, func() time.Time { return now })
+	ref := struct {
+		tokens float64
+		last   time.Time
+	}{limits.Burst, now}
+	var admits, throttles, dropped int
+	for i := 0; i < tenants; i++ {
+		// Steps of 0-12 ms: "hot" asks faster than it refills, except in
+		// the last 400 submissions of every 1 000, where it pauses long
+		// enough to refill and be swept.
+		now = now.Add(time.Duration(i*7919%13) * time.Millisecond)
+		if i%3 != 0 || i%1000 >= 600 {
+			a.Allow(fmt.Sprintf("t%05d", i))
+			continue
+		}
+		if a.buckets["hot"] == nil && i > 0 {
+			dropped++
+		}
+		ok, retry := a.Allow("hot")
+		ref.tokens = math.Min(limits.Burst, ref.tokens+limits.Rate*now.Sub(ref.last).Seconds())
+		ref.last = now
+		wantOK, wantRetry := ref.tokens >= 1, time.Duration(0)
+		if wantOK {
+			ref.tokens--
+			admits++
+		} else {
+			wantRetry = time.Duration((1 - ref.tokens) / limits.Rate * float64(time.Second))
+			throttles++
+		}
+		if ok != wantOK || retry != wantRetry {
+			t.Fatalf("submission %d: (%v, %v), want (%v, %v)", i, ok, retry, wantOK, wantRetry)
+		}
+	}
+	t.Logf("hot: %d admits, %d throttles, %d re-created buckets", admits, throttles, dropped)
+	if admits == 0 || throttles == 0 || dropped == 0 {
+		t.Errorf("%d admits, %d throttles, %d re-created buckets: the sequence does not exercise every path", admits, throttles, dropped)
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Allow("hot") }); n != 0 {
+		t.Errorf("Allow for a known tenant allocates %v objects", n)
 	}
 }
 

@@ -16,17 +16,23 @@ type TenantLimits struct {
 	Burst float64
 }
 
-// tenantState is one tenant's bucket plus admission/outcome accounting.
-type tenantState struct {
-	tokens float64
-	last   time.Time
-
+// tenantCounts is one tenant's admission/outcome accounting.
+type tenantCounts struct {
 	admitted  int64 // passed the bucket (may still bounce off a full queue)
 	throttled int64 // rejected by the bucket
 	queueFull int64 // admitted by the bucket, rejected by queue backpressure
 	completed int64
 	failed    int64
 }
+
+// bucket is one tenant's token bucket.
+type bucket struct {
+	tokens float64
+	last   time.Time
+}
+
+// minBucketSweep is the bucket count below which Allow never sweeps.
+const minBucketSweep = maxTenantRows
 
 // Admission is the long-term scheduler of the service: it decides, per
 // tenant, whether a submission may enter the system at all. The clock is
@@ -36,14 +42,25 @@ type tenantState struct {
 // a fleet scheduler shares one across every node, so the token budget —
 // and the Retry-After hint computed from it — reflects the whole fleet's
 // capacity for the tenant, not whichever node the request landed on.
+//
+// Neither table grows with the number of tenant names ever seen. counts
+// holds maxTenantRows tenants plus the otherTenants row, like the pool's
+// service-time table: each entry is a /metrics row. buckets is swept of
+// every bucket that has refilled to Burst — a full bucket is exactly the
+// one a new tenant gets, so dropping it changes no verdict — so it holds
+// about the tenants seen in the last Burst/Rate seconds. A sweep runs
+// when a new bucket would reach sweepAt, which is then set to twice what
+// the sweep kept: O(1) amortized per new bucket.
 type Admission struct {
 	// limits and now are set once at construction and never reassigned;
-	// they sit above mu, which guards only the tenant table below it.
+	// they sit above mu, which guards the tables below it.
 	limits TenantLimits
 	now    func() time.Time
 
 	mu      sync.Mutex
-	tenants map[string]*tenantState
+	counts  map[string]*tenantCounts
+	buckets map[string]*bucket
+	sweepAt int
 }
 
 // NewAdmission builds an admission controller; a nil clock means
@@ -52,38 +69,59 @@ func NewAdmission(limits TenantLimits, now func() time.Time) *Admission {
 	if now == nil {
 		now = time.Now
 	}
-	return &Admission{limits: limits, now: now, tenants: map[string]*tenantState{}}
+	return &Admission{
+		limits: limits, now: now,
+		counts:  map[string]*tenantCounts{},
+		buckets: map[string]*bucket{},
+		sweepAt: minBucketSweep,
+	}
 }
 
-func (a *Admission) stateLocked(tenant string) *tenantState {
-	ts := a.tenants[tenant]
-	if ts == nil {
-		ts = &tenantState{tokens: a.limits.Burst, last: a.now()}
-		a.tenants[tenant] = ts
-	}
-	return ts
-}
+func newTenantCounts() *tenantCounts { return &tenantCounts{} }
 
 // Allow spends one token for tenant. When the bucket is empty it returns
 // false and how long until a token accrues (the Retry-After hint).
 func (a *Admission) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ts := a.stateLocked(tenant)
+	c := tenantRow(a.counts, tenant, newTenantCounts)
 	if a.limits.Rate <= 0 {
-		ts.admitted++
+		c.admitted++
 		return true, 0
 	}
 	now := a.now()
-	ts.tokens = math.Min(a.limits.Burst, ts.tokens+a.limits.Rate*now.Sub(ts.last).Seconds())
-	ts.last = now
-	if ts.tokens >= 1 {
-		ts.tokens--
-		ts.admitted++
+	b := a.buckets[tenant]
+	if b == nil {
+		if len(a.buckets) >= a.sweepAt {
+			a.sweepLocked(now)
+		}
+		b = &bucket{tokens: a.limits.Burst, last: now}
+		a.buckets[tenant] = b
+	}
+	b.tokens = a.refill(b, now)
+	b.last = now
+	if b.tokens >= 1 {
+		b.tokens--
+		c.admitted++
 		return true, 0
 	}
-	ts.throttled++
-	return false, time.Duration((1 - ts.tokens) / a.limits.Rate * float64(time.Second))
+	c.throttled++
+	return false, time.Duration((1 - b.tokens) / a.limits.Rate * float64(time.Second))
+}
+
+// refill is b's token count at now.
+func (a *Admission) refill(b *bucket, now time.Time) float64 {
+	return math.Min(a.limits.Burst, b.tokens+a.limits.Rate*now.Sub(b.last).Seconds())
+}
+
+// sweepLocked drops every bucket that has refilled to Burst by now.
+func (a *Admission) sweepLocked(now time.Time) {
+	for tenant, b := range a.buckets {
+		if a.refill(b, now) >= a.limits.Burst {
+			delete(a.buckets, tenant)
+		}
+	}
+	a.sweepAt = max(minBucketSweep, 2*len(a.buckets))
 }
 
 // Note* record submission outcomes after the bucket decision.
@@ -92,21 +130,21 @@ func (a *Admission) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 // NoteQueueFull records a submission admitted by the bucket but bounced
 // off queue backpressure.
 func (a *Admission) NoteQueueFull(tenant string) {
-	a.bump(tenant, func(ts *tenantState) { ts.queueFull++ })
+	a.bump(tenant, func(c *tenantCounts) { c.queueFull++ })
 }
 
 // NoteCompleted records a finished job.
 func (a *Admission) NoteCompleted(tenant string) {
-	a.bump(tenant, func(ts *tenantState) { ts.completed++ })
+	a.bump(tenant, func(c *tenantCounts) { c.completed++ })
 }
 
 // NoteFailed records a failed job.
-func (a *Admission) NoteFailed(tenant string) { a.bump(tenant, func(ts *tenantState) { ts.failed++ }) }
+func (a *Admission) NoteFailed(tenant string) { a.bump(tenant, func(c *tenantCounts) { c.failed++ }) }
 
-func (a *Admission) bump(tenant string, f func(*tenantState)) {
+func (a *Admission) bump(tenant string, f func(*tenantCounts)) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	f(a.stateLocked(tenant))
+	f(tenantRow(a.counts, tenant, newTenantCounts))
 }
 
 // TenantCounters is a consistent snapshot of one tenant's accounting.
@@ -120,15 +158,16 @@ type TenantCounters struct {
 }
 
 // Snapshot returns every tenant's counters, sorted by tenant name for
-// deterministic exposition.
+// deterministic exposition; the otherTenants row ("") sums the tenants
+// past the table's cap.
 func (a *Admission) Snapshot() []TenantCounters {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]TenantCounters, 0, len(a.tenants))
-	for name, ts := range a.tenants {
+	out := make([]TenantCounters, 0, len(a.counts))
+	for name, c := range a.counts {
 		out = append(out, TenantCounters{
-			Tenant: name, Admitted: ts.admitted, Throttled: ts.throttled,
-			QueueFull: ts.queueFull, Completed: ts.completed, Failed: ts.failed,
+			Tenant: name, Admitted: c.admitted, Throttled: c.throttled,
+			QueueFull: c.queueFull, Completed: c.completed, Failed: c.failed,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
