@@ -45,26 +45,22 @@ func (n *Node) ID() int { return n.id }
 // Pool returns the node's board pool.
 func (n *Node) Pool() *serve.Pool { return n.pool }
 
-// View snapshots the node for placement: health, queue pressure and
-// per-board width. A node is healthy while at least one board is not
-// quarantined and the pool is not draining. Every job starts on an
-// erased device, so each board offers its full width, unfragmented.
+// View snapshots the node for placement: health, queue pressure, the
+// pool's quote for a job of no scenario and per-board width. A node is
+// healthy while at least one board is not quarantined and the pool is
+// not draining. Every job starts on an erased device, so each board
+// offers its full width, unfragmented.
 func (n *Node) View() NodeView { return n.viewOf(n.pool.BoardInfos(), -1) }
 
-// viewOf is View over board infos the caller already holds, with EstNS
-// set for a job of scenario scen (-1: none): the least estimate among
-// the healthy boards that have one.
+// viewOf is View over board infos the caller already holds, priced by
+// the node's pool for a job of scenario scen (-1: none).
 func (n *Node) viewOf(infos []serve.BoardInfo, scen int) NodeView {
-	v := NodeView{ID: n.id}
+	q := n.pool.Quote(scen)
+	v := NodeView{ID: n.id, FinishNS: q.FinishNS, EstNS: q.EstNS}
 	for _, bi := range infos {
 		v.Boards = append(v.Boards, BoardView{Cols: bi.Cols, LargestFree: bi.Cols, Quarantined: bi.Quarantined})
 		if !bi.Quarantined {
 			v.Healthy = true
-			if scen >= 0 {
-				if est := bi.ServiceEstNS[scen]; est > 0 && (v.EstNS == 0 || est < v.EstNS) {
-					v.EstNS = est
-				}
-			}
 		}
 		v.Queued += bi.QueueDepth
 		if bi.State == "busy" {
@@ -98,7 +94,7 @@ type Job struct {
 	mu       sync.Mutex
 	node     int
 	attempts int
-	excluded []bool // nodes already tried (queue-full or casualty)
+	excluded []bool // nodes a casualty took out for this job's whole life
 	inner    *serve.Job
 	final    *serve.JobStatus
 }
@@ -185,7 +181,7 @@ func (j *Job) finish(st serve.JobStatus) {
 // Scheduler routes jobs across the fleet's nodes through a placement
 // policy, owns the fleet-wide job table, and absorbs whole-node
 // failures: when a node's casualty kills an attempt, the job re-routes
-// to a healthy node it has not tried yet.
+// to a healthy node no casualty has taken out.
 type Scheduler struct {
 	// nodes, policy, cache and geom are set at construction and never
 	// reassigned; wg is self-synchronized. All sit above mu, which
@@ -337,20 +333,23 @@ func (s *Scheduler) Job(id string) (*Job, error) {
 	return s.jobs.Get(id)
 }
 
-// finish records j's final status and starts its retention in the job
-// table.
+// finish starts j's retention in the job table and records its final
+// status. Retention starts before j's done channel closes, so jobs a
+// client saw finish one after another expire in that order.
 func (s *Scheduler) finish(j *Job, st serve.JobStatus) {
-	j.finish(st)
 	s.mu.Lock()
 	s.jobs.Finish(j.id)
 	s.mu.Unlock()
+	j.finish(st)
 }
 
 // place routes one attempt of j: policy choice, then submission into
-// the chosen node's pool. A node that rejects the attempt with
-// backpressure (queue full) or total board loss is excluded and the
-// policy consulted again, so one hot or dead node never wedges intake
-// while an alternative exists.
+// the chosen node's pool. A node that rejects the attempt is skipped and
+// the policy consulted again, so one hot or dead node never wedges intake
+// while an alternative exists. Backpressure (queue full) skips the node
+// for this call only: its queue drains, and a later re-route may use it.
+// Total board loss is a casualty and excludes the node for the job's
+// life.
 func (s *Scheduler) place(j *Job) error {
 	if j.pinNode != nil {
 		idx := *j.pinNode
@@ -360,18 +359,19 @@ func (s *Scheduler) place(j *Job) error {
 		return s.placeOn(j, idx, 0)
 	}
 	scen := workload.ScenarioIndex(j.spec.Scenario)
+	skip := j.excludedCopy()
 	for attempt := 0; attempt < len(s.nodes); attempt++ {
-		views := s.views(j.excludedCopy(), scen)
-		idx, score, ok := s.policy.Place(j.view(), views)
+		idx, score, ok := s.policy.Place(j.view(), s.views(skip, scen))
 		if !ok {
 			return ErrNoHealthyNode
 		}
-		err := s.placeOn(j, idx, score)
-		if errors.Is(err, serve.ErrQueueFull) || errors.Is(err, serve.ErrNoHealthyBoard) {
+		switch err := s.placeOn(j, idx, score); {
+		case errors.Is(err, serve.ErrNoHealthyBoard):
 			j.exclude(idx)
-			continue
+		case !errors.Is(err, serve.ErrQueueFull):
+			return err
 		}
-		return err
+		skip[idx] = true
 	}
 	return serve.ErrQueueFull
 }
@@ -397,12 +397,12 @@ func (s *Scheduler) placeOn(j *Job, idx int, score float64) error {
 }
 
 // views snapshots every node for a job of scenario scen, marking
-// excluded ones unhealthy so the policy routes around them.
-func (s *Scheduler) views(excluded []bool, scen int) []NodeView {
+// skipped ones unhealthy so the policy routes around them.
+func (s *Scheduler) views(skip []bool, scen int) []NodeView {
 	views := make([]NodeView, len(s.nodes))
 	for i, n := range s.nodes {
 		views[i] = n.viewOf(n.pool.BoardInfos(), scen)
-		if i < len(excluded) && excluded[i] {
+		if skip[i] {
 			views[i].Healthy = false
 		}
 	}
@@ -412,10 +412,11 @@ func (s *Scheduler) views(excluded []bool, scen int) []NodeView {
 // watch follows one fleet job across attempts. The serve pool already
 // absorbs board-level quarantines by requeueing inside the node; what
 // reaches the fleet as a typed fault failure means the whole node is
-// out of healthy boards — PR 5's quarantine/requeue generalized one
-// level up: the job re-routes to a node it has not tried, and only
-// fails when the fleet is out of nodes. Untyped failures (the job
-// itself is broken) fail in place, as do node-pinned jobs.
+// out of healthy boards — the board quarantine/requeue generalized one
+// level up: the node is excluded for the job's life, the job re-routes to
+// a node no casualty has taken out, and it only fails when the fleet is
+// out of nodes. Untyped failures (the job itself is broken) fail in
+// place, as do node-pinned jobs.
 func (s *Scheduler) watch(j *Job) {
 	defer s.wg.Done()
 	for {

@@ -6,8 +6,9 @@
 // layer is the placement half of the operating system above them —
 // jobs are rectangles (strip width × duration) and placement is
 // strip-packing with delays (Angermeier et al.): a job goes where it can
-// start and finish first, judged by each node's queue, its boards'
-// widths and, on a live fleet, the service time its boards measured.
+// start and finish first, judged by each node's board widths and the
+// cost its own pool would place the job at (its queue count until some
+// board has measured the job's service time).
 //
 // The scheduler owns fleet-wide concerns the per-daemon serve layer
 // cannot see: one shared admission budget per tenant (so Retry-After
@@ -40,17 +41,22 @@ type BoardView struct {
 }
 
 // NodeView is what a placement policy sees of one node: health, queue
-// pressure, per-board fragmentation and how fast the node serves the job.
+// pressure, per-board fragmentation and when the node would finish the
+// job.
 type NodeView struct {
 	ID      int
 	Healthy bool // at least one non-quarantined board, not draining
 	Queued  int  // queued plus running jobs across the node's boards
-	// EstNS is the job's estimated virtual service time on the node's
-	// fastest healthy board: the mean makespan of the jobs of its
-	// scenario that board completed. 0 when no board has completed one,
-	// and always in Simulate, whose nodes are alike.
-	EstNS  int64
-	Boards []BoardView
+	// FinishNS and EstNS are the node's own pool's quote for the job
+	// (serve.Quote), in virtual ns. FinishNS is the cost its pool would
+	// place the job at: the least queued work plus the job's estimate
+	// over its healthy boards with queue room, -1 when none has room.
+	// EstNS is the job's least estimate there, the mean makespan of the
+	// jobs of its scenario a board completed; 0 before any board has
+	// completed one. Both are always 0 in Simulate, whose nodes are alike.
+	FinishNS int64
+	EstNS    int64
+	Boards   []BoardView
 }
 
 // Fits reports whether any healthy board of the node currently shows a
@@ -96,10 +102,11 @@ func NewPolicy(name string, seed uint64) (PlacementPolicy, error) {
 	return nil, fmt.Errorf("fleet: unknown placement policy %q (have %v)", name, PolicyNames)
 }
 
-// nonFitPenalty separates the two scoring tiers: any node with a wide
-// enough free extent always scores below every node without one, so a
-// policy never queues a job onto a node that cannot currently hold it
-// while a fitting alternative exists.
+// nonFitPenalty separates the scoring tiers: any node with a wide enough
+// free extent always scores below every node without one, so a policy
+// never queues a job onto a node that cannot currently hold it while a
+// fitting alternative exists. packing puts a node whose pool has no queue
+// room one tier further down.
 const nonFitPenalty = 1e3
 
 // firstFit takes the first healthy node whose boards currently fit the
@@ -130,39 +137,40 @@ func (firstFit) Place(job JobView, nodes []NodeView) (int, float64, bool) {
 	return best, nonFitPenalty + float64(bestQ), true
 }
 
-// packing scores every healthy node by when the job can finish there and
-// by strip-packing fit: among nodes whose boards can hold the strip now,
-// it minimizes queue pressure plus the node's slowdown first, then the
-// leftover of the tightest fitting extent (best fit) and the node's
-// fragmentation ratio — so jobs go where they finish first, wide jobs go
-// where wide holes are, narrow jobs avoid breaking them up, and load
-// still spreads. Nodes that cannot currently fit the strip only ever
-// score in the penalty tier.
+// packing sends a job where it finishes first, then by strip-packing fit:
+// among nodes whose boards can hold the strip now, it minimizes the
+// node's load first, then the leftover of the tightest fitting extent
+// (best fit) and the node's fragmentation ratio — so wide jobs go where
+// wide holes are, narrow jobs avoid breaking them up, and load still
+// spreads. Nodes that cannot take the strip now only ever score in a
+// penalty tier.
 type packing struct{}
 
 func (packing) Name() string { return "packing" }
 
-// score is reached by the bake-off and property tests through Place;
-// weights: a queued job costs a full point (it delays the strip by
-// roughly one service time), and so does a node that serves the job one
-// service time slower than the fastest node — its slowdown
-// (EstNS − minEst) / minEst, 0 when either estimate is missing; leftover
-// and fragmentation are tie-breakers within one level.
-func (packing) score(job JobView, n NodeView, minEst int64) (float64, bool) {
-	var slow float64
-	if minEst > 0 && n.EstNS > 0 {
-		slow = float64(n.EstNS-minEst) / float64(minEst)
+// score is reached by the bake-off and property tests through Place. The
+// load is in job-equivalents. Once a healthy node has an estimate for the
+// job (minEst > 0), it is the node's FinishNS over that fastest estimate:
+// the cost the node's own pool picks a board by, so a node with no
+// estimate is priced at its queued work and explored first, and a node
+// with no queue room ranks behind every node with room. Without any
+// estimate it is the node's queued and running jobs, each of which delays
+// the strip by roughly one service time. Leftover and fragmentation are
+// tie-breakers within one level.
+func (packing) score(job JobView, n NodeView, minEst int64) float64 {
+	load := float64(n.Queued)
+	if minEst > 0 {
+		if n.FinishNS < 0 {
+			return 2*nonFitPenalty + load
+		}
+		load = float64(n.FinishNS) / float64(minEst)
 	}
 	fits := false
 	bestGap := 0.0
 	var frag float64
-	cols := 0
 	for _, b := range n.Boards {
 		if b.Quarantined {
 			continue
-		}
-		if b.Cols > cols {
-			cols = b.Cols
 		}
 		if b.LargestFree >= job.Width {
 			gap := float64(b.LargestFree-job.Width) / float64(b.Cols)
@@ -176,9 +184,9 @@ func (packing) score(job JobView, n NodeView, minEst int64) (float64, bool) {
 		}
 	}
 	if !fits {
-		return nonFitPenalty + float64(n.Queued) + slow, false
+		return nonFitPenalty + load
 	}
-	return float64(n.Queued) + 0.5*bestGap + 0.25*frag + slow, true
+	return load + 0.5*bestGap + 0.25*frag
 }
 
 func (p packing) Place(job JobView, nodes []NodeView) (int, float64, bool) {
@@ -193,7 +201,7 @@ func (p packing) Place(job JobView, nodes []NodeView) (int, float64, bool) {
 		if !n.Healthy {
 			continue
 		}
-		s, _ := p.score(job, n, minEst)
+		s := p.score(job, n, minEst)
 		if best < 0 || s < bestScore {
 			best, bestScore = i, s
 		}

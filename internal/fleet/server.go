@@ -11,6 +11,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/fault"
 	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 // ServerConfig parameterizes a fleet Server.
@@ -185,8 +186,13 @@ type NodeInfo struct {
 	// after a board quarantine (node-internal; fleet-level re-routes are
 	// in Info.Reroutes).
 	BoardRequeues int64 `json:"board_requeues"`
-	// Boards carries each board's queued work and service estimates,
-	// what the packing policy prices the node by.
+	// FinishNS is, per scenario in workload.Scenarios() order (indexed
+	// like a board's service_est_ns), the cost the node's pool would place
+	// a job of it at now and the packing policy scores the node by: the
+	// least queued_work_ns + service_est_ns over its healthy boards with
+	// queue room; -1 when none has room.
+	FinishNS [workload.NumScenarios]int64 `json:"finish_ns"`
+	// Boards carries each board's queued work and service estimates.
 	Boards []serve.BoardInfo `json:"boards"`
 }
 
@@ -219,11 +225,15 @@ func (s *Server) fleetInfo() Info {
 		// One read of the boards, so a node's entry agrees with itself.
 		boards := n.Pool().BoardInfos()
 		view := n.viewOf(boards, -1)
-		info.Nodes = append(info.Nodes, NodeInfo{
+		ni := NodeInfo{
 			ID: n.ID(), Healthy: view.Healthy, Queued: view.Queued,
 			Routed: routed[i], BoardRequeues: n.Pool().RequeueCount(),
 			Boards: boards,
-		})
+		}
+		for s := range ni.FinishNS {
+			ni.FinishNS[s] = n.Pool().Quote(s).FinishNS
+		}
+		info.Nodes = append(info.Nodes, ni)
 	}
 	return info
 }

@@ -250,9 +250,10 @@ func TestFleetOversizedSubmitRefused(t *testing.T) {
 
 // TestNodeViewPricesFastestBoard pins the routing input: every board of a
 // node offers its full width, unfragmented — each job starts on an erased
-// device, whatever the last one left — and a job's estimate on the node
-// is the least its healthy boards measured for the job's scenario, none
-// before a board has completed one.
+// device, whatever the last one left — and the node is priced by its own
+// pool's quote: an idle node finishes a job at the least estimate its
+// healthy boards measured for the job's scenario, and at 0 before a board
+// has completed one.
 func TestNodeViewPricesFastestBoard(t *testing.T) {
 	dyn, paged := serve.DefaultBoardConfig(), serve.DefaultBoardConfig()
 	paged.Manager = "paged"
@@ -262,7 +263,7 @@ func TestNodeViewPricesFastestBoard(t *testing.T) {
 	}
 	scen := workload.ScenarioIndex("multimedia")
 	honest := []BoardView{{Cols: dyn.Cols, LargestFree: dyn.Cols}, {Cols: paged.Cols, LargestFree: paged.Cols}}
-	if v := n.viewOf(n.Pool().BoardInfos(), scen); len(v.Boards) != 2 || v.Boards[0] != honest[0] || v.Boards[1] != honest[1] || v.EstNS != 0 {
+	if v := n.viewOf(n.Pool().BoardInfos(), scen); len(v.Boards) != 2 || v.Boards[0] != honest[0] || v.Boards[1] != honest[1] || v.EstNS != 0 || v.FinishNS != 0 {
 		t.Fatalf("view before any job: %+v, want full-width boards and no estimate", v)
 	}
 
@@ -293,11 +294,11 @@ func TestNodeViewPricesFastestBoard(t *testing.T) {
 	if v.Boards[0] != honest[0] || v.Boards[1] != honest[1] {
 		t.Errorf("view after the jobs: %+v, want the boards' full widths", v.Boards)
 	}
-	if want := min(makespans[0], makespans[1]); v.EstNS != want {
-		t.Errorf("EstNS = %d, want the faster board's %d (makespans %v)", v.EstNS, want, makespans)
+	if want := min(makespans[0], makespans[1]); v.EstNS != want || v.FinishNS != want {
+		t.Errorf("EstNS, FinishNS = %d, %d, want the faster board's %d for both (makespans %v)", v.EstNS, v.FinishNS, want, makespans)
 	}
-	if other := n.viewOf(n.Pool().BoardInfos(), workload.ScenarioIndex("telecom")); other.EstNS != 0 {
-		t.Errorf("telecom estimate %d with no telecom job run", other.EstNS)
+	if other := n.viewOf(n.Pool().BoardInfos(), workload.ScenarioIndex("telecom")); other.EstNS != 0 || other.FinishNS != 0 {
+		t.Errorf("telecom estimate %d, finish %d with no telecom job run", other.EstNS, other.FinishNS)
 	}
 }
 
@@ -416,6 +417,137 @@ func TestFleetNodeCasualtyReroutes(t *testing.T) {
 	st := submitWait(t, s, "acme", "multimedia")
 	if st.State != serve.StateDone || st.Node == 0 || st.Attempts != 1 {
 		t.Fatalf("post-casualty job: %+v", st)
+	}
+}
+
+// TestFleetBackpressureDoesNotExclude: a node whose full queue bounced a
+// job stays open to that job's later re-routes; only a casualty takes a
+// node out for the job's whole life. It used to exclude both, so a job
+// that once bounced off a node and then lost its second one to a casualty
+// failed with "no healthy node" though the first had long drained.
+func TestFleetBackpressureDoesNotExclude(t *testing.T) {
+	plan, err := fault.ParseSpec("seed=1,retries=0,config-error@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := serve.DefaultBoardConfig()
+	one.QueueDepth = 1
+	s, err := NewServer(ServerConfig{
+		Nodes:  [][]serve.BoardConfig{{one}, {one}},
+		Policy: "firstfit", Version: "test",
+		Faults: &plan, FaultNode: 1, // node 1's first download escalates
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each node's workers start when the test says so; whatever it has
+	// not started by the end starts before the drain.
+	started := make([]bool, 2)
+	start := func(node int) {
+		if !started[node] {
+			started[node] = true
+			s.Scheduler().Nodes()[node].Pool().Start()
+		}
+	}
+	t.Cleanup(func() {
+		start(0)
+		start(1)
+		s.Drain()
+	})
+	spec, err := workload.BuiltinSpec("multimedia")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := 0
+	pinned, err := s.Scheduler().Submit(Request{Tenant: "acme", Spec: &spec, Node: &zero})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// firstfit offers node 0 first; its one queue slot is taken, so the
+	// job bounces to node 1.
+	j, err := s.Scheduler().Submit(Request{Tenant: "acme", Spec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(); st.Node != 1 || st.Attempts != 1 {
+		t.Fatalf("after the bounce: node %d, attempts %d; want node 1, 1", st.Node, st.Attempts)
+	}
+	start(0)
+	<-pinned.Done()
+	// Node 1 escalates, leaving the job one node: node 0, drained by now.
+	start(1)
+	select {
+	case <-j.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("the re-routed job did not finish")
+	}
+	if st := j.Status(); st.State != serve.StateDone || st.Node != 0 || st.Attempts != 2 {
+		t.Errorf("job: %q on node %d after %d attempts (error %q); want done on node 0 after 2", st.State, st.Node, st.Attempts, st.Error)
+	}
+}
+
+// TestFleetInfoFinishNS: /v1/fleet shows, per node and scenario, the cost
+// the node's own pool would place a job at — the least queued_work_ns +
+// service_est_ns over its healthy boards with room — and the next
+// unpinned job goes to the node where it is least.
+func TestFleetInfoFinishNS(t *testing.T) {
+	mgrs := [][]string{{"dynamic", "partition"}, {"amorphous", "paged"}}
+	cfg := ServerConfig{Policy: "packing"}
+	for _, row := range mgrs {
+		var boards []serve.BoardConfig
+		for _, m := range row {
+			bc := serve.DefaultBoardConfig()
+			bc.Manager = m
+			boards = append(boards, bc)
+		}
+		cfg.Nodes = append(cfg.Nodes, boards)
+	}
+	s := newTestFleet(t, cfg, 0, 0)
+	spec, err := workload.BuiltinSpec("multimedia")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for node, row := range mgrs {
+		for board := range row {
+			j, err := s.Scheduler().Submit(Request{Tenant: "acme", Spec: &spec, Node: &node, Board: &board})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.Done()
+			if st := j.Status(); st.State != serve.StateDone {
+				t.Fatalf("pinned job on %s: %+v", row[board], st)
+			}
+		}
+	}
+
+	var info Info
+	if err := json.Unmarshal(do(t, s, "GET", "/v1/fleet", "").Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	scen := workload.ScenarioIndex("multimedia")
+	best := -1
+	for i, n := range info.Nodes {
+		for sc, got := range n.FinishNS {
+			want := int64(-1)
+			for _, b := range n.Boards {
+				if c := b.QueuedWorkNS + b.ServiceEstNS[sc]; !b.Quarantined && b.QueueDepth < b.QueueCap && (want < 0 || c < want) {
+					want = c
+				}
+			}
+			if got != want {
+				t.Errorf("node %d finish_ns[%d] = %d, want %d", n.ID, sc, got, want)
+			}
+		}
+		if best < 0 || n.FinishNS[scen] < info.Nodes[best].FinishNS[scen] {
+			best = i
+		}
+	}
+	if a, b := info.Nodes[0].FinishNS[scen], info.Nodes[1].FinishNS[scen]; a == b || a <= 0 || b <= 0 {
+		t.Fatalf("multimedia finishes %d and %d: nothing to choose between", a, b)
+	}
+	if st := submitWait(t, s, "acme", "multimedia"); st.State != serve.StateDone || st.Node != best {
+		t.Errorf("unpinned job: %q on node %d, want node %d (finish_ns %d vs %d)", st.State, st.Node, best,
+			info.Nodes[0].FinishNS[scen], info.Nodes[1].FinishNS[scen])
 	}
 }
 
@@ -566,7 +698,8 @@ func TestFleetJobTableBounded(t *testing.T) {
 		<-j.Done()
 		last = resp.ID
 	}
-	// Watchers and workers retire a job just after closing Done.
+	// Watchers retire a job before closing Done, so the table reads
+	// settled; the drain stops the workers before it is read.
 	s.Drain()
 	s.sched.mu.Lock()
 	held := s.sched.jobs.Len()

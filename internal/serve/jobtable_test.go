@@ -99,7 +99,8 @@ func TestServerJobTableBounded(t *testing.T) {
 		<-j.Done()
 		last = resp.ID
 	}
-	// The worker retires a job in the table just after closing Done.
+	// The worker retires a job in the table before closing Done, so the
+	// table reads settled; the drain stops the workers before it is read.
 	s.Drain()
 	s.pool.mu.Lock()
 	held := s.pool.jobs.Len()

@@ -90,6 +90,60 @@ func TestPickFinishesFirst(t *testing.T) {
 	waitDone(t, j)
 }
 
+// TestQuoteIsPickCost: the pool's quote is the one placement rule read
+// from outside. Before each submission its FinishNS is the queued work plus
+// the job's estimate on the board the job then lands on, -1 once every
+// healthy queue is full; its EstNS is the least estimate among the healthy
+// boards, a quarantined board's ignored.
+func TestQuoteIsPickCost(t *testing.T) {
+	cfgs := []BoardConfig{DefaultBoardConfig(), DefaultBoardConfig(), DefaultBoardConfig()}
+	for i := range cfgs {
+		cfgs[i].QueueDepth = 2
+	}
+	// Workers not started: every job stays in its queue.
+	p, err := NewPool(cfgs, PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Drain()
+	scen := workload.ScenarioIndex(tinySpec().Scenario)
+	for i, est := range []int64{1_000_000, 3_000_000, 5_000_000} {
+		p.boards[i].svc[scen].sum, p.boards[i].svc[scen].n = est, 1
+	}
+	p.boards[0].quarantine("config-error")
+	if q := p.Quote(scen); q.EstNS != 3_000_000 || q.FinishNS != 3_000_000 {
+		t.Errorf("idle quote %+v, want board 1's 3 ms for both", q)
+	}
+	if q := p.Quote(-1); q.EstNS != 0 || q.FinishNS != 0 {
+		t.Errorf("quote for no scenario %+v, want 0s", q)
+	}
+	accepted := 0
+	for {
+		q := p.Quote(scen)
+		j, err := p.Submit(SubmitArgs{Tenant: "acme", Spec: tinySpec()})
+		if errors.Is(err, ErrQueueFull) {
+			if q.FinishNS != -1 {
+				t.Errorf("every queue full, quote %+v: want FinishNS -1", q)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted++
+		b := p.boards[boardOf(j)]
+		b.mu.Lock()
+		cost := b.queuedWork // the job's own charge included
+		b.mu.Unlock()
+		if q.FinishNS != cost {
+			t.Errorf("job %d on board %d: quoted %d, placed at %d", accepted, b.id, q.FinishNS, cost)
+		}
+	}
+	if accepted != 4 {
+		t.Errorf("%d jobs accepted, want 4: two healthy boards of depth 2", accepted)
+	}
+}
+
 // TestQueuedWorkConserved: every charge a board's queued work takes is
 // taken off again, whichever way the job leaves — completed, failed after
 // a cancel while queued, panicked, failed in place when pinned to a board

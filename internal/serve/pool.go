@@ -585,7 +585,7 @@ func (p *Pool) submit(j *Job, pin *int) (int, error) {
 		j.pinned = true
 	} else {
 		var err error
-		if target, err = p.pick(j.scen); err != nil {
+		if target, _, err = p.pick(j.scen); err != nil {
 			return 0, err
 		}
 		if target == nil {
@@ -601,13 +601,13 @@ func (p *Pool) submit(j *Job, pin *int) (int, error) {
 }
 
 // pick returns the healthy board with queue room where a job of scenario
-// scen finishes first: the least queued work plus the job's estimate
-// there, then the fewest jobs queued or running, then the lowest id. A
-// pool with no completions of scen compares boards by load alone. pick
-// returns nil when every healthy board's queue is full, and
+// scen finishes first, and its cost there: the least queued work plus the
+// job's estimate, then the fewest jobs queued or running, then the lowest
+// id. A pool with no completions of scen compares boards by load alone.
+// pick returns nil when every healthy board's queue is full, and
 // ErrNoHealthyBoard when no board is healthy. Caller holds p.mu, under
 // which queues only drain, so the board it returns has room.
-func (p *Pool) pick(scen int) (*board, error) {
+func (p *Pool) pick(scen int) (*board, int64, error) {
 	var best *board
 	var bestCost int64
 	bestLoad, healthy := 0, false
@@ -632,9 +632,40 @@ func (p *Pool) pick(scen int) (*board, error) {
 		}
 	}
 	if !healthy {
-		return nil, ErrNoHealthyBoard
+		return nil, 0, ErrNoHealthyBoard
 	}
-	return best, nil
+	return best, bestCost, nil
+}
+
+// Quote is what the pool would place a job of one scenario at if it were
+// submitted now, read from outside: a fleet ranks nodes by it, so the one
+// placement rule lives in pick.
+type Quote struct {
+	// FinishNS is pick's cost: the least queued work plus the job's
+	// estimate over the healthy boards with queue room; -1 when none has
+	// room.
+	FinishNS int64
+	// EstNS is the job's least estimate among the healthy boards; 0 while
+	// none has completed a job of its scenario.
+	EstNS int64
+}
+
+// Quote prices a job of scenario scen (-1: none) as pick would place it.
+func (p *Pool) Quote(scen int) Quote {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	q := Quote{FinishNS: -1}
+	if b, cost, _ := p.pick(scen); b != nil {
+		q.FinishNS = cost
+	}
+	for _, b := range p.boards {
+		b.mu.Lock()
+		if est := b.estimateLocked(scen); !b.quarantined && est > 0 && (q.EstNS == 0 || est < q.EstNS) {
+			q.EstNS = est
+		}
+		b.mu.Unlock()
+	}
+	return q
 }
 
 // enqueue charges j's estimate on b to b's queued work and sends j to b's
@@ -678,7 +709,7 @@ func (p *Pool) requeue(from *board, j *Job) bool {
 	if exhausted {
 		return false
 	}
-	target, _ := p.pick(j.scen) // no healthy board or no room: nil either way
+	target, _, _ := p.pick(j.scen) // no healthy board or no room: nil either way
 	if target == nil {
 		return false
 	}
@@ -713,13 +744,14 @@ func (p *Pool) Job(id string) (*Job, error) {
 	return p.jobs.Get(id)
 }
 
-// finish moves j to its terminal state and starts its retention in the
-// job table.
+// finish starts j's retention in the job table and moves j to its
+// terminal state. Retention starts before j's done channel closes, so
+// jobs a client saw finish one after another expire in that order.
 func (p *Pool) finish(j *Job, res *JobResult, err error) {
-	j.finish(res, err)
 	p.mu.Lock()
 	p.jobs.Finish(j.id)
 	p.mu.Unlock()
+	j.finish(res, err)
 }
 
 // BoardInfos returns a snapshot of every board, in board-id order.
