@@ -180,7 +180,7 @@ serve-smoke-warm:
 # re-route its jobs with zero untyped (or even typed) client-visible
 # failures and end with node 1 out of the rotation.
 serve-smoke-fleet:
-	@$(SMOKE) "-nodes 3 -boards-per-node 2 -placement packing -managers dynamic -rate 0 -faults 'seed=1,retries=0,config-error@1' -fault-node 1" \
+	@$(SMOKE) "-nodes 3 -boards 2 -placement packing -managers dynamic -rate 0 -faults 'seed=1,retries=0,config-error@1' -fault-node 1" \
 		"-targets http://{addr},http://{addr} -requests 500 -concurrency 8 -workload multimedia -check-lint -expect-node-quarantine"
 
 # The trace smoke: replay the committed golden trace (60 jobs, 3

@@ -15,7 +15,7 @@
 //	vfpgad -boards 4 -managers dynamic,partition -queue 32
 //	vfpgad -addr 127.0.0.1:0 -addr-file /tmp/vfpgad.addr
 //	vfpgad -boards 3 -faults seed=7,retries=2,config-error=0.1
-//	vfpgad -nodes 3 -boards-per-node 2 -placement packing
+//	vfpgad -nodes 3 -boards 2 -placement packing
 //	vfpgad -nodes 3 -faults seed=1,config-error=0.9 -fault-node 1
 //	vfpgad -pprof 127.0.0.1:6060
 //
@@ -55,7 +55,6 @@ type options struct {
 	pprofAddr      string
 	boards         int
 	nodes          int
-	boardsPerNode  int
 	placement      string
 	managers       string
 	cols, rows     int
@@ -74,9 +73,8 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free one)")
 	flag.StringVar(&o.addrFile, "addr-file", "", "write the bound address to this file once listening")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off)")
-	flag.IntVar(&o.boards, "boards", 2, "number of boards in the pool (single-node mode)")
+	flag.IntVar(&o.boards, "boards", 2, "number of boards in the pool (per node in fleet mode)")
 	flag.IntVar(&o.nodes, "nodes", 1, "number of nodes; > 1 serves a fleet from this one process")
-	flag.IntVar(&o.boardsPerNode, "boards-per-node", 0, "boards per fleet node (0 = the -boards value)")
 	flag.StringVar(&o.placement, "placement", "packing", "fleet placement policy: firstfit | packing | random")
 	flag.StringVar(&o.managers, "managers", "dynamic", "comma-separated manager list, cycled across boards")
 	flag.IntVar(&o.cols, "cols", 32, "device columns per board")
@@ -148,13 +146,9 @@ func run(o options) error {
 	var srv service
 	var banner string
 	if o.nodes > 1 {
-		per := o.boardsPerNode
-		if per <= 0 {
-			per = o.boards
-		}
 		nodeCfgs := make([][]serve.BoardConfig, o.nodes)
 		for i := range nodeCfgs {
-			nodeCfgs[i] = o.boardConfigs(per)
+			nodeCfgs[i] = o.boardConfigs(o.boards)
 		}
 		fs, err := fleet.NewServer(fleet.ServerConfig{
 			Nodes:     nodeCfgs,
@@ -169,7 +163,7 @@ func run(o options) error {
 			return err
 		}
 		srv = fs
-		banner = fmt.Sprintf("%d node(s) x %d board(s), placement=%s,", o.nodes, per, o.placement)
+		banner = fmt.Sprintf("%d node(s) x %d board(s), placement=%s,", o.nodes, o.boards, o.placement)
 	} else {
 		ss, err := serve.New(serve.Config{
 			Boards:  o.boardConfigs(o.boards),

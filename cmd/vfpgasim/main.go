@@ -149,11 +149,13 @@ func buildSet(cfg runConfig) (*workload.Set, error) {
 		c.Seed = cfg.seed
 		return workload.Storage(c), nil
 	case "synthetic":
-		c := workload.SyntheticConfig{
-			Tasks: cfg.tasks, OpsPerTask: 6, EvalsPerOp: 30_000,
-			ComputeTime: 300 * sim.Microsecond, SwitchProb: 0.3, Seed: cfg.seed,
+		s := workload.DefaultSynthetic()
+		s.Tasks, s.Seed = cfg.tasks, cfg.seed
+		if err := s.Validate(); err != nil { // -tasks is the one parameter a flag sets
+			return nil, err
 		}
-		if err := c.Validate(); err != nil { // -tasks is the one parameter a flag sets
+		c, err := s.Config()
+		if err != nil {
 			return nil, err
 		}
 		return workload.Synthetic(c), nil

@@ -125,11 +125,11 @@ func (s *Stack) Run(set *workload.Set) error {
 // call it before Run. It returns the scheduler's log, which renders the
 // Gantt chart; Timeline merges all of them.
 func (s *Stack) Trace() *hostos.EventLog {
-	s.sched = hostos.NewEventLog(0)
+	s.sched = hostos.NewEventLog()
 	s.OS.AttachTrace(s.sched)
 	s.devs = nil
 	for _, e := range s.Engines {
-		dl := core.NewDeviceLog(0)
+		dl := core.NewDeviceLog()
 		e.Ledger().AttachLog(dl)
 		s.devs = append(s.devs, dl)
 	}

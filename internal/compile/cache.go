@@ -39,7 +39,6 @@ type CacheKey struct {
 	Rows       int
 	Tracks     int
 	Seed       uint64
-	Effort     int
 	DisableOpt bool
 	Timing     fabric.Timing
 }
@@ -130,7 +129,6 @@ func (sc *StripCache) CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Op
 		Rows:       rows,
 		Tracks:     tracks,
 		Seed:       opt.Seed,
-		Effort:     opt.Effort,
 		DisableOpt: opt.DisableOpt,
 		Timing:     timing,
 	}

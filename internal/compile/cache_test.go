@@ -2,6 +2,7 @@ package compile
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -122,26 +123,31 @@ func TestCacheKeyIncludesAllInputs(t *testing.T) {
 		t.Fatalf("capacity=%d, want default %d", sc.Stats().Capacity, DefaultCacheCapacity)
 	}
 	nl := netlist.Counter(4)
-	base := Options{Seed: 7}
-	variants := []Options{
-		{Seed: 8},
-		{Seed: 7, Effort: 3},
-		{Seed: 7, DisableOpt: true},
+	type input struct {
+		tracks int
+		opt    Options
 	}
-	if _, err := sc.CompileStrip(nl, 8, 4, base); err != nil {
-		t.Fatal(err)
+	base := input{4, Options{Seed: 7}}
+	variants := []input{
+		{4, Options{Seed: 8}},
+		{4, Options{Seed: 7, DisableOpt: true}},
+		{6, Options{Seed: 7}},
 	}
-	for _, opt := range variants {
-		if _, err := sc.CompileStrip(nl, 8, 4, opt); err != nil {
+	for _, in := range append([]input{base}, variants...) {
+		c, err := sc.CompileStrip(nl, 8, in.tracks, in.opt)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if c.Routed.Tracks != in.tracks {
+			t.Fatalf("compiled at %d tracks, routed at %d", in.tracks, c.Routed.Tracks)
 		}
 	}
 	st := sc.Stats()
 	if st.Misses != int64(1+len(variants)) || st.Hits != 0 {
 		t.Fatalf("misses=%d hits=%d: option variants collided in the key", st.Misses, st.Hits)
 	}
-	// Same options again: pure hit.
-	if _, err := sc.CompileStrip(nl, 8, 4, base); err != nil {
+	// Same inputs again: pure hit.
+	if _, err := sc.CompileStrip(nl, 8, base.tracks, base.opt); err != nil {
 		t.Fatal(err)
 	}
 	if st := sc.Stats(); st.Hits != 1 {
@@ -149,5 +155,25 @@ func TestCacheKeyIncludesAllInputs(t *testing.T) {
 	}
 	if got := sc.Stats().HitRate(); got <= 0 || got >= 1 {
 		t.Fatalf("hit rate %v out of range", got)
+	}
+}
+
+// TestCacheKeyCoversOptions requires a same-named CacheKey field for every
+// Options field (a pointer option keyed by the value it points to), so no
+// flow option can change a compile without changing its key.
+func TestCacheKeyCoversOptions(t *testing.T) {
+	opts, key := reflect.TypeOf(Options{}), reflect.TypeOf(CacheKey{})
+	for i := 0; i < opts.NumField(); i++ {
+		f := opts.Field(i)
+		want := f.Type
+		if want.Kind() == reflect.Pointer {
+			want = want.Elem()
+		}
+		k, ok := key.FieldByName(f.Name)
+		if !ok {
+			t.Errorf("Options.%s has no CacheKey field", f.Name)
+		} else if k.Type != want {
+			t.Errorf("CacheKey.%s is %v, Options.%s keys as %v", f.Name, k.Type, f.Name, want)
+		}
 	}
 }

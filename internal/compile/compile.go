@@ -23,20 +23,11 @@ import (
 	"repro/internal/techmap"
 )
 
-// Options tunes the flow.
+// Options tunes the flow. CacheKey holds every field, so a strip compile
+// is keyed on all of them.
 type Options struct {
 	// Seed drives the placer.
 	Seed uint64
-	// Effort scales placement effort (0 = default).
-	Effort int
-	// Tracks is the channel capacity to route against; 0 uses the
-	// device-default geometry's capacity.
-	Tracks int
-	// W, H force the region shape; 0 lets the flow choose, growing the
-	// region until the design routes.
-	W, H int
-	// MaxGrowth bounds the number of region-growth retries (0 = default).
-	MaxGrowth int
 	// Timing supplies delay constants; the zero value selects
 	// fabric.DefaultTiming.
 	Timing *fabric.Timing
@@ -44,11 +35,6 @@ type Options struct {
 	// CSE, dead-logic removal) — the ablation knob for measuring what the
 	// logic optimizer is worth in CLBs.
 	DisableOpt bool
-	// Verify runs the static verifier (internal/lint) on the compiled
-	// netlist and generated bitstream, and fails the flow on any
-	// error-severity diagnostic — so broken artifacts are rejected
-	// before they ever reach a fabric.
-	Verify bool
 }
 
 // Circuit is a fully compiled design: everything the VFPGA manager needs
@@ -79,13 +65,34 @@ func (c *Circuit) String() string {
 		c.Name, c.BS.W, c.BS.H, c.Cells(), c.ClockPeriod, c.Sequential)
 }
 
-// Compile runs the full flow on nl.
+// maxGrowth bounds the region-growth retries of Compile.
+const maxGrowth = 6
+
+// Compile runs the full flow on nl at the default geometry's channel
+// capacity, growing a near-square region ~20% per retry until the design
+// routes.
 func Compile(nl *netlist.Netlist, opt Options) (*Circuit, error) {
 	m, err := frontEnd(nl, opt)
 	if err != nil {
 		return nil, err
 	}
-	return backEnd(nl, m, opt)
+	tracks := fabric.DefaultGeometry().TracksPerChannel
+	w, h := place.Shape(m.NumCells())
+	for attempt := 0; ; attempt++ {
+		try := opt
+		try.Seed += uint64(attempt)
+		c, err := backEnd(nl, m, w, h, tracks, try)
+		if err == nil || attempt == maxGrowth {
+			return c, err
+		}
+		if w <= h {
+			w++
+		} else {
+			h++
+		}
+		w += w / 10
+		h += h / 10
+	}
 }
 
 // frontEnd is the shape-independent half of the flow: logic optimization
@@ -102,76 +109,37 @@ func frontEnd(nl *netlist.Netlist, opt Options) (*techmap.Mapped, error) {
 	return m, nil
 }
 
-// backEnd places, routes and generates the mapped design m of nl into the
-// region shape opt asks for, growing it until the design routes when opt
-// leaves the shape open.
-func backEnd(nl *netlist.Netlist, m *techmap.Mapped, opt Options) (*Circuit, error) {
+// backEnd places, routes and generates the mapped design m of nl into a
+// w x h region with tracks per channel; it never changes the shape.
+func backEnd(nl *netlist.Netlist, m *techmap.Mapped, w, h, tracks int, opt Options) (*Circuit, error) {
 	timing := fabric.DefaultTiming()
 	if opt.Timing != nil {
 		timing = *opt.Timing
 	}
-	tracks := opt.Tracks
-	if tracks <= 0 {
-		tracks = fabric.DefaultGeometry().TracksPerChannel
+	p, err := place.Place(m, w, h, place.Options{Seed: opt.Seed})
+	if err != nil {
+		return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
 	}
-	maxGrowth := opt.MaxGrowth
-	if maxGrowth <= 0 {
-		maxGrowth = 6
+	r, err := route.Route(p, tracks, route.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
 	}
-
-	w, h := opt.W, opt.H
-	chooseShape := w <= 0 || h <= 0
-	if chooseShape {
-		w, h = place.Shape(m.NumCells())
-	}
-
-	var lastErr error
-	for attempt := 0; attempt <= maxGrowth; attempt++ {
-		p, err := place.Place(m, w, h, place.Options{Seed: opt.Seed + uint64(attempt), Effort: opt.Effort})
-		if err != nil {
-			return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
-		}
-		r, err := route.Route(p, tracks, route.Options{})
-		if err == nil {
-			bs := bitstream.Generate(r, timing)
-			c := &Circuit{
-				Name:        nl.Name,
-				Netlist:     nl,
-				Mapped:      m,
-				Placed:      p,
-				Routed:      r,
-				BS:          bs,
-				ClockPeriod: timing.ClockPeriod(bs.Delay),
-				Sequential:  nl.IsSequential(),
-			}
-			if opt.Verify {
-				if errs := lint.Errors(Verify(c)); len(errs) > 0 {
-					return nil, fmt.Errorf("compile %s: verify: %s (and %d more diagnostic(s))",
-						nl.Name, errs[0], len(errs)-1)
-				}
-			}
-			return c, nil
-		}
-		lastErr = err
-		if !chooseShape {
-			break // the caller pinned the shape; do not grow
-		}
-		// Grow the region ~20% per retry to give the router room.
-		if w <= h {
-			w++
-		} else {
-			h++
-		}
-		w += w / 10
-		h += h / 10
-	}
-	return nil, fmt.Errorf("compile %s: %w", nl.Name, lastErr)
+	bs := bitstream.Generate(r, timing)
+	return &Circuit{
+		Name:        nl.Name,
+		Netlist:     nl,
+		Mapped:      m,
+		Placed:      p,
+		Routed:      r,
+		BS:          bs,
+		ClockPeriod: timing.ClockPeriod(bs.Delay),
+		Sequential:  nl.IsSequential(),
+	}, nil
 }
 
 // Verify runs the static verifier over a compiled circuit — the source
 // netlist plus the generated bitstream — and returns every diagnostic.
-// Callers that only care about hard violations gate on lint.Errors;
-// Options.Verify wires this into the flow itself.
+// Callers that only care about hard violations gate on lint.Errors.
 func Verify(c *Circuit) []lint.Diagnostic {
 	return lint.RunTarget(&lint.Target{Netlist: c.Netlist, Bitstream: c.BS}, lint.Options{})
 }
@@ -187,10 +155,11 @@ func MustCompile(nl *netlist.Netlist, opt Options) *Circuit {
 }
 
 // CompileStrip compiles nl into a full-height column strip of the given
-// row count, growing the width until the design routes. Column strips are
-// the allocation unit of the VFPGA managers: partitioning, overlaying and
-// garbage collection all deal in contiguous column ranges, the direct
-// analogue of the paper's memory-style partitions.
+// row count, routed at tracks per channel, growing the width until the
+// design routes. Column strips are the allocation unit of the VFPGA
+// managers: partitioning, overlaying and garbage collection all deal in
+// contiguous column ranges, the direct analogue of the paper's
+// memory-style partitions.
 func CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit, error) {
 	m, err := frontEnd(nl, opt)
 	if err != nil {
@@ -203,8 +172,7 @@ func CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit,
 	}
 	var lastErr error
 	for w := minW; w <= minW+8; w++ {
-		opt.W, opt.H = w, rows
-		c, err := backEnd(nl, m, opt)
+		c, err := backEnd(nl, m, w, rows, tracks, opt)
 		if err == nil {
 			return c, nil
 		}

@@ -261,8 +261,36 @@ func TestApplyBindingMismatchRejected(t *testing.T) {
 
 func TestPinnedShapeNoGrowth(t *testing.T) {
 	// Pinning an inadequate shape must fail rather than silently grow.
-	if _, err := Compile(netlist.Multiplier(6), Options{Seed: 1, W: 3, H: 3}); err == nil {
+	nl := netlist.Multiplier(6)
+	m, err := frontEnd(nl, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := backEnd(nl, m, 3, 3, fabric.DefaultGeometry().TracksPerChannel, Options{Seed: 1}); err == nil {
 		t.Fatal("pinned tiny shape accepted")
+	}
+}
+
+// TestCompileStripRoutesAtItsTracks holds a strip compile, cached or not,
+// to the channel capacity it is given.
+func TestCompileStripRoutesAtItsTracks(t *testing.T) {
+	nl := netlist.MustLookup("alu8")
+	sc := NewStripCache(0)
+	for _, tracks := range []int{8, 12} {
+		direct, err := CompileStrip(nl, 16, tracks, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := sc.CompileStrip(nl, 16, tracks, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Circuit{direct, cached} {
+			if c.Routed.Tracks != tracks || c.Routed.MaxUse > tracks {
+				t.Fatalf("compiled at %d tracks: routed at %d, max channel use %d",
+					tracks, c.Routed.Tracks, c.Routed.MaxUse)
+			}
+		}
 	}
 }
 
@@ -395,15 +423,12 @@ func TestOptimizedCircuitStillEquivalentOnFabric(t *testing.T) {
 	driveEqual(t, dev, c, binding, 64, 99)
 }
 
-// TestVerifyHookRejectsCorruptArtifacts compiles with the static
-// verifier enabled, then corrupts the bitstream and checks the verifier
+// TestVerifyHookRejectsCorruptArtifacts runs the static verifier on a
+// compiled circuit, then corrupts the bitstream and checks the verifier
 // catches it — the compile-time gate that keeps broken configurations
 // off the fabric.
 func TestVerifyHookRejectsCorruptArtifacts(t *testing.T) {
-	c, err := Compile(netlist.Counter(8), Options{Seed: 1, Verify: true})
-	if err != nil {
-		t.Fatalf("verified compile failed on a library circuit: %v", err)
-	}
+	c := MustCompile(netlist.Counter(8), Options{Seed: 1})
 	if errs := lint.Errors(Verify(c)); len(errs) > 0 {
 		t.Fatalf("fresh artifact has lint errors: %v", errs)
 	}
@@ -422,15 +447,20 @@ func TestVerifyHookRejectsCorruptArtifacts(t *testing.T) {
 }
 
 // TestLibraryCompilesVerified sweeps every registry circuit through the
-// flow with Verify on: the whole seed library must produce artifacts
-// the static verifier accepts.
+// flow and Verify: the whole seed library must produce artifacts the
+// static verifier accepts.
 func TestLibraryCompilesVerified(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-library sweep")
 	}
 	for name, gen := range netlist.Registry() {
-		if _, err := Compile(gen(), Options{Seed: 1, Verify: true}); err != nil {
+		c, err := Compile(gen(), Options{Seed: 1})
+		if err != nil {
 			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if errs := lint.Errors(Verify(c)); len(errs) > 0 {
+			t.Errorf("%s: verify: %v", name, errs)
 		}
 	}
 }
@@ -460,10 +490,8 @@ func TestCompileStripMapsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	pinned := opt
-	pinned.W, pinned.H = c.BS.W, rows
 	back := testing.AllocsPerRun(5, func() {
-		if _, err := backEnd(nl, m, pinned); err != nil {
+		if _, err := backEnd(nl, m, c.BS.W, rows, 12, opt); err != nil {
 			t.Fatal(err)
 		}
 	})

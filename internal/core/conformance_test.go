@@ -47,7 +47,7 @@ func confEngine(t testing.TB, dev *fabric.Device) (*core.Engine, *core.DeviceLog
 			t.Fatal(err)
 		}
 	}
-	log := core.NewDeviceLog(0)
+	log := core.NewDeviceLog()
 	e.Ledger().AttachLog(log)
 	return e, log
 }

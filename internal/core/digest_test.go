@@ -47,7 +47,7 @@ func managerDigest(t *testing.T, impl confImpl, pol core.StatePolicy, sched host
 		Policy: sched, TimeSlice: slices[src.Intn(len(slices))],
 		CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
 	}, mgr)
-	events := hostos.NewEventLog(0)
+	events := hostos.NewEventLog()
 	osim.AttachTrace(events)
 	randomScript(t, osim, src, crowd)
 	k.Run()

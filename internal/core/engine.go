@@ -85,12 +85,10 @@ func (m CompletionMode) String() string {
 
 // Options parameterizes an Engine.
 type Options struct {
-	Geometry     fabric.Geometry
-	Timing       fabric.Timing
-	State        StatePolicy
-	Completion   CompletionMode
-	PollInterval sim.Time // DoneSignal polling period (0 = 100us)
-	PollCost     sim.Time // CPU cost per poll (0 = 1us)
+	Geometry   fabric.Geometry
+	Timing     fabric.Timing
+	State      StatePolicy
+	Completion CompletionMode
 	// Seed drives circuit compilation in the library.
 	Seed uint64
 }
@@ -98,13 +96,11 @@ type Options struct {
 // DefaultOptions returns the XC4000-calibrated engine configuration.
 func DefaultOptions() Options {
 	return Options{
-		Geometry:     fabric.DefaultGeometry(),
-		Timing:       fabric.DefaultTiming(),
-		State:        SaveRestore,
-		Completion:   Apriori,
-		PollInterval: 100 * sim.Microsecond,
-		PollCost:     1 * sim.Microsecond,
-		Seed:         1,
+		Geometry:   fabric.DefaultGeometry(),
+		Timing:     fabric.DefaultTiming(),
+		State:      SaveRestore,
+		Completion: Apriori,
+		Seed:       1,
 	}
 }
 
@@ -170,12 +166,6 @@ type Engine struct {
 // blank device of opt's geometry: one just erased (a board recycles its
 // hardware from job to job), or a new one when dev is nil.
 func NewEngine(opt Options, dev *fabric.Device) *Engine {
-	if opt.PollInterval <= 0 {
-		opt.PollInterval = 100 * sim.Microsecond
-	}
-	if opt.PollCost <= 0 {
-		opt.PollCost = 1 * sim.Microsecond
-	}
 	if dev == nil {
 		dev = fabric.NewDevice(opt.Geometry)
 	}
@@ -297,6 +287,13 @@ func (e *Engine) FreePins(pins []int) {
 // FreePinCount returns the number of unallocated pins.
 func (e *Engine) FreePinCount() int { return e.nFree }
 
+// DoneSignal completion: the OS polls the completion flag every
+// pollInterval and pays pollCost of CPU time per poll.
+const (
+	pollInterval = 100 * sim.Microsecond
+	pollCost     = 1 * sim.Microsecond
+)
+
 // ExecQuantum converts a pure hardware duration into the time the OS
 // observes, applying completion detection (§3) and pin multiplexing.
 func (e *Engine) ExecQuantum(pure sim.Time, mux int) sim.Time {
@@ -304,8 +301,8 @@ func (e *Engine) ExecQuantum(pure sim.Time, mux int) sim.Time {
 		pure *= sim.Time(mux)
 	}
 	if e.Opt.Completion == DoneSignal && pure > 0 {
-		polls := (pure + e.Opt.PollInterval - 1) / e.Opt.PollInterval
-		pure = polls*e.Opt.PollInterval + polls*e.Opt.PollCost
+		polls := (pure + pollInterval - 1) / pollInterval
+		pure = polls*pollInterval + polls*pollCost
 	}
 	return pure
 }

@@ -29,8 +29,6 @@ func TestExecQuantumApriori(t *testing.T) {
 func TestExecQuantumDoneSignalQuantizes(t *testing.T) {
 	opt := testOptions()
 	opt.Completion = DoneSignal
-	opt.PollInterval = 100 * sim.Microsecond
-	opt.PollCost = 1 * sim.Microsecond
 	e := NewEngine(opt, nil)
 	// 250us of work -> 3 polls -> 300us + 3us poll cost.
 	if got := e.ExecQuantum(250*sim.Microsecond, 1); got != 303*sim.Microsecond {
@@ -39,15 +37,6 @@ func TestExecQuantumDoneSignalQuantizes(t *testing.T) {
 	// Exactly one interval -> one poll.
 	if got := e.ExecQuantum(100*sim.Microsecond, 1); got != 101*sim.Microsecond {
 		t.Fatalf("exact-interval quantum %v, want 101us", got)
-	}
-}
-
-func TestEngineDefaultsApplied(t *testing.T) {
-	opt := testOptions()
-	opt.PollInterval, opt.PollCost = 0, 0
-	e := NewEngine(opt, nil)
-	if e.Opt.PollInterval <= 0 || e.Opt.PollCost <= 0 {
-		t.Fatal("poll defaults not applied")
 	}
 }
 

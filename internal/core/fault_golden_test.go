@@ -46,7 +46,7 @@ func goldenFaultRun(t *testing.T) (string, *core.Engine) {
 		Policy: hostos.RR, TimeSlice: 250 * sim.Microsecond,
 		CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
 	}, d)
-	sched := hostos.NewEventLog(0)
+	sched := hostos.NewEventLog()
 	os.AttachTrace(sched)
 	confScript(t, os)
 	k.Run()
@@ -239,7 +239,7 @@ func TestRelocateEscalationDropsStrip(t *testing.T) {
 				for _, circuit := range confCircuits {
 					e.Lib[circuit] = probe.Lib[circuit]
 				}
-				log := core.NewDeviceLog(0)
+				log := core.NewDeviceLog()
 				e.Ledger().AttachLog(log)
 				k := sim.New()
 				mgr, err := m.build(k, e)

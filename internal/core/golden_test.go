@@ -27,7 +27,7 @@ func goldenRun(t *testing.T) string {
 		Policy: hostos.RR, TimeSlice: 250 * sim.Microsecond,
 		CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
 	}, d)
-	sched := hostos.NewEventLog(0)
+	sched := hostos.NewEventLog()
 	os.AttachTrace(sched)
 	confScript(t, os)
 	k.Run()

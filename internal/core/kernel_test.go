@@ -69,7 +69,7 @@ func sameOps(a []LedgerOp, b ...LedgerOp) bool {
 func TestStateTableAdoptOrder(t *testing.T) {
 	k := sim.New()
 	e := newEngine(t, testOptions())
-	log := NewDeviceLog(0)
+	log := NewDeviceLog()
 	e.Ledger().AttachLog(log)
 	d := NewDynamicLoader(k, e)
 	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d)

@@ -124,21 +124,13 @@ func (e DeviceEvent) String() string {
 // costs nothing.
 type DeviceLog struct {
 	events []DeviceEvent
-	limit  int
 }
 
-// NewDeviceLog returns a log capped at limit events (0 = unbounded).
-func NewDeviceLog(limit int) *DeviceLog {
-	return &DeviceLog{limit: limit}
-}
+// NewDeviceLog returns an empty log.
+func NewDeviceLog() *DeviceLog { return &DeviceLog{} }
 
-// Emit appends an event (dropping the oldest beyond the cap).
-func (l *DeviceLog) Emit(e DeviceEvent) {
-	l.events = append(l.events, e)
-	if l.limit > 0 && len(l.events) > l.limit {
-		l.events = l.events[len(l.events)-l.limit:]
-	}
-}
+// Emit appends an event.
+func (l *DeviceLog) Emit(e DeviceEvent) { l.events = append(l.events, e) }
 
 // Events returns the recorded events in emission order.
 func (l *DeviceLog) Events() []DeviceEvent { return l.events }

@@ -19,7 +19,7 @@ func ledgerFixture(t *testing.T) (*Engine, *Ledger, *DeviceLog) {
 	e := newEngine(t, testOptions())
 	led := e.Ledger()
 	led.Bind(sim.New())
-	log := NewDeviceLog(0)
+	log := NewDeviceLog()
 	led.AttachLog(log)
 	return e, led, log
 }
@@ -239,17 +239,6 @@ func TestLedgerPageOps(t *testing.T) {
 	}
 }
 
-func TestDeviceLogCap(t *testing.T) {
-	log := NewDeviceLog(2)
-	for i := 0; i < 5; i++ {
-		log.Emit(DeviceEvent{At: sim.Time(i), Op: OpLoad, Page: -1})
-	}
-	evs := log.Events()
-	if len(evs) != 2 || evs[0].At != 3 || evs[1].At != 4 {
-		t.Fatalf("capped events = %v", evs)
-	}
-}
-
 func TestLedgerLintTarget(t *testing.T) {
 	e, led, _ := ledgerFixture(t)
 	led.Load("a", e.Lib["adder8"], 0, false)
@@ -267,7 +256,7 @@ func TestLedgerSettersHoldGuard(t *testing.T) {
 	exit := led.enter() // simulate an operation in flight
 	for name, call := range map[string]func(){
 		"Bind":         func() { led.Bind(sim.New()) },
-		"AttachLog":    func() { led.AttachLog(NewDeviceLog(0)) },
+		"AttachLog":    func() { led.AttachLog(NewDeviceLog()) },
 		"InjectFaults": func() { led.InjectFaults(nil) },
 	} {
 		func() {

@@ -47,21 +47,13 @@ type Event struct {
 // event listing and an ASCII Gantt chart. Attach with OS.AttachTrace.
 type EventLog struct {
 	events []Event
-	limit  int
 }
 
-// NewEventLog returns a log capped at limit events (0 = unbounded).
-func NewEventLog(limit int) *EventLog {
-	return &EventLog{limit: limit}
-}
+// NewEventLog returns an empty log.
+func NewEventLog() *EventLog { return &EventLog{} }
 
-// Emit appends an event (dropping the oldest beyond the cap).
-func (l *EventLog) Emit(e Event) {
-	l.events = append(l.events, e)
-	if l.limit > 0 && len(l.events) > l.limit {
-		l.events = l.events[len(l.events)-l.limit:]
-	}
-}
+// Emit appends an event.
+func (l *EventLog) Emit(e Event) { l.events = append(l.events, e) }
 
 // Events returns the recorded events in order.
 func (l *EventLog) Events() []Event { return l.events }

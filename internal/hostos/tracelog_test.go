@@ -10,7 +10,7 @@ import (
 func TestTraceRecordsLifecycle(t *testing.T) {
 	m := newMock()
 	o := newOS(Config{Policy: RR, TimeSlice: sim.Millisecond, CtxSwitch: 0}, m)
-	log := NewEventLog(0)
+	log := NewEventLog()
 	o.AttachTrace(log)
 	o.Spawn("a", 0, []Op{Compute(3 * sim.Millisecond)})
 	o.Spawn("b", 0, []Op{Compute(3 * sim.Millisecond)})
@@ -51,7 +51,7 @@ func TestTraceBlockEvents(t *testing.T) {
 	m.exclusive = true
 	m.preemptable = false
 	o := newOS(Config{Policy: RR, TimeSlice: sim.Millisecond, CtxSwitch: 0}, m)
-	log := NewEventLog(0)
+	log := NewEventLog()
 	o.AttachTrace(log)
 	o.Spawn("holder", 0, []Op{
 		UseFPGA(FPGARequest{Circuit: "c", Evaluations: 5000}),
@@ -73,23 +73,10 @@ func TestTraceBlockEvents(t *testing.T) {
 	}
 }
 
-func TestTraceCap(t *testing.T) {
-	log := NewEventLog(3)
-	for i := 0; i < 10; i++ {
-		log.Emit(Event{At: sim.Time(i), Task: "x", Kind: EvRun})
-	}
-	if len(log.Events()) != 3 {
-		t.Fatalf("cap not applied: %d", len(log.Events()))
-	}
-	if log.Events()[0].At != 7 {
-		t.Fatal("oldest events not dropped")
-	}
-}
-
 func TestGanttRender(t *testing.T) {
 	m := newMock()
 	o := newOS(Config{Policy: RR, TimeSlice: sim.Millisecond, CtxSwitch: 0}, m)
-	log := NewEventLog(0)
+	log := NewEventLog()
 	o.AttachTrace(log)
 	o.Spawn("alpha", 0, []Op{Compute(2 * sim.Millisecond)})
 	o.Spawn("beta", 0, []Op{Compute(2 * sim.Millisecond)})
@@ -113,7 +100,7 @@ func TestGanttRender(t *testing.T) {
 }
 
 func TestGanttEmpty(t *testing.T) {
-	log := NewEventLog(0)
+	log := NewEventLog()
 	if log.Gantt(40, 100) != "" {
 		t.Fatal("empty log rendered a gantt")
 	}

@@ -40,9 +40,6 @@ type Placement struct {
 // Options tunes the placer.
 type Options struct {
 	Seed uint64
-	// Effort scales the annealing schedule; 0 selects the default. Higher
-	// effort improves wirelength at linear cost.
-	Effort int
 }
 
 // Shape returns a near-square region shape with enough cells for the
@@ -150,11 +147,7 @@ func Place(m *techmap.Mapped, w, h int, opt Options) (*Placement, error) {
 			m.Name, m.NumCells(), w, h, w*h)
 	}
 	p := newPlacer(m, w, h)
-	effort := opt.Effort
-	if effort <= 0 {
-		effort = 1
-	}
-	p.anneal(effort, rng.New(opt.Seed^0x9e3779b97f4a7c15))
+	p.anneal(1, rng.New(opt.Seed^0x9e3779b97f4a7c15))
 	return p.placement(), nil
 }
 
@@ -302,6 +295,7 @@ func (p *placer) commitAll() {
 
 // anneal runs simulated annealing: each move takes a random cell to a
 // random site, swapping with the cell already there if there is one.
+// effort scales the schedule: more improves wirelength at linear cost.
 func (p *placer) anneal(effort int, src *rng.Source) {
 	nCells := p.nCells
 	if nCells <= 1 || p.numNets() == 0 {

@@ -93,17 +93,17 @@ func TestAnnealingImprovesOverScanOrder(t *testing.T) {
 	}
 }
 
+// annealAt is Place at the given annealing effort.
+func annealAt(m *techmap.Mapped, w, h int, seed uint64, effort int) *Placement {
+	p := newPlacer(m, w, h)
+	p.anneal(effort, rng.New(seed))
+	return p.placement()
+}
+
 func TestHigherEffortNotWorse(t *testing.T) {
 	m := mustMap(t, netlist.ALU(8))
 	w, h := Shape(m.NumCells())
-	low, err := Place(m, w, h, Options{Seed: 5, Effort: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	high, err := Place(m, w, h, Options{Seed: 5, Effort: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	low, high := annealAt(m, w, h, 5, 1), annealAt(m, w, h, 5, 4)
 	// Annealing is stochastic; allow a small regression margin.
 	if float64(high.Wirelength) > 1.15*float64(low.Wirelength) {
 		t.Fatalf("effort 4 WL %d much worse than effort 1 WL %d", high.Wirelength, low.Wirelength)
@@ -364,11 +364,7 @@ func TestPlaceLoopAllocatesNothing(t *testing.T) {
 	m := mustMap(t, netlist.ALU(8))
 	w, h := Shape(m.NumCells())
 	allocs := func(effort int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Place(m, w, h, Options{Seed: 5, Effort: effort}); err != nil {
-				t.Fatal(err)
-			}
-		})
+		return testing.AllocsPerRun(5, func() { annealAt(m, w, h, 5, effort) })
 	}
 	low, high := allocs(1), allocs(4)
 	if low != high {

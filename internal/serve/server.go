@@ -25,11 +25,6 @@ type Config struct {
 	// independently but reproducibly). Boards with their own Faults plan
 	// keep it. Nil means no injection anywhere.
 	Faults *fault.Plan
-	// Admission, when non-nil, replaces the server's own per-tenant
-	// bucket — the fleet layer shares one Admission across every node so
-	// budgets (and Retry-After hints) are fleet-wide, not per daemon.
-	// Tenant is ignored when Admission is set.
-	Admission *Admission
 }
 
 // Server is the vfpgad service: board pool + admission + HTTP handlers.
@@ -44,10 +39,7 @@ type Server struct {
 // submissions queue but nothing runs (tests use that window to fill
 // queues deterministically).
 func New(cfg Config) (*Server, error) {
-	adm := cfg.Admission
-	if adm == nil {
-		adm = NewAdmission(cfg.Tenant, cfg.Now)
-	}
+	adm := NewAdmission(cfg.Tenant, cfg.Now)
 	boards := append([]BoardConfig(nil), cfg.Boards...)
 	if cfg.Faults != nil {
 		for i := range boards {
