@@ -8,7 +8,7 @@ GO ?= go
 check: fmt vet vet-analyzers build race conformance test lint cover fuzz-smoke serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
 
 fmt:
-	@out=$$(gofmt -l cmd internal examples); \
+	@out=$$(gofmt -l cmd internal examples *.go); \
 	if [ -n "$$out" ]; then echo "gofmt needed in:"; echo "$$out"; exit 1; fi
 
 vet:

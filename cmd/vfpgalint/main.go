@@ -9,7 +9,6 @@
 //	vfpgalint -circuits adder8,crc16   # a subset
 //	vfpgalint -json -fail-on warning   # machine-readable, strict
 //	vfpgalint -passes comb-loop,net-drive -compile=false
-//	vfpgalint -faults seed=7,config-error=0.05,readback-flip@3
 //	vfpgalint -list                    # show the available passes
 //
 // The exit status is 0 when no diagnostic at or above the -fail-on
@@ -26,7 +25,6 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/fabric"
-	"repro/internal/fault"
 	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/version"
@@ -43,7 +41,6 @@ func main() {
 	cols := flag.Int("cols", 0, "device columns to bound bitstreams against (0 skips device checks)")
 	rows := flag.Int("rows", 0, "device rows to bound bitstreams against (0 skips device checks)")
 	seed := flag.Uint64("seed", 1, "placement seed for -compile")
-	faults := flag.String("faults", "", "additionally validate a fault-injection plan, e.g. seed=7,config-error=0.05,readback-flip@3")
 	verbose := flag.Bool("v", false, "also print info-severity diagnostics")
 	list := flag.Bool("list", false, "list the available passes and exit")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
@@ -62,7 +59,7 @@ func main() {
 	code, err := run(options{
 		json: *jsonOut, failOn: *failOn, passes: *passList, circuits: *circuits,
 		compile: *doCompile, segments: *segments, pageCells: *pageCells,
-		cols: *cols, rows: *rows, seed: *seed, verbose: *verbose, faults: *faults,
+		cols: *cols, rows: *rows, seed: *seed, verbose: *verbose,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vfpgalint: %v\n", err)
@@ -81,7 +78,6 @@ type options struct {
 	cols, rows       int
 	seed             uint64
 	verbose          bool
-	faults           string
 }
 
 func splitList(s string) []string {
@@ -151,15 +147,6 @@ func run(o options) (int, error) {
 		}
 		targets = append(targets, t)
 	}
-	nCircuits := len(targets)
-	if o.faults != "" {
-		plan, err := fault.ParseSpec(o.faults)
-		if err != nil {
-			return 0, err
-		}
-		targets = append(targets, &lint.Target{Name: "fault-plan", FaultPlan: &plan})
-	}
-
 	diags, err := lint.Run(targets, opts)
 	if err != nil {
 		return 0, err
@@ -180,7 +167,7 @@ func run(o options) (int, error) {
 	}
 	if !o.json {
 		fmt.Printf("%d circuit(s) linted: %d error(s), %d warning(s), %d info\n",
-			nCircuits, lint.Count(diags, lint.Error), lint.Count(diags, lint.Warning), lint.Count(diags, lint.Info))
+			len(targets), lint.Count(diags, lint.Error), lint.Count(diags, lint.Warning), lint.Count(diags, lint.Info))
 	}
 	if failNever {
 		return 0, nil

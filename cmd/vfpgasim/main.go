@@ -76,19 +76,6 @@ func cli(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "vfpgasim: %v\n", err)
 			return 1
 		}
-		// ParseSpec only checks syntax; the fault-plan lint pass checks
-		// semantics (probability mass per injection point, script
-		// ordering, retry policy) so a bad campaign aborts here instead
-		// of silently injecting the wrong thing.
-		diags := lint.RunTarget(&lint.Target{Name: "faults", FaultPlan: &plan},
-			lint.Options{Passes: []string{"fault-plan"}, MinSeverity: lint.Warning})
-		for _, d := range diags {
-			fmt.Fprintf(stderr, "vfpgasim: %s\n", d)
-		}
-		if lint.HasErrors(diags) {
-			fmt.Fprintf(stderr, "vfpgasim: refusing to run a malformed fault plan\n")
-			return 1
-		}
 		cfg.faults = &plan
 	}
 	if err := run(cfg, stdout); err != nil {

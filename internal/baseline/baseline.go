@@ -38,12 +38,6 @@ func NewExclusive(k *sim.Kernel, e *core.Engine) *Exclusive {
 	return &Exclusive{TaskKernel: core.NewTaskKernel(k, e, "exclusive")}
 }
 
-// Register implements hostos.FPGA.
-func (x *Exclusive) Register(t *hostos.Task, circuit string) error {
-	_, err := x.E.Circuit(circuit)
-	return err
-}
-
 // Acquire implements hostos.FPGA: the device is granted whole, FIFO.
 func (x *Exclusive) Acquire(t *hostos.Task) (sim.Time, bool) {
 	led := x.E.Ledger()
@@ -151,14 +145,8 @@ func (m *Merged) ExecTime(t *hostos.Task) sim.Time {
 }
 
 // Preemptable implements hostos.FPGA: circuits never move, so preemption
-// is free.
+// is free (TaskKernel.Preempt).
 func (m *Merged) Preemptable(t *hostos.Task) bool { return true }
-
-// Preempt implements hostos.FPGA.
-func (m *Merged) Preempt(t *hostos.Task, done, total sim.Time) (sim.Time, sim.Time) {
-	req := t.CurrentRequest()
-	return 0, core.Boundary(req.Evaluations+req.Cycles, done, total)
-}
 
 // Resume implements hostos.FPGA.
 func (m *Merged) Resume(t *hostos.Task) sim.Time { return 0 }
@@ -191,16 +179,12 @@ func NewSoftware(e *core.Engine, slowdown int64) *Software {
 	return &Software{TaskKernel: core.NewTaskKernel(nil, e, "software"), Slowdown: slowdown}
 }
 
-// Register implements hostos.FPGA.
-func (s *Software) Register(t *hostos.Task, circuit string) error {
-	_, err := s.E.Circuit(circuit)
-	return err
-}
-
 // Acquire implements hostos.FPGA: there is nothing to load.
 func (s *Software) Acquire(t *hostos.Task) (sim.Time, bool) { return 0, true }
 
-// ExecTime implements hostos.FPGA.
+// ExecTime implements hostos.FPGA. It is not TaskKernel.ExecAt: the
+// operation runs on the host CPU, not on the fabric, so there is no pin
+// multiplexing to stretch it and no completion detection to poll.
 func (s *Software) ExecTime(t *hostos.Task) sim.Time {
 	req := t.CurrentRequest()
 	return sim.Time(req.Evaluations+req.Cycles) * s.CircuitOf(t).ClockPeriod * sim.Time(s.Slowdown)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/hostos"
 	"repro/internal/sim"
 )
@@ -66,18 +64,6 @@ func NewAmorphousManager(k *sim.Kernel, e *Engine, cfg AmorphousConfig) *Amorpho
 		am.reclaim = am.slideFor
 	}
 	return am
-}
-
-// Register implements hostos.FPGA.
-func (am *AmorphousManager) Register(t *hostos.Task, circuit string) error {
-	c, err := am.E.Circuit(circuit)
-	if err != nil {
-		return err
-	}
-	if c.BS.W > am.E.Opt.Geometry.Cols {
-		return fmt.Errorf("core: circuit %s needs %d columns, device has %d", circuit, c.BS.W, am.E.Opt.Geometry.Cols)
-	}
-	return nil
 }
 
 // cacheFor returns the most-recently-used cached strip holding circuit,
@@ -157,8 +143,15 @@ func (am *AmorphousManager) Acquire(t *hostos.Task) (sim.Time, bool) {
 	if p := am.cacheFor(c.Name); p != nil {
 		p.owner, p.lastUse = t, am.K.Now()
 		am.byTask[t.ID] = p
-		am.E.Ledger().Adopt(p.span.X, t.Name)
-		return cost + am.restoreFor(p.span, t, c, true), true
+		led := am.E.Ledger()
+		led.Adopt(p.span.X, t.Name)
+		// A sequential adoptee with no state of its own finds the previous
+		// user's flip-flops: they are reset.
+		restoreCost, restored := am.saved.restore(led, t, c, am.region(p.span))
+		if !restored && c.Sequential {
+			restoreCost = led.Reset(t.Name, c, am.region(p.span))
+		}
+		return cost + restoreCost, true
 	}
 
 	placeCost, ready := am.place(t, c)

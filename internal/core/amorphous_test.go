@@ -161,8 +161,8 @@ func TestAmorphousSlideMergesHoles(t *testing.T) {
 	// Caching is off, so a's exit opens a real hole at the left; with the
 	// undersized tail that makes two holes, neither wide enough alone.
 	am.Remove(a)
-	if f := am.Frag(); f.FreeSpans != 2 || f.LargestFree >= wm {
-		t.Fatalf("precondition frag = %+v, want two holes each < %d", f, wm)
+	if free := am.rm.FreeList(); len(free) != 2 || max(free[0].W, free[1].W) >= wm {
+		t.Fatalf("precondition free spans = %+v, want two holes each < %d", free, wm)
 	}
 
 	d := amTask(t, os, "d", fpgaOp("mul4", 100))
@@ -285,7 +285,7 @@ func TestPartitionFragStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := pm.Frag()
-	if f.Cols != e.Opt.Geometry.Cols || f.FreeCols != f.Cols || f.FreeSpans != 1 || f.Ratio() != 0 {
-		t.Fatalf("empty-device frag = %+v", f)
+	if f.Cols != e.Opt.Geometry.Cols || f.FreeCols != f.Cols || len(pm.rm.FreeList()) != 1 || f.Ratio() != 0 {
+		t.Fatalf("empty-device frag = %+v, free spans %+v", f, pm.rm.FreeList())
 	}
 }

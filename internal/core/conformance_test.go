@@ -283,41 +283,6 @@ func auditLedger(t *testing.T, e *core.Engine, log *core.DeviceLog) {
 		t.Errorf("FaultRecoveries = %d exceeds FaultRetries = %d",
 			m.FaultRecoveries.Value(), m.FaultRetries.Value())
 	}
-	// Ledger.Frag() must agree with the reference scan of the residency
-	// table, whatever sequence of loads, evictions and relocations the run
-	// performed.
-	if got, want := e.Ledger().Frag(), recomputeFrag(e); got != want {
-		t.Errorf("Ledger.Frag() = %+v, residency table says %+v", got, want)
-	}
-}
-
-// recomputeFrag derives FragStats from scratch out of the exported
-// residency table — the reference Ledger.Frag() is audited against.
-func recomputeFrag(e *core.Engine) core.FragStats {
-	cols := e.Opt.Geometry.Cols
-	f := core.FragStats{Cols: cols}
-	observe := func(w int) {
-		if w <= 0 {
-			return
-		}
-		f.FreeCols += w
-		f.FreeSpans++
-		if w > f.LargestFree {
-			f.LargestFree = w
-		}
-		b := 0
-		for v := w; v > 1 && b < core.FragHistBuckets-1; v >>= 1 {
-			b++
-		}
-		f.Hist[b]++
-	}
-	at := 0
-	for _, r := range e.Ledger().Residents() {
-		observe(r.Region.X - at)
-		at = r.Region.X + r.Region.W
-	}
-	observe(cols - at)
-	return f
 }
 
 func TestConformance(t *testing.T) {

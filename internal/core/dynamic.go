@@ -29,46 +29,9 @@ func NewDynamicLoader(k *sim.Kernel, e *Engine) *DynamicLoader {
 	return d
 }
 
-// Register declares a task's configuration (stored in the engine library;
-// workloads pre-populate the library, so registration validates).
-func (d *DynamicLoader) Register(t *hostos.Task, circuit string) error {
-	_, err := d.E.Circuit(circuit)
-	return err
-}
-
-// ensureLoaded makes the task's circuit resident with the task's state,
-// returning the time this costs. It mutates the device immediately; the
-// OS charges the returned duration to the task.
-func (d *DynamicLoader) ensureLoaded(t *hostos.Task) sim.Time {
-	c := d.CircuitOf(t)
-	led := d.E.Ledger()
-	s := d.dev
-	var cost sim.Time
-
-	if s.circuit == nil || s.circuit.Name != c.Name {
-		// Evict the current resident, saving its owner's sequential state.
-		if s.circuit != nil {
-			if s.circuit.Sequential && s.hasOwner {
-				cost += d.save(s)
-			}
-			led.Evict(0)
-		}
-		// Download the new configuration. Without partial reconfiguration
-		// the whole device is rewritten (the paper's plain-XC4000 case).
-		_, loadCost := led.Load(t.Name, c, 0, true)
-		cost += loadCost
-		s.circuit, s.hasOwner = c, false
-	}
-
-	if c.Sequential {
-		cost += d.adopt(s, t, c)
-	}
-	return cost
-}
-
 // Acquire implements hostos.FPGA: dynamic loading never blocks.
 func (d *DynamicLoader) Acquire(t *hostos.Task) (sim.Time, bool) {
-	return d.ensureLoaded(t), true
+	return d.swap(d.dev, t, true), true
 }
 
 // ExecTime implements hostos.FPGA.
@@ -81,7 +44,7 @@ func (d *DynamicLoader) Preempt(t *hostos.Task, done, total sim.Time) (overhead,
 
 // Resume implements hostos.FPGA.
 func (d *DynamicLoader) Resume(t *hostos.Task) sim.Time {
-	return d.ensureLoaded(t)
+	return d.swap(d.dev, t, true)
 }
 
 // Resident returns the name of the currently loaded circuit ("" if none).

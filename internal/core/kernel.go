@@ -11,10 +11,11 @@ import (
 
 // TaskKernel is the operating-system mechanism every hostos.FPGA
 // implementation embeds (MultiManager through its boards), so that a
-// manager file holds only its placement, eviction and blocking policy: the engine and simulation kernel it runs
-// on, the lookup of a task's registered configuration, the execution-time
-// and preserved-work arithmetic, the base preemption rule, the queue of
-// tasks suspended for space, and the lint view. Its methods are exported
+// manager file holds only its placement, eviction and blocking policy: the
+// engine and simulation kernel it runs on, the base registration rule and
+// the lookup of a task's registered configuration, the execution-time and
+// preserved-work arithmetic, the base preemption rules, the queue of tasks
+// suspended for space, and the lint view. Its methods are exported
 // because internal/baseline embeds it too.
 type TaskKernel struct {
 	E  *Engine
@@ -49,9 +50,18 @@ func (tk *TaskKernel) CircuitOf(t *hostos.Task) *compile.Circuit {
 	return c
 }
 
+// Register implements hostos.FPGA's base rule: the circuit is in the
+// engine library (workloads pre-populate it, so registration validates).
+func (tk *TaskKernel) Register(t *hostos.Task, circuit string) error {
+	_, err := tk.E.Circuit(circuit)
+	return err
+}
+
 // ExecAt returns the hardware time of the task's current request on the
 // strip at column originX, stretched by that strip's pin multiplexing
-// (none when nothing is resident there) and by completion detection.
+// (none when nothing is resident there, as at originX -1) and by
+// completion detection. It is the one place hardware execution time is
+// computed.
 func (tk *TaskKernel) ExecAt(t *hostos.Task, originX int) sim.Time {
 	req := t.CurrentRequest()
 	mux := 1
@@ -75,6 +85,14 @@ func Boundary(n int64, done, total sim.Time) sim.Time {
 		return done
 	}
 	return (done / per) * per
+}
+
+// Preempt implements hostos.FPGA's base rule for a circuit that stays
+// where it is across preemption: nothing is saved, and only the step in
+// flight is lost.
+func (tk *TaskKernel) Preempt(t *hostos.Task, done, total sim.Time) (sim.Time, sim.Time) {
+	req := t.CurrentRequest()
+	return 0, Boundary(req.Evaluations+req.Cycles, done, total)
 }
 
 // Preemptable implements hostos.FPGA's base rule: combinational streams

@@ -141,9 +141,9 @@ func TestStateTableStreak(t *testing.T) {
 	}
 	d.Preempt(a, 500, 1000)
 	d.Remove(a)
-	if len(d.saved)+len(d.rolledBack)+len(d.rollbackStreak) != 0 || d.dev.hasOwner {
+	if len(d.saved)+len(d.rolledBack)+len(d.rollbackStreak) != 0 || d.dev.owner != nil {
 		t.Fatalf("Remove left state behind: %d saved, %d rolled back, %d streaks, owner=%v",
-			len(d.saved), len(d.rolledBack), len(d.rollbackStreak), d.dev.hasOwner)
+			len(d.saved), len(d.rolledBack), len(d.rollbackStreak), d.dev.owner)
 	}
 }
 

@@ -737,25 +737,6 @@ func (l *Ledger) NoteGC() {
 	l.emit(OpGC, "", "", fabric.Region{}, -1, 0, false)
 }
 
-// Frag returns the device's external-fragmentation statistics, read off
-// the residency table: a column is free when no resident strip covers
-// it. A manager's own view may be narrower (a fixed partition table
-// cannot use its slack), never wider.
-func (l *Ledger) Frag() FragStats {
-	f := FragStats{Cols: l.e.Opt.Geometry.Cols}
-	at := 0
-	for _, r := range l.residents {
-		if r.Region.X > at {
-			f.observe(r.Region.X - at)
-		}
-		at = r.Region.X + r.Region.W
-	}
-	if f.Cols > at {
-		f.observe(f.Cols - at)
-	}
-	return f
-}
-
 // Adopt transfers the residency at column x to a new owner without
 // touching the device: the configured strip is reused in place (the
 // amorphous manager's residency cache). Pure bookkeeping — no cost, no

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/compile"
 	"repro/internal/hostos"
 	"repro/internal/sim"
 )
@@ -49,29 +48,19 @@ func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string) (*OverlayMan
 			return nil, 0, fmt.Errorf("core: resident circuits exceed the device (%d+%d > %d cols)",
 				x, c.BS.W, e.Opt.Geometry.Cols)
 		}
-		s := om.addSlot(x)
-		cost, err := om.loadSlot(s, "", c)
+		_, cost, err := e.Ledger().TryLoad("", c, x, false)
 		if err != nil {
 			return nil, 0, err
 		}
 		initCost += cost
+		s := om.addSlot(x)
+		s.circuit = c
 		om.residents[name] = s
 		x += c.BS.W
 	}
 	om.overlay = om.addSlot(x)
 	om.overlayW = e.Opt.Geometry.Cols - x
 	return om, initCost, nil
-}
-
-// loadSlot downloads c at the slot's origin on behalf of owner ("" for
-// system initialization).
-func (om *OverlayManager) loadSlot(s *slot, owner string, c *compile.Circuit) (sim.Time, error) {
-	_, cost, err := om.E.Ledger().TryLoad(owner, c, s.x, false)
-	if err != nil {
-		return 0, err
-	}
-	s.circuit, s.hasOwner = c, false
-	return cost, nil
 }
 
 // Register implements hostos.FPGA: non-resident circuits must fit the
@@ -90,64 +79,32 @@ func (om *OverlayManager) Register(t *hostos.Task, circuit string) error {
 	return nil
 }
 
-// slotFor returns the slot holding (or destined to hold) the circuit and
-// whether it is already loaded.
-func (om *OverlayManager) slotFor(c *compile.Circuit) (*slot, bool) {
-	if s, ok := om.residents[c.Name]; ok {
-		return s, true
+// slotFor returns the slot holding, or destined to hold, t's circuit.
+func (om *OverlayManager) slotFor(t *hostos.Task) *slot {
+	if s, ok := om.residents[t.CurrentRequest().Circuit]; ok {
+		return s
 	}
-	return om.overlay, om.overlay.circuit != nil && om.overlay.circuit.Name == c.Name
-}
-
-// ensure makes the task's circuit loaded with the task's state.
-func (om *OverlayManager) ensure(t *hostos.Task) sim.Time {
-	c := om.CircuitOf(t)
-	s, loaded := om.slotFor(c)
-	var cost sim.Time
-	if !loaded {
-		// Overlay miss: evict the occupant (saving its owner's state) and
-		// download the requested function.
-		if s.circuit != nil {
-			if s.circuit.Sequential && s.hasOwner {
-				cost += om.save(s)
-			}
-			om.E.Ledger().Evict(s.x)
-			s.circuit = nil
-		}
-		loadCost, err := om.loadSlot(s, t.Name, c)
-		if err != nil {
-			// Wrap instead of stringifying: a *fault.EscalationError in the
-			// chain must stay typed for the serve layer's recover handler.
-			panic(fmt.Errorf("core: overlay load %s: %w", c.Name, err))
-		}
-		cost += loadCost
-	}
-	if c.Sequential {
-		cost += om.adopt(s, t, c)
-	}
-	return cost
+	return om.overlay
 }
 
 // Acquire implements hostos.FPGA: overlaying never blocks.
 func (om *OverlayManager) Acquire(t *hostos.Task) (sim.Time, bool) {
-	return om.ensure(t), true
+	return om.swap(om.slotFor(t), t, false), true
 }
 
 // ExecTime implements hostos.FPGA.
 func (om *OverlayManager) ExecTime(t *hostos.Task) sim.Time {
-	s, _ := om.slotFor(om.CircuitOf(t))
-	return om.ExecAt(t, s.x)
+	return om.ExecAt(t, om.slotFor(t).x)
 }
 
 // Preempt implements hostos.FPGA.
 func (om *OverlayManager) Preempt(t *hostos.Task, done, total sim.Time) (sim.Time, sim.Time) {
-	s, _ := om.slotFor(om.CircuitOf(t))
-	return om.preempt(s, t, done, total)
+	return om.preempt(om.slotFor(t), t, done, total)
 }
 
 // Resume implements hostos.FPGA.
 func (om *OverlayManager) Resume(t *hostos.Task) sim.Time {
-	return om.ensure(t)
+	return om.swap(om.slotFor(t), t, false)
 }
 
 // OverlayCircuit returns the name of the circuit currently in the overlay

@@ -65,6 +65,7 @@ type frame struct {
 // configuration is divided into fixed-size pages, and an operation touches
 // only the pages its request references. Missing pages fault in with a
 // partial reconfiguration each; replacement follows the configured policy.
+// Resident pages stay resident across preemption (TaskKernel.Preempt).
 //
 // Page frames are a residency/timing view of the configuration RAM: the
 // loader charges exact download time per page (through the residency
@@ -284,17 +285,7 @@ func (pl *PagedLoader) Acquire(t *hostos.Task) (sim.Time, bool) {
 
 // ExecTime implements hostos.FPGA: page frames bind no pins, so nothing
 // is multiplexed.
-func (pl *PagedLoader) ExecTime(t *hostos.Task) sim.Time {
-	req := t.CurrentRequest()
-	return pl.E.ExecQuantum(sim.Time(req.Evaluations+req.Cycles)*pl.CircuitOf(t).ClockPeriod, 1)
-}
-
-// Preempt implements hostos.FPGA: resident pages stay resident across
-// preemption; only vector granularity is lost.
-func (pl *PagedLoader) Preempt(t *hostos.Task, done, total sim.Time) (sim.Time, sim.Time) {
-	req := t.CurrentRequest()
-	return 0, Boundary(req.Evaluations+req.Cycles, done, total)
-}
+func (pl *PagedLoader) ExecTime(t *hostos.Task) sim.Time { return pl.ExecAt(t, -1) }
 
 // Resume implements hostos.FPGA: fault back in whatever was evicted while
 // the task was away.

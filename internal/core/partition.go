@@ -107,19 +107,6 @@ func (pm *PartitionManager) carve(cols int) (*RegionMap, error) {
 	return nil, fmt.Errorf("core: unknown partition mode %d", pm.Cfg.Mode)
 }
 
-// Register implements hostos.FPGA.
-func (pm *PartitionManager) Register(t *hostos.Task, circuit string) error {
-	c, err := pm.E.Circuit(circuit)
-	if err != nil {
-		return err
-	}
-	// A circuit wider than the widest possible partition can never load.
-	if maxW := pm.rm.MaxSlotWidth(); c.BS.W > maxW {
-		return fmt.Errorf("core: circuit %s needs %d columns, widest partition is %d", circuit, c.BS.W, maxW)
-	}
-	return nil
-}
-
 // FreeCols returns the total free width and the largest free strip —
 // the external-fragmentation measure of F4 — straight from the region
 // map's shared FragStats.
@@ -174,9 +161,8 @@ func (pm *PartitionManager) Acquire(t *hostos.Task) (sim.Time, bool) {
 			led.Evict(p.span.X)
 			_, loadCost := led.Load(t.Name, c, p.span.X, false)
 			p.circuit, p.lastUse = c.Name, pm.K.Now()
-			cost += loadCost
-			cost += pm.restoreFor(p.span, t, c, false)
-			return cost, true
+			restoreCost, _ := pm.saved.restore(led, t, c, pm.region(p.span))
+			return cost + loadCost + restoreCost, true
 		}
 		// Partition too small for the new algorithm: give it back. The
 		// outgoing circuit's sequential state is NOT saved on this path

@@ -6,28 +6,19 @@ package core
 // RegionMap is the manager-side table: owner-carrying spans with
 // grow/shrink/slide operations, used by PartitionManager (which keeps
 // §4's policy on top) and AmorphousManager (exact-fit spans, neighbor
-// sliding). FragStats is the measure both it and the ledger's residency
-// table report.
+// sliding). FragStats is the map's measure of its free space.
 
 import (
 	"fmt"
 	"sort"
 )
 
-// FragHistBuckets is the number of power-of-two width buckets in the
-// free-span histogram: bucket i counts free spans of width in
-// [2^i, 2^(i+1)); the last bucket is open-ended.
-const FragHistBuckets = 8
-
 // FragStats measures external fragmentation of a column range: how much
-// space is free, how much of it is usable as one contiguous hole, and
-// how the rest shatters by size.
+// space is free and how much of it is usable as one contiguous hole.
 type FragStats struct {
-	Cols        int                  `json:"cols"`         // columns tracked
-	FreeCols    int                  `json:"free_cols"`    // total free columns
-	LargestFree int                  `json:"largest_free"` // widest contiguous free span
-	FreeSpans   int                  `json:"free_spans"`   // number of free spans
-	Hist        [FragHistBuckets]int `json:"hist"`         // free spans by power-of-two width
+	Cols        int // columns tracked
+	FreeCols    int // total free columns
+	LargestFree int // widest contiguous free span
 }
 
 // Ratio returns the external-fragmentation ratio 1 - largest/free: 0
@@ -40,22 +31,9 @@ func (f FragStats) Ratio() float64 {
 	return 1 - float64(f.LargestFree)/float64(f.FreeCols)
 }
 
-func histBucket(w int) int {
-	b := 0
-	for w > 1 && b < FragHistBuckets-1 {
-		w >>= 1
-		b++
-	}
-	return b
-}
-
 func (f *FragStats) observe(w int) {
 	f.FreeCols += w
-	f.FreeSpans++
-	if w > f.LargestFree {
-		f.LargestFree = w
-	}
-	f.Hist[histBucket(w)]++
+	f.LargestFree = max(f.LargestFree, w)
 }
 
 // Span is one contiguous column range of a RegionMap. Owner is

@@ -33,14 +33,14 @@ func TestRegionMapAllocReleaseCoalesce(t *testing.T) {
 
 	rm.Release(b) // hole between a and c
 	spanLayout(t, rm, [][3]int{{0, 5, 0}, {5, 5, 1}, {10, 5, 0}, {15, 5, 1}})
-	if f := rm.Frag(); f.FreeCols != 10 || f.LargestFree != 5 || f.FreeSpans != 2 {
-		t.Fatalf("frag = %+v", f)
+	if f := rm.Frag(); f.FreeCols != 10 || f.LargestFree != 5 || len(rm.FreeList()) != 2 {
+		t.Fatalf("frag = %+v, free spans %+v", f, rm.FreeList())
 	}
 
 	rm.Release(c) // c's span merges with both neighbors
 	spanLayout(t, rm, [][3]int{{0, 5, 0}, {5, 15, 1}})
-	if f := rm.Frag(); f.FreeCols != 15 || f.LargestFree != 15 || f.FreeSpans != 1 {
-		t.Fatalf("frag = %+v", f)
+	if f := rm.Frag(); f.FreeCols != 15 || f.LargestFree != 15 || len(rm.FreeList()) != 1 {
+		t.Fatalf("frag = %+v, free spans %+v", f, rm.FreeList())
 	}
 	rm.Release(a)
 	spanLayout(t, rm, [][3]int{{0, 20, 1}})
@@ -123,8 +123,8 @@ func TestFixedRegionMap(t *testing.T) {
 	rm.Release(got)
 	// Free fixed slots never merge.
 	spanLayout(t, rm, [][3]int{{0, 4, 1}, {4, 6, 1}, {10, 4, 1}})
-	if f := rm.Frag(); f.FreeSpans != 3 || f.LargestFree != 6 {
-		t.Fatalf("frag = %+v", f)
+	if f := rm.Frag(); len(rm.FreeList()) != 3 || f.LargestFree != 6 {
+		t.Fatalf("frag = %+v, free spans %+v", f, rm.FreeList())
 	}
 
 	if _, err := NewFixedRegionMap([]int{9, 9}, 16); err == nil {
@@ -147,16 +147,6 @@ func TestFragStatsRatio(t *testing.T) {
 	f = FragStats{FreeCols: 10, LargestFree: 5}
 	if f.Ratio() != 0.5 {
 		t.Fatalf("ratio = %v, want 0.5", f.Ratio())
-	}
-}
-
-func TestFragHistBuckets(t *testing.T) {
-	for _, c := range []struct{ w, bucket int }{
-		{1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3}, {127, 6}, {128, 7}, {100000, 7},
-	} {
-		if got := histBucket(c.w); got != c.bucket {
-			t.Errorf("histBucket(%d) = %d, want %d", c.w, got, c.bucket)
-		}
 	}
 }
 

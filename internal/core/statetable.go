@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/compile"
 	"repro/internal/fabric"
 	"repro/internal/hostos"
@@ -14,13 +16,50 @@ type savedKey struct {
 	circuit string
 }
 
-// forgetSaved drops every state saved for task t.
-func forgetSaved(saved map[savedKey][]bool, t hostos.TaskID) {
-	for k := range saved {
+// savedState is the OS table of displaced sequential state (§3's
+// observability and controllability): a task's flip-flops are read back
+// into it when its circuit leaves the device under it, and written back
+// from it when the circuit returns. The slot and strip tables each keep
+// one; nothing else reads the device state back or restores it.
+type savedState map[savedKey][]bool
+
+// save reads owner's flip-flop state of c out of region r into the table.
+func (ss savedState) save(led *Ledger, owner *hostos.Task, c *compile.Circuit, r fabric.Region) sim.Time {
+	state, cost := led.Readback(owner.Name, c, r)
+	ss[savedKey{owner.ID, c.Name}] = state
+	return cost
+}
+
+// restore writes t's saved state of c back into region r and drops it
+// from the table, reporting whether any was saved.
+func (ss savedState) restore(led *Ledger, t *hostos.Task, c *compile.Circuit, r fabric.Region) (sim.Time, bool) {
+	key := savedKey{t.ID, c.Name}
+	state, ok := ss[key]
+	if !ok {
+		return 0, false
+	}
+	cost := led.Restore(t.Name, c, r, state)
+	delete(ss, key)
+	return cost, true
+}
+
+// forget drops every state saved for task t.
+func (ss savedState) forget(t hostos.TaskID) {
+	for k := range ss {
 		if k.task == t {
-			delete(saved, k)
+			delete(ss, k)
 		}
 	}
+}
+
+// has reports whether any state is saved for task t.
+func (ss savedState) has(t hostos.TaskID) bool {
+	for k := range ss {
+		if k.task == t {
+			return true
+		}
+	}
+	return false
 }
 
 // rollbackLimit bounds consecutive rollbacks before an operation is
@@ -32,11 +71,9 @@ const rollbackLimit = 3
 // manager — and whose flip-flop state it currently holds. Pins and mux
 // live in the ledger's residency table.
 type slot struct {
-	x         int
-	circuit   *compile.Circuit // nil when empty
-	owner     hostos.TaskID    // whose state the FFs hold
-	ownerName string
-	hasOwner  bool
+	x       int
+	circuit *compile.Circuit // nil when empty
+	owner   *hostos.Task     // whose state the FFs hold; nil for nobody's
 }
 
 func (s *slot) region() fabric.Region { return s.circuit.BS.Region(s.x, 0) }
@@ -46,13 +83,12 @@ func (s *slot) region() fabric.Region { return s.circuit.BS.Region(s.x, 0) }
 // another task takes the slot and written back when it returns, or the
 // interrupted operation restarts from reset under the rollback policy.
 // Only the table touches saved, rolledBack, rollbackStreak and a slot's
-// owner record; managers decide which slot a circuit goes to and what it
-// displaces, and write only a slot's circuit.
+// contents; managers decide which slot a circuit goes to.
 type stateTable struct {
 	TaskKernel
 
 	slots []*slot // every slot of the manager, in column order
-	saved map[savedKey][]bool
+	saved savedState
 	// rolledBack marks in-flight ops that must restart from reset state.
 	rolledBack map[hostos.TaskID]bool
 	// rollbackStreak counts consecutive rollbacks of a task's current op;
@@ -64,7 +100,7 @@ type stateTable struct {
 func newStateTable(tk TaskKernel) stateTable {
 	return stateTable{
 		TaskKernel:     tk,
-		saved:          map[savedKey][]bool{},
+		saved:          savedState{},
 		rolledBack:     map[hostos.TaskID]bool{},
 		rollbackStreak: map[hostos.TaskID]int{},
 	}
@@ -77,12 +113,36 @@ func (st *stateTable) addSlot(x int) *slot {
 	return s
 }
 
-// save reads the owner's flip-flop state out of s into the table; the
-// slot is left holding nobody's state.
-func (st *stateTable) save(s *slot) sim.Time {
-	state, cost := st.E.Ledger().Readback(s.ownerName, s.circuit, s.region())
-	st.saved[savedKey{s.owner, s.circuit.Name}] = state
-	s.hasOwner = false
+// swap makes slot s hold task t's circuit with t's state, returning the
+// time this costs; it mutates the device immediately and the OS charges
+// the returned duration to the task. Another circuit in s is evicted, its
+// sequential owner's state saved first, and t's circuit downloaded — over
+// the whole device when whole is set and the fabric cannot reconfigure
+// partially (the paper's plain-XC4000 case).
+func (st *stateTable) swap(s *slot, t *hostos.Task, whole bool) sim.Time {
+	c := st.CircuitOf(t)
+	led := st.E.Ledger()
+	var cost sim.Time
+	if s.circuit == nil || s.circuit.Name != c.Name {
+		if s.circuit != nil {
+			if s.circuit.Sequential && s.owner != nil {
+				cost += st.saved.save(led, s.owner, s.circuit, s.region())
+			}
+			led.Evict(s.x)
+			s.circuit = nil
+		}
+		_, loadCost, err := led.TryLoad(t.Name, c, s.x, whole)
+		if err != nil {
+			// Wrap instead of stringifying: a *fault.EscalationError in the
+			// chain must stay typed for the serve layer's recover handler.
+			panic(fmt.Errorf("core: load %s: %w", c.Name, err))
+		}
+		cost += loadCost
+		s.circuit, s.owner = c, nil
+	}
+	if c.Sequential {
+		cost += st.adopt(s, t, c)
+	}
 	return cost
 }
 
@@ -91,26 +151,26 @@ func (st *stateTable) save(s *slot) sim.Time {
 // from reset after a rollback, or t's saved state is restored, or — first
 // use — the registers are reset to their init values.
 func (st *stateTable) adopt(s *slot, t *hostos.Task, c *compile.Circuit) sim.Time {
-	if s.hasOwner && s.owner == t.ID && !st.rolledBack[t.ID] {
+	if s.owner == t && !st.rolledBack[t.ID] {
 		return 0 // the slot already holds this task's live state
 	}
 	led := st.E.Ledger()
 	var cost sim.Time
-	if s.hasOwner && s.owner != t.ID {
-		cost += st.save(s)
+	if s.owner != nil && s.owner != t {
+		cost += st.saved.save(led, s.owner, c, s.region())
 	}
-	key := savedKey{t.ID, c.Name}
-	switch {
-	case st.rolledBack[t.ID]:
+	restored := false
+	if st.rolledBack[t.ID] {
 		delete(st.rolledBack, t.ID)
-		cost += led.Reset(t.Name, c, s.region())
-	case st.saved[key] != nil:
-		cost += led.Restore(t.Name, c, s.region(), st.saved[key])
-		delete(st.saved, key)
-	default:
+	} else {
+		var rc sim.Time
+		rc, restored = st.saved.restore(led, t, c, s.region())
+		cost += rc
+	}
+	if !restored {
 		cost += led.Reset(t.Name, c, s.region())
 	}
-	s.owner, s.ownerName, s.hasOwner = t.ID, t.Name, true
+	s.owner = t
 	return cost
 }
 
@@ -136,8 +196,9 @@ func (st *stateTable) preempt(s *slot, t *hostos.Task, done, total sim.Time) (ov
 	}
 	switch st.E.Opt.State {
 	case SaveRestore:
-		if s.circuit != nil && s.circuit.Name == c.Name && s.hasOwner && s.owner == t.ID {
-			overhead = st.save(s)
+		if s.circuit != nil && s.circuit.Name == c.Name && s.owner == t {
+			overhead = st.saved.save(st.E.Ledger(), t, c, s.region())
+			s.owner = nil
 		}
 		return overhead, Boundary(req.Cycles, done, total)
 	case Rollback:
@@ -157,12 +218,12 @@ func (st *stateTable) Complete(t *hostos.Task) {
 // Remove implements hostos.FPGA: everything the table holds for the
 // exiting task is dropped, including its claim on the state in any slot.
 func (st *stateTable) Remove(t *hostos.Task) {
-	forgetSaved(st.saved, t.ID)
+	st.saved.forget(t.ID)
 	delete(st.rolledBack, t.ID)
 	delete(st.rollbackStreak, t.ID)
 	for _, s := range st.slots {
-		if s.hasOwner && s.owner == t.ID {
-			s.hasOwner = false
+		if s.owner == t {
+			s.owner = nil
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/compile"
 	"repro/internal/fabric"
 	"repro/internal/hostos"
@@ -36,7 +38,7 @@ type stripTable struct {
 
 	rm     *RegionMap
 	byTask map[hostos.TaskID]*strip
-	saved  map[savedKey][]bool // displaced sequential state per task+circuit
+	saved  savedState
 
 	fit    FitPolicy
 	rotate bool
@@ -52,7 +54,7 @@ func newStripTable(tk TaskKernel, rm *RegionMap) stripTable {
 		TaskKernel: tk,
 		rm:         rm,
 		byTask:     map[hostos.TaskID]*strip{},
-		saved:      map[savedKey][]bool{},
+		saved:      savedState{},
 	}
 }
 
@@ -79,6 +81,20 @@ func (st *stripTable) Regions() []lint.RegionView {
 	return out
 }
 
+// Register implements hostos.FPGA: a circuit wider than the widest span
+// the map could ever give it can never load. For a sliding map that is
+// the device width.
+func (st *stripTable) Register(t *hostos.Task, circuit string) error {
+	c, err := st.E.Circuit(circuit)
+	if err != nil {
+		return err
+	}
+	if maxW := st.rm.MaxSlotWidth(); c.BS.W > maxW {
+		return fmt.Errorf("core: circuit %s needs %d columns, widest strip is %d", circuit, c.BS.W, maxW)
+	}
+	return nil
+}
+
 // Frag returns the manager's live fragmentation statistics (a fixed
 // table counts each free slot separately; slots never merge).
 func (st *stripTable) Frag() FragStats { return st.rm.Frag() }
@@ -102,47 +118,14 @@ func (st *stripTable) lintView() *lint.Target {
 // holds reports whether t has anything on this device: a strip, displaced
 // state, or a place in the suspension queue.
 func (st *stripTable) holds(t *hostos.Task) bool {
-	if st.byTask[t.ID] != nil || st.Waiting(t) {
-		return true
-	}
-	for k := range st.saved {
-		if k.task == t.ID {
-			return true
-		}
-	}
-	return false
-}
-
-// saveFor reads the sequential state of owner's circuit c out of span s
-// into OS tables.
-func (st *stripTable) saveFor(s *Span, owner *hostos.Task, c *compile.Circuit) sim.Time {
-	state, cost := st.E.Ledger().Readback(owner.Name, c, st.region(s))
-	st.saved[savedKey{owner.ID, c.Name}] = state
-	return cost
+	return st.byTask[t.ID] != nil || st.Waiting(t) || st.saved.has(t.ID)
 }
 
 // saveOutgoing saves the state of the circuit in strip p before its owner
 // switches to another algorithm, if it has any.
 func (st *stripTable) saveOutgoing(p *strip) sim.Time {
 	if old, err := st.E.Circuit(p.circuit); err == nil && old.Sequential {
-		return st.saveFor(p.span, p.owner, old)
-	}
-	return 0
-}
-
-// restoreFor writes task t's displaced state for c back into span s; if
-// none is saved and resetStale is set, a sequential circuit's flip-flops
-// are reset instead (an adopted cache carries a previous user's state).
-func (st *stripTable) restoreFor(s *Span, t *hostos.Task, c *compile.Circuit, resetStale bool) sim.Time {
-	key := savedKey{t.ID, c.Name}
-	led := st.E.Ledger()
-	if state, ok := st.saved[key]; ok {
-		cost := led.Restore(t.Name, c, st.region(s), state)
-		delete(st.saved, key)
-		return cost
-	}
-	if resetStale && c.Sequential {
-		return led.Reset(t.Name, c, st.region(s))
+		return st.saved.save(st.E.Ledger(), p.owner, old, st.region(p.span))
 	}
 	return 0
 }
@@ -217,7 +200,7 @@ func (st *stripTable) evictLRU(t *hostos.Task) (cost sim.Time, ok bool) {
 		panic(err)
 	}
 	if c.Sequential {
-		cost += st.saveFor(victim.span, victim.owner, c)
+		cost += st.saved.save(st.E.Ledger(), victim.owner, c, st.region(victim.span))
 	}
 	st.drop(victim.span, true)
 	return cost, true
@@ -286,9 +269,8 @@ func (st *stripTable) place(t *hostos.Task, c *compile.Circuit) (cost sim.Time, 
 	p.span = st.rm.Alloc(s, need, p)
 	st.byTask[t.ID] = p
 	_, loadCost := st.E.Ledger().Load(t.Name, c, p.span.X, false)
-	cost += loadCost
-	cost += st.restoreFor(p.span, t, c, false) // fresh strip: FFs at init values
-	return cost, true
+	restoreCost, _ := st.saved.restore(st.E.Ledger(), t, c, st.region(p.span)) // none saved: FFs at init values
+	return cost + loadCost + restoreCost, true
 }
 
 // touch marks t's strip used now, pinning or unpinning it.
@@ -312,8 +294,7 @@ func (st *stripTable) ExecTime(t *hostos.Task) sim.Time {
 // the in-flight vector/cycle granularity is lost.
 func (st *stripTable) Preempt(t *hostos.Task, done, total sim.Time) (sim.Time, sim.Time) {
 	st.touch(t, true)
-	req := t.CurrentRequest()
-	return 0, Boundary(req.Evaluations+req.Cycles, done, total)
+	return st.TaskKernel.Preempt(t, done, total)
 }
 
 // Resume implements hostos.FPGA: the pinned strip is exactly as the task
@@ -332,6 +313,6 @@ func (st *stripTable) Remove(t *hostos.Task) {
 	if p := st.byTask[t.ID]; p != nil {
 		st.giveUp(p)
 	}
-	forgetSaved(st.saved, t.ID)
+	st.saved.forget(t.ID)
 	st.Wake()
 }

@@ -116,6 +116,11 @@ func TestSpecErrors(t *testing.T) {
 		"bogus=1",
 		"config-error=1.5",
 		"config-error@0",
+		"config-error@2,config-error@2", // an attempt fires at most once
+		"pin-glitch@3,readback-flip@1,pin-glitch@3",
+		"config-error=-0.1",
+		"nosuch@1",
+		"none=0.5",
 		"retries=99",
 		"backoff=-1s",
 		"config-error=0.6,config-timeout=0.6", // config point sums > 1

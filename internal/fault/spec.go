@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,7 +18,8 @@ import (
 //	retries=N         bounded retries per op (default 3; 'retries=-1' disables)
 //	backoff=DUR       base simulated backoff, doubling per retry (default 100us)
 //	<kind>=P          per-attempt probability of kind, P in [0,1]
-//	<kind>@N          scripted: fire kind on its site's N-th attempt (repeatable)
+//	<kind>@N          scripted: fire kind on its site's N-th attempt (repeatable,
+//	                  each attempt at most once)
 //
 // with kinds config-error, config-timeout, readback-flip,
 // restore-mismatch, pin-glitch. Example:
@@ -41,6 +43,9 @@ func ParseSpec(s string) (Plan, error) {
 			n, err := strconv.Atoi(ent[i+1:])
 			if err != nil || n < 1 {
 				return p, fmt.Errorf("fault: bad attempt number in %q (want kind@N, N >= 1)", ent)
+			}
+			if slices.Contains(p.Script[kind], n) {
+				return p, fmt.Errorf("fault: %s@%d repeats attempt %d; an attempt fires at most once", kind, n, n)
 			}
 			if p.Script == nil {
 				p.Script = map[Kind][]int{}

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
-	"repro/internal/fault"
 	"repro/internal/netlist"
 )
 
@@ -145,23 +144,6 @@ type Target struct {
 	// Device is a configured fabric to cross-check (dangling sources,
 	// configuration-level combinational loops).
 	Device *fabric.Device
-
-	// FaultPlan is a fault-injection campaign description to validate
-	// (probability ranges, script ordering, retry policy).
-	FaultPlan *fault.Plan
-}
-
-// label returns the diagnostic prefix for netlist-domain findings.
-func (t *Target) label() string {
-	switch {
-	case t.Netlist != nil:
-		return t.Netlist.Name
-	case t.Bitstream != nil:
-		return t.Bitstream.Name
-	case t.Name != "":
-		return t.Name
-	}
-	return "target"
 }
 
 // Reporter collects diagnostics on behalf of one pass.
@@ -210,7 +192,6 @@ var builtin = []Pass{
 	{"page-coverage", "pages partition the bitstream's cells exactly once", passPageCoverage},
 	{"region-state", "partition tables and region maps: no shared or leaked columns, coalesced free spans", passRegionState},
 	{"fabric-config", "configured devices: dangling sources, config-level loops", passFabricConfig},
-	{"fault-plan", "fault campaign sanity: probability ranges, script ordering, retry policy", passFaultPlan},
 }
 
 // Passes returns the full ordered pass list.

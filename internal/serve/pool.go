@@ -484,36 +484,26 @@ func (p *Pool) failJob(b *board, j *Job, err error) {
 	p.finish(j, nil, err)
 }
 
-// runWarm executes j on b: on the hardware of the board's last job when
-// its stack is resident, on new hardware otherwise. Any failure — build
-// error, fault escalation, panic — discards the stack, hardware
-// included: a device abandoned mid-job is not one to build on (a
-// quarantined board thus requeues cold). Runs on b's worker goroutine,
-// the sole owner of b.stack.
-func (p *Pool) runWarm(b *board, j *Job) (res *JobResult, err error) {
-	defer func() {
-		if err != nil {
-			b.stack = nil
-		}
-		b.mu.Lock()
-		b.warm = b.stack != nil
-		b.mu.Unlock()
-	}()
-	defer recoverJob(&res, &err)
-	set, err := j.spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	circs, err := compileSet(p.cache, b.cfg, set)
-	if err != nil {
-		return nil, err
-	}
+// runWarm executes j on b through the job body: on the hardware of the
+// board's last job when its stack is resident, on new hardware otherwise.
+// Any failure — build error, fault escalation, panic — discards the
+// stack, hardware included: a device abandoned mid-job is not one to
+// build on (a quarantined board thus requeues cold). Runs on b's worker
+// goroutine, the sole owner of b.stack.
+func (p *Pool) runWarm(b *board, j *Job) (*JobResult, error) {
 	warm := b.stack != nil
-	if b.stack, err = buildStack(b.stack, b.cfg, set, circs); err != nil {
-		return nil, err
+	st, res, err := runSpec(p.cache, b.cfg, b.stack, j.spec, j.trace)
+	if st != nil {
+		b.noteReset(warm)
 	}
-	b.noteReset(warm)
-	return run(b.stack, set, j.trace)
+	if err != nil {
+		st = nil
+	}
+	b.stack = st
+	b.mu.Lock()
+	b.warm = st != nil
+	b.mu.Unlock()
+	return res, err
 }
 
 // SubmitArgs describes one submission into a Pool.

@@ -118,23 +118,10 @@ func NewDirectRunner(bc BoardConfig) (workload.RunFunc, error) {
 }
 
 // runJob executes one workload spec on a freshly built board and
-// returns the wire-form result: build the stack on new hardware, run
-// once, drop it. It is what NewDirectRunner memoizes and the reference
-// the warm equivalence suite compares against; everything it builds is
-// single-goroutine state confined to that stack.
-func runJob(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec, withTrace bool) (res *JobResult, err error) {
-	defer recoverJob(&res, &err)
-	set, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	circs, err := compileSet(cache, bc, set)
-	if err != nil {
-		return nil, err
-	}
-	st, err := buildStack(nil, bc, set, circs)
-	if err != nil {
-		return nil, err
-	}
-	return run(st, set, withTrace)
+// returns the wire-form result: the job body on new hardware, the stack
+// dropped after. It is what NewDirectRunner memoizes and the reference
+// the warm equivalence suite compares against.
+func runJob(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec, withTrace bool) (*JobResult, error) {
+	_, res, err := runSpec(cache, bc, nil, spec, withTrace)
+	return res, err
 }

@@ -96,12 +96,11 @@ func buildStack(prev *baseline.Stack, bc BoardConfig, set *workload.Set, circs [
 	return st, nil
 }
 
-// recoverJob, deferred, fails a panicking job instead of taking the
-// daemon down with it. The caller discards the stack on any error, so
-// recovery cannot leak corrupted state into the next job. A fault
-// escalation stays typed through the recover so the pool can quarantine
-// the board. Deferred by run for the simulation and again by its callers
-// to cover a panicking constructor on the build path.
+// recoverJob, deferred by runSpec, fails a panicking job instead of
+// taking the daemon down with it. The caller discards the stack on any
+// error, so recovery cannot leak corrupted state into the next job. A
+// fault escalation stays typed through the recover so the pool can
+// quarantine the board.
 func recoverJob(res **JobResult, err *error) {
 	if r := recover(); r != nil {
 		*res, *err = nil, fmt.Errorf("serve: job panicked: %v", r)
@@ -111,10 +110,33 @@ func recoverJob(res **JobResult, err *error) {
 	}
 }
 
+// runSpec is the one job body, a board's and the direct runner's alike:
+// it builds spec's task set, compiles its circuits through the shared
+// cache, builds the stack on the hardware of prev, the stack of the
+// board's previous job (new hardware when prev is nil), and runs the job
+// on it. A panic anywhere on the way — a constructor, a fault escalation
+// mid-run — is the job's error. st is the stack the job ran on, nil when
+// none was built; prev is dead once a stack is built on its hardware.
+func runSpec(cache *compile.StripCache, bc BoardConfig, prev *baseline.Stack, spec *workload.Spec, withTrace bool) (st *baseline.Stack, res *JobResult, err error) {
+	defer recoverJob(&res, &err)
+	set, err := spec.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	circs, err := compileSet(cache, bc, set)
+	if err != nil {
+		return nil, nil, err
+	}
+	if st, err = buildStack(prev, bc, set, circs); err != nil {
+		return nil, nil, err
+	}
+	res, err = run(st, set, withTrace)
+	return st, res, err
+}
+
 // run executes one job on a stack built for it and returns the
 // wire-form result. Called from the board's worker goroutine only.
-func run(st *baseline.Stack, set *workload.Set, withTrace bool) (res *JobResult, err error) {
-	defer recoverJob(&res, &err)
+func run(st *baseline.Stack, set *workload.Set, withTrace bool) (*JobResult, error) {
 	if withTrace {
 		st.Trace()
 	}
@@ -123,7 +145,7 @@ func run(st *baseline.Stack, set *workload.Set, withTrace bool) (res *JobResult,
 	}
 
 	tasks := st.OS.Tasks()
-	res = &JobResult{
+	res := &JobResult{
 		Tasks:       make([]TaskResult, 0, len(tasks)),
 		Makespan:    st.OS.Makespan(),
 		CtxSwitches: st.OS.CtxSwitches,

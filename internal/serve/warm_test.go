@@ -76,24 +76,13 @@ func TestWarmResetEquivalence(t *testing.T) {
 					warmRuns := 0
 					for i, scenario := range scenarios {
 						spec := specFor(t, scenario)
-						set, err := spec.Build()
-						if err != nil {
-							t.Fatal(err)
-						}
-						circs, err := compileSet(cache, bc, set)
-						if err != nil {
-							t.Fatal(err)
-						}
 						warm := st != nil
 						if warm {
 							warmRuns++
 						}
 						var gotRes *JobResult
 						var gotErr error
-						if st, gotErr = buildStack(st, bc, set, circs); gotErr == nil {
-							gotRes, gotErr = run(st, set, withTrace)
-						}
-						if gotErr != nil {
+						if st, gotRes, gotErr = runSpec(cache, bc, st, spec, withTrace); gotErr != nil {
 							st = nil // what the pool does: discard on any failure
 						}
 						wantRes, wantErr := runJob(cache, bc, spec, withTrace)
