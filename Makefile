@@ -88,13 +88,14 @@ docs:
 	$(GO) test ./internal/loadgen -run '^TestLoadTable$$' -update
 	$(GO) test ./cmd/vfpgasim -run '^TestReadmeExcerpts$$'
 
-# The CAD flow alone, before and after a change to it: place, route and
-# the whole strip compile over every registry circuit, div16 apart (it is
-# three quarters of the pass). Ten fixed iterations, five readings each;
-# seconds, not the repo benchmark's minutes. Wall-clock bound, so not part
-# of `make check`.
+# The CAD flow alone, before and after a change to it: optimizing mul8,
+# then mapping, placing, routing and the whole strip compile over every
+# registry circuit, div16 apart (it is three quarters of the pass). Ten
+# fixed iterations, five readings each, bytes and allocations beside the
+# time, so each leg's share of a cold compile shows; seconds, not the repo
+# benchmark's minutes. Wall-clock bound, so not part of `make check`.
 bench-flow:
-	$(GO) test -run '^$$' -bench 'Benchmark(Place|Route|Strip)Registry' -benchtime 10x -count 5 ./internal/place/ ./internal/route/ ./internal/compile/
+	$(GO) test -run '^$$' -bench 'Benchmark((Map|Place|Route|Strip)Registry|OptimizeMul8)' -benchmem -benchtime 10x -count 5 ./internal/netlist/ ./internal/techmap/ ./internal/place/ ./internal/route/ ./internal/compile/
 
 # The device layer alone, before and after a change to it: a new board,
 # one strip download, the pin pool under eviction churn, the fabric-config
@@ -115,13 +116,12 @@ bench-warm:
 	$(GO) test -run '^$$' -bench 'BenchmarkJobColdVsWarm$$/warm' -benchmem -benchtime 2000x -count 5 ./internal/serve/
 
 # The bookkeeping under a table regeneration, before and after a change
-# to it: the fleet bake-off replay, the event kernel, building, optimizing
-# and segmenting mul8, and the two experiments that lean on them hardest
-# (F6 segmentation, F10 the bake-off). Five readings each, allocations
-# beside the time. Wall-clock bound, so not part of `make check`.
+# to it: the fleet bake-off replay, the event kernel, and building,
+# optimizing and segmenting mul8. Five readings each, allocations beside
+# the time. Wall-clock bound, so not part of `make check`; the tables
+# themselves are the repo benchmark's harness workload.
 bench-harness:
 	$(GO) test -run '^$$' -bench 'Benchmark(Bakeoff|ScheduleRun|BuildMul8|OptimizeMul8|SegmentMul8)$$' -benchmem -count 5 ./internal/fleet/ ./internal/sim/ ./internal/netlist/
-	$(GO) test -run '^$$' -bench 'Benchmark(F6Segmentation|F10PlacementBakeoff)$$' -benchmem -count 5 .
 
 # The repo benchmark (BENCHMARK.json, benchmark/README.md): all four
 # workloads, both passes, into out/benchmark/result.json. Minutes long

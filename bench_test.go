@@ -1,17 +1,15 @@
-// Package repro's root benchmarks regenerate every table (T1-T5) and
-// figure (F1-F9) of the evaluation plan through the testing.B interface:
+// Package repro's root benchmarks measure the substrate under every table:
+// the CAD flow's stages, the compile cache's hot path, the whole quick
+// harness and the fabric's clock step:
 //
 //	go test -bench=. -benchmem
 //
-// Each iteration runs the experiment's quick configuration; the full
-// sweeps are produced by cmd/vfpgabench. Custom metrics report the
-// simulated virtual time per table so regressions in the *model* (not
-// just in the Go code) are visible.
+// The tables themselves are regenerated by cmd/vfpgabench, and their cost
+// end to end is the repo benchmark's harness workload.
 package repro
 
 import (
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -23,56 +21,7 @@ import (
 	"repro/internal/place"
 	"repro/internal/route"
 	"repro/internal/techmap"
-	"repro/internal/trace"
 )
-
-// benchExperiment runs one harness experiment per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.Find(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	cfg := bench.Config{Seed: 1, Quick: true}
-	var rows int
-	var virtualMs float64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl, err := e.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = len(tbl.Rows)
-		virtualMs = sumMakespans(tbl)
-	}
-	b.ReportMetric(float64(rows), "rows")
-	if virtualMs > 0 {
-		b.ReportMetric(virtualMs, "virtual_ms")
-	}
-}
-
-// sumMakespans totals the makespan column (when present) so that changes
-// to the simulated model — not just the Go implementation — show up in
-// benchmark output.
-func sumMakespans(tbl *trace.Table) float64 {
-	col := -1
-	for i, c := range tbl.Columns {
-		if strings.Contains(c, "makespan") {
-			col = i
-			break
-		}
-	}
-	if col < 0 {
-		return 0
-	}
-	total := 0.0
-	for _, row := range tbl.Rows {
-		if v, err := strconv.ParseFloat(row[col], 64); err == nil {
-			total += v
-		}
-	}
-	return total
-}
 
 // pinRange binds circuit ports to consecutive device pins from 0.
 func pinRange(nIn, nOut int) *bitstream.PinBinding {
@@ -88,23 +37,6 @@ func pinRange(nIn, nOut int) *bitstream.PinBinding {
 	}
 	return b
 }
-
-func BenchmarkT1DynamicLoadingOverhead(b *testing.B) { benchExperiment(b, "T1") }
-func BenchmarkT2StatePreemption(b *testing.B)        { benchExperiment(b, "T2") }
-func BenchmarkT3Partitioning(b *testing.B)           { benchExperiment(b, "T3") }
-func BenchmarkT4Overlay(b *testing.B)                { benchExperiment(b, "T4") }
-func BenchmarkT5IOMux(b *testing.B)                  { benchExperiment(b, "T5") }
-func BenchmarkF1VirtualCapacity(b *testing.B)        { benchExperiment(b, "F1") }
-func BenchmarkF2SchedulingModes(b *testing.B)        { benchExperiment(b, "F2") }
-func BenchmarkF3MergedVsDynamic(b *testing.B)        { benchExperiment(b, "F3") }
-func BenchmarkF4Fragmentation(b *testing.B)          { benchExperiment(b, "F4") }
-func BenchmarkF5Pagination(b *testing.B)             { benchExperiment(b, "F5") }
-func BenchmarkF6Segmentation(b *testing.B)           { benchExperiment(b, "F6") }
-func BenchmarkF7Applications(b *testing.B)           { benchExperiment(b, "F7") }
-func BenchmarkF8MultiBoard(b *testing.B)             { benchExperiment(b, "F8") }
-func BenchmarkF9AmorphousRegions(b *testing.B)       { benchExperiment(b, "F9") }
-func BenchmarkF10PlacementBakeoff(b *testing.B)      { benchExperiment(b, "F10") }
-func BenchmarkA1OptimizerAblation(b *testing.B)      { benchExperiment(b, "A1") }
 
 // --- CAD-flow micro-benchmarks: the substrate costs behind every table ---
 
@@ -222,8 +154,8 @@ func BenchmarkFabricStepCounter16(b *testing.B) {
 	}
 }
 
-// TestBenchmarksSmoke keeps `go test ./...` exercising the root wrappers
-// without -bench.
+// TestBenchmarksSmoke runs two experiments' quick configurations and
+// checks that their tables render with a header.
 func TestBenchmarksSmoke(t *testing.T) {
 	for _, id := range []string{"T2", "F3"} {
 		e, ok := bench.Find(id)

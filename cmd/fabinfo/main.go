@@ -97,7 +97,7 @@ func detail(nl *netlist.Netlist, rows, tracks int, seed uint64, pageCells int, t
 	fmt.Printf("mapped:    %s\n", c.Mapped)
 	fmt.Printf("placed:    %dx%d strip, wirelength %d\n", c.Placed.W, c.Placed.H, c.Placed.Wirelength)
 	fmt.Printf("routed:    %d connections, %d hops, max channel use %d/%d, %d iterations\n",
-		len(c.Routed.Conns), c.BS.TotalHops, c.Routed.MaxUse, tracks, c.Routed.Iterations)
+		c.Routed.Conns, c.BS.TotalHops, c.Routed.MaxUse, tracks, c.Routed.Iterations)
 	fmt.Printf("bitstream: %s\n", c.BS)
 	fmt.Printf("timing:    critical path %v, clock %v\n", c.BS.Delay, c.ClockPeriod)
 	fmt.Printf("costs:     config %v, readback %v, restore %v\n",

@@ -66,7 +66,7 @@ func TestAllRegistered(t *testing.T) {
 			t.Fatalf("experiment %s malformed", e.ID)
 		}
 	}
-	for _, want := range []string{"T1", "T2", "T3", "T4", "T5", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "A1"} {
+	for _, want := range []string{"T1", "T2", "T3", "T4", "T5", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "A1"} {
 		if !ids[want] {
 			t.Fatalf("missing experiment %s", want)
 		}
@@ -285,6 +285,92 @@ func TestF6Shape(t *testing.T) {
 	}
 	if tbl.f(autoRow, "makespan_ms") <= tbl.f(last, "makespan_ms") {
 		t.Fatal("auto-segmentation should cost makespan")
+	}
+}
+
+// TestF8Shape: boards aggregate into one virtual resource down to the
+// widest strip. A split is infeasible exactly when its boards are
+// narrower than the widest circuit of the set, and every feasible split
+// finishes within a bound on the makespan.
+func TestF8Shape(t *testing.T) {
+	tbl := runExp(t, "F8")
+	cfg := quick()
+	circs, err := compileSet(defaultOpt(cfg), f8Set(cfg).Circuits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	widest := 0
+	for _, c := range circs {
+		widest = max(widest, c.BS.W)
+	}
+	// The quick table at seed 1 reads 151.271 ms for 1, 2 and 4 boards
+	// alike, with a widest strip of 3 columns; the bound leaves a quarter
+	// over that.
+	const boundMS = 190
+	for i := range tbl.rows {
+		cols := tbl.f(i, "cols_each")
+		mk := tbl.rows[i][tbl.col("makespan_ms")]
+		if infeasible := mk == "infeasible"; infeasible != (int(cols) < widest) {
+			t.Fatalf("row %d: %v columns a board, widest strip %d, makespan %q", i, cols, widest, mk)
+		}
+		if mk == "infeasible" {
+			continue
+		}
+		if ms := tbl.f(i, "makespan_ms"); ms <= 0 || ms > boundMS {
+			t.Fatalf("row %d: makespan %.3f ms outside (0, %v]", i, ms, boundMS)
+		}
+		if got := tbl.rows[i][tbl.col("widest_fits")]; got != "yes" {
+			t.Fatalf("row %d: feasible split reads widest_fits %q", i, got)
+		}
+	}
+}
+
+// TestA1Shape: the optimizer buys area, and download time follows area.
+// Over the full table the optimized library is smaller in total; per
+// circuit it never grows, but for crc16, where CSE changes the cones the
+// greedy packer sees (16 → 17 cells); and each row's two config times
+// are ordered like its two cell counts.
+func TestA1Shape(t *testing.T) {
+	tbl, err := A1OptimizerAblation(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := map[string][2]float64{"crc16": {16, 17}}
+	rows := &traceTable{tbl.Columns, tbl.Rows}
+	var raw, opt float64
+	sign := func(a, b float64) int {
+		switch {
+		case a < b:
+			return -1
+		case a > b:
+			return 1
+		}
+		return 0
+	}
+	for i, row := range rows.rows {
+		name := row[rows.col("circuit")]
+		r, o := rows.f(i, "cells_raw"), rows.f(i, "cells_opt")
+		raw, opt = raw+r, opt+o
+		if o > r {
+			if want, ok := known[name]; !ok || want != [2]float64{r, o} {
+				t.Errorf("%s: optimizer grew %v → %v cells", name, r, o)
+			}
+		}
+		if cr, co := rows.f(i, "config_raw_ms"), rows.f(i, "config_opt_ms"); sign(co, cr) != sign(o, r) {
+			t.Errorf("%s: config %.3f → %.3f ms against cells %v → %v", name, cr, co, r, o)
+		}
+	}
+	for name := range known {
+		found := false
+		for _, row := range rows.rows {
+			found = found || row[rows.col("circuit")] == name
+		}
+		if !found {
+			t.Errorf("known exception %s is not in the table", name)
+		}
+	}
+	if opt >= raw {
+		t.Fatalf("optimized library %v cells, unoptimized %v", opt, raw)
 	}
 }
 

@@ -24,20 +24,6 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 		Note:    "paper §2: systems of FPGA boards virtualize like one device, down to the widest circuit",
 		Columns: []string{"boards", "cols_each", "makespan_ms", "mean_block_ms", "loads", "blocks", "widest_fits"},
 	}
-	tasks := 10
-	if cfg.Quick {
-		tasks = 6
-	}
-	mkSet := func() *workload.Set {
-		return workload.Synthetic(workload.SyntheticConfig{
-			Tasks:       tasks,
-			OpsPerTask:  5,
-			EvalsPerOp:  40_000,
-			ComputeTime: 300 * sim.Microsecond,
-			SwitchProb:  0.2,
-			Seed:        cfg.Seed + 37,
-		})
-	}
 	const totalCols = 24
 	splits := []int{1, 2, 4, 8}
 	if cfg.Quick {
@@ -49,7 +35,7 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 		opt := defaultOpt(cfg)
 		opt.Geometry.Cols = cols
 
-		set := mkSet()
+		set := f8Set(cfg)
 		circs, err := compileSet(opt, set.Circuits)
 		if err != nil {
 			return nil, err
@@ -88,4 +74,20 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 	}
 	addRows(tbl, rows)
 	return tbl, nil
+}
+
+// f8Set is the task set every F8 split runs.
+func f8Set(cfg Config) *workload.Set {
+	tasks := 10
+	if cfg.Quick {
+		tasks = 6
+	}
+	return workload.Synthetic(workload.SyntheticConfig{
+		Tasks:       tasks,
+		OpsPerTask:  5,
+		EvalsPerOp:  40_000,
+		ComputeTime: 300 * sim.Microsecond,
+		SwitchProb:  0.2,
+		Seed:        cfg.Seed + 37,
+	})
 }

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
@@ -461,6 +462,50 @@ func TestLibraryCompilesVerified(t *testing.T) {
 		}
 		if errs := lint.Errors(Verify(c)); len(errs) > 0 {
 			t.Errorf("%s: verify: %v", name, errs)
+		}
+	}
+}
+
+// allocated returns the bytes and objects one call of f allocates,
+// averaged over runs after a warm-up call.
+func allocated(runs int, f func()) (bytes, objects float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs), float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestStripCompileByteBudget holds one uncached strip compile at the
+// default board's 16 rows to its artifact plus scaffolding sized once:
+// budgets sit 10 % over today's readings. alu8 read 96 746 bytes in 141
+// objects and mul8 433 778 in 242 while the router kept a path per
+// connection, the optimizer copied its result to sweep it and the mapper
+// grew its cell table.
+func TestStripCompileByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, c := range []struct {
+		name           string
+		bytes, objects float64 // today's reading
+	}{
+		{"alu8", 53_914, 72},
+		{"mul8", 284_618, 73},
+	} {
+		nl := netlist.MustLookup(c.name)
+		bytes, objects := allocated(5, func() {
+			if _, err := CompileStrip(nl, 16, 12, Options{Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if bytes > 1.1*c.bytes || objects > 1.1*c.objects {
+			t.Errorf("CompileStrip(%s) allocates %.0f bytes in %.0f objects, budget %.0f bytes, %.0f objects",
+				c.name, bytes, objects, 1.1*c.bytes, 1.1*c.objects)
 		}
 	}
 }

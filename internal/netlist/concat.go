@@ -53,10 +53,7 @@ func Concat(name string, nls ...*Netlist) (*Netlist, error) {
 			out.DFFs = append(out.DFFs, id+offset)
 		}
 	}
-	if err := out.validate(); err != nil {
-		return nil, err
-	}
-	if err := out.computeTopo(); err != nil {
+	if err := out.check(); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -277,7 +277,7 @@ func (n *Netlist) computeTopo() error {
 // validate checks structural invariants: arities, fanin ranges, port
 // uniqueness.
 func (n *Netlist) validate() error {
-	seen := map[string]Kind{}
+	seen := make(map[string]Kind, len(n.Inputs)+len(n.Outputs))
 	for i := range n.Nodes {
 		nd := &n.Nodes[i]
 		if nd.ID != NodeID(i) {
@@ -448,18 +448,29 @@ func (b *Builder) reduce(kind Kind, xs []NodeID) NodeID {
 // Build validates and freezes the netlist. The Builder must not be used
 // afterwards.
 func (b *Builder) Build() (*Netlist, error) {
+	nl := b.freeze()
+	if err := nl.check(); err != nil {
+		return nil, err
+	}
+	return nl, nil
+}
+
+// freeze ends the build and returns the netlist as built: neither
+// validated nor ordered.
+func (b *Builder) freeze() *Netlist {
 	if b.built {
 		panic("netlist: Build called twice")
 	}
 	b.built = true
-	nl := &b.nl
-	if err := nl.validate(); err != nil {
-		return nil, err
+	return &b.nl
+}
+
+// check validates the netlist and computes its topological order.
+func (n *Netlist) check() error {
+	if err := n.validate(); err != nil {
+		return err
 	}
-	if err := nl.computeTopo(); err != nil {
-		return nil, err
-	}
-	return nl, nil
+	return n.computeTopo()
 }
 
 // MustBuild is Build that panics on error; for use by the circuit library

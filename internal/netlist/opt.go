@@ -11,6 +11,19 @@ import "fmt"
 // removed: their state is externally observable through readback (the
 // paper's preemption mechanism), so "dead" state is still state.
 func Optimize(nl *Netlist) *Netlist {
+	out := fold(nl)
+	sweep(out)
+	if err := out.check(); err != nil {
+		panic(fmt.Sprintf("netlist: optimize produced an invalid netlist: %v", err))
+	}
+	return out
+}
+
+// fold rewrites nl with constants folded, identities applied and
+// identical gates shared. The rewrite is neither validated nor ordered
+// and may hold logic the folding orphaned: Optimize sweeps it, then
+// checks and orders it once.
+func fold(nl *Netlist) *Netlist {
 	b := rebuilderFor(nl)
 
 	// val is the optimized form of an original node: a constant or a node
@@ -25,11 +38,22 @@ func Optimize(nl *Netlist) *Netlist {
 
 	// Structural hashing: identical (kind, fanins) gates share one node.
 	// Unused fanin slots of the key stay zero; the kind fixes the arity.
+	// A gate hashes at most one node, a NAND or NOR two (the AND or OR and
+	// its NOT), which sizes the table once.
 	type cseKey struct {
 		kind    Kind
 		x, y, z NodeID
 	}
-	cse := map[cseKey]NodeID{}
+	hashes := 0
+	for i := range nl.Nodes {
+		switch nl.Nodes[i].Kind {
+		case KindNot, KindAnd, KindOr, KindXor, KindMux:
+			hashes++
+		case KindNand, KindNor:
+			hashes += 2
+		}
+	}
+	cse := make(map[cseKey]NodeID, hashes)
 	hashed := func(kind Kind, x, y, z NodeID) NodeID {
 		switch kind {
 		case KindAnd, KindOr, KindXor:
@@ -210,91 +234,72 @@ func Optimize(nl *Netlist) *Netlist {
 	for _, id := range nl.Outputs {
 		b.Output(nl.Nodes[id].Name, materialize(valOf(nl.Nodes[id].Fanin[0])))
 	}
-	return sweep(b.MustBuild())
+	return b.freeze()
 }
 
-// sweep removes nodes unreachable from the outputs and flip-flops
-// (folding can orphan shared subexpressions). Inputs always survive to
-// preserve the port interface.
-func sweep(nl *Netlist) *Netlist {
-	keep := make([]bool, len(nl.Nodes))
-	var mark func(id NodeID)
-	mark = func(id NodeID) {
-		if keep[id] {
-			return
-		}
-		keep[id] = true
-		for _, f := range nl.Nodes[id].Fanin {
-			mark(f)
-		}
-	}
-	for _, id := range nl.Outputs {
-		mark(id)
-	}
-	for _, id := range nl.DFFs {
-		mark(id)
+// sweep removes, in place, the nodes of a folded netlist that no output
+// or flip-flop reads (folding can orphan shared subexpressions). Inputs
+// always survive to preserve the port interface. The rest keep their
+// order and are numbered densely, their fanins rewritten in the windows
+// they already own.
+//
+// fold adds every node after its fanins, except that a flip-flop's D
+// input is set once the logic exists. So with every flip-flop's D source
+// marked first, one pass from the last node down marks all that is live.
+func sweep(nl *Netlist) {
+	// remap[i] is dead, then live once a kept node reads i, then i's new id.
+	const dead, live = -1, 0
+	remap := make([]NodeID, len(nl.Nodes))
+	for i := range remap {
+		remap[i] = dead
 	}
 	for _, id := range nl.Inputs {
-		keep[id] = true
+		remap[id] = live
 	}
-	all := true
-	for _, k := range keep {
-		if !k {
-			all = false
-			break
+	for _, id := range nl.Outputs {
+		remap[id] = live
+	}
+	for _, id := range nl.DFFs {
+		remap[id] = live
+		remap[nl.Nodes[id].Fanin[0]] = live
+	}
+	for i := len(nl.Nodes) - 1; i >= 0; i-- {
+		if remap[i] == live {
+			for _, f := range nl.Nodes[i].Fanin {
+				remap[f] = live
+			}
 		}
 	}
-	if all {
-		return nl
-	}
-	nodes, edges := 0, 0
-	for i, k := range keep {
-		if k {
-			nodes++
-			edges += len(nl.Nodes[i].Fanin)
+	n := NodeID(0)
+	for i, r := range remap {
+		if r == live {
+			remap[i] = n
+			n++
 		}
 	}
-	out := &Netlist{
-		Name:    nl.Name,
-		Nodes:   make([]Node, 0, nodes),
-		Inputs:  make([]NodeID, len(nl.Inputs)),
-		Outputs: make([]NodeID, len(nl.Outputs)),
-		DFFs:    make([]NodeID, len(nl.DFFs)),
+	if int(n) == len(nl.Nodes) {
+		return
 	}
-	fanins := make([]NodeID, edges) // every kept node's fanins; each a capped window
-	remap := make([]NodeID, len(nl.Nodes))
 	for i := range nl.Nodes {
-		if !keep[i] {
+		id := remap[i]
+		if id == dead {
 			continue
 		}
 		nd := nl.Nodes[i]
-		nd.ID = NodeID(len(out.Nodes))
-		remap[i] = nd.ID
-		if n := len(nd.Fanin); n > 0 {
-			nd.Fanin, fanins = fanins[:n:n], fanins[n:]
-			copy(nd.Fanin, nl.Nodes[i].Fanin)
+		nd.ID = id
+		for k, f := range nd.Fanin {
+			nd.Fanin[k] = remap[f]
 		}
-		out.Nodes = append(out.Nodes, nd)
+		nl.Nodes[id] = nd
 	}
-	for i := range out.Nodes {
-		for k, f := range out.Nodes[i].Fanin {
-			out.Nodes[i].Fanin[k] = remap[f]
-		}
-	}
+	nl.Nodes = nl.Nodes[:n]
 	for i, id := range nl.Inputs {
-		out.Inputs[i] = remap[id]
+		nl.Inputs[i] = remap[id]
 	}
 	for i, id := range nl.Outputs {
-		out.Outputs[i] = remap[id]
+		nl.Outputs[i] = remap[id]
 	}
 	for i, id := range nl.DFFs {
-		out.DFFs[i] = remap[id]
+		nl.DFFs[i] = remap[id]
 	}
-	if err := out.validate(); err != nil {
-		panic(fmt.Sprintf("netlist: sweep produced invalid netlist: %v", err))
-	}
-	if err := out.computeTopo(); err != nil {
-		panic(fmt.Sprintf("netlist: sweep produced cyclic netlist: %v", err))
-	}
-	return out
 }

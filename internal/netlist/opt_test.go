@@ -1,6 +1,9 @@
 package netlist
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -143,6 +146,149 @@ func TestOptimizeIdempotent(t *testing.T) {
 		t.Fatalf("second pass grew the netlist: %d -> %d", once.NumGates(), twice.NumGates())
 	}
 	checkSame(t, once, twice, 24, 8)
+}
+
+// sweepCopy is the copying sweep Optimize's in-place one replaced, kept as
+// its reference: a new netlist of the nodes of a checked nl that the
+// outputs and flip-flops read, plus the inputs, checked and ordered.
+func sweepCopy(nl *Netlist) *Netlist {
+	keep := make([]bool, len(nl.Nodes))
+	var mark func(id NodeID)
+	mark = func(id NodeID) {
+		if keep[id] {
+			return
+		}
+		keep[id] = true
+		for _, f := range nl.Nodes[id].Fanin {
+			mark(f)
+		}
+	}
+	for _, id := range nl.Outputs {
+		mark(id)
+	}
+	for _, id := range nl.DFFs {
+		mark(id)
+	}
+	for _, id := range nl.Inputs {
+		keep[id] = true
+	}
+	all := true
+	for _, k := range keep {
+		if !k {
+			all = false
+			break
+		}
+	}
+	if all {
+		return nl
+	}
+	out := &Netlist{
+		Name:    nl.Name,
+		Inputs:  make([]NodeID, len(nl.Inputs)),
+		Outputs: make([]NodeID, len(nl.Outputs)),
+		DFFs:    make([]NodeID, len(nl.DFFs)),
+	}
+	remap := make([]NodeID, len(nl.Nodes))
+	for i := range nl.Nodes {
+		if !keep[i] {
+			continue
+		}
+		nd := nl.Nodes[i]
+		nd.ID = NodeID(len(out.Nodes))
+		remap[i] = nd.ID
+		nd.Fanin = append([]NodeID(nil), nd.Fanin...)
+		out.Nodes = append(out.Nodes, nd)
+	}
+	for i := range out.Nodes {
+		for k, f := range out.Nodes[i].Fanin {
+			out.Nodes[i].Fanin[k] = remap[f]
+		}
+	}
+	for i, id := range nl.Inputs {
+		out.Inputs[i] = remap[id]
+	}
+	for i, id := range nl.Outputs {
+		out.Outputs[i] = remap[id]
+	}
+	for i, id := range nl.DFFs {
+		out.DFFs[i] = remap[id]
+	}
+	if err := out.check(); err != nil {
+		panic(fmt.Sprintf("netlist: sweep produced invalid netlist: %v", err))
+	}
+	return out
+}
+
+// TestOptimizeSweepInPlace holds Optimize's in-place sweep to the copying
+// one, node for node, with the same port lists and topological order:
+// over every library circuit, the stages Segment cuts from the
+// combinational ones, and random netlists.
+func TestOptimizeSweepInPlace(t *testing.T) {
+	var names []string
+	for name := range Registry() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var cases []*Netlist
+	for _, name := range names {
+		nl := MustLookup(name)
+		cases = append(cases, nl)
+		if nl.IsSequential() {
+			continue
+		}
+		for _, k := range []int{2, 3} {
+			stages, err := Segment(nl, k)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			cases = append(cases, stages...)
+		}
+	}
+	for seed := uint64(0); seed < 24; seed++ {
+		src := rng.New(seed)
+		cases = append(cases, Random(src, RandomConfig{
+			Inputs: 2 + src.Intn(8), Outputs: 1 + src.Intn(6), Gates: 10 + src.Intn(100),
+			ConstProb: 0.4 * src.Float64(), DFFProb: 0.3 * src.Float64(),
+		}))
+	}
+	swept := 0
+	for _, nl := range cases {
+		folded := fold(nl)
+		if err := folded.check(); err != nil {
+			t.Fatalf("%s: folded netlist: %v", nl.Name, err)
+		}
+		want := sweepCopy(folded)
+		if len(want.Nodes) < len(folded.Nodes) {
+			swept++
+		}
+		got := Optimize(nl)
+		if len(got.Nodes) != len(want.Nodes) {
+			t.Fatalf("%s: %d nodes after the sweep, want %d", nl.Name, len(got.Nodes), len(want.Nodes))
+		}
+		for i := range want.Nodes {
+			g, w := &got.Nodes[i], &want.Nodes[i]
+			if g.ID != w.ID || g.Kind != w.Kind || g.Name != w.Name || g.Init != w.Init || !slices.Equal(g.Fanin, w.Fanin) {
+				t.Fatalf("%s: node %d = %+v, want %+v", nl.Name, i, *g, *w)
+			}
+		}
+		for _, l := range []struct {
+			what      string
+			got, want []NodeID
+		}{
+			{"inputs", got.Inputs, want.Inputs},
+			{"outputs", got.Outputs, want.Outputs},
+			{"flip-flops", got.DFFs, want.DFFs},
+			{"topological order", got.TopoOrder(), want.TopoOrder()},
+		} {
+			if !slices.Equal(l.got, l.want) {
+				t.Fatalf("%s: %s %v, want %v", nl.Name, l.what, l.got, l.want)
+			}
+		}
+	}
+	if swept == 0 {
+		t.Fatal("no case had logic to sweep")
+	}
+	t.Logf("%d netlists, %d with logic to sweep", len(cases), swept)
 }
 
 func TestOptimizeMuxIdentities(t *testing.T) {

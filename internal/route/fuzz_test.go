@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/netlist"
@@ -11,84 +12,43 @@ import (
 
 // TestFuzzRouteLegality routes randomly generated circuits and verifies
 // the structural legality of every result: contiguous orthogonal paths,
-// correct endpoints, and per-net channel occupancy within capacity.
+// correct endpoints, hop counts that match them, and per-net channel
+// occupancy within capacity.
 func TestFuzzRouteLegality(t *testing.T) {
 	for rep := 0; rep < 10; rep++ {
-		seed := uint64(500 + rep)
-		src := rng.New(seed)
-		nl := netlist.Random(src, netlist.RandomConfig{
-			Inputs:  src.Intn(10) + 2,
-			Outputs: src.Intn(8) + 1,
-			Gates:   src.Intn(80) + 10,
-			DFFProb: src.Float64() * 0.3,
+		t.Run(fmt.Sprintf("rep%d", rep), func(t *testing.T) {
+			seed := uint64(500 + rep)
+			src := rng.New(seed)
+			nl := netlist.Random(src, netlist.RandomConfig{
+				Inputs:  src.Intn(10) + 2,
+				Outputs: src.Intn(8) + 1,
+				Gates:   src.Intn(80) + 10,
+				DFFProb: src.Float64() * 0.3,
+			})
+			m, err := techmap.Map(nl)
+			if err != nil {
+				t.Fatalf("map: %v", err)
+			}
+			if m.NumCells() == 0 {
+				return
+			}
+			w, h := place.Shape(m.NumCells())
+			p, err := place.Place(m, w, h, place.Options{Seed: seed})
+			if err != nil {
+				t.Fatalf("place: %v", err)
+			}
+			r, ng, err := negotiated(p, 12)
+			if err != nil {
+				// Random dense designs may genuinely exceed capacity; a clean
+				// error is acceptable, silent corruption is not.
+				t.Logf("unroutable (acceptable): %v", err)
+				return
+			}
+			checkRouting(t, p, r, ng, 12)
+			// Timing is well-defined.
+			if cp := r.CriticalPath(3, 1); cp < 0 {
+				t.Fatal("negative critical path")
+			}
 		})
-		m, err := techmap.Map(nl)
-		if err != nil {
-			t.Fatalf("rep %d map: %v", rep, err)
-		}
-		if m.NumCells() == 0 {
-			continue
-		}
-		w, h := place.Shape(m.NumCells())
-		p, err := place.Place(m, w, h, place.Options{Seed: seed})
-		if err != nil {
-			t.Fatalf("rep %d place: %v", rep, err)
-		}
-		r, err := Route(p, 12, Options{})
-		if err != nil {
-			// Random dense designs may genuinely exceed capacity; a clean
-			// error is acceptable, silent corruption is not.
-			t.Logf("rep %d unroutable (acceptable): %v", rep, err)
-			continue
-		}
-		// Path legality.
-		for i := range r.Conns {
-			c := &r.Conns[i]
-			if len(c.Path) == 0 {
-				t.Fatalf("rep %d: empty path", rep)
-			}
-			if c.Path[0] != r.srcLoc(c.Src) || c.Path[len(c.Path)-1] != r.sinkLoc(c.Sink) {
-				t.Fatalf("rep %d: endpoints wrong", rep)
-			}
-			for k := 0; k+1 < len(c.Path); k++ {
-				dx := c.Path[k+1].X - c.Path[k].X
-				dy := c.Path[k+1].Y - c.Path[k].Y
-				if dx*dx+dy*dy != 1 {
-					t.Fatalf("rep %d: non-orthogonal hop", rep)
-				}
-				if c.Path[k].X < 0 || c.Path[k].X >= p.W || c.Path[k].Y < 0 || c.Path[k].Y >= p.H {
-					t.Fatalf("rep %d: path leaves region", rep)
-				}
-			}
-		}
-		// Per-net occupancy within capacity.
-		g := grid{w: p.W, h: p.H}
-		used := map[techmap.Signal]map[edgeID]bool{}
-		for i := range r.Conns {
-			c := &r.Conns[i]
-			set := used[c.Src]
-			if set == nil {
-				set = map[edgeID]bool{}
-				used[c.Src] = set
-			}
-			for k := 0; k+1 < len(c.Path); k++ {
-				set[g.edgeBetween(g.node(c.Path[k]), g.node(c.Path[k+1]))] = true
-			}
-		}
-		occ := make([]int, g.numEdges())
-		for _, set := range used {
-			for e := range set {
-				occ[e]++
-			}
-		}
-		for e, u := range occ {
-			if u > 12 {
-				t.Fatalf("rep %d: edge %d carries %d nets (capacity 12)", rep, e, u)
-			}
-		}
-		// Timing is well-defined.
-		if cp := r.CriticalPath(3, 1); cp < 0 {
-			t.Fatalf("rep %d: negative critical path", rep)
-		}
 	}
 }

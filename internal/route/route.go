@@ -18,29 +18,16 @@ import (
 	"repro/internal/techmap"
 )
 
-// Sink identifies the endpoint of a connection: either a LUT input pin of
-// a cell, or a primary output port.
-type Sink struct {
-	IsPort bool
-	Cell   techmap.CellID // when !IsPort
-	Input  int            // LUT pin index when !IsPort
-	Port   int            // output port index when IsPort
-}
-
-// Connection is one routed source-to-sink path.
-type Connection struct {
-	Src  techmap.Signal // SigCell or SigInput (constants are not routed)
-	Sink Sink
-	Path []place.Loc // traversed cells, endpoints included
-}
-
-// Hops returns the number of channel segments the connection crosses.
-func (c *Connection) Hops() int { return len(c.Path) - 1 }
-
-// Result is a complete legal routing.
+// Result is a complete legal routing. It keeps how long each connection
+// is, not the path it takes: the critical path and the wirelength are all
+// its readers need.
 type Result struct {
-	P          *place.Placement
-	Conns      []Connection
+	P *place.Placement
+	// SinkHops holds the channel segments the connection into each sink
+	// crosses: every cell's LUT pins in cell order, then the output ports.
+	// A sink a constant drives is not routed and reads 0.
+	SinkHops   []int32
+	Conns      int // connections routed
 	Tracks     int // channel capacity routed against
 	MaxUse     int // maximum channel occupancy achieved
 	Iterations int // negotiation iterations used
@@ -124,35 +111,49 @@ func (g grid) expand(n int, buf *[4]hop) []hop {
 	return buf[:k]
 }
 
-// connections enumerates every routable connection of a placement in
-// deterministic order.
-func connections(p *place.Placement) []Connection {
-	n := 0
-	for ci := range p.Mapped.Cells {
-		n += len(p.Mapped.Cells[ci].Inputs)
+// conn is one source-to-sink connection as the negotiation routes it: the
+// key of its net (the driving signal, numbered as the placer numbers
+// sources: cells, then primary inputs), the grid nodes it joins, and the
+// sink's slot in Result.SinkHops.
+type conn struct {
+	src, from, to, slot int32
+}
+
+// connections enumerates every routable connection of a placement in sink
+// order, and returns them with the number of sinks.
+func connections(p *place.Placement, g grid) ([]conn, int) {
+	m := p.Mapped
+	sinks := len(m.Outputs)
+	for ci := range m.Cells {
+		sinks += len(m.Cells[ci].Inputs)
 	}
-	conns := make([]Connection, 0, n+len(p.Mapped.Outputs))
-	for ci := range p.Mapped.Cells {
-		for k, in := range p.Mapped.Cells[ci].Inputs {
-			if in.Kind == techmap.SigConst {
-				continue
+	conns := make([]conn, 0, sinks)
+	var slot int32
+	for ci := range m.Cells {
+		to := int32(g.node(p.Cells[ci]))
+		for _, in := range m.Cells[ci].Inputs {
+			if in.Kind != techmap.SigConst {
+				conns = append(conns, connFrom(p, g, in, to, slot))
 			}
-			conns = append(conns, Connection{
-				Src:  in,
-				Sink: Sink{Cell: techmap.CellID(ci), Input: k},
-			})
+			slot++
 		}
 	}
-	for oi, sig := range p.Mapped.Outputs {
-		if sig.Kind == techmap.SigConst {
-			continue
+	for oi, sig := range m.Outputs {
+		if sig.Kind != techmap.SigConst {
+			conns = append(conns, connFrom(p, g, sig, int32(g.node(p.OutPorts[oi])), slot))
 		}
-		conns = append(conns, Connection{
-			Src:  sig,
-			Sink: Sink{IsPort: true, Port: oi},
-		})
+		slot++
 	}
-	return conns
+	return conns, sinks
+}
+
+// connFrom is the connection from signal sig into the sink in slot at
+// grid node to.
+func connFrom(p *place.Placement, g grid, sig techmap.Signal, to, slot int32) conn {
+	if sig.Kind == techmap.SigCell {
+		return conn{src: int32(sig.Cell), from: int32(g.node(p.Cells[sig.Cell])), to: to, slot: slot}
+	}
+	return conn{src: int32(len(p.Mapped.Cells) + sig.Input), from: int32(g.node(p.InPorts[sig.Input])), to: to, slot: slot}
 }
 
 // netTable groups connections into nets by driving signal, in CSR form:
@@ -166,56 +167,34 @@ type netTable struct {
 
 func (t *netTable) numNets() int { return len(t.start) - 1 }
 
-// buildNets indexes sources the way the placer does (cells, then primary
-// inputs), which identifies a driving signal without hashing it.
-func buildNets(m *techmap.Mapped, conns []Connection) netTable {
-	srcPos := func(sig techmap.Signal) int {
-		if sig.Kind == techmap.SigCell {
-			return int(sig.Cell)
-		}
-		return len(m.Cells) + sig.Input
-	}
-	nSrc := len(m.Cells) + m.NumInputs
-	// slot[src] is the source's net id + 1 while nets are numbered and
-	// counted (0: not seen yet), then the write cursor into t.conns.
-	slot := make([]int32, nSrc)
-	t := netTable{start: make([]int32, 1, nSrc+1), conns: make([]int32, len(conns))}
+// buildNets groups conns by their net keys, which are below keys.
+func buildNets(keys int, conns []conn) netTable {
+	// at[key] is the key's net id + 1 while nets are numbered and counted
+	// (0: not seen yet), then the write cursor into t.conns.
+	at := make([]int32, keys)
+	t := netTable{start: make([]int32, 1, keys+1), conns: make([]int32, len(conns))}
 	for i := range conns {
-		src := srcPos(conns[i].Src)
-		if slot[src] == 0 {
+		k := conns[i].src
+		if at[k] == 0 {
 			t.start = append(t.start, 0)
-			slot[src] = int32(t.numNets())
+			at[k] = int32(t.numNets())
 		}
-		t.start[slot[src]]++
+		t.start[at[k]]++
 	}
 	for n := 1; n < len(t.start); n++ {
 		t.start[n] += t.start[n-1]
 	}
-	for src, id := range slot {
+	for k, id := range at {
 		if id != 0 {
-			slot[src] = t.start[id-1]
+			at[k] = t.start[id-1]
 		}
 	}
 	for i := range conns {
-		src := srcPos(conns[i].Src)
-		t.conns[slot[src]] = int32(i)
-		slot[src]++
+		k := conns[i].src
+		t.conns[at[k]] = int32(i)
+		at[k]++
 	}
 	return t
-}
-
-func (r *Result) srcLoc(sig techmap.Signal) place.Loc {
-	if sig.Kind == techmap.SigCell {
-		return r.P.Cells[sig.Cell]
-	}
-	return r.P.InPorts[sig.Input]
-}
-
-func (r *Result) sinkLoc(s Sink) place.Loc {
-	if s.IsPort {
-		return r.P.OutPorts[s.Port]
-	}
-	return r.P.Cells[s.Cell]
 }
 
 func abs(x int) int {
@@ -347,6 +326,24 @@ func (s *routeScratch) hpop() pqItem {
 
 // Route produces a legal routing of p against the given channel capacity.
 func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
+	var ng negotiation
+	return ng.run(p, tracks, opt)
+}
+
+// negotiation is the working state of one Route call, none of which the
+// Result keeps: the connections and the last pass's paths, back to back
+// in one arena of node ids — connection i's path is
+// arena[pathAt[i].off:][:pathAt[i].n]. Only a path's length outlives the
+// pass; the tests read the paths themselves.
+type negotiation struct {
+	conns  []conn
+	pathAt []pathSpan
+	arena  []int32
+}
+
+type pathSpan struct{ off, n int32 }
+
+func (ng *negotiation) run(p *place.Placement, tracks int, opt Options) (*Result, error) {
 	if tracks <= 0 {
 		return nil, fmt.Errorf("route: non-positive track count %d", tracks)
 	}
@@ -355,28 +352,26 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 		maxIter = 40
 	}
 	g := grid{w: p.W, h: p.H}
-	res := &Result{P: p, Tracks: tracks, Conns: connections(p)}
+	conns, sinks := connections(p, g)
+	res := &Result{P: p, Tracks: tracks, Conns: len(conns)}
 
 	// Group connections into nets by driving signal: a net's fanout shares
 	// one routing tree, so a channel segment carries a net once no matter
 	// how many sinks lie beyond it.
-	nets := buildNets(p.Mapped, res.Conns)
+	nets := buildNets(len(p.Mapped.Cells)+p.Mapped.NumInputs, conns)
 
 	s := newRouteScratch(g, tracks)
 	occ, hist, inNet := s.occ, s.hist, s.inNet
-	// The working paths of one negotiation pass live back to back in one
-	// arena of node ids, rewound when the pass rips everything up;
-	// connection i's path is arena[pathAt[i].off:][:pathAt[i].n]. A path is
-	// at least its endpoints' Manhattan distance long, which sizes the
-	// arena for an uncongested pass; the extra quarter is room for detours.
-	type pathSpan struct{ off, n int32 }
-	pathAt := make([]pathSpan, len(res.Conns))
+	// The arena is rewound when a pass rips everything up. A path is at
+	// least its endpoints' Manhattan distance long, which sizes the arena
+	// for an uncongested pass; the extra quarter is room for detours.
+	pathAt := make([]pathSpan, len(conns))
 	minNodes := 0
-	for i := range res.Conns {
-		a, b := res.srcLoc(res.Conns[i].Src), res.sinkLoc(res.Conns[i].Sink)
+	for i := range conns {
+		a, b := g.loc(int(conns[i].from)), g.loc(int(conns[i].to))
 		minNodes += abs(a.X-b.X) + abs(a.Y-b.Y) + 1
 	}
-	arena := make([]int, 0, minNodes+minNodes/4)
+	arena := make([]int32, 0, minNodes+minNodes/4)
 
 	var netEdges []edgeID
 	for iter := 1; iter <= maxIter; iter++ {
@@ -389,11 +384,11 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 		for n := 0; n < nets.numNets(); n++ {
 			netEdges = netEdges[:0]
 			for _, i := range nets.conns[nets.start[n]:nets.start[n+1]] {
-				c := &res.Conns[i]
-				from, to := g.node(res.srcLoc(c.Src)), g.node(res.sinkLoc(c.Sink))
-				path := s.shortestPath(from, to)
+				path := s.shortestPath(int(conns[i].from), int(conns[i].to))
 				pathAt[i] = pathSpan{off: int32(len(arena)), n: int32(len(path))}
-				arena = append(arena, path...)
+				for _, nd := range path {
+					arena = append(arena, int32(nd))
+				}
 				for k := 0; k+1 < len(path); k++ {
 					e := g.edgeBetween(path[k], path[k+1])
 					if !inNet[e] {
@@ -420,20 +415,12 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 		}
 		res.MaxUse = maxUse
 		if !over {
-			// The result paths share one backing store, each capped to
-			// its own extent so an append cannot run into its neighbor.
-			locs := make([]place.Loc, len(arena))
-			res.TotalHops = 0
-			for i := range res.Conns {
-				sp := pathAt[i]
-				out := locs[:sp.n:sp.n]
-				locs = locs[sp.n:]
-				for k, n := range arena[sp.off : sp.off+sp.n] {
-					out[k] = g.loc(n)
-				}
-				res.Conns[i].Path = out
-				res.TotalHops += res.Conns[i].Hops()
+			res.SinkHops = make([]int32, sinks)
+			for i, sp := range pathAt {
+				res.SinkHops[conns[i].slot] = sp.n - 1
+				res.TotalHops += int(sp.n - 1)
 			}
+			*ng = negotiation{conns: conns, pathAt: pathAt, arena: arena}
 			return res, nil
 		}
 		s.presFac *= 1.6
@@ -503,23 +490,14 @@ func (s *routeScratch) shortestPath(from, to int) []int {
 // and input-to-output paths.
 func (r *Result) CriticalPath(lutDelay, hopDelay sim.Time) sim.Time {
 	m := r.P.Mapped
-	// Hops by sink, in the order connections emits them: pin k of cell ci
-	// at pinAt[ci]+k, then output port oi at ports+oi. A constant is not
-	// routed, so its slot stays 0.
+	// Cell ci's pins are SinkHops[pinAt[ci]:pinAt[ci+1]]; output port oi is
+	// at ports+oi.
 	pinAt := make([]int32, len(m.Cells)+1)
 	for ci := range m.Cells {
 		pinAt[ci+1] = pinAt[ci] + int32(len(m.Cells[ci].Inputs))
 	}
 	ports := int(pinAt[len(m.Cells)])
-	hops := make([]int32, ports+len(m.Outputs))
-	for i := range r.Conns {
-		c := &r.Conns[i]
-		if c.Sink.IsPort {
-			hops[ports+c.Sink.Port] = int32(c.Hops())
-		} else {
-			hops[int(pinAt[c.Sink.Cell])+c.Sink.Input] = int32(c.Hops())
-		}
-	}
+	hops := r.SinkHops
 	// arrival time of each cell's output (combinational cells only; FF
 	// outputs and inputs are time-zero sources).
 	arrival := make([]sim.Time, len(m.Cells))

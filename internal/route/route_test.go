@@ -45,9 +45,127 @@ func TestRouteLibrarySample(t *testing.T) {
 	}
 }
 
+// negotiated routes p and returns the negotiation's working state beside
+// the result.
+func negotiated(p *place.Placement, tracks int) (*Result, *negotiation, error) {
+	var ng negotiation
+	r, err := ng.run(p, tracks, Options{})
+	return r, &ng, err
+}
+
+// path returns connection i's path in the last negotiation pass,
+// endpoints included.
+func (ng *negotiation) path(i int) []int32 {
+	sp := ng.pathAt[i]
+	return ng.arena[sp.off : sp.off+sp.n]
+}
+
+// checkRouting holds the last negotiation pass to the placement: one path
+// per sink a signal drives, from the driver's cell or input port to the
+// sink's cell or output port, orthogonally contiguous and inside the
+// region. A path's length less one is the hop count the result keeps for
+// its sink, and the counts sum to TotalHops. No channel carries more than
+// tracks nets, each net counted once however many of its sinks share it.
+func checkRouting(t *testing.T, p *place.Placement, r *Result, ng *negotiation, tracks int) {
+	t.Helper()
+	m := p.Mapped
+	// Every sink, numbered as SinkHops numbers them.
+	type sink struct {
+		src      techmap.Signal
+		from, to place.Loc
+	}
+	var sinks []sink
+	add := func(src techmap.Signal, to place.Loc) {
+		s := sink{src: src, to: to}
+		switch src.Kind {
+		case techmap.SigCell:
+			s.from = p.Cells[src.Cell]
+		case techmap.SigInput:
+			s.from = p.InPorts[src.Input]
+		}
+		sinks = append(sinks, s)
+	}
+	for ci := range m.Cells {
+		for _, in := range m.Cells[ci].Inputs {
+			add(in, p.Cells[ci])
+		}
+	}
+	for oi, sig := range m.Outputs {
+		add(sig, p.OutPorts[oi])
+	}
+	if len(r.SinkHops) != len(sinks) {
+		t.Fatalf("%s: %d hop counts for %d sinks", m.Name, len(r.SinkHops), len(sinks))
+	}
+	if r.Conns != len(ng.conns) {
+		t.Fatalf("%s: result counts %d connections, the negotiation routed %d", m.Name, r.Conns, len(ng.conns))
+	}
+	g := grid{w: p.W, h: p.H}
+	routed := make([]bool, len(sinks))
+	used := map[techmap.Signal]map[edgeID]bool{}
+	for i, c := range ng.conns {
+		s := sinks[c.slot]
+		if s.src.Kind == techmap.SigConst || routed[c.slot] {
+			t.Fatalf("%s: connection %d routes sink %d, driven by a constant or routed before", m.Name, i, c.slot)
+		}
+		routed[c.slot] = true
+		path := ng.path(i)
+		if len(path) == 0 {
+			t.Fatalf("%s: connection %d has an empty path", m.Name, i)
+		}
+		for _, n := range path {
+			if n < 0 || int(n) >= g.nodes() {
+				t.Fatalf("%s: connection %d leaves the region", m.Name, i)
+			}
+		}
+		if g.loc(int(path[0])) != s.from || g.loc(int(path[len(path)-1])) != s.to {
+			t.Fatalf("%s: connection %d runs %v to %v, want %v to %v", m.Name, i,
+				g.loc(int(path[0])), g.loc(int(path[len(path)-1])), s.from, s.to)
+		}
+		set := used[s.src]
+		if set == nil {
+			set = map[edgeID]bool{}
+			used[s.src] = set
+		}
+		for k := 0; k+1 < len(path); k++ {
+			a, b := g.loc(int(path[k])), g.loc(int(path[k+1]))
+			if dx, dy := b.X-a.X, b.Y-a.Y; dx*dx+dy*dy != 1 {
+				t.Fatalf("%s: connection %d path not orthogonally contiguous", m.Name, i)
+			}
+			set[g.edgeBetween(int(path[k]), int(path[k+1]))] = true
+		}
+		if got := r.SinkHops[c.slot]; int(got) != len(path)-1 {
+			t.Fatalf("%s: sink %d keeps %d hops, its path has %d", m.Name, c.slot, got, len(path)-1)
+		}
+	}
+	total := 0
+	for slot, s := range sinks {
+		if s.src.Kind != techmap.SigConst && !routed[slot] {
+			t.Fatalf("%s: sink %d not routed", m.Name, slot)
+		}
+		if !routed[slot] && r.SinkHops[slot] != 0 {
+			t.Fatalf("%s: unrouted sink %d keeps %d hops", m.Name, slot, r.SinkHops[slot])
+		}
+		total += int(r.SinkHops[slot])
+	}
+	if total != r.TotalHops {
+		t.Fatalf("%s: hop counts sum to %d, TotalHops %d", m.Name, total, r.TotalHops)
+	}
+	occ := make([]int, g.numEdges())
+	for _, set := range used {
+		for e := range set {
+			occ[e]++
+		}
+	}
+	for e, u := range occ {
+		if u > tracks {
+			t.Fatalf("%s: edge %d used by %d nets with capacity %d", m.Name, e, u, tracks)
+		}
+	}
+}
+
 func TestRouteCoversAllConnections(t *testing.T) {
 	p := placed(t, netlist.Adder(8))
-	r, err := Route(p, 12, Options{})
+	r, ng, err := negotiated(p, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,58 +183,19 @@ func TestRouteCoversAllConnections(t *testing.T) {
 			want++
 		}
 	}
-	if len(r.Conns) != want {
-		t.Fatalf("routed %d connections, want %d", len(r.Conns), want)
+	if r.Conns != want {
+		t.Fatalf("routed %d connections, want %d", r.Conns, want)
 	}
-	for i := range r.Conns {
-		c := &r.Conns[i]
-		if len(c.Path) == 0 {
-			t.Fatalf("connection %d has empty path", i)
-		}
-		if c.Path[0] != r.srcLoc(c.Src) || c.Path[len(c.Path)-1] != r.sinkLoc(c.Sink) {
-			t.Fatalf("connection %d endpoints wrong", i)
-		}
-		for k := 0; k+1 < len(c.Path); k++ {
-			dx := c.Path[k+1].X - c.Path[k].X
-			dy := c.Path[k+1].Y - c.Path[k].Y
-			if dx*dx+dy*dy != 1 {
-				t.Fatalf("connection %d path not orthogonally contiguous", i)
-			}
-		}
-	}
+	checkRouting(t, p, r, ng, 12)
 }
 
 func TestRouteRespectsCapacity(t *testing.T) {
 	p := placed(t, netlist.Multiplier(4))
-	r, err := Route(p, 6, Options{})
+	r, ng, err := negotiated(p, 6)
 	if err != nil {
 		t.Skipf("mul4 unroutable at 6 tracks in this placement: %v", err)
 	}
-	// Occupancy counts each net once per edge, however many sinks share it.
-	g := grid{w: p.W, h: p.H}
-	used := map[techmap.Signal]map[edgeID]bool{}
-	for i := range r.Conns {
-		c := &r.Conns[i]
-		set := used[c.Src]
-		if set == nil {
-			set = map[edgeID]bool{}
-			used[c.Src] = set
-		}
-		for k := 0; k+1 < len(c.Path); k++ {
-			set[g.edgeBetween(g.node(c.Path[k]), g.node(c.Path[k+1]))] = true
-		}
-	}
-	occ := make([]int, g.numEdges())
-	for _, set := range used {
-		for e := range set {
-			occ[e]++
-		}
-	}
-	for e, u := range occ {
-		if u > 6 {
-			t.Fatalf("edge %d used by %d nets with capacity 6", e, u)
-		}
-	}
+	checkRouting(t, p, r, ng, 6)
 }
 
 func TestRouteFailsOnImpossibleCapacity(t *testing.T) {
@@ -427,8 +506,8 @@ func BenchmarkRouteRegistry(b *testing.B) {
 	}
 }
 
-// TestRouteSetupAllocBudget pins Route's set-up cost: nets in CSR, one
-// arena of working paths and one backing store of result paths, so a
+// TestRouteSetupAllocBudget pins Route's set-up cost: connections as
+// fixed-size records, nets in CSR and one arena of working paths, so a
 // call allocates a fixed handful of arrays (it read 285 objects on alu8
 // when every net and every path was its own slice) — and the count does
 // not follow the connection count: mul8 has nine times alu8's
@@ -440,7 +519,7 @@ func TestRouteSetupAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(10, func() { Route(p, 12, Options{}) }), len(r.Conns)
+		return testing.AllocsPerRun(10, func() { Route(p, 12, Options{}) }), r.Conns
 	}
 	small, smallConns := allocs("alu8")
 	if small > 40 {
@@ -457,21 +536,21 @@ func TestRouteSetupAllocBudget(t *testing.T) {
 }
 
 // TestNetTableMatchesGrouping checks the CSR net table against the
-// grouping it replaced: a map from driving signal to connection indices
-// plus the order signals first appear in.
+// grouping it replaced: a map from net key to connection indices plus the
+// order keys first appear in.
 func TestNetTableMatchesGrouping(t *testing.T) {
 	for _, name := range []string{"adder8", "alu8", "counter8", "mul4"} {
 		p := placed(t, netlist.MustLookup(name))
-		conns := connections(p)
-		byNet := map[techmap.Signal][]int32{}
-		var order []techmap.Signal
+		conns, _ := connections(p, grid{w: p.W, h: p.H})
+		byNet := map[int32][]int32{}
+		var order []int32
 		for i, c := range conns {
-			if _, ok := byNet[c.Src]; !ok {
-				order = append(order, c.Src)
+			if _, ok := byNet[c.src]; !ok {
+				order = append(order, c.src)
 			}
-			byNet[c.Src] = append(byNet[c.Src], int32(i))
+			byNet[c.src] = append(byNet[c.src], int32(i))
 		}
-		nets := buildNets(p.Mapped, conns)
+		nets := buildNets(len(p.Mapped.Cells)+p.Mapped.NumInputs, conns)
 		if nets.numNets() != len(order) {
 			t.Fatalf("%s: %d nets, want %d", name, nets.numNets(), len(order))
 		}

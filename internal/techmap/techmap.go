@@ -80,9 +80,12 @@ func (m *Mapped) String() string {
 // mapper carries the per-run state of one Map invocation.
 type mapper struct {
 	nl     *netlist.Netlist
-	fanout []int                     // resolved fanout count per node
-	cut    [][]netlist.NodeID        // chosen cut per gate node, indexed by NodeID
-	cellOf map[netlist.NodeID]CellID // realized cell per root node
+	fanout []int              // resolved fanout count per node
+	cut    [][]netlist.NodeID // chosen cut per gate node, indexed by NodeID
+	cellOf []CellID           // cell per root node, indexed by NodeID; -1 for none
+	cells  int                // cells counted
+	pins   int                // LUT inputs of the cells counted
+	free   []Signal           // the part of the LUT-input array no cell holds yet
 	out    *Mapped
 }
 
@@ -91,8 +94,7 @@ type mapper struct {
 // maximum arity is 3) or the netlist is malformed.
 func Map(nl *netlist.Netlist) (*Mapped, error) {
 	m := &mapper{
-		nl:     nl,
-		cellOf: make(map[netlist.NodeID]CellID),
+		nl: nl,
 		out: &Mapped{
 			Name:        nl.Name,
 			NumInputs:   nl.NumInputs(),
@@ -230,34 +232,36 @@ func (m *mapper) chooseCuts() {
 	}
 }
 
-// coneEval evaluates node id under the given assignment of values to the
-// cut leaves (and implicit constant folding).
-func (m *mapper) coneEval(id netlist.NodeID, leafVal map[netlist.NodeID]bool) bool {
+// coneEval evaluates node id with cut leaf i at bit i of vals (and
+// implicit constant folding).
+func (m *mapper) coneEval(id netlist.NodeID, leaves []netlist.NodeID, vals int) bool {
 	id = m.resolve(id)
-	if v, ok := leafVal[id]; ok {
-		return v
+	for i, l := range leaves {
+		if l == id {
+			return vals>>uint(i)&1 == 1
+		}
 	}
 	nd := m.nl.Node(id)
 	switch nd.Kind {
 	case netlist.KindConst:
 		return nd.Init
 	case netlist.KindNot:
-		return !m.coneEval(nd.Fanin[0], leafVal)
+		return !m.coneEval(nd.Fanin[0], leaves, vals)
 	case netlist.KindAnd:
-		return m.coneEval(nd.Fanin[0], leafVal) && m.coneEval(nd.Fanin[1], leafVal)
+		return m.coneEval(nd.Fanin[0], leaves, vals) && m.coneEval(nd.Fanin[1], leaves, vals)
 	case netlist.KindOr:
-		return m.coneEval(nd.Fanin[0], leafVal) || m.coneEval(nd.Fanin[1], leafVal)
+		return m.coneEval(nd.Fanin[0], leaves, vals) || m.coneEval(nd.Fanin[1], leaves, vals)
 	case netlist.KindXor:
-		return m.coneEval(nd.Fanin[0], leafVal) != m.coneEval(nd.Fanin[1], leafVal)
+		return m.coneEval(nd.Fanin[0], leaves, vals) != m.coneEval(nd.Fanin[1], leaves, vals)
 	case netlist.KindNand:
-		return !(m.coneEval(nd.Fanin[0], leafVal) && m.coneEval(nd.Fanin[1], leafVal))
+		return !(m.coneEval(nd.Fanin[0], leaves, vals) && m.coneEval(nd.Fanin[1], leaves, vals))
 	case netlist.KindNor:
-		return !(m.coneEval(nd.Fanin[0], leafVal) || m.coneEval(nd.Fanin[1], leafVal))
+		return !(m.coneEval(nd.Fanin[0], leaves, vals) || m.coneEval(nd.Fanin[1], leaves, vals))
 	case netlist.KindMux:
-		if m.coneEval(nd.Fanin[0], leafVal) {
-			return m.coneEval(nd.Fanin[2], leafVal)
+		if m.coneEval(nd.Fanin[0], leaves, vals) {
+			return m.coneEval(nd.Fanin[2], leaves, vals)
 		}
-		return m.coneEval(nd.Fanin[1], leafVal)
+		return m.coneEval(nd.Fanin[1], leaves, vals)
 	}
 	panic(fmt.Sprintf("techmap: cone evaluation reached %v node %d outside its cut", nd.Kind, id))
 }
@@ -292,97 +296,159 @@ func (m *mapper) signalFor(id netlist.NodeID) (Signal, error) {
 	}
 }
 
-// lutOver builds the truth table and input signals for the cone rooted at
-// root with the given cut leaves.
-func (m *mapper) lutOver(root netlist.NodeID, leaves []netlist.NodeID) (lut [16]bool, inputs []Signal, err error) {
+// window cuts the next n LUT inputs from the array realize sized, capped
+// so a cell's inputs never reach its neighbour's.
+func (m *mapper) window(n int) []Signal {
+	w := m.free[:n:n]
+	m.free = m.free[n:]
+	return w
+}
+
+// lutOver fills in the truth table and input signals of cell for the cone
+// rooted at root over root's cut.
+func (m *mapper) lutOver(cell *Cell, root netlist.NodeID) error {
+	leaves := m.cut[root]
 	if len(leaves) > 4 {
-		return lut, nil, fmt.Errorf("techmap: cut of %d leaves at node %d", len(leaves), root)
+		return fmt.Errorf("techmap: cut of %d leaves at node %d", len(leaves), root)
 	}
-	inputs = make([]Signal, len(leaves))
+	cell.Inputs = m.window(len(leaves))
 	for i, l := range leaves {
-		inputs[i], err = m.signalFor(l)
+		sig, err := m.signalFor(l)
 		if err != nil {
-			return lut, nil, err
+			return err
 		}
+		cell.Inputs[i] = sig
 	}
-	leafVal := make(map[netlist.NodeID]bool, len(leaves))
 	for idx := 0; idx < 1<<uint(len(leaves)); idx++ {
-		for i, l := range leaves {
-			leafVal[l] = idx&(1<<uint(i)) != 0
-		}
-		lut[idx] = m.coneEval(root, leafVal)
+		cell.LUT[idx] = m.coneEval(root, leaves, idx)
 	}
 	// Replicate the function across unused high LUT address bits so the
 	// table is well-defined for any 4-bit address.
 	for idx := 1 << uint(len(leaves)); idx < 16; idx++ {
-		lut[idx] = lut[idx&((1<<uint(len(leaves)))-1)]
+		cell.LUT[idx] = cell.LUT[idx&((1<<uint(len(leaves)))-1)]
 	}
-	return lut, inputs, nil
+	return nil
 }
+
+// packs reports whether a flip-flop whose D input is node d computes d's
+// cone in its own cell: d is a gate nothing else reads.
+func (m *mapper) packs(d netlist.NodeID) bool { return m.isGate(d) && m.fanout[d] == 1 }
 
 // realizeGate materializes the LUT cell for a gate root (memoized).
 func (m *mapper) realizeGate(id netlist.NodeID) (CellID, error) {
-	if c, ok := m.cellOf[id]; ok {
+	if c := m.cellOf[id]; c >= 0 {
 		return c, nil
 	}
-	lut, inputs, err := m.lutOver(id, m.cut[id])
-	if err != nil {
+	var cell Cell
+	if err := m.lutOver(&cell, id); err != nil {
 		return 0, err
 	}
-	c := CellID(len(m.out.Cells))
-	m.cellOf[id] = c
-	m.out.Cells = append(m.out.Cells, Cell{ID: c, LUT: lut, Inputs: inputs})
-	return c, nil
+	// Realizing the cut's leaves may have come back to this gate through a
+	// flip-flop and given it a cell already; the one made here replaces it
+	// for every later reader.
+	cell.ID = CellID(len(m.out.Cells))
+	m.cellOf[id] = cell.ID
+	m.out.Cells = append(m.out.Cells, cell)
+	return cell.ID, nil
 }
 
 // realizeDFF materializes the registered cell for a flip-flop, packing its
 // D-cone into the same cell when the cone has no other fanout.
 func (m *mapper) realizeDFF(id netlist.NodeID) (CellID, error) {
-	if c, ok := m.cellOf[id]; ok {
+	if c := m.cellOf[id]; c >= 0 {
 		return c, nil
 	}
 	nd := m.nl.Node(id)
 	c := CellID(len(m.out.Cells))
 	m.cellOf[id] = c
-	m.out.Cells = append(m.out.Cells, Cell{ID: c, UseFF: true, FFInit: nd.Init})
+	m.out.Cells = append(m.out.Cells, Cell{}) // its slot, filled once the D cone is realized
 
 	d := m.resolve(nd.Fanin[0])
-	var lut [16]bool
-	var inputs []Signal
-	var err error
-	if m.isGate(d) && m.fanout[d] == 1 {
+	cell := Cell{ID: c, UseFF: true, FFInit: nd.Init}
+	if m.packs(d) {
 		// Pack the D-cone into this registered cell.
-		lut, inputs, err = m.lutOver(d, m.cut[d])
+		if err := m.lutOver(&cell, d); err != nil {
+			return 0, err
+		}
 	} else {
-		// Identity LUT over the D signal.
-		var sig Signal
-		sig, err = m.signalFor(d)
-		if err == nil {
-			switch sig.Kind {
-			case SigConst:
-				for i := range lut {
-					lut[i] = sig.Const
-				}
-				inputs = nil
-			default:
-				for i := range lut {
-					lut[i] = i&1 == 1
-				}
-				inputs = []Signal{sig}
+		sig, err := m.signalFor(d)
+		if err != nil {
+			return 0, err
+		}
+		if sig.Kind == SigConst {
+			for i := range cell.LUT {
+				cell.LUT[i] = sig.Const
 			}
+		} else {
+			// Identity LUT over the D signal.
+			for i := range cell.LUT {
+				cell.LUT[i] = i&1 == 1
+			}
+			cell.Inputs = m.window(1)
+			cell.Inputs[0] = sig
 		}
 	}
-	if err != nil {
-		return 0, err
-	}
-	cell := &m.out.Cells[c]
-	cell.LUT = lut
-	cell.Inputs = inputs
+	m.out.Cells[c] = cell
 	return c, nil
 }
 
+// count walks the graph realize walks, in the same order, and counts the
+// cells realize will make (a gate reached again through a flip-flop while
+// its cut is realized counts twice, as it is made twice) and their LUT
+// inputs.
+func (m *mapper) count(id netlist.NodeID) {
+	id = m.resolve(id)
+	if m.cellOf[id] >= 0 {
+		return
+	}
+	nd := m.nl.Node(id)
+	switch nd.Kind {
+	case netlist.KindConst, netlist.KindInput:
+	case netlist.KindDFF:
+		m.cellOf[id] = CellID(m.cells)
+		m.cells++
+		d := m.resolve(nd.Fanin[0])
+		switch {
+		case m.packs(d):
+			m.countLeaves(m.cut[d])
+		case m.nl.Node(d).Kind != netlist.KindConst:
+			m.pins++ // an identity LUT over d
+			m.count(d)
+		}
+	default:
+		m.countLeaves(m.cut[id])
+		m.cellOf[id] = CellID(m.cells)
+		m.cells++
+	}
+}
+
+func (m *mapper) countLeaves(leaves []netlist.NodeID) {
+	m.pins += len(leaves)
+	for _, l := range leaves {
+		m.count(l)
+	}
+}
+
 // realize walks every primary output and flip-flop, materializing cells.
+// A first walk counts them, so the cell table and one array of LUT inputs,
+// which each cell's Inputs is a capped window of, are sized once.
 func (m *mapper) realize() error {
+	m.cellOf = make([]CellID, len(m.nl.Nodes))
+	forget := func() {
+		for i := range m.cellOf {
+			m.cellOf[i] = -1
+		}
+	}
+	forget()
+	for _, d := range m.nl.DFFs {
+		m.count(d)
+	}
+	for _, o := range m.nl.Outputs {
+		m.count(m.nl.Node(o).Fanin[0])
+	}
+	forget()
+	m.out.Cells = make([]Cell, 0, m.cells)
+	m.free = make([]Signal, m.pins)
 	// Flip-flops first: their cells exist regardless of output reachability
 	// (their state is the computation).
 	for _, d := range m.nl.DFFs {
@@ -390,12 +456,13 @@ func (m *mapper) realize() error {
 			return err
 		}
 	}
-	for _, o := range m.nl.Outputs {
+	m.out.Outputs = make([]Signal, len(m.nl.Outputs))
+	for i, o := range m.nl.Outputs {
 		sig, err := m.signalFor(m.nl.Node(o).Fanin[0])
 		if err != nil {
 			return err
 		}
-		m.out.Outputs = append(m.out.Outputs, sig)
+		m.out.Outputs[i] = sig
 	}
 	return nil
 }

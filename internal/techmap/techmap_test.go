@@ -1,6 +1,7 @@
 package techmap
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
@@ -271,6 +272,67 @@ func TestStringSummaries(t *testing.T) {
 	m, _ := Map(netlist.Adder(8))
 	if m.String() == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+// allocated returns the bytes and objects one call of f allocates,
+// averaged over runs after a warm-up call.
+func allocated(runs int, f func()) (bytes, objects float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs), float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestMapByteBudget holds Map to what its result needs: the cell table
+// and one array of LUT inputs sized from a count, and the realized cell
+// per node in a slice, not a map. The budget is 10 % over today's reading
+// of mul8, 100 976 bytes in 12 objects; it read 133 160 bytes in 270
+// objects while cells grew by appending, each with an input slice and a
+// truth-table map of its own.
+func TestMapByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	nl := netlist.MustLookup("mul8")
+	bytes, objects := allocated(5, func() {
+		if _, err := Map(nl); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const readBytes, readObjects = 100_976, 12
+	if bytes > 1.1*readBytes || objects > 1.1*readObjects {
+		t.Errorf("Map(mul8) allocates %.0f bytes in %.0f objects, budget %.0f bytes, %.0f objects",
+			bytes, objects, 1.1*readBytes, 1.1*readObjects)
+	}
+}
+
+// BenchmarkMapRegistry maps every library circuit as the strip flow does,
+// optimized first (outside the timer).
+func BenchmarkMapRegistry(b *testing.B) {
+	reg := netlist.Registry()
+	names := make([]string, 0, len(reg))
+	for name := range reg {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	nls := make([]*netlist.Netlist, len(names))
+	for i, name := range names {
+		nls[i] = netlist.Optimize(reg[name]())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, nl := range nls {
+			if _, err := Map(nl); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
