@@ -35,10 +35,11 @@ build:
 # every worker. The second run
 # repeats the tests of orderings between goroutines (a failed job is
 # counted before its done channel closes; every queued-work charge is
-# released, whichever worker the job leaves): once is not evidence.
+# released, whichever worker the job leaves) and the test that a live
+# pool and fleet.Simulate place one stream alike: once is not evidence.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/route/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
-	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved' ./internal/serve/
+	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree' ./internal/serve/
 
 test:
 	$(GO) test ./...

@@ -113,13 +113,7 @@ func Load(opts Options, patterns ...string) (*Index, []*Package, error) {
 			ix.exports[e.ImportPath] = e.Export
 		}
 	}
-	ix.base = importer.ForCompiler(ix.Fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := ix.exports[path]
-		if !ok {
-			return nil, fmt.Errorf("load: no export data for %q", path)
-		}
-		return os.Open(f)
-	})
+	ix.base = ix.newImporter()
 
 	// When a test variant of a package is listed, it strictly extends the
 	// plain one (same files plus _test.go), so analyzing both would
@@ -148,6 +142,19 @@ func Load(opts Options, patterns ...string) (*Index, []*Package, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return ix, pkgs, nil
+}
+
+// newImporter returns a gc importer over the index's export data. An
+// importer caches packages by package path, so one that has read a plain
+// package cannot also read its test variant.
+func (ix *Index) newImporter() types.Importer {
+	return importer.ForCompiler(ix.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := ix.exports[path]
+		if !ok {
+			return nil, fmt.Errorf("load: no export data for %q", path)
+		}
+		return os.Open(f)
+	})
 }
 
 // basePath strips a test-variant suffix: "p [p.test]" -> "p".
@@ -230,8 +237,18 @@ func (ix *Index) typeCheck(path string, files []*ast.File, importMap map[string]
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
+	// A package whose imports map to test variants — an external test
+	// package, whose package under test may export more in its
+	// export_test.go — reads them through an importer of its own.
+	base := ix.base
+	for _, to := range importMap {
+		if strings.Contains(to, " [") {
+			base = ix.newImporter()
+			break
+		}
+	}
 	conf := types.Config{
-		Importer: &mappedImporter{base: ix.base, m: importMap},
+		Importer: &mappedImporter{base: base, m: importMap},
 	}
 	pkg, err := conf.Check(path, ix.Fset, files, info)
 	if err != nil {

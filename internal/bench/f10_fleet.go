@@ -9,15 +9,19 @@ import (
 	"repro/internal/trace"
 )
 
-// F10 — the fleet-scale bake-off: the same 10k-job churn mix replayed
+// F10 — the fleet-scale bake-off: the same 12k-job churn mix replayed
 // through each placement policy over a virtual rack. Placement is
-// strip-packing with delays one level above the boards: every job is a
+// strip packing with delays one level above the boards: every job is a
 // rectangle whose width is its widest real compiled strip on the bench
 // geometry and whose height is a modeled service time, and the policy
-// decides which node's open strip it lands in. The replay (see
-// fleet.RunBakeoff) is pure virtual time, so the rows measure routing
-// quality alone — identical arrivals, identical rectangles, identical
-// mid-run node failure.
+// decides when a job can start and finish by choosing its node.
+// FleetBakeoffConfig is the scenario for fleet.RunBakeoff, whose boards
+// run one job at a time and are picked by the daemon's own rule; the
+// table still prints the column-packing model of columnBakeoff until the
+// harness benchmark's golden tables are regenerated. Either replay is
+// pure virtual time, so the rows measure routing quality alone —
+// identical arrivals, identical rectangles, identical mid-run node
+// failure.
 
 type fleetClass struct {
 	nl     *netlist.Netlist
@@ -25,11 +29,9 @@ type fleetClass struct {
 	weight int
 }
 
-// fleetClassPool is the churn mix: recurring narrow strips that
-// checkerboard boards, a mid band, and wide multipliers that demand
-// contiguity — the same tension the F4/F9 fragmentation studies create,
-// lifted to fleet scale. Service time models evaluation work at the
-// simulated 100 MHz fabric clock (evals × 10 ns).
+// fleetClassPool is the churn mix: frequent short narrow strips, a mid
+// band, and rare long wide multipliers. Service time models evaluation
+// work at the simulated 100 MHz fabric clock (evals × 10 ns).
 func fleetClassPool() []fleetClass {
 	return []fleetClass{
 		{netlist.MustLookup("parity16"), 40_000, 5},
@@ -42,17 +44,14 @@ func fleetClassPool() []fleetClass {
 
 // FleetBakeoffConfig builds the F10 scenario: class widths come from
 // real strip compiles on the bench geometry, the arrival rate is tuned
-// for ~90% offered load on the healthy fleet, and one node fails about
-// 40% through the expected arrival span so every policy absorbs the
-// same casualty.
+// for ~90% offered load on the healthy fleet's boards, and one node fails
+// about 40% through the expected arrival span so every policy absorbs
+// the same casualty.
 func FleetBakeoffConfig(cfg Config) (fleet.BakeoffConfig, error) {
 	jobs := 12_000
 	if cfg.Quick {
 		jobs = 1_500
 	}
-	// 12-column boards make contiguity scarce: the widest class fills
-	// most of a board, so routing a wide strip to a checkerboarded node
-	// blocks its whole queue — the failure mode packing exists to avoid.
 	bcfg := fleet.BakeoffConfig{
 		Nodes: 4, BoardsPerNode: 2, Cols: 12,
 		Jobs: jobs, Seed: cfg.Seed,
@@ -67,7 +66,7 @@ func FleetBakeoffConfig(cfg Config) (fleet.BakeoffConfig, error) {
 	if err != nil {
 		return fleet.BakeoffConfig{}, fmt.Errorf("F10: %w", err)
 	}
-	var meanArea float64
+	var meanDur float64
 	var totalWeight int
 	for i, cl := range classes {
 		w, _ := circs[i].Footprint()
@@ -75,26 +74,26 @@ func FleetBakeoffConfig(cfg Config) (fleet.BakeoffConfig, error) {
 		bcfg.Classes = append(bcfg.Classes, fleet.JobClass{
 			Name: cl.nl.Name, Width: w, Duration: dur, Weight: cl.weight,
 		})
-		meanArea += float64(w) * float64(dur) * float64(cl.weight)
+		meanDur += float64(dur) * float64(cl.weight)
 		totalWeight += cl.weight
 	}
-	meanArea /= float64(totalWeight)
-	// Offered load ~0.9: mean inter-arrival = E[width×duration] over
-	// 90% of the fleet's column capacity. High enough that a policy's
-	// packing quality shows up in queue delay, low enough to stay stable.
-	totalCols := float64(bcfg.Nodes * bcfg.BoardsPerNode * bcfg.Cols)
-	bcfg.MeanInterval = sim.Time(meanArea / (0.9 * totalCols))
+	meanDur /= float64(totalWeight)
+	// Offered load ~0.9: a board runs one job at a time, so the mean
+	// inter-arrival is E[duration] over 90% of the fleet's boards. High
+	// enough that a policy's choices show up in queue delay, low enough
+	// to stay stable.
+	boards := float64(bcfg.Nodes * bcfg.BoardsPerNode)
+	bcfg.MeanInterval = sim.Time(meanDur / (0.9 * boards))
 	// The casualty lands ~40% through the arrival span: enough history
 	// to have packed the failed node, enough future to measure recovery.
 	bcfg.FailAt = sim.Time(jobs) * bcfg.MeanInterval * 4 / 10
 	return bcfg, nil
 }
 
-// F10PlacementBakeoff — fleet placement policies under identical churn:
-// sustained hardware utilization, tail admission latency and
-// displacement counts per policy. The packing policy should beat the
-// random control on both utilization and p99 admission latency; firstfit
-// sits between.
+// F10PlacementBakeoff — fleet placement policies under identical churn,
+// replayed by columnBakeoff: when jobs start (admission delay) and when
+// the stream finishes (makespan, and utilization with it) per policy,
+// beside displacement counts. TestF10Shape holds the claims.
 func F10PlacementBakeoff(cfg Config) (*trace.Table, error) {
 	tbl := &trace.Table{
 		ID:      "F10",
@@ -108,10 +107,7 @@ func F10PlacementBakeoff(cfg Config) (*trace.Table, error) {
 	}
 	policies := fleet.PolicyNames
 	rows, err := parRows(cfg.Jobs, len(policies), func(i int) ([]any, error) {
-		row, err := fleet.RunBakeoff(bcfg, policies[i])
-		if err != nil {
-			return nil, err
-		}
+		row := columnBakeoff(bcfg, policies[i])
 		return []any{row.Policy, row.Jobs, row.Completed, row.HWUtil,
 			row.P50AdmitMS, row.P99AdmitMS, row.Requeues, row.MeanScore, row.MakespanMS}, nil
 	})

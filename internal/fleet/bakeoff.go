@@ -8,9 +8,12 @@ import (
 	"repro/internal/stats"
 )
 
-// The policy bake-off (F10): a Poisson stream over a weighted class mix,
+// The policy bake-off (F10's scenario): a Poisson stream over a weighted class mix,
 // drawn once from the config and run through Simulate under each policy,
-// so the only difference between rows is the routing decision.
+// so the only difference between rows is the routing decision. A job's
+// class is its index in Classes: each simulated board estimates a class
+// by the jobs of it that board completed, as a live board estimates a
+// scenario.
 
 // JobClass is one rectangle shape in the churn mix.
 type JobClass struct {
@@ -73,10 +76,10 @@ type BakeoffRow struct {
 	// Completed counts jobs that finished; with one failed node out of
 	// several it equals Jobs (every displaced job re-routes).
 	Completed int `json:"completed"`
-	// HWUtil is sustained hardware utilization: occupied column-time
-	// over provisioned column-time (all boards × makespan).
+	// HWUtil is sustained hardware utilization: the board-time finished
+	// jobs ran over the provisioned board-time (all boards × makespan).
 	HWUtil float64 `json:"hw_util"`
-	// Admission latency: arrival → final start (virtual ms).
+	// Admission delay: arrival → final start (virtual ms).
 	P50AdmitMS float64 `json:"p50_admit_ms"`
 	P99AdmitMS float64 `json:"p99_admit_ms"`
 	// Requeues counts jobs displaced by the node failure.
@@ -108,15 +111,12 @@ func RunBakeoff(cfg BakeoffConfig, policyName string) (BakeoffRow, error) {
 	for i := range jobs {
 		t += sim.Time(src.ExpFloat64() * float64(cfg.MeanInterval))
 		pick := src.Intn(totalWeight)
-		cl := &cfg.Classes[0]
-		for ci := range cfg.Classes {
-			if pick < cfg.Classes[ci].Weight {
-				cl = &cfg.Classes[ci]
-				break
-			}
+		ci := 0
+		for ; ci < len(cfg.Classes)-1 && pick >= cfg.Classes[ci].Weight; ci++ {
 			pick -= cfg.Classes[ci].Weight
 		}
-		jobs[i] = SimJob{Arrival: t, Duration: cl.Duration, Width: int32(cl.Width)}
+		cl := &cfg.Classes[ci]
+		jobs[i] = SimJob{Arrival: t, Duration: cl.Duration, Width: int32(cl.Width), Class: int32(ci)}
 	}
 
 	tot, err := Simulate(cfg.shape(), policy, jobs)
@@ -126,11 +126,11 @@ func RunBakeoff(cfg BakeoffConfig, policyName string) (BakeoffRow, error) {
 
 	waits := stats.NewSample(true)
 	waits.Reserve(cfg.Jobs)
-	busyArea := int64(0) // finished column-time
+	busy := int64(0) // finished board-time
 	for i := range jobs {
 		if j := &jobs[i]; j.Finished {
 			waits.Observe(float64(j.Start - j.Arrival))
-			busyArea += int64(j.Width) * int64(j.Duration)
+			busy += int64(j.Duration)
 		}
 	}
 	row := BakeoffRow{
@@ -144,8 +144,8 @@ func RunBakeoff(cfg BakeoffConfig, policyName string) (BakeoffRow, error) {
 		MakespanMS: float64(tot.Makespan) / 1e6,
 	}
 	if tot.Makespan > 0 {
-		provisioned := float64(cfg.Nodes*cfg.BoardsPerNode*cfg.Cols) * float64(tot.Makespan)
-		row.HWUtil = float64(busyArea) / provisioned
+		provisioned := float64(cfg.Nodes*cfg.BoardsPerNode) * float64(tot.Makespan)
+		row.HWUtil = float64(busy) / provisioned
 	}
 	return row, nil
 }

@@ -182,11 +182,10 @@ func TestBakeoffRowsPinned(t *testing.T) {
 }
 
 // TestBakeoffAllocBudget pins what a replay allocates: per run, the job
-// array, the board maps and the queues' doublings, and nothing per job.
-// Completions name their job by index through a handler bound once, and
-// a board reuses the spans its releases coalesce, so 8 000 jobs cost
-// what 2 000 do. (A job cost ~15 objects before the replay moved onto
-// sim.Kernel, then 1.9: its span and its completion closure.)
+// array, the boards with their estimates and the fleet view; as the
+// backlog grows, the doublings of the kernel's pending events, one per
+// job on a board; and nothing per job — a board is its free-at time, and
+// completions name their job by index through a handler bound once.
 func TestBakeoffAllocBudget(t *testing.T) {
 	replay := func(jobs int, policy string) float64 {
 		cfg := testBakeoffConfig(jobs)
@@ -202,16 +201,16 @@ func TestBakeoffAllocBudget(t *testing.T) {
 		if large > small+16 {
 			t.Errorf("%s: a replay allocates %.0f times for 8 000 jobs and %.0f for 2 000: something allocates per job", policy, large, small)
 		}
-		if small > 400 {
-			t.Errorf("%s: a 2 000-job replay allocates %.0f times, budget 400", policy, small)
+		if small > 64 {
+			t.Errorf("%s: a 2 000-job replay allocates %.0f times, budget 64", policy, small)
 		}
 	}
 }
 
-// SimJob stays at 64 bytes: F10 keeps 36 000 of them live a pass.
+// SimJob stays at 56 bytes: F10 keeps 36 000 of them live a pass.
 func TestSimJobSize(t *testing.T) {
-	if got := unsafe.Sizeof(SimJob{}); got != 64 {
-		t.Errorf("SimJob is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(SimJob{}); got != 56 {
+		t.Errorf("SimJob is %d bytes, want 56", got)
 	}
 }
 

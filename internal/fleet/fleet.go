@@ -46,10 +46,9 @@ func (n *Node) ID() int { return n.id }
 func (n *Node) Pool() *serve.Pool { return n.pool }
 
 // View snapshots the node for placement: health, queue pressure, the
-// pool's quote for a job of no scenario and per-board width. A node is
-// healthy while at least one board is not quarantined and the pool is
-// not draining. Every job starts on an erased device, so each board
-// offers its full width, unfragmented.
+// pool's quote for a job of no scenario and each board's width and
+// whether it is idle. A node is healthy while at least one board is not
+// quarantined and the pool is not draining.
 func (n *Node) View() NodeView { return n.viewOf(n.pool.BoardInfos(), -1) }
 
 // viewOf is View over board infos the caller already holds, priced by
@@ -58,7 +57,8 @@ func (n *Node) viewOf(infos []serve.BoardInfo, scen int) NodeView {
 	q := n.pool.Quote(scen)
 	v := NodeView{ID: n.id, FinishNS: q.FinishNS, EstNS: q.EstNS}
 	for _, bi := range infos {
-		v.Boards = append(v.Boards, BoardView{Cols: bi.Cols, LargestFree: bi.Cols, Quarantined: bi.Quarantined})
+		idle := bi.State == "idle" && bi.QueueDepth == 0
+		v.Boards = append(v.Boards, BoardView{Cols: bi.Cols, Idle: idle, Quarantined: bi.Quarantined})
 		if !bi.Quarantined {
 			v.Healthy = true
 		}

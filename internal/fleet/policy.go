@@ -3,12 +3,13 @@
 // whole rack of vfpgad instances), and a Scheduler routes incoming jobs
 // across nodes through a pluggable PlacementPolicy. In the paper's
 // host-OS analogy each node is one virtual device manager; the fleet
-// layer is the placement half of the operating system above them —
-// jobs are rectangles (strip width × duration) and placement is
-// strip-packing with delays (Angermeier et al.): a job goes where it can
-// start and finish first, judged by each node's board widths and the
-// cost its own pool would place the job at (its queue count until some
-// board has measured the job's service time).
+// layer is the placement half of the operating system above them. In the
+// terms of strip packing with delays (Angermeier et al.), a job is a
+// rectangle — strip width × service time — and placement decides when it
+// can start and finish: a job goes to the node whose own pool would
+// finish it first (serve.Pool.Quote), and the node puts it on its board
+// by the one rule serve.Cheaper. Simulate runs the same rule on a virtual
+// clock, so the bake-off and the load model predict the daemon that runs.
 //
 // The scheduler owns fleet-wide concerns the per-daemon serve layer
 // cannot see: one shared admission budget per tenant (so Retry-After
@@ -32,17 +33,17 @@ type JobView struct {
 	Tenant string
 }
 
-// BoardView is one board's capacity snapshot inside a node view.
+// BoardView is one board's snapshot inside a node view. Every job runs
+// alone on an erased device, so a board offers its full width whenever
+// it is idle.
 type BoardView struct {
 	Cols        int
-	LargestFree int     // widest contiguous free extent (FragStats.LargestFree)
-	FragRatio   float64 // external-fragmentation ratio (FragStats.Ratio)
+	Idle        bool // runs nothing and queues nothing
 	Quarantined bool
 }
 
 // NodeView is what a placement policy sees of one node: health, queue
-// pressure, per-board fragmentation and when the node would finish the
-// job.
+// pressure, its boards and when the node would finish the job.
 type NodeView struct {
 	ID      int
 	Healthy bool // at least one non-quarantined board, not draining
@@ -52,18 +53,18 @@ type NodeView struct {
 	// place the job at: the least queued work plus the job's estimate
 	// over its healthy boards with queue room, -1 when none has room.
 	// EstNS is the job's least estimate there, the mean makespan of the
-	// jobs of its scenario a board completed; 0 before any board has
-	// completed one. Both are always 0 in Simulate, whose nodes are alike.
+	// jobs of its class a board completed; 0 before any board has
+	// completed one.
 	FinishNS int64
 	EstNS    int64
 	Boards   []BoardView
 }
 
-// Fits reports whether any healthy board of the node currently shows a
-// contiguous free extent at least w columns wide.
-func (v NodeView) Fits(w int) bool {
+// fits reports whether a healthy board of the node is at least w columns
+// wide and, when idle is set, runs and queues nothing.
+func (v NodeView) fits(w int, idle bool) bool {
 	for _, b := range v.Boards {
-		if !b.Quarantined && b.LargestFree >= w {
+		if !b.Quarantined && b.Cols >= w && (b.Idle || !idle) {
 			return true
 		}
 	}
@@ -102,23 +103,22 @@ func NewPolicy(name string, seed uint64) (PlacementPolicy, error) {
 	return nil, fmt.Errorf("fleet: unknown placement policy %q (have %v)", name, PolicyNames)
 }
 
-// nonFitPenalty separates the scoring tiers: any node with a wide enough
-// free extent always scores below every node without one, so a policy
-// never queues a job onto a node that cannot currently hold it while a
-// fitting alternative exists. packing puts a node whose pool has no queue
-// room one tier further down.
+// nonFitPenalty separates the scoring tiers: a node with no healthy
+// board as wide as the strip scores above every node with one, and
+// packing puts a node whose pool has no queue room one tier further down.
 const nonFitPenalty = 1e3
 
-// firstFit takes the first healthy node whose boards currently fit the
-// job, falling back to the least-queued healthy node — the Tetris
-// player who always drops the piece at the leftmost spot.
+// firstFit takes the first healthy node with a healthy idle board at
+// least as wide as the strip, falling back to the least-queued healthy
+// node — the Tetris player who always drops the piece at the leftmost
+// spot.
 type firstFit struct{}
 
 func (firstFit) Name() string { return "firstfit" }
 
 func (firstFit) Place(job JobView, nodes []NodeView) (int, float64, bool) {
 	for i, n := range nodes {
-		if n.Healthy && n.Fits(job.Width) {
+		if n.Healthy && n.fits(job.Width, true) {
 			return i, float64(n.Queued), true
 		}
 	}
@@ -137,26 +137,18 @@ func (firstFit) Place(job JobView, nodes []NodeView) (int, float64, bool) {
 	return best, nonFitPenalty + float64(bestQ), true
 }
 
-// packing sends a job where it finishes first, then by strip-packing fit:
-// among nodes whose boards can hold the strip now, it minimizes the
-// node's load first, then the leftover of the tightest fitting extent
-// (best fit) and the node's fragmentation ratio — so wide jobs go where
-// wide holes are, narrow jobs avoid breaking them up, and load still
-// spreads. Nodes that cannot take the strip now only ever score in a
-// penalty tier.
+// packing sends a job to the node that finishes it first: the node whose
+// own pool's pick cost (FinishNS) is least, in job-equivalents of the
+// job's fastest estimate anywhere in the fleet. A node with no estimate
+// is priced at its queued work, so it is explored first. Before any
+// healthy node has an estimate it is the node's queued and running jobs,
+// each of which delays the strip by roughly one service time. A node with
+// no healthy board as wide as the strip scores in a penalty tier, and one
+// whose pool has no queue room in a tier behind that.
 type packing struct{}
 
 func (packing) Name() string { return "packing" }
 
-// score is reached by the bake-off and property tests through Place. The
-// load is in job-equivalents. Once a healthy node has an estimate for the
-// job (minEst > 0), it is the node's FinishNS over that fastest estimate:
-// the cost the node's own pool picks a board by, so a node with no
-// estimate is priced at its queued work and explored first, and a node
-// with no queue room ranks behind every node with room. Without any
-// estimate it is the node's queued and running jobs, each of which delays
-// the strip by roughly one service time. Leftover and fragmentation are
-// tie-breakers within one level.
 func (packing) score(job JobView, n NodeView, minEst int64) float64 {
 	load := float64(n.Queued)
 	if minEst > 0 {
@@ -165,28 +157,10 @@ func (packing) score(job JobView, n NodeView, minEst int64) float64 {
 		}
 		load = float64(n.FinishNS) / float64(minEst)
 	}
-	fits := false
-	bestGap := 0.0
-	var frag float64
-	for _, b := range n.Boards {
-		if b.Quarantined {
-			continue
-		}
-		if b.LargestFree >= job.Width {
-			gap := float64(b.LargestFree-job.Width) / float64(b.Cols)
-			if !fits || gap < bestGap {
-				bestGap = gap
-			}
-			fits = true
-		}
-		if b.FragRatio > frag {
-			frag = b.FragRatio
-		}
-	}
-	if !fits {
+	if !n.fits(job.Width, false) {
 		return nonFitPenalty + load
 	}
-	return load + 0.5*bestGap + 0.25*frag
+	return load
 }
 
 func (p packing) Place(job JobView, nodes []NodeView) (int, float64, bool) {
@@ -213,7 +187,7 @@ func (p packing) Place(job JobView, nodes []NodeView) (int, float64, bool) {
 }
 
 // randomPolicy is the control: a uniform pick among healthy nodes,
-// blind to fit, fragmentation and queue depth.
+// blind to width, estimates and queue depth.
 type randomPolicy struct {
 	mu  sync.Mutex
 	src *rng.Source
@@ -250,7 +224,7 @@ func (r *randomPolicy) Place(job JobView, nodes []NodeView) (int, float64, bool)
 		k--
 	}
 	score := float64(nodes[idx].Queued)
-	if !nodes[idx].Fits(job.Width) {
+	if !nodes[idx].fits(job.Width, true) {
 		score += nonFitPenalty
 	}
 	return idx, score, true

@@ -10,8 +10,9 @@ func view(healthy bool, queued int, boards ...BoardView) NodeView {
 	return NodeView{Healthy: healthy, Queued: queued, Boards: boards}
 }
 
-func board(cols, largest int, frag float64) BoardView {
-	return BoardView{Cols: cols, LargestFree: largest, FragRatio: frag}
+// board is an idle, healthy board cols wide.
+func board(cols int) BoardView {
+	return BoardView{Cols: cols, Idle: true}
 }
 
 func TestNewPolicyNames(t *testing.T) {
@@ -29,36 +30,45 @@ func TestNewPolicyNames(t *testing.T) {
 	}
 }
 
+// TestFirstFitPrefersFittingNode: firstfit takes the first healthy node
+// with a healthy idle board as wide as the strip.
 func TestFirstFitPrefersFittingNode(t *testing.T) {
 	p, _ := NewPolicy("firstfit", 0)
 	nodes := []NodeView{
-		view(true, 0, board(24, 4, 0.5)),  // too narrow
-		view(false, 0, board(24, 24, 0)),  // unhealthy
-		view(true, 9, board(24, 12, 0.1)), // first fit
-		view(true, 0, board(24, 24, 0)),   // also fits, but later
+		view(true, 1, BoardView{Cols: 24}),                    // wide, but busy
+		view(true, 0, board(4)),                               // idle, but too narrow
+		view(true, 0, BoardView{Cols: 24, Quarantined: true}), // idle, but quarantined
+		view(false, 0, board(24)),                             // unhealthy
+		view(true, 9, board(8), BoardView{Cols: 24}),          // first fit
+		view(true, 0, board(24)),                              // also fits, but later
 	}
 	idx, score, ok := p.Place(JobView{Width: 8}, nodes)
-	if !ok || idx != 2 {
-		t.Fatalf("Place = (%d, %v, %v), want node 2", idx, score, ok)
+	if !ok || idx != 4 {
+		t.Fatalf("Place = (%d, %v, %v), want node 4", idx, score, ok)
 	}
 	// No node fits: fall back to the least-queued healthy node (ties to
 	// the first), in the penalty tier.
 	idx, score, ok = p.Place(JobView{Width: 30}, nodes)
-	if !ok || idx != 0 || score < nonFitPenalty {
-		t.Fatalf("no-fit Place = (%d, %v, %v), want node 0 in penalty tier", idx, score, ok)
+	if !ok || idx != 1 || score < nonFitPenalty {
+		t.Fatalf("no-fit Place = (%d, %v, %v), want node 1 in penalty tier", idx, score, ok)
 	}
 }
 
-func TestPackingPrefersTightFitAndLowQueue(t *testing.T) {
+// TestPackingPrefersLowQueueOnWideNode: before any estimate, packing
+// takes the least-queued node with a healthy board as wide as the strip;
+// how busy that board is now, or how much wider, does not matter.
+func TestPackingPrefersLowQueueOnWideNode(t *testing.T) {
 	p, _ := NewPolicy("packing", 0)
 	nodes := []NodeView{
-		view(true, 0, board(24, 20, 0.3)), // loose fit
-		view(true, 0, board(24, 9, 0.0)),  // tight fit, less frag
-		view(true, 5, board(24, 8, 0.0)),  // tightest, but queued
+		view(true, 0, board(6)),                               // idle, but too narrow
+		view(true, 0, BoardView{Cols: 24, Quarantined: true}), // wide, but quarantined
+		view(true, 5, board(8)),                               // exact width, idle, but queued
+		view(true, 2, BoardView{Cols: 24}, board(4)),          // the wide board is busy
+		view(true, 2, board(24)),                              // as loaded, but later
 	}
-	idx, _, ok := p.Place(JobView{Width: 8}, nodes)
-	if !ok || idx != 1 {
-		t.Fatalf("Place picked node %d, want 1 (tight fit, empty queue)", idx)
+	idx, score, ok := p.Place(JobView{Width: 8}, nodes)
+	if !ok || idx != 3 || score != 2 {
+		t.Fatalf("Place = (%d, %v, %v), want node 3 at its 2 jobs", idx, score, ok)
 	}
 }
 
@@ -66,15 +76,15 @@ func TestPackingPrefersTightFitAndLowQueue(t *testing.T) {
 // its pool's quote for the job — the cost it would place the job at and
 // the job's least estimate there.
 func liveNode(queued int, finishNS, estNS int64) NodeView {
-	v := view(true, queued, board(32, 32, 0), board(32, 32, 0))
+	v := view(true, queued, board(32), board(32))
 	v.FinishNS, v.EstNS = finishNS, estNS
 	return v
 }
 
 // TestPackingPrefersEarliestFinish pins the rule on the views a live fleet
-// shows: every board full width, so fit and fragmentation tie and a node
-// scores its pool's pick cost in job-equivalents of the job's fastest
-// estimate — whatever its job count says.
+// shows: every board as wide as the strip, so a node scores its pool's
+// pick cost in job-equivalents of the job's fastest estimate — whatever
+// its job count says.
 func TestPackingPrefersEarliestFinish(t *testing.T) {
 	p, _ := NewPolicy("packing", 0)
 	// One spec's makespans on four managers (virtual µs, seed 1): node 0
@@ -98,7 +108,7 @@ func TestPackingPrefersEarliestFinish(t *testing.T) {
 		{"a node with no estimate is priced at its queued work, explored first", []NodeView{liveNode(0, 180, 180), liveNode(2, 0, 0), liveNode(0, 100, 100)}, 1},
 		{"but not past its queued work", []NodeView{liveNode(0, 180, 180), liveNode(1, 250, 0), liveNode(0, 100, 100)}, 2},
 		{"equal finishes tie and index order decides", []NodeView{liveNode(0, 150, 150), liveNode(1, 150, 100)}, 0},
-		{"an unhealthy node's estimate sets no floor", []NodeView{{FinishNS: 10, EstNS: 10, Boards: []BoardView{board(32, 32, 0)}}, liveNode(1, 200, 100), liveNode(0, 180, 180)}, 2},
+		{"an unhealthy node's estimate sets no floor", []NodeView{{FinishNS: 10, EstNS: 10, Boards: []BoardView{board(32)}}, liveNode(1, 200, 100), liveNode(0, 180, 180)}, 2},
 		{"a node with no queue room ranks behind any with room", []NodeView{liveNode(2, -1, 100), liveNode(9, 5_000, 180)}, 1},
 	} {
 		if idx, score, ok := p.Place(JobView{Width: 12}, c.nodes); !ok || idx != c.want || score >= nonFitPenalty {
@@ -109,7 +119,7 @@ func TestPackingPrefersEarliestFinish(t *testing.T) {
 	// A full node ranks behind a node with room even where that one's
 	// boards are too narrow; among full nodes the least queued wins.
 	narrow := liveNode(0, 100, 100)
-	narrow.Boards = []BoardView{board(8, 8, 0)}
+	narrow.Boards = []BoardView{board(8)}
 	if idx, score, ok := p.Place(JobView{Width: 12}, []NodeView{liveNode(0, -1, 100), narrow}); !ok || idx != 1 || score >= 2*nonFitPenalty {
 		t.Errorf("full vs narrow: Place = (%d, %v, %v), want the narrow node in the penalty tier", idx, score, ok)
 	}
@@ -118,33 +128,24 @@ func TestPackingPrefersEarliestFinish(t *testing.T) {
 	}
 }
 
-// fitScore is packing's score without estimates: queue pressure, then
-// best fit and fragmentation, in two tiers.
+// fitScore is packing's score without estimates: the node's queued and
+// running jobs, in a penalty tier when no healthy board is as wide as the
+// strip.
 func fitScore(job JobView, n NodeView) float64 {
-	fits, bestGap, frag := false, 0.0, 0.0
 	for _, b := range n.Boards {
-		if b.Quarantined {
-			continue
+		if !b.Quarantined && b.Cols >= job.Width {
+			return float64(n.Queued)
 		}
-		if b.LargestFree >= job.Width {
-			if gap := float64(b.LargestFree-job.Width) / float64(b.Cols); !fits || gap < bestGap {
-				bestGap = gap
-			}
-			fits = true
-		}
-		frag = max(frag, b.FragRatio)
 	}
-	if !fits {
-		return nonFitPenalty + float64(n.Queued)
-	}
-	return float64(n.Queued) + 0.5*bestGap + 0.25*frag
+	return nonFitPenalty + float64(n.Queued)
 }
 
 // TestPackingWithoutEstimatesUnchanged: over random fleets in which no
-// healthy node has an estimate — Simulate's views, and a live fleet before
-// any board has completed the job's scenario — packing picks the node
-// fitScore picks, with the very same score, whatever FinishNS reads, so the
-// bake-off and the load replay route as they did before nodes were priced.
+// healthy node has an estimate — any fleet before a board has completed
+// the job's class — packing picks the node fitScore picks, with the very
+// same score, whatever FinishNS reads and whichever boards are idle: a
+// fleet with no history routes by load, as it did before nodes were
+// priced.
 func TestPackingWithoutEstimatesUnchanged(t *testing.T) {
 	p, _ := NewPolicy("packing", 0)
 	src := rng.New(0x5EED)
@@ -153,8 +154,7 @@ func TestPackingWithoutEstimatesUnchanged(t *testing.T) {
 		for i := range nodes {
 			boards := make([]BoardView, 1+src.Intn(3))
 			for b := range boards {
-				cols := 8 + src.Intn(25)
-				boards[b] = BoardView{Cols: cols, LargestFree: src.Intn(cols + 1), FragRatio: src.Float64(), Quarantined: src.Intn(8) == 0}
+				boards[b] = BoardView{Cols: 8 + src.Intn(25), Idle: src.Intn(2) == 0, Quarantined: src.Intn(8) == 0}
 			}
 			nodes[i] = NodeView{ID: i, Healthy: src.Intn(6) != 0, Queued: src.Intn(10), Boards: boards}
 			nodes[i].FinishNS = []int64{-1, 0, int64(src.Intn(1_000_000_000))}[src.Intn(3)]
@@ -176,10 +176,10 @@ func TestPackingWithoutEstimatesUnchanged(t *testing.T) {
 	}
 }
 
-// TestPackingLiveViewsFinishFirst: over random live-shaped fleets — full
-// width boards, no fragmentation, random health, estimates and queued
-// work — packing picks the healthy node with room whose FinishNS is
-// least, ties to the lowest index, once any healthy node has an estimate.
+// TestPackingLiveViewsFinishFirst: over random fleets whose boards are all
+// as wide as the strip — random health, estimates and queued work —
+// packing picks the healthy node with room whose FinishNS is least, ties
+// to the lowest index, once any healthy node has an estimate.
 func TestPackingLiveViewsFinishFirst(t *testing.T) {
 	p, _ := NewPolicy("packing", 0)
 	src := rng.New(0x11FE)
@@ -189,7 +189,7 @@ func TestPackingLiveViewsFinishFirst(t *testing.T) {
 		for i := range nodes {
 			boards := make([]BoardView, 1+src.Intn(3))
 			for b := range boards {
-				boards[b] = board(32, 32, 0)
+				boards[b] = board(32)
 			}
 			// Finishes are whole milliseconds out of a few, so nodes tie.
 			nodes[i] = NodeView{ID: i, Healthy: src.Intn(6) != 0, Queued: src.Intn(10), Boards: boards,
@@ -219,9 +219,9 @@ func TestPackingLiveViewsFinishFirst(t *testing.T) {
 
 func TestRandomPolicyDeterministicPerSeed(t *testing.T) {
 	nodes := []NodeView{
-		view(true, 0, board(24, 24, 0)),
-		view(true, 0, board(24, 24, 0)),
-		view(true, 0, board(24, 24, 0)),
+		view(true, 0, board(24)),
+		view(true, 0, board(24)),
+		view(true, 0, board(24)),
 	}
 	a, _ := NewPolicy("random", 7)
 	b, _ := NewPolicy("random", 7)
@@ -236,9 +236,8 @@ func TestRandomPolicyDeterministicPerSeed(t *testing.T) {
 
 // TestPackingNeverOverflowsWhenAlternativeFits is the packing safety
 // property: over randomized fleets, packing never routes a strip to a
-// node whose boards cannot currently hold it while some other healthy
-// node shows a wide-enough contiguous free extent. The two-tier scoring
-// (nonFitPenalty) is what guarantees it.
+// node with no healthy board as wide as it while some other healthy node
+// has one. The two-tier scoring (nonFitPenalty) is what guarantees it.
 func TestPackingNeverOverflowsWhenAlternativeFits(t *testing.T) {
 	p, _ := NewPolicy("packing", 0)
 	src := rng.New(0xF10)
@@ -248,12 +247,9 @@ func TestPackingNeverOverflowsWhenAlternativeFits(t *testing.T) {
 		for i := range nodes {
 			boards := make([]BoardView, 1+src.Intn(3))
 			for b := range boards {
-				cols := 8 + src.Intn(25)
-				free := src.Intn(cols + 1)
 				boards[b] = BoardView{
-					Cols:        cols,
-					LargestFree: free,
-					FragRatio:   src.Float64(),
+					Cols:        8 + src.Intn(25),
+					Idle:        src.Intn(2) == 0,
 					Quarantined: src.Intn(8) == 0,
 				}
 			}
@@ -269,12 +265,12 @@ func TestPackingNeverOverflowsWhenAlternativeFits(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if nodes[idx].Fits(w) {
+		if nodes[idx].fits(w, false) {
 			continue
 		}
 		for i, nv := range nodes {
-			if i != idx && nv.Healthy && nv.Fits(w) {
-				t.Fatalf("trial %d: packing put a %d-col strip on node %d (largest_free too small) while node %d fits",
+			if i != idx && nv.Healthy && nv.fits(w, false) {
+				t.Fatalf("trial %d: packing put a %d-col strip on node %d (no board that wide) while node %d has one",
 					trial, w, idx, i)
 			}
 		}
@@ -294,7 +290,7 @@ func TestRandomPolicyDrawsUnchanged(t *testing.T) {
 		nodes := make([]NodeView, 1+mask.Intn(9))
 		var healthy []int
 		for i := range nodes {
-			nodes[i] = view(mask.Intn(3) > 0, mask.Intn(6), board(24, mask.Intn(25), 0))
+			nodes[i] = view(mask.Intn(3) > 0, mask.Intn(6), BoardView{Cols: 1 + mask.Intn(24), Idle: mask.Intn(2) == 0})
 			if nodes[i].Healthy {
 				healthy = append(healthy, i)
 			}
@@ -309,7 +305,7 @@ func TestRandomPolicyDrawsUnchanged(t *testing.T) {
 		}
 		want := healthy[ref.Intn(len(healthy))]
 		wantScore := float64(nodes[want].Queued)
-		if !nodes[want].Fits(job.Width) {
+		if !nodes[want].fits(job.Width, true) {
 			wantScore += nonFitPenalty
 		}
 		if !ok || idx != want || score != wantScore {

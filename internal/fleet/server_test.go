@@ -249,8 +249,9 @@ func TestFleetOversizedSubmitRefused(t *testing.T) {
 }
 
 // TestNodeViewPricesFastestBoard pins the routing input: every board of a
-// node offers its full width, unfragmented — each job starts on an erased
-// device, whatever the last one left — and the node is priced by its own
+// node shows its full width — each job starts on an erased device,
+// whatever the last one left — and is idle with nothing queued on it, and
+// the node is priced by its own
 // pool's quote: an idle node finishes a job at the least estimate its
 // healthy boards measured for the job's scenario, and at 0 before a board
 // has completed one.
@@ -262,9 +263,9 @@ func TestNodeViewPricesFastestBoard(t *testing.T) {
 		t.Fatal(err)
 	}
 	scen := workload.ScenarioIndex("multimedia")
-	honest := []BoardView{{Cols: dyn.Cols, LargestFree: dyn.Cols}, {Cols: paged.Cols, LargestFree: paged.Cols}}
+	honest := []BoardView{{Cols: dyn.Cols, Idle: true}, {Cols: paged.Cols, Idle: true}}
 	if v := n.viewOf(n.Pool().BoardInfos(), scen); len(v.Boards) != 2 || v.Boards[0] != honest[0] || v.Boards[1] != honest[1] || v.EstNS != 0 || v.FinishNS != 0 {
-		t.Fatalf("view before any job: %+v, want full-width boards and no estimate", v)
+		t.Fatalf("view before any job: %+v, want idle full-width boards and no estimate", v)
 	}
 
 	n.Pool().Start()
@@ -292,7 +293,7 @@ func TestNodeViewPricesFastestBoard(t *testing.T) {
 
 	v := n.viewOf(n.Pool().BoardInfos(), scen)
 	if v.Boards[0] != honest[0] || v.Boards[1] != honest[1] {
-		t.Errorf("view after the jobs: %+v, want the boards' full widths", v.Boards)
+		t.Errorf("view after the jobs: %+v, want the boards idle at their full widths", v.Boards)
 	}
 	if want := min(makespans[0], makespans[1]); v.EstNS != want || v.FinishNS != want {
 		t.Errorf("EstNS, FinishNS = %d, %d, want the faster board's %d for both (makespans %v)", v.EstNS, v.FinishNS, want, makespans)

@@ -4,41 +4,46 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // The virtual-time queueing kernel: one event loop for every model of
-// "jobs queue for boards" in the repo, in the strip-packing-with-delays
-// formulation (Angermeier et al.). Jobs are rectangles — strip width ×
-// service duration — arriving in time order; an optional serve.Admission
-// on the kernel's clock refuses some at the door; a PlacementPolicy
-// routes the rest to a node, which packs them onto its boards' region
-// maps and queues what does not fit FIFO with head-of-line blocking. The
-// run is deterministic: virtual clock, no goroutines. The policy bake-off
-// (RunBakeoff) and the load replay (loadgen.Replay) are two
-// configurations of it; DESIGN §3.9 has the table.
+// "jobs queue for boards" in the repo, and the daemon's own board model
+// on a virtual clock. Jobs arrive in time order; an optional
+// serve.Admission on the kernel's clock refuses some at the door; a
+// PlacementPolicy routes the rest to a node, which it sees as a live
+// fleet shows it; the node puts the job on the board serve.Cheaper ranks
+// first — the rule serve.Pool picks by, each board pricing the job at its
+// serve.ServiceMean for the job's class — and every board runs its own
+// FIFO one job at a time, as a live board's worker does. In the terms of
+// strip packing with delays (Angermeier et al.), a job is placed by when
+// it can start and finish. The run is deterministic: virtual clock, no
+// goroutines. The policy bake-off (RunBakeoff) and the load replay
+// (loadgen.Replay) are two configurations of it; DESIGN §3.9 has the
+// table.
 
-// SimJob is one rectangle offered to the fleet. The caller fills
-// Arrival, Duration, Tenant and Width; Simulate writes the job's fate —
-// Admitted, Finished, Start — into the same element: the caller's slice
-// is the only per-job array of a run. (F10 makes 36 000 of these a pass:
-// a private copy plus an array of fates read +11 % allocated bytes on
-// the harness benchmark; this field order keeps the struct at 64 bytes,
-// what the bake-off's own job took — TestSimJobSize holds it there.)
+// SimJob is one job offered to the fleet. The caller fills Arrival,
+// Duration, Tenant, Width, Class and Failed; Simulate writes the job's
+// fate — Admitted, Finished, Start, Board — into the same element: the
+// caller's slice is the only per-job array of a run. (The 12k-job
+// bake-off makes 36 000 of these a pass; TestSimJobSize holds the
+// struct at 56 bytes.)
 type SimJob struct {
 	Arrival  sim.Time
 	Duration sim.Time // service time once started; zero is legal
 	Start    sim.Time // the final start, meaningful when Finished
+	charge   int64    // the estimate its board queued it at
 	Tenant   int32    // index into Shape.Tenants; read only under admission
 	Width    int32    // strip width in columns
-	slot     int32    // the board it runs on, counted node-major across the fleet
+	Class    int32    // what a board estimates it by: one serve.ServiceMean per class
+	Board    int32    // the board it last queued on, counted node-major across the fleet; -1 when lost
 	Admitted bool     // passed admission (always, when the shape has none)
-	Finished bool     // ran to completion
-	span     *core.Span
-	complete sim.Event // in-flight completion; canceled when displaced
+	Finished bool     // ran to its end
+	// Failed marks a job that runs but fails, as a live board's failed
+	// job does: it holds its board for Duration and feeds no estimate.
+	Failed bool
 }
 
 // Shape is the simulated fleet a job stream runs against.
@@ -73,31 +78,51 @@ type SimTotals struct {
 }
 
 // Three event kinds share the kernel, and at equal times their
-// priorities stand in for the order a loop that pushed every arrival up
-// front would give them: arrivals first (in job order), then the node
+// priorities order them: arrivals first (in job order), then the node
 // failure, then completions in start order. So a job arriving at the
-// instant another finishes queues first and starts at that same instant
-// when the completion frees its board — the start time a closed-form
-// K-server loop computes as max(arrival, earliest free).
+// instant another finishes sees that job still on its board, and when it
+// queues behind it, starts at that same instant.
 const (
 	priArrival = iota
 	priFail
 	priComplete
 )
 
-// simNode is one node's state. Jobs are named by their index in the
-// caller's slice.
+// simBoard is one board: a FIFO run one job at a time, so a job queued
+// on it starts when the board is next free, and the board's service
+// record — what serve.Pool keeps per board, on the kernel's clock.
+type simBoard struct {
+	jobs   int      // the jobs it holds, waiting or running
+	freeAt sim.Time // when its last job finishes
+	queued int64    // queued work: the charges of the jobs it holds
+	svc    []serve.ServiceMean
+}
+
+// simNode is one node: all its boards serve while it is healthy, none
+// after it fails.
 type simNode struct {
 	healthy bool
-	boards  []*core.RegionMap
-	queue   []int // FIFO; queue[head:] is waiting
-	head    int
-	running []int // in start order
+	boards  []simBoard
+}
+
+// pick is serve.Pool.pick on a simulated node: the board serve.Cheaper
+// ranks first for a job of class c, and its cost there. A simulated
+// board's queue has no bound.
+func (n *simNode) pick(c int32) (int, int64) {
+	best, bestCost := -1, serve.BoardCost{}
+	for bi := range n.boards {
+		b := &n.boards[bi]
+		cost := serve.BoardCost{FinishNS: b.queued + b.svc[c].Estimate(), Load: b.jobs, ID: bi}
+		if best < 0 || serve.Cheaper(cost, bestCost) {
+			best, bestCost = bi, cost
+		}
+	}
+	return best, bestCost.FinishNS
 }
 
 // simulation is one run of the kernel. Jobs live by value in the
-// caller's slice, and every event names its job by index: the
-// handlers are bound once per run, so an event closes over nothing.
+// caller's slice, and every event names its job by index: the handlers
+// are bound once per run, so an event closes over nothing.
 type simulation struct {
 	shape    Shape
 	policy   PlacementPolicy
@@ -108,6 +133,7 @@ type simulation struct {
 	arriveFn func()    // s.arrive, bound once
 	finishFn func(int) // s.finish, bound once
 	nodes    []simNode
+	boards   []simBoard // every node's boards, node-major
 	// views is the one fleet view every Place call sees; its Boards are
 	// sub-slices of one backing array, refilled per placement. A policy
 	// must not retain it.
@@ -125,6 +151,7 @@ func Simulate(shape Shape, policy PlacementPolicy, jobs []SimJob) (SimTotals, er
 	}
 	admit := shape.Limits.Rate > 0
 	last := sim.Time(0)
+	classes := 0
 	for i := range jobs {
 		j := &jobs[i]
 		switch {
@@ -134,10 +161,13 @@ func Simulate(shape Shape, policy PlacementPolicy, jobs []SimJob) (SimTotals, er
 			return SimTotals{}, fmt.Errorf("fleet: job %d width %d outside (0, %d]", i, j.Width, shape.Cols)
 		case j.Duration < 0:
 			return SimTotals{}, fmt.Errorf("fleet: job %d has a negative duration", i)
+		case j.Class < 0:
+			return SimTotals{}, fmt.Errorf("fleet: job %d has a negative class", i)
 		case admit && (j.Tenant < 0 || int(j.Tenant) >= len(shape.Tenants)):
 			return SimTotals{}, fmt.Errorf("fleet: job %d tenant %d outside the %d declared", i, j.Tenant, len(shape.Tenants))
 		}
 		last = j.Arrival
+		classes = max(classes, int(j.Class)+1)
 		j.Admitted, j.Finished = false, false
 	}
 
@@ -153,19 +183,21 @@ func Simulate(shape Shape, policy PlacementPolicy, jobs []SimJob) (SimTotals, er
 	if admit {
 		s.adm = serve.NewAdmission(shape.Limits, func() time.Time { return time.Unix(0, int64(s.k.Now())) })
 	}
-	boardViews := make([]BoardView, shape.Nodes*shape.BoardsPerNode)
+	s.boards = make([]simBoard, shape.Nodes*shape.BoardsPerNode)
+	boardViews := make([]BoardView, len(s.boards))
+	svc := make([]serve.ServiceMean, len(s.boards)*classes)
+	for bi := range s.boards {
+		s.boards[bi].svc = svc[bi*classes : (bi+1)*classes : (bi+1)*classes]
+	}
 	for i := range s.nodes {
-		n := &s.nodes[i]
-		n.healthy = true
-		for b := 0; b < shape.BoardsPerNode; b++ {
-			n.boards = append(n.boards, core.NewRegionMap(shape.Cols))
-		}
-		lo := i * shape.BoardsPerNode
-		s.views[i] = NodeView{ID: i, Boards: boardViews[lo : lo+shape.BoardsPerNode : lo+shape.BoardsPerNode]}
+		lo, hi := i*shape.BoardsPerNode, (i+1)*shape.BoardsPerNode
+		s.nodes[i] = simNode{healthy: true, boards: s.boards[lo:hi:hi]}
+		s.views[i] = NodeView{ID: i, Boards: boardViews[lo:hi:hi]}
 	}
 
 	// Arrivals are time-sorted, so one event walks them: the kernel holds
-	// the next arrival, the failure and the running jobs' completions.
+	// the next arrival, the failure and the completions of the jobs on
+	// boards.
 	if len(jobs) > 0 {
 		s.k.SchedulePri(jobs[0].Arrival, priArrival, s.arriveFn)
 	}
@@ -199,111 +231,91 @@ func (s *simulation) arrive() {
 	s.place(i)
 }
 
-// refreshViews rewrites the shared fleet view from the live node state.
-func (s *simulation) refreshViews() {
+// refreshViews rewrites the shared fleet view for a job of class c as
+// Node.viewOf does live: health, the jobs each node holds, each board's
+// width and whether it is idle, and the node's own quote — FinishNS the
+// cost its pick would place the job at, EstNS the job's least estimate
+// over its healthy boards.
+func (s *simulation) refreshViews(c int32) {
 	for i := range s.nodes {
 		n, v := &s.nodes[i], &s.views[i]
-		v.Healthy = n.healthy
-		v.Queued = len(n.queue) - n.head + len(n.running)
-		for b, rm := range n.boards {
-			f := rm.Frag()
-			v.Boards[b] = BoardView{
-				Cols: rm.Cols(), LargestFree: f.LargestFree, FragRatio: f.Ratio(),
-				Quarantined: !n.healthy,
+		v.Healthy, v.Queued, v.FinishNS, v.EstNS = n.healthy, 0, -1, 0
+		for bi := range n.boards {
+			b := &n.boards[bi]
+			v.Queued += b.jobs
+			v.Boards[bi] = BoardView{Cols: s.shape.Cols, Idle: b.jobs == 0, Quarantined: !n.healthy}
+			if est := b.svc[c].Estimate(); n.healthy && est > 0 && (v.EstNS == 0 || est < v.EstNS) {
+				v.EstNS = est
 			}
+		}
+		if n.healthy {
+			_, v.FinishNS = n.pick(c)
 		}
 	}
 }
 
-// place routes one job through the policy into a node queue. A job with
-// no healthy node left is lost (only possible when every node failed).
+// place routes one job through the policy to a node, and onto the board
+// the node's pick chooses: charged at that board's estimate, and started
+// when the board is next free. Its completion names the job and the
+// board. A job with no healthy node left is lost (only possible when
+// every node failed).
 func (s *simulation) place(i int) {
-	s.refreshViews()
-	idx, score, ok := s.policy.Place(JobView{Width: int(s.jobs[i].Width)}, s.views)
+	j := &s.jobs[i]
+	s.refreshViews(j.Class)
+	idx, score, ok := s.policy.Place(JobView{Width: int(j.Width)}, s.views)
 	if !ok {
+		j.Board = -1
 		return
 	}
 	s.scores.Observe(score)
-	n := &s.nodes[idx]
-	if n.head > len(n.queue)/2 { // mostly served: slide the waiting jobs down
-		n.queue = n.queue[:copy(n.queue, n.queue[n.head:])]
-		n.head = 0
-	}
-	n.queue = append(n.queue, i)
-	s.dispatch(idx)
+	bi, _ := s.nodes[idx].pick(j.Class)
+	b := &s.nodes[idx].boards[bi]
+	j.Board = int32(idx*s.shape.BoardsPerNode + bi)
+	j.charge = b.svc[j.Class].Estimate()
+	b.queued += j.charge
+	b.jobs++
+	j.Start = max(s.k.Now(), b.freeAt)
+	b.freeAt = j.Start + j.Duration
+	s.k.ScheduleArg(b.freeAt, priComplete, s.finishFn, i*len(s.boards)+int(j.Board))
 }
 
-// dispatch starts queued jobs on the node while its queue head fits on
-// some board — FIFO with head-of-line blocking, the delay half of
-// strip-packing with delays. Best fit across boards: the tightest
-// adequate free span, ties to the lowest board id.
-func (s *simulation) dispatch(ni int) {
-	n := &s.nodes[ni]
-	if !n.healthy {
+// finish retires a job from a board: its charge off the board's queued
+// work, its makespan into the board's estimate unless it failed. A
+// completion naming a board the job has left — its node failed, and it
+// was placed again or lost — is void.
+func (s *simulation) finish(arg int) {
+	j, slot := &s.jobs[arg/len(s.boards)], arg%len(s.boards)
+	if int(j.Board) != slot {
 		return
 	}
-	for n.head < len(n.queue) {
-		i := n.queue[n.head]
-		j := &s.jobs[i]
-		bestBoard := -1
-		var bestSpan *core.Span
-		for bi, rm := range n.boards {
-			if sp := rm.FindFree(int(j.Width), core.BestFit); sp != nil {
-				if bestSpan == nil || sp.W < bestSpan.W {
-					bestBoard, bestSpan = bi, sp
-				}
-			}
-		}
-		if bestBoard < 0 {
-			return
-		}
-		n.head++
-		j.span = n.boards[bestBoard].Alloc(bestSpan, int(j.Width), j)
-		j.slot = int32(ni*s.shape.BoardsPerNode + bestBoard)
-		j.Start = s.k.Now()
-		n.running = append(n.running, i)
-		j.complete = s.k.ScheduleArg(j.Start+j.Duration, priComplete, s.finishFn, i)
-	}
-}
-
-// finish retires a job whose completion event fired; a displaced job's
-// event was canceled, so every call is for a live run.
-func (s *simulation) finish(i int) {
-	j := &s.jobs[i]
-	ni, board := int(j.slot)/s.shape.BoardsPerNode, int(j.slot)%s.shape.BoardsPerNode
-	n := &s.nodes[ni]
-	n.boards[board].Release(j.span)
-	for r, ri := range n.running {
-		if ri == i {
-			n.running = append(n.running[:r], n.running[r+1:]...)
-			break
-		}
+	b := &s.boards[slot]
+	b.jobs--
+	b.queued -= j.charge
+	if !j.Failed {
+		b.svc[j.Class].Observe(int64(j.Duration))
 	}
 	j.Finished = true
 	s.tot.Makespan = s.k.Now() // the clock only runs forward
-	s.dispatch(ni)
 }
 
-// fail takes a node out: queued jobs and running jobs displace (in
-// queue order, then start order — deterministic) and re-route through
-// the policy, which sees the node unhealthy. Work a running job had
-// done is lost; it restarts from scratch elsewhere, charging the
-// failure's true cost to the latency tail.
+// fail takes a node out: the jobs on its boards, waiting or running,
+// displace and re-route through the policy, which sees the node
+// unhealthy, in arrival order. Work a running job had done is lost; it
+// restarts from scratch elsewhere, charging the failure's true cost to
+// the latency tail.
 func (s *simulation) fail(ni int) {
 	n := &s.nodes[ni]
 	if !n.healthy {
 		return
 	}
 	n.healthy = false
-	displaced := append(append([]int(nil), n.queue[n.head:]...), n.running...)
-	for _, i := range n.running {
-		j := &s.jobs[i]
-		n.boards[int(j.slot)%s.shape.BoardsPerNode].Release(j.span)
-		s.k.Cancel(j.complete)
+	for bi := range n.boards {
+		n.boards[bi] = simBoard{svc: n.boards[bi].svc}
 	}
-	n.queue, n.head, n.running = nil, 0, nil
-	for _, i := range displaced {
-		s.tot.Requeues++
-		s.place(i)
+	for i := range s.jobs[:s.next] {
+		if j := &s.jobs[i]; j.Admitted && !j.Finished && j.Board >= 0 && int(j.Board)/s.shape.BoardsPerNode == ni {
+			s.tot.Requeues++
+			s.place(i)
+		}
 	}
 }

@@ -6,20 +6,26 @@ import (
 	"repro/internal/sim"
 )
 
-// The general shape the K-server closed form cannot express: rectangles
-// of different widths on multi-column boards. One node × two 4-column
-// boards; the comments give the free columns per board as the run goes.
-func TestSimulateHeadOfLineAndBestFit(t *testing.T) {
+// TestSimulateBoardsRunTheirOwnFIFO: one node × two boards, each running
+// its own FIFO one job at a time; a job is placed at arrival by the
+// daemon's rule — its board's queued work plus its estimate there, then
+// the board's load, then the lower id — and a board's estimate of a class
+// is the mean of the jobs of it the board completed, failed ones left
+// out. The comments give each board's cost for the job.
+func TestSimulateBoardsRunTheirOwnFIFO(t *testing.T) {
 	jobs := []SimJob{
-		0: {Arrival: 0, Width: 4, Duration: 40},  // both boards empty: tie, lowest id -> board 0 [0|4]
-		1: {Arrival: 0, Width: 3, Duration: 100}, // board 1 [0|1]
-		2: {Arrival: 5, Width: 3, Duration: 10},  // fits nowhere: waits at the head
-		3: {Arrival: 6, Width: 1, Duration: 10},  // fits board 1 now, but queues behind 2
-		4: {Arrival: 60, Width: 1, Duration: 5},  // [4|1]: the tighter span is on board 1
-		5: {Arrival: 70, Width: 4, Duration: 20}, // board 0 [0|1]
-		6: {Arrival: 71, Width: 1, Duration: 30}, // board 1 [0|0]
-		7: {Arrival: 72, Width: 1, Duration: 5},  // nothing free: waits at the head
-		8: {Arrival: 73, Width: 3, Duration: 5},  // behind a narrower head
+		0: {Arrival: 0, Class: 0, Duration: 40},               // 0|0, both idle: lowest id
+		1: {Arrival: 0, Class: 0, Duration: 100},              // 0|0, fewer jobs on board 1
+		2: {Arrival: 5, Class: 1, Duration: 10},               // 0|0, one job each: lowest id, queues behind job 0
+		3: {Arrival: 6, Class: 0, Duration: 10},               // 0|0, fewer jobs on board 1
+		4: {Arrival: 60, Class: 0, Duration: 5, Failed: true}, // 40|0: board 1 has no estimate yet
+		5: {Arrival: 120, Class: 0, Duration: 20},             // 40|55: job 4's 5 ns is not in board 1's mean
+		6: {Arrival: 121, Class: 1, Duration: 30},             // 40+10|0
+		7: {Arrival: 122, Class: 1, Duration: 5},              // 40+10|0+0, one job each
+		8: {Arrival: 122, Class: 0, Duration: 5},              // 40+40|0+0+55
+	}
+	for i := range jobs {
+		jobs[i].Width = 4
 	}
 	policy, err := NewPolicy("firstfit", 0)
 	if err != nil {
@@ -35,23 +41,23 @@ func TestSimulateHeadOfLineAndBestFit(t *testing.T) {
 	}{
 		0: {0, 0},
 		1: {0, 1},
-		2: {40, 0}, // job 0's completion frees board 0
-		3: {40, 0}, // head-of-line: not at 6; boards tie at one free column, lowest id
-		4: {60, 1}, // best fit across boards beats the lower id
-		5: {70, 0},
-		6: {71, 1},
-		7: {90, 0}, // job 5's completion
-		8: {90, 0}, // starts only when the head does
+		2: {40, 0},  // job 0's completion frees board 0
+		3: {100, 1}, // job 1's
+		4: {110, 1},
+		5: {120, 0},
+		6: {121, 1},
+		7: {151, 1},
+		8: {156, 1},
 	}
 	for i, w := range want {
 		j := &jobs[i]
-		if !j.Admitted || !j.Finished || j.Start != w.start || j.slot != w.board {
+		if !j.Admitted || !j.Finished || j.Start != w.start || j.Board != w.board {
 			t.Errorf("job %d: admitted=%v finished=%v start=%d board=%d, want start=%d board=%d",
-				i, j.Admitted, j.Finished, j.Start, j.slot, w.start, w.board)
+				i, j.Admitted, j.Finished, j.Start, j.Board, w.start, w.board)
 		}
 	}
-	if tot.Makespan != 101 || tot.Requeues != 0 {
-		t.Errorf("totals %+v, want makespan 101 (job 6), no requeues", tot)
+	if tot.Makespan != 161 || tot.Requeues != 0 {
+		t.Errorf("totals %+v, want makespan 161 (job 8), no requeues", tot)
 	}
 }
 
@@ -67,6 +73,7 @@ func TestSimulateRejectsMalformedStreams(t *testing.T) {
 		"zero width":        {{Width: 0}},
 		"wider than board":  {{Width: 5}},
 		"negative duration": {{Width: 1, Duration: -1}},
+		"negative class":    {{Width: 1, Class: -1}},
 	}
 	for name, jobs := range bad {
 		if _, err := Simulate(shape, policy, jobs); err == nil {

@@ -10,7 +10,9 @@
 // makespan is a pure function of the spec — the warm-board equivalence
 // suite pins that), and everything else — queueing, admission, latency,
 // saturation — is computed in virtual time by fleet.Simulate, the one
-// queueing kernel, configured here as a K-server FIFO. Real submissions
+// queueing kernel, configured here as one daemon of K boards: each job
+// goes at arrival to the board the daemon's own rule picks, and each
+// board runs its own FIFO. Real submissions
 // happen at the wall-clock boundary (cmd/vfpgaload paces them open-loop
 // against a live daemon); the numbers the harness emits are all virtual,
 // so the same trace file and speedup produce byte-identical CSV and JSON
@@ -49,11 +51,14 @@ func Execute(tr *workload.Trace, run workload.RunFunc) ([]workload.Outcome, erro
 	return out, nil
 }
 
-// Replay pushes the trace through the queueing kernel configured as a
-// K-server FIFO: one node of cfg.Servers one-column boards, every entry
-// a width-1 job arriving at At/Speedup and holding its board for its
-// measured virtual service time, the daemon's own per-tenant
-// token-bucket admission in front when cfg.AdmitRate > 0. outcomes must
+// Replay pushes the trace through the queueing kernel configured as one
+// daemon: one node of cfg.Servers one-column boards, every entry a
+// width-1 job of its scenario's class arriving at At/Speedup, queued on
+// the board where serve.Pool would queue it — its queued work plus its
+// estimate there, the mean of the jobs of its scenario that board
+// completed — and holding that board for its measured virtual service
+// time, the daemon's own per-tenant token-bucket admission in front when
+// cfg.AdmitRate > 0. outcomes must
 // be positional per trace entry (from Execute). Everything is integer
 // virtual time or order-fixed float arithmetic, so equal inputs give
 // equal Results, byte for byte.
@@ -80,9 +85,12 @@ func Replay(tr *workload.Trace, outcomes []workload.Outcome, cfg ModelConfig) (*
 			Duration: outcomes[i].Service,
 			Tenant:   tenantIndex[e.Tenant],
 			Width:    1,
+			Class:    int32(workload.ScenarioIndex(e.Spec.Scenario)),
+			Failed:   outcomes[i].Failed,
 		}
 	}
 	// With one node every policy routes alike; firstfit is the cheapest.
+	// The node's own pick chooses the board.
 	policy, err := fleet.NewPolicy("firstfit", 0)
 	if err != nil {
 		return nil, err

@@ -289,14 +289,37 @@ type refRow struct {
 	outcome       string
 }
 
-// referenceReplay is the closed-form K-server FIFO the replay was before
-// it became a configuration of fleet.Simulate, kept as the model the
-// kernel is checked against: a free-at time per server, each admitted
-// request taking the earliest-free one, and a float token bucket per
-// tenant in the parent's own arithmetic. edges counts admission
-// decisions taken on a bucket holding exactly one token.
+// referenceReplay is a closed form of the daemon's own board rule, kept
+// as the model the kernel is checked against, written without the fleet
+// or serve packages. Per board it keeps a free-at time, the jobs it holds
+// — each with its finish time and the estimate it was charged at — and a
+// running mean per scenario of the jobs it completed; an arrival first
+// retires every held job that finished strictly before it (a job
+// finishing at the instant of an arrival is still held), then goes to the
+// board with the least held charges plus its estimate there, then the
+// fewest held jobs, then the lowest index, and starts when that board is
+// free. A float token bucket per tenant in the parent's own arithmetic
+// stands in front. edges counts admission decisions taken on a bucket
+// holding exactly one token.
 func referenceReplay(tr *workload.Trace, outcomes []workload.Outcome, cfg loadgen.ModelConfig) (rows []refRow, edges int) {
-	free := make([]sim.Time, cfg.Servers)
+	type held struct {
+		finish, service sim.Time
+		charge          int64
+		scen            int
+		failed          bool
+	}
+	type board struct {
+		free     sim.Time
+		jobs     []held // in start order, so in finish order
+		sum, cnt [workload.NumScenarios]int64
+	}
+	boards := make([]board, cfg.Servers)
+	mean := func(b *board, scen int) int64 {
+		if b.cnt[scen] == 0 {
+			return 0
+		}
+		return b.sum[scen] / b.cnt[scen]
+	}
 	type bucket struct {
 		tokens float64
 		last   sim.Time
@@ -325,18 +348,30 @@ func referenceReplay(tr *workload.Trace, outcomes []workload.Outcome, cfg loadge
 			}
 			b.tokens--
 		}
-		srv := 0
-		for s := 1; s < cfg.Servers; s++ {
-			if free[s] < free[srv] {
-				srv = s
+		scen := workload.ScenarioIndex(e.Spec.Scenario)
+		srv, srvCost := -1, int64(0)
+		for s := range boards {
+			b := &boards[s]
+			for len(b.jobs) > 0 && b.jobs[0].finish < arrival {
+				if h := b.jobs[0]; !h.failed {
+					b.sum[h.scen] += int64(h.service)
+					b.cnt[h.scen]++
+				}
+				b.jobs = b.jobs[1:]
+			}
+			cost := mean(b, scen)
+			for _, h := range b.jobs {
+				cost += h.charge
+			}
+			if srv < 0 || cost < srvCost || cost == srvCost && len(b.jobs) < len(boards[srv].jobs) {
+				srv, srvCost = s, cost
 			}
 		}
-		start := arrival
-		if free[srv] > start {
-			start = free[srv]
-		}
-		free[srv] = start + o.Service
-		rows[i] = refRow{wait: start - arrival, latency: free[srv] - arrival, outcome: loadgen.OutcomeOK}
+		b := &boards[srv]
+		start := max(arrival, b.free)
+		b.free = start + o.Service
+		b.jobs = append(b.jobs, held{finish: b.free, service: o.Service, charge: mean(b, scen), scen: scen, failed: o.Failed})
+		rows[i] = refRow{wait: start - arrival, latency: b.free - arrival, outcome: loadgen.OutcomeOK}
 		if o.Failed {
 			rows[i].outcome = loadgen.OutcomeFailed
 		}
@@ -348,21 +383,19 @@ func referenceReplay(tr *workload.Trace, outcomes []workload.Outcome, cfg loadge
 // closed form over seeded random traces built to hit what distinguishes
 // an event loop from a formula: arrivals that share a timestamp (before
 // or only after speedup scaling), zero-service failures, bursts longer
-// than K, a job arriving at the instant another finishes, and — with
-// admission on — gaps of whole token periods, so decisions land exactly
-// on the tokens >= 1 edge. Every request must come out identical.
+// than K, a job arriving at the instant another finishes, every scenario
+// mixed so boards estimate each apart, and — with admission on — gaps of
+// whole token periods, so decisions land exactly on the tokens >= 1
+// edge. Every request must come out identical.
 func TestReplayMatchesClosedForm(t *testing.T) {
-	spec, err := workload.BuiltinSpec("storage")
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := workload.BuiltinSpecs()
 	speedups := []float64{0.25, 1, 3.7, 64}
 	rates := []float64{1, 2, 3.3, 5, 7, 10, 20}
 	bursts := []float64{1, 1.5, 2, 3, 5}
 	tenants := []string{"a", "b", "c"}
 	edges, throttled, queued := 0, 0, 0
 	for seed := uint64(1); seed <= 240; seed++ {
-		src := rng.New(seed)
+		src, mix := rng.New(seed), rng.New(seed<<32)
 		cfg := loadgen.ModelConfig{Servers: 1 + src.Intn(8), Speedup: speedups[src.Intn(len(speedups))]}
 		period := float64(100 * sim.Millisecond)
 		if seed%2 == 0 {
@@ -398,6 +431,7 @@ func TestReplayMatchesClosedForm(t *testing.T) {
 				case 2: // whole periods: completions coincide with later arrivals
 					o.Service = sim.Time(float64(1+src.Intn(4)) * period)
 				}
+				spec := specs[mix.Intn(len(specs))]
 				tr.Entries = append(tr.Entries, workload.TraceEntry{At: at, Tenant: tr.Tenants[src.Intn(len(tr.Tenants))], Spec: spec})
 				outcomes = append(outcomes, o)
 			}

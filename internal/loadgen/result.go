@@ -20,9 +20,10 @@ const (
 )
 
 // ModelConfig parameterizes one replay of a trace through the queueing
-// kernel as a K-server FIFO.
+// kernel as one daemon of K boards.
 type ModelConfig struct {
-	// Servers is K: how many boards serve the FIFO queue.
+	// Servers is K: how many boards the daemon has, each with its own
+	// FIFO.
 	Servers int `json:"servers"`
 	// Speedup divides every arrival timestamp: 2.0 offers the trace at
 	// twice its recorded rate. Service times are unchanged, so speedup is

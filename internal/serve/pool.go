@@ -151,23 +151,40 @@ type board struct {
 	warm       bool
 	warmResets int64
 	coldResets int64
-	// svc is the board's own service record, per scenario: the summed
-	// virtual makespan and count of the jobs it completed. queuedWork sums
-	// the charges of the jobs queued on the board and the one it runs:
-	// added when a job is enqueued, taken off when the job leaves —
-	// finished, failed or requeued to another board.
-	svc        [workload.NumScenarios]struct{ sum, n int64 }
+	// svc is the board's own service record, one mean per scenario.
+	// queuedWork sums the charges of the jobs queued on the board and the
+	// one it runs: added when a job is enqueued, taken off when the job
+	// leaves — finished, failed or requeued to another board.
+	svc        [workload.NumScenarios]ServiceMean
 	queuedWork int64
 }
 
-// estimateLocked returns the board's mean virtual makespan over the jobs
-// of scenario scen it completed; 0 before the first, or for scen < 0.
-// Caller holds b.mu.
-func (b *board) estimateLocked(scen int) int64 {
-	if scen < 0 || b.svc[scen].n == 0 {
+// ServiceMean is a board's record of one class of jobs: the summed
+// virtual makespan and the count of those it completed. Its estimate, the
+// mean, is what the board charges a job of the class at. A live board
+// keeps one per scenario; a simulated board (fleet.Simulate) one per job
+// class.
+type ServiceMean struct{ sum, n int64 }
+
+// Observe records one completed job's makespan.
+func (m *ServiceMean) Observe(ns int64) { m.sum += ns; m.n++ }
+
+// Estimate returns the mean makespan of the completed jobs, 0 before the
+// first.
+func (m ServiceMean) Estimate() int64 {
+	if m.n == 0 {
 		return 0
 	}
-	return b.svc[scen].sum / b.svc[scen].n
+	return m.sum / m.n
+}
+
+// estimateLocked returns the board's estimate for a job of scenario scen;
+// 0 for scen < 0. Caller holds b.mu.
+func (b *board) estimateLocked(scen int) int64 {
+	if scen < 0 {
+		return 0
+	}
+	return b.svc[scen].Estimate()
 }
 
 // release takes a job's charge off the board's queued work.
@@ -459,8 +476,7 @@ func (p *Pool) runOne(b *board, j *Job) {
 	b.done++
 	b.queuedWork -= j.charge
 	if j.scen >= 0 {
-		b.svc[j.scen].sum += int64(res.Makespan)
-		b.svc[j.scen].n++
+		b.svc[j.scen].Observe(int64(res.Makespan))
 	}
 	for _, m := range res.Metrics {
 		b.agg.Accumulate(m)
@@ -590,41 +606,63 @@ func (p *Pool) submit(j *Job, pin *int) (int, error) {
 	return target.id, nil
 }
 
-// pick returns the healthy board with queue room where a job of scenario
-// scen finishes first, and its cost there: the least queued work plus the
-// job's estimate, then the fewest jobs queued or running, then the lowest
-// id. A pool with no completions of scen compares boards by load alone.
-// pick returns nil when every healthy board's queue is full, and
-// ErrNoHealthyBoard when no board is healthy. Caller holds p.mu, under
-// which queues only drain, so the board it returns has room.
+// BoardCost is what placing a job on one board costs: when the job would
+// finish there — the board's queued work plus the job's estimate on it —
+// and how many jobs the board holds, queued or running.
+type BoardCost struct {
+	FinishNS int64
+	Load     int
+	ID       int
+}
+
+// Cheaper is the one placement rule, shared by Pool.pick and a simulated
+// node (fleet.Simulate): board a takes the job over board b when it
+// finishes the job first, then when it holds fewer jobs, then when its id
+// is lower. Before a board has completed a job's scenario the job's
+// estimate there is 0, so boards with no history compare by load alone.
+func Cheaper(a, b BoardCost) bool {
+	if a.FinishNS != b.FinishNS {
+		return a.FinishNS < b.FinishNS
+	}
+	if a.Load != b.Load {
+		return a.Load < b.Load
+	}
+	return a.ID < b.ID
+}
+
+// pick returns the healthy board with queue room that Cheaper ranks first
+// for a job of scenario scen, and its cost there. It returns nil when
+// every healthy board's queue is full, and ErrNoHealthyBoard when no board
+// is healthy. Caller holds p.mu, under which queues only drain, so the
+// board it returns has room.
 func (p *Pool) pick(scen int) (*board, int64, error) {
 	var best *board
-	var bestCost int64
-	bestLoad, healthy := 0, false
+	var bestCost BoardCost
+	healthy := false
 	for _, b := range p.boards {
 		b.mu.Lock()
 		quarantined, busy := b.quarantined, b.current != ""
-		cost := b.queuedWork + b.estimateLocked(scen)
+		c := BoardCost{FinishNS: b.queuedWork + b.estimateLocked(scen), ID: b.id}
 		b.mu.Unlock()
 		if quarantined {
 			continue
 		}
 		healthy = true
-		load := len(b.queue)
-		if load == cap(b.queue) {
+		c.Load = len(b.queue)
+		if c.Load == cap(b.queue) {
 			continue
 		}
 		if busy {
-			load++
+			c.Load++
 		}
-		if best == nil || cost < bestCost || (cost == bestCost && load < bestLoad) {
-			best, bestCost, bestLoad = b, cost, load
+		if best == nil || Cheaper(c, bestCost) {
+			best, bestCost = b, c
 		}
 	}
 	if !healthy {
 		return nil, 0, ErrNoHealthyBoard
 	}
-	return best, bestCost, nil
+	return best, bestCost.FinishNS, nil
 }
 
 // Quote is what the pool would place a job of one scenario at if it were
