@@ -175,14 +175,15 @@ serve-smoke-warm:
 		"-target http://{addr} -requests 125 -concurrency 20 -workload synthetic -check-lint -expect-warm"
 
 # The fleet smoke: one process serving 3 nodes x 2 boards behind the
-# packing policy, 500 jobs through the round-robin loader. Node 1's
-# boards run a deterministic always-escalate campaign, so the first job
-# routed there quarantines the whole node mid-run; the fleet must
-# re-route its jobs with zero untyped (or even typed) client-visible
-# failures and end with node 1 out of the rotation.
+# packing policy, 500 jobs sent by the loader to its one front-end,
+# which routes them across the nodes. Node 1's boards run a
+# deterministic always-escalate campaign, so the first job routed there
+# quarantines the whole node mid-run; the fleet must re-route its jobs
+# with zero untyped (or even typed) client-visible failures and end
+# with node 1 out of the rotation.
 serve-smoke-fleet:
 	@$(SMOKE) "-nodes 3 -boards 2 -placement packing -managers dynamic -rate 0 -faults 'seed=1,retries=0,config-error@1' -fault-node 1" \
-		"-targets http://{addr},http://{addr} -requests 500 -concurrency 8 -workload multimedia -check-lint -expect-node-quarantine"
+		"-target http://{addr} -requests 500 -concurrency 8 -workload multimedia -check-lint -expect-node-quarantine"
 
 # The trace smoke: replay the committed golden trace (60 jobs, 3
 # tenants, all five scenario families) open-loop against a live vfpgad

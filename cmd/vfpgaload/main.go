@@ -7,7 +7,6 @@
 //	vfpgaload -target http://127.0.0.1:8080 -requests 200 -concurrency 8
 //	vfpgaload -target http://127.0.0.1:8080 -workload telecom -tenants 4
 //	vfpgaload -target http://127.0.0.1:8080 -requests 50 -check-lint
-//	vfpgaload -targets http://10.0.0.1:8080,http://10.0.0.2:8080 -requests 500
 //
 // Closed-loop: each of -concurrency workers submits, polls the job to
 // completion, then submits again until -requests jobs are accounted
@@ -18,11 +17,9 @@
 // nonzero on any 5xx, any persistent transport error, any failed job,
 // or (with -check-lint) any lint-dirty result.
 //
-// With -targets, submissions round-robin across the endpoints. Each
-// target keeps its own 429 account and Retry-After window: a throttled
-// target sits out until its hint expires while the rotation continues
-// over the others, and the per-target tallies are reported at the end.
-// Polling always follows the job to the target that accepted it.
+// The target is one endpoint, a single vfpgad or a fleet front-end
+// (vfpgad -nodes N), which routes every job across its nodes itself and
+// keeps one admission budget for the whole fleet.
 //
 // Against a daemon running a fault campaign (vfpgad -faults),
 // -allow-faults accepts job failures that carry a typed fault kind —
@@ -131,78 +128,8 @@ func (s *stats) noteThrottleWait(tenant string, d time.Duration) {
 	s.mu.Unlock()
 }
 
-// target is one endpoint of the rotation with its own backpressure
-// account: how many submissions it accepted, how many 429s it returned,
-// and until when its last Retry-After hint asks us to stay away.
-type target struct {
-	url string
-
-	mu        sync.Mutex
-	submitted int
-	throttled int
-	notBefore time.Time
-}
-
-func (t *target) noteSubmitted() {
-	t.mu.Lock()
-	t.submitted++
-	t.mu.Unlock()
-}
-
-func (t *target) noteThrottled(wait time.Duration) {
-	t.mu.Lock()
-	t.throttled++
-	if nb := time.Now().Add(wait); nb.After(t.notBefore) {
-		t.notBefore = nb
-	}
-	t.mu.Unlock()
-}
-
-// targetSet rotates submissions round-robin, skipping targets inside
-// their Retry-After window.
-type targetSet struct {
-	// targets is fixed at construction; each target self-synchronizes.
-	targets []*target
-
-	mu   sync.Mutex
-	next int
-}
-
-func newTargetSet(urls []string) *targetSet {
-	ts := &targetSet{}
-	for _, u := range urls {
-		ts.targets = append(ts.targets, &target{url: strings.TrimRight(u, "/")})
-	}
-	return ts
-}
-
-// pick returns the next target whose backoff window has passed, in
-// round-robin order. When every target is backing off it returns nil
-// and how long until the earliest window opens.
-func (ts *targetSet) pick() (*target, time.Duration) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	now := time.Now()
-	var soonest time.Duration
-	for i := 0; i < len(ts.targets); i++ {
-		t := ts.targets[(ts.next+i)%len(ts.targets)]
-		t.mu.Lock()
-		wait := t.notBefore.Sub(now)
-		t.mu.Unlock()
-		if wait <= 0 {
-			ts.next = (ts.next + i + 1) % len(ts.targets)
-			return t, 0
-		}
-		if soonest == 0 || wait < soonest {
-			soonest = wait
-		}
-	}
-	return nil, soonest
-}
-
 func main() {
 	targetFlag := flag.String("target", "http://127.0.0.1:8080", "vfpgad base URL")
-	targetsFlag := flag.String("targets", "", "comma-separated vfpgad base URLs; submissions round-robin across them (overrides -target)")
 	requests := flag.Int("requests", 100, "total jobs to run to completion")
 	concurrency := flag.Int("concurrency", 4, "concurrent closed-loop workers")
 	tenants := flag.Int("tenants", 2, "number of distinct tenants to submit as")
@@ -221,7 +148,7 @@ func main() {
 	tracePath := flag.String("trace", "", "replay the recorded trace at this path open-loop (overrides closed-loop mode)")
 	speedup := flag.Float64("speedup", 1, "offered-load multiplier for the replay model: arrival times divide by this")
 	pace := flag.Float64("pace", 0, "wall-clock pacing multiplier for -trace submissions; 0 submits without pacing (results are virtual-time either way)")
-	servers := flag.Int("servers", 0, "server count for the replay model; 0 queries /v1/boards across the targets")
+	servers := flag.Int("servers", 0, "server count for the replay model; 0 queries the target's /v1/boards")
 	sloFlag := flag.String("slo", "", "latency SLO like p99<50ms; with -trace, runs the saturation search and fails when the replay violates it")
 	csvOut := flag.String("csv-out", "", "write per-request replay results as CSV to this file")
 	jsonOut := flag.String("json-out", "", "write the replay summary (and curve/saturation with -slo) as JSON to this file")
@@ -246,23 +173,10 @@ func main() {
 		}))
 	}
 
-	urls := []string{*targetFlag}
-	if *targetsFlag != "" {
-		urls = nil
-		for _, u := range strings.Split(*targetsFlag, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
-			}
-		}
-	}
-	if len(urls) == 0 {
-		fmt.Fprintln(os.Stderr, "vfpgaload: -targets lists no endpoints")
-		os.Exit(1)
-	}
-	ts := newTargetSet(urls)
+	target := strings.TrimRight(*targetFlag, "/")
 
 	if *tracePath != "" {
-		os.Exit(runTrace(ts, *tracePath, traceOpts{
+		os.Exit(runTrace(target, *tracePath, traceOpts{
 			speedup: *speedup, pace: *pace, servers: *servers,
 			slo: *sloFlag, csvOut: *csvOut, jsonOut: *jsonOut,
 			admitRate: *admitRate, admitBurst: *admitBurst,
@@ -303,16 +217,15 @@ func main() {
 					return
 				}
 				tenant := "tenant-" + strconv.Itoa(n%*tenants)
-				runOne(client, ts, tenant, &spec, *checkLint, *allowFaults, deadline, st)
+				runOne(client, target, tenant, &spec, *checkLint, *allowFaults, deadline, st)
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	probe := ts.targets[0].url
 	quarantined, minWarm, maxCold := -1, int64(-1), int64(-1)
 	if *expectQuarantine || *expectWarm {
-		if boards, err := fetchBoards(probe, deadline, st); err == nil {
+		if boards, err := fetchBoards(target, deadline, st); err == nil {
 			quarantined = 0
 			for i, bi := range boards {
 				if bi.Quarantined {
@@ -327,20 +240,13 @@ func main() {
 	}
 	nodesOut := -1
 	if *expectNodeQuarantine {
-		nodesOut = countUnhealthyNodes(probe, deadline, st)
+		nodesOut = countUnhealthyNodes(target, deadline, st)
 	}
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	fmt.Printf("vfpgaload: %d submitted, %d completed, %d failed, %d faulted, %d transport errors, %d retries after 429\n",
 		st.submitted, st.completed, st.failed, st.faulted, st.transport, st.retries)
-	if len(ts.targets) > 1 {
-		for _, t := range ts.targets {
-			t.mu.Lock()
-			fmt.Printf("  target %s: %d submitted, %d throttled (429)\n", t.url, t.submitted, t.throttled)
-			t.mu.Unlock()
-		}
-	}
 	codes := make([]int, 0, len(st.codes))
 	for c := range st.codes {
 		codes = append(codes, c)
@@ -441,7 +347,7 @@ func retryAfterWait(resp *http.Response) time.Duration {
 	return wait
 }
 
-// getJSON decodes one target's GET path into v. A transport failure
+// getJSON decodes the target's GET path into v. A transport failure
 // counts in st.
 func getJSON(url, path string, deadline time.Time, st *stats, v any) error {
 	client := &http.Client{Timeout: 30 * time.Second}
@@ -459,8 +365,9 @@ func getJSON(url, path string, deadline time.Time, st *stats, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// fetchBoards reads one target's /v1/boards: what the -expect-* verdicts
-// and the trace mode's server count are read from.
+// fetchBoards reads the target's /v1/boards (a fleet lists every node's
+// boards there): what the -expect-* verdicts and the trace mode's
+// server count are read from.
 func fetchBoards(url string, deadline time.Time, st *stats) ([]serve.BoardInfo, error) {
 	var boards []serve.BoardInfo
 	err := getJSON(url, "/v1/boards", deadline, st, &boards)
@@ -484,39 +391,38 @@ func countUnhealthyNodes(target string, deadline time.Time, st *stats) int {
 	return n
 }
 
-// awaitJob runs one job over the wire: submit (rotating targets,
-// honoring each target's Retry-After window, retrying transient
-// transport errors), then poll it to a terminal state on the target that
-// accepted it. It returns that status and the service latency: accepted
-// submit to terminal status, less the Retry-After windows slept through
-// while polling, so the latency is the server's, not the throttle
-// budget's. Everything on the way — status codes, 429 retries, throttle
-// waits, transport and protocol failures — is counted in st; an error
-// means no terminal status was reached. Closed-loop and trace mode fold
-// the status into their own verdicts.
-func awaitJob(client *http.Client, ts *targetSet, tenant string, spec *workload.Spec, deadline time.Time, st *stats) (js serve.JobStatus, svc time.Duration, err error) {
+// awaitJob runs one job over the wire: submit (sleeping out each 429's
+// Retry-After window, retrying transient transport errors), then poll
+// it to a terminal state. It returns that status and the service
+// latency: accepted submit to terminal status, less the Retry-After
+// windows slept through while polling, so the latency is the server's,
+// not the throttle budget's. Every window slept through is charged to
+// the tenant's throttle account. Everything on the way — status codes,
+// 429 retries, throttle waits, transport and protocol failures — is
+// counted in st; an error means no terminal status was reached.
+// Closed-loop and trace mode fold the status into their own verdicts.
+func awaitJob(client *http.Client, target, tenant string, spec *workload.Spec, deadline time.Time, st *stats) (js serve.JobStatus, svc time.Duration, err error) {
 	body, err := json.Marshal(serve.SubmitRequest{Tenant: tenant, Workload: *spec})
 	if err != nil {
 		panic(err) // specs come from BuiltinSpec or a validated trace; marshal cannot fail
 	}
 	var n wireTally
 	defer st.merge(&n)
+	// backOff sleeps out a 429's Retry-After window, charged to the
+	// tenant, and returns its length.
+	backOff := func(resp *http.Response) time.Duration {
+		wait := retryAfterWait(resp)
+		n.retries++
+		st.noteThrottleWait(tenant, wait)
+		sleep(wait)
+		return wait
+	}
 	var sub serve.SubmitResponse
-	var tgt *target
-	for tgt == nil {
+	for {
 		if time.Now().After(deadline) {
 			return js, 0, fmt.Errorf("deadline exceeded before submit")
 		}
-		t, wait := ts.pick()
-		if t == nil {
-			// Every target is inside its Retry-After window; sleep out the
-			// earliest one rather than hammering a throttled fleet. The wait
-			// is backpressure, charged to the tenant's throttle account.
-			st.noteThrottleWait(tenant, wait)
-			sleep(wait)
-			continue
-		}
-		resp, err := doReq(client, http.MethodPost, t.url+"/v1/jobs", body, deadline)
+		resp, err := doReq(client, http.MethodPost, target+"/v1/jobs", body, deadline)
 		if err != nil {
 			n.transport++
 			return js, 0, err
@@ -524,9 +430,8 @@ func awaitJob(client *http.Client, ts *targetSet, tenant string, spec *workload.
 		code := resp.StatusCode
 		n.codes = append(n.codes, code)
 		if code == http.StatusTooManyRequests {
-			t.noteThrottled(retryAfterWait(resp))
-			n.retries++
-			continue // the rotation moves on; this target sits out its window
+			backOff(resp)
+			continue
 		}
 		err = json.NewDecoder(resp.Body).Decode(&sub)
 		resp.Body.Close()
@@ -538,8 +443,7 @@ func awaitJob(client *http.Client, ts *targetSet, tenant string, spec *workload.
 			n.failed++
 			return js, 0, fmt.Errorf("submit: HTTP %d", code)
 		}
-		t.noteSubmitted()
-		tgt = t
+		break
 	}
 	n.submitted++
 
@@ -550,18 +454,14 @@ func awaitJob(client *http.Client, ts *targetSet, tenant string, spec *workload.
 			n.failed++
 			return js, 0, fmt.Errorf("deadline exceeded polling job %s", sub.ID)
 		}
-		resp, err := doReq(client, http.MethodGet, tgt.url+"/v1/jobs/"+sub.ID, nil, deadline)
+		resp, err := doReq(client, http.MethodGet, target+"/v1/jobs/"+sub.ID, nil, deadline)
 		if err != nil {
 			n.transport++
 			return js, 0, err
 		}
 		n.codes = append(n.codes, resp.StatusCode)
 		if resp.StatusCode == http.StatusTooManyRequests {
-			wait := retryAfterWait(resp)
-			n.retries++
-			st.noteThrottleWait(tenant, wait)
-			waited += wait
-			sleep(wait)
+			waited += backOff(resp)
 			continue
 		}
 		err = json.NewDecoder(resp.Body).Decode(&js)
@@ -580,8 +480,8 @@ func awaitJob(client *http.Client, ts *targetSet, tenant string, spec *workload.
 // runOne is one closed-loop job: awaitJob, then the closed-loop verdict.
 // A failure carrying a typed fault kind counts apart when allowFaults is
 // set; a done job without a lint-clean result is lint-dirty.
-func runOne(client *http.Client, ts *targetSet, tenant string, spec *workload.Spec, checkLint, allowFaults bool, deadline time.Time, st *stats) {
-	js, svc, err := awaitJob(client, ts, tenant, spec, deadline, st)
+func runOne(client *http.Client, target, tenant string, spec *workload.Spec, checkLint, allowFaults bool, deadline time.Time, st *stats) {
+	js, svc, err := awaitJob(client, target, tenant, spec, deadline, st)
 	if err != nil {
 		return // counted where it happened
 	}

@@ -2,18 +2,21 @@ package main
 
 // Regression tests for the client-side accounting: service latency must
 // exclude Retry-After waits (the closed-loop 429 split), and the trace
-// executor must round-robin targets and produce positional outcomes.
+// executor must produce positional outcomes, against a fleet front-end
+// too.
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/loadgen"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -95,14 +98,13 @@ func TestClosedLoopSplitsThrottleWaitFromServiceLatency(t *testing.T) {
 	stubSleep(t)
 	fd := &fakeDaemon{retryAfterPolls: 2, makespan: 123}
 	srv := fd.server(t)
-	ts := newTargetSet([]string{srv.URL})
 	st := &stats{codes: map[int]int{}}
 	spec, err := workload.BuiltinSpec("synthetic")
 	if err != nil {
 		t.Fatal(err)
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
-	runOne(client, ts, "alpha", &spec, false, false, time.Now().Add(30*time.Second), st)
+	runOne(client, srv.URL, "alpha", &spec, false, false, time.Now().Add(30*time.Second), st)
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -131,14 +133,13 @@ func TestClosedLoopSplitsThrottleWaitFromServiceLatency(t *testing.T) {
 func TestClosedLoopServiceLatencyPositive(t *testing.T) {
 	fd := &fakeDaemon{makespan: 99}
 	srv := fd.server(t)
-	ts := newTargetSet([]string{srv.URL})
 	st := &stats{codes: map[int]int{}}
 	spec, err := workload.BuiltinSpec("synthetic")
 	if err != nil {
 		t.Fatal(err)
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
-	runOne(client, ts, "beta", &spec, false, false, time.Now().Add(30*time.Second), st)
+	runOne(client, srv.URL, "beta", &spec, false, false, time.Now().Add(30*time.Second), st)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	a := st.tenants["beta"]
@@ -153,52 +154,84 @@ func TestClosedLoopServiceLatencyPositive(t *testing.T) {
 	}
 }
 
-// executeTrace must keep outcomes positional, rotate targets, and carry
-// the daemon's makespan into the virtual outcome.
-func TestExecuteTraceRoundRobinAndOutcomes(t *testing.T) {
-	stubSleep(t)
-	fa := &fakeDaemon{makespan: 500}
-	fb := &fakeDaemon{makespan: 500}
-	sa, sb := fa.server(t), fb.server(t)
-	ts := newTargetSet([]string{sa.URL, sb.URL})
+// fleetServer starts an in-process fleet front-end of 2 nodes x 2
+// boards and returns its URL and its board config; both are torn down
+// when the test ends.
+func fleetServer(t *testing.T) (string, serve.BoardConfig) {
+	t.Helper()
+	bc := serve.DefaultBoardConfig()
+	fl, err := fleet.NewServer(fleet.ServerConfig{
+		Nodes:  [][]serve.BoardConfig{{bc, bc}, {bc, bc}},
+		Policy: "packing", Version: "test", FaultNode: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl.Start()
+	t.Cleanup(fl.Drain)
+	srv := httptest.NewServer(fl.Handler())
+	t.Cleanup(srv.Close)
+	return srv.URL, bc
+}
 
-	spec, err := workload.BuiltinSpec("telecom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &workload.Trace{Version: workload.TraceVersion, Seed: 1, Tenants: []string{"a"}}
-	for i := 0; i < 6; i++ {
-		tr.Entries = append(tr.Entries, workload.TraceEntry{At: sim.Time(i) * 1000, Tenant: "a", Spec: spec})
-	}
+// Against a fleet front-end, the one target's /v1/boards counts every
+// node's boards: 2 nodes x 2 boards make 4 servers.
+func TestQueryServerCount(t *testing.T) {
+	url, _ := fleetServer(t)
 	st := &stats{codes: map[int]int{}}
-	outcomes, err := executeTrace(ts, tr, traceOpts{deadline: time.Now().Add(30 * time.Second)}, st)
+	if n := queryServerCount(url, time.Now().Add(time.Minute), st); n != 4 {
+		t.Fatalf("queryServerCount = %d, want 4 (2 nodes x 2 boards)", n)
+	}
+}
+
+// Rotation across endpoints is the fleet front-end's job: sent to one
+// fleet target, executeTrace keeps outcomes positional, so entry i's
+// outcome is what its own spec makes on a board, whichever node ran it.
+// Two replays of what came over the wire are byte-identical.
+func TestExecuteTraceRoundRobinAndOutcomes(t *testing.T) {
+	url, bc := fleetServer(t)
+	st := &stats{codes: map[int]int{}}
+	deadline := time.Now().Add(time.Minute)
+	direct, err := serve.NewDirectRunner(bc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outcomes) != 6 {
-		t.Fatalf("got %d outcomes", len(outcomes))
-	}
-	for i, o := range outcomes {
-		if o.Service != 500 || o.Failed {
-			t.Fatalf("outcome %d: %+v", i, o)
+	tr := &workload.Trace{Version: workload.TraceVersion, Seed: 1, Tenants: []string{"a", "b"}}
+	var want []workload.Outcome
+	for i, name := range []string{"telecom", "storage", "diagnosis", "synthetic", "telecom", "storage"} {
+		spec, err := workload.BuiltinSpec(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		spec.SetSeed(uint64(i + 1))
+		e := workload.TraceEntry{At: sim.Time(i) * sim.Millisecond, Tenant: tr.Tenants[i%2], Spec: spec}
+		tr.Entries = append(tr.Entries, e)
+		o, err := direct(e.Tenant, &e.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, w := range want {
+			if w == o {
+				t.Fatalf("entries %d and %d make the same outcome; a shuffle would not show", k, i)
+			}
+		}
+		want = append(want, o)
 	}
-	fa.mu.Lock()
-	na := fa.submitted
-	fa.mu.Unlock()
-	fb.mu.Lock()
-	nb := fb.submitted
-	fb.mu.Unlock()
-	if na+nb != 6 || na == 0 || nb == 0 {
-		t.Fatalf("rotation skew: %d vs %d submissions", na, nb)
-	}
-	// Positional outcomes + the pure model = deterministic results: two
-	// replays of what came over the wire are byte-identical.
-	one, err := loadgen.Replay(tr, outcomes, loadgen.ModelConfig{Servers: 2, Speedup: 1})
+	outcomes, err := executeTrace(url, tr, traceOpts{deadline: deadline}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := loadgen.Replay(tr, outcomes, loadgen.ModelConfig{Servers: 2, Speedup: 1})
+	if !reflect.DeepEqual(outcomes, want) {
+		t.Fatalf("outcomes %+v, want the direct runs' %+v in entry order", outcomes, want)
+	}
+	if st.submitted != len(want) || st.completed != len(want) {
+		t.Fatalf("wire: %d submitted, %d completed, want %d each", st.submitted, st.completed, len(want))
+	}
+	one, err := loadgen.Replay(tr, outcomes, loadgen.ModelConfig{Servers: 4, Speedup: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := loadgen.Replay(tr, outcomes, loadgen.ModelConfig{Servers: 4, Speedup: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +254,6 @@ func TestExecuteTraceTypedFaultIsOutcome(t *testing.T) {
 	stubSleep(t)
 	fd := &fakeDaemon{faultKind: "config-error"}
 	srv := fd.server(t)
-	ts := newTargetSet([]string{srv.URL})
 	spec, err := workload.BuiltinSpec("storage")
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +263,7 @@ func TestExecuteTraceTypedFaultIsOutcome(t *testing.T) {
 		Entries: []workload.TraceEntry{{At: 0, Tenant: "a", Spec: spec}},
 	}
 	st := &stats{codes: map[int]int{}}
-	outcomes, err := executeTrace(ts, tr, traceOpts{deadline: time.Now().Add(30 * time.Second)}, st)
+	outcomes, err := executeTrace(srv.URL, tr, traceOpts{deadline: time.Now().Add(30 * time.Second)}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,17 +272,5 @@ func TestExecuteTraceTypedFaultIsOutcome(t *testing.T) {
 	}
 	if st.faulted != 1 || st.failed != 0 {
 		t.Fatalf("faulted=%d failed=%d", st.faulted, st.failed)
-	}
-}
-
-// queryServerCount sums boards across every target.
-func TestQueryServerCount(t *testing.T) {
-	fa := &fakeDaemon{}
-	fb := &fakeDaemon{}
-	sa, sb := fa.server(t), fb.server(t)
-	ts := newTargetSet([]string{sa.URL, sb.URL})
-	st := &stats{codes: map[int]int{}}
-	if n := queryServerCount(ts, time.Now().Add(10*time.Second), st); n != 4 {
-		t.Fatalf("queryServerCount = %d, want 4 (2 boards x 2 targets)", n)
 	}
 }

@@ -1,7 +1,7 @@
 package main
 
 // Trace modes: -record generates an open-loop workload trace offline;
-// -trace replays a recorded trace against live daemons and runs the
+// -trace replays a recorded trace against a live daemon and runs the
 // deterministic results pipeline over the measured outcomes.
 //
 // The division of labor with internal/loadgen: this file owns the wall
@@ -84,11 +84,11 @@ type traceReport struct {
 	Saturation *loadgen.SaturationPoint `json:"saturation,omitempty"`
 }
 
-// runTrace replays the recorded trace against the target set and runs
+// runTrace replays the recorded trace against the target and runs
 // the results pipeline. Exit is nonzero on any untyped job failure,
 // transport error, lint-dirty result (with -check-lint), or — when
 // -slo is set — a baseline replay that violates it.
-func runTrace(ts *targetSet, path string, opts traceOpts) int {
+func runTrace(target, path string, opts traceOpts) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vfpgaload: %v\n", err)
@@ -102,13 +102,13 @@ func runTrace(ts *targetSet, path string, opts traceOpts) int {
 	st := &stats{codes: map[int]int{}}
 	srvs := opts.servers
 	if srvs <= 0 {
-		if srvs = queryServerCount(ts, opts.deadline, st); srvs <= 0 {
+		if srvs = queryServerCount(target, opts.deadline, st); srvs <= 0 {
 			fmt.Fprintln(os.Stderr, "vfpgaload: could not count boards via /v1/boards; pass -servers")
 			return 1
 		}
 	}
 
-	outcomes, err := executeTrace(ts, tr, opts, st)
+	outcomes, err := executeTrace(target, tr, opts, st)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vfpgaload: %v\n", err)
 		return 1
@@ -205,11 +205,11 @@ func runTrace(ts *targetSet, path string, opts traceOpts) int {
 	return 0
 }
 
-// executeTrace submits every entry (paced open-loop when -pace > 0,
-// round-robin across the targets) and collects one virtual Outcome per
-// entry. Submissions do not wait for each other: pacing follows the
-// recorded arrival clock, not completions.
-func executeTrace(ts *targetSet, tr *workload.Trace, opts traceOpts, st *stats) ([]workload.Outcome, error) {
+// executeTrace submits every entry (paced open-loop when -pace > 0) and
+// collects one virtual Outcome per entry, in entry order. Submissions do
+// not wait for each other: pacing follows the recorded arrival clock,
+// not completions.
+func executeTrace(target string, tr *workload.Trace, opts traceOpts, st *stats) ([]workload.Outcome, error) {
 	client := &http.Client{Timeout: 30 * time.Second}
 	outcomes := make([]workload.Outcome, len(tr.Entries))
 	errs := make([]error, len(tr.Entries))
@@ -231,7 +231,7 @@ func executeTrace(ts *targetSet, tr *workload.Trace, opts traceOpts, st *stats) 
 		go func(i int, e *workload.TraceEntry) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			outcomes[i], errs[i] = submitAndAwait(client, ts, e.Tenant, &e.Spec, opts, st)
+			outcomes[i], errs[i] = submitAndAwait(client, target, e.Tenant, &e.Spec, opts, st)
 		}(i, e)
 	}
 	wg.Wait()
@@ -247,8 +247,8 @@ func executeTrace(ts *targetSet, tr *workload.Trace, opts traceOpts, st *stats) 
 // the result as a virtual Outcome. A typed injected-fault failure is an
 // outcome (data for the model's error breakdown); an untyped failure, a
 // done job without a result, or a wire failure is an error.
-func submitAndAwait(client *http.Client, ts *targetSet, tenant string, spec *workload.Spec, opts traceOpts, st *stats) (workload.Outcome, error) {
-	js, svc, err := awaitJob(client, ts, tenant, spec, opts.deadline, st)
+func submitAndAwait(client *http.Client, target, tenant string, spec *workload.Spec, opts traceOpts, st *stats) (workload.Outcome, error) {
+	js, svc, err := awaitJob(client, target, tenant, spec, opts.deadline, st)
 	if err != nil {
 		return workload.Outcome{}, err
 	}
@@ -274,15 +274,11 @@ func submitAndAwait(client *http.Client, ts *targetSet, tenant string, spec *wor
 	return workload.Outcome{}, fmt.Errorf("job %s failed: %s", js.ID, js.Error)
 }
 
-// queryServerCount sums the board counts of every target's /v1/boards.
-func queryServerCount(ts *targetSet, deadline time.Time, st *stats) int {
-	total := 0
-	for _, t := range ts.targets {
-		boards, err := fetchBoards(t.url, deadline, st)
-		if err != nil {
-			return -1
-		}
-		total += len(boards)
+// queryServerCount counts the boards the target's /v1/boards lists.
+func queryServerCount(target string, deadline time.Time, st *stats) int {
+	boards, err := fetchBoards(target, deadline, st)
+	if err != nil {
+		return -1
 	}
-	return total
+	return len(boards)
 }

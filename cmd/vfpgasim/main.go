@@ -22,10 +22,9 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/hostos"
 	"repro/internal/lint"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/version"
@@ -35,7 +34,10 @@ import (
 func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // cli is main with its arguments and streams passed in, so the golden
-// test drives the documented invocations in-process.
+// test drives the documented invocations in-process. The flags map onto
+// a daemon board and a job spec, and the run goes through the daemon's
+// job body (serve.CompileJob, then serve.ExecuteJob): the board compiles
+// with seed+1, the workload draws from seed.
 func cli(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vfpgasim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -64,36 +66,34 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	cfg := runConfig{
-		scenario: *scenario, manager: *manager, sched: *sched,
-		slice: sim.Time(slice.Nanoseconds()), tasks: *tasks, seed: *seed,
-		cols: *cols, rows: *rows, boards: *boards,
-		gantt: *gantt, trace: *traceFlag, lint: *lintFlag,
-	}
+	bc := serve.DefaultBoardConfig()
+	bc.Manager, bc.Cols, bc.Rows, bc.SubBoards = *manager, *cols, *rows, *boards
+	bc.Sched, bc.Slice, bc.Seed = *sched, sim.Time(slice.Nanoseconds()), *seed+1
 	if *faults != "" {
 		plan, err := fault.ParseSpec(*faults)
 		if err != nil {
 			fmt.Fprintf(stderr, "vfpgasim: %v\n", err)
 			return 1
 		}
-		cfg.faults = &plan
+		bc.Faults = &plan
 	}
-	if err := run(cfg, stdout); err != nil {
+	spec, err := workload.BuiltinSpec(*scenario)
+	if err == nil {
+		spec.SetSeed(*seed)
+		if spec.Synthetic != nil {
+			spec.Synthetic.Tasks = *tasks
+		}
+		err = run(stdout, bc, &spec, show{gantt: *gantt, trace: *traceFlag, lint: *lintFlag})
+	}
+	if err != nil {
 		fmt.Fprintf(stderr, "vfpgasim: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
-type runConfig struct {
-	scenario, manager, sched string
-	slice                    sim.Time
-	tasks                    int
-	seed                     uint64
-	cols, rows, boards       int
-	gantt, trace, lint       bool
-	faults                   *fault.Plan
-}
+// show is what to print beside the per-task table and the counters.
+type show struct{ gantt, trace, lint bool }
 
 // lintCircuits runs the netlist- and bitstream-domain passes over every
 // compiled workload circuit; error diagnostics abort the run before any
@@ -117,174 +117,109 @@ func lintCircuits(w io.Writer, set *workload.Set, circs []*compile.Circuit) erro
 	return nil
 }
 
-func buildSet(cfg runConfig) (*workload.Set, error) {
-	switch cfg.scenario {
-	case "multimedia":
-		c := workload.DefaultMultimedia()
-		c.Seed = cfg.seed
-		return workload.Multimedia(c), nil
-	case "telecom":
-		c := workload.DefaultTelecom()
-		c.Seed = cfg.seed
-		return workload.Telecom(c), nil
-	case "diagnosis":
-		c := workload.DefaultDiagnosis()
-		c.Seed = cfg.seed
-		return workload.Diagnosis(c), nil
-	case "storage":
-		c := workload.DefaultStorage()
-		c.Seed = cfg.seed
-		return workload.Storage(c), nil
-	case "synthetic":
-		s := workload.DefaultSynthetic()
-		s.Tasks, s.Seed = cfg.tasks, cfg.seed
-		if err := s.Validate(); err != nil { // -tasks is the one parameter a flag sets
-			return nil, err
-		}
-		c, err := s.Config()
-		if err != nil {
-			return nil, err
-		}
-		return workload.Synthetic(c), nil
-	default:
-		return nil, fmt.Errorf("unknown scenario %q", cfg.scenario)
+// run executes spec on a new board built from bc through the job body
+// and prints the result. A board the daemon would refuse is refused
+// before anything is printed.
+func run(w io.Writer, bc serve.BoardConfig, spec *workload.Spec, sh show) error {
+	if err := bc.Validate(); err != nil {
+		return err
 	}
-}
-
-func run(cfg runConfig, w io.Writer) (err error) {
-	// Ledger operations that cannot return errors report an exhausted
-	// fault-retry budget as a typed panic; surface it as a normal error.
-	defer func() {
-		if r := recover(); r != nil {
-			if esc, ok := fault.AsEscalation(r); ok {
-				err = fmt.Errorf("injected fault escalated: %w", esc)
-				return
-			}
-			panic(r)
-		}
-	}()
-	set, err := buildSet(cfg)
+	set, circs, err := serve.CompileJob(nil, bc, spec)
 	if err != nil {
 		return err
 	}
-
-	opt := core.DefaultOptions()
-	opt.Geometry.Cols, opt.Geometry.Rows = cfg.cols, cfg.rows
-	opt.Seed = cfg.seed + 1
-	fmt.Fprintf(w, "compiling %d circuits for a %v device...\n", len(set.Circuits), opt.Geometry)
-	circs, err := core.CompileSet(nil, opt, set.Circuits)
-	if err != nil {
-		return err
-	}
+	// Printed once the compile is done, so a spec the job body refuses
+	// prints nothing.
+	fmt.Fprintf(w, "compiling %d circuits for a %v device...\n", len(circs), bc.Options().Geometry)
 	for _, c := range circs {
 		fmt.Fprintf(w, "  %s\n", c)
 	}
-	if cfg.lint {
+	if sh.lint {
 		if err := lintCircuits(w, set, circs); err != nil {
 			return err
 		}
 	}
 
-	boards := 1
-	if cfg.manager == "multi" {
-		if boards = cfg.boards; boards < 1 {
-			return fmt.Errorf("multi manager needs at least one board")
-		}
-	}
-	osCfg := hostos.DefaultConfig()
-	osCfg.TimeSlice = cfg.slice
-	if osCfg.Policy, err = hostos.ParsePolicy(cfg.sched); err != nil {
-		return err
-	}
-	st, err := baseline.NewStack(opt, boards, osCfg, cfg.faults, set, circs,
-		baseline.NewManager(cfg.manager, set.CircuitNames(), cfg.seed))
+	st, res, err := serve.ExecuteJob(bc, nil, set, circs, sh.gantt || sh.trace)
 	if err != nil {
 		return err
 	}
 	if st.InitCost > 0 {
-		fmt.Fprintf(w, "%s init download: %v\n", cfg.manager, st.InitCost)
+		fmt.Fprintf(w, "%s init download: %v\n", bc.Manager, st.InitCost)
 	}
-	if cfg.faults != nil {
-		fmt.Fprintf(w, "fault injection armed: %s\n", cfg.faults)
+	if bc.Faults != nil {
+		fmt.Fprintf(w, "fault injection armed: %s\n", bc.Faults)
 	}
-	var tlog *hostos.EventLog
-	if cfg.gantt || cfg.trace {
-		tlog = st.Trace()
-	}
-	if err := st.Run(set); err != nil {
+	if err := printResult(w, bc, spec.Scenario, st, res); err != nil {
 		return err
 	}
-	osim, engines := st.OS, st.Engines
+	if sh.gantt {
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "timeline ('#' running, '.' ready, 'b' blocked):")
+		fmt.Fprint(w, st.Gantt(100))
+	}
+	if sh.trace {
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "merged scheduler+device timeline:")
+		if err := (&trace.Timeline{Events: res.Timeline}).Render(w); err != nil {
+			return err
+		}
+	}
+	if sh.lint {
+		// The job body audits the device state every manager leaves
+		// behind through its ledger view.
+		for _, d := range res.LintDiags {
+			fmt.Fprintf(w, "lint: %s\n", d)
+		}
+		if !res.LintClean {
+			return fmt.Errorf("device-state invariants violated after the run")
+		}
+		fmt.Fprintln(w, "lint: final device state verified")
+	}
+	return nil
+}
 
+// printResult prints the job's per-task table and each engine's
+// counters: what the daemon returns for the job, plus what only the
+// stack it ran on holds (the device's final occupancy, the fault
+// injector's summary).
+func printResult(w io.Writer, bc serve.BoardConfig, scenario string, st *baseline.Stack, res *serve.JobResult) error {
 	tbl := &trace.Table{
 		ID:      "RUN",
-		Title:   fmt.Sprintf("%s under %s (%s, slice %v)", cfg.scenario, cfg.manager, cfg.sched, cfg.slice),
+		Title:   fmt.Sprintf("%s under %s (%s, slice %v)", scenario, bc.Manager, bc.Sched, bc.Slice),
 		Columns: []string{"task", "turnaround_ms", "cpu_ms", "hw_ms", "overhead_ms", "wait_ms", "block_ms", "preempts"},
 	}
-	for _, t := range osim.Tasks() {
-		tbl.AddRow(t.Name,
-			fmt.Sprintf("%.3f", t.Turnaround().Milliseconds()),
-			fmt.Sprintf("%.3f", t.CPUTime.Milliseconds()),
-			fmt.Sprintf("%.3f", t.HWTime.Milliseconds()),
-			fmt.Sprintf("%.3f", t.Overhead.Milliseconds()),
-			fmt.Sprintf("%.3f", t.ReadyWait.Milliseconds()),
-			fmt.Sprintf("%.3f", t.BlockWait.Milliseconds()),
-			t.Preemptions)
+	msec := func(d sim.Time) string { return fmt.Sprintf("%.3f", d.Milliseconds()) }
+	for _, t := range res.Tasks {
+		tbl.AddRow(t.Name, msec(t.Turnaround), msec(t.CPUTime), msec(t.HWTime),
+			msec(t.Overhead), msec(t.ReadyWait), msec(t.BlockWait), t.Preemptions)
 	}
 	if err := tbl.Render(w); err != nil {
 		return err
 	}
 
-	fmt.Fprintf(w, "makespan: %v   ctx switches: %d\n", osim.Makespan(), osim.CtxSwitches)
-	for i, eng := range engines {
-		m := &eng.M
+	fmt.Fprintf(w, "makespan: %v   ctx switches: %d\n", res.Makespan, res.CtxSwitches)
+	for i, m := range res.Metrics {
+		eng := st.Engines[i]
 		label := "manager:"
-		if len(engines) > 1 {
+		if len(res.Metrics) > 1 {
 			label = fmt.Sprintf("board %d:", i)
 		}
 		fmt.Fprintf(w, "%s loads=%d evictions=%d readbacks=%d restores=%d rollbacks=%d\n",
-			label, m.Loads.Value(), m.Evictions.Value(), m.Readbacks.Value(), m.Restores.Value(), m.Rollbacks.Value())
+			label, m.Loads, m.Evictions, m.Readbacks, m.Restores, m.Rollbacks)
 		fmt.Fprintf(w, "         page faults=%d gc runs=%d relocations=%d blocks=%d muxed ops=%d\n",
-			m.PageFaults.Value(), m.GCRuns.Value(), m.Relocations.Value(), m.Blocks.Value(), m.MuxedOps.Value())
+			m.PageFaults, m.GCRuns, m.Relocations, m.Blocks, m.MuxedOps)
 		fmt.Fprintf(w, "         config time=%v readback time=%v restore time=%v\n",
 			m.ConfigTime, m.ReadbackTime, m.RestoreTime)
-		if cfg.faults != nil {
+		if bc.Faults != nil {
 			fmt.Fprintf(w, "faults:  injected=%d retries=%d recoveries=%d escalations=%d fault time=%v\n",
-				m.FaultsInjected.Value(), m.FaultRetries.Value(),
-				m.FaultRecoveries.Value(), m.FaultEscalations.Value(), m.FaultTime)
+				m.FaultsInjected, m.FaultRetries, m.FaultRecoveries, m.FaultEscalations, m.FaultTime)
 			if inj := eng.Ledger().Injector(); inj != nil {
 				fmt.Fprintf(w, "         %s\n", inj.Summary())
 			}
 		}
 		fmt.Fprintf(w, "device:  %d/%d CLBs configured at end, mean occupancy %.1f CLBs\n",
-			eng.Dev.UsedCells(), opt.Geometry.NumCLBs(), m.Util.Average(int64(st.K.Now())))
-	}
-	if cfg.gantt {
-		fmt.Fprintln(w)
-		fmt.Fprintln(w, "timeline ('#' running, '.' ready, 'b' blocked):")
-		fmt.Fprint(w, tlog.Gantt(100, osim.Makespan()))
-	}
-	if cfg.trace {
-		fmt.Fprintln(w)
-		fmt.Fprintln(w, "merged scheduler+device timeline:")
-		if err := st.Timeline().Render(w); err != nil {
-			return err
-		}
-	}
-	if cfg.lint {
-		// Every manager exposes its live device state through its ledger
-		// view; audit it once the run is over.
-		diags, err := st.Lint()
-		if err != nil {
-			return err
-		}
-		for _, d := range diags {
-			fmt.Fprintf(w, "lint: %s\n", d)
-		}
-		if lint.HasErrors(diags) {
-			return fmt.Errorf("device-state invariants violated after the run")
-		}
-		fmt.Fprintln(w, "lint: final device state verified")
+			eng.Dev.UsedCells(), eng.Opt.Geometry.NumCLBs(), m.UtilMean)
 	}
 	return nil
 }

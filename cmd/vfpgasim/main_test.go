@@ -127,7 +127,9 @@ func TestReadmeExcerpts(t *testing.T) {
 // TestMatchesDaemonJob holds the rule README's serving section states: a
 // daemon job equals `vfpgasim -seed s` when the board's Seed is s+1 (the
 // seed vfpgasim compiles with) and the spec's seed is s — makespan,
-// per-task rows and device counters, for one engine or several.
+// per-task rows and device counters, for one engine or several. Both run
+// the same job body; this checks that vfpgasim maps its flags onto the
+// board and the spec a daemon submission names.
 func TestMatchesDaemonJob(t *testing.T) {
 	for _, c := range []struct {
 		scenario, manager string
@@ -158,18 +160,7 @@ func TestMatchesDaemonJob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch c.scenario {
-			case "multimedia":
-				spec.Multimedia.Seed = c.seed
-			case "telecom":
-				spec.Telecom.Seed = c.seed
-			case "diagnosis":
-				spec.Diagnosis.Seed = c.seed
-			case "storage":
-				spec.Storage.Seed = c.seed
-			case "synthetic":
-				spec.Synthetic.Seed = c.seed
-			}
+			spec.SetSeed(c.seed)
 			j, err := pool.Submit(serve.SubmitArgs{Tenant: "t", Spec: &spec})
 			if err != nil {
 				t.Fatal(err)
@@ -232,6 +223,22 @@ func TestBadTasksFlagRefused(t *testing.T) {
 		code := cli([]string{"-scenario", "synthetic", "-tasks", tasks}, &stdout, &stderr)
 		if code != 1 || !strings.Contains(stderr.String(), "parameter out of range") || stdout.Len() != 0 {
 			t.Errorf("-tasks %s: exit %d, stderr %q, stdout %q; want exit 1 naming the parameter", tasks, code, &stderr, &stdout)
+		}
+	}
+}
+
+// A board the daemon would refuse is refused before anything is
+// compiled or printed, by the daemon's own check.
+func TestBadBoardRefusedBeforeOutput(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-manager nosuch", "unknown manager"},
+		{"-sched nosuch", "unknown scheduler"},
+		{"-manager multi -boards 0", "at least one sub-board"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := cli(strings.Fields(c.args), &stdout, &stderr)
+		if code != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("vfpgasim %s: exit %d, stdout %q, stderr %q; want exit 1, no stdout, stderr naming %q", c.args, code, &stdout, &stderr, c.want)
 		}
 	}
 }

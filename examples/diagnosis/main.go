@@ -31,7 +31,7 @@ func main() {
 	osCfg := hostos.DefaultConfig()
 	osCfg.Policy, osCfg.TimeSlice = hostos.Priority, 5*sim.Millisecond
 	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs,
-		baseline.NewManager("overlay", resident, 0))
+		baseline.NewManager("overlay", resident))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func osLevelDemo() {
 	}
 	osCfg := hostos.DefaultConfig()
 	osCfg.TimeSlice = 2 * sim.Millisecond
-	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs, baseline.NewManager("dynamic", nil, 0))
+	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs, baseline.NewManager("dynamic", nil))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func TestNewManagerByName(t *testing.T) {
 		if name == "multi" {
 			engines = append(engines, testEngine(t))
 		}
-		mgr, initCost, err := NewManager(name, circuits, 1)(k, engines)
+		mgr, initCost, err := NewManager(name, circuits)(k, engines)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -201,11 +201,11 @@ func TestNewManagerByName(t *testing.T) {
 			t.Errorf("%s: job did not finish", name)
 		}
 	}
-	if mgr, _, err := NewManager("nosuch", circuits, 1)(sim.New(), []*core.Engine{testEngine(t)}); err == nil || mgr != nil {
+	if mgr, _, err := NewManager("nosuch", circuits)(sim.New(), []*core.Engine{testEngine(t)}); err == nil || mgr != nil {
 		t.Errorf("unknown manager: got %v, %v", mgr, err)
 	}
 	for _, name := range []string{"overlay", "merged"} {
-		mgr, _, err := NewManager(name, nil, 1)(sim.New(), []*core.Engine{testEngine(t)})
+		mgr, _, err := NewManager(name, nil)(sim.New(), []*core.Engine{testEngine(t)})
 		if !errors.Is(err, workload.ErrNoCircuits) || mgr != nil {
 			t.Errorf("%s with no circuits: got %v, %v", name, mgr, err)
 		}
@@ -213,7 +213,7 @@ func TestNewManagerByName(t *testing.T) {
 	// A constructor that fails must not leak its typed nil pointer.
 	wide := testEngine(t)
 	wide.Opt.Geometry.Cols = 1
-	if mgr, _, err := NewManager("merged", circuits, 1)(sim.New(), []*core.Engine{wide}); err == nil || mgr != nil {
+	if mgr, _, err := NewManager("merged", circuits)(sim.New(), []*core.Engine{wide}); err == nil || mgr != nil {
 		t.Errorf("merged on a one-column device: got %v, %v", mgr, err)
 	}
 }

@@ -13,11 +13,12 @@ import (
 // the daemon and vfpgasim call by name, in the one configuration both
 // run it in: variable best-fit partitions with GC and rotation
 // (partition, and each board of multi), the full amorphous policy, the
-// first of circuits resident under overlay, 16-CLB LRU pages seeded by
-// seed, a 20x software slowdown, every one of circuits merged. The
-// stack holds one engine, or one per board for multi; circuits is the
-// job's circuit set in order. An unknown name is the func's error.
-func NewManager(name string, circuits []string, seed uint64) ManagerFunc {
+// first of circuits resident under overlay, 16-CLB LRU pages (LRU draws
+// nothing at random, so no seed), a 20x software slowdown, every one of
+// circuits merged. The stack holds one engine, or one per board for
+// multi; circuits is the job's circuit set in order. An unknown name is
+// the func's error.
+func NewManager(name string, circuits []string) ManagerFunc {
 	return func(k *sim.Kernel, engines []*core.Engine) (hostos.FPGA, sim.Time, error) {
 		e := engines[0]
 		strips := core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true}
@@ -30,7 +31,7 @@ func NewManager(name string, circuits []string, seed uint64) ManagerFunc {
 		case "amorphous":
 			return core.NewAmorphousManager(k, e, core.DefaultAmorphousConfig()), 0, nil
 		case "paged":
-			pl, err := core.NewPagedLoader(k, e, core.PagedConfig{PageCells: 16, Policy: core.LRU, Seed: seed})
+			pl, err := core.NewPagedLoader(k, e, core.PagedConfig{PageCells: 16, Policy: core.LRU})
 			return built(pl, 0, err)
 		case "multi":
 			mm, err := core.NewMultiManager(k, engines, strips)

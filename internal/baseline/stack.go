@@ -122,9 +122,9 @@ func (s *Stack) Run(set *workload.Set) error {
 }
 
 // Trace attaches a fresh scheduler log and one device log per engine;
-// call it before Run. It returns the scheduler's log, which renders the
-// Gantt chart; Timeline merges all of them.
-func (s *Stack) Trace() *hostos.EventLog {
+// call it before Run. Gantt renders the scheduler's log and Timeline
+// merges all of them.
+func (s *Stack) Trace() {
 	s.sched = hostos.NewEventLog()
 	s.OS.AttachTrace(s.sched)
 	s.devs = nil
@@ -133,7 +133,15 @@ func (s *Stack) Trace() *hostos.EventLog {
 		e.Ledger().AttachLog(dl)
 		s.devs = append(s.devs, dl)
 	}
-	return s.sched
+}
+
+// Gantt renders the scheduler log attached by Trace as a width-column
+// chart over the run's makespan; "" on a stack Trace was not called on.
+func (s *Stack) Gantt(width int) string {
+	if s.sched == nil {
+		return ""
+	}
+	return s.sched.Gantt(width, s.OS.Makespan())
 }
 
 // Timeline merges what the logs attached by Trace recorded into one

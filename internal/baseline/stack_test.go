@@ -29,7 +29,7 @@ func stackFor(t *testing.T, scenario, manager string, engines int, plan *fault.P
 		t.Fatal(err)
 	}
 	st, err := NewStack(opt, engines, hostos.DefaultConfig(), plan, set, circs,
-		NewManager(manager, set.CircuitNames(), 1))
+		NewManager(manager, set.CircuitNames()))
 	if err != nil {
 		t.Fatalf("%s/%s: %v", scenario, manager, err)
 	}
@@ -125,7 +125,7 @@ func TestStackResetMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, err := used.Next(set, circs, NewManager(c.manager, set.CircuitNames(), 1))
+		next, err := used.Next(set, circs, NewManager(c.manager, set.CircuitNames()))
 		if err != nil {
 			t.Fatalf("%s: %v", c.manager, err)
 		}

@@ -154,10 +154,10 @@ func runSet(opt core.Options, osCfg hostos.Config, set *workload.Set, mk baselin
 // Managers used across experiments: the by-name ones in the daemon's
 // configuration, and partitions under an experiment's own.
 var (
-	dynamicMgr   = baseline.NewManager("dynamic", nil, 0)
-	variableMgr  = baseline.NewManager("partition", nil, 0) // variable best-fit, GC, rotation
-	exclusiveMgr = baseline.NewManager("exclusive", nil, 0)
-	softwareMgr  = baseline.NewManager("software", nil, 0) // 20x slowdown
+	dynamicMgr   = baseline.NewManager("dynamic", nil)
+	variableMgr  = baseline.NewManager("partition", nil) // variable best-fit, GC, rotation
+	exclusiveMgr = baseline.NewManager("exclusive", nil)
+	softwareMgr  = baseline.NewManager("software", nil) // 20x slowdown
 )
 
 func partitionMgr(cfg core.PartitionConfig) baseline.ManagerFunc {

@@ -430,7 +430,7 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 			optRef.Geometry.Cols = colSweep[0]
 			set := mkSet()
 			mergedRes, err := runSet(optRef, hostos.DefaultConfig(), set,
-				baseline.NewManager("merged", set.CircuitNames(), 0))
+				baseline.NewManager("merged", set.CircuitNames()))
 			if err != nil {
 				return 0, err
 			}
@@ -580,7 +580,7 @@ func F3MergedVsDynamic(cfg Config) (*trace.Table, error) {
 		if sumW <= cols {
 			set := mkSet()
 			mres, err := runSet(opt, hostos.DefaultConfig(), set,
-				baseline.NewManager("merged", set.CircuitNames(), 0))
+				baseline.NewManager("merged", set.CircuitNames()))
 			if err != nil {
 				return nil, err
 			}
@@ -1020,7 +1020,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 			{"software only", smallCols, softwareMgr},
 			{"vfpga dynamic (small)", smallCols, dynamicMgr},
 			{"vfpga partitions (mid)", (smallCols + bigCols) / 2, variableMgr},
-			{"merged big FPGA", bigCols, baseline.NewManager("merged", probeSet.CircuitNames(), 0)},
+			{"merged big FPGA", bigCols, baseline.NewManager("merged", probeSet.CircuitNames())},
 		}
 		return parRows(cfg.Jobs, len(managers), func(mi int) ([]any, error) {
 			m := managers[mi]

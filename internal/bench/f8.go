@@ -54,7 +54,7 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 		// demand actually reaches the boards.
 		osCfg := hostos.DefaultConfig()
 		osCfg.TimeSlice = 1 * sim.Millisecond
-		st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, baseline.NewManager("multi", nil, 0))
+		st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, baseline.NewManager("multi", nil))
 		if err != nil {
 			return nil, err
 		}

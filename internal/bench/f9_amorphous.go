@@ -26,7 +26,7 @@ func F9AmorphousRegions(cfg Config) (*trace.Table, error) {
 	mkSet := churnSets(cfg) // F4's churn, so the comparison isolates the residency model
 	managers := []string{"partition", "amorphous"}
 	rows, err := parRows(cfg.Jobs, len(managers), func(i int) ([]any, error) {
-		st, fragSample, err := runChurn(cfg, mkSet(), baseline.NewManager(managers[i], nil, 0))
+		st, fragSample, err := runChurn(cfg, mkSet(), baseline.NewManager(managers[i], nil))
 		if err != nil {
 			return nil, fmt.Errorf("F9 %s: %w", managers[i], err)
 		}

@@ -25,8 +25,8 @@ type BoardConfig struct {
 	Manager string
 	// Cols and Rows shape the device.
 	Cols, Rows int
-	// SubBoards is the device count for the multi manager (ignored
-	// otherwise; minimum 1).
+	// SubBoards is the device count for the multi manager, at least 1
+	// there (ignored otherwise).
 	SubBoards int
 	// Sched and Slice configure the host OS scheduler.
 	Sched string
@@ -67,6 +67,9 @@ func (bc *BoardConfig) Validate() error {
 	}
 	if _, err := hostos.ParsePolicy(bc.Sched); err != nil {
 		return fmt.Errorf("serve: unknown scheduler %q", bc.Sched)
+	}
+	if bc.Manager == "multi" && bc.SubBoards < 1 {
+		return fmt.Errorf("serve: multi manager needs at least one sub-board, have %d", bc.SubBoards)
 	}
 	if bc.Cols <= 0 || bc.Rows <= 0 {
 		return fmt.Errorf("serve: bad geometry %dx%d", bc.Cols, bc.Rows)

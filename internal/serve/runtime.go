@@ -23,8 +23,8 @@ import (
 	"repro/internal/workload"
 )
 
-// boardOptions maps a board config onto engine options.
-func boardOptions(bc BoardConfig) core.Options {
+// Options maps the board config onto engine options.
+func (bc *BoardConfig) Options() core.Options {
 	opt := core.DefaultOptions()
 	opt.Geometry.Cols, opt.Geometry.Rows = bc.Cols, bc.Rows
 	opt.Seed = bc.Seed
@@ -35,7 +35,7 @@ func boardOptions(bc BoardConfig) core.Options {
 // shared strip cache, in set order. The cache canonicalizes: identical
 // netlists compiled with identical options return the same *Circuit.
 func compileSet(cache *compile.StripCache, bc BoardConfig, set *workload.Set) ([]*compile.Circuit, error) {
-	circs, err := core.CompileSet(cache, boardOptions(bc), set.Circuits)
+	circs, err := core.CompileSet(cache, bc.Options(), set.Circuits)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -54,11 +54,7 @@ func compileSet(cache *compile.StripCache, bc BoardConfig, set *workload.Set) ([
 // (fleet_open's virtual_ms_per_op up 2–7 % on six of six seeds) — a
 // routing change, to be made as one (ROADMAP item 9).
 func SpecWidth(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (int, error) {
-	set, err := spec.Build()
-	if err != nil {
-		return 0, err
-	}
-	circs, err := compileSet(cache, bc, set)
+	_, circs, err := CompileJob(cache, bc, spec)
 	if err != nil {
 		return 0, err
 	}
@@ -75,7 +71,7 @@ func SpecWidth(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (
 // hardware of prev, the stack of the board's previous job, or on new
 // hardware when prev is nil. prev is dead afterwards either way.
 func buildStack(prev *baseline.Stack, bc BoardConfig, set *workload.Set, circs []*compile.Circuit) (st *baseline.Stack, err error) {
-	mk := baseline.NewManager(bc.Manager, set.CircuitNames(), bc.Seed)
+	mk := baseline.NewManager(bc.Manager, set.CircuitNames())
 	if prev != nil {
 		st, err = prev.Next(set, circs, mk)
 	} else {
@@ -88,7 +84,7 @@ func buildStack(prev *baseline.Stack, bc BoardConfig, set *workload.Set, circs [
 		if bc.Manager == "multi" {
 			engines = bc.SubBoards
 		}
-		st, err = baseline.NewStack(boardOptions(bc), engines, osCfg, bc.Faults, set, circs, mk)
+		st, err = baseline.NewStack(bc.Options(), engines, osCfg, bc.Faults, set, circs, mk)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -96,14 +92,14 @@ func buildStack(prev *baseline.Stack, bc BoardConfig, set *workload.Set, circs [
 	return st, nil
 }
 
-// recoverJob, deferred by runSpec, fails a panicking job instead of
-// taking the daemon down with it. The caller discards the stack on any
-// error, so recovery cannot leak corrupted state into the next job. A
-// fault escalation stays typed through the recover so the pool can
-// quarantine the board.
-func recoverJob(res **JobResult, err *error) {
+// recoverJob, deferred by each half of the job body, fails a panicking
+// job instead of taking the daemon down with it. The caller discards the
+// stack on any error, so recovery cannot leak corrupted state into the
+// next job. A fault escalation stays typed through the recover so the
+// pool can quarantine the board.
+func recoverJob(err *error) {
 	if r := recover(); r != nil {
-		*res, *err = nil, fmt.Errorf("serve: job panicked: %v", r)
+		*err = fmt.Errorf("serve: job panicked: %v", r)
 		if esc, ok := fault.AsEscalation(r); ok {
 			*err = esc
 		}
@@ -111,22 +107,41 @@ func recoverJob(res **JobResult, err *error) {
 }
 
 // runSpec is the one job body, a board's and the direct runner's alike:
-// it builds spec's task set, compiles its circuits through the shared
-// cache, builds the stack on the hardware of prev, the stack of the
-// board's previous job (new hardware when prev is nil), and runs the job
-// on it. A panic anywhere on the way — a constructor, a fault escalation
-// mid-run — is the job's error. st is the stack the job ran on, nil when
-// none was built; prev is dead once a stack is built on its hardware.
+// CompileJob, then ExecuteJob on the hardware of prev, the stack of the
+// board's previous job (new hardware when prev is nil). st is the stack
+// the job ran on, nil when none was built; prev is dead once a stack is
+// built on its hardware.
 func runSpec(cache *compile.StripCache, bc BoardConfig, prev *baseline.Stack, spec *workload.Spec, withTrace bool) (st *baseline.Stack, res *JobResult, err error) {
-	defer recoverJob(&res, &err)
-	set, err := spec.Build()
+	set, circs, err := CompileJob(cache, bc, spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	circs, err := compileSet(cache, bc, set)
-	if err != nil {
+	return ExecuteJob(bc, prev, set, circs, withTrace)
+}
+
+// CompileJob is the first half of the job body: it builds spec's task
+// set and compiles its circuits for the board through cache (nil
+// compiles without one), in set order. A panic on the way is the job's
+// error.
+func CompileJob(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (set *workload.Set, circs []*compile.Circuit, err error) {
+	defer recoverJob(&err)
+	if set, err = spec.Build(); err != nil {
 		return nil, nil, err
 	}
+	if circs, err = compileSet(cache, bc, set); err != nil {
+		return nil, nil, err
+	}
+	return set, circs, nil
+}
+
+// ExecuteJob is the second half of the job body: it builds the stack on
+// the hardware of prev (new hardware when prev is nil), runs set on it
+// and audits the device state the run leaves. circs are set's circuits
+// as CompileJob returns them. A panic anywhere on the way — a
+// constructor, a fault escalation mid-run — is the job's error. st is
+// the stack the job ran on, nil when none was built.
+func ExecuteJob(bc BoardConfig, prev *baseline.Stack, set *workload.Set, circs []*compile.Circuit, withTrace bool) (st *baseline.Stack, res *JobResult, err error) {
+	defer recoverJob(&err)
 	if st, err = buildStack(prev, bc, set, circs); err != nil {
 		return nil, nil, err
 	}

@@ -709,3 +709,21 @@ func TestOutOfRangeParamsRefused(t *testing.T) {
 			good.Status().State, after.ColdResets, after.WarmResets, before.ColdResets, before.WarmResets)
 	}
 }
+
+// A multi board with no sub-board is refused when the pool is built (the
+// config differs from a default one in nothing else), not run as a
+// one-board multi.
+func TestMultiWithoutSubBoardsRefused(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		bc := DefaultBoardConfig()
+		bc.Manager, bc.SubBoards = "multi", n
+		if _, err := NewPool([]BoardConfig{bc}, PoolOptions{}); err == nil {
+			t.Errorf("multi with %d sub-boards: NewPool accepted it", n)
+		}
+	}
+	bc := DefaultBoardConfig()
+	bc.SubBoards = 0 // ignored by every manager but multi
+	if err := bc.Validate(); err != nil {
+		t.Errorf("dynamic with 0 sub-boards: %v", err)
+	}
+}

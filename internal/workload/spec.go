@@ -148,6 +148,31 @@ func BuiltinSpec(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("workload: unknown scenario %q (have %v)", name, scenarios)
 }
 
+// SetSeed sets the workload seed, the one parameter every scenario has,
+// in the spec's parameter block. A spec with no block set (it builds
+// its scenario's defaults) gets the block spelled out first, so it
+// still builds the defaults but for the seed; a spec Validate refuses
+// stays refused.
+func (s *Spec) SetSeed(seed uint64) {
+	if s.Multimedia == nil && s.Telecom == nil && s.Diagnosis == nil && s.Storage == nil && s.Synthetic == nil {
+		if full, err := BuiltinSpec(s.Scenario); err == nil {
+			*s = full
+		}
+	}
+	switch {
+	case s.Multimedia != nil:
+		s.Multimedia.Seed = seed
+	case s.Telecom != nil:
+		s.Telecom.Seed = seed
+	case s.Diagnosis != nil:
+		s.Diagnosis.Seed = seed
+	case s.Storage != nil:
+		s.Storage.Seed = seed
+	case s.Synthetic != nil:
+		s.Synthetic.Seed = seed
+	}
+}
+
 // BuiltinSpecs returns every scenario's default Spec, sorted by name.
 func BuiltinSpecs() []Spec {
 	names := Scenarios()

@@ -140,3 +140,37 @@ func TestSpecPartialBlock(t *testing.T) {
 		t.Error("misspelled block field accepted")
 	}
 }
+
+// SetSeed reaches every scenario's seed, and a bare spec gets its block
+// spelled out at the defaults first: both forms then encode alike, seed
+// set.
+func TestSpecSetSeed(t *testing.T) {
+	for _, name := range Scenarios() {
+		full, err := BuiltinSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare := Spec{Scenario: name}
+		full.SetSeed(77)
+		bare.SetSeed(77)
+		a, err := full.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := bare.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: spelled-out %s, bare %s", name, a, b)
+		}
+		var blocks map[string]json.RawMessage
+		if err := json.Unmarshal(a, &blocks); err != nil {
+			t.Fatal(err)
+		}
+		var block struct{ Seed uint64 }
+		if err := json.Unmarshal(blocks[name], &block); err != nil || block.Seed != 77 {
+			t.Errorf("%s: block %s, want seed 77", name, blocks[name])
+		}
+	}
+}
