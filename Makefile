@@ -26,19 +26,21 @@ build:
 	$(GO) build ./...
 
 # The race gate covers the concurrency-bearing packages: the parallel
-# experiment runner (bench), the compile cache (compile), the service
-# daemon (serve), the fleet scheduler (fleet), the router scratch, and
-# the simulation layers they drive — the board stack (baseline) runs on
-# every board worker goroutine, the event kernel (sim) with both its
-# callback shapes under bench.Run's parallel workers — and the shared
-# circuit library (netlist) with the spec builder that reads it from
-# every worker. The second run
+# experiment runner (bench), the compile cache and its flows (compile),
+# the fan-out of a set's compiles (core), the service daemon (serve),
+# the fleet scheduler (fleet), the stages whose working arrays a flow
+# carries from goroutine to goroutine (the optimizer in netlist, techmap,
+# place, route), and the simulation layers they drive — the board stack
+# (baseline) runs on every board worker goroutine, the event kernel (sim)
+# with both its callback shapes under bench.Run's parallel workers — and
+# the shared circuit library (netlist) with the spec builder that reads
+# it from every worker. The second run
 # repeats the tests of orderings between goroutines (a failed job is
 # counted before its done channel closes; every queued-work charge is
 # released, whichever worker the job leaves) and the test that a live
 # pool and fleet.Simulate place one stream alike: once is not evidence.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/route/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
+	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/techmap/... ./internal/place/... ./internal/route/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
 	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree' ./internal/serve/
 
 test:
@@ -91,12 +93,14 @@ docs:
 
 # The CAD flow alone, before and after a change to it: optimizing mul8,
 # then mapping, placing, routing and the whole strip compile over every
-# registry circuit, div16 apart (it is three quarters of the pass). Ten
-# fixed iterations, five readings each, bytes and allocations beside the
-# time, so each leg's share of a cold compile shows; seconds, not the repo
-# benchmark's minutes. Wall-clock bound, so not part of `make check`.
+# registry circuit, div16 apart (it is three quarters of the pass), and
+# the four largest circuits that fit a board compiled one after another
+# and as one set fanned out over the compile flows. Ten fixed iterations,
+# five readings each, bytes and allocations beside the time, so each
+# leg's share of a cold compile shows; seconds, not the repo benchmark's
+# minutes. Wall-clock bound, so not part of `make check`.
 bench-flow:
-	$(GO) test -run '^$$' -bench 'Benchmark((Map|Place|Route|Strip)Registry|OptimizeMul8)' -benchmem -benchtime 10x -count 5 ./internal/netlist/ ./internal/techmap/ ./internal/place/ ./internal/route/ ./internal/compile/
+	$(GO) test -run '^$$' -bench 'Benchmark((Map|Place|Route|Strip)Registry|OptimizeMul8|CompileSetCold)' -benchmem -benchtime 10x -count 5 ./internal/netlist/ ./internal/techmap/ ./internal/place/ ./internal/route/ ./internal/compile/ ./internal/core/
 
 # The device layer alone, before and after a change to it: a new board,
 # one strip download, the pin pool under eviction churn, the fabric-config

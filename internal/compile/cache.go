@@ -10,12 +10,14 @@
 //     key block on one compilation instead of redoing it;
 //   - bounded LRU eviction, so a long-lived process cannot grow the cache
 //     without limit;
-//   - hit/miss/in-flight counters (internal/stats) for vfpgabench's
-//     summary line and the daemon's /metrics.
+//   - counters (internal/stats): hits, misses and dedups for vfpgabench's
+//     summary line; those, evictions, entries and capacity for the
+//     daemon's /metrics; compilations in flight for Stats alone.
 package compile
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 
 	"repro/internal/fabric"
@@ -120,11 +122,28 @@ func NewStripCache(capacity int) *StripCache {
 // The returned Circuit is shared and must be treated as immutable (every
 // consumer in this repository already does).
 func (sc *StripCache) CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit, error) {
+	return sc.get(keyOf(nl, rows, tracks, opt), func() (*Circuit, error) {
+		return CompileStrip(nl, rows, tracks, opt)
+	})
+}
+
+// Cached returns what CompileStrip would for the same arguments when the
+// cache holds it, counting the hit, and false otherwise, counting
+// nothing: a caller that then compiles through CompileStrip counts the
+// lookup there.
+func (sc *StripCache) Cached(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit, bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.hitLocked(keyOf(nl, rows, tracks, opt))
+}
+
+// keyOf is the cache key of a strip compile.
+func keyOf(nl *netlist.Netlist, rows, tracks int, opt Options) CacheKey {
 	timing := fabric.DefaultTiming()
 	if opt.Timing != nil {
 		timing = *opt.Timing
 	}
-	key := CacheKey{
+	return CacheKey{
 		Name:       nl.Name,
 		Rows:       rows,
 		Tracks:     tracks,
@@ -132,21 +151,30 @@ func (sc *StripCache) CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Op
 		DisableOpt: opt.DisableOpt,
 		Timing:     timing,
 	}
-	return sc.get(key, func() (*Circuit, error) {
-		return CompileStrip(nl, rows, tracks, opt)
-	})
+}
+
+// hitLocked returns the cached circuit for key, counting the hit and
+// marking it most recently used, or false.
+func (sc *StripCache) hitLocked(key CacheKey) (*Circuit, bool) {
+	el, ok := sc.entries[key]
+	if !ok {
+		return nil, false
+	}
+	sc.lru.MoveToFront(el)
+	sc.hits.Inc()
+	return el.Value.(*cacheEntry).c, true
 }
 
 // get looks key up, joining an in-flight compilation or running fn once.
 // Failed compilations are delivered to all waiters but never cached, so a
-// transient caller error does not poison the key.
+// transient caller error does not poison the key. If fn panics, the
+// flight ends all the same: its joiners get an error, the next lookup
+// compiles afresh, and the panic goes on up the compiling caller's stack.
 func (sc *StripCache) get(key CacheKey, fn func() (*Circuit, error)) (*Circuit, error) {
 	sc.mu.Lock()
-	if el, ok := sc.entries[key]; ok {
-		sc.lru.MoveToFront(el)
-		sc.hits.Inc()
+	if c, ok := sc.hitLocked(key); ok {
 		sc.mu.Unlock()
-		return el.Value.(*cacheEntry).c, nil
+		return c, nil
 	}
 	if f, ok := sc.inflight[key]; ok {
 		sc.dedups.Inc()
@@ -160,8 +188,21 @@ func (sc *StripCache) get(key CacheKey, fn func() (*Circuit, error)) (*Circuit, 
 	sc.inFlight.Inc()
 	sc.mu.Unlock()
 
+	// Until fn returns, the flight reads as panicked: that is what land
+	// hands the joiners if it never does.
+	f.err = errPanicked
+	defer sc.land(key, f)
 	f.c, f.err = fn()
+	return f.c, f.err
+}
 
+// errPanicked is what the joiners of a flight whose compilation panicked
+// get.
+var errPanicked = errors.New("compile: strip compilation panicked")
+
+// land ends flight f for key: caches a success, releases the key and
+// wakes the joiners.
+func (sc *StripCache) land(key CacheKey, f *flight) {
 	sc.mu.Lock()
 	delete(sc.inflight, key)
 	sc.inFlight.Dec()
@@ -176,7 +217,6 @@ func (sc *StripCache) get(key CacheKey, fn func() (*Circuit, error)) (*Circuit, 
 	}
 	sc.mu.Unlock()
 	close(f.done)
-	return f.c, f.err
 }
 
 // Len returns the number of cached circuits.

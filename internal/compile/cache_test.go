@@ -3,8 +3,10 @@ package compile
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/netlist"
 )
@@ -114,6 +116,72 @@ func TestCacheErrorNotCached(t *testing.T) {
 	c, err := sc.get(key, func() (*Circuit, error) { return &Circuit{}, nil })
 	if err != nil || c == nil {
 		t.Fatalf("retry after error: %v %v", c, err)
+	}
+}
+
+// TestCachePanicEndsFlight panics inside a compile with a joiner parked on
+// it: the panic reaches the compiling caller, the joiner gets an error,
+// and the next lookup compiles afresh. A flight left open hangs its
+// joiners, so every wait has a timeout.
+func TestCachePanicEndsFlight(t *testing.T) {
+	sc := NewStripCache(4)
+	key := testKey("boom", 1)
+	within := func(what string, ch <-chan any) any {
+		t.Helper()
+		select {
+		case v := <-ch:
+			return v
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still waiting after 10s", what)
+			return nil
+		}
+	}
+
+	gate := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		sc.get(key, func() (*Circuit, error) {
+			<-gate
+			panic("boom")
+		})
+	}()
+	for sc.Stats().Misses == 0 {
+		runtime.Gosched()
+	}
+	joined := make(chan any, 1)
+	go func() {
+		_, err := sc.get(key, func() (*Circuit, error) {
+			t.Error("a joiner compiled")
+			return nil, nil
+		})
+		joined <- err
+	}()
+	for sc.Stats().Dedups == 0 {
+		runtime.Gosched()
+	}
+	close(gate)
+
+	if r := within("the compiling caller", panicked); r != "boom" {
+		t.Fatalf("compiling caller recovered %v, want the compile's panic", r)
+	}
+	if err, _ := within("the joiner", joined).(error); !errors.Is(err, errPanicked) {
+		t.Fatalf("joiner got %v, want errPanicked", err)
+	}
+	if st := sc.Stats(); st.InFlight != 0 || st.Size != 0 {
+		t.Fatalf("after the panic: %d in flight, %d cached", st.InFlight, st.Size)
+	}
+	want := &Circuit{Name: "boom"}
+	again := make(chan any, 1)
+	go func() {
+		c, _ := sc.get(key, func() (*Circuit, error) { return want, nil })
+		again <- c
+	}()
+	if c := within("the next lookup", again); c != want {
+		t.Fatalf("next lookup returned %v, want a fresh compile", c)
+	}
+	if st := sc.Stats(); st.Misses != 2 {
+		t.Fatalf("misses=%d, want 2: the next lookup did not compile", st.Misses)
 	}
 }
 

@@ -12,6 +12,8 @@ package compile
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
@@ -65,6 +67,70 @@ func (c *Circuit) String() string {
 		c.Name, c.BS.W, c.BS.H, c.Cells(), c.ClockPeriod, c.Sequential)
 }
 
+// A flow is one compile's working set: the arrays each stage of the flow
+// works in, kept from compile to compile. A compile that takes a flow
+// whose arrays have grown to its size allocates its artifact and nothing
+// else; a flow's arrays stay at the largest compile it has run.
+type flow struct {
+	optimizer netlist.Optimizer
+	mapper    techmap.Mapper
+	placer    place.Placer
+	router    route.Router
+}
+
+// flows is the package's GOMAXPROCS flows. A flow is also the token to
+// compile: every Compile and CompileStrip — a StripCache miss is one —
+// takes a flow and gives it back, so at most GOMAXPROCS compiles run at
+// once, process-wide, and the arrays they keep are bounded by GOMAXPROCS
+// times the largest compile.
+var flows = newFlowStack(runtime.GOMAXPROCS(0))
+
+// flowStack holds the free flows, the one given back last on top: a
+// compile takes the flow whose arrays are warmest, and one compiler
+// alone keeps a single flow's arrays grown.
+type flowStack struct {
+	n int // flows in all, free or taken
+
+	mu   sync.Mutex
+	cond sync.Cond // on mu; signalled when a flow is given back
+	free []*flow
+}
+
+func newFlowStack(n int) *flowStack {
+	s := &flowStack{n: n, free: make([]*flow, n)}
+	s.cond.L = &s.mu
+	for i := range s.free {
+		s.free[i] = new(flow)
+	}
+	return s
+}
+
+// take waits for a free flow and takes it.
+func (s *flowStack) take() *flow {
+	s.mu.Lock()
+	for len(s.free) == 0 {
+		s.cond.Wait()
+	}
+	f := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	s.mu.Unlock()
+	return f
+}
+
+// give returns a taken flow. A stage resets every array it reads, so a
+// flow a panicking compile gives back is as good as any.
+func (s *flowStack) give(f *flow) {
+	s.mu.Lock()
+	s.free = append(s.free, f)
+	s.mu.Unlock()
+	s.cond.Signal()
+}
+
+// Flows returns how many compiles can run at once: the number of flows.
+// A caller fanning independent compiles out gains nothing from more
+// goroutines than this.
+func Flows() int { return flows.n }
+
 // maxGrowth bounds the region-growth retries of Compile.
 const maxGrowth = 6
 
@@ -72,7 +138,9 @@ const maxGrowth = 6
 // capacity, growing a near-square region ~20% per retry until the design
 // routes.
 func Compile(nl *netlist.Netlist, opt Options) (*Circuit, error) {
-	m, err := frontEnd(nl, opt)
+	f := flows.take()
+	defer flows.give(f)
+	m, err := f.frontEnd(nl, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +149,7 @@ func Compile(nl *netlist.Netlist, opt Options) (*Circuit, error) {
 	for attempt := 0; ; attempt++ {
 		try := opt
 		try.Seed += uint64(attempt)
-		c, err := backEnd(nl, m, w, h, tracks, try)
+		c, err := f.backEnd(nl, m, w, h, tracks, try)
 		if err == nil || attempt == maxGrowth {
 			return c, err
 		}
@@ -97,12 +165,12 @@ func Compile(nl *netlist.Netlist, opt Options) (*Circuit, error) {
 
 // frontEnd is the shape-independent half of the flow: logic optimization
 // and technology mapping.
-func frontEnd(nl *netlist.Netlist, opt Options) (*techmap.Mapped, error) {
+func (f *flow) frontEnd(nl *netlist.Netlist, opt Options) (*techmap.Mapped, error) {
 	src := nl
 	if !opt.DisableOpt {
-		src = netlist.Optimize(nl)
+		src = f.optimizer.Optimize(nl)
 	}
-	m, err := techmap.Map(src)
+	m, err := f.mapper.Map(src)
 	if err != nil {
 		return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
 	}
@@ -111,16 +179,16 @@ func frontEnd(nl *netlist.Netlist, opt Options) (*techmap.Mapped, error) {
 
 // backEnd places, routes and generates the mapped design m of nl into a
 // w x h region with tracks per channel; it never changes the shape.
-func backEnd(nl *netlist.Netlist, m *techmap.Mapped, w, h, tracks int, opt Options) (*Circuit, error) {
+func (f *flow) backEnd(nl *netlist.Netlist, m *techmap.Mapped, w, h, tracks int, opt Options) (*Circuit, error) {
 	timing := fabric.DefaultTiming()
 	if opt.Timing != nil {
 		timing = *opt.Timing
 	}
-	p, err := place.Place(m, w, h, place.Options{Seed: opt.Seed})
+	p, err := f.placer.Place(m, w, h, place.Options{Seed: opt.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
 	}
-	r, err := route.Route(p, tracks, route.Options{})
+	r, err := f.router.Route(p, tracks, route.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("compile %s: %w", nl.Name, err)
 	}
@@ -161,7 +229,14 @@ func MustCompile(nl *netlist.Netlist, opt Options) *Circuit {
 // contiguous column ranges, the direct analogue of the paper's
 // memory-style partitions.
 func CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit, error) {
-	m, err := frontEnd(nl, opt)
+	f := flows.take()
+	defer flows.give(f)
+	return f.compileStrip(nl, rows, tracks, opt)
+}
+
+// compileStrip is CompileStrip in flow f.
+func (f *flow) compileStrip(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit, error) {
+	m, err := f.frontEnd(nl, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +247,7 @@ func CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit,
 	}
 	var lastErr error
 	for w := minW; w <= minW+8; w++ {
-		c, err := backEnd(nl, m, w, rows, tracks, opt)
+		c, err := f.backEnd(nl, m, w, rows, tracks, opt)
 		if err == nil {
 			return c, nil
 		}

@@ -27,6 +27,8 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/compile"
 	"repro/internal/fabric"
@@ -193,22 +195,91 @@ func (e *Engine) Ledger() *Ledger { return &e.led }
 // rule every golden depends on: circuit i of a set compiles with
 // opt.Seed+i. A nil cache compiles uncached; a shared cache returns the
 // same *Circuit for the same netlist name, shape, timing and seed.
+//
+// Cache hits are served in order on the caller's goroutine. The rest
+// compile in parallel, up to one per compile flow, and land by index, so
+// the result does not depend on which finishes first. The error returned
+// is the first in set order; a panic in any compile is raised again on
+// the caller's goroutine once every compile has returned.
 func CompileSet(cache *compile.StripCache, opt Options, nls []*netlist.Netlist) ([]*compile.Circuit, error) {
 	rows, tracks := opt.Geometry.Rows, opt.Geometry.TracksPerChannel
 	circs := make([]*compile.Circuit, len(nls))
+	var misses []int
 	for i, nl := range nls {
-		copt := compile.Options{Seed: opt.Seed + uint64(i), Timing: &opt.Timing}
-		var err error
 		if cache != nil {
-			circs[i], err = cache.CompileStrip(nl, rows, tracks, copt)
-		} else {
-			circs[i], err = compile.CompileStrip(nl, rows, tracks, copt)
+			if c, ok := cache.Cached(nl, rows, tracks, stripOptions(&opt, i)); ok {
+				circs[i] = c
+				continue
+			}
 		}
-		if err != nil {
-			return nil, err
-		}
+		misses = append(misses, i)
+	}
+	if len(misses) == 0 {
+		return circs, nil
+	}
+	if err := compileMisses(cache, opt, nls, misses, circs); err != nil {
+		return nil, err
 	}
 	return circs, nil
+}
+
+// stripOptions are the compile options of circuit i of a set.
+func stripOptions(opt *Options, i int) compile.Options {
+	return compile.Options{Seed: opt.Seed + uint64(i), Timing: &opt.Timing}
+}
+
+// compileMisses compiles circuit i of nls into circs[i] for each i in
+// misses, fanned out over the compile flows, and returns the first error
+// in set order. opt is a copy of CompileSet's own, so that only a set
+// with something to compile moves it to the heap.
+func compileMisses(cache *compile.StripCache, opt Options, nls []*netlist.Netlist, misses []int, circs []*compile.Circuit) error {
+	rows, tracks := opt.Geometry.Rows, opt.Geometry.TracksPerChannel
+	errs := make([]error, len(misses))
+	fanOut(len(misses), compile.Flows(), func(k int) {
+		i := misses[k]
+		if cache != nil {
+			circs[i], errs[k] = cache.CompileStrip(nls[i], rows, tracks, stripOptions(&opt, i))
+		} else {
+			circs[i], errs[k] = compile.CompileStrip(nls[i], rows, tracks, stripOptions(&opt, i))
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fanOut calls fn(k) for every k in [0, n) on up to workers goroutines,
+// the caller's among them, and returns when every call has. A panicking
+// call does not stop the others: once all have returned, the panic of
+// the least k is raised again on the caller's goroutine.
+func fanOut(n, workers int, fn func(k int)) {
+	workers = max(1, min(workers, n))
+	panics := make([]any, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		for k := int(next.Add(1) - 1); k < n; k = int(next.Add(1) - 1) {
+			func() {
+				defer func() { panics[k] = recover() }()
+				fn(k)
+			}()
+		}
+	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // AddCircuit compiles nl as the library's next circuit and registers it

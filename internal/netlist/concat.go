@@ -53,7 +53,7 @@ func Concat(name string, nls ...*Netlist) (*Netlist, error) {
 			out.DFFs = append(out.DFFs, id+offset)
 		}
 	}
-	if err := out.check(); err != nil {
+	if err := out.check(new(checkScratch)); err != nil {
 		return nil, err
 	}
 	return out, nil

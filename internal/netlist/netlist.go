@@ -11,6 +11,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -213,15 +214,24 @@ func (n *Netlist) Fanouts() [][]NodeID {
 	return out
 }
 
+// checkScratch is the working arrays of a netlist check, kept by a caller
+// that checks netlist after netlist (Optimizer); the zero value is ready.
+type checkScratch struct {
+	seen               map[string]Kind
+	indeg, start, fill []int
+	succs              []NodeID
+}
+
 // computeTopo builds the combinational topological order and detects
 // combinational cycles. DFFs are treated as both source (their output) and
 // sink (their D input), so they appear in the order but contribute no
 // combinational dependency.
-func (n *Netlist) computeTopo() error {
+func (n *Netlist) computeTopo(s *checkScratch) error {
 	// Combinational fanouts in CSR form: node f feeds
 	// succs[start[f]:start[f+1]], consumers in id order.
-	indeg := make([]int, len(n.Nodes))
-	start := make([]int, len(n.Nodes)+1)
+	s.indeg = zeroed(s.indeg, len(n.Nodes))
+	s.start = zeroed(s.start, len(n.Nodes)+1)
+	indeg, start := s.indeg, s.start
 	for i := range n.Nodes {
 		nd := &n.Nodes[i]
 		if nd.Kind == KindDFF {
@@ -235,9 +245,9 @@ func (n *Netlist) computeTopo() error {
 	for i := range n.Nodes {
 		start[i+1] += start[i]
 	}
-	succs := make([]NodeID, start[len(n.Nodes)])
-	fill := make([]int, len(n.Nodes))
-	copy(fill, start)
+	s.succs = zeroed(s.succs, start[len(n.Nodes)])
+	s.fill = append(s.fill[:0], start[:len(n.Nodes)]...)
+	succs, fill := s.succs, s.fill
 	for i := range n.Nodes {
 		nd := &n.Nodes[i]
 		if nd.Kind == KindDFF {
@@ -251,7 +261,7 @@ func (n *Netlist) computeTopo() error {
 	// Kahn's algorithm with the order itself as the queue: seeded with all
 	// sources in id order for determinism, read from head while successors
 	// whose fanins are all ordered are appended.
-	order := make([]NodeID, 0, len(n.Nodes))
+	order := slices.Grow(n.topo[:0], len(n.Nodes))
 	for i := range n.Nodes {
 		if indeg[i] == 0 {
 			order = append(order, NodeID(i))
@@ -276,8 +286,13 @@ func (n *Netlist) computeTopo() error {
 
 // validate checks structural invariants: arities, fanin ranges, port
 // uniqueness.
-func (n *Netlist) validate() error {
-	seen := make(map[string]Kind, len(n.Inputs)+len(n.Outputs))
+func (n *Netlist) validate(s *checkScratch) error {
+	if s.seen == nil {
+		s.seen = make(map[string]Kind, len(n.Inputs)+len(n.Outputs))
+	} else {
+		clear(s.seen)
+	}
+	seen := s.seen
 	for i := range n.Nodes {
 		nd := &n.Nodes[i]
 		if nd.ID != NodeID(i) {
@@ -327,22 +342,24 @@ func NewBuilder(name string) *Builder {
 	return &Builder{nl: Netlist{Name: name}}
 }
 
-// rebuilderFor returns a Builder sized for a rewrite of src that keeps
-// its ports and flip-flops and grows nothing else (Optimize): at most one
-// node per source node plus the two shared constants, at most the
-// source's fanin count, so no array grows by doubling. (A NAND folds to
-// an AND and a NOT; append absorbs the rare overshoot.)
-func rebuilderFor(src *Netlist) *Builder {
-	return &Builder{
-		nl: Netlist{
-			Name:    src.Name,
-			Nodes:   make([]Node, 0, len(src.Nodes)+2),
-			Inputs:  make([]NodeID, 0, len(src.Inputs)),
-			Outputs: make([]NodeID, 0, len(src.Outputs)),
-			DFFs:    make([]NodeID, 0, len(src.DFFs)),
-		},
-		edges: make([]NodeID, 0, src.numEdges()),
+// rebuild readies b, new or kept from an earlier rewrite, for a rewrite
+// of src that keeps its ports and flip-flops and grows nothing else
+// (Optimize): at most one node per source node plus the two shared
+// constants, at most the source's fanin count, so no array grows by
+// doubling. (A NAND folds to an AND and a NOT; append absorbs the rare
+// overshoot.) The netlist b built before, if any, is overwritten.
+func (b *Builder) rebuild(src *Netlist) {
+	nl := &b.nl
+	*nl = Netlist{
+		Name:    src.Name,
+		Nodes:   slices.Grow(nl.Nodes[:0], len(src.Nodes)+2),
+		Inputs:  slices.Grow(nl.Inputs[:0], len(src.Inputs)),
+		Outputs: slices.Grow(nl.Outputs[:0], len(src.Outputs)),
+		DFFs:    slices.Grow(nl.DFFs[:0], len(src.DFFs)),
+		topo:    nl.topo[:0],
 	}
+	b.edges = slices.Grow(b.edges[:0], src.numEdges())
+	b.built = false
 }
 
 func (b *Builder) add(kind Kind, name string, init bool, fanin ...NodeID) NodeID {
@@ -449,7 +466,7 @@ func (b *Builder) reduce(kind Kind, xs []NodeID) NodeID {
 // afterwards.
 func (b *Builder) Build() (*Netlist, error) {
 	nl := b.freeze()
-	if err := nl.check(); err != nil {
+	if err := nl.check(new(checkScratch)); err != nil {
 		return nil, err
 	}
 	return nl, nil
@@ -465,12 +482,21 @@ func (b *Builder) freeze() *Netlist {
 	return &b.nl
 }
 
-// check validates the netlist and computes its topological order.
-func (n *Netlist) check() error {
-	if err := n.validate(); err != nil {
+// check validates the netlist and computes its topological order in s's
+// arrays.
+func (n *Netlist) check(s *checkScratch) error {
+	if err := n.validate(s); err != nil {
 		return err
 	}
-	return n.computeTopo()
+	return n.computeTopo(s)
+}
+
+// zeroed returns s at length n, all zero — what make would return —
+// reusing its array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // MustBuild is Build that panics on error; for use by the circuit library

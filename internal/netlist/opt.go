@@ -10,10 +10,43 @@ import "fmt"
 // Port order and names are preserved exactly. Flip-flops are never
 // removed: their state is externally observable through readback (the
 // paper's preemption mechanism), so "dead" state is still state.
-func Optimize(nl *Netlist) *Netlist {
-	out := fold(nl)
-	sweep(out)
-	if err := out.check(); err != nil {
+func Optimize(nl *Netlist) *Netlist { return new(Optimizer).Optimize(nl) }
+
+// Optimizer is Optimize with its working arrays kept from call to call:
+// the fold's value table and structural hash, the sweep's renumbering,
+// the check's tables, and the netlist it builds. Once they have grown to
+// the largest input, a call allocates nothing. The zero value is ready
+// for use; an Optimizer is not safe for concurrent use.
+type Optimizer struct {
+	b     Builder
+	vals  []val
+	have  []bool
+	cse   map[cseKey]NodeID
+	remap []NodeID
+	chk   checkScratch
+}
+
+// val is the optimized form of an original node: a constant or a node in
+// the new netlist.
+type val struct {
+	isConst bool
+	c       bool
+	id      NodeID
+}
+
+// cseKey is a gate's structural identity: identical (kind, fanins) gates
+// share one node. Unused fanin slots stay zero; the kind fixes the arity.
+type cseKey struct {
+	kind    Kind
+	x, y, z NodeID
+}
+
+// Optimize is the package-level Optimize over o's arrays. The netlist it
+// returns is o's: it is valid until o's next call.
+func (o *Optimizer) Optimize(nl *Netlist) *Netlist {
+	out := o.fold(nl)
+	o.sweep(out)
+	if err := out.check(&o.chk); err != nil {
 		panic(fmt.Sprintf("netlist: optimize produced an invalid netlist: %v", err))
 	}
 	return out
@@ -23,37 +56,29 @@ func Optimize(nl *Netlist) *Netlist {
 // identical gates shared. The rewrite is neither validated nor ordered
 // and may hold logic the folding orphaned: Optimize sweeps it, then
 // checks and orders it once.
-func fold(nl *Netlist) *Netlist {
-	b := rebuilderFor(nl)
+func (o *Optimizer) fold(nl *Netlist) *Netlist {
+	b := &o.b
+	b.rebuild(nl)
+	o.vals = zeroed(o.vals, len(nl.Nodes))
+	o.have = zeroed(o.have, len(nl.Nodes))
+	vals, have := o.vals, o.have
 
-	// val is the optimized form of an original node: a constant or a node
-	// in the new netlist.
-	type val struct {
-		isConst bool
-		c       bool
-		id      NodeID
-	}
-	vals := make([]val, len(nl.Nodes))
-	have := make([]bool, len(nl.Nodes))
-
-	// Structural hashing: identical (kind, fanins) gates share one node.
-	// Unused fanin slots of the key stay zero; the kind fixes the arity.
-	// A gate hashes at most one node, a NAND or NOR two (the AND or OR and
-	// its NOT), which sizes the table once.
-	type cseKey struct {
-		kind    Kind
-		x, y, z NodeID
-	}
-	hashes := 0
-	for i := range nl.Nodes {
-		switch nl.Nodes[i].Kind {
-		case KindNot, KindAnd, KindOr, KindXor, KindMux:
-			hashes++
-		case KindNand, KindNor:
-			hashes += 2
+	// Structural hashing: a gate hashes at most one node, a NAND or NOR
+	// two (the AND or OR and its NOT), which sizes the table once.
+	if o.cse == nil {
+		hashes := 0
+		for i := range nl.Nodes {
+			switch nl.Nodes[i].Kind {
+			case KindNot, KindAnd, KindOr, KindXor, KindMux:
+				hashes++
+			case KindNand, KindNor:
+				hashes += 2
+			}
 		}
+		o.cse = make(map[cseKey]NodeID, hashes)
 	}
-	cse := make(map[cseKey]NodeID, hashes)
+	cse := o.cse
+	clear(cse)
 	hashed := func(kind Kind, x, y, z NodeID) NodeID {
 		switch kind {
 		case KindAnd, KindOr, KindXor:
@@ -111,13 +136,11 @@ func fold(nl *Netlist) *Netlist {
 		return val{id: hashed(KindNot, v.id, 0, 0)}
 	}
 
-	// Pre-create flip-flops (their D inputs may form loops).
-	setD := map[NodeID]func(NodeID){}
+	// Pre-create flip-flops (their D inputs may form loops); each gets its
+	// D source once the logic exists.
 	for _, id := range nl.DFFs {
-		q, set := feedback(b, nl.Nodes[id].Init)
-		vals[id] = val{id: q}
+		vals[id] = val{id: b.DFF(0, nl.Nodes[id].Init)}
 		have[id] = true
-		setD[id] = set
 	}
 
 	// resolve follows Buf/Output transparency in the original netlist.
@@ -228,7 +251,7 @@ func fold(nl *Netlist) *Netlist {
 
 	// Close flip-flop loops.
 	for _, id := range nl.DFFs {
-		setD[id](materialize(valOf(nl.Nodes[id].Fanin[0])))
+		b.nl.Nodes[vals[id].id].Fanin[0] = materialize(valOf(nl.Nodes[id].Fanin[0]))
 	}
 	// Recreate outputs in port order.
 	for _, id := range nl.Outputs {
@@ -246,10 +269,11 @@ func fold(nl *Netlist) *Netlist {
 // fold adds every node after its fanins, except that a flip-flop's D
 // input is set once the logic exists. So with every flip-flop's D source
 // marked first, one pass from the last node down marks all that is live.
-func sweep(nl *Netlist) {
+func (o *Optimizer) sweep(nl *Netlist) {
 	// remap[i] is dead, then live once a kept node reads i, then i's new id.
 	const dead, live = -1, 0
-	remap := make([]NodeID, len(nl.Nodes))
+	o.remap = zeroed(o.remap, len(nl.Nodes))
+	remap := o.remap
 	for i := range remap {
 		remap[i] = dead
 	}

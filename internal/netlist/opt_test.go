@@ -213,7 +213,7 @@ func sweepCopy(nl *Netlist) *Netlist {
 	for i, id := range nl.DFFs {
 		out.DFFs[i] = remap[id]
 	}
-	if err := out.check(); err != nil {
+	if err := out.check(new(checkScratch)); err != nil {
 		panic(fmt.Sprintf("netlist: sweep produced invalid netlist: %v", err))
 	}
 	return out
@@ -253,8 +253,8 @@ func TestOptimizeSweepInPlace(t *testing.T) {
 	}
 	swept := 0
 	for _, nl := range cases {
-		folded := fold(nl)
-		if err := folded.check(); err != nil {
+		folded := new(Optimizer).fold(nl)
+		if err := folded.check(new(checkScratch)); err != nil {
 			t.Fatalf("%s: folded netlist: %v", nl.Name, err)
 		}
 		want := sweepCopy(folded)

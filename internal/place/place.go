@@ -12,6 +12,7 @@ package place
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/techmap"
@@ -61,9 +62,13 @@ func Shape(cells int) (w, h int) {
 	return w, h
 }
 
-// placer state. Everything the annealing loop touches is a flat array
-// sized once in newPlacer, so a move allocates nothing.
-type placer struct {
+// Placer is Place with its net tables and occupancy grid kept from call
+// to call. Everything the annealing loop touches is a flat array sized
+// once per call, so a move allocates nothing, and once the arrays have
+// grown to the largest design a call allocates only the Placement it
+// returns. The zero value is ready for use; a Placer is not safe for
+// concurrent use.
+type Placer struct {
 	m      *techmap.Mapped
 	w, h   int
 	nCells int
@@ -84,23 +89,27 @@ type placer struct {
 	// pending is delta's result: the nets the move under evaluation touches,
 	// each at its wirelength after the move; accepting the move commits it.
 	pending []netCost
+	// occupant maps a site to the cell on it, -1 when free; next is
+	// buildNets' per-source cursor.
+	occupant []int
+	next     []int
 }
 
 type netState struct {
 	// cost is the net's committed wirelength: hpwl at the positions the
 	// last accepted move left, so a move is charged only its "after" side.
 	cost int32
-	// gen == placer.gen: net already counted in this delta call. Bumping
-	// placer.gen clears every mark in O(1) — routeScratch's convention.
+	// gen == Placer.gen: net already counted in this delta call. Bumping
+	// Placer.gen clears every mark in O(1) — routeScratch's convention.
 	gen uint32
 }
 
 type netCost struct{ net, cost int32 }
 
-// newPlacer seeds the ports and cells of m in a w x h region and builds
-// its nets.
-func newPlacer(m *techmap.Mapped, w, h int) *placer {
-	p := &placer{m: m, w: w, h: h, nCells: m.NumCells()}
+// reset seeds the ports and cells of m in a w x h region, in a new
+// position table, and builds its nets.
+func (p *Placer) reset(m *techmap.Mapped, w, h int) {
+	p.m, p.w, p.h, p.nCells = m, w, h, m.NumCells()
 	p.pos = make([]Loc, p.nCells+m.NumInputs+len(m.Outputs))
 	// Cells in scan order, which keeps topologically adjacent cells
 	// physically adjacent (the mapper creates cells in topological-ish
@@ -121,12 +130,11 @@ func newPlacer(m *techmap.Mapped, w, h int) *placer {
 	spread(p.pos[p.nCells:p.nCells+m.NumInputs], 0)
 	spread(p.pos[p.nCells+m.NumInputs:], w-1)
 	p.buildNets()
-	return p
 }
 
 // placement snapshots the placer's positions as a Placement. The three
 // location slices share pos's backing array, each capped to its own part.
-func (p *placer) placement() *Placement {
+func (p *Placer) placement() *Placement {
 	in, out := p.nCells, p.nCells+p.m.NumInputs
 	return &Placement{
 		Mapped:     p.m,
@@ -142,19 +150,35 @@ func (p *placer) placement() *Placement {
 // Place places m into a w x h region. It returns an error if the region
 // is too small.
 func Place(m *techmap.Mapped, w, h int, opt Options) (*Placement, error) {
+	return new(Placer).Place(m, w, h, opt)
+}
+
+// Place is the package-level Place over p's arrays. The Placement it
+// returns is the caller's; p keeps no reference to it or to m.
+func (p *Placer) Place(m *techmap.Mapped, w, h int, opt Options) (*Placement, error) {
 	if m.NumCells() > w*h {
 		return nil, fmt.Errorf("place: %s needs %d cells, region %dx%d has %d",
 			m.Name, m.NumCells(), w, h, w*h)
 	}
-	p := newPlacer(m, w, h)
+	p.reset(m, w, h)
 	p.anneal(1, rng.New(opt.Seed^0x9e3779b97f4a7c15))
-	return p.placement(), nil
+	pl := p.placement()
+	p.m, p.pos = nil, nil
+	return pl, nil
+}
+
+// zeroed returns s at length n, all zero — what make would return —
+// reusing its array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // buildNets creates one net per driving signal that has a sink, in source
 // position order; a net's sinks keep the order the design lists them in
 // (cell inputs, then primary outputs).
-func (p *placer) buildNets() {
+func (p *Placer) buildNets() {
 	n, m := p.nCells, p.m
 	nSrc := n + m.NumInputs
 	// eachSink calls f(source, sink) for every connection, as position
@@ -180,11 +204,12 @@ func (p *placer) buildNets() {
 
 	// next[src] counts the sinks of src, then becomes the write cursor
 	// into netPins for the net src drives.
-	next := make([]int, nSrc)
+	p.next = zeroed(p.next, nSrc)
+	next := p.next
 	conns := 0
 	eachSink(func(src, _ int) { next[src]++; conns++ })
-	p.netStart = make([]int, 0, nSrc+1)
-	p.netPins = make([]int, 0, conns+nSrc)
+	p.netStart = slices.Grow(p.netStart[:0], nSrc+1)
+	p.netPins = slices.Grow(p.netPins[:0], conns+nSrc)
 	for src, sinks := range next {
 		if sinks == 0 {
 			continue
@@ -199,10 +224,11 @@ func (p *placer) buildNets() {
 		p.netPins[next[src]] = sink
 		next[src]++
 	})
-	p.nets = make([]netState, p.numNets())
+	p.nets = zeroed(p.nets, p.numNets())
+	p.gen = 0
 
 	// The per-cell net lists, counted then filled in net order.
-	p.cellNetStart = make([]int, n+1)
+	p.cellNetStart = zeroed(p.cellNetStart, n+1)
 	cellPins := 0
 	for _, pin := range p.netPins {
 		if pin < n {
@@ -213,7 +239,7 @@ func (p *placer) buildNets() {
 	for c := 0; c < n; c++ {
 		p.cellNetStart[c+1] += p.cellNetStart[c]
 	}
-	p.cellNets = make([]int, cellPins)
+	p.cellNets = zeroed(p.cellNets, cellPins)
 	fill := next[:n] // reuse as the per-cell write cursor
 	copy(fill, p.cellNetStart)
 	for nid := 0; nid < p.numNets(); nid++ {
@@ -226,10 +252,10 @@ func (p *placer) buildNets() {
 	}
 }
 
-func (p *placer) numNets() int { return len(p.netStart) - 1 }
+func (p *Placer) numNets() int { return len(p.netStart) - 1 }
 
 // hpwl returns the half-perimeter wirelength of net nid.
-func (p *placer) hpwl(nid int) int {
+func (p *Placer) hpwl(nid int) int {
 	pins := p.netPins[p.netStart[nid]:p.netStart[nid+1]]
 	l := p.pos[pins[0]]
 	minX, maxX, minY, maxY := l.X, l.X, l.Y, l.Y
@@ -242,7 +268,7 @@ func (p *placer) hpwl(nid int) int {
 }
 
 // wirelength sums the HPWL of every net.
-func (p *placer) wirelength() int {
+func (p *Placer) wirelength() int {
 	total := 0
 	for nid := 0; nid < p.numNets(); nid++ {
 		total += p.hpwl(nid)
@@ -254,7 +280,7 @@ func (p *placer) wirelength() int {
 // into pos — cell a moved, and cell b if b >= 0 — against the committed
 // costs, scanning each net that touches a or b once. The nets' new costs
 // are left in pending.
-func (p *placer) delta(a, b int) int {
+func (p *Placer) delta(a, b int) int {
 	p.gen++
 	if p.gen == 0 { // wrapped: stale stamps could collide, so clear
 		for i := range p.nets {
@@ -282,7 +308,7 @@ func (p *placer) delta(a, b int) int {
 
 // commitAll charges every net its wirelength at the current positions and
 // sizes pending for the two busiest cells: the state delta works against.
-func (p *placer) commitAll() {
+func (p *Placer) commitAll() {
 	for nid := range p.nets {
 		p.nets[nid].cost = int32(p.hpwl(nid))
 	}
@@ -290,18 +316,19 @@ func (p *placer) commitAll() {
 	for c := 0; c < p.nCells; c++ {
 		maxNets = max(maxNets, p.cellNetStart[c+1]-p.cellNetStart[c])
 	}
-	p.pending = make([]netCost, 0, 2*maxNets)
+	p.pending = slices.Grow(p.pending[:0], 2*maxNets)
 }
 
 // anneal runs simulated annealing: each move takes a random cell to a
 // random site, swapping with the cell already there if there is one.
 // effort scales the schedule: more improves wirelength at linear cost.
-func (p *placer) anneal(effort int, src *rng.Source) {
+func (p *Placer) anneal(effort int, src *rng.Source) {
 	nCells := p.nCells
 	if nCells <= 1 || p.numNets() == 0 {
 		return
 	}
-	occupant := make([]int, p.w*p.h) // site -> cell index, -1 when free
+	p.occupant = zeroed(p.occupant, p.w*p.h)
+	occupant := p.occupant
 	for i := range occupant {
 		occupant[i] = -1
 	}
@@ -353,7 +380,7 @@ func accept(delta int, temp float64, src *rng.Source) bool {
 func (pl *Placement) TotalWirelength() int {
 	pos := make([]Loc, 0, len(pl.Cells)+len(pl.InPorts)+len(pl.OutPorts))
 	pos = append(append(append(pos, pl.Cells...), pl.InPorts...), pl.OutPorts...)
-	p := &placer{m: pl.Mapped, w: pl.W, h: pl.H, nCells: pl.Mapped.NumCells(), pos: pos}
+	p := &Placer{m: pl.Mapped, w: pl.W, h: pl.H, nCells: pl.Mapped.NumCells(), pos: pos}
 	p.buildNets()
 	return p.wirelength()
 }

@@ -12,6 +12,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/place"
 	"repro/internal/sim"
@@ -120,14 +121,14 @@ type conn struct {
 }
 
 // connections enumerates every routable connection of a placement in sink
-// order, and returns them with the number of sinks.
-func connections(p *place.Placement, g grid) ([]conn, int) {
+// order into conns' array, and returns them with the number of sinks.
+func connections(p *place.Placement, g grid, conns []conn) ([]conn, int) {
 	m := p.Mapped
 	sinks := len(m.Outputs)
 	for ci := range m.Cells {
 		sinks += len(m.Cells[ci].Inputs)
 	}
-	conns := make([]conn, 0, sinks)
+	conns = slices.Grow(conns[:0], sinks)
 	var slot int32
 	for ci := range m.Cells {
 		to := int32(g.node(p.Cells[ci]))
@@ -163,16 +164,20 @@ func connFrom(p *place.Placement, g grid, sig techmap.Signal, to, slot int32) co
 type netTable struct {
 	start []int32
 	conns []int32
+	// at[key] is the key's net id + 1 while build numbers and counts nets
+	// (0: not seen yet), then the write cursor into conns.
+	at []int32
 }
 
 func (t *netTable) numNets() int { return len(t.start) - 1 }
 
-// buildNets groups conns by their net keys, which are below keys.
-func buildNets(keys int, conns []conn) netTable {
-	// at[key] is the key's net id + 1 while nets are numbered and counted
-	// (0: not seen yet), then the write cursor into t.conns.
-	at := make([]int32, keys)
-	t := netTable{start: make([]int32, 1, keys+1), conns: make([]int32, len(conns))}
+// build groups conns by their net keys, which are below keys, over the
+// table's arrays.
+func (t *netTable) build(keys int, conns []conn) {
+	t.at = zeroed(t.at, keys)
+	t.start = append(slices.Grow(t.start[:0], keys+1), 0)
+	t.conns = zeroed(t.conns, len(conns))
+	at := t.at
 	for i := range conns {
 		k := conns[i].src
 		if at[k] == 0 {
@@ -194,7 +199,14 @@ func buildNets(keys int, conns []conn) netTable {
 		t.conns[at[k]] = int32(i)
 		at[k]++
 	}
-	return t
+}
+
+// zeroed returns s at length n, all zero — what make would return —
+// reusing its array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 func abs(x int) int {
@@ -234,22 +246,21 @@ type routeScratch struct {
 	path    []int
 }
 
-func newRouteScratch(g grid, tracks int) *routeScratch {
+// reset readies s for a negotiation over g at tracks per channel, over
+// the arrays of its last one, as newly made: no occupancy, no history, no
+// edge marked as the net's, no node stamped.
+func (s *routeScratch) reset(g grid, tracks int) {
 	nodes, edges := g.nodes(), g.numEdges()
-	return &routeScratch{
-		g:       g,
-		tracks:  tracks,
-		presFac: 0.5,
-		occ:     make([]int, edges),
-		hist:    make([]float64, edges),
-		inNet:   make([]bool, edges),
-		dist:    make([]float64, nodes),
-		prev:    make([]int, nodes),
-		seenGen: make([]uint32, nodes),
-		doneGen: make([]uint32, nodes),
-		heap:    make([]pqItem, 0, nodes),
-		path:    make([]int, 0, nodes),
-	}
+	s.g, s.tracks, s.presFac = g, tracks, 0.5
+	s.occ = zeroed(s.occ, edges)
+	s.hist = zeroed(s.hist, edges)
+	s.inNet = zeroed(s.inNet, edges)
+	s.dist = zeroed(s.dist, nodes)
+	s.prev = zeroed(s.prev, nodes)
+	s.seenGen = zeroed(s.seenGen, nodes)
+	s.doneGen = zeroed(s.doneGen, nodes)
+	s.heap = slices.Grow(s.heap[:0], nodes)
+	s.path = slices.Grow(s.path[:0], nodes)
 }
 
 // cost is the negotiated price of crossing edge e for the net being
@@ -326,24 +337,31 @@ func (s *routeScratch) hpop() pqItem {
 
 // Route produces a legal routing of p against the given channel capacity.
 func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
-	var ng negotiation
-	return ng.run(p, tracks, opt)
+	return new(Router).Route(p, tracks, opt)
 }
 
-// negotiation is the working state of one Route call, none of which the
-// Result keeps: the connections and the last pass's paths, back to back
-// in one arena of node ids — connection i's path is
+// Router is Route with its working state kept from call to call: the
+// search scratch, the connections and their nets, and the last pass's
+// paths, back to back in one arena of node ids — connection i's path is
 // arena[pathAt[i].off:][:pathAt[i].n]. Only a path's length outlives the
-// pass; the tests read the paths themselves.
-type negotiation struct {
-	conns  []conn
-	pathAt []pathSpan
-	arena  []int32
+// pass; the tests read the paths themselves. Once the arrays have grown
+// to the largest design, a call allocates only the Result it returns.
+// The zero value is ready for use; a Router is not safe for concurrent
+// use.
+type Router struct {
+	s        routeScratch
+	conns    []conn
+	nets     netTable
+	pathAt   []pathSpan
+	arena    []int32
+	netEdges []edgeID
 }
 
 type pathSpan struct{ off, n int32 }
 
-func (ng *negotiation) run(p *place.Placement, tracks int, opt Options) (*Result, error) {
+// Route is the package-level Route over r's arrays. The Result it returns
+// is the caller's; r keeps no reference to it or to p.
+func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 	if tracks <= 0 {
 		return nil, fmt.Errorf("route: non-positive track count %d", tracks)
 	}
@@ -352,28 +370,33 @@ func (ng *negotiation) run(p *place.Placement, tracks int, opt Options) (*Result
 		maxIter = 40
 	}
 	g := grid{w: p.W, h: p.H}
-	conns, sinks := connections(p, g)
+	var sinks int
+	r.conns, sinks = connections(p, g, r.conns)
+	conns := r.conns
 	res := &Result{P: p, Tracks: tracks, Conns: len(conns)}
 
 	// Group connections into nets by driving signal: a net's fanout shares
 	// one routing tree, so a channel segment carries a net once no matter
 	// how many sinks lie beyond it.
-	nets := buildNets(len(p.Mapped.Cells)+p.Mapped.NumInputs, conns)
+	nets := &r.nets
+	nets.build(len(p.Mapped.Cells)+p.Mapped.NumInputs, conns)
 
-	s := newRouteScratch(g, tracks)
+	s := &r.s
+	s.reset(g, tracks)
 	occ, hist, inNet := s.occ, s.hist, s.inNet
 	// The arena is rewound when a pass rips everything up. A path is at
 	// least its endpoints' Manhattan distance long, which sizes the arena
 	// for an uncongested pass; the extra quarter is room for detours.
-	pathAt := make([]pathSpan, len(conns))
+	r.pathAt = zeroed(r.pathAt, len(conns))
+	pathAt := r.pathAt
 	minNodes := 0
 	for i := range conns {
 		a, b := g.loc(int(conns[i].from)), g.loc(int(conns[i].to))
 		minNodes += abs(a.X-b.X) + abs(a.Y-b.Y) + 1
 	}
-	arena := make([]int32, 0, minNodes+minNodes/4)
+	arena := slices.Grow(r.arena[:0], minNodes+minNodes/4)
 
-	var netEdges []edgeID
+	netEdges := r.netEdges
 	for iter := 1; iter <= maxIter; iter++ {
 		res.Iterations = iter
 		// Rip up everything and re-route in order with current costs.
@@ -402,6 +425,7 @@ func (ng *negotiation) run(p *place.Placement, tracks int, opt Options) (*Result
 				inNet[e] = false
 			}
 		}
+		r.arena, r.netEdges = arena, netEdges // kept as grown, for the next call
 		// Check for overuse.
 		maxUse, over := 0, false
 		for e, u := range occ {
@@ -420,7 +444,6 @@ func (ng *negotiation) run(p *place.Placement, tracks int, opt Options) (*Result
 				res.SinkHops[conns[i].slot] = sp.n - 1
 				res.TotalHops += int(sp.n - 1)
 			}
-			*ng = negotiation{conns: conns, pathAt: pathAt, arena: arena}
 			return res, nil
 		}
 		s.presFac *= 1.6

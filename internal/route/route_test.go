@@ -47,15 +47,22 @@ func TestRouteLibrarySample(t *testing.T) {
 
 // negotiated routes p and returns the negotiation's working state beside
 // the result.
-func negotiated(p *place.Placement, tracks int) (*Result, *negotiation, error) {
-	var ng negotiation
-	r, err := ng.run(p, tracks, Options{})
+func negotiated(p *place.Placement, tracks int) (*Result, *Router, error) {
+	var ng Router
+	r, err := ng.Route(p, tracks, Options{})
 	return r, &ng, err
+}
+
+// newRouteScratch is a scratch readied for a negotiation over g.
+func newRouteScratch(g grid, tracks int) *routeScratch {
+	s := new(routeScratch)
+	s.reset(g, tracks)
+	return s
 }
 
 // path returns connection i's path in the last negotiation pass,
 // endpoints included.
-func (ng *negotiation) path(i int) []int32 {
+func (ng *Router) path(i int) []int32 {
 	sp := ng.pathAt[i]
 	return ng.arena[sp.off : sp.off+sp.n]
 }
@@ -66,7 +73,7 @@ func (ng *negotiation) path(i int) []int32 {
 // region. A path's length less one is the hop count the result keeps for
 // its sink, and the counts sum to TotalHops. No channel carries more than
 // tracks nets, each net counted once however many of its sinks share it.
-func checkRouting(t *testing.T, p *place.Placement, r *Result, ng *negotiation, tracks int) {
+func checkRouting(t *testing.T, p *place.Placement, r *Result, ng *Router, tracks int) {
 	t.Helper()
 	m := p.Mapped
 	// Every sink, numbered as SinkHops numbers them.
@@ -541,7 +548,7 @@ func TestRouteSetupAllocBudget(t *testing.T) {
 func TestNetTableMatchesGrouping(t *testing.T) {
 	for _, name := range []string{"adder8", "alu8", "counter8", "mul4"} {
 		p := placed(t, netlist.MustLookup(name))
-		conns, _ := connections(p, grid{w: p.W, h: p.H})
+		conns, _ := connections(p, grid{w: p.W, h: p.H}, nil)
 		byNet := map[int32][]int32{}
 		var order []int32
 		for i, c := range conns {
@@ -550,7 +557,8 @@ func TestNetTableMatchesGrouping(t *testing.T) {
 			}
 			byNet[c.src] = append(byNet[c.src], int32(i))
 		}
-		nets := buildNets(len(p.Mapped.Cells)+p.Mapped.NumInputs, conns)
+		var nets netTable
+		nets.build(len(p.Mapped.Cells)+p.Mapped.NumInputs, conns)
 		if nets.numNets() != len(order) {
 			t.Fatalf("%s: %d nets, want %d", name, nets.numNets(), len(order))
 		}

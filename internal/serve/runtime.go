@@ -32,8 +32,9 @@ func (bc *BoardConfig) Options() core.Options {
 }
 
 // compileSet compiles every circuit of the set for the board through the
-// shared strip cache, in set order. The cache canonicalizes: identical
-// netlists compiled with identical options return the same *Circuit.
+// shared strip cache, returned in set order. The cache canonicalizes:
+// identical netlists compiled with identical options return the same
+// *Circuit.
 func compileSet(cache *compile.StripCache, bc BoardConfig, set *workload.Set) ([]*compile.Circuit, error) {
 	circs, err := core.CompileSet(cache, bc.Options(), set.Circuits)
 	if err != nil {
@@ -121,8 +122,8 @@ func runSpec(cache *compile.StripCache, bc BoardConfig, prev *baseline.Stack, sp
 
 // CompileJob is the first half of the job body: it builds spec's task
 // set and compiles its circuits for the board through cache (nil
-// compiles without one), in set order. A panic on the way is the job's
-// error.
+// compiles without one), returned in set order. A panic on the way,
+// in any of the circuits' compiles, is the job's error.
 func CompileJob(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (set *workload.Set, circs []*compile.Circuit, err error) {
 	defer recoverJob(&err)
 	if set, err = spec.Build(); err != nil {

@@ -10,6 +10,7 @@ package techmap
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netlist"
 )
@@ -77,43 +78,61 @@ func (m *Mapped) String() string {
 		m.Name, m.NumCells(), m.NumFFs(), m.NumInputs, len(m.Outputs), m.Depth)
 }
 
-// mapper carries the per-run state of one Map invocation.
-type mapper struct {
+// Mapper is Map with its per-node tables kept from call to call: fanout
+// counts, chosen cuts, the cell per node and the depth memo. Once they
+// have grown to the largest input, a call allocates only the Mapped it
+// returns. The zero value is ready for use; a Mapper is not safe for
+// concurrent use.
+type Mapper struct {
 	nl     *netlist.Netlist
 	fanout []int              // resolved fanout count per node
 	cut    [][]netlist.NodeID // chosen cut per gate node, indexed by NodeID
+	store  []netlist.NodeID   // every chosen cut, back to back
 	cellOf []CellID           // cell per root node, indexed by NodeID; -1 for none
 	cells  int                // cells counted
 	pins   int                // LUT inputs of the cells counted
 	free   []Signal           // the part of the LUT-input array no cell holds yet
 	out    *Mapped
+	memo   []int   // lutDepth's depth per cell
+	state  []uint8 // lutDepth's visit state per cell
 }
 
 // Map lowers nl onto 4-LUT cells. It returns an error if any node needs a
 // cut wider than the LUT (cannot happen with the primitive set, whose
 // maximum arity is 3) or the netlist is malformed.
-func Map(nl *netlist.Netlist) (*Mapped, error) {
-	m := &mapper{
-		nl: nl,
-		out: &Mapped{
-			Name:        nl.Name,
-			NumInputs:   nl.NumInputs(),
-			InputNames:  nl.InputNames(),
-			OutputNames: nl.OutputNames(),
-		},
+func Map(nl *netlist.Netlist) (*Mapped, error) { return new(Mapper).Map(nl) }
+
+// Map is the package-level Map over m's tables. The Mapped it returns is
+// the caller's; m keeps no reference to it or to nl.
+func (m *Mapper) Map(nl *netlist.Netlist) (*Mapped, error) {
+	out := &Mapped{
+		Name:        nl.Name,
+		NumInputs:   nl.NumInputs(),
+		InputNames:  nl.InputNames(),
+		OutputNames: nl.OutputNames(),
 	}
+	m.nl, m.out, m.cells, m.pins = nl, out, 0, 0
+	defer func() { m.nl, m.out, m.free = nil, nil, nil }()
 	m.countFanouts()
 	m.chooseCuts()
 	if err := m.realize(); err != nil {
 		return nil, err
 	}
-	m.out.Depth = m.lutDepth()
-	return m.out, nil
+	out.Depth = m.lutDepth()
+	return out, nil
+}
+
+// zeroed returns s at length n, all zero — what make would return —
+// reusing its array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // resolve follows Buf and Output nodes to the node that actually produces
 // the value.
-func (m *mapper) resolve(id netlist.NodeID) netlist.NodeID {
+func (m *Mapper) resolve(id netlist.NodeID) netlist.NodeID {
 	for {
 		nd := m.nl.Node(id)
 		if nd.Kind == netlist.KindBuf || nd.Kind == netlist.KindOutput {
@@ -126,7 +145,7 @@ func (m *mapper) resolve(id netlist.NodeID) netlist.NodeID {
 
 // isGate reports whether the node is combinational logic (mappable into a
 // LUT cone).
-func (m *mapper) isGate(id netlist.NodeID) bool {
+func (m *Mapper) isGate(id netlist.NodeID) bool {
 	switch m.nl.Node(id).Kind {
 	case netlist.KindInput, netlist.KindOutput, netlist.KindConst,
 		netlist.KindBuf, netlist.KindDFF:
@@ -137,8 +156,8 @@ func (m *mapper) isGate(id netlist.NodeID) bool {
 
 // countFanouts counts, per node, the number of distinct logical consumers
 // after resolving bufs: gate fanins, DFF D inputs, and primary outputs.
-func (m *mapper) countFanouts() {
-	m.fanout = make([]int, len(m.nl.Nodes))
+func (m *Mapper) countFanouts() {
+	m.fanout = zeroed(m.fanout, len(m.nl.Nodes))
 	for i := range m.nl.Nodes {
 		nd := m.nl.Node(netlist.NodeID(i))
 		switch nd.Kind {
@@ -156,7 +175,7 @@ func (m *mapper) countFanouts() {
 
 // addLeaves merges cut leaves into dst, dropping constants (they consume
 // no LUT input: the truth table folds them).
-func (m *mapper) addLeaves(dst []netlist.NodeID, leaves []netlist.NodeID) []netlist.NodeID {
+func (m *Mapper) addLeaves(dst []netlist.NodeID, leaves []netlist.NodeID) []netlist.NodeID {
 	for _, l := range leaves {
 		if m.nl.Node(l).Kind == netlist.KindConst {
 			continue
@@ -182,14 +201,14 @@ const maxArity = 3
 // four leaf nodes from which its value is computable. Expanding a fanin
 // absorbs that gate into this LUT; we prefer to absorb single-fanout gates
 // (saving a cell) and then to minimize leaf count.
-func (m *mapper) chooseCuts() {
+func (m *Mapper) chooseCuts() {
 	order := m.nl.TopoOrder()
-	m.cut = make([][]netlist.NodeID, len(m.nl.Nodes))
+	m.cut = zeroed(m.cut, len(m.nl.Nodes))
 	// Every chosen cut is a slice of store, which is sized for the worst
 	// case so it never moves. Candidates are built in the leaves scratch
 	// (an unpruned candidate holds up to maxArity whole cuts) and only the
 	// best so far is copied out, over the one it beats.
-	store := make([]netlist.NodeID, 0, 4*len(order))
+	store := slices.Grow(m.store[:0], 4*len(order))
 	var fanins [maxArity]netlist.NodeID
 	var scratch [4 * maxArity]netlist.NodeID
 	for _, id := range order {
@@ -230,11 +249,12 @@ func (m *mapper) chooseCuts() {
 		// so there always is a winner.
 		m.cut[id] = store[at:len(store):len(store)]
 	}
+	m.store = store
 }
 
 // coneEval evaluates node id with cut leaf i at bit i of vals (and
 // implicit constant folding).
-func (m *mapper) coneEval(id netlist.NodeID, leaves []netlist.NodeID, vals int) bool {
+func (m *Mapper) coneEval(id netlist.NodeID, leaves []netlist.NodeID, vals int) bool {
 	id = m.resolve(id)
 	for i, l := range leaves {
 		if l == id {
@@ -268,7 +288,7 @@ func (m *mapper) coneEval(id netlist.NodeID, leaves []netlist.NodeID, vals int) 
 
 // signalFor returns (realizing if necessary) the mapped signal carrying
 // the value of node id.
-func (m *mapper) signalFor(id netlist.NodeID) (Signal, error) {
+func (m *Mapper) signalFor(id netlist.NodeID) (Signal, error) {
 	id = m.resolve(id)
 	nd := m.nl.Node(id)
 	switch nd.Kind {
@@ -298,7 +318,7 @@ func (m *mapper) signalFor(id netlist.NodeID) (Signal, error) {
 
 // window cuts the next n LUT inputs from the array realize sized, capped
 // so a cell's inputs never reach its neighbour's.
-func (m *mapper) window(n int) []Signal {
+func (m *Mapper) window(n int) []Signal {
 	w := m.free[:n:n]
 	m.free = m.free[n:]
 	return w
@@ -306,7 +326,7 @@ func (m *mapper) window(n int) []Signal {
 
 // lutOver fills in the truth table and input signals of cell for the cone
 // rooted at root over root's cut.
-func (m *mapper) lutOver(cell *Cell, root netlist.NodeID) error {
+func (m *Mapper) lutOver(cell *Cell, root netlist.NodeID) error {
 	leaves := m.cut[root]
 	if len(leaves) > 4 {
 		return fmt.Errorf("techmap: cut of %d leaves at node %d", len(leaves), root)
@@ -332,10 +352,10 @@ func (m *mapper) lutOver(cell *Cell, root netlist.NodeID) error {
 
 // packs reports whether a flip-flop whose D input is node d computes d's
 // cone in its own cell: d is a gate nothing else reads.
-func (m *mapper) packs(d netlist.NodeID) bool { return m.isGate(d) && m.fanout[d] == 1 }
+func (m *Mapper) packs(d netlist.NodeID) bool { return m.isGate(d) && m.fanout[d] == 1 }
 
 // realizeGate materializes the LUT cell for a gate root (memoized).
-func (m *mapper) realizeGate(id netlist.NodeID) (CellID, error) {
+func (m *Mapper) realizeGate(id netlist.NodeID) (CellID, error) {
 	if c := m.cellOf[id]; c >= 0 {
 		return c, nil
 	}
@@ -354,7 +374,7 @@ func (m *mapper) realizeGate(id netlist.NodeID) (CellID, error) {
 
 // realizeDFF materializes the registered cell for a flip-flop, packing its
 // D-cone into the same cell when the cone has no other fanout.
-func (m *mapper) realizeDFF(id netlist.NodeID) (CellID, error) {
+func (m *Mapper) realizeDFF(id netlist.NodeID) (CellID, error) {
 	if c := m.cellOf[id]; c >= 0 {
 		return c, nil
 	}
@@ -396,7 +416,7 @@ func (m *mapper) realizeDFF(id netlist.NodeID) (CellID, error) {
 // cells realize will make (a gate reached again through a flip-flop while
 // its cut is realized counts twice, as it is made twice) and their LUT
 // inputs.
-func (m *mapper) count(id netlist.NodeID) {
+func (m *Mapper) count(id netlist.NodeID) {
 	id = m.resolve(id)
 	if m.cellOf[id] >= 0 {
 		return
@@ -422,7 +442,7 @@ func (m *mapper) count(id netlist.NodeID) {
 	}
 }
 
-func (m *mapper) countLeaves(leaves []netlist.NodeID) {
+func (m *Mapper) countLeaves(leaves []netlist.NodeID) {
 	m.pins += len(leaves)
 	for _, l := range leaves {
 		m.count(l)
@@ -432,8 +452,8 @@ func (m *mapper) countLeaves(leaves []netlist.NodeID) {
 // realize walks every primary output and flip-flop, materializing cells.
 // A first walk counts them, so the cell table and one array of LUT inputs,
 // which each cell's Inputs is a capped window of, are sized once.
-func (m *mapper) realize() error {
-	m.cellOf = make([]CellID, len(m.nl.Nodes))
+func (m *Mapper) realize() error {
+	m.cellOf = zeroed(m.cellOf, len(m.nl.Nodes))
 	forget := func() {
 		for i := range m.cellOf {
 			m.cellOf[i] = -1
@@ -469,9 +489,10 @@ func (m *mapper) realize() error {
 
 // lutDepth computes the maximum combinational LUT depth of the mapped
 // design (registered cell outputs are level 0 sources).
-func (m *mapper) lutDepth() int {
-	memo := make([]int, len(m.out.Cells))
-	state := make([]uint8, len(m.out.Cells)) // 0 unvisited, 1 visiting, 2 done
+func (m *Mapper) lutDepth() int {
+	m.memo = zeroed(m.memo, len(m.out.Cells))
+	m.state = zeroed(m.state, len(m.out.Cells)) // 0 unvisited, 1 visiting, 2 done
+	memo, state := m.memo, m.state
 	var depth func(c CellID) int
 	depth = func(c CellID) int {
 		if state[c] == 2 {
