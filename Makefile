@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke docs bench-flow bench-device bench-warm bench-harness benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
+.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke mutate docs bench-flow bench-device bench-warm bench-harness benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
 
 check: fmt vet vet-analyzers build race conformance test lint cover fuzz-smoke serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
 
@@ -17,7 +17,7 @@ vet:
 # The repo's own analyzers (cmd/vfpgavet): ledger-only metrics writes,
 # wall-clock use in deterministic packages, error-string matching,
 # exposition hygiene, map-iteration leaks, lock protocol, downward-only
-# package layering. Suppress a finding with
+# package layering, test-only declarations. Suppress a finding with
 # `//vfpgavet:ignore <analyzers> -- reason`.
 vet-analyzers:
 	$(GO) run ./cmd/vfpgavet ./...
@@ -78,6 +78,18 @@ fuzz-smoke:
 	$(GO) test ./internal/workload/ -run '^$$' -fuzz FuzzSpecDecode -fuzztime 10s
 	$(GO) test ./internal/workload/ -run '^$$' -fuzz FuzzTraceDecode -fuzztime 10s
 	$(GO) test ./internal/bitstream/ -run '^$$' -fuzz FuzzBitstreamParse -fuzztime 10s
+
+# The mutation gate: every mutant in scripts/mutants.tsv (small semantic
+# edits to the ledger, the state and strip tables, the task kernel, the
+# region map, the host OS, the daemon's pool and admission, and the
+# fleet's queueing kernel) is applied to a scratch copy of the tree and
+# must fail its packages' tests; each is printed killed, with the failing
+# tests grouped as digest, golden, conformance or unit, or survived. A
+# survivor, or an entry whose text no longer appears exactly once, fails
+# the run. Minutes long, so not part of `make check`; run one mutant with
+# `scripts/mutate.sh NAME`.
+mutate:
+	@GO="$(GO)" bash scripts/mutate.sh
 
 # Regenerate the result tables EXPERIMENTS.md carries between
 # `<!-- table:ID -->` markers: the experiment tables from bench.Run at

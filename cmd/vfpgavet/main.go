@@ -1,8 +1,10 @@
 // Command vfpgavet runs the project's custom static analyzers — the
-// mechanical form of the architecture contracts from PRs 3-5 — over Go
-// packages in this module. It is internal/lint's compile-time sibling:
-// lint audits netlists, devices and fault plans at runtime; vfpgavet
-// audits the source that produces them.
+// mechanical form of the architecture contracts — over Go packages in
+// this module: ledgeronly, simclock, typederr, metricsonce, mapiter,
+// lockproto, layering and testonly (a declaration only tests use leaves
+// the product). It is internal/lint's compile-time sibling: lint audits
+// netlists, devices and fault plans at runtime; vfpgavet audits the
+// source that produces them.
 //
 // Usage:
 //
@@ -34,6 +36,7 @@ import (
 	"repro/internal/analysis/mapiter"
 	"repro/internal/analysis/metricsonce"
 	"repro/internal/analysis/simclock"
+	"repro/internal/analysis/testonly"
 	"repro/internal/analysis/typederr"
 	"repro/internal/version"
 )
@@ -47,6 +50,7 @@ var all = []*analysis.Analyzer{
 	mapiter.Analyzer,
 	lockproto.Analyzer,
 	layering.Analyzer,
+	testonly.Analyzer,
 }
 
 func main() {

@@ -43,13 +43,15 @@ func TestCLIReportsEveryAnalyzer(t *testing.T) {
 		"[mapiter]",
 		"s.n accessed without s.mu held",
 		"[lockproto]",
+		"Helper is never used",
+		"[testonly]",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output lacks %q:\n%s", want, got)
 		}
 	}
-	if n := strings.Count(got, "\n"); n != 6 {
-		t.Errorf("want 6 diagnostics, got %d:\n%s", n, got)
+	if n := strings.Count(got, "\n"); n != 7 {
+		t.Errorf("want 7 diagnostics, got %d:\n%s", n, got)
 	}
 }
 

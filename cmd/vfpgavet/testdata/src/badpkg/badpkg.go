@@ -51,3 +51,6 @@ type store struct {
 func (s *store) peek() int {
 	return s.n // lockproto: guarded field read without the lock
 }
+
+// Helper is exported and nothing outside tests calls it.
+func Helper() int { return 1 } // testonly: no product reference

@@ -58,6 +58,7 @@ type Pass struct {
 	Info     *types.Info
 
 	report func(Diagnostic)
+	sup    suppression
 }
 
 // Reportf records a diagnostic at pos.
@@ -67,6 +68,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// Ignored reports whether a //vfpgavet:ignore annotation silences the
+// pass's analyzer at pos. An analyzer that gives the annotation a meaning
+// beyond a silenced diagnostic asks here: testonly counts an annotated
+// declaration as used by the product.
+func (p *Pass) Ignored(pos token.Pos) bool {
+	return p.sup.covers(p.Fset.Position(pos), p.Analyzer.Name)
 }
 
 // Diagnostic is one finding of one analyzer.
@@ -120,6 +129,7 @@ func Run(pkgs []*load.Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:    pkg.Files,
 				Pkg:      pkg.Pkg,
 				Info:     pkg.Info,
+				sup:      sup,
 			}
 			pass.report = func(d Diagnostic) {
 				if !a.IncludeTests && strings.HasSuffix(d.Pos.Filename, "_test.go") {

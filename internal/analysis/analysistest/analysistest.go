@@ -70,6 +70,8 @@ func moduleRoot() string {
 // test's package directory, conventionally "testdata/src/<name>") under
 // the import path asPath and compares diagnostics against the fixture's
 // want comments. Pass asPath "" for a neutral fixture path.
+//
+//vfpgavet:ignore testonly -- the fixture harness every analyzer's tests share
 func Run(t *testing.T, a *analysis.Analyzer, dir, asPath string) {
 	t.Helper()
 	ix := index(t)

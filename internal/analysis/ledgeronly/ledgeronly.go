@@ -44,7 +44,7 @@ var deviceMutators = map[string]bool{
 var bitstreamMutators = map[string]bool{"Apply": true, "ApplyPage": true}
 
 // counterMutators mutate a stats.Counter in place.
-var counterMutators = map[string]bool{"Inc": true, "Add": true}
+var counterMutators = map[string]bool{"Inc": true}
 
 // Analyzer is the ledgeronly analyzer.
 var Analyzer = &analysis.Analyzer{
@@ -65,7 +65,7 @@ type MetricsWrite struct {
 
 // MetricsWrites finds every mutation of a core.Metrics field in the
 // pass's files: direct assignments/IncDec on a Metrics field, and
-// Inc/Add calls on a Counter held in one.
+// Inc calls on a Counter held in one.
 func MetricsWrites(pass *analysis.Pass) []MetricsWrite {
 	var writes []MetricsWrite
 	record := func(pos token.Pos, field string) {

@@ -186,7 +186,8 @@ func (ix *Index) check(e *listPackage) (*Package, error) {
 	}, nil
 }
 
-// CheckDir parses every non-test .go file in dir as a single package and
+// CheckDir parses every .go file in dir as a single package, its
+// in-package _test.go files included as in a test variant, and
 // type-checks it under the given import path (which controls how
 // path-scoped analyzers see the package). The fixture harness uses this
 // for testdata packages, which may import any package the Index was
@@ -198,7 +199,7 @@ func (ix *Index) CheckDir(dir, asPath string) (*Package, error) {
 	}
 	var names []string
 	for _, de := range des {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), ".go") && !strings.HasSuffix(de.Name(), "_test.go") {
+		if !de.IsDir() && strings.HasSuffix(de.Name(), ".go") {
 			names = append(names, de.Name())
 		}
 	}

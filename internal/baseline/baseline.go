@@ -86,9 +86,6 @@ func (x *Exclusive) Remove(t *hostos.Task) {
 	x.Wake()
 }
 
-// Holder returns the task currently owning the device (nil if free).
-func (x *Exclusive) Holder() *hostos.Task { return x.holder }
-
 // Merged models the all-circuits-in-one configuration: every registered
 // circuit is loaded side by side at initialization and never moves. It
 // fails construction when the device is too small — which is exactly the

@@ -49,7 +49,7 @@ func TestExclusiveSerializes(t *testing.T) {
 	if e.M.Blocks.Value() == 0 {
 		t.Fatal("blocks not counted")
 	}
-	if x.Holder() != nil {
+	if x.holder != nil {
 		t.Fatal("device not released")
 	}
 }

@@ -186,7 +186,11 @@ func (b *Bitstream) Apply(dev *fabric.Device, ox, oy int, binding *PinBinding) (
 }
 
 // ApplyPage downloads a single page (a subset of the cells) at the same
-// origin and binding; used by the demand-paging loader.
+// origin and binding. The paged loader charges a page's download time
+// and applies whole strips; the bitstream and compile tests download
+// pages one by one and check the device against Apply's.
+//
+//vfpgavet:ignore testonly -- a page's download, which the bitstream and compile tests check
 func (b *Bitstream) ApplyPage(dev *fabric.Device, ox, oy int, binding *PinBinding, page Page) (cells, pins int, err error) {
 	g := dev.Geometry()
 	if !g.Bounds().ContainsRegion(b.Region(ox, oy)) {

@@ -60,7 +60,7 @@ func TestGenerateShape(t *testing.T) {
 	if bs.Name != "adder8" {
 		t.Fatalf("name %q", bs.Name)
 	}
-	if bs.NumIn != nl.NumInputs() || bs.NumOut != nl.NumOutputs() {
+	if bs.NumIn != nl.NumInputs() || bs.NumOut != len(nl.Outputs) {
 		t.Fatal("port counts wrong")
 	}
 	if bs.NumCells() == 0 || bs.FFCells != 0 {

@@ -18,6 +18,8 @@ func (b *Bitstream) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON deserializes and validates a bitstream written by WriteJSON.
+//
+//vfpgavet:ignore testonly -- the on-disk format (DESIGN S21) that make fuzz-smoke fuzzes
 func ReadJSON(r io.Reader) (*Bitstream, error) {
 	var doc jsonDoc
 	dec := json.NewDecoder(r)

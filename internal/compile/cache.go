@@ -219,13 +219,6 @@ func (sc *StripCache) land(key CacheKey, f *flight) {
 	close(f.done)
 }
 
-// Len returns the number of cached circuits.
-func (sc *StripCache) Len() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.lru.Len()
-}
-
 // Stats returns a snapshot of the cache counters.
 func (sc *StripCache) Stats() CacheStats {
 	sc.mu.Lock()

@@ -77,8 +77,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	sc.get(b, mk(2))
 	sc.get(a, mk(1)) // touch a: b is now LRU
 	sc.get(c, mk(3)) // evicts b
-	if sc.Len() != 2 {
-		t.Fatalf("len=%d, want 2", sc.Len())
+	if sc.lru.Len() != 2 {
+		t.Fatalf("len=%d, want 2", sc.lru.Len())
 	}
 	st := sc.Stats()
 	if st.Evictions != 1 {
@@ -109,7 +109,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 	if _, err := sc.get(key, func() (*Circuit, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
-	if sc.Len() != 0 {
+	if sc.lru.Len() != 0 {
 		t.Fatal("error result was cached")
 	}
 	// Next lookup compiles again (and can succeed).

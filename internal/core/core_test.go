@@ -87,8 +87,8 @@ func TestDynamicLoadOnFirstUse(t *testing.T) {
 	if h.E.M.Loads.Value() != 1 {
 		t.Fatalf("loads = %d", h.E.M.Loads.Value())
 	}
-	if d.Resident() != "adder8" {
-		t.Fatalf("resident %q", d.Resident())
+	if r := d.E.Ledger().ResidentAt(0); r == nil || r.Circuit != "adder8" {
+		t.Fatalf("resident %+v", r)
 	}
 	if task.Overhead < h.E.Lib["adder8"].BS.ConfigCost(h.E.Opt.Timing) {
 		t.Fatal("config time not charged")
@@ -660,8 +660,8 @@ func TestPagedFirstTouchFaultsAll(t *testing.T) {
 	}
 	// The exiting task was the circuit's last user, so its frames are
 	// released rather than stranded (Remove's reclamation).
-	if pl.ResidentPages() != 0 {
-		t.Fatalf("resident = %d, want 0 after last user exited", pl.ResidentPages())
+	if len(pl.where) != 0 {
+		t.Fatalf("resident = %d, want 0 after last user exited", len(pl.where))
 	}
 	if h.E.M.Evictions.Value() != 0 {
 		t.Fatalf("evictions = %d, want 0 (release at exit is voluntary)", h.E.M.Evictions.Value())

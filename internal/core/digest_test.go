@@ -7,7 +7,9 @@ package core_test
 // plus each engine's final metrics must hash to the committed value. The
 // golden-timeline tests are run-vs-run; this one is run-vs-history, so a
 // rewrite of the managers that moves one event of one manager fails here.
-// Regenerate with -update only when the model is meant to change.
+// Beside each hash, every task's time is checked to add up to its
+// turnaround. Regenerate with -update only when the model is meant to
+// change.
 
 import (
 	"crypto/sha256"
@@ -53,6 +55,16 @@ func managerDigest(t *testing.T, impl confImpl, pol core.StatePolicy, sched host
 	k.Run()
 	if !osim.AllDone() {
 		t.Fatal("random script did not run to completion")
+	}
+	// Per-task conservation: a task's life is CPU, hardware, overhead,
+	// ready wait and blocked wait, with nothing lost or counted twice.
+	// Checked beside the hash, not hashed.
+	for _, task := range osim.Tasks() {
+		if sum := task.CPUTime + task.HWTime + task.Overhead + task.ReadyWait + task.BlockWait; sum != task.Turnaround() {
+			t.Errorf("%s/%s/%s/crowd=%d/seed=%d/faulted=%v: task %s: cpu %v + hw %v + overhead %v + ready %v + blocked %v = %v, turnaround %v",
+				impl.name, pol, sched, crowd, seed, plan != nil, task.Name,
+				task.CPUTime, task.HWTime, task.Overhead, task.ReadyWait, task.BlockWait, sum, task.Turnaround())
+		}
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "makespan %d\n%s", osim.Makespan(), core.MergeTimeline(events, logs...))

@@ -46,11 +46,3 @@ func (d *DynamicLoader) Preempt(t *hostos.Task, done, total sim.Time) (overhead,
 func (d *DynamicLoader) Resume(t *hostos.Task) sim.Time {
 	return d.swap(d.dev, t, true)
 }
-
-// Resident returns the name of the currently loaded circuit ("" if none).
-func (d *DynamicLoader) Resident() string {
-	if r := d.E.Ledger().ResidentAt(0); r != nil {
-		return r.Circuit
-	}
-	return ""
-}

@@ -284,6 +284,8 @@ func fanOut(n, workers int, fn func(k int)) {
 
 // AddCircuit compiles nl as the library's next circuit and registers it
 // under its netlist name.
+//
+//vfpgavet:ignore testonly -- observation hook: core and baseline tests build engines around hand-picked circuits
 func (e *Engine) AddCircuit(nl *netlist.Netlist) error {
 	if _, dup := e.Lib[nl.Name]; dup {
 		return nil // idempotent: same generator registered by many tasks

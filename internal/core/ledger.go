@@ -222,9 +222,6 @@ func (l *Ledger) AttachLog(log *DeviceLog) {
 	l.log = log
 }
 
-// Log returns the attached device log (nil when tracing is off).
-func (l *Ledger) Log() *DeviceLog { return l.log }
-
 // InjectFaults arms the ledger with a fault injector. A nil injector
 // (the default) costs one pointer check per operation and changes no
 // behaviour, which is what keeps every fault-free output byte-identical.
@@ -336,6 +333,8 @@ func (l *Ledger) ResidentAt(x int) *Resident {
 
 // Residents returns a copy of the residency table, sorted by origin
 // column.
+//
+//vfpgavet:ignore testonly -- observation hook: the ledger, guard and fault-golden tests read the residency table
 func (l *Ledger) Residents() []Resident {
 	out := make([]Resident, len(l.residents))
 	for i, r := range l.residents {

@@ -329,6 +329,3 @@ func (pl *PagedLoader) Remove(t *hostos.Task) {
 		}
 	}
 }
-
-// ResidentPages returns the number of currently resident pages.
-func (pl *PagedLoader) ResidentPages() int { return len(pl.where) }

@@ -177,6 +177,8 @@ func (d *Device) Erase() {
 func (d *Device) Geometry() Geometry { return d.geom }
 
 // ConfigWrites returns the number of CLB cell writes since power-up.
+//
+//vfpgavet:ignore testonly -- observation hook: the fabric and core tests count configuration writes
 func (d *Device) ConfigWrites() int64 { return d.configWrites }
 
 func (d *Device) idx(x, y int) int {
@@ -239,9 +241,6 @@ func (d *Device) SetPin(p int, v bool) {
 	d.pinV[p] = v
 }
 
-// FF returns the live flip-flop value of the CLB at (x, y).
-func (d *Device) FF(x, y int) bool { return d.ffs[d.idx(x, y)] }
-
 // ReadRegionState returns the FF values of every registered CLB in the
 // region, in x-major scan order. This is the readback path the paper's
 // "observability" requirement describes.
@@ -276,19 +275,6 @@ func (d *Device) WriteRegionState(r Region, state []bool) {
 	if k != len(state) {
 		panic(fmt.Sprintf("fabric: WriteRegionState vector has %d values for %d FFs", len(state), k))
 	}
-}
-
-// RegionFFCount returns the number of registered CLBs in the region.
-func (d *Device) RegionFFCount(r Region) int {
-	n := 0
-	for x := r.X; x < r.X+r.W; x++ {
-		for y := r.Y; y < r.Y+r.H; y++ {
-			if c := &d.clbs[d.idx(x, y)]; c.Used && c.UseFF {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // UsedCells returns the number of configured CLBs on the whole device.

@@ -57,9 +57,6 @@ type Region struct {
 	X, Y, W, H int
 }
 
-// Cells returns the number of CLBs in the region.
-func (r Region) Cells() int { return r.W * r.H }
-
 // Empty reports whether the region contains no cells.
 func (r Region) Empty() bool { return r.W <= 0 || r.H <= 0 }
 
@@ -76,40 +73,7 @@ func (r Region) ContainsRegion(s Region) bool {
 	return s.X >= r.X && s.Y >= r.Y && s.X+s.W <= r.X+r.W && s.Y+s.H <= r.Y+r.H
 }
 
-// Overlaps reports whether the two regions share any cell.
-func (r Region) Overlaps(s Region) bool {
-	if r.Empty() || s.Empty() {
-		return false
-	}
-	return r.X < s.X+s.W && s.X < r.X+r.W && r.Y < s.Y+s.H && s.Y < r.Y+r.H
-}
-
-// Fits reports whether a w x h rectangle fits inside the region.
-func (r Region) Fits(w, h int) bool { return w <= r.W && h <= r.H }
-
 // String renders the region as "(x,y)+WxH".
 func (r Region) String() string {
 	return fmt.Sprintf("(%d,%d)+%dx%d", r.X, r.Y, r.W, r.H)
-}
-
-// SplitH splits the region horizontally, returning the left part with
-// width w and the remainder. It panics if w is out of range.
-func (r Region) SplitH(w int) (left, right Region) {
-	if w <= 0 || w > r.W {
-		panic(fmt.Sprintf("fabric: SplitH(%d) of %v", w, r))
-	}
-	left = Region{X: r.X, Y: r.Y, W: w, H: r.H}
-	right = Region{X: r.X + w, Y: r.Y, W: r.W - w, H: r.H}
-	return left, right
-}
-
-// SplitV splits the region vertically, returning the bottom part with
-// height h and the remainder. It panics if h is out of range.
-func (r Region) SplitV(h int) (bottom, top Region) {
-	if h <= 0 || h > r.H {
-		panic(fmt.Sprintf("fabric: SplitV(%d) of %v", h, r))
-	}
-	bottom = Region{X: r.X, Y: r.Y, W: r.W, H: h}
-	top = Region{X: r.X, Y: r.Y + h, W: r.W, H: r.H - h}
-	return bottom, top
 }

@@ -115,18 +115,6 @@ func (p Point) String() string {
 	return fmt.Sprintf("point(%d)", int(p))
 }
 
-// Point returns the injection site a kind strikes.
-func (k Kind) Point() Point {
-	switch k {
-	case ReadbackFlip:
-		return PointReadback
-	case RestoreMismatch:
-		return PointRestore
-	default:
-		return PointConfig
-	}
-}
-
 // pointKinds lists, per point, the kinds drawn there, in the fixed order
 // the cumulative-probability walk uses.
 var pointKinds = [numPoints][]Kind{
@@ -261,17 +249,6 @@ func (in *Injector) Next(p Point) (Kind, uint64) {
 		in.counts[kind]++
 	}
 	return kind, aux
-}
-
-// Counts returns how many faults of each kind have been injected.
-func (in *Injector) Counts() map[Kind]int64 {
-	out := map[Kind]int64{}
-	for k := ConfigError; k < numKinds; k++ {
-		if in.counts[k] > 0 {
-			out[k] = in.counts[k]
-		}
-	}
-	return out
 }
 
 // Summary renders the injected-fault counts compactly ("" when none).

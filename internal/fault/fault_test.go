@@ -77,7 +77,7 @@ func TestScriptedSchedule(t *testing.T) {
 	if k, _ := in.Next(PointReadback); k != None {
 		t.Fatalf("readback attempt 2: got %v, want none", k)
 	}
-	if c := in.Counts(); c[ConfigError] != 1 || c[ConfigTimeout] != 1 || c[ReadbackFlip] != 1 {
+	if c := in.counts; c[ConfigError] != 1 || c[ConfigTimeout] != 1 || c[ReadbackFlip] != 1 {
 		t.Fatalf("counts = %v", c)
 	}
 	if in.Summary() == "" {

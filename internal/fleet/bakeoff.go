@@ -92,6 +92,8 @@ type BakeoffRow struct {
 // RunBakeoff replays the configured job stream against one policy and
 // returns its row. The arrival stream is a pure function of the config,
 // so every policy sees byte-identical inputs.
+//
+//vfpgavet:ignore testonly -- the daemon-model bake-off; F10 becomes its caller with ROADMAP item 4
 func RunBakeoff(cfg BakeoffConfig, policyName string) (BakeoffRow, error) {
 	if err := cfg.validate(); err != nil {
 		return BakeoffRow{}, err

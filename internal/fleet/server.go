@@ -100,9 +100,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Handler returns the HTTP handler for the API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Scheduler returns the fleet scheduler.
-func (s *Server) Scheduler() *Scheduler { return s.sched }
-
 // Start launches every node's board workers.
 func (s *Server) Start() { s.sched.Start() }
 

@@ -102,7 +102,7 @@ func submitWait(t *testing.T, s *Server, tenant, scenario string) JobStatus {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	j, err := s.Scheduler().Job(resp.ID)
+	j, err := s.sched.Job(resp.ID)
 	if err != nil {
 		t.Fatalf("job %s not registered: %v", resp.ID, err)
 	}
@@ -447,7 +447,7 @@ func TestFleetBackpressureDoesNotExclude(t *testing.T) {
 	start := func(node int) {
 		if !started[node] {
 			started[node] = true
-			s.Scheduler().Nodes()[node].Pool().Start()
+			s.sched.Nodes()[node].Pool().Start()
 		}
 	}
 	t.Cleanup(func() {
@@ -460,13 +460,13 @@ func TestFleetBackpressureDoesNotExclude(t *testing.T) {
 		t.Fatal(err)
 	}
 	zero := 0
-	pinned, err := s.Scheduler().Submit(Request{Tenant: "acme", Spec: &spec, Node: &zero})
+	pinned, err := s.sched.Submit(Request{Tenant: "acme", Spec: &spec, Node: &zero})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// firstfit offers node 0 first; its one queue slot is taken, so the
 	// job bounces to node 1.
-	j, err := s.Scheduler().Submit(Request{Tenant: "acme", Spec: &spec})
+	j, err := s.sched.Submit(Request{Tenant: "acme", Spec: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestFleetInfoFinishNS(t *testing.T) {
 	}
 	for node, row := range mgrs {
 		for board := range row {
-			j, err := s.Scheduler().Submit(Request{Tenant: "acme", Spec: &spec, Node: &node, Board: &board})
+			j, err := s.sched.Submit(Request{Tenant: "acme", Spec: &spec, Node: &node, Board: &board})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -586,7 +586,7 @@ func TestFleetFaultNodeRange(t *testing.T) {
 		}
 		s := newTestFleet(t, cfg, 3, 1)
 		for node, armed := range c.armed {
-			j, err := s.Scheduler().Submit(Request{Tenant: "acme", Spec: &spec, Node: &node})
+			j, err := s.sched.Submit(Request{Tenant: "acme", Spec: &spec, Node: &node})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -173,6 +173,8 @@ type Task struct {
 }
 
 // State returns the task's current state.
+//
+//vfpgavet:ignore testonly -- observation hook: the hostos, core and baseline tests read task states
 func (t *Task) State() TaskState { return t.state }
 
 // Turnaround returns completion time minus creation time (0 if unfinished).
@@ -301,15 +303,14 @@ func New(k *sim.Kernel, cfg Config, fpga FPGA) *OS {
 	return o
 }
 
-// Config returns the OS configuration.
-func (o *OS) Config() Config { return o.cfg }
-
 // Tasks returns all tasks ever spawned.
 func (o *OS) Tasks() []*Task { return o.tasks }
 
 // Spawn creates a task at the current virtual time. The circuits named in
 // the program's FPGA ops are registered with the manager (the paper's
 // configuration declaration at task-load time).
+//
+//vfpgavet:ignore testonly -- observation hook: the hostos, core, baseline and serve tests spawn tasks at the current time
 func (o *OS) Spawn(name string, priority int, program []Op) (*Task, error) {
 	return o.spawnAt(o.K.Now(), name, priority, program, true)
 }

@@ -296,9 +296,9 @@ func portWidthOne(t *Target, nl *netlist.Netlist, wantComplete bool, r *Reporter
 	check("output", nl.OutputNames())
 }
 
-// segmentChain replays the host-side wire environment of EvalSegments
-// symbolically: stage k may only import original inputs and wires
-// exported by stages < k.
+// segmentChain replays the host-side wire environment of a segmented
+// application symbolically: stage k may only import original inputs and
+// wires exported by stages < k.
 func segmentChain(t *Target, r *Reporter) {
 	orig := t.Netlist
 	produced := map[string]string{} // wire/port name -> producing stage

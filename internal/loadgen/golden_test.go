@@ -36,7 +36,7 @@ const (
 // bench-record JSON from a fresh direct runner.
 func goldenRun(t *testing.T) (trace, csv, summary []byte) {
 	t.Helper()
-	cfg := loadgen.DefaultBenchConfig()
+	cfg := benchConfig()
 	tr, err := loadgen.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +49,11 @@ func goldenRun(t *testing.T) (trace, csv, summary []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcomes, err := loadgen.Execute(tr, run)
+	outcomes, err := execute(tr, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loadgen.Replay(tr, outcomes, loadgen.ModelConfig{Servers: loadgen.DefaultBenchServers, Speedup: 1})
+	res, err := loadgen.Replay(tr, outcomes, loadgen.ModelConfig{Servers: benchServers, Speedup: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func goldenRun(t *testing.T) (trace, csv, summary []byte) {
 	}
 	csv = buf.Bytes()
 
-	rec, err := loadgen.RunBench(cfg, loadgen.DefaultBenchServers, loadgen.DefaultBenchSLO, run)
+	rec, err := runBench(cfg, benchServers, benchSLO, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestGoldenSaturationMeaningful(t *testing.T) {
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var rec loadgen.BenchRecord
+	var rec benchRecord
 	if err := dec.Decode(&rec); err != nil {
 		t.Fatalf("committed summary does not decode strictly: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestLoadTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec loadgen.BenchRecord
+	var rec benchRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestGoldenFleetReplayDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			outcomes, err := loadgen.Execute(sub, run)
+			outcomes, err := execute(sub, run)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,26 +31,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Execute runs every trace entry through run, in entry order, and
-// returns the per-entry outcomes the model consumes. Implementations
-// that memoize by spec (serve.NewDirectRunner) make this cheap for
-// traces with repeated specs.
-func Execute(tr *workload.Trace, run workload.RunFunc) ([]workload.Outcome, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]workload.Outcome, len(tr.Entries))
-	for i := range tr.Entries {
-		e := &tr.Entries[i]
-		o, err := run(e.Tenant, &e.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: entry %d (%s/%s): %w", i, e.Tenant, e.Spec.Scenario, err)
-		}
-		out[i] = o
-	}
-	return out, nil
-}
-
 // Replay pushes the trace through the queueing kernel configured as one
 // daemon: one node of cfg.Servers one-column boards, every entry a
 // width-1 job of its scenario's class arriving at At/Speedup, queued on
@@ -58,10 +38,10 @@ func Execute(tr *workload.Trace, run workload.RunFunc) ([]workload.Outcome, erro
 // estimate there, the mean of the jobs of its scenario that board
 // completed — and holding that board for its measured virtual service
 // time, the daemon's own per-tenant token-bucket admission in front when
-// cfg.AdmitRate > 0. outcomes must
-// be positional per trace entry (from Execute). Everything is integer
-// virtual time or order-fixed float arithmetic, so equal inputs give
-// equal Results, byte for byte.
+// cfg.AdmitRate > 0. outcomes must be positional per trace entry:
+// outcomes[i] is entry i's. Everything is integer virtual time or
+// order-fixed float arithmetic, so equal inputs give equal Results, byte
+// for byte.
 func Replay(tr *workload.Trace, outcomes []workload.Outcome, cfg ModelConfig) (*Result, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err

@@ -266,7 +266,7 @@ func TestSaturateEdges(t *testing.T) {
 func TestExecuteRunsEntriesInOrder(t *testing.T) {
 	tr, _ := evenTrace(t, 5, 1000, 0)
 	var seen []string
-	outcomes, err := loadgen.Execute(tr, func(tenant string, spec *workload.Spec) (workload.Outcome, error) {
+	outcomes, err := execute(tr, func(tenant string, spec *workload.Spec) (workload.Outcome, error) {
 		seen = append(seen, tenant+"/"+spec.Scenario)
 		return workload.Outcome{Service: sim.Time(len(seen))}, nil
 	})

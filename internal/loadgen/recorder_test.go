@@ -35,14 +35,14 @@ func exactQuantile(sorted []int64, q float64) int64 {
 // the unit buckets and the log-linear range.
 func TestRecorderQuantileVsBruteForce(t *testing.T) {
 	distributions := map[string]func(src *rng.Source) int64{
-		"uniform-small": func(src *rng.Source) int64 { return src.Int63n(64) },
-		"uniform-wide":  func(src *rng.Source) int64 { return src.Int63n(50_000_000) },
+		"uniform-small": func(src *rng.Source) int64 { return int64(src.Intn(64)) },
+		"uniform-wide":  func(src *rng.Source) int64 { return int64(src.Intn(50_000_000)) },
 		"exponential":   func(src *rng.Source) int64 { return int64(src.ExpFloat64() * 5e6) },
 		"bimodal": func(src *rng.Source) int64 {
 			if src.Bool() {
-				return 1_000 + src.Int63n(100)
+				return 1_000 + int64(src.Intn(100))
 			}
-			return 80_000_000 + src.Int63n(1_000_000)
+			return 80_000_000 + int64(src.Intn(1_000_000))
 		},
 	}
 	names := make([]string, 0, len(distributions))
@@ -75,9 +75,6 @@ func TestRecorderQuantileVsBruteForce(t *testing.T) {
 			if got, want := rec.Count(), int64(len(vals)); got != want {
 				t.Fatalf("Count = %d, want %d", got, want)
 			}
-			if got, want := rec.Min(), vals[0]; got != want {
-				t.Fatalf("Min = %d, want %d", got, want)
-			}
 			if got, want := rec.Max(), vals[len(vals)-1]; got != want {
 				t.Fatalf("Max = %d, want %d", got, want)
 			}
@@ -87,36 +84,11 @@ func TestRecorderQuantileVsBruteForce(t *testing.T) {
 
 func TestRecorderEmptyAndClamp(t *testing.T) {
 	rec := stats.NewLatencyRecorder()
-	if rec.Quantile(0.99) != 0 || rec.Min() != 0 || rec.Max() != 0 || rec.Count() != 0 {
+	if rec.Quantile(0.99) != 0 || rec.Max() != 0 || rec.Count() != 0 {
 		t.Fatal("empty recorder must report zeros")
 	}
 	rec.Observe(-5)
-	if rec.Min() != 0 || rec.Max() != 0 || rec.Count() != 1 {
+	if rec.Quantile(0.5) != 0 || rec.Max() != 0 || rec.Count() != 1 {
 		t.Fatal("negative observation must clamp to zero")
-	}
-}
-
-func TestRecorderMerge(t *testing.T) {
-	a := stats.NewLatencyRecorder()
-	b := stats.NewLatencyRecorder()
-	whole := stats.NewLatencyRecorder()
-	src := rng.New(3)
-	for i := 0; i < 2000; i++ {
-		v := src.Int63n(10_000_000)
-		whole.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != whole.Count() || a.Sum() != whole.Sum() || a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatal("merge lost counts")
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Fatalf("q=%v: merged %d != whole %d", q, a.Quantile(q), whole.Quantile(q))
-		}
 	}
 }

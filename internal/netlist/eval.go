@@ -10,6 +10,8 @@ import "fmt"
 // Step once per clock cycle; DFF state is held between steps and can be
 // read and written (mirroring the paper's observability/controllability
 // requirement for preemptable sequential circuits).
+//
+//vfpgavet:ignore testonly -- the gate-level reference model the netlist, techmap and compile tests check against
 type Simulator struct {
 	nl     *Netlist
 	values []bool // per-node current value
@@ -18,6 +20,8 @@ type Simulator struct {
 
 // NewSimulator returns a Simulator with all flip-flops at their reset
 // values.
+//
+//vfpgavet:ignore testonly -- constructs the reference model
 func NewSimulator(nl *Netlist) *Simulator {
 	s := &Simulator{
 		nl:     nl,
@@ -135,6 +139,8 @@ func (s *Simulator) Run(inputSeq [][]bool) [][]bool {
 
 // BoolsToUint packs a little-endian bit vector into a uint64. Bits beyond
 // 64 are ignored.
+//
+//vfpgavet:ignore testonly -- vector packing the reference-model tests of netlist, techmap and compile share
 func BoolsToUint(bits []bool) uint64 {
 	var v uint64
 	for i, b := range bits {
@@ -150,6 +156,8 @@ func BoolsToUint(bits []bool) uint64 {
 
 // UintToBools unpacks the low width bits of v into a little-endian bit
 // vector.
+//
+//vfpgavet:ignore testonly -- vector unpacking the reference-model tests of netlist, techmap and compile share
 func UintToBools(v uint64, width int) []bool {
 	bits := make([]bool, width)
 	for i := 0; i < width && i < 64; i++ {

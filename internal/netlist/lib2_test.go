@@ -387,7 +387,7 @@ func TestRegistry2AllBuildAndMap(t *testing.T) {
 		"sevenseg", "sort4x4", "johnson8", "graycnt8", "seqdet1011", "pwm8", "traffic", "uarttx",
 	} {
 		nl := MustLookup(name)
-		if nl.NumOutputs() == 0 {
+		if len(nl.Outputs) == 0 {
 			t.Fatalf("%s has no outputs", name)
 		}
 		// And they must survive optimization unchanged in behaviour.

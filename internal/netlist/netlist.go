@@ -12,7 +12,6 @@ package netlist
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Kind enumerates the primitive node types.
@@ -94,9 +93,6 @@ type Netlist struct {
 
 // NumInputs returns the number of primary input ports.
 func (n *Netlist) NumInputs() int { return len(n.Inputs) }
-
-// NumOutputs returns the number of primary output ports.
-func (n *Netlist) NumOutputs() int { return len(n.Outputs) }
 
 // NumDFFs returns the number of flip-flops.
 func (n *Netlist) NumDFFs() int { return len(n.DFFs) }
@@ -202,17 +198,6 @@ func (n *Netlist) numEdges() int {
 // node appears after all of its combinational fanins (DFF outputs count as
 // sources). The returned slice must not be modified.
 func (n *Netlist) TopoOrder() []NodeID { return n.topo }
-
-// Fanouts computes, for each node, the list of nodes that consume it.
-func (n *Netlist) Fanouts() [][]NodeID {
-	out := make([][]NodeID, len(n.Nodes))
-	for i := range n.Nodes {
-		for _, f := range n.Nodes[i].Fanin {
-			out[f] = append(out[f], NodeID(i))
-		}
-	}
-	return out
-}
 
 // checkScratch is the working arrays of a netlist check, kept by a caller
 // that checks netlist after netlist (Optimizer); the zero value is ready.
@@ -507,26 +492,4 @@ func (b *Builder) MustBuild() *Netlist {
 		panic(err)
 	}
 	return nl
-}
-
-// PortIndex returns the position of the named input (or output) port, or
-// -1 if absent. Useful for driving simulations by port name.
-func (n *Netlist) PortIndex(name string, output bool) int {
-	ports := n.Inputs
-	if output {
-		ports = n.Outputs
-	}
-	for i, id := range ports {
-		if n.Nodes[id].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// SortedPortNames returns all port names sorted, for stable debugging output.
-func (n *Netlist) SortedPortNames() []string {
-	names := append(n.InputNames(), n.OutputNames()...)
-	sort.Strings(names)
-	return names
 }

@@ -15,7 +15,7 @@ func TestBuilderBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nl.NumInputs() != 2 || nl.NumOutputs() != 1 || nl.NumGates() != 1 {
+	if nl.NumInputs() != 2 || len(nl.Outputs) != 1 || nl.NumGates() != 1 {
 		t.Fatalf("unexpected shape: %v", nl.Stats())
 	}
 	if nl.IsSequential() {
@@ -113,35 +113,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestPortIndex(t *testing.T) {
-	nl := Adder(4)
-	if nl.PortIndex("cin", false) != 8 {
-		t.Fatalf("cin index = %d", nl.PortIndex("cin", false))
-	}
-	if nl.PortIndex("cout", true) != 4 {
-		t.Fatalf("cout index = %d", nl.PortIndex("cout", true))
-	}
-	if nl.PortIndex("nope", false) != -1 {
-		t.Fatal("missing port did not return -1")
-	}
-}
-
-func TestFanouts(t *testing.T) {
-	b := NewBuilder("t")
-	a := b.Input("a")
-	n := b.Not(a)
-	b.Output("y", n)
-	b.Output("z", n)
-	nl := b.MustBuild()
-	fo := nl.Fanouts()
-	if len(fo[n]) != 2 {
-		t.Fatalf("fanout of NOT = %d, want 2", len(fo[n]))
-	}
-	if len(fo[a]) != 1 {
-		t.Fatalf("fanout of input = %d, want 1", len(fo[a]))
-	}
-}
-
 func TestInputOutputNames(t *testing.T) {
 	nl := Adder(2)
 	in := nl.InputNames()
@@ -151,12 +122,6 @@ func TestInputOutputNames(t *testing.T) {
 	out := nl.OutputNames()
 	if out[len(out)-1] != "cout" {
 		t.Fatalf("output names: %v", out)
-	}
-	sorted := nl.SortedPortNames()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] > sorted[i] {
-			t.Fatal("SortedPortNames not sorted")
-		}
 	}
 }
 
@@ -551,7 +516,7 @@ func TestRegistryAllBuild(t *testing.T) {
 		if nl.NumInputs() == 0 && nl.NumDFFs() == 0 {
 			t.Fatalf("registry circuit %q has no inputs", name)
 		}
-		if nl.NumOutputs() == 0 {
+		if len(nl.Outputs) == 0 {
 			t.Fatalf("registry circuit %q has no outputs", name)
 		}
 	}

@@ -25,6 +25,8 @@ type RandomConfig struct {
 // drawn from already-created nodes, so the combinational graph is a DAG
 // by construction; flip-flops may additionally feed back to any node
 // created later (sequential loops, which are legal).
+//
+//vfpgavet:ignore testonly -- the random-netlist fixture the netlist, route, lint and compile tests share
 func Random(src *rng.Source, cfg RandomConfig) *Netlist {
 	if cfg.Inputs <= 0 {
 		cfg.Inputs = 1

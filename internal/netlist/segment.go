@@ -1,9 +1,6 @@
 package netlist
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Segment decomposes a combinational netlist into k self-contained
 // stages — the paper's §2 segmentation: "decomposes the function to be
@@ -205,40 +202,6 @@ func Segment(nl *Netlist, k int) ([]*Netlist, error) {
 	return out, nil
 }
 
-// EvalSegments executes the stages in order, carrying boundary wires in
-// an environment, and returns the values of the original circuit's
-// outputs in original port order. It is the host-side composition loop a
-// segmented application runs (load stage, present wires, collect wires).
-func EvalSegments(stages []*Netlist, original *Netlist, inputs []bool) []bool {
-	env := map[string]bool{}
-	for i, id := range original.Inputs {
-		env[original.Nodes[id].Name] = inputs[i]
-	}
-	for _, st := range stages {
-		in := make([]bool, st.NumInputs())
-		for i, name := range st.InputNames() {
-			v, ok := env[name]
-			if !ok {
-				panic(fmt.Sprintf("netlist: stage %s needs undefined wire %s", st.Name, name))
-			}
-			in[i] = v
-		}
-		out := NewSimulator(st).Eval(in)
-		for i, name := range st.OutputNames() {
-			env[name] = out[i]
-		}
-	}
-	res := make([]bool, original.NumOutputs())
-	for i, name := range original.OutputNames() {
-		v, ok := env[name]
-		if !ok {
-			panic(fmt.Sprintf("netlist: output %s never produced", name))
-		}
-		res[i] = v
-	}
-	return res
-}
-
 // SegmentSizes reports the gate count of each stage, sorted by stage.
 func SegmentSizes(stages []*Netlist) []int {
 	sizes := make([]int, len(stages))
@@ -246,11 +209,4 @@ func SegmentSizes(stages []*Netlist) []int {
 		sizes[i] = s.NumGates()
 	}
 	return sizes
-}
-
-// sortedWireNames is a test helper: the boundary interface of a stage.
-func sortedWireNames(st *Netlist) []string {
-	names := st.InputNames()
-	sort.Strings(names)
-	return names
 }

@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -152,4 +154,45 @@ func TestSegmentBoundaryInterfaceStable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// EvalSegments executes the stages in order, carrying boundary wires in
+// an environment, and returns the values of the original circuit's
+// outputs in original port order. It is the host-side composition loop a
+// segmented application runs (load stage, present wires, collect wires).
+func EvalSegments(stages []*Netlist, original *Netlist, inputs []bool) []bool {
+	env := map[string]bool{}
+	for i, id := range original.Inputs {
+		env[original.Nodes[id].Name] = inputs[i]
+	}
+	for _, st := range stages {
+		in := make([]bool, st.NumInputs())
+		for i, name := range st.InputNames() {
+			v, ok := env[name]
+			if !ok {
+				panic(fmt.Sprintf("netlist: stage %s needs undefined wire %s", st.Name, name))
+			}
+			in[i] = v
+		}
+		out := NewSimulator(st).Eval(in)
+		for i, name := range st.OutputNames() {
+			env[name] = out[i]
+		}
+	}
+	res := make([]bool, len(original.Outputs))
+	for i, name := range original.OutputNames() {
+		v, ok := env[name]
+		if !ok {
+			panic(fmt.Sprintf("netlist: output %s never produced", name))
+		}
+		res[i] = v
+	}
+	return res
+}
+
+// sortedWireNames is the boundary interface of a stage.
+func sortedWireNames(st *Netlist) []string {
+	names := st.InputNames()
+	sort.Strings(names)
+	return names
 }

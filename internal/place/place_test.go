@@ -1,6 +1,7 @@
 package place
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -423,4 +424,30 @@ func BenchmarkPlaceRegistry(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TotalWirelength recomputes the HPWL of the placement from scratch, the
+// oracle the placer's incremental wirelength is checked against.
+func (pl *Placement) TotalWirelength() int {
+	pos := make([]Loc, 0, len(pl.Cells)+len(pl.InPorts)+len(pl.OutPorts))
+	pos = append(append(append(pos, pl.Cells...), pl.InPorts...), pl.OutPorts...)
+	p := &Placer{m: pl.Mapped, w: pl.W, h: pl.H, nCells: pl.Mapped.NumCells(), pos: pos}
+	p.buildNets()
+	return p.wirelength()
+}
+
+// Validate checks that the placement is legal: every cell inside the
+// region, no two cells on the same location.
+func (pl *Placement) Validate() error {
+	seen := make(map[Loc]techmap.CellID, len(pl.Cells))
+	for i, l := range pl.Cells {
+		if l.X < 0 || l.X >= pl.W || l.Y < 0 || l.Y >= pl.H {
+			return fmt.Errorf("place: cell %d at %v outside %dx%d", i, l, pl.W, pl.H)
+		}
+		if prev, dup := seen[l]; dup {
+			return fmt.Errorf("place: cells %d and %d share %v", prev, i, l)
+		}
+		seen[l] = techmap.CellID(i)
+	}
+	return nil
 }

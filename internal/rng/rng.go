@@ -51,15 +51,6 @@ func (s *Source) Intn(n int) int {
 	return int(hi)
 }
 
-// Int63n returns a pseudo-random int64 in [0, n). It panics if n <= 0.
-func (s *Source) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n called with n <= 0")
-	}
-	hi, _ := mul64(s.Uint64(), uint64(n))
-	return int64(hi)
-}
-
 // Float64 returns a pseudo-random float64 in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
@@ -78,19 +69,6 @@ func (s *Source) ExpFloat64() float64 {
 		if u > 0 {
 			return -math.Log(u)
 		}
-	}
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the Box-Muller transform.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u1 := s.Float64()
-		u2 := s.Float64()
-		if u1 <= 0 {
-			continue
-		}
-		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	}
 }
 

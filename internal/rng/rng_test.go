@@ -104,25 +104,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(17)
-	sum, sumSq := 0.0, 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("NormFloat64 mean %v too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("NormFloat64 variance %v too far from 1", variance)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(19)
 	for _, n := range []int{0, 1, 2, 5, 64} {

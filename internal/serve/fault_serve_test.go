@@ -8,6 +8,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -63,6 +64,9 @@ func TestQuarantineAndRequeue(t *testing.T) {
 	}
 	if infos[0].Escalations != 1 {
 		t.Errorf("board 0 escalations = %d, want 1", infos[0].Escalations)
+	}
+	if infos[0].CurrentJob != "" {
+		t.Errorf("quarantined board 0 still shows current job %q after its job moved", infos[0].CurrentJob)
 	}
 	if infos[1].Quarantined || infos[1].JobsDone != 4 {
 		t.Errorf("board 1 should have run all 4 jobs: %+v", infos[1])
@@ -123,23 +127,78 @@ func TestPinnedJobFailsTyped(t *testing.T) {
 }
 
 // TestAllBoardsQuarantined: with no healthy board left, a displaced job
-// fails with its typed reason and new submissions get 503.
+// fails with its typed reason after at most len(boards)-1 moves, and new
+// submissions get 503.
 func TestAllBoardsQuarantined(t *testing.T) {
-	faulty := DefaultBoardConfig()
-	faulty.Faults = escalatingPlan(t)
-	s := newTestServer(t, Config{Boards: []BoardConfig{faulty}, Tenant: TenantLimits{Rate: 0}})
-	s.Start()
-	defer s.Drain()
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("boards=%d", n), func(t *testing.T) {
+			faulty := DefaultBoardConfig()
+			faulty.Faults = escalatingPlan(t)
+			boards := make([]BoardConfig, n)
+			for i := range boards {
+				boards[i] = faulty
+			}
+			s := newTestServer(t, Config{Boards: boards, Tenant: TenantLimits{Rate: 0}})
+			var jobs []*Job
+			for i := 0; i < 2*n; i++ {
+				jobs = append(jobs, submitOK(t, s, "acme", "multimedia"))
+			}
+			s.Start()
+			defer s.Drain()
+			for _, j := range jobs {
+				waitDone(t, j)
+				st := j.Status()
+				if st.State != StateFailed || st.FaultKind != "config-error" {
+					t.Errorf("job %s: %+v, want failed/config-error", st.ID, st)
+				}
+				if st.Requeues > n-1 {
+					t.Errorf("job %s moved %d times, bound is %d", st.ID, st.Requeues, n-1)
+				}
+			}
+			if rec := do(t, s, "POST", "/v1/jobs", submitBody(t, "acme", "multimedia")); rec.Code != http.StatusServiceUnavailable {
+				t.Errorf("submit with every board quarantined: got %d, want 503", rec.Code)
+			}
+		})
+	}
+}
 
+// TestQuarantineKeepsFirstKind: a second escalation on a quarantined
+// board counts, but the first escalated kind stays its reason.
+func TestQuarantineKeepsFirstKind(t *testing.T) {
+	s := newTestServer(t, Config{Tenant: TenantLimits{Rate: 0}})
+	b := s.pool.boards[0]
+	b.quarantine("config-error")
+	b.quarantine("readback-flip")
+	if bi := b.info(); !bi.Quarantined || bi.FaultKind != "config-error" || bi.Escalations != 2 {
+		t.Errorf("after two escalations: quarantined=%v kind=%q escalations=%d, want true/config-error/2",
+			bi.Quarantined, bi.FaultKind, bi.Escalations)
+	}
+}
+
+// TestRequeueBound: a job that has moved len(boards)-1 times is not moved
+// again, even with a healthy board that has room. Quarantines are
+// permanent today, so no campaign reaches the bound with a board left to
+// move to; the bound is the requeue's own contract, checked here.
+func TestRequeueBound(t *testing.T) {
+	s := newTestServer(t, Config{Boards: []BoardConfig{DefaultBoardConfig(), DefaultBoardConfig(), DefaultBoardConfig()}, Tenant: TenantLimits{Rate: 0}})
 	j := submitOK(t, s, "acme", "multimedia")
+	from := s.pool.boards[j.Status().Board]
+	<-from.queue // the displaced job, as a quarantined board's worker finds it
+	last := len(s.pool.boards) - 1
+	j.requeues = last
+	if s.pool.requeue(from, j) {
+		t.Fatalf("requeue moved a job that had already moved %d times", last)
+	}
+	j.requeues = last - 1
+	if !s.pool.requeue(from, j) {
+		t.Fatal("requeue refused a job below the bound")
+	}
+	s.Start()
 	waitDone(t, j)
-	st := j.Status()
-	if st.State != StateFailed || st.FaultKind != "config-error" {
-		t.Errorf("job on sole faulty board: %+v, want failed/config-error", st)
+	if st := j.Status(); st.State != StateDone || st.Requeues != last {
+		t.Errorf("requeued job: %+v, want done after %d moves", st, last)
 	}
-	if rec := do(t, s, "POST", "/v1/jobs", submitBody(t, "acme", "multimedia")); rec.Code != http.StatusServiceUnavailable {
-		t.Errorf("submit with every board quarantined: got %d, want 503", rec.Code)
-	}
+	s.Drain()
 }
 
 // TestConfigFaultsDerivesPerBoard: a pool-level plan fans out into

@@ -92,6 +92,8 @@ func (t *JobTable[J]) Get(id string) (J, error) {
 }
 
 // Len returns the number of jobs held, in flight and finished.
+//
+//vfpgavet:ignore testonly -- the serve and fleet retention-bound tests read it
 func (t *JobTable[J]) Len() int { return len(t.jobs) }
 
 // seqOf returns the sequence number in id, or 0 when id is not one of

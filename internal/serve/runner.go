@@ -88,7 +88,9 @@ func (bc *BoardConfig) Validate() error {
 // distinct spec. A fault escalation is a job outcome (Failed with the
 // typed kind); any other error is infrastructure and aborts the replay.
 // The returned func keeps single-goroutine state: call it from one
-// goroutine (loadgen.Execute does).
+// goroutine.
+//
+//vfpgavet:ignore testonly -- the memoized runner the serve, loadgen and vfpgaload tests replay traces through
 func NewDirectRunner(bc BoardConfig) (workload.RunFunc, error) {
 	if err := bc.Validate(); err != nil {
 		return nil, err

@@ -11,16 +11,16 @@ func TestKernelReset(t *testing.T) {
 	k.Schedule(5*Microsecond, func() { order = append(order, 1) })
 	k.Schedule(2*Microsecond, func() { order = append(order, 2) })
 	k.Run()
-	if len(order) != 2 || k.EventsFired() != 2 {
-		t.Fatalf("warm-up run fired %d events (order %v)", k.EventsFired(), order)
+	if len(order) != 2 || k.fired != 2 {
+		t.Fatalf("warm-up run fired %d events (order %v)", k.fired, order)
 	}
 	// Leave something pending so Reset has a queue to drop.
 	k.Schedule(9*Microsecond, func() { t.Error("dropped event fired after Reset") })
 
 	k.Reset()
-	if k.Now() != 0 || k.Pending() != 0 || k.EventsFired() != 0 {
+	if k.Now() != 0 || k.Pending() != 0 || k.fired != 0 {
 		t.Fatalf("after Reset: now=%v pending=%d fired=%d, want all zero",
-			k.Now(), k.Pending(), k.EventsFired())
+			k.Now(), k.Pending(), k.fired)
 	}
 
 	// The reset kernel must behave like a fresh one, including FIFO

@@ -40,9 +40,6 @@ func (t Time) String() string {
 	}
 }
 
-// Seconds returns the time as a float64 second count.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // Milliseconds returns the time as a float64 millisecond count.
 func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
 
@@ -119,9 +116,6 @@ func New() *Kernel { return &Kernel{} }
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// EventsFired returns the number of events executed so far.
-func (k *Kernel) EventsFired() int64 { return k.fired }
-
 // Pending returns the number of events currently queued.
 func (k *Kernel) Pending() int { return len(k.heap) }
 
@@ -172,14 +166,6 @@ func (k *Kernel) push(at Time, priority int, c call) Event {
 	k.heap = append(k.heap, event{at: at, priority: priority, seq: k.seq, slot: slot})
 	k.up(len(k.heap) - 1)
 	return Event{slot: slot, seq: k.seq}
-}
-
-// After schedules fn to run delay after the current time.
-func (k *Kernel) After(delay Time, fn func()) Event {
-	if delay < 0 {
-		panic("sim: negative delay")
-	}
-	return k.Schedule(k.now+delay, fn)
 }
 
 // Cancel removes a scheduled event and reports whether it did. A stale

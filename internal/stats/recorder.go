@@ -15,12 +15,11 @@ type LatencyRecorder struct {
 	counts [960]int64 // 16 unit buckets + 59 majors x 16 minors
 	n      int64
 	sum    int64
-	min    int64
 	max    int64
 }
 
 // NewLatencyRecorder returns an empty recorder.
-func NewLatencyRecorder() *LatencyRecorder { return &LatencyRecorder{min: -1} }
+func NewLatencyRecorder() *LatencyRecorder { return &LatencyRecorder{} }
 
 // bucketIndex maps a non-negative value to its bucket.
 func bucketIndex(v int64) int {
@@ -54,9 +53,6 @@ func (r *LatencyRecorder) Observe(v int64) {
 	r.counts[bucketIndex(v)]++
 	r.n++
 	r.sum += v
-	if r.min < 0 || v < r.min {
-		r.min = v
-	}
 	if v > r.max {
 		r.max = v
 	}
@@ -67,14 +63,6 @@ func (r *LatencyRecorder) Count() int64 { return r.n }
 
 // Sum returns the sum of all observations in nanoseconds.
 func (r *LatencyRecorder) Sum() int64 { return r.sum }
-
-// Min returns the smallest observation, or 0 when empty.
-func (r *LatencyRecorder) Min() int64 {
-	if r.min < 0 {
-		return 0
-	}
-	return r.min
-}
 
 // Max returns the largest observation, or 0 when empty.
 func (r *LatencyRecorder) Max() int64 { return r.max }
@@ -109,21 +97,4 @@ func (r *LatencyRecorder) Quantile(q float64) int64 {
 		}
 	}
 	return r.max
-}
-
-// Merge folds other's observations into r.
-func (r *LatencyRecorder) Merge(other *LatencyRecorder) {
-	for i, c := range other.counts {
-		r.counts[i] += c
-	}
-	r.n += other.n
-	r.sum += other.sum
-	if other.n > 0 {
-		if r.min < 0 || (other.min >= 0 && other.min < r.min) {
-			r.min = other.min
-		}
-		if other.max > r.max {
-			r.max = other.max
-		}
-	}
 }

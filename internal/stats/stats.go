@@ -20,14 +20,6 @@ type Counter struct {
 	n int64
 }
 
-// Add increments the counter by delta (which must be >= 0).
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic("stats: Counter.Add with negative delta")
-	}
-	c.n += delta
-}
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.n++ }
 
@@ -49,9 +41,6 @@ func (c *AtomicCounter) Inc() { c.n.Add(1) }
 // Dec decrements the counter by one.
 func (c *AtomicCounter) Dec() { c.n.Add(-1) }
 
-// Add adjusts the counter by delta (which may be negative).
-func (c *AtomicCounter) Add(delta int64) { c.n.Add(delta) }
-
 // Value returns the current count.
 func (c *AtomicCounter) Value() int64 { return c.n.Load() }
 
@@ -59,7 +48,6 @@ func (c *AtomicCounter) Value() int64 { return c.n.Load() }
 type Sample struct {
 	n      int64
 	sum    float64
-	min    float64
 	max    float64
 	values []float64 // retained only when keep is true
 	keep   bool
@@ -69,16 +57,13 @@ type Sample struct {
 // NewSample returns an empty Sample. If keepValues is true the individual
 // observations are retained so that quantiles can be computed.
 func NewSample(keepValues bool) *Sample {
-	return &Sample{min: math.Inf(1), max: math.Inf(-1), keep: keepValues}
+	return &Sample{max: math.Inf(-1), keep: keepValues}
 }
 
 // Observe records one observation.
 func (s *Sample) Observe(v float64) {
 	s.n++
 	s.sum += v
-	if v < s.min {
-		s.min = v
-	}
 	if v > s.max {
 		s.max = v
 	}
@@ -100,23 +85,12 @@ func (s *Sample) Reserve(n int) {
 // Count returns the number of observations.
 func (s *Sample) Count() int64 { return s.n }
 
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
-
 // Mean returns the arithmetic mean, or 0 if there are no observations.
 func (s *Sample) Mean() float64 {
 	if s.n == 0 {
 		return 0
 	}
 	return s.sum / float64(s.n)
-}
-
-// Min returns the smallest observation, or 0 if there are none.
-func (s *Sample) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
 }
 
 // Max returns the largest observation, or 0 if there are none.
@@ -182,14 +156,6 @@ func (w *TimeWeighted) Set(t int64, v float64) {
 		w.maxValue = v
 	}
 }
-
-// Add adjusts the current value by delta at time t.
-func (w *TimeWeighted) Add(t int64, delta float64) {
-	w.Set(t, w.lastV+delta)
-}
-
-// Value returns the current instantaneous value.
-func (w *TimeWeighted) Value() float64 { return w.lastV }
 
 // Max returns the maximum value observed so far.
 func (w *TimeWeighted) Max() float64 { return w.maxValue }

@@ -8,6 +8,8 @@ import (
 // Simulator evaluates a Mapped design directly, giving a second reference
 // model between the netlist simulator and the configured fabric: the
 // compile tests check netlist == mapped == fabric behaviour.
+//
+//vfpgavet:ignore testonly -- the mapped-network reference model the techmap and compile tests check against
 type Simulator struct {
 	m     *Mapped
 	order []CellID // combinational evaluation order
@@ -17,6 +19,8 @@ type Simulator struct {
 }
 
 // NewSimulator returns a Simulator with registers at their init values.
+//
+//vfpgavet:ignore testonly -- constructs the reference model
 func NewSimulator(m *Mapped) (*Simulator, error) {
 	s := &Simulator{
 		m:    m,

@@ -174,6 +174,8 @@ func (s *Spec) SetSeed(seed uint64) {
 }
 
 // BuiltinSpecs returns every scenario's default Spec, sorted by name.
+//
+//vfpgavet:ignore testonly -- observation hook: the workload and loadgen tests iterate every builtin scenario
 func BuiltinSpecs() []Spec {
 	names := Scenarios()
 	sort.Strings(names)
