@@ -13,8 +13,8 @@
 // over the whole module (RunModule) rather than per package. Sites in
 // _test.go files do not count: tests prime counters deliberately.
 // Exposition names that are not string constants are skipped; the only
-// such sites are the Int/Float->Series forwarding helpers inside
-// serve.MetricsWriter. The writer is recognised by type and method name,
+// such sites are a summary's _sum and _count lines, whose names are built
+// from the family's. The writer is recognised by type and method name,
 // whatever their case.
 package metricsonce
 
