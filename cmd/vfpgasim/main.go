@@ -124,7 +124,7 @@ func run(w io.Writer, bc serve.BoardConfig, spec *workload.Spec, sh show) error 
 	if err := bc.Validate(); err != nil {
 		return err
 	}
-	set, circs, err := serve.CompileJob(nil, bc, spec)
+	set, circs, err := serve.CompileJob(nil, nil, bc, spec)
 	if err != nil {
 		return err
 	}

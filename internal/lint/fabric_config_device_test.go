@@ -48,9 +48,12 @@ func configuredDevice(tb testing.TB, n int) *fabric.Device {
 	return d
 }
 
-// The pass formats a position only for a source it reports, so what it
-// allocates on a clean device is its few dense tables: the count must
-// not grow with the number of configured CLBs.
+// The pass formats a position only for a source it reports and takes
+// its dense tables from the previous audit, so a repeat audit of a clean
+// device allocates what lint.Run does — the named pass list and the one
+// Reporter — whatever the number of configured CLBs (11 while the pass
+// made its four tables and the run a Reporter per pass, copying the pass
+// list).
 func TestFabricConfigCleanPathAllocs(t *testing.T) {
 	allocs := func(copies int) (float64, int) {
 		d := configuredDevice(t, copies)
@@ -70,8 +73,8 @@ func TestFabricConfigCleanPathAllocs(t *testing.T) {
 	if three > one {
 		t.Errorf("allocations grew with used CLBs: %v at %d CLBs, %v at %d", one, usedOne, three, usedThree)
 	}
-	if one > 12 {
-		t.Errorf("clean pass allocates %v times, want at most 12", one)
+	if one > 2 && !raceEnabled { // the race detector defeats escape analysis
+		t.Errorf("clean pass allocates %v times, want at most 2", one)
 	}
 }
 

@@ -20,6 +20,7 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
@@ -146,14 +147,15 @@ type Target struct {
 	Device *fabric.Device
 }
 
-// Reporter collects diagnostics on behalf of one pass.
+// Reporter collects diagnostics on behalf of the pass running. One run
+// reuses one Reporter for every pass.
 type Reporter struct {
 	pass  string
-	diags *[]Diagnostic
+	diags []Diagnostic
 }
 
 func (r *Reporter) report(sev Severity, pos, format string, args ...interface{}) {
-	*r.diags = append(*r.diags, Diagnostic{
+	r.diags = append(r.diags, Diagnostic{
 		Pass: r.pass, Severity: sev, Pos: pos, Msg: fmt.Sprintf(format, args...),
 	})
 }
@@ -205,22 +207,19 @@ type Options struct {
 	MinSeverity Severity
 }
 
+// selected returns the passes the options name, in their order. With
+// none named it is the builtin list itself, which the caller only reads.
 func (o Options) selected() ([]Pass, error) {
-	all := Passes()
 	if len(o.Passes) == 0 {
-		return all, nil
+		return builtin, nil
 	}
-	byName := map[string]Pass{}
-	for _, p := range all {
-		byName[p.Name] = p
-	}
-	var out []Pass
+	out := make([]Pass, 0, len(o.Passes))
 	for _, name := range o.Passes {
-		p, ok := byName[name]
-		if !ok {
+		i := slices.IndexFunc(builtin, func(p Pass) bool { return p.Name == name })
+		if i < 0 {
 			return nil, fmt.Errorf("lint: unknown pass %q", name)
 		}
-		out = append(out, p)
+		out = append(out, builtin[i])
 	}
 	return out, nil
 }
@@ -232,13 +231,14 @@ func Run(targets []*Target, opts Options) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	var diags []Diagnostic
+	r := &Reporter{}
 	for _, t := range targets {
 		for _, p := range sel {
-			r := &Reporter{pass: p.Name, diags: &diags}
+			r.pass = p.Name
 			p.Run(t, r)
 		}
 	}
+	diags := r.diags
 	if opts.MinSeverity > Info {
 		kept := diags[:0]
 		for _, d := range diags {

@@ -2,7 +2,10 @@ package lint
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/fabric"
 )
@@ -75,6 +78,50 @@ func passRegionState(t *Target, r *Reporter) {
 	}
 }
 
+// fabricTables is one fabric-config audit's working set: the dense
+// per-CLB tables the pass fills, kept from audit to audit.
+type fabricTables struct {
+	state              []uint8
+	start, succ, queue []int32
+}
+
+// fabricFree holds the working sets no audit is using, the one given
+// back last on top, at most GOMAXPROCS of them: a daemon audits a board
+// after every job, and each audit after the first on a goroutine finds
+// its tables already grown.
+var fabricFree struct {
+	mu   sync.Mutex
+	sets []*fabricTables
+}
+
+func takeFabricTables() *fabricTables {
+	fabricFree.mu.Lock()
+	defer fabricFree.mu.Unlock()
+	n := len(fabricFree.sets)
+	if n == 0 {
+		return new(fabricTables)
+	}
+	ft := fabricFree.sets[n-1]
+	fabricFree.sets = fabricFree.sets[:n-1]
+	return ft
+}
+
+func giveFabricTables(ft *fabricTables) {
+	fabricFree.mu.Lock()
+	defer fabricFree.mu.Unlock()
+	if len(fabricFree.sets) < runtime.GOMAXPROCS(0) {
+		fabricFree.sets = append(fabricFree.sets, ft)
+	}
+}
+
+// zeroed returns s at length n, all zero — what make would return —
+// reusing its array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
 // passFabricConfig cross-checks a configured device the way the
 // functional evaluator would consume it: every used CLB input and every
 // output-pin driver must reference a used CLB, a configured input pin
@@ -111,7 +158,10 @@ func passFabricConfig(t *Target, r *Reporter) {
 		oneEdge  = kindMask + 1 // one in-edge, in the bits above the kind
 	)
 	const _ = uint8(kindMask + fabric.LUTInputs*oneEdge) // the count fits the byte
-	state := make([]uint8, g.NumCLBs())
+	ft := takeFabricTables()
+	defer giveFabricTables(ft)
+	ft.state = zeroed(ft.state, g.NumCLBs())
+	state := ft.state
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		state[at(x, y)] = combinational
 		if cfg.UseFF {
@@ -144,7 +194,8 @@ func passFabricConfig(t *Target, r *Reporter) {
 	combEdge := func(s fabric.Source) bool {
 		return s.Kind == fabric.SrcCLB && inDevice(s) && state[at(int(s.X), int(s.Y))]&kindMask == combinational
 	}
-	start := make([]int32, g.NumCLBs()+1)
+	ft.start = zeroed(ft.start, g.NumCLBs()+1)
+	start := ft.start
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		for k, s := range cfg.Inputs {
 			if fault := sourceFault(s); fault != "" {
@@ -177,7 +228,8 @@ func passFabricConfig(t *Target, r *Reporter) {
 	if edges == 0 {
 		return // no combinational edge, no loop
 	}
-	succ := make([]int32, edges)
+	ft.succ = zeroed(ft.succ, int(edges))
+	succ := ft.succ
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		for _, s := range cfg.Inputs {
 			if combEdge(s) {
@@ -188,7 +240,8 @@ func passFabricConfig(t *Target, r *Reporter) {
 		}
 	})
 	nUsed := d.UsedCells()
-	queue := make([]int32, 0, nUsed) // a used CLB enters once, when its last in-edge goes
+	ft.queue = slices.Grow(ft.queue[:0], nUsed) // a used CLB enters once, when its last in-edge goes
+	queue := ft.queue
 	for c, st := range state {
 		if st != blank && st < oneEdge { // used, no in-edge
 			queue = append(queue, int32(c))

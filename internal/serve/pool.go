@@ -282,11 +282,15 @@ type PoolOptions struct {
 
 // Pool owns the boards and the job store. One worker goroutine per
 // board drains that board's queue; boards never share simulation state,
-// only the concurrency-safe compile cache.
+// only the concurrency-safe compile cache and the read-only task sets of
+// the set cache.
 type Pool struct {
 	boards   []*board
 	cache    *compile.StripCache
 	outcomes OutcomeSink
+	// sets memoizes the task sets the boards' jobs build: every board of
+	// the pool runs the same *Set for equal specs. Self-synchronized.
+	sets workload.SetCache
 
 	// wg and gate are self-synchronized and sit above mu: fields below
 	// mu are the ones mu guards. gate, when non-nil, makes every worker
@@ -345,14 +349,14 @@ func tenantRow[T any](rows map[string]*T, tenant string, mk func() *T) *T {
 	return r
 }
 
-// ServiceStats returns the p50/p95 quantiles, sum and count of the
+// ServiceStats returns the p50/p95/p99 quantiles, sum and count of the
 // service-time record, all in virtual nanoseconds. The quantiles are a
 // bucket's upper bound: at most 1/16 above the exact value, never above
 // the observed maximum.
-func (p *Pool) ServiceStats() (p50, p95, sum, count int64) {
+func (p *Pool) ServiceStats() (p50, p95, p99, sum, count int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.svc.Quantile(0.5), p.svc.Quantile(0.95), p.svc.Sum(), p.svc.Count()
+	return p.svc.Quantile(0.5), p.svc.Quantile(0.95), p.svc.Quantile(0.99), p.svc.Sum(), p.svc.Count()
 }
 
 // TenantServiceSummary is one tenant's slice of the service-time
@@ -361,6 +365,7 @@ type TenantServiceSummary struct {
 	Tenant string
 	P50    int64
 	P95    int64
+	P99    int64
 	Sum    int64
 	Count  int64
 }
@@ -376,6 +381,7 @@ func (p *Pool) TenantServiceStats() []TenantServiceSummary {
 			Tenant: tenant,
 			P50:    s.Quantile(0.5),
 			P95:    s.Quantile(0.95),
+			P99:    s.Quantile(0.99),
 			Sum:    s.Sum(),
 			Count:  s.Count(),
 		})
@@ -508,7 +514,7 @@ func (p *Pool) failJob(b *board, j *Job, err error) {
 // goroutine, the sole owner of b.stack.
 func (p *Pool) runWarm(b *board, j *Job) (*JobResult, error) {
 	warm := b.stack != nil
-	st, res, err := runSpec(p.cache, b.cfg, b.stack, j.spec, j.trace)
+	st, res, err := runSpec(&p.sets, p.cache, b.cfg, b.stack, j.spec, j.trace)
 	if st != nil {
 		b.noteReset(warm)
 	}

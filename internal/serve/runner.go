@@ -127,6 +127,6 @@ func NewDirectRunner(bc BoardConfig) (workload.RunFunc, error) {
 // dropped after. It is what NewDirectRunner memoizes and the reference
 // the warm equivalence suite compares against.
 func runJob(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec, withTrace bool) (*JobResult, error) {
-	_, res, err := runSpec(cache, bc, nil, spec, withTrace)
+	_, res, err := runSpec(nil, cache, bc, nil, spec, withTrace)
 	return res, err
 }

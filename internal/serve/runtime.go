@@ -5,8 +5,9 @@
 // job through the one path a first job takes, baseline.NewStack's. A job
 // on recycled hardware is a job on new hardware by construction; the
 // equivalence suite in warm_test.go holds the results bit-for-bit equal.
-// What makes a warm job fast is the shared strip cache: place and route
-// are not repeated.
+// What makes a warm job fast is what it does not repeat: the shared strip
+// cache keeps place and route off it, and the pool's set cache
+// (workload.SetCache) the generation of a task set it has built before.
 
 package serve
 
@@ -49,13 +50,15 @@ func compileSet(cache *compile.StripCache, bc BoardConfig, set *workload.Set) ([
 // circuits come from the shared netlist library and their compiles from
 // the shared cache, so a repeated call for the same spec generates the
 // spec's task programs and looks the rest up: no netlist is rebuilt and
-// nothing is compiled. The programs stay, though the width needs only the
-// circuits: a circuits-only variant was measured, twice, to return
+// nothing is compiled. It builds the set fresh, with no SetCache, though
+// the width needs only the circuits: a faster call — a circuits-only
+// variant was measured twice, a cached set is the same — returns
 // fleet.Submit soon enough to shift the queue depths packing routes on
-// (fleet_open's virtual_ms_per_op up 2–7 % on six of six seeds) — a
-// routing change, to be made as one (ROADMAP item 9).
+// (fleet_open's virtual_ms_per_op up 2–7 % on six of six seeds), a
+// routing change to be made as one, once fleet_open counts queue wait
+// (ROADMAP item 4(c)).
 func SpecWidth(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (int, error) {
-	_, circs, err := CompileJob(cache, bc, spec)
+	_, circs, err := CompileJob(nil, cache, bc, spec)
 	if err != nil {
 		return 0, err
 	}
@@ -112,8 +115,8 @@ func recoverJob(err *error) {
 // board's previous job (new hardware when prev is nil). st is the stack
 // the job ran on, nil when none was built; prev is dead once a stack is
 // built on its hardware.
-func runSpec(cache *compile.StripCache, bc BoardConfig, prev *baseline.Stack, spec *workload.Spec, withTrace bool) (st *baseline.Stack, res *JobResult, err error) {
-	set, circs, err := CompileJob(cache, bc, spec)
+func runSpec(sets *workload.SetCache, cache *compile.StripCache, bc BoardConfig, prev *baseline.Stack, spec *workload.Spec, withTrace bool) (st *baseline.Stack, res *JobResult, err error) {
+	set, circs, err := CompileJob(sets, cache, bc, spec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -121,12 +124,13 @@ func runSpec(cache *compile.StripCache, bc BoardConfig, prev *baseline.Stack, sp
 }
 
 // CompileJob is the first half of the job body: it builds spec's task
-// set and compiles its circuits for the board through cache (nil
-// compiles without one), returned in set order. A panic on the way,
-// in any of the circuits' compiles, is the job's error.
-func CompileJob(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (set *workload.Set, circs []*compile.Circuit, err error) {
+// set through sets (nil builds it fresh) and compiles its circuits for
+// the board through cache (nil compiles without one), returned in set
+// order. The set may be shared with other jobs: it is read-only. A panic
+// on the way, in any of the circuits' compiles, is the job's error.
+func CompileJob(sets *workload.SetCache, cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (set *workload.Set, circs []*compile.Circuit, err error) {
 	defer recoverJob(&err)
-	if set, err = spec.Build(); err != nil {
+	if set, err = sets.Build(spec); err != nil {
 		return nil, nil, err
 	}
 	if circs, err = compileSet(cache, bc, set); err != nil {

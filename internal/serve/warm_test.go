@@ -59,7 +59,9 @@ func encodeOutcome(t testing.TB, res *JobResult, err error) []byte {
 func TestWarmResetEquivalence(t *testing.T) {
 	// Two scenarios alternating: every job after a board's first runs on
 	// the hardware a different circuit set left — under overlay and
-	// merged too, which download the new set into it.
+	// merged too, which download the new set into it. The warm side builds
+	// its sets through a set cache, as a pool does, so the last two jobs
+	// run a set an earlier job ran; the fresh side builds every set anew.
 	scenarios := []string{"multimedia", "telecom", "multimedia", "telecom"}
 	for _, mgr := range Managers {
 		for _, withFaults := range []bool{false, true} {
@@ -72,6 +74,7 @@ func TestWarmResetEquivalence(t *testing.T) {
 						bc.Faults = recoverablePlan(t)
 					}
 					cache := compile.NewStripCache(compile.DefaultCacheCapacity)
+					var sets workload.SetCache
 					var st *baseline.Stack
 					warmRuns := 0
 					for i, scenario := range scenarios {
@@ -82,7 +85,7 @@ func TestWarmResetEquivalence(t *testing.T) {
 						}
 						var gotRes *JobResult
 						var gotErr error
-						if st, gotRes, gotErr = runSpec(cache, bc, st, spec, withTrace); gotErr != nil {
+						if st, gotRes, gotErr = runSpec(&sets, cache, bc, st, spec, withTrace); gotErr != nil {
 							st = nil // what the pool does: discard on any failure
 						}
 						wantRes, wantErr := runJob(cache, bc, spec, withTrace)
@@ -92,6 +95,9 @@ func TestWarmResetEquivalence(t *testing.T) {
 							t.Errorf("job %d (%s, warm=%v) diverged from fresh rebuild:\n--- warm ---\n%s\n--- fresh ---\n%s",
 								i, scenario, warm, got, want)
 						}
+					}
+					if hits := sets.Stats().Hits; hits != 2 {
+						t.Errorf("%d set-cache hits, want 2: the repeated scenarios", hits)
 					}
 					if warmRuns == 0 || !withFaults && warmRuns != len(scenarios)-1 {
 						t.Errorf("%d of %d jobs ran on recycled hardware; without a failure every one after the first must",
@@ -139,25 +145,67 @@ func TestPoolWarmCounters(t *testing.T) {
 	}
 }
 
+// TestBoardsShareCachedSet runs one cached set on two boards of a pool
+// at once: a set is read-only, so sharing it is sound only while no job
+// writes to it, which the race detector checks (`make race` repeats this
+// test). Both jobs read as the same job on a new board with a set of its
+// own.
+func TestBoardsShareCachedSet(t *testing.T) {
+	bc := DefaultBoardConfig()
+	p, err := NewPool([]BoardConfig{bc, bc}, PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	defer p.Drain()
+	spec := specFor(t, "multimedia")
+	submit := func(board int) *Job {
+		j, err := p.Submit(SubmitArgs{Tenant: "acme", Spec: spec, Board: &board})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	<-submit(0).Done() // builds the set and caches it
+	jobs := []*Job{submit(0), submit(1)}
+	want, wantErr := runJob(compile.NewStripCache(0), bc, spec, false)
+	for board, j := range jobs {
+		<-j.Done()
+		st := j.Status()
+		if st.State != StateDone {
+			t.Fatalf("board %d: job ended %s (%s)", board, st.State, st.Error)
+		}
+		if got, want := encodeOutcome(t, st.Result, nil), encodeOutcome(t, want, wantErr); string(got) != string(want) {
+			t.Errorf("board %d: a job on the shared set diverged from a fresh one:\n%s\n%s", board, got, want)
+		}
+	}
+	if st := p.sets.Stats(); st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("set cache %+v, want 1 miss and 2 hits", st)
+	}
+}
+
 // TestWarmJobAllocBudget pins what a warm job allocates, Submit to
 // Done(), so the warm path's gains cannot erode silently: the circuits
 // come from the shared library, the device and the kernel's event arrays
 // from the board's last job, the event loop and a clean lint pass
 // allocate nothing per event or per CLB, and what is left is the stack
-// over the hardware and the job's own programs, tasks, loads and result.
-// Budgets sit ~18 % above what the path reads today (multimedia: 136
-// allocations and 32.7 KiB on dynamic, 88 and 26.3 KiB on paged; 142 and
-// 94 while each task carried two closures of its own; 170 and 63.9 KiB,
-// 123 and 55.6 KiB while the generators grew each program by doubling;
-// 1 838 and 1 670 allocations before the warm job path).
+// over the hardware and the job's own tasks, loads and result: the
+// programs come from the pool's set cache, the audit's tables from the
+// audit before. Budgets sit ~18 % above what the path reads today
+// (multimedia: 110 allocations and 14.6 KiB on dynamic, 64 and 8.5 KiB
+// on paged; 136 and 32.7 KiB, 88 and 26.3 KiB while every job built its
+// set and its audit tables; 142 and 94 while each task carried two
+// closures of its own; 170 and 63.9 KiB, 123 and 55.6 KiB while the
+// generators grew each program by doubling; 1 838 and 1 670 allocations
+// before the warm job path).
 func TestWarmJobAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		manager   string
 		budget    float64
 		budgetKiB float64
 	}{
-		{"dynamic", 160, 38},
-		{"paged", 104, 31},
+		{"dynamic", 130, 17},
+		{"paged", 76, 10},
 	} {
 		t.Run(tc.manager, func(t *testing.T) {
 			bc := DefaultBoardConfig()

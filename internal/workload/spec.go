@@ -259,43 +259,35 @@ func (s *Spec) build() (*Set, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	switch s.Scenario {
-	case "multimedia":
-		cfg := DefaultMultimedia()
-		if s.Multimedia != nil {
-			cfg = *s.Multimedia
-		}
-		return Multimedia(cfg), nil
-	case "telecom":
-		cfg := DefaultTelecom()
-		if s.Telecom != nil {
-			cfg = *s.Telecom
-		}
-		return Telecom(cfg), nil
-	case "diagnosis":
-		cfg := DefaultDiagnosis()
-		if s.Diagnosis != nil {
-			cfg = *s.Diagnosis
-		}
-		return Diagnosis(cfg), nil
-	case "storage":
-		cfg := DefaultStorage()
-		if s.Storage != nil {
-			cfg = *s.Storage
-		}
-		return Storage(cfg), nil
-	case "synthetic":
-		spec := DefaultSynthetic()
-		if s.Synthetic != nil {
-			spec = *s.Synthetic
-		}
-		cfg, err := spec.Config()
+	if s.Scenario == "synthetic" { // its pool is resolved here, not joined into a key
+		sy := s.synthetic()
+		cfg, err := sy.Config()
 		if err != nil {
 			return nil, err
 		}
 		return Synthetic(cfg), nil
 	}
+	k := s.key()
+	switch k.scenario {
+	case "multimedia":
+		return Multimedia(k.multimedia), nil
+	case "telecom":
+		return Telecom(k.telecom), nil
+	case "diagnosis":
+		return Diagnosis(k.diagnosis), nil
+	case "storage":
+		return Storage(k.storage), nil
+	}
 	return nil, fmt.Errorf("workload: unknown scenario %q", s.Scenario)
+}
+
+// synthetic returns the synthetic block as it builds: the one given, or
+// DefaultSynthetic when it is nil.
+func (s *Spec) synthetic() SyntheticSpec {
+	if s.Synthetic != nil {
+		return *s.Synthetic
+	}
+	return DefaultSynthetic()
 }
 
 // EncodeJSON renders the spec in its canonical wire form.

@@ -30,11 +30,25 @@ type TaskSpec struct {
 
 // Set is a complete workload: the tasks and the circuits they use. The
 // generators cut every task's Program from one array sized for the whole
-// set, each at exactly its length (cap == len); a built Set is read-only
-// — the OS only ever indexes program[pc].
+// set, each at exactly its length (cap == len).
+//
+// A built Set is read-only, and that contract is load-bearing: a
+// SetCache hands one *Set to every job of an equal spec, on boards
+// running at once. The OS only ever indexes program[pc]; nothing that
+// takes a Set may write to it, its tasks, their programs or its circuit
+// list.
 type Set struct {
 	Tasks    []TaskSpec
 	Circuits []*netlist.Netlist
+}
+
+// Ops returns the number of ops across all the set's task programs.
+func (s *Set) Ops() int {
+	n := 0
+	for _, t := range s.Tasks {
+		n += len(t.Program)
+	}
+	return n
 }
 
 // Spawn registers the set's tasks into the OS at their arrival times.
