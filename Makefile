@@ -34,14 +34,16 @@ build:
 # (baseline) runs on every board worker goroutine, the event kernel (sim)
 # with both its callback shapes under bench.Run's parallel workers — and
 # the shared circuit library (netlist) with the spec builder that reads
-# it from every worker. The second run
-# repeats the tests of orderings between goroutines (a failed job is
+# it from every worker, and the audit (lint) whose working tables every
+# board's worker takes from and gives back to one free list. The second
+# run repeats the tests of orderings between goroutines (a failed job is
 # counted before its done channel closes; every queued-work charge is
-# released, whichever worker the job leaves) and the test that a live
-# pool and fleet.Simulate place one stream alike: once is not evidence.
+# released, whichever worker the job leaves), the test that a live pool
+# and fleet.Simulate place one stream alike, and the test that two
+# boards run one cached task set at once: once is not evidence.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/techmap/... ./internal/place/... ./internal/route/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
-	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree' ./internal/serve/
+	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/compile/... ./internal/techmap/... ./internal/place/... ./internal/route/... ./internal/lint/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
+	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree|TestBoardsShareCachedSet' ./internal/serve/
 
 test:
 	$(GO) test ./...
@@ -124,12 +126,13 @@ bench-device:
 	$(GO) test -run '^$$' -bench 'BenchmarkJobColdVsWarm$$' -benchmem -benchtime 100x -count 5 ./internal/serve/
 
 # The warm job path alone, before and after a change to it: building each
-# builtin scenario's task set, encoding a terminal status (plain and with
-# its timeline), the fabric-config audit, and a whole warm job over them.
-# Fixed iterations, five readings each, bytes and allocations beside the
-# time. Wall-clock bound, so not part of `make check`.
+# builtin scenario's task set and finding one in the set cache, encoding
+# a terminal status (plain and with its timeline), the fabric-config
+# audit, one /metrics scrape of a nine-board server, and a whole warm job
+# over them. Fixed iterations, five readings each, bytes and allocations
+# beside the time. Wall-clock bound, so not part of `make check`.
 bench-warm:
-	$(GO) test -run '^$$' -bench 'Benchmark(SpecBuild|StatusEncode|FabricConfig)$$' -benchmem -benchtime 20000x -count 5 ./internal/workload/ ./internal/serve/ ./internal/lint/
+	$(GO) test -run '^$$' -bench 'Benchmark(SpecBuild|SetCacheHit|StatusEncode|FabricConfig|MetricsScrape)$$' -benchmem -benchtime 20000x -count 5 ./internal/workload/ ./internal/serve/ ./internal/lint/
 	$(GO) test -run '^$$' -bench 'BenchmarkJobColdVsWarm$$/warm' -benchmem -benchtime 2000x -count 5 ./internal/serve/
 
 # The bookkeeping under a table regeneration, before and after a change

@@ -89,12 +89,14 @@ func (am *AmorphousManager) cacheFor(circuit string) *strip {
 // between them leftward — the amorphous answer to §4's stop-the-world
 // compaction: boundaries move just enough to open a hole of width need,
 // and every move is charged through the ledger's Relocate. Each round
-// erases one hole, so the loop terminates.
+// erases one hole, so the loop terminates — on a region map that
+// coalesces the free spans a move leaves; a round that erases none
+// panics rather than spin.
 func (am *AmorphousManager) slideFor(need int) sim.Time {
 	led := am.E.Ledger()
 	var cost sim.Time
 	led.NoteGC()
-	for {
+	for holes := -1; ; {
 		gaps := am.rm.FreeList()
 		for _, g := range gaps {
 			if g.W >= need {
@@ -104,6 +106,10 @@ func (am *AmorphousManager) slideFor(need int) sim.Time {
 		if len(gaps) < 2 {
 			return cost
 		}
+		if holes >= 0 && len(gaps) >= holes {
+			panic("core: a slide erased no hole: the region map did not coalesce")
+		}
+		holes = len(gaps)
 		// Merge the pair of adjacent holes with the narrowest occupied
 		// block between them: fewest columns relocated per hole erased.
 		best, bestW := -1, 0
