@@ -545,21 +545,20 @@ func F3MergedVsDynamic(cfg Config) (*trace.Table, error) {
 		Note:    "paper §3: 'if the FPGA is large enough ... merge all circuits into only one'",
 		Columns: []string{"device_cols", "merged_makespan_ms", "dynamic_makespan_ms", "dynamic_loads"},
 	}
-	pool := []*netlist.Netlist{netlist.MustLookup("parity16"), netlist.MustLookup("adder8"), netlist.MustLookup("alu8"), netlist.MustLookup("mul4")}
 	mkSet := func() *workload.Set {
 		return workload.Synthetic(workload.SyntheticConfig{
 			Tasks:       6,
 			OpsPerTask:  5,
 			EvalsPerOp:  40_000,
 			ComputeTime: 200 * sim.Microsecond,
-			CircuitPool: pool,
+			Pool:        []string{"parity16", "adder8", "alu8", "mul4"},
 			SwitchProb:  0.5,
 			Seed:        cfg.Seed + 13,
 		})
 	}
 	// Probe the merged footprint once: merged fits iff the strip widths
 	// sum within the device columns.
-	probe, err := compileSet(defaultOpt(cfg), pool)
+	probe, err := compileSet(defaultOpt(cfg), mkSet().Circuits)
 	if err != nil {
 		return nil, err
 	}

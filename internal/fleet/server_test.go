@@ -676,7 +676,7 @@ func TestFleetJobTableBounded(t *testing.T) {
 	s := newTestFleet(t, ServerConfig{}, 1, 1)
 	b, err := json.Marshal(serve.SubmitRequest{Tenant: "soak", Workload: workload.Spec{
 		Scenario:  "synthetic",
-		Synthetic: &workload.SyntheticSpec{Tasks: 1, OpsPerTask: 1, EvalsPerOp: 1, Pool: []string{"parity16"}, Seed: 1},
+		Synthetic: &workload.SyntheticConfig{Tasks: 1, OpsPerTask: 1, EvalsPerOp: 1, Pool: []string{"parity16"}, Seed: 1},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func tinyJob(t *testing.T) string {
 	t.Helper()
 	b, err := json.Marshal(SubmitRequest{Tenant: "soak", Workload: workload.Spec{
 		Scenario:  "synthetic",
-		Synthetic: &workload.SyntheticSpec{Tasks: 1, OpsPerTask: 1, EvalsPerOp: 1, Pool: []string{"parity16"}, Seed: 1},
+		Synthetic: &workload.SyntheticConfig{Tasks: 1, OpsPerTask: 1, EvalsPerOp: 1, Pool: []string{"parity16"}, Seed: 1},
 	}})
 	if err != nil {
 		t.Fatal(err)

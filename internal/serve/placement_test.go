@@ -17,7 +17,7 @@ import (
 func tinySpec() *workload.Spec {
 	return &workload.Spec{
 		Scenario:  "synthetic",
-		Synthetic: &workload.SyntheticSpec{Tasks: 1, OpsPerTask: 1, EvalsPerOp: 1, Pool: []string{"parity16"}, Seed: 1},
+		Synthetic: &workload.SyntheticConfig{Tasks: 1, OpsPerTask: 1, EvalsPerOp: 1, Pool: []string{"parity16"}, Seed: 1},
 	}
 }
 

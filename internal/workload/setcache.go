@@ -37,10 +37,11 @@ type setKey struct {
 	synthetic  syntheticKey
 }
 
-// syntheticKey is a SyntheticSpec in a form a map key can hold: the pool
-// is a slice, so it enters joined (library names hold no newline) and
-// the other fields are copied one by one. TestSetCacheKeyCoversEveryField
-// fails on a field added to SyntheticSpec and not here.
+// syntheticKey is a SyntheticConfig in a form a map key can hold: the
+// pool is a slice, so it enters joined (library names hold no newline)
+// and the other fields are copied one by one.
+// TestSetCacheKeyCoversEveryField fails on a field added to
+// SyntheticConfig and not here.
 type syntheticKey struct {
 	tasks, opsPerTask         int
 	evalsPerOp                int64
@@ -56,27 +57,15 @@ func (s *Spec) key() setKey {
 	k := setKey{scenario: s.Scenario}
 	switch s.Scenario {
 	case "multimedia":
-		k.multimedia = DefaultMultimedia()
-		if s.Multimedia != nil {
-			k.multimedia = *s.Multimedia
-		}
+		k.multimedia = resolved(s.Multimedia, DefaultMultimedia)
 	case "telecom":
-		k.telecom = DefaultTelecom()
-		if s.Telecom != nil {
-			k.telecom = *s.Telecom
-		}
+		k.telecom = resolved(s.Telecom, DefaultTelecom)
 	case "diagnosis":
-		k.diagnosis = DefaultDiagnosis()
-		if s.Diagnosis != nil {
-			k.diagnosis = *s.Diagnosis
-		}
+		k.diagnosis = resolved(s.Diagnosis, DefaultDiagnosis)
 	case "storage":
-		k.storage = DefaultStorage()
-		if s.Storage != nil {
-			k.storage = *s.Storage
-		}
+		k.storage = resolved(s.Storage, DefaultStorage)
 	case "synthetic":
-		sy := s.synthetic()
+		sy := resolved(s.Synthetic, DefaultSynthetic)
 		k.synthetic = syntheticKey{
 			tasks: sy.Tasks, opsPerTask: sy.OpsPerTask, evalsPerOp: sy.EvalsPerOp,
 			computeTime: sy.ComputeTime, meanInterval: sy.MeanInterval,

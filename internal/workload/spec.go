@@ -12,10 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-
-	"repro/internal/netlist"
-	"repro/internal/sim"
+	"slices"
 )
 
 // ErrNoCircuits is returned by Build when a spec generates a workload
@@ -23,63 +20,6 @@ import (
 // (overlay, merged) index the circuit list unconditionally, so an empty
 // set must be rejected here, as a typed error, before it reaches them.
 var ErrNoCircuits = errors.New("workload: spec builds no circuits")
-
-// SyntheticSpec is the wire form of SyntheticConfig: the circuit pool is
-// named (netlist registry names) instead of holding netlist pointers.
-// An empty Pool means DefaultPool.
-type SyntheticSpec struct {
-	Tasks        int      `json:"tasks"`
-	OpsPerTask   int      `json:"ops_per_task"`
-	EvalsPerOp   int64    `json:"evals_per_op"`
-	ComputeTime  sim.Time `json:"compute_time_ns"`
-	MeanInterval sim.Time `json:"mean_interval_ns"`
-	Pool         []string `json:"pool,omitempty"`
-	SwitchProb   float64  `json:"switch_prob"`
-	Seed         uint64   `json:"seed"`
-}
-
-// checkPool reports the first pool name the circuit library does not
-// know, without building anything.
-func (s *SyntheticSpec) checkPool() error {
-	for _, name := range s.Pool {
-		if !netlist.Known(name) {
-			return fmt.Errorf("workload: circuit %q not in registry", name)
-		}
-	}
-	return nil
-}
-
-// params returns the spec's parameters as a SyntheticConfig, pool unset.
-func (s *SyntheticSpec) params() SyntheticConfig {
-	return SyntheticConfig{
-		Tasks: s.Tasks, OpsPerTask: s.OpsPerTask, EvalsPerOp: s.EvalsPerOp,
-		ComputeTime: s.ComputeTime, MeanInterval: s.MeanInterval,
-		SwitchProb: s.SwitchProb, Seed: s.Seed,
-	}
-}
-
-// Validate reports an unknown pool name, or what SyntheticConfig.Validate
-// finds in the parameters, without building anything.
-func (s *SyntheticSpec) Validate() error {
-	if err := s.checkPool(); err != nil {
-		return err
-	}
-	return s.params().Validate()
-}
-
-// Config resolves the named pool against the circuit library and
-// returns the equivalent SyntheticConfig. The pool holds the library's
-// shared netlists: two Configs of one spec name the same circuits.
-func (s *SyntheticSpec) Config() (SyntheticConfig, error) {
-	cfg := s.params()
-	if err := s.checkPool(); err != nil {
-		return cfg, err
-	}
-	for _, name := range s.Pool {
-		cfg.CircuitPool = append(cfg.CircuitPool, netlist.MustLookup(name))
-	}
-	return cfg, nil
-}
 
 // Spec is a named, self-contained, JSON-serializable workload: one
 // scenario plus its parameters. Exactly the parameter block matching
@@ -91,61 +31,111 @@ type Spec struct {
 	Telecom    *TelecomConfig    `json:"telecom,omitempty"`
 	Diagnosis  *DiagnosisConfig  `json:"diagnosis,omitempty"`
 	Storage    *StorageConfig    `json:"storage,omitempty"`
-	Synthetic  *SyntheticSpec    `json:"synthetic,omitempty"`
+	Synthetic  *SyntheticConfig  `json:"synthetic,omitempty"`
 }
 
-// Scenario names understood by Spec.
-var scenarios = [...]string{"diagnosis", "multimedia", "storage", "synthetic", "telecom"}
+// params is a scenario's parameter block: a pointer to its config.
+type params interface {
+	size() (int, error) // the set's op count, or the first parameter out of range
+	reseed(seed uint64)
+}
+
+// scenario is one entry of the scenario table: everything the spec code
+// knows of a scenario.
+type scenario struct {
+	name string
+	// block returns the spec's parameter block, nil when it is unset.
+	block func(*Spec) params
+	// spell sets the spec's block to the defaults and returns it.
+	spell func(*Spec) params
+	// build generates the set of the spec's block, or of the defaults
+	// when it is unset.
+	build func(*Spec) *Set
+}
+
+// newScenario states a scenario by its name, its Spec field, its
+// defaults and its generator.
+func newScenario[C any, P interface {
+	*C
+	params
+}](name string, field func(*Spec) **C, defaults func() C, generate func(C) *Set) scenario {
+	return scenario{
+		name: name,
+		block: func(s *Spec) params {
+			if p := *field(s); p != nil {
+				return P(p)
+			}
+			return nil
+		},
+		spell: func(s *Spec) params {
+			c := defaults()
+			*field(s) = &c
+			return P(&c)
+		},
+		build: func(s *Spec) *Set { return generate(resolved(*field(s), defaults)) },
+	}
+}
+
+// resolved returns the block p, or the defaults when it is nil.
+func resolved[C any](p *C, defaults func() C) C {
+	if p != nil {
+		return *p
+	}
+	return defaults()
+}
+
+// table is the closed scenario set, in the order Validate and
+// UnmarshalJSON visit the parameter blocks: of two offending blocks, the
+// error names the earlier one.
+var table = [...]scenario{
+	newScenario("multimedia", func(s *Spec) **MultimediaConfig { return &s.Multimedia }, DefaultMultimedia, Multimedia),
+	newScenario("telecom", func(s *Spec) **TelecomConfig { return &s.Telecom }, DefaultTelecom, Telecom),
+	newScenario("diagnosis", func(s *Spec) **DiagnosisConfig { return &s.Diagnosis }, DefaultDiagnosis, Diagnosis),
+	newScenario("storage", func(s *Spec) **StorageConfig { return &s.Storage }, DefaultStorage, Storage),
+	newScenario("synthetic", func(s *Spec) **SyntheticConfig { return &s.Synthetic }, DefaultSynthetic, Synthetic),
+}
 
 // NumScenarios is the size of the closed scenario set: a table indexed by
 // ScenarioIndex has this many entries.
-const NumScenarios = len(scenarios)
+const NumScenarios = len(table)
+
+// scenarios is the table's names, sorted.
+var scenarios = func() (names [NumScenarios]string) {
+	for i, sc := range table {
+		names[i] = sc.name
+	}
+	slices.Sort(names[:])
+	return names
+}()
 
 // Scenarios returns the known scenario names, sorted.
 func Scenarios() []string { return append([]string(nil), scenarios[:]...) }
 
 // ScenarioIndex returns name's position in Scenarios(), or -1 when name
 // is not a scenario.
-func ScenarioIndex(name string) int {
-	for i, n := range scenarios {
-		if n == name {
-			return i
+func ScenarioIndex(name string) int { return slices.Index(scenarios[:], name) }
+
+// lookup returns the named scenario's table entry.
+func lookup(name string) (*scenario, error) {
+	for i := range table {
+		if table[i].name == name {
+			return &table[i], nil
 		}
 	}
-	return -1
-}
-
-// DefaultSynthetic returns the synthetic mix used by default specs:
-// a moderate load over the default circuit pool.
-func DefaultSynthetic() SyntheticSpec {
-	return SyntheticSpec{
-		Tasks: 6, OpsPerTask: 6, EvalsPerOp: 30_000,
-		ComputeTime: 300 * sim.Microsecond, SwitchProb: 0.3, Seed: 1,
-	}
+	return nil, fmt.Errorf("workload: unknown scenario %q (have %v)", name, scenarios)
 }
 
 // BuiltinSpec returns the named scenario with its default parameters
 // fully spelled out (no nil blocks), so the wire form documents every
 // knob.
 func BuiltinSpec(name string) (Spec, error) {
-	switch name {
-	case "multimedia":
-		c := DefaultMultimedia()
-		return Spec{Scenario: name, Multimedia: &c}, nil
-	case "telecom":
-		c := DefaultTelecom()
-		return Spec{Scenario: name, Telecom: &c}, nil
-	case "diagnosis":
-		c := DefaultDiagnosis()
-		return Spec{Scenario: name, Diagnosis: &c}, nil
-	case "storage":
-		c := DefaultStorage()
-		return Spec{Scenario: name, Storage: &c}, nil
-	case "synthetic":
-		c := DefaultSynthetic()
-		return Spec{Scenario: name, Synthetic: &c}, nil
+	sc, err := lookup(name)
+	if err != nil {
+		return Spec{}, err
 	}
-	return Spec{}, fmt.Errorf("workload: unknown scenario %q (have %v)", name, scenarios)
+	s := Spec{Scenario: name}
+	sc.spell(&s)
+	return s, nil
 }
 
 // SetSeed sets the workload seed, the one parameter every scenario has,
@@ -154,22 +144,14 @@ func BuiltinSpec(name string) (Spec, error) {
 // still builds the defaults but for the seed; a spec Validate refuses
 // stays refused.
 func (s *Spec) SetSeed(seed uint64) {
-	if s.Multimedia == nil && s.Telecom == nil && s.Diagnosis == nil && s.Storage == nil && s.Synthetic == nil {
-		if full, err := BuiltinSpec(s.Scenario); err == nil {
-			*s = full
+	for i := range table {
+		if p := table[i].block(s); p != nil {
+			p.reseed(seed)
+			return
 		}
 	}
-	switch {
-	case s.Multimedia != nil:
-		s.Multimedia.Seed = seed
-	case s.Telecom != nil:
-		s.Telecom.Seed = seed
-	case s.Diagnosis != nil:
-		s.Diagnosis.Seed = seed
-	case s.Storage != nil:
-		s.Storage.Seed = seed
-	case s.Synthetic != nil:
-		s.Synthetic.Seed = seed
+	if sc, err := lookup(s.Scenario); err == nil {
+		sc.spell(s).reseed(seed)
 	}
 }
 
@@ -177,13 +159,11 @@ func (s *Spec) SetSeed(seed uint64) {
 //
 //vfpgavet:ignore testonly -- observation hook: the workload and loadgen tests iterate every builtin scenario
 func BuiltinSpecs() []Spec {
-	names := Scenarios()
-	sort.Strings(names)
-	out := make([]Spec, 0, len(names))
-	for _, n := range names {
+	out := make([]Spec, 0, NumScenarios)
+	for _, n := range scenarios {
 		s, err := BuiltinSpec(n)
 		if err != nil {
-			panic(err) // scenarios and BuiltinSpec are maintained together
+			panic(err) // scenarios holds the table's names
 		}
 		out = append(out, s)
 	}
@@ -197,47 +177,36 @@ func BuiltinSpecs() []Spec {
 // most MaxSpecOps ops — an error wrapping ErrSpecParam otherwise, so the
 // generators never see a configuration they would panic on.
 func (s *Spec) Validate() error {
-	if ScenarioIndex(s.Scenario) < 0 {
-		return fmt.Errorf("workload: unknown scenario %q (have %v)", s.Scenario, scenarios)
+	_, err := s.validate()
+	return err
+}
+
+// validate is Validate, returning the spec's table entry.
+func (s *Spec) validate() (*scenario, error) {
+	own, err := lookup(s.Scenario)
+	if err != nil {
+		return nil, err
 	}
-	type block struct {
-		name string
-		set  bool
-	}
-	blocks := []block{
-		{"multimedia", s.Multimedia != nil},
-		{"telecom", s.Telecom != nil},
-		{"diagnosis", s.Diagnosis != nil},
-		{"storage", s.Storage != nil},
-		{"synthetic", s.Synthetic != nil},
-	}
-	for _, b := range blocks {
-		if b.set && b.name != s.Scenario {
-			return fmt.Errorf("workload: scenario %q with %s parameters set", s.Scenario, b.name)
+	for i := range table {
+		if sc := &table[i]; sc != own && sc.block(s) != nil {
+			return nil, fmt.Errorf("workload: scenario %q with %s parameters set", s.Scenario, sc.name)
 		}
 	}
-	// At most the scenario's own block is set by now.
-	switch {
-	case s.Multimedia != nil:
-		return s.Multimedia.Validate()
-	case s.Telecom != nil:
-		return s.Telecom.Validate()
-	case s.Diagnosis != nil:
-		return s.Diagnosis.Validate()
-	case s.Storage != nil:
-		return s.Storage.Validate()
-	case s.Synthetic != nil:
-		return s.Synthetic.Validate()
+	if p := own.block(s); p != nil {
+		if _, err := p.size(); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return own, nil
 }
 
 // Build validates the spec and generates its Set.
 func (s *Spec) Build() (*Set, error) {
-	set, err := s.build()
+	sc, err := s.validate()
 	if err != nil {
 		return nil, err
 	}
+	set := sc.build(s)
 	if err := validateSet(set, s.Scenario); err != nil {
 		return nil, err
 	}
@@ -246,48 +215,13 @@ func (s *Spec) Build() (*Set, error) {
 
 // validateSet rejects generated sets no manager can run. Today's
 // built-in generators always produce circuits (synthetic falls back to
-// DefaultPool), so this is the typed safety net for future generators
-// and hand-built specs.
+// its default pool), so this is the typed safety net for future
+// generators and hand-built specs.
 func validateSet(set *Set, scenario string) error {
 	if len(set.Circuits) == 0 {
 		return fmt.Errorf("%w (scenario %q)", ErrNoCircuits, scenario)
 	}
 	return nil
-}
-
-func (s *Spec) build() (*Set, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if s.Scenario == "synthetic" { // its pool is resolved here, not joined into a key
-		sy := s.synthetic()
-		cfg, err := sy.Config()
-		if err != nil {
-			return nil, err
-		}
-		return Synthetic(cfg), nil
-	}
-	k := s.key()
-	switch k.scenario {
-	case "multimedia":
-		return Multimedia(k.multimedia), nil
-	case "telecom":
-		return Telecom(k.telecom), nil
-	case "diagnosis":
-		return Diagnosis(k.diagnosis), nil
-	case "storage":
-		return Storage(k.storage), nil
-	}
-	return nil, fmt.Errorf("workload: unknown scenario %q", s.Scenario)
-}
-
-// synthetic returns the synthetic block as it builds: the one given, or
-// DefaultSynthetic when it is nil.
-func (s *Spec) synthetic() SyntheticSpec {
-	if s.Synthetic != nil {
-		return *s.Synthetic
-	}
-	return DefaultSynthetic()
 }
 
 // EncodeJSON renders the spec in its canonical wire form.
@@ -300,6 +234,8 @@ func (s *Spec) EncodeJSON() ([]byte, error) { return json.Marshal(s) }
 // caller's decoder — custom unmarshalers don't inherit
 // DisallowUnknownFields), so misspelled parameters fail loudly.
 func (s *Spec) UnmarshalJSON(data []byte) error {
+	// The blocks undecoded, in table order. The decoder's messages name
+	// this struct's type, so it keeps its shape.
 	var raw struct {
 		Scenario   string          `json:"scenario"`
 		Multimedia json.RawMessage `json:"multimedia"`
@@ -312,41 +248,13 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*s = Spec{Scenario: raw.Scenario}
-	present := func(m json.RawMessage) bool { return m != nil && string(m) != "null" }
-	if present(raw.Multimedia) {
-		cfg := DefaultMultimedia()
-		if err := strictUnmarshal(raw.Multimedia, &cfg); err != nil {
-			return err
+	blocks := [NumScenarios]json.RawMessage{raw.Multimedia, raw.Telecom, raw.Diagnosis, raw.Storage, raw.Synthetic}
+	for i, m := range blocks {
+		if m != nil && string(m) != "null" {
+			if err := strictUnmarshal(m, table[i].spell(s)); err != nil {
+				return err
+			}
 		}
-		s.Multimedia = &cfg
-	}
-	if present(raw.Telecom) {
-		cfg := DefaultTelecom()
-		if err := strictUnmarshal(raw.Telecom, &cfg); err != nil {
-			return err
-		}
-		s.Telecom = &cfg
-	}
-	if present(raw.Diagnosis) {
-		cfg := DefaultDiagnosis()
-		if err := strictUnmarshal(raw.Diagnosis, &cfg); err != nil {
-			return err
-		}
-		s.Diagnosis = &cfg
-	}
-	if present(raw.Storage) {
-		cfg := DefaultStorage()
-		if err := strictUnmarshal(raw.Storage, &cfg); err != nil {
-			return err
-		}
-		s.Storage = &cfg
-	}
-	if present(raw.Synthetic) {
-		cfg := DefaultSynthetic()
-		if err := strictUnmarshal(raw.Synthetic, &cfg); err != nil {
-			return err
-		}
-		s.Synthetic = &cfg
 	}
 	return nil
 }

@@ -40,7 +40,7 @@ func TestSpecRoundTrip(t *testing.T) {
 // A named pool must survive the round trip and resolve against the
 // registry; an unknown name must be rejected at validation time.
 func TestSyntheticSpecPool(t *testing.T) {
-	spec := Spec{Scenario: "synthetic", Synthetic: &SyntheticSpec{
+	spec := Spec{Scenario: "synthetic", Synthetic: &SyntheticConfig{
 		Tasks: 2, OpsPerTask: 2, EvalsPerOp: 1000,
 		Pool: []string{"parity16", "adder8"}, Seed: 7,
 	}}
@@ -59,7 +59,7 @@ func TestSyntheticSpecPool(t *testing.T) {
 	if len(set.Circuits) != 2 {
 		t.Fatalf("pool resolved to %d circuits, want 2", len(set.Circuits))
 	}
-	bad := Spec{Scenario: "synthetic", Synthetic: &SyntheticSpec{Tasks: 1, OpsPerTask: 1, Pool: []string{"nope"}}}
+	bad := Spec{Scenario: "synthetic", Synthetic: &SyntheticConfig{Tasks: 1, OpsPerTask: 1, Pool: []string{"nope"}}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("unknown pool circuit passed validation")
 	}

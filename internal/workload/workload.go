@@ -205,9 +205,7 @@ func (c MultimediaConfig) size() (int, error) {
 	return r.ops(int64(c.Streams) * 2 * int64(c.Frames))
 }
 
-// Validate reports the first parameter outside its legal range, or a
-// set over MaxSpecOps; the error wraps ErrSpecParam.
-func (c MultimediaConfig) Validate() error { _, err := c.size(); return err }
+func (c *MultimediaConfig) reseed(seed uint64) { c.Seed = seed }
 
 // Multimedia generates the codec scenario. The "codecs" are distinct
 // datapath circuits of comparable size (transform, entropy-code, filter).
@@ -279,9 +277,7 @@ func (c TelecomConfig) size() (int, error) {
 	return r.ops(int64(c.Sessions) * 2 * int64(c.PacketsPer))
 }
 
-// Validate reports the first parameter outside its legal range, or a
-// set over MaxSpecOps; the error wraps ErrSpecParam.
-func (c TelecomConfig) Validate() error { _, err := c.size(); return err }
+func (c *TelecomConfig) reseed(seed uint64) { c.Seed = seed }
 
 // Telecom generates the protocol scenario: each arriving session speaks
 // one protocol (Zipf-popular), implemented as coding/CRC engines.
@@ -355,9 +351,7 @@ func (c DiagnosisConfig) size() (int, error) {
 	return r.ops(2 * int64(c.ControlOps+c.ControlOps/c.DiagEvery))
 }
 
-// Validate reports the first parameter outside its legal range, or a
-// set over MaxSpecOps; the error wraps ErrSpecParam.
-func (c DiagnosisConfig) Validate() error { _, err := c.size(); return err }
+func (c *DiagnosisConfig) reseed(seed uint64) { c.Seed = seed }
 
 // Diagnosis generates the embedded scenario: a high-priority control task
 // using a small resident-worthy circuit, plus low-priority diagnostic
@@ -436,9 +430,7 @@ func (c StorageConfig) size() (int, error) {
 	return r.ops(int64(c.Requests) * storageMaxOps)
 }
 
-// Validate reports the first parameter outside its legal range, or a
-// set over MaxSpecOps; the error wraps ErrSpecParam.
-func (c StorageConfig) Validate() error { _, err := c.size(); return err }
+func (c *StorageConfig) reseed(seed uint64) { c.Seed = seed }
 
 // Storage generates the disk-array scenario: request tasks arrive over
 // time; writes run parity generation (RAID-style XOR) then integrity
@@ -482,34 +474,42 @@ func Storage(cfg StorageConfig) *Set {
 // SyntheticConfig parameterizes the generic mix used by the partitioning
 // and scheduling sweeps.
 type SyntheticConfig struct {
-	Tasks        int
-	OpsPerTask   int
-	EvalsPerOp   int64
-	ComputeTime  sim.Time
-	MeanInterval sim.Time // Poisson arrivals; 0 = all at time zero
-	// CircuitPool limits the distinct circuits; tasks draw uniformly.
-	CircuitPool []*netlist.Netlist
+	Tasks        int      `json:"tasks"`
+	OpsPerTask   int      `json:"ops_per_task"`
+	EvalsPerOp   int64    `json:"evals_per_op"`
+	ComputeTime  sim.Time `json:"compute_time_ns"`
+	MeanInterval sim.Time `json:"mean_interval_ns"` // Poisson arrivals; 0 = all at time zero
+	// Pool names the distinct circuits (registry names); tasks draw
+	// uniformly. Empty means six of mixed size, parity16 through mul4.
+	Pool []string `json:"pool,omitempty"`
 	// SwitchProb is the chance an op uses a different circuit than the
 	// task's previous op.
-	SwitchProb float64
-	Seed       uint64
+	SwitchProb float64 `json:"switch_prob"`
+	Seed       uint64  `json:"seed"`
 }
 
-// DefaultPool returns a mixed-size circuit pool: small parity through a
-// wide multiplier, matching the paper's "heterogeneous circuit sizes".
-func DefaultPool() []*netlist.Netlist {
-	return []*netlist.Netlist{
-		netlist.MustLookup("parity16"),
-		netlist.MustLookup("adder8"),
-		netlist.MustLookup("cmp16"),
-		netlist.MustLookup("counter8"),
-		netlist.MustLookup("alu8"),
-		netlist.MustLookup("mul4"),
+// DefaultSynthetic returns the synthetic mix used by default specs:
+// a moderate load over the default circuit pool.
+func DefaultSynthetic() SyntheticConfig {
+	return SyntheticConfig{
+		Tasks: 6, OpsPerTask: 6, EvalsPerOp: 30_000,
+		ComputeTime: 300 * sim.Microsecond, SwitchProb: 0.3, Seed: 1,
 	}
 }
 
-// size checks the parameters' ranges and returns the set's op count.
+// defaultPool is the pool of a config that names none: mixed sizes,
+// small parity through a wide multiplier, matching the paper's
+// "heterogeneous circuit sizes".
+var defaultPool = []string{"parity16", "adder8", "cmp16", "counter8", "alu8", "mul4"}
+
+// size checks that the pool's names are known and the parameters'
+// ranges, and returns the set's op count.
 func (c SyntheticConfig) size() (int, error) {
+	for _, name := range c.Pool {
+		if !netlist.Known(name) {
+			return 0, fmt.Errorf("workload: circuit %q not in registry", name)
+		}
+	}
 	r := ranges{scenario: "synthetic"}
 	r.count("tasks", c.Tasks)
 	r.count("ops_per_task", c.OpsPerTask)
@@ -520,31 +520,36 @@ func (c SyntheticConfig) size() (int, error) {
 	return r.ops(int64(c.Tasks) * 2 * int64(c.OpsPerTask))
 }
 
-// Validate reports the first parameter outside its legal range, or a
-// set over MaxSpecOps; the error wraps ErrSpecParam.
-func (c SyntheticConfig) Validate() error { _, err := c.size(); return err }
+func (c *SyntheticConfig) reseed(seed uint64) { c.Seed = seed }
 
-// Synthetic generates the generic mix.
+// Synthetic generates the generic mix. The pool's names resolve to the
+// library's shared netlists: two sets of one config name the same
+// circuits.
 func Synthetic(cfg SyntheticConfig) *Set {
 	ops := make(programs, mustSize(cfg.size()))
-	if len(cfg.CircuitPool) == 0 {
-		cfg.CircuitPool = DefaultPool()
+	names := cfg.Pool
+	if len(names) == 0 {
+		names = defaultPool
+	}
+	pool := make([]*netlist.Netlist, len(names))
+	for i, name := range names {
+		pool[i] = netlist.MustLookup(name)
 	}
 	src := rng.New(cfg.Seed)
-	set := &Set{Tasks: make([]TaskSpec, 0, cfg.Tasks), Circuits: cfg.CircuitPool}
+	set := &Set{Tasks: make([]TaskSpec, 0, cfg.Tasks), Circuits: pool}
 	arrival := sim.Time(0)
 	for ti := 0; ti < cfg.Tasks; ti++ {
 		taskSrc := src.Split()
 		if cfg.MeanInterval > 0 {
 			arrival += sim.Time(float64(cfg.MeanInterval) * taskSrc.ExpFloat64())
 		}
-		cur := taskSrc.Intn(len(cfg.CircuitPool))
+		cur := taskSrc.Intn(len(pool))
 		prog := ops.next(2 * cfg.OpsPerTask)
 		for op := 0; op < cfg.OpsPerTask; op++ {
-			if op > 0 && taskSrc.Float64() < cfg.SwitchProb && len(cfg.CircuitPool) > 1 {
-				cur = (cur + 1 + taskSrc.Intn(len(cfg.CircuitPool)-1)) % len(cfg.CircuitPool)
+			if op > 0 && taskSrc.Float64() < cfg.SwitchProb && len(pool) > 1 {
+				cur = (cur + 1 + taskSrc.Intn(len(pool)-1)) % len(pool)
 			}
-			c := cfg.CircuitPool[cur]
+			c := pool[cur]
 			var hwOp hostos.Op
 			if c.IsSequential() {
 				hwOp = seq(c.Name, cfg.EvalsPerOp)
