@@ -165,6 +165,17 @@ func main() {
 		fmt.Println("vfpgaload", version.String())
 		return
 	}
+	// A run with no request, worker or tenant would pass vacuously or
+	// divide by zero: refuse it as a usage error.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"requests", *requests}, {"concurrency", *concurrency}, {"tenants", *tenants}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "vfpgaload: -%s %d: want at least 1\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 
 	if *record != "" {
 		os.Exit(runRecord(*record, genConfig{

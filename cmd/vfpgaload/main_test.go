@@ -7,9 +7,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"sync"
@@ -22,6 +25,37 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
+
+// TestMain lets a test run the command itself: with VFPGALOAD_ARGS set,
+// the test binary is vfpgaload given those arguments.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("VFPGALOAD_ARGS"); ok {
+		os.Args = append([]string{"vfpgaload"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// A count below one is a usage error, exit 2 naming the flag, before
+// anything is sent: -tenants 0 used to panic every worker on a division
+// by zero, and -concurrency 0 or a negative -requests sent nothing and
+// exited 0, so a smoke test passed vacuously.
+func TestCountFlagsRefused(t *testing.T) {
+	for _, args := range []string{"-tenants 0", "-concurrency 0", "-requests -1", "-requests 0", "-record x.json -tenants 0"} {
+		t.Run(args, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0])
+			cmd.Dir = t.TempDir()
+			cmd.Env = append(os.Environ(), "VFPGALOAD_ARGS=-target http://127.0.0.1:1 -timeout 2s "+args)
+			out, err := cmd.CombinedOutput()
+			flag := strings.Fields(args)[len(strings.Fields(args))-2]
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), flag+" ") {
+				t.Errorf("exit %v, output %q; want exit 2 naming %s", err, out, flag)
+			}
+		})
+	}
+}
 
 // stubSleep replaces the injectable sleep for the duration of a test so
 // throttle paths run instantly while still being accounted.
