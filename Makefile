@@ -83,13 +83,13 @@ fuzz-smoke:
 
 # The mutation gate: every mutant in scripts/mutants.tsv (small semantic
 # edits to the ledger, the state and strip tables, the task kernel, the
-# region map, the host OS, the daemon's pool and admission, and the
-# fleet's queueing kernel) is applied to a scratch copy of the tree and
-# must fail its packages' tests; each is printed killed, with the failing
-# tests grouped as digest, golden, conformance or unit, or survived. A
-# survivor, or an entry whose text no longer appears exactly once, fails
-# the run. Minutes long, so not part of `make check`; run one mutant with
-# `scripts/mutate.sh NAME`.
+# region map, the host OS, the daemon's pool and admission, the fleet's
+# queueing kernel, and the workload spec and its set cache) is applied
+# to a scratch copy of the tree and must fail its packages' tests; each
+# is printed killed, with the failing tests grouped as digest, golden,
+# conformance or unit, or survived. A survivor, or an entry whose text
+# no longer appears exactly once, fails the run. Minutes long, so not
+# part of `make check`; run one mutant with `scripts/mutate.sh NAME`.
 mutate:
 	@GO="$(GO)" bash scripts/mutate.sh
 

@@ -11,7 +11,9 @@ package workload
 // lets through that makes one panic, size a set past MaxSpecOps or leave
 // a task without a program is found here (testdata/fuzz/FuzzSpecDecode
 // seeds the ones that used to: diag_every 0, negative and 2^40 counts,
-// packets_per 0, a streams x frames product that overflows int).
+// packets_per 0, a streams x frames product that overflows int). A valid
+// spec and its canonical re-decode share one SetCache entry: the key
+// sees through the defaults merge as the encoder does.
 
 import (
 	"bytes"
@@ -30,6 +32,8 @@ func FuzzSpecDecode(f *testing.F) {
 		`{}`,
 		`{"scenario":"multimedia","bogus":1}`,
 		`{"scenario":"multimedia","telecom":{"sessions":-1}}`,
+		`{"scenario":"synthetic","synthetic":{"pool":["alu8","nosuch"]}}`,
+		`{"scenario":"storage","telecom":{},"diagnosis":{}}`,
 		`not json at all`,
 	} {
 		f.Add([]byte(seed))
@@ -39,13 +43,6 @@ func FuzzSpecDecode(f *testing.F) {
 		if err != nil {
 			return // rejected inputs just must not panic
 		}
-		if spec.Validate() == nil { // must not panic on anything decode accepted
-			set, err := spec.Build()
-			if err != nil {
-				t.Fatalf("valid spec does not build: %v\n%s", err, data)
-			}
-			checkPrograms(t, set)
-		}
 		canonical, err := spec.EncodeJSON()
 		if err != nil {
 			t.Fatalf("accepted spec failed to encode: %v", err)
@@ -53,6 +50,18 @@ func FuzzSpecDecode(f *testing.F) {
 		again, err := DecodeJSON(canonical)
 		if err != nil {
 			t.Fatalf("canonical form rejected on re-decode: %v\n%s", err, canonical)
+		}
+		if spec.Validate() == nil { // must not panic on anything decode accepted
+			var c SetCache
+			set, err := c.Build(spec)
+			if err != nil {
+				t.Fatalf("valid spec does not build: %v\n%s", err, data)
+			}
+			checkPrograms(t, set)
+			// The canonical form resolves to the same parameters: one entry.
+			if got, err := c.Build(again); err != nil || got != set || c.Stats().Hits != 1 {
+				t.Fatalf("canonical re-decode missed the spec's entry (%v, stats %+v)\n%s\n%s", err, c.Stats(), data, canonical)
+			}
 		}
 		stable, err := again.EncodeJSON()
 		if err != nil {
