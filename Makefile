@@ -82,9 +82,10 @@ fuzz-smoke:
 	$(GO) test ./internal/bitstream/ -run '^$$' -fuzz FuzzBitstreamParse -fuzztime 10s
 
 # The mutation gate: every mutant in scripts/mutants.tsv (small semantic
-# edits to the ledger, the state and strip tables, the task kernel, the
-# region map, the host OS, the daemon's pool and admission, the fleet's
-# queueing kernel, and the workload spec and its set cache) is applied
+# edits to the ledger and its record carving, the pin binding, the state
+# and strip tables, the task kernel, the region map, the host OS, the
+# daemon's pool and admission, the fleet's queueing kernel, and the
+# workload spec, its set cache and a set's spawn) is applied
 # to a scratch copy of the tree and must fail its packages' tests; each
 # is printed killed, with the failing tests grouped as digest, golden,
 # conformance or unit, or survived. A survivor, or an entry whose text
@@ -117,22 +118,24 @@ bench-flow:
 	$(GO) test -run '^$$' -bench 'Benchmark((Map|Place|Route|Strip)Registry|OptimizeMul8|CompileSetCold)' -benchmem -benchtime 10x -count 5 ./internal/netlist/ ./internal/techmap/ ./internal/place/ ./internal/route/ ./internal/compile/ ./internal/core/
 
 # The device layer alone, before and after a change to it: a new board,
-# one strip download, the pin pool under eviction churn, the fabric-config
-# audit of a configured device, and a whole cold and warm job over them.
-# Fixed iterations, five readings each, bytes and allocations beside the
-# time. Wall-clock bound, so not part of `make check`.
+# one strip download, the pin pool under eviction churn, one job's
+# downloads through the residency ledger, the fabric-config audit of a
+# configured device, and a whole cold and warm job over them. Fixed
+# iterations, five readings each, bytes and allocations beside the time.
+# Wall-clock bound, so not part of `make check`.
 bench-device:
-	$(GO) test -run '^$$' -bench 'Benchmark(NewDevice|ApplyStrip|PinPool|FabricConfig)$$' -benchmem -benchtime 100000x -count 5 ./internal/fabric/ ./internal/compile/ ./internal/core/ ./internal/lint/
+	$(GO) test -run '^$$' -bench 'Benchmark(NewDevice|ApplyStrip|PinPool|LedgerLoadEvict|FabricConfig)$$' -benchmem -benchtime 100000x -count 5 ./internal/fabric/ ./internal/compile/ ./internal/core/ ./internal/lint/
 	$(GO) test -run '^$$' -bench 'BenchmarkJobColdVsWarm$$' -benchmem -benchtime 100x -count 5 ./internal/serve/
 
 # The warm job path alone, before and after a change to it: building each
-# builtin scenario's task set and finding one in the set cache, encoding
-# a terminal status (plain and with its timeline), the fabric-config
-# audit, one /metrics scrape of a nine-board server, and a whole warm job
-# over them. Fixed iterations, five readings each, bytes and allocations
-# beside the time. Wall-clock bound, so not part of `make check`.
+# builtin scenario's task set and finding one in the set cache, spawning
+# and running a built set through the host OS, encoding a terminal status
+# (plain and with its timeline), the fabric-config audit, one /metrics
+# scrape of a nine-board server, and a whole warm job over them. Fixed
+# iterations, five readings each, bytes and allocations beside the time.
+# Wall-clock bound, so not part of `make check`.
 bench-warm:
-	$(GO) test -run '^$$' -bench 'Benchmark(SpecBuild|SetCacheHit|StatusEncode|FabricConfig|MetricsScrape)$$' -benchmem -benchtime 20000x -count 5 ./internal/workload/ ./internal/serve/ ./internal/lint/
+	$(GO) test -run '^$$' -bench 'Benchmark(SpecBuild|SetCacheHit|SpawnRun|StatusEncode|FabricConfig|MetricsScrape)$$' -benchmem -benchtime 20000x -count 5 ./internal/workload/ ./internal/hostos/ ./internal/serve/ ./internal/lint/
 	$(GO) test -run '^$$' -bench 'BenchmarkJobColdVsWarm$$/warm' -benchmem -benchtime 2000x -count 5 ./internal/serve/
 
 # The bookkeeping under a table regeneration, before and after a change

@@ -157,7 +157,7 @@ type Engine struct {
 	led Ledger
 
 	// The free pin pool: bit p%64 of freePins[p/64] is set while pin p is
-	// unallocated. AllocPins hands out the lowest-numbered free pins, so
+	// unallocated. allocPins hands out the lowest-numbered free pins, so
 	// which pins a circuit gets depends only on which are free, never on
 	// the order they came back in.
 	freePins []uint64
@@ -309,23 +309,21 @@ func (e *Engine) Circuit(name string) (*compile.Circuit, error) {
 	return c, nil
 }
 
-// AllocPins takes up to want pins from the pool, lowest-numbered first
-// and in ascending order. It returns the pins and the multiplexing
-// factor: 1 when fully satisfied, >1 when the circuit's virtual pins must
-// be time-multiplexed over fewer physical pins (§2's input/output
-// multiplexing). At least one pin is required.
-func (e *Engine) AllocPins(want int) (pins []int, mux int, err error) {
+// allocPins takes up to want pins from the pool, lowest-numbered first
+// and in ascending order, into a slice carved from *buf (a new array of
+// at least chunk pins when it runs short; see carve). It returns the
+// pins and the multiplexing factor: 1 when fully satisfied, >1 when the
+// circuit's virtual pins must be time-multiplexed over fewer physical
+// pins (§2's input/output multiplexing). At least one pin is required.
+func (e *Engine) allocPins(want int, buf *[]int, chunk int) (pins []int, mux int, err error) {
 	if want == 0 {
 		return nil, 1, nil
 	}
 	if e.nFree == 0 {
 		return nil, 0, fmt.Errorf("core: no physical pins available")
 	}
-	n := want
-	if n > e.nFree {
-		n = e.nFree
-	}
-	pins = make([]int, 0, n)
+	n := min(want, e.nFree)
+	pins = carve(buf, n, chunk)[:0]
 	for w := 0; len(pins) < n; w++ {
 		for e.freePins[w] != 0 && len(pins) < n {
 			b := bits.TrailingZeros64(e.freePins[w])
@@ -388,9 +386,15 @@ func (e *Engine) noteUtil(now sim.Time) {
 // binding builds a wrap-around pin binding for a circuit given its
 // allocated physical pins: with fewer pins than ports, several virtual
 // ports share a pin (time multiplexing; functional use requires mux==1).
+// A full pin set is its own binding, in order: the ports are cut from
+// the pins themselves, and nothing is allocated.
 func binding(c *compile.Circuit, pins []int) ([]int, []int) {
-	ports := make([]int, c.BS.NumIn+c.BS.NumOut)
-	in, out := ports[:c.BS.NumIn:c.BS.NumIn], ports[c.BS.NumIn:]
+	nIn := c.BS.NumIn
+	if len(pins) == nIn+c.BS.NumOut {
+		return pins[:nIn:nIn], pins[nIn:]
+	}
+	ports := make([]int, nIn+c.BS.NumOut)
+	in, out := ports[:nIn:nIn], ports[nIn:]
 	if len(pins) == 0 {
 		for i := range in {
 			in[i] = -1

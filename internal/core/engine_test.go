@@ -64,22 +64,50 @@ func TestAddCircuitIdempotent(t *testing.T) {
 func TestBindingWrapsWhenShort(t *testing.T) {
 	e := newEngine(t, testOptions())
 	c := e.Lib["adder8"]
-	pins := []int{0, 1, 2}
-	in, out := binding(c, pins)
-	if len(in) != c.BS.NumIn || len(out) != c.BS.NumOut {
-		t.Fatal("binding lengths wrong")
-	}
-	for _, p := range append(append([]int{}, in...), out...) {
-		if p < 0 || p > 2 {
-			t.Fatalf("binding pin %d outside the allocated set", p)
+	// Three pins, and one short of the ports: more than the inputs.
+	for _, n := range []int{3, c.BS.NumIn + c.BS.NumOut - 1} {
+		pins := make([]int, n)
+		for i := range pins {
+			pins[i] = 2 * i
+		}
+		in, out := binding(c, pins)
+		if len(in) != c.BS.NumIn || len(out) != c.BS.NumOut {
+			t.Fatalf("%d pins: binding lengths %d/%d, want %d/%d", n, len(in), len(out), c.BS.NumIn, c.BS.NumOut)
+		}
+		for i, p := range append(append([]int{}, in...), out...) {
+			if p != pins[i%n] {
+				t.Fatalf("%d pins: port %d bound to pin %d, want %d: ports wrap around the pins in order", n, i, p, pins[i%n])
+			}
 		}
 	}
 	// Empty pin set leaves everything unbound.
-	in, out = binding(c, nil)
+	in, out := binding(c, nil)
 	for _, p := range append(append([]int{}, in...), out...) {
 		if p != -1 {
 			t.Fatal("empty allocation should leave ports unbound")
 		}
+	}
+}
+
+// With a full pin set the pins are the binding: inputs then outputs, in
+// order, cut from the pins' own array (capped, so an append to the
+// inputs cannot reach the outputs) without allocating.
+func TestBindingSharesAFullPinSet(t *testing.T) {
+	e := newEngine(t, testOptions())
+	c := e.Lib["adder8"]
+	pins := make([]int, c.BS.NumIn+c.BS.NumOut)
+	for i := range pins {
+		pins[i] = 3*i + 1
+	}
+	in, out := binding(c, pins)
+	if len(in) != c.BS.NumIn || len(out) != c.BS.NumOut || cap(in) != c.BS.NumIn {
+		t.Fatalf("binding lengths %d/%d (cap %d), want %d/%d", len(in), len(out), cap(in), c.BS.NumIn, c.BS.NumOut)
+	}
+	if &in[0] != &pins[0] || &out[0] != &pins[c.BS.NumIn] {
+		t.Fatal("a full pin set was copied, not shared")
+	}
+	if n := testing.AllocsPerRun(100, func() { in, out = binding(c, pins) }); n != 0 {
+		t.Errorf("binding a full pin set allocates %v times, want 0", n)
 	}
 }
 
@@ -90,6 +118,13 @@ func TestUtilizationTracksLoadsAndEvictions(t *testing.T) {
 	if h.E.M.Util.Max() <= 0 {
 		t.Fatal("utilization never rose")
 	}
+}
+
+// AllocPins is allocPins into an array of the pins' own, the pool as
+// the property test and the churn benchmark drive it.
+func (e *Engine) AllocPins(want int) (pins []int, mux int, err error) {
+	var own []int
+	return e.allocPins(want, &own, 0)
 }
 
 // refPinPool is the pin pool as it was before the bitset, kept as the

@@ -162,6 +162,26 @@ type Resident struct {
 	Mux     int
 }
 
+// recordChunk is how many records the ledger and the strip table carve
+// from one array: a job downloads a handful of strips to a score.
+const recordChunk = 8
+
+// carve cuts the next n elements from *buf, capped at n so that an
+// append to the result can never reach its neighbour. When fewer than n
+// are left it takes a new array of max(n, chunk) elements and leaves the
+// old one to the elements already cut from it. Carving is append-only:
+// no element is handed out twice while its owner lives, so a stale
+// pointer into an array never aliases a live record, and every array
+// dies with its owner.
+func carve[T any](buf *[]T, n, chunk int) []T {
+	b := *buf
+	if cap(b)-len(b) < n {
+		b = make([]T, 0, max(n, chunk))
+	}
+	*buf = b[:len(b)+n]
+	return b[len(b) : len(b)+n : len(b)+n]
+}
+
 // Ledger is the transaction layer under every VFPGA manager: the one
 // place that performs fabric writes, charges time from the timing model,
 // bumps Metrics, and emits device-side trace events. Managers stay pure
@@ -187,6 +207,10 @@ type Ledger struct {
 	// residents is the residency table: sorted by strip origin, pairwise
 	// disjoint, inside the device. Only find, insert and remove index it.
 	residents []*Resident
+	// The arrays Resident records and their pins are carved from (see
+	// carve): one download allocates neither.
+	resBuf []Resident
+	pinBuf []int
 
 	// guard backs the single-goroutine assertion: TryLock fails only if
 	// another operation is mid-flight, which under the ownership contract
@@ -362,7 +386,8 @@ func (l *Ledger) TryLoad(owner string, c *compile.Circuit, x int, wholeDevice bo
 	if r := l.ResidentAt(x); r != nil {
 		return 0, 0, fmt.Errorf("core: column %d already holds %s; evict first", x, r.Circuit)
 	}
-	pins, mux, err := l.e.AllocPins(c.BS.NumIn + c.BS.NumOut)
+	// A pin array holds the largest grant the pool can make: every pin.
+	pins, mux, err := l.e.allocPins(c.BS.NumIn+c.BS.NumOut, &l.pinBuf, l.e.Opt.Geometry.NumPins())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -386,7 +411,9 @@ func (l *Ledger) TryLoad(owner string, c *compile.Circuit, x int, wholeDevice bo
 	if mux > 1 {
 		l.e.M.MuxedOps.Inc()
 	}
-	l.insert(&Resident{Circuit: c.Name, C: c, Owner: owner, Region: region, Pins: pins, Mux: mux})
+	r := &carve(&l.resBuf, 1, recordChunk)[0]
+	*r = Resident{Circuit: c.Name, C: c, Owner: owner, Region: region, Pins: pins, Mux: mux}
+	l.insert(r)
 	l.emit(OpLoad, owner, c.Name, region, -1, base, false)
 	l.e.noteUtil(l.now())
 	return mux, cost, nil

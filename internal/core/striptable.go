@@ -39,6 +39,8 @@ type stripTable struct {
 	rm     *RegionMap
 	byTask map[hostos.TaskID]*strip
 	saved  savedState
+	// strips is the array strip records are carved from (see carve).
+	strips []strip
 
 	fit    FitPolicy
 	rotate bool
@@ -265,7 +267,8 @@ func (st *stripTable) place(t *hostos.Task, c *compile.Circuit) (cost sim.Time, 
 		st.Block(t)
 		return 0, false
 	}
-	p := &strip{owner: t, circuit: c.Name, lastUse: st.K.Now()}
+	p := &carve(&st.strips, 1, recordChunk)[0]
+	*p = strip{owner: t, circuit: c.Name, lastUse: st.K.Now()}
 	p.span = st.rm.Alloc(s, need, p)
 	st.byTask[t.ID] = p
 	_, loadCost := st.E.Ledger().Load(t.Name, c, p.span.X, false)

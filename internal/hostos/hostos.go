@@ -235,6 +235,10 @@ type FPGA interface {
 // OS to call Unblock on, and New hands it to them.
 type Attacher interface{ AttachOS(*OS) }
 
+// taskChunk is how many Task records an OS carves from one array when
+// no Reserve sized it for what is spawned.
+const taskChunk = 8
+
 // OS is the simulated operating system. Create with New, add tasks with
 // Spawn/SpawnAt, then drive the kernel.
 type OS struct {
@@ -245,6 +249,14 @@ type OS struct {
 	tasks   []*Task
 	ready   []*Task
 	current *Task
+
+	// Task records are carved from taskBuf, one array for every task a
+	// Reserve announced: append-only, so a Task is never reused while the
+	// OS lives. arrivals holds the tasks SpawnAt made, and each arrival
+	// event names its task by index there to spawnFn, bound once in New.
+	taskBuf  []Task
+	arrivals []*Task
+	spawnFn  func(i int)
 
 	// The running segment. The CPU runs one task and a task one op phase
 	// at a time, so at most one segment is in flight, and it belongs to
@@ -297,6 +309,11 @@ func New(k *sim.Kernel, cfg Config, fpga FPGA) *OS {
 		o.runSegment(t, o.sliceFor(t))
 	}
 	o.preemptFn = func(id int) { o.preemptNow(o.tasks[id]) }
+	o.spawnFn = func(i int) {
+		if err := o.admit(o.arrivals[i]); err != nil {
+			panic(err)
+		}
+	}
 	if a, ok := fpga.(Attacher); ok {
 		a.AttachOS(o)
 	}
@@ -312,46 +329,67 @@ func (o *OS) Tasks() []*Task { return o.tasks }
 //
 //vfpgavet:ignore testonly -- observation hook: the hostos, core, baseline and serve tests spawn tasks at the current time
 func (o *OS) Spawn(name string, priority int, program []Op) (*Task, error) {
-	return o.spawnAt(o.K.Now(), name, priority, program, true)
+	t := o.newTask(o.K.Now(), name, priority, program)
+	if err := o.admit(t); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Reserve sizes the OS for n more tasks: their Task records, the task
+// and ready tables and the arrival table, so spawning them allocates
+// nothing of the OS's own. Spawning more than reserved is correct, one
+// array of records at a time.
+func (o *OS) Reserve(n int) {
+	if cap(o.taskBuf)-len(o.taskBuf) < n {
+		o.taskBuf = make([]Task, 0, n)
+	}
+	o.tasks = slices.Grow(o.tasks, n)
+	o.ready = slices.Grow(o.ready, n)
+	o.arrivals = slices.Grow(o.arrivals, n)
 }
 
 // SpawnAt schedules task creation at absolute virtual time at.
 func (o *OS) SpawnAt(at sim.Time, name string, priority int, program []Op) {
-	o.K.Schedule(at, func() {
-		if _, err := o.spawnAt(at, name, priority, program, true); err != nil {
-			panic(err)
-		}
-	})
+	o.arrivals = append(o.arrivals, o.newTask(at, name, priority, program))
+	o.K.ScheduleArg(at, 0, o.spawnFn, len(o.arrivals)-1)
 }
 
-func (o *OS) spawnAt(at sim.Time, name string, priority int, program []Op, admit bool) (*Task, error) {
-	if len(program) == 0 {
-		return nil, fmt.Errorf("hostos: task %q has an empty program", name)
+// newTask carves the record of a task created at time at: from the
+// array Reserve sized, or from a new one of taskChunk records once that
+// is used up. Records are append-only, never reused while the OS lives.
+func (o *OS) newTask(at sim.Time, name string, priority int, program []Op) *Task {
+	if len(o.taskBuf) == cap(o.taskBuf) {
+		o.taskBuf = make([]Task, 0, taskChunk)
 	}
-	t := &Task{
-		ID:       TaskID(len(o.tasks)),
-		Name:     name,
-		Priority: priority,
-		program:  program,
-		Created:  at,
-		state:    TaskNew,
+	o.taskBuf = o.taskBuf[:len(o.taskBuf)+1]
+	t := &o.taskBuf[len(o.taskBuf)-1]
+	*t = Task{Name: name, Priority: priority, program: program, Created: at, state: TaskNew}
+	return t
+}
+
+// admit creates t in the OS: it takes the next ID, the circuits named in
+// its program's FPGA ops are registered with the manager, and it joins
+// the ready queue.
+func (o *OS) admit(t *Task) error {
+	if len(t.program) == 0 {
+		return fmt.Errorf("hostos: task %q has an empty program", t.Name)
 	}
+	t.ID = TaskID(len(o.tasks))
 	o.tasks = append(o.tasks, t)
 	seen := make([]string, 0, 8) // distinct circuits of one program: a handful
-	for _, op := range program {
+	for _, op := range t.program {
 		if op.Kind == OpFPGA && !slices.Contains(seen, op.Req.Circuit) {
 			seen = append(seen, op.Req.Circuit)
 			if err := o.fpga.Register(t, op.Req.Circuit); err != nil {
-				return nil, fmt.Errorf("hostos: task %q: %w", name, err)
+				return fmt.Errorf("hostos: task %q: %w", t.Name, err)
 			}
 		}
 	}
-	if admit {
-		o.makeReady(t)
-		o.maybePreemptFor(t)
-		o.kick()
-	}
-	return t, nil
+	o.makeReady(t)
+	o.maybePreemptFor(t)
+	o.kick()
+	return nil
 }
 
 func (o *OS) makeReady(t *Task) {

@@ -120,20 +120,26 @@ func TestSingleComputeTask(t *testing.T) {
 	}
 }
 
-// Spawning a task allocates the Task and nothing else: the events that
-// start its segments and switch it out name it by ID through handlers
-// the OS bound once, not through closures made per task. (1 000 spawns
-// amortize the growth of the task, ready and event arrays below one
-// allocation a spawn.)
-func TestSpawnAllocatesOnlyTheTask(t *testing.T) {
+// A spawn into a reserved OS allocates nothing: its Task is carved from
+// the array Reserve sized, the task and ready tables have room, and the
+// events that start its segments and switch it out name it by ID
+// through handlers the OS bound once, not through closures made per
+// task. Each run spawns one array's worth of tasks (taskChunk), so an
+// OS that was not reserved shows its array a run; 100 runs amortize the
+// growth of the kernel's event arrays below one allocation a run.
+func TestReservedSpawnAllocatesNothing(t *testing.T) {
+	const runs = 100
 	o := newOS(Config{Policy: RR}, newMock())
+	o.Reserve((runs + 1) * taskChunk) // AllocsPerRun adds a warm-up run
 	prog := []Op{Compute(sim.Millisecond)}
-	if n := testing.AllocsPerRun(1000, func() {
-		if _, err := o.Spawn("t", 0, prog); err != nil {
-			t.Fatal(err)
+	if n := testing.AllocsPerRun(runs, func() {
+		for range taskChunk {
+			if _, err := o.Spawn("t", 0, prog); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); n != 1 {
-		t.Errorf("a spawn allocates %v times, want 1 (the Task)", n)
+	}); n != 0 {
+		t.Errorf("%d spawns into a reserved OS allocate %v times, want 0", taskChunk, n)
 	}
 }
 
@@ -180,7 +186,7 @@ func TestPriorityPreemption(t *testing.T) {
 	o := newOS(Config{Policy: Priority, TimeSlice: 100 * sim.Millisecond, CtxSwitch: 0}, m)
 	low, _ := o.Spawn("low", 10, []Op{Compute(20 * sim.Millisecond)})
 	o.K.Schedule(5*sim.Millisecond, func() {
-		if _, err := o.spawnAt(o.K.Now(), "high", 1, []Op{Compute(2 * sim.Millisecond)}, true); err != nil {
+		if _, err := o.Spawn("high", 1, []Op{Compute(2 * sim.Millisecond)}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -405,7 +411,7 @@ func TestParsePolicy(t *testing.T) {
 func TestCurrentRequestPanicsOnCompute(t *testing.T) {
 	m := newMock()
 	o := newOS(Config{}, m)
-	task, _ := o.spawnAt(0, "a", 0, []Op{Compute(sim.Millisecond)}, false)
+	task := o.newTask(0, "a", 0, []Op{Compute(sim.Millisecond)})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")

@@ -191,11 +191,14 @@ func TestBoardsShareCachedSet(t *testing.T) {
 // allocate nothing per event or per CLB, and what is left is the stack
 // over the hardware and the job's own tasks, loads and result: the
 // programs come from the pool's set cache, the audit's tables from the
-// audit before. Budgets sit ~18 % above what the path reads today
-// (multimedia: 110 allocations and 14.6 KiB on dynamic, 64 and 8.5 KiB
-// on paged; 136 and 32.7 KiB, 88 and 26.3 KiB while every job built its
-// set and its audit tables; 142 and 94 while each task carried two
-// closures of its own; 170 and 63.9 KiB, 123 and 55.6 KiB while the
+// audit before, the Task records, residency entries, pins and strips
+// from a few arrays the OS, the ledger and the strip table carve them
+// from. Budgets sit ~18 % above what the path reads today (multimedia:
+// 44 allocations and 11.3 KiB on dynamic, 56 and 8.4 KiB on paged; 110
+// and 14.6 KiB, 65 and 8.5 KiB while each task, download and strip had
+// records of its own; 136 and 32.7 KiB, 88 and 26.3 KiB while every job
+// built its set and its audit tables; 142 and 94 while each task carried
+// two closures of its own; 170 and 63.9 KiB, 123 and 55.6 KiB while the
 // generators grew each program by doubling; 1 838 and 1 670 allocations
 // before the warm job path).
 func TestWarmJobAllocBudget(t *testing.T) {
@@ -204,8 +207,8 @@ func TestWarmJobAllocBudget(t *testing.T) {
 		budget    float64
 		budgetKiB float64
 	}{
-		{"dynamic", 130, 17},
-		{"paged", 76, 10},
+		{"dynamic", 52, 13},
+		{"paged", 66, 10},
 	} {
 		t.Run(tc.manager, func(t *testing.T) {
 			bc := DefaultBoardConfig()

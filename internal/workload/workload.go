@@ -53,6 +53,7 @@ func (s *Set) Ops() int {
 
 // Spawn registers the set's tasks into the OS at their arrival times.
 func (s *Set) Spawn(os *hostos.OS) {
+	os.Reserve(len(s.Tasks))
 	for _, ts := range s.Tasks {
 		os.SpawnAt(ts.Arrival, ts.Name, ts.Priority, ts.Program)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hostos"
 	"repro/internal/netlist"
+	"repro/internal/sim"
 )
 
 func TestMultimediaShape(t *testing.T) {
@@ -213,5 +214,50 @@ func TestStorageDeterministic(t *testing.T) {
 		if a.Tasks[i].Arrival != b.Tasks[i].Arrival || len(a.Tasks[i].Program) != len(b.Tasks[i].Program) {
 			t.Fatal("storage workload not deterministic")
 		}
+	}
+}
+
+// nullFPGA accepts every circuit and runs every hardware op at once: the
+// OS's own cost, with no manager's in it.
+type nullFPGA struct{}
+
+func (nullFPGA) Register(*hostos.Task, string) error                           { return nil }
+func (nullFPGA) Acquire(*hostos.Task) (sim.Time, bool)                         { return 0, true }
+func (nullFPGA) ExecTime(*hostos.Task) sim.Time                                { return sim.Microsecond }
+func (nullFPGA) Preemptable(*hostos.Task) bool                                 { return true }
+func (nullFPGA) Preempt(_ *hostos.Task, done, _ sim.Time) (sim.Time, sim.Time) { return 0, done }
+func (nullFPGA) Resume(*hostos.Task) sim.Time                                  { return 0 }
+func (nullFPGA) Complete(*hostos.Task)                                         {}
+func (nullFPGA) Remove(*hostos.Task)                                           {}
+
+// Set.Spawn tells the OS its task count once, so spawning and running a
+// set costs the OS the same few arrays whatever the count: the Task
+// records, the task and ready tables and the arrival table are sized
+// once, not grown task by task. The kernel's event arrays are grown
+// beforehand; Reset keeps them.
+func TestSpawnReservesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats escape analysis")
+	}
+	k := sim.New()
+	allocs := func(streams int) float64 {
+		cfg := DefaultMultimedia()
+		cfg.Streams = streams
+		set := Multimedia(cfg)
+		run := func() {
+			k.Reset()
+			o := hostos.New(k, hostos.DefaultConfig(), nullFPGA{})
+			set.Spawn(o)
+			k.Run()
+			if !o.AllDone() {
+				t.Fatal("the set did not finish")
+			}
+		}
+		run()
+		return testing.AllocsPerRun(20, run)
+	}
+	many := allocs(64)
+	if one := allocs(1); many != one {
+		t.Errorf("spawning and running 64 tasks allocates %v times, 1 task %v: want the same", many, one)
 	}
 }
