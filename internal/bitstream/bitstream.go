@@ -96,9 +96,10 @@ func relSrc(sig techmap.Signal, r *route.Result) Src {
 	panic("bitstream: bad signal kind")
 }
 
-// Generate encodes a routed design into a relocatable bitstream. A
-// placement or port count beyond fabric.MaxDim panics: the flow never
-// produces one for a valid geometry.
+// Generate encodes a routed design into a relocatable bitstream. The
+// Bitstream shares nothing with r, so it outlives the next call of the
+// stages that made r. A placement or port count beyond fabric.MaxDim
+// panics: the flow never produces one for a valid geometry.
 func Generate(r *route.Result, timing fabric.Timing) *Bitstream {
 	m := r.P.Mapped
 	b := &Bitstream{

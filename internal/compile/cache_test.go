@@ -206,8 +206,8 @@ func TestCacheKeyIncludesAllInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Routed.Tracks != in.tracks {
-			t.Fatalf("compiled at %d tracks, routed at %d", in.tracks, c.Routed.Tracks)
+		if c.Tracks != in.tracks {
+			t.Fatalf("compiled at %d tracks, routed at %d", in.tracks, c.Tracks)
 		}
 	}
 	st := sc.Stats()

@@ -40,19 +40,25 @@ type Options struct {
 }
 
 // Circuit is a fully compiled design: everything the VFPGA manager needs
-// to load, run, preempt, relocate and page it.
+// to load, run, preempt, relocate and page it. It is the bitstream plus a
+// few numbers the stages reported; the mapped design, placement and
+// routing it was built from stay in the flow that made them.
 type Circuit struct {
 	Name    string
 	Netlist *netlist.Netlist
-	Mapped  *techmap.Mapped
-	Placed  *place.Placement
-	Routed  *route.Result
 	BS      *bitstream.Bitstream
 	// ClockPeriod is the operating clock period (critical path with the
 	// device's floor applied).
 	ClockPeriod sim.Time
 	// Sequential reports whether the circuit holds state.
 	Sequential bool
+
+	Depth      int // LUT depth of the mapped design
+	Wirelength int // half-perimeter wirelength of the placement
+	Conns      int // connections routed
+	Tracks     int // channel capacity routed against
+	MaxUse     int // maximum channel occupancy
+	Iterations int // router negotiation iterations
 }
 
 // Cells returns the circuit's area in CLBs.
@@ -68,14 +74,16 @@ func (c *Circuit) String() string {
 }
 
 // A flow is one compile's working set: the arrays each stage of the flow
-// works in, kept from compile to compile. A compile that takes a flow
-// whose arrays have grown to its size allocates its artifact and nothing
-// else; a flow's arrays stay at the largest compile it has run.
+// works in and the result each stage last returned, kept from compile to
+// compile. A compile that takes a flow whose arrays have grown to its size
+// allocates its artifact and nothing else; a flow's arrays stay at the
+// largest compile it has run.
 type flow struct {
 	optimizer netlist.Optimizer
 	mapper    techmap.Mapper
 	placer    place.Placer
 	router    route.Router
+	frontEnds int // front ends run, for the tests
 }
 
 // flows is the package's GOMAXPROCS flows. A flow is also the token to
@@ -164,8 +172,10 @@ func Compile(nl *netlist.Netlist, opt Options) (*Circuit, error) {
 }
 
 // frontEnd is the shape-independent half of the flow: logic optimization
-// and technology mapping.
+// and technology mapping. The Mapped is f's mapper's, valid until the
+// flow's next front end.
 func (f *flow) frontEnd(nl *netlist.Netlist, opt Options) (*techmap.Mapped, error) {
+	f.frontEnds++
 	src := nl
 	if !opt.DisableOpt {
 		src = f.optimizer.Optimize(nl)
@@ -178,7 +188,9 @@ func (f *flow) frontEnd(nl *netlist.Netlist, opt Options) (*techmap.Mapped, erro
 }
 
 // backEnd places, routes and generates the mapped design m of nl into a
-// w x h region with tracks per channel; it never changes the shape.
+// w x h region with tracks per channel; it never changes the shape. The
+// Circuit copies what it keeps of the stages' results, which the flow's
+// next compile overwrites.
 func (f *flow) backEnd(nl *netlist.Netlist, m *techmap.Mapped, w, h, tracks int, opt Options) (*Circuit, error) {
 	timing := fabric.DefaultTiming()
 	if opt.Timing != nil {
@@ -196,12 +208,15 @@ func (f *flow) backEnd(nl *netlist.Netlist, m *techmap.Mapped, w, h, tracks int,
 	return &Circuit{
 		Name:        nl.Name,
 		Netlist:     nl,
-		Mapped:      m,
-		Placed:      p,
-		Routed:      r,
 		BS:          bs,
 		ClockPeriod: timing.ClockPeriod(bs.Delay),
 		Sequential:  nl.IsSequential(),
+		Depth:       m.Depth,
+		Wirelength:  p.Wirelength,
+		Conns:       r.Conns,
+		Tracks:      r.Tracks,
+		MaxUse:      r.MaxUse,
+		Iterations:  r.Iterations,
 	}, nil
 }
 

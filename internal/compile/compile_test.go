@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"bytes"
 	"runtime"
 	"sort"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/rng"
+	"repro/internal/sim"
 )
 
 // loadAt applies a compiled circuit at the given origin, binding its ports
@@ -288,9 +290,9 @@ func TestCompileStripRoutesAtItsTracks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range []*Circuit{direct, cached} {
-			if c.Routed.Tracks != tracks || c.Routed.MaxUse > tracks {
+			if c.Tracks != tracks || c.MaxUse > tracks {
 				t.Fatalf("compiled at %d tracks: routed at %d, max channel use %d",
-					tracks, c.Routed.Tracks, c.Routed.MaxUse)
+					tracks, c.Tracks, c.MaxUse)
 			}
 		}
 	}
@@ -484,11 +486,11 @@ func allocated(runs int, f func()) (bytes, objects float64) {
 // TestStripCompileByteBudget holds one uncached strip compile at the
 // default board's 16 rows to its artifact plus scaffolding sized once, on
 // a new flow (cold), and to its artifact alone on a flow an earlier
-// compile of the same circuit has grown (warm): the Mapped, the
-// placement's position table, the route result and the bitstream, whose
-// critical-path walk keeps three per-cell arrays of its own. Budgets sit
-// 10 % over today's readings; cold, a new flow adds one object of about a
-// kilobyte to what a compile read before flows. Cold, alu8 read 96 746
+// compile of the same circuit has grown (warm): the Circuit, the
+// Bitstream, its Cells and its OutDrivers, and nothing else — the stages'
+// results stay in the flow. Budgets sit 10 % over today's readings. Warm,
+// alu8 read 9 280 bytes in 17 objects and mul8 38 496 in 17 while a
+// Circuit kept its Mapped, placement and routing; cold, alu8 read 96 746
 // bytes in 141 objects and mul8 433 778 in 242 while the router kept a
 // path per connection, the optimizer copied its result to sweep it and
 // the mapper grew its cell table.
@@ -501,8 +503,8 @@ func TestStripCompileByteBudget(t *testing.T) {
 		cold, coldObjects float64 // today's readings
 		warm, warmObjects float64
 	}{
-		{"alu8", 53_914, 72, 9_280, 17},
-		{"mul8", 284_618, 73, 38_496, 17},
+		{"alu8", 54_650, 71, 1_568, 4},
+		{"mul8", 285_258, 72, 5_728, 4},
 	} {
 		nl := netlist.MustLookup(c.name)
 		compile := func(f *flow) {
@@ -524,44 +526,58 @@ func TestStripCompileByteBudget(t *testing.T) {
 	}
 }
 
-// TestCompileStripMapsOnce holds a strip compile to one front end: for a
-// circuit that routes at its first width, what CompileStrip allocates fits
-// in one optimize-and-map plus one back end. A second front end — a
-// Compile call per width — costs four times the slack allowed here.
+// TestCompileStripMapsOnce holds a strip compile to one front end,
+// however many widths its back end tries: cmp8 at six tracks does not
+// route in its tightest strip, so a front end per width would run two.
 func TestCompileStripMapsOnce(t *testing.T) {
-	nl := netlist.ALU(8)
-	const rows = 16
-	opt := Options{Seed: 1}
-	c, err := CompileStrip(nl, rows, 12, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := netlist.MustLookup("cmp8")
+	const rows, tracks = 16, 6
 	f := new(flow)
-	m, err := f.frontEnd(nl, opt)
+	m, err := f.frontEnd(nl, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cells := m.NumCells()
-	if minW := (cells + cells/8 + rows - 1) / rows; c.BS.W != minW {
-		t.Fatalf("alu8 routed at width %d, not its first width %d: pick another circuit", c.BS.W, minW)
+	minW := (cells + cells/8 + rows - 1) / rows
+	f.frontEnds = 0
+	c, err := f.compileStrip(nl, rows, tracks, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	front := testing.AllocsPerRun(5, func() {
-		if _, err := f.frontEnd(nl, opt); err != nil {
+	if c.BS.W == minW {
+		t.Fatalf("cmp8 routed at its first width %d: pick another circuit", minW)
+	}
+	if f.frontEnds != 1 {
+		t.Fatalf("a strip compile that tried widths %d to %d ran %d front ends, want 1", minW, c.BS.W, f.frontEnds)
+	}
+}
+
+// TestCircuitOutlivesItsFlow holds a circuit to what it was when its
+// compile returned after a larger circuit has gone through the same flow
+// and overwritten every stage's result.
+func TestCircuitOutlivesItsFlow(t *testing.T) {
+	f := new(flow)
+	compileOn := func(name string) *Circuit {
+		c, err := f.compileStrip(netlist.MustLookup(name), 16, 12, Options{Seed: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	back := testing.AllocsPerRun(5, func() {
-		if _, err := f.backEnd(nl, m, c.BS.W, rows, 12, opt); err != nil {
+		return c
+	}
+	snapshot := func(c *Circuit) (string, sim.Time, [6]int) {
+		var buf bytes.Buffer
+		if err := c.BS.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-	})
-	strip := testing.AllocsPerRun(5, func() {
-		if _, err := CompileStrip(nl, rows, 12, opt); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if limit := front + back + front/4; strip > limit {
-		t.Fatalf("CompileStrip allocates %.0f objects; one front end (%.0f) + one back end (%.0f) allows %.0f",
-			strip, front, back, limit)
+		return buf.String(), c.ClockPeriod, stageNumbers(c)
+	}
+	a := compileOn("alu8")
+	bs, clock, numbers := snapshot(a)
+	if b := compileOn("mul8"); b.Cells() <= a.Cells() {
+		t.Fatalf("mul8 has %d cells, alu8 %d: not the larger circuit this test wants", b.Cells(), a.Cells())
+	}
+	if gotBS, gotClock, gotNumbers := snapshot(a); gotBS != bs || gotClock != clock || gotNumbers != numbers {
+		t.Fatalf("alu8 changed when mul8 compiled on its flow: clock %v -> %v, stage numbers %v -> %v, bitstream equal %v",
+			clock, gotClock, numbers, gotNumbers, gotBS == bs)
 	}
 }

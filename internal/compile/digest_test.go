@@ -57,7 +57,7 @@ func computeStripDigests(t *testing.T) []stripDigest {
 					Seed:        seed,
 					SHA256:      hex.EncodeToString(sum[:]),
 					ClockPeriod: int64(c.ClockPeriod),
-					Wirelength:  c.Placed.Wirelength,
+					Wirelength:  c.Wirelength,
 				})
 			}
 		}

@@ -10,28 +10,42 @@ import (
 	"repro/internal/netlist"
 )
 
+// compiled is one strip compile as the flow left it: the artifact, and
+// the per-sink hop counts its router kept, copied before the flow's next
+// compile overwrites them.
+type compiled struct {
+	c    *Circuit
+	hops []int32
+}
+
 // sameArtifact fails t unless got and want are the same compile: the
-// bitstream's bytes, the clock period, the wirelength and every sink's hop
-// count.
-func sameArtifact(t *testing.T, when string, got, want *Circuit) {
+// bitstream's bytes, the clock period, every number the stages reported
+// and every sink's hop count.
+func sameArtifact(t *testing.T, when string, got, want compiled) {
 	t.Helper()
 	var g, w bytes.Buffer
-	if err := got.BS.WriteJSON(&g); err != nil {
+	if err := got.c.BS.WriteJSON(&g); err != nil {
 		t.Fatal(err)
 	}
-	if err := want.BS.WriteJSON(&w); err != nil {
+	if err := want.c.BS.WriteJSON(&w); err != nil {
 		t.Fatal(err)
 	}
+	name := want.c.Name
 	switch {
 	case !bytes.Equal(g.Bytes(), w.Bytes()):
-		t.Errorf("%s, %s: bitstream differs from a compile on a new flow", when, want.Name)
-	case got.ClockPeriod != want.ClockPeriod:
-		t.Errorf("%s, %s: clock period %v, on a new flow %v", when, want.Name, got.ClockPeriod, want.ClockPeriod)
-	case got.Placed.Wirelength != want.Placed.Wirelength:
-		t.Errorf("%s, %s: wirelength %d, on a new flow %d", when, want.Name, got.Placed.Wirelength, want.Placed.Wirelength)
-	case !slices.Equal(got.Routed.SinkHops, want.Routed.SinkHops):
-		t.Errorf("%s, %s: sink hop counts differ from a compile on a new flow", when, want.Name)
+		t.Errorf("%s, %s: bitstream differs from a compile on a new flow", when, name)
+	case got.c.ClockPeriod != want.c.ClockPeriod:
+		t.Errorf("%s, %s: clock period %v, on a new flow %v", when, name, got.c.ClockPeriod, want.c.ClockPeriod)
+	case stageNumbers(got.c) != stageNumbers(want.c):
+		t.Errorf("%s, %s: stage numbers %v, on a new flow %v", when, name, stageNumbers(got.c), stageNumbers(want.c))
+	case !slices.Equal(got.hops, want.hops):
+		t.Errorf("%s, %s: sink hop counts differ from a compile on a new flow", when, name)
 	}
+}
+
+// stageNumbers is what a Circuit keeps of its stages' results.
+func stageNumbers(c *Circuit) [6]int {
+	return [6]int{c.Depth, c.Wirelength, c.Conns, c.Tracks, c.MaxUse, c.Iterations}
 }
 
 // TestRecycledFlowMatchesFresh compiles every registry circuit through one
@@ -52,14 +66,14 @@ func TestRecycledFlowMatchesFresh(t *testing.T) {
 		}
 		return nls[i].Name < nls[j].Name
 	})
-	strip := func(f *flow, nl *netlist.Netlist) *Circuit {
+	strip := func(f *flow, nl *netlist.Netlist) compiled {
 		c, err := f.compileStrip(nl, 16, 12, Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", nl.Name, err)
 		}
-		return c
+		return compiled{c, slices.Clone(f.router.Last().SinkHops)}
 	}
-	fresh := map[string]*Circuit{}
+	fresh := map[string]compiled{}
 	for _, nl := range nls {
 		fresh[nl.Name] = strip(new(flow), nl)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"cmp"
-	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -13,12 +12,20 @@ import (
 	"repro/internal/sim"
 )
 
-// artifact is a strip compile as comparable values: the bitstream's bytes,
-// the clock period, the wirelength and every sink's hop count.
+// artifact is a strip compile as comparable values: everything a Circuit
+// holds besides its source netlist. That is the bitstream's bytes, the
+// critical path and total hop count among them, the clock period, and
+// every number the stages reported. A sink's own hop count stays in the
+// flow that routed it; the compile tests compare those.
 type artifact struct {
-	bs, hops string
-	clock    sim.Time
-	wl       int
+	bs         string
+	clock      sim.Time
+	seq        bool
+	depth, wl  int
+	conns      int
+	tracks     int
+	maxUse     int
+	iterations int
 }
 
 func artifactOf(t testing.TB, c *compile.Circuit) artifact {
@@ -27,7 +34,8 @@ func artifactOf(t testing.TB, c *compile.Circuit) artifact {
 	if err := c.BS.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return artifact{bs: buf.String(), hops: fmt.Sprint(c.Routed.SinkHops), clock: c.ClockPeriod, wl: c.Placed.Wirelength}
+	return artifact{bs: buf.String(), clock: c.ClockPeriod, seq: c.Sequential,
+		depth: c.Depth, wl: c.Wirelength, conns: c.Conns, tracks: c.Tracks, maxUse: c.MaxUse, iterations: c.Iterations}
 }
 
 func lookupAll(names ...string) []*netlist.Netlist {
@@ -110,7 +118,10 @@ func TestCompileSetHitsAllocateOnlyTheResult(t *testing.T) {
 // TestCompileSetConcurrentMatchesFresh runs CompileSet from many
 // goroutines over one shared cache — overlapping sets at two seeds, so
 // compiles run in parallel, join each other's flights and hit — and holds
-// every result to the set's circuits compiled one by one, uncached.
+// every result to the set's circuits compiled one by one, uncached. It
+// checks the results again after a set of larger circuits has gone
+// through the flows: a result shares nothing with the flow that compiled
+// it.
 func TestCompileSetConcurrentMatchesFresh(t *testing.T) {
 	sets := [][]*netlist.Netlist{
 		lookupAll("alu8", "adder8", "counter8", "crc8"),
@@ -148,17 +159,29 @@ func TestCompileSetConcurrentMatchesFresh(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	for g, circs := range got {
-		k := g % len(want)
-		if errs[g] != nil {
-			t.Fatal(errs[g])
-		}
-		for i, c := range circs {
-			if artifactOf(t, c) != want[k][i] {
-				t.Errorf("set %d at seed %d, circuit %d: a concurrent CompileSet differs from the circuit compiled alone", k%len(sets), 1+k/len(sets), i)
+	check := func(when string) {
+		for g, circs := range got {
+			k := g % len(want)
+			if errs[g] != nil {
+				t.Fatal(errs[g])
+			}
+			for i, c := range circs {
+				if artifactOf(t, c) != want[k][i] {
+					t.Errorf("%s: set %d at seed %d, circuit %d: a concurrent CompileSet differs from the circuit compiled alone",
+						when, k%len(sets), 1+k/len(sets), i)
+				}
 			}
 		}
 	}
+	check("as returned")
+	var big []*netlist.Netlist
+	for range compile.Flows() {
+		big = append(big, lookupAll("mul8", "div8")...)
+	}
+	if _, err := CompileSet(nil, optAt(0), big); err != nil {
+		t.Fatal(err)
+	}
+	check("after larger compiles")
 }
 
 // TestFanOutRaisesFirstPanic panics two calls of a fan-out: every call

@@ -62,12 +62,11 @@ func Shape(cells int) (w, h int) {
 	return w, h
 }
 
-// Placer is Place with its net tables and occupancy grid kept from call
-// to call. Everything the annealing loop touches is a flat array sized
-// once per call, so a move allocates nothing, and once the arrays have
-// grown to the largest design a call allocates only the Placement it
-// returns. The zero value is ready for use; a Placer is not safe for
-// concurrent use.
+// Placer is Place with its net tables, occupancy grid and result kept
+// from call to call. Everything the annealing loop touches is a flat
+// array sized once per call, so a move allocates nothing, and once the
+// arrays have grown to the largest design a call allocates nothing. The
+// zero value is ready for use; a Placer is not safe for concurrent use.
 type Placer struct {
 	m      *techmap.Mapped
 	w, h   int
@@ -93,6 +92,9 @@ type Placer struct {
 	// buildNets' per-source cursor.
 	occupant []int
 	next     []int
+	// out is the last call's result, made by the first; its locations are
+	// pos.
+	out *Placement
 }
 
 type netState struct {
@@ -106,11 +108,11 @@ type netState struct {
 
 type netCost struct{ net, cost int32 }
 
-// reset seeds the ports and cells of m in a w x h region, in a new
-// position table, and builds its nets.
+// reset seeds the ports and cells of m in a w x h region, over the last
+// call's position table, and builds its nets.
 func (p *Placer) reset(m *techmap.Mapped, w, h int) {
 	p.m, p.w, p.h, p.nCells = m, w, h, m.NumCells()
-	p.pos = make([]Loc, p.nCells+m.NumInputs+len(m.Outputs))
+	p.pos = zeroed(p.pos, p.nCells+m.NumInputs+len(m.Outputs))
 	// Cells in scan order, which keeps topologically adjacent cells
 	// physically adjacent (the mapper creates cells in topological-ish
 	// order).
@@ -132,11 +134,15 @@ func (p *Placer) reset(m *techmap.Mapped, w, h int) {
 	p.buildNets()
 }
 
-// placement snapshots the placer's positions as a Placement. The three
-// location slices share pos's backing array, each capped to its own part.
+// placement writes the placer's positions into its Placement, made on the
+// first call. The three location slices share pos's backing array, each
+// capped to its own part.
 func (p *Placer) placement() *Placement {
+	if p.out == nil {
+		p.out = new(Placement)
+	}
 	in, out := p.nCells, p.nCells+p.m.NumInputs
-	return &Placement{
+	*p.out = Placement{
 		Mapped:     p.m,
 		W:          p.w,
 		H:          p.h,
@@ -145,6 +151,7 @@ func (p *Placer) placement() *Placement {
 		OutPorts:   p.pos[out:],
 		Wirelength: p.wirelength(),
 	}
+	return p.out
 }
 
 // Place places m into a w x h region. It returns an error if the region
@@ -154,7 +161,9 @@ func Place(m *techmap.Mapped, w, h int, opt Options) (*Placement, error) {
 }
 
 // Place is the package-level Place over p's arrays. The Placement it
-// returns is the caller's; p keeps no reference to it or to m.
+// returns is p's and is valid until p's next call, which overwrites it in
+// place: a caller that keeps a result past that copies what it needs.
+// The Placement refers to m.
 func (p *Placer) Place(m *techmap.Mapped, w, h int, opt Options) (*Placement, error) {
 	if m.NumCells() > w*h {
 		return nil, fmt.Errorf("place: %s needs %d cells, region %dx%d has %d",
@@ -162,9 +171,7 @@ func (p *Placer) Place(m *techmap.Mapped, w, h int, opt Options) (*Placement, er
 	}
 	p.reset(m, w, h)
 	p.anneal(1, rng.New(opt.Seed^0x9e3779b97f4a7c15))
-	pl := p.placement()
-	p.m, p.pos = nil, nil
-	return pl, nil
+	return p.placement(), nil
 }
 
 // zeroed returns s at length n, all zero — what make would return —

@@ -2,6 +2,7 @@ package place
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -450,4 +451,50 @@ func (pl *Placement) Validate() error {
 		seen[l] = techmap.CellID(i)
 	}
 	return nil
+}
+
+// TestPlacerResultOwnership holds a Placer to its contract: each call
+// overwrites the one Placement the first call made, and what it leaves
+// there is what a new Placer returns, whichever design ran before.
+// Package-level calls share nothing: a result outlives any later call.
+func TestPlacerResultOwnership(t *testing.T) {
+	var designs []*techmap.Mapped
+	for _, name := range []string{"mul8", "alu8", "counter8", "mul8"} {
+		designs = append(designs, mustMap(t, netlist.MustLookup(name)))
+	}
+	place := func(p *Placer, m *techmap.Mapped) *Placement {
+		t.Helper()
+		w, h := Shape(m.NumCells())
+		pl, err := p.Place(m, w, h, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	var p Placer
+	first := place(&p, designs[0])
+	for _, m := range designs[1:] {
+		got := place(&p, m)
+		if got != first {
+			t.Fatalf("%s: a second call on one Placer returned a new Placement", m.Name)
+		}
+		if want := place(new(Placer), m); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: a reused Placer's result differs from a new one's", m.Name)
+		}
+	}
+
+	small, large := designs[1], designs[0]
+	w, h := Shape(small.NumCells())
+	a, err := Place(small, w, h, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := place(new(Placer), small)
+	w, h = Shape(large.NumCells())
+	if b, err := Place(large, w, h, Options{Seed: 1}); err != nil || b == a {
+		t.Fatalf("two package-level calls returned one Placement (err %v)", err)
+	}
+	if !reflect.DeepEqual(a, before) {
+		t.Fatal("a package-level result changed under a later call")
+	}
 }

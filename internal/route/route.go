@@ -33,6 +33,12 @@ type Result struct {
 	MaxUse     int // maximum channel occupancy achieved
 	Iterations int // negotiation iterations used
 	TotalHops  int
+
+	// CriticalPath's working arrays, per cell: where its pins start in
+	// SinkHops, its output's arrival time and its visit state.
+	pinAt   []int32
+	arrival []sim.Time
+	state   []uint8
 }
 
 // Options tunes the router.
@@ -340,14 +346,14 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 	return new(Router).Route(p, tracks, opt)
 }
 
-// Router is Route with its working state kept from call to call: the
-// search scratch, the connections and their nets, and the last pass's
-// paths, back to back in one arena of node ids — connection i's path is
-// arena[pathAt[i].off:][:pathAt[i].n]. Only a path's length outlives the
+// Router is Route with its working state and its result kept from call
+// to call: the search scratch, the connections and their nets, the last
+// pass's paths, back to back in one arena of node ids — connection i's
+// path is arena[pathAt[i].off:][:pathAt[i].n] — and the Result with its
+// SinkHops and CriticalPath's arrays. Only a path's length outlives the
 // pass; the tests read the paths themselves. Once the arrays have grown
-// to the largest design, a call allocates only the Result it returns.
-// The zero value is ready for use; a Router is not safe for concurrent
-// use.
+// to the largest design, a call allocates nothing. The zero value is
+// ready for use; a Router is not safe for concurrent use.
 type Router struct {
 	s        routeScratch
 	conns    []conn
@@ -355,12 +361,20 @@ type Router struct {
 	pathAt   []pathSpan
 	arena    []int32
 	netEdges []edgeID
+	out      *Result // the last call's result, made by the first
 }
 
 type pathSpan struct{ off, n int32 }
 
+// Last returns the Result r's last call wrote, nil before its first.
+//
+//vfpgavet:ignore testonly -- observation hook: the compile tests read the per-sink hop counts a flow's router kept
+func (r *Router) Last() *Result { return r.out }
+
 // Route is the package-level Route over r's arrays. The Result it returns
-// is the caller's; r keeps no reference to it or to p.
+// is r's and is valid until r's next call, which overwrites it in place:
+// a caller that keeps a result past that copies what it needs. The Result
+// refers to p.
 func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 	if tracks <= 0 {
 		return nil, fmt.Errorf("route: non-positive track count %d", tracks)
@@ -373,7 +387,12 @@ func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, er
 	var sinks int
 	r.conns, sinks = connections(p, g, r.conns)
 	conns := r.conns
-	res := &Result{P: p, Tracks: tracks, Conns: len(conns)}
+	if r.out == nil {
+		r.out = new(Result)
+	}
+	res := r.out
+	*res = Result{P: p, Tracks: tracks, Conns: len(conns),
+		SinkHops: res.SinkHops, pinAt: res.pinAt, arrival: res.arrival, state: res.state}
 
 	// Group connections into nets by driving signal: a net's fanout shares
 	// one routing tree, so a channel segment carries a net once no matter
@@ -439,7 +458,7 @@ func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, er
 		}
 		res.MaxUse = maxUse
 		if !over {
-			res.SinkHops = make([]int32, sinks)
+			res.SinkHops = zeroed(res.SinkHops, sinks)
 			for i, sp := range pathAt {
 				res.SinkHops[conns[i].slot] = sp.n - 1
 				res.TotalHops += int(sp.n - 1)
@@ -510,12 +529,14 @@ func (s *routeScratch) shortestPath(from, to int) []int {
 // CriticalPath returns the longest combinational delay through the routed
 // design: LUT delay per logic level plus hop delay per channel segment,
 // over all register-to-register, input-to-register, register-to-output
-// and input-to-output paths.
+// and input-to-output paths. It works in arrays r keeps from call to
+// call, so it is not safe for concurrent calls on one Result.
 func (r *Result) CriticalPath(lutDelay, hopDelay sim.Time) sim.Time {
 	m := r.P.Mapped
 	// Cell ci's pins are SinkHops[pinAt[ci]:pinAt[ci+1]]; output port oi is
 	// at ports+oi.
-	pinAt := make([]int32, len(m.Cells)+1)
+	r.pinAt = zeroed(r.pinAt, len(m.Cells)+1)
+	pinAt := r.pinAt
 	for ci := range m.Cells {
 		pinAt[ci+1] = pinAt[ci] + int32(len(m.Cells[ci].Inputs))
 	}
@@ -523,8 +544,9 @@ func (r *Result) CriticalPath(lutDelay, hopDelay sim.Time) sim.Time {
 	hops := r.SinkHops
 	// arrival time of each cell's output (combinational cells only; FF
 	// outputs and inputs are time-zero sources).
-	arrival := make([]sim.Time, len(m.Cells))
-	state := make([]uint8, len(m.Cells))
+	r.arrival = zeroed(r.arrival, len(m.Cells))
+	r.state = zeroed(r.state, len(m.Cells))
+	arrival, state := r.arrival, r.state
 	crit := sim.Time(0)
 	var arrive func(ci int) sim.Time
 	inputArrival := func(ci int) sim.Time {

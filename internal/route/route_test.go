@@ -570,3 +570,86 @@ func TestNetTableMatchesGrouping(t *testing.T) {
 		}
 	}
 }
+
+// sameRouting fails t unless got and want report the same routing of one
+// placement.
+func sameRouting(t *testing.T, when string, got, want *Result) {
+	t.Helper()
+	if got.P != want.P || got.Conns != want.Conns || got.Tracks != want.Tracks || got.MaxUse != want.MaxUse ||
+		got.Iterations != want.Iterations || got.TotalHops != want.TotalHops || !slices.Equal(got.SinkHops, want.SinkHops) {
+		t.Errorf("%s: routing differs from a new Router's", when)
+	}
+	if g, w := got.CriticalPath(3, 1), want.CriticalPath(3, 1); g != w {
+		t.Errorf("%s: critical path %v, on a new Router %v", when, g, w)
+	}
+}
+
+// TestRouterResultOwnership holds a Router to its contract: each call
+// overwrites the one Result the first call made, and what it leaves there
+// is what a new Router returns, whichever design ran before. Package-level
+// calls share nothing: a result outlives any later call.
+func TestRouterResultOwnership(t *testing.T) {
+	var designs []*place.Placement
+	for _, name := range []string{"mul8", "alu8", "counter8", "mul8"} {
+		designs = append(designs, placed(t, netlist.MustLookup(name)))
+	}
+	route := func(r *Router, p *place.Placement) *Result {
+		t.Helper()
+		res, err := r.Route(p, 12, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var r Router
+	first := route(&r, designs[0])
+	first.CriticalPath(3, 1) // grows the critical path's arrays too
+	for _, p := range designs[1:] {
+		got := route(&r, p)
+		if got != first {
+			t.Fatalf("%s: a second call on one Router returned a new Result", p.Mapped.Name)
+		}
+		sameRouting(t, p.Mapped.Name, got, route(new(Router), p))
+	}
+
+	a, err := Route(designs[1], 12, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := Route(designs[0], 12, Options{}); err != nil || b == a {
+		t.Fatalf("two package-level calls returned one Result (err %v)", err)
+	}
+	sameRouting(t, "a package-level result after a later call", a, route(new(Router), designs[1]))
+}
+
+// TestConstantSinkReadsZeroOnReuse routes a one-cell design whose output
+// port lies two hops from the cell, then on the same Router the design
+// with that output tied to a constant: the constant's sink is not routed,
+// and its hop count reads 0, not the 2 the first call left there.
+func TestConstantSinkReadsZeroOnReuse(t *testing.T) {
+	design := func(out techmap.Signal) *place.Placement {
+		m := &techmap.Mapped{
+			Name:      "wire",
+			NumInputs: 1,
+			Cells:     []techmap.Cell{{Inputs: []techmap.Signal{{Kind: techmap.SigInput}}}},
+			Outputs:   []techmap.Signal{out},
+		}
+		return &place.Placement{Mapped: m, W: 3, H: 1,
+			Cells: []place.Loc{{X: 0}}, InPorts: []place.Loc{{X: 0}}, OutPorts: []place.Loc{{X: 2}}}
+	}
+	var r Router
+	wired, err := r.Route(design(techmap.Signal{Kind: techmap.SigCell}), 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(wired.SinkHops, []int32{0, 2}) {
+		t.Fatalf("wired design: sink hops %v, want [0 2]", wired.SinkHops)
+	}
+	tied, err := r.Route(design(techmap.Signal{Kind: techmap.SigConst, Const: true}), 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(tied.SinkHops, []int32{0, 0}) || tied.TotalHops != 0 {
+		t.Fatalf("tied design: sink hops %v, total %d, want [0 0] and 0", tied.SinkHops, tied.TotalHops)
+	}
+}

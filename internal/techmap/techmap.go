@@ -48,12 +48,10 @@ type Cell struct {
 
 // Mapped is a technology-mapped design, ready for placement.
 type Mapped struct {
-	Name        string
-	Cells       []Cell
-	NumInputs   int
-	Outputs     []Signal // one per primary output, in port order
-	InputNames  []string
-	OutputNames []string
+	Name      string
+	Cells     []Cell
+	NumInputs int
+	Outputs   []Signal // one per primary output, in port order
 	// Depth is the maximum number of LUTs on any combinational path.
 	Depth int
 }
@@ -61,28 +59,12 @@ type Mapped struct {
 // NumCells returns the CLB count of the mapped design — its area.
 func (m *Mapped) NumCells() int { return len(m.Cells) }
 
-// NumFFs returns the number of registered cells.
-func (m *Mapped) NumFFs() int {
-	n := 0
-	for i := range m.Cells {
-		if m.Cells[i].UseFF {
-			n++
-		}
-	}
-	return n
-}
-
-// String renders a one-line summary.
-func (m *Mapped) String() string {
-	return fmt.Sprintf("%s: %d cells (%d registered), %d in, %d out, lut-depth %d",
-		m.Name, m.NumCells(), m.NumFFs(), m.NumInputs, len(m.Outputs), m.Depth)
-}
-
-// Mapper is Map with its per-node tables kept from call to call: fanout
-// counts, chosen cuts, the cell per node and the depth memo. Once they
-// have grown to the largest input, a call allocates only the Mapped it
-// returns. The zero value is ready for use; a Mapper is not safe for
-// concurrent use.
+// Mapper is Map with its per-node tables and its result kept from call
+// to call: fanout counts, chosen cuts, the cell per node, the depth memo,
+// and the Mapped with its cell table and its one array of LUT inputs.
+// Once they have grown to the largest input, a call allocates nothing.
+// The zero value is ready for use; a Mapper is not safe for concurrent
+// use.
 type Mapper struct {
 	nl     *netlist.Netlist
 	fanout []int              // resolved fanout count per node
@@ -91,10 +73,11 @@ type Mapper struct {
 	cellOf []CellID           // cell per root node, indexed by NodeID; -1 for none
 	cells  int                // cells counted
 	pins   int                // LUT inputs of the cells counted
-	free   []Signal           // the part of the LUT-input array no cell holds yet
-	out    *Mapped
-	memo   []int   // lutDepth's depth per cell
-	state  []uint8 // lutDepth's visit state per cell
+	inputs []Signal           // the LUT-input array every cell's Inputs is a window of
+	free   []Signal           // the part of inputs no cell holds yet
+	out    *Mapped            // the last call's result, made by the first
+	memo   []int              // lutDepth's depth per cell
+	state  []uint8            // lutDepth's visit state per cell
 }
 
 // Map lowers nl onto 4-LUT cells. It returns an error if any node needs a
@@ -103,16 +86,17 @@ type Mapper struct {
 func Map(nl *netlist.Netlist) (*Mapped, error) { return new(Mapper).Map(nl) }
 
 // Map is the package-level Map over m's tables. The Mapped it returns is
-// the caller's; m keeps no reference to it or to nl.
+// m's and is valid until m's next call, which overwrites it in place: a
+// caller that keeps a result past that copies what it needs. m keeps no
+// reference to nl.
 func (m *Mapper) Map(nl *netlist.Netlist) (*Mapped, error) {
-	out := &Mapped{
-		Name:        nl.Name,
-		NumInputs:   nl.NumInputs(),
-		InputNames:  nl.InputNames(),
-		OutputNames: nl.OutputNames(),
+	if m.out == nil {
+		m.out = new(Mapped)
 	}
-	m.nl, m.out, m.cells, m.pins = nl, out, 0, 0
-	defer func() { m.nl, m.out, m.free = nil, nil, nil }()
+	out := m.out
+	*out = Mapped{Name: nl.Name, NumInputs: nl.NumInputs(), Cells: out.Cells[:0], Outputs: out.Outputs[:0]}
+	m.nl, m.cells, m.pins = nl, 0, 0
+	defer func() { m.nl, m.free = nil, nil }()
 	m.countFanouts()
 	m.chooseCuts()
 	if err := m.realize(); err != nil {
@@ -451,7 +435,8 @@ func (m *Mapper) countLeaves(leaves []netlist.NodeID) {
 
 // realize walks every primary output and flip-flop, materializing cells.
 // A first walk counts them, so the cell table and one array of LUT inputs,
-// which each cell's Inputs is a capped window of, are sized once.
+// which each cell's Inputs is a capped window of, are sized once — or not
+// at all, when the last call's have room.
 func (m *Mapper) realize() error {
 	m.cellOf = zeroed(m.cellOf, len(m.nl.Nodes))
 	forget := func() {
@@ -467,8 +452,9 @@ func (m *Mapper) realize() error {
 		m.count(m.nl.Node(o).Fanin[0])
 	}
 	forget()
-	m.out.Cells = make([]Cell, 0, m.cells)
-	m.free = make([]Signal, m.pins)
+	m.out.Cells = slices.Grow(m.out.Cells, m.cells)
+	m.inputs = zeroed(m.inputs, m.pins)
+	m.free = m.inputs
 	// Flip-flops first: their cells exist regardless of output reachability
 	// (their state is the computation).
 	for _, d := range m.nl.DFFs {
@@ -476,13 +462,13 @@ func (m *Mapper) realize() error {
 			return err
 		}
 	}
-	m.out.Outputs = make([]Signal, len(m.nl.Outputs))
-	for i, o := range m.nl.Outputs {
+	m.out.Outputs = slices.Grow(m.out.Outputs, len(m.nl.Outputs))
+	for _, o := range m.nl.Outputs {
 		sig, err := m.signalFor(m.nl.Node(o).Fanin[0])
 		if err != nil {
 			return err
 		}
-		m.out.Outputs[i] = sig
+		m.out.Outputs = append(m.out.Outputs, sig)
 	}
 	return nil
 }
