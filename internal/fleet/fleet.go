@@ -461,7 +461,7 @@ func (s *Scheduler) RerouteCount() int64 {
 const scoreScale = 1e4
 
 // ScoreStats summarizes the placement scores the policy assigned to
-// accepted placements. The record is bounded — a fixed set of buckets
+// accepted placements. The record is bounded — at most 960 buckets
 // however many jobs were placed — so a quantile is its bucket's upper
 // bound: at most 1/16 above the exact value and never above the largest
 // score. sum and count are exact to the fixed point.

@@ -305,7 +305,7 @@ type Pool struct {
 	draining bool
 	// svc records completed jobs' virtual service time (makespan, ns)
 	// across all boards, feeding the /metrics summary; tenantSvc holds
-	// the same record sliced per tenant. Both are bounded: a fixed set of
+	// the same record sliced per tenant. Both are bounded: at most 960
 	// buckets however many jobs the daemon has served, and at most
 	// maxTenantRows tenants plus the otherTenants row.
 	svc       *stats.LatencyRecorder
@@ -313,10 +313,10 @@ type Pool struct {
 }
 
 // maxTenantRows bounds each per-tenant table (the service-time
-// recorders here, whose rows are about 7.7 KB, and Admission's
-// counters). The tenants seen after a table is full share its
-// otherTenants row, whose name the API refuses (tenantError), so no
-// tenant's own row can be taken for it.
+// recorders here, whose rows are 128 B empty and at most about 7.8 KB,
+// and Admission's counters). The tenants seen after a table is full
+// share its otherTenants row, whose name the API refuses (tenantError),
+// so no tenant's own row can be taken for it.
 const (
 	maxTenantRows = 256
 	otherTenants  = ""

@@ -254,6 +254,49 @@ func TestWarmJobAllocBudget(t *testing.T) {
 	}
 }
 
+// TestNewPoolByteBudget bounds what a pool costs before its circuits
+// compile: NewPool, Start, one job on a board built for it, Drain, with
+// the strip cache shared and already warm. The budget is the reading
+// (51.5 KiB in 84 allocations, the new board's device the most of it)
+// plus ~10 %, so a per-pool fixed cost that grows fails here, not only in
+// the repo benchmark's cold_node: the pool read 67.2 KiB while its two
+// service-time recorders held all 960 buckets each.
+func TestNewPoolByteBudget(t *testing.T) {
+	const budgetKiB = 57
+	bc := DefaultBoardConfig()
+	spec := specFor(t, "multimedia")
+	cache := compile.NewStripCache(compile.DefaultCacheCapacity)
+	pool := func() {
+		p, err := NewPool([]BoardConfig{bc}, PoolOptions{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Start()
+		j, err := p.Submit(SubmitArgs{Tenant: "acme", Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if st := j.Status(); st.State != StateDone {
+			t.Fatalf("job ended %s (%s)", st.State, st.Error)
+		}
+		p.Drain()
+	}
+	pool() // compiles the circuits into the shared cache
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		pool()
+	}
+	runtime.ReadMemStats(&after)
+	kib := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	t.Logf("%.1f KiB, %.0f allocations per pool", kib, float64(after.Mallocs-before.Mallocs)/runs)
+	if kib > budgetKiB {
+		t.Errorf("a pool with one warm-cache job allocates %.1f KiB, budget %d", kib, budgetKiB)
+	}
+}
+
 // BenchmarkJobColdVsWarm measures what a warm board saves: serving a job
 // on recycled hardware with the circuits cached vs. the true cold start
 // (fresh compile cache — place and route included).
