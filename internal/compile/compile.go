@@ -59,6 +59,11 @@ type Circuit struct {
 	Tracks     int // channel capacity routed against
 	MaxUse     int // maximum channel occupancy
 	Iterations int // router negotiation iterations
+	// The flow's work at the width that routed, for the QoR table: the
+	// placer's moves evaluated and the router's heap pops. (Routed hops
+	// are BS.TotalHops.)
+	Moves int
+	Pops  int
 }
 
 // Cells returns the circuit's area in CLBs.
@@ -217,6 +222,8 @@ func (f *flow) backEnd(nl *netlist.Netlist, m *techmap.Mapped, w, h, tracks int,
 		Tracks:      r.Tracks,
 		MaxUse:      r.MaxUse,
 		Iterations:  r.Iterations,
+		Moves:       p.Moves,
+		Pops:        r.Pops,
 	}, nil
 }
 

@@ -564,7 +564,7 @@ func TestCircuitOutlivesItsFlow(t *testing.T) {
 		}
 		return c
 	}
-	snapshot := func(c *Circuit) (string, sim.Time, [6]int) {
+	snapshot := func(c *Circuit) (string, sim.Time, [8]int) {
 		var buf bytes.Buffer
 		if err := c.BS.WriteJSON(&buf); err != nil {
 			t.Fatal(err)

@@ -44,8 +44,8 @@ func sameArtifact(t *testing.T, when string, got, want compiled) {
 }
 
 // stageNumbers is what a Circuit keeps of its stages' results.
-func stageNumbers(c *Circuit) [6]int {
-	return [6]int{c.Depth, c.Wirelength, c.Conns, c.Tracks, c.MaxUse, c.Iterations}
+func stageNumbers(c *Circuit) [8]int {
+	return [8]int{c.Depth, c.Wirelength, c.Conns, c.Tracks, c.MaxUse, c.Iterations, c.Moves, c.Pops}
 }
 
 // TestRecycledFlowMatchesFresh compiles every registry circuit through one

@@ -26,6 +26,8 @@ type artifact struct {
 	tracks     int
 	maxUse     int
 	iterations int
+	moves      int
+	pops       int
 }
 
 func artifactOf(t testing.TB, c *compile.Circuit) artifact {
@@ -35,7 +37,8 @@ func artifactOf(t testing.TB, c *compile.Circuit) artifact {
 		t.Fatal(err)
 	}
 	return artifact{bs: buf.String(), clock: c.ClockPeriod, seq: c.Sequential,
-		depth: c.Depth, wl: c.Wirelength, conns: c.Conns, tracks: c.Tracks, maxUse: c.MaxUse, iterations: c.Iterations}
+		depth: c.Depth, wl: c.Wirelength, conns: c.Conns, tracks: c.Tracks, maxUse: c.MaxUse, iterations: c.Iterations,
+		moves: c.Moves, pops: c.Pops}
 }
 
 func lookupAll(names ...string) []*netlist.Netlist {

@@ -36,6 +36,9 @@ type Placement struct {
 	OutPorts []Loc
 	// Wirelength is the final half-perimeter wirelength (quality metric).
 	Wirelength int
+	// Moves counts the annealing moves evaluated: those whose wirelength
+	// change was computed, accepted or not (the placer's work).
+	Moves int
 }
 
 // Options tunes the placer.
@@ -92,6 +95,7 @@ type Placer struct {
 	// buildNets' per-source cursor.
 	occupant []int
 	next     []int
+	moves    int // moves the last anneal evaluated
 	// out is the last call's result, made by the first; its locations are
 	// pos.
 	out *Placement
@@ -150,6 +154,7 @@ func (p *Placer) placement() *Placement {
 		InPorts:    p.pos[in:out:out],
 		OutPorts:   p.pos[out:],
 		Wirelength: p.wirelength(),
+		Moves:      p.moves,
 	}
 	return p.out
 }
@@ -170,7 +175,7 @@ func (p *Placer) Place(m *techmap.Mapped, w, h int, opt Options) (*Placement, er
 			m.Name, m.NumCells(), w, h, w*h)
 	}
 	p.reset(m, w, h)
-	p.anneal(1, rng.New(opt.Seed^0x9e3779b97f4a7c15))
+	p.anneal(rng.New(opt.Seed ^ 0x9e3779b97f4a7c15))
 	return p.placement(), nil
 }
 
@@ -328,8 +333,8 @@ func (p *Placer) commitAll() {
 
 // anneal runs simulated annealing: each move takes a random cell to a
 // random site, swapping with the cell already there if there is one.
-// effort scales the schedule: more improves wirelength at linear cost.
-func (p *Placer) anneal(effort int, src *rng.Source) {
+func (p *Placer) anneal(src *rng.Source) {
+	p.moves = 0
 	nCells := p.nCells
 	if nCells <= 1 || p.numNets() == 0 {
 		return
@@ -344,7 +349,7 @@ func (p *Placer) anneal(effort int, src *rng.Source) {
 		occupant[site(l)] = i
 	}
 	p.commitAll()
-	iters := effort * 160 * nCells
+	iters := 160 * nCells
 	temp := float64(p.w + p.h)
 	cooling := math.Pow(0.005/temp, 1/float64(iters+1))
 	for it := 0; it < iters; it++ {
@@ -356,6 +361,7 @@ func (p *Placer) anneal(effort int, src *rng.Source) {
 			if cj >= 0 {
 				p.pos[cj] = from
 			}
+			p.moves++
 			if accept(p.delta(ci, cj), temp, src) {
 				occupant[site(target)] = ci
 				occupant[site(from)] = cj

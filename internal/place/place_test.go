@@ -102,23 +102,6 @@ func newPlacer(m *techmap.Mapped, w, h int) *Placer {
 	return p
 }
 
-// annealAt is Place at the given annealing effort.
-func annealAt(m *techmap.Mapped, w, h int, seed uint64, effort int) *Placement {
-	p := newPlacer(m, w, h)
-	p.anneal(effort, rng.New(seed))
-	return p.placement()
-}
-
-func TestHigherEffortNotWorse(t *testing.T) {
-	m := mustMap(t, netlist.ALU(8))
-	w, h := Shape(m.NumCells())
-	low, high := annealAt(m, w, h, 5, 1), annealAt(m, w, h, 5, 4)
-	// Annealing is stochastic; allow a small regression margin.
-	if float64(high.Wirelength) > 1.15*float64(low.Wirelength) {
-		t.Fatalf("effort 4 WL %d much worse than effort 1 WL %d", high.Wirelength, low.Wirelength)
-	}
-}
-
 func TestZeroCellDesign(t *testing.T) {
 	b := netlist.NewBuilder("wire")
 	b.Output("y", b.Input("a"))
@@ -348,7 +331,7 @@ func TestAnnealKeepsCommittedCosts(t *testing.T) {
 		if p.numNets() == 0 {
 			continue
 		}
-		p.anneal(1, rng.New(uint64(design)))
+		p.anneal(rng.New(uint64(design)))
 		if sum, wl := checkCommitted(t, p, "after anneal"), p.placement().Wirelength; sum != wl {
 			t.Fatalf("design %d: committed costs sum to %d, placement wirelength %d", design, sum, wl)
 		}
@@ -367,21 +350,32 @@ func TestAnnealKeepsCommittedCosts(t *testing.T) {
 }
 
 // TestPlaceLoopAllocatesNothing holds the annealing loop to zero
-// allocations per move — four times the moves allocate exactly what one
-// times do — and the set-up to a fixed handful of arrays.
+// allocations per move — a Placer whose arrays have grown to a design
+// places it again, every move evaluated anew, without allocating — and a
+// new Placer's set-up to a fixed handful of arrays. Moves counts the
+// moves evaluated: some, and at most the schedule's 160 per cell.
 func TestPlaceLoopAllocatesNothing(t *testing.T) {
 	m := mustMap(t, netlist.ALU(8))
 	w, h := Shape(m.NumCells())
-	allocs := func(effort int) float64 {
-		return testing.AllocsPerRun(5, func() { annealAt(m, w, h, 5, effort) })
+	var p Placer
+	var pl *Placement
+	place := func() {
+		var err error
+		if pl, err = p.Place(m, w, h, Options{Seed: 5}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	low, high := allocs(1), allocs(4)
-	if low != high {
-		t.Fatalf("Place allocates %v objects at effort 1 but %v at effort 4: the loop allocates", low, high)
+	place()
+	if pl.Moves <= 0 || pl.Moves > 160*m.NumCells() {
+		t.Fatalf("%d moves evaluated for %d cells", pl.Moves, m.NumCells())
 	}
+	if warm := testing.AllocsPerRun(5, place); warm != 0 {
+		t.Fatalf("a warm Placer allocates %v objects placing alu8 again: the loop allocates", warm)
+	}
+	fresh := testing.AllocsPerRun(5, func() { _, _ = Place(m, w, h, Options{Seed: 5}) })
 	const budget = 16
-	if low > budget && !raceEnabled { // the race detector defeats escape analysis
-		t.Fatalf("Place allocates %v objects for alu8, budget %d", low, budget)
+	if fresh > budget && !raceEnabled { // the race detector defeats escape analysis
+		t.Fatalf("Place allocates %v objects for alu8, budget %d", fresh, budget)
 	}
 }
 

@@ -33,6 +33,7 @@ type Result struct {
 	MaxUse     int // maximum channel occupancy achieved
 	Iterations int // negotiation iterations used
 	TotalHops  int
+	Pops       int // heap pops over every search of every iteration: the router's work
 
 	// CriticalPath's working arrays, per cell: where its pins start in
 	// SinkHops, its output's arrival time and its visit state.
@@ -249,6 +250,7 @@ type routeScratch struct {
 	doneGen []uint32 // doneGen[n] == gen: node settled this search
 	gen     uint32
 	heap    []pqItem // manual binary min-heap (container/heap boxes items)
+	pops    int      // hpop calls since reset
 	path    []int
 }
 
@@ -257,7 +259,7 @@ type routeScratch struct {
 // edge marked as the net's, no node stamped.
 func (s *routeScratch) reset(g grid, tracks int) {
 	nodes, edges := g.nodes(), g.numEdges()
-	s.g, s.tracks, s.presFac = g, tracks, 0.5
+	s.g, s.tracks, s.presFac, s.pops = g, tracks, 0.5, 0
 	s.occ = zeroed(s.occ, edges)
 	s.hist = zeroed(s.hist, edges)
 	s.inNet = zeroed(s.inNet, edges)
@@ -315,6 +317,7 @@ func (s *routeScratch) hpush(it pqItem) {
 }
 
 func (s *routeScratch) hpop() pqItem {
+	s.pops++
 	top := s.heap[0]
 	last := len(s.heap) - 1
 	it := s.heap[last]
@@ -456,7 +459,7 @@ func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, er
 				hist[e] += float64(u - tracks)
 			}
 		}
-		res.MaxUse = maxUse
+		res.MaxUse, res.Pops = maxUse, s.pops
 		if !over {
 			res.SinkHops = zeroed(res.SinkHops, sinks)
 			for i, sp := range pathAt {

@@ -576,7 +576,8 @@ func TestNetTableMatchesGrouping(t *testing.T) {
 func sameRouting(t *testing.T, when string, got, want *Result) {
 	t.Helper()
 	if got.P != want.P || got.Conns != want.Conns || got.Tracks != want.Tracks || got.MaxUse != want.MaxUse ||
-		got.Iterations != want.Iterations || got.TotalHops != want.TotalHops || !slices.Equal(got.SinkHops, want.SinkHops) {
+		got.Iterations != want.Iterations || got.TotalHops != want.TotalHops || got.Pops != want.Pops ||
+		!slices.Equal(got.SinkHops, want.SinkHops) {
 		t.Errorf("%s: routing differs from a new Router's", when)
 	}
 	if g, w := got.CriticalPath(3, 1), want.CriticalPath(3, 1); g != w {
