@@ -110,9 +110,9 @@ func detail(w io.Writer, nl *netlist.Netlist, rows, tracks int, seed uint64, pag
 	}
 	fmt.Fprintf(w, "mapped:    %s: %d cells (%d registered), %d in, %d out, lut-depth %d\n",
 		c.BS.Name, c.Cells(), c.BS.FFCells, c.BS.NumIn, c.BS.NumOut, c.Depth)
-	fmt.Fprintf(w, "placed:    %dx%d strip, wirelength %d\n", c.BS.W, c.BS.H, c.Wirelength)
-	fmt.Fprintf(w, "routed:    %d connections, %d hops, max channel use %d/%d, %d iterations\n",
-		c.Conns, c.BS.TotalHops, c.MaxUse, c.Tracks, c.Iterations)
+	fmt.Fprintf(w, "placed:    %dx%d strip, wirelength %d, %d moves evaluated\n", c.BS.W, c.BS.H, c.Wirelength, c.Moves)
+	fmt.Fprintf(w, "routed:    %d connections, %d hops, max channel use %d/%d, %d iterations, %d heap pops\n",
+		c.Conns, c.BS.TotalHops, c.MaxUse, c.Tracks, c.Iterations, c.Pops)
 	fmt.Fprintf(w, "bitstream: %s\n", c.BS)
 	fmt.Fprintf(w, "timing:    critical path %v, clock %v\n", c.BS.Delay, c.ClockPeriod)
 	fmt.Fprintf(w, "costs:     config %v, readback %v, restore %v\n",
