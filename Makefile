@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet vet-analyzers build test race conformance lint cover fuzz-smoke mutate docs bench-flow bench-device bench-warm bench-harness benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
+.PHONY: check fmt vet vet-analyzers build test race arch conformance lint cover fuzz-smoke mutate docs bench-flow bench-device bench-warm bench-harness benchmark benchmark-compare trace-demo serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
 
-check: fmt vet vet-analyzers build race conformance test lint cover fuzz-smoke serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
+check: fmt vet vet-analyzers build race arch conformance test lint cover fuzz-smoke serve-smoke serve-smoke-faults serve-smoke-warm serve-smoke-fleet serve-smoke-trace
 
 fmt:
 	@out=$$(gofmt -l cmd internal examples *.go); \
@@ -48,6 +48,17 @@ race:
 test:
 	$(GO) test ./...
 
+# Determinism off the default build: the packages whose outputs are
+# pinned byte for byte (strip digests, manager digests, the experiment
+# tables, the fleet's rows, the recorder's quantiles) under a 32-bit
+# target, where int is 32 bits and int64 aligns to 4, and under
+# GOAMD64=v3, where the compiler may fuse a multiply and an add into one
+# rounding. About 15 s each on two cores.
+ARCH_PKGS = ./internal/compile/ ./internal/core/ ./internal/bench/ ./internal/fleet/ ./internal/place/ ./internal/route/ ./internal/stats/
+arch:
+	GOARCH=386 $(GO) test $(ARCH_PKGS)
+	GOAMD64=v3 $(GO) test $(ARCH_PKGS)
+
 # Lint the whole circuit library (netlists + compiled bitstreams + pages).
 lint:
 	$(GO) run ./cmd/vfpgalint
@@ -84,8 +95,9 @@ fuzz-smoke:
 # The mutation gate: every mutant in scripts/mutants.tsv (small semantic
 # edits to the ledger and its record carving, the pin binding, the state
 # and strip tables, the task kernel, the region map, the host OS, the
-# daemon's pool and admission, the fleet's queueing kernel, and the
-# workload spec, its set cache and a set's spawn) is applied
+# daemon's pool and admission, the fleet's queueing kernel, the
+# workload spec, its set cache and a set's spawn, the CAD stages' reused
+# results and work counts, and the latency recorder's window) is applied
 # to a scratch copy of the tree and must fail its packages' tests; each
 # is printed killed, with the failing tests grouped as digest, golden,
 # conformance or unit, or survived. A survivor, or an entry whose text
@@ -96,14 +108,16 @@ mutate:
 
 # Regenerate the result tables EXPERIMENTS.md carries between
 # `<!-- table:ID -->` markers: the experiment tables from bench.Run at
-# seed 1, the Load table from the committed load record. One package at
-# a time: both rewrite the same file. The README excerpts of vfpgasim
+# seed 1, the Load table from the committed load record, the QoR table
+# from strip compiles of the registry. One package at a time: all three
+# rewrite the same file. The README excerpts of vfpgasim
 # output are checked against their goldens, not rewritten: an excerpt is
-# a chosen subset. `go test ./...` runs all three as plain checks, so this
+# a chosen subset. `go test ./...` runs all four as plain checks, so this
 # target is for after an intended change to a table, not part of `check`.
 docs:
 	$(GO) test ./internal/bench -run '^TestExperimentsTables$$' -update
 	$(GO) test ./internal/loadgen -run '^TestLoadTable$$' -update
+	$(GO) test ./internal/compile -run '^TestQoRTable$$' -update
 	$(GO) test ./cmd/vfpgasim -run '^TestReadmeExcerpts$$'
 
 # The CAD flow alone, before and after a change to it: optimizing mul8,
