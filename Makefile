@@ -53,8 +53,10 @@ test:
 # tables, the fleet's rows, the recorder's quantiles) under a 32-bit
 # target, where int is 32 bits and int64 aligns to 4, and under
 # GOAMD64=v3, where the compiler may fuse a multiply and an add into one
-# rounding. About 15 s each on two cores.
-ARCH_PKGS = ./internal/compile/ ./internal/core/ ./internal/bench/ ./internal/fleet/ ./internal/place/ ./internal/route/ ./internal/stats/
+# rounding; and the device's column blocks with the audit that scans them,
+# whose scan-order index is column times rows plus row. About 15 s each
+# on two cores.
+ARCH_PKGS = ./internal/compile/ ./internal/core/ ./internal/bench/ ./internal/fleet/ ./internal/place/ ./internal/route/ ./internal/stats/ ./internal/fabric/ ./internal/lint/
 arch:
 	GOARCH=386 $(GO) test $(ARCH_PKGS)
 	GOAMD64=v3 $(GO) test $(ARCH_PKGS)
@@ -97,7 +99,8 @@ fuzz-smoke:
 # and strip tables, the task kernel, the region map, the host OS, the
 # daemon's pool and admission, the fleet's queueing kernel, the
 # workload spec, its set cache and a set's spawn, the CAD stages' reused
-# results and work counts, and the latency recorder's window) is applied
+# results and work counts, the latency recorder's window, and the
+# device's column blocks) is applied
 # to a scratch copy of the tree and must fail its packages' tests; each
 # is printed killed, with the failing tests grouped as digest, golden,
 # conformance or unit, or survived. A survivor, or an entry whose text

@@ -132,17 +132,27 @@ type PinConfig struct {
 	Driver Source // used when Mode == PinOutput
 }
 
+// cell is one CLB of configuration RAM: its configuration and the live
+// value of its flip-flop.
+type cell struct {
+	cfg CLBConfig
+	ff  bool
+}
+
 // Device is a configured FPGA: configuration state plus live FF state.
 // It is not safe for concurrent use; the simulation is single-threaded by
 // design (deterministic virtual time).
 type Device struct {
 	geom Geometry
-	clbs []CLBConfig // Cols*Rows, x-major: index = x*Rows + y
-	ffs  []bool      // live FF values, parallel to clbs
+	// cols is the configuration RAM, one block of Rows cells per column.
+	// A column's first WriteCLB makes its block; until then it reads as
+	// blank. The managers hand the device out as column strips, so a job
+	// configures a few columns of many.
+	cols [][]cell
 	pins []PinConfig
 	pinV []bool // live input pin values, latched by SetPin
 
-	used         int   // CLBs with Used set, kept by every write to clbs
+	used         int   // CLBs with Used set, kept by every write to a cell
 	configWrites int64 // cells written since power-up (for tests/metrics)
 }
 
@@ -153,8 +163,7 @@ func NewDevice(geom Geometry) *Device {
 	}
 	return &Device{
 		geom: geom,
-		clbs: make([]CLBConfig, geom.NumCLBs()),
-		ffs:  make([]bool, geom.NumCLBs()),
+		cols: make([][]cell, geom.Cols),
 		pins: make([]PinConfig, geom.NumPins()),
 		pinV: make([]bool, geom.NumPins()),
 	}
@@ -162,11 +171,14 @@ func NewDevice(geom Geometry) *Device {
 
 // Erase returns the device to power-up: blank configuration RAM, every
 // flip-flop and latched pin value low, no cell written yet. An erased
-// device is indistinguishable from NewDevice of the same geometry, which
-// is what lets a board serve its next job on the hardware of the last.
+// device reads as NewDevice of the same geometry through every method,
+// which is what lets a board serve its next job on the hardware of the
+// last. It keeps the column blocks it zeroes, so the next job on the
+// board makes none for the columns this one used.
 func (d *Device) Erase() {
-	clear(d.clbs)
-	clear(d.ffs)
+	for _, col := range d.cols {
+		clear(col)
+	}
 	clear(d.pins)
 	clear(d.pinV)
 	d.used = 0
@@ -181,24 +193,45 @@ func (d *Device) Geometry() Geometry { return d.geom }
 //vfpgavet:ignore testonly -- observation hook: the fabric and core tests count configuration writes
 func (d *Device) ConfigWrites() int64 { return d.configWrites }
 
-func (d *Device) idx(x, y int) int {
+// check panics unless (x, y) is a CLB of the device.
+func (d *Device) check(x, y int) {
 	if x < 0 || x >= d.geom.Cols || y < 0 || y >= d.geom.Rows {
 		panic(fmt.Sprintf("fabric: CLB (%d,%d) outside %v", x, y, d.geom))
 	}
+}
+
+// idx is the CLB's position in x-major scan order, the index of the
+// per-CLB values propagate computes.
+func (d *Device) idx(x, y int) int {
+	d.check(x, y)
 	return x*d.geom.Rows + y
 }
 
+// at returns the CLB at (x, y), blank if its column has no block yet. It
+// returns a copy: a pointer goes only into a block that exists.
+func (d *Device) at(x, y int) cell {
+	d.check(x, y)
+	if col := d.cols[x]; col != nil {
+		return col[y]
+	}
+	return cell{}
+}
+
 // CLB returns the configuration of the CLB at (x, y).
-func (d *Device) CLB(x, y int) CLBConfig { return d.clbs[d.idx(x, y)] }
+func (d *Device) CLB(x, y int) CLBConfig { return d.at(x, y).cfg }
 
 // WriteCLB writes the configuration of one CLB and resets its FF to the
 // configured init value. This is the raw configuration-RAM write; the time
 // it takes is accounted by Timing, not here.
 func (d *Device) WriteCLB(x, y int, cfg CLBConfig) {
-	i := d.idx(x, y)
-	d.used += count(cfg.Used) - count(d.clbs[i].Used)
-	d.clbs[i] = cfg
-	d.ffs[i] = cfg.FFInit
+	d.check(x, y)
+	col := d.cols[x]
+	if col == nil {
+		col = make([]cell, d.geom.Rows)
+		d.cols[x] = col
+	}
+	d.used += count(cfg.Used) - count(col[y].cfg.Used)
+	col[y] = cell{cfg: cfg, ff: cfg.FFInit}
 	d.configWrites++
 }
 
@@ -207,10 +240,11 @@ func (d *Device) WriteCLB(x, y int, cfg CLBConfig) {
 func (d *Device) ClearRegion(r Region) {
 	for x := r.X; x < r.X+r.W; x++ {
 		for y := r.Y; y < r.Y+r.H; y++ {
-			i := d.idx(x, y)
-			d.used -= count(d.clbs[i].Used)
-			d.clbs[i] = CLBConfig{}
-			d.ffs[i] = false
+			d.check(x, y)
+			if col := d.cols[x]; col != nil {
+				d.used -= count(col[y].cfg.Used)
+				col[y] = cell{}
+			}
 			d.configWrites++
 		}
 	}
@@ -248,8 +282,8 @@ func (d *Device) ReadRegionState(r Region) []bool {
 	var state []bool
 	for x := r.X; x < r.X+r.W; x++ {
 		for y := r.Y; y < r.Y+r.H; y++ {
-			if c := &d.clbs[d.idx(x, y)]; c.Used && c.UseFF {
-				state = append(state, d.ffs[d.idx(x, y)])
+			if c := d.at(x, y); c.cfg.Used && c.cfg.UseFF {
+				state = append(state, c.ff)
 			}
 		}
 	}
@@ -263,11 +297,12 @@ func (d *Device) WriteRegionState(r Region, state []bool) {
 	k := 0
 	for x := r.X; x < r.X+r.W; x++ {
 		for y := r.Y; y < r.Y+r.H; y++ {
-			if c := &d.clbs[d.idx(x, y)]; c.Used && c.UseFF {
+			d.check(x, y)
+			if col := d.cols[x]; col != nil && col[y].cfg.Used && col[y].cfg.UseFF {
 				if k >= len(state) {
 					panic("fabric: WriteRegionState vector too short")
 				}
-				d.ffs[d.idx(x, y)] = state[k]
+				col[y].ff = state[k]
 				k++
 			}
 		}
@@ -294,17 +329,22 @@ func count(used bool) int {
 // This is the read path the static verifier uses to audit a configured
 // device without reaching into the configuration RAM layout. cfg points
 // into the configuration RAM: it is read-only and valid only during the
-// call; a caller that keeps a configuration copies it (or asks CLB).
+// call; a caller that keeps a configuration copies it (or asks CLB). A
+// column with no block holds no configured CLB and is not scanned.
 func (d *Device) EachUsedCLB(f func(x, y int, cfg *CLBConfig)) {
-	i := 0
-	for x := 0; x < d.geom.Cols; x++ {
-		for y := 0; y < d.geom.Rows; y++ {
-			if c := &d.clbs[i]; c.Used {
+	for x, col := range d.cols {
+		for y := range col {
+			if c := &col[y].cfg; c.Used {
 				f(x, y, c)
 			}
-			i++
 		}
 	}
+}
+
+// cellAt returns the cell at scan index i, which must lie in a column
+// that has a block.
+func (d *Device) cellAt(i int) *cell {
+	return &d.cols[i/d.geom.Rows][i%d.geom.Rows]
 }
 
 // resolve returns the current value of a source given the per-CLB output
@@ -339,22 +379,23 @@ func lutEval(lut LUT, in [LUTInputs]bool) bool {
 // contributes no combinational dependency on its inputs. An error is
 // returned if the configuration contains a combinational loop.
 func (d *Device) combOrder() ([]int, error) {
-	used := make([]int, 0, len(d.clbs))
-	for i := range d.clbs {
-		if d.clbs[i].Used {
-			used = append(used, i)
+	used := make([]int, 0, d.used)
+	for x, col := range d.cols {
+		for y := range col {
+			if col[y].cfg.Used {
+				used = append(used, x*d.geom.Rows+y)
+			}
 		}
 	}
 	indeg := make(map[int]int, len(used))
 	succ := make(map[int][]int, len(used))
 	for _, i := range used {
-		cfg := &d.clbs[i]
-		for _, src := range cfg.Inputs {
+		for _, src := range d.cellAt(i).cfg.Inputs {
 			if src.Kind != SrcCLB {
 				continue
 			}
 			j := d.idx(int(src.X), int(src.Y))
-			if d.clbs[j].UseFF {
+			if d.at(int(src.X), int(src.Y)).cfg.UseFF {
 				continue // sequential edge, not combinational
 			}
 			indeg[i]++
@@ -392,17 +433,19 @@ func (d *Device) propagate() (outs, lutOuts []bool, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	outs = make([]bool, len(d.clbs))
-	lutOuts = make([]bool, len(d.clbs))
+	outs = make([]bool, d.geom.NumCLBs())
+	lutOuts = make([]bool, d.geom.NumCLBs())
 	// Registered CLB outputs are their FF values, available before any
 	// combinational evaluation.
-	for i := range d.clbs {
-		if d.clbs[i].Used && d.clbs[i].UseFF {
-			outs[i] = d.ffs[i]
+	for x, col := range d.cols {
+		for y, c := range col {
+			if c.cfg.Used && c.cfg.UseFF {
+				outs[x*d.geom.Rows+y] = c.ff
+			}
 		}
 	}
 	for _, i := range order {
-		cfg := &d.clbs[i]
+		cfg := &d.cellAt(i).cfg
 		var in [LUTInputs]bool
 		for k, src := range cfg.Inputs {
 			in[k] = d.resolve(src, outs)
@@ -446,9 +489,11 @@ func (d *Device) Step() (map[int]bool, error) {
 		return nil, err
 	}
 	res := d.outputPins(outs)
-	for i := range d.clbs {
-		if d.clbs[i].Used && d.clbs[i].UseFF {
-			d.ffs[i] = lutOuts[i]
+	for x, col := range d.cols {
+		for y := range col {
+			if c := &col[y]; c.cfg.Used && c.cfg.UseFF {
+				c.ff = lutOuts[x*d.geom.Rows+y]
+			}
 		}
 	}
 	return res, nil

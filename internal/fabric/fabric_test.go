@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -201,7 +202,7 @@ func TestStateReadbackRestore(t *testing.T) {
 	saved := d.ReadRegionState(r)
 	d.Step() // both -> false
 	d.WriteRegionState(r, saved)
-	if !d.ffs[d.idx(0, 0)] || !d.ffs[d.idx(1, 1)] {
+	if !d.at(0, 0).ff || !d.at(1, 1).ff {
 		t.Fatal("state restore failed")
 	}
 }
@@ -326,8 +327,9 @@ func TestConfigWritesAccounting(t *testing.T) {
 
 // TestEraseIsPowerUp dirties every field of a device — configuration
 // RAM, flip-flop state, pin configuration, a latched input value, the
-// write count — and requires Erase to leave it indistinguishable from a
-// new device of the same geometry.
+// write count — and requires Erase to leave it equal, field for field, to
+// a new device of the same geometry whose blocks for the same columns
+// are made and zero: Erase keeps the blocks it clears.
 func TestEraseIsPowerUp(t *testing.T) {
 	g := Geometry{Cols: 4, Rows: 4, TracksPerChannel: 4, PinsPerSide: 4}
 	d := NewDevice(g)
@@ -341,12 +343,24 @@ func TestEraseIsPowerUp(t *testing.T) {
 	if _, err := d.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if !d.ffs[d.idx(2, 3)] || d.ConfigWrites() == 0 || reflect.DeepEqual(d, NewDevice(g)) {
+	powerUp := NewDevice(g)
+	for x, col := range d.cols {
+		if col != nil {
+			powerUp.cols[x] = make([]cell, g.Rows)
+		}
+	}
+	if !d.at(2, 3).ff || d.ConfigWrites() == 0 || reflect.DeepEqual(d, powerUp) {
 		t.Fatal("the device is not dirty; the test would prove nothing")
 	}
+	blocks := slices.Clone(d.cols)
 	d.Erase()
-	if !reflect.DeepEqual(d, NewDevice(g)) {
+	if !reflect.DeepEqual(d, powerUp) {
 		t.Fatalf("erased device differs from a new one:\n%+v", d)
+	}
+	for x := range blocks {
+		if len(blocks[x]) > 0 && &blocks[x][0] != &d.cols[x][0] {
+			t.Errorf("Erase replaced column %d's block instead of clearing it", x)
+		}
 	}
 }
 
@@ -363,24 +377,47 @@ func TestPackedLayout(t *testing.T) {
 	if got := unsafe.Sizeof(PinConfig{}); got > 12 {
 		t.Errorf("PinConfig is %d bytes, want at most 12", got)
 	}
+	if got := unsafe.Sizeof(cell{}); got > 40 {
+		t.Errorf("a configuration RAM cell is %d bytes, want at most 40", got)
+	}
 }
 
 var sinkDevice *Device
 
 // TestNewDeviceByteBudget holds the default board (32x16, 192 pins) to
-// the 24 KiB its packed configuration RAM rounds up to.
+// what it costs before its first write, the 3 264 bytes of its column
+// index and pin state read plus ~10 %, and each column's first WriteCLB
+// to the 640 bytes of its block (16 cells of 40) plus ~10 %. The whole
+// configuration RAM made up front read 23 376 bytes.
 func TestNewDeviceByteBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := Geometry{Cols: 32, Rows: 16, TracksPerChannel: 12, PinsPerSide: 48}
-	const runs = 20
+	const (
+		runs        = 20
+		deviceBytes = 3584
+		blockBytes  = 704
+	)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		sinkDevice = NewDevice(g)
 	}
 	runtime.ReadMemStats(&after)
-	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 24<<10 {
-		t.Fatalf("NewDevice(%v) allocates %d bytes, budget %d", g, perRun, 24<<10)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perRun > deviceBytes {
+		t.Errorf("NewDevice(%v) allocates %d bytes, budget %d", g, perRun, deviceBytes)
+	}
+	d := NewDevice(g)
+	runtime.ReadMemStats(&before)
+	for x := 0; x < g.Cols; x++ {
+		d.WriteCLB(x, x%g.Rows, CLBConfig{Used: true})
+		d.WriteCLB(x, 0, CLBConfig{Used: true})
+	}
+	runtime.ReadMemStats(&after)
+	perCol := (after.TotalAlloc - before.TotalAlloc) / uint64(g.Cols)
+	t.Logf("%d bytes a device, %d a column block", perRun, perCol)
+	if perCol > blockBytes {
+		t.Errorf("a column's first writes allocate %d bytes, budget %d", perCol, blockBytes)
 	}
 }
 
