@@ -68,11 +68,15 @@ func NewAPI(b Backend, adm *Admission, version string) *http.ServeMux {
 	return mux
 }
 
+// jsonContentType is every JSON response's Content-Type value. One slice
+// serves them all: Header.Set would make a new one per response.
+var jsonContentType = []string{"application/json"}
+
 // WriteJSON writes v as the JSON body of a response: compact, one line,
 // encoded once straight into it. A reader who wants it indented pipes it
 // through jq.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
