@@ -93,14 +93,12 @@ func osLevelDemo() {
 	opt := core.DefaultOptions()
 	opt.Geometry = fabric.Geometry{Cols: 16, Rows: 16, TracksPerChannel: 12, PinsPerSide: 32}
 	opt.State = core.SaveRestore
+	metronome := hostos.FPGARequest{Circuit: "counter8", Cycles: 300_000}
+	integrator := hostos.FPGARequest{Circuit: "acc8", Cycles: 300_000}
 	set := &workload.Set{
 		Tasks: []workload.TaskSpec{
-			{Name: "metronome", Program: []hostos.Op{
-				hostos.UseFPGA(hostos.FPGARequest{Circuit: "counter8", Cycles: 300_000}),
-			}},
-			{Name: "integrator", Program: []hostos.Op{
-				hostos.UseFPGA(hostos.FPGARequest{Circuit: "acc8", Cycles: 300_000}),
-			}},
+			{Name: "metronome", Program: []hostos.Op{hostos.UseFPGA(&metronome)}},
+			{Name: "integrator", Program: []hostos.Op{hostos.UseFPGA(&integrator)}},
 		},
 		Circuits: []*netlist.Netlist{netlist.Counter(8), netlist.Accumulator(8)},
 	}

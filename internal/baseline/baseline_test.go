@@ -26,7 +26,7 @@ func testEngine(t testing.TB) *core.Engine {
 }
 
 func fpgaOp(circuit string, evals int64) hostos.Op {
-	return hostos.UseFPGA(hostos.FPGARequest{Circuit: circuit, Evaluations: evals})
+	return hostos.UseFPGA(&hostos.FPGARequest{Circuit: circuit, Evaluations: evals})
 }
 
 func TestExclusiveSerializes(t *testing.T) {
@@ -177,7 +177,7 @@ func TestSoftwarePreemptionLossless(t *testing.T) {
 // leaves no half-built manager behind.
 func TestNewManagerByName(t *testing.T) {
 	circuits := []string{"adder8", "parity16", "counter8"}
-	for _, name := range []string{"dynamic", "partition", "amorphous", "overlay", "paged", "multi", "exclusive", "software", "merged"} {
+	for _, name := range managerNames {
 		k := sim.New()
 		engines := []*core.Engine{testEngine(t)}
 		if name == "multi" {

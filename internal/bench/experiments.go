@@ -24,6 +24,18 @@ func defaultOpt(cfg Config) core.Options {
 	return opt
 }
 
+// evalRequests returns one request per circuit, in order, each of evals
+// input vectors: a table the ops of a set point into. An experiment
+// builds it once, outside the loops that emit ops, and every set it
+// builds shares it: a request is read-only.
+func evalRequests(evals int64, circuits ...*netlist.Netlist) []hostos.FPGARequest {
+	reqs := make([]hostos.FPGARequest, len(circuits))
+	for i, c := range circuits {
+		reqs[i] = hostos.FPGARequest{Circuit: c.Name, Evaluations: evals}
+	}
+	return reqs
+}
+
 // T1DynamicLoadingOverhead — the paper's §2/§3 feasibility claim:
 // frequent reconfiguration is practical only with partial
 // reconfiguration; full serial downloads (~200 ms class) restrict the
@@ -70,9 +82,9 @@ func T1DynamicLoadingOverhead(cfg Config) (*trace.Table, error) {
 		if cfg.Quick {
 			ops = 6
 		}
+		reqs := evalRequests(pt.evals, circuits...)
 		for i := 0; i < ops; i++ {
-			c := circuits[i%2]
-			prog = append(prog, hostos.UseFPGA(hostos.FPGARequest{Circuit: c.Name, Evaluations: pt.evals}))
+			prog = append(prog, hostos.UseFPGA(&reqs[i%2]))
 		}
 		set := &workload.Set{
 			Tasks:    []workload.TaskSpec{{Name: "alt", Program: prog}},
@@ -124,6 +136,7 @@ func T2StatePreemption(cfg Config) (*trace.Table, error) {
 			points = append(points, point{slice, policy})
 		}
 	}
+	hwReq := hostos.FPGARequest{Circuit: "counter8", Cycles: cycles}
 	rows, err := parRows(cfg.Jobs, len(points), func(i int) ([]any, error) {
 		pt := points[i]
 		opt := defaultOpt(cfg)
@@ -132,7 +145,7 @@ func T2StatePreemption(cfg Config) (*trace.Table, error) {
 		osCfg.TimeSlice = pt.slice
 		set := &workload.Set{
 			Tasks: []workload.TaskSpec{
-				{Name: "hw", Program: []hostos.Op{hostos.UseFPGA(hostos.FPGARequest{Circuit: "counter8", Cycles: cycles})}},
+				{Name: "hw", Program: []hostos.Op{hostos.UseFPGA(&hwReq)}},
 				{Name: "cpu", Program: []hostos.Op{hostos.Compute(10 * sim.Millisecond)}},
 			},
 			Circuits: circuits,
@@ -230,6 +243,15 @@ func T4Overlay(cfg Config) (*trace.Table, error) {
 	if cfg.Quick {
 		tasks, ops = 3, 6
 	}
+	reqs := make([]hostos.FPGARequest, len(circuits)) // hot's, then cold's
+	for i, c := range circuits {
+		reqs[i].Circuit = c.Name
+		if c.IsSequential() {
+			reqs[i].Cycles = 20_000
+		} else {
+			reqs[i].Evaluations = 20_000
+		}
+	}
 	mkSet := func() *workload.Set {
 		src := rng.New(cfg.Seed + 11)
 		set := &workload.Set{Circuits: circuits}
@@ -237,15 +259,9 @@ func T4Overlay(cfg Config) (*trace.Table, error) {
 			taskSrc := src.Split()
 			var prog []hostos.Op
 			for op := 0; op < ops; op++ {
-				c := hot
+				req := &reqs[0]
 				if taskSrc.Float64() > 0.6 {
-					c = cold[taskSrc.Intn(len(cold))]
-				}
-				req := hostos.FPGARequest{Circuit: c.Name}
-				if c.IsSequential() {
-					req.Cycles = 20_000
-				} else {
-					req.Evaluations = 20_000
+					req = &reqs[1+taskSrc.Intn(len(cold))]
 				}
 				prog = append(prog, hostos.Compute(200*sim.Microsecond), hostos.UseFPGA(req))
 			}
@@ -300,13 +316,12 @@ func T5IOMux(cfg Config) (*trace.Table, error) {
 		phys int
 		hw   sim.Time
 	}
+	req := hostos.FPGARequest{Circuit: c.Name, Evaluations: 100_000}
 	points, err := parMap(cfg.Jobs, len(pinSweep), func(i int) (point, error) {
 		opt := defaultOpt(cfg)
 		opt.Geometry.PinsPerSide = pinSweep[i]
 		set := &workload.Set{
-			Tasks: []workload.TaskSpec{{Name: "io", Program: []hostos.Op{
-				hostos.UseFPGA(hostos.FPGARequest{Circuit: c.Name, Evaluations: 100_000}),
-			}}},
+			Tasks:    []workload.TaskSpec{{Name: "io", Program: []hostos.Op{hostos.UseFPGA(&req)}}},
 			Circuits: []*netlist.Netlist{c},
 		}
 		res, err := runSet(opt, hostos.DefaultConfig(), set, dynamicMgr)
@@ -347,12 +362,13 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 	if cfg.Quick {
 		passes = 2
 	}
+	reqs := evalRequests(100_000, stages...)
 	mkSet := func() *workload.Set {
 		set := &workload.Set{Circuits: stages}
 		var prog []hostos.Op
 		for p := 0; p < passes; p++ {
-			for _, s := range stages {
-				prog = append(prog, hostos.UseFPGA(hostos.FPGARequest{Circuit: s.Name, Evaluations: 100_000}))
+			for i := range reqs {
+				prog = append(prog, hostos.UseFPGA(&reqs[i]))
 			}
 		}
 		set.Tasks = []workload.TaskSpec{{Name: "app", Program: prog}}
@@ -483,15 +499,14 @@ func F2SchedulingModes(cfg Config) (*trace.Table, error) {
 		taskSweep = []int{2, 4}
 	}
 	pool := []*netlist.Netlist{netlist.MustLookup("parity16"), netlist.MustLookup("adder8"), netlist.MustLookup("alu8"), netlist.MustLookup("cmp16")}
+	reqs := evalRequests(50_000, pool...)
 	mkSet := func(n int) *workload.Set {
 		set := &workload.Set{Circuits: pool}
 		for ti := 0; ti < n; ti++ {
-			c := pool[ti%len(pool)]
+			req := &reqs[ti%len(reqs)]
 			var prog []hostos.Op
 			for op := 0; op < 4; op++ {
-				prog = append(prog,
-					hostos.Compute(500*sim.Microsecond),
-					hostos.UseFPGA(hostos.FPGARequest{Circuit: c.Name, Evaluations: 50_000}))
+				prog = append(prog, hostos.Compute(500*sim.Microsecond), hostos.UseFPGA(req))
 			}
 			set.Tasks = append(set.Tasks, workload.TaskSpec{Name: fmt.Sprintf("t%d", ti), Program: prog})
 		}
@@ -611,6 +626,7 @@ func churnSets(cfg Config) func() *workload.Set {
 	}
 	narrowPool := []*netlist.Netlist{netlist.MustLookup("parity16"), netlist.MustLookup("adder8"), netlist.MustLookup("cmp16")}
 	widePool := []*netlist.Netlist{netlist.Multiplier(6), netlist.MustLookup("mul8")}
+	narrowReqs, wideReqs := evalRequests(50_000, narrowPool...), evalRequests(80_000, widePool...)
 	return func() *workload.Set {
 		src := rng.New(cfg.Seed + 17)
 		set := &workload.Set{Circuits: append(append([]*netlist.Netlist{}, narrowPool...), widePool...)}
@@ -618,26 +634,19 @@ func churnSets(cfg Config) func() *workload.Set {
 		for i := 0; i < small; i++ {
 			taskSrc := src.Split()
 			arrival += sim.Time(float64(sim.Millisecond) * taskSrc.ExpFloat64())
-			c := narrowPool[taskSrc.Intn(len(narrowPool))]
+			req := &narrowReqs[taskSrc.Intn(len(narrowReqs))]
 			dur := sim.Time(taskSrc.Intn(5)+1) * 2 * sim.Millisecond
 			set.Tasks = append(set.Tasks, workload.TaskSpec{
 				Name:    fmt.Sprintf("small%d", i),
 				Arrival: arrival,
-				Program: []hostos.Op{
-					hostos.UseFPGA(hostos.FPGARequest{Circuit: c.Name, Evaluations: 50_000}),
-					hostos.Compute(dur),
-					hostos.UseFPGA(hostos.FPGARequest{Circuit: c.Name, Evaluations: 50_000}),
-				},
+				Program: []hostos.Op{hostos.UseFPGA(req), hostos.Compute(dur), hostos.UseFPGA(req)},
 			})
 		}
 		for i := 0; i < wide; i++ {
-			c := widePool[i%len(widePool)]
 			set.Tasks = append(set.Tasks, workload.TaskSpec{
 				Name:    fmt.Sprintf("wide%d", i),
 				Arrival: sim.Time(6+5*i) * sim.Millisecond,
-				Program: []hostos.Op{
-					hostos.UseFPGA(hostos.FPGARequest{Circuit: c.Name, Evaluations: 80_000}),
-				},
+				Program: []hostos.Op{hostos.UseFPGA(&wideReqs[i%len(wideReqs)])},
 			})
 		}
 		return set
@@ -796,11 +805,13 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 	if cfg.Quick {
 		passes = 2
 	}
+	segReqs := evalRequests(50_000, stages...)
+	monoReq := hostos.FPGARequest{Circuit: mono.Name, Evaluations: 50_000}
 	segSet := func() *workload.Set {
 		var prog []hostos.Op
 		for p := 0; p < passes; p++ {
-			for _, s := range stages {
-				prog = append(prog, hostos.UseFPGA(hostos.FPGARequest{Circuit: s.Name, Evaluations: 50_000}))
+			for i := range segReqs {
+				prog = append(prog, hostos.UseFPGA(&segReqs[i]))
 			}
 		}
 		return &workload.Set{Tasks: []workload.TaskSpec{{Name: "app", Program: prog}}, Circuits: stages}
@@ -809,7 +820,7 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 		var prog []hostos.Op
 		for p := 0; p < passes; p++ {
 			for range stages {
-				prog = append(prog, hostos.UseFPGA(hostos.FPGARequest{Circuit: mono.Name, Evaluations: 50_000}))
+				prog = append(prog, hostos.UseFPGA(&monoReq))
 			}
 		}
 		return &workload.Set{Tasks: []workload.TaskSpec{{Name: "app", Program: prog}}, Circuits: []*netlist.Netlist{mono}}
@@ -820,6 +831,7 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 	// "self-contained sub-functions having variable size" derived
 	// mechanically rather than by hand.
 	big := netlist.MustLookup("mul8")
+	bigReq := hostos.FPGARequest{Circuit: big.Name, Evaluations: 50_000}
 	ks := []int{2, 4}
 	if cfg.Quick {
 		ks = []int{2}
@@ -888,7 +900,7 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 			var prog []hostos.Op
 			for p := 0; p < passes; p++ {
 				for j := 0; j < 4; j++ {
-					prog = append(prog, hostos.UseFPGA(hostos.FPGARequest{Circuit: big.Name, Evaluations: 50_000}))
+					prog = append(prog, hostos.UseFPGA(&bigReq))
 				}
 			}
 			optWhole := defaultOpt(cfg)
@@ -911,10 +923,11 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 					maxSegCols = c.BS.W
 				}
 			}
+			reqs := evalRequests(50_000, segs...)
 			var prog []hostos.Op
 			for p := 0; p < passes; p++ {
-				for _, s := range segs {
-					prog = append(prog, hostos.UseFPGA(hostos.FPGARequest{Circuit: s.Name, Evaluations: 50_000}))
+				for i := range reqs {
+					prog = append(prog, hostos.UseFPGA(&reqs[i]))
 				}
 			}
 			set := &workload.Set{Tasks: []workload.TaskSpec{{Name: "app", Program: prog}}, Circuits: segs}

@@ -43,7 +43,7 @@ func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int) {
 			} else {
 				req.Evaluations = int64(1+src.Intn(90)) * 1000
 			}
-			prog = append(prog, hostos.UseFPGA(req))
+			prog = append(prog, hostos.UseFPGA(&req))
 		}
 		os.SpawnAt(sim.Time(src.Intn(2000))*sim.Microsecond,
 			fmt.Sprintf("t%d", i), src.Intn(3), prog)

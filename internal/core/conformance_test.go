@@ -166,17 +166,17 @@ func confScript(t testing.TB, os *hostos.OS) {
 		}
 	}
 	spawn("alpha",
-		hostos.UseFPGA(hostos.FPGARequest{Circuit: "adder8", Evaluations: 50_000}),
+		hostos.UseFPGA(&hostos.FPGARequest{Circuit: "adder8", Evaluations: 50_000}),
 		hostos.Compute(200*sim.Microsecond),
-		hostos.UseFPGA(hostos.FPGARequest{Circuit: "counter8", Cycles: 50_000}),
+		hostos.UseFPGA(&hostos.FPGARequest{Circuit: "counter8", Cycles: 50_000}),
 	)
 	spawn("beta",
-		hostos.UseFPGA(hostos.FPGARequest{Circuit: "counter8", Cycles: 80_000}),
-		hostos.UseFPGA(hostos.FPGARequest{Circuit: "mul4", Evaluations: 30_000}),
+		hostos.UseFPGA(&hostos.FPGARequest{Circuit: "counter8", Cycles: 80_000}),
+		hostos.UseFPGA(&hostos.FPGARequest{Circuit: "mul4", Evaluations: 30_000}),
 	)
 	spawn("gamma",
 		hostos.Compute(100*sim.Microsecond),
-		hostos.UseFPGA(hostos.FPGARequest{Circuit: "mul4", Evaluations: 60_000}),
+		hostos.UseFPGA(&hostos.FPGARequest{Circuit: "mul4", Evaluations: 60_000}),
 	)
 }
 

@@ -65,11 +65,11 @@ func dynHarness(t testing.TB, opt Options, osCfg hostos.Config) (*harness, *Dyna
 }
 
 func fpgaOp(circuit string, evals int64) hostos.Op {
-	return hostos.UseFPGA(hostos.FPGARequest{Circuit: circuit, Evaluations: evals})
+	return hostos.UseFPGA(&hostos.FPGARequest{Circuit: circuit, Evaluations: evals})
 }
 
 func seqOp(circuit string, cycles int64) hostos.Op {
-	return hostos.UseFPGA(hostos.FPGARequest{Circuit: circuit, Cycles: cycles})
+	return hostos.UseFPGA(&hostos.FPGARequest{Circuit: circuit, Cycles: cycles})
 }
 
 // --- DynamicLoader ---
@@ -643,7 +643,7 @@ func pagedHarness(t testing.TB, opt Options, osCfg hostos.Config, cfg PagedConfi
 }
 
 func pagedOp(circuit string, evals int64, pages ...int) hostos.Op {
-	return hostos.UseFPGA(hostos.FPGARequest{Circuit: circuit, Evaluations: evals, Pages: pages})
+	return hostos.UseFPGA(&hostos.FPGARequest{Circuit: circuit, Evaluations: evals, Pages: pages})
 }
 
 func TestPagedFirstTouchFaultsAll(t *testing.T) {

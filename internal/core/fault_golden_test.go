@@ -248,7 +248,7 @@ func TestRelocateEscalationDropsStrip(t *testing.T) {
 				}
 				os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, mgr)
 				task := func(name string, req hostos.FPGARequest) *hostos.Task {
-					task, err := os.Spawn(name, 0, []hostos.Op{hostos.UseFPGA(req)})
+					task, err := os.Spawn(name, 0, []hostos.Op{hostos.UseFPGA(&req)})
 					if err != nil {
 						t.Fatal(err)
 					}

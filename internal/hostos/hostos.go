@@ -99,8 +99,8 @@ func (s TaskState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// OpKind enumerates program operations.
-type OpKind int
+// OpKind enumerates program operations. One byte: it sits in every Op.
+type OpKind uint8
 
 // Program operation kinds.
 const (
@@ -108,7 +108,12 @@ const (
 	OpFPGA                  // hardware operation described by Req
 )
 
-// FPGARequest describes one hardware operation.
+// FPGARequest describes one hardware operation. Ops hold requests by
+// pointer, and one request may be shared by many ops, tasks and jobs: a
+// workload.SetCache hands one built set to many boards at once. So a
+// request is read-only once an op points at it; nothing may write
+// through it or its Pages. Managers read it by value, through
+// Task.CurrentRequest.
 type FPGARequest struct {
 	// Circuit names a configuration previously registered for the task.
 	Circuit string
@@ -122,18 +127,21 @@ type FPGARequest struct {
 	Pages []int
 }
 
-// Op is one step of a task program.
+// Op is one step of a task program: 24 bytes on a 64-bit build. A set
+// issues a handful of distinct requests over hundreds of ops, so an op
+// points at its request instead of carrying one.
 type Op struct {
 	Kind OpKind
-	D    sim.Time    // OpCompute duration
-	Req  FPGARequest // OpFPGA request
+	D    sim.Time     // OpCompute duration
+	Req  *FPGARequest // OpFPGA request, read-only; nil for OpCompute
 }
 
 // Compute returns a CPU burst op.
 func Compute(d sim.Time) Op { return Op{Kind: OpCompute, D: d} }
 
-// UseFPGA returns a hardware op.
-func UseFPGA(req FPGARequest) Op { return Op{Kind: OpFPGA, Req: req} }
+// UseFPGA returns a hardware op that runs req, which it shares, not
+// copies: req must not change afterwards.
+func UseFPGA(req *FPGARequest) Op { return Op{Kind: OpFPGA, Req: req} }
 
 // flight tracks an FPGA op in progress across preemptions.
 type flight struct {
@@ -189,11 +197,11 @@ func (t *Task) Turnaround() sim.Time {
 // or blocked on. It panics if the current op is not an FPGA op — callers
 // are the FPGA managers, which are only consulted during FPGA ops.
 func (t *Task) CurrentRequest() FPGARequest {
-	op := t.program[t.pc]
+	op := &t.program[t.pc]
 	if op.Kind != OpFPGA {
 		panic(fmt.Sprintf("hostos: task %s op %d is not an FPGA op", t.Name, t.pc))
 	}
-	return op.Req
+	return *op.Req
 }
 
 // FPGA is the hardware resource manager the OS delegates FPGA operations

@@ -1,7 +1,9 @@
 package hostos
 
 import (
+	"math/bits"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -143,6 +145,20 @@ func TestReservedSpawnAllocatesNothing(t *testing.T) {
 	}
 }
 
+// An op is a one-byte kind, a duration and a pointer to its request: 24
+// bytes on a 64-bit build, where the 56-byte request it carried by value
+// made it 72. On a 32-bit build the duration aligns to 4 and the pointer
+// is 4 bytes.
+func TestOpSize(t *testing.T) {
+	want := uintptr(24)
+	if bits.UintSize == 32 {
+		want = 16
+	}
+	if got := unsafe.Sizeof(Op{}); got != want {
+		t.Errorf("Op is %d bytes on a %d-bit build, want %d", got, bits.UintSize, want)
+	}
+}
+
 func TestEmptyProgramRejected(t *testing.T) {
 	o := newOS(Config{}, newMock())
 	if _, err := o.Spawn("x", 0, nil); err == nil {
@@ -209,7 +225,7 @@ func TestFPGAOpBasic(t *testing.T) {
 	m := newMock()
 	m.setup = 2 * sim.Millisecond
 	o := newOS(Config{Policy: FIFO, Syscall: 10 * sim.Microsecond, CtxSwitch: 0}, m)
-	task, _ := o.Spawn("hw", 0, []Op{UseFPGA(FPGARequest{Circuit: "c", Evaluations: 1000})})
+	task, _ := o.Spawn("hw", 0, []Op{UseFPGA(&FPGARequest{Circuit: "c", Evaluations: 1000})})
 	o.K.Run()
 	if task.State() != TaskDone {
 		t.Fatalf("state %v", task.State())
@@ -237,12 +253,12 @@ func TestFPGABlockingAndHandoff(t *testing.T) {
 	// until task exit; b reaches its own FPGA op during a's CPU phase and
 	// must wait.
 	a, _ := o.Spawn("a", 0, []Op{
-		UseFPGA(FPGARequest{Circuit: "c", Evaluations: 5000}),
+		UseFPGA(&FPGARequest{Circuit: "c", Evaluations: 5000}),
 		Compute(3 * sim.Millisecond),
 	})
 	b, _ := o.Spawn("b", 0, []Op{
 		Compute(100 * sim.Microsecond),
-		UseFPGA(FPGARequest{Circuit: "c", Evaluations: 100}),
+		UseFPGA(&FPGARequest{Circuit: "c", Evaluations: 100}),
 	})
 	o.K.Run()
 	if a.State() != TaskDone || b.State() != TaskDone {
@@ -261,7 +277,7 @@ func TestPreemptionSaveRestore(t *testing.T) {
 	m.saveCost = 100 * sim.Microsecond
 	m.resumeCost = 150 * sim.Microsecond
 	o := newOS(Config{Policy: RR, TimeSlice: sim.Millisecond, CtxSwitch: 0}, m)
-	hw, _ := o.Spawn("hw", 0, []Op{UseFPGA(FPGARequest{Circuit: "c", Evaluations: 3500})})
+	hw, _ := o.Spawn("hw", 0, []Op{UseFPGA(&FPGARequest{Circuit: "c", Evaluations: 3500})})
 	cpu, _ := o.Spawn("cpu", 0, []Op{Compute(3 * sim.Millisecond)})
 	o.K.Run()
 	if hw.State() != TaskDone || cpu.State() != TaskDone {
@@ -285,7 +301,7 @@ func TestRollbackRedoesWork(t *testing.T) {
 	o := newOS(Config{Policy: RR, TimeSlice: sim.Millisecond, CtxSwitch: 0}, m)
 	// 1.5ms op with 1ms slices and a competing task: first slice loses
 	// 1ms of work, so total HW time exceeds the pure 1.5ms.
-	hw, _ := o.Spawn("hw", 0, []Op{UseFPGA(FPGARequest{Circuit: "c", Evaluations: 1500})})
+	hw, _ := o.Spawn("hw", 0, []Op{UseFPGA(&FPGARequest{Circuit: "c", Evaluations: 1500})})
 	o.Spawn("cpu", 0, []Op{Compute(3 * sim.Millisecond)})
 	o.K.Run()
 	if hw.State() != TaskDone {
@@ -300,7 +316,7 @@ func TestNonPreemptableRunsThroughSlice(t *testing.T) {
 	m := newMock()
 	m.preemptable = false
 	o := newOS(Config{Policy: RR, TimeSlice: sim.Millisecond, CtxSwitch: 0}, m)
-	hw, _ := o.Spawn("hw", 0, []Op{UseFPGA(FPGARequest{Circuit: "c", Evaluations: 5000})})
+	hw, _ := o.Spawn("hw", 0, []Op{UseFPGA(&FPGARequest{Circuit: "c", Evaluations: 5000})})
 	o.Spawn("cpu", 0, []Op{Compute(1 * sim.Millisecond)})
 	o.K.Run()
 	if hw.Preemptions != 0 {
@@ -316,9 +332,9 @@ func TestMixedProgram(t *testing.T) {
 	o := newOS(DefaultConfig(), m)
 	task, _ := o.Spawn("mix", 0, []Op{
 		Compute(2 * sim.Millisecond),
-		UseFPGA(FPGARequest{Circuit: "a", Evaluations: 500}),
+		UseFPGA(&FPGARequest{Circuit: "a", Evaluations: 500}),
 		Compute(1 * sim.Millisecond),
-		UseFPGA(FPGARequest{Circuit: "b", Cycles: 200}),
+		UseFPGA(&FPGARequest{Circuit: "b", Cycles: 200}),
 	})
 	o.K.Run()
 	if task.State() != TaskDone {

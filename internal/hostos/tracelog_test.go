@@ -54,12 +54,12 @@ func TestTraceBlockEvents(t *testing.T) {
 	log := NewEventLog()
 	o.AttachTrace(log)
 	o.Spawn("holder", 0, []Op{
-		UseFPGA(FPGARequest{Circuit: "c", Evaluations: 5000}),
+		UseFPGA(&FPGARequest{Circuit: "c", Evaluations: 5000}),
 		Compute(3 * sim.Millisecond),
 	})
 	o.Spawn("waiter", 0, []Op{
 		Compute(100 * sim.Microsecond),
-		UseFPGA(FPGARequest{Circuit: "c", Evaluations: 100}),
+		UseFPGA(&FPGARequest{Circuit: "c", Evaluations: 100}),
 	})
 	o.K.Run()
 	sawBlock := false

@@ -9,6 +9,8 @@ import (
 	"hash"
 	"os"
 	"testing"
+
+	"repro/internal/hostos"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -24,6 +26,16 @@ type setDigest struct {
 	SHA256 string `json:"set_sha256"`
 }
 
+// request returns the request op points at, or the zero request for an
+// op with none: a compute op renders as it did when ops held requests by
+// value.
+func request(op hostos.Op) hostos.FPGARequest {
+	if op.Req == nil {
+		return hostos.FPGARequest{}
+	}
+	return *op.Req
+}
+
 // renderSet writes every field of the set — circuit names in order, then
 // per task its name, priority, arrival and every field of every op.
 func renderSet(h hash.Hash, set *Set) (ops int) {
@@ -31,7 +43,8 @@ func renderSet(h hash.Hash, set *Set) (ops int) {
 	for _, ts := range set.Tasks {
 		fmt.Fprintf(h, "task %q prio %d at %d ops %d\n", ts.Name, ts.Priority, ts.Arrival, len(ts.Program))
 		for _, op := range ts.Program {
-			fmt.Fprintf(h, " %d %d %q %d %d %v\n", op.Kind, op.D, op.Req.Circuit, op.Req.Evaluations, op.Req.Cycles, op.Req.Pages)
+			req := request(op)
+			fmt.Fprintf(h, " %d %d %q %d %d %v\n", op.Kind, op.D, req.Circuit, req.Evaluations, req.Cycles, req.Pages)
 		}
 		ops += len(ts.Program)
 	}

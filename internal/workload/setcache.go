@@ -15,7 +15,7 @@ import (
 )
 
 // MaxCachedOps bounds the ops a SetCache holds across all its sets: one
-// set of MaxSpecOps ops, about 4.7 MB of programs, or a few hundred sets
+// set of MaxSpecOps ops, about 1.6 MB of programs, or a few hundred sets
 // of the builtin scenarios' few hundred ops each. The bound is on ops,
 // not entries, because one spec may build a set a thousand times the
 // size of another.

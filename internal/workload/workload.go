@@ -30,13 +30,15 @@ type TaskSpec struct {
 
 // Set is a complete workload: the tasks and the circuits they use. The
 // generators cut every task's Program from one array sized for the whole
-// set, each at exactly its length (cap == len).
+// set, each at exactly its length (cap == len), and point its hardware
+// ops into one table of the set's distinct requests: many ops, and many
+// tasks, share one request.
 //
 // A built Set is read-only, and that contract is load-bearing: a
 // SetCache hands one *Set to every job of an equal spec, on boards
 // running at once. The OS only ever indexes program[pc]; nothing that
-// takes a Set may write to it, its tasks, their programs or its circuit
-// list.
+// takes a Set may write to it, its tasks, their programs, the requests
+// their ops point at or those requests' Pages, or its circuit list.
 type Set struct {
 	Tasks    []TaskSpec
 	Circuits []*netlist.Netlist
@@ -162,12 +164,15 @@ func (p *programs) next(n int) []hostos.Op {
 	return prog
 }
 
-func fpga(circuit string, evals int64) hostos.Op {
-	return hostos.UseFPGA(hostos.FPGARequest{Circuit: circuit, Evaluations: evals})
+// fpga is the request of evals input vectors through a combinational
+// circuit, seq of cycles clock cycles of a sequential one. A generator
+// puts each distinct request in its set's table once.
+func fpga(circuit string, evals int64) hostos.FPGARequest {
+	return hostos.FPGARequest{Circuit: circuit, Evaluations: evals}
 }
 
-func seq(circuit string, cycles int64) hostos.Op {
-	return hostos.UseFPGA(hostos.FPGARequest{Circuit: circuit, Cycles: cycles})
+func seq(circuit string, cycles int64) hostos.FPGARequest {
+	return hostos.FPGARequest{Circuit: circuit, Cycles: cycles}
 }
 
 // MultimediaConfig parameterizes the codec-switching scenario: "multimedia
@@ -217,6 +222,10 @@ func Multimedia(cfg MultimediaConfig) *Set {
 		netlist.MustLookup("alu8"),   // predictive filter
 		netlist.MustLookup("rotl16"), // bit-plane packing
 	}
+	reqs := make([]hostos.FPGARequest, len(codecs)) // one per codec
+	for i, c := range codecs {
+		reqs[i] = fpga(c.Name, cfg.EvalsPerOp)
+	}
 	src := rng.New(cfg.Seed)
 	set := &Set{Tasks: make([]TaskSpec, 0, cfg.Streams), Circuits: codecs}
 	for s := 0; s < cfg.Streams; s++ {
@@ -229,7 +238,7 @@ func Multimedia(cfg MultimediaConfig) *Set {
 			}
 			prog = append(prog,
 				hostos.Compute(cfg.ComputeTime),
-				fpga(codecs[codec].Name, cfg.EvalsPerOp),
+				hostos.UseFPGA(&reqs[codec]),
 			)
 		}
 		set.Tasks = append(set.Tasks, TaskSpec{
@@ -290,18 +299,22 @@ func Telecom(cfg TelecomConfig) *Set {
 		netlist.MustLookup("lfsr16"), // scrambler
 		netlist.MustLookup("gray8"),  // modulation mapping
 	}
+	reqs := make([]hostos.FPGARequest, len(protocols)) // one per protocol
+	for i, p := range protocols {
+		reqs[i] = seq(p.Name, cfg.CyclesPerPkt)
+	}
 	src := rng.New(cfg.Seed)
 	zipf := rng.NewZipf(src.Split(), len(protocols), cfg.ProtocolSkew)
 	set := &Set{Tasks: make([]TaskSpec, 0, cfg.Sessions), Circuits: protocols}
 	arrival := sim.Time(0)
 	for s := 0; s < cfg.Sessions; s++ {
 		arrival += sim.Time(float64(cfg.MeanInterval) * src.ExpFloat64())
-		proto := protocols[zipf.Draw()]
+		proto := &reqs[zipf.Draw()]
 		prog := ops.next(2 * cfg.PacketsPer)
 		for p := 0; p < cfg.PacketsPer; p++ {
 			prog = append(prog,
 				hostos.Compute(200*sim.Microsecond),
-				seq(proto.Name, cfg.CyclesPerPkt),
+				hostos.UseFPGA(proto),
 			)
 		}
 		set.Tasks = append(set.Tasks, TaskSpec{
@@ -364,26 +377,28 @@ func Diagnosis(cfg DiagnosisConfig) *Set {
 	tuning := netlist.MustLookup("cmp16")    // threshold tuning
 	n := cfg.ControlOps / cfg.DiagEvery
 	set := &Set{Tasks: make([]TaskSpec, 0, 1+n), Circuits: []*netlist.Netlist{control, diag, tuning}}
+	reqs := []hostos.FPGARequest{
+		fpga(control.Name, cfg.ControlEvals),
+		fpga(diag.Name, cfg.DiagEvals),
+		fpga(tuning.Name, cfg.DiagEvals),
+	}
 
 	ctrl := ops.next(2 * cfg.ControlOps)
 	for i := 0; i < cfg.ControlOps; i++ {
-		ctrl = append(ctrl, hostos.Compute(cfg.ComputeTime), fpga(control.Name, cfg.ControlEvals))
+		ctrl = append(ctrl, hostos.Compute(cfg.ComputeTime), hostos.UseFPGA(&reqs[0]))
 	}
 	set.Tasks = append(set.Tasks, TaskSpec{Name: "control", Priority: 0, Program: ctrl})
 
 	period := sim.Time(cfg.DiagEvery) * (cfg.ComputeTime + 2*sim.Millisecond)
 	for i := 0; i < n; i++ {
-		circuit := diag.Name
-		if i%2 == 1 {
-			circuit = tuning.Name
-		}
+		req := &reqs[1+i%2] // diagnosis, then tuning, in turn
 		set.Tasks = append(set.Tasks, TaskSpec{
 			Name:     fmt.Sprintf("diag%d", i),
 			Priority: 5,
 			Arrival:  sim.Time(i+1) * period,
 			Program: append(ops.next(2),
 				hostos.Compute(100*sim.Microsecond),
-				fpga(circuit, cfg.DiagEvals),
+				hostos.UseFPGA(req),
 			),
 		})
 	}
@@ -443,6 +458,12 @@ func Storage(cfg StorageConfig) *Set {
 	integrity := netlist.MustLookup("crc16")      // block integrity code
 	correct := netlist.MustLookup("hamming74dec") // degraded-mode reconstruction
 	set := &Set{Tasks: make([]TaskSpec, 0, cfg.Requests), Circuits: []*netlist.Netlist{parity, integrity, correct}}
+	reqs := []hostos.FPGARequest{
+		fpga(parity.Name, cfg.BlockCycles),
+		seq(integrity.Name, cfg.BlockCycles),
+		fpga(correct.Name, cfg.BlockCycles/4),
+	}
+	stripe, check, repair := &reqs[0], &reqs[1], &reqs[2]
 	src := rng.New(cfg.Seed)
 	arrival := sim.Time(0)
 	for r := 0; r < cfg.Requests; r++ {
@@ -451,15 +472,12 @@ func Storage(cfg StorageConfig) *Set {
 		prog := append(ops.next(storageMaxOps), hostos.Compute(150*sim.Microsecond)) // request parsing
 		if taskSrc.Float64() < cfg.WriteRatio {
 			// Write: parity across the stripe, then integrity code.
-			prog = append(prog,
-				fpga(parity.Name, cfg.BlockCycles),
-				seq(integrity.Name, cfg.BlockCycles),
-			)
+			prog = append(prog, hostos.UseFPGA(stripe), hostos.UseFPGA(check))
 		} else {
 			// Read: integrity check; occasionally degraded-mode repair.
-			prog = append(prog, seq(integrity.Name, cfg.BlockCycles))
+			prog = append(prog, hostos.UseFPGA(check))
 			if taskSrc.Float64() < 0.2 {
-				prog = append(prog, fpga(correct.Name, cfg.BlockCycles/4))
+				prog = append(prog, hostos.UseFPGA(repair))
 			}
 		}
 		prog = append(prog, hostos.Compute(100*sim.Microsecond)) // completion
@@ -533,8 +551,15 @@ func Synthetic(cfg SyntheticConfig) *Set {
 		names = defaultPool
 	}
 	pool := make([]*netlist.Netlist, len(names))
+	reqs := make([]hostos.FPGARequest, len(names)) // one per pool circuit
 	for i, name := range names {
-		pool[i] = netlist.MustLookup(name)
+		c := netlist.MustLookup(name)
+		pool[i] = c
+		if c.IsSequential() {
+			reqs[i] = seq(c.Name, cfg.EvalsPerOp)
+		} else {
+			reqs[i] = fpga(c.Name, cfg.EvalsPerOp)
+		}
 	}
 	src := rng.New(cfg.Seed)
 	set := &Set{Tasks: make([]TaskSpec, 0, cfg.Tasks), Circuits: pool}
@@ -550,14 +575,7 @@ func Synthetic(cfg SyntheticConfig) *Set {
 			if op > 0 && taskSrc.Float64() < cfg.SwitchProb && len(pool) > 1 {
 				cur = (cur + 1 + taskSrc.Intn(len(pool)-1)) % len(pool)
 			}
-			c := pool[cur]
-			var hwOp hostos.Op
-			if c.IsSequential() {
-				hwOp = seq(c.Name, cfg.EvalsPerOp)
-			} else {
-				hwOp = fpga(c.Name, cfg.EvalsPerOp)
-			}
-			prog = append(prog, hostos.Compute(cfg.ComputeTime), hwOp)
+			prog = append(prog, hostos.Compute(cfg.ComputeTime), hostos.UseFPGA(&reqs[cur]))
 		}
 		set.Tasks = append(set.Tasks, TaskSpec{
 			Name:    fmt.Sprintf("task%d", ti),
@@ -587,9 +605,12 @@ func Paged(cfg PagedConfig) *Set {
 	perm := src.Split().Perm(cfg.Pages) // decouple popularity from page index
 	prog := make([]hostos.Op, 0, cfg.Refs)
 	size := max(0, min(cfg.WorkSet, cfg.Pages))
-	// The working sets are cut from one backing array, and seenAt[p] ==
-	// r+1 marks page p already drawn for reference r: one stamp array for
-	// the whole string instead of a set per reference.
+	// Every reference has a working set of its own, so a request of its
+	// own, all in one array. The working sets are cut from one backing
+	// array, and seenAt[p] == r+1 marks page p already drawn for
+	// reference r: one stamp array for the whole string instead of a set
+	// per reference.
+	reqs := make([]hostos.FPGARequest, cfg.Refs)
 	sets := make([]int, cfg.Refs*size)
 	seenAt := make([]int, cfg.Pages)
 	for r := 0; r < cfg.Refs; r++ {
@@ -601,11 +622,8 @@ func Paged(cfg PagedConfig) *Set {
 				pages = append(pages, p)
 			}
 		}
-		prog = append(prog, hostos.UseFPGA(hostos.FPGARequest{
-			Circuit:     cfg.Circuit.Name,
-			Evaluations: cfg.Evals,
-			Pages:       pages,
-		}))
+		reqs[r] = hostos.FPGARequest{Circuit: cfg.Circuit.Name, Evaluations: cfg.Evals, Pages: pages}
+		prog = append(prog, hostos.UseFPGA(&reqs[r]))
 	}
 	return &Set{
 		Tasks:    []TaskSpec{{Name: "paged", Program: prog}},

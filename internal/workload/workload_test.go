@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/hostos"
@@ -94,7 +95,7 @@ func TestSyntheticDeterministic(t *testing.T) {
 			t.Fatal("not deterministic")
 		}
 		for j := range a.Tasks[i].Program {
-			if a.Tasks[i].Program[j].Req.Circuit != b.Tasks[i].Program[j].Req.Circuit {
+			if request(a.Tasks[i].Program[j]).Circuit != request(b.Tasks[i].Program[j]).Circuit {
 				t.Fatal("circuit choice not deterministic")
 			}
 		}
@@ -128,6 +129,15 @@ func TestPagedReferencesValid(t *testing.T) {
 	set := Paged(cfg)
 	if len(set.Tasks) != 1 {
 		t.Fatal("paged set should be one task")
+	}
+	// Every reference has a request, and a working set, of its own: the
+	// string is not one working set repeated.
+	workingSets := map[string]bool{}
+	for _, op := range set.Tasks[0].Program {
+		workingSets[fmt.Sprint(op.Req.Pages)] = true
+	}
+	if len(workingSets) < 2 {
+		t.Fatalf("%d references touch %d working sets, want a string of them", cfg.Refs, len(workingSets))
 	}
 	for _, op := range set.Tasks[0].Program {
 		if len(op.Req.Pages) == 0 || len(op.Req.Pages) > cfg.WorkSet {
