@@ -43,10 +43,29 @@ import (
 	"repro/internal/version"
 )
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so a client that opens a socket and stalls cannot
-// hold it forever.
-const readHeaderTimeout = 10 * time.Second
+// The job API's connection deadlines. readHeaderTimeout bounds how long
+// a connection may take to send its request headers, so a client that
+// opens a socket and stalls cannot hold it forever; readTimeout bounds
+// the whole request, body included, so one that sends its headers and
+// then trickles its body cannot hold a connection and a handler either
+// (a submit body is at most 1 MiB); idleTimeout bounds how long a
+// keep-alive connection waits for its next request.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer returns the job API's server over h, with its connection
+// deadlines set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // options collects the flag values; one struct keeps the single-daemon
 // and fleet paths on the same configuration.
@@ -207,7 +226,7 @@ func run(o options) error {
 	}
 
 	srv.Start()
-	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	hs := newHTTPServer(srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
