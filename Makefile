@@ -53,10 +53,11 @@ test:
 # tables, the fleet's rows, the recorder's quantiles) under a 32-bit
 # target, where int is 32 bits and int64 aligns to 4, and under
 # GOAMD64=v3, where the compiler may fuse a multiply and an add into one
-# rounding; and the device's column blocks with the audit that scans them,
-# whose scan-order index is column times rows plus row. About 15 s each
-# on two cores.
-ARCH_PKGS = ./internal/compile/ ./internal/core/ ./internal/bench/ ./internal/fleet/ ./internal/place/ ./internal/route/ ./internal/stats/ ./internal/fabric/ ./internal/lint/
+# rounding; the device's column blocks with the audit that scans them,
+# whose scan-order index is column times rows plus row; and the task
+# program's op, whose size is pinned per word size, with the set digests
+# of the programs built from it. About 15 s each on two cores.
+ARCH_PKGS = ./internal/compile/ ./internal/core/ ./internal/bench/ ./internal/fleet/ ./internal/place/ ./internal/route/ ./internal/stats/ ./internal/fabric/ ./internal/lint/ ./internal/hostos/ ./internal/workload/
 arch:
 	GOARCH=386 $(GO) test $(ARCH_PKGS)
 	GOAMD64=v3 $(GO) test $(ARCH_PKGS)
@@ -98,7 +99,9 @@ fuzz-smoke:
 # edits to the ledger and its record carving, the pin binding, the state
 # and strip tables, the task kernel, the region map, the host OS, the
 # daemon's pool and admission, the fleet's queueing kernel, the
-# workload spec, its set cache and a set's spawn, the CAD stages' reused
+# workload spec, its set cache, a set's spawn and its request table
+# (compute ops carry none; each paged reference has its own), the CAD
+# stages' reused
 # results and work counts, the latency recorder's window, and the
 # device's column blocks) is applied
 # to a scratch copy of the tree and must fail its packages' tests; each
