@@ -28,7 +28,7 @@ func A1OptimizerAblation(cfg Config) (*trace.Table, error) {
 	reg := netlist.Registry()
 	opt := defaultOpt(cfg)
 	tm := opt.Timing
-	rows, err := parRows(cfg.Jobs, len(names), func(i int) ([]any, error) {
+	return fillRows(tbl, cfg.Jobs, len(names), func(i int) ([]any, error) {
 		name := names[i]
 		nl := reg[name]()
 		raw, err := stripCache.CompileStrip(nl, opt.Geometry.Rows, opt.Geometry.TracksPerChannel,
@@ -46,9 +46,4 @@ func A1OptimizerAblation(cfg Config) (*trace.Table, error) {
 			ms(raw.BS.ConfigCost(tm)), ms(optc.BS.ConfigCost(tm)),
 			raw.ClockPeriod.String(), optc.ClockPeriod.String()}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }

@@ -39,32 +39,31 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Experiment couples an id with its runner.
+// Experiment couples an id with its runner; the table carries its title.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func(Config) (*trace.Table, error)
+	ID  string
+	Run func(Config) (*trace.Table, error)
 }
 
 // All returns every experiment in presentation order.
 func All() []Experiment {
 	return []Experiment{
-		{"T1", "Dynamic loading overhead vs reconfiguration mode", T1DynamicLoadingOverhead},
-		{"T2", "Sequential preemption: save/restore vs rollback", T2StatePreemption},
-		{"T3", "Fixed vs variable partitioning", T3Partitioning},
-		{"T4", "Overlaying: resident common functions", T4Overlay},
-		{"T5", "I/O pin multiplexing", T5IOMux},
-		{"F1", "Virtual capacity: large application on small devices", F1VirtualCapacity},
-		{"F2", "Exclusive vs dynamic vs partitioned scheduling", F2SchedulingModes},
-		{"F3", "Merged circuit vs dynamic loading crossover", F3MergedVsDynamic},
-		{"F4", "Fragmentation and garbage collection", F4Fragmentation},
-		{"F5", "Pagination: page size x replacement policy", F5Pagination},
-		{"F6", "Segmentation vs monolithic configuration", F6Segmentation},
-		{"F7", "Application scenarios (multimedia, telecom, diagnosis)", F7Applications},
-		{"F8", "Multi-board virtualization (one big vs several small)", F8MultiBoard},
-		{"F9", "Amorphous regions vs variable partitions", F9AmorphousRegions},
-		{"F10", "Fleet placement-policy bake-off under churn", F10PlacementBakeoff},
-		{"A1", "Ablation: logic optimizer area/download savings", A1OptimizerAblation},
+		{"T1", T1DynamicLoadingOverhead},
+		{"T2", T2StatePreemption},
+		{"T3", T3Partitioning},
+		{"T4", T4Overlay},
+		{"T5", T5IOMux},
+		{"F1", F1VirtualCapacity},
+		{"F2", F2SchedulingModes},
+		{"F3", F3MergedVsDynamic},
+		{"F4", F4Fragmentation},
+		{"F5", F5Pagination},
+		{"F6", F6Segmentation},
+		{"F7", F7Applications},
+		{"F8", F8MultiBoard},
+		{"F9", F9AmorphousRegions},
+		{"F10", F10PlacementBakeoff},
+		{"A1", A1OptimizerAblation},
 	}
 }
 
@@ -111,6 +110,17 @@ func compileSet(opt core.Options, circuits []*netlist.Netlist) ([]*compile.Circu
 	return circs, nil
 }
 
+// footprint sizes compiled strips for a device: their widths summed (all
+// resident side by side), the widest (one at a time) and their cells.
+func footprint(circs []*compile.Circuit) (sumW, maxW, cells int) {
+	for _, c := range circs {
+		sumW += c.BS.W
+		maxW = max(maxW, c.BS.W)
+		cells += c.Cells()
+	}
+	return sumW, maxW, cells
+}
+
 // newStack assembles a fault-free stack of the given engine count over
 // the set's circuits, compiled through the shared cache.
 func newStack(opt core.Options, engines int, osCfg hostos.Config, set *workload.Set, mk baseline.ManagerFunc) (*baseline.Stack, error) {
@@ -121,34 +131,39 @@ func newStack(opt core.Options, engines int, osCfg hostos.Config, set *workload.
 	return baseline.NewStack(opt, engines, osCfg, nil, set, circs, mk)
 }
 
-// runResult summarizes one simulated run.
+// runResult summarizes one finished run.
 type runResult struct {
 	Makespan       sim.Time
 	MeanTurnaround sim.Time
 	MeanWait       sim.Time // ready + blocked
 	MeanBlock      sim.Time
-	Engine         *core.Engine
+	Engine         *core.Engine // the first engine
 	OS             *hostos.OS
 }
 
-// runSet runs the workload to completion on a one-engine stack under the
-// given manager.
-func runSet(opt core.Options, osCfg hostos.Config, set *workload.Set, mk baseline.ManagerFunc) (*runResult, error) {
-	st, err := newStack(opt, 1, osCfg, set, mk)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Run(set); err != nil {
-		return nil, err
-	}
-	res := &runResult{Engine: st.Engines[0], OS: st.OS, Makespan: st.OS.Makespan()}
+// summarize reads the run's result off a stack whose tasks all finished.
+func summarize(st *baseline.Stack) runResult {
+	res := runResult{Engine: st.Engines[0], OS: st.OS, Makespan: st.OS.Makespan()}
 	n := sim.Time(len(st.OS.Tasks()))
 	for _, t := range st.OS.Tasks() {
 		res.MeanTurnaround += t.Turnaround() / n
 		res.MeanWait += (t.ReadyWait + t.BlockWait) / n
 		res.MeanBlock += t.BlockWait / n
 	}
-	return res, nil
+	return res
+}
+
+// runSet runs the workload to completion on a one-engine stack under the
+// given manager.
+func runSet(opt core.Options, osCfg hostos.Config, set *workload.Set, mk baseline.ManagerFunc) (runResult, error) {
+	st, err := newStack(opt, 1, osCfg, set, mk)
+	if err != nil {
+		return runResult{}, err
+	}
+	if err := st.Run(set); err != nil {
+		return runResult{}, err
+	}
+	return summarize(st), nil
 }
 
 // Managers used across experiments: the by-name ones in the daemon's

@@ -62,7 +62,7 @@ func TestAllRegistered(t *testing.T) {
 			t.Fatalf("duplicate experiment %s", e.ID)
 		}
 		ids[e.ID] = true
-		if e.Title == "" || e.Run == nil {
+		if e.Run == nil {
 			t.Fatalf("experiment %s malformed", e.ID)
 		}
 	}

@@ -36,6 +36,36 @@ func evalRequests(evals int64, circuits ...*netlist.Netlist) []hostos.FPGAReques
 	return reqs
 }
 
+// appSet is a one-task application: passes passes over reqs in order,
+// each op pointing into reqs, on the given circuits.
+func appSet(passes int, reqs []hostos.FPGARequest, circuits []*netlist.Netlist) *workload.Set {
+	var prog []hostos.Op
+	for p := 0; p < passes; p++ {
+		for i := range reqs {
+			prog = append(prog, hostos.UseFPGA(&reqs[i]))
+		}
+	}
+	return &workload.Set{Tasks: []workload.TaskSpec{{Name: "app", Program: prog}}, Circuits: circuits}
+}
+
+// pair is one sweep point of a two-axis table.
+type pair[A, B any] struct {
+	a A
+	b B
+}
+
+// cross returns a two-axis table's sweep points in row order: each value
+// of as with every value of bs.
+func cross[A, B any](as []A, bs []B) []pair[A, B] {
+	out := make([]pair[A, B], 0, len(as)*len(bs))
+	for _, a := range as {
+		for _, b := range bs {
+			out = append(out, pair[A, B]{a, b})
+		}
+	}
+	return out
+}
+
 // T1DynamicLoadingOverhead — the paper's §2/§3 feasibility claim:
 // frequent reconfiguration is practical only with partial
 // reconfiguration; full serial downloads (~200 ms class) restrict the
@@ -61,28 +91,18 @@ func T1DynamicLoadingOverhead(cfg Config) (*trace.Table, error) {
 		{false, core.Apriori},
 	}
 	circuits := []*netlist.Netlist{netlist.MustLookup("adder8"), netlist.MustLookup("alu8")}
-	type point struct {
-		evals      int64
-		partial    bool
-		completion core.CompletionMode
-	}
-	var points []point
-	for _, evals := range evalSweep {
-		for _, mode := range modes {
-			points = append(points, point{evals, mode.partial, mode.completion})
-		}
-	}
-	rows, err := parRows(cfg.Jobs, len(points), func(i int) ([]any, error) {
-		pt := points[i]
+	points := cross(evalSweep, modes)
+	return fillRows(tbl, cfg.Jobs, len(points), func(i int) ([]any, error) {
+		evals, mode := points[i].a, points[i].b
 		opt := defaultOpt(cfg)
-		opt.Timing.PartialReconfig = pt.partial
-		opt.Completion = pt.completion
+		opt.Timing.PartialReconfig = mode.partial
+		opt.Completion = mode.completion
 		var prog []hostos.Op
 		ops := 12
 		if cfg.Quick {
 			ops = 6
 		}
-		reqs := evalRequests(pt.evals, circuits...)
+		reqs := evalRequests(evals, circuits...)
 		for i := 0; i < ops; i++ {
 			prog = append(prog, hostos.UseFPGA(&reqs[i%2]))
 		}
@@ -97,17 +117,12 @@ func T1DynamicLoadingOverhead(cfg Config) (*trace.Table, error) {
 		t := res.OS.Tasks()[0]
 		eff := float64(t.HWTime) / float64(t.Turnaround())
 		reconfig := "full-only"
-		if pt.partial {
+		if mode.partial {
 			reconfig = "partial"
 		}
-		return []any{pt.evals, reconfig, pt.completion.String(),
+		return []any{evals, reconfig, mode.completion.String(),
 			ms(t.Turnaround()), ms(t.HWTime), ms(t.Overhead), eff}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }
 
 // T2StatePreemption — §3's preemption analysis for sequential circuits:
@@ -126,23 +141,14 @@ func T2StatePreemption(cfg Config) (*trace.Table, error) {
 	}
 	const cycles = 400_000
 	circuits := []*netlist.Netlist{netlist.MustLookup("counter8")}
-	type point struct {
-		slice  sim.Time
-		policy core.StatePolicy
-	}
-	var points []point
-	for _, slice := range slices {
-		for _, policy := range []core.StatePolicy{core.SaveRestore, core.Rollback, core.NonPreemptable} {
-			points = append(points, point{slice, policy})
-		}
-	}
+	points := cross(slices, []core.StatePolicy{core.SaveRestore, core.Rollback, core.NonPreemptable})
 	hwReq := hostos.FPGARequest{Circuit: "counter8", Cycles: cycles}
-	rows, err := parRows(cfg.Jobs, len(points), func(i int) ([]any, error) {
-		pt := points[i]
+	return fillRows(tbl, cfg.Jobs, len(points), func(i int) ([]any, error) {
+		slice, policy := points[i].a, points[i].b
 		opt := defaultOpt(cfg)
-		opt.State = pt.policy
+		opt.State = policy
 		osCfg := hostos.DefaultConfig()
-		osCfg.TimeSlice = pt.slice
+		osCfg.TimeSlice = slice
 		set := &workload.Set{
 			Tasks: []workload.TaskSpec{
 				{Name: "hw", Program: []hostos.Op{hostos.UseFPGA(&hwReq)}},
@@ -156,15 +162,10 @@ func T2StatePreemption(cfg Config) (*trace.Table, error) {
 		}
 		hw := res.OS.Tasks()[0]
 		pure := sim.Time(cycles) * res.Engine.Lib["counter8"].ClockPeriod
-		return []any{fmt.Sprintf("%.0f", pt.slice.Milliseconds()), pt.policy.String(),
+		return []any{fmt.Sprintf("%.0f", slice.Milliseconds()), policy.String(),
 			ms(hw.HWTime), ms(hw.HWTime - pure), ms(hw.Overhead),
 			hw.Preemptions, res.Engine.M.Readbacks.Value(), ms(hw.Turnaround())}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }
 
 // t3Managers are T3's rows.
@@ -207,7 +208,7 @@ func T3Partitioning(cfg Config) (*trace.Table, error) {
 		Note:    "paper §4: partitions cut reload traffic without impairing parallelism",
 		Columns: []string{"manager", "makespan_ms", "mean_turnaround_ms", "mean_block_ms", "loads", "evictions", "blocks", "gc_runs"},
 	}
-	rows, err := parRows(cfg.Jobs, len(t3Managers), func(i int) ([]any, error) {
+	return fillRows(tbl, cfg.Jobs, len(t3Managers), func(i int) ([]any, error) {
 		m := t3Managers[i]
 		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), t3Set(cfg), m.mk)
 		if err != nil {
@@ -217,11 +218,6 @@ func T3Partitioning(cfg Config) (*trace.Table, error) {
 		return []any{m.name, ms(res.Makespan), ms(res.MeanTurnaround), ms(res.MeanBlock),
 			e.M.Loads.Value(), e.M.Evictions.Value(), e.M.Blocks.Value(), e.M.GCRuns.Value()}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }
 
 // T4Overlay — §2 overlaying: keeping frequently used common functions
@@ -274,7 +270,7 @@ func T4Overlay(cfg Config) (*trace.Table, error) {
 		{hot.Name},
 		{hot.Name, cold[0].Name},
 	}
-	rows, err := parRows(cfg.Jobs, len(residentSets), func(i int) ([]any, error) {
+	return fillRows(tbl, cfg.Jobs, len(residentSets), func(i int) ([]any, error) {
 		resident := residentSets[i]
 		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), mkSet(), overlayMgr(resident))
 		if err != nil {
@@ -287,11 +283,6 @@ func T4Overlay(cfg Config) (*trace.Table, error) {
 		return []any{label, res.Engine.M.Loads.Value(), ms(res.Engine.M.ConfigTime),
 			ms(res.Makespan), ms(res.MeanTurnaround)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }
 
 // T5IOMux — §2 input/output multiplexing: when virtual pins exceed the
@@ -363,52 +354,21 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 		passes = 2
 	}
 	reqs := evalRequests(100_000, stages...)
-	mkSet := func() *workload.Set {
-		set := &workload.Set{Circuits: stages}
-		var prog []hostos.Op
-		for p := 0; p < passes; p++ {
-			for i := range reqs {
-				prog = append(prog, hostos.UseFPGA(&reqs[i]))
-			}
-		}
-		set.Tasks = []workload.TaskSpec{{Name: "app", Program: prog}}
-		return set
-	}
 
 	// Pre-compile at the bench geometry to learn widths and cells.
-	opt := defaultOpt(cfg)
-	probe, err := compileSet(opt, stages)
+	probe, err := compileSet(defaultOpt(cfg), stages)
 	if err != nil {
 		return nil, err
 	}
-	// widths in stage order, for resident-set planning.
-	widths := make([]int, len(stages))
-	appCells, sumW, maxW := 0, 0, 0
-	for i, c := range probe {
-		appCells += c.Cells()
-		widths[i] = c.BS.W
-		sumW += c.BS.W
-		if c.BS.W > maxW {
-			maxW = c.BS.W
-		}
-	}
+	sumW, maxW, appCells := footprint(probe)
 	// residentPrefix returns the largest k such that stages[0:k] stay
 	// resident and the widest remaining stage still fits in the leftover
 	// overlay area.
 	residentPrefix := func(cols int) int {
 		best := 0
-		for k := 0; k <= len(widths); k++ {
-			sum := 0
-			for _, w := range widths[:k] {
-				sum += w
-			}
-			rest := 0
-			for _, w := range widths[k:] {
-				if w > rest {
-					rest = w
-				}
-			}
-			if sum+rest <= cols {
+		for k := 0; k <= len(probe); k++ {
+			sum, _, _ := footprint(probe[:k])
+			if _, rest, _ := footprint(probe[k:]); sum+rest <= cols {
 				best = k
 			}
 		}
@@ -444,7 +404,7 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 		if i == 0 {
 			optRef := defaultOpt(cfg)
 			optRef.Geometry.Cols = colSweep[0]
-			set := mkSet()
+			set := appSet(passes, reqs, stages)
 			mergedRes, err := runSet(optRef, hostos.DefaultConfig(), set,
 				baseline.NewManager("merged", set.CircuitNames()))
 			if err != nil {
@@ -462,7 +422,7 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 		for _, s := range stages[:k] {
 			resident = append(resident, s.Name)
 		}
-		res, err := runSet(opt, hostos.DefaultConfig(), mkSet(), overlayMgr(resident))
+		res, err := runSet(opt, hostos.DefaultConfig(), appSet(passes, reqs, stages), overlayMgr(resident))
 		if err != nil {
 			return 0, err
 		}
@@ -520,34 +480,19 @@ func F2SchedulingModes(cfg Config) (*trace.Table, error) {
 		{"dynamic loading", dynamicMgr},
 		{"variable partitions", variableMgr},
 	}
-	type point struct {
-		tasks int
-		mgr   int
-	}
-	var points []point
-	for _, n := range taskSweep {
-		for mi := range managers {
-			points = append(points, point{n, mi})
-		}
-	}
-	rows, err := parRows(cfg.Jobs, len(points), func(i int) ([]any, error) {
-		pt := points[i]
-		m := managers[pt.mgr]
+	points := cross(taskSweep, managers)
+	return fillRows(tbl, cfg.Jobs, len(points), func(i int) ([]any, error) {
+		n, m := points[i].a, points[i].b
 		// A 1 ms slice forces interleaving, so holders of the exclusive
 		// device yield the CPU between operations while keeping the FPGA.
 		osCfg := hostos.DefaultConfig()
 		osCfg.TimeSlice = 1 * sim.Millisecond
-		res, err := runSet(defaultOpt(cfg), osCfg, mkSet(pt.tasks), m.mk)
+		res, err := runSet(defaultOpt(cfg), osCfg, mkSet(n), m.mk)
 		if err != nil {
 			return nil, err
 		}
-		return []any{pt.tasks, m.name, ms(res.MeanWait), ms(res.MeanBlock), ms(res.Makespan)}, nil
+		return []any{n, m.name, ms(res.MeanWait), ms(res.MeanBlock), ms(res.Makespan)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }
 
 // F3MergedVsDynamic — §3: merging all circuits into one configuration is
@@ -577,16 +522,13 @@ func F3MergedVsDynamic(cfg Config) (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sumW := 0
-	for _, c := range probe {
-		sumW += c.BS.W
-	}
+	sumW, _, _ := footprint(probe)
 
 	colSweep := []int{6, 9, 12, 16, 24}
 	if cfg.Quick {
 		colSweep = []int{6, 16}
 	}
-	rows, err := parRows(cfg.Jobs, len(colSweep), func(i int) ([]any, error) {
+	return fillRows(tbl, cfg.Jobs, len(colSweep), func(i int) ([]any, error) {
 		cols := colSweep[i]
 		opt := defaultOpt(cfg)
 		opt.Geometry.Cols = cols
@@ -606,11 +548,6 @@ func F3MergedVsDynamic(cfg Config) (*trace.Table, error) {
 		}
 		return []any{cols, merged, ms(dres.Makespan), dres.Engine.M.Loads.Value()}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }
 
 // churnSets returns the builder of the fragmenting workload F4 and F9
@@ -689,7 +626,7 @@ func F4Fragmentation(cfg Config) (*trace.Table, error) {
 	}
 	mkSet := churnSets(cfg)
 	gcSweep := []bool{false, true}
-	rows, err := parRows(cfg.Jobs, len(gcSweep), func(i int) ([]any, error) {
+	return fillRows(tbl, cfg.Jobs, len(gcSweep), func(i int) ([]any, error) {
 		gc := gcSweep[i]
 		st, frag, err := runChurn(cfg, mkSet(), partitionMgr(core.PartitionConfig{
 			Mode: core.VariablePartitions, Fit: core.BestFit, GC: gc,
@@ -697,19 +634,11 @@ func F4Fragmentation(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("F4 gc=%v: %w", gc, err)
 		}
-		var meanBlock sim.Time
-		for _, t := range st.OS.Tasks() {
-			meanBlock += t.BlockWait / sim.Time(len(st.OS.Tasks()))
-		}
-		m := &st.Engines[0].M
-		return []any{gc, frag.Mean(), frag.Max(), m.Blocks.Value(), ms(meanBlock),
-			m.GCRuns.Value(), m.Relocations.Value(), ms(st.OS.Makespan())}, nil
+		res := summarize(st)
+		m := &res.Engine.M
+		return []any{gc, frag.Mean(), frag.Max(), m.Blocks.Value(), ms(res.MeanBlock),
+			m.GCRuns.Value(), m.Relocations.Value(), ms(res.Makespan)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }
 
 // F5Pagination — §2: page size trades fault frequency against per-fault
@@ -734,24 +663,15 @@ func F5Pagination(cfg Config) (*trace.Table, error) {
 	if cfg.Quick {
 		policies = []core.ReplacePolicy{core.LRU, core.Random}
 	}
-	type point struct {
-		pageCells int
-		policy    core.ReplacePolicy
-	}
-	var points []point
-	for _, pageCells := range pageSweep {
-		for _, policy := range policies {
-			points = append(points, point{pageCells, policy})
-		}
-	}
-	rows, err := parRows(cfg.Jobs, len(points), func(i int) ([]any, error) {
-		pt := points[i]
+	points := cross(pageSweep, policies)
+	return fillRows(tbl, cfg.Jobs, len(points), func(i int) ([]any, error) {
+		pageCells, policy := points[i].a, points[i].b
 		// Probe the page count (a cache hit after the first worker).
 		probe, err := compileSet(defaultOpt(cfg), []*netlist.Netlist{circuit})
 		if err != nil {
 			return nil, err
 		}
-		pages := (probe[0].Cells() + pt.pageCells - 1) / pt.pageCells
+		pages := (probe[0].Cells() + pageCells - 1) / pageCells
 		frames := pages/2 + 1
 		set := workload.Paged(workload.PagedConfig{
 			Circuit: circuit,
@@ -765,7 +685,7 @@ func F5Pagination(cfg Config) (*trace.Table, error) {
 		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), set,
 			func(k *sim.Kernel, e []*core.Engine) (hostos.FPGA, sim.Time, error) {
 				pl, err := core.NewPagedLoader(k, e[0], core.PagedConfig{
-					PageCells: pt.pageCells, Frames: frames, Policy: pt.policy, Seed: cfg.Seed,
+					PageCells: pageCells, Frames: frames, Policy: policy, Seed: cfg.Seed,
 				})
 				return pl, 0, err
 			})
@@ -774,14 +694,9 @@ func F5Pagination(cfg Config) (*trace.Table, error) {
 		}
 		e := res.Engine
 		faults := e.M.PageFaults.Value()
-		return []any{pt.pageCells, pages, frames, pt.policy.String(), faults,
+		return []any{pageCells, pages, frames, policy.String(), faults,
 			float64(faults) / float64(refs*3), ms(e.M.ConfigTime), ms(res.Makespan)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }
 
 // F6Segmentation — §2: decompose a function into self-contained
@@ -805,33 +720,12 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 	if cfg.Quick {
 		passes = 2
 	}
-	segReqs := evalRequests(50_000, stages...)
-	monoReq := hostos.FPGARequest{Circuit: mono.Name, Evaluations: 50_000}
-	segSet := func() *workload.Set {
-		var prog []hostos.Op
-		for p := 0; p < passes; p++ {
-			for i := range segReqs {
-				prog = append(prog, hostos.UseFPGA(&segReqs[i]))
-			}
-		}
-		return &workload.Set{Tasks: []workload.TaskSpec{{Name: "app", Program: prog}}, Circuits: stages}
-	}
-	monoSet := func() *workload.Set {
-		var prog []hostos.Op
-		for p := 0; p < passes; p++ {
-			for range stages {
-				prog = append(prog, hostos.UseFPGA(&monoReq))
-			}
-		}
-		return &workload.Set{Tasks: []workload.TaskSpec{{Name: "app", Program: prog}}, Circuits: []*netlist.Netlist{mono}}
-	}
 
 	// Automatic segmentation input: one large netlist (an 8x8 multiplier)
 	// cut into k level-balanced stages by netlist.Segment — the paper's
 	// "self-contained sub-functions having variable size" derived
 	// mechanically rather than by hand.
 	big := netlist.MustLookup("mul8")
-	bigReq := hostos.FPGARequest{Circuit: big.Name, Evaluations: 50_000}
 	ks := []int{2, 4}
 	if cfg.Quick {
 		ks = []int{2}
@@ -865,81 +759,39 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 		return nil, err
 	}
 	monoC, wholeC := probes[0].circs[len(stages)], probes[1].circs[0]
-	maxSegW, segCells := 0, 0
-	for _, c := range probes[0].circs[:len(stages)] {
-		segCells += c.Cells()
-		if c.BS.W > maxSegW {
-			maxSegW = c.BS.W
-		}
-	}
-	monoW, wholeW := monoC.BS.W, wholeC.BS.W
+	_, maxSegW, segCells := footprint(probes[0].circs[:len(stages)])
+	monoW := monoC.BS.W
 
-	// Phase 2 — runs: monolithic big, segmented small, one per
-	// auto-segmentation k, and the whole-mul8 reference.
-	runs, err := parRows(cfg.Jobs, 3+len(ks), func(i int) ([]any, error) {
+	// Phase 2 — runs, each on a device two columns wider than its widest
+	// strip: monolithic, segmented, one per auto-segmentation k, and the
+	// whole-mul8 reference. A single circuit does the four stages' work
+	// in four ops a pass.
+	runs, err := parMap(cfg.Jobs, 3+len(ks), func(i int) ([]any, error) {
+		var label string
+		var w, cells int
+		var set *workload.Set
 		switch i {
-		case 0: // monolithic on a device sized for it
-			optBig := defaultOpt(cfg)
-			optBig.Geometry.Cols = monoW + 2
-			res, err := runSet(optBig, hostos.DefaultConfig(), monoSet(), dynamicMgr)
-			if err != nil {
-				return nil, err
-			}
-			return []any{"monolithic (big device)", optBig.Geometry.Cols, monoC.Cells(),
-				res.Engine.M.Loads.Value(), ms(res.Makespan)}, nil
-		case 1: // segmented on a small device sized for the largest segment
-			optSmall := defaultOpt(cfg)
-			optSmall.Geometry.Cols = maxSegW + 2
-			res, err := runSet(optSmall, hostos.DefaultConfig(), segSet(), dynamicMgr)
-			if err != nil {
-				return nil, err
-			}
-			return []any{"segmented (small device)", optSmall.Geometry.Cols, segCells,
-				res.Engine.M.Loads.Value(), ms(res.Makespan)}, nil
-		case 2 + len(ks): // whole mul8 reference on a device sized for it
-			var prog []hostos.Op
-			for p := 0; p < passes; p++ {
-				for j := 0; j < 4; j++ {
-					prog = append(prog, hostos.UseFPGA(&bigReq))
-				}
-			}
-			optWhole := defaultOpt(cfg)
-			optWhole.Geometry.Cols = wholeW + 2
-			res, err := runSet(optWhole, hostos.DefaultConfig(),
-				&workload.Set{Tasks: []workload.TaskSpec{{Name: "app", Program: prog}}, Circuits: []*netlist.Netlist{big}},
-				dynamicMgr)
-			if err != nil {
-				return nil, err
-			}
-			return []any{"whole mul8 (big device)", optWhole.Geometry.Cols,
-				wholeC.Cells(), res.Engine.M.Loads.Value(), ms(res.Makespan)}, nil
-		default: // auto-segmented mul8 at ks[i-2]
-			kSeg := ks[i-2]
-			segs := probes[i].segs
-			maxSegCols, totalCells := 0, 0
-			for _, c := range probes[i].circs {
-				totalCells += c.Cells()
-				if c.BS.W > maxSegCols {
-					maxSegCols = c.BS.W
-				}
-			}
-			reqs := evalRequests(50_000, segs...)
-			var prog []hostos.Op
-			for p := 0; p < passes; p++ {
-				for i := range reqs {
-					prog = append(prog, hostos.UseFPGA(&reqs[i]))
-				}
-			}
-			set := &workload.Set{Tasks: []workload.TaskSpec{{Name: "app", Program: prog}}, Circuits: segs}
-			optSeg := defaultOpt(cfg)
-			optSeg.Geometry.Cols = maxSegCols + 2
-			res, err := runSet(optSeg, hostos.DefaultConfig(), set, dynamicMgr)
-			if err != nil {
-				return nil, err
-			}
-			return []any{fmt.Sprintf("auto-segmented mul8 (k=%d)", kSeg), optSeg.Geometry.Cols,
-				totalCells, res.Engine.M.Loads.Value(), ms(res.Makespan)}, nil
+		case 0:
+			label, w, cells = "monolithic (big device)", monoW, monoC.Cells()
+			set = appSet(passes*len(stages), evalRequests(50_000, mono), []*netlist.Netlist{mono})
+		case 1:
+			label, w, cells = "segmented (small device)", maxSegW, segCells
+			set = appSet(passes, evalRequests(50_000, stages...), stages)
+		case 2 + len(ks):
+			label, w, cells = "whole mul8 (big device)", wholeC.BS.W, wholeC.Cells()
+			set = appSet(passes*len(stages), evalRequests(50_000, big), []*netlist.Netlist{big})
+		default:
+			label = fmt.Sprintf("auto-segmented mul8 (k=%d)", ks[i-2])
+			_, w, cells = footprint(probes[i].circs)
+			set = appSet(passes, evalRequests(50_000, probes[i].segs...), probes[i].segs)
 		}
+		opt := defaultOpt(cfg)
+		opt.Geometry.Cols = w + 2
+		res, err := runSet(opt, hostos.DefaultConfig(), set, dynamicMgr)
+		if err != nil {
+			return nil, err
+		}
+		return []any{label, opt.Geometry.Cols, cells, res.Engine.M.Loads.Value(), ms(res.Makespan)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -949,7 +801,9 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 	// Monolithic on the small device: infeasible by construction.
 	tbl.AddRow("monolithic (small device)", maxSegW+2, monoC.Cells(),
 		"n/a", fmt.Sprintf("infeasible: needs %d cols", monoW))
-	addRows(tbl, runs[2:])
+	for _, r := range runs[2:] {
+		tbl.AddRow(r...)
+	}
 	return tbl, nil
 }
 
@@ -1014,13 +868,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sumW, maxW := 0, 0
-		for _, c := range probe {
-			sumW += c.BS.W
-			if c.BS.W > maxW {
-				maxW = c.BS.W
-			}
-		}
+		sumW, maxW, _ := footprint(probe)
 		smallCols := maxW + 2
 		bigCols := sumW + 2
 
@@ -1034,7 +882,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 			{"vfpga partitions (mid)", (smallCols + bigCols) / 2, variableMgr},
 			{"merged big FPGA", bigCols, baseline.NewManager("merged", probeSet.CircuitNames())},
 		}
-		return parRows(cfg.Jobs, len(managers), func(mi int) ([]any, error) {
+		return parMap(cfg.Jobs, len(managers), func(mi int) ([]any, error) {
 			m := managers[mi]
 			opt := defaultOpt(cfg)
 			opt.Geometry.Cols = m.cols
@@ -1050,7 +898,9 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 		return nil, err
 	}
 	for _, rows := range perScenario {
-		addRows(tbl, rows)
+		for _, r := range rows {
+			tbl.AddRow(r...)
+		}
 	}
 	return tbl, nil
 }

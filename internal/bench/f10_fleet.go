@@ -106,14 +106,9 @@ func F10PlacementBakeoff(cfg Config) (*trace.Table, error) {
 		return nil, err
 	}
 	policies := fleet.PolicyNames
-	rows, err := parRows(cfg.Jobs, len(policies), func(i int) ([]any, error) {
+	return fillRows(tbl, cfg.Jobs, len(policies), func(i int) ([]any, error) {
 		row := columnBakeoff(bcfg, policies[i])
 		return []any{row.Policy, row.Jobs, row.Completed, row.HWUtil,
 			row.P50AdmitMS, row.P99AdmitMS, row.Requeues, row.MeanScore, row.MakespanMS}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }

@@ -29,7 +29,7 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 	if cfg.Quick {
 		splits = []int{1, 2, 4}
 	}
-	rows, err := parRows(cfg.Jobs, len(splits), func(i int) ([]any, error) {
+	return fillRows(tbl, cfg.Jobs, len(splits), func(i int) ([]any, error) {
 		boards := splits[i]
 		cols := totalCols / boards
 		opt := defaultOpt(cfg)
@@ -40,12 +40,7 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		widest := 0
-		for _, c := range circs {
-			if c.BS.W > widest {
-				widest = c.BS.W
-			}
-		}
+		_, widest, _ := footprint(circs)
 		if widest > cols {
 			return []any{boards, cols, "infeasible", "-", "-", "-",
 				fmt.Sprintf("no (widest needs %d)", widest)}, nil
@@ -61,19 +56,10 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 		if err := st.Run(set); err != nil {
 			return nil, fmt.Errorf("F8 with %d boards: %w", boards, err)
 		}
-		var meanBlock sim.Time
-		for _, t := range st.OS.Tasks() {
-			meanBlock += t.BlockWait / sim.Time(len(st.OS.Tasks()))
-		}
-		mm := st.Mgr.(*core.MultiManager)
-		return []any{boards, cols, ms(st.OS.Makespan()), ms(meanBlock),
+		res, mm := summarize(st), st.Mgr.(*core.MultiManager)
+		return []any{boards, cols, ms(res.Makespan), ms(res.MeanBlock),
 			mm.TotalLoads(), mm.TotalBlocks(), "yes"}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }
 
 // f8Set is the task set every F8 split runs.

@@ -25,7 +25,7 @@ func F9AmorphousRegions(cfg Config) (*trace.Table, error) {
 	}
 	mkSet := churnSets(cfg) // F4's churn, so the comparison isolates the residency model
 	managers := []string{"partition", "amorphous"}
-	rows, err := parRows(cfg.Jobs, len(managers), func(i int) ([]any, error) {
+	return fillRows(tbl, cfg.Jobs, len(managers), func(i int) ([]any, error) {
 		st, fragSample, err := runChurn(cfg, mkSet(), baseline.NewManager(managers[i], nil))
 		if err != nil {
 			return nil, fmt.Errorf("F9 %s: %w", managers[i], err)
@@ -49,9 +49,4 @@ func F9AmorphousRegions(cfg Config) (*trace.Table, error) {
 			e.M.Blocks.Value(), ms(sim.Time(block.Quantile(0.95))),
 			e.M.Loads.Value(), e.M.Relocations.Value(), ms(os.Makespan())}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addRows(tbl, rows)
-	return tbl, nil
 }

@@ -59,16 +59,16 @@ func parMap[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// parRows is parMap specialized to the common experiment shape: each
-// sweep point yields exactly one table row. addRows appends them to a
-// table in sweep order.
-func parRows(jobs, n int, fn func(i int) ([]any, error)) ([][]any, error) {
-	return parMap(jobs, n, fn)
-}
-
-// addRows appends pre-computed rows to tbl in order.
-func addRows(tbl *trace.Table, rows [][]any) {
+// fillRows is parMap specialized to the common experiment shape: each
+// of the n sweep points yields exactly one row, appended to tbl in sweep
+// order. It returns tbl, or the first error by index.
+func fillRows(tbl *trace.Table, jobs, n int, fn func(i int) ([]any, error)) (*trace.Table, error) {
+	rows, err := parMap(jobs, n, fn)
+	if err != nil {
+		return nil, err
+	}
 	for _, r := range rows {
 		tbl.AddRow(r...)
 	}
+	return tbl, nil
 }

@@ -49,13 +49,13 @@ func TestParallelHarnessByteIdentical(t *testing.T) {
 func TestRunPreservesOrderAndErrors(t *testing.T) {
 	errBoom := errors.New("boom")
 	exps := []Experiment{
-		{ID: "ok1", Title: "ok", Run: func(Config) (*trace.Table, error) {
+		{ID: "ok1", Run: func(Config) (*trace.Table, error) {
 			return &trace.Table{ID: "ok1"}, nil
 		}},
-		{ID: "bad", Title: "bad", Run: func(Config) (*trace.Table, error) {
+		{ID: "bad", Run: func(Config) (*trace.Table, error) {
 			return nil, errBoom
 		}},
-		{ID: "ok2", Title: "ok", Run: func(Config) (*trace.Table, error) {
+		{ID: "ok2", Run: func(Config) (*trace.Table, error) {
 			return &trace.Table{ID: "ok2"}, nil
 		}},
 	}
@@ -111,8 +111,8 @@ func TestPerfRecordShape(t *testing.T) {
 	fake := func() time.Time { ticks++; return time.Unix(0, ticks*int64(time.Millisecond)) }
 	cfg := Config{Seed: 1, Quick: true, Jobs: 1, Now: fake}
 	exps := []Experiment{
-		{ID: "T2", Title: "t", Run: T2StatePreemption},
-		{ID: "T5", Title: "t", Run: T5IOMux},
+		{ID: "T2", Run: T2StatePreemption},
+		{ID: "T5", Run: T5IOMux},
 	}
 	outs := Run(cfg, exps)
 	rec := NewPerfRecord(cfg, outs, time.Millisecond)
@@ -128,7 +128,7 @@ func TestPerfRecordShape(t *testing.T) {
 // harness never reads the wall clock and Wall stays zero; with one it
 // measures. (The simclock analyzer keeps time.Now out of this package.)
 func TestRunWallUsesInjectedClock(t *testing.T) {
-	exps := []Experiment{{ID: "ok", Title: "ok", Run: func(Config) (*trace.Table, error) {
+	exps := []Experiment{{ID: "ok", Run: func(Config) (*trace.Table, error) {
 		return &trace.Table{ID: "ok"}, nil
 	}}}
 	outs := Run(Config{Jobs: 1}, exps)
