@@ -29,7 +29,7 @@ func NewManager(name string, circuits []string) ManagerFunc {
 			pm, err := core.NewPartitionManager(k, e, strips)
 			return built(pm, 0, err)
 		case "amorphous":
-			return core.NewAmorphousManager(k, e, core.DefaultAmorphousConfig()), 0, nil
+			return core.NewAmorphousManager(k, e), 0, nil
 		case "paged":
 			pl, err := core.NewPagedLoader(k, e, core.PagedConfig{PageCells: 16, Policy: core.LRU})
 			return built(pl, 0, err)

@@ -5,30 +5,6 @@ import (
 	"repro/internal/sim"
 )
 
-// AmorphousConfig parameterizes the amorphous manager.
-type AmorphousConfig struct {
-	Fit FitPolicy
-	// GC enables on-demand boundary sliding: when no single free span
-	// fits but the total free space would, resident strips slide to
-	// merge adjacent holes (only as many as the request needs).
-	GC bool
-	// Rotate allows evicting the least-recently-used idle assignment
-	// when nothing else fits.
-	Rotate bool
-	// Cache keeps an exited task's configured strip resident as an
-	// unowned cache: a later task requesting the same circuit adopts it
-	// in place for zero configuration cost (sequential circuits pay a
-	// state reset). Cached strips are the first thing reclaimed under
-	// space or pin pressure.
-	Cache bool
-}
-
-// DefaultAmorphousConfig returns the full amorphous policy: best-fit
-// exact spans, boundary-sliding GC, LRU rotation and residency caching.
-func DefaultAmorphousConfig() AmorphousConfig {
-	return AmorphousConfig{Fit: BestFit, GC: true, Rotate: true, Cache: true}
-}
-
 // AmorphousManager implements hostos.FPGA with flexible-boundary
 // regions in the style of Nguyen & Hoe's amorphous DPR, replacing §4's
 // disjoint split/merge partitions: every circuit gets an exact-fit
@@ -39,30 +15,28 @@ func DefaultAmorphousConfig() AmorphousConfig {
 // to configurations), so a recurring circuit re-enters at zero
 // configuration cost — at the price of post-exit fragmentation.
 //
-// It is the strip table with three policy choices of its own: a task
-// switching algorithms demotes its old strip to the cache instead of
-// reusing it in place, a cached strip with the requested circuit is
-// adopted before any space is searched, and holes merge by sliding the
-// narrowest block between two of them.
+// It is the strip table under one policy: best-fit exact spans, LRU
+// rotation of idle strips when nothing else fits, and caching — an exited
+// task's strip stays configured and unowned, and cached strips are the
+// first thing reclaimed under space or pin pressure. Three choices are its
+// own: a task switching algorithms demotes its old strip to the cache
+// instead of reusing it in place, a cached strip with the requested
+// circuit is adopted before any space is searched (sequential circuits pay
+// a state reset), and holes merge on demand — when no single free span
+// fits but the total free space would — by sliding the narrowest block
+// between two of them.
 type AmorphousManager struct {
 	stripTable
-	Cfg AmorphousConfig
 }
 
 var _ hostos.FPGA = (*AmorphousManager)(nil)
 
 // NewAmorphousManager builds the manager over an empty sliding region
 // map covering the whole device.
-func NewAmorphousManager(k *sim.Kernel, e *Engine, cfg AmorphousConfig) *AmorphousManager {
-	am := &AmorphousManager{
-		stripTable: newStripTable(NewTaskKernel(k, e, "amorphous"), NewRegionMap(e.Opt.Geometry.Cols)),
-		Cfg:        cfg,
-	}
-	am.view = am.lintView
-	am.fit, am.rotate, am.cache = cfg.Fit, cfg.Rotate, cfg.Cache
-	if cfg.GC {
-		am.reclaim = am.slideFor
-	}
+func NewAmorphousManager(k *sim.Kernel, e *Engine) *AmorphousManager {
+	am := &AmorphousManager{newStripTable(NewTaskKernel(k, e, "amorphous"), NewRegionMap(e.Opt.Geometry.Cols))}
+	am.fit, am.rotate, am.cache = BestFit, true, true
+	am.reclaim = am.slideFor
 	return am
 }
 

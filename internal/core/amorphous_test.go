@@ -53,17 +53,17 @@ func amTask(t *testing.T, os *hostos.OS, name string, op hostos.Op) *hostos.Task
 	return task
 }
 
-func amFixture(t *testing.T, cols int, cfg AmorphousConfig, nls ...*netlist.Netlist) (*Engine, *AmorphousManager, *hostos.OS) {
+func amFixture(t *testing.T, cols int, nls ...*netlist.Netlist) (*Engine, *AmorphousManager, *hostos.OS) {
 	t.Helper()
 	k := sim.New()
 	e := amorphousEngine(t, cols, nls...)
-	am := NewAmorphousManager(k, e, cfg)
+	am := NewAmorphousManager(k, e)
 	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, am)
 	return e, am, os
 }
 
 func TestAmorphousAdoptionCache(t *testing.T) {
-	e, am, os := amFixture(t, 24, DefaultAmorphousConfig(), netlist.Counter(8))
+	e, am, os := amFixture(t, 24, netlist.Counter(8))
 	a := amTask(t, os, "a", seqOp("counter8", 100))
 	if _, ok := am.Acquire(a); !ok {
 		t.Fatal("first acquire blocked")
@@ -111,7 +111,7 @@ func TestAmorphousCacheReclaimUnderSpacePressure(t *testing.T) {
 	if wm > cols {
 		t.Fatalf("mul4 (%d cols) wider than adder8+counter8 (%d): test geometry assumption broken", wm, cols)
 	}
-	e, am, os := amFixture(t, cols, DefaultAmorphousConfig(),
+	e, am, os := amFixture(t, cols,
 		netlist.Adder(8), netlist.Counter(8), netlist.Multiplier(4))
 
 	for _, tc := range []struct {
@@ -147,8 +147,7 @@ func TestAmorphousSlideMergesHoles(t *testing.T) {
 		t.Fatalf("parity16 (%d cols) not narrower than mul4 (%d): test geometry assumption broken", wp, wm)
 	}
 	cols := wp + wc + wm - 1
-	cfg := AmorphousConfig{Fit: BestFit, GC: true}
-	e, am, os := amFixture(t, cols, cfg,
+	e, am, os := amFixture(t, cols,
 		netlist.Parity(16), netlist.Counter(8), netlist.Multiplier(4))
 
 	a := amTask(t, os, "a", fpgaOp("parity16", 100))
@@ -158,16 +157,22 @@ func TestAmorphousSlideMergesHoles(t *testing.T) {
 			t.Fatalf("%s blocked", task.Name)
 		}
 	}
-	// Caching is off, so a's exit opens a real hole at the left; with the
-	// undersized tail that makes two holes, neither wide enough alone.
+	// a's exit leaves its strip cached at the left and the undersized
+	// tail the only hole. The wide request reclaims the cache, which opens
+	// a second hole at the left, neither wide enough alone.
 	am.Remove(a)
-	if free := am.rm.FreeList(); len(free) != 2 || max(free[0].W, free[1].W) >= wm {
-		t.Fatalf("precondition free spans = %+v, want two holes each < %d", free, wm)
+	if free := am.rm.FreeList(); len(free) != 1 || free[0].W >= wm || wp+free[0].W < wm {
+		t.Fatalf("precondition free spans = %+v, want one hole < %d beside a %d-column cache", free, wm, wp)
 	}
 
 	d := amTask(t, os, "d", fpgaOp("mul4", 100))
 	if _, ok := am.Acquire(d); !ok {
 		t.Fatal("wide acquire blocked despite sufficient total free space")
+	}
+	for _, v := range am.Regions() {
+		if !v.Free && v.Owner == "" {
+			t.Fatalf("cache survived the reclaim: %+v", v)
+		}
 	}
 	if e.M.Relocations.Value() < 1 || e.M.GCRuns.Value() != 1 {
 		t.Fatalf("relocations = %d, gc runs = %d: boundary slide not charged",
@@ -184,8 +189,7 @@ func TestAmorphousRotationSavesAndRestores(t *testing.T) {
 	w := stripWidths(t)
 	wp, wc, wm := w["parity16"], w["counter8"], w["mul4"]
 	cols := wm + wc + wp - 1 // no initial fit for mul4, room for counter8 after
-	cfg := AmorphousConfig{Fit: BestFit, Rotate: true}
-	e, am, os := amFixture(t, cols, cfg,
+	e, am, os := amFixture(t, cols,
 		netlist.Parity(16), netlist.Counter(8), netlist.Multiplier(4))
 
 	b := amTask(t, os, "b", seqOp("counter8", 1000))
@@ -195,8 +199,9 @@ func TestAmorphousRotationSavesAndRestores(t *testing.T) {
 			t.Fatalf("%s blocked", task.Name)
 		}
 	}
-	// The wide request finds no hole, no caches, no GC: rotation evicts
-	// LRU owners — the sequential victim's state is saved on the way out.
+	// The wide request finds no hole and no cache, and the free columns
+	// are short of it, so sliding cannot help: rotation evicts an LRU
+	// owner — the sequential victim's state is saved on the way out.
 	d := amTask(t, os, "d", fpgaOp("mul4", 100))
 	if _, ok := am.Acquire(d); !ok {
 		t.Fatal("wide acquire blocked despite evictable owners")
@@ -225,22 +230,26 @@ func TestAmorphousRotationSavesAndRestores(t *testing.T) {
 
 func TestAmorphousBlockAndWake(t *testing.T) {
 	w := stripWidths(t)
-	cfg := AmorphousConfig{Fit: BestFit} // no cache, no GC, no rotation
+	if w["parity16"] > w["mul4"] {
+		t.Fatalf("parity16 (%d cols) wider than mul4 (%d): test geometry assumption broken", w["parity16"], w["mul4"])
+	}
 	k := sim.New()
-	e := amorphousEngine(t, w["mul4"], netlist.Multiplier(4))
-	am := NewAmorphousManager(k, e, cfg)
+	e := amorphousEngine(t, w["mul4"], netlist.Multiplier(4), netlist.Parity(16))
+	am := NewAmorphousManager(k, e)
 	os := hostos.New(k, hostos.Config{
 		Policy: hostos.RR, TimeSlice: 50 * sim.Microsecond, CtxSwitch: 5 * sim.Microsecond,
 	}, am)
-	// Two tasks, a one-strip device: round-robin gives b the CPU while a
-	// still owns the strip (computing after its FPGA phase), so b must
-	// suspend until a exits, then be woken and run to completion.
+	// Two tasks, a one-strip device: round-robin gives b the CPU while a's
+	// long FPGA op is preempted mid-stream, so a's strip is pinned and
+	// rotation cannot take it. b must suspend until a exits, then be woken;
+	// it reclaims a's cached mul4 strip for its own circuit and runs to
+	// completion.
 	if _, err := os.Spawn("a", 0, []hostos.Op{
-		fpgaOp("mul4", 100), hostos.Compute(sim.Millisecond),
+		fpgaOp("mul4", 1_000_000), hostos.Compute(sim.Millisecond),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Spawn("b", 0, []hostos.Op{fpgaOp("mul4", 100)}); err != nil {
+	if _, err := os.Spawn("b", 0, []hostos.Op{fpgaOp("parity16", 100)}); err != nil {
 		t.Fatal(err)
 	}
 	k.Run()

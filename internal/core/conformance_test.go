@@ -98,7 +98,7 @@ func confImpls() []confImpl {
 			return core.NewPartitionManager(k, e, strips)
 		})},
 		{"amorphous", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			return core.NewAmorphousManager(k, e, core.DefaultAmorphousConfig()), nil
+			return core.NewAmorphousManager(k, e), nil
 		})},
 		{"multi", func(t testing.TB, k *sim.Kernel, used []*fabric.Device) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
 			e0, l0 := confEngine(t, usedDev(used, 0))

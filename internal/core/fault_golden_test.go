@@ -223,7 +223,7 @@ func TestRelocateEscalationDropsStrip(t *testing.T) {
 			return core.NewPartitionManager(k, e, core.PartitionConfig{Mode: core.VariablePartitions, GC: true})
 		}},
 		{"amorphous", func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			return core.NewAmorphousManager(k, e, core.AmorphousConfig{Fit: core.BestFit, GC: true}), nil
+			return core.NewAmorphousManager(k, e), nil
 		}},
 	} {
 		for _, c := range []struct{ spec, op string }{

@@ -225,7 +225,7 @@ func TestSwitchToWiderStripStateDivergence(t *testing.T) {
 			part.Readbacks.Value(), part.Restores.Value())
 	}
 	am := run(func(k *sim.Kernel, e *Engine) hostos.FPGA {
-		return NewAmorphousManager(k, e, DefaultAmorphousConfig())
+		return NewAmorphousManager(k, e)
 	})
 	if am.Readbacks.Value() != 1 || am.Restores.Value() != 1 {
 		t.Errorf("amorphous: %d readbacks, %d restores, want the counter saved once and restored once",

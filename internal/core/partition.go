@@ -88,7 +88,6 @@ func NewPartitionManager(k *sim.Kernel, e *Engine, cfg PartitionConfig) (*Partit
 		return nil, err
 	}
 	pm.stripTable = newStripTable(NewTaskKernel(k, e, "partitions("+cfg.Mode.String()+")"), rm)
-	pm.view = pm.lintView
 	pm.fit, pm.rotate = cfg.Fit, cfg.Rotate
 	if cfg.GC && rm.Movable() {
 		pm.reclaim = pm.compact

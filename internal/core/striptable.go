@@ -101,13 +101,13 @@ func (st *stripTable) Register(t *hostos.Task, circuit string) error {
 // table counts each free slot separately; slots never merge).
 func (st *stripTable) Frag() FragStats { return st.rm.Frag() }
 
-// lintView exports the column map and the device under it as a
+// LintTarget exports the column map and the device under it as a
 // static-verifier target under the kernel's name, so callers can audit the
 // §4 invariants (disjoint strips, no leaked columns, merged free space) at
 // any point of a run:
 //
 //	diags := lint.RunTarget(pm.LintTarget(), lint.Options{})
-func (st *stripTable) lintView() *lint.Target {
+func (st *stripTable) LintTarget() *lint.Target {
 	return &lint.Target{
 		Name:       st.name,
 		Regions:    st.Regions(),
@@ -116,6 +116,9 @@ func (st *stripTable) lintView() *lint.Target {
 		Device:     st.E.Dev,
 	}
 }
+
+// LintTargets implements LintTargeter: one device, one target.
+func (st *stripTable) LintTargets() []*lint.Target { return []*lint.Target{st.LintTarget()} }
 
 // holds reports whether t has anything on this device: a strip, displaced
 // state, or a place in the suspension queue.
