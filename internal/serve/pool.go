@@ -254,26 +254,13 @@ func (b *board) info() BoardInfo {
 	return bi
 }
 
-// OutcomeSink receives per-tenant job outcomes from a Pool, after the
-// admission decision. Admission implements it; a fleet scheduler hands
-// one shared Admission to every node's pool so the accounting — and the
-// token budget it informs — stays fleet-wide.
-type OutcomeSink interface {
-	NoteCompleted(tenant string)
-	NoteFailed(tenant string)
-}
-
-// noopSink is the nil-safe default outcome sink.
-type noopSink struct{}
-
-func (noopSink) NoteCompleted(string) {}
-func (noopSink) NoteFailed(string)    {}
-
 // PoolOptions parameterizes a Pool beyond its board configs.
 type PoolOptions struct {
-	// Outcomes receives per-tenant completion/failure notes; nil means
-	// no accounting.
-	Outcomes OutcomeSink
+	// Outcomes counts each tenant's completed and failed jobs, after the
+	// admission decision; nil means no accounting. A fleet scheduler hands
+	// one shared Admission to every node's pool so the accounting — and
+	// the token budget it informs — stays fleet-wide.
+	Outcomes *Admission
 	// Cache is the strip-compile cache; nil builds a private one. A
 	// fleet shares one cache across its nodes' pools, so a circuit
 	// compiled on any node is warm everywhere.
@@ -287,7 +274,7 @@ type PoolOptions struct {
 type Pool struct {
 	boards   []*board
 	cache    *compile.StripCache
-	outcomes OutcomeSink
+	outcomes *Admission // nil: no accounting
 	// sets memoizes the task sets the boards' jobs build: every board of
 	// the pool runs the same *Set for equal specs. Self-synchronized.
 	sets workload.SetCache
@@ -397,17 +384,13 @@ func NewPool(cfgs []BoardConfig, opts PoolOptions) (*Pool, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("serve: a pool needs at least one board")
 	}
-	outcomes := opts.Outcomes
-	if outcomes == nil {
-		outcomes = noopSink{}
-	}
 	cache := opts.Cache
 	if cache == nil {
 		cache = compile.NewStripCache(compile.DefaultCacheCapacity)
 	}
 	p := &Pool{
 		cache:     cache,
-		outcomes:  outcomes,
+		outcomes:  opts.Outcomes,
 		jobs:      NewJobTable[*Job]("j"),
 		svc:       stats.NewLatencyRecorder(),
 		tenantSvc: map[string]*stats.LatencyRecorder{},

@@ -124,8 +124,8 @@ func (a *Admission) sweepLocked(now time.Time) {
 	a.sweepAt = max(minBucketSweep, 2*len(a.buckets))
 }
 
-// Note* record submission outcomes after the bucket decision.
-// NoteCompleted and NoteFailed make Admission an OutcomeSink.
+// Note* record submission outcomes after the bucket decision; on a nil
+// Admission they count nothing.
 
 // NoteQueueFull records a submission admitted by the bucket but bounced
 // off queue backpressure.
@@ -142,6 +142,9 @@ func (a *Admission) NoteCompleted(tenant string) {
 func (a *Admission) NoteFailed(tenant string) { a.bump(tenant, func(c *tenantCounts) { c.failed++ }) }
 
 func (a *Admission) bump(tenant string, f func(*tenantCounts)) {
+	if a == nil {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	f(tenantRow(a.counts, tenant, newTenantCounts))
