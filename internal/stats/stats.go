@@ -12,7 +12,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // Counter is a monotonically increasing event count.
@@ -25,24 +24,6 @@ func (c *Counter) Inc() { c.n++ }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
-
-// AtomicCounter is a counter safe for concurrent use, for measurement
-// points shared between goroutines (e.g. the compile-cache hit/miss
-// counters under the parallel experiment runner). Unlike Counter it also
-// admits negative deltas, so it can track level quantities such as the
-// number of in-flight operations.
-type AtomicCounter struct {
-	n atomic.Int64
-}
-
-// Inc increments the counter by one.
-func (c *AtomicCounter) Inc() { c.n.Add(1) }
-
-// Dec decrements the counter by one.
-func (c *AtomicCounter) Dec() { c.n.Add(-1) }
-
-// Value returns the current count.
-func (c *AtomicCounter) Value() int64 { return c.n.Load() }
 
 // Sample accumulates scalar observations and reports summary statistics.
 type Sample struct {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -182,24 +181,5 @@ func TestTimeWeightedConstantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAtomicCounter(t *testing.T) {
-	var c AtomicCounter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-			c.Dec()
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != 8*1000-8 {
-		t.Fatalf("counter=%d, want %d", got, 8*1000-8)
 	}
 }
