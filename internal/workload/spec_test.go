@@ -38,7 +38,8 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 // A named pool must survive the round trip and resolve against the
-// registry; an unknown name must be rejected at validation time.
+// registry; an unknown or repeated name must be rejected at validation
+// time.
 func TestSyntheticSpecPool(t *testing.T) {
 	spec := Spec{Scenario: "synthetic", Synthetic: &SyntheticConfig{
 		Tasks: 2, OpsPerTask: 2, EvalsPerOp: 1000,
@@ -62,6 +63,18 @@ func TestSyntheticSpecPool(t *testing.T) {
 	bad := Spec{Scenario: "synthetic", Synthetic: &SyntheticConfig{Tasks: 1, OpsPerTask: 1, Pool: []string{"nope"}}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("unknown pool circuit passed validation")
+	}
+	// A repeat would put one netlist in the set's circuits twice.
+	for _, pool := range [][]string{{"alu8", "alu8"}, {"parity16", "adder8", "parity16"}} {
+		syn := SyntheticConfig{Tasks: 1, OpsPerTask: 1, EvalsPerOp: 1, Pool: pool}
+		spec := Spec{Scenario: "synthetic", Synthetic: &syn}
+		if err := spec.Validate(); err == nil {
+			t.Fatalf("pool %v passed validation", pool)
+		}
+		syn.Pool = pool[:len(pool)-1]
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("pool %v: %v", syn.Pool, err)
+		}
 	}
 }
 

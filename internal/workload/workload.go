@@ -521,12 +521,17 @@ func DefaultSynthetic() SyntheticConfig {
 // "heterogeneous circuit sizes".
 var defaultPool = []string{"parity16", "adder8", "cmp16", "counter8", "alu8", "mul4"}
 
-// size checks that the pool's names are known and the parameters'
-// ranges, and returns the set's op count.
+// size checks that the pool's names are known and distinct, and the
+// parameters' ranges, and returns the set's op count. Distinct known names
+// bound the pool by the registry: a repeat is found within its first
+// registry-size-plus-one names.
 func (c SyntheticConfig) size() (int, error) {
-	for _, name := range c.Pool {
+	for i, name := range c.Pool {
 		if !netlist.Known(name) {
 			return 0, fmt.Errorf("workload: circuit %q not in registry", name)
+		}
+		if slices.Contains(c.Pool[:i], name) {
+			return 0, fmt.Errorf("workload: circuit %q repeated in pool", name)
 		}
 	}
 	r := ranges{scenario: "synthetic"}
