@@ -76,6 +76,7 @@ var specErrors = []string{
 	`{"scenario":"telecom","telecom":{"sesions":4}}`,
 	`{"scenario":"telecom","bogus":1}`,
 	`{"scenario":"synthetic","synthetic":{"pool":["alu8","nosuch"]}}`,
+	`{"scenario":"synthetic","synthetic":{"pool":["alu8","alu8"]}}`,
 	`{"scenario":"synthetic","synthetic":{"pool":["nosuch"],"tasks":0}}`,
 	`{"scenario":"multimedia","multimedia":{"streams":0}}`,
 	`{"scenario":"telecom","telecom":{"packets_per":0}}`,
