@@ -4,6 +4,13 @@
 // for channel segments, and congestion history pushes latecomers around
 // hot spots until no channel exceeds its track capacity.
 //
+// Each connection's search is Dijkstra over positive, finite edge costs.
+// It stops as soon as no key left in its heap, plus the cheapest edge into
+// the sink, can undercut the sink's tentative cost: from then on no
+// relaxation can change the sink's path, so the search returns the path a
+// search run until the sink pops would, in fewer pops (shortestPath has
+// the proof).
+//
 // Routing is what grounds two physical effects the paper leans on: a
 // region must have spare cells/channels to be routable (area slack), and
 // wire delay grows with distance (placement quality shows up in the clock
@@ -12,6 +19,8 @@ package route
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/place"
@@ -279,10 +288,7 @@ func (s *routeScratch) cost(e edgeID) float64 {
 	if s.inNet[e] {
 		return 1e-4 // already carried by this net: reuse freely
 	}
-	over := float64(s.occ[e] + 1 - s.tracks)
-	if over < 0 {
-		over = 0
-	}
+	over := float64(max(s.occ[e]+1-s.tracks, 0))
 	return float64((1 + s.hist[e]) * (1 + over*s.presFac))
 }
 
@@ -301,7 +307,8 @@ func (s *routeScratch) nextGen() {
 // hpush and hpop sift by moving a hole, not by swapping: they make the
 // comparisons a swapping sift makes and leave the array it leaves. That
 // array is part of the routing contract — the pop order among equal keys
-// decides which of two equally cheap paths a net takes.
+// decides which of two equally cheap paths a net takes. Keys are search
+// distances: never negative, never NaN (see shortestPath).
 func (s *routeScratch) hpush(it pqItem) {
 	i := len(s.heap)
 	s.heap = append(s.heap, it)
@@ -329,8 +336,13 @@ func (s *routeScratch) hpop() pqItem {
 		if m >= last {
 			break
 		}
-		if r := m + 1; r < last && h[r].cost < h[m].cost {
-			m = r
+		if m+1 < last {
+			// The borrow of right minus left is 1 exactly when the right
+			// key is the smaller: keys are never negative or NaN, so their
+			// bits order as they do. Adding it picks the child without a
+			// branch the predictor would miss half the time.
+			_, right := bits.Sub64(math.Float64bits(h[m+1].cost), math.Float64bits(h[m].cost), 0)
+			m += int(right)
 		}
 		if !(h[m].cost < it.cost) {
 			break
@@ -478,6 +490,19 @@ func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, er
 // cost. The returned slice aliases the scratch buffer and is valid only
 // until the next call; callers that keep a path must copy it. Beyond
 // amortized buffer growth the search allocates nothing.
+//
+// It returns the path a search run until it settles to would return, and
+// stops sooner. Its precondition is that every edge costs more than zero
+// and is finite (cost's floor is 1e-4), so every key is a sum of
+// non-negative terms starting at +0: keys pop in order, and hpop may
+// compare their bits. The stop rule: once to has a tentative cost D, the
+// search ends before a pop whose key k has k + minIn >= D, minIn being
+// the cheapest edge into to. Every key left in the heap is at least k and
+// IEEE addition is monotone, so any later relaxation of to would cost at
+// least D and fail the strict compare: prev[to] is final, and so is the
+// prev chain of the settled nodes behind it. For the same reason a
+// settled neighbor needs no test of its own: its dist is at most the key
+// being expanded, which a relaxation never undercuts.
 func (s *routeScratch) shortestPath(from, to int) []int {
 	s.path = s.path[:0]
 	if from == to {
@@ -491,20 +516,23 @@ func (s *routeScratch) shortestPath(from, to int) []int {
 	s.seenGen[from] = s.gen
 	s.hpush(pqItem{node: from})
 	var hops [4]hop
+	// Costs do not change during a search, so the cheapest way into to is
+	// priced once.
+	minIn := math.Inf(1)
+	for _, nb := range s.g.expand(to, &hops) {
+		minIn = min(minIn, s.cost(nb.edge))
+	}
 	for len(s.heap) > 0 {
+		if s.seenGen[to] == s.gen && s.heap[0].cost+minIn >= s.dist[to] {
+			break
+		}
 		it := s.hpop()
 		n := it.node
 		if s.doneGen[n] == s.gen {
 			continue
 		}
 		s.doneGen[n] = s.gen
-		if n == to {
-			break
-		}
 		for _, nb := range s.g.expand(n, &hops) {
-			if s.doneGen[nb.node] == s.gen {
-				continue
-			}
 			c := it.cost + s.cost(nb.edge)
 			if s.seenGen[nb.node] != s.gen || c < s.dist[nb.node] {
 				s.seenGen[nb.node] = s.gen
@@ -514,7 +542,7 @@ func (s *routeScratch) shortestPath(from, to int) []int {
 			}
 		}
 	}
-	if s.doneGen[to] != s.gen {
+	if s.seenGen[to] != s.gen {
 		panic("route: grid is connected; unreachable node")
 	}
 	for n := to; n != -1; n = s.prev[n] {

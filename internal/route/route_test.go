@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -360,6 +361,155 @@ func TestHeapMatchesSwapSift(t *testing.T) {
 	}
 }
 
+// fullSearch is the search shortestPath replaced, kept as its reference:
+// it runs until it pops to, and tests settled neighbors before relaxing.
+func (s *routeScratch) fullSearch(from, to int) []int {
+	s.path = s.path[:0]
+	if from == to {
+		s.path = append(s.path, from)
+		return s.path
+	}
+	s.nextGen()
+	s.heap = s.heap[:0]
+	s.dist[from] = 0
+	s.prev[from] = -1
+	s.seenGen[from] = s.gen
+	s.hpush(pqItem{node: from})
+	var hops [4]hop
+	for len(s.heap) > 0 {
+		it := s.hpop()
+		n := it.node
+		if s.doneGen[n] == s.gen {
+			continue
+		}
+		s.doneGen[n] = s.gen
+		if n == to {
+			break
+		}
+		for _, nb := range s.g.expand(n, &hops) {
+			if s.doneGen[nb.node] == s.gen {
+				continue
+			}
+			c := it.cost + s.cost(nb.edge)
+			if s.seenGen[nb.node] != s.gen || c < s.dist[nb.node] {
+				s.seenGen[nb.node] = s.gen
+				s.dist[nb.node] = c
+				s.prev[nb.node] = n
+				s.hpush(pqItem{node: nb.node, cost: c})
+			}
+		}
+	}
+	if s.doneGen[to] != s.gen {
+		panic("route: grid is connected; unreachable node")
+	}
+	for n := to; n != -1; n = s.prev[n] {
+		s.path = append(s.path, n)
+		if n == from {
+			break
+		}
+	}
+	slices.Reverse(s.path)
+	return s.path
+}
+
+// randomCongestion fills s with a congestion state drawn from src. Most
+// draws price edges from a few integer values, so equal-cost paths are the
+// common case; the rest draw real history and a presFac up to the 40th
+// iteration's. Random edges are already carried by the net, the edges
+// around the sink among them.
+func randomCongestion(s *routeScratch, src *rng.Source, to int) {
+	s.presFac = 0.5
+	levels, real := 1+src.Intn(4), src.Intn(4) == 0
+	if real {
+		s.presFac *= math.Pow(1.6, float64(src.Intn(40)))
+	}
+	for e := range s.hist {
+		s.hist[e] = float64(src.Intn(levels))
+		if real {
+			s.hist[e] = src.Float64() * 100
+		}
+		s.occ[e] = 0
+		if src.Intn(4) == 0 {
+			s.occ[e] = src.Intn(s.tracks + 3)
+		}
+		s.inNet[e] = src.Intn(6) == 0
+	}
+	var hops [4]hop
+	for _, nb := range s.g.expand(to, &hops) {
+		if src.Intn(2) == 0 {
+			s.inNet[nb.edge] = true
+		}
+	}
+}
+
+// TestShortestPathMatchesFullSearch holds the search to the one it
+// replaced: the same path, in no more pops, on random grids from 1×1 to
+// 40×20 under random congestion. Both run on one scratch, so they pop
+// through the same heap.
+func TestShortestPathMatchesFullSearch(t *testing.T) {
+	src := rng.New(7)
+	fewer := 0
+	for trial := 0; trial < 2000; trial++ {
+		g := grid{w: 1 + src.Intn(40), h: 1 + src.Intn(20)}
+		s := newRouteScratch(g, 1+src.Intn(3))
+		from, to := src.Intn(g.nodes()), src.Intn(g.nodes())
+		randomCongestion(s, src, to)
+		pops := s.pops
+		want := slices.Clone(s.fullSearch(from, to))
+		wantPops := s.pops - pops
+		pops = s.pops
+		got := s.shortestPath(from, to)
+		gotPops := s.pops - pops
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d, %dx%d, %d to %d: path %v, full search %v", trial, g.w, g.h, from, to, got, want)
+		}
+		if gotPops > wantPops {
+			t.Fatalf("trial %d, %dx%d, %d to %d: %d pops, full search %d", trial, g.w, g.h, from, to, gotPops, wantPops)
+		}
+		if gotPops < wantPops {
+			fewer++
+		}
+	}
+	if fewer == 0 {
+		t.Fatal("the stop rule never saved a pop")
+	}
+}
+
+// TestCostPositiveAndFinite checks shortestPath's precondition over the
+// congestion states a negotiation can reach: every edge costs more than
+// zero and less than infinity, and so does the dearest path on the
+// largest grid. An edge's occupancy is at most the number of nets, its
+// history grows by at most that much an iteration, and presFac is
+// 0.5·1.6^(iteration-1); the bounds below are far beyond any registry
+// circuit's.
+func TestCostPositiveAndFinite(t *testing.T) {
+	const nets, iterations, nodes = 1 << 20, 40, 1 << 16
+	src := rng.New(11)
+	s := newRouteScratch(grid{w: 2, h: 1}, 1)
+	for trial := 0; trial < 20000; trial++ {
+		s.tracks = 1 + src.Intn(64)
+		s.presFac = 0.5 * math.Pow(1.6, float64(src.Intn(iterations)))
+		switch trial % 3 {
+		case 0: // small counts
+			s.occ[0] = src.Intn(2 * s.tracks)
+			s.hist[0] = float64(src.Intn(8))
+		case 1: // anywhere in range
+			s.occ[0] = src.Intn(nets + 1)
+			s.hist[0] = float64(src.Intn(iterations*nets + 1))
+		default: // the extremes
+			s.occ[0] = nets
+			s.hist[0] = iterations * nets
+			s.presFac = 0.5 * math.Pow(1.6, iterations-1)
+		}
+		s.inNet[0] = src.Intn(5) == 0
+		c := s.cost(0)
+		if !(c > 0) || math.IsInf(c*nodes, 0) {
+			t.Fatalf("occ %d, hist %g, presFac %g, tracks %d, in net %v: cost %g",
+				s.occ[0], s.hist[0], s.presFac, s.tracks, s.inNet[0], c)
+		}
+	}
+}
+
 func TestGridEdgeIndexing(t *testing.T) {
 	g := grid{w: 4, h: 3}
 	if g.numEdges() != (4-1)*3+4*(3-1) {
@@ -465,7 +615,8 @@ func BenchmarkRouteShortestPath(b *testing.B) {
 // BenchmarkRouteRegistry routes every library circuit as the 16-row strip
 // compile.CompileStrip settles on: the tightest one that holds the cells,
 // a column wider per failed route. div16 runs apart: it is three quarters
-// of the pass.
+// of the pass. Heap pops per op, the router's exact work, print beside the
+// time.
 func BenchmarkRouteRegistry(b *testing.B) {
 	const rows, tracks = 16, 12
 	reg := netlist.Registry()
@@ -502,13 +653,17 @@ func BenchmarkRouteRegistry(b *testing.B) {
 	}{{"rest", rest}, {"div16", div16}} {
 		b.Run(set.name, func(b *testing.B) {
 			b.ReportAllocs()
+			pops := 0
 			for i := 0; i < b.N; i++ {
 				for _, p := range set.designs {
-					if _, err := Route(p, tracks, Options{}); err != nil {
+					r, err := Route(p, tracks, Options{})
+					if err != nil {
 						b.Fatal(err)
 					}
+					pops += r.Pops
 				}
 			}
+			b.ReportMetric(float64(pops)/float64(b.N), "pops/op")
 		})
 	}
 }
