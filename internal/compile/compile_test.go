@@ -343,7 +343,8 @@ func BenchmarkCompileAdder16(b *testing.B) {
 
 // BenchmarkStripRegistry is a node's first touch of the whole library:
 // every registry circuit through CompileStrip at the default board's 16
-// rows. div16 runs apart: it is three quarters of the pass.
+// rows. div16 runs apart: it is three quarters of the pass. The router's
+// heap pops at the widths that routed print beside the time.
 func BenchmarkStripRegistry(b *testing.B) {
 	reg := netlist.Registry()
 	var rest []string
@@ -360,13 +361,17 @@ func BenchmarkStripRegistry(b *testing.B) {
 	}{{"rest", rest}, {"div16", []string{"div16"}}} {
 		b.Run(set.name, func(b *testing.B) {
 			b.ReportAllocs()
+			pops := 0
 			for i := 0; i < b.N; i++ {
 				for _, name := range set.circuits {
-					if _, err := CompileStrip(reg[name](), 16, tracks, Options{Seed: 1}); err != nil {
+					c, err := CompileStrip(reg[name](), 16, tracks, Options{Seed: 1})
+					if err != nil {
 						b.Fatal(err)
 					}
+					pops += c.Pops
 				}
 			}
+			b.ReportMetric(float64(pops)/float64(b.N), "pops/op")
 		})
 	}
 }
