@@ -101,10 +101,10 @@ fuzz-smoke:
 # daemon's pool and admission, the fleet's queueing kernel, the
 # workload spec, its set cache, a set's spawn and its request table
 # (compute ops carry none; each paged reference has its own), the CAD
-# stages' reused
-# results and work counts, the latency recorder's window, the device's
-# column blocks, the amorphous manager's caching, a synthetic pool's
-# distinct names, and the experiment harness's row fill and strip
+# stages' reused results and work counts, the router's stop rule and its
+# heap's pick of a child on a tie, the latency recorder's window, the
+# device's column blocks, the amorphous manager's caching, a synthetic
+# pool's distinct names, and the experiment harness's row fill and strip
 # footprint) is applied
 # to a scratch copy of the tree and must fail its packages' tests; each
 # is printed killed, with the failing tests grouped as digest, golden,
