@@ -33,7 +33,7 @@ func TestExclusiveSerializes(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
 	x := NewExclusive(k, e)
-	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, x)
+	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, x, nil)
 	a, _ := os.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 100_000), hostos.Compute(2 * sim.Millisecond)})
 	b, _ := os.Spawn("b", 0, []hostos.Op{hostos.Compute(100 * sim.Microsecond), fpgaOp("parity16", 100)})
 	k.Run()
@@ -58,7 +58,7 @@ func TestExclusiveNonPreemptable(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
 	x := NewExclusive(k, e)
-	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, x)
+	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, x, nil)
 	hw, _ := os.Spawn("hw", 0, []hostos.Op{fpgaOp("adder8", 400_000)})
 	os.Spawn("cpu", 0, []hostos.Op{hostos.Compute(sim.Millisecond)})
 	k.Run()
@@ -71,7 +71,7 @@ func TestExclusiveSameTaskSwitchesCircuits(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
 	x := NewExclusive(k, e)
-	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, x)
+	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, x, nil)
 	a, _ := os.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 10), fpgaOp("parity16", 10), fpgaOp("adder8", 10)})
 	k.Run()
 	if a.State() != hostos.TaskDone {
@@ -93,7 +93,7 @@ func TestMergedZeroReconfig(t *testing.T) {
 		t.Fatal("no init cost")
 	}
 	loadsAfterInit := e.M.Loads.Value()
-	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, m)
+	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, m, nil)
 	a, _ := os.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 1000), fpgaOp("parity16", 1000), fpgaOp("adder8", 1000)})
 	k.Run()
 	if a.State() != hostos.TaskDone {
@@ -139,7 +139,7 @@ func TestSoftwareSlowdown(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
 	s := NewSoftware(e, 20)
-	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, s)
+	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, s, nil)
 	a, _ := os.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 1000)})
 	k.Run()
 	hwTime := sim.Time(1000) * e.Lib["adder8"].ClockPeriod
@@ -161,7 +161,7 @@ func TestSoftwarePreemptionLossless(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
 	s := NewSoftware(e, 10)
-	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, s)
+	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, s, nil)
 	hw, _ := os.Spawn("hw", 0, []hostos.Op{fpgaOp("adder8", 40_000)})
 	os.Spawn("cpu", 0, []hostos.Op{hostos.Compute(3 * sim.Millisecond)})
 	k.Run()
@@ -190,7 +190,7 @@ func TestNewManagerByName(t *testing.T) {
 		if preloads := name == "overlay" || name == "merged"; (initCost > 0) != preloads {
 			t.Errorf("%s: init download %v", name, initCost)
 		}
-		os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, mgr)
+		os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, mgr, nil)
 		for _, task := range []string{"a", "b"} {
 			if _, err := os.Spawn(task, 0, []hostos.Op{fpgaOp("adder8", 5000), fpgaOp("parity16", 5000)}); err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/hostos"
 	"repro/internal/lint"
@@ -55,40 +54,45 @@ type Stack struct {
 func NewStack(opt core.Options, engines int, osCfg hostos.Config, faults *fault.Plan,
 	set *workload.Set, circs []*compile.Circuit, mk ManagerFunc) (*Stack, error) {
 
-	return assemble(sim.New(), nil, max(engines, 1), opt, osCfg, faults, set, circs, mk)
+	return assemble(nil, max(engines, 1), opt, osCfg, faults, set, circs, mk)
 }
 
 // Next builds the stack of the board's next job on this stack's
-// hardware: the kernel, reset, and each engine's device, erased — the
-// two parts whose blank state is the state a new one has. Everything
-// else is built as NewStack builds it, from the options, OS
-// configuration and fault plan this stack was given, so running set on
-// the result is indistinguishable from running it on a new stack (a
-// manager that downloads at initialization does so again, into the
-// blank device). This stack is dead once Next is called, whether or not
-// it succeeds.
+// hardware and in its memory: the kernel, reset, each engine's device,
+// erased, and the engines and the host OS renewed in place
+// (core.NewEngine, hostos.New) — the parts whose emptied state is the
+// state a new one has. Everything is built as NewStack builds it, from
+// the options, OS configuration and fault plan this stack was given, so
+// running set on the result is indistinguishable from running it on a
+// new stack (a manager that downloads at initialization does so again,
+// into the blank device; the managers are built new). This stack is
+// dead once Next is called, whether or not it succeeds: nothing read
+// off it — a task, an engine's table — may be kept past the call, and
+// what a job delivers is copied out before.
 func (s *Stack) Next(set *workload.Set, circs []*compile.Circuit, mk ManagerFunc) (*Stack, error) {
-	s.K.Reset()
-	for _, e := range s.Engines {
-		e.Dev.Erase()
-	}
-	return assemble(s.K, s.Engines, len(s.Engines), s.opt, s.osCfg, s.faults, set, circs, mk)
+	return assemble(s, len(s.Engines), s.opt, s.osCfg, s.faults, set, circs, mk)
 }
 
-// assemble is the body NewStack and Next share: n engines on kernel k,
-// engine i over the blank device of used[i] when there is used hardware
-// and over a new device when there is none, then the manager and the
-// host OS.
-func assemble(k *sim.Kernel, used []*core.Engine, n int, opt core.Options, osCfg hostos.Config, faults *fault.Plan,
+// assemble is the body NewStack and Next share: n engines, then the
+// manager and the host OS, renewed in place over prev, the stack of a
+// board's last job, or new when prev is nil.
+func assemble(prev *Stack, n int, opt core.Options, osCfg hostos.Config, faults *fault.Plan,
 	set *workload.Set, circs []*compile.Circuit, mk ManagerFunc) (*Stack, error) {
 
-	s := &Stack{K: k, Engines: make([]*core.Engine, n), opt: opt, osCfg: osCfg, faults: faults}
-	for i := range s.Engines {
-		var dev *fabric.Device
-		if used != nil {
-			dev = used[i].Dev
+	s := prev
+	if s == nil {
+		s = &Stack{K: sim.New(), Engines: make([]*core.Engine, n)}
+	} else {
+		s.K.Reset()
+		for _, e := range s.Engines {
+			e.Dev.Erase()
 		}
-		e := core.NewEngine(opt, dev)
+	}
+	// OS stays the last job's until the new manager is built over the
+	// engines: hostos.New renews it.
+	*s = Stack{K: s.K, Engines: s.Engines, OS: s.OS, opt: opt, osCfg: osCfg, faults: faults}
+	for i, used := range s.Engines {
+		e := core.NewEngine(opt, used)
 		if faults != nil {
 			e.Ledger().InjectFaults(fault.NewInjector(faults.Derive(uint64(i))))
 		}
@@ -96,16 +100,16 @@ func assemble(k *sim.Kernel, used []*core.Engine, n int, opt core.Options, osCfg
 		s.Engines[i] = e
 	}
 	var err error
-	if s.Mgr, s.InitCost, err = mk(k, s.Engines); err != nil {
+	if s.Mgr, s.InitCost, err = mk(s.K, s.Engines); err != nil {
 		return nil, err
 	}
-	s.OS = hostos.New(k, osCfg, s.Mgr)
+	s.OS = hostos.New(s.K, osCfg, s.Mgr, s.OS)
 	return s, nil
 }
 
-// fill makes the engine's library exactly the set's circuits, by name.
+// fill gives the engine's empty library exactly the set's circuits, by
+// name.
 func fill(e *core.Engine, set *workload.Set, circs []*compile.Circuit) {
-	clear(e.Lib)
 	for i, nl := range set.Circuits {
 		e.Lib[nl.Name] = circs[i]
 	}

@@ -58,7 +58,7 @@ func amFixture(t *testing.T, cols int, nls ...*netlist.Netlist) (*Engine, *Amorp
 	k := sim.New()
 	e := amorphousEngine(t, cols, nls...)
 	am := NewAmorphousManager(k, e)
-	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, am)
+	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, am, nil)
 	return e, am, os
 }
 
@@ -238,7 +238,7 @@ func TestAmorphousBlockAndWake(t *testing.T) {
 	am := NewAmorphousManager(k, e)
 	os := hostos.New(k, hostos.Config{
 		Policy: hostos.RR, TimeSlice: 50 * sim.Microsecond, CtxSwitch: 5 * sim.Microsecond,
-	}, am)
+	}, am, nil)
 	// Two tasks, a one-strip device: round-robin gives b the CPU while a's
 	// long FPGA op is preempted mid-stream, so a's strip is pinned and
 	// rotation cannot take it. b must suspend until a exits, then be woken;

@@ -68,7 +68,7 @@ func runRandomConformance(t *testing.T, seed uint64, plan *fault.Plan) {
 			os := hostos.New(k, hostos.Config{
 				Policy: hostos.RR, TimeSlice: slices[src.Intn(len(slices))],
 				CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
-			}, checked)
+			}, checked, nil)
 			randomScript(t, os, src, 0)
 			k.Run()
 			if !os.AllDone() {

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/hostos"
 	"repro/internal/lint"
 	"repro/internal/netlist"
@@ -30,14 +29,15 @@ import (
 // that even Merged fits them side by side on the test device.
 var confCircuits = []string{"adder8", "counter8", "mul4"}
 
-// confEngine builds the test engine over dev (nil: a new device) with
-// the script's circuits compiled and a device log attached.
-func confEngine(t testing.TB, dev *fabric.Device) (*core.Engine, *core.DeviceLog) {
+// confEngine builds the test engine, renewing used (nil: a new engine
+// over a new device), with the script's circuits compiled and a device
+// log attached.
+func confEngine(t testing.TB, used *core.Engine) (*core.Engine, *core.DeviceLog) {
 	t.Helper()
 	opt := core.DefaultOptions()
 	opt.Geometry.Cols, opt.Geometry.Rows = 24, 8
 	opt.Geometry.TracksPerChannel, opt.Geometry.PinsPerSide = 12, 24
-	e := core.NewEngine(opt, dev)
+	e := core.NewEngine(opt, used)
 	for _, nl := range []func() *netlist.Netlist{
 		func() *netlist.Netlist { return netlist.Adder(8) },
 		func() *netlist.Netlist { return netlist.Counter(8) },
@@ -54,17 +54,17 @@ func confEngine(t testing.TB, dev *fabric.Device) (*core.Engine, *core.DeviceLog
 
 // confBuild builds one hostos.FPGA implementation under test, returning
 // the manager, every engine behind it (for metric/event auditing) and
-// every attached device log. The engines stand on the used devices, one
-// each, erased by the caller; nil builds new devices.
-type confBuild func(t testing.TB, k *sim.Kernel, used []*fabric.Device) (hostos.FPGA, []*core.Engine, []*core.DeviceLog)
+// every attached device log. The engines are the used ones renewed, one
+// each, over their devices, erased by the caller; nil builds new ones.
+type confBuild func(t testing.TB, k *sim.Kernel, used []*core.Engine) (hostos.FPGA, []*core.Engine, []*core.DeviceLog)
 
 type confImpl struct {
 	name  string
 	build confBuild
 }
 
-// usedDev returns used[i], or nil when there is no used hardware.
-func usedDev(used []*fabric.Device, i int) *fabric.Device {
+// usedEngine returns used[i], or nil when there is no used engine.
+func usedEngine(used []*core.Engine, i int) *core.Engine {
 	if used == nil {
 		return nil
 	}
@@ -74,8 +74,8 @@ func usedDev(used []*fabric.Device, i int) *fabric.Device {
 func confImpls() []confImpl {
 	strips := core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true}
 	one := func(mk func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error)) confBuild {
-		return func(t testing.TB, k *sim.Kernel, used []*fabric.Device) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			e, log := confEngine(t, usedDev(used, 0))
+		return func(t testing.TB, k *sim.Kernel, used []*core.Engine) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
+			e, log := confEngine(t, usedEngine(used, 0))
 			mgr, err := mk(k, e)
 			if err != nil {
 				t.Fatal(err)
@@ -100,9 +100,9 @@ func confImpls() []confImpl {
 		{"amorphous", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
 			return core.NewAmorphousManager(k, e), nil
 		})},
-		{"multi", func(t testing.TB, k *sim.Kernel, used []*fabric.Device) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			e0, l0 := confEngine(t, usedDev(used, 0))
-			e1, l1 := confEngine(t, usedDev(used, 1))
+		{"multi", func(t testing.TB, k *sim.Kernel, used []*core.Engine) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
+			e0, l0 := confEngine(t, usedEngine(used, 0))
+			e1, l1 := confEngine(t, usedEngine(used, 1))
 			mm, err := core.NewMultiManager(k, []*core.Engine{e0, e1}, strips)
 			if err != nil {
 				t.Fatal(err)
@@ -300,7 +300,7 @@ func TestConformance(t *testing.T) {
 				os := hostos.New(k, hostos.Config{
 					Policy: hostos.RR, TimeSlice: 300 * sim.Microsecond,
 					CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
-				}, checked)
+				}, checked, nil)
 				confScript(t, os)
 				k.Run()
 				if !os.AllDone() {

@@ -1,10 +1,11 @@
 package core_test
 
 // Warm-reset conformance: a board recycles its hardware — the devices,
-// erased, and the kernel, reset — and builds everything else anew. Every
-// implementation built over hardware an earlier run dirtied must replay
-// that run exactly: same makespan, metrics, device-log events and
-// configuration-write count, and a device the verifier accepts.
+// erased, and the kernel, reset — renews its engines and host OS in
+// place and builds the managers anew. Every implementation built over
+// what an earlier run dirtied must replay that run exactly: same
+// makespan, metrics, device-log events and configuration-write count,
+// and a device the verifier accepts.
 
 import (
 	"reflect"
@@ -21,12 +22,13 @@ func TestConformanceWarmReset(t *testing.T) {
 	for _, impl := range confImpls() {
 		t.Run(impl.name, func(t *testing.T) {
 			k := sim.New()
-			run := func(used []*fabric.Device) (hostos.FPGA, sim.Time, []*core.Engine, []*core.DeviceLog) {
+			var os *hostos.OS
+			run := func(used []*core.Engine) (hostos.FPGA, sim.Time, []*core.Engine, []*core.DeviceLog) {
 				mgr, engines, logs := impl.build(t, k, used)
-				os := hostos.New(k, hostos.Config{
+				os = hostos.New(k, hostos.Config{
 					Policy: hostos.RR, TimeSlice: 300 * sim.Microsecond,
 					CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
-				}, mgr)
+				}, mgr, os)
 				confScript(t, os)
 				k.Run()
 				if !os.AllDone() {
@@ -38,18 +40,19 @@ func TestConformanceWarmReset(t *testing.T) {
 			_, coldSpan, cold, coldLogs := run(nil)
 			coldSnaps := make([]core.MetricsSnapshot, len(cold))
 			coldWrites := make([]int64, len(cold))
-			used := make([]*fabric.Device, len(cold))
+			used := make([]*core.Engine, len(cold))
 			for i, e := range cold {
 				coldSnaps[i] = e.M.Snapshot(k.Now())
 				coldWrites[i] = e.Dev.ConfigWrites()
-				used[i] = e.Dev
+				used[i] = e
 			}
 
 			// Paged and software never write configuration RAM: leave a
 			// stray cell and a latched pin on every device, so each
 			// implementation is rebuilt over hardware that was dirty.
 			k.Reset()
-			for _, d := range used {
+			for _, e := range used {
+				d := e.Dev
 				g := d.Geometry()
 				d.WriteCLB(g.Cols-1, g.Rows-1, fabric.CLBConfig{Used: true, UseFF: true, FFInit: true})
 				d.WritePin(0, fabric.PinConfig{Mode: fabric.PinInput})
@@ -61,8 +64,8 @@ func TestConformanceWarmReset(t *testing.T) {
 				t.Errorf("makespan on used hardware %v != %v on new", warmSpan, coldSpan)
 			}
 			for i, e := range warm {
-				if e.Dev != used[i] {
-					t.Fatalf("engine %d was not built over the used device", i)
+				if e != used[i] {
+					t.Fatalf("engine %d was not renewed in place", i)
 				}
 				if snap := e.M.Snapshot(k.Now()); !reflect.DeepEqual(snap, coldSnaps[i]) {
 					t.Errorf("engine %d: metrics on used hardware diverged:\nused: %+v\nnew:  %+v", i, snap, coldSnaps[i])

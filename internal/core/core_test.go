@@ -52,7 +52,7 @@ func newHarness(t testing.TB, opt Options, osCfg hostos.Config, mk func(*sim.Ker
 	k := sim.New()
 	e := newEngine(t, opt)
 	mgr := mk(k, e)
-	return &harness{K: k, E: e, OS: hostos.New(k, osCfg, mgr)}
+	return &harness{K: k, E: e, OS: hostos.New(k, osCfg, mgr, nil)}
 }
 
 func dynHarness(t testing.TB, opt Options, osCfg hostos.Config) (*harness, *DynamicLoader) {

@@ -48,7 +48,7 @@ func managerDigest(t *testing.T, impl confImpl, pol core.StatePolicy, sched host
 	osim := hostos.New(k, hostos.Config{
 		Policy: sched, TimeSlice: slices[src.Intn(len(slices))],
 		CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
-	}, mgr)
+	}, mgr, nil)
 	events := hostos.NewEventLog()
 	osim.AttachTrace(events)
 	randomScript(t, osim, src, crowd)

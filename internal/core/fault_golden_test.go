@@ -45,7 +45,7 @@ func goldenFaultRun(t *testing.T) (string, *core.Engine) {
 	os := hostos.New(k, hostos.Config{
 		Policy: hostos.RR, TimeSlice: 250 * sim.Microsecond,
 		CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
-	}, d)
+	}, d, nil)
 	sched := hostos.NewEventLog()
 	os.AttachTrace(sched)
 	confScript(t, os)
@@ -246,7 +246,7 @@ func TestRelocateEscalationDropsStrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, mgr)
+				os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, mgr, nil)
 				task := func(name string, req hostos.FPGARequest) *hostos.Task {
 					task, err := os.Spawn(name, 0, []hostos.Op{hostos.UseFPGA(&req)})
 					if err != nil {

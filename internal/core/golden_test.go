@@ -26,7 +26,7 @@ func goldenRun(t *testing.T) string {
 	os := hostos.New(k, hostos.Config{
 		Policy: hostos.RR, TimeSlice: 250 * sim.Microsecond,
 		CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
-	}, d)
+	}, d, nil)
 	sched := hostos.NewEventLog()
 	os.AttachTrace(sched)
 	confScript(t, os)

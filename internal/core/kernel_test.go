@@ -72,7 +72,7 @@ func TestStateTableAdoptOrder(t *testing.T) {
 	log := NewDeviceLog()
 	e.Ledger().AttachLog(log)
 	d := NewDynamicLoader(k, e)
-	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d)
+	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d, nil)
 	a := spawnMid(t, os, "a", "counter8")
 	b := spawnMid(t, os, "b", "counter8")
 	c := e.Lib["counter8"]
@@ -121,7 +121,7 @@ func TestStateTableStreak(t *testing.T) {
 	k := sim.New()
 	e := newEngine(t, opt)
 	d := NewDynamicLoader(k, e)
-	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d)
+	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d, nil)
 	a := spawnMid(t, os, "a", "counter8")
 	for i := 0; i < rollbackLimit; i++ {
 		if !d.Preemptable(a) {
@@ -157,7 +157,7 @@ func TestStripTableHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, pm)
+	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, pm, nil)
 	a := spawnMid(t, os, "a", "counter8")
 	b := spawnMid(t, os, "b", "counter8")
 	if pm.holds(a) || pm.holds(b) {

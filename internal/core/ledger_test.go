@@ -425,11 +425,37 @@ func TestLedgerOpAllocs(t *testing.T) {
 	}
 }
 
+// A renewed engine carves its job's residency entries and pins from one
+// array of each, sized to what the last job carved over all its arrays:
+// a board whose jobs download alike allocates none of them, though each
+// job here downloads more strips than one record array holds.
+func TestRenewedLedgerCarvesInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats escape analysis")
+	}
+	opt := testOptions()
+	e := newEngine(t, opt)
+	c := e.Lib["adder8"]
+	job := func() {
+		e.Dev.Erase()
+		e = NewEngine(opt, e)
+		led := e.Ledger()
+		for range 2*recordChunk + 1 {
+			led.Load("t", c, 0, false)
+			led.Evict(0)
+		}
+	}
+	job() // the first renewal sizes the arrays
+	if n := testing.AllocsPerRun(20, job); n != 0 {
+		t.Errorf("a renewed engine's job allocates %v times, want 0", n)
+	}
+}
+
 // A *Resident outlives its residency unchanged: held across Evict and
 // the loads after it, it keeps the circuit, owner, region and pins it
 // was loaded with, and is never the entry of a later load, even one that
 // takes the same column and the same pins. Records and pins are carved
-// append-only, never reused while the ledger lives.
+// append-only, never reused while the job lives.
 func TestLedgerStaleResidentNeverAliases(t *testing.T) {
 	e, led, _ := ledgerFixture(t)
 	led.Load("a", e.Lib["adder8"], 0, false)
@@ -488,8 +514,8 @@ func TestLedgerRelocateKeepsSharedPins(t *testing.T) {
 	}
 }
 
-// BenchmarkLedgerLoadEvict is one job's downloads on a warm board: a
-// new engine over the erased device of the last, then eight strips
+// BenchmarkLedgerLoadEvict is one job's downloads on a warm board: the
+// last job's engine renewed over its erased device, then eight strips
 // loaded at one column, each evicted for the next. Bytes and
 // allocations beside the time are the ledger's per-job cost: the pins,
 // port bindings and residency entries of its downloads.
@@ -497,12 +523,11 @@ func BenchmarkLedgerLoadEvict(b *testing.B) {
 	opt := testOptions()
 	lib := newEngine(b, opt).Lib
 	circs := []*compile.Circuit{lib["adder8"], lib["parity16"], lib["counter8"], lib["mul4"], lib["acc8"]}
-	dev := fabric.NewDevice(opt.Geometry)
+	e := NewEngine(opt, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dev.Erase()
-		e := NewEngine(opt, dev)
-		e.Lib = lib
+		e.Dev.Erase()
+		e = NewEngine(opt, e)
 		led := e.Ledger()
 		for j := range 8 {
 			led.Load("t", circs[j%len(circs)], 0, false)

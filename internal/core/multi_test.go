@@ -18,7 +18,7 @@ func multiHarness(t testing.TB, boards int, opt Options, osCfg hostos.Config, cf
 	if err != nil {
 		t.Fatal(err)
 	}
-	os := hostos.New(k, osCfg, mm)
+	os := hostos.New(k, osCfg, mm, nil)
 	return &harness{K: k, E: engines[0], OS: os}, mm
 }
 

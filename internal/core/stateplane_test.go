@@ -78,7 +78,7 @@ func TestRemoveForgetsSavedState(t *testing.T) {
 		k := sim.New()
 		e := newEngine(t, testOptions())
 		d := NewDynamicLoader(k, e)
-		os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d)
+		os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d, nil)
 		a := spawnMid(t, os, "a", "counter8")
 		b := spawnMid(t, os, "b", "counter8")
 		d.Acquire(a)
@@ -98,7 +98,7 @@ func TestRemoveForgetsSavedState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, pm)
+		os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, pm, nil)
 		a := spawnMid(t, os, "a", "counter8")
 		b := spawnMid(t, os, "b", "counter8")
 		pm.Acquire(a)

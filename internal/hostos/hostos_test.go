@@ -1,7 +1,9 @@
 package hostos
 
 import (
+	"fmt"
 	"math/bits"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -100,7 +102,7 @@ func (m *mockFPGA) Remove(t *Task) {
 func (m *mockFPGA) AttachOS(o *OS) { m.os = o }
 
 func newOS(cfg Config, m *mockFPGA) *OS {
-	return New(sim.New(), cfg, m)
+	return New(sim.New(), cfg, m, nil)
 }
 
 func TestSingleComputeTask(t *testing.T) {
@@ -434,4 +436,81 @@ func TestCurrentRequestPanicsOnCompute(t *testing.T) {
 		}
 	}()
 	task.CurrentRequest()
+}
+
+// osView is an OS's state as a run observes it, its kernel (and the
+// handle of its segment event there), manager and handlers left out and
+// an emptied table read as none: a renewed OS and a new one must agree
+// on it.
+func osView(o *OS) OS {
+	v := *o
+	v.K, v.fpga, v.segEvt = nil, nil, sim.Event{}
+	v.segEnd, v.dispatchFn, v.startFn, v.preemptFn, v.spawnFn = nil, nil, nil, nil, nil
+	for _, s := range []*[]*Task{&v.tasks, &v.ready, &v.arrivals} {
+		if len(*s) == 0 {
+			*s = nil
+		}
+	}
+	if len(v.taskBuf) == 0 {
+		v.taskBuf = nil
+	}
+	return v
+}
+
+// An OS renewed after a dirty job — tasks spawned now and later, one
+// blocked behind an exclusive FPGA, preemptions, context switches and a
+// trace attached — is a new OS on every observable field, attaches to
+// its new manager, and runs the next job exactly as a new one does.
+func TestRenewedOSEqualsFresh(t *testing.T) {
+	cfg := Config{Policy: RR, TimeSlice: 2 * sim.Millisecond, CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond}
+	req := &FPGARequest{Circuit: "c", Evaluations: 3000}
+	spawn := func(o *OS, n int) {
+		o.Reserve(n)
+		for i := range n {
+			o.SpawnAt(sim.Time(i)*sim.Millisecond, fmt.Sprint("t", i), i%2,
+				[]Op{Compute(3 * sim.Millisecond), UseFPGA(req), Compute(sim.Millisecond)})
+		}
+	}
+	dirty := newMock()
+	dirty.exclusive = true
+	o := newOS(cfg, dirty)
+	o.AttachTrace(NewEventLog())
+	spawn(o, 5)
+	if _, err := o.Spawn("now", 0, []Op{Compute(sim.Millisecond)}); err != nil {
+		t.Fatal(err)
+	}
+	o.K.Run()
+	if !o.AllDone() || o.CtxSwitches == 0 || dirty.preempts == 0 || dirty.removes != 6 {
+		t.Fatalf("the dirty job ran %d tasks, %d switches, %d preemptions", len(o.Tasks()), o.CtxSwitches, dirty.preempts)
+	}
+
+	k := o.K
+	k.Reset()
+	m := newMock()
+	renewed := New(k, cfg, m, o)
+	if renewed != o {
+		t.Fatal("New did not renew the used OS in place")
+	}
+	if m.os != renewed {
+		t.Fatal("the renewed OS did not attach to its new manager")
+	}
+	fresh := newOS(cfg, newMock())
+	if got, want := osView(renewed), osView(fresh); !reflect.DeepEqual(got, want) {
+		t.Fatalf("renewed OS differs from a new one:\nrenewed: %+v\nnew:     %+v", got, want)
+	}
+	for _, x := range []*OS{renewed, fresh} {
+		spawn(x, 3)
+		x.K.Run()
+	}
+	if !renewed.AllDone() || len(renewed.Tasks()) != 3 {
+		t.Fatalf("the renewed OS ran %d tasks, want 3", len(renewed.Tasks()))
+	}
+	for i, tk := range renewed.Tasks() {
+		if !reflect.DeepEqual(*tk, *fresh.Tasks()[i]) {
+			t.Errorf("task %d on the renewed OS:\n%+v\non a new one:\n%+v", i, *tk, *fresh.Tasks()[i])
+		}
+	}
+	if got, want := osView(renewed), osView(fresh); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the next job the renewed OS differs from a new one:\nrenewed: %+v\nnew:     %+v", got, want)
+	}
 }

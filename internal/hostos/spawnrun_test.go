@@ -35,7 +35,7 @@ func BenchmarkSpawnRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k.Reset()
-		o := hostos.New(k, hostos.DefaultConfig(), instantFPGA{})
+		o := hostos.New(k, hostos.DefaultConfig(), instantFPGA{}, nil)
 		set.Spawn(o)
 		k.Run()
 		if !o.AllDone() {

@@ -126,9 +126,9 @@ type board struct {
 	queue chan *Job
 
 	// stack is the stack of the board's last job; the next job's is built
-	// on its hardware (baseline.Stack.Next). nil until the first job
-	// builds one, and discarded — hardware included — whenever a job
-	// fails. Owned by the board's worker goroutine exclusively; like
+	// on its hardware and in its memory (baseline.Stack.Next). nil until
+	// the first job builds one, and discarded — hardware and memory
+	// included — whenever a job fails. Owned by the board's worker goroutine exclusively; like
 	// pool.wg/gate it sits above mu because the fields below mu are the
 	// ones mu guards.
 	stack *baseline.Stack
@@ -492,8 +492,9 @@ func (p *Pool) failJob(b *board, j *Job, err error) {
 // runWarm executes j on b through the job body: on the hardware of the
 // board's last job when its stack is resident, on new hardware otherwise.
 // Any failure — build error, fault escalation, panic — discards the
-// stack, hardware included: a device abandoned mid-job is not one to
-// build on (a quarantined board thus requeues cold). Runs on b's worker
+// stack, hardware and memory included: a device or a table abandoned
+// mid-job is not one to build on (a quarantined board thus requeues
+// cold). Runs on b's worker
 // goroutine, the sole owner of b.stack.
 func (p *Pool) runWarm(b *board, j *Job) (*JobResult, error) {
 	warm := b.stack != nil

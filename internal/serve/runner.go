@@ -16,7 +16,8 @@ var Managers = []string{"dynamic", "partition", "amorphous", "overlay", "paged",
 
 // BoardConfig describes one simulated board of the pool. The simulated
 // hardware is built from this config once and erased between jobs; the
-// stack over it is built anew for every job (see runtime.go), so per-job
+// stack over it is built for every job as on new hardware, in the last
+// job's memory (see runtime.go), so per-job
 // results are exactly what a direct hostos run of the same workload
 // produces, independent of queue order and of whatever ran on the board
 // before.

@@ -1,13 +1,16 @@
 // Warm boards: between two jobs a board is nothing but hardware the next
-// download overwrites, so a board keeps exactly that — each engine's
-// device, erased, and the kernel's event arrays, reset — and builds the
-// rest of the simulated stack (engines, manager, host OS) anew for every
-// job through the one path a first job takes, baseline.NewStack's. A job
-// on recycled hardware is a job on new hardware by construction; the
-// equivalence suite in warm_test.go holds the results bit-for-bit equal.
+// download overwrites and the memory of a dead stack, so a board keeps
+// exactly that — each engine's device, erased, the kernel's event
+// arrays, reset, and the engines and host OS, renewed in place with
+// their tables emptied — and builds the stack of every job through the
+// one path a first job takes, baseline.NewStack's, the managers anew. A
+// job on recycled hardware is a job on new hardware by construction; the
+// equivalence suite in warm_test.go holds the results bit-for-bit equal,
+// and no result a job delivers points into what the next job renews.
 // What makes a warm job fast is what it does not repeat: the shared strip
-// cache keeps place and route off it, and the pool's set cache
-// (workload.SetCache) the generation of a task set it has built before.
+// cache keeps place and route off it, the pool's set cache
+// (workload.SetCache) the generation of a task set it has built before,
+// and the renewed stack most of the allocations of its bookkeeping.
 
 package serve
 
@@ -56,7 +59,7 @@ func compileSet(cache *compile.StripCache, bc BoardConfig, set *workload.Set) ([
 // fleet.Submit soon enough to shift the queue depths packing routes on
 // (fleet_open's virtual_ms_per_op up 2–7 % on six of six seeds), a
 // routing change to be made as one, once fleet_open counts queue wait
-// (ROADMAP item 4(c)).
+// (ROADMAP item 3(c)).
 func SpecWidth(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (int, error) {
 	_, circs, err := CompileJob(nil, cache, bc, spec)
 	if err != nil {

@@ -132,7 +132,7 @@ func directRun(t *testing.T, spec *workload.Spec, bc BoardConfig) *JobResult {
 	osim := hostos.New(k, hostos.Config{
 		Policy: hostos.RR, TimeSlice: bc.Slice,
 		CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,
-	}, mgr)
+	}, mgr, nil)
 	set.Spawn(osim)
 	k.Run()
 	if !osim.AllDone() {

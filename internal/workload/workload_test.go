@@ -256,7 +256,7 @@ func TestSpawnReservesOnce(t *testing.T) {
 		set := Multimedia(cfg)
 		run := func() {
 			k.Reset()
-			o := hostos.New(k, hostos.DefaultConfig(), nullFPGA{})
+			o := hostos.New(k, hostos.DefaultConfig(), nullFPGA{}, nil)
 			set.Spawn(o)
 			k.Run()
 			if !o.AllDone() {
