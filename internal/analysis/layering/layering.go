@@ -21,7 +21,7 @@ const module = "repro"
 // fabric, lint after core); this is the order imports obey (DESIGN §5).
 // internal/analysis is a tree of its own and is not ranked.
 var layers = [][]string{
-	{"internal/rng", "internal/sim", "internal/stats", "internal/version"},
+	{"internal/flat", "internal/rng", "internal/sim", "internal/stats", "internal/version"},
 	{"internal/fabric", "internal/fault", "internal/hostos", "internal/netlist", "internal/trace"},
 	{"internal/techmap", "internal/workload"},
 	{"internal/place"},

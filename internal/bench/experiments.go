@@ -8,6 +8,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/compile"
 	"repro/internal/core"
+	"repro/internal/flat"
 	"repro/internal/hostos"
 	"repro/internal/netlist"
 	"repro/internal/rng"
@@ -308,7 +309,7 @@ func T5IOMux(cfg Config) (*trace.Table, error) {
 		hw   sim.Time
 	}
 	req := hostos.FPGARequest{Circuit: c.Name, Evaluations: 100_000}
-	points, err := parMap(cfg.Jobs, len(pinSweep), func(i int) (point, error) {
+	points, err := flat.Map(len(pinSweep), cfg.Jobs, func(i int) (point, error) {
 		opt := defaultOpt(cfg)
 		opt.Geometry.PinsPerSide = pinSweep[i]
 		set := &workload.Set{
@@ -400,7 +401,7 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 	// Run the zero-reconfiguration reference (index 0) and every shrinking
 	// overlay device in parallel; the slowdown column divides by the
 	// reference makespan, so ratios are derived during ordered assembly.
-	makespans, err := parMap(cfg.Jobs, 1+len(colSweep), func(i int) (sim.Time, error) {
+	makespans, err := flat.Map(1+len(colSweep), cfg.Jobs, func(i int) (sim.Time, error) {
 		if i == 0 {
 			optRef := defaultOpt(cfg)
 			optRef.Geometry.Cols = colSweep[0]
@@ -739,7 +740,7 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 		segs  []*netlist.Netlist // what was compiled; the auto-segmentation runs reuse it
 		circs []*compile.Circuit
 	}
-	probes, err := parMap(cfg.Jobs, 2+len(ks), func(i int) (probeResult, error) {
+	probes, err := flat.Map(2+len(ks), cfg.Jobs, func(i int) (probeResult, error) {
 		var segs []*netlist.Netlist
 		switch i {
 		case 0:
@@ -766,7 +767,7 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 	// strip: monolithic, segmented, one per auto-segmentation k, and the
 	// whole-mul8 reference. A single circuit does the four stages' work
 	// in four ops a pass.
-	runs, err := parMap(cfg.Jobs, 3+len(ks), func(i int) ([]any, error) {
+	runs, err := flat.Map(3+len(ks), cfg.Jobs, func(i int) ([]any, error) {
 		var label string
 		var w, cells int
 		var set *workload.Set
@@ -860,7 +861,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 	// Scenarios fan out in parallel, and each scenario fans its manager
 	// comparison out again; rows flatten back in scenario-then-manager
 	// order.
-	perScenario, err := parMap(cfg.Jobs, len(scenarios), func(si int) ([][]any, error) {
+	perScenario, err := flat.Map(len(scenarios), cfg.Jobs, func(si int) ([][]any, error) {
 		sc := scenarios[si]
 		// Probe widths to size the small and big devices.
 		probeSet := sc.set()
@@ -882,7 +883,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 			{"vfpga partitions (mid)", (smallCols + bigCols) / 2, variableMgr},
 			{"merged big FPGA", bigCols, baseline.NewManager("merged", probeSet.CircuitNames())},
 		}
-		return parMap(cfg.Jobs, len(managers), func(mi int) ([]any, error) {
+		return flat.Map(len(managers), cfg.Jobs, func(mi int) ([]any, error) {
 			m := managers[mi]
 			opt := defaultOpt(cfg)
 			opt.Geometry.Cols = m.cols

@@ -3,6 +3,7 @@ package bench
 import (
 	"time"
 
+	"repro/internal/flat"
 	"repro/internal/trace"
 )
 
@@ -16,17 +17,19 @@ type Outcome struct {
 }
 
 // Run executes the experiments under cfg, fanning whole experiments out
-// across up to cfg.Jobs worker goroutines, and returns the outcomes in
-// input (presentation) order regardless of completion order. Each
+// across up to cfg.Jobs goroutines (flat.Map), and returns the outcomes
+// in input (presentation) order regardless of completion order. Each
 // experiment additionally fans its own independent sweep points out with
-// the same bound, so a single big experiment also scales with cores.
+// the same bound, so a single big experiment also scales with cores. An
+// experiment that panics does so on Run's caller, once the others have
+// returned.
 //
 // Tables are byte-identical for every Jobs value: experiments share no
 // mutable state (each sweep point owns its kernel and RNG streams), and
 // the compile cache they do share is keyed by every input that affects
 // its output.
 func Run(cfg Config, exps []Experiment) []Outcome {
-	out, _ := parMap(cfg.Jobs, len(exps), func(i int) (Outcome, error) {
+	out, _ := flat.Map(len(exps), cfg.Jobs, func(i int) (Outcome, error) {
 		// Wall timing comes only from the injected clock: the harness
 		// itself stays off the wall clock so its tables are a pure
 		// function of Config (the simclock analyzer pins this).

@@ -78,34 +78,6 @@ func TestRunPreservesOrderAndErrors(t *testing.T) {
 	}
 }
 
-func TestParMapOrderAndFirstIndexError(t *testing.T) {
-	vals, err := parMap(8, 100, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vals {
-		if v != i*i {
-			t.Fatalf("slot %d holds %d", i, v)
-		}
-	}
-	// The reported error must be the lowest-index one regardless of
-	// completion order.
-	err13 := errors.New("err@13")
-	err70 := errors.New("err@70")
-	_, err = parMap(8, 100, func(i int) (int, error) {
-		switch i {
-		case 13:
-			return 0, err13
-		case 70:
-			return 0, err70
-		}
-		return i, nil
-	})
-	if !errors.Is(err, err13) {
-		t.Fatalf("want err@13, got %v", err)
-	}
-}
-
 func TestPerfRecordShape(t *testing.T) {
 	var ticks int64
 	fake := func() time.Time { ticks++; return time.Unix(0, ticks*int64(time.Millisecond)) }

@@ -187,27 +187,6 @@ func TestCompileSetConcurrentMatchesFresh(t *testing.T) {
 	check("after larger compiles")
 }
 
-// TestFanOutRaisesFirstPanic panics two calls of a fan-out: every call
-// still runs, and the caller sees the panic of the least index.
-func TestFanOutRaisesFirstPanic(t *testing.T) {
-	ran := make([]bool, 6)
-	defer func() {
-		if r := recover(); r != 2 {
-			t.Fatalf("fanOut raised %v, want the panic of call 2", r)
-		}
-		if slices.Contains(ran, false) {
-			t.Fatalf("calls ran: %v; a panic stopped the others", ran)
-		}
-	}()
-	fanOut(len(ran), 3, func(k int) {
-		ran[k] = true
-		if k == 2 || k == 4 {
-			panic(k)
-		}
-	})
-	t.Fatal("fanOut returned normally over panicking calls")
-}
-
 // BenchmarkCompileSetCold compiles, uncached, the four largest registry
 // circuits whose strips fit the default board: one after another
 // (serial), and as one set through CompileSet (fanout), whose compiles

@@ -28,11 +28,10 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/compile"
 	"repro/internal/fabric"
+	"repro/internal/flat"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -186,7 +185,7 @@ func NewEngine(opt Options, used *Engine) *Engine {
 		freePins: slices.Grow(e.freePins[:0], (n+63)/64),
 		nFree:    n,
 		led: Ledger{e: e, residents: old.residents[:0],
-			resBuf: rewind(old.resBuf, old.records), pinBuf: rewind(old.pinBuf, old.pinned)},
+			resBuf: flat.Rewind(old.resBuf, old.records), pinBuf: flat.Rewind(old.pinBuf, old.pinned)},
 	}
 	for p := 0; p < n; p += 64 { // a word of free pins, the last one's n-p
 		e.freePins = append(e.freePins, ^uint64(0)>>max(0, 64-(n-p)))
@@ -242,52 +241,16 @@ func stripOptions(opt *Options, i int) compile.Options {
 // with something to compile moves it to the heap.
 func compileMisses(cache *compile.StripCache, opt Options, nls []*netlist.Netlist, misses []int, circs []*compile.Circuit) error {
 	rows, tracks := opt.Geometry.Rows, opt.Geometry.TracksPerChannel
-	errs := make([]error, len(misses))
-	fanOut(len(misses), compile.Flows(), func(k int) {
+	_, err := flat.Map(len(misses), compile.Flows(), func(k int) (_ struct{}, err error) {
 		i := misses[k]
 		if cache != nil {
-			circs[i], errs[k] = cache.CompileStrip(nls[i], rows, tracks, stripOptions(&opt, i))
+			circs[i], err = cache.CompileStrip(nls[i], rows, tracks, stripOptions(&opt, i))
 		} else {
-			circs[i], errs[k] = compile.CompileStrip(nls[i], rows, tracks, stripOptions(&opt, i))
+			circs[i], err = compile.CompileStrip(nls[i], rows, tracks, stripOptions(&opt, i))
 		}
+		return
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fanOut calls fn(k) for every k in [0, n) on up to workers goroutines,
-// the caller's among them, and returns when every call has. A panicking
-// call does not stop the others: once all have returned, the panic of
-// the least k is raised again on the caller's goroutine.
-func fanOut(n, workers int, fn func(k int)) {
-	workers = max(1, min(workers, n))
-	panics := make([]any, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	work := func() {
-		defer wg.Done()
-		for k := int(next.Add(1) - 1); k < n; k = int(next.Add(1) - 1) {
-			func() {
-				defer func() { panics[k] = recover() }()
-				fn(k)
-			}()
-		}
-	}
-	wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go work()
-	}
-	work()
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
+	return err
 }
 
 // AddCircuit compiles nl as the library's next circuit and registers it
@@ -319,7 +282,7 @@ func (e *Engine) Circuit(name string) (*compile.Circuit, error) {
 
 // allocPins takes up to want pins from the pool, lowest-numbered first
 // and in ascending order, into a slice carved from *buf (a new array of
-// at least chunk pins when it runs short; see carve). It returns the
+// at least chunk pins when it runs short; see flat.Carve). It returns the
 // pins and the multiplexing factor: 1 when fully satisfied, >1 when the
 // circuit's virtual pins must be time-multiplexed over fewer physical
 // pins (§2's input/output multiplexing). At least one pin is required.
@@ -331,7 +294,7 @@ func (e *Engine) allocPins(want int, buf *[]int, chunk int) (pins []int, mux int
 		return nil, 0, fmt.Errorf("core: no physical pins available")
 	}
 	n := min(want, e.nFree)
-	pins = carve(buf, n, chunk)[:0]
+	pins = flat.Carve(buf, n, chunk)[:0]
 	for w := 0; len(pins) < n; w++ {
 		for e.freePins[w] != 0 && len(pins) < n {
 			b := bits.TrailingZeros64(e.freePins[w])

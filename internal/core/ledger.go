@@ -10,6 +10,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/fabric"
 	"repro/internal/fault"
+	"repro/internal/flat"
 	"repro/internal/lint"
 	"repro/internal/sim"
 )
@@ -166,33 +167,6 @@ type Resident struct {
 // from one array: a job downloads a handful of strips to a score.
 const recordChunk = 8
 
-// carve cuts the next n elements from *buf, capped at n so that an
-// append to the result can never reach its neighbour. When fewer than n
-// are left it takes a new array of max(n, chunk) elements and leaves the
-// old one to the elements already cut from it. Carving is append-only
-// within a job: no element is handed out twice while its job lives, so
-// a stale pointer into an array never aliases a live record. Only a
-// renewed engine (NewEngine) rewinds *buf (rewind), once the job that
-// held its elements is dead.
-func carve[T any](buf *[]T, n, chunk int) []T {
-	b := *buf
-	if cap(b)-len(b) < n {
-		b = make([]T, 0, max(n, chunk))
-	}
-	*buf = b[:len(b)+n]
-	return b[len(b) : len(b)+n : len(b)+n]
-}
-
-// rewind returns buf emptied, with room for the n elements the last job
-// carved in one array: buf's own when it holds them, a new one once
-// otherwise, so a board's jobs of one size carve without allocating.
-func rewind[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, 0, n)
-	}
-	return buf[:0]
-}
-
 // Ledger is the transaction layer under every VFPGA manager: the one
 // place that performs fabric writes, charges time from the timing model,
 // bumps Metrics, and emits device-side trace events. Managers stay pure
@@ -219,7 +193,7 @@ type Ledger struct {
 	// disjoint, inside the device. Only find, insert and remove index it.
 	residents []*Resident
 	// The arrays Resident records and their pins are carved from (see
-	// carve), and how many of each the job carved over all its arrays: one
+	// flat.Carve), and how many of each the job carved over all its arrays: one
 	// download allocates neither, and a renewed engine carves its job's
 	// from one array of each, the last job's when that holds as many.
 	resBuf          []Resident
@@ -426,7 +400,7 @@ func (l *Ledger) TryLoad(owner string, c *compile.Circuit, x int, wholeDevice bo
 	if mux > 1 {
 		l.e.M.MuxedOps.Inc()
 	}
-	r := &carve(&l.resBuf, 1, recordChunk)[0]
+	r := &flat.Carve(&l.resBuf, 1, recordChunk)[0]
 	l.records++
 	*r = Resident{Circuit: c.Name, C: c, Owner: owner, Region: region, Pins: pins, Mux: mux}
 	l.insert(r)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/fabric"
+	"repro/internal/flat"
 	"repro/internal/hostos"
 	"repro/internal/lint"
 	"repro/internal/sim"
@@ -39,7 +40,7 @@ type stripTable struct {
 	rm     *RegionMap
 	byTask map[hostos.TaskID]*strip
 	saved  savedState
-	// strips is the array strip records are carved from (see carve).
+	// strips is the array strip records are carved from (see flat.Carve).
 	strips []strip
 
 	fit    FitPolicy
@@ -270,7 +271,7 @@ func (st *stripTable) place(t *hostos.Task, c *compile.Circuit) (cost sim.Time, 
 		st.Block(t)
 		return 0, false
 	}
-	p := &carve(&st.strips, 1, recordChunk)[0]
+	p := &flat.Carve(&st.strips, 1, recordChunk)[0]
 	*p = strip{owner: t, circuit: c.Name, lastUse: st.K.Now()}
 	p.span = st.rm.Alloc(s, need, p)
 	st.byTask[t.ID] = p

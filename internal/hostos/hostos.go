@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/flat"
 	"repro/internal/sim"
 )
 
@@ -392,11 +393,7 @@ func (o *OS) SpawnAt(at sim.Time, name string, priority int, program []Op) {
 // out twice while its job lives; only a renewed OS (New) carves again
 // from the start of its last array.
 func (o *OS) newTask(at sim.Time, name string, priority int, program []Op) *Task {
-	if len(o.taskBuf) == cap(o.taskBuf) {
-		o.taskBuf = make([]Task, 0, taskChunk)
-	}
-	o.taskBuf = o.taskBuf[:len(o.taskBuf)+1]
-	t := &o.taskBuf[len(o.taskBuf)-1]
+	t := &flat.Carve(&o.taskBuf, 1, taskChunk)[0]
 	*t = Task{Name: name, Priority: priority, program: program, Created: at, state: TaskNew}
 	return t
 }

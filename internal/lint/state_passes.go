@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/fabric"
+	"repro/internal/flat"
 )
 
 // passRegionState audits a column-map snapshot — §4's partition table or
@@ -114,14 +115,6 @@ func giveFabricTables(ft *fabricTables) {
 	}
 }
 
-// zeroed returns s at length n, all zero — what make would return —
-// reusing its array when it is large enough.
-func zeroed[T any](s []T, n int) []T {
-	s = slices.Grow(s[:0], n)[:n]
-	clear(s)
-	return s
-}
-
 // passFabricConfig cross-checks a configured device the way the
 // functional evaluator would consume it: every used CLB input and every
 // output-pin driver must reference a used CLB, a configured input pin
@@ -160,7 +153,7 @@ func passFabricConfig(t *Target, r *Reporter) {
 	const _ = uint8(kindMask + fabric.LUTInputs*oneEdge) // the count fits the byte
 	ft := takeFabricTables()
 	defer giveFabricTables(ft)
-	ft.state = zeroed(ft.state, g.NumCLBs())
+	ft.state = flat.Zeroed(ft.state, g.NumCLBs())
 	state := ft.state
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		state[at(x, y)] = combinational
@@ -194,7 +187,7 @@ func passFabricConfig(t *Target, r *Reporter) {
 	combEdge := func(s fabric.Source) bool {
 		return s.Kind == fabric.SrcCLB && inDevice(s) && state[at(int(s.X), int(s.Y))]&kindMask == combinational
 	}
-	ft.start = zeroed(ft.start, g.NumCLBs()+1)
+	ft.start = flat.Zeroed(ft.start, g.NumCLBs()+1)
 	start := ft.start
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		for k, s := range cfg.Inputs {
@@ -228,7 +221,7 @@ func passFabricConfig(t *Target, r *Reporter) {
 	if edges == 0 {
 		return // no combinational edge, no loop
 	}
-	ft.succ = zeroed(ft.succ, int(edges))
+	ft.succ = flat.Zeroed(ft.succ, int(edges))
 	succ := ft.succ
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		for _, s := range cfg.Inputs {

@@ -12,6 +12,8 @@ package netlist
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/flat"
 )
 
 // Kind enumerates the primitive node types.
@@ -214,8 +216,8 @@ type checkScratch struct {
 func (n *Netlist) computeTopo(s *checkScratch) error {
 	// Combinational fanouts in CSR form: node f feeds
 	// succs[start[f]:start[f+1]], consumers in id order.
-	s.indeg = zeroed(s.indeg, len(n.Nodes))
-	s.start = zeroed(s.start, len(n.Nodes)+1)
+	s.indeg = flat.Zeroed(s.indeg, len(n.Nodes))
+	s.start = flat.Zeroed(s.start, len(n.Nodes)+1)
 	indeg, start := s.indeg, s.start
 	for i := range n.Nodes {
 		nd := &n.Nodes[i]
@@ -230,7 +232,7 @@ func (n *Netlist) computeTopo(s *checkScratch) error {
 	for i := range n.Nodes {
 		start[i+1] += start[i]
 	}
-	s.succs = zeroed(s.succs, start[len(n.Nodes)])
+	s.succs = flat.Zeroed(s.succs, start[len(n.Nodes)])
 	s.fill = append(s.fill[:0], start[:len(n.Nodes)]...)
 	succs, fill := s.succs, s.fill
 	for i := range n.Nodes {
@@ -474,14 +476,6 @@ func (n *Netlist) check(s *checkScratch) error {
 		return err
 	}
 	return n.computeTopo(s)
-}
-
-// zeroed returns s at length n, all zero — what make would return —
-// reusing its array when it is large enough.
-func zeroed[T any](s []T, n int) []T {
-	s = slices.Grow(s[:0], n)[:n]
-	clear(s)
-	return s
 }
 
 // MustBuild is Build that panics on error; for use by the circuit library

@@ -1,6 +1,10 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/flat"
+)
 
 // Optimize returns a functionally equivalent netlist with constants
 // folded through the logic, algebraic identities applied (x AND x = x,
@@ -59,8 +63,8 @@ func (o *Optimizer) Optimize(nl *Netlist) *Netlist {
 func (o *Optimizer) fold(nl *Netlist) *Netlist {
 	b := &o.b
 	b.rebuild(nl)
-	o.vals = zeroed(o.vals, len(nl.Nodes))
-	o.have = zeroed(o.have, len(nl.Nodes))
+	o.vals = flat.Zeroed(o.vals, len(nl.Nodes))
+	o.have = flat.Zeroed(o.have, len(nl.Nodes))
 	vals, have := o.vals, o.have
 
 	// Structural hashing: a gate hashes at most one node, a NAND or NOR
@@ -272,7 +276,7 @@ func (o *Optimizer) fold(nl *Netlist) *Netlist {
 func (o *Optimizer) sweep(nl *Netlist) {
 	// remap[i] is dead, then live once a kept node reads i, then i's new id.
 	const dead, live = -1, 0
-	o.remap = zeroed(o.remap, len(nl.Nodes))
+	o.remap = flat.Zeroed(o.remap, len(nl.Nodes))
 	remap := o.remap
 	for i := range remap {
 		remap[i] = dead

@@ -14,6 +14,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/flat"
 	"repro/internal/rng"
 	"repro/internal/techmap"
 )
@@ -116,7 +117,7 @@ type netCost struct{ net, cost int32 }
 // call's position table, and builds its nets.
 func (p *Placer) reset(m *techmap.Mapped, w, h int) {
 	p.m, p.w, p.h, p.nCells = m, w, h, m.NumCells()
-	p.pos = zeroed(p.pos, p.nCells+m.NumInputs+len(m.Outputs))
+	p.pos = flat.Zeroed(p.pos, p.nCells+m.NumInputs+len(m.Outputs))
 	// Cells in scan order, which keeps topologically adjacent cells
 	// physically adjacent (the mapper creates cells in topological-ish
 	// order).
@@ -179,14 +180,6 @@ func (p *Placer) Place(m *techmap.Mapped, w, h int, opt Options) (*Placement, er
 	return p.placement(), nil
 }
 
-// zeroed returns s at length n, all zero — what make would return —
-// reusing its array when it is large enough.
-func zeroed[T any](s []T, n int) []T {
-	s = slices.Grow(s[:0], n)[:n]
-	clear(s)
-	return s
-}
-
 // buildNets creates one net per driving signal that has a sink, in source
 // position order; a net's sinks keep the order the design lists them in
 // (cell inputs, then primary outputs).
@@ -216,7 +209,7 @@ func (p *Placer) buildNets() {
 
 	// next[src] counts the sinks of src, then becomes the write cursor
 	// into netPins for the net src drives.
-	p.next = zeroed(p.next, nSrc)
+	p.next = flat.Zeroed(p.next, nSrc)
 	next := p.next
 	conns := 0
 	eachSink(func(src, _ int) { next[src]++; conns++ })
@@ -236,11 +229,11 @@ func (p *Placer) buildNets() {
 		p.netPins[next[src]] = sink
 		next[src]++
 	})
-	p.nets = zeroed(p.nets, p.numNets())
+	p.nets = flat.Zeroed(p.nets, p.numNets())
 	p.gen = 0
 
 	// The per-cell net lists, counted then filled in net order.
-	p.cellNetStart = zeroed(p.cellNetStart, n+1)
+	p.cellNetStart = flat.Zeroed(p.cellNetStart, n+1)
 	cellPins := 0
 	for _, pin := range p.netPins {
 		if pin < n {
@@ -251,7 +244,7 @@ func (p *Placer) buildNets() {
 	for c := 0; c < n; c++ {
 		p.cellNetStart[c+1] += p.cellNetStart[c]
 	}
-	p.cellNets = zeroed(p.cellNets, cellPins)
+	p.cellNets = flat.Zeroed(p.cellNets, cellPins)
 	fill := next[:n] // reuse as the per-cell write cursor
 	copy(fill, p.cellNetStart)
 	for nid := 0; nid < p.numNets(); nid++ {
@@ -339,7 +332,7 @@ func (p *Placer) anneal(src *rng.Source) {
 	if nCells <= 1 || p.numNets() == 0 {
 		return
 	}
-	p.occupant = zeroed(p.occupant, p.w*p.h)
+	p.occupant = flat.Zeroed(p.occupant, p.w*p.h)
 	occupant := p.occupant
 	for i := range occupant {
 		occupant[i] = -1

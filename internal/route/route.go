@@ -23,6 +23,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/flat"
 	"repro/internal/place"
 	"repro/internal/sim"
 	"repro/internal/techmap"
@@ -190,9 +191,9 @@ func (t *netTable) numNets() int { return len(t.start) - 1 }
 // build groups conns by their net keys, which are below keys, over the
 // table's arrays.
 func (t *netTable) build(keys int, conns []conn) {
-	t.at = zeroed(t.at, keys)
+	t.at = flat.Zeroed(t.at, keys)
 	t.start = append(slices.Grow(t.start[:0], keys+1), 0)
-	t.conns = zeroed(t.conns, len(conns))
+	t.conns = flat.Zeroed(t.conns, len(conns))
 	at := t.at
 	for i := range conns {
 		k := conns[i].src
@@ -215,14 +216,6 @@ func (t *netTable) build(keys int, conns []conn) {
 		t.conns[at[k]] = int32(i)
 		at[k]++
 	}
-}
-
-// zeroed returns s at length n, all zero — what make would return —
-// reusing its array when it is large enough.
-func zeroed[T any](s []T, n int) []T {
-	s = slices.Grow(s[:0], n)[:n]
-	clear(s)
-	return s
 }
 
 func abs(x int) int {
@@ -269,13 +262,13 @@ type routeScratch struct {
 func (s *routeScratch) reset(g grid, tracks int) {
 	nodes, edges := g.nodes(), g.numEdges()
 	s.g, s.tracks, s.presFac, s.pops = g, tracks, 0.5, 0
-	s.occ = zeroed(s.occ, edges)
-	s.hist = zeroed(s.hist, edges)
-	s.inNet = zeroed(s.inNet, edges)
-	s.dist = zeroed(s.dist, nodes)
-	s.prev = zeroed(s.prev, nodes)
-	s.seenGen = zeroed(s.seenGen, nodes)
-	s.doneGen = zeroed(s.doneGen, nodes)
+	s.occ = flat.Zeroed(s.occ, edges)
+	s.hist = flat.Zeroed(s.hist, edges)
+	s.inNet = flat.Zeroed(s.inNet, edges)
+	s.dist = flat.Zeroed(s.dist, nodes)
+	s.prev = flat.Zeroed(s.prev, nodes)
+	s.seenGen = flat.Zeroed(s.seenGen, nodes)
+	s.doneGen = flat.Zeroed(s.doneGen, nodes)
 	s.heap = slices.Grow(s.heap[:0], nodes)
 	s.path = slices.Grow(s.path[:0], nodes)
 }
@@ -421,7 +414,7 @@ func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, er
 	// The arena is rewound when a pass rips everything up. A path is at
 	// least its endpoints' Manhattan distance long, which sizes the arena
 	// for an uncongested pass; the extra quarter is room for detours.
-	r.pathAt = zeroed(r.pathAt, len(conns))
+	r.pathAt = flat.Zeroed(r.pathAt, len(conns))
 	pathAt := r.pathAt
 	minNodes := 0
 	for i := range conns {
@@ -473,7 +466,7 @@ func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, er
 		}
 		res.MaxUse, res.Pops = maxUse, s.pops
 		if !over {
-			res.SinkHops = zeroed(res.SinkHops, sinks)
+			res.SinkHops = flat.Zeroed(res.SinkHops, sinks)
 			for i, sp := range pathAt {
 				res.SinkHops[conns[i].slot] = sp.n - 1
 				res.TotalHops += int(sp.n - 1)
@@ -566,7 +559,7 @@ func (r *Result) CriticalPath(lutDelay, hopDelay sim.Time) sim.Time {
 	m := r.P.Mapped
 	// Cell ci's pins are SinkHops[pinAt[ci]:pinAt[ci+1]]; output port oi is
 	// at ports+oi.
-	r.pinAt = zeroed(r.pinAt, len(m.Cells)+1)
+	r.pinAt = flat.Zeroed(r.pinAt, len(m.Cells)+1)
 	pinAt := r.pinAt
 	for ci := range m.Cells {
 		pinAt[ci+1] = pinAt[ci] + int32(len(m.Cells[ci].Inputs))
@@ -575,8 +568,8 @@ func (r *Result) CriticalPath(lutDelay, hopDelay sim.Time) sim.Time {
 	hops := r.SinkHops
 	// arrival time of each cell's output (combinational cells only; FF
 	// outputs and inputs are time-zero sources).
-	r.arrival = zeroed(r.arrival, len(m.Cells))
-	r.state = zeroed(r.state, len(m.Cells))
+	r.arrival = flat.Zeroed(r.arrival, len(m.Cells))
+	r.state = flat.Zeroed(r.state, len(m.Cells))
 	arrival, state := r.arrival, r.state
 	crit := sim.Time(0)
 	var arrive func(ci int) sim.Time

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/flat"
 	"repro/internal/netlist"
 )
 
@@ -106,14 +107,6 @@ func (m *Mapper) Map(nl *netlist.Netlist) (*Mapped, error) {
 	return out, nil
 }
 
-// zeroed returns s at length n, all zero — what make would return —
-// reusing its array when it is large enough.
-func zeroed[T any](s []T, n int) []T {
-	s = slices.Grow(s[:0], n)[:n]
-	clear(s)
-	return s
-}
-
 // resolve follows Buf and Output nodes to the node that actually produces
 // the value.
 func (m *Mapper) resolve(id netlist.NodeID) netlist.NodeID {
@@ -141,7 +134,7 @@ func (m *Mapper) isGate(id netlist.NodeID) bool {
 // countFanouts counts, per node, the number of distinct logical consumers
 // after resolving bufs: gate fanins, DFF D inputs, and primary outputs.
 func (m *Mapper) countFanouts() {
-	m.fanout = zeroed(m.fanout, len(m.nl.Nodes))
+	m.fanout = flat.Zeroed(m.fanout, len(m.nl.Nodes))
 	for i := range m.nl.Nodes {
 		nd := m.nl.Node(netlist.NodeID(i))
 		switch nd.Kind {
@@ -187,7 +180,7 @@ const maxArity = 3
 // (saving a cell) and then to minimize leaf count.
 func (m *Mapper) chooseCuts() {
 	order := m.nl.TopoOrder()
-	m.cut = zeroed(m.cut, len(m.nl.Nodes))
+	m.cut = flat.Zeroed(m.cut, len(m.nl.Nodes))
 	// Every chosen cut is a slice of store, which is sized for the worst
 	// case so it never moves. Candidates are built in the leaves scratch
 	// (an unpruned candidate holds up to maxArity whole cuts) and only the
@@ -438,7 +431,7 @@ func (m *Mapper) countLeaves(leaves []netlist.NodeID) {
 // which each cell's Inputs is a capped window of, are sized once — or not
 // at all, when the last call's have room.
 func (m *Mapper) realize() error {
-	m.cellOf = zeroed(m.cellOf, len(m.nl.Nodes))
+	m.cellOf = flat.Zeroed(m.cellOf, len(m.nl.Nodes))
 	forget := func() {
 		for i := range m.cellOf {
 			m.cellOf[i] = -1
@@ -453,7 +446,7 @@ func (m *Mapper) realize() error {
 	}
 	forget()
 	m.out.Cells = slices.Grow(m.out.Cells, m.cells)
-	m.inputs = zeroed(m.inputs, m.pins)
+	m.inputs = flat.Zeroed(m.inputs, m.pins)
 	m.free = m.inputs
 	// Flip-flops first: their cells exist regardless of output reachability
 	// (their state is the computation).
@@ -476,8 +469,8 @@ func (m *Mapper) realize() error {
 // lutDepth computes the maximum combinational LUT depth of the mapped
 // design (registered cell outputs are level 0 sources).
 func (m *Mapper) lutDepth() int {
-	m.memo = zeroed(m.memo, len(m.out.Cells))
-	m.state = zeroed(m.state, len(m.out.Cells)) // 0 unvisited, 1 visiting, 2 done
+	m.memo = flat.Zeroed(m.memo, len(m.out.Cells))
+	m.state = flat.Zeroed(m.state, len(m.out.Cells)) // 0 unvisited, 1 visiting, 2 done
 	memo, state := m.memo, m.state
 	var depth func(c CellID) int
 	depth = func(c CellID) int {
