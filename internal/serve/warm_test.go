@@ -319,14 +319,14 @@ func TestWarmJobAllocBudget(t *testing.T) {
 // TestNewPoolByteBudget bounds what a pool costs before its circuits
 // compile: NewPool, Start, one job on a board built for it, Drain, with
 // the strip cache shared and already warm. The budget is the reading
-// (34.9 KiB in 88 allocations, 35.5 under the race detector) plus ~10 %,
+// (25.9 KiB in 89 allocations, 26.5 under the race detector) plus ~10 %,
 // so a per-pool fixed cost that grows fails here, not only in the repo
 // benchmark's cold_node: the pool read 51.5 KiB in 84 allocations while
 // the new board's device made its whole configuration RAM up front, not
 // a block per column it configures, and 67.2 KiB while its two
 // service-time recorders held all 960 buckets each.
 func TestNewPoolByteBudget(t *testing.T) {
-	const budgetKiB = 39
+	const budgetKiB = 29
 	bc := DefaultBoardConfig()
 	spec := specFor(t, "multimedia")
 	cache := compile.NewStripCache(compile.DefaultCacheCapacity)
