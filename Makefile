@@ -33,7 +33,7 @@ build:
 # carries from goroutine to goroutine (the optimizer in netlist, techmap,
 # place, route), and the simulation layers they drive — the board stack
 # (baseline) runs on every board worker goroutine, the event kernel (sim)
-# with both its callback shapes under bench.Run's parallel workers — and
+# with its one callback shape under bench.Run's parallel workers — and
 # the shared circuit library (netlist) with the spec builder that reads
 # it from every worker, and the audit (lint) whose working tables every
 # board's worker takes from and gives back to one free list. The second
@@ -101,7 +101,9 @@ fuzz-smoke:
 
 # The mutation gate: every mutant in scripts/mutants.tsv (small semantic
 # edits to the flat-array idioms — a scratch array's clear, record
-# carving and its rewind, a fan-out's first error — the ledger, the
+# carving and its rewind, a fan-out's first error, the topological
+# sort's FIFO and its seeding from index 0 (order-lifo,
+# order-seeds-from-one) — the ledger, the
 # renewal of a warm board's engines and host OS, the pin binding, the
 # state and strip tables, the task kernel, the region map, the host OS, the
 # daemon's pool and admission, the fleet's queueing kernel, the
@@ -110,8 +112,10 @@ fuzz-smoke:
 # stages' reused results and work counts, the router's stop rule and its
 # heap's pick of a child on a tie, the latency recorder's window, the
 # device's column blocks, the amorphous manager's caching, a synthetic
-# pool's distinct names, and the experiment harness's row fill and strip
-# footprint) is applied
+# pool's distinct names, the edges the device's evaluator and the
+# fabric-config audit sort (comb-order-registered-edge,
+# lint-edge-from-registered), and the experiment harness's row fill and
+# strip footprint) is applied
 # to a scratch copy of the tree and must fail its packages' tests; each
 # is printed killed, with the failing tests grouped as digest, golden,
 # conformance or unit, or survived. A survivor, or an entry whose text

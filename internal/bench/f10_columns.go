@@ -57,10 +57,10 @@ func columnBakeoff(cfg fleet.BakeoffConfig, policy string) fleet.BakeoffRow {
 		}
 	}
 	if len(jobs) > 0 {
-		s.k.SchedulePri(jobs[0].arrival, colPriArrival, s.arriveFn)
+		s.k.Schedule(jobs[0].arrival, colPriArrival, s.arriveFn, 0)
 	}
 	if cfg.FailNode >= 0 {
-		s.k.ScheduleArg(cfg.FailAt, colPriFail, s.fail, cfg.FailNode)
+		s.k.Schedule(cfg.FailAt, colPriFail, s.fail, cfg.FailNode)
 	}
 	s.k.Run()
 
@@ -156,8 +156,7 @@ type colSim struct {
 	rnd      *rng.Source
 	k        sim.Kernel
 	jobs     []colJob
-	next     int
-	arriveFn func()    // s.arrive, bound once
+	arriveFn func(int) // s.arrive, bound once
 	finishFn func(int) // s.finish, bound once
 	nodes    []colNode
 	scores   *stats.Sample
@@ -165,11 +164,9 @@ type colSim struct {
 	makespan sim.Time
 }
 
-func (s *colSim) arrive() {
-	i := s.next
-	s.next++
-	if s.next < len(s.jobs) {
-		s.k.SchedulePri(s.jobs[s.next].arrival, colPriArrival, s.arriveFn)
+func (s *colSim) arrive(i int) {
+	if i+1 < len(s.jobs) {
+		s.k.Schedule(s.jobs[i+1].arrival, colPriArrival, s.arriveFn, i+1)
 	}
 	s.place(i)
 }
@@ -298,7 +295,7 @@ func (s *colSim) dispatch(ni int) {
 		j.slot = int32(ni*s.cfg.BoardsPerNode + bestBoard)
 		j.start = s.k.Now()
 		n.running = append(n.running, i)
-		j.complete = s.k.ScheduleArg(j.start+j.duration, colPriComplete, s.finishFn, i)
+		j.complete = s.k.Schedule(j.start+j.duration, colPriComplete, s.finishFn, i)
 	}
 }
 

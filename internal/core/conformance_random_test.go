@@ -23,9 +23,10 @@ import (
 
 // randomScript spawns 2-4 tasks (plus crowd more) of 1-4 random ops each,
 // with random arrivals, priorities and scheduler-visible durations drawn
-// from src. From crowd = 4 up the strip managers run out of columns and
-// pins, so suspension, rotation, compaction and pin multiplexing trigger.
-func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int) {
+// from src, task i named by the format names. From crowd = 4 up the strip
+// managers run out of columns and pins, so suspension, rotation,
+// compaction and pin multiplexing trigger.
+func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int, names string) {
 	t.Helper()
 	tasks := 2 + crowd + src.Intn(3)
 	for i := 0; i < tasks; i++ {
@@ -46,7 +47,7 @@ func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int) {
 			prog = append(prog, hostos.UseFPGA(&req))
 		}
 		os.SpawnAt(sim.Time(src.Intn(2000))*sim.Microsecond,
-			fmt.Sprintf("t%d", i), src.Intn(3), prog)
+			fmt.Sprintf(names, i), src.Intn(3), prog)
 	}
 }
 
@@ -69,7 +70,7 @@ func runRandomConformance(t *testing.T, seed uint64, plan *fault.Plan) {
 				Policy: hostos.RR, TimeSlice: slices[src.Intn(len(slices))],
 				CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
 			}, checked, nil)
-			randomScript(t, os, src, 0)
+			randomScript(t, os, src, 0, "t%d")
 			k.Run()
 			if !os.AllDone() {
 				t.Fatal("random script did not run to completion")
@@ -100,13 +101,16 @@ func TestConformanceRandomOps(t *testing.T) {
 	}
 }
 
+// drizzle is the recoverable fault plan of the faulted sweeps.
+const drizzle = "seed=77,retries=8,backoff=10us," +
+	"config-error=0.1,config-timeout=0.05,readback-flip=0.1,restore-mismatch=0.1,pin-glitch=0.02"
+
 // TestConformanceRandomOpsFaulted repeats the sweep under a recoverable
 // fault drizzle: retries are generous enough that escalation is
 // effectively impossible, so every run completes and the audit must
 // balance fault events against the fault counters exactly.
 func TestConformanceRandomOpsFaulted(t *testing.T) {
-	plan, err := fault.ParseSpec("seed=77,retries=8,backoff=10us," +
-		"config-error=0.1,config-timeout=0.05,readback-flip=0.1,restore-mismatch=0.1,pin-glitch=0.02")
+	plan, err := fault.ParseSpec(drizzle)
 	if err != nil {
 		t.Fatal(err)
 	}

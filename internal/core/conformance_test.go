@@ -15,14 +15,19 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/hostos"
 	"repro/internal/lint"
 	"repro/internal/netlist"
+	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // confCircuits are the circuits the conformance script uses; small enough
@@ -329,6 +334,84 @@ func TestConformance(t *testing.T) {
 					t.Errorf("device not lint-clean after all tasks exited: %v", lint.Errors(diags))
 				}
 			})
+		}
+	}
+}
+
+// namedRun runs the random-op script of one seed under impl, task i
+// named by the format names, and returns the merged timeline, the
+// makespan and every engine's final metrics.
+func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names string) ([]trace.TimelineEvent, sim.Time, []core.MetricsSnapshot) {
+	t.Helper()
+	k := sim.New()
+	mgr, engines, logs := impl.build(t, k, nil)
+	if plan != nil {
+		for i, e := range engines {
+			e.Ledger().InjectFaults(fault.NewInjector(plan.Derive(uint64(i))))
+		}
+	}
+	src := rng.New(seed)
+	slices := []sim.Time{200 * sim.Microsecond, 300 * sim.Microsecond, 500 * sim.Microsecond}
+	os := hostos.New(k, hostos.Config{
+		Policy: hostos.RR, TimeSlice: slices[src.Intn(len(slices))],
+		CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
+	}, mgr, nil)
+	events := hostos.NewEventLog()
+	os.AttachTrace(events)
+	randomScript(t, os, src, 0, names)
+	k.Run()
+	if !os.AllDone() {
+		t.Fatal("random script did not run to completion")
+	}
+	snaps := make([]core.MetricsSnapshot, len(engines))
+	for i, e := range engines {
+		snaps[i] = e.M.Snapshot(k.Now())
+	}
+	return core.MergeTimeline(events, logs...).Events, os.Makespan(), snaps
+}
+
+// TestConformanceNamesAreLabels is the first metamorphic relation: a
+// task's name is a label, not an input. The random-op script runs under
+// every manager, clean and under the fault drizzle, once with tasks named
+// t0, t1, ... and once task-0, task-1, ..., a renaming that keeps their
+// order as strings. The merged timelines must match event for event with
+// the names mapped back, and the makespan and final metrics exactly.
+func TestConformanceNamesAreLabels(t *testing.T) {
+	plan, err := fault.ParseSpec(drizzle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, impl := range confImpls() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			for _, faulted := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/seed=%d/faulted=%v", impl.name, seed, faulted), func(t *testing.T) {
+					var p *fault.Plan
+					if faulted {
+						seedPlan := plan.Derive(seed)
+						p = &seedPlan
+					}
+					a, aEnd, aSnaps := namedRun(t, impl, seed, p, "t%d")
+					b, bEnd, bSnaps := namedRun(t, impl, seed, p, "task-%d")
+					if len(a) == 0 || len(a) != len(b) {
+						t.Fatalf("%d events named t%%d, %d named task-%%d", len(a), len(b))
+					}
+					for i := range a {
+						renamed := b[i]
+						if n, ok := strings.CutPrefix(renamed.Task, "task-"); ok {
+							renamed.Task = "t" + n
+						}
+						if renamed != a[i] {
+							t.Fatalf("event %d: %+v named t%%d, %+v named task-%%d", i, a[i], b[i])
+						}
+					}
+					if aEnd != bEnd {
+						t.Errorf("makespan %v named t%%d, %v named task-%%d", aEnd, bEnd)
+					}
+					if !reflect.DeepEqual(aSnaps, bSnaps) {
+						t.Errorf("final metrics differ:\n%+v named t%%d\n%+v named task-%%d", aSnaps, bSnaps)
+					}
+				})
+			}
 		}
 	}
 }

@@ -51,7 +51,7 @@ func managerDigest(t *testing.T, impl confImpl, pol core.StatePolicy, sched host
 	}, mgr, nil)
 	events := hostos.NewEventLog()
 	osim.AttachTrace(events)
-	randomScript(t, osim, src, crowd)
+	randomScript(t, osim, src, crowd, "t%d")
 	k.Run()
 	if !osim.AllDone() {
 		t.Fatal("random script did not run to completion")

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+
+	"repro/internal/flat"
 )
 
 // MaxDim is the largest column, row, pin or port count the configuration
@@ -375,54 +376,49 @@ func lutEval(lut LUT, in [LUTInputs]bool) bool {
 }
 
 // combOrder returns a topological order of the used CLBs over their
-// combinational dependencies. A registered CLB's output is its FF, so it
-// contributes no combinational dependency on its inputs. An error is
-// returned if the configuration contains a combinational loop.
+// combinational dependencies, as scan indices. A registered CLB's output
+// is its FF, so it contributes no combinational dependency on its inputs.
+// An error is returned if the configuration contains a combinational
+// loop, or a used CLB reads an unused, unregistered one: that CLB is
+// never ordered.
 func (d *Device) combOrder() ([]int, error) {
+	// The sort numbers the used CLBs densely, in scan order: used[k] is
+	// node k's scan index and node[i]-1 scan index i's node (-1 unused).
 	used := make([]int, 0, d.used)
+	node := make([]int32, d.geom.NumCLBs())
 	for x, col := range d.cols {
 		for y := range col {
 			if col[y].cfg.Used {
 				used = append(used, x*d.geom.Rows+y)
+				node[x*d.geom.Rows+y] = int32(len(used))
 			}
 		}
 	}
-	indeg := make(map[int]int, len(used))
-	succ := make(map[int][]int, len(used))
-	for _, i := range used {
-		for _, src := range d.cellAt(i).cfg.Inputs {
-			if src.Kind != SrcCLB {
-				continue
-			}
-			j := d.idx(int(src.X), int(src.Y))
-			if d.at(int(src.X), int(src.Y)).cfg.UseFF {
-				continue // sequential edge, not combinational
-			}
-			indeg[i]++
-			succ[j] = append(succ[j], i)
-		}
-	}
-	queue := make([]int, 0, len(used))
-	for _, i := range used {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	sort.Ints(queue) // determinism
-	order := make([]int, 0, len(used))
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		order = append(order, i)
-		for _, s := range succ[i] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
+	edges := func(add func(f, t int)) {
+		for k, i := range used {
+			for _, src := range d.cellAt(i).cfg.Inputs {
+				if src.Kind != SrcCLB || d.at(int(src.X), int(src.Y)).cfg.UseFF {
+					continue // a registered source is a sequential edge
+				}
+				j := int(node[d.idx(int(src.X), int(src.Y))]) - 1
+				if j < 0 {
+					j = k // an unused source is never ordered; a self-edge keeps its reader out too
+				}
+				add(j, k)
 			}
 		}
 	}
+	var o flat.Order[int]
+	o.Reset(len(used))
+	edges(o.Count)
+	o.Counted()
+	edges(o.Place)
+	order := o.Sort(nil)
 	if len(order) != len(used) {
 		return nil, fmt.Errorf("fabric: configured logic contains a combinational loop (%d of %d CLBs ordered)", len(order), len(used))
+	}
+	for k, v := range order {
+		order[k] = used[v]
 	}
 	return order, nil
 }

@@ -1,6 +1,7 @@
 // Package flat holds the substrate's flat-array idioms, each stated
 // once: a scratch array sized per call (Zeroed), records cut from an
-// array their owner keeps (Carve, Rewind), and a bounded fan-out over
+// array their owner keeps (Carve, Rewind), a topological sort over a
+// working set its owner keeps (Order), and a bounded fan-out over
 // indices (FanOut, Map). It imports nothing of the module, so every
 // layer may use it.
 package flat
@@ -45,6 +46,81 @@ func Rewind[T any](buf []T, n int) []T {
 	}
 	return buf[:0]
 }
+
+// Order is the working set of a topological sort (Kahn's algorithm) of
+// nodes 0..n-1, kept by its owner from sort to sort: a sort no larger
+// than the owner's largest so far allocates nothing. The owner lists its
+// graph's edges twice, in the same order both times: Reset(n), Count
+// for every edge, Counted, Place for every edge, then Sort. An edge from
+// f to t says f must come before t.
+//
+// The order is exact, not merely valid: the nodes with no in-edge come
+// first, in index order; after them the order is its own FIFO queue, and
+// a node's dependents join it in the order their edges were listed, each
+// once its last in-edge is ordered. A node on a cycle, or downstream of
+// one, is never ordered.
+type Order[T ~int] struct {
+	indeg []int // a node's in-edges not yet ordered; 0 once it is
+	// start[f]:start[f+1] indexes f's dependents in succ once placed.
+	// Counting runs two ahead (start[f+2]) so that after the sum
+	// start[f+1] is where f's dependents begin, and placing advances it
+	// to where they end: no fill array.
+	start []int
+	succ  []T
+}
+
+// Reset starts a sort of n nodes with no edges.
+func (o *Order[T]) Reset(n int) {
+	o.indeg = Zeroed(o.indeg, n)
+	o.start = Zeroed(o.start, n+2)
+}
+
+// Count records the edge from f to t in the counting pass.
+func (o *Order[T]) Count(f, t T) {
+	o.indeg[t]++
+	o.start[f+2]++
+}
+
+// Counted ends the counting pass and sizes the successor list.
+func (o *Order[T]) Counted() {
+	for i := 2; i < len(o.start); i++ {
+		o.start[i] += o.start[i-1]
+	}
+	o.succ = Zeroed(o.succ, o.start[len(o.start)-1])
+}
+
+// Place records the edge from f to t in the placing pass, which lists
+// the edges Count did, in the same order.
+func (o *Order[T]) Place(f, t T) {
+	i := o.start[f+1]
+	o.succ[i] = t
+	o.start[f+1] = i + 1
+}
+
+// Sort appends the order to dst, grown once to hold every node, and
+// returns it; the nodes it leaves out are those Ordered reports false.
+func (o *Order[T]) Sort(dst []T) []T {
+	dst = slices.Grow(dst, len(o.indeg))
+	head := len(dst)
+	for i, d := range o.indeg {
+		if d == 0 {
+			dst = append(dst, T(i))
+		}
+	}
+	for ; head < len(dst); head++ {
+		f := dst[head]
+		for _, t := range o.succ[o.start[f]:o.start[f+1]] {
+			o.indeg[t]--
+			if o.indeg[t] == 0 {
+				dst = append(dst, t)
+			}
+		}
+	}
+	return dst
+}
+
+// Ordered reports whether the last Sort ordered node i.
+func (o *Order[T]) Ordered(i T) bool { return o.indeg[i] == 0 }
 
 // FanOut calls fn(k) for every k in [0, n) on up to workers goroutines,
 // the caller's among them, and returns when every call has. A panicking

@@ -2,6 +2,7 @@ package flat_test
 
 import (
 	"errors"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -153,5 +154,187 @@ func TestMapOrderAndFirstIndexError(t *testing.T) {
 		if !errors.Is(err, err13) {
 			t.Fatalf("workers=%d: want err@13, got %v", workers, err)
 		}
+	}
+}
+
+// edge is one dependency of a test graph: f must come before t.
+type edge struct{ f, t int }
+
+// sortEdges runs o over n nodes and edges, appending the order to dst.
+func sortEdges(o *flat.Order[int], n int, edges []edge, dst []int) []int {
+	o.Reset(n)
+	for _, e := range edges {
+		o.Count(e.f, e.t)
+	}
+	o.Counted()
+	for _, e := range edges {
+		o.Place(e.f, e.t)
+	}
+	return o.Sort(dst)
+}
+
+// kahnCSR is the sort as the netlist check wrote it before Order: a CSR
+// successor list filled through a separate fill array, and the order as
+// its own queue. It is the oracle for Order's exact sequence.
+func kahnCSR(n int, edges []edge) []int {
+	indeg := make([]int, n)
+	start := make([]int, n+1)
+	for _, e := range edges {
+		indeg[e.t]++
+		start[e.f+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	succs := make([]int, start[n])
+	fill := append([]int(nil), start[:n]...)
+	for _, e := range edges {
+		succs[fill[e.f]] = e.t
+		fill[e.f]++
+	}
+	order := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if indeg[i] == 0 {
+			order = append(order, i)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		id := order[head]
+		for _, succ := range succs[start[id]:start[id+1]] {
+			indeg[succ]--
+			if indeg[succ] == 0 {
+				order = append(order, succ)
+			}
+		}
+	}
+	return order
+}
+
+// downstreamOfCycle returns, by brute-force reachability, which nodes
+// lie on a cycle or after one: the nodes no topological order can hold.
+func downstreamOfCycle(n int, edges []edge) []bool {
+	reach := make([][]bool, n) // reach[u][v]: a path of one edge or more from u to v
+	for u := range reach {
+		reach[u] = make([]bool, n)
+		stack := []int{u}
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, e := range edges {
+				if e.f == x && !reach[u][e.t] {
+					reach[u][e.t] = true
+					stack = append(stack, e.t)
+				}
+			}
+		}
+	}
+	out := make([]bool, n)
+	for u := range n {
+		if !reach[u][u] {
+			continue
+		}
+		out[u] = true
+		for v := range n {
+			out[v] = out[v] || reach[u][v]
+		}
+	}
+	return out
+}
+
+// randomGraph draws a graph of n nodes: mostly forward edges, so most
+// nodes are orderable, with duplicates, self-loops and back edges mixed
+// in when loops is set.
+func randomGraph(r *rand.Rand, n int, loops bool) []edge {
+	if n == 0 {
+		return nil
+	}
+	edges := make([]edge, 0, 2*n)
+	for range r.IntN(2*n + 1) {
+		f, t := r.IntN(n), r.IntN(n)
+		if !loops && f >= t {
+			if f == t {
+				continue
+			}
+			f, t = t, f
+		}
+		edges = append(edges, edge{f, t})
+		if r.IntN(8) == 0 {
+			edges = append(edges, edge{f, t}) // a doubled edge counts twice
+		}
+	}
+	return edges
+}
+
+// TestOrderMatchesOracle sorts random graphs, acyclic and with loops,
+// from no nodes up: every edge's source comes before its target, the
+// nodes left out are exactly those on or after a cycle, Ordered agrees
+// with the output, and the sequence is the CSR sort's, node for node.
+func TestOrderMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	var o flat.Order[int]
+	cases := [][]edge{
+		nil,
+		{{0, 0}},
+		{{0, 1}, {0, 1}, {1, 2}},
+		{{2, 1}, {1, 0}, {0, 2}, {2, 3}},
+	}
+	sizes := []int{0, 1, 3, 4}
+	for i := range 400 {
+		n := i % 24
+		cases = append(cases, randomGraph(r, n, i%3 != 0))
+		sizes = append(sizes, n)
+	}
+	for c, edges := range cases {
+		n := sizes[c]
+		prefix := []int{-7, -8}
+		got := sortEdges(&o, n, edges, prefix)
+		if !slices.Equal(got[:2], []int{-7, -8}) {
+			t.Fatalf("case %d: Sort rewrote dst's elements: %v", c, got[:2])
+		}
+		got = got[2:]
+		if want := kahnCSR(n, edges); !slices.Equal(got, want) {
+			t.Fatalf("case %d (n=%d, edges %v): order %v, want %v", c, n, edges, got, want)
+		}
+		pos := make([]int, n)
+		for i := range pos {
+			pos[i] = -1
+		}
+		for k, v := range got {
+			if pos[v] >= 0 {
+				t.Fatalf("case %d: node %d ordered twice", c, v)
+			}
+			pos[v] = k
+		}
+		for _, e := range edges {
+			if pos[e.t] >= 0 && (pos[e.f] < 0 || pos[e.f] >= pos[e.t]) {
+				t.Fatalf("case %d: edge %d->%d ordered at %d, %d", c, e.f, e.t, pos[e.f], pos[e.t])
+			}
+		}
+		bad := downstreamOfCycle(n, edges)
+		for v := range n {
+			if (pos[v] < 0) != bad[v] {
+				t.Fatalf("case %d: node %d ordered %v, but on or after a cycle %v", c, v, pos[v] >= 0, bad[v])
+			}
+			if o.Ordered(v) != (pos[v] >= 0) {
+				t.Fatalf("case %d: Ordered(%d) = %v, but its position is %d", c, v, o.Ordered(v), pos[v])
+			}
+		}
+	}
+}
+
+// TestOrderReuseAllocatesNothing sorts a graph once to grow the working
+// set, then again and again into the same order array: nothing is
+// allocated, whether the graph is the same size or smaller.
+func TestOrderReuseAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	big, small := randomGraph(r, 64, true), randomGraph(r, 20, false)
+	var o flat.Order[int]
+	dst := sortEdges(&o, 64, big, nil)
+	a := testing.AllocsPerRun(20, func() {
+		dst = sortEdges(&o, 64, big, dst[:0])
+		dst = sortEdges(&o, 20, small, dst[:0])
+	})
+	if a != 0 {
+		t.Fatalf("a reused Order allocates %v times per two sorts, want 0", a)
 	}
 }

@@ -130,7 +130,7 @@ type simulation struct {
 	k        sim.Kernel
 	jobs     []SimJob
 	next     int       // index of the next job to arrive
-	arriveFn func()    // s.arrive, bound once
+	arriveFn func(int) // s.arrive, bound once
 	finishFn func(int) // s.finish, bound once
 	nodes    []simNode
 	boards   []simBoard // every node's boards, node-major
@@ -199,13 +199,13 @@ func Simulate(shape Shape, policy PlacementPolicy, jobs []SimJob) (SimTotals, er
 	// the next arrival, the failure and the completions of the jobs on
 	// boards.
 	if len(jobs) > 0 {
-		s.k.SchedulePri(jobs[0].Arrival, priArrival, s.arriveFn)
+		s.k.Schedule(jobs[0].Arrival, priArrival, s.arriveFn, 0)
 	}
 	if shape.FailNode >= 0 {
 		if shape.FailAt < 0 { // before time zero: the node never serves
 			s.fail(shape.FailNode)
 		} else {
-			s.k.ScheduleArg(shape.FailAt, priFail, s.fail, shape.FailNode)
+			s.k.Schedule(shape.FailAt, priFail, s.fail, shape.FailNode)
 		}
 	}
 	s.k.Run()
@@ -215,12 +215,11 @@ func Simulate(shape Shape, policy PlacementPolicy, jobs []SimJob) (SimTotals, er
 
 // arrive admits and places the next job of the stream and schedules
 // itself for the one after.
-func (s *simulation) arrive() {
-	i := s.next
+func (s *simulation) arrive(i int) {
 	j := &s.jobs[i]
-	s.next++
+	s.next = i + 1
 	if s.next < len(s.jobs) {
-		s.k.SchedulePri(s.jobs[s.next].Arrival, priArrival, s.arriveFn)
+		s.k.Schedule(s.jobs[s.next].Arrival, priArrival, s.arriveFn, s.next)
 	}
 	if s.adm != nil {
 		if ok, _ := s.adm.Allow(s.shape.Tenants[j.Tenant]); !ok {
@@ -276,7 +275,7 @@ func (s *simulation) place(i int) {
 	b.jobs++
 	j.Start = max(s.k.Now(), b.freeAt)
 	b.freeAt = j.Start + j.Duration
-	s.k.ScheduleArg(b.freeAt, priComplete, s.finishFn, i*len(s.boards)+int(j.Board))
+	s.k.Schedule(b.freeAt, priComplete, s.finishFn, i*len(s.boards)+int(j.Board))
 }
 
 // finish retires a job from a board: its charge off the board's queued

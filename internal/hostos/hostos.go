@@ -275,8 +275,8 @@ type OS struct {
 	// fires. segEvt goes stale on firing; Cancel reports whether it was
 	// still pending.
 	segEvt      sim.Event
-	segEnd      func()
-	dispatchFn  func() // dispatch, bound once like segEnd
+	segEnd      func(int)
+	dispatchFn  func(int) // dispatch, bound once like segEnd
 	segStart    sim.Time
 	segKind     segKind
 	segRun      sim.Time // length of the segment
@@ -384,7 +384,7 @@ func (o *OS) Reserve(n int) {
 // SpawnAt schedules task creation at absolute virtual time at.
 func (o *OS) SpawnAt(at sim.Time, name string, priority int, program []Op) {
 	o.arrivals = append(o.arrivals, o.newTask(at, name, priority, program))
-	o.K.ScheduleArg(at, 0, o.spawnFn, len(o.arrivals)-1)
+	o.K.Schedule(at, 0, o.spawnFn, len(o.arrivals)-1)
 }
 
 // newTask carves the record of a task created at time at: from the
@@ -462,7 +462,7 @@ func (o *OS) kick() {
 	if o.current != nil {
 		return
 	}
-	o.K.SchedulePri(o.K.Now(), 10, o.dispatchFn)
+	o.K.Schedule(o.K.Now(), 10, o.dispatchFn, 0)
 }
 
 // pickNext removes and returns the next task to run, per policy.
@@ -483,7 +483,7 @@ func (o *OS) pickNext() *Task {
 	return t
 }
 
-func (o *OS) dispatch() {
+func (o *OS) dispatch(int) {
 	if o.current != nil {
 		return
 	}
@@ -508,7 +508,7 @@ func (o *OS) dispatch() {
 		start += o.cfg.CtxSwitch
 	}
 	o.lastTask = t
-	o.K.ScheduleArg(start, 0, o.startFn, int(t.ID))
+	o.K.Schedule(start, 0, o.startFn, int(t.ID))
 }
 
 // sliceFor returns the absolute time at which the task's quantum expires,
@@ -590,12 +590,12 @@ func (o *OS) startSegment(kind segKind, run, sliceEnd sim.Time, willPreempt bool
 	now := o.K.Now()
 	o.segKind, o.segStart = kind, now
 	o.segRun, o.segSliceEnd, o.segPreempt = run, sliceEnd, willPreempt
-	o.segEvt = o.K.Schedule(now+run, o.segEnd)
+	o.segEvt = o.K.Schedule(now+run, 0, o.segEnd, 0)
 }
 
 // segmentEnd fires when the running segment ends undisturbed: it charges
 // the segment to the task and moves on to the next phase, op or task.
-func (o *OS) segmentEnd() {
+func (o *OS) segmentEnd(int) {
 	// Copied out first: the calls below may start the next segment.
 	t, run, sliceEnd := o.current, o.segRun, o.segSliceEnd
 	switch o.segKind {
@@ -647,7 +647,7 @@ func (o *OS) saveAndSwitch(t *Task, done sim.Time) {
 	t.Overhead += overhead
 	o.BusyTime += overhead
 	// State save runs before the switch completes.
-	o.K.ScheduleArg(o.K.Now()+overhead, 0, o.preemptFn, int(t.ID))
+	o.K.Schedule(o.K.Now()+overhead, 0, o.preemptFn, int(t.ID))
 }
 
 // extendIfExpired grants a fresh quantum when a non-preemptable setup

@@ -203,11 +203,11 @@ func TestPriorityPreemption(t *testing.T) {
 	m := newMock()
 	o := newOS(Config{Policy: Priority, TimeSlice: 100 * sim.Millisecond, CtxSwitch: 0}, m)
 	low, _ := o.Spawn("low", 10, []Op{Compute(20 * sim.Millisecond)})
-	o.K.Schedule(5*sim.Millisecond, func() {
+	o.K.Schedule(5*sim.Millisecond, 0, func(int) {
 		if _, err := o.Spawn("high", 1, []Op{Compute(2 * sim.Millisecond)}); err != nil {
 			t.Error(err)
 		}
-	})
+	}, 0)
 	o.K.Run()
 	var high *Task
 	for _, task := range o.Tasks() {

@@ -162,8 +162,10 @@ func TestFabricConfigDiagnosticsPinned(t *testing.T) {
 	}
 }
 
-// The pass's loop check against the fabric's own evaluator, an
-// independent Kahn over maps (fabric.combOrder): on random dangling-free
+// The pass's loop check against the fabric's own evaluator: both sort
+// with flat.Order, each over the edges it lists itself (the pass from the
+// CLB states it read, fabric.combOrder from the configuration RAM), so
+// this pins that the two edge lists agree. On random dangling-free
 // configurations — acyclic by construction, with a loop planted, or wired
 // at random — the pass reports a combinational loop exactly when
 // Device.Eval refuses the device for one, and counts the same CLBs.

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -392,4 +393,86 @@ func TestRandomNetlistsAreClean(t *testing.T) {
 			t.Errorf("seed %d (%s): %s", seed, nl.Name, errs[0])
 		}
 	}
+}
+
+// replay rebuilds nl through a Builder node for node, each with the
+// fanins given: a fanin may name a later node, which is how a test plants
+// a combinational loop that Build must refuse.
+func replay(nl *netlist.Netlist, fanins [][]netlist.NodeID) (*netlist.Netlist, error) {
+	b := netlist.NewBuilder(nl.Name)
+	for i, nd := range nl.Nodes {
+		f := fanins[i]
+		switch nd.Kind {
+		case netlist.KindInput:
+			b.Input(nd.Name)
+		case netlist.KindOutput:
+			b.Output(nd.Name, f[0])
+		case netlist.KindConst:
+			b.Const(nd.Init)
+		case netlist.KindBuf:
+			b.Buf(f[0])
+		case netlist.KindNot:
+			b.Not(f[0])
+		case netlist.KindAnd:
+			b.And(f[0], f[1])
+		case netlist.KindOr:
+			b.Or(f[0], f[1])
+		case netlist.KindXor:
+			b.Xor(f[0], f[1])
+		case netlist.KindNand:
+			b.Nand(f[0], f[1])
+		case netlist.KindNor:
+			b.Nor(f[0], f[1])
+		case netlist.KindMux:
+			b.Mux(f[0], f[1], f[2])
+		case netlist.KindDFF:
+			b.DFF(f[0], nd.Init)
+		}
+	}
+	return b.Build()
+}
+
+// TestCombLoopMatchesBuild plants loops in random sequential netlists by
+// pointing a few gate fanins at arbitrary nodes, later ones included:
+// comb-loop flags the result exactly when Builder.Build refuses it, so
+// the audit and the netlist check list the same combinational edges. A
+// rewired fanin never reads an output port, so a cycle is the only fault
+// Build can find.
+func TestCombLoopMatchesBuild(t *testing.T) {
+	flagged := 0
+	const trials = 300
+	for seed := uint64(1); seed <= trials; seed++ {
+		src := rng.New(seed)
+		nl := netlist.Random(src, netlist.RandomConfig{Inputs: 3, Outputs: 2, Gates: 14, DFFProb: 0.2})
+		fanins := make([][]netlist.NodeID, len(nl.Nodes))
+		for i := range nl.Nodes {
+			fanins[i] = slices.Clone(nl.Nodes[i].Fanin)
+		}
+		for range src.Intn(3) {
+			i := src.Intn(len(nl.Nodes))
+			if k := nl.Nodes[i].Kind; len(fanins[i]) == 0 || k == netlist.KindOutput {
+				continue
+			}
+			to := netlist.NodeID(src.Intn(len(nl.Nodes)))
+			if nl.Nodes[to].Kind != netlist.KindOutput {
+				fanins[i][src.Intn(len(fanins[i]))] = to
+			}
+		}
+		_, buildErr := replay(nl, fanins)
+		nodes := slices.Clone(nl.Nodes)
+		for i := range nodes {
+			nodes[i].Fanin = fanins[i]
+		}
+		diags := only(t, "comb-loop", &Target{Netlist: raw(nl.Name, nodes, nl.Inputs, nl.Outputs, nl.DFFs)})
+		if (len(diags) > 0) != (buildErr != nil) {
+			t.Fatalf("seed %d: comb-loop says %v, Build says %v", seed, diags, buildErr)
+		}
+		if len(diags) > 0 {
+			flagged++
+		}
+	}
+	if flagged == 0 || flagged == trials {
+		t.Fatalf("%d of %d netlists looped: the test needs both outcomes", flagged, trials)
+	}
+	t.Logf("%d of %d netlists looped", flagged, trials)
 }

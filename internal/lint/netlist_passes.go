@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/flat"
 	"repro/internal/netlist"
 )
 
@@ -36,9 +37,10 @@ func faninOK(nl *netlist.Netlist) bool {
 	return true
 }
 
-// passCombLoop detects combinational cycles: Kahn's algorithm over the
-// combinational edges (a DFF's D input is a sequential edge and is
-// excluded). Any node left unordered sits on a cycle.
+// passCombLoop detects combinational cycles: a topological sort
+// (flat.Order) over the combinational edges (a DFF's D input is a
+// sequential edge and is excluded). Any node left unordered sits on or
+// downstream of a cycle.
 func passCombLoop(t *Target, r *Reporter) {
 	for _, nl := range t.netlists() {
 		combLoopOne(t, nl, r)
@@ -50,42 +52,27 @@ func combLoopOne(t *Target, nl *netlist.Netlist, r *Reporter) {
 		return
 	}
 	n := len(nl.Nodes)
-	indeg := make([]int, n)
-	succ := make([][]netlist.NodeID, n)
-	for i := range nl.Nodes {
-		nd := &nl.Nodes[i]
-		if nd.Kind == netlist.KindDFF {
-			continue
-		}
-		for _, f := range nd.Fanin {
-			indeg[i]++
-			succ[f] = append(succ[f], netlist.NodeID(i))
-		}
-	}
-	queue := make([]netlist.NodeID, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, netlist.NodeID(i))
-		}
-	}
-	ordered := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		ordered++
-		for _, s := range succ[id] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
+	edges := func(add func(f, t netlist.NodeID)) {
+		for i := range nl.Nodes {
+			if nd := &nl.Nodes[i]; nd.Kind != netlist.KindDFF {
+				for _, f := range nd.Fanin {
+					add(f, netlist.NodeID(i))
+				}
 			}
 		}
 	}
+	var o flat.Order[netlist.NodeID]
+	o.Reset(n)
+	edges(o.Count)
+	o.Counted()
+	edges(o.Place)
+	ordered := len(o.Sort(nil))
 	if ordered == n {
 		return
 	}
 	// Walk one concrete cycle for the message: follow combinational
 	// fanins within the leftover set until a node repeats.
-	inCycle := func(id netlist.NodeID) bool { return indeg[id] > 0 }
+	inCycle := func(id netlist.NodeID) bool { return !o.Ordered(id) }
 	var start netlist.NodeID = -1
 	for i := 0; i < n; i++ {
 		if inCycle(netlist.NodeID(i)) {

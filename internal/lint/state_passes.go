@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 
@@ -80,10 +79,13 @@ func passRegionState(t *Target, r *Reporter) {
 }
 
 // fabricTables is one fabric-config audit's working set: the dense
-// per-CLB tables the pass fills, kept from audit to audit.
+// per-CLB tables the pass fills and the loop check's sort, kept from
+// audit to audit.
 type fabricTables struct {
-	state              []uint8
-	start, succ, queue []int32
+	state  []uint8
+	node   []int32
+	order  flat.Order[int]
+	sorted []int
 }
 
 // fabricFree holds the working sets no audit is using, the one given
@@ -140,26 +142,27 @@ func passFabricConfig(t *Target, r *Reporter) {
 		return s.X >= 0 && int(s.X) < g.Cols && s.Y >= 0 && int(s.Y) < g.Rows
 	}
 	// What each CLB's output is, read once so that no later walk has to
-	// fetch a neighbour's configuration to classify an edge. The byte's
-	// upper bits count the CLB's combinational in-edges for the loop check
-	// below: a CLB has LUTInputs of them at most.
+	// fetch a neighbour's configuration to classify an edge, and each used
+	// CLB's number in the loop check's sort: the used CLBs only, in scan
+	// order, so that a board with a few circuits sorts a few CLBs.
 	const (
 		blank      = iota
 		registered // the output is the FF, not the LUT: it breaks cycles
 		combinational
-		kindMask = 3
-		oneEdge  = kindMask + 1 // one in-edge, in the bits above the kind
 	)
-	const _ = uint8(kindMask + fabric.LUTInputs*oneEdge) // the count fits the byte
 	ft := takeFabricTables()
 	defer giveFabricTables(ft)
 	ft.state = flat.Zeroed(ft.state, g.NumCLBs())
-	state := ft.state
+	ft.node = flat.Zeroed(ft.node, g.NumCLBs())
+	state, node := ft.state, ft.node
+	nUsed := 0
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		state[at(x, y)] = combinational
 		if cfg.UseFF {
 			state[at(x, y)] = registered
 		}
+		node[at(x, y)] = int32(nUsed)
+		nUsed++
 	})
 	// sourceFault returns what is wrong with s, or "" for a sound source.
 	sourceFault := func(s fabric.Source) string {
@@ -182,21 +185,22 @@ func passFabricConfig(t *Target, r *Reporter) {
 		}
 		return ""
 	}
-	// The same walk counts the combinational in-edges of every used CLB,
-	// and in start[c] how many CLBs read c combinationally.
+	// The loop check sorts the used CLBs over their combinational edges:
+	// from each combinational CLB to every used CLB that reads it. The
+	// walk that reports faulty sources counts them, a second places them.
 	combEdge := func(s fabric.Source) bool {
-		return s.Kind == fabric.SrcCLB && inDevice(s) && state[at(int(s.X), int(s.Y))]&kindMask == combinational
+		return s.Kind == fabric.SrcCLB && inDevice(s) && state[at(int(s.X), int(s.Y))] == combinational
 	}
-	ft.start = flat.Zeroed(ft.start, g.NumCLBs()+1)
-	start := ft.start
+	nodeOf := func(s fabric.Source) int { return int(node[at(int(s.X), int(s.Y))]) }
+	o := &ft.order
+	o.Reset(nUsed)
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		for k, s := range cfg.Inputs {
 			if fault := sourceFault(s); fault != "" {
 				r.Errorf(fmt.Sprintf("%s: CLB (%d,%d) input %d", name, x, y, k), "%s", fault)
 			}
 			if combEdge(s) {
-				state[at(x, y)] += oneEdge
-				start[at(int(s.X), int(s.Y))]++
+				o.Count(nodeOf(s), int(node[at(x, y)]))
 			}
 		}
 	})
@@ -208,51 +212,16 @@ func passFabricConfig(t *Target, r *Reporter) {
 			}
 		}
 	}
-	// Kahn's algorithm over a CSR successor list: succ[start[c]:start[c+1]]
-	// are the CLBs reading c combinationally. start is summed to where each
-	// CLB's successors end, and filling walks it back down to where they
-	// begin. How many CLBs the algorithm orders does not depend on the
-	// order it visits them in.
-	edges := int32(0)
-	for c := range start {
-		edges += start[c]
-		start[c] = edges
-	}
-	if edges == 0 {
-		return // no combinational edge, no loop
-	}
-	ft.succ = flat.Zeroed(ft.succ, int(edges))
-	succ := ft.succ
+	o.Counted()
 	d.EachUsedCLB(func(x, y int, cfg *fabric.CLBConfig) {
 		for _, s := range cfg.Inputs {
 			if combEdge(s) {
-				src := at(int(s.X), int(s.Y))
-				start[src]--
-				succ[start[src]] = int32(at(x, y))
+				o.Place(nodeOf(s), int(node[at(x, y)]))
 			}
 		}
 	})
-	nUsed := d.UsedCells()
-	ft.queue = slices.Grow(ft.queue[:0], nUsed) // a used CLB enters once, when its last in-edge goes
-	queue := ft.queue
-	for c, st := range state {
-		if st != blank && st < oneEdge { // used, no in-edge
-			queue = append(queue, int32(c))
-		}
-	}
-	ordered := 0
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		ordered++
-		for _, s := range succ[start[c]:start[c+1]] {
-			state[s] -= oneEdge
-			if state[s] < oneEdge {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if ordered != nUsed {
+	ft.sorted = o.Sort(ft.sorted[:0])
+	if ordered := len(ft.sorted); ordered != nUsed {
 		r.Errorf(name+": logic", "configured fabric contains a combinational loop (%d of %d CLBs unordered)",
 			nUsed-ordered, nUsed)
 	}

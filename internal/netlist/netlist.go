@@ -204,9 +204,8 @@ func (n *Netlist) TopoOrder() []NodeID { return n.topo }
 // checkScratch is the working arrays of a netlist check, kept by a caller
 // that checks netlist after netlist (Optimizer); the zero value is ready.
 type checkScratch struct {
-	seen               map[string]Kind
-	indeg, start, fill []int
-	succs              []NodeID
+	seen  map[string]Kind
+	order flat.Order[NodeID]
 }
 
 // computeTopo builds the combinational topological order and detects
@@ -214,56 +213,28 @@ type checkScratch struct {
 // sink (their D input), so they appear in the order but contribute no
 // combinational dependency.
 func (n *Netlist) computeTopo(s *checkScratch) error {
-	// Combinational fanouts in CSR form: node f feeds
-	// succs[start[f]:start[f+1]], consumers in id order.
-	s.indeg = flat.Zeroed(s.indeg, len(n.Nodes))
-	s.start = flat.Zeroed(s.start, len(n.Nodes)+1)
-	indeg, start := s.indeg, s.start
+	o := &s.order
+	o.Reset(len(n.Nodes))
 	for i := range n.Nodes {
 		nd := &n.Nodes[i]
 		if nd.Kind == KindDFF {
 			continue // D input is a sequential, not combinational, dependency
 		}
-		indeg[i] = len(nd.Fanin)
 		for _, f := range nd.Fanin {
-			start[f+1]++
+			o.Count(f, NodeID(i))
 		}
 	}
-	for i := range n.Nodes {
-		start[i+1] += start[i]
-	}
-	s.succs = flat.Zeroed(s.succs, start[len(n.Nodes)])
-	s.fill = append(s.fill[:0], start[:len(n.Nodes)]...)
-	succs, fill := s.succs, s.fill
+	o.Counted()
 	for i := range n.Nodes {
 		nd := &n.Nodes[i]
 		if nd.Kind == KindDFF {
 			continue
 		}
 		for _, f := range nd.Fanin {
-			succs[fill[f]] = NodeID(i)
-			fill[f]++
+			o.Place(f, NodeID(i))
 		}
 	}
-	// Kahn's algorithm with the order itself as the queue: seeded with all
-	// sources in id order for determinism, read from head while successors
-	// whose fanins are all ordered are appended.
-	order := slices.Grow(n.topo[:0], len(n.Nodes))
-	for i := range n.Nodes {
-		if indeg[i] == 0 {
-			order = append(order, NodeID(i))
-		}
-	}
-	for head := 0; head < len(order); head++ {
-		id := order[head]
-		for _, succ := range succs[start[id]:start[id+1]] {
-			indeg[succ]--
-			if indeg[succ] == 0 {
-				order = append(order, succ)
-			}
-		}
-	}
-	n.topo = order
+	n.topo = o.Sort(n.topo[:0])
 	if len(n.topo) != len(n.Nodes) {
 		return fmt.Errorf("netlist %q: combinational cycle detected (%d of %d nodes ordered)",
 			n.Name, len(n.topo), len(n.Nodes))

@@ -65,20 +65,13 @@ type event struct {
 	slot     int32
 }
 
-// call is what a queued event runs. Exactly one of fn and argFn is set:
-// argFn is a handler bound once by its owner and called with arg, the
-// event's subject (ScheduleArg).
-type call struct {
-	fn    func()
-	argFn func(int)
-	arg   int
-}
-
 // slotEntry is the kernel's record of one slot: the heap index of the
-// event that owns it (-1 while the slot is free) and what that event runs.
+// event that owns it (-1 while the slot is free) and what that event
+// runs, fn called with arg.
 type slotEntry struct {
 	pos int32
-	call
+	fn  func(int)
+	arg int
 }
 
 func (e *event) before(o *event) bool {
@@ -97,9 +90,9 @@ func (e *event) before(o *event) bool {
 // The queue is a binary heap of event values ordered by (time, priority,
 // sequence). Each queued event owns a slot: slots[slot].pos is its
 // current heap index, which is what lets Cancel find it, and -1 once the
-// slot is back on the free list; slots[slot].call is what it runs. The
-// heap, slots and free keep their backing arrays across Reset, so a
-// kernel in steady state schedules without allocating.
+// slot is back on the free list; slots[slot].fn and arg are what it
+// runs. The heap, slots and free keep their backing arrays across Reset,
+// so a kernel in steady state schedules without allocating.
 type Kernel struct {
 	now     Time
 	heap    []event
@@ -119,37 +112,19 @@ func (k *Kernel) Now() Time { return k.now }
 // Pending returns the number of events currently queued.
 func (k *Kernel) Pending() int { return len(k.heap) }
 
-// Schedule arranges for fn to run at absolute virtual time at. Events at
-// equal times run in scheduling order. Scheduling in the past panics —
-// that is always a logic error in a discrete-event model.
-func (k *Kernel) Schedule(at Time, fn func()) Event {
-	return k.SchedulePri(at, 0, fn)
-}
-
-// SchedulePri schedules fn at time at with an explicit priority; among
-// events at the same time, lower priority values fire first. The host OS
-// uses priorities to order hardware completions before scheduler decisions.
-func (k *Kernel) SchedulePri(at Time, priority int, fn func()) Event {
+// Schedule arranges for fn(arg) to run at absolute virtual time at.
+// Among events at the same time, lower priority values fire first, and
+// events of equal priority in scheduling order; the host OS uses
+// priorities to order hardware completions before scheduler decisions.
+// fn is a handler its owner binds once and arg names what this event is
+// about — a job or task index — so scheduling closes over nothing and
+// allocates nothing; a handler with no subject ignores arg. Scheduling
+// in the past panics — that is always a logic error in a discrete-event
+// model.
+func (k *Kernel) Schedule(at Time, priority int, fn func(int), arg int) Event {
 	if fn == nil {
 		panic("sim: Schedule with nil function")
 	}
-	return k.push(at, priority, call{fn: fn})
-}
-
-// ScheduleArg is SchedulePri for a handler that takes the event's subject
-// — a job or task index — as its argument: fn is bound once by its owner
-// and arg names what this event is about, so scheduling closes over
-// nothing and allocates nothing. Ordering and Cancel are SchedulePri's.
-func (k *Kernel) ScheduleArg(at Time, priority int, fn func(int), arg int) Event {
-	if fn == nil {
-		panic("sim: Schedule with nil function")
-	}
-	return k.push(at, priority, call{argFn: fn, arg: arg})
-}
-
-// push queues c at time at and the given priority under the next
-// sequence number.
-func (k *Kernel) push(at Time, priority int, c call) Event {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", at, k.now))
 	}
@@ -157,10 +132,10 @@ func (k *Kernel) push(at Time, priority int, c call) Event {
 	if n := len(k.free); n > 0 {
 		slot = k.free[n-1]
 		k.free = k.free[:n-1]
-		k.slots[slot].call = c
+		k.slots[slot].fn, k.slots[slot].arg = fn, arg
 	} else {
 		slot = int32(len(k.slots))
-		k.slots = append(k.slots, slotEntry{pos: -1, call: c})
+		k.slots = append(k.slots, slotEntry{pos: -1, fn: fn, arg: arg})
 	}
 	k.seq++
 	k.heap = append(k.heap, event{at: at, priority: priority, seq: k.seq, slot: slot})
@@ -243,15 +218,11 @@ func (k *Kernel) Step() bool {
 	if len(k.heap) == 0 {
 		return false
 	}
-	at, c := k.heap[0].at, k.slots[k.heap[0].slot].call
+	at, e := k.heap[0].at, k.slots[k.heap[0].slot]
 	k.remove(0)
 	k.now = at
 	k.fired++
-	if c.argFn != nil {
-		c.argFn(c.arg)
-	} else {
-		c.fn()
-	}
+	e.fn(e.arg)
 	return true
 }
 

@@ -19,9 +19,10 @@ func TestZeroKernel(t *testing.T) {
 func TestScheduleOrdering(t *testing.T) {
 	k := New()
 	var got []int
-	k.Schedule(30, func() { got = append(got, 3) })
-	k.Schedule(10, func() { got = append(got, 1) })
-	k.Schedule(20, func() { got = append(got, 2) })
+	record := func(i int) { got = append(got, i) }
+	k.Schedule(30, 0, record, 3)
+	k.Schedule(10, 0, record, 1)
+	k.Schedule(20, 0, record, 2)
 	k.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -37,9 +38,9 @@ func TestScheduleOrdering(t *testing.T) {
 func TestSameTimeFIFO(t *testing.T) {
 	k := New()
 	var got []int
+	record := func(i int) { got = append(got, i) }
 	for i := 0; i < 10; i++ {
-		i := i
-		k.Schedule(5, func() { got = append(got, i) })
+		k.Schedule(5, 0, record, i)
 	}
 	k.Run()
 	for i := range got {
@@ -52,8 +53,8 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestPriorityOrdering(t *testing.T) {
 	k := New()
 	var got []string
-	k.SchedulePri(5, 1, func() { got = append(got, "low") })
-	k.SchedulePri(5, 0, func() { got = append(got, "high") })
+	k.Schedule(5, 1, func(int) { got = append(got, "low") }, 0)
+	k.Schedule(5, 0, func(int) { got = append(got, "high") }, 0)
 	k.Run()
 	if got[0] != "high" || got[1] != "low" {
 		t.Fatalf("priority order wrong: %v", got)
@@ -62,14 +63,14 @@ func TestPriorityOrdering(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	k := New()
-	k.Schedule(100, func() {
+	k.Schedule(100, 0, func(int) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling into the past did not panic")
 			}
 		}()
-		k.Schedule(50, func() {})
-	})
+		k.Schedule(50, 0, func(int) {}, 0)
+	}, 0)
 	k.Run()
 }
 
@@ -79,13 +80,13 @@ func TestNilFuncPanics(t *testing.T) {
 			t.Fatal("nil fn did not panic")
 		}
 	}()
-	New().Schedule(0, nil)
+	New().Schedule(0, 0, nil, 0)
 }
 
 func TestCancel(t *testing.T) {
 	k := New()
 	fired := false
-	e := k.Schedule(10, func() { fired = true })
+	e := k.Schedule(10, 0, func(int) { fired = true }, 0)
 	if !k.Cancel(e) {
 		t.Fatal("Cancel of a pending event reported false")
 	}
@@ -103,9 +104,9 @@ func TestCancelOneOfMany(t *testing.T) {
 	k := New()
 	var got []int
 	var events []Event
+	record := func(i int) { got = append(got, i) }
 	for i := 0; i < 5; i++ {
-		i := i
-		events = append(events, k.Schedule(Time(i*10), func() { got = append(got, i) }))
+		events = append(events, k.Schedule(Time(i*10), 0, record, i))
 	}
 	k.Cancel(events[2])
 	k.Run()
@@ -123,9 +124,9 @@ func TestCancelOneOfMany(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	k := New()
 	var got []Time
+	record := func(at int) { got = append(got, Time(at)) }
 	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		k.Schedule(at, func() { got = append(got, at) })
+		k.Schedule(at, 0, record, int(at))
 	}
 	n := k.RunUntil(25)
 	if n != 2 || len(got) != 2 {
@@ -156,7 +157,7 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 func TestEventsFired(t *testing.T) {
 	k := New()
 	for i := 0; i < 7; i++ {
-		k.Schedule(Time(i), func() {})
+		k.Schedule(Time(i), 0, func(int) {}, 0)
 	}
 	k.Run()
 	if k.fired != 7 {
@@ -169,14 +170,14 @@ func TestCascadedScheduling(t *testing.T) {
 	// loop. Ensures the kernel handles events scheduled during Run.
 	k := New()
 	count := 0
-	var tick func()
-	tick = func() {
+	var tick func(int)
+	tick = func(int) {
 		count++
 		if count < 100 {
-			k.Schedule(k.Now()+10, tick)
+			k.Schedule(k.Now()+10, 0, tick, 0)
 		}
 	}
-	k.Schedule(0, tick)
+	k.Schedule(0, 0, tick, 0)
 	k.Run()
 	if count != 100 {
 		t.Fatalf("chain executed %d ticks, want 100", count)
@@ -190,9 +191,9 @@ func TestOrderingProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		k := New()
 		var fired []Time
+		record := func(at int) { fired = append(fired, Time(at)) }
 		for _, r := range raw {
-			at := Time(r)
-			k.Schedule(at, func() { fired = append(fired, at) })
+			k.Schedule(Time(r), 0, record, int(r))
 		}
 		k.Run()
 		if len(fired) != len(raw) {
@@ -242,7 +243,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := New()
 		for j := 0; j < 1000; j++ {
-			k.Schedule(Time(j%97), func() {})
+			k.Schedule(Time(j%97), 0, func(int) {}, 0)
 		}
 		k.Run()
 	}
