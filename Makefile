@@ -109,7 +109,10 @@ fuzz-smoke:
 # daemon's pool and admission, the fleet's queueing kernel, the
 # workload spec, its set cache, a set's spawn and its request table
 # (compute ops carry none; each paged reference has its own), the CAD
-# stages' reused results and work counts, the router's stop rule and its
+# stages' reused results and work counts, the placer's net numbering
+# and sink slots the router reads (nets-by-driver, sinkslot-off-by-one),
+# the forward passes of LUT depth and the critical path
+# (lutdepth-one-pass, critpath-one-pass), the router's stop rule and its
 # heap's pick of a child on a tie, the latency recorder's window, the
 # device's column blocks, the amorphous manager's caching, a synthetic
 # pool's distinct names, the edges the device's evaluator and the

@@ -23,10 +23,11 @@ import (
 
 // randomScript spawns 2-4 tasks (plus crowd more) of 1-4 random ops each,
 // with random arrivals, priorities and scheduler-visible durations drawn
-// from src, task i named by the format names. From crowd = 4 up the strip
-// managers run out of columns and pins, so suspension, rotation,
-// compaction and pin multiplexing trigger.
-func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int, names string) {
+// from src, task i named by the format names and each circuit by pre
+// plus its library name. From crowd = 4 up the strip managers run out of
+// columns and pins, so suspension, rotation, compaction and pin
+// multiplexing trigger.
+func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int, names, pre string) {
 	t.Helper()
 	tasks := 2 + crowd + src.Intn(3)
 	for i := 0; i < tasks; i++ {
@@ -38,7 +39,7 @@ func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int, names
 				continue
 			}
 			name := confCircuits[src.Intn(len(confCircuits))]
-			req := hostos.FPGARequest{Circuit: name}
+			req := hostos.FPGARequest{Circuit: pre + name}
 			if name == "counter8" {
 				req.Cycles = int64(1+src.Intn(90)) * 1000
 			} else {
@@ -53,7 +54,7 @@ func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int, names
 
 func runRandomConformance(t *testing.T, seed uint64, plan *fault.Plan) {
 	t.Helper()
-	for _, impl := range confImpls() {
+	for _, impl := range confImpls("") {
 		impl := impl
 		t.Run(impl.name, func(t *testing.T) {
 			k := sim.New()
@@ -70,7 +71,7 @@ func runRandomConformance(t *testing.T, seed uint64, plan *fault.Plan) {
 				Policy: hostos.RR, TimeSlice: slices[src.Intn(len(slices))],
 				CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
 			}, checked, nil)
-			randomScript(t, os, src, 0, "t%d")
+			randomScript(t, os, src, 0, "t%d", "")
 			k.Run()
 			if !os.AllDone() {
 				t.Fatal("random script did not run to completion")

@@ -31,13 +31,15 @@ import (
 )
 
 // confCircuits are the circuits the conformance script uses; small enough
-// that even Merged fits them side by side on the test device.
+// that even Merged fits them side by side on the test device. A test
+// names each one pre plus its library name: pre is empty except where a
+// relation renames them, and a prefix keeps their order as strings.
 var confCircuits = []string{"adder8", "counter8", "mul4"}
 
 // confEngine builds the test engine, renewing used (nil: a new engine
-// over a new device), with the script's circuits compiled and a device
-// log attached.
-func confEngine(t testing.TB, used *core.Engine) (*core.Engine, *core.DeviceLog) {
+// over a new device), with the script's circuits compiled, each named pre
+// plus its library name, and a device log attached.
+func confEngine(t testing.TB, used *core.Engine, pre string) (*core.Engine, *core.DeviceLog) {
 	t.Helper()
 	opt := core.DefaultOptions()
 	opt.Geometry.Cols, opt.Geometry.Rows = 24, 8
@@ -48,7 +50,9 @@ func confEngine(t testing.TB, used *core.Engine) (*core.Engine, *core.DeviceLog)
 		func() *netlist.Netlist { return netlist.Counter(8) },
 		func() *netlist.Netlist { return netlist.Multiplier(4) },
 	} {
-		if err := e.AddCircuit(nl()); err != nil {
+		c := nl()
+		c.Name = pre + c.Name
+		if err := e.AddCircuit(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,11 +80,17 @@ func usedEngine(used []*core.Engine, i int) *core.Engine {
 	return used[i]
 }
 
-func confImpls() []confImpl {
+// confImpls lists the implementations under test over the script's
+// circuits named with prefix pre.
+func confImpls(pre string) []confImpl {
+	named := make([]string, len(confCircuits))
+	for i, c := range confCircuits {
+		named[i] = pre + c
+	}
 	strips := core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true}
 	one := func(mk func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error)) confBuild {
 		return func(t testing.TB, k *sim.Kernel, used []*core.Engine) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			e, log := confEngine(t, usedEngine(used, 0))
+			e, log := confEngine(t, usedEngine(used, 0), pre)
 			mgr, err := mk(k, e)
 			if err != nil {
 				t.Fatal(err)
@@ -93,7 +103,7 @@ func confImpls() []confImpl {
 			return core.NewDynamicLoader(k, e), nil
 		})},
 		{"overlay", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			om, _, err := core.NewOverlayManager(k, e, []string{"adder8"})
+			om, _, err := core.NewOverlayManager(k, e, named[:1])
 			return om, err
 		})},
 		{"paged", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
@@ -106,8 +116,8 @@ func confImpls() []confImpl {
 			return core.NewAmorphousManager(k, e), nil
 		})},
 		{"multi", func(t testing.TB, k *sim.Kernel, used []*core.Engine) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			e0, l0 := confEngine(t, usedEngine(used, 0))
-			e1, l1 := confEngine(t, usedEngine(used, 1))
+			e0, l0 := confEngine(t, usedEngine(used, 0), pre)
+			e1, l1 := confEngine(t, usedEngine(used, 1), pre)
 			mm, err := core.NewMultiManager(k, []*core.Engine{e0, e1}, strips)
 			if err != nil {
 				t.Fatal(err)
@@ -118,7 +128,7 @@ func confImpls() []confImpl {
 			return baseline.NewExclusive(k, e), nil
 		})},
 		{"merged", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			m, _, err := baseline.NewMerged(k, e, confCircuits)
+			m, _, err := baseline.NewMerged(k, e, named)
 			return m, err
 		})},
 		{"software", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
@@ -291,7 +301,7 @@ func auditLedger(t *testing.T, e *core.Engine, log *core.DeviceLog) {
 }
 
 func TestConformance(t *testing.T) {
-	for _, impl := range confImpls() {
+	for _, impl := range confImpls("") {
 		impl := impl
 		for _, pol := range []core.StatePolicy{core.SaveRestore, core.Rollback} {
 			pol := pol
@@ -339,9 +349,10 @@ func TestConformance(t *testing.T) {
 }
 
 // namedRun runs the random-op script of one seed under impl, task i
-// named by the format names, and returns the merged timeline, the
-// makespan and every engine's final metrics.
-func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names string) ([]trace.TimelineEvent, sim.Time, []core.MetricsSnapshot) {
+// named by the format names and each circuit by pre plus its library
+// name, and returns the merged timeline, the makespan and every engine's
+// final metrics.
+func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names, pre string) ([]trace.TimelineEvent, sim.Time, []core.MetricsSnapshot) {
 	t.Helper()
 	k := sim.New()
 	mgr, engines, logs := impl.build(t, k, nil)
@@ -358,7 +369,7 @@ func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names 
 	}, mgr, nil)
 	events := hostos.NewEventLog()
 	os.AttachTrace(events)
-	randomScript(t, os, src, 0, names)
+	randomScript(t, os, src, 0, names, pre)
 	k.Run()
 	if !os.AllDone() {
 		t.Fatal("random script did not run to completion")
@@ -370,18 +381,19 @@ func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names 
 	return core.MergeTimeline(events, logs...).Events, os.Makespan(), snaps
 }
 
-// TestConformanceNamesAreLabels is the first metamorphic relation: a
-// task's name is a label, not an input. The random-op script runs under
-// every manager, clean and under the fault drizzle, once with tasks named
-// t0, t1, ... and once task-0, task-1, ..., a renaming that keeps their
-// order as strings. The merged timelines must match event for event with
-// the names mapped back, and the makespan and final metrics exactly.
-func TestConformanceNamesAreLabels(t *testing.T) {
+// checkRelabeled runs the random-op script under every manager, seeds 1
+// to 3, clean and under the fault drizzle, once with tasks named t0, t1,
+// ... over the library's circuit names, and once relabeled: tasks named by
+// the format names, circuits by pre plus their library names. The merged
+// timelines must match event for event once back maps the relabeled names
+// back in Task and Detail, and the makespan and final metrics exactly.
+func checkRelabeled(t *testing.T, names, pre string, back *strings.Replacer) {
 	plan, err := fault.ParseSpec(drizzle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, impl := range confImpls() {
+	plain, relabeled := confImpls(""), confImpls(pre)
+	for i, impl := range plain {
 		for seed := uint64(1); seed <= 3; seed++ {
 			for _, faulted := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/seed=%d/faulted=%v", impl.name, seed, faulted), func(t *testing.T) {
@@ -390,28 +402,43 @@ func TestConformanceNamesAreLabels(t *testing.T) {
 						seedPlan := plan.Derive(seed)
 						p = &seedPlan
 					}
-					a, aEnd, aSnaps := namedRun(t, impl, seed, p, "t%d")
-					b, bEnd, bSnaps := namedRun(t, impl, seed, p, "task-%d")
+					a, aEnd, aSnaps := namedRun(t, impl, seed, p, "t%d", "")
+					b, bEnd, bSnaps := namedRun(t, relabeled[i], seed, p, names, pre)
 					if len(a) == 0 || len(a) != len(b) {
-						t.Fatalf("%d events named t%%d, %d named task-%%d", len(a), len(b))
+						t.Fatalf("%d events as named, %d relabeled", len(a), len(b))
 					}
-					for i := range a {
-						renamed := b[i]
-						if n, ok := strings.CutPrefix(renamed.Task, "task-"); ok {
-							renamed.Task = "t" + n
-						}
-						if renamed != a[i] {
-							t.Fatalf("event %d: %+v named t%%d, %+v named task-%%d", i, a[i], b[i])
+					for k := range a {
+						ev := b[k]
+						ev.Task, ev.Detail = back.Replace(ev.Task), back.Replace(ev.Detail)
+						if ev != a[k] {
+							t.Fatalf("event %d: %+v as named, %+v relabeled", k, a[k], b[k])
 						}
 					}
 					if aEnd != bEnd {
-						t.Errorf("makespan %v named t%%d, %v named task-%%d", aEnd, bEnd)
+						t.Errorf("makespan %v as named, %v relabeled", aEnd, bEnd)
 					}
 					if !reflect.DeepEqual(aSnaps, bSnaps) {
-						t.Errorf("final metrics differ:\n%+v named t%%d\n%+v named task-%%d", aSnaps, bSnaps)
+						t.Errorf("final metrics differ:\n%+v as named\n%+v relabeled", aSnaps, bSnaps)
 					}
 				})
 			}
 		}
 	}
+}
+
+// TestConformanceNamesAreLabels is the first metamorphic relation: a
+// task's name is a label, not an input. Tasks named task-0, task-1, ...
+// keep the order of t0, t1, ... as strings.
+func TestConformanceNamesAreLabels(t *testing.T) {
+	checkRelabeled(t, "task-%d", "", strings.NewReplacer("task-", "t"))
+}
+
+// TestConformanceCircuitsAreLabels is the second: a circuit's name is a
+// label too. Each circuit is named c- plus its library name.
+func TestConformanceCircuitsAreLabels(t *testing.T) {
+	pairs := make([]string, 0, 2*len(confCircuits))
+	for _, c := range confCircuits {
+		pairs = append(pairs, "c-"+c, c)
+	}
+	checkRelabeled(t, "t%d", "c-", strings.NewReplacer(pairs...))
 }

@@ -35,6 +35,14 @@ type Placement struct {
 	// manager binds them to physical device pins at load time.
 	InPorts  []Loc
 	OutPorts []Loc
+	// The design's nets, in CSR form: net n's pins are
+	// NetPins[NetStart[n]:NetStart[n+1]], its source first. A pin numbers a
+	// terminal as Cells, InPorts and OutPorts do, laid end to end. Sinks
+	// are in sink order — every cell's LUT inputs in cell order, then the
+	// output ports — and nets in the order of their first sinks: the order
+	// the router negotiates them in. SinkSlot[k] is pin k's place in that
+	// sink order, counting sinks a constant drives, and -1 for a source.
+	NetStart, NetPins, SinkSlot []int32
 	// Wirelength is the final half-perimeter wirelength (quality metric).
 	Wirelength int
 	// Moves counts the annealing moves evaluated: those whose wirelength
@@ -78,10 +86,8 @@ type Placer struct {
 	// pos is the combined position table: [0, nCells) are the movable
 	// cells, then the input ports, then the output ports (both fixed).
 	pos []Loc
-	// Nets in CSR form: net n's pins are netPins[netStart[n]:netStart[n+1]],
-	// indices into pos with the source first.
-	netStart []int
-	netPins  []int
+	// The nets as Placement publishes them; a pin indexes pos.
+	netStart, netPins, sinkSlot []int32
 	// The nets touching each cell, CSR over cell index. A cell wired to a
 	// net twice lists it twice; delta deduplicates.
 	cellNetStart []int
@@ -119,8 +125,8 @@ func (p *Placer) reset(m *techmap.Mapped, w, h int) {
 	p.m, p.w, p.h, p.nCells = m, w, h, m.NumCells()
 	p.pos = flat.Zeroed(p.pos, p.nCells+m.NumInputs+len(m.Outputs))
 	// Cells in scan order, which keeps topologically adjacent cells
-	// physically adjacent (the mapper creates cells in topological-ish
-	// order).
+	// physically adjacent: the mapper numbers cells so that an
+	// unregistered cell reads only unregistered cells with lower ids.
 	for i := 0; i < p.nCells; i++ {
 		p.pos[i] = Loc{X: i % w, Y: i / w}
 	}
@@ -154,6 +160,9 @@ func (p *Placer) placement() *Placement {
 		Cells:      p.pos[:in:in],
 		InPorts:    p.pos[in:out:out],
 		OutPorts:   p.pos[out:],
+		NetStart:   p.netStart,
+		NetPins:    p.netPins,
+		SinkSlot:   p.sinkSlot,
 		Wirelength: p.wirelength(),
 		Moves:      p.moves,
 	}
@@ -180,22 +189,23 @@ func (p *Placer) Place(m *techmap.Mapped, w, h int, opt Options) (*Placement, er
 	return p.placement(), nil
 }
 
-// buildNets creates one net per driving signal that has a sink, in source
-// position order; a net's sinks keep the order the design lists them in
-// (cell inputs, then primary outputs).
+// buildNets creates one net per driving signal that has a sink, numbered
+// in the order of their first sinks; a net's sinks keep sink order.
 func (p *Placer) buildNets() {
 	n, m := p.nCells, p.m
 	nSrc := n + m.NumInputs
-	// eachSink calls f(source, sink) for every connection, as position
-	// indices; constants drive no net.
-	eachSink := func(f func(src, sink int)) {
+	// eachSink calls f(source, sink, slot) for every connection in sink
+	// order, as position indices; constants drive no net but hold a slot.
+	eachSink := func(f func(src, sink, slot int)) {
+		slot := 0
 		visit := func(sig techmap.Signal, sink int) {
 			switch sig.Kind {
 			case techmap.SigCell:
-				f(int(sig.Cell), sink)
+				f(int(sig.Cell), sink, slot)
 			case techmap.SigInput:
-				f(n+sig.Input, sink)
+				f(n+sig.Input, sink, slot)
 			}
+			slot++
 		}
 		for ci := range m.Cells {
 			for _, in := range m.Cells[ci].Inputs {
@@ -207,26 +217,34 @@ func (p *Placer) buildNets() {
 		}
 	}
 
-	// next[src] counts the sinks of src, then becomes the write cursor
-	// into netPins for the net src drives.
+	// next[src] is src's net id + 1 while nets are numbered and their sinks
+	// counted into netStart (0: no sink yet), then the write cursor into
+	// netPins for the net src drives.
 	p.next = flat.Zeroed(p.next, nSrc)
 	next := p.next
-	conns := 0
-	eachSink(func(src, _ int) { next[src]++; conns++ })
-	p.netStart = slices.Grow(p.netStart[:0], nSrc+1)
-	p.netPins = slices.Grow(p.netPins[:0], conns+nSrc)
-	for src, sinks := range next {
-		if sinks == 0 {
-			continue
+	p.netStart = append(slices.Grow(p.netStart[:0], nSrc+1), 0)
+	eachSink(func(src, _, _ int) {
+		if next[src] == 0 {
+			p.netStart = append(p.netStart, 0)
+			next[src] = p.numNets()
 		}
-		p.netStart = append(p.netStart, len(p.netPins))
-		p.netPins = append(p.netPins, src)
-		next[src] = len(p.netPins)
-		p.netPins = p.netPins[:len(p.netPins)+sinks]
+		p.netStart[next[src]]++
+	})
+	for nid := 1; nid < len(p.netStart); nid++ {
+		p.netStart[nid] += p.netStart[nid-1] + 1 // the sinks and the source
 	}
-	p.netStart = append(p.netStart, len(p.netPins))
-	eachSink(func(src, sink int) {
-		p.netPins[next[src]] = sink
+	pins := int(p.netStart[p.numNets()])
+	p.netPins = flat.Zeroed(p.netPins, pins)
+	p.sinkSlot = flat.Zeroed(p.sinkSlot, pins)
+	for src, id := range next {
+		if id != 0 {
+			at := p.netStart[id-1]
+			p.netPins[at], p.sinkSlot[at] = int32(src), -1
+			next[src] = int(at) + 1
+		}
+	}
+	eachSink(func(src, sink, slot int) {
+		p.netPins[next[src]], p.sinkSlot[next[src]] = int32(sink), int32(slot)
 		next[src]++
 	})
 	p.nets = flat.Zeroed(p.nets, p.numNets())
@@ -236,7 +254,7 @@ func (p *Placer) buildNets() {
 	p.cellNetStart = flat.Zeroed(p.cellNetStart, n+1)
 	cellPins := 0
 	for _, pin := range p.netPins {
-		if pin < n {
+		if int(pin) < n {
 			p.cellNetStart[pin+1]++
 			cellPins++
 		}
@@ -249,7 +267,7 @@ func (p *Placer) buildNets() {
 	copy(fill, p.cellNetStart)
 	for nid := 0; nid < p.numNets(); nid++ {
 		for _, pin := range p.netPins[p.netStart[nid]:p.netStart[nid+1]] {
-			if pin < n {
+			if int(pin) < n {
 				p.cellNets[fill[pin]] = nid
 				fill[pin]++
 			}
@@ -259,13 +277,15 @@ func (p *Placer) buildNets() {
 
 func (p *Placer) numNets() int { return len(p.netStart) - 1 }
 
-// hpwl returns the half-perimeter wirelength of net nid.
+// hpwl returns the half-perimeter wirelength of net nid. Pins and net
+// starts are never negative, so it indexes by their uint32 values, whose
+// bounds checks need no sign extension: the annealing loop's hot path.
 func (p *Placer) hpwl(nid int) int {
-	pins := p.netPins[p.netStart[nid]:p.netStart[nid+1]]
-	l := p.pos[pins[0]]
+	pins := p.netPins[uint32(p.netStart[nid]):uint32(p.netStart[nid+1])]
+	l := p.pos[uint32(pins[0])]
 	minX, maxX, minY, maxY := l.X, l.X, l.Y, l.Y
 	for _, pin := range pins[1:] {
-		l := p.pos[pin]
+		l := p.pos[uint32(pin)]
 		minX, maxX = min(minX, l.X), max(maxX, l.X)
 		minY, maxY = min(minY, l.Y), max(maxY, l.Y)
 	}

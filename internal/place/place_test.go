@@ -497,3 +497,121 @@ func TestPlacerResultOwnership(t *testing.T) {
 		t.Fatal("a package-level result changed under a later call")
 	}
 }
+
+// groupNets is the reference net table: it walks the sinks in sink order
+// and groups them in a map by driving signal, numbering nets as their
+// first sinks appear, each sink with its slot. Pins number terminals as
+// the placer does: cells, then input ports, then output ports.
+func groupNets(m *techmap.Mapped) (order []int32, sinks, slots map[int32][]int32) {
+	n := m.NumCells()
+	sinks, slots = map[int32][]int32{}, map[int32][]int32{}
+	slot := int32(0)
+	add := func(sig techmap.Signal, sink int) {
+		defer func() { slot++ }()
+		var src int32
+		switch sig.Kind {
+		case techmap.SigCell:
+			src = int32(sig.Cell)
+		case techmap.SigInput:
+			src = int32(n + sig.Input)
+		default:
+			return // constants drive no net
+		}
+		if _, ok := sinks[src]; !ok {
+			order = append(order, src)
+		}
+		sinks[src] = append(sinks[src], int32(sink))
+		slots[src] = append(slots[src], slot)
+	}
+	for ci := range m.Cells {
+		for _, in := range m.Cells[ci].Inputs {
+			add(in, ci)
+		}
+	}
+	for oi, sig := range m.Outputs {
+		add(sig, n+m.NumInputs+oi)
+	}
+	return order, sinks, slots
+}
+
+// checkNets holds a Placement's net table to groupNets.
+func checkNets(t *testing.T, name string, pl *Placement) {
+	t.Helper()
+	order, sinks, slots := groupNets(pl.Mapped)
+	if len(pl.NetStart) != len(order)+1 || pl.NetStart[0] != 0 ||
+		len(pl.NetPins) != int(pl.NetStart[len(order)]) || len(pl.SinkSlot) != len(pl.NetPins) {
+		t.Fatalf("%s: %d net starts, %d pins, %d slots for %d nets", name,
+			len(pl.NetStart), len(pl.NetPins), len(pl.SinkSlot), len(order))
+	}
+	for nid, src := range order {
+		pins := pl.NetPins[pl.NetStart[nid]:pl.NetStart[nid+1]]
+		got := pl.SinkSlot[pl.NetStart[nid]:pl.NetStart[nid+1]]
+		if len(pins) == 0 || pins[0] != src || got[0] != -1 ||
+			!slices.Equal(pins[1:], sinks[src]) || !slices.Equal(got[1:], slots[src]) {
+			t.Fatalf("%s: net %d has pins %v, slots %v; want source %d, sinks %v, slots %v",
+				name, nid, pins, got, src, sinks[src], slots[src])
+		}
+	}
+}
+
+// TestNetTableMatchesGrouping checks the placer's net table, the one the
+// router negotiates from, against a map-based grouping: over the library,
+// and over random designs with constants, cells that read one net twice
+// and inputs that drive nothing.
+func TestNetTableMatchesGrouping(t *testing.T) {
+	reg := netlist.Registry()
+	names := make([]string, 0, len(reg))
+	for name := range reg {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var p Placer
+	for _, name := range names {
+		m := mustMap(t, netlist.Optimize(reg[name]()))
+		w, h := Shape(m.NumCells())
+		pl, err := p.Place(m, w, h, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkNets(t, name, pl)
+	}
+	src := rng.New(13)
+	var constants, twice, idle int
+	for design := 0; design < 100; design++ {
+		m := randomMapped(src)
+		w, h := Shape(m.NumCells())
+		pl, err := p.Place(m, w, h, Options{Seed: uint64(design)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkNets(t, fmt.Sprintf("random %d", design), pl)
+		read := make([]bool, m.NumInputs)
+		for _, c := range m.Cells {
+			for k, in := range c.Inputs {
+				switch {
+				case in.Kind == techmap.SigConst:
+					constants++
+				case slices.Contains(c.Inputs[:k], in):
+					twice++
+				}
+				if in.Kind == techmap.SigInput {
+					read[in.Input] = true
+				}
+			}
+		}
+		for _, sig := range m.Outputs {
+			if sig.Kind == techmap.SigInput {
+				read[sig.Input] = true
+			}
+		}
+		for _, r := range read {
+			if !r {
+				idle++
+			}
+		}
+	}
+	if constants == 0 || twice == 0 || idle == 0 {
+		t.Fatalf("designs missed a case: %d constant sinks, %d cells reading a net twice, %d idle inputs",
+			constants, twice, idle)
+	}
+}

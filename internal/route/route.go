@@ -46,10 +46,9 @@ type Result struct {
 	Pops       int // heap pops over every search of every iteration: the router's work
 
 	// CriticalPath's working arrays, per cell: where its pins start in
-	// SinkHops, its output's arrival time and its visit state.
+	// SinkHops and its output's arrival time.
 	pinAt   []int32
 	arrival []sim.Time
-	state   []uint8
 }
 
 // Options tunes the router.
@@ -130,92 +129,42 @@ func (g grid) expand(n int, buf *[4]hop) []hop {
 }
 
 // conn is one source-to-sink connection as the negotiation routes it: the
-// key of its net (the driving signal, numbered as the placer numbers
-// sources: cells, then primary inputs), the grid nodes it joins, and the
-// sink's slot in Result.SinkHops.
+// grid nodes it joins and the sink's slot in Result.SinkHops.
 type conn struct {
-	src, from, to, slot int32
+	from, to, slot int32
 }
 
-// connections enumerates every routable connection of a placement in sink
-// order into conns' array, and returns them with the number of sinks.
+// connections lists every routable connection of a placement into conns'
+// array, net by net in the placement's net order, and returns them with
+// the number of sinks. A net's pins are its source and its connections,
+// so net n's connections are conns[NetStart[n]-n : NetStart[n+1]-n-1].
 func connections(p *place.Placement, g grid, conns []conn) ([]conn, int) {
 	m := p.Mapped
 	sinks := len(m.Outputs)
 	for ci := range m.Cells {
 		sinks += len(m.Cells[ci].Inputs)
 	}
-	conns = slices.Grow(conns[:0], sinks)
-	var slot int32
-	for ci := range m.Cells {
-		to := int32(g.node(p.Cells[ci]))
-		for _, in := range m.Cells[ci].Inputs {
-			if in.Kind != techmap.SigConst {
-				conns = append(conns, connFrom(p, g, in, to, slot))
-			}
-			slot++
+	nets := len(p.NetStart) - 1
+	conns = slices.Grow(conns[:0], len(p.NetPins)-nets)
+	// A pin numbers the cells, then the input ports, then the output ports.
+	node := func(pin int32) int32 {
+		k := int(pin)
+		if k < len(p.Cells) {
+			return int32(g.node(p.Cells[k]))
 		}
+		if k -= len(p.Cells); k < len(p.InPorts) {
+			return int32(g.node(p.InPorts[k]))
+		}
+		return int32(g.node(p.OutPorts[k-len(p.InPorts)]))
 	}
-	for oi, sig := range m.Outputs {
-		if sig.Kind != techmap.SigConst {
-			conns = append(conns, connFrom(p, g, sig, int32(g.node(p.OutPorts[oi])), slot))
+	for n := 0; n < nets; n++ {
+		start, end := p.NetStart[n], p.NetStart[n+1]
+		from := node(p.NetPins[start])
+		for k := start + 1; k < end; k++ {
+			conns = append(conns, conn{from: from, to: node(p.NetPins[k]), slot: p.SinkSlot[k]})
 		}
-		slot++
 	}
 	return conns, sinks
-}
-
-// connFrom is the connection from signal sig into the sink in slot at
-// grid node to.
-func connFrom(p *place.Placement, g grid, sig techmap.Signal, to, slot int32) conn {
-	if sig.Kind == techmap.SigCell {
-		return conn{src: int32(sig.Cell), from: int32(g.node(p.Cells[sig.Cell])), to: to, slot: slot}
-	}
-	return conn{src: int32(len(p.Mapped.Cells) + sig.Input), from: int32(g.node(p.InPorts[sig.Input])), to: to, slot: slot}
-}
-
-// netTable groups connections into nets by driving signal, in CSR form:
-// net n's connections are conns[start[n]:start[n+1]], in connection
-// order, and nets are numbered in order of first appearance — the order
-// the negotiation loop routes them in.
-type netTable struct {
-	start []int32
-	conns []int32
-	// at[key] is the key's net id + 1 while build numbers and counts nets
-	// (0: not seen yet), then the write cursor into conns.
-	at []int32
-}
-
-func (t *netTable) numNets() int { return len(t.start) - 1 }
-
-// build groups conns by their net keys, which are below keys, over the
-// table's arrays.
-func (t *netTable) build(keys int, conns []conn) {
-	t.at = flat.Zeroed(t.at, keys)
-	t.start = append(slices.Grow(t.start[:0], keys+1), 0)
-	t.conns = flat.Zeroed(t.conns, len(conns))
-	at := t.at
-	for i := range conns {
-		k := conns[i].src
-		if at[k] == 0 {
-			t.start = append(t.start, 0)
-			at[k] = int32(t.numNets())
-		}
-		t.start[at[k]]++
-	}
-	for n := 1; n < len(t.start); n++ {
-		t.start[n] += t.start[n-1]
-	}
-	for k, id := range at {
-		if id != 0 {
-			at[k] = t.start[id-1]
-		}
-	}
-	for i := range conns {
-		k := conns[i].src
-		t.conns[at[k]] = int32(i)
-		at[k]++
-	}
 }
 
 func abs(x int) int {
@@ -355,9 +304,9 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 }
 
 // Router is Route with its working state and its result kept from call
-// to call: the search scratch, the connections and their nets, the last
-// pass's paths, back to back in one arena of node ids — connection i's
-// path is arena[pathAt[i].off:][:pathAt[i].n] — and the Result with its
+// to call: the search scratch, the connections, the last pass's paths,
+// back to back in one arena of node ids — connection i's path is
+// arena[pathAt[i].off:][:pathAt[i].n] — and the Result with its
 // SinkHops and CriticalPath's arrays. Only a path's length outlives the
 // pass; the tests read the paths themselves. Once the arrays have grown
 // to the largest design, a call allocates nothing. The zero value is
@@ -365,7 +314,6 @@ func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 type Router struct {
 	s        routeScratch
 	conns    []conn
-	nets     netTable
 	pathAt   []pathSpan
 	arena    []int32
 	netEdges []edgeID
@@ -400,13 +348,7 @@ func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, er
 	}
 	res := r.out
 	*res = Result{P: p, Tracks: tracks, Conns: len(conns),
-		SinkHops: res.SinkHops, pinAt: res.pinAt, arrival: res.arrival, state: res.state}
-
-	// Group connections into nets by driving signal: a net's fanout shares
-	// one routing tree, so a channel segment carries a net once no matter
-	// how many sinks lie beyond it.
-	nets := &r.nets
-	nets.build(len(p.Mapped.Cells)+p.Mapped.NumInputs, conns)
+		SinkHops: res.SinkHops, pinAt: res.pinAt, arrival: res.arrival}
 
 	s := &r.s
 	s.reset(g, tracks)
@@ -431,9 +373,11 @@ func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, er
 			occ[i] = 0
 		}
 		arena = arena[:0]
-		for n := 0; n < nets.numNets(); n++ {
+		// A net's fanout shares one routing tree, so a channel segment
+		// carries a net once no matter how many sinks lie beyond it.
+		for n := 0; n+1 < len(p.NetStart); n++ {
 			netEdges = netEdges[:0]
-			for _, i := range nets.conns[nets.start[n]:nets.start[n+1]] {
+			for i := int(p.NetStart[n]) - n; i < int(p.NetStart[n+1])-n-1; i++ {
 				path := s.shortestPath(int(conns[i].from), int(conns[i].to))
 				pathAt[i] = pathSpan{off: int32(len(arena)), n: int32(len(path))}
 				for _, nd := range path {
@@ -566,63 +510,40 @@ func (r *Result) CriticalPath(lutDelay, hopDelay sim.Time) sim.Time {
 	}
 	ports := int(pinAt[len(m.Cells)])
 	hops := r.SinkHops
-	// arrival time of each cell's output (combinational cells only; FF
-	// outputs and inputs are time-zero sources).
+	// arrival is each unregistered cell's output time; register outputs and
+	// inputs are time-zero sources.
 	r.arrival = flat.Zeroed(r.arrival, len(m.Cells))
-	r.state = flat.Zeroed(r.state, len(m.Cells))
-	arrival, state := r.arrival, r.state
+	arrival := r.arrival
 	crit := sim.Time(0)
-	var arrive func(ci int) sim.Time
-	inputArrival := func(ci int) sim.Time {
-		worst := sim.Time(0)
-		pins := hops[pinAt[ci]:pinAt[ci+1]]
-		for k, in := range m.Cells[ci].Inputs {
-			var src sim.Time
-			switch in.Kind {
-			case techmap.SigCell:
-				if !m.Cells[in.Cell].UseFF {
-					src = arrive(int(in.Cell))
+	// Unregistered cells first, in cell order, which reads every arrival
+	// after it is written: the mapper numbers an unregistered cell after
+	// the unregistered cells it reads. Then the registered cells, whose
+	// input paths end at their registers and may read any cell. Every
+	// cell's input path is a lower bound, which covers dangling cells.
+	for _, registered := range [2]bool{false, true} {
+		for ci := range m.Cells {
+			if m.Cells[ci].UseFF != registered {
+				continue
+			}
+			worst := sim.Time(0)
+			pins := hops[pinAt[ci]:pinAt[ci+1]]
+			for k, in := range m.Cells[ci].Inputs {
+				var src sim.Time
+				if in.Kind == techmap.SigCell && !m.Cells[in.Cell].UseFF {
+					src = arrival[in.Cell]
 				}
-			case techmap.SigInput, techmap.SigConst:
-				src = 0
+				worst = max(worst, src+sim.Time(pins[k])*hopDelay)
 			}
-			t := src + sim.Time(pins[k])*hopDelay
-			if t > worst {
-				worst = t
-			}
-		}
-		return worst
-	}
-	arrive = func(ci int) sim.Time {
-		if state[ci] == 2 {
-			return arrival[ci]
-		}
-		if state[ci] == 1 {
-			return 0 // cycles only via FFs; guarded by techmap validation
-		}
-		state[ci] = 1
-		arrival[ci] = inputArrival(ci) + lutDelay
-		state[ci] = 2
-		return arrival[ci]
-	}
-	for ci := range m.Cells {
-		// Every cell's D/LUT input path terminates a timing path when the
-		// cell is registered; otherwise it contributes via consumers, but
-		// we still take it as a lower bound (covers dangling comb cells).
-		t := inputArrival(ci) + lutDelay
-		if t > crit {
-			crit = t
+			arrival[ci] = worst + lutDelay
+			crit = max(crit, arrival[ci])
 		}
 	}
 	for oi, sig := range m.Outputs {
 		var src sim.Time
 		if sig.Kind == techmap.SigCell && !m.Cells[sig.Cell].UseFF {
-			src = arrive(int(sig.Cell))
+			src = arrival[sig.Cell]
 		}
-		t := src + sim.Time(hops[ports+oi])*hopDelay
-		if t > crit {
-			crit = t
-		}
+		crit = max(crit, src+sim.Time(hops[ports+oi])*hopDelay)
 	}
 	return crit
 }

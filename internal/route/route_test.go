@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -697,35 +698,6 @@ func TestRouteSetupAllocBudget(t *testing.T) {
 	}
 }
 
-// TestNetTableMatchesGrouping checks the CSR net table against the
-// grouping it replaced: a map from net key to connection indices plus the
-// order keys first appear in.
-func TestNetTableMatchesGrouping(t *testing.T) {
-	for _, name := range []string{"adder8", "alu8", "counter8", "mul4"} {
-		p := placed(t, netlist.MustLookup(name))
-		conns, _ := connections(p, grid{w: p.W, h: p.H}, nil)
-		byNet := map[int32][]int32{}
-		var order []int32
-		for i, c := range conns {
-			if _, ok := byNet[c.src]; !ok {
-				order = append(order, c.src)
-			}
-			byNet[c.src] = append(byNet[c.src], int32(i))
-		}
-		var nets netTable
-		nets.build(len(p.Mapped.Cells)+p.Mapped.NumInputs, conns)
-		if nets.numNets() != len(order) {
-			t.Fatalf("%s: %d nets, want %d", name, nets.numNets(), len(order))
-		}
-		for n, src := range order {
-			got := nets.conns[nets.start[n]:nets.start[n+1]]
-			if !slices.Equal(got, byNet[src]) {
-				t.Fatalf("%s: net %d = %v, want %v", name, n, got, byNet[src])
-			}
-		}
-	}
-}
-
 // sameRouting fails t unless got and want report the same routing of one
 // placement.
 func sameRouting(t *testing.T, when string, got, want *Result) {
@@ -790,8 +762,13 @@ func TestConstantSinkReadsZeroOnReuse(t *testing.T) {
 			Cells:     []techmap.Cell{{Inputs: []techmap.Signal{{Kind: techmap.SigInput}}}},
 			Outputs:   []techmap.Signal{out},
 		}
-		return &place.Placement{Mapped: m, W: 3, H: 1,
-			Cells: []place.Loc{{X: 0}}, InPorts: []place.Loc{{X: 0}}, OutPorts: []place.Loc{{X: 2}}}
+		// One cell is not annealed: it sits at (0, 0), its input port
+		// on the left edge and its output port on the right.
+		p, err := place.Place(m, 3, 1, place.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
 	var r Router
 	wired, err := r.Route(design(techmap.Signal{Kind: techmap.SigCell}), 1, Options{})
@@ -807,5 +784,131 @@ func TestConstantSinkReadsZeroOnReuse(t *testing.T) {
 	}
 	if !slices.Equal(tied.SinkHops, []int32{0, 0}) || tied.TotalHops != 0 {
 		t.Fatalf("tied design: sink hops %v, total %d, want [0 0] and 0", tied.SinkHops, tied.TotalHops)
+	}
+}
+
+// criticalPathRecursive is the memoized recursion CriticalPath replaced,
+// kept as its reference: a cell's arrival follows its unregistered inputs
+// back, in whatever order cells come.
+func criticalPathRecursive(r *Result, lutDelay, hopDelay sim.Time) sim.Time {
+	m := r.P.Mapped
+	pinAt := make([]int32, len(m.Cells)+1)
+	for ci := range m.Cells {
+		pinAt[ci+1] = pinAt[ci] + int32(len(m.Cells[ci].Inputs))
+	}
+	ports := int(pinAt[len(m.Cells)])
+	hops := r.SinkHops
+	arrival := make([]sim.Time, len(m.Cells))
+	state := make([]uint8, len(m.Cells)) // 0 unvisited, 1 visiting, 2 done
+	var arrive func(ci int) sim.Time
+	inputArrival := func(ci int) sim.Time {
+		worst := sim.Time(0)
+		pins := hops[pinAt[ci]:pinAt[ci+1]]
+		for k, in := range m.Cells[ci].Inputs {
+			var src sim.Time
+			if in.Kind == techmap.SigCell && !m.Cells[in.Cell].UseFF {
+				src = arrive(int(in.Cell))
+			}
+			worst = max(worst, src+sim.Time(pins[k])*hopDelay)
+		}
+		return worst
+	}
+	arrive = func(ci int) sim.Time {
+		if state[ci] == 2 {
+			return arrival[ci]
+		}
+		if state[ci] == 1 {
+			return 0 // cycles only via FFs; guarded by techmap validation
+		}
+		state[ci] = 1
+		arrival[ci] = inputArrival(ci) + lutDelay
+		state[ci] = 2
+		return arrival[ci]
+	}
+	crit := sim.Time(0)
+	for ci := range m.Cells {
+		crit = max(crit, inputArrival(ci)+lutDelay)
+	}
+	for oi, sig := range m.Outputs {
+		var src sim.Time
+		if sig.Kind == techmap.SigCell && !m.Cells[sig.Cell].UseFF {
+			src = arrive(int(sig.Cell))
+		}
+		crit = max(crit, src+sim.Time(hops[ports+oi])*hopDelay)
+	}
+	return crit
+}
+
+// sameCriticalPath fails t unless r's critical path is the recursion's at
+// two delay ratios, one where logic dominates and one where wire does.
+func sameCriticalPath(t *testing.T, name string, r *Result) {
+	t.Helper()
+	for _, d := range [][2]sim.Time{{3, 1}, {1, 5}} {
+		if got, want := r.CriticalPath(d[0], d[1]), criticalPathRecursive(r, d[0], d[1]); got != want {
+			t.Fatalf("%s: critical path %v at delays %v, the recursion finds %v", name, got, d, want)
+		}
+	}
+}
+
+// TestCriticalPathMatchesRecursion holds the two forward passes to the
+// recursion they replaced: every library circuit routed in the tightest
+// strip of 16 and of 24 rows, as compile.CompileStrip first tries them,
+// then random designs with flip-flops.
+func TestCriticalPathMatchesRecursion(t *testing.T) {
+	const tracks = 12
+	reg := netlist.Registry()
+	names := make([]string, 0, len(reg))
+	for name := range reg {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var (
+		mp techmap.Mapper
+		pl place.Placer
+		rt Router
+	)
+	for _, rows := range []int{16, 24} {
+		for _, name := range names {
+			m, err := mp.Map(netlist.Optimize(reg[name]()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := m.NumCells()
+			for w := max((cells+cells/8+rows-1)/rows, 1); ; w++ {
+				p, err := pl.Place(m, w, rows, place.Options{Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r, err := rt.Route(p, tracks, Options{}); err == nil {
+					sameCriticalPath(t, fmt.Sprintf("%s in %dx%d", name, w, rows), r)
+					break
+				}
+			}
+		}
+	}
+	src, routed := rng.New(49), 0
+	for i := 0; i < 100; i++ {
+		nl := netlist.Random(src, netlist.RandomConfig{
+			Inputs:  src.Intn(8) + 1,
+			Outputs: src.Intn(6) + 1,
+			Gates:   src.Intn(60) + 5,
+			DFFProb: 0.05 + 0.4*src.Float64(),
+		})
+		m, err := mp.Map(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, h := place.Shape(m.NumCells())
+		p, err := pl.Place(m, w, h, place.Options{Seed: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, err := rt.Route(p, tracks, Options{}); err == nil {
+			sameCriticalPath(t, fmt.Sprintf("random %d", i), r)
+			routed++
+		}
+	}
+	if routed < 90 {
+		t.Fatalf("only %d of 100 random designs routed", routed)
 	}
 }

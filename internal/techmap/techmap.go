@@ -61,11 +61,11 @@ type Mapped struct {
 func (m *Mapped) NumCells() int { return len(m.Cells) }
 
 // Mapper is Map with its per-node tables and its result kept from call
-// to call: fanout counts, chosen cuts, the cell per node, the depth memo,
-// and the Mapped with its cell table and its one array of LUT inputs.
-// Once they have grown to the largest input, a call allocates nothing.
-// The zero value is ready for use; a Mapper is not safe for concurrent
-// use.
+// to call: fanout counts, chosen cuts, the cell per node, the depth per
+// cell, and the Mapped with its cell table and its one array of LUT
+// inputs. Once they have grown to the largest input, a call allocates
+// nothing. The zero value is ready for use; a Mapper is not safe for
+// concurrent use.
 type Mapper struct {
 	nl     *netlist.Netlist
 	fanout []int              // resolved fanout count per node
@@ -77,8 +77,7 @@ type Mapper struct {
 	inputs []Signal           // the LUT-input array every cell's Inputs is a window of
 	free   []Signal           // the part of inputs no cell holds yet
 	out    *Mapped            // the last call's result, made by the first
-	memo   []int              // lutDepth's depth per cell
-	state  []uint8            // lutDepth's visit state per cell
+	depth  []int              // lutDepth's depth per cell
 }
 
 // Map lowers nl onto 4-LUT cells. It returns an error if any node needs a
@@ -467,38 +466,28 @@ func (m *Mapper) realize() error {
 }
 
 // lutDepth computes the maximum combinational LUT depth of the mapped
-// design (registered cell outputs are level 0 sources).
+// design (registered cell outputs are level 0 sources). It visits the
+// unregistered cells in cell order, each after the unregistered cells it
+// reads (realizeGate appends a cell once its leaves are realized), then
+// the registered cells, whose slots realizeDFF reserves before their D
+// cones.
 func (m *Mapper) lutDepth() int {
-	m.memo = flat.Zeroed(m.memo, len(m.out.Cells))
-	m.state = flat.Zeroed(m.state, len(m.out.Cells)) // 0 unvisited, 1 visiting, 2 done
-	memo, state := m.memo, m.state
-	var depth func(c CellID) int
-	depth = func(c CellID) int {
-		if state[c] == 2 {
-			return memo[c]
-		}
-		if state[c] == 1 {
-			return 0 // cycle through registered cells only; treated as source
-		}
-		state[c] = 1
-		cell := &m.out.Cells[c]
-		in := 0
-		for _, s := range cell.Inputs {
-			if s.Kind == SigCell && !m.out.Cells[s.Cell].UseFF {
-				if d := depth(s.Cell); d > in {
-					in = d
+	m.depth = flat.Zeroed(m.depth, len(m.out.Cells))
+	depth, maxD := m.depth, 0
+	for _, registered := range [2]bool{false, true} {
+		for c := range m.out.Cells {
+			cell := &m.out.Cells[c]
+			if cell.UseFF != registered {
+				continue
+			}
+			in := 0
+			for _, s := range cell.Inputs {
+				if s.Kind == SigCell && !m.out.Cells[s.Cell].UseFF {
+					in = max(in, depth[s.Cell])
 				}
 			}
-		}
-		d := in + 1
-		memo[c] = d
-		state[c] = 2
-		return d
-	}
-	maxD := 0
-	for i := range m.out.Cells {
-		if d := depth(CellID(i)); d > maxD {
-			maxD = d
+			depth[c] = in + 1
+			maxD = max(maxD, depth[c])
 		}
 	}
 	return maxD

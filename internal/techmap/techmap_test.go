@@ -1,6 +1,7 @@
 package techmap
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
@@ -383,4 +384,104 @@ func TestMapperResultOwnership(t *testing.T) {
 	if !reflect.DeepEqual(a, before) {
 		t.Fatal("a package-level result changed under a later call")
 	}
+}
+
+// depthRecursive is the memoized recursion lutDepth replaced, kept as its
+// reference: a cell's depth is one more than the deepest unregistered
+// cell it reads, found by following inputs in whatever order cells come.
+func depthRecursive(m *Mapped) int {
+	memo := make([]int, len(m.Cells))
+	state := make([]uint8, len(m.Cells)) // 0 unvisited, 1 visiting, 2 done
+	var depth func(c CellID) int
+	depth = func(c CellID) int {
+		if state[c] == 2 {
+			return memo[c]
+		}
+		if state[c] == 1 {
+			return 0 // cycle through registered cells only; treated as source
+		}
+		state[c] = 1
+		in := 0
+		for _, s := range m.Cells[c].Inputs {
+			if s.Kind == SigCell && !m.Cells[s.Cell].UseFF {
+				in = max(in, depth(s.Cell))
+			}
+		}
+		memo[c], state[c] = in+1, 2
+		return in + 1
+	}
+	maxD := 0
+	for c := range m.Cells {
+		maxD = max(maxD, depth(CellID(c)))
+	}
+	return maxD
+}
+
+// eachMapped calls f with every library circuit mapped optimized and raw,
+// then with 500 random designs that hold flip-flops.
+func eachMapped(t *testing.T, f func(name string, m *Mapped)) {
+	t.Helper()
+	reg := netlist.Registry()
+	names := make([]string, 0, len(reg))
+	for name := range reg {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var mp Mapper
+	mapped := func(nl *netlist.Netlist) *Mapped {
+		t.Helper()
+		m, err := mp.Map(nl)
+		if err != nil {
+			t.Fatalf("Map(%s): %v", nl.Name, err)
+		}
+		return m
+	}
+	for _, name := range names {
+		f(name, mapped(netlist.Optimize(reg[name]())))
+		f(name+" (raw)", mapped(reg[name]()))
+	}
+	src := rng.New(49)
+	for i := 0; i < 500; i++ {
+		nl := netlist.Random(src, netlist.RandomConfig{
+			Inputs:    src.Intn(8) + 1,
+			Outputs:   src.Intn(6) + 1,
+			Gates:     src.Intn(60) + 5,
+			DFFProb:   0.05 + 0.4*src.Float64(),
+			ConstProb: 0.1 * src.Float64(),
+		})
+		f(fmt.Sprintf("random %d", i), mapped(nl))
+	}
+}
+
+// TestCellOrderCombinational pins the order lutDepth and the router's
+// critical path walk forward: every unregistered cell reads only
+// unregistered cells with lower ids. A registered cell may read any cell.
+func TestCellOrderCombinational(t *testing.T) {
+	registered := 0
+	eachMapped(t, func(name string, m *Mapped) {
+		for c := range m.Cells {
+			if m.Cells[c].UseFF {
+				registered++
+				continue
+			}
+			for _, s := range m.Cells[c].Inputs {
+				if s.Kind == SigCell && !m.Cells[s.Cell].UseFF && int(s.Cell) >= c {
+					t.Fatalf("%s: unregistered cell %d reads unregistered cell %d", name, c, s.Cell)
+				}
+			}
+		}
+	})
+	if registered == 0 {
+		t.Fatal("no design holds a registered cell")
+	}
+}
+
+// TestLutDepthMatchesRecursion holds the two forward passes to the
+// recursion they replaced.
+func TestLutDepthMatchesRecursion(t *testing.T) {
+	eachMapped(t, func(name string, m *Mapped) {
+		if want := depthRecursive(m); m.Depth != want {
+			t.Fatalf("%s: depth %d, the recursion finds %d", name, m.Depth, want)
+		}
+	})
 }
