@@ -103,7 +103,10 @@ fuzz-smoke:
 # edits to the flat-array idioms — a scratch array's clear, record
 # carving and its rewind, a fan-out's first error, the topological
 # sort's FIFO and its seeding from index 0 (order-lifo,
-# order-seeds-from-one) — the ledger, the
+# order-seeds-from-one) — the netlist check, the one statement of a
+# netlist's structural rules (validate-skips-fanin-range,
+# validate-allows-output-read, validate-allows-duplicate-port,
+# topo-accepts-cycle), the ledger, the
 # renewal of a warm board's engines and host OS, the pin binding, the
 # state and strip tables, the task kernel, the region map, the host OS, the
 # daemon's pool and admission, the fleet's queueing kernel, the

@@ -8,7 +8,7 @@
 //	vfpgalint                          # lint the whole library
 //	vfpgalint -circuits adder8,crc16   # a subset
 //	vfpgalint -json -fail-on warning   # machine-readable, strict
-//	vfpgalint -passes comb-loop,net-drive -compile=false
+//	vfpgalint -passes net-drive,dead-logic -compile=false
 //	vfpgalint -list                    # show the available passes
 //
 // The exit status is 0 when no diagnostic at or above the -fail-on

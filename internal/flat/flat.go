@@ -98,7 +98,7 @@ func (o *Order[T]) Place(f, t T) {
 }
 
 // Sort appends the order to dst, grown once to hold every node, and
-// returns it; the nodes it leaves out are those Ordered reports false.
+// returns it; the nodes it leaves out are those on or after a cycle.
 func (o *Order[T]) Sort(dst []T) []T {
 	dst = slices.Grow(dst, len(o.indeg))
 	head := len(dst)
@@ -118,9 +118,6 @@ func (o *Order[T]) Sort(dst []T) []T {
 	}
 	return dst
 }
-
-// Ordered reports whether the last Sort ordered node i.
-func (o *Order[T]) Ordered(i T) bool { return o.indeg[i] == 0 }
 
 // FanOut calls fn(k) for every k in [0, n) on up to workers goroutines,
 // the caller's among them, and returns when every call has. A panicking

@@ -117,7 +117,10 @@ type Target struct {
 	// supplies one (e.g. pure region-state targets).
 	Name string
 
-	// Netlist is a gate-level circuit (the netlist-domain passes).
+	// Netlist is a gate-level circuit (the netlist-domain passes). It and
+	// every segment stage must have passed the netlist package's check,
+	// which each of its constructors ends in: the passes take the
+	// structural rules it enforces as given.
 	Netlist *netlist.Netlist
 	// Segments is an ordered stage chain produced by netlist.Segment;
 	// when set, Netlist must be the original circuit, and the port-width
@@ -185,8 +188,7 @@ type Pass struct {
 
 // builtin is the ordered default pass set.
 var builtin = []Pass{
-	{"comb-loop", "combinational cycles in the gate graph", passCombLoop},
-	{"net-drive", "dangling nets, unused inputs, multiply-driven ports, structural damage", passNetDrive},
+	{"net-drive", "dangling nets, unused inputs, multiply-driven ports", passNetDrive},
 	{"port-width", "bus contiguity and Segment/Concat boundary-wire interfaces", passPortWidth},
 	{"dead-logic", "gates that cannot influence any primary output", passDeadLogic},
 	{"seq-preempt", "flip-flop state that is not fully readback-observable", passSeqPreempt},

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"encoding/json"
-	"slices"
 	"strings"
 	"testing"
 
@@ -11,16 +10,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/rng"
 )
-
-// raw assembles a Netlist directly, bypassing Builder.Build — exactly
-// what a deserialized or corrupted artifact looks like to the verifier.
-func raw(name string, nodes []netlist.Node, in, out, dffs []netlist.NodeID) *netlist.Netlist {
-	return &netlist.Netlist{Name: name, Nodes: nodes, Inputs: in, Outputs: out, DFFs: dffs}
-}
-
-func node(id int, kind netlist.Kind, name string, fanin ...netlist.NodeID) netlist.Node {
-	return netlist.Node{ID: netlist.NodeID(id), Kind: kind, Name: name, Fanin: fanin}
-}
 
 // only runs a single pass over a single target.
 func only(t *testing.T, pass string, target *Target) []Diagnostic {
@@ -49,72 +38,33 @@ func wantNone(t *testing.T, diags []Diagnostic) {
 	}
 }
 
-func TestCombLoopDetected(t *testing.T) {
-	// a -> not(1) -> not(2) -> back to not(1); output reads node 2.
-	nl := raw("looped", []netlist.Node{
-		node(0, netlist.KindInput, "a"),
-		node(1, netlist.KindNot, "", 2),
-		node(2, netlist.KindNot, "", 1),
-		node(3, netlist.KindOutput, "y", 2),
-	}, []netlist.NodeID{0}, []netlist.NodeID{3}, nil)
-	diags := only(t, "comb-loop", &Target{Netlist: nl})
-	wantDiag(t, diags, Error, "combinational loop")
-}
-
-func TestCombLoopCleanOnDFFFeedback(t *testing.T) {
-	// The same feedback through a DFF is sequential, not combinational.
-	nl := raw("dffloop", []netlist.Node{
-		node(0, netlist.KindDFF, "", 1),
-		node(1, netlist.KindNot, "", 0),
-		node(2, netlist.KindOutput, "y", 0),
-	}, nil, []netlist.NodeID{2}, []netlist.NodeID{0})
-	wantNone(t, only(t, "comb-loop", &Target{Netlist: nl}))
-}
-
 func TestNetDriveDanglingAndUnused(t *testing.T) {
-	nl := raw("dangle", []netlist.Node{
-		node(0, netlist.KindInput, "a"),
-		node(1, netlist.KindInput, "b"), // never read
-		node(2, netlist.KindNot, "", 0), // never consumed
-		node(3, netlist.KindOutput, "y", 0),
-	}, []netlist.NodeID{0, 1}, []netlist.NodeID{3}, nil)
-	diags := only(t, "net-drive", &Target{Netlist: nl})
+	b := netlist.NewBuilder("dangle")
+	a := b.Input("a")
+	b.Input("b") // never read
+	b.Not(a)     // never consumed
+	b.Output("y", a)
+	diags := only(t, "net-drive", &Target{Netlist: b.MustBuild()})
 	wantDiag(t, diags, Warning, "unused input port")
 	wantDiag(t, diags, Warning, "dangling net")
 }
 
 func TestNetDriveMultiplyDrivenPort(t *testing.T) {
-	nl := raw("dup", []netlist.Node{
-		node(0, netlist.KindInput, "a"),
-		node(1, netlist.KindInput, "a"), // same net name, second driver
-		node(2, netlist.KindOutput, "y", 0),
-	}, []netlist.NodeID{0, 1}, []netlist.NodeID{2}, nil)
-	diags := only(t, "net-drive", &Target{Netlist: nl})
+	b := netlist.NewBuilder("dup")
+	b.Output("a", b.Input("a")) // one net name, two drivers
+	diags := only(t, "net-drive", &Target{Netlist: b.MustBuild()})
 	wantDiag(t, diags, Error, "multiply-driven net")
 }
 
-func TestNetDriveStructuralDamage(t *testing.T) {
-	nl := raw("damaged", []netlist.Node{
-		node(0, netlist.KindInput, "a"),
-		node(1, netlist.KindAnd, "", 0, 9), // fanin 9 out of range
-		node(2, netlist.KindNot, ""),       // arity 1, zero fanins
-		node(3, netlist.KindOutput, "y", 1),
-	}, []netlist.NodeID{0}, []netlist.NodeID{3}, nil)
-	diags := only(t, "net-drive", &Target{Netlist: nl})
-	wantDiag(t, diags, Error, "outside the node table")
-	wantDiag(t, diags, Error, "want 1")
-}
-
 func TestPortWidthMismatch(t *testing.T) {
-	nl := raw("bus", []netlist.Node{
-		node(0, netlist.KindInput, "d[0]"),
-		node(1, netlist.KindInput, "d[2]"), // d[1] missing
-		node(2, netlist.KindOutput, "q[0]", 0),
-		node(3, netlist.KindOutput, "q[1]", 1),
-		node(4, netlist.KindOutput, "q[1]", 0), // duplicate bit
-		node(5, netlist.KindOutput, "q", 1),    // scalar aliases the bus
-	}, []netlist.NodeID{0, 1}, []netlist.NodeID{2, 3, 4, 5}, nil)
-	diags := only(t, "port-width", &Target{Netlist: nl})
+	b := netlist.NewBuilder("bus")
+	d0 := b.Input("d[0]")
+	d2 := b.Input("d[2]") // d[1] missing
+	b.Output("q[0]", d0)
+	b.Output("q[1]", d2)
+	b.Output("q[01]", d0) // bit 1 again
+	b.Output("q", d2)     // scalar aliases the bus
+	diags := only(t, "port-width", &Target{Netlist: b.MustBuild()})
 	wantDiag(t, diags, Error, "bit(s) 1 missing")
 	wantDiag(t, diags, Error, "declared 2 times")
 	wantDiag(t, diags, Error, "aliases bus bits")
@@ -134,13 +84,11 @@ func TestPortWidthSegmentChain(t *testing.T) {
 }
 
 func TestDeadLogicDetected(t *testing.T) {
-	nl := raw("dead", []netlist.Node{
-		node(0, netlist.KindInput, "a"),
-		node(1, netlist.KindNot, "", 0), // feeds node 2 only
-		node(2, netlist.KindNot, "", 1), // consumed by nothing
-		node(3, netlist.KindOutput, "y", 0),
-	}, []netlist.NodeID{0}, []netlist.NodeID{3}, nil)
-	diags := only(t, "dead-logic", &Target{Netlist: nl})
+	b := netlist.NewBuilder("dead")
+	a := b.Input("a")
+	b.Not(b.Not(a)) // nodes 1 and 2: the second is consumed by nothing
+	b.Output("y", a)
+	diags := only(t, "dead-logic", &Target{Netlist: b.MustBuild()})
 	wantDiag(t, diags, Warning, "dead logic")
 	if len(diags) != 2 {
 		t.Fatalf("want exactly nodes 1 and 2 flagged, got %v", diags)
@@ -148,13 +96,12 @@ func TestDeadLogicDetected(t *testing.T) {
 }
 
 func TestSeqPreemptUnobservableState(t *testing.T) {
-	// A DFF chain that never reaches an output: dead, unobservable state.
-	nl := raw("hidden", []netlist.Node{
-		node(0, netlist.KindInput, "d"),
-		node(1, netlist.KindDFF, "", 0),
-		node(2, netlist.KindOutput, "y", 0), // output bypasses the DFF
-	}, []netlist.NodeID{0}, []netlist.NodeID{2}, []netlist.NodeID{1})
-	diags := only(t, "seq-preempt", &Target{Netlist: nl})
+	// A DFF that never reaches an output: dead, unobservable state.
+	b := netlist.NewBuilder("hidden")
+	d := b.Input("d")
+	b.DFF(d, false)
+	b.Output("y", d) // output bypasses the DFF
+	diags := only(t, "seq-preempt", &Target{Netlist: b.MustBuild()})
 	wantDiag(t, diags, Warning, "not observable")
 	wantDiag(t, diags, Warning, "not fully preemptable")
 }
@@ -172,10 +119,9 @@ func TestSeqPreemptBitstreamStateVolume(t *testing.T) {
 	wantDiag(t, diags, Error, "readback/restore vectors will mismatch")
 
 	// A sequential netlist whose bitstream carries no state at all.
-	nl := raw("seq", []netlist.Node{
-		node(0, netlist.KindDFF, "", 0),
-		node(1, netlist.KindOutput, "y", 0),
-	}, nil, []netlist.NodeID{1}, []netlist.NodeID{0})
+	b := netlist.NewBuilder("seq")
+	b.Output("y", b.DFF(b.Input("d"), false))
+	nl := b.MustBuild()
 	bs2 := &bitstream.Bitstream{
 		Name: "b2", W: 1, H: 1, NumIn: 0, NumOut: 1,
 		Cells:      []bitstream.CellWrite{{X: 0, Y: 0}},
@@ -334,11 +280,11 @@ func TestFabricConfigLoop(t *testing.T) {
 }
 
 func TestRunOptions(t *testing.T) {
-	nl := raw("dangle", []netlist.Node{
-		node(0, netlist.KindInput, "a"),
-		node(1, netlist.KindNot, "", 0),
-		node(2, netlist.KindOutput, "y", 0),
-	}, []netlist.NodeID{0}, []netlist.NodeID{2}, nil)
+	b := netlist.NewBuilder("dangle")
+	a := b.Input("a")
+	b.Not(a)
+	b.Output("y", a)
+	nl := b.MustBuild()
 	// MinSeverity filters the dangling-net warning out.
 	diags, err := Run([]*Target{{Netlist: nl}}, Options{MinSeverity: Error})
 	if err != nil {
@@ -352,7 +298,7 @@ func TestRunOptions(t *testing.T) {
 }
 
 func TestDiagnosticJSON(t *testing.T) {
-	d := Diagnostic{Pass: "comb-loop", Severity: Error, Pos: "x", Msg: "m"}
+	d := Diagnostic{Pass: "net-drive", Severity: Error, Pos: "x", Msg: "m"}
 	b, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -393,86 +339,4 @@ func TestRandomNetlistsAreClean(t *testing.T) {
 			t.Errorf("seed %d (%s): %s", seed, nl.Name, errs[0])
 		}
 	}
-}
-
-// replay rebuilds nl through a Builder node for node, each with the
-// fanins given: a fanin may name a later node, which is how a test plants
-// a combinational loop that Build must refuse.
-func replay(nl *netlist.Netlist, fanins [][]netlist.NodeID) (*netlist.Netlist, error) {
-	b := netlist.NewBuilder(nl.Name)
-	for i, nd := range nl.Nodes {
-		f := fanins[i]
-		switch nd.Kind {
-		case netlist.KindInput:
-			b.Input(nd.Name)
-		case netlist.KindOutput:
-			b.Output(nd.Name, f[0])
-		case netlist.KindConst:
-			b.Const(nd.Init)
-		case netlist.KindBuf:
-			b.Buf(f[0])
-		case netlist.KindNot:
-			b.Not(f[0])
-		case netlist.KindAnd:
-			b.And(f[0], f[1])
-		case netlist.KindOr:
-			b.Or(f[0], f[1])
-		case netlist.KindXor:
-			b.Xor(f[0], f[1])
-		case netlist.KindNand:
-			b.Nand(f[0], f[1])
-		case netlist.KindNor:
-			b.Nor(f[0], f[1])
-		case netlist.KindMux:
-			b.Mux(f[0], f[1], f[2])
-		case netlist.KindDFF:
-			b.DFF(f[0], nd.Init)
-		}
-	}
-	return b.Build()
-}
-
-// TestCombLoopMatchesBuild plants loops in random sequential netlists by
-// pointing a few gate fanins at arbitrary nodes, later ones included:
-// comb-loop flags the result exactly when Builder.Build refuses it, so
-// the audit and the netlist check list the same combinational edges. A
-// rewired fanin never reads an output port, so a cycle is the only fault
-// Build can find.
-func TestCombLoopMatchesBuild(t *testing.T) {
-	flagged := 0
-	const trials = 300
-	for seed := uint64(1); seed <= trials; seed++ {
-		src := rng.New(seed)
-		nl := netlist.Random(src, netlist.RandomConfig{Inputs: 3, Outputs: 2, Gates: 14, DFFProb: 0.2})
-		fanins := make([][]netlist.NodeID, len(nl.Nodes))
-		for i := range nl.Nodes {
-			fanins[i] = slices.Clone(nl.Nodes[i].Fanin)
-		}
-		for range src.Intn(3) {
-			i := src.Intn(len(nl.Nodes))
-			if k := nl.Nodes[i].Kind; len(fanins[i]) == 0 || k == netlist.KindOutput {
-				continue
-			}
-			to := netlist.NodeID(src.Intn(len(nl.Nodes)))
-			if nl.Nodes[to].Kind != netlist.KindOutput {
-				fanins[i][src.Intn(len(fanins[i]))] = to
-			}
-		}
-		_, buildErr := replay(nl, fanins)
-		nodes := slices.Clone(nl.Nodes)
-		for i := range nodes {
-			nodes[i].Fanin = fanins[i]
-		}
-		diags := only(t, "comb-loop", &Target{Netlist: raw(nl.Name, nodes, nl.Inputs, nl.Outputs, nl.DFFs)})
-		if (len(diags) > 0) != (buildErr != nil) {
-			t.Fatalf("seed %d: comb-loop says %v, Build says %v", seed, diags, buildErr)
-		}
-		if len(diags) > 0 {
-			flagged++
-		}
-	}
-	if flagged == 0 || flagged == trials {
-		t.Fatalf("%d of %d netlists looped: the test needs both outcomes", flagged, trials)
-	}
-	t.Logf("%d of %d netlists looped", flagged, trials)
 }

@@ -6,14 +6,15 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/flat"
 	"repro/internal/netlist"
 )
 
-// The netlist-domain passes deliberately avoid Netlist.TopoOrder: lint
-// targets may be hand-assembled (or deserialized) netlists that never
-// went through Builder.Build, so every traversal here recomputes what it
-// needs and tolerates structurally damaged graphs.
+// Every netlist a Target carries has passed the netlist package's check:
+// Builder.Build, Concat, Optimize and Segment all end in it. Node ids
+// match their slots, arities hold, fanins are in range and never read an
+// output port, ports are named, no two ports of one kind share a name,
+// and there is no combinational cycle. The passes here take those rules
+// as given and report only what a checked netlist may still carry.
 
 func nodePos(t *Target, nl *netlist.Netlist, id netlist.NodeID) string {
 	nd := &nl.Nodes[id]
@@ -23,98 +24,10 @@ func nodePos(t *Target, nl *netlist.Netlist, id netlist.NodeID) string {
 	return fmt.Sprintf("%s: node %d (%v)", nl.Name, id, nd.Kind)
 }
 
-// faninOK reports whether every fanin index of every node is a valid
-// node id; traversal passes bail out on damaged graphs and let
-// net-drive report the damage.
-func faninOK(nl *netlist.Netlist) bool {
-	for i := range nl.Nodes {
-		for _, f := range nl.Nodes[i].Fanin {
-			if f < 0 || int(f) >= len(nl.Nodes) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// passCombLoop detects combinational cycles: a topological sort
-// (flat.Order) over the combinational edges (a DFF's D input is a
-// sequential edge and is excluded). Any node left unordered sits on or
-// downstream of a cycle.
-func passCombLoop(t *Target, r *Reporter) {
-	for _, nl := range t.netlists() {
-		combLoopOne(t, nl, r)
-	}
-}
-
-func combLoopOne(t *Target, nl *netlist.Netlist, r *Reporter) {
-	if !faninOK(nl) {
-		return
-	}
-	n := len(nl.Nodes)
-	edges := func(add func(f, t netlist.NodeID)) {
-		for i := range nl.Nodes {
-			if nd := &nl.Nodes[i]; nd.Kind != netlist.KindDFF {
-				for _, f := range nd.Fanin {
-					add(f, netlist.NodeID(i))
-				}
-			}
-		}
-	}
-	var o flat.Order[netlist.NodeID]
-	o.Reset(n)
-	edges(o.Count)
-	o.Counted()
-	edges(o.Place)
-	ordered := len(o.Sort(nil))
-	if ordered == n {
-		return
-	}
-	// Walk one concrete cycle for the message: follow combinational
-	// fanins within the leftover set until a node repeats.
-	inCycle := func(id netlist.NodeID) bool { return !o.Ordered(id) }
-	var start netlist.NodeID = -1
-	for i := 0; i < n; i++ {
-		if inCycle(netlist.NodeID(i)) {
-			start = netlist.NodeID(i)
-			break
-		}
-	}
-	seen := map[netlist.NodeID]int{}
-	var path []netlist.NodeID
-	cur := start
-	for {
-		if at, ok := seen[cur]; ok {
-			path = path[at:]
-			break
-		}
-		seen[cur] = len(path)
-		path = append(path, cur)
-		next := netlist.NodeID(-1)
-		for _, f := range nl.Nodes[cur].Fanin {
-			if inCycle(f) {
-				next = f
-				break
-			}
-		}
-		if next < 0 {
-			break
-		}
-		cur = next
-	}
-	names := make([]string, 0, len(path))
-	for _, id := range path {
-		names = append(names, fmt.Sprintf("%d(%v)", id, nl.Nodes[id].Kind))
-	}
-	r.Errorf(nodePos(t, nl, start),
-		"combinational loop through %d node(s): %s", n-ordered, strings.Join(names, " <- "))
-}
-
-// passNetDrive checks drive structure: damaged graphs (bad ids, arity
-// mismatches, reads from output ports), multiply-driven nets (duplicate
-// port names — in this single-driver graph representation, a name
-// collision is how a net acquires two drivers), dangling gate outputs
-// and unused input ports.
+// passNetDrive checks drive structure: multiply-driven nets (an input
+// and an output port sharing a name — in this single-driver graph
+// representation, a name collision is how a net acquires two drivers),
+// dangling gate outputs and unused input ports.
 func passNetDrive(t *Target, r *Reporter) {
 	for _, nl := range t.netlists() {
 		netDriveOne(t, nl, r)
@@ -122,48 +35,19 @@ func passNetDrive(t *Target, r *Reporter) {
 }
 
 func netDriveOne(t *Target, nl *netlist.Netlist, r *Reporter) {
-	damaged := false
-	for i := range nl.Nodes {
-		nd := &nl.Nodes[i]
-		if nd.ID != netlist.NodeID(i) {
-			r.Errorf(nodePos(t, nl, netlist.NodeID(i)), "node id %d does not match its slot %d", nd.ID, i)
-		}
-		if want := nd.Kind.Arity(); want >= 0 && len(nd.Fanin) != want {
-			r.Errorf(nodePos(t, nl, netlist.NodeID(i)), "%v node has %d fanin(s), want %d", nd.Kind, len(nd.Fanin), want)
-		}
-		for _, f := range nd.Fanin {
-			if f < 0 || int(f) >= len(nl.Nodes) {
-				r.Errorf(nodePos(t, nl, netlist.NodeID(i)), "fanin %d is outside the node table (%d nodes)", f, len(nl.Nodes))
-				damaged = true
-				continue
-			}
-			if nl.Nodes[f].Kind == netlist.KindOutput {
-				r.Errorf(nodePos(t, nl, netlist.NodeID(i)), "reads from output port node %d", f)
-			}
-		}
-	}
 	// Multiply-driven: two ports with the same name alias one net under
 	// two drivers (Concat and Segment both rely on names being unique).
+	// The check refuses two of one kind; an input and an output pass it.
 	seen := map[string]netlist.NodeID{}
 	for _, lists := range [][]netlist.NodeID{nl.Inputs, nl.Outputs} {
 		for _, id := range lists {
-			if int(id) >= len(nl.Nodes) {
-				continue
-			}
-			nd := &nl.Nodes[id]
-			if nd.Name == "" {
-				r.Errorf(nodePos(t, nl, id), "unnamed %v port", nd.Kind)
-				continue
-			}
-			if prev, dup := seen[nd.Name]; dup {
-				r.Errorf(nodePos(t, nl, id), "multiply-driven net: port %q already declared at node %d", nd.Name, prev)
+			name := nl.Nodes[id].Name
+			if prev, dup := seen[name]; dup {
+				r.Errorf(nodePos(t, nl, id), "multiply-driven net: port %q already declared at node %d", name, prev)
 			} else {
-				seen[nd.Name] = id
+				seen[name] = id
 			}
 		}
-	}
-	if damaged {
-		return
 	}
 	// Dangling: a driver nobody consumes.
 	consumed := make([]bool, len(nl.Nodes))
@@ -321,7 +205,7 @@ func liveSet(nl *netlist.Netlist) []bool {
 	live := make([]bool, len(nl.Nodes))
 	var stack []netlist.NodeID
 	for _, o := range nl.Outputs {
-		if int(o) < len(nl.Nodes) && !live[o] {
+		if !live[o] {
 			live[o] = true
 			stack = append(stack, o)
 		}
@@ -345,9 +229,6 @@ func liveSet(nl *netlist.Netlist) []bool {
 // in a hand-written netlist is almost always a wiring mistake.
 func passDeadLogic(t *Target, r *Reporter) {
 	for _, nl := range t.netlists() {
-		if !faninOK(nl) {
-			continue
-		}
 		live := liveSet(nl)
 		for i := range nl.Nodes {
 			if live[i] {
@@ -372,11 +253,11 @@ func passDeadLogic(t *Target, r *Reporter) {
 // netlist's state volume survived mapping into registered cells.
 func passSeqPreempt(t *Target, r *Reporter) {
 	nl := t.Netlist
-	if nl != nil && faninOK(nl) && nl.IsSequential() {
+	if nl != nil && nl.IsSequential() {
 		live := liveSet(nl)
 		unobservable := 0
 		for _, id := range nl.DFFs {
-			if int(id) >= len(nl.Nodes) || live[id] {
+			if live[id] {
 				continue
 			}
 			unobservable++

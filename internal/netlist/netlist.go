@@ -204,7 +204,7 @@ func (n *Netlist) TopoOrder() []NodeID { return n.topo }
 // checkScratch is the working arrays of a netlist check, kept by a caller
 // that checks netlist after netlist (Optimizer); the zero value is ready.
 type checkScratch struct {
-	seen  map[string]Kind
+	seen  map[string]uint8 // a port name's kinds so far, one bit each
 	order flat.Order[NodeID]
 }
 
@@ -243,10 +243,10 @@ func (n *Netlist) computeTopo(s *checkScratch) error {
 }
 
 // validate checks structural invariants: arities, fanin ranges, port
-// uniqueness.
+// names unique among the ports of one kind.
 func (n *Netlist) validate(s *checkScratch) error {
 	if s.seen == nil {
-		s.seen = make(map[string]Kind, len(n.Inputs)+len(n.Outputs))
+		s.seen = make(map[string]uint8, len(n.Inputs)+len(n.Outputs))
 	} else {
 		clear(s.seen)
 	}
@@ -272,10 +272,11 @@ func (n *Netlist) validate(s *checkScratch) error {
 			if nd.Name == "" {
 				return fmt.Errorf("netlist %q: unnamed port node %d", n.Name, i)
 			}
-			if prev, dup := seen[nd.Name]; dup && prev == nd.Kind {
+			bit := uint8(1) << nd.Kind
+			if seen[nd.Name]&bit != 0 {
 				return fmt.Errorf("netlist %q: duplicate %v port %q", n.Name, nd.Kind, nd.Name)
 			}
-			seen[nd.Name] = nd.Kind
+			seen[nd.Name] |= bit
 		}
 	}
 	return nil

@@ -1,9 +1,12 @@
 package netlist
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func TestBuilderBasics(t *testing.T) {
@@ -35,13 +38,44 @@ func TestBuilderReuseAfterBuildPanics(t *testing.T) {
 	b.Input("z")
 }
 
+// TestDuplicatePortRejected declares ports named a: an input and an
+// output may share the name (lint's multiply-driven finding), but a
+// second port of one kind may not, whatever port came between.
 func TestDuplicatePortRejected(t *testing.T) {
-	b := NewBuilder("t")
-	x := b.Input("a")
-	b.Input("a")
-	b.Output("y", x)
-	if _, err := b.Build(); err == nil {
-		t.Fatal("duplicate input port accepted")
+	for _, kinds := range [][]Kind{
+		{KindInput, KindInput},
+		{KindOutput, KindOutput},
+		{KindInput, KindOutput, KindInput},
+		{KindOutput, KindInput, KindOutput},
+		{KindInput, KindOutput},
+		{KindOutput, KindInput},
+	} {
+		b := NewBuilder("t")
+		x := b.Input("x")
+		for _, k := range kinds {
+			if k == KindInput {
+				b.Input("a")
+			} else {
+				b.Output("a", x)
+			}
+		}
+		_, err := b.Build()
+		if refuse := kinds[0] == kinds[len(kinds)-1]; (err != nil) != refuse {
+			t.Fatalf("ports named a of kinds %v: Build says %v, want refused %v", kinds, err, refuse)
+		}
+	}
+}
+
+// TestOutOfRangeFaninRejected names a fanin before the first node, one
+// just past the last and one far past it: Build refuses each.
+func TestOutOfRangeFaninRejected(t *testing.T) {
+	for _, f := range []NodeID{-1, 3, 9} {
+		b := NewBuilder("t")
+		a := b.Input("a")
+		b.Output("y", b.And(a, f))
+		if _, err := b.Build(); err == nil {
+			t.Fatalf("fanin %d of a 3-node netlist accepted", f)
+		}
 	}
 }
 
@@ -90,6 +124,108 @@ func TestSequentialLoopAccepted(t *testing.T) {
 			t.Fatalf("toggle cycle %d = %v, want %v", i, out[0], w)
 		}
 	}
+}
+
+// replay rebuilds nl through a Builder node for node, each with the
+// fanins given: a fanin may name a later node, which is how a test plants
+// a combinational loop that Build must refuse.
+func replay(nl *Netlist, fanins [][]NodeID) (*Netlist, error) {
+	b := NewBuilder(nl.Name)
+	for i, nd := range nl.Nodes {
+		f := fanins[i]
+		switch nd.Kind {
+		case KindInput:
+			b.Input(nd.Name)
+		case KindOutput:
+			b.Output(nd.Name, f[0])
+		case KindConst:
+			b.Const(nd.Init)
+		case KindBuf:
+			b.Buf(f[0])
+		case KindNot:
+			b.Not(f[0])
+		case KindAnd:
+			b.And(f[0], f[1])
+		case KindOr:
+			b.Or(f[0], f[1])
+		case KindXor:
+			b.Xor(f[0], f[1])
+		case KindNand:
+			b.Nand(f[0], f[1])
+		case KindNor:
+			b.Nor(f[0], f[1])
+		case KindMux:
+			b.Mux(f[0], f[1], f[2])
+		case KindDFF:
+			b.DFF(f[0], nd.Init)
+		}
+	}
+	return b.Build()
+}
+
+// combCycle reports, by brute force, whether some node reaches itself
+// over fanins, a DFF's D input excluded.
+func combCycle(nodes []Node, fanins [][]NodeID) bool {
+	for u := range nodes {
+		seen := make([]bool, len(nodes))
+		stack := []NodeID{NodeID(u)}
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if nodes[x].Kind == KindDFF {
+				continue
+			}
+			for _, f := range fanins[x] {
+				if int(f) == u {
+					return true
+				}
+				if !seen[f] {
+					seen[f] = true
+					stack = append(stack, f)
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestBuildRefusesExactlyCombinationalCycles plants loops in random
+// sequential netlists by pointing a few gate fanins at arbitrary nodes,
+// later ones included: Build refuses the result exactly when the brute
+// force finds a combinational cycle. A rewired fanin never reads an
+// output port, so a cycle is the only fault Build can find.
+func TestBuildRefusesExactlyCombinationalCycles(t *testing.T) {
+	refused := 0
+	const trials = 300
+	for seed := uint64(1); seed <= trials; seed++ {
+		src := rng.New(seed)
+		nl := Random(src, RandomConfig{Inputs: 3, Outputs: 2, Gates: 14, DFFProb: 0.2})
+		fanins := make([][]NodeID, len(nl.Nodes))
+		for i := range nl.Nodes {
+			fanins[i] = slices.Clone(nl.Nodes[i].Fanin)
+		}
+		for range src.Intn(3) {
+			i := src.Intn(len(nl.Nodes))
+			if k := nl.Nodes[i].Kind; len(fanins[i]) == 0 || k == KindOutput {
+				continue
+			}
+			to := NodeID(src.Intn(len(nl.Nodes)))
+			if nl.Nodes[to].Kind != KindOutput {
+				fanins[i][src.Intn(len(fanins[i]))] = to
+			}
+		}
+		_, err := replay(nl, fanins)
+		if cycle := combCycle(nl.Nodes, fanins); cycle != (err != nil) {
+			t.Fatalf("seed %d: brute force finds a cycle %v, Build says %v", seed, cycle, err)
+		}
+		if err != nil {
+			refused++
+		}
+	}
+	if refused == 0 || refused == trials {
+		t.Fatalf("%d of %d netlists refused: the test needs both outcomes", refused, trials)
+	}
+	t.Logf("%d of %d netlists refused", refused, trials)
 }
 
 func TestDepth(t *testing.T) {

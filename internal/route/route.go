@@ -51,11 +51,12 @@ type Result struct {
 	arrival []sim.Time
 }
 
-// Options tunes the router.
-type Options struct {
-	// MaxIterations bounds the negotiation loop; 0 selects the default.
-	MaxIterations int
-}
+// Options tunes the router. It has no field: the one bound, the number
+// of negotiation passes, is maxIterations for every caller.
+type Options struct{}
+
+// maxIterations bounds the negotiation loop.
+const maxIterations = 40
 
 // edge indexes the undirected channel between two adjacent cells.
 // Horizontal edges: between (x,y) and (x+1,y); vertical between (x,y) and
@@ -299,6 +300,9 @@ func (s *routeScratch) hpop() pqItem {
 }
 
 // Route produces a legal routing of p against the given channel capacity.
+// p must be as place.Place returns it: its net table (NetStart, NetPins,
+// SinkSlot) is the one list of connections routed, taken as given and not
+// checked again.
 func Route(p *place.Placement, tracks int, opt Options) (*Result, error) {
 	return new(Router).Route(p, tracks, opt)
 }
@@ -335,10 +339,6 @@ func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, er
 	if tracks <= 0 {
 		return nil, fmt.Errorf("route: non-positive track count %d", tracks)
 	}
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 40
-	}
 	g := grid{w: p.W, h: p.H}
 	var sinks int
 	r.conns, sinks = connections(p, g, r.conns)
@@ -366,7 +366,7 @@ func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, er
 	arena := slices.Grow(r.arena[:0], minNodes+minNodes/4)
 
 	netEdges := r.netEdges
-	for iter := 1; iter <= maxIter; iter++ {
+	for iter := 1; iter <= maxIterations; iter++ {
 		res.Iterations = iter
 		// Rip up everything and re-route in order with current costs.
 		for i := range occ {
@@ -420,7 +420,7 @@ func (r *Router) Route(p *place.Placement, tracks int, opt Options) (*Result, er
 		s.presFac *= 1.6
 	}
 	return nil, fmt.Errorf("route: %s unroutable in %dx%d with %d tracks after %d iterations (max use %d)",
-		p.Mapped.Name, p.W, p.H, tracks, maxIter, res.MaxUse)
+		p.Mapped.Name, p.W, p.H, tracks, maxIterations, res.MaxUse)
 }
 
 // shortestPath runs Dijkstra over the grid under the negotiated edge

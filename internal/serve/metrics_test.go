@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -20,10 +21,11 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenScenario drives one board through a fixed job sequence and
-// returns the exposition text: two jobs for tenant alpha (the second a
-// full compile-cache hit), one throttled alpha submission, one job for
-// tenant beta.
-func goldenScenario(t *testing.T) string {
+// returns the exposition text and every job's status: two jobs for
+// tenant a (the second a full compile-cache hit), one throttled a
+// submission, one job for tenant b. The golden file's tenants are alpha
+// and beta.
+func goldenScenario(t *testing.T, a, b string) (string, []JobStatus) {
 	t.Helper()
 	s := newTestServer(t, Config{
 		Tenant:  TenantLimits{Rate: 1, Burst: 2},
@@ -33,22 +35,28 @@ func goldenScenario(t *testing.T) string {
 	s.Start()
 	defer s.Drain()
 
-	waitDone(t, submitOK(t, s, "alpha", "multimedia"))
-	waitDone(t, submitOK(t, s, "alpha", "multimedia"))
-	if rec := do(t, s, "POST", "/v1/jobs", submitBody(t, "alpha", "multimedia")); rec.Code != 429 {
+	var jobs []JobStatus
+	run := func(tenant, scenario string) {
+		j := submitOK(t, s, tenant, scenario)
+		waitDone(t, j)
+		jobs = append(jobs, j.Status())
+	}
+	run(a, "multimedia")
+	run(a, "multimedia")
+	if rec := do(t, s, "POST", "/v1/jobs", submitBody(t, a, "multimedia")); rec.Code != 429 {
 		t.Fatalf("throttle submit: got %d, want 429", rec.Code)
 	}
-	waitDone(t, submitOK(t, s, "beta", "telecom"))
+	run(b, "telecom")
 
 	var buf bytes.Buffer
 	if err := s.writeMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.String()
+	return buf.String(), jobs
 }
 
 func TestMetricsGolden(t *testing.T) {
-	got := goldenScenario(t)
+	got, _ := goldenScenario(t, "alpha", "beta")
 	path := filepath.Join("testdata", "metrics.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -78,7 +86,7 @@ var (
 // a preceding TYPE line, families are declared once, and no line is
 // anything other than HELP, TYPE, or a sample.
 func TestMetricsWellFormed(t *testing.T) {
-	text := goldenScenario(t)
+	text, _ := goldenScenario(t, "alpha", "beta")
 	if !strings.HasSuffix(text, "\n") {
 		t.Fatal("exposition must end in a newline")
 	}
@@ -147,6 +155,33 @@ func TestMetricsWellFormed(t *testing.T) {
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestTenantsAreLabels runs the golden scenario with its tenants renamed
+// in an order-keeping way: the exposition is the golden file's with the
+// tenant label values mapped back, and every job's status is the
+// original's with its tenant mapped back.
+func TestTenantsAreLabels(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, orig := goldenScenario(t, "alpha", "beta")
+	text, jobs := goldenScenario(t, "t-alpha", "t-beta")
+	back := map[string]string{"t-alpha": "alpha", "t-beta": "beta"}
+	label := strings.NewReplacer(`tenant="t-alpha"`, `tenant="alpha"`, `tenant="t-beta"`, `tenant="beta"`)
+	if got := label.Replace(text); got != string(want) {
+		t.Errorf("renamed tenants' exposition, mapped back, diverged from the golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if len(jobs) != len(orig) {
+		t.Fatalf("%d jobs renamed, %d original", len(jobs), len(orig))
+	}
+	for i, st := range jobs {
+		st.Tenant = back[st.Tenant]
+		if !reflect.DeepEqual(st, orig[i]) {
+			t.Errorf("job %d: renamed status, mapped back, %+v; original %+v", i, st, orig[i])
 		}
 	}
 }
