@@ -66,7 +66,7 @@ arch:
 	GOARCH=386 $(GO) test $(ARCH_PKGS)
 	GOAMD64=v3 $(GO) test $(ARCH_PKGS)
 
-# Lint the whole circuit library (netlists + compiled bitstreams + pages).
+# Lint the whole circuit library (netlists + compiled bitstreams).
 lint:
 	$(GO) run ./cmd/vfpgalint
 
@@ -106,7 +106,10 @@ fuzz-smoke:
 # order-seeds-from-one) — the netlist check, the one statement of a
 # netlist's structural rules (validate-skips-fanin-range,
 # validate-allows-output-read, validate-allows-duplicate-port,
-# topo-accepts-cycle), the ledger, the
+# topo-accepts-cycle), bitstream.Validate, the one statement of a
+# bitstream's (validate-skips-overlap, validate-ffcells-unchecked,
+# validate-allows-unconfigured-read, validate-allows-undriven-output),
+# the ledger, the
 # renewal of a warm board's engines and host OS, the pin binding, the
 # state and strip tables, the task kernel, the region map, the host OS, the
 # daemon's pool and admission, the fleet's queueing kernel, the

@@ -1,7 +1,7 @@
 // Command vfpgalint runs the static verification passes over the
 // circuit library: every netlist in the registry, its compiled
-// bitstream, its page set, and (for combinational circuits, with
-// -segments) its segmented stage chain.
+// bitstream, and (for combinational circuits, with -segments) its
+// segmented stage chain.
 //
 // Usage:
 //
@@ -10,6 +10,7 @@
 //	vfpgalint -json -fail-on warning   # machine-readable, strict
 //	vfpgalint -passes net-drive,dead-logic -compile=false
 //	vfpgalint -list                    # show the available passes
+//	vfpgalint -cols 32 -rows 16        # also bound bitstreams by a device
 //
 // The exit status is 0 when no diagnostic at or above the -fail-on
 // severity was produced, 1 otherwise, and 2 on usage errors.
@@ -19,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -37,9 +39,8 @@ func main() {
 	circuits := flag.String("circuits", "", "comma-separated circuit subset (default: the whole registry)")
 	doCompile := flag.Bool("compile", true, "also compile each circuit and lint the bitstream")
 	segments := flag.Int("segments", 0, "additionally segment combinational circuits into N stages and lint the chain")
-	pageCells := flag.Int("pagecells", 16, "page size for the page-coverage pass (0 disables)")
-	cols := flag.Int("cols", 0, "device columns to bound bitstreams against (0 skips device checks)")
-	rows := flag.Int("rows", 0, "device rows to bound bitstreams against (0 skips device checks)")
+	cols := flag.Int("cols", 0, "device columns to bound bitstreams against (0 with -rows 0 skips device checks)")
+	rows := flag.Int("rows", 0, "device rows to bound bitstreams against (0 with -cols 0 skips device checks)")
 	seed := flag.Uint64("seed", 1, "placement seed for -compile")
 	verbose := flag.Bool("v", false, "also print info-severity diagnostics")
 	list := flag.Bool("list", false, "list the available passes and exit")
@@ -58,9 +59,9 @@ func main() {
 	}
 	code, err := run(options{
 		json: *jsonOut, failOn: *failOn, passes: *passList, circuits: *circuits,
-		compile: *doCompile, segments: *segments, pageCells: *pageCells,
+		compile: *doCompile, segments: *segments,
 		cols: *cols, rows: *rows, seed: *seed, verbose: *verbose,
-	})
+	}, os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vfpgalint: %v\n", err)
 		os.Exit(2)
@@ -74,7 +75,6 @@ type options struct {
 	passes, circuits string
 	compile          bool
 	segments         int
-	pageCells        int
 	cols, rows       int
 	seed             uint64
 	verbose          bool
@@ -93,7 +93,9 @@ func splitList(s string) []string {
 	return out
 }
 
-func run(o options) (int, error) {
+// run lints the selected circuits, writes the diagnostics to w and
+// returns the exit status; an error is a usage error.
+func run(o options, w io.Writer) (int, error) {
 	var failSev lint.Severity
 	failNever := false
 	if o.failOn == "none" {
@@ -116,10 +118,14 @@ func run(o options) (int, error) {
 	}
 
 	var geom *fabric.Geometry
-	if o.cols > 0 && o.rows > 0 {
+	switch {
+	case o.cols == 0 && o.rows == 0:
+	case o.cols > 0 && o.rows > 0:
 		g := fabric.DefaultGeometry()
 		g.Cols, g.Rows = o.cols, o.rows
 		geom = &g
+	default:
+		return 0, fmt.Errorf("-cols %d -rows %d: give two positive values, or neither to skip the device checks", o.cols, o.rows)
 	}
 
 	opts := lint.Options{Passes: splitList(o.passes)}
@@ -130,7 +136,7 @@ func run(o options) (int, error) {
 			return 0, fmt.Errorf("unknown circuit %q", name)
 		}
 		nl := gen()
-		t := &lint.Target{Netlist: nl, Geometry: geom, PageCells: o.pageCells}
+		t := &lint.Target{Netlist: nl, Geometry: geom}
 		if o.segments > 1 && !nl.IsSequential() {
 			stages, err := netlist.Segment(nl, o.segments)
 			if err != nil {
@@ -152,7 +158,7 @@ func run(o options) (int, error) {
 		return 0, err
 	}
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	for _, d := range diags {
 		if d.Severity == lint.Info && !o.verbose {
 			continue
@@ -162,11 +168,11 @@ func run(o options) (int, error) {
 				return 0, err
 			}
 		} else {
-			fmt.Println(d)
+			fmt.Fprintln(w, d)
 		}
 	}
 	if !o.json {
-		fmt.Printf("%d circuit(s) linted: %d error(s), %d warning(s), %d info\n",
+		fmt.Fprintf(w, "%d circuit(s) linted: %d error(s), %d warning(s), %d info\n",
 			len(targets), lint.Count(diags, lint.Error), lint.Count(diags, lint.Warning), lint.Count(diags, lint.Info))
 	}
 	if failNever {

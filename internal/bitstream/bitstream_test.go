@@ -3,6 +3,7 @@ package bitstream
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -156,22 +157,28 @@ func TestApplyOutOfBounds(t *testing.T) {
 	}
 }
 
+// TestPagesPartitionCells holds Pages to the pagination rule over every
+// registry circuit: pages numbered in order, none empty or over the page
+// size, and their cells, concatenated, exactly the bitstream's cells —
+// every configured cell on one page, no page writing a cell the
+// bitstream does not.
 func TestPagesPartitionCells(t *testing.T) {
-	bs := gen(t, netlist.ALU(8))
-	for _, size := range []int{1, 3, 7, 1000} {
-		pages := bs.Pages(size)
-		total := 0
-		for i, p := range pages {
-			if p.Index != i {
-				t.Fatalf("page index %d != %d", p.Index, i)
+	for name, genf := range netlist.Registry() {
+		bs := gen(t, genf())
+		for _, size := range []int{1, 3, 7, 16, 1000} {
+			var cells []CellWrite
+			for i, p := range bs.Pages(size) {
+				if p.Index != i {
+					t.Fatalf("%s, size %d: page index %d != %d", name, size, p.Index, i)
+				}
+				if len(p.Cells) == 0 || len(p.Cells) > size {
+					t.Fatalf("%s, size %d: page %d has %d cells", name, size, i, len(p.Cells))
+				}
+				cells = append(cells, p.Cells...)
 			}
-			if len(p.Cells) == 0 || len(p.Cells) > size {
-				t.Fatalf("page %d has %d cells (size %d)", i, len(p.Cells), size)
+			if !slices.Equal(cells, bs.Cells) {
+				t.Fatalf("%s, size %d: the pages' %d cells are not the bitstream's %d", name, size, len(cells), len(bs.Cells))
 			}
-			total += len(p.Cells)
-		}
-		if total != bs.NumCells() {
-			t.Fatalf("pages cover %d cells, want %d", total, bs.NumCells())
 		}
 	}
 }

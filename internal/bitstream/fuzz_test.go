@@ -78,7 +78,9 @@ func FuzzBitstreamParse(f *testing.F) {
 // pushed out of range — 2^15, 2^16+1, negative — and requires every one
 // to fail to parse. The 2^16 ones are the seed's own value plus a multiple
 // of 2^16: decoded wide and narrowed afterwards they would wrap onto the
-// legal cell and be accepted.
+// legal cell and be accepted. The rule-* documents are the seed with all
+// values in range but one of Validate's other rules broken: a cell input
+// reading a cell the bitstream never writes, an undriven output.
 func TestCorpusOutOfRangeRejected(t *testing.T) {
 	var valid bytes.Buffer
 	if err := fuzzSeedBitstream().WriteJSON(&valid); err != nil {
@@ -89,15 +91,15 @@ func TestCorpusOutOfRangeRejected(t *testing.T) {
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzBitstreamParse")
 	var files []string
-	for _, pattern := range []string{"unrepresentable-*", "negative-*"} {
+	for _, pattern := range []string{"unrepresentable-*", "negative-*", "rule-*"} {
 		m, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, m...)
 	}
-	if len(files) < 10 {
-		t.Fatalf("found %d out-of-range corpus documents under %s, want at least 10", len(files), dir)
+	if len(files) < 12 {
+		t.Fatalf("found %d rule-breaking corpus documents under %s, want at least 12", len(files), dir)
 	}
 	for _, path := range files {
 		raw, err := os.ReadFile(path)
@@ -111,7 +113,7 @@ func TestCorpusOutOfRangeRejected(t *testing.T) {
 			t.Fatalf("%s: not a one-value corpus file: %v", path, err)
 		}
 		if b, err := bitstream.ReadJSON(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s parsed as %v; an out-of-range value aliased a legal one", filepath.Base(path), b)
+			t.Errorf("%s parsed as %v; it breaks a rule Validate states", filepath.Base(path), b)
 		}
 	}
 }

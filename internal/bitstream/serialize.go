@@ -45,10 +45,15 @@ type jsonDoc struct {
 	Bitstream *Bitstream `json:"bitstream"`
 }
 
-// Validate checks the structural invariants a loader depends on: a
-// positive footprint, every cell inside the region, every source legal.
-// It is called by ReadJSON and is exported for callers that construct or
-// mutate bitstreams programmatically.
+// Validate checks the structural rules a loader depends on, and is the
+// one statement of them: a positive footprint, every cell inside the
+// region and written once, FFCells equal to the registered cells, every
+// source legal, every in-region source reading a cell the bitstream
+// writes, and every output driven. A bitstream that keeps them never
+// writes or reads outside its region wherever it is downloaded, and its
+// pages cover its cells exactly once. It is called by ReadJSON and by
+// lint's bitstream-bounds pass, and is exported for callers that
+// construct or mutate bitstreams programmatically.
 func (b *Bitstream) Validate() error {
 	if b.Name == "" {
 		return fmt.Errorf("bitstream: missing name")
@@ -83,17 +88,22 @@ func (b *Bitstream) Validate() error {
 		if cw.UseFF {
 			ffs++
 		}
-		for k, src := range cw.Inputs {
-			if err := b.checkSrc(src); err != nil {
-				return fmt.Errorf("bitstream %s: cell %d input %d: %w", b.Name, i, k, err)
-			}
-		}
 	}
 	if ffs != b.FFCells {
 		return fmt.Errorf("bitstream %s: FFCells %d but %d registered cells", b.Name, b.FFCells, ffs)
 	}
+	for i := range b.Cells {
+		for k, src := range b.Cells[i].Inputs {
+			if err := b.checkSrc(src, seen); err != nil {
+				return fmt.Errorf("bitstream %s: cell %d input %d: %w", b.Name, i, k, err)
+			}
+		}
+	}
 	for o, src := range b.OutDrivers {
-		if err := b.checkSrc(src); err != nil {
+		if src.Kind == SrcNone {
+			return fmt.Errorf("bitstream %s: output %d has no driver", b.Name, o)
+		}
+		if err := b.checkSrc(src, seen); err != nil {
 			return fmt.Errorf("bitstream %s: output %d: %w", b.Name, o, err)
 		}
 	}
@@ -103,13 +113,19 @@ func (b *Bitstream) Validate() error {
 	return nil
 }
 
-func (b *Bitstream) checkSrc(s Src) error {
+// checkSrc checks one source against the region and the set of cells
+// the bitstream writes: a read of an unwritten cell would see whatever a
+// neighbour left there once the bitstream is relocated beside it.
+func (b *Bitstream) checkSrc(s Src, written map[[2]int16]bool) error {
 	switch s.Kind {
 	case SrcNone, SrcConst0, SrcConst1:
 		return nil
 	case SrcRel:
 		if s.DX < 0 || int(s.DX) >= b.W || s.DY < 0 || int(s.DY) >= b.H {
 			return fmt.Errorf("relative source (%d,%d) outside %dx%d", s.DX, s.DY, b.W, b.H)
+		}
+		if !written[[2]int16{s.DX, s.DY}] {
+			return fmt.Errorf("relative source (%d,%d) reads a cell the bitstream does not write", s.DX, s.DY)
 		}
 		return nil
 	case SrcPort:

@@ -105,6 +105,27 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("out-of-range port source accepted")
 	}
 
+	// Widening the region by a column leaves the new column unwritten.
+	bs = mk()
+	bs.W++
+	bs.Cells[0].Inputs[0] = Src{Kind: SrcRel, DX: int16(bs.W - 1), DY: 0}
+	if err := bs.Validate(); err == nil {
+		t.Fatal("cell input reading an unwritten cell accepted")
+	}
+
+	bs = mk()
+	bs.OutDrivers[0] = Src{Kind: SrcNone}
+	if err := bs.Validate(); err == nil {
+		t.Fatal("undriven output accepted")
+	}
+
+	bs = mk()
+	bs.W++
+	bs.OutDrivers[0] = Src{Kind: SrcRel, DX: int16(bs.W - 1), DY: 0}
+	if err := bs.Validate(); err == nil {
+		t.Fatal("output driven by an unwritten cell accepted")
+	}
+
 	bs = mk()
 	bs.FFCells = 99
 	if err := bs.Validate(); err == nil {

@@ -24,10 +24,10 @@ import (
 // randomScript spawns 2-4 tasks (plus crowd more) of 1-4 random ops each,
 // with random arrivals, priorities and scheduler-visible durations drawn
 // from src, task i named by the format names and each circuit by pre
-// plus its library name. From crowd = 4 up the strip managers run out of
-// columns and pins, so suspension, rotation, compaction and pin
-// multiplexing trigger.
-func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int, names, pre string) {
+// plus its library name; every arrival and compute time is multiplied by
+// scale. From crowd = 4 up the strip managers run out of columns and
+// pins, so suspension, rotation, compaction and pin multiplexing trigger.
+func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int, names, pre string, scale sim.Time) {
 	t.Helper()
 	tasks := 2 + crowd + src.Intn(3)
 	for i := 0; i < tasks; i++ {
@@ -35,7 +35,7 @@ func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int, names
 		ops := 1 + src.Intn(4)
 		for o := 0; o < ops; o++ {
 			if src.Float64() < 0.3 {
-				prog = append(prog, hostos.Compute(sim.Time(1+src.Intn(400))*sim.Microsecond))
+				prog = append(prog, hostos.Compute(sim.Time(1+src.Intn(400))*scale*sim.Microsecond))
 				continue
 			}
 			name := confCircuits[src.Intn(len(confCircuits))]
@@ -47,14 +47,14 @@ func randomScript(t testing.TB, os *hostos.OS, src *rng.Source, crowd int, names
 			}
 			prog = append(prog, hostos.UseFPGA(&req))
 		}
-		os.SpawnAt(sim.Time(src.Intn(2000))*sim.Microsecond,
+		os.SpawnAt(sim.Time(src.Intn(2000))*scale*sim.Microsecond,
 			fmt.Sprintf(names, i), src.Intn(3), prog)
 	}
 }
 
 func runRandomConformance(t *testing.T, seed uint64, plan *fault.Plan) {
 	t.Helper()
-	for _, impl := range confImpls("") {
+	for _, impl := range confImpls("", 1) {
 		impl := impl
 		t.Run(impl.name, func(t *testing.T) {
 			k := sim.New()
@@ -71,7 +71,7 @@ func runRandomConformance(t *testing.T, seed uint64, plan *fault.Plan) {
 				Policy: hostos.RR, TimeSlice: slices[src.Intn(len(slices))],
 				CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
 			}, checked, nil)
-			randomScript(t, os, src, 0, "t%d", "")
+			randomScript(t, os, src, 0, "t%d", "", 1)
 			k.Run()
 			if !os.AllDone() {
 				t.Fatal("random script did not run to completion")

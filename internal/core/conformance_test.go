@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/hostos"
 	"repro/internal/lint"
@@ -38,10 +39,12 @@ var confCircuits = []string{"adder8", "counter8", "mul4"}
 
 // confEngine builds the test engine, renewing used (nil: a new engine
 // over a new device), with the script's circuits compiled, each named pre
-// plus its library name, and a device log attached.
-func confEngine(t testing.TB, used *core.Engine, pre string) (*core.Engine, *core.DeviceLog) {
+// plus its library name, and a device log attached. Every duration of
+// its timing model is multiplied by scale (see scaledTiming).
+func confEngine(t testing.TB, used *core.Engine, pre string, scale sim.Time) (*core.Engine, *core.DeviceLog) {
 	t.Helper()
 	opt := core.DefaultOptions()
+	opt.Timing = scaledTiming(scale)
 	opt.Geometry.Cols, opt.Geometry.Rows = 24, 8
 	opt.Geometry.TracksPerChannel, opt.Geometry.PinsPerSide = 12, 24
 	e := core.NewEngine(opt, used)
@@ -59,6 +62,21 @@ func confEngine(t testing.TB, used *core.Engine, pre string) (*core.Engine, *cor
 	log := core.NewDeviceLog()
 	e.Ledger().AttachLog(log)
 	return e, log
+}
+
+// scaledTiming is the default timing model with every duration it holds
+// multiplied by k — both overheads, the LUT and hop delays, the clock
+// floor — and the serial rate divided by k, which k must divide: every
+// transfer then takes exactly k times as long.
+func scaledTiming(k sim.Time) fabric.Timing {
+	tm := fabric.DefaultTiming()
+	tm.FullOverhead *= k
+	tm.PartialOverhead *= k
+	tm.LUTDelay *= k
+	tm.HopDelay *= k
+	tm.MinClock *= k
+	tm.SerialRateBits /= int64(k)
+	return tm
 }
 
 // confBuild builds one hostos.FPGA implementation under test, returning
@@ -81,8 +99,9 @@ func usedEngine(used []*core.Engine, i int) *core.Engine {
 }
 
 // confImpls lists the implementations under test over the script's
-// circuits named with prefix pre.
-func confImpls(pre string) []confImpl {
+// circuits named with prefix pre, on engines whose timing is scaled by
+// scale.
+func confImpls(pre string, scale sim.Time) []confImpl {
 	named := make([]string, len(confCircuits))
 	for i, c := range confCircuits {
 		named[i] = pre + c
@@ -90,7 +109,7 @@ func confImpls(pre string) []confImpl {
 	strips := core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true}
 	one := func(mk func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error)) confBuild {
 		return func(t testing.TB, k *sim.Kernel, used []*core.Engine) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			e, log := confEngine(t, usedEngine(used, 0), pre)
+			e, log := confEngine(t, usedEngine(used, 0), pre, scale)
 			mgr, err := mk(k, e)
 			if err != nil {
 				t.Fatal(err)
@@ -116,8 +135,8 @@ func confImpls(pre string) []confImpl {
 			return core.NewAmorphousManager(k, e), nil
 		})},
 		{"multi", func(t testing.TB, k *sim.Kernel, used []*core.Engine) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			e0, l0 := confEngine(t, usedEngine(used, 0), pre)
-			e1, l1 := confEngine(t, usedEngine(used, 1), pre)
+			e0, l0 := confEngine(t, usedEngine(used, 0), pre, scale)
+			e1, l1 := confEngine(t, usedEngine(used, 1), pre, scale)
 			mm, err := core.NewMultiManager(k, []*core.Engine{e0, e1}, strips)
 			if err != nil {
 				t.Fatal(err)
@@ -301,7 +320,7 @@ func auditLedger(t *testing.T, e *core.Engine, log *core.DeviceLog) {
 }
 
 func TestConformance(t *testing.T) {
-	for _, impl := range confImpls("") {
+	for _, impl := range confImpls("", 1) {
 		impl := impl
 		for _, pol := range []core.StatePolicy{core.SaveRestore, core.Rollback} {
 			pol := pol
@@ -348,11 +367,25 @@ func TestConformance(t *testing.T) {
 	}
 }
 
+// confRun is what one run of the random-op script leaves behind.
+type confRun struct {
+	sched *hostos.EventLog
+	devs  []*core.DeviceLog
+	end   sim.Time // the makespan
+	tasks []*hostos.Task
+	snaps []core.MetricsSnapshot // every engine's final metrics
+}
+
+// timeline merges the run's scheduler and device events.
+func (r confRun) timeline() []trace.TimelineEvent {
+	return core.MergeTimeline(r.sched, r.devs...).Events
+}
+
 // namedRun runs the random-op script of one seed under impl, task i
 // named by the format names and each circuit by pre plus its library
-// name, and returns the merged timeline, the makespan and every engine's
-// final metrics.
-func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names, pre string) ([]trace.TimelineEvent, sim.Time, []core.MetricsSnapshot) {
+// name, with the OS's slice and costs and the script's times multiplied
+// by scale (impl's engines carry their own timing).
+func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names, pre string, scale sim.Time) confRun {
 	t.Helper()
 	k := sim.New()
 	mgr, engines, logs := impl.build(t, k, nil)
@@ -364,12 +397,12 @@ func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names,
 	src := rng.New(seed)
 	slices := []sim.Time{200 * sim.Microsecond, 300 * sim.Microsecond, 500 * sim.Microsecond}
 	os := hostos.New(k, hostos.Config{
-		Policy: hostos.RR, TimeSlice: slices[src.Intn(len(slices))],
-		CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
+		Policy: hostos.RR, TimeSlice: scale * slices[src.Intn(len(slices))],
+		CtxSwitch: scale * 10 * sim.Microsecond, Syscall: scale * 2 * sim.Microsecond,
 	}, mgr, nil)
 	events := hostos.NewEventLog()
 	os.AttachTrace(events)
-	randomScript(t, os, src, 0, names, pre)
+	randomScript(t, os, src, 0, names, pre, scale)
 	k.Run()
 	if !os.AllDone() {
 		t.Fatal("random script did not run to completion")
@@ -378,7 +411,7 @@ func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names,
 	for i, e := range engines {
 		snaps[i] = e.M.Snapshot(k.Now())
 	}
-	return core.MergeTimeline(events, logs...).Events, os.Makespan(), snaps
+	return confRun{sched: events, devs: logs, end: os.Makespan(), tasks: os.Tasks(), snaps: snaps}
 }
 
 // checkRelabeled runs the random-op script under every manager, seeds 1
@@ -392,7 +425,7 @@ func checkRelabeled(t *testing.T, names, pre string, back *strings.Replacer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, relabeled := confImpls(""), confImpls(pre)
+	plain, relabeled := confImpls("", 1), confImpls(pre, 1)
 	for i, impl := range plain {
 		for seed := uint64(1); seed <= 3; seed++ {
 			for _, faulted := range []bool{false, true} {
@@ -402,8 +435,9 @@ func checkRelabeled(t *testing.T, names, pre string, back *strings.Replacer) {
 						seedPlan := plan.Derive(seed)
 						p = &seedPlan
 					}
-					a, aEnd, aSnaps := namedRun(t, impl, seed, p, "t%d", "")
-					b, bEnd, bSnaps := namedRun(t, relabeled[i], seed, p, names, pre)
+					ra := namedRun(t, impl, seed, p, "t%d", "", 1)
+					rb := namedRun(t, relabeled[i], seed, p, names, pre, 1)
+					a, b := ra.timeline(), rb.timeline()
 					if len(a) == 0 || len(a) != len(b) {
 						t.Fatalf("%d events as named, %d relabeled", len(a), len(b))
 					}
@@ -414,11 +448,11 @@ func checkRelabeled(t *testing.T, names, pre string, back *strings.Replacer) {
 							t.Fatalf("event %d: %+v as named, %+v relabeled", k, a[k], b[k])
 						}
 					}
-					if aEnd != bEnd {
-						t.Errorf("makespan %v as named, %v relabeled", aEnd, bEnd)
+					if ra.end != rb.end {
+						t.Errorf("makespan %v as named, %v relabeled", ra.end, rb.end)
 					}
-					if !reflect.DeepEqual(aSnaps, bSnaps) {
-						t.Errorf("final metrics differ:\n%+v as named\n%+v relabeled", aSnaps, bSnaps)
+					if !reflect.DeepEqual(ra.snaps, rb.snaps) {
+						t.Errorf("final metrics differ:\n%+v as named\n%+v relabeled", ra.snaps, rb.snaps)
 					}
 				})
 			}
@@ -441,4 +475,66 @@ func TestConformanceCircuitsAreLabels(t *testing.T) {
 		pairs = append(pairs, "c-"+c, c)
 	}
 	checkRelabeled(t, "t%d", "c-", strings.NewReplacer(pairs...))
+}
+
+// TestConformanceTimeScale is the third: the unit of time is a label
+// too. The random-op script runs under every manager, seeds 1 to 3,
+// clean, once as is and once with every duration the model reads
+// multiplied by k — the timing model's (scaledTiming), the OS's slice,
+// context switch and syscall, the script's compute and arrival times.
+// Every event time and cost, every task's times, every metric time and
+// the makespan must scale by exactly k, and everything else be equal.
+func TestConformanceTimeScale(t *testing.T) {
+	const k = 5
+	plain, scaled := confImpls("", 1), confImpls("", k)
+	for i, impl := range plain {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", impl.name, seed), func(t *testing.T) {
+				a := namedRun(t, impl, seed, nil, "t%d", "", 1)
+				b := namedRun(t, scaled[i], seed, nil, "t%d", "", k)
+				as, bs := a.sched.Events(), b.sched.Events()
+				if len(as) == 0 || len(as) != len(bs) {
+					t.Fatalf("%d scheduler events as is, %d scaled", len(as), len(bs))
+				}
+				for j, ev := range as {
+					if ev.At *= k; ev != bs[j] {
+						t.Fatalf("scheduler event %d: %+v scaled, %+v in the scaled run", j, ev, bs[j])
+					}
+				}
+				for d, log := range a.devs {
+					ad, bd := log.Events(), b.devs[d].Events()
+					if len(ad) != len(bd) {
+						t.Fatalf("device %d: %d events as is, %d scaled", d, len(ad), len(bd))
+					}
+					for j, ev := range ad {
+						if ev.At, ev.Cost = k*ev.At, k*ev.Cost; ev != bd[j] {
+							t.Fatalf("device %d event %d: %+v scaled, %+v in the scaled run", d, j, ev, bd[j])
+						}
+					}
+				}
+				if k*a.end != b.end {
+					t.Errorf("makespan %v as is, %v scaled", a.end, b.end)
+				}
+				for j, tk := range a.tasks {
+					if at, bt := taskFields(tk, k), taskFields(b.tasks[j], 1); !reflect.DeepEqual(at, bt) {
+						t.Errorf("task %d: %v scaled, %v in the scaled run", j, at, bt)
+					}
+				}
+				for j, m := range a.snaps {
+					m.ConfigTime, m.ReadbackTime, m.RestoreTime, m.FaultTime =
+						k*m.ConfigTime, k*m.ReadbackTime, k*m.RestoreTime, k*m.FaultTime
+					if m != b.snaps[j] {
+						t.Errorf("engine %d metrics:\n%+v scaled\n%+v in the scaled run", j, m, b.snaps[j])
+					}
+				}
+			})
+		}
+	}
+}
+
+// taskFields lists a task's exported fields, every time multiplied by k.
+func taskFields(tk *hostos.Task, k sim.Time) []any {
+	return []any{tk.ID, tk.Name, tk.Priority, tk.Preemptions, tk.Acquires,
+		k * tk.Created, k * tk.FirstRun, k * tk.Finished, k * tk.ReadyWait,
+		k * tk.BlockWait, k * tk.CPUTime, k * tk.HWTime, k * tk.Overhead}
 }

@@ -19,7 +19,7 @@ import (
 )
 
 func TestConformanceWarmReset(t *testing.T) {
-	for _, impl := range confImpls("") {
+	for _, impl := range confImpls("", 1) {
 		t.Run(impl.name, func(t *testing.T) {
 			k := sim.New()
 			var os *hostos.OS

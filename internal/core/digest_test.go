@@ -51,7 +51,7 @@ func managerDigest(t *testing.T, impl confImpl, pol core.StatePolicy, sched host
 	}, mgr, nil)
 	events := hostos.NewEventLog()
 	osim.AttachTrace(events)
-	randomScript(t, osim, src, crowd, "t%d", "")
+	randomScript(t, osim, src, crowd, "t%d", "", 1)
 	k.Run()
 	if !osim.AllDone() {
 		t.Fatal("random script did not run to completion")
@@ -86,7 +86,7 @@ func computeManagerDigests(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	out := map[string]string{}
-	for _, impl := range confImpls("") {
+	for _, impl := range confImpls("", 1) {
 		for _, pol := range []core.StatePolicy{core.SaveRestore, core.Rollback} {
 			for _, sched := range []hostos.Policy{hostos.RR, hostos.Priority} {
 				for _, crowd := range []int{0, 4} {
@@ -114,7 +114,7 @@ func TestSilentFaultPlanIsNoPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, impl := range confImpls("") {
+	for _, impl := range confImpls("", 1) {
 		for _, pol := range []core.StatePolicy{core.SaveRestore, core.Rollback} {
 			for _, crowd := range []int{0, 4} {
 				for seed := uint64(1); seed <= 2; seed++ {

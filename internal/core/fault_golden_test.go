@@ -39,7 +39,7 @@ func goldenFaultPlan(t *testing.T) fault.Plan {
 func goldenFaultRun(t *testing.T) (string, *core.Engine) {
 	t.Helper()
 	k := sim.New()
-	e, log := confEngine(t, nil, "")
+	e, log := confEngine(t, nil, "", 1)
 	e.Ledger().InjectFaults(fault.NewInjector(goldenFaultPlan(t)))
 	d := core.NewDynamicLoader(k, e)
 	os := hostos.New(k, hostos.Config{
@@ -99,7 +99,7 @@ func TestLoadEscalation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, log := confEngine(t, nil, "")
+	e, log := confEngine(t, nil, "", 1)
 	e.Ledger().InjectFaults(fault.NewInjector(plan))
 	_, _, err = e.Ledger().TryLoad("task", e.Lib["adder8"], 0, false)
 	if err == nil {
@@ -150,7 +150,7 @@ func TestReadbackEscalationPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := confEngine(t, nil, "")
+	e, _ := confEngine(t, nil, "", 1)
 	led := e.Ledger()
 	c := e.Lib["counter8"]
 	if _, _, err := led.TryLoad("task", c, 0, false); err != nil {
@@ -173,7 +173,7 @@ func TestReadbackEscalationPanics(t *testing.T) {
 // than a clean one — wasted download plus backoff — while the nominal
 // accounting (Loads, ConfigTime) stays identical.
 func TestFaultRecoveryCharged(t *testing.T) {
-	clean, _ := confEngine(t, nil, "")
+	clean, _ := confEngine(t, nil, "", 1)
 	_, cleanCost, err := clean.Ledger().TryLoad("task", clean.Lib["adder8"], 0, false)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestFaultRecoveryCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, _ := confEngine(t, nil, "")
+	faulted, _ := confEngine(t, nil, "", 1)
 	faulted.Ledger().InjectFaults(fault.NewInjector(plan))
 	_, faultedCost, err := faulted.Ledger().TryLoad("task", faulted.Lib["adder8"], 0, false)
 	if err != nil {
@@ -210,7 +210,7 @@ func TestFaultRecoveryCharged(t *testing.T) {
 // escalation panics; before it does, the ledger drops the destroyed (or
 // corrupted) strip, so the books still balance and no pin is lost.
 func TestRelocateEscalationDropsStrip(t *testing.T) {
-	probe, _ := confEngine(t, nil, "")
+	probe, _ := confEngine(t, nil, "", 1)
 	wa, wc, wm := probe.Lib["adder8"].BS.W, probe.Lib["counter8"].BS.W, probe.Lib["mul4"].BS.W
 	if wa >= wm {
 		t.Fatalf("adder8 (%d cols) not narrower than mul4 (%d): test geometry assumption broken", wa, wm)

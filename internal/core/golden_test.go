@@ -21,7 +21,7 @@ import (
 func goldenRun(t *testing.T) string {
 	t.Helper()
 	k := sim.New()
-	e, log := confEngine(t, nil, "")
+	e, log := confEngine(t, nil, "", 1)
 	d := core.NewDynamicLoader(k, e)
 	os := hostos.New(k, hostos.Config{
 		Policy: hostos.RR, TimeSlice: 250 * sim.Microsecond,

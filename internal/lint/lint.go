@@ -1,7 +1,7 @@
 // Package lint is the static verification subsystem: a multi-pass
 // analyzer for the artifacts the VFPGA stack moves around — gate-level
-// netlists, relocatable bitstreams, bitstream pages, partition-table
-// snapshots and configured devices.
+// netlists, relocatable bitstreams, partition-table snapshots and
+// configured devices.
 //
 // Every virtualization technique in the paper rests on invariants that
 // are otherwise only checked dynamically, if at all: partitions must
@@ -131,11 +131,6 @@ type Target struct {
 	Bitstream *bitstream.Bitstream
 	// Geometry, when non-nil, bounds the bitstream against a device.
 	Geometry *fabric.Geometry
-	// PageCells, when > 0, makes the page-coverage pass split Bitstream
-	// into pages of that size (unless Pages is given explicitly).
-	PageCells int
-	// Pages, when non-empty, is the page set to check against Bitstream.
-	Pages []bitstream.Page
 
 	// Regions is a column-map snapshot and Cols the device width it must
 	// fit. FixedSlots marks a table of static slots (§4's fixed
@@ -193,7 +188,6 @@ var builtin = []Pass{
 	{"dead-logic", "gates that cannot influence any primary output", passDeadLogic},
 	{"seq-preempt", "flip-flop state that is not fully readback-observable", passSeqPreempt},
 	{"bitstream-bounds", "cell writes, sources and pin bindings inside the claimed region", passBitstreamBounds},
-	{"page-coverage", "pages partition the bitstream's cells exactly once", passPageCoverage},
 	{"region-state", "partition tables and region maps: no shared or leaked columns, coalesced free spans", passRegionState},
 	{"fabric-config", "configured devices: dangling sources, config-level loops", passFabricConfig},
 }

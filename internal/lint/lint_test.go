@@ -107,54 +107,80 @@ func TestSeqPreemptUnobservableState(t *testing.T) {
 }
 
 func TestSeqPreemptBitstreamStateVolume(t *testing.T) {
-	bs := &bitstream.Bitstream{
-		Name: "b", W: 2, H: 1, NumIn: 1, NumOut: 1,
-		Cells: []bitstream.CellWrite{
-			{X: 0, Y: 0, UseFF: true, Inputs: [fabric.LUTInputs]bitstream.Src{{Kind: bitstream.SrcPort, Port: 0}}},
-		},
-		OutDrivers: []bitstream.Src{{Kind: bitstream.SrcRel, DX: 0, DY: 0}},
-		FFCells:    2, // lies: only one registered cell
-	}
-	diags := only(t, "seq-preempt", &Target{Bitstream: bs})
-	wantDiag(t, diags, Error, "readback/restore vectors will mismatch")
-
 	// A sequential netlist whose bitstream carries no state at all.
 	b := netlist.NewBuilder("seq")
 	b.Output("y", b.DFF(b.Input("d"), false))
 	nl := b.MustBuild()
-	bs2 := &bitstream.Bitstream{
-		Name: "b2", W: 1, H: 1, NumIn: 0, NumOut: 1,
+	bs := &bitstream.Bitstream{
+		Name: "b", W: 1, H: 1, NumIn: 0, NumOut: 1,
 		Cells:      []bitstream.CellWrite{{X: 0, Y: 0}},
 		OutDrivers: []bitstream.Src{{Kind: bitstream.SrcRel}},
 	}
-	diags = only(t, "seq-preempt", &Target{Netlist: nl, Bitstream: bs2})
+	diags := only(t, "seq-preempt", &Target{Netlist: nl, Bitstream: bs})
 	wantDiag(t, diags, Error, "state cannot be read back")
 }
 
-func brokenBitstream() *bitstream.Bitstream {
+// twoCellBitstream is a valid 2x2 design: a registered cell fed by the
+// input port, chained into a second cell that drives the output. Cells
+// (0,1) and (1,1) are in the region but unwritten.
+func twoCellBitstream() *bitstream.Bitstream {
 	return &bitstream.Bitstream{
-		Name: "bad", W: 2, H: 2, NumIn: 1, NumOut: 2,
+		Name: "b", W: 2, H: 2, NumIn: 1, NumOut: 1,
 		Cells: []bitstream.CellWrite{
-			{X: 0, Y: 0, Inputs: [fabric.LUTInputs]bitstream.Src{
-				{Kind: bitstream.SrcRel, DX: 5, DY: 0}, // source outside region
-				{Kind: bitstream.SrcPort, Port: 3},     // port out of range
-				{Kind: bitstream.SrcRel, DX: 1, DY: 1}, // in region but unconfigured
-			}},
-			{X: 3, Y: 0}, // cell write outside the region
-			{X: 0, Y: 0}, // multiply-driven cell
+			{X: 0, Y: 0, UseFF: true, Inputs: [fabric.LUTInputs]bitstream.Src{{Kind: bitstream.SrcPort, Port: 0}}},
+			{X: 1, Y: 0, Inputs: [fabric.LUTInputs]bitstream.Src{{Kind: bitstream.SrcRel, DX: 0, DY: 0}}},
 		},
-		OutDrivers: []bitstream.Src{{Kind: bitstream.SrcRel, DX: 0, DY: 0}}, // 1 driver for 2 ports
+		OutDrivers: []bitstream.Src{{Kind: bitstream.SrcRel, DX: 1, DY: 0}},
+		FFCells:    1,
 	}
 }
 
+// TestBitstreamBounds breaks one rule at a time in a valid bitstream:
+// each fault must yield exactly one bitstream-bounds error, so every
+// rule bitstream.Validate states, and each device-fit check, is
+// reachable through lint.
 func TestBitstreamBounds(t *testing.T) {
-	diags := only(t, "bitstream-bounds", &Target{Bitstream: brokenBitstream()})
-	wantDiag(t, diags, Error, "cell write outside the claimed 2x2 region")
-	wantDiag(t, diags, Error, "multiply-driven cell")
-	wantDiag(t, diags, Error, "region-relative source (5,0) outside")
-	wantDiag(t, diags, Error, "references input port 3 of 1")
-	wantDiag(t, diags, Error, "reads unconfigured cell (1,1)")
-	wantDiag(t, diags, Error, "1 output drivers for 2 output ports")
+	wantNone(t, only(t, "bitstream-bounds", &Target{Bitstream: twoCellBitstream()}))
+	tiny := fabric.Geometry{Cols: 1, Rows: 4, TracksPerChannel: 4, PinsPerSide: 2}
+	pinless := fabric.Geometry{Cols: 4, Rows: 4, TracksPerChannel: 4, PinsPerSide: 0}
+	rel := func(dx, dy int16) bitstream.Src { return bitstream.Src{Kind: bitstream.SrcRel, DX: dx, DY: dy} }
+	for _, c := range []struct {
+		name  string
+		fault func(b *bitstream.Bitstream)
+		geom  *fabric.Geometry
+		want  string
+	}{
+		{"unnamed", func(b *bitstream.Bitstream) { b.Name = "" }, nil, "missing name"},
+		{"empty region", func(b *bitstream.Bitstream) { b.W = 0 }, nil, "non-positive footprint 0x2"},
+		{"unrepresentable footprint", func(b *bitstream.Bitstream) { b.H = fabric.MaxDim + 1 }, nil, "beyond the representable"},
+		{"negative port count", func(b *bitstream.Bitstream) { b.NumOut = -1 }, nil, "negative port counts"},
+		{"unrepresentable port count", func(b *bitstream.Bitstream) { b.NumIn = fabric.MaxDim + 1 }, nil, "input ports beyond the representable"},
+		{"driver count", func(b *bitstream.Bitstream) { b.NumOut = 2 }, nil, "1 out drivers for 2 outputs"},
+		{"cell outside region", func(b *bitstream.Bitstream) { b.Cells[1].X = 3 }, nil, "cell 1 at (3,0) outside 2x2"},
+		{"cell written twice", func(b *bitstream.Bitstream) { b.Cells[1].X = 0 }, nil, "two cells at (0,0)"},
+		{"FFCells lies", func(b *bitstream.Bitstream) { b.FFCells = 2 }, nil, "FFCells 2 but 1 registered cells"},
+		{"source outside region", func(b *bitstream.Bitstream) { b.Cells[1].Inputs[0] = rel(5, 0) }, nil, "relative source (5,0) outside 2x2"},
+		{"port out of range", func(b *bitstream.Bitstream) { b.Cells[0].Inputs[0].Port = 3 }, nil, "port source 3 outside 1 inputs"},
+		{"unknown source kind", func(b *bitstream.Bitstream) { b.Cells[0].Inputs[1].Kind = 99 }, nil, "unknown source kind 99"},
+		{"input reads unwritten cell", func(b *bitstream.Bitstream) { b.Cells[1].Inputs[1] = rel(1, 1) }, nil,
+			"cell 1 input 1: relative source (1,1) reads a cell the bitstream does not write"},
+		{"undriven output", func(b *bitstream.Bitstream) { b.OutDrivers[0] = bitstream.Src{} }, nil, "output 0 has no driver"},
+		{"output reads unwritten cell", func(b *bitstream.Bitstream) { b.OutDrivers[0] = rel(0, 1) }, nil,
+			"output 0: relative source (0,1) reads a cell the bitstream does not write"},
+		{"negative delay", func(b *bitstream.Bitstream) { b.Delay = -1 }, nil, "negative delay"},
+		{"region exceeds device", func(*bitstream.Bitstream) {}, &tiny, "2x2 region exceeds device"},
+		{"ports exceed pins", func(*bitstream.Bitstream) {}, &pinless, "2 ports can never bind to 0 device pins"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bs := twoCellBitstream()
+			c.fault(bs)
+			diags := only(t, "bitstream-bounds", &Target{Bitstream: bs, Geometry: c.geom})
+			if len(diags) != 1 {
+				t.Fatalf("want exactly one diagnostic, got %v", diags)
+			}
+			wantDiag(t, diags, Error, c.want)
+		})
+	}
 }
 
 func TestBitstreamBoundsDeviceExtents(t *testing.T) {
@@ -165,28 +191,6 @@ func TestBitstreamBoundsDeviceExtents(t *testing.T) {
 	g := fabric.Geometry{Cols: 4, Rows: 4, TracksPerChannel: 4, PinsPerSide: 2}
 	diags := only(t, "bitstream-bounds", &Target{Bitstream: bs, Geometry: &g})
 	wantDiag(t, diags, Error, "exceeds device")
-}
-
-func TestPageCoverage(t *testing.T) {
-	bs := &bitstream.Bitstream{
-		Name: "paged", W: 2, H: 2, NumOut: 0,
-		Cells: []bitstream.CellWrite{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 1}},
-	}
-	// The derived page set is clean by construction.
-	wantNone(t, only(t, "page-coverage", &Target{Bitstream: bs, PageCells: 2}))
-
-	// A torn page set: cell (0,1) missing, cell (0,0) duplicated, a page
-	// over its size, a misnumbered page.
-	pages := []bitstream.Page{
-		{Index: 0, Cells: []bitstream.CellWrite{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 0}}},
-		{Index: 5, Cells: []bitstream.CellWrite{{X: 1, Y: 1}}},
-	}
-	diags := only(t, "page-coverage", &Target{Bitstream: bs, PageCells: 2, Pages: pages})
-	wantDiag(t, diags, Error, "not covered by any page")
-	wantDiag(t, diags, Error, "covered by 2 pages")
-	wantDiag(t, diags, Error, "page holds 3 cells, page size is 2")
-	wantDiag(t, diags, Error, "out of sequence")
-	wantDiag(t, diags, Error, "paged in but not part of the bitstream")
 }
 
 // TestRegionStateInvariants feeds the one column-map audit its inputs:

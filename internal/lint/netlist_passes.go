@@ -250,7 +250,8 @@ func passDeadLogic(t *Target, r *Reporter) {
 // reach any output is dead state — the mapper may drop it, and nothing
 // can verify that a preempt/resume round trip preserved it. When the
 // compiled bitstream is present, the pass also cross-checks that the
-// netlist's state volume survived mapping into registered cells.
+// netlist's state volume survived mapping into registered cells, reading
+// the bitstream's FFCells (bitstream-bounds holds it to the cells).
 func passSeqPreempt(t *Target, r *Reporter) {
 	nl := t.Netlist
 	if nl != nil && nl.IsSequential() {
@@ -270,26 +271,16 @@ func passSeqPreempt(t *Target, r *Reporter) {
 		}
 	}
 	bs := t.Bitstream
-	if bs == nil {
+	if bs == nil || nl == nil {
 		return
 	}
-	ffCells := 0
-	for i := range bs.Cells {
-		if bs.Cells[i].UseFF {
-			ffCells++
-		}
-	}
-	if ffCells != bs.FFCells {
-		r.Errorf(bs.Name+": state volume",
-			"FFCells metadata says %d but %d cells are registered; readback/restore vectors will mismatch", bs.FFCells, ffCells)
-	}
-	if nl != nil && nl.IsSequential() && ffCells == 0 {
+	if nl.IsSequential() && bs.FFCells == 0 {
 		r.Errorf(bs.Name+": state volume",
 			"sequential netlist (%d DFFs) mapped to zero registered cells: state cannot be read back", nl.NumDFFs())
 	}
-	if nl != nil && ffCells > 0 && ffCells < nl.NumDFFs() {
+	if bs.FFCells > 0 && bs.FFCells < nl.NumDFFs() {
 		r.Infof(bs.Name+": state volume",
-			"%d of %d netlist flip-flops survive as registered cells (optimizer pruning)", ffCells, nl.NumDFFs())
+			"%d of %d netlist flip-flops survive as registered cells (optimizer pruning)", bs.FFCells, nl.NumDFFs())
 	}
 }
 
