@@ -35,8 +35,9 @@ build:
 # (baseline) runs on every board worker goroutine, the event kernel (sim)
 # with its one callback shape under bench.Run's parallel workers — and
 # the shared circuit library (netlist) with the spec builder that reads
-# it from every worker, and the audit (lint) whose working tables every
-# board's worker takes from and gives back to one free list. The second
+# it from every worker, the device (fabric) whose check every board's
+# worker runs on a working set it takes from and gives back to one free
+# list, and the audit (lint) that calls it. The second
 # run repeats the tests of orderings between goroutines (a failed job is
 # counted before its done channel closes; every queued-work charge is
 # released, whichever worker the job leaves), the test that a live pool
@@ -45,7 +46,7 @@ build:
 # result outlives the jobs whose stacks a board renews in its memory:
 # once is not evidence.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/flat/... ./internal/compile/... ./internal/techmap/... ./internal/place/... ./internal/route/... ./internal/lint/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
+	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/flat/... ./internal/fabric/... ./internal/compile/... ./internal/techmap/... ./internal/place/... ./internal/route/... ./internal/lint/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
 	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree|TestBoardsShareCachedSet|TestDeliveredResultOutlivesBoard' ./internal/serve/
 
 test:
@@ -121,9 +122,11 @@ fuzz-smoke:
 # (lutdepth-one-pass, critpath-one-pass), the router's stop rule and its
 # heap's pick of a child on a tie, the latency recorder's window, the
 # device's column blocks, the amorphous manager's caching, a synthetic
-# pool's distinct names, the edges the device's evaluator and the
-# fabric-config audit sort (comb-order-registered-edge,
-# lint-edge-from-registered), and the experiment harness's row fill and
+# pool's distinct names, Device.Check, the one statement of a configured
+# device's rules, which the evaluator and the fabric-config audit share
+# (check-skips-last-column, comb-order-registered-edge,
+# check-allows-unconfigured-read, check-allows-noninput-pin-read,
+# check-skips-output-pins), and the experiment harness's row fill and
 # strip footprint) is applied
 # to a scratch copy of the tree and must fail its packages' tests; each
 # is printed killed, with the failing tests grouped as digest, golden,

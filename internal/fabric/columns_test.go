@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -108,8 +109,6 @@ func (f *flatPlane) erase() {
 
 func (f *flatPlane) resolve(s Source, outs []bool) bool {
 	switch s.Kind {
-	case SrcUnused, SrcConst0:
-		return false
 	case SrcConst1:
 		return true
 	case SrcPin:
@@ -117,7 +116,32 @@ func (f *flatPlane) resolve(s Source, outs []bool) bool {
 	case SrcCLB:
 		return outs[f.idx(int(s.X), int(s.Y))]
 	}
-	panic(fmt.Sprintf("fabric: bad source kind %d", s.Kind))
+	return false
+}
+
+// fault is what is wrong with a read of s, or "" for a sound one.
+func (f *flatPlane) fault(s Source) string {
+	switch s.Kind {
+	case SrcUnused, SrcConst0, SrcConst1:
+		return ""
+	case SrcCLB:
+		if s.X < 0 || int(s.X) >= f.g.Cols || s.Y < 0 || int(s.Y) >= f.g.Rows {
+			return fmt.Sprintf("reads CLB (%d,%d) outside device %v", s.X, s.Y, f.g)
+		}
+		if !f.clbs[f.idx(int(s.X), int(s.Y))].Used {
+			return fmt.Sprintf("reads unconfigured CLB (%d,%d)", s.X, s.Y)
+		}
+		return ""
+	case SrcPin:
+		if s.Pin < 0 || int(s.Pin) >= len(f.pins) {
+			return fmt.Sprintf("reads pin %d outside device %v", s.Pin, f.g)
+		}
+		if f.pins[s.Pin].Mode != PinInput {
+			return fmt.Sprintf("reads pin %d which is not configured as an input", s.Pin)
+		}
+		return ""
+	}
+	return fmt.Sprintf("unknown source kind %d", s.Kind)
 }
 
 func (f *flatPlane) step() (map[int]bool, error) {
@@ -125,6 +149,18 @@ func (f *flatPlane) step() (map[int]bool, error) {
 	for i := range f.clbs {
 		if f.clbs[i].Used {
 			used = append(used, i)
+		}
+	}
+	for _, i := range used {
+		for k, src := range f.clbs[i].Inputs {
+			if fault := f.fault(src); fault != "" {
+				return nil, fmt.Errorf("CLB (%d,%d) input %d: %s", i/f.g.Rows, i%f.g.Rows, k, fault)
+			}
+		}
+	}
+	for p, cfg := range f.pins {
+		if fault := f.fault(cfg.Driver); cfg.Mode == PinOutput && fault != "" {
+			return nil, fmt.Errorf("output pin %d: %s", p, fault)
 		}
 	}
 	indeg := make(map[int]int)
@@ -160,7 +196,7 @@ func (f *flatPlane) step() (map[int]bool, error) {
 		}
 	}
 	if len(order) != len(used) {
-		return nil, fmt.Errorf("fabric: configured logic contains a combinational loop (%d of %d CLBs ordered)", len(order), len(used))
+		return nil, fmt.Errorf("logic: configured fabric contains a combinational loop (%d of %d CLBs unordered)", len(used)-len(order), len(used))
 	}
 	outs := make([]bool, len(f.clbs))
 	lutOuts := make([]bool, len(f.clbs))
@@ -205,9 +241,11 @@ func recovered(op func()) (msg string) {
 }
 
 // randomSource draws an input for the CLB at scan index at, or a pin
-// driver when at is -1. A CLB source reads, most of the time, a
-// configured CLB of ref that is registered or earlier in scan order:
-// logic that reads blank cells, or itself, is a loop to Step.
+// driver when at is -1. A source reads, most of the time, a configured
+// CLB of ref that is registered or earlier in scan order, or a pin of ref
+// configured as an input: Step refuses logic that reads a blank cell or a
+// pin not an input, and logic that reads a later combinational CLB may
+// be a loop.
 func randomSource(r *rand.Rand, ref *flatPlane, at int) Source {
 	g := ref.g
 	switch r.Intn(10) {
@@ -217,7 +255,7 @@ func randomSource(r *rand.Rand, ref *flatPlane, at int) Source {
 		}
 		var fed []int
 		for i, c := range ref.clbs {
-			if c.Used && (c.UseFF || i < at || at < 0) {
+			if c.Used && (c.UseFF || i < at || at < 0 || r.Intn(8) == 0) {
 				fed = append(fed, i)
 			}
 		}
@@ -227,7 +265,19 @@ func randomSource(r *rand.Rand, ref *flatPlane, at int) Source {
 		}
 		fallthrough
 	case 3, 4, 5:
-		return PinSource(r.Intn(g.NumPins()))
+		if r.Intn(16) == 0 {
+			return PinSource(r.Intn(g.NumPins()))
+		}
+		var inputs []int
+		for p, cfg := range ref.pins {
+			if cfg.Mode == PinInput {
+				inputs = append(inputs, p)
+			}
+		}
+		if len(inputs) > 0 {
+			return PinSource(inputs[r.Intn(len(inputs))])
+		}
+		fallthrough
 	case 6, 7:
 		return ConstSource(r.Intn(2) == 0)
 	}
@@ -256,14 +306,10 @@ func randomRegion(r *rand.Rand, g Geometry) Region {
 // clears, state restores, pin writes, erases and clock steps, corrupt
 // sources and out-of-range regions among them, and requires the two to
 // agree after every operation: the same panic, every cell's
-// configuration and flip-flop, the EachUsedCLB visits, a whole-device
-// readback, UsedCells, ConfigWrites and each Step's outputs or error.
+// configuration and flip-flop, a whole-device readback, UsedCells (and a
+// recount of every cell), ConfigWrites and each Step's outputs or error.
 func TestColumnPlaneMatchesFlat(t *testing.T) {
 	g := Geometry{Cols: 7, Rows: 4, TracksPerChannel: 4, PinsPerSide: 2}
-	type visit struct {
-		x, y int
-		cfg  CLBConfig
-	}
 	outcomes := map[string]int{}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -329,13 +375,15 @@ func TestColumnPlaneMatchesFlat(t *testing.T) {
 					t.Errorf("seed %d step %d: Step() = %v, %v; flat plane %v, %v", seed, step, gotOut, gotErr, wantOut, wantErr)
 					return false
 				}
-				switch {
-				case got != "":
-					outcomes["panic"]++
-				case gotErr != nil:
-					outcomes["loop"]++
-				default:
+				switch msg := fmt.Sprint(gotErr); {
+				case gotErr == nil:
 					outcomes["ran"]++
+				case strings.HasPrefix(msg, "logic: "):
+					outcomes["loop"]++
+				case strings.Contains(msg, "outside device") || strings.Contains(msg, "unknown source kind"):
+					outcomes["corrupt"]++
+				default:
+					outcomes["dangling"]++
 				}
 			default:
 				what = "Erase()"
@@ -346,8 +394,10 @@ func TestColumnPlaneMatchesFlat(t *testing.T) {
 				t.Errorf("seed %d step %d: %s panicked %q, flat plane %q", seed, step, what, got, want)
 				return false
 			}
+			recount := 0
 			for x := 0; x < g.Cols; x++ {
 				for y := 0; y < g.Rows; y++ {
+					recount += count(d.CLB(x, y).Used)
 					i := ref.idx(x, y)
 					if c := d.at(x, y); d.CLB(x, y) != ref.clbs[i] || c.cfg != ref.clbs[i] || c.ff != ref.ffs[i] {
 						t.Errorf("seed %d step %d after %s: CLB (%d,%d) reads %+v ff %v, flat plane %+v ff %v",
@@ -356,19 +406,12 @@ func TestColumnPlaneMatchesFlat(t *testing.T) {
 					}
 				}
 			}
-			var visits, wantVisits []visit
-			d.EachUsedCLB(func(x, y int, cfg *CLBConfig) { visits = append(visits, visit{x, y, *cfg}) })
-			for i, cfg := range ref.clbs {
-				if cfg.Used {
-					wantVisits = append(wantVisits, visit{i / g.Rows, i % g.Rows, cfg})
-				}
-			}
 			all := g.Bounds()
-			if !reflect.DeepEqual(visits, wantVisits) || !slices.Equal(d.ReadRegionState(all), ref.readRegionState(all)) ||
+			if !slices.Equal(d.ReadRegionState(all), ref.readRegionState(all)) || d.UsedCells() != recount ||
 				d.UsedCells() != ref.used || d.ConfigWrites() != ref.writes || !reflect.DeepEqual(d.pins, ref.pins) {
-				t.Errorf("seed %d step %d after %s: visits %v readback %v used %d writes %d; flat plane %v %v %d %d",
-					seed, step, what, visits, d.ReadRegionState(all), d.UsedCells(), d.ConfigWrites(),
-					wantVisits, ref.readRegionState(all), ref.used, ref.writes)
+				t.Errorf("seed %d step %d after %s: readback %v used %d (recount %d) writes %d; flat plane %v %d %d",
+					seed, step, what, d.ReadRegionState(all), d.UsedCells(), recount, d.ConfigWrites(),
+					ref.readRegionState(all), ref.used, ref.writes)
 				return false
 			}
 		}
@@ -377,9 +420,10 @@ func TestColumnPlaneMatchesFlat(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-	// A Step that ran compares outputs and flip-flops; a loop and a
-	// corrupt source compare the refusal. All three must come up.
-	for _, o := range []string{"ran", "loop", "panic"} {
+	// A Step that ran compares outputs and flip-flops; a loop, a read of
+	// a blank cell or of a pin not an input, and a corrupt source compare
+	// the refusal. All four must come up.
+	for _, o := range []string{"ran", "loop", "dangling", "corrupt"} {
 		if outcomes[o] == 0 {
 			t.Errorf("no Step ended %q; Step outcomes %v", o, outcomes)
 		}

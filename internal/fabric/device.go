@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/flat"
 )
@@ -201,13 +203,6 @@ func (d *Device) check(x, y int) {
 	}
 }
 
-// idx is the CLB's position in x-major scan order, the index of the
-// per-CLB values propagate computes.
-func (d *Device) idx(x, y int) int {
-	d.check(x, y)
-	return x*d.geom.Rows + y
-}
-
 // at returns the CLB at (x, y), blank if its column has no block yet. It
 // returns a copy: a pointer goes only into a block that exists.
 func (d *Device) at(x, y int) cell {
@@ -258,6 +253,8 @@ func (d *Device) ClearRegion(r Region) {
 }
 
 // Pin returns the configuration of I/O block p.
+//
+//vfpgavet:ignore testonly -- observation hook: the fabric and core tests read back a pin's configuration
 func (d *Device) Pin(p int) PinConfig { return d.pins[p] }
 
 // WritePin configures I/O block p.
@@ -326,42 +323,161 @@ func count(used bool) int {
 	return 0
 }
 
-// EachUsedCLB calls f for every configured CLB in x-major scan order.
-// This is the read path the static verifier uses to audit a configured
-// device without reaching into the configuration RAM layout. cfg points
-// into the configuration RAM: it is read-only and valid only during the
-// call; a caller that keeps a configuration copies it (or asks CLB). A
-// column with no block holds no configured CLB and is not scanned.
-func (d *Device) EachUsedCLB(f func(x, y int, cfg *CLBConfig)) {
-	for x, col := range d.cols {
-		for y := range col {
-			if c := &col[y].cfg; c.Used {
-				f(x, y, c)
-			}
-		}
-	}
-}
-
 // cellAt returns the cell at scan index i, which must lie in a column
 // that has a block.
 func (d *Device) cellAt(i int) *cell {
 	return &d.cols[i/d.geom.Rows][i%d.geom.Rows]
 }
 
-// resolve returns the current value of a source given the per-CLB output
-// values computed so far.
+// checkSet is the working set of one Check, Eval or Step, kept from call
+// to call: a node number for each CLB, the sort over the used CLBs and
+// its order, and the values Eval and Step compute in that order.
+type checkSet struct {
+	node    []int32 // by scan index: 1 + the CLB's node number, 0 for a blank CLB
+	used    []int   // by node number: the used CLB's scan index
+	order   flat.Order[int]
+	sorted  []int  // the used CLBs' scan indices in evaluation order
+	outs    []bool // by scan index: the CLB's output
+	lutOuts []bool // by scan index: the CLB's LUT value, its FF's next state
+}
+
+// checkFree holds the working sets no call is using, the one given back
+// last on top, at most GOMAXPROCS of them: a daemon audits each board
+// after every job on the board's own goroutine, and each audit after the
+// first on a goroutine finds its arrays already grown. They are not kept
+// on a Device, which a cold job makes anew.
+var checkFree struct {
+	mu   sync.Mutex
+	sets []*checkSet
+}
+
+func takeCheckSet() *checkSet {
+	checkFree.mu.Lock()
+	defer checkFree.mu.Unlock()
+	n := len(checkFree.sets)
+	if n == 0 {
+		return new(checkSet)
+	}
+	w := checkFree.sets[n-1]
+	checkFree.sets = checkFree.sets[:n-1]
+	return w
+}
+
+func giveCheckSet(w *checkSet) {
+	checkFree.mu.Lock()
+	defer checkFree.mu.Unlock()
+	if len(checkFree.sets) < runtime.GOMAXPROCS(0) {
+		checkFree.sets = append(checkFree.sets, w)
+	}
+}
+
+// Check returns the first rule of a configured device that d breaks, or
+// nil. Every used CLB input and every output-pin driver is a constant, a
+// used CLB inside the device or a pin inside the device configured as an
+// input, of a source kind the device knows: anything else reads
+// unconfigured fabric, garbage once a neighbour unloads. The
+// combinational logic is acyclic; a registered CLB's output is its
+// flip-flop, so a CLB reading it does not wait on its inputs. The CLB
+// inputs are checked first, in scan order, then the output pins, then
+// the loop. Eval and Step refuse a device with Check's error, and lint's
+// fabric-config pass reports it.
+func (d *Device) Check() error {
+	w := takeCheckSet()
+	defer giveCheckSet(w)
+	return d.order(w)
+}
+
+// order checks d as Check does and leaves in w its used CLBs and their
+// evaluation order.
+func (d *Device) order(w *checkSet) error {
+	rows := d.geom.Rows
+	w.node = flat.Zeroed(w.node, d.geom.NumCLBs())
+	w.used = w.used[:0]
+	for x, col := range d.cols {
+		for y := range col {
+			if col[y].cfg.Used {
+				w.used = append(w.used, x*rows+y)
+				w.node[x*rows+y] = int32(len(w.used))
+			}
+		}
+	}
+	for _, i := range w.used {
+		for k, s := range d.cellAt(i).cfg.Inputs {
+			if fault := d.readFault(s, w.node); fault != "" {
+				return fmt.Errorf("CLB (%d,%d) input %d: %s", i/rows, i%rows, k, fault)
+			}
+		}
+	}
+	for p, cfg := range d.pins {
+		if cfg.Mode != PinOutput {
+			continue
+		}
+		if fault := d.readFault(cfg.Driver, w.node); fault != "" {
+			return fmt.Errorf("output pin %d: %s", p, fault)
+		}
+	}
+	// An edge runs from each combinational CLB to every CLB that reads it.
+	edges := func(add func(f, t int)) {
+		for k, i := range w.used {
+			for _, s := range d.cellAt(i).cfg.Inputs {
+				if j := int(s.X)*rows + int(s.Y); s.Kind == SrcCLB && !d.cellAt(j).cfg.UseFF {
+					add(int(w.node[j])-1, k)
+				}
+			}
+		}
+	}
+	w.order.Reset(len(w.used))
+	edges(w.order.Count)
+	w.order.Counted()
+	edges(w.order.Place)
+	w.sorted = w.order.Sort(w.sorted[:0])
+	if unordered := len(w.used) - len(w.sorted); unordered > 0 {
+		return fmt.Errorf("logic: configured fabric contains a combinational loop (%d of %d CLBs unordered)", unordered, len(w.used))
+	}
+	for k, v := range w.sorted {
+		w.sorted[k] = w.used[v]
+	}
+	return nil
+}
+
+// readFault returns what is wrong with a read of s, or "" for a sound
+// one; node is order's, 0 for a blank CLB.
+func (d *Device) readFault(s Source, node []int32) string {
+	switch s.Kind {
+	case SrcUnused, SrcConst0, SrcConst1:
+		return ""
+	case SrcCLB:
+		if s.X < 0 || int(s.X) >= d.geom.Cols || s.Y < 0 || int(s.Y) >= d.geom.Rows {
+			return fmt.Sprintf("reads CLB (%d,%d) outside device %v", s.X, s.Y, d.geom)
+		}
+		if node[int(s.X)*d.geom.Rows+int(s.Y)] == 0 {
+			return fmt.Sprintf("reads unconfigured CLB (%d,%d)", s.X, s.Y)
+		}
+		return ""
+	case SrcPin:
+		if s.Pin < 0 || int(s.Pin) >= len(d.pins) {
+			return fmt.Sprintf("reads pin %d outside device %v", s.Pin, d.geom)
+		}
+		if d.pins[s.Pin].Mode != PinInput {
+			return fmt.Sprintf("reads pin %d which is not configured as an input", s.Pin)
+		}
+		return ""
+	}
+	return fmt.Sprintf("unknown source kind %d", s.Kind)
+}
+
+// resolve returns the current value of a source Check passed, given the
+// per-CLB output values computed so far.
 func (d *Device) resolve(s Source, outs []bool) bool {
 	switch s.Kind {
-	case SrcUnused, SrcConst0:
-		return false
 	case SrcConst1:
 		return true
 	case SrcPin:
 		return d.pinV[s.Pin]
 	case SrcCLB:
-		return outs[d.idx(int(s.X), int(s.Y))]
+		return outs[int(s.X)*d.geom.Rows+int(s.Y)]
 	}
-	panic(fmt.Sprintf("fabric: bad source kind %d", s.Kind))
+	return false
 }
 
 // lutEval evaluates a CLB's LUT on the given input values.
@@ -375,121 +491,71 @@ func lutEval(lut LUT, in [LUTInputs]bool) bool {
 	return lut.At(idx)
 }
 
-// combOrder returns a topological order of the used CLBs over their
-// combinational dependencies, as scan indices. A registered CLB's output
-// is its FF, so it contributes no combinational dependency on its inputs.
-// An error is returned if the configuration contains a combinational
-// loop, or a used CLB reads an unused, unregistered one: that CLB is
-// never ordered.
-func (d *Device) combOrder() ([]int, error) {
-	// The sort numbers the used CLBs densely, in scan order: used[k] is
-	// node k's scan index and node[i]-1 scan index i's node (-1 unused).
-	used := make([]int, 0, d.used)
-	node := make([]int32, d.geom.NumCLBs())
-	for x, col := range d.cols {
-		for y := range col {
-			if col[y].cfg.Used {
-				used = append(used, x*d.geom.Rows+y)
-				node[x*d.geom.Rows+y] = int32(len(used))
-			}
-		}
-	}
-	edges := func(add func(f, t int)) {
-		for k, i := range used {
-			for _, src := range d.cellAt(i).cfg.Inputs {
-				if src.Kind != SrcCLB || d.at(int(src.X), int(src.Y)).cfg.UseFF {
-					continue // a registered source is a sequential edge
-				}
-				j := int(node[d.idx(int(src.X), int(src.Y))]) - 1
-				if j < 0 {
-					j = k // an unused source is never ordered; a self-edge keeps its reader out too
-				}
-				add(j, k)
-			}
-		}
-	}
-	var o flat.Order[int]
-	o.Reset(len(used))
-	edges(o.Count)
-	o.Counted()
-	edges(o.Place)
-	order := o.Sort(nil)
-	if len(order) != len(used) {
-		return nil, fmt.Errorf("fabric: configured logic contains a combinational loop (%d of %d CLBs ordered)", len(order), len(used))
-	}
-	for k, v := range order {
-		order[k] = used[v]
-	}
-	return order, nil
-}
-
-// propagate computes all CLB outputs and the LUT (pre-register) values.
-func (d *Device) propagate() (outs, lutOuts []bool, err error) {
-	order, err := d.combOrder()
-	if err != nil {
-		return nil, nil, err
-	}
-	outs = make([]bool, d.geom.NumCLBs())
-	lutOuts = make([]bool, d.geom.NumCLBs())
+// propagate computes into w every used CLB's output and LUT
+// (pre-register) value, in the order order left there.
+func (d *Device) propagate(w *checkSet) {
+	w.outs = flat.Zeroed(w.outs, d.geom.NumCLBs())
+	w.lutOuts = flat.Zeroed(w.lutOuts, d.geom.NumCLBs())
 	// Registered CLB outputs are their FF values, available before any
 	// combinational evaluation.
-	for x, col := range d.cols {
-		for y, c := range col {
-			if c.cfg.Used && c.cfg.UseFF {
-				outs[x*d.geom.Rows+y] = c.ff
-			}
+	for _, i := range w.used {
+		if c := d.cellAt(i); c.cfg.UseFF {
+			w.outs[i] = c.ff
 		}
 	}
-	for _, i := range order {
+	for _, i := range w.sorted {
 		cfg := &d.cellAt(i).cfg
 		var in [LUTInputs]bool
 		for k, src := range cfg.Inputs {
-			in[k] = d.resolve(src, outs)
+			in[k] = d.resolve(src, w.outs)
 		}
-		lutOuts[i] = lutEval(cfg.LUT, in)
+		w.lutOuts[i] = lutEval(cfg.LUT, in)
 		if !cfg.UseFF {
-			outs[i] = lutOuts[i]
+			w.outs[i] = w.lutOuts[i]
 		}
 	}
-	return outs, lutOuts, nil
 }
 
-// outputPins collects the values on all configured output pins.
-func (d *Device) outputPins(outs []bool) map[int]bool {
+// settle checks d, propagates the current input pin values through it
+// into w and returns the values on all configured output pins.
+func (d *Device) settle(w *checkSet) (map[int]bool, error) {
+	if err := d.order(w); err != nil {
+		return nil, err
+	}
+	d.propagate(w)
 	res := make(map[int]bool)
 	for p := range d.pins {
 		if d.pins[p].Mode == PinOutput {
-			res[p] = d.resolve(d.pins[p].Driver, outs)
+			res[p] = d.resolve(d.pins[p].Driver, w.outs)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // Eval propagates the current input pin values through the configured
 // fabric combinationally (FF outputs hold) and returns the values on all
-// output pins.
+// output pins. It refuses a device Check refuses, with Check's error.
 func (d *Device) Eval() (map[int]bool, error) {
-	outs, _, err := d.propagate()
-	if err != nil {
-		return nil, err
-	}
-	return d.outputPins(outs), nil
+	w := takeCheckSet()
+	defer giveCheckSet(w)
+	return d.settle(w)
 }
 
 // Step performs one global clock cycle: it propagates values, samples the
 // output pins (pre-edge), then latches every registered CLB. All loaded
 // circuits on the device share the clock, as on a real single-clock FPGA.
+// It refuses a device Check refuses, with Check's error, and latches
+// nothing then.
 func (d *Device) Step() (map[int]bool, error) {
-	outs, lutOuts, err := d.propagate()
+	w := takeCheckSet()
+	defer giveCheckSet(w)
+	res, err := d.settle(w)
 	if err != nil {
 		return nil, err
 	}
-	res := d.outputPins(outs)
-	for x, col := range d.cols {
-		for y := range col {
-			if c := &col[y]; c.cfg.Used && c.cfg.UseFF {
-				c.ff = lutOuts[x*d.geom.Rows+y]
-			}
+	for _, i := range w.used {
+		if c := d.cellAt(i); c.cfg.UseFF {
+			c.ff = w.lutOuts[i]
 		}
 	}
 	return res, nil

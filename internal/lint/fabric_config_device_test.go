@@ -48,9 +48,9 @@ func configuredDevice(tb testing.TB, n int) *fabric.Device {
 	return d
 }
 
-// The pass formats a position only for a source it reports and takes
-// its dense tables from the previous audit, so a repeat audit of a clean
-// device allocates what lint.Run does — the named pass list and the one
+// Device.Check, which the pass calls, formats only errors and takes its
+// working set from an earlier call, so a repeat audit of a clean device
+// allocates what lint.Run does — the named pass list and the one
 // Reporter — whatever the number of configured CLBs (11 while the pass
 // made its four tables and the run a Reporter per pass, copying the pass
 // list).

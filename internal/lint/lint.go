@@ -140,8 +140,10 @@ type Target struct {
 	Cols       int
 	FixedSlots bool
 
-	// Device is a configured fabric to cross-check (dangling sources,
-	// configuration-level combinational loops).
+	// Device is a configured fabric to audit against the rules
+	// Device.Check states (dangling sources, configuration-level
+	// combinational loops); a broken device yields one error, the first
+	// rule it breaks.
 	Device *fabric.Device
 }
 

@@ -265,9 +265,11 @@ func TestFabricConfig(t *testing.T) {
 		fabric.CLBSource(2, 2),
 		fabric.PinSource(1),
 	}})
-	diags := only(t, "fabric-config", &Target{Device: d})
-	wantDiag(t, diags, Error, "reads unconfigured CLB (2,2)")
-	wantDiag(t, diags, Error, "not configured as an input")
+	wantDiag(t, only(t, "fabric-config", &Target{Device: d}), Error, "reads unconfigured CLB (2,2)")
+	// The pass names the first fault only: configuring (2,2) uncovers the
+	// second.
+	d.WriteCLB(2, 2, fabric.CLBConfig{Used: true})
+	wantDiag(t, only(t, "fabric-config", &Target{Device: d}), Error, "reads pin 1 which is not configured as an input")
 }
 
 func TestFabricConfigLoop(t *testing.T) {

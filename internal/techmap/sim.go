@@ -2,7 +2,9 @@ package techmap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+
+	"repro/internal/flat"
 )
 
 // Simulator evaluates a Mapped design directly, giving a second reference
@@ -72,47 +74,35 @@ func (s *Simulator) SetState(st []bool) {
 	}
 }
 
+// computeOrder sorts the combinational cells over the cells they read.
+// It reads the cells' inputs, not their numbering, so the reference does
+// not take the mapper's cell order on trust. Registered cells are
+// sources: their outputs are their FFs, and their LUTs are evaluated in a
+// final pass.
 func (s *Simulator) computeOrder() error {
-	n := len(s.m.Cells)
-	indeg := make([]int, n)
-	succ := make([][]int, n)
-	for i := range s.m.Cells {
-		if s.m.Cells[i].UseFF {
-			continue // registered cells are sources combinationally
-		}
-		for _, in := range s.m.Cells[i].Inputs {
-			if in.Kind == SigCell && !s.m.Cells[in.Cell].UseFF {
-				indeg[i]++
-				succ[in.Cell] = append(succ[in.Cell], i)
+	cells := s.m.Cells
+	edges := func(add func(f, t CellID)) {
+		for i := range cells {
+			if cells[i].UseFF {
+				continue
+			}
+			for _, in := range cells[i].Inputs {
+				if in.Kind == SigCell && !cells[in.Cell].UseFF {
+					add(in.Cell, CellID(i))
+				}
 			}
 		}
 	}
-	var queue []int
-	combCells := 0
-	for i := 0; i < n; i++ {
-		if s.m.Cells[i].UseFF {
-			continue // sources; their LUTs are evaluated in a final pass
-		}
-		combCells++
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	sort.Ints(queue)
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		s.order = append(s.order, CellID(i))
-		for _, j := range succ[i] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-	}
-	if len(s.order) != combCells {
+	var o flat.Order[CellID]
+	o.Reset(len(cells))
+	edges(o.Count)
+	o.Counted()
+	edges(o.Place)
+	order := o.Sort(nil)
+	if len(order) != len(cells) {
 		return fmt.Errorf("techmap: mapped design %q has a combinational cycle", s.m.Name)
 	}
+	s.order = slices.DeleteFunc(order, func(c CellID) bool { return cells[c].UseFF })
 	return nil
 }
 

@@ -485,3 +485,37 @@ func TestLutDepthMatchesRecursion(t *testing.T) {
 		}
 	})
 }
+
+// The reference simulator orders cells by what they read, not by their
+// numbering: a design whose cell 0 reads cell 1 evaluates, a
+// combinational cycle is refused, and a register in the cycle breaks it.
+func TestSimulatorOrdersByInputs(t *testing.T) {
+	var buf, not [16]bool
+	for i := range buf {
+		buf[i], not[i] = i&1 == 1, i&1 == 0
+	}
+	m := &Mapped{
+		Name: "reversed",
+		Cells: []Cell{
+			{ID: 0, LUT: not, Inputs: []Signal{{Kind: SigCell, Cell: 1}}},
+			{ID: 1, LUT: buf, Inputs: []Signal{{Kind: SigInput, Input: 0}}},
+		},
+		NumInputs: 1,
+		Outputs:   []Signal{{Kind: SigCell, Cell: 0}},
+	}
+	s, err := NewSimulator(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := s.Eval([]bool{true}), s.Eval([]bool{false}); a[0] || !b[0] {
+		t.Fatalf("NOT(BUF(a)) = %v at a=1, %v at a=0", a[0], b[0])
+	}
+	m.Cells[1].Inputs[0] = Signal{Kind: SigCell, Cell: 0}
+	if _, err := NewSimulator(m); err == nil {
+		t.Fatal("combinational cycle through cells 0 and 1 accepted")
+	}
+	m.Cells[1].UseFF = true
+	if _, err := NewSimulator(m); err != nil {
+		t.Fatalf("a registered cell breaks the cycle, got %v", err)
+	}
+}
