@@ -111,7 +111,12 @@ fuzz-smoke:
 # bitstream's (validate-skips-overlap, validate-ffcells-unchecked,
 # validate-allows-unconfigured-read, validate-allows-undriven-output),
 # the ledger, the
-# renewal of a warm board's engines and host OS, the pin binding, the
+# renewal of a warm board's engines and host OS, the renewal of its
+# manager, which core.TestRenewedManagerEqualsFresh must catch (a column
+# map that keeps the last job's spans, a paged loader that keeps its
+# users or does not reseed its random stream:
+# region-renew-keeps-spans, paged-renew-keeps-users,
+# paged-renew-keeps-stream), the pin binding, the
 # state and strip tables, the task kernel, the region map, the host OS, the
 # daemon's pool and admission, the fleet's queueing kernel, the
 # workload spec, its set cache, a set's spawn and its request table

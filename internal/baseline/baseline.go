@@ -33,9 +33,15 @@ type Exclusive struct {
 
 var _ hostos.FPGA = (*Exclusive)(nil)
 
-// NewExclusive returns an exclusive-FPGA baseline over the engine.
-func NewExclusive(k *sim.Kernel, e *core.Engine) *Exclusive {
-	return &Exclusive{TaskKernel: core.NewTaskKernel(k, e, "exclusive")}
+// NewExclusive returns an exclusive-FPGA baseline over the engine,
+// renewing used, the board's last one, in place (nil: a new one).
+func NewExclusive(k *sim.Kernel, e *core.Engine, used *Exclusive) *Exclusive {
+	x := used
+	if x == nil {
+		x = &Exclusive{}
+	}
+	*x = Exclusive{TaskKernel: core.NewTaskKernel(k, e, "exclusive", &x.TaskKernel)}
+	return x
 }
 
 // Acquire implements hostos.FPGA: the device is granted whole, FIFO.
@@ -99,9 +105,16 @@ var _ hostos.FPGA = (*Merged)(nil)
 
 // NewMerged loads every circuit in the engine library (in the given
 // deterministic order) side by side. It returns the initialization cost
-// (one big download) or an error if the circuits do not all fit.
-func NewMerged(k *sim.Kernel, e *core.Engine, order []string) (*Merged, sim.Time, error) {
-	m := &Merged{TaskKernel: core.NewTaskKernel(k, e, "merged"), slots: map[string]int{}}
+// (one big download) or an error if the circuits do not all fit. It
+// renews used, the board's last merged baseline, in place (nil: a new
+// one).
+func NewMerged(k *sim.Kernel, e *core.Engine, order []string, used *Merged) (*Merged, sim.Time, error) {
+	m := used
+	if m == nil {
+		m = &Merged{slots: map[string]int{}}
+	}
+	clear(m.slots)
+	*m = Merged{TaskKernel: core.NewTaskKernel(k, e, "merged", &m.TaskKernel), slots: m.slots}
 	led := e.Ledger()
 	x := 0
 	var cost sim.Time
@@ -168,12 +181,18 @@ type Software struct {
 
 var _ hostos.FPGA = (*Software)(nil)
 
-// NewSoftware returns a software-execution baseline.
-func NewSoftware(e *core.Engine, slowdown int64) *Software {
+// NewSoftware returns a software-execution baseline, renewing used, the
+// board's last one, in place (nil: a new one).
+func NewSoftware(e *core.Engine, slowdown int64, used *Software) *Software {
 	if slowdown <= 0 {
 		slowdown = 20
 	}
-	return &Software{TaskKernel: core.NewTaskKernel(nil, e, "software"), Slowdown: slowdown}
+	s := used
+	if s == nil {
+		s = &Software{}
+	}
+	*s = Software{TaskKernel: core.NewTaskKernel(nil, e, "software", &s.TaskKernel), Slowdown: slowdown}
+	return s
 }
 
 // Acquire implements hostos.FPGA: there is nothing to load.

@@ -32,7 +32,7 @@ func fpgaOp(circuit string, evals int64) hostos.Op {
 func TestExclusiveSerializes(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
-	x := NewExclusive(k, e)
+	x := NewExclusive(k, e, nil)
 	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, x, nil)
 	a, _ := os.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 100_000), hostos.Compute(2 * sim.Millisecond)})
 	b, _ := os.Spawn("b", 0, []hostos.Op{hostos.Compute(100 * sim.Microsecond), fpgaOp("parity16", 100)})
@@ -57,7 +57,7 @@ func TestExclusiveSerializes(t *testing.T) {
 func TestExclusiveNonPreemptable(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
-	x := NewExclusive(k, e)
+	x := NewExclusive(k, e, nil)
 	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, x, nil)
 	hw, _ := os.Spawn("hw", 0, []hostos.Op{fpgaOp("adder8", 400_000)})
 	os.Spawn("cpu", 0, []hostos.Op{hostos.Compute(sim.Millisecond)})
@@ -70,7 +70,7 @@ func TestExclusiveNonPreemptable(t *testing.T) {
 func TestExclusiveSameTaskSwitchesCircuits(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
-	x := NewExclusive(k, e)
+	x := NewExclusive(k, e, nil)
 	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, x, nil)
 	a, _ := os.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 10), fpgaOp("parity16", 10), fpgaOp("adder8", 10)})
 	k.Run()
@@ -85,7 +85,7 @@ func TestExclusiveSameTaskSwitchesCircuits(t *testing.T) {
 func TestMergedZeroReconfig(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
-	m, initCost, err := NewMerged(k, e, []string{"adder8", "parity16"})
+	m, initCost, err := NewMerged(k, e, []string{"adder8", "parity16"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMergedRejectsOversizedSet(t *testing.T) {
 	if err := e.AddCircuit(netlist.Multiplier(4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewMerged(k, e, []string{"adder8", "mul4"}); err == nil {
+	if _, _, err := NewMerged(k, e, []string{"adder8", "mul4"}, nil); err == nil {
 		t.Fatal("merged set larger than device accepted")
 	}
 }
@@ -126,7 +126,7 @@ func TestMergedRejectsOversizedSet(t *testing.T) {
 func TestMergedRejectsUnknownCircuit(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
-	m, _, err := NewMerged(k, e, []string{"adder8"})
+	m, _, err := NewMerged(k, e, []string{"adder8"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestMergedRejectsUnknownCircuit(t *testing.T) {
 func TestSoftwareSlowdown(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
-	s := NewSoftware(e, 20)
+	s := NewSoftware(e, 20, nil)
 	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, s, nil)
 	a, _ := os.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 1000)})
 	k.Run()
@@ -152,7 +152,7 @@ func TestSoftwareSlowdown(t *testing.T) {
 }
 
 func TestSoftwareDefaultSlowdown(t *testing.T) {
-	if NewSoftware(testEngine(t), 0).Slowdown != 20 {
+	if NewSoftware(testEngine(t), 0, nil).Slowdown != 20 {
 		t.Fatal("default slowdown not applied")
 	}
 }
@@ -160,7 +160,7 @@ func TestSoftwareDefaultSlowdown(t *testing.T) {
 func TestSoftwarePreemptionLossless(t *testing.T) {
 	k := sim.New()
 	e := testEngine(t)
-	s := NewSoftware(e, 10)
+	s := NewSoftware(e, 10, nil)
 	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, s, nil)
 	hw, _ := os.Spawn("hw", 0, []hostos.Op{fpgaOp("adder8", 40_000)})
 	os.Spawn("cpu", 0, []hostos.Op{hostos.Compute(3 * sim.Millisecond)})
@@ -183,7 +183,7 @@ func TestNewManagerByName(t *testing.T) {
 		if name == "multi" {
 			engines = append(engines, testEngine(t))
 		}
-		mgr, initCost, err := NewManager(name, circuits)(k, engines)
+		mgr, initCost, err := NewManager(name, circuits)(k, engines, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -201,11 +201,11 @@ func TestNewManagerByName(t *testing.T) {
 			t.Errorf("%s: job did not finish", name)
 		}
 	}
-	if mgr, _, err := NewManager("nosuch", circuits)(sim.New(), []*core.Engine{testEngine(t)}); err == nil || mgr != nil {
+	if mgr, _, err := NewManager("nosuch", circuits)(sim.New(), []*core.Engine{testEngine(t)}, nil); err == nil || mgr != nil {
 		t.Errorf("unknown manager: got %v, %v", mgr, err)
 	}
 	for _, name := range []string{"overlay", "merged"} {
-		mgr, _, err := NewManager(name, nil)(sim.New(), []*core.Engine{testEngine(t)})
+		mgr, _, err := NewManager(name, nil)(sim.New(), []*core.Engine{testEngine(t)}, nil)
 		if !errors.Is(err, workload.ErrNoCircuits) || mgr != nil {
 			t.Errorf("%s with no circuits: got %v, %v", name, mgr, err)
 		}
@@ -213,7 +213,7 @@ func TestNewManagerByName(t *testing.T) {
 	// A constructor that fails must not leak its typed nil pointer.
 	wide := testEngine(t)
 	wide.Opt.Geometry.Cols = 1
-	if mgr, _, err := NewManager("merged", circuits)(sim.New(), []*core.Engine{wide}); err == nil || mgr != nil {
+	if mgr, _, err := NewManager("merged", circuits)(sim.New(), []*core.Engine{wide}, nil); err == nil || mgr != nil {
 		t.Errorf("merged on a one-column device: got %v, %v", mgr, err)
 	}
 }

@@ -15,12 +15,14 @@ import (
 
 // ManagerFunc builds the hostos.FPGA of a stack over its kernel and
 // engines, and returns what the manager downloads at initialization
-// (non-zero for overlay and merged). NewManager returns the nine
-// by-name ones; an experiment with a configuration of its own passes a
-// closure over the core constructor. With a non-nil error the manager
-// returned is ignored, so a closure may hand a failed constructor's
-// result straight back.
-type ManagerFunc func(k *sim.Kernel, engines []*core.Engine) (hostos.FPGA, sim.Time, error)
+// (non-zero for overlay and merged). used is the manager of the board's
+// last job, dead, for the constructor to renew in place, or nil: the
+// constructor builds a new one then, and from a manager of another kind
+// too. NewManager returns the nine by-name ones; an experiment with a
+// configuration of its own passes a closure over the core constructor.
+// With a non-nil error the manager returned is ignored, so a closure may
+// hand a failed constructor's result straight back.
+type ManagerFunc func(k *sim.Kernel, engines []*core.Engine, used hostos.FPGA) (hostos.FPGA, sim.Time, error)
 
 // Stack is one Virtual FPGA: a clock, the device engines, the manager
 // that multiplexes them and the host OS that schedules tasks onto it.
@@ -59,16 +61,18 @@ func NewStack(opt core.Options, engines int, osCfg hostos.Config, faults *fault.
 
 // Next builds the stack of the board's next job on this stack's
 // hardware and in its memory: the kernel, reset, each engine's device,
-// erased, and the engines and the host OS renewed in place
-// (core.NewEngine, hostos.New) — the parts whose emptied state is the
-// state a new one has. Everything is built as NewStack builds it, from
-// the options, OS configuration and fault plan this stack was given, so
-// running set on the result is indistinguishable from running it on a
-// new stack (a manager that downloads at initialization does so again,
-// into the blank device; the managers are built new). This stack is
-// dead once Next is called, whether or not it succeeds: nothing read
-// off it — a task, an engine's table — may be kept past the call, and
-// what a job delivers is copied out before.
+// erased, and the engines, the manager and the host OS renewed in place
+// (core.NewEngine, mk, hostos.New) — the parts whose emptied state is
+// the state a new one has. Everything is built as NewStack builds it,
+// from the options, OS configuration and fault plan this stack was
+// given, so running set on the result is indistinguishable from running
+// it on a new stack (a manager that downloads at initialization does so
+// again, into the blank device; a renewed one keeps its tables' arrays,
+// emptied, its column map's span objects and reseeds its random stream).
+// This stack is dead once Next is called, whether or not it succeeds:
+// nothing read off it — a task, an engine's table, a manager's column
+// map — may be kept past the call, and what a job delivers is copied out
+// before.
 func (s *Stack) Next(set *workload.Set, circs []*compile.Circuit, mk ManagerFunc) (*Stack, error) {
 	return assemble(s, len(s.Engines), s.opt, s.osCfg, s.faults, set, circs, mk)
 }
@@ -88,9 +92,9 @@ func assemble(prev *Stack, n int, opt core.Options, osCfg hostos.Config, faults 
 			e.Dev.Erase()
 		}
 	}
-	// OS stays the last job's until the new manager is built over the
-	// engines: hostos.New renews it.
-	*s = Stack{K: s.K, Engines: s.Engines, OS: s.OS, opt: opt, osCfg: osCfg, faults: faults}
+	// The manager and the OS stay the last job's until the new ones are
+	// built over the engines: mk and hostos.New renew them.
+	*s = Stack{K: s.K, Engines: s.Engines, Mgr: s.Mgr, OS: s.OS, opt: opt, osCfg: osCfg, faults: faults}
 	for i, used := range s.Engines {
 		e := core.NewEngine(opt, used)
 		if faults != nil {
@@ -100,7 +104,7 @@ func assemble(prev *Stack, n int, opt core.Options, osCfg hostos.Config, faults 
 		s.Engines[i] = e
 	}
 	var err error
-	if s.Mgr, s.InitCost, err = mk(s.K, s.Engines); err != nil {
+	if s.Mgr, s.InitCost, err = mk(s.K, s.Engines, s.Mgr); err != nil {
 		return nil, err
 	}
 	s.OS = hostos.New(s.K, osCfg, s.Mgr, s.OS)

@@ -176,8 +176,8 @@ var (
 )
 
 func partitionMgr(cfg core.PartitionConfig) baseline.ManagerFunc {
-	return func(k *sim.Kernel, e []*core.Engine) (hostos.FPGA, sim.Time, error) {
-		pm, err := core.NewPartitionManager(k, e[0], cfg)
+	return func(k *sim.Kernel, e []*core.Engine, _ hostos.FPGA) (hostos.FPGA, sim.Time, error) {
+		pm, err := core.NewPartitionManager(k, e[0], cfg, nil)
 		return pm, 0, err
 	}
 }
@@ -185,8 +185,8 @@ func partitionMgr(cfg core.PartitionConfig) baseline.ManagerFunc {
 // overlayMgr keeps the named circuits resident and swaps the rest
 // through the overlay area.
 func overlayMgr(resident []string) baseline.ManagerFunc {
-	return func(k *sim.Kernel, e []*core.Engine) (hostos.FPGA, sim.Time, error) {
-		return core.NewOverlayManager(k, e[0], resident)
+	return func(k *sim.Kernel, e []*core.Engine, _ hostos.FPGA) (hostos.FPGA, sim.Time, error) {
+		return core.NewOverlayManager(k, e[0], resident, nil)
 	}
 }
 

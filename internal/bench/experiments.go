@@ -684,10 +684,10 @@ func F5Pagination(cfg Config) (*trace.Table, error) {
 			Seed:    cfg.Seed + 19,
 		})
 		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), set,
-			func(k *sim.Kernel, e []*core.Engine) (hostos.FPGA, sim.Time, error) {
+			func(k *sim.Kernel, e []*core.Engine, _ hostos.FPGA) (hostos.FPGA, sim.Time, error) {
 				pl, err := core.NewPagedLoader(k, e[0], core.PagedConfig{
 					PageCells: pageCells, Frames: frames, Policy: policy, Seed: cfg.Seed,
-				})
+				}, nil)
 				return pl, 0, err
 			})
 		if err != nil {

@@ -53,7 +53,7 @@ func columnBakeoff(cfg fleet.BakeoffConfig, policy string) fleet.BakeoffRow {
 		n := &s.nodes[i]
 		n.healthy = true
 		for b := 0; b < cfg.BoardsPerNode; b++ {
-			n.boards = append(n.boards, core.NewRegionMap(cfg.Cols))
+			n.boards = append(n.boards, core.NewRegionMap(cfg.Cols, nil))
 		}
 	}
 	if len(jobs) > 0 {

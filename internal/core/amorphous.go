@@ -27,16 +27,31 @@ import (
 // between two of them.
 type AmorphousManager struct {
 	stripTable
+	// slideFn is slideFor, bound once for the manager's lifetime: a
+	// method value is an allocation.
+	slideFn func(need int) sim.Time
 }
 
 var _ hostos.FPGA = (*AmorphousManager)(nil)
 
 // NewAmorphousManager builds the manager over an empty sliding region
-// map covering the whole device.
-func NewAmorphousManager(k *sim.Kernel, e *Engine) *AmorphousManager {
-	am := &AmorphousManager{newStripTable(NewTaskKernel(k, e, "amorphous"), NewRegionMap(e.Opt.Geometry.Cols))}
+// map covering the whole device, renewing used, the board's last
+// amorphous manager, in place (nil: a new one), its column map included.
+func NewAmorphousManager(k *sim.Kernel, e *Engine, used *AmorphousManager) *AmorphousManager {
+	am := used
+	if am == nil {
+		am = &AmorphousManager{}
+	}
+	rm := NewRegionMap(e.Opt.Geometry.Cols, am.rm)
+	*am = AmorphousManager{
+		stripTable: newStripTable(NewTaskKernel(k, e, "amorphous", &am.TaskKernel), rm, &am.stripTable),
+		slideFn:    am.slideFn,
+	}
+	if am.slideFn == nil {
+		am.slideFn = am.slideFor
+	}
 	am.fit, am.rotate, am.cache = BestFit, true, true
-	am.reclaim = am.slideFor
+	am.reclaim = am.slideFn
 	return am
 }
 
@@ -44,7 +59,7 @@ func NewAmorphousManager(k *sim.Kernel, e *Engine) *AmorphousManager {
 // or nil.
 func (am *AmorphousManager) cacheFor(circuit string) *strip {
 	var best *strip
-	for _, s := range am.rm.Spans() {
+	for _, s := range am.rm.spans {
 		if s.Free() {
 			continue
 		}

@@ -57,7 +57,7 @@ func amFixture(t *testing.T, cols int, nls ...*netlist.Netlist) (*Engine, *Amorp
 	t.Helper()
 	k := sim.New()
 	e := amorphousEngine(t, cols, nls...)
-	am := NewAmorphousManager(k, e)
+	am := NewAmorphousManager(k, e, nil)
 	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, am, nil)
 	return e, am, os
 }
@@ -235,7 +235,7 @@ func TestAmorphousBlockAndWake(t *testing.T) {
 	}
 	k := sim.New()
 	e := amorphousEngine(t, w["mul4"], netlist.Multiplier(4), netlist.Parity(16))
-	am := NewAmorphousManager(k, e)
+	am := NewAmorphousManager(k, e, nil)
 	os := hostos.New(k, hostos.Config{
 		Policy: hostos.RR, TimeSlice: 50 * sim.Microsecond, CtxSwitch: 5 * sim.Microsecond,
 	}, am, nil)
@@ -265,7 +265,7 @@ func TestAmorphousBlockAndWake(t *testing.T) {
 }
 
 func TestRegionMapViews(t *testing.T) {
-	rm := NewRegionMap(20)
+	rm := NewRegionMap(20, nil)
 	if rm.Cols() != 20 {
 		t.Fatalf("cols = %d", rm.Cols())
 	}
@@ -289,7 +289,7 @@ func TestRegionMapViews(t *testing.T) {
 func TestPartitionFragStats(t *testing.T) {
 	k := sim.New()
 	e := newEngine(t, testOptions())
-	pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: VariablePartitions, Fit: BestFit})
+	pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: VariablePartitions, Fit: BestFit}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

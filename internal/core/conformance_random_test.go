@@ -58,7 +58,7 @@ func runRandomConformance(t *testing.T, seed uint64, plan *fault.Plan) {
 		impl := impl
 		t.Run(impl.name, func(t *testing.T) {
 			k := sim.New()
-			mgr, engines, logs := impl.build(t, k, nil)
+			mgr, engines, logs := impl.build(t, k, nil, nil)
 			if plan != nil {
 				for i, e := range engines {
 					e.Ledger().InjectFaults(fault.NewInjector(plan.Derive(uint64(i))))

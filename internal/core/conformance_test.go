@@ -40,11 +40,14 @@ var confCircuits = []string{"adder8", "counter8", "mul4"}
 // confEngine builds the test engine, renewing used (nil: a new engine
 // over a new device), with the script's circuits compiled, each named pre
 // plus its library name, and a device log attached. Every duration of
-// its timing model is multiplied by scale (see scaledTiming).
+// its timing model (see scaledTiming) and the done-signal poll's
+// interval and cost are multiplied by scale.
 func confEngine(t testing.TB, used *core.Engine, pre string, scale sim.Time) (*core.Engine, *core.DeviceLog) {
 	t.Helper()
 	opt := core.DefaultOptions()
 	opt.Timing = scaledTiming(scale)
+	opt.PollInterval *= scale
+	opt.PollCost *= scale
 	opt.Geometry.Cols, opt.Geometry.Rows = 24, 8
 	opt.Geometry.TracksPerChannel, opt.Geometry.PinsPerSide = 12, 24
 	e := core.NewEngine(opt, used)
@@ -82,8 +85,9 @@ func scaledTiming(k sim.Time) fabric.Timing {
 // confBuild builds one hostos.FPGA implementation under test, returning
 // the manager, every engine behind it (for metric/event auditing) and
 // every attached device log. The engines are the used ones renewed, one
-// each, over their devices, erased by the caller; nil builds new ones.
-type confBuild func(t testing.TB, k *sim.Kernel, used []*core.Engine) (hostos.FPGA, []*core.Engine, []*core.DeviceLog)
+// each, over their devices, erased by the caller, and the manager is mgr
+// renewed in place; nil builds new ones.
+type confBuild func(t testing.TB, k *sim.Kernel, used []*core.Engine, mgr hostos.FPGA) (hostos.FPGA, []*core.Engine, []*core.DeviceLog)
 
 type confImpl struct {
 	name  string
@@ -98,6 +102,26 @@ func usedEngine(used []*core.Engine, i int) *core.Engine {
 	return used[i]
 }
 
+// renewed returns used as the manager type M to renew, or nil — a new
+// one — when there is none.
+func renewed[M hostos.FPGA](used hostos.FPGA) M {
+	m, _ := used.(M)
+	return m
+}
+
+// oneEngine builds a single-engine implementation with mk over an engine
+// as confEngine builds it.
+func oneEngine(pre string, scale sim.Time, mk func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error)) confBuild {
+	return func(t testing.TB, k *sim.Kernel, used []*core.Engine, mgr hostos.FPGA) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
+		e, log := confEngine(t, usedEngine(used, 0), pre, scale)
+		mgr, err := mk(k, e, mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mgr, []*core.Engine{e}, []*core.DeviceLog{log}
+	}
+}
+
 // confImpls lists the implementations under test over the script's
 // circuits named with prefix pre, on engines whose timing is scaled by
 // scale.
@@ -107,51 +131,44 @@ func confImpls(pre string, scale sim.Time) []confImpl {
 		named[i] = pre + c
 	}
 	strips := core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, GC: true, Rotate: true}
-	one := func(mk func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error)) confBuild {
-		return func(t testing.TB, k *sim.Kernel, used []*core.Engine) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
-			e, log := confEngine(t, usedEngine(used, 0), pre, scale)
-			mgr, err := mk(k, e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return mgr, []*core.Engine{e}, []*core.DeviceLog{log}
-		}
+	one := func(mk func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error)) confBuild {
+		return oneEngine(pre, scale, mk)
 	}
 	return []confImpl{
-		{"dynamic", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			return core.NewDynamicLoader(k, e), nil
+		{"dynamic", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {
+			return core.NewDynamicLoader(k, e, renewed[*core.DynamicLoader](used)), nil
 		})},
-		{"overlay", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			om, _, err := core.NewOverlayManager(k, e, named[:1])
+		{"overlay", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {
+			om, _, err := core.NewOverlayManager(k, e, named[:1], renewed[*core.OverlayManager](used))
 			return om, err
 		})},
-		{"paged", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			return core.NewPagedLoader(k, e, core.PagedConfig{PageCells: 8, Policy: core.LRU})
+		{"paged", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {
+			return core.NewPagedLoader(k, e, core.PagedConfig{PageCells: 8, Policy: core.LRU}, renewed[*core.PagedLoader](used))
 		})},
-		{"partition", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			return core.NewPartitionManager(k, e, strips)
+		{"partition", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {
+			return core.NewPartitionManager(k, e, strips, renewed[*core.PartitionManager](used))
 		})},
-		{"amorphous", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			return core.NewAmorphousManager(k, e), nil
+		{"amorphous", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {
+			return core.NewAmorphousManager(k, e, renewed[*core.AmorphousManager](used)), nil
 		})},
-		{"multi", func(t testing.TB, k *sim.Kernel, used []*core.Engine) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
+		{"multi", func(t testing.TB, k *sim.Kernel, used []*core.Engine, mgr hostos.FPGA) (hostos.FPGA, []*core.Engine, []*core.DeviceLog) {
 			e0, l0 := confEngine(t, usedEngine(used, 0), pre, scale)
 			e1, l1 := confEngine(t, usedEngine(used, 1), pre, scale)
-			mm, err := core.NewMultiManager(k, []*core.Engine{e0, e1}, strips)
+			mm, err := core.NewMultiManager(k, []*core.Engine{e0, e1}, strips, renewed[*core.MultiManager](mgr))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return mm, []*core.Engine{e0, e1}, []*core.DeviceLog{l0, l1}
 		}},
-		{"exclusive", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			return baseline.NewExclusive(k, e), nil
+		{"exclusive", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {
+			return baseline.NewExclusive(k, e, renewed[*baseline.Exclusive](used)), nil
 		})},
-		{"merged", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			m, _, err := baseline.NewMerged(k, e, named)
+		{"merged", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {
+			m, _, err := baseline.NewMerged(k, e, named, renewed[*baseline.Merged](used))
 			return m, err
 		})},
-		{"software", one(func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			return baseline.NewSoftware(e, 20), nil
+		{"software", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {
+			return baseline.NewSoftware(e, 20, renewed[*baseline.Software](used)), nil
 		})},
 	}
 }
@@ -326,7 +343,7 @@ func TestConformance(t *testing.T) {
 			pol := pol
 			t.Run(fmt.Sprintf("%s/%s", impl.name, pol), func(t *testing.T) {
 				k := sim.New()
-				mgr, engines, logs := impl.build(t, k, nil)
+				mgr, engines, logs := impl.build(t, k, nil, nil)
 				for _, e := range engines {
 					e.Opt.State = pol
 				}
@@ -381,14 +398,27 @@ func (r confRun) timeline() []trace.TimelineEvent {
 	return core.MergeTimeline(r.sched, r.devs...).Events
 }
 
+// confMode is how the host OS of a run schedules its tasks and detects
+// that a hardware operation has completed.
+type confMode struct {
+	sched      hostos.Policy
+	completion core.CompletionMode
+}
+
+// roundRobin is the conformance runs' default mode.
+var roundRobin = confMode{hostos.RR, core.Apriori}
+
 // namedRun runs the random-op script of one seed under impl, task i
 // named by the format names and each circuit by pre plus its library
 // name, with the OS's slice and costs and the script's times multiplied
-// by scale (impl's engines carry their own timing).
-func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names, pre string, scale sim.Time) confRun {
+// by scale (impl's engines carry their own timing), in mode.
+func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names, pre string, scale sim.Time, mode confMode) confRun {
 	t.Helper()
 	k := sim.New()
-	mgr, engines, logs := impl.build(t, k, nil)
+	mgr, engines, logs := impl.build(t, k, nil, nil)
+	for _, e := range engines {
+		e.Opt.Completion = mode.completion
+	}
 	if plan != nil {
 		for i, e := range engines {
 			e.Ledger().InjectFaults(fault.NewInjector(plan.Derive(uint64(i))))
@@ -397,7 +427,7 @@ func namedRun(t *testing.T, impl confImpl, seed uint64, plan *fault.Plan, names,
 	src := rng.New(seed)
 	slices := []sim.Time{200 * sim.Microsecond, 300 * sim.Microsecond, 500 * sim.Microsecond}
 	os := hostos.New(k, hostos.Config{
-		Policy: hostos.RR, TimeSlice: scale * slices[src.Intn(len(slices))],
+		Policy: mode.sched, TimeSlice: scale * slices[src.Intn(len(slices))],
 		CtxSwitch: scale * 10 * sim.Microsecond, Syscall: scale * 2 * sim.Microsecond,
 	}, mgr, nil)
 	events := hostos.NewEventLog()
@@ -435,8 +465,8 @@ func checkRelabeled(t *testing.T, names, pre string, back *strings.Replacer) {
 						seedPlan := plan.Derive(seed)
 						p = &seedPlan
 					}
-					ra := namedRun(t, impl, seed, p, "t%d", "", 1)
-					rb := namedRun(t, relabeled[i], seed, p, names, pre, 1)
+					ra := namedRun(t, impl, seed, p, "t%d", "", 1, roundRobin)
+					rb := namedRun(t, relabeled[i], seed, p, names, pre, 1, roundRobin)
 					a, b := ra.timeline(), rb.timeline()
 					if len(a) == 0 || len(a) != len(b) {
 						t.Fatalf("%d events as named, %d relabeled", len(a), len(b))
@@ -480,54 +510,72 @@ func TestConformanceCircuitsAreLabels(t *testing.T) {
 // TestConformanceTimeScale is the third: the unit of time is a label
 // too. The random-op script runs under every manager, seeds 1 to 3,
 // clean, once as is and once with every duration the model reads
-// multiplied by k — the timing model's (scaledTiming), the OS's slice,
-// context switch and syscall, the script's compute and arrival times.
+// multiplied by k — the timing model's (scaledTiming), the done-signal
+// poll's interval and cost, the OS's slice, context switch and syscall,
+// the script's compute and arrival times.
 // Every event time and cost, every task's times, every metric time and
 // the makespan must scale by exactly k, and everything else be equal.
+// It holds round-robin with a-priori completion, and with done-signal
+// completion — whose polls' interval and cost scale with the rest — when
+// the OS runs each operation to its end: a preempted operation keeps
+// its work to the last whole step of its time over its step count
+// (core.Boundary), truncated to the nanosecond, and under done-signal
+// that time is no whole multiple of the count, so the truncation, not
+// the model, would break the relation.
 func TestConformanceTimeScale(t *testing.T) {
 	const k = 5
 	plain, scaled := confImpls("", 1), confImpls("", k)
 	for i, impl := range plain {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", impl.name, seed), func(t *testing.T) {
-				a := namedRun(t, impl, seed, nil, "t%d", "", 1)
-				b := namedRun(t, scaled[i], seed, nil, "t%d", "", k)
-				as, bs := a.sched.Events(), b.sched.Events()
-				if len(as) == 0 || len(as) != len(bs) {
-					t.Fatalf("%d scheduler events as is, %d scaled", len(as), len(bs))
-				}
-				for j, ev := range as {
-					if ev.At *= k; ev != bs[j] {
-						t.Fatalf("scheduler event %d: %+v scaled, %+v in the scaled run", j, ev, bs[j])
-					}
-				}
-				for d, log := range a.devs {
-					ad, bd := log.Events(), b.devs[d].Events()
-					if len(ad) != len(bd) {
-						t.Fatalf("device %d: %d events as is, %d scaled", d, len(ad), len(bd))
-					}
-					for j, ev := range ad {
-						if ev.At, ev.Cost = k*ev.At, k*ev.Cost; ev != bd[j] {
-							t.Fatalf("device %d event %d: %+v scaled, %+v in the scaled run", d, j, ev, bd[j])
-						}
-					}
-				}
-				if k*a.end != b.end {
-					t.Errorf("makespan %v as is, %v scaled", a.end, b.end)
-				}
-				for j, tk := range a.tasks {
-					if at, bt := taskFields(tk, k), taskFields(b.tasks[j], 1); !reflect.DeepEqual(at, bt) {
-						t.Errorf("task %d: %v scaled, %v in the scaled run", j, at, bt)
-					}
-				}
-				for j, m := range a.snaps {
-					m.ConfigTime, m.ReadbackTime, m.RestoreTime, m.FaultTime =
-						k*m.ConfigTime, k*m.ReadbackTime, k*m.RestoreTime, k*m.FaultTime
-					if m != b.snaps[j] {
-						t.Errorf("engine %d metrics:\n%+v scaled\n%+v in the scaled run", j, m, b.snaps[j])
-					}
+				for _, mode := range []confMode{roundRobin, {hostos.FIFO, core.DoneSignal}} {
+					t.Run(mode.completion.String(), func(t *testing.T) {
+						checkTimeScaled(t, namedRun(t, impl, seed, nil, "t%d", "", 1, mode),
+							namedRun(t, scaled[i], seed, nil, "t%d", "", k, mode), k)
+					})
 				}
 			})
+		}
+	}
+}
+
+// checkTimeScaled requires run b to be run a with every time multiplied
+// by k and everything else equal.
+func checkTimeScaled(t *testing.T, a, b confRun, k sim.Time) {
+	t.Helper()
+	as, bs := a.sched.Events(), b.sched.Events()
+	if len(as) == 0 || len(as) != len(bs) {
+		t.Fatalf("%d scheduler events as is, %d scaled", len(as), len(bs))
+	}
+	for j, ev := range as {
+		if ev.At *= k; ev != bs[j] {
+			t.Fatalf("scheduler event %d: %+v scaled, %+v in the scaled run", j, ev, bs[j])
+		}
+	}
+	for d, log := range a.devs {
+		ad, bd := log.Events(), b.devs[d].Events()
+		if len(ad) != len(bd) {
+			t.Fatalf("device %d: %d events as is, %d scaled", d, len(ad), len(bd))
+		}
+		for j, ev := range ad {
+			if ev.At, ev.Cost = k*ev.At, k*ev.Cost; ev != bd[j] {
+				t.Fatalf("device %d event %d: %+v scaled, %+v in the scaled run", d, j, ev, bd[j])
+			}
+		}
+	}
+	if k*a.end != b.end {
+		t.Errorf("makespan %v as is, %v scaled", a.end, b.end)
+	}
+	for j, tk := range a.tasks {
+		if at, bt := taskFields(tk, k), taskFields(b.tasks[j], 1); !reflect.DeepEqual(at, bt) {
+			t.Errorf("task %d: %v scaled, %v in the scaled run", j, at, bt)
+		}
+	}
+	for j, m := range a.snaps {
+		m.ConfigTime, m.ReadbackTime, m.RestoreTime, m.FaultTime =
+			k*m.ConfigTime, k*m.ReadbackTime, k*m.RestoreTime, k*m.FaultTime
+		if m != b.snaps[j] {
+			t.Errorf("engine %d metrics:\n%+v scaled\n%+v in the scaled run", j, m, b.snaps[j])
 		}
 	}
 }

@@ -58,7 +58,7 @@ func newHarness(t testing.TB, opt Options, osCfg hostos.Config, mk func(*sim.Ker
 func dynHarness(t testing.TB, opt Options, osCfg hostos.Config) (*harness, *DynamicLoader) {
 	var d *DynamicLoader
 	h := newHarness(t, opt, osCfg, func(k *sim.Kernel, e *Engine) hostos.FPGA {
-		d = NewDynamicLoader(k, e)
+		d = NewDynamicLoader(k, e, nil)
 		return d
 	})
 	return h, d
@@ -298,7 +298,7 @@ func partHarness(t testing.TB, opt Options, osCfg hostos.Config, cfg PartitionCo
 	var pm *PartitionManager
 	h := newHarness(t, opt, osCfg, func(k *sim.Kernel, e *Engine) hostos.FPGA {
 		var err error
-		pm, err = NewPartitionManager(k, e, cfg)
+		pm, err = NewPartitionManager(k, e, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +441,7 @@ func TestPartitionCompactStopsEarly(t *testing.T) {
 		e := newEngine(t, opt)
 		pm, err := NewPartitionManager(sim.New(), e, PartitionConfig{
 			Mode: VariablePartitions, Fit: FirstFit, GC: true,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,10 +515,10 @@ func TestPartitionRegisterRejectsOversized(t *testing.T) {
 
 func TestPartitionFixedInvalidWidths(t *testing.T) {
 	e := newEngine(t, testOptions())
-	if _, err := NewPartitionManager(sim.New(), e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{1000}}); err == nil {
+	if _, err := NewPartitionManager(sim.New(), e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{1000}}, nil); err == nil {
 		t.Fatal("oversized fixed widths accepted")
 	}
-	if _, err := NewPartitionManager(sim.New(), e, PartitionConfig{Mode: FixedPartitions}); err == nil {
+	if _, err := NewPartitionManager(sim.New(), e, PartitionConfig{Mode: FixedPartitions}, nil); err == nil {
 		t.Fatal("empty fixed widths accepted")
 	}
 }
@@ -528,7 +528,7 @@ func TestPartitionFixedInvalidWidths(t *testing.T) {
 // table is clean.
 func TestPartitionFixedTableLintClean(t *testing.T) {
 	e := newEngine(t, testOptions())
-	pm, err := NewPartitionManager(sim.New(), e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{8, 8, 8}})
+	pm, err := NewPartitionManager(sim.New(), e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{8, 8, 8}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +560,7 @@ func overlayHarness(t testing.TB, opt Options, osCfg hostos.Config, resident []s
 	var om *OverlayManager
 	h := newHarness(t, opt, osCfg, func(k *sim.Kernel, e *Engine) hostos.FPGA {
 		var err error
-		om, _, err = NewOverlayManager(k, e, resident)
+		om, _, err = NewOverlayManager(k, e, resident, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -633,7 +633,7 @@ func pagedHarness(t testing.TB, opt Options, osCfg hostos.Config, cfg PagedConfi
 	var pl *PagedLoader
 	h := newHarness(t, opt, osCfg, func(k *sim.Kernel, e *Engine) hostos.FPGA {
 		var err error
-		pl, err = NewPagedLoader(k, e, cfg)
+		pl, err = NewPagedLoader(k, e, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -774,7 +774,7 @@ func TestRandomVictimWhenSamplingMisses(t *testing.T) {
 			t.Fatalf("draw %d of seed %d hits the free frame: pick a seed that exhausts the tries", i, seed)
 		}
 	}
-	pl := &PagedLoader{Cfg: PagedConfig{Policy: Random}, frames: make([]frame, 3), src: rng.New(seed), pinGen: 1}
+	pl := &PagedLoader{Cfg: PagedConfig{Policy: Random}, frames: make([]frame, 3), src: *rng.New(seed), pinGen: 1}
 	pl.frames[0].pin, pl.frames[1].pin = 1, 1
 	if got := pl.victim(); got != 2 {
 		t.Fatalf("victim = %d, want the only unpinned frame 2", got)
@@ -807,7 +807,7 @@ func TestPagedPoliciesAllTerminate(t *testing.T) {
 
 func TestPagedInvalidConfigs(t *testing.T) {
 	e := newEngine(t, testOptions())
-	if _, err := NewPagedLoader(sim.New(), e, PagedConfig{PageCells: 0}); err == nil {
+	if _, err := NewPagedLoader(sim.New(), e, PagedConfig{PageCells: 0}, nil); err == nil {
 		t.Fatal("zero page size accepted")
 	}
 }

@@ -36,7 +36,7 @@ const managerDigestsPath = "testdata/manager_digests.json"
 func managerDigest(t *testing.T, impl confImpl, pol core.StatePolicy, sched hostos.Policy, crowd int, seed uint64, plan *fault.Plan) string {
 	t.Helper()
 	k := sim.New()
-	mgr, engines, logs := impl.build(t, k, nil)
+	mgr, engines, logs := impl.build(t, k, nil, nil)
 	for i, e := range engines {
 		e.Opt.State = pol
 		if plan != nil {

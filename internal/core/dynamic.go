@@ -22,10 +22,15 @@ type DynamicLoader struct {
 
 var _ hostos.FPGA = (*DynamicLoader)(nil)
 
-// NewDynamicLoader returns a dynamic-loading manager over the engine.
-func NewDynamicLoader(k *sim.Kernel, e *Engine) *DynamicLoader {
-	d := &DynamicLoader{stateTable: newStateTable(NewTaskKernel(k, e, "dynamic"))}
-	d.dev = d.addSlot(0)
+// NewDynamicLoader returns a dynamic-loading manager over the engine,
+// renewing used, the board's last one, in place (nil: a new one).
+func NewDynamicLoader(k *sim.Kernel, e *Engine, used *DynamicLoader) *DynamicLoader {
+	d := used
+	if d == nil {
+		d = &DynamicLoader{}
+	}
+	*d = DynamicLoader{stateTable: newStateTable(NewTaskKernel(k, e, "dynamic", &d.TaskKernel), &d.stateTable, 1)}
+	d.dev = &d.slots[0]
 	return d
 }
 

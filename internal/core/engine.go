@@ -91,6 +91,12 @@ type Options struct {
 	Timing     fabric.Timing
 	State      StatePolicy
 	Completion CompletionMode
+	// PollInterval is how often the OS polls a circuit's completion flag
+	// under DoneSignal, and PollCost the CPU time each poll costs. They
+	// sit beside fabric.Timing, not in it: compile.CacheKey holds the
+	// timing model, and a key past 128 bytes costs the cache's maps an
+	// allocation per compile.
+	PollInterval, PollCost sim.Time
 	// Seed drives circuit compilation in the library.
 	Seed uint64
 }
@@ -98,11 +104,13 @@ type Options struct {
 // DefaultOptions returns the XC4000-calibrated engine configuration.
 func DefaultOptions() Options {
 	return Options{
-		Geometry:   fabric.DefaultGeometry(),
-		Timing:     fabric.DefaultTiming(),
-		State:      SaveRestore,
-		Completion: Apriori,
-		Seed:       1,
+		Geometry:     fabric.DefaultGeometry(),
+		Timing:       fabric.DefaultTiming(),
+		State:        SaveRestore,
+		Completion:   Apriori,
+		PollInterval: 100 * sim.Microsecond,
+		PollCost:     1 * sim.Microsecond,
+		Seed:         1,
 	}
 }
 
@@ -185,7 +193,8 @@ func NewEngine(opt Options, used *Engine) *Engine {
 		freePins: slices.Grow(e.freePins[:0], (n+63)/64),
 		nFree:    n,
 		led: Ledger{e: e, residents: old.residents[:0],
-			resBuf: flat.Rewind(old.resBuf, old.records), pinBuf: flat.Rewind(old.pinBuf, old.pinned)},
+			resBuf: flat.Rewind(old.resBuf, old.records), pinBuf: flat.Rewind(old.pinBuf, old.pinned),
+			initBuf: old.initBuf[:0]},
 	}
 	for p := 0; p < n; p += 64 { // a word of free pins, the last one's n-p
 		e.freePins = append(e.freePins, ^uint64(0)>>max(0, 64-(n-p)))
@@ -329,22 +338,17 @@ func (e *Engine) FreePins(pins []int) {
 // FreePinCount returns the number of unallocated pins.
 func (e *Engine) FreePinCount() int { return e.nFree }
 
-// DoneSignal completion: the OS polls the completion flag every
-// pollInterval and pays pollCost of CPU time per poll.
-const (
-	pollInterval = 100 * sim.Microsecond
-	pollCost     = 1 * sim.Microsecond
-)
-
 // ExecQuantum converts a pure hardware duration into the time the OS
-// observes, applying completion detection (§3) and pin multiplexing.
+// observes, applying completion detection (§3) and pin multiplexing:
+// under DoneSignal the OS polls the completion flag every
+// Options.PollInterval and pays Options.PollCost of CPU time per poll.
 func (e *Engine) ExecQuantum(pure sim.Time, mux int) sim.Time {
 	if mux > 1 {
 		pure *= sim.Time(mux)
 	}
-	if e.Opt.Completion == DoneSignal && pure > 0 {
-		polls := (pure + pollInterval - 1) / pollInterval
-		pure = polls*pollInterval + polls*pollCost
+	if o := &e.Opt; o.Completion == DoneSignal && pure > 0 {
+		polls := (pure + o.PollInterval - 1) / o.PollInterval
+		pure = polls*o.PollInterval + polls*o.PollCost
 	}
 	return pure
 }

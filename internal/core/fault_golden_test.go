@@ -41,7 +41,7 @@ func goldenFaultRun(t *testing.T) (string, *core.Engine) {
 	k := sim.New()
 	e, log := confEngine(t, nil, "", 1)
 	e.Ledger().InjectFaults(fault.NewInjector(goldenFaultPlan(t)))
-	d := core.NewDynamicLoader(k, e)
+	d := core.NewDynamicLoader(k, e, nil)
 	os := hostos.New(k, hostos.Config{
 		Policy: hostos.RR, TimeSlice: 250 * sim.Microsecond,
 		CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,
@@ -220,10 +220,10 @@ func TestRelocateEscalationDropsStrip(t *testing.T) {
 		build func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error)
 	}{
 		{"partition", func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			return core.NewPartitionManager(k, e, core.PartitionConfig{Mode: core.VariablePartitions, GC: true})
+			return core.NewPartitionManager(k, e, core.PartitionConfig{Mode: core.VariablePartitions, GC: true}, nil)
 		}},
 		{"amorphous", func(k *sim.Kernel, e *core.Engine) (hostos.FPGA, error) {
-			return core.NewAmorphousManager(k, e), nil
+			return core.NewAmorphousManager(k, e, nil), nil
 		}},
 	} {
 		for _, c := range []struct{ spec, op string }{

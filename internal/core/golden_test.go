@@ -22,7 +22,7 @@ func goldenRun(t *testing.T) string {
 	t.Helper()
 	k := sim.New()
 	e, log := confEngine(t, nil, "", 1)
-	d := core.NewDynamicLoader(k, e)
+	d := core.NewDynamicLoader(k, e, nil)
 	os := hostos.New(k, hostos.Config{
 		Policy: hostos.RR, TimeSlice: 250 * sim.Microsecond,
 		CtxSwitch: 10 * sim.Microsecond, Syscall: 2 * sim.Microsecond,

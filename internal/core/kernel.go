@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/compile"
+	"repro/internal/flat"
 	"repro/internal/hostos"
 	"repro/internal/lint"
 	"repro/internal/sim"
@@ -27,12 +28,18 @@ type TaskKernel struct {
 }
 
 // NewTaskKernel binds the engine's ledger to k (nil for a manager that
-// never touches the device) and names the manager's lint target.
-func NewTaskKernel(k *sim.Kernel, e *Engine, name string) TaskKernel {
+// never touches the device) and names the manager's lint target. It
+// renews used, the task kernel of a manager being renewed, keeping its
+// suspension queue's array emptied; nil or a zero one has none to keep.
+func NewTaskKernel(k *sim.Kernel, e *Engine, name string, used *TaskKernel) TaskKernel {
 	if k != nil {
 		e.Ledger().Bind(k)
 	}
-	return TaskKernel{E: e, K: k, name: name}
+	tk := TaskKernel{E: e, K: k, name: name}
+	if used != nil {
+		tk.waiters = flat.Emptied(used.waiters)
+	}
+	return tk
 }
 
 // AttachOS implements hostos.Attacher.
@@ -105,13 +112,15 @@ func (tk *TaskKernel) Block(t *hostos.Task) {
 }
 
 // Wake unblocks every suspended task; each retries its Acquire in
-// scheduling order and re-suspends if space is still short.
+// scheduling order and re-suspends if space is still short. Unblock
+// only readies a task — the retry runs when the task is next dispatched
+// — so nothing suspends while the queue is walked, and it keeps its
+// array.
 func (tk *TaskKernel) Wake() {
-	ws := tk.waiters
-	tk.waiters = nil
-	for _, w := range ws {
+	for _, w := range tk.waiters {
 		tk.OS.Unblock(w)
 	}
+	tk.waiters = flat.Emptied(tk.waiters)
 }
 
 // Waiting reports whether t is suspended here.
@@ -127,4 +136,14 @@ func (tk *TaskKernel) LintTarget() *lint.Target {
 // LintTargets implements LintTargeter: one device, one target.
 func (tk *TaskKernel) LintTargets() []*lint.Target {
 	return []*lint.Target{tk.LintTarget()}
+}
+
+// emptiedMap clears m for a renewed manager, or makes the map a new one
+// starts with when m is nil.
+func emptiedMap[M ~map[K]V, K comparable, V any](m M) M {
+	if m == nil {
+		return M{}
+	}
+	clear(m)
+	return m
 }

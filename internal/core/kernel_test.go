@@ -71,7 +71,7 @@ func TestStateTableAdoptOrder(t *testing.T) {
 	e := newEngine(t, testOptions())
 	log := NewDeviceLog()
 	e.Ledger().AttachLog(log)
-	d := NewDynamicLoader(k, e)
+	d := NewDynamicLoader(k, e, nil)
 	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d, nil)
 	a := spawnMid(t, os, "a", "counter8")
 	b := spawnMid(t, os, "b", "counter8")
@@ -120,7 +120,7 @@ func TestStateTableStreak(t *testing.T) {
 	opt.State = Rollback
 	k := sim.New()
 	e := newEngine(t, opt)
-	d := NewDynamicLoader(k, e)
+	d := NewDynamicLoader(k, e, nil)
 	os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d, nil)
 	a := spawnMid(t, os, "a", "counter8")
 	for i := 0; i < rollbackLimit; i++ {
@@ -153,7 +153,7 @@ func TestStateTableStreak(t *testing.T) {
 func TestStripTableHolds(t *testing.T) {
 	k := sim.New()
 	e := newEngine(t, testOptions())
-	pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{4}, Rotate: true})
+	pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{4}, Rotate: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestSwitchToWiderStripStateDivergence(t *testing.T) {
 		return &h.E.M
 	}
 	part := run(func(k *sim.Kernel, e *Engine) hostos.FPGA {
-		pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: VariablePartitions, Fit: BestFit, GC: true, Rotate: true})
+		pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: VariablePartitions, Fit: BestFit, GC: true, Rotate: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestSwitchToWiderStripStateDivergence(t *testing.T) {
 			part.Readbacks.Value(), part.Restores.Value())
 	}
 	am := run(func(k *sim.Kernel, e *Engine) hostos.FPGA {
-		return NewAmorphousManager(k, e)
+		return NewAmorphousManager(k, e, nil)
 	})
 	if am.Readbacks.Value() != 1 || am.Restores.Value() != 1 {
 		t.Errorf("amorphous: %d readbacks, %d restores, want the counter saved once and restored once",

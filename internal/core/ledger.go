@@ -199,6 +199,8 @@ type Ledger struct {
 	resBuf          []Resident
 	pinBuf          []int
 	records, pinned int
+	// initBuf is Reset's scratch: the init values it writes back.
+	initBuf []bool
 
 	// guard backs the single-goroutine assertion: TryLock fails only if
 	// another operation is mid-flight, which under the ownership contract
@@ -613,7 +615,7 @@ func (l *Ledger) restore(owner string, c *compile.Circuit, region fabric.Region,
 // restore of saved state, so Metrics.Restores stays untouched.
 func (l *Ledger) Reset(owner string, c *compile.Circuit, region fabric.Region) sim.Time {
 	defer l.enter()()
-	init := make([]bool, 0, c.BS.FFCells)
+	init := slices.Grow(l.initBuf[:0], c.BS.FFCells)
 	for x := region.X; x < region.X+region.W; x++ {
 		for y := region.Y; y < region.Y+region.H; y++ {
 			cfg := l.e.Dev.CLB(x, y)
@@ -623,6 +625,7 @@ func (l *Ledger) Reset(owner string, c *compile.Circuit, region fabric.Region) s
 		}
 	}
 	l.e.Dev.WriteRegionState(region, init)
+	l.initBuf = init
 	cost := l.e.Opt.Timing.RestoreTime(c.BS.FFCells)
 	l.e.M.RestoreTime += cost
 	l.emit(OpReset, owner, c.Name, region, -1, cost, false)

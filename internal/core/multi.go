@@ -24,14 +24,25 @@ var _ hostos.FPGA = (*MultiManager)(nil)
 
 // NewMultiManager builds n boards with identical geometry and partition
 // configuration. Each board gets its own Engine (device, pins, metrics);
-// circuits are shared across boards' libraries (they are immutable).
-func NewMultiManager(k *sim.Kernel, engines []*Engine, cfg PartitionConfig) (*MultiManager, error) {
+// circuits are shared across boards' libraries (they are immutable). It
+// renews used, the last multi-manager over these engines, in place (nil:
+// a new one): board i renews used's board i.
+func NewMultiManager(k *sim.Kernel, engines []*Engine, cfg PartitionConfig, used *MultiManager) (*MultiManager, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("core: multi-manager needs at least one board")
 	}
-	m := &MultiManager{}
-	for _, e := range engines {
-		pm, err := NewPartitionManager(k, e, cfg)
+	m := used
+	if m == nil {
+		m = &MultiManager{}
+	}
+	old := m.Boards
+	m.Boards = old[:0]
+	for i, e := range engines {
+		var prev *PartitionManager
+		if i < len(old) {
+			prev = old[i] // read before the append below overwrites it
+		}
+		pm, err := NewPartitionManager(k, e, cfg, prev)
 		if err != nil {
 			return nil, err
 		}

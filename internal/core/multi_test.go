@@ -14,7 +14,7 @@ func multiHarness(t testing.TB, boards int, opt Options, osCfg hostos.Config, cf
 	for i := 0; i < boards; i++ {
 		engines = append(engines, newEngine(t, opt))
 	}
-	mm, err := NewMultiManager(k, engines, cfg)
+	mm, err := NewMultiManager(k, engines, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestMultiRegisterRejectsUnfittable(t *testing.T) {
 }
 
 func TestMultiNeedsBoards(t *testing.T) {
-	if _, err := NewMultiManager(sim.New(), nil, PartitionConfig{Mode: VariablePartitions}); err == nil {
+	if _, err := NewMultiManager(sim.New(), nil, PartitionConfig{Mode: VariablePartitions}, nil); err == nil {
 		t.Fatal("zero boards accepted")
 	}
 }

@@ -31,15 +31,20 @@ var _ hostos.FPGA = (*OverlayManager)(nil)
 // NewOverlayManager loads the named resident circuits and reserves the
 // remaining columns as the overlay area. Resident load time is charged to
 // system initialization, not to any task (the paper's device-driver
-// downloading "performed once for all tasks").
-func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string) (*OverlayManager, sim.Time, error) {
-	om := &OverlayManager{
-		stateTable: newStateTable(NewTaskKernel(k, e, "overlay")),
-		residents:  map[string]*slot{},
+// downloading "performed once for all tasks"). It renews used, the
+// board's last overlay manager, in place (nil: a new one).
+func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string, used *OverlayManager) (*OverlayManager, sim.Time, error) {
+	om := used
+	if om == nil {
+		om = &OverlayManager{}
+	}
+	*om = OverlayManager{
+		stateTable: newStateTable(NewTaskKernel(k, e, "overlay", &om.TaskKernel), &om.stateTable, len(resident)+1),
+		residents:  emptiedMap(om.residents),
 	}
 	x := 0
 	var initCost sim.Time
-	for _, name := range resident {
+	for i, name := range resident {
 		c, err := e.Circuit(name)
 		if err != nil {
 			return nil, 0, err
@@ -53,12 +58,13 @@ func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string) (*OverlayMan
 			return nil, 0, err
 		}
 		initCost += cost
-		s := om.addSlot(x)
-		s.circuit = c
+		s := &om.slots[i]
+		s.x, s.circuit = x, c
 		om.residents[name] = s
 		x += c.BS.W
 	}
-	om.overlay = om.addSlot(x)
+	om.overlay = &om.slots[len(resident)]
+	om.overlay.x = x
 	om.overlayW = e.Opt.Geometry.Cols - x
 	return om, initCost, nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/bitstream"
+	"repro/internal/compile"
+	"repro/internal/flat"
 	"repro/internal/hostos"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -78,28 +80,36 @@ type PagedLoader struct {
 	TaskKernel
 	Cfg PagedConfig
 
-	frames  []frame
-	where   map[pageID]int // resident page -> frame index
-	seq     int64
-	hand    int // Clock hand
-	src     *rng.Source
-	pagesOf map[string][]bitstream.Page
+	frames []frame
+	where  map[pageID]int // resident page -> frame index
+	seq    int64
+	hand   int // Clock hand
+	src    rng.Source
 	// need and pinGen are faultIn's scratch: the request's resolved page
 	// set, and the stamp that marks a frame pinned for the current call
 	// (bumping it unpins every frame at once). An Engine, and so its
 	// loader, is single-goroutine by contract.
 	need   []pageID
 	pinGen int64
-	// users counts the live tasks registered per circuit; when the last
-	// user exits, the circuit's resident pages are released so long
-	// multi-task runs cannot strand frames (see Remove).
-	users map[string]map[hostos.TaskID]bool
+	// users lists the live tasks registered per circuit, one entry a
+	// task and circuit; when the last user exits, the circuit's resident
+	// pages are released so long multi-task runs cannot strand frames
+	// (see Remove).
+	users []pageUser
+}
+
+// pageUser is one live task's registration of a circuit.
+type pageUser struct {
+	circuit string
+	task    hostos.TaskID
 }
 
 var _ hostos.FPGA = (*PagedLoader)(nil)
 
-// NewPagedLoader builds a demand-paged manager.
-func NewPagedLoader(k *sim.Kernel, e *Engine, cfg PagedConfig) (*PagedLoader, error) {
+// NewPagedLoader builds a demand-paged manager, renewing used, the
+// board's last paged loader, in place (nil: a new one): its frame table,
+// page map and scratch are emptied and its random stream reseeded.
+func NewPagedLoader(k *sim.Kernel, e *Engine, cfg PagedConfig, used *PagedLoader) (*PagedLoader, error) {
 	if cfg.PageCells <= 0 {
 		return nil, fmt.Errorf("core: page size must be positive")
 	}
@@ -109,48 +119,61 @@ func NewPagedLoader(k *sim.Kernel, e *Engine, cfg PagedConfig) (*PagedLoader, er
 	if cfg.Frames <= 0 {
 		return nil, fmt.Errorf("core: device too small for any page frame")
 	}
-	return &PagedLoader{
-		TaskKernel: NewTaskKernel(k, e, "paged"),
+	pl := used
+	if pl == nil {
+		pl = &PagedLoader{}
+	}
+	*pl = PagedLoader{
+		TaskKernel: NewTaskKernel(k, e, "paged", &pl.TaskKernel),
 		Cfg:        cfg,
-		frames:     make([]frame, cfg.Frames),
-		where:      map[pageID]int{},
-		src:        rng.New(cfg.Seed ^ 0xfeed),
-		pagesOf:    map[string][]bitstream.Page{},
-		users:      map[string]map[hostos.TaskID]bool{},
-	}, nil
+		frames:     flat.Zeroed(pl.frames, cfg.Frames),
+		where:      emptiedMap(pl.where),
+		src:        *rng.New(cfg.Seed ^ 0xfeed),
+		need:       flat.Emptied(pl.need),
+		users:      flat.Emptied(pl.users),
+	}
+	return pl, nil
 }
 
 // Register implements hostos.FPGA.
 func (pl *PagedLoader) Register(t *hostos.Task, circuit string) error {
-	c, err := pl.E.Circuit(circuit)
-	if err != nil {
+	if _, err := pl.E.Circuit(circuit); err != nil {
 		return err
 	}
-	if _, ok := pl.pagesOf[circuit]; !ok {
-		pl.pagesOf[circuit] = c.BS.Pages(pl.Cfg.PageCells)
+	u := pageUser{circuit, t.ID}
+	if !slices.Contains(pl.users, u) {
+		pl.users = append(pl.users, u)
 	}
-	if pl.users[circuit] == nil {
-		pl.users[circuit] = map[hostos.TaskID]bool{}
-	}
-	pl.users[circuit][t.ID] = true
 	return nil
+}
+
+// pageCount returns how many pages c's configuration divides into: page
+// k is the cells BS.Cells[k·PageCells:], at most PageCells of them (the
+// last page may be smaller).
+func (pl *PagedLoader) pageCount(c *compile.Circuit) int {
+	return (len(c.BS.Cells) + pl.Cfg.PageCells - 1) / pl.Cfg.PageCells
+}
+
+// pageCells returns how many cells page k of c holds.
+func (pl *PagedLoader) pageCells(c *compile.Circuit, k int) int {
+	return min(pl.Cfg.PageCells, len(c.BS.Cells)-k*pl.Cfg.PageCells)
 }
 
 // neededPages resolves the request's page working set into the loader's
 // scratch slice, valid until the next call.
 func (pl *PagedLoader) neededPages(t *hostos.Task) []pageID {
 	req := t.CurrentRequest()
-	pages := pl.pagesOf[req.Circuit]
+	n := pl.pageCount(pl.CircuitOf(t))
 	ids := pl.need[:0]
 	if len(req.Pages) == 0 {
-		for i := range pages {
+		for i := 0; i < n; i++ {
 			ids = append(ids, pageID{req.Circuit, i})
 		}
 	}
 	for _, p := range req.Pages {
-		if p < 0 || p >= len(pages) {
+		if p < 0 || p >= n {
 			panic(fmt.Sprintf("core: task %s references page %d of %s which has %d pages",
-				t.Name, p, req.Circuit, len(pages)))
+				t.Name, p, req.Circuit, n))
 		}
 		ids = append(ids, pageID{req.Circuit, p})
 	}
@@ -256,6 +279,7 @@ func (pl *PagedLoader) faultIn(t *hostos.Task, ids []pageID) sim.Time {
 		}
 	}
 	led := pl.E.Ledger()
+	c := pl.CircuitOf(t) // every page of ids is of the request's circuit
 	var cost sim.Time
 	for _, id := range ids {
 		if fi, ok := pl.where[id]; ok {
@@ -271,8 +295,7 @@ func (pl *PagedLoader) faultIn(t *hostos.Task, ids []pageID) sim.Time {
 		pl.seq++
 		pl.frames[fi] = frame{page: id, used: true, loadedAt: pl.seq, lastUse: pl.seq, ref: true, pin: pl.pinGen}
 		pl.where[id] = fi
-		pages := pl.pagesOf[id.circuit]
-		cost += led.LoadPage(t.Name, id.circuit, id.index, len(pages[id.index].Cells))
+		cost += led.LoadPage(t.Name, id.circuit, id.index, pl.pageCells(c, id.index))
 	}
 	return cost
 }
@@ -312,20 +335,27 @@ func (pl *PagedLoader) Remove(t *hostos.Task) {
 		if !f.used {
 			continue
 		}
-		us := pl.users[f.page.circuit]
-		if us == nil || !us[t.ID] || len(us) > 1 {
+		if !pl.soleUser(f.page.circuit, t.ID) {
 			continue
 		}
 		delete(pl.where, f.page)
 		led.ReleasePage(t.Name, f.page.circuit, f.page.index)
 		*f = frame{}
 	}
-	for circuit, us := range pl.users {
-		if us[t.ID] {
-			delete(us, t.ID)
-			if len(us) == 0 {
-				delete(pl.users, circuit)
+	pl.users = slices.DeleteFunc(pl.users, func(u pageUser) bool { return u.task == t.ID })
+}
+
+// soleUser reports whether task is the one live task registered for
+// circuit.
+func (pl *PagedLoader) soleUser(circuit string, task hostos.TaskID) bool {
+	sole := false
+	for _, u := range pl.users {
+		if u.circuit == circuit {
+			if u.task != task {
+				return false
 			}
+			sole = true
 		}
 	}
+	return sole
 }

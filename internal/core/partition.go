@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/flat"
 	"repro/internal/hostos"
 	"repro/internal/sim"
 )
@@ -73,6 +74,13 @@ type PartitionConfig struct {
 type PartitionManager struct {
 	stripTable
 	Cfg PartitionConfig
+
+	// moving is compact's scratch: the occupied spans it walks while it
+	// moves them.
+	moving []*Span
+	// compactFn is compact, bound once for the manager's lifetime: a
+	// method value is an allocation.
+	compactFn func(need int) sim.Time
 }
 
 var _ hostos.FPGA = (*PartitionManager)(nil)
@@ -80,30 +88,45 @@ var _ hostos.FPGA = (*PartitionManager)(nil)
 // NewPartitionManager builds the manager and carves the initial
 // partitions. In fixed mode any leftover columns beyond the configured
 // widths are unusable (as with a partition table that does not cover the
-// disk); in variable mode one free partition covers the whole device.
-func NewPartitionManager(k *sim.Kernel, e *Engine, cfg PartitionConfig) (*PartitionManager, error) {
-	pm := &PartitionManager{Cfg: cfg}
-	rm, err := pm.carve(e.Opt.Geometry.Cols)
+// disk); in variable mode one free partition covers the whole device. It
+// renews used, the board's last partition manager, in place (nil: a new
+// one), its column map included.
+func NewPartitionManager(k *sim.Kernel, e *Engine, cfg PartitionConfig, used *PartitionManager) (*PartitionManager, error) {
+	pm := used
+	if pm == nil {
+		pm = &PartitionManager{}
+	}
+	rm, name, err := carve(cfg, e.Opt.Geometry.Cols, pm.rm)
 	if err != nil {
 		return nil, err
 	}
-	pm.stripTable = newStripTable(NewTaskKernel(k, e, "partitions("+cfg.Mode.String()+")"), rm)
+	*pm = PartitionManager{
+		stripTable: newStripTable(NewTaskKernel(k, e, name, &pm.TaskKernel), rm, &pm.stripTable),
+		Cfg:        cfg,
+		moving:     flat.Emptied(pm.moving),
+		compactFn:  pm.compactFn,
+	}
+	if pm.compactFn == nil {
+		pm.compactFn = pm.compact
+	}
 	pm.fit, pm.rotate = cfg.Fit, cfg.Rotate
 	if cfg.GC && rm.Movable() {
-		pm.reclaim = pm.compact
+		pm.reclaim = pm.compactFn
 	}
 	return pm, nil
 }
 
-// carve builds the initial region map for the configured mode.
-func (pm *PartitionManager) carve(cols int) (*RegionMap, error) {
-	switch pm.Cfg.Mode {
+// carve builds the initial region map for cfg's mode, renewing used,
+// and names the manager's lint target after the mode.
+func carve(cfg PartitionConfig, cols int, used *RegionMap) (*RegionMap, string, error) {
+	switch cfg.Mode {
 	case FixedPartitions:
-		return NewFixedRegionMap(pm.Cfg.FixedWidths, cols)
+		rm, err := NewFixedRegionMap(cfg.FixedWidths, cols, used)
+		return rm, "partitions(fixed)", err
 	case VariablePartitions:
-		return NewRegionMap(cols), nil
+		return NewRegionMap(cols, used), "partitions(variable)", nil
 	}
-	return nil, fmt.Errorf("core: unknown partition mode %d", pm.Cfg.Mode)
+	return nil, "", fmt.Errorf("core: unknown partition mode %d", cfg.Mode)
 }
 
 // FreeCols returns the total free width and the largest free strip —
@@ -123,11 +146,14 @@ func (pm *PartitionManager) compact(need int) sim.Time {
 	led := pm.E.Ledger()
 	var cost sim.Time
 	led.NoteGC()
-	x := 0
-	for _, s := range pm.rm.Spans() {
-		if s.Free() {
-			continue
+	pm.moving = pm.moving[:0]
+	for _, s := range pm.rm.spans {
+		if !s.Free() {
+			pm.moving = append(pm.moving, s)
 		}
+	}
+	x := 0
+	for _, s := range pm.moving {
 		if need > 0 {
 			if _, largest := pm.rm.FreeCols(); largest >= need {
 				break

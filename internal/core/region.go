@@ -59,13 +59,14 @@ func (s *Span) Free() bool { return s.Owner == nil }
 // static slots that never split, merge or move, like §4's fixed
 // partition table.
 //
-// A sliding map reuses its span objects: the free spans coalesce merges
-// away and the entries Move retires go onto spare, and every span the
-// map carves (Alloc's claim, Move's husk and free remainder) comes from
-// spare before the allocator. A span is at least one column wide, so a
-// map never makes more than cols+1 span objects (the one being Move's
-// husk, made while the moving span is still in the table), and spare is
-// bounded by the column count.
+// A map reuses its span objects: the free spans coalesce merges away,
+// the entries Move retires and, when the map is renewed, every span it
+// held go onto spare, and every span the map carves (a new map's spans,
+// Alloc's claim, Move's husk and free remainder) comes from spare
+// before the allocator. A span is at least one column wide, so a map
+// never makes more than cols+1 span objects (the one being Move's husk,
+// made while the moving span is still in the table) for the widest
+// device it has covered, and spare is bounded by that column count.
 type RegionMap struct {
 	cols  int
 	fixed bool
@@ -74,22 +75,25 @@ type RegionMap struct {
 }
 
 // NewRegionMap returns a sliding map with one free span covering the
-// whole device.
-func NewRegionMap(cols int) *RegionMap {
-	return &RegionMap{cols: cols, spans: []*Span{{X: 0, W: cols}}}
+// whole device, renewing used (nil: a new map; see renewRegionMap).
+func NewRegionMap(cols int, used *RegionMap) *RegionMap {
+	rm := renewRegionMap(used, cols, false)
+	rm.spans = append(rm.spans, rm.newSpan(0, cols, nil))
+	return rm
 }
 
 // NewFixedRegionMap carves static slots of the given widths left to
 // right; leftover columns beyond the configured widths are unusable (as
-// with a partition table that does not cover the disk).
-func NewFixedRegionMap(widths []int, cols int) (*RegionMap, error) {
-	rm := &RegionMap{cols: cols, fixed: true}
+// with a partition table that does not cover the disk). It renews used
+// as NewRegionMap does.
+func NewFixedRegionMap(widths []int, cols int, used *RegionMap) (*RegionMap, error) {
+	rm := renewRegionMap(used, cols, true)
 	x := 0
 	for _, w := range widths {
 		if w <= 0 || x+w > cols {
 			return nil, fmt.Errorf("core: fixed partition widths %v exceed %d columns", widths, cols)
 		}
-		rm.spans = append(rm.spans, &Span{X: x, W: w})
+		rm.spans = append(rm.spans, rm.newSpan(x, w, nil))
 		x += w
 	}
 	if len(rm.spans) == 0 {
@@ -98,14 +102,25 @@ func NewFixedRegionMap(widths []int, cols int) (*RegionMap, error) {
 	return rm, nil
 }
 
+// renewRegionMap empties used into a map over cols columns, sliding or
+// fixed, and returns it; nil gets a new map. Every span object used held
+// goes onto spare, freed, and its table keeps its array, so a renewed
+// map carves its spans without allocating. Any pointer into used is dead
+// from here on.
+func renewRegionMap(used *RegionMap, cols int, fixed bool) *RegionMap {
+	if used == nil {
+		return &RegionMap{cols: cols, fixed: fixed}
+	}
+	for _, s := range used.spans {
+		s.Owner = nil
+	}
+	spare := append(used.spare, used.spans...)
+	*used = RegionMap{cols: cols, fixed: fixed, spans: used.spans[:0], spare: spare}
+	return used
+}
+
 // Cols returns the tracked column count.
 func (rm *RegionMap) Cols() int { return rm.cols }
-
-// Spans returns the span table sorted by origin (a copied slice over
-// the live span objects).
-func (rm *RegionMap) Spans() []*Span {
-	return append([]*Span(nil), rm.spans...)
-}
 
 // FindFree returns a free span of width >= need per the fit policy
 // (first-fit: lowest origin; best-fit: smallest adequate width, lowest

@@ -8,7 +8,7 @@ import (
 
 func spanLayout(t *testing.T, rm *RegionMap, want [][3]int) {
 	t.Helper()
-	spans := rm.Spans()
+	spans := rm.spans
 	if len(spans) != len(want) {
 		t.Fatalf("span count = %d, want %d (%v)", len(spans), len(want), spans)
 	}
@@ -25,7 +25,7 @@ func spanLayout(t *testing.T, rm *RegionMap, want [][3]int) {
 }
 
 func TestRegionMapAllocReleaseCoalesce(t *testing.T) {
-	rm := NewRegionMap(20)
+	rm := NewRegionMap(20, nil)
 	a := rm.Alloc(rm.FindFree(5, FirstFit), 5, "a")
 	b := rm.Alloc(rm.FindFree(5, FirstFit), 5, "b")
 	c := rm.Alloc(rm.FindFree(5, FirstFit), 5, "c")
@@ -48,7 +48,7 @@ func TestRegionMapAllocReleaseCoalesce(t *testing.T) {
 
 func TestRegionMapFitPolicies(t *testing.T) {
 	// Layout: holes of width 4 (x=0) and 6 (x=8), tail hole of 3 (x=17).
-	rm := NewRegionMap(20)
+	rm := NewRegionMap(20, nil)
 	h1 := rm.Alloc(rm.FindFree(4, FirstFit), 4, "h1")
 	rm.Alloc(rm.FindFree(4, FirstFit), 4, "keep1")
 	h2 := rm.Alloc(rm.FindFree(6, FirstFit), 6, "h2")
@@ -72,7 +72,7 @@ func TestRegionMapFitPolicies(t *testing.T) {
 }
 
 func TestRegionMapMoveKeepsIdentity(t *testing.T) {
-	rm := NewRegionMap(20)
+	rm := NewRegionMap(20, nil)
 	a := rm.Alloc(rm.FindFree(4, FirstFit), 4, "a")
 	b := rm.Alloc(rm.FindFree(4, FirstFit), 4, "b")
 	rm.Release(a)
@@ -92,7 +92,7 @@ func TestRegionMapMoveKeepsIdentity(t *testing.T) {
 }
 
 func TestRegionMapMovePanics(t *testing.T) {
-	rm := NewRegionMap(10)
+	rm := NewRegionMap(10, nil)
 	a := rm.Alloc(rm.FindFree(4, FirstFit), 4, "a")
 	b := rm.Alloc(rm.FindFree(4, FirstFit), 4, "b")
 	func() {
@@ -107,7 +107,7 @@ func TestRegionMapMovePanics(t *testing.T) {
 }
 
 func TestFixedRegionMap(t *testing.T) {
-	rm, err := NewFixedRegionMap([]int{4, 6, 4}, 16)
+	rm, err := NewFixedRegionMap([]int{4, 6, 4}, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +127,10 @@ func TestFixedRegionMap(t *testing.T) {
 		t.Fatalf("frag = %+v, free spans %+v", f, rm.FreeList())
 	}
 
-	if _, err := NewFixedRegionMap([]int{9, 9}, 16); err == nil {
+	if _, err := NewFixedRegionMap([]int{9, 9}, 16, nil); err == nil {
 		t.Fatal("oversized widths accepted")
 	}
-	if _, err := NewFixedRegionMap(nil, 16); err == nil {
+	if _, err := NewFixedRegionMap(nil, 16, nil); err == nil {
 		t.Fatal("empty widths accepted")
 	}
 }
@@ -167,7 +167,7 @@ func TestRegionMapSpanReuse(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		src := rng.New(seed)
 		cols := 4 + src.Intn(40)
-		rm := NewRegionMap(cols)
+		rm := NewRegionMap(cols, nil)
 		var live []held
 		objects := map[*Span]bool{}
 		check := func(step int, op string) {
@@ -289,7 +289,7 @@ func TestRegionMapSpanReuse(t *testing.T) {
 // churn allocates nothing: every claim reuses a span an earlier release
 // coalesced away.
 func TestRegionMapChurnAllocatesNothing(t *testing.T) {
-	rm := NewRegionMap(24)
+	rm := NewRegionMap(24, nil)
 	var held [4]*Span
 	round := func() {
 		for i := range held {

@@ -77,7 +77,7 @@ func TestRemoveForgetsSavedState(t *testing.T) {
 	t.Run("stateTable", func(t *testing.T) {
 		k := sim.New()
 		e := newEngine(t, testOptions())
-		d := NewDynamicLoader(k, e)
+		d := NewDynamicLoader(k, e, nil)
 		os := hostos.New(k, hostos.Config{Policy: hostos.FIFO}, d, nil)
 		a := spawnMid(t, os, "a", "counter8")
 		b := spawnMid(t, os, "b", "counter8")
@@ -94,7 +94,7 @@ func TestRemoveForgetsSavedState(t *testing.T) {
 	t.Run("stripTable", func(t *testing.T) {
 		k := sim.New()
 		e := newEngine(t, testOptions())
-		pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{4}, Rotate: true})
+		pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{4}, Rotate: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

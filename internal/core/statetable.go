@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/fabric"
+	"repro/internal/flat"
 	"repro/internal/hostos"
 	"repro/internal/sim"
 )
@@ -87,7 +88,7 @@ func (s *slot) region() fabric.Region { return s.circuit.BS.Region(s.x, 0) }
 type stateTable struct {
 	TaskKernel
 
-	slots []*slot // every slot of the manager, in column order
+	slots []slot // every slot of the manager, in column order
 	saved savedState
 	// rolledBack marks in-flight ops that must restart from reset state.
 	rolledBack map[hostos.TaskID]bool
@@ -97,20 +98,19 @@ type stateTable struct {
 	rollbackStreak map[hostos.TaskID]int
 }
 
-func newStateTable(tk TaskKernel) stateTable {
+// newStateTable returns a table over tk with n empty slots at column
+// 0, for the manager to place; the slots never move, so a manager may
+// keep pointers to them. It renews used, the table of a manager being
+// renewed (a zero one for a new manager): its maps are emptied and its
+// slot array reused.
+func newStateTable(tk TaskKernel, used *stateTable, n int) stateTable {
 	return stateTable{
 		TaskKernel:     tk,
-		saved:          savedState{},
-		rolledBack:     map[hostos.TaskID]bool{},
-		rollbackStreak: map[hostos.TaskID]int{},
+		slots:          flat.Zeroed(used.slots, n),
+		saved:          emptiedMap(used.saved),
+		rolledBack:     emptiedMap(used.rolledBack),
+		rollbackStreak: emptiedMap(used.rollbackStreak),
 	}
-}
-
-// addSlot registers an empty slot at column x.
-func (st *stateTable) addSlot(x int) *slot {
-	s := &slot{x: x}
-	st.slots = append(st.slots, s)
-	return s
 }
 
 // swap makes slot s hold task t's circuit with t's state, returning the
@@ -221,7 +221,8 @@ func (st *stateTable) Remove(t *hostos.Task) {
 	st.saved.forget(t.ID)
 	delete(st.rolledBack, t.ID)
 	delete(st.rollbackStreak, t.ID)
-	for _, s := range st.slots {
+	for i := range st.slots {
+		s := &st.slots[i]
 		if s.owner == t {
 			s.owner = nil
 		}

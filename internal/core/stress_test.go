@@ -22,37 +22,37 @@ func TestRandomizedStress(t *testing.T) {
 		mk   func(k *sim.Kernel, e *Engine) hostos.FPGA
 	}
 	managers := []mkMgr{
-		{"dynamic", func(k *sim.Kernel, e *Engine) hostos.FPGA { return NewDynamicLoader(k, e) }},
+		{"dynamic", func(k *sim.Kernel, e *Engine) hostos.FPGA { return NewDynamicLoader(k, e, nil) }},
 		{"partition-var-gc-rotate", func(k *sim.Kernel, e *Engine) hostos.FPGA {
-			pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: VariablePartitions, Fit: BestFit, GC: true, Rotate: true})
+			pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: VariablePartitions, Fit: BestFit, GC: true, Rotate: true}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return pm
 		}},
 		{"partition-var-plain", func(k *sim.Kernel, e *Engine) hostos.FPGA {
-			pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: VariablePartitions})
+			pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: VariablePartitions}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return pm
 		}},
 		{"partition-fixed", func(k *sim.Kernel, e *Engine) hostos.FPGA {
-			pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{8, 8, 8}, Rotate: true})
+			pm, err := NewPartitionManager(k, e, PartitionConfig{Mode: FixedPartitions, FixedWidths: []int{8, 8, 8}, Rotate: true}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return pm
 		}},
 		{"overlay", func(k *sim.Kernel, e *Engine) hostos.FPGA {
-			om, _, err := NewOverlayManager(k, e, []string{"adder8"})
+			om, _, err := NewOverlayManager(k, e, []string{"adder8"}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return om
 		}},
 		{"paged", func(k *sim.Kernel, e *Engine) hostos.FPGA {
-			pl, err := NewPagedLoader(k, e, PagedConfig{PageCells: 8, Frames: 12, Policy: LRU})
+			pl, err := NewPagedLoader(k, e, PagedConfig{PageCells: 8, Frames: 12, Policy: LRU}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func TestStressPartitionsMergeBack(t *testing.T) {
 		h := newHarness(t, opt, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond},
 			func(k *sim.Kernel, e *Engine) hostos.FPGA {
 				var err error
-				pm, err = NewPartitionManager(k, e, PartitionConfig{Mode: VariablePartitions, Fit: BestFit, GC: rep%2 == 0, Rotate: rep%3 == 0})
+				pm, err = NewPartitionManager(k, e, PartitionConfig{Mode: VariablePartitions, Fit: BestFit, GC: rep%2 == 0, Rotate: rep%3 == 0}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -40,8 +40,10 @@ type stripTable struct {
 	rm     *RegionMap
 	byTask map[hostos.TaskID]*strip
 	saved  savedState
-	// strips is the array strip records are carved from (see flat.Carve).
+	// strips is the array strip records are carved from (see flat.Carve),
+	// and carved how many records the table carved since it was built.
 	strips []strip
+	carved int
 
 	fit    FitPolicy
 	rotate bool
@@ -52,12 +54,17 @@ type stripTable struct {
 	reclaim func(need int) sim.Time
 }
 
-func newStripTable(tk TaskKernel, rm *RegionMap) stripTable {
+// newStripTable returns an empty table over tk and the column map rm,
+// renewing used, the table of a manager being renewed (a zero one for a
+// new manager): its maps are emptied and its strip array rewound. rm is
+// the map renewed from used's, or a new one.
+func newStripTable(tk TaskKernel, rm *RegionMap, used *stripTable) stripTable {
 	return stripTable{
 		TaskKernel: tk,
 		rm:         rm,
-		byTask:     map[hostos.TaskID]*strip{},
-		saved:      savedState{},
+		byTask:     emptiedMap(used.byTask),
+		saved:      emptiedMap(used.saved),
+		strips:     flat.Rewind(used.strips, used.carved),
 	}
 }
 
@@ -272,6 +279,7 @@ func (st *stripTable) place(t *hostos.Task, c *compile.Circuit) (cost sim.Time, 
 		return 0, false
 	}
 	p := &flat.Carve(&st.strips, 1, recordChunk)[0]
+	st.carved++
 	*p = strip{owner: t, circuit: c.Name, lastUse: st.K.Now()}
 	p.span = st.rm.Alloc(s, need, p)
 	st.byTask[t.ID] = p

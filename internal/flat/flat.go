@@ -1,6 +1,7 @@
 // Package flat holds the substrate's flat-array idioms, each stated
-// once: a scratch array sized per call (Zeroed), records cut from an
-// array their owner keeps (Carve, Rewind), a topological sort over a
+// once: a scratch array sized per call (Zeroed), a table emptied for its
+// owner's next job (Emptied), records cut from an array their owner
+// keeps (Carve, Rewind), a topological sort over a
 // working set its owner keeps (Order), and a bounded fan-out over
 // indices (FanOut, Map). It imports nothing of the module, so every
 // layer may use it.
@@ -35,6 +36,13 @@ func Carve[T any](buf *[]T, n, chunk int) []T {
 	}
 	*buf = b[:len(b)+n]
 	return b[len(b) : len(b)+n : len(b)+n]
+}
+
+// Emptied clears s, so that an owner renewed for its next job holds
+// nothing of the last, and returns it at length 0 over the same array.
+func Emptied[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
 // Rewind returns buf emptied, with room for the n elements the last job

@@ -12,6 +12,18 @@ import (
 // TestZeroedClearsAndKeepsArray dirties an array, then asks Zeroed for
 // lengths within and beyond it: every element comes back zero, an array
 // large enough is kept, and keeping it allocates nothing.
+func TestEmptiedClearsAndKeepsArray(t *testing.T) {
+	s := []int{1, 2, 3, 4}
+	backing := s[:cap(s)]
+	got := flat.Emptied(s)
+	if len(got) != 0 || cap(got) != cap(s) || &got[:1][0] != &s[0] {
+		t.Fatalf("Emptied returned length %d over a different array (cap %d of %d)", len(got), cap(got), cap(s))
+	}
+	if i := slices.IndexFunc(backing, func(v int) bool { return v != 0 }); i >= 0 {
+		t.Fatalf("Emptied left element %d = %d", i, backing[i])
+	}
+}
+
 func TestZeroedClearsAndKeepsArray(t *testing.T) {
 	s := flat.Zeroed([]int(nil), 16)
 	for _, n := range []int{16, 5, 0, 12, 16} {

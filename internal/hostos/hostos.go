@@ -335,20 +335,13 @@ func New(k *sim.Kernel, cfg Config, fpga FPGA, used *OS) *OS {
 	}
 	*o = OS{
 		K: k, cfg: cfg, fpga: fpga,
-		tasks: emptied(o.tasks), ready: emptied(o.ready), taskBuf: emptied(o.taskBuf), arrivals: emptied(o.arrivals),
+		tasks: flat.Emptied(o.tasks), ready: flat.Emptied(o.ready), taskBuf: flat.Emptied(o.taskBuf), arrivals: flat.Emptied(o.arrivals),
 		segEnd: o.segEnd, dispatchFn: o.dispatchFn, startFn: o.startFn, preemptFn: o.preemptFn, spawnFn: o.spawnFn,
 	}
 	if a, ok := fpga.(Attacher); ok {
 		a.AttachOS(o)
 	}
 	return o
-}
-
-// emptied clears s, so that a renewed OS holds nothing of the last run,
-// and returns it with length 0.
-func emptied[T any](s []T) []T {
-	clear(s)
-	return s[:0]
 }
 
 // Tasks returns all tasks ever spawned.

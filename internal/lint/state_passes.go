@@ -1,8 +1,9 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // passRegionState audits a column-map snapshot — §4's partition table or
@@ -24,8 +25,13 @@ func passRegionState(t *Target, r *Reporter) {
 	if name == "" {
 		name = "regions"
 	}
-	views := append([]RegionView(nil), t.Regions...)
-	sort.Slice(views, func(i, j int) bool { return views[i].X < views[j].X })
+	// A manager's snapshot is sorted by origin already: only another is
+	// copied to be sorted.
+	views := t.Regions
+	if byX := func(a, b RegionView) int { return cmp.Compare(a.X, b.X) }; !slices.IsSortedFunc(views, byX) {
+		views = slices.Clone(views)
+		slices.SortStableFunc(views, byX)
+	}
 	rpos := func(v RegionView) string {
 		return fmt.Sprintf("%s: span x=%d w=%d", name, v.X, v.W)
 	}

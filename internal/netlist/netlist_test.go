@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -307,7 +308,7 @@ func TestAdderProperty(t *testing.T) {
 		out := s.Eval(in)
 		return BoolsToUint(out) == uint64(a)+uint64(b)+c
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -322,7 +323,7 @@ func TestSubtractorProperty(t *testing.T) {
 		borrow := out[16]
 		return diff == a-b && borrow == (a < b)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -336,7 +337,7 @@ func TestComparatorProperty(t *testing.T) {
 		out := s.Eval(in)
 		return out[0] == (a == b) && out[1] == (a < b)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -366,7 +367,7 @@ func TestPopCountProperty(t *testing.T) {
 		}
 		return got == want
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -382,7 +383,7 @@ func TestParityProperty(t *testing.T) {
 		}
 		return out[0] == want
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -441,7 +442,7 @@ func TestBarrelShifterProperty(t *testing.T) {
 		}
 		return got == want
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -467,7 +468,7 @@ func TestALUProperty(t *testing.T) {
 		}
 		return got == want
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -479,7 +480,7 @@ func TestGrayEncoderProperty(t *testing.T) {
 		got := uint8(BoolsToUint(s.Eval(UintToBools(uint64(x), 8))))
 		return got == x^(x>>1)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -664,7 +665,7 @@ func TestBoolsUintRoundTrip(t *testing.T) {
 		masked := v & (1<<uint(w) - 1)
 		return BoolsToUint(UintToBools(masked, w)) == masked
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

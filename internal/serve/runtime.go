@@ -1,9 +1,9 @@
 // Warm boards: between two jobs a board is nothing but hardware the next
 // download overwrites and the memory of a dead stack, so a board keeps
 // exactly that — each engine's device, erased, the kernel's event
-// arrays, reset, and the engines and host OS, renewed in place with
-// their tables emptied — and builds the stack of every job through the
-// one path a first job takes, baseline.NewStack's, the managers anew. A
+// arrays, reset, and the engines, the manager and the host OS, renewed
+// in place with their tables emptied — and builds the stack of every job
+// through the one path a first job takes, baseline.NewStack's. A
 // job on recycled hardware is a job on new hardware by construction; the
 // equivalence suite in warm_test.go holds the results bit-for-bit equal,
 // and no result a job delivers points into what the next job renews.

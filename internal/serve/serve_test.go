@@ -128,7 +128,7 @@ func directRun(t *testing.T, spec *workload.Spec, bc BoardConfig) *JobResult {
 		}
 		e.Lib[nl.Name] = c
 	}
-	mgr := core.NewDynamicLoader(k, e)
+	mgr := core.NewDynamicLoader(k, e, nil)
 	osim := hostos.New(k, hostos.Config{
 		Policy: hostos.RR, TimeSlice: bc.Slice,
 		CtxSwitch: 50 * sim.Microsecond, Syscall: 10 * sim.Microsecond,

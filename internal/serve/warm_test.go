@@ -187,8 +187,9 @@ func TestBoardsShareCachedSet(t *testing.T) {
 var canaryCache = compile.NewStripCache(compile.DefaultCacheCapacity)
 
 // TestDeliveredResultOutlivesBoard is the aliasing canary of the warm
-// path: a board renews its engines and host OS in place for each job
-// and carves the next job's records from the last job's arrays, so a
+// path: a board renews its engines, manager and host OS in place for
+// each job and carves the next job's records from the last job's
+// arrays, so a
 // result that pointed into them would change under a later job. For
 // every manager, a traced job's status encodes to the same bytes after
 // a larger job and then a smaller one ran on the same board. The pools
@@ -243,34 +244,48 @@ func TestDeliveredResultOutlivesBoard(t *testing.T) {
 }
 
 // TestWarmJobAllocBudget pins what a warm job allocates, Submit to
-// Done(), so the warm path's gains cannot erode silently: the circuits
-// come from the shared library, the device and the kernel's event arrays
-// from the board's last job, the event loop and a clean lint pass
-// allocate nothing per event or per CLB, and what is left is the
-// managers over the hardware and the job's own loads and result: the
-// engines and the host OS are the last job's, renewed in place, the
-// programs come from the pool's set cache, the audit's tables from the
-// audit before, the Task records, residency entries and pins from the
-// arrays the last job's OS and ledger carved them from, sized to all
-// that job carved, and the strips from an array the strip table carves
-// them from. Budgets sit ~18 % above what the path reads today
-// (multimedia: 21 allocations and 2.1 KiB on dynamic, 40 and 6.0 KiB on
-// paged; 44 and 11.3 KiB, 56 and 8.4 KiB while each job built new
-// engines and a new host OS; 110
-// and 14.6 KiB, 65 and 8.5 KiB while each task, download and strip had
-// records of its own; 136 and 32.7 KiB, 88 and 26.3 KiB while every job
-// built its set and its audit tables; 142 and 94 while each task carried
-// two closures of its own; 170 and 63.9 KiB, 123 and 55.6 KiB while the
-// generators grew each program by doubling; 1 838 and 1 670 allocations
-// before the warm job path).
+// Done(), under each of the nine managers, so the warm path's gains
+// cannot erode silently: the circuits come from the shared library, the
+// device and the kernel's event arrays from the board's last job, the
+// event loop and a clean lint pass allocate nothing per event or per
+// CLB, and what is left is the job's own loads and result: the engines,
+// the manager and the host OS are the last job's, renewed in place — the
+// manager's maps emptied, its column map's span objects, strip and slot
+// arrays, frame table and scratch kept — the programs come from the
+// pool's set cache, the audit's tables from the audit before, the Task
+// records, residency entries and pins from the arrays the last job's OS
+// and ledger carved them from, sized to all that job carved. Budgets sit
+// ~15 % above what the path reads today, plain or under the race
+// detector, whichever is higher (multimedia, allocations and KiB per
+// job: dynamic 15 and 1.7, partition 16 and 1.6, amorphous 16 and 2.0,
+// paged 14 and 1.4, multi 22 and 1.9, overlay 15 and 1.6, exclusive 15
+// and 1.5, software 14 and 1.4, merged 14 and 1.4; under the race
+// detector up to 16 and 1.8, multi 25 and 2.2). While each job built
+// a new manager they read 21 and 2.0, 40 and 3.0, 53 and 4.6, 40 and 5.9,
+// 62 and 4.3, 25 and 2.2, 22 and 1.7, 16 and 1.5, 18 and 1.7; dynamic
+// and paged read 44 and 11.3 KiB, 56 and 8.4 KiB while each job built
+// new engines and a new host OS; 110 and 14.6 KiB, 65 and 8.5 KiB while
+// each task, download and strip had records of its own; 136 and 32.7
+// KiB, 88 and 26.3 KiB while every job built its set and its audit
+// tables; 142 and 94 while each task carried two closures of its own;
+// 170 and 63.9 KiB, 123 and 55.6 KiB while the generators grew each
+// program by doubling; 1 838 and 1 670 allocations before the warm job
+// path).
 func TestWarmJobAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		manager   string
 		budget    float64
 		budgetKiB float64
 	}{
-		{"dynamic", 25, 2.5},
-		{"paged", 47, 7},
+		{"dynamic", 18, 2.1},
+		{"partition", 19, 2.0},
+		{"amorphous", 19, 2.3},
+		{"paged", 18, 1.8},
+		{"multi", 29, 2.5},
+		{"overlay", 19, 2.0},
+		{"exclusive", 18, 1.9},
+		{"software", 18, 1.7},
+		{"merged", 18, 1.7},
 	} {
 		t.Run(tc.manager, func(t *testing.T) {
 			bc := DefaultBoardConfig()
