@@ -43,11 +43,13 @@ build:
 # released, whichever worker the job leaves), the test that a live pool
 # and fleet.Simulate place one stream alike, the test that two boards
 # run one cached task set at once, and the canary that a delivered
-# result outlives the jobs whose stacks a board renews in its memory:
-# once is not evidence.
+# result outlives the jobs whose stacks a board renews in its memory;
+# and the harness's free list of dead stacks, which rival goroutines
+# take from and give back to while one sweep point runs: once is not
+# evidence.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/flat/... ./internal/fabric/... ./internal/compile/... ./internal/techmap/... ./internal/place/... ./internal/route/... ./internal/lint/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
-	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree|TestBoardsShareCachedSet|TestDeliveredResultOutlivesBoard' ./internal/serve/
+	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree|TestBoardsShareCachedSet|TestDeliveredResultOutlivesBoard|TestStackFreeListConcurrent' ./internal/serve/ ./internal/bench/
 
 test:
 	$(GO) test ./...
@@ -131,8 +133,12 @@ fuzz-smoke:
 # device's rules, which the evaluator and the fabric-config audit share
 # (check-skips-last-column, comb-order-registered-edge,
 # check-allows-unconfigured-read, check-allows-noninput-pin-read,
-# check-skips-output-pins), and the experiment harness's row fill and
-# strip footprint) is applied
+# check-skips-output-pins), the experiment harness's row fill and
+# strip footprint, its free list of dead stacks, keyed by shape, and the
+# results read off a stack before it goes back (freelist-ignores-geometry,
+# result-read-after-give, the latter judged under -race), and a stack
+# renewed only to its own engine count
+# (stack-renewed-across-engine-counts)) is applied
 # to a scratch copy of the tree and must fail its packages' tests; each
 # is printed killed, with the failing tests grouped as digest, golden,
 # conformance or unit, or survived. A survivor, or an entry whose text

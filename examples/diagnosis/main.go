@@ -31,7 +31,7 @@ func main() {
 	osCfg := hostos.DefaultConfig()
 	osCfg.Policy, osCfg.TimeSlice = hostos.Priority, 5*sim.Millisecond
 	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs,
-		baseline.NewManager("overlay", resident))
+		baseline.NewManager("overlay", resident), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func run(boards, colsEach int) error {
 	}
 	osCfg := hostos.DefaultConfig()
 	osCfg.TimeSlice = sim.Millisecond
-	st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, baseline.NewManager("multi", nil))
+	st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, baseline.NewManager("multi", nil), nil)
 	if err != nil {
 		return err
 	}

@@ -27,7 +27,7 @@ func run(name string, cols int, manager string) error {
 	osCfg := hostos.DefaultConfig()
 	osCfg.TimeSlice = 5 * sim.Millisecond
 	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs,
-		baseline.NewManager(manager, set.CircuitNames()))
+		baseline.NewManager(manager, set.CircuitNames()), nil)
 	if err != nil {
 		return err
 	}

@@ -43,7 +43,7 @@ func main() {
 				Mode: core.VariablePartitions, Fit: core.BestFit, GC: true,
 			}, nil)
 			return pm, 0, err
-		})
+		}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestSharedRequestsStayReadOnly(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					st, err := NewStack(opt, engines, hostos.DefaultConfig(), nil, s.set, circs,
-						NewManager(name, s.set.CircuitNames()))
+						NewManager(name, s.set.CircuitNames()), nil)
 					if err == nil {
 						err = st.Run(s.set)
 					}

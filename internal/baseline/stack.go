@@ -35,11 +35,6 @@ type Stack struct {
 	OS       *hostos.OS
 	InitCost sim.Time // the manager's initialization download
 
-	// What the stack was built from, for Next.
-	opt    core.Options
-	osCfg  hostos.Config
-	faults *fault.Plan
-
 	sched *hostos.EventLog // nil until Trace
 	devs  []*core.DeviceLog
 }
@@ -53,38 +48,28 @@ type Stack struct {
 // plan — and the host OS attached over it. circs are set.Circuits
 // compiled in order (core.CompileSet) and are shared by all engines; a
 // nil plan arms nothing; an engine count below one builds one.
+//
+// used is the dead stack of an earlier run, or nil. When it has the
+// engine count and the device geometry asked for, the new stack is
+// built on its hardware and in its memory: the kernel, reset, each
+// engine's device, erased, and the engines, the manager and the host OS
+// renewed in place (core.NewEngine, mk, hostos.New) — the parts whose
+// emptied state is the state a new one has. Otherwise, and when used is
+// nil, everything is built new, as the managers build new from nil or a
+// manager of another kind. Running set on a renewed stack is
+// indistinguishable from running it on a new one (a manager that
+// downloads at initialization does so again, into the blank device; a
+// renewed one keeps its tables' arrays, emptied, its column map's span
+// objects and reseeds its random stream). used is dead once NewStack is
+// called, whether or not it succeeds: nothing read off it — a task, an
+// engine's table, a manager's column map — may be kept past the call,
+// and what a run delivers is copied out before.
 func NewStack(opt core.Options, engines int, osCfg hostos.Config, faults *fault.Plan,
-	set *workload.Set, circs []*compile.Circuit, mk ManagerFunc) (*Stack, error) {
+	set *workload.Set, circs []*compile.Circuit, mk ManagerFunc, used *Stack) (*Stack, error) {
 
-	return assemble(nil, max(engines, 1), opt, osCfg, faults, set, circs, mk)
-}
-
-// Next builds the stack of the board's next job on this stack's
-// hardware and in its memory: the kernel, reset, each engine's device,
-// erased, and the engines, the manager and the host OS renewed in place
-// (core.NewEngine, mk, hostos.New) — the parts whose emptied state is
-// the state a new one has. Everything is built as NewStack builds it,
-// from the options, OS configuration and fault plan this stack was
-// given, so running set on the result is indistinguishable from running
-// it on a new stack (a manager that downloads at initialization does so
-// again, into the blank device; a renewed one keeps its tables' arrays,
-// emptied, its column map's span objects and reseeds its random stream).
-// This stack is dead once Next is called, whether or not it succeeds:
-// nothing read off it — a task, an engine's table, a manager's column
-// map — may be kept past the call, and what a job delivers is copied out
-// before.
-func (s *Stack) Next(set *workload.Set, circs []*compile.Circuit, mk ManagerFunc) (*Stack, error) {
-	return assemble(s, len(s.Engines), s.opt, s.osCfg, s.faults, set, circs, mk)
-}
-
-// assemble is the body NewStack and Next share: n engines, then the
-// manager and the host OS, renewed in place over prev, the stack of a
-// board's last job, or new when prev is nil.
-func assemble(prev *Stack, n int, opt core.Options, osCfg hostos.Config, faults *fault.Plan,
-	set *workload.Set, circs []*compile.Circuit, mk ManagerFunc) (*Stack, error) {
-
-	s := prev
-	if s == nil {
+	n := max(engines, 1)
+	s := used
+	if s == nil || len(s.Engines) != n || s.Engines[0].Dev.Geometry() != opt.Geometry {
 		s = &Stack{K: sim.New(), Engines: make([]*core.Engine, n)}
 	} else {
 		s.K.Reset()
@@ -92,11 +77,11 @@ func assemble(prev *Stack, n int, opt core.Options, osCfg hostos.Config, faults 
 			e.Dev.Erase()
 		}
 	}
-	// The manager and the OS stay the last job's until the new ones are
+	// The manager and the OS stay the last run's until the new ones are
 	// built over the engines: mk and hostos.New renew them.
-	*s = Stack{K: s.K, Engines: s.Engines, Mgr: s.Mgr, OS: s.OS, opt: opt, osCfg: osCfg, faults: faults}
-	for i, used := range s.Engines {
-		e := core.NewEngine(opt, used)
+	*s = Stack{K: s.K, Engines: s.Engines, Mgr: s.Mgr, OS: s.OS}
+	for i, e := range s.Engines {
+		e = core.NewEngine(opt, e)
 		if faults != nil {
 			e.Ledger().InjectFaults(fault.NewInjector(faults.Derive(uint64(i))))
 		}

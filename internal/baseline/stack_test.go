@@ -2,9 +2,11 @@ package baseline
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/hostos"
 	"repro/internal/sim"
@@ -15,6 +17,13 @@ import (
 // the way the daemon and vfpgasim do.
 func stackFor(t *testing.T, scenario, manager string, engines int, plan *fault.Plan) (*Stack, *workload.Set) {
 	t.Helper()
+	return stackOn(t, nil, core.DefaultOptions(), scenario, manager, engines, plan)
+}
+
+// stackOn assembles a stack for the scenario under the named manager and
+// opt, handing NewStack used, the dead stack of an earlier run, or nil.
+func stackOn(t *testing.T, used *Stack, opt core.Options, scenario, manager string, engines int, plan *fault.Plan) (*Stack, *workload.Set) {
+	t.Helper()
 	spec, err := workload.BuiltinSpec(scenario)
 	if err != nil {
 		t.Fatal(err)
@@ -23,13 +32,12 @@ func stackFor(t *testing.T, scenario, manager string, engines int, plan *fault.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := core.DefaultOptions()
 	circs, err := core.CompileSet(nil, opt, set.Circuits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, err := NewStack(opt, engines, hostos.DefaultConfig(), plan, set, circs,
-		NewManager(manager, set.CircuitNames()))
+		NewManager(manager, set.CircuitNames()), used)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", scenario, manager, err)
 	}
@@ -97,12 +105,12 @@ func tracedRun(t *testing.T, st *Stack, set *workload.Set) outcome {
 	return o
 }
 
-// TestStackResetMatchesFresh runs a second job on the stack Next builds
-// over the first job's hardware and on a freshly assembled one: makespan,
-// device counters and the merged timeline must be identical, whatever the
-// first job left on the devices — under a set-independent manager, a
-// two-engine one, and one that downloads at initialization (overlay,
-// whose second job keeps a different circuit resident).
+// TestStackResetMatchesFresh runs a second job on the stack NewStack
+// renews over the first job's hardware and on a freshly assembled one:
+// makespan, device counters and the merged timeline must be identical,
+// whatever the first job left on the devices — under a set-independent
+// manager, a two-engine one, and one that downloads at initialization
+// (overlay, whose second job keeps a different circuit resident).
 func TestStackResetMatchesFresh(t *testing.T) {
 	plan, err := fault.ParseSpec("seed=5,retries=4,config-error=0.2")
 	if err != nil {
@@ -119,23 +127,15 @@ func TestStackResetMatchesFresh(t *testing.T) {
 	} {
 		used, firstSet := stackFor(t, c.first, c.manager, c.engines, &plan)
 		tracedRun(t, used, firstSet)
+		k, devs := used.K, devices(used)
 
 		fresh, set := stackFor(t, c.second, c.manager, c.engines, &plan)
-		circs, err := core.CompileSet(nil, core.DefaultOptions(), set.Circuits)
-		if err != nil {
-			t.Fatal(err)
+		next, _ := stackOn(t, used, core.DefaultOptions(), c.second, c.manager, c.engines, &plan)
+		if next.K != k {
+			t.Errorf("%s: the renewed stack did not keep the kernel", c.manager)
 		}
-		next, err := used.Next(set, circs, NewManager(c.manager, set.CircuitNames()))
-		if err != nil {
-			t.Fatalf("%s: %v", c.manager, err)
-		}
-		if next.K != used.K {
-			t.Errorf("%s: Next did not keep the kernel", c.manager)
-		}
-		for i, e := range next.Engines {
-			if e.Dev != used.Engines[i].Dev {
-				t.Errorf("%s: engine %d does not stand on the first job's device", c.manager, i)
-			}
+		if !reflect.DeepEqual(devices(next), devs) {
+			t.Errorf("%s: the renewed stack does not stand on the first job's devices", c.manager)
 		}
 		got, want := tracedRun(t, next, set), tracedRun(t, fresh, set)
 		if !reflect.DeepEqual(got, want) {
@@ -144,6 +144,68 @@ func TestStackResetMatchesFresh(t *testing.T) {
 		}
 		if got.timeline == "" {
 			t.Errorf("%s: traced run recorded no timeline", c.manager)
+		}
+	}
+}
+
+// devices returns the devices under a stack's engines, in order.
+func devices(st *Stack) []*fabric.Device {
+	var out []*fabric.Device
+	for _, e := range st.Engines {
+		out = append(out, e.Dev)
+	}
+	return out
+}
+
+// TestStackNotRenewedAcrossShapes hands NewStack a used stack of another
+// device geometry or engine count: it must build on new hardware — no
+// kernel, engine or device of the used stack in it — and the run must
+// equal one on a freshly assembled stack, as when used is nil.
+func TestStackNotRenewedAcrossShapes(t *testing.T) {
+	narrow := core.DefaultOptions()
+	narrow.Geometry.Cols = 20
+	fewerPins := core.DefaultOptions()
+	fewerPins.Geometry.PinsPerSide = 16
+	for _, c := range []struct {
+		name         string
+		manager      string
+		usedEngines  int
+		engines      int
+		opt          core.Options
+		first, again string
+	}{
+		{"narrower device", "dynamic", 1, 1, narrow, "multimedia", "telecom"},
+		{"fewer pins", "partition", 1, 1, fewerPins, "telecom", "multimedia"},
+		{"more engines", "multi", 2, 3, core.DefaultOptions(), "storage", "multimedia"},
+		{"fewer engines", "multi", 3, 2, core.DefaultOptions(), "storage", "multimedia"},
+		{"one of several", "dynamic", 2, 1, core.DefaultOptions(), "storage", "telecom"},
+	} {
+		used, firstSet := stackOn(t, nil, core.DefaultOptions(), c.first, c.manager, c.usedEngines, nil)
+		tracedRun(t, used, firstSet)
+		usedMgr, usedOS := used.Mgr, used.OS
+		usedParts := append([]*fabric.Device{}, devices(used)...)
+		usedEngines := append([]*core.Engine{}, used.Engines...)
+
+		st, set := stackOn(t, used, c.opt, c.again, c.manager, c.engines, nil)
+		fresh, _ := stackOn(t, nil, c.opt, c.again, c.manager, c.engines, nil)
+		if st == used || st.K == used.K || st.Mgr == usedMgr || st.OS == usedOS {
+			t.Errorf("%s: a used stack of another shape was renewed", c.name)
+		}
+		for i, e := range st.Engines {
+			if slices.Contains(usedEngines, e) || slices.Contains(usedParts, e.Dev) {
+				t.Errorf("%s: engine %d comes from the used stack", c.name, i)
+			}
+			if e.Dev.Geometry() != c.opt.Geometry {
+				t.Errorf("%s: engine %d stands on a %v device, want %v", c.name, i, e.Dev.Geometry(), c.opt.Geometry)
+			}
+		}
+		if len(st.Engines) != c.engines {
+			t.Errorf("%s: %d engines, want %d", c.name, len(st.Engines), c.engines)
+		}
+		got, want := tracedRun(t, st, set), tracedRun(t, fresh, set)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %s after a used stack of another shape diverged from a fresh stack:\n--- after used ---\n%+v\n--- fresh ---\n%+v",
+				c.name, c.again, got, want)
 		}
 	}
 }

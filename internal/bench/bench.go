@@ -9,6 +9,8 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/baseline"
@@ -29,8 +31,10 @@ type Config struct {
 	// Jobs bounds the worker fan-out: Run fans whole experiments and each
 	// experiment fans its independent sweep points across up to Jobs
 	// goroutines. 0 or 1 selects the serial path. Any value produces
-	// byte-identical tables: every sweep point builds its own sim.Kernel
-	// and seeded RNGs, and results are reassembled in presentation order.
+	// byte-identical tables: every sweep point runs on a stack of its own
+	// — new, or a dead one from the free list renewed to the state a new
+	// one has — with its own seeded RNGs, and results are reassembled in
+	// presentation order.
 	Jobs int
 	// Now supplies the wall clock used only for Outcome.Wall timing.
 	// The bench package itself never reads the real clock (its tables
@@ -121,31 +125,91 @@ func footprint(circs []*compile.Circuit) (sumW, maxW, cells int) {
 	return sumW, maxW, cells
 }
 
+// --- stack free list ---
+// A sweep point's stack is dead once its numbers are read, and the next
+// point on the same device geometry and engine count builds its stack on
+// that one's hardware and in its memory (baseline.NewStack's used), as a
+// warm board builds a job's on the last job's. stacks keeps the dead
+// stacks by that shape for every experiment of the process. It has no
+// bound of its own: it holds no more stacks of a shape than were ever
+// live at once, which the worker fan-out (Config.Jobs) bounds.
+var stacks = freeList{free: map[stackKey][]*baseline.Stack{}}
+
+// stackKey is the shape baseline.NewStack renews a stack to: the device
+// geometry and the engine count.
+type stackKey struct {
+	geom    fabric.Geometry
+	engines int
+}
+
+func keyOf(geom fabric.Geometry, engines int) stackKey {
+	return stackKey{geom: geom, engines: engines}
+}
+
+// freeList is a mutex-guarded stack of dead stacks per shape.
+type freeList struct {
+	mu   sync.Mutex
+	free map[stackKey][]*baseline.Stack
+}
+
+// take removes a dead stack of the shape from the list and returns it,
+// or nil when none is free.
+func (f *freeList) take(geom fabric.Geometry, engines int) *baseline.Stack {
+	k := keyOf(geom, engines)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	l := f.free[k]
+	if len(l) == 0 {
+		return nil
+	}
+	st := l[len(l)-1]
+	l[len(l)-1] = nil
+	f.free[k] = l[:len(l)-1]
+	return st
+}
+
+// give puts st, a stack whose run's numbers are read, on the list. It is
+// dead from here on: nothing may read it again.
+func (f *freeList) give(st *baseline.Stack) {
+	k := keyOf(st.Engines[0].Dev.Geometry(), len(st.Engines))
+	f.mu.Lock()
+	f.free[k] = append(f.free[k], st)
+	f.mu.Unlock()
+}
+
 // newStack assembles a fault-free stack of the given engine count over
-// the set's circuits, compiled through the shared cache.
+// the set's circuits, compiled through the shared cache, on a dead stack
+// of the free list when one of its shape is there. Give it back
+// (stacks.give) once its numbers are read.
 func newStack(opt core.Options, engines int, osCfg hostos.Config, set *workload.Set, mk baseline.ManagerFunc) (*baseline.Stack, error) {
 	circs, err := compileSet(opt, set.Circuits)
 	if err != nil {
 		return nil, err
 	}
-	return baseline.NewStack(opt, engines, osCfg, nil, set, circs, mk)
+	return baseline.NewStack(opt, engines, osCfg, nil, set, circs, mk, stacks.take(opt.Geometry, engines))
 }
 
-// runResult summarizes one finished run.
+// runResult summarizes one finished run in values: nothing in it points
+// into the stack, which the next run of its shape renews.
 type runResult struct {
 	Makespan       sim.Time
 	MeanTurnaround sim.Time
 	MeanWait       sim.Time // ready + blocked
 	MeanBlock      sim.Time
-	Engine         *core.Engine // the first engine
-	OS             *hostos.OS
+	M              core.MetricsSnapshot // the first engine's, at the end of the run
+	First          hostos.Task          // the first task spawned, copied
 }
 
 // summarize reads the run's result off a stack whose tasks all finished.
 func summarize(st *baseline.Stack) runResult {
-	res := runResult{Engine: st.Engines[0], OS: st.OS, Makespan: st.OS.Makespan()}
-	n := sim.Time(len(st.OS.Tasks()))
-	for _, t := range st.OS.Tasks() {
+	tasks := st.OS.Tasks()
+	res := runResult{
+		Makespan: st.OS.Makespan(),
+		M:        st.Engines[0].M.Snapshot(st.K.Now()),
+		First:    *tasks[0],
+	}
+	n := sim.Time(len(tasks))
+	for _, t := range tasks {
 		res.MeanTurnaround += t.Turnaround() / n
 		res.MeanWait += (t.ReadyWait + t.BlockWait) / n
 		res.MeanBlock += t.BlockWait / n
@@ -154,7 +218,8 @@ func summarize(st *baseline.Stack) runResult {
 }
 
 // runSet runs the workload to completion on a one-engine stack under the
-// given manager.
+// given manager, and gives the stack back once the result is read. A
+// stack whose run failed is dropped, not given back.
 func runSet(opt core.Options, osCfg hostos.Config, set *workload.Set, mk baseline.ManagerFunc) (runResult, error) {
 	st, err := newStack(opt, 1, osCfg, set, mk)
 	if err != nil {
@@ -163,7 +228,9 @@ func runSet(opt core.Options, osCfg hostos.Config, set *workload.Set, mk baselin
 	if err := st.Run(set); err != nil {
 		return runResult{}, err
 	}
-	return summarize(st), nil
+	res := summarize(st)
+	stacks.give(st)
+	return res, nil
 }
 
 // Managers used across experiments: the by-name ones in the daemon's
@@ -173,11 +240,13 @@ var (
 	variableMgr  = baseline.NewManager("partition", nil) // variable best-fit, GC, rotation
 	exclusiveMgr = baseline.NewManager("exclusive", nil)
 	softwareMgr  = baseline.NewManager("software", nil) // 20x slowdown
+	multiMgr     = baseline.NewManager("multi", nil)
 )
 
 func partitionMgr(cfg core.PartitionConfig) baseline.ManagerFunc {
-	return func(k *sim.Kernel, e []*core.Engine, _ hostos.FPGA) (hostos.FPGA, sim.Time, error) {
-		pm, err := core.NewPartitionManager(k, e[0], cfg, nil)
+	return func(k *sim.Kernel, e []*core.Engine, used hostos.FPGA) (hostos.FPGA, sim.Time, error) {
+		pm, _ := used.(*core.PartitionManager)
+		pm, err := core.NewPartitionManager(k, e[0], cfg, pm)
 		return pm, 0, err
 	}
 }
@@ -185,10 +254,15 @@ func partitionMgr(cfg core.PartitionConfig) baseline.ManagerFunc {
 // overlayMgr keeps the named circuits resident and swaps the rest
 // through the overlay area.
 func overlayMgr(resident []string) baseline.ManagerFunc {
-	return func(k *sim.Kernel, e []*core.Engine, _ hostos.FPGA) (hostos.FPGA, sim.Time, error) {
-		return core.NewOverlayManager(k, e[0], resident, nil)
+	return func(k *sim.Kernel, e []*core.Engine, used hostos.FPGA) (hostos.FPGA, sim.Time, error) {
+		om, _ := used.(*core.OverlayManager)
+		return core.NewOverlayManager(k, e[0], resident, om)
 	}
 }
 
-// ms renders a sim.Time as milliseconds with 3 decimals.
-func ms(t sim.Time) string { return fmt.Sprintf("%.3f", t.Milliseconds()) }
+// ms renders a sim.Time as milliseconds with 3 decimals, as %.3f does,
+// in one allocation.
+func ms(t sim.Time) string {
+	var buf [32]byte
+	return string(strconv.AppendFloat(buf[:0], t.Milliseconds(), 'f', 3, 64))
+}

@@ -115,7 +115,7 @@ func T1DynamicLoadingOverhead(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := res.OS.Tasks()[0]
+		t := &res.First
 		eff := float64(t.HWTime) / float64(t.Turnaround())
 		reconfig := "full-only"
 		if mode.partial {
@@ -144,6 +144,13 @@ func T2StatePreemption(cfg Config) (*trace.Table, error) {
 	circuits := []*netlist.Netlist{netlist.MustLookup("counter8")}
 	points := cross(slices, []core.StatePolicy{core.SaveRestore, core.Rollback, core.NonPreemptable})
 	hwReq := hostos.FPGARequest{Circuit: "counter8", Cycles: cycles}
+	// The state policy does not enter a compile: every point runs the
+	// strip compiled here.
+	counter, err := compileSet(defaultOpt(cfg), circuits)
+	if err != nil {
+		return nil, err
+	}
+	pure := sim.Time(cycles) * counter[0].ClockPeriod
 	return fillRows(tbl, cfg.Jobs, len(points), func(i int) ([]any, error) {
 		slice, policy := points[i].a, points[i].b
 		opt := defaultOpt(cfg)
@@ -161,11 +168,10 @@ func T2StatePreemption(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		hw := res.OS.Tasks()[0]
-		pure := sim.Time(cycles) * res.Engine.Lib["counter8"].ClockPeriod
+		hw := &res.First
 		return []any{fmt.Sprintf("%.0f", slice.Milliseconds()), policy.String(),
 			ms(hw.HWTime), ms(hw.HWTime - pure), ms(hw.Overhead),
-			hw.Preemptions, res.Engine.M.Readbacks.Value(), ms(hw.Turnaround())}, nil
+			hw.Preemptions, res.M.Readbacks, ms(hw.Turnaround())}, nil
 	})
 }
 
@@ -215,9 +221,8 @@ func T3Partitioning(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := res.Engine
 		return []any{m.name, ms(res.Makespan), ms(res.MeanTurnaround), ms(res.MeanBlock),
-			e.M.Loads.Value(), e.M.Evictions.Value(), e.M.Blocks.Value(), e.M.GCRuns.Value()}, nil
+			res.M.Loads, res.M.Evictions, res.M.Blocks, res.M.GCRuns}, nil
 	})
 }
 
@@ -281,7 +286,7 @@ func T4Overlay(cfg Config) (*trace.Table, error) {
 		if len(resident) > 0 {
 			label = fmt.Sprintf("%v", resident)
 		}
-		return []any{label, res.Engine.M.Loads.Value(), ms(res.Engine.M.ConfigTime),
+		return []any{label, res.M.Loads, ms(res.M.ConfigTime),
 			ms(res.Makespan), ms(res.MeanTurnaround)}, nil
 	})
 }
@@ -320,7 +325,7 @@ func T5IOMux(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return point{}, err
 		}
-		return point{phys: opt.Geometry.NumPins(), hw: res.OS.Tasks()[0].HWTime}, nil
+		return point{phys: opt.Geometry.NumPins(), hw: res.First.HWTime}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -547,7 +552,7 @@ func F3MergedVsDynamic(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []any{cols, merged, ms(dres.Makespan), dres.Engine.M.Loads.Value()}, nil
+		return []any{cols, merged, ms(dres.Makespan), dres.M.Loads}, nil
 	})
 }
 
@@ -593,13 +598,17 @@ func churnSets(cfg Config) func() *workload.Set {
 
 // runChurn runs a churn set under a strip manager on a 12-column device
 // — tight enough that holes matter — sampling the manager's
-// external-fragmentation ratio every millisecond of the run.
-func runChurn(cfg Config, set *workload.Set, mk baseline.ManagerFunc) (*baseline.Stack, *stats.Sample, error) {
+// external-fragmentation ratio every millisecond of the run. row reads
+// the table row off the finished stack and the sample; the stack goes
+// back to the free list after.
+func runChurn(cfg Config, set *workload.Set, mk baseline.ManagerFunc,
+	row func(st *baseline.Stack, frag *stats.Sample) []any) ([]any, error) {
+
 	opt := defaultOpt(cfg)
 	opt.Geometry.Cols = 12
 	st, err := newStack(opt, 1, hostos.DefaultConfig(), set, mk)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	mgr := st.Mgr.(interface{ Frag() core.FragStats })
 	frag := stats.NewSample(false)
@@ -610,10 +619,12 @@ func runChurn(cfg Config, set *workload.Set, mk baseline.ManagerFunc) (*baseline
 			frag.Observe(f.Ratio())
 		}
 		if fired == 0 && st.K.Pending() == 0 && !st.OS.AllDone() {
-			return nil, nil, errors.New("bench: churn run deadlocked")
+			return nil, errors.New("bench: churn run deadlocked")
 		}
 	}
-	return st, frag, nil
+	r := row(st, frag)
+	stacks.give(st)
+	return r, nil
 }
 
 // F4Fragmentation — §4: variable partitions fragment under churn; garbage
@@ -629,16 +640,17 @@ func F4Fragmentation(cfg Config) (*trace.Table, error) {
 	gcSweep := []bool{false, true}
 	return fillRows(tbl, cfg.Jobs, len(gcSweep), func(i int) ([]any, error) {
 		gc := gcSweep[i]
-		st, frag, err := runChurn(cfg, mkSet(), partitionMgr(core.PartitionConfig{
+		row, err := runChurn(cfg, mkSet(), partitionMgr(core.PartitionConfig{
 			Mode: core.VariablePartitions, Fit: core.BestFit, GC: gc,
-		}))
+		}), func(st *baseline.Stack, frag *stats.Sample) []any {
+			res := summarize(st)
+			return []any{gc, frag.Mean(), frag.Max(), res.M.Blocks, ms(res.MeanBlock),
+				res.M.GCRuns, res.M.Relocations, ms(res.Makespan)}
+		})
 		if err != nil {
 			return nil, fmt.Errorf("F4 gc=%v: %w", gc, err)
 		}
-		res := summarize(st)
-		m := &res.Engine.M
-		return []any{gc, frag.Mean(), frag.Max(), m.Blocks.Value(), ms(res.MeanBlock),
-			m.GCRuns.Value(), m.Relocations.Value(), ms(res.Makespan)}, nil
+		return row, nil
 	})
 }
 
@@ -684,19 +696,19 @@ func F5Pagination(cfg Config) (*trace.Table, error) {
 			Seed:    cfg.Seed + 19,
 		})
 		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), set,
-			func(k *sim.Kernel, e []*core.Engine, _ hostos.FPGA) (hostos.FPGA, sim.Time, error) {
+			func(k *sim.Kernel, e []*core.Engine, used hostos.FPGA) (hostos.FPGA, sim.Time, error) {
+				pl, _ := used.(*core.PagedLoader)
 				pl, err := core.NewPagedLoader(k, e[0], core.PagedConfig{
 					PageCells: pageCells, Frames: frames, Policy: policy, Seed: cfg.Seed,
-				}, nil)
+				}, pl)
 				return pl, 0, err
 			})
 		if err != nil {
 			return nil, err
 		}
-		e := res.Engine
-		faults := e.M.PageFaults.Value()
+		faults := res.M.PageFaults
 		return []any{pageCells, pages, frames, policy.String(), faults,
-			float64(faults) / float64(refs*3), ms(e.M.ConfigTime), ms(res.Makespan)}, nil
+			float64(faults) / float64(refs*3), ms(res.M.ConfigTime), ms(res.Makespan)}, nil
 	})
 }
 
@@ -792,7 +804,7 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []any{label, opt.Geometry.Cols, cells, res.Engine.M.Loads.Value(), ms(res.Makespan)}, nil
+		return []any{label, opt.Geometry.Cols, cells, res.M.Loads, ms(res.Makespan)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -892,7 +904,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 				return nil, fmt.Errorf("F7 %s/%s: %w", sc.name, m.name, err)
 			}
 			return []any{sc.name, m.name, m.cols, ms(res.Makespan), ms(res.MeanTurnaround),
-				res.Engine.M.Loads.Value()}, nil
+				res.M.Loads}, nil
 		})
 	})
 	if err != nil {

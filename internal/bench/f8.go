@@ -49,7 +49,7 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 		// demand actually reaches the boards.
 		osCfg := hostos.DefaultConfig()
 		osCfg.TimeSlice = 1 * sim.Millisecond
-		st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, baseline.NewManager("multi", nil))
+		st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, multiMgr, stacks.take(opt.Geometry, boards))
 		if err != nil {
 			return nil, err
 		}
@@ -57,8 +57,10 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 			return nil, fmt.Errorf("F8 with %d boards: %w", boards, err)
 		}
 		res, mm := summarize(st), st.Mgr.(*core.MultiManager)
-		return []any{boards, cols, ms(res.Makespan), ms(res.MeanBlock),
-			mm.TotalLoads(), mm.TotalBlocks(), "yes"}, nil
+		row := []any{boards, cols, ms(res.Makespan), ms(res.MeanBlock),
+			mm.TotalLoads(), mm.TotalBlocks(), "yes"}
+		stacks.give(st)
+		return row, nil
 	})
 }
 

@@ -26,27 +26,29 @@ func F9AmorphousRegions(cfg Config) (*trace.Table, error) {
 	mkSet := churnSets(cfg) // F4's churn, so the comparison isolates the residency model
 	managers := []string{"partition", "amorphous"}
 	return fillRows(tbl, cfg.Jobs, len(managers), func(i int) ([]any, error) {
-		st, fragSample, err := runChurn(cfg, mkSet(), baseline.NewManager(managers[i], nil))
+		row, err := runChurn(cfg, mkSet(), baseline.NewManager(managers[i], nil), func(st *baseline.Stack, frag *stats.Sample) []any {
+			os := st.OS
+			block := stats.NewSample(true)
+			var hwTotal sim.Time
+			for _, t := range os.Tasks() {
+				block.Observe(float64(t.BlockWait))
+				hwTotal += t.HWTime
+			}
+			// Sustained utilization: useful evaluation time delivered per
+			// unit of makespan. The two runs execute the identical
+			// workload, so whichever residency model finishes it in less
+			// virtual time kept the device doing more useful work per
+			// cycle. UtilMean cannot show this — it averages configured
+			// CLBs over each run's own (different) makespan.
+			hwUtil := float64(hwTotal) / float64(os.Makespan())
+			snap := st.Engines[0].M.Snapshot(st.K.Now())
+			return []any{managers[i], frag.Mean(), frag.Max(), snap.UtilMean, hwUtil,
+				snap.Blocks, ms(sim.Time(block.Quantile(0.95))),
+				snap.Loads, snap.Relocations, ms(os.Makespan())}
+		})
 		if err != nil {
 			return nil, fmt.Errorf("F9 %s: %w", managers[i], err)
 		}
-		e, os := st.Engines[0], st.OS
-		block := stats.NewSample(true)
-		var hwTotal sim.Time
-		for _, t := range os.Tasks() {
-			block.Observe(float64(t.BlockWait))
-			hwTotal += t.HWTime
-		}
-		// Sustained utilization: useful evaluation time delivered per unit
-		// of makespan. The two runs execute the identical workload, so
-		// whichever residency model finishes it in less virtual time kept
-		// the device doing more useful work per cycle. UtilMean cannot
-		// show this — it averages configured CLBs over each run's own
-		// (different) makespan.
-		hwUtil := float64(hwTotal) / float64(os.Makespan())
-		snap := e.M.Snapshot(st.K.Now())
-		return []any{managers[i], fragSample.Mean(), fragSample.Max(), snap.UtilMean, hwUtil,
-			e.M.Blocks.Value(), ms(sim.Time(block.Quantile(0.95))),
-			e.M.Loads.Value(), e.M.Relocations.Value(), ms(os.Makespan())}, nil
+		return row, nil
 	})
 }

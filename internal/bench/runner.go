@@ -24,10 +24,13 @@ type Outcome struct {
 // experiment that panics does so on Run's caller, once the others have
 // returned.
 //
-// Tables are byte-identical for every Jobs value: experiments share no
-// mutable state (each sweep point owns its kernel and RNG streams), and
-// the compile cache they do share is keyed by every input that affects
-// its output.
+// Tables are byte-identical for every Jobs value and whatever ran
+// before in the process. Experiments share two things, both behind a
+// mutex: the compile cache, keyed by every input that affects its
+// output, and the free list of dead stacks, which a sweep point takes a
+// stack from and gives it back to once its numbers are read. A renewed
+// stack runs as a new one does, and a sweep point owns its stack and RNG
+// streams while it runs.
 func Run(cfg Config, exps []Experiment) []Outcome {
 	out, _ := flat.Map(len(exps), cfg.Jobs, func(i int) (Outcome, error) {
 		// Wall timing comes only from the injected clock: the harness

@@ -12,6 +12,10 @@ import (
 	"repro/internal/sim"
 )
 
+// Regions returns a snapshot of the column map, sorted by origin, in an
+// array of its own: the views LintTarget exports.
+func (st *stripTable) Regions() []lint.RegionView { return st.appendRegions(nil) }
+
 // testGeometry is a small device so circuit compilation stays fast.
 func testGeometry() fabric.Geometry {
 	return fabric.Geometry{Cols: 24, Rows: 8, TracksPerChannel: 12, PinsPerSide: 24}

@@ -287,7 +287,8 @@ func TestRelocateEscalationDropsStrip(t *testing.T) {
 				if got, want := e.FreePinCount(), opt.Geometry.NumPins(); got != want {
 					t.Fatalf("%d pins free, want all %d back in the pool", got, want)
 				}
-				diags := lint.RunTarget(e.Ledger().LintTarget(m.name), lint.Options{Passes: []string{"fabric-config"}})
+				tgt := e.Ledger().LintTarget(m.name)
+				diags := lint.RunTarget(&tgt, lint.Options{Passes: []string{"fabric-config"}})
 				if lint.HasErrors(diags) {
 					t.Fatalf("device not lint-clean after the drop: %v", lint.Errors(diags))
 				}

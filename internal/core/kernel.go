@@ -25,12 +25,18 @@ type TaskKernel struct {
 
 	name    string // the name of the manager's lint target
 	waiters []*hostos.Task
+	// lt is the lint view LintTarget refills and lts the list of it
+	// LintTargets returns: the manager's scratch, renewed with it, so an
+	// end-of-job audit allocates neither.
+	lt  lint.Target
+	lts [1]*lint.Target
 }
 
 // NewTaskKernel binds the engine's ledger to k (nil for a manager that
 // never touches the device) and names the manager's lint target. It
 // renews used, the task kernel of a manager being renewed, keeping its
-// suspension queue's array emptied; nil or a zero one has none to keep.
+// suspension queue's array and its lint view's region array emptied; nil
+// or a zero one has none to keep.
 func NewTaskKernel(k *sim.Kernel, e *Engine, name string, used *TaskKernel) TaskKernel {
 	if k != nil {
 		e.Ledger().Bind(k)
@@ -38,6 +44,7 @@ func NewTaskKernel(k *sim.Kernel, e *Engine, name string, used *TaskKernel) Task
 	tk := TaskKernel{E: e, K: k, name: name}
 	if used != nil {
 		tk.waiters = flat.Emptied(used.waiters)
+		tk.lt.Regions = used.lt.Regions[:0]
 	}
 	return tk
 }
@@ -128,14 +135,18 @@ func (tk *TaskKernel) Waiting(t *hostos.Task) bool { return slices.Contains(tk.w
 
 // LintTarget exports the manager's live device state for the static
 // verifier: the ledger's view under the manager's name. The strip
-// managers export their column map too.
+// managers export their column map too. The target is the manager's
+// own, refilled by every call: it holds until the next.
 func (tk *TaskKernel) LintTarget() *lint.Target {
-	return tk.E.Ledger().LintTarget(tk.name)
+	tk.lt = tk.E.Ledger().LintTarget(tk.name)
+	return &tk.lt
 }
 
-// LintTargets implements LintTargeter: one device, one target.
+// LintTargets implements LintTargeter: one device, one target. The list
+// is the manager's own, like the target.
 func (tk *TaskKernel) LintTargets() []*lint.Target {
-	return []*lint.Target{tk.LintTarget()}
+	tk.lts[0] = tk.LintTarget()
+	return tk.lts[:]
 }
 
 // emptiedMap clears m for a renewed manager, or makes the map a new one

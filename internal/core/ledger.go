@@ -361,8 +361,8 @@ func (l *Ledger) Residents() []Resident {
 // target, so any manager — not just the partition manager — can be
 // audited mid-run (fabric-config pass: no dangling sources, no
 // configuration-level loops).
-func (l *Ledger) LintTarget(name string) *lint.Target {
-	return &lint.Target{Name: name, Device: l.e.Dev}
+func (l *Ledger) LintTarget(name string) lint.Target {
+	return lint.Target{Name: name, Device: l.e.Dev}
 }
 
 // TryLoad downloads circuit c as a full-height strip at column x for

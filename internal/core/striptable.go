@@ -72,11 +72,10 @@ func (st *stripTable) region(s *Span) fabric.Region {
 	return fabric.Region{X: s.X, Y: 0, W: s.W, H: st.E.Opt.Geometry.Rows}
 }
 
-// Regions returns a snapshot of the column map, sorted by origin, for
-// inspection, tests and the static verifier. Cached strips report their
-// circuit with an empty owner.
-func (st *stripTable) Regions() []lint.RegionView {
-	out := make([]lint.RegionView, 0, len(st.rm.spans))
+// appendRegions appends a view of each span of the column map, sorted by
+// origin, to out. Cached strips report their circuit with an empty
+// owner.
+func (st *stripTable) appendRegions(out []lint.RegionView) []lint.RegionView {
 	for _, s := range st.rm.spans {
 		v := lint.RegionView{X: s.X, W: s.W, Free: s.Free()}
 		if !s.Free() {
@@ -115,18 +114,26 @@ func (st *stripTable) Frag() FragStats { return st.rm.Frag() }
 // any point of a run:
 //
 //	diags := lint.RunTarget(pm.LintTarget(), lint.Options{})
+//
+// The target and its region views are the table's own, refilled by every
+// call: they hold until the next.
 func (st *stripTable) LintTarget() *lint.Target {
-	return &lint.Target{
+	st.lt = lint.Target{
 		Name:       st.name,
-		Regions:    st.Regions(),
+		Regions:    st.appendRegions(st.lt.Regions[:0]),
 		Cols:       st.rm.Cols(),
 		FixedSlots: !st.rm.Movable(),
 		Device:     st.E.Dev,
 	}
+	return &st.lt
 }
 
-// LintTargets implements LintTargeter: one device, one target.
-func (st *stripTable) LintTargets() []*lint.Target { return []*lint.Target{st.LintTarget()} }
+// LintTargets implements LintTargeter: one device, one target, in a list
+// that is the table's own, like the target.
+func (st *stripTable) LintTargets() []*lint.Target {
+	st.lts[0] = st.LintTarget()
+	return st.lts[:]
+}
 
 // holds reports whether t has anything on this device: a strip, displaced
 // state, or a place in the suspension queue.

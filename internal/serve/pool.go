@@ -126,7 +126,7 @@ type board struct {
 	queue chan *Job
 
 	// stack is the stack of the board's last job; the next job's is built
-	// on its hardware and in its memory (baseline.Stack.Next). nil until
+	// on its hardware and in its memory (baseline.NewStack's used). nil until
 	// the first job builds one, and discarded — hardware and memory
 	// included — whenever a job fails. Owned by the board's worker goroutine exclusively; like
 	// pool.wg/gate it sits above mu because the fields below mu are the

@@ -77,27 +77,39 @@ func SpecWidth(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (
 // buildStack assembles the stack for one job on a board: on the
 // hardware of prev, the stack of the board's previous job, or on new
 // hardware when prev is nil. prev is dead afterwards either way.
-func buildStack(prev *baseline.Stack, bc BoardConfig, set *workload.Set, circs []*compile.Circuit) (st *baseline.Stack, err error) {
-	mk := baseline.NewManager(bc.Manager, set.CircuitNames())
-	if prev != nil {
-		st, err = prev.Next(set, circs, mk)
-	} else {
-		osCfg := hostos.DefaultConfig()
-		osCfg.TimeSlice = bc.Slice
-		if osCfg.Policy, err = hostos.ParsePolicy(bc.Sched); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		engines := 1
-		if bc.Manager == "multi" {
-			engines = bc.SubBoards
-		}
-		st, err = baseline.NewStack(bc.Options(), engines, osCfg, bc.Faults, set, circs, mk)
+func buildStack(prev *baseline.Stack, bc BoardConfig, set *workload.Set, circs []*compile.Circuit) (*baseline.Stack, error) {
+	osCfg := hostos.DefaultConfig()
+	osCfg.TimeSlice = bc.Slice
+	var err error
+	if osCfg.Policy, err = hostos.ParsePolicy(bc.Sched); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
+	engines := 1
+	if bc.Manager == "multi" {
+		engines = bc.SubBoards
+	}
+	mk := setFree[bc.Manager]
+	if mk == nil { // overlay and merged read the job's circuit names
+		mk = baseline.NewManager(bc.Manager, set.CircuitNames())
+	}
+	st, err := baseline.NewStack(bc.Options(), engines, osCfg, bc.Faults, set, circs, mk, prev)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return st, nil
 }
+
+// setFree holds the ManagerFunc of every manager that does not read the
+// job's circuit names, built once for every job of every board.
+var setFree = func() map[string]baseline.ManagerFunc {
+	m := map[string]baseline.ManagerFunc{}
+	for _, name := range Managers {
+		if name != "overlay" && name != "merged" {
+			m[name] = baseline.NewManager(name, nil)
+		}
+	}
+	return m
+}()
 
 // recoverJob, deferred by each half of the job body, fails a panicking
 // job instead of taking the daemon down with it. The caller discards the

@@ -240,7 +240,8 @@ func (k *Kernel) Run() Time {
 
 // Reset returns the kernel to virtual time zero with an empty queue, as
 // if freshly constructed, but keeps the queue's backing arrays: it is how
-// a board hands its kernel to its next job (baseline.Stack.Next).
+// a dead stack hands its kernel to the next run built on it
+// (baseline.NewStack).
 // Pending events are dropped and every handle issued so far goes stale.
 // Resetting while Run/RunUntil is executing panics — the event loop must
 // have drained (or been abandoned) first.

@@ -6,7 +6,9 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is one experiment result: the rows of a paper table or the series
@@ -19,33 +21,44 @@ type Table struct {
 	Rows    [][]string
 }
 
-// AddRow appends a row, formatting each value with %v.
+// AddRow appends a row: a string as it is, an int or int64 in decimal,
+// a float64 with three decimals, and anything else as %v formats it.
 func (t *Table) AddRow(values ...any) {
 	row := make([]string, len(values))
 	for i, v := range values {
 		switch x := v.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.3f", x)
+		case string:
+			row[i] = x
+		case int:
+			row[i] = strconv.Itoa(x)
+		case int64:
+			row[i] = strconv.FormatInt(x, 10)
+		case float64: // as %.3f, in one allocation
+			var buf [32]byte
+			row[i] = string(strconv.AppendFloat(buf[:0], x, 'f', 3, 64))
 		default:
-			row[i] = fmt.Sprintf("%v", x)
+			row[i] = fmt.Sprint(x)
 		}
 	}
 	t.Rows = append(t.Rows, row)
 }
 
-// Render writes the table as aligned text.
+// Render writes the table as aligned text: a header line, the note, the
+// column names over a rule of dashes, one line per row and a blank line.
+// Every cell is left-aligned and padded to its column's width, the most
+// bytes of any cell in it; padding counts runes, so a multibyte cell
+// pads short. Lines carry no trailing spaces.
 func (t *Table) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title); err != nil {
-		return err
-	}
-	if t.Note != "" {
-		if _, err := fmt.Fprintf(w, "   %s\n", t.Note); err != nil {
-			return err
-		}
-	}
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
+	_, err := io.WriteString(w, t.String())
+	return err
+}
+
+// String renders the table as Render writes it, into one buffer.
+func (t *Table) String() string {
+	var wbuf [16]int
+	widths := wbuf[:0]
+	for _, c := range t.Columns {
+		widths = append(widths, len(c))
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
@@ -54,42 +67,71 @@ func (t *Table) Render(w io.Writer) error {
 			}
 		}
 	}
-	line := func(cells []string) string {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		return strings.TrimRight(b.String(), " ")
+	lineLen := 1
+	for _, w := range widths {
+		lineLen += w + 2
 	}
-	if _, err := fmt.Fprintln(w, line(t.Columns)); err != nil {
-		return err
+	var b strings.Builder
+	b.Grow(len(t.ID) + len(t.Title) + len(t.Note) + 16 + (len(t.Rows)+2)*lineLen)
+	b.WriteString("== ")
+	b.WriteString(t.ID)
+	b.WriteString(": ")
+	b.WriteString(t.Title)
+	b.WriteString(" ==\n")
+	if t.Note != "" {
+		b.WriteString("   ")
+		b.WriteString(t.Note)
+		b.WriteByte('\n')
 	}
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	if _, err := fmt.Fprintln(w, line(sep)); err != nil {
-		return err
-	}
+	writeLine(&b, t.Columns, widths)
+	writeRule(&b, widths)
 	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, line(row)); err != nil {
-			return err
-		}
+		writeLine(&b, row, widths)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	b.WriteByte('\n')
+	return b.String()
 }
 
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	if err := t.Render(&b); err != nil {
-		return err.Error()
+// writeLine writes one line of cells, each padded to its width with
+// spaces and two spaces between them, and ends it with a newline; the
+// spaces that would end the line are not written.
+func writeLine(b *strings.Builder, cells []string, widths []int) {
+	// The line ends with the last cell with something but spaces in it.
+	last := len(cells) - 1
+	for last >= 0 && strings.TrimRight(cells[last], " ") == "" {
+		last--
 	}
-	return b.String()
+	for i := 0; i < last; i++ {
+		b.WriteString(cells[i])
+		pad(b, ' ', widths[i]-utf8.RuneCountInString(cells[i])+2)
+	}
+	if last >= 0 {
+		b.WriteString(strings.TrimRight(cells[last], " "))
+	}
+	b.WriteByte('\n')
+}
+
+// writeRule writes the line under the column names: a run of dashes as
+// wide as each column, two spaces between them.
+func writeRule(b *strings.Builder, widths []int) {
+	last := len(widths) - 1
+	for last >= 0 && widths[last] == 0 {
+		last--
+	}
+	for i := 0; i <= last; i++ {
+		if i > 0 {
+			b.WriteString("  ")
+		}
+		pad(b, '-', widths[i])
+	}
+	b.WriteByte('\n')
+}
+
+// pad writes n copies of c; none when n is not positive.
+func pad(b *strings.Builder, c byte, n int) {
+	for ; n > 0; n-- {
+		b.WriteByte(c)
+	}
 }
 
 // WriteCSV writes the table as CSV with a header row.
