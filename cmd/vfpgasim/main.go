@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/baseline"
@@ -42,7 +43,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vfpgasim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scenario := fs.String("scenario", "multimedia", "multimedia | telecom | diagnosis | storage | synthetic")
-	manager := fs.String("manager", "dynamic", "dynamic | partition | amorphous | overlay | paged | multi | exclusive | software | merged")
+	manager := fs.String("manager", "dynamic", strings.Join(serve.Managers, " | "))
 	sched := fs.String("sched", "rr", "fifo | rr | priority")
 	slice := fs.Duration("slice", 10*time.Millisecond, "round-robin time slice")
 	tasks := fs.Int("tasks", 6, "task count (synthetic scenario)")

@@ -27,11 +27,10 @@ func main() {
 	}
 	// The control-law datapath (first circuit) is the frequent common
 	// function: it stays resident. Diagnostics overlay on the right.
-	resident := set.CircuitNames()[:1]
+	resident := []string{set.Circuits[0].Name}
 	osCfg := hostos.DefaultConfig()
 	osCfg.Policy, osCfg.TimeSlice = hostos.Priority, 5*sim.Millisecond
-	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs,
-		baseline.NewManager("overlay", resident), nil)
+	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs, baseline.Overlay(len(resident)), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

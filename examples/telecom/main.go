@@ -37,13 +37,9 @@ func main() {
 	// sessions suspend — the paper's waiting-state behaviour.
 	osCfg := hostos.DefaultConfig()
 	osCfg.TimeSlice = 2 * sim.Millisecond
-	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs,
-		func(k *sim.Kernel, e []*core.Engine, _ hostos.FPGA) (hostos.FPGA, sim.Time, error) {
-			pm, err := core.NewPartitionManager(k, e[0], core.PartitionConfig{
-				Mode: core.VariablePartitions, Fit: core.BestFit, GC: true,
-			}, nil)
-			return pm, 0, err
-		}, nil)
+	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs, baseline.Partition(core.PartitionConfig{
+		Mode: core.VariablePartitions, Fit: core.BestFit, GC: true,
+	}), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

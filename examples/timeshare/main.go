@@ -108,7 +108,7 @@ func osLevelDemo() {
 	}
 	osCfg := hostos.DefaultConfig()
 	osCfg.TimeSlice = 2 * sim.Millisecond
-	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs, baseline.NewManager("dynamic", nil), nil)
+	st, err := baseline.NewStack(opt, 1, osCfg, nil, set, circs, baseline.NewManager("dynamic"), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -64,16 +64,13 @@ func TestSharedRequestsStayReadOnly(t *testing.T) {
 		var wg sync.WaitGroup
 		errs := make(chan error, 2*len(managerNames))
 		for _, name := range managerNames {
-			engines := 1
-			if name == "multi" {
-				engines = 2
-			}
+			engines := Engines(name, 2)
 			for range 2 {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					st, err := NewStack(opt, engines, hostos.DefaultConfig(), nil, s.set, circs,
-						NewManager(name, s.set.CircuitNames()), nil)
+						NewManager(name), nil)
 					if err == nil {
 						err = st.Run(s.set)
 					}

@@ -17,12 +17,12 @@ import (
 // the way the daemon and vfpgasim do.
 func stackFor(t *testing.T, scenario, manager string, engines int, plan *fault.Plan) (*Stack, *workload.Set) {
 	t.Helper()
-	return stackOn(t, nil, core.DefaultOptions(), scenario, manager, engines, plan)
+	return stackOn(t, nil, core.DefaultOptions(), scenario, NewManager(manager), engines, plan)
 }
 
-// stackOn assembles a stack for the scenario under the named manager and
-// opt, handing NewStack used, the dead stack of an earlier run, or nil.
-func stackOn(t *testing.T, used *Stack, opt core.Options, scenario, manager string, engines int, plan *fault.Plan) (*Stack, *workload.Set) {
+// stackOn assembles a stack for the scenario under mk and opt, handing
+// NewStack used, the dead stack of an earlier run, or nil.
+func stackOn(t *testing.T, used *Stack, opt core.Options, scenario string, mk ManagerFunc, engines int, plan *fault.Plan) (*Stack, *workload.Set) {
 	t.Helper()
 	spec, err := workload.BuiltinSpec(scenario)
 	if err != nil {
@@ -36,10 +36,9 @@ func stackOn(t *testing.T, used *Stack, opt core.Options, scenario, manager stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStack(opt, engines, hostos.DefaultConfig(), plan, set, circs,
-		NewManager(manager, set.CircuitNames()), used)
+	st, err := NewStack(opt, engines, hostos.DefaultConfig(), plan, set, circs, mk, used)
 	if err != nil {
-		t.Fatalf("%s/%s: %v", scenario, manager, err)
+		t.Fatalf("%s: %v", scenario, err)
 	}
 	return st, set
 }
@@ -109,33 +108,45 @@ func tracedRun(t *testing.T, st *Stack, set *workload.Set) outcome {
 // renews over the first job's hardware and on a freshly assembled one:
 // makespan, device counters and the merged timeline must be identical,
 // whatever the first job left on the devices — under a set-independent
-// manager, a two-engine one, and one that downloads at initialization
-// (overlay, whose second job keeps a different circuit resident).
+// manager, a two-engine one, one that downloads at initialization
+// (overlay, whose second job keeps a different circuit resident) and
+// each builder of an experiment's own configuration. The renewed stack
+// renews the first job's manager in place; a stack renewed over a job
+// run under another kind of manager builds a new one, with the same
+// result.
 func TestStackResetMatchesFresh(t *testing.T) {
 	plan, err := fault.ParseSpec("seed=5,retries=4,config-error=0.2")
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt := core.DefaultOptions()
 	for _, c := range []struct {
 		manager       string
+		mk            ManagerFunc
 		engines       int
 		first, second string
 	}{
-		{"dynamic", 1, "multimedia", "telecom"},
-		{"multi", 2, "storage", "multimedia"},
-		{"overlay", 1, "diagnosis", "multimedia"},
+		{"dynamic", NewManager("dynamic"), 1, "multimedia", "telecom"},
+		{"multi", NewManager("multi"), 2, "storage", "multimedia"},
+		{"overlay", NewManager("overlay"), 1, "diagnosis", "multimedia"},
+		{"Partition(fixed 3x8)", Partition(core.PartitionConfig{Mode: core.FixedPartitions, FixedWidths: []int{8, 8, 8}, Rotate: true}), 1, "telecom", "multimedia"},
+		{"Overlay(2)", Overlay(2), 1, "multimedia", "diagnosis"},
+		{"Paged(8-CLB clock)", Paged(core.PagedConfig{PageCells: 8, Policy: core.Clock}), 1, "multimedia", "telecom"},
 	} {
-		used, firstSet := stackFor(t, c.first, c.manager, c.engines, &plan)
+		used, firstSet := stackOn(t, nil, opt, c.first, c.mk, c.engines, &plan)
 		tracedRun(t, used, firstSet)
-		k, devs := used.K, devices(used)
+		k, devs, mgr := used.K, devices(used), used.Mgr
 
-		fresh, set := stackFor(t, c.second, c.manager, c.engines, &plan)
-		next, _ := stackOn(t, used, core.DefaultOptions(), c.second, c.manager, c.engines, &plan)
+		fresh, set := stackOn(t, nil, opt, c.second, c.mk, c.engines, &plan)
+		next, _ := stackOn(t, used, opt, c.second, c.mk, c.engines, &plan)
 		if next.K != k {
 			t.Errorf("%s: the renewed stack did not keep the kernel", c.manager)
 		}
 		if !reflect.DeepEqual(devices(next), devs) {
 			t.Errorf("%s: the renewed stack does not stand on the first job's devices", c.manager)
+		}
+		if next.Mgr != mgr {
+			t.Errorf("%s: the renewed stack built a new manager, not the first job's renewed", c.manager)
 		}
 		got, want := tracedRun(t, next, set), tracedRun(t, fresh, set)
 		if !reflect.DeepEqual(got, want) {
@@ -144,6 +155,17 @@ func TestStackResetMatchesFresh(t *testing.T) {
 		}
 		if got.timeline == "" {
 			t.Errorf("%s: traced run recorded no timeline", c.manager)
+		}
+
+		other, otherSet := stackOn(t, nil, opt, c.first, NewManager("exclusive"), c.engines, &plan)
+		tracedRun(t, other, otherSet)
+		fromOther, _ := stackOn(t, other, opt, c.second, c.mk, c.engines, &plan)
+		if fromOther.K != other.K {
+			t.Errorf("%s: the stack after an exclusive job was not renewed", c.manager)
+		}
+		if got := tracedRun(t, fromOther, set); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %s after an exclusive job diverged from a fresh stack:\n--- after exclusive ---\n%+v\n--- fresh ---\n%+v",
+				c.manager, c.second, got, want)
 		}
 	}
 }
@@ -180,14 +202,15 @@ func TestStackNotRenewedAcrossShapes(t *testing.T) {
 		{"fewer engines", "multi", 3, 2, core.DefaultOptions(), "storage", "multimedia"},
 		{"one of several", "dynamic", 2, 1, core.DefaultOptions(), "storage", "telecom"},
 	} {
-		used, firstSet := stackOn(t, nil, core.DefaultOptions(), c.first, c.manager, c.usedEngines, nil)
+		mk := NewManager(c.manager)
+		used, firstSet := stackOn(t, nil, core.DefaultOptions(), c.first, mk, c.usedEngines, nil)
 		tracedRun(t, used, firstSet)
 		usedMgr, usedOS := used.Mgr, used.OS
 		usedParts := append([]*fabric.Device{}, devices(used)...)
 		usedEngines := append([]*core.Engine{}, used.Engines...)
 
-		st, set := stackOn(t, used, c.opt, c.again, c.manager, c.engines, nil)
-		fresh, _ := stackOn(t, nil, c.opt, c.again, c.manager, c.engines, nil)
+		st, set := stackOn(t, used, c.opt, c.again, mk, c.engines, nil)
+		fresh, _ := stackOn(t, nil, c.opt, c.again, mk, c.engines, nil)
 		if st == used || st.K == used.K || st.Mgr == usedMgr || st.OS == usedOS {
 			t.Errorf("%s: a used stack of another shape was renewed", c.name)
 		}

@@ -233,32 +233,15 @@ func runSet(opt core.Options, osCfg hostos.Config, set *workload.Set, mk baselin
 	return res, nil
 }
 
-// Managers used across experiments: the by-name ones in the daemon's
-// configuration, and partitions under an experiment's own.
+// The managers experiments run in the daemon's configuration.
 var (
-	dynamicMgr   = baseline.NewManager("dynamic", nil)
-	variableMgr  = baseline.NewManager("partition", nil) // variable best-fit, GC, rotation
-	exclusiveMgr = baseline.NewManager("exclusive", nil)
-	softwareMgr  = baseline.NewManager("software", nil) // 20x slowdown
-	multiMgr     = baseline.NewManager("multi", nil)
+	dynamicMgr   = baseline.NewManager("dynamic")
+	variableMgr  = baseline.NewManager("partition") // variable best-fit, GC, rotation
+	exclusiveMgr = baseline.NewManager("exclusive")
+	softwareMgr  = baseline.NewManager("software") // 20x slowdown
+	multiMgr     = baseline.NewManager("multi")
+	mergedMgr    = baseline.NewManager("merged")
 )
-
-func partitionMgr(cfg core.PartitionConfig) baseline.ManagerFunc {
-	return func(k *sim.Kernel, e []*core.Engine, used hostos.FPGA) (hostos.FPGA, sim.Time, error) {
-		pm, _ := used.(*core.PartitionManager)
-		pm, err := core.NewPartitionManager(k, e[0], cfg, pm)
-		return pm, 0, err
-	}
-}
-
-// overlayMgr keeps the named circuits resident and swaps the rest
-// through the overlay area.
-func overlayMgr(resident []string) baseline.ManagerFunc {
-	return func(k *sim.Kernel, e []*core.Engine, used hostos.FPGA) (hostos.FPGA, sim.Time, error) {
-		om, _ := used.(*core.OverlayManager)
-		return core.NewOverlayManager(k, e[0], resident, om)
-	}
-}
 
 // ms renders a sim.Time as milliseconds with 3 decimals, as %.3f does,
 // in one allocation.

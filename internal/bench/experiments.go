@@ -181,10 +181,10 @@ var t3Managers = []struct {
 	mk   baseline.ManagerFunc
 }{
 	{"dynamic (whole device)", dynamicMgr},
-	{"fixed 4x8", partitionMgr(core.PartitionConfig{Mode: core.FixedPartitions, FixedWidths: []int{8, 8, 8, 8}, Rotate: true})},
-	{"fixed 2x16", partitionMgr(core.PartitionConfig{Mode: core.FixedPartitions, FixedWidths: []int{16, 16}, Rotate: true})},
-	{"variable first-fit", partitionMgr(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.FirstFit, Rotate: true})},
-	{"variable best-fit", partitionMgr(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, Rotate: true})},
+	{"fixed 4x8", baseline.Partition(core.PartitionConfig{Mode: core.FixedPartitions, FixedWidths: []int{8, 8, 8, 8}, Rotate: true})},
+	{"fixed 2x16", baseline.Partition(core.PartitionConfig{Mode: core.FixedPartitions, FixedWidths: []int{16, 16}, Rotate: true})},
+	{"variable first-fit", baseline.Partition(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.FirstFit, Rotate: true})},
+	{"variable best-fit", baseline.Partition(core.PartitionConfig{Mode: core.VariablePartitions, Fit: core.BestFit, Rotate: true})},
 	{"variable + GC", variableMgr},
 }
 
@@ -278,7 +278,7 @@ func T4Overlay(cfg Config) (*trace.Table, error) {
 	}
 	return fillRows(tbl, cfg.Jobs, len(residentSets), func(i int) ([]any, error) {
 		resident := residentSets[i]
-		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), mkSet(), overlayMgr(resident))
+		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), mkSet(), baseline.Overlay(len(resident)))
 		if err != nil {
 			return nil, err
 		}
@@ -410,9 +410,7 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 		if i == 0 {
 			optRef := defaultOpt(cfg)
 			optRef.Geometry.Cols = colSweep[0]
-			set := appSet(passes, reqs, stages)
-			mergedRes, err := runSet(optRef, hostos.DefaultConfig(), set,
-				baseline.NewManager("merged", set.CircuitNames()))
+			mergedRes, err := runSet(optRef, hostos.DefaultConfig(), appSet(passes, reqs, stages), mergedMgr)
 			if err != nil {
 				return 0, err
 			}
@@ -423,12 +421,7 @@ func F1VirtualCapacity(cfg Config) (*trace.Table, error) {
 		cols := colSweep[i-1]
 		opt := defaultOpt(cfg)
 		opt.Geometry.Cols = cols
-		k := residentPrefix(cols)
-		resident := make([]string, 0, k)
-		for _, s := range stages[:k] {
-			resident = append(resident, s.Name)
-		}
-		res, err := runSet(opt, hostos.DefaultConfig(), appSet(passes, reqs, stages), overlayMgr(resident))
+		res, err := runSet(opt, hostos.DefaultConfig(), appSet(passes, reqs, stages), baseline.Overlay(residentPrefix(cols)))
 		if err != nil {
 			return 0, err
 		}
@@ -540,9 +533,7 @@ func F3MergedVsDynamic(cfg Config) (*trace.Table, error) {
 		opt.Geometry.Cols = cols
 		merged := fmt.Sprintf("n/a (needs %d cols)", sumW)
 		if sumW <= cols {
-			set := mkSet()
-			mres, err := runSet(opt, hostos.DefaultConfig(), set,
-				baseline.NewManager("merged", set.CircuitNames()))
+			mres, err := runSet(opt, hostos.DefaultConfig(), mkSet(), mergedMgr)
 			if err != nil {
 				return nil, err
 			}
@@ -640,7 +631,7 @@ func F4Fragmentation(cfg Config) (*trace.Table, error) {
 	gcSweep := []bool{false, true}
 	return fillRows(tbl, cfg.Jobs, len(gcSweep), func(i int) ([]any, error) {
 		gc := gcSweep[i]
-		row, err := runChurn(cfg, mkSet(), partitionMgr(core.PartitionConfig{
+		row, err := runChurn(cfg, mkSet(), baseline.Partition(core.PartitionConfig{
 			Mode: core.VariablePartitions, Fit: core.BestFit, GC: gc,
 		}), func(st *baseline.Stack, frag *stats.Sample) []any {
 			res := summarize(st)
@@ -695,14 +686,9 @@ func F5Pagination(cfg Config) (*trace.Table, error) {
 			Evals:   5_000,
 			Seed:    cfg.Seed + 19,
 		})
-		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), set,
-			func(k *sim.Kernel, e []*core.Engine, used hostos.FPGA) (hostos.FPGA, sim.Time, error) {
-				pl, _ := used.(*core.PagedLoader)
-				pl, err := core.NewPagedLoader(k, e[0], core.PagedConfig{
-					PageCells: pageCells, Frames: frames, Policy: policy, Seed: cfg.Seed,
-				}, pl)
-				return pl, 0, err
-			})
+		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), set, baseline.Paged(core.PagedConfig{
+			PageCells: pageCells, Frames: frames, Policy: policy, Seed: cfg.Seed,
+		}))
 		if err != nil {
 			return nil, err
 		}
@@ -876,8 +862,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 	perScenario, err := flat.Map(len(scenarios), cfg.Jobs, func(si int) ([][]any, error) {
 		sc := scenarios[si]
 		// Probe widths to size the small and big devices.
-		probeSet := sc.set()
-		probe, err := compileSet(defaultOpt(cfg), probeSet.Circuits)
+		probe, err := compileSet(defaultOpt(cfg), sc.set().Circuits)
 		if err != nil {
 			return nil, err
 		}
@@ -893,7 +878,7 @@ func F7Applications(cfg Config) (*trace.Table, error) {
 			{"software only", smallCols, softwareMgr},
 			{"vfpga dynamic (small)", smallCols, dynamicMgr},
 			{"vfpga partitions (mid)", (smallCols + bigCols) / 2, variableMgr},
-			{"merged big FPGA", bigCols, baseline.NewManager("merged", probeSet.CircuitNames())},
+			{"merged big FPGA", bigCols, mergedMgr},
 		}
 		return flat.Map(len(managers), cfg.Jobs, func(mi int) ([]any, error) {
 			m := managers[mi]

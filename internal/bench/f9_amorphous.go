@@ -26,7 +26,7 @@ func F9AmorphousRegions(cfg Config) (*trace.Table, error) {
 	mkSet := churnSets(cfg) // F4's churn, so the comparison isolates the residency model
 	managers := []string{"partition", "amorphous"}
 	return fillRows(tbl, cfg.Jobs, len(managers), func(i int) ([]any, error) {
-		row, err := runChurn(cfg, mkSet(), baseline.NewManager(managers[i], nil), func(st *baseline.Stack, frag *stats.Sample) []any {
+		row, err := runChurn(cfg, mkSet(), baseline.NewManager(managers[i]), func(st *baseline.Stack, frag *stats.Sample) []any {
 			os := st.OS
 			block := stats.NewSample(true)
 			var hwTotal sim.Time

@@ -93,7 +93,7 @@ type BakeoffRow struct {
 // returns its row. The arrival stream is a pure function of the config,
 // so every policy sees byte-identical inputs.
 //
-//vfpgavet:ignore testonly -- the daemon-model bake-off; F10 becomes its caller with ROADMAP item 3(a)
+//vfpgavet:ignore testonly -- the daemon-model bake-off; F10 becomes its caller with ROADMAP item 5(a)
 func RunBakeoff(cfg BakeoffConfig, policyName string) (BakeoffRow, error) {
 	if err := cfg.validate(); err != nil {
 		return BakeoffRow{}, err

@@ -3,7 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
+	"repro/internal/baseline"
 	"repro/internal/compile"
 	"repro/internal/fault"
 	"repro/internal/hostos"
@@ -11,8 +13,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Managers lists the hostos.FPGA implementations a board can run.
-var Managers = []string{"dynamic", "partition", "amorphous", "overlay", "paged", "multi", "exclusive", "software", "merged"}
+// Managers lists the hostos.FPGA implementations a board can run, in the
+// order of baseline's manager table.
+var Managers = baseline.Managers()
 
 // BoardConfig describes one simulated board of the pool. The simulated
 // hardware is built from this config once and erased between jobs; the
@@ -26,8 +29,8 @@ type BoardConfig struct {
 	Manager string
 	// Cols and Rows shape the device.
 	Cols, Rows int
-	// SubBoards is the device count for the multi manager, at least 1
-	// there (ignored otherwise).
+	// SubBoards is the device count for a manager that takes one engine
+	// per sub-board (multi), at least 1 there (ignored otherwise).
 	SubBoards int
 	// Sched and Slice configure the host OS scheduler.
 	Sched string
@@ -56,21 +59,14 @@ func DefaultBoardConfig() BoardConfig {
 
 // Validate rejects configs the runner cannot build.
 func (bc *BoardConfig) Validate() error {
-	found := false
-	for _, m := range Managers {
-		if bc.Manager == m {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(Managers, bc.Manager) {
 		return fmt.Errorf("serve: unknown manager %q (have %v)", bc.Manager, Managers)
 	}
 	if _, err := hostos.ParsePolicy(bc.Sched); err != nil {
 		return fmt.Errorf("serve: unknown scheduler %q", bc.Sched)
 	}
-	if bc.Manager == "multi" && bc.SubBoards < 1 {
-		return fmt.Errorf("serve: multi manager needs at least one sub-board, have %d", bc.SubBoards)
+	if baseline.Engines(bc.Manager, bc.SubBoards) < 1 {
+		return fmt.Errorf("serve: %s manager needs at least one sub-board, have %d", bc.Manager, bc.SubBoards)
 	}
 	if bc.Cols <= 0 || bc.Rows <= 0 {
 		return fmt.Errorf("serve: bad geometry %dx%d", bc.Cols, bc.Rows)

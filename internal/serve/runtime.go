@@ -59,7 +59,7 @@ func compileSet(cache *compile.StripCache, bc BoardConfig, set *workload.Set) ([
 // fleet.Submit soon enough to shift the queue depths packing routes on
 // (fleet_open's virtual_ms_per_op up 2–7 % on six of six seeds), a
 // routing change to be made as one, once fleet_open counts queue wait
-// (ROADMAP item 3(c)).
+// (ROADMAP item 10(a)).
 func SpecWidth(cache *compile.StripCache, bc BoardConfig, spec *workload.Spec) (int, error) {
 	_, circs, err := CompileJob(nil, cache, bc, spec)
 	if err != nil {
@@ -84,32 +84,13 @@ func buildStack(prev *baseline.Stack, bc BoardConfig, set *workload.Set, circs [
 	if osCfg.Policy, err = hostos.ParsePolicy(bc.Sched); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	engines := 1
-	if bc.Manager == "multi" {
-		engines = bc.SubBoards
-	}
-	mk := setFree[bc.Manager]
-	if mk == nil { // overlay and merged read the job's circuit names
-		mk = baseline.NewManager(bc.Manager, set.CircuitNames())
-	}
-	st, err := baseline.NewStack(bc.Options(), engines, osCfg, bc.Faults, set, circs, mk, prev)
+	st, err := baseline.NewStack(bc.Options(), baseline.Engines(bc.Manager, bc.SubBoards), osCfg, bc.Faults,
+		set, circs, baseline.NewManager(bc.Manager), prev)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return st, nil
 }
-
-// setFree holds the ManagerFunc of every manager that does not read the
-// job's circuit names, built once for every job of every board.
-var setFree = func() map[string]baseline.ManagerFunc {
-	m := map[string]baseline.ManagerFunc{}
-	for _, name := range Managers {
-		if name != "overlay" && name != "merged" {
-			m[name] = baseline.NewManager(name, nil)
-		}
-	}
-	return m
-}()
 
 // recoverJob, deferred by each half of the job body, fails a panicking
 // job instead of taking the daemon down with it. The caller discards the

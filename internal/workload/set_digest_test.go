@@ -39,7 +39,11 @@ func request(op hostos.Op) hostos.FPGARequest {
 // renderSet writes every field of the set — circuit names in order, then
 // per task its name, priority, arrival and every field of every op.
 func renderSet(h hash.Hash, set *Set) (ops int) {
-	fmt.Fprintf(h, "circuits %q\n", set.CircuitNames())
+	names := make([]string, len(set.Circuits))
+	for i, c := range set.Circuits {
+		names[i] = c.Name
+	}
+	fmt.Fprintf(h, "circuits %q\n", names)
 	for _, ts := range set.Tasks {
 		fmt.Fprintf(h, "task %q prio %d at %d ops %d\n", ts.Name, ts.Priority, ts.Arrival, len(ts.Program))
 		for _, op := range ts.Program {

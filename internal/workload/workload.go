@@ -61,15 +61,6 @@ func (s *Set) Spawn(os *hostos.OS) {
 	}
 }
 
-// CircuitNames returns the names of all referenced circuits, in order.
-func (s *Set) CircuitNames() []string {
-	names := make([]string, 0, len(s.Circuits))
-	for _, c := range s.Circuits {
-		names = append(names, c.Name)
-	}
-	return names
-}
-
 // MaxSpecOps bounds the ops one workload may hold across all its tasks.
 // Every configuration in the repo builds a few hundred; the bound is what
 // keeps a submitted spec from sizing the daemon's memory.

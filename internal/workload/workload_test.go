@@ -179,7 +179,10 @@ func TestPagedSkewConcentrates(t *testing.T) {
 
 func TestCircuitNames(t *testing.T) {
 	set := Multimedia(DefaultMultimedia())
-	names := set.CircuitNames()
+	var names []string
+	for _, c := range set.Circuits {
+		names = append(names, c.Name)
+	}
 	if len(names) != len(set.Circuits) {
 		t.Fatal("name count mismatch")
 	}
