@@ -19,6 +19,7 @@ package baseline
 import (
 	"fmt"
 
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/hostos"
 	"repro/internal/sim"
@@ -103,12 +104,11 @@ type Merged struct {
 
 var _ hostos.FPGA = (*Merged)(nil)
 
-// NewMerged loads every circuit in the engine library (in the given
-// deterministic order) side by side. It returns the initialization cost
-// (one big download) or an error if the circuits do not all fit. It
-// renews used, the board's last merged baseline, in place (nil: a new
-// one).
-func NewMerged(k *sim.Kernel, e *core.Engine, order []string, used *Merged) (*Merged, sim.Time, error) {
+// NewMerged loads the circuits, compiled for e, side by side in the
+// given order. It returns the initialization cost (one big download) or
+// an error if the circuits do not all fit. It renews used, the board's
+// last merged baseline, in place (nil: a new one).
+func NewMerged(k *sim.Kernel, e *core.Engine, order []*compile.Circuit, used *Merged) (*Merged, sim.Time, error) {
 	m := used
 	if m == nil {
 		m = &Merged{slots: map[string]int{}}
@@ -118,20 +118,16 @@ func NewMerged(k *sim.Kernel, e *core.Engine, order []string, used *Merged) (*Me
 	led := e.Ledger()
 	x := 0
 	var cost sim.Time
-	for _, name := range order {
-		c, err := e.Circuit(name)
-		if err != nil {
-			return nil, 0, err
-		}
+	for _, c := range order {
 		if x+c.BS.W > e.Opt.Geometry.Cols {
 			return nil, 0, fmt.Errorf("baseline: merged circuits need more than %d columns (%s does not fit at %d)",
-				e.Opt.Geometry.Cols, name, x)
+				e.Opt.Geometry.Cols, c.Name, x)
 		}
 		_, loadCost, err := led.TryLoad("", c, x, false)
 		if err != nil {
 			return nil, 0, err
 		}
-		m.slots[name] = x
+		m.slots[c.Name] = x
 		cost += loadCost
 		x += c.BS.W
 	}

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/fault"
@@ -109,6 +110,15 @@ func renewed[M hostos.FPGA](used hostos.FPGA) M {
 	return m
 }
 
+// compiled returns e's compiled circuits of the given names, in order.
+func compiled(e *core.Engine, names []string) []*compile.Circuit {
+	out := make([]*compile.Circuit, len(names))
+	for i, name := range names {
+		out[i] = e.Lib[name]
+	}
+	return out
+}
+
 // oneEngine builds a single-engine implementation with mk over an engine
 // as confEngine builds it.
 func oneEngine(pre string, scale sim.Time, mk func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error)) confBuild {
@@ -139,7 +149,7 @@ func confImpls(pre string, scale sim.Time) []confImpl {
 			return core.NewDynamicLoader(k, e, renewed[*core.DynamicLoader](used)), nil
 		})},
 		{"overlay", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {
-			om, _, err := core.NewOverlayManager(k, e, named[:1], renewed[*core.OverlayManager](used))
+			om, _, err := core.NewOverlayManager(k, e, compiled(e, named[:1]), renewed[*core.OverlayManager](used))
 			return om, err
 		})},
 		{"paged", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {
@@ -164,7 +174,7 @@ func confImpls(pre string, scale sim.Time) []confImpl {
 			return baseline.NewExclusive(k, e, renewed[*baseline.Exclusive](used)), nil
 		})},
 		{"merged", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {
-			m, _, err := baseline.NewMerged(k, e, named, renewed[*baseline.Merged](used))
+			m, _, err := baseline.NewMerged(k, e, compiled(e, named), renewed[*baseline.Merged](used))
 			return m, err
 		})},
 		{"software", one(func(k *sim.Kernel, e *core.Engine, used hostos.FPGA) (hostos.FPGA, error) {

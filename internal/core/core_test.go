@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/fabric"
 	"repro/internal/hostos"
 	"repro/internal/lint"
@@ -560,11 +561,20 @@ func TestPartitionBestFitPicksTightest(t *testing.T) {
 
 // --- OverlayManager ---
 
+// circuitsOf returns e's compiled circuits of the given names, in order.
+func circuitsOf(e *Engine, names []string) []*compile.Circuit {
+	out := make([]*compile.Circuit, len(names))
+	for i, name := range names {
+		out[i] = e.Lib[name]
+	}
+	return out
+}
+
 func overlayHarness(t testing.TB, opt Options, osCfg hostos.Config, resident []string) (*harness, *OverlayManager) {
 	var om *OverlayManager
 	h := newHarness(t, opt, osCfg, func(k *sim.Kernel, e *Engine) hostos.FPGA {
 		var err error
-		om, _, err = NewOverlayManager(k, e, resident, nil)
+		om, _, err = NewOverlayManager(k, e, circuitsOf(e, resident), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

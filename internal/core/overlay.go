@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/compile"
 	"repro/internal/hostos"
 	"repro/internal/sim"
 )
@@ -28,12 +29,12 @@ type OverlayManager struct {
 
 var _ hostos.FPGA = (*OverlayManager)(nil)
 
-// NewOverlayManager loads the named resident circuits and reserves the
-// remaining columns as the overlay area. Resident load time is charged to
-// system initialization, not to any task (the paper's device-driver
-// downloading "performed once for all tasks"). It renews used, the
-// board's last overlay manager, in place (nil: a new one).
-func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string, used *OverlayManager) (*OverlayManager, sim.Time, error) {
+// NewOverlayManager loads the resident circuits, compiled for e, and
+// reserves the remaining columns as the overlay area. Resident load time
+// is charged to system initialization, not to any task (the paper's
+// device-driver downloading "performed once for all tasks"). It renews
+// used, the board's last overlay manager, in place (nil: a new one).
+func NewOverlayManager(k *sim.Kernel, e *Engine, resident []*compile.Circuit, used *OverlayManager) (*OverlayManager, sim.Time, error) {
 	om := used
 	if om == nil {
 		om = &OverlayManager{}
@@ -44,11 +45,7 @@ func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string, used *Overla
 	}
 	x := 0
 	var initCost sim.Time
-	for i, name := range resident {
-		c, err := e.Circuit(name)
-		if err != nil {
-			return nil, 0, err
-		}
+	for i, c := range resident {
 		if x+c.BS.W > e.Opt.Geometry.Cols {
 			return nil, 0, fmt.Errorf("core: resident circuits exceed the device (%d+%d > %d cols)",
 				x, c.BS.W, e.Opt.Geometry.Cols)
@@ -60,7 +57,7 @@ func NewOverlayManager(k *sim.Kernel, e *Engine, resident []string, used *Overla
 		initCost += cost
 		s := &om.slots[i]
 		s.x, s.circuit = x, c
-		om.residents[name] = s
+		om.residents[c.Name] = s
 		x += c.BS.W
 	}
 	om.overlay = &om.slots[len(resident)]

@@ -45,7 +45,7 @@ func TestRandomizedStress(t *testing.T) {
 			return pm
 		}},
 		{"overlay", func(k *sim.Kernel, e *Engine) hostos.FPGA {
-			om, _, err := NewOverlayManager(k, e, []string{"adder8"}, nil)
+			om, _, err := NewOverlayManager(k, e, circuitsOf(e, []string{"adder8"}), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
