@@ -44,12 +44,12 @@ build:
 # and fleet.Simulate place one stream alike, the test that two boards
 # run one cached task set at once, and the canary that a delivered
 # result outlives the jobs whose stacks a board renews in its memory;
-# and the harness's free list of dead stacks, which rival goroutines
-# take from and give back to while one sweep point runs: once is not
-# evidence.
+# and the harness's free list of dead stacks and of F10's replay states,
+# which rival goroutines take from and give back to while one sweep
+# point or one replay runs: once is not evidence.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/flat/... ./internal/fabric/... ./internal/compile/... ./internal/techmap/... ./internal/place/... ./internal/route/... ./internal/lint/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
-	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree|TestBoardsShareCachedSet|TestDeliveredResultOutlivesBoard|TestStackFreeListConcurrent' ./internal/serve/ ./internal/bench/
+	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree|TestBoardsShareCachedSet|TestDeliveredResultOutlivesBoard|TestStackFreeListConcurrent|TestReplayFreeListConcurrent' ./internal/serve/ ./internal/bench/
 
 test:
 	$(GO) test ./...
@@ -134,10 +134,13 @@ fuzz-smoke:
 # (check-skips-last-column, comb-order-registered-edge,
 # check-allows-unconfigured-read, check-allows-noninput-pin-read,
 # check-skips-output-pins), the experiment harness's row fill and
-# strip footprint, its free list of dead stacks, keyed by shape, and the
-# results read off a stack before it goes back (freelist-ignores-geometry,
-# result-read-after-give, the latter judged under -race), and a stack
-# renewed only to its own engine count
+# strip footprint, its free list of dead stacks, keyed by shape, the
+# results read off a stack or a replay state before it goes back, which
+# the package's tests scribble over once given
+# (freelist-ignores-geometry, result-read-after-give,
+# replay-read-after-give), a replay state renewed with its nodes' queues
+# (replay-renew-keeps-queue), F6's cuts of mul8 built once per k
+# (f6-cut-ignores-k), and a stack renewed only to its own engine count
 # (stack-renewed-across-engine-counts)) is applied
 # to a scratch copy of the tree and must fail its packages' tests; each
 # is printed killed, with the failing tests grouped as digest, golden,

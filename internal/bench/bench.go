@@ -114,6 +114,11 @@ func compileSet(opt core.Options, circuits []*netlist.Netlist) ([]*compile.Circu
 	return circs, nil
 }
 
+// mul6 is the 6x6 multiplier F10's class pool and F4's churn draw from,
+// built once per process as netlist.MustLookup builds a library circuit:
+// it is not one, and it does not depend on the seed.
+var mul6 = sync.OnceValue(func() *netlist.Netlist { return netlist.Multiplier(6) })
+
 // footprint sizes compiled strips for a device: their widths summed (all
 // resident side by side), the widest (one at a time) and their cells.
 func footprint(circs []*compile.Circuit) (sumW, maxW, cells int) {
@@ -125,15 +130,18 @@ func footprint(circs []*compile.Circuit) (sumW, maxW, cells int) {
 	return sumW, maxW, cells
 }
 
-// --- stack free list ---
+// --- free list of dead scratch ---
 // A sweep point's stack is dead once its numbers are read, and the next
 // point on the same device geometry and engine count builds its stack on
 // that one's hardware and in its memory (baseline.NewStack's used), as a
 // warm board builds a job's on the last job's. stacks keeps the dead
-// stacks by that shape for every experiment of the process. It has no
-// bound of its own: it holds no more stacks of a shape than were ever
+// stacks by that shape for every experiment of the process, and
+// replays keeps F10's dead replay states (colSim) the same way. Neither
+// has a bound of its own: it holds no more of a shape than were ever
 // live at once, which the worker fan-out (Config.Jobs) bounds.
-var stacks = freeList{free: map[stackKey][]*baseline.Stack{}}
+var stacks = newFreeList(func(st *baseline.Stack) stackKey {
+	return keyOf(st.Engines[0].Dev.Geometry(), len(st.Engines))
+})
 
 // stackKey is the shape baseline.NewStack renews a stack to: the device
 // geometry and the engine count.
@@ -146,35 +154,48 @@ func keyOf(geom fabric.Geometry, engines int) stackKey {
 	return stackKey{geom: geom, engines: engines}
 }
 
-// freeList is a mutex-guarded stack of dead stacks per shape.
-type freeList struct {
-	mu   sync.Mutex
-	free map[stackKey][]*baseline.Stack
+// freeList is a mutex-guarded stack of dead values per key, the shape
+// its shape function reads off a value; a value is a pointer, so take's
+// zero result means none is free.
+type freeList[K comparable, V any] struct {
+	mu    sync.Mutex
+	free  map[K][]V
+	shape func(V) K
+	// scribble, when set, overwrites what give is handed before it goes
+	// on the list: the package's tests set it, so a number read off a
+	// value after it is given back is garbage in a serial run.
+	scribble func(V)
 }
 
-// take removes a dead stack of the shape from the list and returns it,
-// or nil when none is free.
-func (f *freeList) take(geom fabric.Geometry, engines int) *baseline.Stack {
-	k := keyOf(geom, engines)
+func newFreeList[K comparable, V any](shape func(V) K) *freeList[K, V] {
+	return &freeList[K, V]{free: map[K][]V{}, shape: shape}
+}
+
+// take removes a dead value of key k from the list and returns it, or
+// the zero value when none is free.
+func (f *freeList[K, V]) take(k K) V {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	l := f.free[k]
+	var v V
 	if len(l) == 0 {
-		return nil
+		return v
 	}
-	st := l[len(l)-1]
-	l[len(l)-1] = nil
+	v, l[len(l)-1] = l[len(l)-1], v
 	f.free[k] = l[:len(l)-1]
-	return st
+	return v
 }
 
-// give puts st, a stack whose run's numbers are read, on the list. It is
-// dead from here on: nothing may read it again.
-func (f *freeList) give(st *baseline.Stack) {
-	k := keyOf(st.Engines[0].Dev.Geometry(), len(st.Engines))
+// give puts v, whose run's numbers are read, on the list under its
+// shape. It is dead from here on: nothing may read it again.
+func (f *freeList[K, V]) give(v V) {
 	f.mu.Lock()
-	f.free[k] = append(f.free[k], st)
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	k := f.shape(v)
+	if f.scribble != nil {
+		f.scribble(v)
+	}
+	f.free[k] = append(f.free[k], v)
 }
 
 // newStack assembles a fault-free stack of the given engine count over
@@ -186,7 +207,7 @@ func newStack(opt core.Options, engines int, osCfg hostos.Config, set *workload.
 	if err != nil {
 		return nil, err
 	}
-	return baseline.NewStack(opt, engines, osCfg, nil, set, circs, mk, stacks.take(opt.Geometry, engines))
+	return baseline.NewStack(opt, engines, osCfg, nil, set, circs, mk, stacks.take(keyOf(opt.Geometry, engines)))
 }
 
 // runResult summarizes one finished run in values: nothing in it points

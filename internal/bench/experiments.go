@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/baseline"
 	"repro/internal/compile"
@@ -559,7 +560,7 @@ func churnSets(cfg Config) func() *workload.Set {
 		small, wide = 10, 3
 	}
 	narrowPool := []*netlist.Netlist{netlist.MustLookup("parity16"), netlist.MustLookup("adder8"), netlist.MustLookup("cmp16")}
-	widePool := []*netlist.Netlist{netlist.Multiplier(6), netlist.MustLookup("mul8")}
+	widePool := []*netlist.Netlist{mul6(), netlist.MustLookup("mul8")}
 	narrowReqs, wideReqs := evalRequests(50_000, narrowPool...), evalRequests(80_000, widePool...)
 	return func() *workload.Set {
 		src := rng.New(cfg.Seed + 17)
@@ -667,25 +668,30 @@ func F5Pagination(cfg Config) (*trace.Table, error) {
 	if cfg.Quick {
 		policies = []core.ReplacePolicy{core.LRU, core.Random}
 	}
-	points := cross(pageSweep, policies)
-	return fillRows(tbl, cfg.Jobs, len(points), func(i int) ([]any, error) {
-		pageCells, policy := points[i].a, points[i].b
-		// Probe the page count (a cache hit after the first worker).
-		probe, err := compileSet(defaultOpt(cfg), []*netlist.Netlist{circuit})
-		if err != nil {
-			return nil, err
-		}
-		pages := (probe[0].Cells() + pageCells - 1) / pageCells
-		frames := pages/2 + 1
-		set := workload.Paged(workload.PagedConfig{
+	// One reference string per page size, shared read-only by its
+	// policies' runs: the page count comes off the compiled circuit.
+	probe, err := compileSet(defaultOpt(cfg), []*netlist.Netlist{circuit})
+	if err != nil {
+		return nil, err
+	}
+	pageCounts, pageSets := make([]int, len(pageSweep)), make([]*workload.Set, len(pageSweep))
+	for i, pageCells := range pageSweep {
+		pageCounts[i] = (probe[0].Cells() + pageCells - 1) / pageCells
+		pageSets[i] = workload.Paged(workload.PagedConfig{
 			Circuit: circuit,
 			Refs:    refs,
-			Pages:   pages,
+			Pages:   pageCounts[i],
 			WorkSet: 3,
 			Skew:    1.2,
 			Evals:   5_000,
 			Seed:    cfg.Seed + 19,
 		})
+	}
+	points := cross(pageSweep, policies)
+	return fillRows(tbl, cfg.Jobs, len(points), func(i int) ([]any, error) {
+		pageCells, policy := points[i].a, points[i].b
+		pages, set := pageCounts[i/len(policies)], pageSets[i/len(policies)]
+		frames := pages/2 + 1
 		res, err := runSet(defaultOpt(cfg), hostos.DefaultConfig(), set, baseline.Paged(core.PagedConfig{
 			PageCells: pageCells, Frames: frames, Policy: policy, Seed: cfg.Seed,
 		}))
@@ -698,6 +704,34 @@ func F5Pagination(cfg Config) (*trace.Table, error) {
 	})
 }
 
+// f6Stages are F6's hand-segmented application: four library circuits.
+func f6Stages() []*netlist.Netlist {
+	return []*netlist.Netlist{
+		netlist.MustLookup("alu8"), netlist.MustLookup("mul4"), netlist.MustLookup("rotl16"), netlist.MustLookup("popcount32"),
+	}
+}
+
+// F6's seed-independent netlists, built once per process as
+// netlist.MustLookup builds a library circuit: the monolith of the four
+// stages, and mul8 cut into k stages for each k of f6Ks (quick runs the
+// first). The compile cache keys a circuit by name, so a shared instance
+// compiles as a new one would.
+var (
+	f6Ks       = []int{2, 4}
+	f6Monolith = sync.OnceValues(func() (*netlist.Netlist, error) {
+		return netlist.Concat("monolithic", f6Stages()...)
+	})
+	mul8Cuts = func() map[int]func() ([]*netlist.Netlist, error) {
+		cuts := map[int]func() ([]*netlist.Netlist, error){}
+		for _, k := range f6Ks {
+			cuts[k] = sync.OnceValues(func() ([]*netlist.Netlist, error) {
+				return netlist.Segment(netlist.MustLookup("mul8"), k)
+			})
+		}
+		return cuts
+	}()
+)
+
 // F6Segmentation — §2: decompose a function into self-contained
 // sub-functions loaded on demand; the monolithic alternative needs a
 // device as large as all segments together.
@@ -708,10 +742,8 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 		Note:    "paper §2: variable-size self-contained sub-functions vs one merged download",
 		Columns: []string{"approach", "device_cols", "app_cells", "loads", "makespan_ms"},
 	}
-	stages := []*netlist.Netlist{
-		netlist.MustLookup("alu8"), netlist.MustLookup("mul4"), netlist.MustLookup("rotl16"), netlist.MustLookup("popcount32"),
-	}
-	mono, err := netlist.Concat("monolithic", stages...)
+	stages := f6Stages()
+	mono, err := f6Monolith()
 	if err != nil {
 		return nil, err
 	}
@@ -725,9 +757,9 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 	// "self-contained sub-functions having variable size" derived
 	// mechanically rather than by hand.
 	big := netlist.MustLookup("mul8")
-	ks := []int{2, 4}
+	ks := f6Ks
 	if cfg.Quick {
-		ks = []int{2}
+		ks = f6Ks[:1]
 	}
 
 	// Phase 1 — probes. Strip compilation dominates this experiment, so
@@ -747,7 +779,7 @@ func F6Segmentation(cfg Config) (*trace.Table, error) {
 			segs = []*netlist.Netlist{big}
 		default:
 			var err error
-			if segs, err = netlist.Segment(big, ks[i-2]); err != nil {
+			if segs, err = mul8Cuts[ks[i-2]](); err != nil {
 				return probeResult{}, err
 			}
 		}

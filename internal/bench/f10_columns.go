@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/rng"
@@ -16,21 +18,22 @@ import (
 // extent and fragmentation. It stays, byte for byte, because the harness
 // benchmark's golden file pins the hash of every table bench.Run renders,
 // F10's included. When that file is next regenerated, F10 prints
-// fleet.RunBakeoff's rows and this file is deleted (ROADMAP).
+// fleet.RunBakeoff's rows and this file is deleted (ROADMAP item 5(a));
+// its replay states' free list (replays) moves to RunBakeoff's caller.
 //
 // The arrival stream and the random policy's draws are RunBakeoff's: both
 // are pure functions of the config's seed. Only the offered load differs:
 // ~90 % of the fleet's column-time, not of its board-time.
 func columnBakeoff(cfg fleet.BakeoffConfig, policy string) fleet.BakeoffRow {
 	cfg.MeanInterval, cfg.FailAt = columnInterval(cfg)
+	s := newColSim(cfg, policy, replays.take(struct{}{}))
 	src := rng.New(cfg.Seed)
 	totalWeight := 0
 	for _, cl := range cfg.Classes {
 		totalWeight += cl.Weight
 	}
-	jobs := make([]colJob, cfg.Jobs)
 	t := sim.Time(0)
-	for i := range jobs {
+	for i := range s.jobs {
 		t += sim.Time(src.ExpFloat64() * float64(cfg.MeanInterval))
 		pick := src.Intn(totalWeight)
 		cl := &cfg.Classes[0]
@@ -41,50 +44,78 @@ func columnBakeoff(cfg fleet.BakeoffConfig, policy string) fleet.BakeoffRow {
 			}
 			pick -= cfg.Classes[ci].Weight
 		}
-		jobs[i] = colJob{arrival: t, duration: cl.Duration, width: int32(cl.Width)}
+		s.jobs[i] = colJob{arrival: t, duration: cl.Duration, width: int32(cl.Width)}
 	}
-
-	s := &colSim{cfg: cfg, policy: policy, jobs: jobs, nodes: make([]colNode, cfg.Nodes), scores: stats.NewSample(false)}
-	if policy == "random" {
-		s.rnd = rng.New(cfg.Seed)
-	}
-	s.arriveFn, s.finishFn = s.arrive, s.finish
-	for i := range s.nodes {
-		n := &s.nodes[i]
-		n.healthy = true
-		for b := 0; b < cfg.BoardsPerNode; b++ {
-			n.boards = append(n.boards, core.NewRegionMap(cfg.Cols, nil))
-		}
-	}
-	if len(jobs) > 0 {
-		s.k.Schedule(jobs[0].arrival, colPriArrival, s.arriveFn, 0)
+	if len(s.jobs) > 0 {
+		s.k.Schedule(s.jobs[0].arrival, colPriArrival, s.arriveFn, 0)
 	}
 	if cfg.FailNode >= 0 {
 		s.k.Schedule(cfg.FailAt, colPriFail, s.fail, cfg.FailNode)
 	}
 	s.k.Run()
+	row := s.row()
+	replays.give(s)
+	return row
+}
 
-	waits := stats.NewSample(true)
-	waits.Reserve(cfg.Jobs)
+// replays keeps F10's dead replay states, as stacks keeps dead stacks,
+// for every pass of the process: a pass's three policies and the next
+// pass's run on the job arrays, queues, region maps and samples of the
+// ones before. Any state renews to any config, so there is one shape.
+var replays = newFreeList(func(*colSim) struct{} { return struct{}{} })
+
+// newColSim renews used, a dead replay state, into one for cfg and
+// policy, as baseline.NewStack renews a dead stack: each board's region
+// map through core.NewRegionMap(cols, used), the kernel reset, every
+// slice truncated in its array and the samples emptied. nil builds new.
+// The job array is cfg.Jobs long; the caller fills it.
+func newColSim(cfg fleet.BakeoffConfig, policy string, used *colSim) *colSim {
+	s := used
+	if s == nil {
+		s = &colSim{scores: stats.NewSample(false), waits: stats.NewSample(true)}
+		s.arriveFn, s.finishFn = s.arrive, s.finish
+	}
+	s.cfg, s.policy, s.rnd = cfg, policy, *rng.New(cfg.Seed)
+	s.k.Reset()
+	s.jobs = slices.Grow(s.jobs[:0], cfg.Jobs)[:cfg.Jobs]
+	s.nodes = slices.Grow(s.nodes[:0], cfg.Nodes)[:cfg.Nodes]
+	for i := range s.nodes {
+		n := &s.nodes[i]
+		n.healthy, n.head = true, 0
+		n.queue, n.running = n.queue[:0], n.running[:0]
+		n.boards = slices.Grow(n.boards[:0], cfg.BoardsPerNode)[:cfg.BoardsPerNode]
+		for b, rm := range n.boards {
+			n.boards[b] = core.NewRegionMap(cfg.Cols, rm)
+		}
+	}
+	s.scores.Reset()
+	s.waits.Reset()
+	s.requeues, s.makespan = 0, 0
+	return s
+}
+
+// row reads the finished replay's numbers.
+func (s *colSim) row() fleet.BakeoffRow {
+	s.waits.Reserve(len(s.jobs))
 	busyArea := int64(0) // finished column-time
-	for i := range jobs {
-		if j := &jobs[i]; j.finished {
-			waits.Observe(float64(j.start - j.arrival))
+	for i := range s.jobs {
+		if j := &s.jobs[i]; j.finished {
+			s.waits.Observe(float64(j.start - j.arrival))
 			busyArea += int64(j.width) * int64(j.duration)
 		}
 	}
 	row := fleet.BakeoffRow{
-		Policy:     policy,
-		Jobs:       cfg.Jobs,
-		Completed:  int(waits.Count()),
-		P50AdmitMS: waits.Quantile(0.5) / 1e6,
-		P99AdmitMS: waits.Quantile(0.99) / 1e6,
+		Policy:     s.policy,
+		Jobs:       s.cfg.Jobs,
+		Completed:  int(s.waits.Count()),
+		P50AdmitMS: s.waits.Quantile(0.5) / 1e6,
+		P99AdmitMS: s.waits.Quantile(0.99) / 1e6,
 		Requeues:   s.requeues,
 		MeanScore:  s.scores.Mean(),
 		MakespanMS: float64(s.makespan) / 1e6,
 	}
 	if s.makespan > 0 {
-		provisioned := float64(cfg.Nodes*cfg.BoardsPerNode*cfg.Cols) * float64(s.makespan)
+		provisioned := float64(s.cfg.Nodes*s.cfg.BoardsPerNode*s.cfg.Cols) * float64(s.makespan)
 		row.HWUtil = float64(busyArea) / provisioned
 	}
 	return row
@@ -150,18 +181,21 @@ func (n *colNode) fits(w int) bool {
 	return false
 }
 
+// colSim is one replay's state; replays keeps the dead ones.
 type colSim struct {
-	cfg      fleet.BakeoffConfig
-	policy   string
-	rnd      *rng.Source
-	k        sim.Kernel
-	jobs     []colJob
-	arriveFn func(int) // s.arrive, bound once
-	finishFn func(int) // s.finish, bound once
-	nodes    []colNode
-	scores   *stats.Sample
-	requeues int64
-	makespan sim.Time
+	cfg       fleet.BakeoffConfig
+	policy    string
+	rnd       rng.Source // the random policy's draws
+	k         sim.Kernel
+	jobs      []colJob
+	arriveFn  func(int) // s.arrive, bound once
+	finishFn  func(int) // s.finish, bound once
+	nodes     []colNode
+	displaced []int // fail's scratch
+	scores    *stats.Sample
+	waits     *stats.Sample // admission delays, filled by row
+	requeues  int64
+	makespan  sim.Time
 }
 
 func (s *colSim) arrive(i int) {
@@ -320,14 +354,14 @@ func (s *colSim) finish(i int) {
 func (s *colSim) fail(ni int) {
 	n := &s.nodes[ni]
 	n.healthy = false
-	displaced := append(append([]int(nil), n.queue[n.head:]...), n.running...)
+	s.displaced = append(append(s.displaced[:0], n.queue[n.head:]...), n.running...)
 	for _, i := range n.running {
 		j := &s.jobs[i]
 		n.boards[int(j.slot)%s.cfg.BoardsPerNode].Release(j.span)
 		s.k.Cancel(j.complete)
 	}
-	n.queue, n.head, n.running = nil, 0, nil
-	for _, i := range displaced {
+	n.queue, n.head, n.running = n.queue[:0], 0, n.running[:0]
+	for _, i := range s.displaced {
 		s.requeues++
 		s.place(i)
 	}

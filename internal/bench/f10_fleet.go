@@ -21,7 +21,9 @@ import (
 // harness benchmark's golden tables are regenerated. Either replay is
 // pure virtual time, so the rows measure routing quality alone —
 // identical arrivals, identical rectangles, identical mid-run node
-// failure.
+// failure. columnBakeoff replays on states from the replays free list;
+// when the table moves to fleet.RunBakeoff (ROADMAP item 5(a)), the list
+// moves with it, to RunBakeoff's caller here.
 
 type fleetClass struct {
 	nl     *netlist.Netlist
@@ -37,7 +39,7 @@ func fleetClassPool() []fleetClass {
 		{netlist.MustLookup("parity16"), 40_000, 5},
 		{netlist.MustLookup("adder8"), 60_000, 3},
 		{netlist.MustLookup("alu8"), 80_000, 2},
-		{netlist.Multiplier(6), 120_000, 2}, // not a library circuit
+		{mul6(), 120_000, 2}, // not a library circuit
 		{netlist.MustLookup("mul8"), 160_000, 1},
 	}
 }
@@ -107,8 +109,12 @@ func F10PlacementBakeoff(cfg Config) (*trace.Table, error) {
 	}
 	policies := fleet.PolicyNames
 	return fillRows(tbl, cfg.Jobs, len(policies), func(i int) ([]any, error) {
-		row := columnBakeoff(bcfg, policies[i])
-		return []any{row.Policy, row.Jobs, row.Completed, row.HWUtil,
-			row.P50AdmitMS, row.P99AdmitMS, row.Requeues, row.MeanScore, row.MakespanMS}, nil
+		return f10Row(columnBakeoff(bcfg, policies[i])), nil
 	})
+}
+
+// f10Row is one policy's row of the F10 table.
+func f10Row(row fleet.BakeoffRow) []any {
+	return []any{row.Policy, row.Jobs, row.Completed, row.HWUtil,
+		row.P50AdmitMS, row.P99AdmitMS, row.Requeues, row.MeanScore, row.MakespanMS}
 }

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/trace"
 )
 
 // TestF10Shape gates the bake-off's claim at full scale, in the delay
@@ -73,4 +75,55 @@ func TestF10Shape(t *testing.T) {
 			t.Errorf("row %d policy %q, want %q", i, tbl.Rows[i][0], name)
 		}
 	}
+}
+
+// TestF10OnRenewedScratch renders F10 at seeds 1–3, quick and full, on
+// renewed replay states and holds every row to a replay on a state built
+// new: serially from an emptied list (a pass's later policies renew its
+// first's state), and serially and on four workers from a list a pass of
+// the other size dirtied — a quick pass's states before a full one, a
+// full pass's before a quick one, so the arrays a replay renews are
+// shorter or longer than its own. The list must hold no more states than
+// F10 ever had live at once.
+func TestF10OnRenewedScratch(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3} {
+		for _, quick := range []bool{false, true} {
+			cfg := Config{Seed: seed, Quick: quick}
+			bcfg, err := FleetBakeoffConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fresh trace.Table
+			for _, p := range fleet.PolicyNames {
+				replays.empty()
+				fresh.AddRow(f10Row(columnBakeoff(bcfg, p))...)
+			}
+			for _, dirty := range []struct {
+				name string
+				jobs int
+			}{{"emptied", 1}, {"dirtied", 1}, {"dirtied", 4}} {
+				replays.empty()
+				if dirty.name == "dirtied" {
+					f10Rows(t, Config{Seed: seed + 10, Quick: !quick, Jobs: dirty.jobs})
+				}
+				cfg.Jobs = dirty.jobs
+				if got := f10Rows(t, cfg); !reflect.DeepEqual(got, fresh.Rows) {
+					t.Errorf("seed %d, quick %v, jobs %d, %s list: F10 on renewed replay states prints\n%v\nwant, on new ones,\n%v",
+						seed, quick, dirty.jobs, dirty.name, got, fresh.Rows)
+				}
+				if n := replays.count(struct{}{}); n > len(fleet.PolicyNames) {
+					t.Errorf("%d replay states on the free list, more than F10's %d policies", n, len(fleet.PolicyNames))
+				}
+			}
+		}
+	}
+}
+
+func f10Rows(t *testing.T, cfg Config) [][]string {
+	t.Helper()
+	tbl, err := F10PlacementBakeoff(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl.Rows
 }

@@ -49,7 +49,7 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 		// demand actually reaches the boards.
 		osCfg := hostos.DefaultConfig()
 		osCfg.TimeSlice = 1 * sim.Millisecond
-		st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, multiMgr, stacks.take(opt.Geometry, boards))
+		st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, multiMgr, stacks.take(keyOf(opt.Geometry, boards)))
 		if err != nil {
 			return nil, err
 		}

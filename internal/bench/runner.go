@@ -27,10 +27,11 @@ type Outcome struct {
 // Tables are byte-identical for every Jobs value and whatever ran
 // before in the process. Experiments share two things, both behind a
 // mutex: the compile cache, keyed by every input that affects its
-// output, and the free list of dead stacks, which a sweep point takes a
-// stack from and gives it back to once its numbers are read. A renewed
-// stack runs as a new one does, and a sweep point owns its stack and RNG
-// streams while it runs.
+// output, and the free lists of dead stacks and of F10's replay states,
+// which a sweep point takes one from and gives it back to once its
+// numbers are read. A renewed stack or state runs as a new one does, and
+// a sweep point owns it and its RNG streams while it runs. The netlists
+// no seed changes are built once and shared read-only.
 func Run(cfg Config, exps []Experiment) []Outcome {
 	out, _ := flat.Map(len(exps), cfg.Jobs, func(i int) (Outcome, error) {
 		// Wall timing comes only from the injected clock: the harness

@@ -9,22 +9,38 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/hostos"
 )
 
-// empty drops every dead stack, as at the start of a process.
-func (f *freeList) empty() {
+// Every test of the package runs with the free lists scribbling over
+// what they are given back: a number read off a stack or a replay state
+// after it goes back then reads garbage in a serial run, not only when a
+// rival goroutine happens to renew it first.
+func init() {
+	stacks.scribble = func(st *baseline.Stack) {
+		for _, t := range st.OS.Tasks() {
+			t.Finished, t.ReadyWait, t.BlockWait = -1, -1, -1
+		}
+	}
+	replays.scribble = func(s *colSim) {
+		clear(s.jobs)
+		s.scores.Reset()
+		s.requeues, s.makespan = -1, -1
+	}
+}
+
+// empty drops every dead value, as at the start of a process.
+func (f *freeList[K, V]) empty() {
 	f.mu.Lock()
 	clear(f.free)
 	f.mu.Unlock()
 }
 
-// count returns how many dead stacks of the shape are free.
-func (f *freeList) count(geom fabric.Geometry, engines int) int {
+// count returns how many dead values of the shape are free.
+func (f *freeList[K, V]) count(k K) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.free[keyOf(geom, engines)])
+	return len(f.free[k])
 }
 
 // TestRunOnRenewedStacks regenerates every table at seeds 1–3, serially
@@ -85,7 +101,7 @@ func TestStackFreeListConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				used := stacks.take(opt.Geometry, 1)
+				used := stacks.take(keyOf(opt.Geometry, 1))
 				if used == nil {
 					runtime.Gosched()
 					continue
@@ -119,8 +135,76 @@ func TestStackFreeListConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 	// At most one stack for the point and one per rival was ever live.
-	if n := stacks.count(opt.Geometry, 1); n < 1 || n > 1+rivals {
+	if n := stacks.count(keyOf(opt.Geometry, 1)); n < 1 || n > 1+rivals {
 		t.Errorf("%d stacks of the shape on the free list, want 1 to %d", n, 1+rivals)
+	}
+}
+
+// TestReplayFreeListConcurrent is TestStackFreeListConcurrent for F10's
+// replay states: one policy's replay runs over and over while rival
+// goroutines replay another seed and policy on whatever state is given
+// back, so each state is taken the moment it returns. Every result must
+// equal the first (`make race` runs this 200 times).
+func TestReplayFreeListConcurrent(t *testing.T) {
+	replays.empty()
+	cfg, err := FleetBakeoffConfig(Config{Seed: 1, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Jobs = 300
+	other := cfg
+	other.Seed = 2
+	want := columnBakeoff(cfg, "packing")
+	const rivals = 3
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for range rivals {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				columnBakeoff(other, "random")
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		if got := columnBakeoff(cfg, "packing"); got != want {
+			t.Errorf("replay %d on a shared free list: %+v, want %+v", i, got, want)
+			break
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if n := replays.count(struct{}{}); n < 1 || n > 1+rivals {
+		t.Errorf("%d replay states on the free list, want 1 to %d", n, 1+rivals)
+	}
+}
+
+// TestRunPassByteBudget pins the bytes a whole pass allocates at a seed
+// the process has not run, once two passes have filled the compile cache
+// with the strips no seed changes and left stacks and replay states on
+// the free lists: the harness benchmark's op, on one worker. What is left
+// is the seed's compiles, its workloads and bitstreams, and the tables.
+// The budget is about 15 % over the reading (682 KiB); a pass that builds
+// F10's replay states, F6's netlists and F5's reference strings anew
+// reads about 4 980.
+func TestRunPassByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats escape analysis")
+	}
+	const budgetKiB = 785
+	for seed := uint64(1001); seed <= 1002; seed++ {
+		renderAll(t, Run(Config{Seed: seed, Jobs: 1}, All()))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	outs := Run(Config{Seed: 1003, Jobs: 1}, All())
+	runtime.ReadMemStats(&after)
+	renderAll(t, outs)
+	got := (after.TotalAlloc - before.TotalAlloc) / 1024
+	t.Logf("%d KiB a pass at a new seed", got)
+	if got > budgetKiB {
+		t.Errorf("a pass at a new seed allocates %d KiB, budget %d", got, budgetKiB)
 	}
 }
 

@@ -63,6 +63,12 @@ func (s *Sample) Reserve(n int) {
 	}
 }
 
+// Reset empties the sample to the state NewSample returns, keeping the
+// retained values' array for the next observations.
+func (s *Sample) Reset() {
+	*s = Sample{max: math.Inf(-1), values: s.values[:0], keep: s.keep}
+}
+
 // Count returns the number of observations.
 func (s *Sample) Count() int64 { return s.n }
 

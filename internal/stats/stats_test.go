@@ -102,6 +102,50 @@ func TestQuantileInterleavedWithObserve(t *testing.T) {
 	NewSample(false).Reserve(10) // no-op without retention
 }
 
+// TestSampleReset: a reset sample answers as a new one, before and after
+// the same observations, keeps its retention and, within the array it
+// held, observes without allocating.
+func TestSampleReset(t *testing.T) {
+	vals := []float64{-3, 7, 2.5, 7, -1}
+	for _, keep := range []bool{false, true} {
+		s := NewSample(keep)
+		for _, v := range []float64{100, -100, 4} {
+			s.Observe(v)
+		}
+		if keep {
+			s.Quantile(0.5) // leaves the values sorted
+		}
+		s.Reset()
+		fresh := NewSample(keep)
+		if s.Count() != 0 || s.Mean() != 0 || s.Max() != 0 {
+			t.Fatalf("keep=%v: reset sample reads count %d, mean %v, max %v", keep, s.Count(), s.Mean(), s.Max())
+		}
+		allocs := testing.AllocsPerRun(1, func() {
+			s.Reset()
+			for _, v := range vals {
+				s.Observe(v)
+			}
+		})
+		for _, v := range vals {
+			fresh.Observe(v)
+		}
+		if s.Count() != fresh.Count() || s.Mean() != fresh.Mean() || s.Max() != fresh.Max() {
+			t.Errorf("keep=%v: reset sample reads %d/%v/%v, a new one %d/%v/%v", keep,
+				s.Count(), s.Mean(), s.Max(), fresh.Count(), fresh.Mean(), fresh.Max())
+		}
+		if keep {
+			for _, q := range []float64{0, 0.5, 1} {
+				if got, want := s.Quantile(q), fresh.Quantile(q); got != want {
+					t.Errorf("reset sample q=%v: %v, a new one %v", q, got, want)
+				}
+			}
+		}
+		if keep && allocs != 0 {
+			t.Errorf("observing into a reset sample allocates %.0f objects", allocs)
+		}
+	}
+}
+
 func TestQuantileWithoutRetentionPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

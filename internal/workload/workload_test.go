@@ -177,22 +177,6 @@ func TestPagedSkewConcentrates(t *testing.T) {
 	}
 }
 
-func TestCircuitNames(t *testing.T) {
-	set := Multimedia(DefaultMultimedia())
-	var names []string
-	for _, c := range set.Circuits {
-		names = append(names, c.Name)
-	}
-	if len(names) != len(set.Circuits) {
-		t.Fatal("name count mismatch")
-	}
-	for i, n := range names {
-		if n != set.Circuits[i].Name {
-			t.Fatal("name order mismatch")
-		}
-	}
-}
-
 func TestStorageShape(t *testing.T) {
 	cfg := DefaultStorage()
 	set := Storage(cfg)
