@@ -28,7 +28,8 @@ build:
 # The race gate covers the concurrency-bearing packages: the parallel
 # experiment runner (bench), the compile cache and its flows (compile),
 # the fan-out of a set's compiles (core), the one bounded fan-out both
-# run on (flat), the service daemon (serve), the fleet scheduler
+# run on and the one memo and free list under the caches and working
+# sets (flat), the service daemon (serve), the fleet scheduler
 # (fleet), the stages whose working arrays a flow
 # carries from goroutine to goroutine (the optimizer in netlist, techmap,
 # place, route), and the simulation layers they drive — the board stack
@@ -36,20 +37,22 @@ build:
 # with its one callback shape under bench.Run's parallel workers — and
 # the shared circuit library (netlist) with the spec builder that reads
 # it from every worker, the device (fabric) whose check every board's
-# worker runs on a working set it takes from and gives back to one free
-# list, and the audit (lint) that calls it. The second
+# worker runs on a working set it takes from and gives back to a
+# flat.FreeList, and the audit (lint) that calls it. The second
 # run repeats the tests of orderings between goroutines (a failed job is
 # counted before its done channel closes; every queued-work charge is
 # released, whichever worker the job leaves), the test that a live pool
 # and fleet.Simulate place one stream alike, the test that two boards
 # run one cached task set at once, and the canary that a delivered
 # result outlives the jobs whose stacks a board renews in its memory;
-# and the harness's free list of dead stacks and of F10's replay states,
+# the harness's free list of dead stacks and of F10's replay states,
 # which rival goroutines take from and give back to while one sweep
-# point or one replay runs: once is not evidence.
+# point or one replay runs; and flat's memo, whose waiters park on one
+# build, and free list, whose values go from holder to holder: once is
+# not evidence.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/flat/... ./internal/fabric/... ./internal/compile/... ./internal/techmap/... ./internal/place/... ./internal/route/... ./internal/lint/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
-	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree|TestBoardsShareCachedSet|TestDeliveredResultOutlivesBoard|TestStackFreeListConcurrent|TestReplayFreeListConcurrent' ./internal/serve/ ./internal/bench/
+	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree|TestBoardsShareCachedSet|TestDeliveredResultOutlivesBoard|TestStackFreeListConcurrent|TestReplayFreeListConcurrent|TestMemoSingleflight|TestFreeListConcurrent' ./internal/serve/ ./internal/bench/ ./internal/flat/
 
 test:
 	$(GO) test ./...
@@ -106,7 +109,10 @@ fuzz-smoke:
 # edits to the flat-array idioms — a scratch array's clear, record
 # carving and its rewind, a fan-out's first error, the topological
 # sort's FIFO and its seeding from index 0 (order-lifo,
-# order-seeds-from-one) — the netlist check, the one statement of a
+# order-seeds-from-one), the memo's LRU order, eviction, weight bound
+# and dropped errors (memo-hit-not-mru, memo-evicts-newest,
+# memo-keeps-heavy, memo-keeps-error) and the free list's stack order
+# and bound (freelist-fifo, freelist-ignores-bound) — the netlist check, the one statement of a
 # netlist's structural rules (validate-skips-fanin-range,
 # validate-allows-output-read, validate-allows-duplicate-port,
 # topo-accepts-cycle), bitstream.Validate, the one statement of a

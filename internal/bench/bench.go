@@ -17,6 +17,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/flat"
 	"repro/internal/hostos"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -139,9 +140,7 @@ func footprint(circs []*compile.Circuit) (sumW, maxW, cells int) {
 // replays keeps F10's dead replay states (colSim) the same way. Neither
 // has a bound of its own: it holds no more of a shape than were ever
 // live at once, which the worker fan-out (Config.Jobs) bounds.
-var stacks = newFreeList(func(st *baseline.Stack) stackKey {
-	return keyOf(st.Engines[0].Dev.Geometry(), len(st.Engines))
-})
+var stacks = flat.NewFreeList[stackKey, *baseline.Stack](0)
 
 // stackKey is the shape baseline.NewStack renews a stack to: the device
 // geometry and the engine count.
@@ -154,60 +153,22 @@ func keyOf(geom fabric.Geometry, engines int) stackKey {
 	return stackKey{geom: geom, engines: engines}
 }
 
-// freeList is a mutex-guarded stack of dead values per key, the shape
-// its shape function reads off a value; a value is a pointer, so take's
-// zero result means none is free.
-type freeList[K comparable, V any] struct {
-	mu    sync.Mutex
-	free  map[K][]V
-	shape func(V) K
-	// scribble, when set, overwrites what give is handed before it goes
-	// on the list: the package's tests set it, so a number read off a
-	// value after it is given back is garbage in a serial run.
-	scribble func(V)
-}
-
-func newFreeList[K comparable, V any](shape func(V) K) *freeList[K, V] {
-	return &freeList[K, V]{free: map[K][]V{}, shape: shape}
-}
-
-// take removes a dead value of key k from the list and returns it, or
-// the zero value when none is free.
-func (f *freeList[K, V]) take(k K) V {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	l := f.free[k]
-	var v V
-	if len(l) == 0 {
-		return v
-	}
-	v, l[len(l)-1] = l[len(l)-1], v
-	f.free[k] = l[:len(l)-1]
-	return v
-}
-
-// give puts v, whose run's numbers are read, on the list under its
+// giveStack puts st, whose run's numbers are read, on stacks under its
 // shape. It is dead from here on: nothing may read it again.
-func (f *freeList[K, V]) give(v V) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	k := f.shape(v)
-	if f.scribble != nil {
-		f.scribble(v)
-	}
-	f.free[k] = append(f.free[k], v)
+func giveStack(st *baseline.Stack) {
+	stacks.Give(keyOf(st.Engines[0].Dev.Geometry(), len(st.Engines)), st)
 }
 
 // newStack assembles a fault-free stack of the given engine count over
 // the set's circuits, compiled through the shared cache, on a dead stack
 // of the free list when one of its shape is there. Give it back
-// (stacks.give) once its numbers are read.
+// (giveStack) once its numbers are read.
 func newStack(opt core.Options, engines int, osCfg hostos.Config, set *workload.Set, mk baseline.ManagerFunc) (*baseline.Stack, error) {
 	circs, err := compileSet(opt, set.Circuits)
 	if err != nil {
 		return nil, err
 	}
-	return baseline.NewStack(opt, engines, osCfg, nil, set, circs, mk, stacks.take(keyOf(opt.Geometry, engines)))
+	return baseline.NewStack(opt, engines, osCfg, nil, set, circs, mk, stacks.Take(keyOf(opt.Geometry, engines)))
 }
 
 // runResult summarizes one finished run in values: nothing in it points
@@ -250,7 +211,7 @@ func runSet(opt core.Options, osCfg hostos.Config, set *workload.Set, mk baselin
 		return runResult{}, err
 	}
 	res := summarize(st)
-	stacks.give(st)
+	giveStack(st)
 	return res, nil
 }
 

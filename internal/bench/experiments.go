@@ -615,7 +615,7 @@ func runChurn(cfg Config, set *workload.Set, mk baseline.ManagerFunc,
 		}
 	}
 	r := row(st, frag)
-	stacks.give(st)
+	giveStack(st)
 	return r, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/flat"
 	"repro/internal/fleet"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -26,7 +27,7 @@ import (
 // ~90 % of the fleet's column-time, not of its board-time.
 func columnBakeoff(cfg fleet.BakeoffConfig, policy string) fleet.BakeoffRow {
 	cfg.MeanInterval, cfg.FailAt = columnInterval(cfg)
-	s := newColSim(cfg, policy, replays.take(struct{}{}))
+	s := newColSim(cfg, policy, replays.Take(struct{}{}))
 	src := rng.New(cfg.Seed)
 	totalWeight := 0
 	for _, cl := range cfg.Classes {
@@ -54,7 +55,7 @@ func columnBakeoff(cfg fleet.BakeoffConfig, policy string) fleet.BakeoffRow {
 	}
 	s.k.Run()
 	row := s.row()
-	replays.give(s)
+	replays.Give(struct{}{}, s)
 	return row
 }
 
@@ -62,7 +63,7 @@ func columnBakeoff(cfg fleet.BakeoffConfig, policy string) fleet.BakeoffRow {
 // for every pass of the process: a pass's three policies and the next
 // pass's run on the job arrays, queues, region maps and samples of the
 // ones before. Any state renews to any config, so there is one shape.
-var replays = newFreeList(func(*colSim) struct{} { return struct{}{} })
+var replays = flat.NewFreeList[struct{}, *colSim](0)
 
 // newColSim renews used, a dead replay state, into one for cfg and
 // policy, as baseline.NewStack renews a dead stack: each board's region

@@ -95,14 +95,14 @@ func TestF10OnRenewedScratch(t *testing.T) {
 			}
 			var fresh trace.Table
 			for _, p := range fleet.PolicyNames {
-				replays.empty()
+				replays = emptied(replays)
 				fresh.AddRow(f10Row(columnBakeoff(bcfg, p))...)
 			}
 			for _, dirty := range []struct {
 				name string
 				jobs int
 			}{{"emptied", 1}, {"dirtied", 1}, {"dirtied", 4}} {
-				replays.empty()
+				replays = emptied(replays)
 				if dirty.name == "dirtied" {
 					f10Rows(t, Config{Seed: seed + 10, Quick: !quick, Jobs: dirty.jobs})
 				}
@@ -111,7 +111,7 @@ func TestF10OnRenewedScratch(t *testing.T) {
 					t.Errorf("seed %d, quick %v, jobs %d, %s list: F10 on renewed replay states prints\n%v\nwant, on new ones,\n%v",
 						seed, quick, dirty.jobs, dirty.name, got, fresh.Rows)
 				}
-				if n := replays.count(struct{}{}); n > len(fleet.PolicyNames) {
+				if n := count(replays, struct{}{}); n > len(fleet.PolicyNames) {
 					t.Errorf("%d replay states on the free list, more than F10's %d policies", n, len(fleet.PolicyNames))
 				}
 			}

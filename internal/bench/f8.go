@@ -49,7 +49,7 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 		// demand actually reaches the boards.
 		osCfg := hostos.DefaultConfig()
 		osCfg.TimeSlice = 1 * sim.Millisecond
-		st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, multiMgr, stacks.take(keyOf(opt.Geometry, boards)))
+		st, err := baseline.NewStack(opt, boards, osCfg, nil, set, circs, multiMgr, stacks.Take(keyOf(opt.Geometry, boards)))
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +59,7 @@ func F8MultiBoard(cfg Config) (*trace.Table, error) {
 		res, mm := summarize(st), st.Mgr.(*core.MultiManager)
 		row := []any{boards, cols, ms(res.Makespan), ms(res.MeanBlock),
 			mm.TotalLoads(), mm.TotalBlocks(), "yes"}
-		stacks.give(st)
+		giveStack(st)
 		return row, nil
 	})
 }

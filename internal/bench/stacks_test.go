@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/flat"
 	"repro/internal/hostos"
 )
 
@@ -17,30 +18,38 @@ import (
 // after it goes back then reads garbage in a serial run, not only when a
 // rival goroutine happens to renew it first.
 func init() {
-	stacks.scribble = func(st *baseline.Stack) {
+	stacks.Scribble = func(st *baseline.Stack) {
 		for _, t := range st.OS.Tasks() {
 			t.Finished, t.ReadyWait, t.BlockWait = -1, -1, -1
 		}
 	}
-	replays.scribble = func(s *colSim) {
+	replays.Scribble = func(s *colSim) {
 		clear(s.jobs)
 		s.scores.Reset()
 		s.requeues, s.makespan = -1, -1
 	}
 }
 
-// empty drops every dead value, as at the start of a process.
-func (f *freeList[K, V]) empty() {
-	f.mu.Lock()
-	clear(f.free)
-	f.mu.Unlock()
+// emptied returns a new free list scribbling as f does: one with no
+// dead values, as at the start of a process.
+func emptied[K comparable, V any](f *flat.FreeList[K, V]) *flat.FreeList[K, V] {
+	e := flat.NewFreeList[K, V](0)
+	e.Scribble = f.Scribble
+	return e
 }
 
-// count returns how many dead values of the shape are free.
-func (f *freeList[K, V]) count(k K) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.free[k])
+// count returns how many dead values of key k are free, taking them off
+// and giving them back in their order.
+func count[K, V comparable](f *flat.FreeList[K, V], k K) int {
+	var zero V
+	var vs []V
+	for v := f.Take(k); v != zero; v = f.Take(k) {
+		vs = append(vs, v)
+	}
+	for i := len(vs) - 1; i >= 0; i-- {
+		f.Give(k, vs[i])
+	}
+	return len(vs)
 }
 
 // TestRunOnRenewedStacks regenerates every table at seeds 1–3, serially
@@ -54,7 +63,7 @@ func TestRunOnRenewedStacks(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		clean := make([]string, len(seeds))
 		for i, seed := range seeds {
-			stacks.empty()
+			stacks = emptied(stacks)
 			clean[i] = renderAll(t, Run(Config{Seed: seed, Jobs: jobs}, All()))
 		}
 		// Each pass now starts on the stacks the pass before it left:
@@ -80,7 +89,7 @@ func TestRunOnRenewedStacks(t *testing.T) {
 // two holders at once, reads a rival's numbers here, and under the race
 // detector is a reported race (`make race` runs this 200 times).
 func TestStackFreeListConcurrent(t *testing.T) {
-	stacks.empty()
+	stacks = emptied(stacks)
 	opt := defaultOpt(Config{Seed: 1})
 	set, other := t3Set(Config{Seed: 1}), f8Set(Config{Seed: 1})
 	osCfg := hostos.DefaultConfig()
@@ -101,7 +110,7 @@ func TestStackFreeListConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				used := stacks.take(keyOf(opt.Geometry, 1))
+				used := stacks.Take(keyOf(opt.Geometry, 1))
 				if used == nil {
 					runtime.Gosched()
 					continue
@@ -114,7 +123,7 @@ func TestStackFreeListConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				stacks.give(st)
+				giveStack(st)
 			}
 		}()
 	}
@@ -135,7 +144,7 @@ func TestStackFreeListConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 	// At most one stack for the point and one per rival was ever live.
-	if n := stacks.count(keyOf(opt.Geometry, 1)); n < 1 || n > 1+rivals {
+	if n := count(stacks, keyOf(opt.Geometry, 1)); n < 1 || n > 1+rivals {
 		t.Errorf("%d stacks of the shape on the free list, want 1 to %d", n, 1+rivals)
 	}
 }
@@ -146,7 +155,7 @@ func TestStackFreeListConcurrent(t *testing.T) {
 // back, so each state is taken the moment it returns. Every result must
 // equal the first (`make race` runs this 200 times).
 func TestReplayFreeListConcurrent(t *testing.T) {
-	replays.empty()
+	replays = emptied(replays)
 	cfg, err := FleetBakeoffConfig(Config{Seed: 1, Quick: true})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +184,7 @@ func TestReplayFreeListConcurrent(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
-	if n := replays.count(struct{}{}); n < 1 || n > 1+rivals {
+	if n := count(replays, struct{}{}); n < 1 || n > 1+rivals {
 		t.Errorf("%d replay states on the free list, want 1 to %d", n, 1+rivals)
 	}
 }

@@ -3,24 +3,21 @@
 //
 // Strip compilation (map+place+route+bitgen) is the dominant cost of
 // every experiment, and it is a pure function of its inputs, so results
-// are shared process-wide. StripCache provides three things the parallel
-// runner needs that a plain map cannot:
+// are shared process-wide. StripCache, a flat.Memo, provides three
+// things the parallel runner needs that a plain map cannot:
 //
 //   - singleflight deduplication: concurrent workers requesting the same
 //     key block on one compilation instead of redoing it;
 //   - bounded LRU eviction, so a long-lived process cannot grow the cache
 //     without limit;
-//   - counters under its lock: hits, misses and dedups for vfpgabench's
-//     summary line; those, evictions, entries and capacity for the
-//     daemon's /metrics; compilations in flight for Stats alone.
+//   - counters: hits, misses and dedups for vfpgabench's summary line;
+//     those, evictions, entries and capacity for the daemon's /metrics;
+//     compilations in flight for Stats alone.
 package compile
 
 import (
-	"container/list"
-	"errors"
-	"sync"
-
 	"repro/internal/fabric"
+	"repro/internal/flat"
 	"repro/internal/netlist"
 )
 
@@ -68,32 +65,11 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits+s.Dedups) / float64(n)
 }
 
-type cacheEntry struct {
-	key CacheKey
-	c   *Circuit
-}
-
-// flight is one in-progress compilation; joiners wait on done.
-type flight struct {
-	done chan struct{}
-	c    *Circuit
-	err  error
-}
-
 // StripCache is a concurrent, bounded, deduplicating cache over
-// CompileStrip. The zero value is not usable; use NewStripCache.
+// CompileStrip: a flat.Memo of one strip compilation per key, each
+// weighing 1. The zero value is not usable; use NewStripCache.
 type StripCache struct {
-	// capacity is fixed at construction, so it sits above mu, which
-	// guards the LRU structures and the counters below it.
-	capacity int
-
-	mu       sync.Mutex
-	lru      *list.List // front = most recently used; values are *cacheEntry
-	entries  map[CacheKey]*list.Element
-	inflight map[CacheKey]*flight
-
-	hits, misses, dedups, evictions int64
-	inFlight                        int64
+	memo *flat.Memo[CacheKey, *Circuit]
 }
 
 // DefaultCacheCapacity bounds a StripCache when NewStripCache is given a
@@ -108,12 +84,7 @@ func NewStripCache(capacity int) *StripCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &StripCache{
-		capacity: capacity,
-		lru:      list.New(),
-		entries:  map[CacheKey]*list.Element{},
-		inflight: map[CacheKey]*flight{},
-	}
+	return &StripCache{flat.NewMemo[CacheKey](capacity, func(*Circuit) int { return 1 })}
 }
 
 // CompileStrip returns the strip compilation of nl for the given shape and
@@ -121,7 +92,7 @@ func NewStripCache(capacity int) *StripCache {
 // The returned Circuit is shared and must be treated as immutable (every
 // consumer in this repository already does).
 func (sc *StripCache) CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit, error) {
-	return sc.get(keyOf(nl, rows, tracks, opt), func() (*Circuit, error) {
+	return sc.memo.Get(keyOf(nl, rows, tracks, opt), func() (*Circuit, error) {
 		return CompileStrip(nl, rows, tracks, opt)
 	})
 }
@@ -131,9 +102,7 @@ func (sc *StripCache) CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Op
 // nothing: a caller that then compiles through CompileStrip counts the
 // lookup there.
 func (sc *StripCache) Cached(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.hitLocked(keyOf(nl, rows, tracks, opt))
+	return sc.memo.Cached(keyOf(nl, rows, tracks, opt))
 }
 
 // keyOf is the cache key of a strip compile.
@@ -152,83 +121,16 @@ func keyOf(nl *netlist.Netlist, rows, tracks int, opt Options) CacheKey {
 	}
 }
 
-// hitLocked returns the cached circuit for key, counting the hit and
-// marking it most recently used, or false.
-func (sc *StripCache) hitLocked(key CacheKey) (*Circuit, bool) {
-	el, ok := sc.entries[key]
-	if !ok {
-		return nil, false
-	}
-	sc.lru.MoveToFront(el)
-	sc.hits++
-	return el.Value.(*cacheEntry).c, true
-}
-
-// get looks key up, joining an in-flight compilation or running fn once.
-// Failed compilations are delivered to all waiters but never cached, so a
-// transient caller error does not poison the key. If fn panics, the
-// flight ends all the same: its joiners get an error, the next lookup
-// compiles afresh, and the panic goes on up the compiling caller's stack.
-func (sc *StripCache) get(key CacheKey, fn func() (*Circuit, error)) (*Circuit, error) {
-	sc.mu.Lock()
-	if c, ok := sc.hitLocked(key); ok {
-		sc.mu.Unlock()
-		return c, nil
-	}
-	if f, ok := sc.inflight[key]; ok {
-		sc.dedups++
-		sc.mu.Unlock()
-		<-f.done
-		return f.c, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	sc.inflight[key] = f
-	sc.misses++
-	sc.inFlight++
-	sc.mu.Unlock()
-
-	// Until fn returns, the flight reads as panicked: that is what land
-	// hands the joiners if it never does.
-	f.err = errPanicked
-	defer sc.land(key, f)
-	f.c, f.err = fn()
-	return f.c, f.err
-}
-
-// errPanicked is what the joiners of a flight whose compilation panicked
-// get.
-var errPanicked = errors.New("compile: strip compilation panicked")
-
-// land ends flight f for key: caches a success, releases the key and
-// wakes the joiners.
-func (sc *StripCache) land(key CacheKey, f *flight) {
-	sc.mu.Lock()
-	delete(sc.inflight, key)
-	sc.inFlight--
-	if f.err == nil {
-		sc.entries[key] = sc.lru.PushFront(&cacheEntry{key: key, c: f.c})
-		for sc.lru.Len() > sc.capacity {
-			oldest := sc.lru.Back()
-			sc.lru.Remove(oldest)
-			delete(sc.entries, oldest.Value.(*cacheEntry).key)
-			sc.evictions++
-		}
-	}
-	sc.mu.Unlock()
-	close(f.done)
-}
-
 // Stats returns a snapshot of the cache counters.
 func (sc *StripCache) Stats() CacheStats {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
+	s := sc.memo.Stats()
 	return CacheStats{
-		Hits:      sc.hits,
-		Misses:    sc.misses,
-		Dedups:    sc.dedups,
-		Evictions: sc.evictions,
-		InFlight:  sc.inFlight,
-		Size:      sc.lru.Len(),
-		Capacity:  sc.capacity,
+		Hits:      s.Hits,
+		Misses:    s.Misses,
+		Dedups:    s.Dedups,
+		Evictions: s.Evictions,
+		InFlight:  int64(s.InFlight),
+		Size:      s.Entries,
+		Capacity:  s.Bound,
 	}
 }

@@ -13,10 +13,10 @@ package compile
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
+	"repro/internal/flat"
 	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/place"
@@ -91,58 +91,36 @@ type flow struct {
 	frontEnds int // front ends run, for the tests
 }
 
-// flows is the package's GOMAXPROCS flows. A flow is also the token to
-// compile: every Compile and CompileStrip — a StripCache miss is one —
-// takes a flow and gives it back, so at most GOMAXPROCS compiles run at
-// once, process-wide, and the arrays they keep are bounded by GOMAXPROCS
-// times the largest compile.
-var flows = newFlowStack(runtime.GOMAXPROCS(0))
-
-// flowStack holds the free flows, the one given back last on top: a
+// Every Compile and CompileStrip — a StripCache miss is one — takes a
+// slot and a flow and gives both back, so at most GOMAXPROCS compiles run
+// at once, process-wide, and the arrays the flows keep are bounded by
+// GOMAXPROCS times the largest compile. Free flows are a stack, so a
 // compile takes the flow whose arrays are warmest, and one compiler
 // alone keeps a single flow's arrays grown.
-type flowStack struct {
-	n int // flows in all, free or taken
+var (
+	slots = make(chan struct{}, runtime.GOMAXPROCS(0))
+	flows = flat.NewFreeList[struct{}, *flow](0)
+)
 
-	mu   sync.Mutex
-	cond sync.Cond // on mu; signalled when a flow is given back
-	free []*flow
-}
-
-func newFlowStack(n int) *flowStack {
-	s := &flowStack{n: n, free: make([]*flow, n)}
-	s.cond.L = &s.mu
-	for i := range s.free {
-		s.free[i] = new(flow)
+// takeFlow waits for a slot and takes a free flow, or a new one.
+func takeFlow() *flow {
+	slots <- struct{}{}
+	if f := flows.Take(struct{}{}); f != nil {
+		return f
 	}
-	return s
+	return new(flow)
 }
 
-// take waits for a free flow and takes it.
-func (s *flowStack) take() *flow {
-	s.mu.Lock()
-	for len(s.free) == 0 {
-		s.cond.Wait()
-	}
-	f := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	s.mu.Unlock()
-	return f
+// giveFlow returns a taken flow and its slot. A stage resets every array
+// it reads, so a flow a panicking compile gives back is as good as any.
+func giveFlow(f *flow) {
+	flows.Give(struct{}{}, f)
+	<-slots
 }
 
-// give returns a taken flow. A stage resets every array it reads, so a
-// flow a panicking compile gives back is as good as any.
-func (s *flowStack) give(f *flow) {
-	s.mu.Lock()
-	s.free = append(s.free, f)
-	s.mu.Unlock()
-	s.cond.Signal()
-}
-
-// Flows returns how many compiles can run at once: the number of flows.
-// A caller fanning independent compiles out gains nothing from more
-// goroutines than this.
-func Flows() int { return flows.n }
+// Flows returns how many compiles can run at once. A caller fanning
+// independent compiles out gains nothing from more goroutines than this.
+func Flows() int { return cap(slots) }
 
 // maxGrowth bounds the region-growth retries of Compile.
 const maxGrowth = 6
@@ -151,8 +129,8 @@ const maxGrowth = 6
 // capacity, growing a near-square region ~20% per retry until the design
 // routes.
 func Compile(nl *netlist.Netlist, opt Options) (*Circuit, error) {
-	f := flows.take()
-	defer flows.give(f)
+	f := takeFlow()
+	defer giveFlow(f)
 	m, err := f.frontEnd(nl, opt)
 	if err != nil {
 		return nil, err
@@ -251,8 +229,8 @@ func MustCompile(nl *netlist.Netlist, opt Options) *Circuit {
 // contiguous column ranges, the direct analogue of the paper's
 // memory-style partitions.
 func CompileStrip(nl *netlist.Netlist, rows, tracks int, opt Options) (*Circuit, error) {
-	f := flows.take()
-	defer flows.give(f)
+	f := takeFlow()
+	defer giveFlow(f)
 	return f.compileStrip(nl, rows, tracks, opt)
 }
 

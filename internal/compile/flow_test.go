@@ -91,7 +91,7 @@ func TestRecycledFlowMatchesFresh(t *testing.T) {
 func TestFlowsBoundCompiles(t *testing.T) {
 	taken := make([]*flow, Flows())
 	for i := range taken {
-		taken[i] = flows.take()
+		taken[i] = takeFlow()
 	}
 	done := make(chan error)
 	go func() {
@@ -103,7 +103,7 @@ func TestFlowsBoundCompiles(t *testing.T) {
 		t.Fatal("a compile ran with every flow taken")
 	case <-time.After(50 * time.Millisecond):
 	}
-	flows.give(taken[0])
+	giveFlow(taken[0])
 	select {
 	case err := <-done:
 		if err != nil {
@@ -113,6 +113,6 @@ func TestFlowsBoundCompiles(t *testing.T) {
 		t.Fatal("a compile still waits with a flow given back")
 	}
 	for _, f := range taken[1:] {
-		flows.give(f)
+		giveFlow(f)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/flat"
 )
@@ -341,34 +340,20 @@ type checkSet struct {
 	lutOuts []bool // by scan index: the CLB's LUT value, its FF's next state
 }
 
-// checkFree holds the working sets no call is using, the one given back
-// last on top, at most GOMAXPROCS of them: a daemon audits each board
-// after every job on the board's own goroutine, and each audit after the
-// first on a goroutine finds its arrays already grown. They are not kept
-// on a Device, which a cold job makes anew.
-var checkFree struct {
-	mu   sync.Mutex
-	sets []*checkSet
-}
+// checkSets holds the working sets no call is using, at most
+// GOMAXPROCS of them: a daemon audits each board after every job on the
+// board's own goroutine, and each audit after the first on a goroutine
+// finds its arrays already grown. They are not kept on a Device, which a
+// cold job makes anew.
+var checkSets = flat.NewFreeList[struct{}, *checkSet](runtime.GOMAXPROCS(0))
 
+// takeCheckSet takes a free working set, or a new one; give it back to
+// checkSets.
 func takeCheckSet() *checkSet {
-	checkFree.mu.Lock()
-	defer checkFree.mu.Unlock()
-	n := len(checkFree.sets)
-	if n == 0 {
-		return new(checkSet)
+	if w := checkSets.Take(struct{}{}); w != nil {
+		return w
 	}
-	w := checkFree.sets[n-1]
-	checkFree.sets = checkFree.sets[:n-1]
-	return w
-}
-
-func giveCheckSet(w *checkSet) {
-	checkFree.mu.Lock()
-	defer checkFree.mu.Unlock()
-	if len(checkFree.sets) < runtime.GOMAXPROCS(0) {
-		checkFree.sets = append(checkFree.sets, w)
-	}
+	return new(checkSet)
 }
 
 // Check returns the first rule of a configured device that d breaks, or
@@ -383,7 +368,7 @@ func giveCheckSet(w *checkSet) {
 // fabric-config pass reports it.
 func (d *Device) Check() error {
 	w := takeCheckSet()
-	defer giveCheckSet(w)
+	defer checkSets.Give(struct{}{}, w)
 	return d.order(w)
 }
 
@@ -537,7 +522,7 @@ func (d *Device) settle(w *checkSet) (map[int]bool, error) {
 // output pins. It refuses a device Check refuses, with Check's error.
 func (d *Device) Eval() (map[int]bool, error) {
 	w := takeCheckSet()
-	defer giveCheckSet(w)
+	defer checkSets.Give(struct{}{}, w)
 	return d.settle(w)
 }
 
@@ -548,7 +533,7 @@ func (d *Device) Eval() (map[int]bool, error) {
 // nothing then.
 func (d *Device) Step() (map[int]bool, error) {
 	w := takeCheckSet()
-	defer giveCheckSet(w)
+	defer checkSets.Give(struct{}{}, w)
 	res, err := d.settle(w)
 	if err != nil {
 		return nil, err

@@ -2,9 +2,10 @@
 // once: a scratch array sized per call (Zeroed), a table emptied for its
 // owner's next job (Emptied), records cut from an array their owner
 // keeps (Carve, Rewind), a topological sort over a
-// working set its owner keeps (Order), and a bounded fan-out over
-// indices (FanOut, Map). It imports nothing of the module, so every
-// layer may use it.
+// working set its owner keeps (Order), a bounded fan-out over
+// indices (FanOut, Map), a bounded memo of one build per key (Memo) and
+// a stack of dead values kept for their next user (FreeList). It imports
+// nothing of the module, so every layer may use it.
 package flat
 
 import (

@@ -7,10 +7,10 @@
 package workload
 
 import (
-	"container/list"
 	"strings"
 	"sync"
 
+	"repro/internal/flat"
 	"repro/internal/sim"
 )
 
@@ -84,23 +84,21 @@ type SetCacheStats struct {
 }
 
 // SetCache is a bounded memo of Spec.Build keyed on the resolved
-// parameters: equal resolved specs get the same *Set, which callers must
-// treat as read-only. The least recently used sets are dropped to keep
-// the ops held at most MaxCachedOps. The zero value is an empty cache; a
-// nil *SetCache builds fresh every time, as a nil compile.StripCache
-// compiles without one.
+// parameters, a flat.Memo weighted by Set.Ops: equal resolved specs get
+// the same *Set, which callers must treat as read-only, and a spec asked
+// for while an equal one builds waits for that build. The least recently
+// used sets are dropped to keep the ops held at most MaxCachedOps. The
+// zero value is an empty cache; a nil *SetCache builds fresh every time,
+// as a nil compile.StripCache compiles without one.
 type SetCache struct {
-	mu           sync.Mutex
-	lru          list.List // front = most recently used; values are *setEntry
-	entries      map[setKey]*list.Element
-	ops          int
-	hits, misses int64
+	once sync.Once
+	m    *flat.Memo[setKey, *Set]
 }
 
-type setEntry struct {
-	key setKey
-	set *Set
-	ops int
+// memo returns the cache's memo, made on first use.
+func (c *SetCache) memo() *flat.Memo[setKey, *Set] {
+	c.once.Do(func() { c.m = flat.NewMemo[setKey](MaxCachedOps, (*Set).Ops) })
+	return c.m
 }
 
 // Build returns what spec.Build would: the cached set when an equal
@@ -114,51 +112,12 @@ func (c *SetCache) Build(spec *Spec) (*Set, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	k := spec.key()
-	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		set := el.Value.(*setEntry).set
-		c.mu.Unlock()
-		return set, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-	set, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	return c.add(k, set), nil
+	return c.memo().Get(spec.key(), spec.Build)
 }
 
-// add caches set under k, dropping the least recently used sets until
-// the ops held fit MaxCachedOps, and returns the set now cached under k:
-// the one a concurrent miss on the same key cached first, if any.
-func (c *SetCache) add(k setKey, set *Set) *Set {
-	n := set.Ops()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*setEntry).set
-	}
-	if c.entries == nil {
-		c.entries = map[setKey]*list.Element{}
-	}
-	for c.ops+n > MaxCachedOps {
-		e := c.lru.Remove(c.lru.Back()).(*setEntry)
-		delete(c.entries, e.key)
-		c.ops -= e.ops
-	}
-	c.entries[k] = c.lru.PushFront(&setEntry{key: k, set: set, ops: n})
-	c.ops += n
-	return set
-}
-
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters. A build that waited for an
+// equal spec's is a hit.
 func (c *SetCache) Stats() SetCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return SetCacheStats{Hits: c.hits, Misses: c.misses, Ops: c.ops}
+	s := c.memo().Stats()
+	return SetCacheStats{Hits: s.Hits + s.Dedups, Misses: s.Misses, Ops: s.Weight}
 }

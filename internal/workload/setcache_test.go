@@ -173,9 +173,10 @@ func TestSetCacheRefusesInvalid(t *testing.T) {
 	}
 }
 
-// Builds racing from an empty cache end on one set per spec: a miss that
-// loses the race to cache its set returns the winner's, so every caller
-// holds the set later callers get, and the ops held count it once.
+// Builds racing from an empty cache end on one set per spec: a build
+// asked for while an equal one runs waits for it, so each spec is built
+// once, every caller holds the set later callers get, and the ops held
+// count it once.
 func TestSetCacheConcurrentBuilds(t *testing.T) {
 	var c SetCache
 	specs := BuiltinSpecs()
@@ -210,8 +211,8 @@ func TestSetCacheConcurrentBuilds(t *testing.T) {
 			}
 		}
 	}
-	if st := c.Stats(); st.Ops != ops {
-		t.Errorf("%d ops held, want %d: each set once", st.Ops, ops)
+	if st := c.Stats(); st.Ops != ops || st.Misses != int64(len(specs)) {
+		t.Errorf("%d ops held after %d builds, want %d and %d: each set once", st.Ops, st.Misses, ops, len(specs))
 	}
 }
 
