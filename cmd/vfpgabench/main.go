@@ -105,7 +105,7 @@ func main() {
 		time.Duration(rec.SerialEstMS*float64(time.Millisecond)).Round(time.Millisecond),
 		rec.Speedup)
 	fmt.Printf("compile cache: %d hits, %d misses, %d dedups (%.0f%% hit rate, %d/%d entries)\n",
-		cs.Hits, cs.Misses, cs.Dedups, 100*cs.HitRate(), cs.Size, cs.Capacity)
+		cs.Hits, cs.Misses, cs.Dedups, 100*cs.HitRate(), cs.Entries, cs.Bound)
 	if failed {
 		os.Exit(1)
 	}

@@ -48,7 +48,7 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("overlay swaps: %d loads after boot, %d evictions; overlay now holds %q\n",
-		e.M.Loads.Value()-int64(len(resident)), e.M.Evictions.Value(), om.OverlayCircuit())
+		e.M.Loads-int64(len(resident)), e.M.Evictions, om.OverlayCircuit())
 	fmt.Println()
 	fmt.Println("reading: the control loop never pays reconfiguration (resident hit),")
 	fmt.Println("and preemptive priority keeps its turnaround tight while diagnosis")

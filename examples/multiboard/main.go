@@ -47,7 +47,7 @@ func run(boards, colsEach int) error {
 		if i > 0 {
 			perBoard += " "
 		}
-		perBoard += fmt.Sprintf("%d", b.E.M.Loads.Value())
+		perBoard += fmt.Sprintf("%d", b.E.M.Loads)
 	}
 	fmt.Printf("%d board(s) x %2d cols: makespan %-12v mean turnaround %-12v loads/board [%s] suspensions %d\n",
 		boards, colsEach, osim.Makespan(), mean, perBoard, mm.TotalBlocks())

@@ -38,7 +38,7 @@ func run(name string, cols int, manager string) error {
 		mean += t.Turnaround() / sim.Time(len(st.OS.Tasks()))
 	}
 	fmt.Printf("%-28s cols=%-3d makespan=%-12v mean-turnaround=%-12v reloads=%d\n",
-		name, cols, st.OS.Makespan(), mean, st.Engines[0].M.Loads.Value())
+		name, cols, st.OS.Makespan(), mean, st.Engines[0].M.Loads)
 	return nil
 }
 

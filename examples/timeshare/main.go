@@ -124,7 +124,7 @@ func osLevelDemo() {
 			t.Name, t.HWTime, pure, t.HWTime-pure, t.Overhead, t.Preemptions)
 	}
 	fmt.Printf("manager: %d loads, %d readbacks, %d restores — every preemption saved state\n",
-		e.M.Loads.Value(), e.M.Readbacks.Value(), e.M.Restores.Value())
+		e.M.Loads, e.M.Readbacks, e.M.Restores)
 
 	// The merged timeline interleaves both layers: each scheduler decision
 	// (sched) followed by the device work it caused (device).

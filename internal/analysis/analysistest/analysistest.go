@@ -5,8 +5,8 @@
 //
 // Expectations are comments of the form
 //
-//	m.Loads.Inc() // want `outside internal/core`
-//	bad()         // want `first finding` `second finding`
+//	m.Loads++ // want `outside internal/core`
+//	bad()     // want `first finding` `second finding`
 //
 // Each backquoted string is a regular expression that must match the
 // message of exactly one diagnostic reported on that line; lines without

@@ -3,8 +3,8 @@
 // bumps core.Metrics. Managers — inside core and in baseline — are pure
 // policy; the serve and bench layers consume snapshots. Concretely:
 //
-//   - no package outside internal/core may write a core.Metrics field or
-//     call a Counter mutator on one;
+//   - no package outside internal/core may write a core.Metrics field,
+//     its embedded Counts' included;
 //   - no package outside internal/core, internal/fabric and
 //     internal/bitstream may call the fabric configuration/readback
 //     mutators (Device.WriteCLB/ClearRegion/WritePin/WriteRegionState/
@@ -43,9 +43,6 @@ var deviceMutators = map[string]bool{
 // bitstreamMutators write a configuration image into a device.
 var bitstreamMutators = map[string]bool{"Apply": true, "ApplyPage": true}
 
-// counterMutators mutate a stats.Counter in place.
-var counterMutators = map[string]bool{"Inc": true}
-
 // Analyzer is the ledgeronly analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "ledgeronly",
@@ -53,7 +50,12 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
+// isMetricsBase reports whether e is a core.Metrics or the Counts
+// embedded in one, so m.Loads and m.Counts.Loads are one field.
 func isMetricsBase(pass *analysis.Pass, e ast.Expr) bool {
+	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok && sel.Sel.Name == "Counts" {
+		e = sel.X
+	}
 	return astq.IsNamed(pass.Info.TypeOf(e), corePath, "Metrics")
 }
 
@@ -64,8 +66,7 @@ type MetricsWrite struct {
 }
 
 // MetricsWrites finds every mutation of a core.Metrics field in the
-// pass's files: direct assignments/IncDec on a Metrics field, and
-// Inc calls on a Counter held in one.
+// pass's files: assignments and IncDec on a Metrics field.
 func MetricsWrites(pass *analysis.Pass) []MetricsWrite {
 	var writes []MetricsWrite
 	record := func(pos token.Pos, field string) {
@@ -86,14 +87,6 @@ func MetricsWrites(pass *analysis.Pass) []MetricsWrite {
 			case *ast.IncDecStmt:
 				if sel, ok := ast.Unparen(x.X).(*ast.SelectorExpr); ok && isMetricsBase(pass, sel.X) {
 					record(sel.Pos(), sel.Sel.Name)
-				}
-			case *ast.CallExpr:
-				sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
-				if !ok || !counterMutators[sel.Sel.Name] {
-					return true
-				}
-				if field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok && isMetricsBase(pass, field.X) {
-					record(x.Pos(), field.Sel.Name)
 				}
 			}
 			return true

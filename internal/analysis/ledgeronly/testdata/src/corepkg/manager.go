@@ -4,7 +4,7 @@ package corepkg
 type manager struct{ m *Metrics }
 
 func (mg *manager) sneak() {
-	mg.m.Loads.Inc() // want `core\.Metrics\.Loads mutated outside the ledger`
+	mg.m.Loads++ // want `core\.Metrics\.Loads mutated outside the ledger`
 }
 
 func (mg *manager) decide() int { return 1 }

@@ -56,7 +56,7 @@ func TestExclusiveSerializes(t *testing.T) {
 	if b.Finished <= a.Finished {
 		t.Fatal("b must finish after a exits")
 	}
-	if e.M.Blocks.Value() == 0 {
+	if e.M.Blocks == 0 {
 		t.Fatal("blocks not counted")
 	}
 	if x.holder != nil {
@@ -87,8 +87,8 @@ func TestExclusiveSameTaskSwitchesCircuits(t *testing.T) {
 	if a.State() != hostos.TaskDone {
 		t.Fatal("not done")
 	}
-	if e.M.Loads.Value() != 3 {
-		t.Fatalf("loads = %d, want 3 (holder may still reconfigure)", e.M.Loads.Value())
+	if e.M.Loads != 3 {
+		t.Fatalf("loads = %d, want 3 (holder may still reconfigure)", e.M.Loads)
 	}
 }
 
@@ -102,14 +102,14 @@ func TestMergedZeroReconfig(t *testing.T) {
 	if initCost <= 0 {
 		t.Fatal("no init cost")
 	}
-	loadsAfterInit := e.M.Loads.Value()
+	loadsAfterInit := e.M.Loads
 	os := hostos.New(k, hostos.Config{Policy: hostos.RR, TimeSlice: sim.Millisecond}, m, nil)
 	a, _ := os.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 1000), fpgaOp("parity16", 1000), fpgaOp("adder8", 1000)})
 	k.Run()
 	if a.State() != hostos.TaskDone {
 		t.Fatal("not done")
 	}
-	if e.M.Loads.Value() != loadsAfterInit {
+	if e.M.Loads != loadsAfterInit {
 		t.Fatal("merged baseline reconfigured at run time")
 	}
 	if a.Overhead >= sim.Millisecond {
@@ -156,7 +156,7 @@ func TestSoftwareSlowdown(t *testing.T) {
 	if a.HWTime != 20*hwTime {
 		t.Fatalf("software time %v, want %v", a.HWTime, 20*hwTime)
 	}
-	if e.M.Loads.Value() != 0 {
+	if e.M.Loads != 0 {
 		t.Fatal("software baseline loaded a bitstream")
 	}
 }

@@ -55,9 +55,9 @@ func TestStackArmsBeforeManager(t *testing.T) {
 	st, _ := stackFor(t, "multimedia", "overlay", 1, &plan)
 	clean, _ := stackFor(t, "multimedia", "overlay", 1, nil)
 	m := &st.Engines[0].M
-	if m.FaultsInjected.Value() != 1 || m.FaultRetries.Value() != 1 {
+	if m.FaultsInjected != 1 || m.FaultRetries != 1 {
 		t.Errorf("overlay's init download saw %d faults, %d retries; the scripted first config error should hit it",
-			m.FaultsInjected.Value(), m.FaultRetries.Value())
+			m.FaultsInjected, m.FaultRetries)
 	}
 	if st.InitCost <= clean.InitCost {
 		t.Errorf("init download cost %v with the fault, %v without: the retry is not in it", st.InitCost, clean.InitCost)

@@ -11,7 +11,7 @@
 //   - bounded LRU eviction, so a long-lived process cannot grow the cache
 //     without limit;
 //   - counters: hits, misses and dedups for vfpgabench's summary line;
-//     those, evictions, entries and capacity for the daemon's /metrics;
+//     those, evictions, entries and bound for the daemon's /metrics;
 //     compilations in flight for Stats alone.
 package compile
 
@@ -41,29 +41,9 @@ type CacheKey struct {
 	Timing     fabric.Timing
 }
 
-// CacheStats is a snapshot of a StripCache's counters.
-type CacheStats struct {
-	Hits      int64 // lookups answered from the cache
-	Misses    int64 // lookups that compiled
-	Dedups    int64 // lookups that joined an in-flight compilation
-	Evictions int64 // entries displaced by the LRU bound
-	InFlight  int64 // compilations running right now
-	Size      int   // entries currently cached
-	Capacity  int   // LRU bound
-}
-
-// Lookups returns the total number of cache lookups.
-func (s CacheStats) Lookups() int64 { return s.Hits + s.Misses + s.Dedups }
-
-// HitRate returns the fraction of lookups that avoided a compilation
-// (cache hits plus singleflight joins), or 0 with no lookups.
-func (s CacheStats) HitRate() float64 {
-	n := s.Lookups()
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.Dedups) / float64(n)
-}
+// CacheStats is a snapshot of a StripCache's counters: its memo's, each
+// entry weighing 1.
+type CacheStats = flat.MemoStats
 
 // StripCache is a concurrent, bounded, deduplicating cache over
 // CompileStrip: a flat.Memo of one strip compilation per key, each
@@ -122,15 +102,4 @@ func keyOf(nl *netlist.Netlist, rows, tracks int, opt Options) CacheKey {
 }
 
 // Stats returns a snapshot of the cache counters.
-func (sc *StripCache) Stats() CacheStats {
-	s := sc.memo.Stats()
-	return CacheStats{
-		Hits:      s.Hits,
-		Misses:    s.Misses,
-		Dedups:    s.Dedups,
-		Evictions: s.Evictions,
-		InFlight:  int64(s.InFlight),
-		Size:      s.Entries,
-		Capacity:  s.Bound,
-	}
-}
+func (sc *StripCache) Stats() CacheStats { return sc.memo.Stats() }

@@ -13,9 +13,9 @@ func testKey(name string, seed uint64) CacheKey {
 	return CacheKey{Name: name, Rows: 8, Tracks: 4, Seed: seed}
 }
 
-// TestCacheStatsMapsMemo reads the memo's counters through Stats: a
-// build parked in flight with a lookup waiting on it, then a hit, then
-// a miss that evicts from a cache of one.
+// TestCacheStatsMapsMemo reads the memo's counters through Stats, each
+// strip weighing 1: a build parked in flight with a lookup waiting on
+// it, then a hit, then a miss that evicts from a cache of one.
 func TestCacheStatsMapsMemo(t *testing.T) {
 	sc := NewStripCache(1)
 	a, b := testKey("a", 1), testKey("b", 2)
@@ -36,14 +36,14 @@ func TestCacheStatsMapsMemo(t *testing.T) {
 	for sc.Stats().Dedups == 0 {
 		runtime.Gosched()
 	}
-	if st := sc.Stats(); st.InFlight != 1 || st.Size != 0 {
-		t.Fatalf("during the flight: %d in flight, %d cached, want 1 and 0", st.InFlight, st.Size)
+	if st := sc.Stats(); st.InFlight != 1 || st.Entries != 0 {
+		t.Fatalf("during the flight: %d in flight, %d cached, want 1 and 0", st.InFlight, st.Entries)
 	}
 	close(gate)
 	wg.Wait()
 	sc.memo.Get(a, nil)
 	sc.memo.Get(b, func() (*Circuit, error) { return &Circuit{}, nil })
-	want := CacheStats{Hits: 1, Misses: 2, Dedups: 1, Evictions: 1, Size: 1, Capacity: 1}
+	want := CacheStats{Hits: 1, Misses: 2, Dedups: 1, Evictions: 1, Entries: 1, Weight: 1, Bound: 1}
 	if st := sc.Stats(); st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
@@ -51,8 +51,8 @@ func TestCacheStatsMapsMemo(t *testing.T) {
 
 func TestCacheKeyIncludesAllInputs(t *testing.T) {
 	sc := NewStripCache(0) // 0 => default capacity
-	if sc.Stats().Capacity != DefaultCacheCapacity {
-		t.Fatalf("capacity=%d, want default %d", sc.Stats().Capacity, DefaultCacheCapacity)
+	if sc.Stats().Bound != DefaultCacheCapacity {
+		t.Fatalf("bound=%d, want default %d", sc.Stats().Bound, DefaultCacheCapacity)
 	}
 	nl := netlist.Counter(4)
 	type input struct {

@@ -68,8 +68,8 @@ func TestAmorphousAdoptionCache(t *testing.T) {
 	if _, ok := am.Acquire(a); !ok {
 		t.Fatal("first acquire blocked")
 	}
-	if e.M.Loads.Value() != 1 {
-		t.Fatalf("loads = %d", e.M.Loads.Value())
+	if e.M.Loads != 1 {
+		t.Fatalf("loads = %d", e.M.Loads)
 	}
 	w := e.Lib["counter8"].BS.W
 
@@ -96,8 +96,8 @@ func TestAmorphousAdoptionCache(t *testing.T) {
 	if _, ok := am.Acquire(b); !ok {
 		t.Fatal("adopting acquire blocked")
 	}
-	if e.M.Loads.Value() != 1 {
-		t.Fatalf("adoption reloaded: loads = %d", e.M.Loads.Value())
+	if e.M.Loads != 1 {
+		t.Fatalf("adoption reloaded: loads = %d", e.M.Loads)
 	}
 	if am.byTask[b.ID] == nil {
 		t.Fatal("adopter not recorded as owner")
@@ -130,7 +130,7 @@ func TestAmorphousCacheReclaimUnderSpacePressure(t *testing.T) {
 	if _, ok := am.Acquire(d); !ok {
 		t.Fatal("wide acquire blocked despite reclaimable caches")
 	}
-	if got := e.M.Loads.Value(); got != 3 {
+	if got := e.M.Loads; got != 3 {
 		t.Fatalf("loads = %d, want 3 (two cached + one fresh)", got)
 	}
 	for _, v := range am.Regions() {
@@ -174,9 +174,9 @@ func TestAmorphousSlideMergesHoles(t *testing.T) {
 			t.Fatalf("cache survived the reclaim: %+v", v)
 		}
 	}
-	if e.M.Relocations.Value() < 1 || e.M.GCRuns.Value() != 1 {
+	if e.M.Relocations < 1 || e.M.GCRuns != 1 {
 		t.Fatalf("relocations = %d, gc runs = %d: boundary slide not charged",
-			e.M.Relocations.Value(), e.M.GCRuns.Value())
+			e.M.Relocations, e.M.GCRuns)
 	}
 	// One strip slid, one hole erased: the remaining free space (wp-1
 	// columns; possibly none) is one contiguous hole.
@@ -206,10 +206,10 @@ func TestAmorphousRotationSavesAndRestores(t *testing.T) {
 	if _, ok := am.Acquire(d); !ok {
 		t.Fatal("wide acquire blocked despite evictable owners")
 	}
-	if e.M.Evictions.Value() < 1 {
+	if e.M.Evictions < 1 {
 		t.Fatal("rotation evicted nothing")
 	}
-	if e.M.Readbacks.Value() < 1 {
+	if e.M.Readbacks < 1 {
 		t.Fatal("sequential victim's state not saved")
 	}
 	if len(am.saved) != 1 {
@@ -220,8 +220,8 @@ func TestAmorphousRotationSavesAndRestores(t *testing.T) {
 	if _, ok := am.Acquire(b); !ok {
 		t.Fatal("displaced task could not reacquire")
 	}
-	if e.M.Restores.Value() != 1 {
-		t.Fatalf("restores = %d, want 1", e.M.Restores.Value())
+	if e.M.Restores != 1 {
+		t.Fatalf("restores = %d, want 1", e.M.Restores)
 	}
 	if len(am.saved) != 0 {
 		t.Fatalf("saved state not consumed: %d entries", len(am.saved))
@@ -256,11 +256,11 @@ func TestAmorphousBlockAndWake(t *testing.T) {
 	if !os.AllDone() {
 		t.Fatal("waiter never woken")
 	}
-	if e.M.Blocks.Value() < 1 {
-		t.Fatalf("blocks = %d, want >= 1", e.M.Blocks.Value())
+	if e.M.Blocks < 1 {
+		t.Fatalf("blocks = %d, want >= 1", e.M.Blocks)
 	}
-	if e.M.Loads.Value() != 2 {
-		t.Fatalf("loads = %d", e.M.Loads.Value())
+	if e.M.Loads != 2 {
+		t.Fatalf("loads = %d", e.M.Loads)
 	}
 }
 

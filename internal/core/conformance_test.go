@@ -299,18 +299,18 @@ func auditLedger(t *testing.T, e *core.Engine, log *core.DeviceLog) {
 		got  int64
 		want int64
 	}{
-		{"Loads", m.Loads.Value(), loads},
-		{"PageLoads", m.PageLoads.Value(), pageLoads},
-		{"PageFaults", m.PageFaults.Value(), pageLoads},
-		{"Evictions", m.Evictions.Value(), evictions},
-		{"Readbacks", m.Readbacks.Value(), readbacks},
-		{"Restores", m.Restores.Value(), restores},
-		{"Rollbacks", m.Rollbacks.Value(), rollbacks},
-		{"Relocations", m.Relocations.Value(), relocations},
-		{"Blocks", m.Blocks.Value(), blocks},
-		{"GCRuns", m.GCRuns.Value(), gcruns},
-		{"FaultsInjected", m.FaultsInjected.Value(), faults},
-		{"FaultRetries", m.FaultRetries.Value(), retries},
+		{"Loads", m.Loads, loads},
+		{"PageLoads", m.PageLoads, pageLoads},
+		{"PageFaults", m.PageFaults, pageLoads},
+		{"Evictions", m.Evictions, evictions},
+		{"Readbacks", m.Readbacks, readbacks},
+		{"Restores", m.Restores, restores},
+		{"Rollbacks", m.Rollbacks, rollbacks},
+		{"Relocations", m.Relocations, relocations},
+		{"Blocks", m.Blocks, blocks},
+		{"GCRuns", m.GCRuns, gcruns},
+		{"FaultsInjected", m.FaultsInjected, faults},
+		{"FaultRetries", m.FaultRetries, retries},
 	} {
 		if c.got != c.want {
 			t.Errorf("Metrics.%s = %d, ledger events say %d", c.name, c.got, c.want)
@@ -336,13 +336,13 @@ func auditLedger(t *testing.T, e *core.Engine, log *core.DeviceLog) {
 	// Every injected fault is resolved exactly once: by a retry or by an
 	// escalation. Recoveries are ops that survived at least one fault, so
 	// they can never outnumber the retries that saved them.
-	if got := m.FaultRetries.Value() + m.FaultEscalations.Value(); got != m.FaultsInjected.Value() {
+	if got := m.FaultRetries + m.FaultEscalations; got != m.FaultsInjected {
 		t.Errorf("FaultRetries(%d) + FaultEscalations(%d) = %d, want FaultsInjected = %d",
-			m.FaultRetries.Value(), m.FaultEscalations.Value(), got, m.FaultsInjected.Value())
+			m.FaultRetries, m.FaultEscalations, got, m.FaultsInjected)
 	}
-	if m.FaultRecoveries.Value() > m.FaultRetries.Value() {
+	if m.FaultRecoveries > m.FaultRetries {
 		t.Errorf("FaultRecoveries = %d exceeds FaultRetries = %d",
-			m.FaultRecoveries.Value(), m.FaultRetries.Value())
+			m.FaultRecoveries, m.FaultRetries)
 	}
 }
 

@@ -89,8 +89,8 @@ func TestDynamicLoadOnFirstUse(t *testing.T) {
 	if task.State() != hostos.TaskDone {
 		t.Fatalf("state %v", task.State())
 	}
-	if h.E.M.Loads.Value() != 1 {
-		t.Fatalf("loads = %d", h.E.M.Loads.Value())
+	if h.E.M.Loads != 1 {
+		t.Fatalf("loads = %d", h.E.M.Loads)
 	}
 	if r := d.E.Ledger().ResidentAt(0); r == nil || r.Circuit != "adder8" {
 		t.Fatalf("resident %+v", r)
@@ -107,8 +107,8 @@ func TestDynamicSharedCircuitNoReload(t *testing.T) {
 	h.OS.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 100)})
 	h.OS.Spawn("b", 0, []hostos.Op{fpgaOp("adder8", 100)})
 	h.K.Run()
-	if h.E.M.Loads.Value() != 1 {
-		t.Fatalf("loads = %d, want 1", h.E.M.Loads.Value())
+	if h.E.M.Loads != 1 {
+		t.Fatalf("loads = %d, want 1", h.E.M.Loads)
 	}
 }
 
@@ -118,11 +118,11 @@ func TestDynamicAlternationReloads(t *testing.T) {
 		fpgaOp("adder8", 10), fpgaOp("mul4", 10), fpgaOp("adder8", 10), fpgaOp("mul4", 10),
 	})
 	h.K.Run()
-	if got := h.E.M.Loads.Value(); got != 4 {
+	if got := h.E.M.Loads; got != 4 {
 		t.Fatalf("loads = %d, want 4 (every switch reloads)", got)
 	}
-	if h.E.M.Evictions.Value() != 3 {
-		t.Fatalf("evictions = %d, want 3", h.E.M.Evictions.Value())
+	if h.E.M.Evictions != 3 {
+		t.Fatalf("evictions = %d, want 3", h.E.M.Evictions)
 	}
 }
 
@@ -164,8 +164,8 @@ func TestDynamicSequentialSaveRestore(t *testing.T) {
 	if hw.Preemptions == 0 {
 		t.Fatal("expected preemptions")
 	}
-	if h.E.M.Readbacks.Value() == 0 || h.E.M.Restores.Value() == 0 {
-		t.Fatalf("readbacks %d restores %d", h.E.M.Readbacks.Value(), h.E.M.Restores.Value())
+	if h.E.M.Readbacks == 0 || h.E.M.Restores == 0 {
+		t.Fatalf("readbacks %d restores %d", h.E.M.Readbacks, h.E.M.Restores)
 	}
 	want := sim.Time(400_000) * h.E.Lib["counter8"].ClockPeriod
 	if hw.HWTime != want {
@@ -184,7 +184,7 @@ func TestDynamicSequentialRollbackRedoes(t *testing.T) {
 	if hw.HWTime <= want {
 		t.Fatalf("rollback should redo work: %v <= %v", hw.HWTime, want)
 	}
-	if h.E.M.Rollbacks.Value() == 0 {
+	if h.E.M.Rollbacks == 0 {
 		t.Fatal("no rollbacks counted")
 	}
 }
@@ -212,7 +212,7 @@ func TestDynamicCombPreemptionLosesNothing(t *testing.T) {
 	if hw.HWTime < want || hw.HWTime > want+slack {
 		t.Fatalf("HW time %v, want %v (+<=%v)", hw.HWTime, want, slack)
 	}
-	if h.E.M.Readbacks.Value() != 0 {
+	if h.E.M.Readbacks != 0 {
 		t.Fatal("combinational preemption should not read back state")
 	}
 }
@@ -227,7 +227,7 @@ func TestDynamicStateIsolationBetweenTasks(t *testing.T) {
 	if a.State() != hostos.TaskDone || b.State() != hostos.TaskDone {
 		t.Fatal("tasks not done")
 	}
-	if h.E.M.Readbacks.Value() == 0 {
+	if h.E.M.Readbacks == 0 {
 		t.Fatal("state swapping requires readbacks")
 	}
 }
@@ -266,7 +266,7 @@ func TestPinMultiplexing(t *testing.T) {
 	if muxed.HWTime < 2*direct.HWTime {
 		t.Fatalf("muxed HW time %v not scaled vs direct %v", muxed.HWTime, direct.HWTime)
 	}
-	if h.E.M.MuxedOps.Value() == 0 {
+	if h.E.M.MuxedOps == 0 {
 		t.Fatal("muxed ops not counted")
 	}
 }
@@ -322,10 +322,10 @@ func TestPartitionTwoTasksCoexist(t *testing.T) {
 		t.Fatal("not done")
 	}
 	// Each task loads once into its own partition; the second op is free.
-	if h.E.M.Loads.Value() != 2 {
-		t.Fatalf("loads = %d, want 2", h.E.M.Loads.Value())
+	if h.E.M.Loads != 2 {
+		t.Fatalf("loads = %d, want 2", h.E.M.Loads)
 	}
-	if h.E.M.Blocks.Value() != 0 {
+	if h.E.M.Blocks != 0 {
 		t.Fatal("nothing should block")
 	}
 	// After both tasks exit, all partitions merge back into one free strip.
@@ -346,7 +346,7 @@ func TestPartitionBlocksWhenFull(t *testing.T) {
 	if b.BlockWait == 0 {
 		t.Fatal("b never blocked")
 	}
-	if h.E.M.Blocks.Value() == 0 {
+	if h.E.M.Blocks == 0 {
 		t.Fatal("blocks not counted")
 	}
 	if b.Finished <= a.Finished {
@@ -363,15 +363,15 @@ func TestPartitionRotationAvoidsBlocking(t *testing.T) {
 	if a.State() != hostos.TaskDone || b.State() != hostos.TaskDone {
 		t.Fatal("not done")
 	}
-	if h.E.M.Blocks.Value() != 0 {
+	if h.E.M.Blocks != 0 {
 		t.Fatal("rotation should avoid blocking")
 	}
-	if h.E.M.Evictions.Value() == 0 {
+	if h.E.M.Evictions == 0 {
 		t.Fatal("rotation must evict")
 	}
 	// a's third op reloads after eviction.
-	if h.E.M.Loads.Value() < 3 {
-		t.Fatalf("loads = %d, want >= 3", h.E.M.Loads.Value())
+	if h.E.M.Loads < 3 {
+		t.Fatalf("loads = %d, want >= 3", h.E.M.Loads)
 	}
 }
 
@@ -415,10 +415,10 @@ func TestPartitionGCCompacts(t *testing.T) {
 		t.Fatal("d did not finish")
 	}
 	_ = pm
-	if h.E.M.GCRuns.Value() == 0 {
+	if h.E.M.GCRuns == 0 {
 		t.Skip("workload did not fragment enough to trigger GC on this geometry")
 	}
-	if h.E.M.Relocations.Value() == 0 {
+	if h.E.M.Relocations == 0 {
 		t.Fatal("GC ran without relocating")
 	}
 }
@@ -470,11 +470,11 @@ func TestPartitionCompactStopsEarly(t *testing.T) {
 	pm.drop(parts[1].span, false)
 	pm.drop(parts[3].span, false)
 	pm.compact(need)
-	if got := e.M.Relocations.Value(); got != 1 {
+	if got := e.M.Relocations; got != 1 {
 		t.Fatalf("early-stop compact relocated %d strips, want 1", got)
 	}
-	if e.M.GCRuns.Value() != 1 {
-		t.Fatalf("gc runs = %d", e.M.GCRuns.Value())
+	if e.M.GCRuns != 1 {
+		t.Fatalf("gc runs = %d", e.M.GCRuns)
 	}
 	if _, largest := pm.FreeCols(); largest < need {
 		t.Fatalf("largest hole = %d after compact, need %d", largest, need)
@@ -485,7 +485,7 @@ func TestPartitionCompactStopsEarly(t *testing.T) {
 	pm2.drop(parts2[1].span, false)
 	pm2.drop(parts2[3].span, false)
 	pm2.compact(0)
-	if full := e2.M.Relocations.Value(); full <= 1 {
+	if full := e2.M.Relocations; full <= 1 {
 		t.Fatalf("full pack relocated %d strips, expected more than the early stop's 1", full)
 	}
 }
@@ -501,8 +501,8 @@ func TestPartitionPreemptionKeepsState(t *testing.T) {
 	if hw.Preemptions == 0 {
 		t.Fatal("expected preemptions")
 	}
-	if h.E.M.Readbacks.Value() != 0 {
-		t.Fatalf("partitioned preemption should not read back (got %d)", h.E.M.Readbacks.Value())
+	if h.E.M.Readbacks != 0 {
+		t.Fatalf("partitioned preemption should not read back (got %d)", h.E.M.Readbacks)
 	}
 	want := sim.Time(400_000) * h.E.Lib["counter8"].ClockPeriod
 	if hw.HWTime != want {
@@ -585,20 +585,20 @@ func overlayHarness(t testing.TB, opt Options, osCfg hostos.Config, resident []s
 
 func TestOverlayResidentHitFree(t *testing.T) {
 	h, _ := overlayHarness(t, testOptions(), hostos.Config{Policy: hostos.FIFO}, []string{"adder8"})
-	loadsAfterInit := h.E.M.Loads.Value()
+	loadsAfterInit := h.E.M.Loads
 	a, _ := h.OS.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 100), fpgaOp("adder8", 100)})
 	h.K.Run()
 	if a.State() != hostos.TaskDone {
 		t.Fatal("not done")
 	}
-	if h.E.M.Loads.Value() != loadsAfterInit {
+	if h.E.M.Loads != loadsAfterInit {
 		t.Fatal("resident circuit reloaded")
 	}
 }
 
 func TestOverlayMissesSwap(t *testing.T) {
 	h, om := overlayHarness(t, testOptions(), hostos.Config{Policy: hostos.FIFO}, []string{"adder8"})
-	base := h.E.M.Loads.Value()
+	base := h.E.M.Loads
 	a, _ := h.OS.Spawn("a", 0, []hostos.Op{
 		fpgaOp("parity16", 10), fpgaOp("mul4", 10), fpgaOp("parity16", 10),
 	})
@@ -606,7 +606,7 @@ func TestOverlayMissesSwap(t *testing.T) {
 	if a.State() != hostos.TaskDone {
 		t.Fatal("not done")
 	}
-	if got := h.E.M.Loads.Value() - base; got != 3 {
+	if got := h.E.M.Loads - base; got != 3 {
 		t.Fatalf("overlay loads = %d, want 3 (every miss swaps)", got)
 	}
 	if om.OverlayCircuit() != "parity16" {
@@ -636,7 +636,7 @@ func TestOverlaySequentialStatePerTask(t *testing.T) {
 	if a.HWTime != want || b.HWTime != want {
 		t.Fatalf("HW times %v %v, want %v", a.HWTime, b.HWTime, want)
 	}
-	if h.E.M.Readbacks.Value() == 0 {
+	if h.E.M.Readbacks == 0 {
 		t.Fatal("per-task state on a shared resident requires readbacks")
 	}
 }
@@ -669,7 +669,7 @@ func TestPagedFirstTouchFaultsAll(t *testing.T) {
 		t.Fatal("not done")
 	}
 	pages := (h.E.Lib["adder8"].Cells() + 7) / 8
-	if got := h.E.M.PageFaults.Value(); got != int64(pages) {
+	if got := h.E.M.PageFaults; got != int64(pages) {
 		t.Fatalf("faults = %d, want %d", got, pages)
 	}
 	// The exiting task was the circuit's last user, so its frames are
@@ -677,8 +677,8 @@ func TestPagedFirstTouchFaultsAll(t *testing.T) {
 	if len(pl.where) != 0 {
 		t.Fatalf("resident = %d, want 0 after last user exited", len(pl.where))
 	}
-	if h.E.M.Evictions.Value() != 0 {
-		t.Fatalf("evictions = %d, want 0 (release at exit is voluntary)", h.E.M.Evictions.Value())
+	if h.E.M.Evictions != 0 {
+		t.Fatalf("evictions = %d, want 0 (release at exit is voluntary)", h.E.M.Evictions)
 	}
 }
 
@@ -687,8 +687,8 @@ func TestPagedHitIsFree(t *testing.T) {
 		PagedConfig{PageCells: 8, Frames: 16, Policy: LRU})
 	h.OS.Spawn("a", 0, []hostos.Op{pagedOp("adder8", 10, 0), pagedOp("adder8", 10, 0)})
 	h.K.Run()
-	if h.E.M.PageFaults.Value() != 1 {
-		t.Fatalf("faults = %d, want 1 (second touch hits)", h.E.M.PageFaults.Value())
+	if h.E.M.PageFaults != 1 {
+		t.Fatalf("faults = %d, want 1 (second touch hits)", h.E.M.PageFaults)
 	}
 }
 
@@ -742,10 +742,10 @@ func TestPagedEvictionUnderPressure(t *testing.T) {
 		pagedOp("adder8", 10, 0), // evicted by now under LRU with 2 frames
 	})
 	h.K.Run()
-	if h.E.M.PageFaults.Value() != 4 {
-		t.Fatalf("faults = %d, want 4", h.E.M.PageFaults.Value())
+	if h.E.M.PageFaults != 4 {
+		t.Fatalf("faults = %d, want 4", h.E.M.PageFaults)
 	}
-	if h.E.M.Evictions.Value() == 0 {
+	if h.E.M.Evictions == 0 {
 		t.Fatal("no evictions under frame pressure")
 	}
 }
@@ -766,7 +766,7 @@ func TestPagedLRUBeatsRandomOnReuse(t *testing.T) {
 		}
 		h.OS.Spawn("a", 0, prog)
 		h.K.Run()
-		return h.E.M.PageFaults.Value()
+		return h.E.M.PageFaults
 	}
 	lru := run(LRU)
 	random := run(Random)
@@ -836,7 +836,7 @@ func TestPagedMoreFramesFewerFaults(t *testing.T) {
 		}
 		h.OS.Spawn("a", 0, prog)
 		h.K.Run()
-		return h.E.M.PageFaults.Value()
+		return h.E.M.PageFaults
 	}
 	few := run(2)
 	many := run(8)

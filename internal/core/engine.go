@@ -114,34 +114,10 @@ func DefaultOptions() Options {
 	}
 }
 
-// Metrics aggregates what the managers do to the device.
+// Metrics aggregates what the managers do to the device: the counts the
+// ledger keeps and the utilization over time.
 type Metrics struct {
-	Loads       stats.Counter // configuration downloads
-	Evictions   stats.Counter // circuits displaced from the device
-	Readbacks   stats.Counter // state save operations
-	Restores    stats.Counter // state restore operations
-	Rollbacks   stats.Counter // operations restarted from scratch
-	PageFaults  stats.Counter
-	PageLoads   stats.Counter
-	GCRuns      stats.Counter
-	Relocations stats.Counter // circuits moved by garbage collection
-	Blocks      stats.Counter // tasks suspended waiting for FPGA space
-	MuxedOps    stats.Counter // operations run with multiplexed pins
-
-	// Fault-injection accounting (zero unless a fault.Injector is armed
-	// on the ledger). Every injected fault is followed by exactly one
-	// retry or one escalation, so FaultsInjected equals FaultRetries
-	// plus FaultEscalations — the conformance audit pins that.
-	FaultsInjected   stats.Counter // injected faults detected
-	FaultRetries     stats.Counter // recovery retries after a fault
-	FaultRecoveries  stats.Counter // operations that succeeded after >=1 fault
-	FaultEscalations stats.Counter // operations whose retry budget ran out
-
-	ConfigTime   sim.Time // total time spent downloading configurations
-	ReadbackTime sim.Time
-	RestoreTime  sim.Time
-	FaultTime    sim.Time // time wasted on injected faults and retry backoff
-
+	Counts
 	Util stats.TimeWeighted // CLBs configured, over time
 }
 

@@ -67,13 +67,13 @@ func TestGoldenTimelineFaulted(t *testing.T) {
 			t.Errorf("faulted timeline lacks %q:\n%s", want, first)
 		}
 	}
-	if e.M.FaultsInjected.Value() < 4 {
-		t.Errorf("FaultsInjected = %d, want >= 4 (scripted hits)", e.M.FaultsInjected.Value())
+	if e.M.FaultsInjected < 4 {
+		t.Errorf("FaultsInjected = %d, want >= 4 (scripted hits)", e.M.FaultsInjected)
 	}
-	if e.M.FaultEscalations.Value() != 0 {
-		t.Errorf("FaultEscalations = %d, want 0 (plan is recoverable)", e.M.FaultEscalations.Value())
+	if e.M.FaultEscalations != 0 {
+		t.Errorf("FaultEscalations = %d, want 0 (plan is recoverable)", e.M.FaultEscalations)
 	}
-	if e.M.FaultRecoveries.Value() == 0 {
+	if e.M.FaultRecoveries == 0 {
 		t.Error("no recoveries recorded")
 	}
 	if e.M.FaultTime <= 0 {
@@ -116,12 +116,12 @@ func TestLoadEscalation(t *testing.T) {
 	if !errors.As(err, &escErr) {
 		t.Fatal("errors.As failed on the escalation")
 	}
-	if e.M.FaultEscalations.Value() != 1 || e.M.FaultRetries.Value() != 1 {
+	if e.M.FaultEscalations != 1 || e.M.FaultRetries != 1 {
 		t.Fatalf("escalations=%d retries=%d, want 1/1",
-			e.M.FaultEscalations.Value(), e.M.FaultRetries.Value())
+			e.M.FaultEscalations, e.M.FaultRetries)
 	}
-	if e.M.Loads.Value() != 0 {
-		t.Fatalf("Loads = %d after escalated load", e.M.Loads.Value())
+	if e.M.Loads != 0 {
+		t.Fatalf("Loads = %d after escalated load", e.M.Loads)
 	}
 	// The region was wiped and the pins refunded: the device must be
 	// reusable once injection is disarmed.
@@ -198,8 +198,8 @@ func TestFaultRecoveryCharged(t *testing.T) {
 	if faulted.M.FaultTime != wantExtra {
 		t.Fatalf("FaultTime = %v, want %v", faulted.M.FaultTime, wantExtra)
 	}
-	if faulted.M.FaultRecoveries.Value() != 1 {
-		t.Fatalf("FaultRecoveries = %d, want 1", faulted.M.FaultRecoveries.Value())
+	if faulted.M.FaultRecoveries != 1 {
+		t.Fatalf("FaultRecoveries = %d, want 1", faulted.M.FaultRecoveries)
 	}
 }
 
@@ -280,9 +280,9 @@ func TestRelocateEscalationDropsStrip(t *testing.T) {
 				}()
 
 				auditLedger(t, e, log)
-				if len(e.Ledger().Residents()) != 0 || e.M.Evictions.Value() != 1 || e.M.FaultEscalations.Value() != 1 {
+				if len(e.Ledger().Residents()) != 0 || e.M.Evictions != 1 || e.M.FaultEscalations != 1 {
 					t.Fatalf("residents = %+v, evictions = %d, escalations = %d: doomed strip not dropped",
-						e.Ledger().Residents(), e.M.Evictions.Value(), e.M.FaultEscalations.Value())
+						e.Ledger().Residents(), e.M.Evictions, e.M.FaultEscalations)
 				}
 				if got, want := e.FreePinCount(), opt.Geometry.NumPins(); got != want {
 					t.Fatalf("%d pins free, want all %d back in the pool", got, want)

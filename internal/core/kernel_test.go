@@ -219,16 +219,16 @@ func TestSwitchToWiderStripStateDivergence(t *testing.T) {
 		}
 		return pm
 	})
-	if part.Readbacks.Value() != 0 || part.Restores.Value() != 0 {
+	if part.Readbacks != 0 || part.Restores != 0 {
 		t.Errorf("partition: %d readbacks, %d restores; the give-back path saves nothing today — "+
 			"if that is now fixed on purpose, regenerate the goldens and update ROADMAP",
-			part.Readbacks.Value(), part.Restores.Value())
+			part.Readbacks, part.Restores)
 	}
 	am := run(func(k *sim.Kernel, e *Engine) hostos.FPGA {
 		return NewAmorphousManager(k, e, nil)
 	})
-	if am.Readbacks.Value() != 1 || am.Restores.Value() != 1 {
+	if am.Readbacks != 1 || am.Restores != 1 {
 		t.Errorf("amorphous: %d readbacks, %d restores, want the counter saved once and restored once",
-			am.Readbacks.Value(), am.Restores.Value())
+			am.Readbacks, am.Restores)
 	}
 }

@@ -268,7 +268,7 @@ func (l *Ledger) maxAttempts() int {
 // to Metrics.FaultTime (not the op's own time bucket, so fault-free
 // accounting stays exact) and the detection shows up on the timeline.
 func (l *Ledger) noteFault(owner, circuit string, region fabric.Region, page int, charge sim.Time, note string) {
-	l.e.M.FaultsInjected.Inc()
+	l.e.M.FaultsInjected++
 	l.e.M.FaultTime += charge
 	l.emitNote(OpFault, owner, circuit, region, page, charge, false, note)
 }
@@ -278,7 +278,7 @@ func (l *Ledger) noteFault(owner, circuit string, region fabric.Region, page int
 func (l *Ledger) noteRetry(owner, circuit string, region fabric.Region, page, next int, kind fault.Kind) sim.Time {
 	plan := l.inj.Plan()
 	backoff := plan.RetryBackoff(next)
-	l.e.M.FaultRetries.Inc()
+	l.e.M.FaultRetries++
 	l.e.M.FaultTime += backoff
 	l.emitNote(OpRetry, owner, circuit, region, page, backoff, false,
 		fmt.Sprintf("%s attempt %d/%d", kind, next+1, plan.MaxAttempts()))
@@ -397,10 +397,10 @@ func (l *Ledger) TryLoad(owner string, c *compile.Circuit, x int, wholeDevice bo
 		return 0, 0, err
 	}
 	cost = base + extra
-	l.e.M.Loads.Inc()
+	l.e.M.Loads++
 	l.e.M.ConfigTime += base
 	if mux > 1 {
-		l.e.M.MuxedOps.Inc()
+		l.e.M.MuxedOps++
 	}
 	r := &flat.Carve(&l.resBuf, 1, recordChunk)[0]
 	l.records++
@@ -448,7 +448,7 @@ func (l *Ledger) attempt(p fault.Point, op, owner, circuit string, region fabric
 		kind, aux := l.nextFault(p)
 		if kind == fault.None {
 			if attempt > 1 {
-				l.e.M.FaultRecoveries.Inc()
+				l.e.M.FaultRecoveries++
 			}
 			return extra, nil
 		}
@@ -456,7 +456,7 @@ func (l *Ledger) attempt(p fault.Point, op, owner, circuit string, region fabric
 		extra += charge
 		if attempt >= attempts {
 			l.noteFault(owner, circuit, region, page, charge, note+" escalated")
-			l.e.M.FaultEscalations.Inc()
+			l.e.M.FaultEscalations++
 			return extra, &fault.EscalationError{Kind: kind, Op: op, Circuit: circuit, Attempts: attempt}
 		}
 		l.noteFault(owner, circuit, region, page, charge, note)
@@ -501,7 +501,7 @@ func (l *Ledger) evict(x int, voluntary bool) {
 	l.e.FreePins(r.Pins)
 	l.remove(r)
 	if !voluntary {
-		l.e.M.Evictions.Inc()
+		l.e.M.Evictions++
 	}
 	l.emit(OpEvict, r.Owner, r.Circuit, r.Region, -1, 0, voluntary)
 	l.e.noteUtil(l.now())
@@ -561,7 +561,7 @@ func (l *Ledger) readback(owner string, c *compile.Circuit, region fabric.Region
 	if err != nil {
 		return nil, extra, err
 	}
-	l.e.M.Readbacks.Inc()
+	l.e.M.Readbacks++
 	l.e.M.ReadbackTime += cost
 	l.emit(OpReadback, owner, c.Name, region, -1, cost, false)
 	return st, cost + extra, nil
@@ -603,7 +603,7 @@ func (l *Ledger) restore(owner string, c *compile.Circuit, region fabric.Region,
 	if err != nil {
 		return extra, err
 	}
-	l.e.M.Restores.Inc()
+	l.e.M.Restores++
 	l.e.M.RestoreTime += cost
 	l.emit(OpRestore, owner, c.Name, region, -1, cost, false)
 	return cost + extra, nil
@@ -637,7 +637,7 @@ func (l *Ledger) Reset(owner string, c *compile.Circuit, region fabric.Region) s
 // untouched: the reset happens when the circuit is next adopted.
 func (l *Ledger) Rollback(owner, circuit string) {
 	defer l.enter()()
-	l.e.M.Rollbacks.Inc()
+	l.e.M.Rollbacks++
 	l.emit(OpRollback, owner, circuit, fabric.Region{}, -1, 0, false)
 }
 
@@ -680,7 +680,7 @@ func (l *Ledger) Relocate(oldX, newX int) (cost sim.Time) {
 		l.remove(r)
 		r.Region = newRegion
 		l.insert(r)
-		l.e.M.Relocations.Inc()
+		l.e.M.Relocations++
 		l.emit(OpRelocate, r.Owner, r.Circuit, newRegion, -1, ccost, false)
 		if r.C.Sequential {
 			var rcost sim.Time
@@ -719,8 +719,8 @@ func (l *Ledger) LoadPage(owner, circuit string, page, cells int) sim.Time {
 	if err != nil {
 		panic(err)
 	}
-	l.e.M.PageFaults.Inc()
-	l.e.M.PageLoads.Inc()
+	l.e.M.PageFaults++
+	l.e.M.PageLoads++
 	l.e.M.ConfigTime += base
 	l.emit(OpLoad, owner, circuit, fabric.Region{}, page, base, false)
 	return base + extra
@@ -730,7 +730,7 @@ func (l *Ledger) LoadPage(owner, circuit string, page, cells int) sim.Time {
 // replacement policy.
 func (l *Ledger) EvictPage(owner, circuit string, page int) {
 	defer l.enter()()
-	l.e.M.Evictions.Inc()
+	l.e.M.Evictions++
 	l.emit(OpEvict, owner, circuit, fabric.Region{}, page, 0, false)
 }
 
@@ -745,14 +745,14 @@ func (l *Ledger) ReleasePage(owner, circuit string, page int) {
 // NoteBlock records that owner suspended waiting for device space.
 func (l *Ledger) NoteBlock(owner string) {
 	defer l.enter()()
-	l.e.M.Blocks.Inc()
+	l.e.M.Blocks++
 	l.emit(OpBlock, owner, "", fabric.Region{}, -1, 0, false)
 }
 
 // NoteGC records the start of a garbage-collection (compaction) run.
 func (l *Ledger) NoteGC() {
 	defer l.enter()()
-	l.e.M.GCRuns.Inc()
+	l.e.M.GCRuns++
 	l.emit(OpGC, "", "", fabric.Region{}, -1, 0, false)
 }
 

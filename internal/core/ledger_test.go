@@ -42,8 +42,8 @@ func TestLedgerLoadRecordsResidency(t *testing.T) {
 	if r == nil || r.Circuit != "adder8" || r.Owner != "a" {
 		t.Fatalf("resident = %+v", r)
 	}
-	if e.M.Loads.Value() != 1 || e.M.ConfigTime != cost {
-		t.Fatalf("loads=%d configTime=%v", e.M.Loads.Value(), e.M.ConfigTime)
+	if e.M.Loads != 1 || e.M.ConfigTime != cost {
+		t.Fatalf("loads=%d configTime=%v", e.M.Loads, e.M.ConfigTime)
 	}
 	if n := len(log.Events()); n != 1 || log.Events()[0].Op != OpLoad {
 		t.Fatalf("events = %v", log.Events())
@@ -87,8 +87,8 @@ func TestLedgerEvictVsRelease(t *testing.T) {
 	led.Evict(0)
 	led.Load("b", e.Lib["adder8"], 0, false)
 	led.Release(0)
-	if e.M.Evictions.Value() != 1 {
-		t.Fatalf("evictions = %d, want 1 (release is voluntary)", e.M.Evictions.Value())
+	if e.M.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1 (release is voluntary)", e.M.Evictions)
 	}
 	evs := log.Events()
 	if len(evs) != 4 || evs[1].Voluntary || !evs[3].Voluntary {
@@ -110,8 +110,8 @@ func TestLedgerResetChargesRestoreTimeNotCounter(t *testing.T) {
 	if cost <= 0 {
 		t.Fatal("reset should cost a state write")
 	}
-	if e.M.Restores.Value() != 0 {
-		t.Fatalf("restores = %d, want 0 (reset is not a restore of saved state)", e.M.Restores.Value())
+	if e.M.Restores != 0 {
+		t.Fatalf("restores = %d, want 0 (reset is not a restore of saved state)", e.M.Restores)
 	}
 	if e.M.RestoreTime != cost {
 		t.Fatalf("restoreTime = %v, want %v", e.M.RestoreTime, cost)
@@ -131,8 +131,8 @@ func TestLedgerReadbackRestoreRoundTrip(t *testing.T) {
 	if cost := led.Restore("a", c, region, st); cost <= 0 {
 		t.Fatal("restore should cost a state write")
 	}
-	if e.M.Readbacks.Value() != 1 || e.M.Restores.Value() != 1 {
-		t.Fatalf("readbacks=%d restores=%d", e.M.Readbacks.Value(), e.M.Restores.Value())
+	if e.M.Readbacks != 1 || e.M.Restores != 1 {
+		t.Fatalf("readbacks=%d restores=%d", e.M.Readbacks, e.M.Restores)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestLedgerRelocateMovesResidencyAndState(t *testing.T) {
 	led.Load("a", c, 4, false)
 	led.Reset("a", c, c.BS.Region(4, 0))
 	before := e.Dev.ReadRegionState(c.BS.Region(4, 0))
-	readbacks := e.M.Readbacks.Value()
+	readbacks := e.M.Readbacks
 	cost := led.Relocate(4, 0)
 	if cost <= 0 {
 		t.Fatal("relocation of a sequential circuit must cost time")
@@ -163,10 +163,10 @@ func TestLedgerRelocateMovesResidencyAndState(t *testing.T) {
 			t.Fatalf("FF %d lost across relocation", i)
 		}
 	}
-	if e.M.Relocations.Value() != 1 {
-		t.Fatalf("relocations = %d", e.M.Relocations.Value())
+	if e.M.Relocations != 1 {
+		t.Fatalf("relocations = %d", e.M.Relocations)
 	}
-	if e.M.Readbacks.Value() != readbacks+1 {
+	if e.M.Readbacks != readbacks+1 {
 		t.Fatalf("sequential relocation should read back state once")
 	}
 	if led.Relocate(0, 0) != 0 {
@@ -197,9 +197,9 @@ func TestLedgerRelocateReadbackEscalationKeepsStrip(t *testing.T) {
 		}()
 		led.Relocate(4, 0)
 	}()
-	if led.ResidentAt(4) == nil || e.M.Evictions.Value() != 0 || e.M.Relocations.Value() != 0 {
+	if led.ResidentAt(4) == nil || e.M.Evictions != 0 || e.M.Relocations != 0 {
 		t.Fatalf("strip not preserved: residents %+v, evictions %d, relocations %d",
-			led.Residents(), e.M.Evictions.Value(), e.M.Relocations.Value())
+			led.Residents(), e.M.Evictions, e.M.Relocations)
 	}
 	if led.Relocate(4, 0) <= 0 || led.ResidentAt(0) == nil || led.ResidentAt(4) != nil {
 		t.Fatalf("retry did not move the strip: residents %+v", led.Residents())
@@ -211,9 +211,9 @@ func TestLedgerAnnotations(t *testing.T) {
 	led.NoteBlock("a")
 	led.NoteGC()
 	led.Rollback("a", "counter8")
-	if e.M.Blocks.Value() != 1 || e.M.GCRuns.Value() != 1 || e.M.Rollbacks.Value() != 1 {
+	if e.M.Blocks != 1 || e.M.GCRuns != 1 || e.M.Rollbacks != 1 {
 		t.Fatalf("blocks=%d gc=%d rollbacks=%d",
-			e.M.Blocks.Value(), e.M.GCRuns.Value(), e.M.Rollbacks.Value())
+			e.M.Blocks, e.M.GCRuns, e.M.Rollbacks)
 	}
 	if len(log.Events()) != 3 {
 		t.Fatalf("events = %v", log.Events())
@@ -228,11 +228,11 @@ func TestLedgerPageOps(t *testing.T) {
 	}
 	led.EvictPage("a", "adder8", 2)
 	led.ReleasePage("a", "adder8", 3)
-	if e.M.PageLoads.Value() != 1 || e.M.PageFaults.Value() != 1 {
-		t.Fatalf("pageLoads=%d pageFaults=%d", e.M.PageLoads.Value(), e.M.PageFaults.Value())
+	if e.M.PageLoads != 1 || e.M.PageFaults != 1 {
+		t.Fatalf("pageLoads=%d pageFaults=%d", e.M.PageLoads, e.M.PageFaults)
 	}
-	if e.M.Evictions.Value() != 1 {
-		t.Fatalf("evictions = %d, want 1 (release is voluntary)", e.M.Evictions.Value())
+	if e.M.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1 (release is voluntary)", e.M.Evictions)
 	}
 	evs := log.Events()
 	if evs[0].Page != 2 || !strings.Contains(evs[0].String(), "page 2") {

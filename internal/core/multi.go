@@ -191,7 +191,7 @@ func (m *MultiManager) mustBoard(t *hostos.Task) *PartitionManager {
 func (m *MultiManager) TotalLoads() int64 {
 	var n int64
 	for _, b := range m.Boards {
-		n += b.E.M.Loads.Value()
+		n += b.E.M.Loads
 	}
 	return n
 }
@@ -200,7 +200,7 @@ func (m *MultiManager) TotalLoads() int64 {
 func (m *MultiManager) TotalBlocks() int64 {
 	var n int64
 	for _, b := range m.Boards {
-		n += b.E.M.Blocks.Value()
+		n += b.E.M.Blocks
 	}
 	return n
 }

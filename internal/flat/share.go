@@ -51,6 +51,19 @@ type MemoStats struct {
 	Bound     int
 }
 
+// Lookups returns the total number of lookups.
+func (s MemoStats) Lookups() int64 { return s.Hits + s.Misses + s.Dedups }
+
+// HitRate returns the fraction of lookups that avoided a build (hits
+// plus waits on another caller's build), or 0 with no lookups.
+func (s MemoStats) HitRate() float64 {
+	n := s.Lookups()
+	if n == 0 {
+		return 0
+	}
+	return float64(s.Hits+s.Dedups) / float64(n)
+}
+
 // NewMemo returns an empty memo holding values of at most bound weight
 // in all.
 func NewMemo[K comparable, V any](bound int, weight func(V) int) *Memo[K, V] {

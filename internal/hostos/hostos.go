@@ -152,6 +152,19 @@ type flight struct {
 	total    sim.Time
 }
 
+// TaskStats is what one task spent, in virtual time, and how often it
+// was preempted and acquired the FPGA: kept in its Task and shipped as
+// is in the daemon's job result.
+type TaskStats struct {
+	CPUTime     sim.Time `json:"cpu_ns"`        // OpCompute execution
+	HWTime      sim.Time `json:"hw_ns"`         // FPGA execution (including re-done rolled-back work)
+	Overhead    sim.Time `json:"overhead_ns"`   // syscalls, configuration, save/restore, ctx switches
+	ReadyWait   sim.Time `json:"ready_wait_ns"` // time spent runnable but not running
+	BlockWait   sim.Time `json:"block_wait_ns"` // time spent blocked on the FPGA resource
+	Preemptions int64    `json:"preemptions"`
+	Acquires    int64    `json:"acquires"`
+}
+
 // Task is one process in the simulated system.
 type Task struct {
 	ID       TaskID
@@ -166,16 +179,10 @@ type Task struct {
 	fl          flight
 
 	// Metrics, all in virtual time.
-	Created     sim.Time
-	FirstRun    sim.Time
-	Finished    sim.Time
-	ReadyWait   sim.Time // time spent runnable but not running
-	BlockWait   sim.Time // time spent blocked on the FPGA resource
-	CPUTime     sim.Time // OpCompute execution
-	HWTime      sim.Time // FPGA execution (including re-done rolled-back work)
-	Overhead    sim.Time // syscalls, configuration, save/restore, ctx switches
-	Preemptions int64
-	Acquires    int64
+	Created  sim.Time
+	FirstRun sim.Time
+	Finished sim.Time
+	TaskStats
 
 	lastChange sim.Time
 	started    bool

@@ -242,14 +242,14 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	// are exact. The _sum/_count series belong to the summary family per
 	// the exposition format; their names are built from a variable so the
 	// analyzer's declared-family check keys on the summary name.
-	p50, p95, p99, svcSum, svcCount := s.pool.ServiceStats()
+	svc := s.pool.ServiceStats()
 	svcFamily := "vfpgad_job_service_time_ns"
 	m.Family("vfpgad_job_service_time_ns", "Virtual service time of completed jobs (makespan, ns).", "summary")
-	m.Int("vfpgad_job_service_time_ns", p50, "quantile", "0.5")
-	m.Int("vfpgad_job_service_time_ns", p95, "quantile", "0.95")
-	m.Int("vfpgad_job_service_time_ns", p99, "quantile", "0.99")
-	m.Int(svcFamily+"_sum", svcSum)
-	m.Int(svcFamily+"_count", svcCount)
+	m.Int("vfpgad_job_service_time_ns", svc.P50, "quantile", "0.5")
+	m.Int("vfpgad_job_service_time_ns", svc.P95, "quantile", "0.95")
+	m.Int("vfpgad_job_service_time_ns", svc.P99, "quantile", "0.99")
+	m.Int(svcFamily+"_sum", svc.Sum)
+	m.Int(svcFamily+"_count", svc.Count)
 
 	// The same service-time sample sliced per tenant: the load harness
 	// reads these to cross-check its per-tenant latency breakdowns.
@@ -287,9 +287,9 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	m.Family("vfpgad_compile_cache_evictions_total", "Strip-cache LRU evictions.", "counter")
 	m.Int("vfpgad_compile_cache_evictions_total", cs.Evictions)
 	m.Family("vfpgad_compile_cache_entries", "Strips currently cached.", "gauge")
-	m.Int("vfpgad_compile_cache_entries", int64(cs.Size))
+	m.Int("vfpgad_compile_cache_entries", int64(cs.Entries))
 	m.Family("vfpgad_compile_cache_capacity", "Strip-cache LRU bound.", "gauge")
-	m.Int("vfpgad_compile_cache_capacity", int64(cs.Capacity))
+	m.Int("vfpgad_compile_cache_capacity", int64(cs.Bound))
 
 	// Task-set cache effectiveness (shared across the pool's boards).
 	ss := s.pool.sets.Stats()

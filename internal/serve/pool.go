@@ -336,19 +336,12 @@ func tenantRow[T any](rows map[string]*T, tenant string, mk func() *T) *T {
 	return r
 }
 
-// ServiceStats returns the p50/p95/p99 quantiles, sum and count of the
-// service-time record, all in virtual nanoseconds. The quantiles are a
-// bucket's upper bound: at most 1/16 above the exact value, never above
-// the observed maximum.
-func (p *Pool) ServiceStats() (p50, p95, p99, sum, count int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.svc.Quantile(0.5), p.svc.Quantile(0.95), p.svc.Quantile(0.99), p.svc.Sum(), p.svc.Count()
-}
-
-// TenantServiceSummary is one tenant's slice of the service-time
-// sample, in virtual nanoseconds.
-type TenantServiceSummary struct {
+// ServiceSummary is a slice of the service-time sample, in virtual
+// nanoseconds: the p50/p95/p99 quantiles, each a bucket's upper bound (at
+// most 1/16 above the exact value, never above the observed maximum),
+// and the exact sum and count. Tenant names the tenant whose slice it
+// is, empty for the whole sample.
+type ServiceSummary struct {
 	Tenant string
 	P50    int64
 	P95    int64
@@ -357,21 +350,29 @@ type TenantServiceSummary struct {
 	Count  int64
 }
 
-// TenantServiceStats returns per-tenant service-time summaries, sorted
-// by tenant so emission order is deterministic.
-func (p *Pool) TenantServiceStats() []TenantServiceSummary {
+// summarize is the summary of r, tenant's slice of the sample.
+func summarize(tenant string, r *stats.LatencyRecorder) ServiceSummary {
+	return ServiceSummary{
+		Tenant: tenant, P50: r.Quantile(0.5), P95: r.Quantile(0.95), P99: r.Quantile(0.99),
+		Sum: r.Sum(), Count: r.Count(),
+	}
+}
+
+// ServiceStats returns the summary of the whole service-time sample.
+func (p *Pool) ServiceStats() ServiceSummary {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]TenantServiceSummary, 0, len(p.tenantSvc))
-	for tenant, s := range p.tenantSvc {
-		out = append(out, TenantServiceSummary{
-			Tenant: tenant,
-			P50:    s.Quantile(0.5),
-			P95:    s.Quantile(0.95),
-			P99:    s.Quantile(0.99),
-			Sum:    s.Sum(),
-			Count:  s.Count(),
-		})
+	return summarize("", p.svc)
+}
+
+// TenantServiceStats returns per-tenant service-time summaries, sorted
+// by tenant so emission order is deterministic.
+func (p *Pool) TenantServiceStats() []ServiceSummary {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]ServiceSummary, 0, len(p.tenantSvc))
+	for tenant, r := range p.tenantSvc {
+		out = append(out, summarize(tenant, r))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out

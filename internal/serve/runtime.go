@@ -169,17 +169,7 @@ func run(st *baseline.Stack, set *workload.Set, withTrace bool) (*JobResult, err
 		LintClean:   true,
 	}
 	for _, t := range tasks {
-		res.Tasks = append(res.Tasks, TaskResult{
-			Name:        t.Name,
-			Turnaround:  t.Turnaround(),
-			CPUTime:     t.CPUTime,
-			HWTime:      t.HWTime,
-			Overhead:    t.Overhead,
-			ReadyWait:   t.ReadyWait,
-			BlockWait:   t.BlockWait,
-			Preemptions: t.Preemptions,
-			Acquires:    t.Acquires,
-		})
+		res.Tasks = append(res.Tasks, TaskResult{Name: t.Name, Turnaround: t.Turnaround(), TaskStats: t.TaskStats})
 	}
 	for _, eng := range st.Engines {
 		res.Metrics = append(res.Metrics, eng.M.Snapshot(st.K.Now()))

@@ -140,11 +140,7 @@ func directRun(t *testing.T, spec *workload.Spec, bc BoardConfig) *JobResult {
 	}
 	res := &JobResult{Makespan: osim.Makespan(), CtxSwitches: osim.CtxSwitches}
 	for _, task := range osim.Tasks() {
-		res.Tasks = append(res.Tasks, TaskResult{
-			Name: task.Name, Turnaround: task.Turnaround(), CPUTime: task.CPUTime,
-			HWTime: task.HWTime, Overhead: task.Overhead, ReadyWait: task.ReadyWait,
-			BlockWait: task.BlockWait, Preemptions: task.Preemptions, Acquires: task.Acquires,
-		})
+		res.Tasks = append(res.Tasks, TaskResult{Name: task.Name, Turnaround: task.Turnaround(), TaskStats: task.TaskStats})
 	}
 	res.Metrics = append(res.Metrics, e.M.Snapshot(k.Now()))
 	return res

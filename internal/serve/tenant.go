@@ -16,13 +16,15 @@ type TenantLimits struct {
 	Burst float64
 }
 
-// tenantCounts is one tenant's admission/outcome accounting.
-type tenantCounts struct {
-	admitted  int64 // passed the bucket (may still bounce off a full queue)
-	throttled int64 // rejected by the bucket
-	queueFull int64 // admitted by the bucket, rejected by queue backpressure
-	completed int64
-	failed    int64
+// TenantCounters is one tenant's admission/outcome accounting: a row of
+// Admission's table and, with its Tenant set, of its Snapshot.
+type TenantCounters struct {
+	Tenant    string
+	Admitted  int64 // passed the bucket (may still bounce off a full queue)
+	Throttled int64 // rejected by the bucket
+	QueueFull int64 // admitted by the bucket, rejected by queue backpressure
+	Completed int64
+	Failed    int64
 }
 
 // bucket is one tenant's token bucket.
@@ -58,7 +60,7 @@ type Admission struct {
 	now    func() time.Time
 
 	mu      sync.Mutex
-	counts  map[string]*tenantCounts
+	counts  map[string]*TenantCounters
 	buckets map[string]*bucket
 	sweepAt int
 }
@@ -71,13 +73,13 @@ func NewAdmission(limits TenantLimits, now func() time.Time) *Admission {
 	}
 	return &Admission{
 		limits: limits, now: now,
-		counts:  map[string]*tenantCounts{},
+		counts:  map[string]*TenantCounters{},
 		buckets: map[string]*bucket{},
 		sweepAt: minBucketSweep,
 	}
 }
 
-func newTenantCounts() *tenantCounts { return &tenantCounts{} }
+func newTenantCounts() *TenantCounters { return &TenantCounters{} }
 
 // Allow spends one token for tenant. When the bucket is empty it returns
 // false and how long until a token accrues (the Retry-After hint).
@@ -86,7 +88,7 @@ func (a *Admission) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 	defer a.mu.Unlock()
 	c := tenantRow(a.counts, tenant, newTenantCounts)
 	if a.limits.Rate <= 0 {
-		c.admitted++
+		c.Admitted++
 		return true, 0
 	}
 	now := a.now()
@@ -102,10 +104,10 @@ func (a *Admission) Allow(tenant string) (ok bool, retryAfter time.Duration) {
 	b.last = now
 	if b.tokens >= 1 {
 		b.tokens--
-		c.admitted++
+		c.Admitted++
 		return true, 0
 	}
-	c.throttled++
+	c.Throttled++
 	return false, time.Duration((1 - b.tokens) / a.limits.Rate * float64(time.Second))
 }
 
@@ -130,34 +132,24 @@ func (a *Admission) sweepLocked(now time.Time) {
 // NoteQueueFull records a submission admitted by the bucket but bounced
 // off queue backpressure.
 func (a *Admission) NoteQueueFull(tenant string) {
-	a.bump(tenant, func(c *tenantCounts) { c.queueFull++ })
+	a.bump(tenant, func(c *TenantCounters) { c.QueueFull++ })
 }
 
 // NoteCompleted records a finished job.
 func (a *Admission) NoteCompleted(tenant string) {
-	a.bump(tenant, func(c *tenantCounts) { c.completed++ })
+	a.bump(tenant, func(c *TenantCounters) { c.Completed++ })
 }
 
 // NoteFailed records a failed job.
-func (a *Admission) NoteFailed(tenant string) { a.bump(tenant, func(c *tenantCounts) { c.failed++ }) }
+func (a *Admission) NoteFailed(tenant string) { a.bump(tenant, func(c *TenantCounters) { c.Failed++ }) }
 
-func (a *Admission) bump(tenant string, f func(*tenantCounts)) {
+func (a *Admission) bump(tenant string, f func(*TenantCounters)) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	f(tenantRow(a.counts, tenant, newTenantCounts))
-}
-
-// TenantCounters is a consistent snapshot of one tenant's accounting.
-type TenantCounters struct {
-	Tenant    string
-	Admitted  int64
-	Throttled int64
-	QueueFull int64
-	Completed int64
-	Failed    int64
 }
 
 // Snapshot returns every tenant's counters, sorted by tenant name for
@@ -168,10 +160,9 @@ func (a *Admission) Snapshot() []TenantCounters {
 	defer a.mu.Unlock()
 	out := make([]TenantCounters, 0, len(a.counts))
 	for name, c := range a.counts {
-		out = append(out, TenantCounters{
-			Tenant: name, Admitted: c.admitted, Throttled: c.throttled,
-			QueueFull: c.queueFull, Completed: c.completed, Failed: c.failed,
-		})
+		row := *c
+		row.Tenant = name
+		out = append(out, row)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out

@@ -21,6 +21,7 @@ package serve
 
 import (
 	"repro/internal/core"
+	"repro/internal/hostos"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -85,15 +86,9 @@ type JobStatus struct {
 
 // TaskResult is one simulated task's metrics, in virtual nanoseconds.
 type TaskResult struct {
-	Name        string   `json:"name"`
-	Turnaround  sim.Time `json:"turnaround_ns"`
-	CPUTime     sim.Time `json:"cpu_ns"`
-	HWTime      sim.Time `json:"hw_ns"`
-	Overhead    sim.Time `json:"overhead_ns"`
-	ReadyWait   sim.Time `json:"ready_wait_ns"`
-	BlockWait   sim.Time `json:"block_wait_ns"`
-	Preemptions int64    `json:"preemptions"`
-	Acquires    int64    `json:"acquires"`
+	Name       string   `json:"name"`
+	Turnaround sim.Time `json:"turnaround_ns"`
+	hostos.TaskStats
 }
 
 // JobResult is a completed job's payload: exactly what the same workload

@@ -1,5 +1,5 @@
 // Package stats provides the measurement primitives used by the VFPGA
-// experiments: counters, sample accumulators, time-weighted averages (for
+// experiments: sample accumulators, time-weighted averages (for
 // quantities like "fraction of CLBs in use"), and the bounded latency
 // recorder.
 //
@@ -13,17 +13,6 @@ import (
 	"slices"
 	"sort"
 )
-
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	n int64
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
 
 // Sample accumulates scalar observations and reports summary statistics.
 type Sample struct {

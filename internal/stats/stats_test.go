@@ -8,18 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatalf("zero counter = %d", c.Value())
-	}
-	c.Inc()
-	c.Inc()
-	if c.Value() != 2 {
-		t.Fatalf("counter = %d, want 2", c.Value())
-	}
-}
-
 func TestSampleBasics(t *testing.T) {
 	s := NewSample(false)
 	for _, v := range []float64{1, 2, 3, 4} {
