@@ -125,7 +125,9 @@ fuzz-smoke:
 # users or does not reseed its random stream:
 # region-renew-keeps-spans, paged-renew-keeps-users,
 # paged-renew-keeps-stream), the pin binding, the
-# state and strip tables, the task kernel, the region map, the host OS, the
+# state and strip tables, the task kernel, the region map and its Check,
+# the one statement of a column map's rules (regionmap-check-allows-overlap,
+# regionmap-check-allows-leak, regionmap-check-allows-uncoalesced), the host OS, the
 # daemon's pool and admission, the fleet's queueing kernel, the
 # workload spec, its set cache, a set's spawn and its request table
 # (compute ops carry none; each paged reference has its own), the CAD
@@ -136,7 +138,7 @@ fuzz-smoke:
 # heap's pick of a child on a tie, the latency recorder's window, the
 # device's column blocks, the amorphous manager's caching, a synthetic
 # pool's distinct names, Device.Check, the one statement of a configured
-# device's rules, which the evaluator and the fabric-config audit share
+# device's rules, which the evaluator and the end-of-job audit share
 # (check-skips-last-column, comb-order-registered-edge,
 # check-allows-unconfigured-read, check-allows-noninput-pin-read,
 # check-skips-output-pins), the experiment harness's row fill and
@@ -185,23 +187,23 @@ bench-flow:
 
 # The device layer alone, before and after a change to it: a new board,
 # one strip download, the pin pool under eviction churn, one job's
-# downloads through the residency ledger, the fabric-config audit of a
-# configured device, and a whole cold and warm job over them. Fixed
+# downloads through the residency ledger, Device.Check of a configured
+# device, and a whole cold and warm job over them. Fixed
 # iterations, five readings each, bytes and allocations beside the time.
 # Wall-clock bound, so not part of `make check`.
 bench-device:
-	$(GO) test -run '^$$' -bench 'Benchmark(NewDevice|ApplyStrip|PinPool|LedgerLoadEvict|FabricConfig)$$' -benchmem -benchtime 100000x -count 5 ./internal/fabric/ ./internal/compile/ ./internal/core/ ./internal/lint/
+	$(GO) test -run '^$$' -bench 'Benchmark(NewDevice|ApplyStrip|PinPool|LedgerLoadEvict|Check)$$' -benchmem -benchtime 100000x -count 5 ./internal/fabric/ ./internal/compile/ ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkJobColdVsWarm$$' -benchmem -benchtime 100x -count 5 ./internal/serve/
 
 # The warm job path alone, before and after a change to it: building each
 # builtin scenario's task set and finding one in the set cache, spawning
 # and running a built set through the host OS, encoding a terminal status
-# (plain and with its timeline), the fabric-config audit, one /metrics
+# (plain and with its timeline), Device.Check, one /metrics
 # scrape of a nine-board server, and a whole warm job over them. Fixed
 # iterations, five readings each, bytes and allocations beside the time.
 # Wall-clock bound, so not part of `make check`.
 bench-warm:
-	$(GO) test -run '^$$' -bench 'Benchmark(SpecBuild|SetCacheHit|SpawnRun|StatusEncode|FabricConfig|MetricsScrape)$$' -benchmem -benchtime 20000x -count 5 ./internal/workload/ ./internal/hostos/ ./internal/serve/ ./internal/lint/
+	$(GO) test -run '^$$' -bench 'Benchmark(SpecBuild|SetCacheHit|SpawnRun|StatusEncode|Check|MetricsScrape)$$' -benchmem -benchtime 20000x -count 5 ./internal/workload/ ./internal/hostos/ ./internal/serve/ ./internal/fabric/
 	$(GO) test -run '^$$' -bench 'BenchmarkJobColdVsWarm$$/warm' -benchmem -benchtime 2000x -count 5 ./internal/serve/
 
 # The bookkeeping under a table regeneration, before and after a change

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,21 @@ func TestDeviceGeometryBothOrNeither(t *testing.T) {
 			t.Errorf("-cols %d -rows %d: %v", c.cols, c.rows, err)
 		case !c.usage && (code != c.code || !strings.Contains(out.String(), c.want)):
 			t.Errorf("-cols %d -rows %d: exit %d, want %d with %q in\n%s", c.cols, c.rows, code, c.code, c.want, out.String())
+		}
+	}
+}
+
+// TestRetiredPassesUnknown holds the passes over live state to a usage
+// error, as any unknown name is: lint verifies the flow's artifacts, and
+// a column map's rules (once partition-state, then region-state) and a
+// configured device's (fabric-config) are stated by
+// core.(*RegionMap).Check and fabric.(*Device).Check.
+func TestRetiredPassesUnknown(t *testing.T) {
+	for _, pass := range []string{"partition-state", "region-state", "fabric-config"} {
+		var out bytes.Buffer
+		_, err := run(options{failOn: "error", passes: pass, circuits: "mul8", compile: true, seed: 1}, &out)
+		if want := fmt.Sprintf("lint: unknown pass %q", pass); fmt.Sprint(err) != want || out.Len() > 0 {
+			t.Errorf("-passes %s: error %v, output %q; want %q before any lint", pass, err, out.String(), want)
 		}
 	}
 }

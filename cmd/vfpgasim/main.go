@@ -53,7 +53,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	boards := fs.Int("boards", 2, "board count (multi manager)")
 	gantt := fs.Bool("gantt", false, "print an ASCII scheduling timeline")
 	traceFlag := fs.Bool("trace", false, "print the merged scheduler+device event timeline")
-	lintFlag := fs.Bool("lint", false, "run the static verifier on the circuits before and on the device state after simulating; abort on errors")
+	lintFlag := fs.Bool("lint", false, "lint the circuits before simulating and check the device state after; abort on errors")
 	faults := fs.String("faults", "", "fault-injection plan, e.g. seed=7,retries=2,config-error=0.05,readback-flip@3")
 	showVersion := fs.Bool("version", false, "print the build version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -168,7 +168,7 @@ func run(w io.Writer, bc serve.BoardConfig, spec *workload.Spec, sh show) error 
 	}
 	if sh.lint {
 		// The job body audits the device state every manager leaves
-		// behind through its ledger view.
+		// behind: its column map, when it keeps one, and its devices.
 		for _, d := range res.LintDiags {
 			fmt.Fprintf(w, "lint: %s\n", d)
 		}

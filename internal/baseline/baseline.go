@@ -165,8 +165,8 @@ func (m *Merged) Remove(t *hostos.Task) {}
 
 // Software runs every "FPGA" operation on the host CPU at a slowdown
 // factor — the no-FPGA null hypothesis of the paper's motivation. Its
-// lint view is an empty device: nothing is ever configured, but the
-// verifier wiring stays uniform.
+// Check audits an empty device: nothing is ever configured, but the
+// end-of-job audit stays uniform.
 type Software struct {
 	core.TaskKernel
 	// Slowdown multiplies the hardware execution time (the paper's

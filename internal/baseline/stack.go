@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -142,12 +141,12 @@ func (s *Stack) Timeline() *trace.Timeline {
 	return core.MergeTimeline(s.sched, s.devs...)
 }
 
-// Lint audits the live device state through the manager's ledger view
-// and returns the diagnostics at warning severity and above.
-func (s *Stack) Lint() ([]lint.Diagnostic, error) {
-	lt, ok := s.Mgr.(core.LintTargeter)
-	if !ok {
-		return nil, nil
+// Check audits the live device state the manager leaves behind — its
+// column map, when it keeps one, and every device under it — and returns
+// the first rule broken, or nil.
+func (s *Stack) Check() error {
+	if c, ok := s.Mgr.(interface{ Check() error }); ok {
+		return c.Check()
 	}
-	return lint.Run(lt.LintTargets(), lint.Options{MinSeverity: lint.Warning})
+	return nil
 }

@@ -90,12 +90,8 @@ func tracedRun(t *testing.T, st *Stack, set *workload.Set) outcome {
 	if err := st.Run(set); err != nil {
 		t.Fatal(err)
 	}
-	diags, err := st.Lint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("device state after the run: %s", d)
+	if err := st.Check(); err != nil {
+		t.Errorf("device state after the run: %v", err)
 	}
 	o := outcome{makespan: st.OS.Makespan(), timeline: st.Timeline().String()}
 	for _, e := range st.Engines {

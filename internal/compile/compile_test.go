@@ -31,10 +31,10 @@ func loadAt(t *testing.T, dev *fabric.Device, c *Circuit, ox, oy, pinBase int) *
 	if _, _, err := c.BS.Apply(dev, ox, oy, binding); err != nil {
 		t.Fatalf("apply %s: %v", c.Name, err)
 	}
-	// Every configuration the tests download must survive the
-	// fabric-level verifier: no dangling sources, no config loops.
-	if errs := lint.Errors(lint.RunTarget(&lint.Target{Name: c.Name, Device: dev}, lint.Options{})); len(errs) > 0 {
-		t.Fatalf("device after loading %s: %v", c.Name, errs)
+	// Every configuration the tests download must pass the device's
+	// check: no dangling sources, no config loops.
+	if err := dev.Check(); err != nil {
+		t.Fatalf("device after loading %s: %v", c.Name, err)
 	}
 	return binding
 }

@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -79,16 +77,8 @@ func runRandomConformance(t *testing.T, seed uint64, plan *fault.Plan) {
 			for i, e := range engines {
 				auditLedger(t, e, logs[i])
 			}
-			lt, ok := mgr.(core.LintTargeter)
-			if !ok {
-				t.Fatalf("%s does not implement core.LintTargeter", impl.name)
-			}
-			diags, err := lint.Run(lt.LintTargets(), lint.Options{MinSeverity: lint.Warning})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lint.HasErrors(diags) {
-				t.Errorf("device not lint-clean after random script: %v", lint.Errors(diags))
+			if err := checkOf(t, impl.name, mgr).Check(); err != nil {
+				t.Errorf("device state fails its check after random script: %v", err)
 			}
 		})
 	}

@@ -11,7 +11,7 @@ package core_test
 //   - every Metrics counter and time equals what the residency ledger's
 //     event log says happened (the accounting is auditable);
 //   - no time metric is negative;
-//   - after every task exits, the device state passes the static verifier.
+//   - after every task exits, the device state passes the manager's Check.
 
 import (
 	"fmt"
@@ -25,7 +25,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -376,18 +375,11 @@ func TestConformance(t *testing.T) {
 				for i, e := range engines {
 					auditLedger(t, e, logs[i])
 				}
-				// Every task has exited (Remove ran): the device state the
-				// ledger left behind must pass the static verifier.
-				lt, ok := mgr.(core.LintTargeter)
-				if !ok {
-					t.Fatalf("%s does not implement core.LintTargeter", impl.name)
-				}
-				diags, err := lint.Run(lt.LintTargets(), lint.Options{MinSeverity: lint.Warning})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if lint.HasErrors(diags) {
-					t.Errorf("device not lint-clean after all tasks exited: %v", lint.Errors(diags))
+				// Every task has exited (Remove ran): the column map and
+				// the device state the ledger left behind must pass the
+				// manager's check.
+				if err := checkOf(t, impl.name, mgr).Check(); err != nil {
+					t.Errorf("device state fails its check after all tasks exited: %v", err)
 				}
 			})
 		}

@@ -7,15 +7,38 @@ import (
 	"repro/internal/compile"
 	"repro/internal/fabric"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/netlist"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
-// Regions returns a snapshot of the column map, sorted by origin, in an
-// array of its own: the views LintTarget exports.
-func (st *stripTable) Regions() []lint.RegionView { return st.appendRegions(nil) }
+// regionView is one span of a strip table's column map as the tests read
+// it: a column range, the circuit it holds, the task that owns it (""
+// for a cached, unowned resident), and whether it is free.
+type regionView struct {
+	X, W    int
+	Circuit string
+	Owner   string
+	Free    bool
+}
+
+// Regions returns a view of each span of the column map, sorted by
+// origin. Cached strips report their circuit with an empty owner.
+func (st *stripTable) Regions() []regionView {
+	var out []regionView
+	for _, s := range st.rm.spans {
+		v := regionView{X: s.X, W: s.W, Free: s.Free()}
+		if !s.Free() {
+			p := s.Owner.(*strip)
+			v.Circuit = p.circuit
+			if p.owner != nil {
+				v.Owner = p.owner.Name
+			}
+		}
+		out = append(out, v)
+	}
+	return out
+}
 
 // testGeometry is a small device so circuit compilation stays fast.
 func testGeometry() fabric.Geometry {
@@ -528,8 +551,8 @@ func TestPartitionFixedInvalidWidths(t *testing.T) {
 	}
 }
 
-// A fixed table's free slots sit side by side and never merge: the static
-// verifier takes the coalescing and tiling rules from the map, so a fresh
+// A fixed table's free slots sit side by side and never merge: the map's
+// Check takes the coalescing and tiling rules from its kind, so a fresh
 // table is clean.
 func TestPartitionFixedTableLintClean(t *testing.T) {
 	e := newEngine(t, testOptions())
@@ -537,11 +560,11 @@ func TestPartitionFixedTableLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tgt := pm.LintTarget(); !tgt.FixedSlots || len(tgt.Regions) != 3 || tgt.Name != "partitions(fixed)" {
-		t.Fatalf("target = %+v", tgt)
+	if parts := pm.Regions(); pm.rm.Movable() || len(parts) != 3 || pm.name != "partitions(fixed)" {
+		t.Fatalf("fixed table = %+v, movable %v, named %q", parts, pm.rm.Movable(), pm.name)
 	}
-	if errs := lint.Errors(lint.RunTarget(pm.LintTarget(), lint.Options{})); len(errs) > 0 {
-		t.Fatalf("fresh fixed table is lint-dirty: %v", errs)
+	if err := pm.Check(); err != nil {
+		t.Fatalf("fresh fixed table fails its check: %v", err)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -287,10 +286,8 @@ func TestRelocateEscalationDropsStrip(t *testing.T) {
 				if got, want := e.FreePinCount(), opt.Geometry.NumPins(); got != want {
 					t.Fatalf("%d pins free, want all %d back in the pool", got, want)
 				}
-				tgt := e.Ledger().LintTarget(m.name)
-				diags := lint.RunTarget(&tgt, lint.Options{Passes: []string{"fabric-config"}})
-				if lint.HasErrors(diags) {
-					t.Fatalf("device not lint-clean after the drop: %v", lint.Errors(diags))
+				if err := checkOf(t, m.name, mgr).Check(); err != nil {
+					t.Fatalf("device state fails its check after the drop: %v", err)
 				}
 			})
 		}

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/compile"
 	"repro/internal/flat"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -16,27 +16,21 @@ import (
 // engine and simulation kernel it runs on, the base registration rule and
 // the lookup of a task's registered configuration, the execution-time and
 // preserved-work arithmetic, the base preemption rules, the queue of tasks
-// suspended for space, and the lint view. Its methods are exported
+// suspended for space, and the end-of-job audit. Its methods are exported
 // because internal/baseline embeds it too.
 type TaskKernel struct {
 	E  *Engine
 	K  *sim.Kernel
 	OS *hostos.OS // set by hostos.New through AttachOS
 
-	name    string // the name of the manager's lint target
+	name    string // the manager's name, which its Check errors carry
 	waiters []*hostos.Task
-	// lt is the lint view LintTarget refills and lts the list of it
-	// LintTargets returns: the manager's scratch, renewed with it, so an
-	// end-of-job audit allocates neither.
-	lt  lint.Target
-	lts [1]*lint.Target
 }
 
 // NewTaskKernel binds the engine's ledger to k (nil for a manager that
-// never touches the device) and names the manager's lint target. It
-// renews used, the task kernel of a manager being renewed, keeping its
-// suspension queue's array and its lint view's region array emptied; nil
-// or a zero one has none to keep.
+// never touches the device) and names the manager. It renews used, the
+// task kernel of a manager being renewed, keeping its suspension queue's
+// array emptied; nil or a zero one has none to keep.
 func NewTaskKernel(k *sim.Kernel, e *Engine, name string, used *TaskKernel) TaskKernel {
 	if k != nil {
 		e.Ledger().Bind(k)
@@ -44,7 +38,6 @@ func NewTaskKernel(k *sim.Kernel, e *Engine, name string, used *TaskKernel) Task
 	tk := TaskKernel{E: e, K: k, name: name}
 	if used != nil {
 		tk.waiters = flat.Emptied(used.waiters)
-		tk.lt.Regions = used.lt.Regions[:0]
 	}
 	return tk
 }
@@ -133,20 +126,14 @@ func (tk *TaskKernel) Wake() {
 // Waiting reports whether t is suspended here.
 func (tk *TaskKernel) Waiting(t *hostos.Task) bool { return slices.Contains(tk.waiters, t) }
 
-// LintTarget exports the manager's live device state for the static
-// verifier: the ledger's view under the manager's name. The strip
-// managers export their column map too. The target is the manager's
-// own, refilled by every call: it holds until the next.
-func (tk *TaskKernel) LintTarget() *lint.Target {
-	tk.lt = tk.E.Ledger().LintTarget(tk.name)
-	return &tk.lt
-}
-
-// LintTargets implements LintTargeter: one device, one target. The list
-// is the manager's own, like the target.
-func (tk *TaskKernel) LintTargets() []*lint.Target {
-	tk.lts[0] = tk.LintTarget()
-	return tk.lts[:]
+// Check audits the device the manager leaves configured against the
+// rules fabric.(*Device).Check states, and returns the first rule broken
+// under the manager's name, or nil.
+func (tk *TaskKernel) Check() error {
+	if err := tk.E.Dev.Check(); err != nil {
+		return fmt.Errorf("%s: %w", tk.name, err)
+	}
+	return nil
 }
 
 // emptiedMap clears m for a renewed manager, or makes the map a new one

@@ -11,7 +11,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/flat"
-	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -145,12 +144,6 @@ func (l *DeviceLog) String() string {
 	return b.String()
 }
 
-// LintTargeter is implemented by every manager: it exports the manager's
-// live device state (one target per device) for the static verifier.
-type LintTargeter interface {
-	LintTargets() []*lint.Target
-}
-
 // Resident is one live entry of the ledger's residency table: a
 // full-height circuit strip the ledger downloaded and has not yet
 // evicted, together with the physical pins it holds.
@@ -174,8 +167,7 @@ const recordChunk = 8
 // (and accounts for) *how*.
 //
 // The ledger also keeps the authoritative residency table (which circuit
-// strip sits at which column, holding which pins), which doubles as the
-// live state source for the static verifier via LintTarget.
+// strip sits at which column, holding which pins).
 //
 // A Ledger (like the Engine it belongs to) is single-goroutine by
 // design: the simulation kernel is not a concurrent object, and neither
@@ -355,14 +347,6 @@ func (l *Ledger) Residents() []Resident {
 		out[i] = *r
 	}
 	return out
-}
-
-// LintTarget exports the ledger's device view as a static-verifier
-// target, so any manager — not just the partition manager — can be
-// audited mid-run (fabric-config pass: no dangling sources, no
-// configuration-level loops).
-func (l *Ledger) LintTarget(name string) lint.Target {
-	return lint.Target{Name: name, Device: l.e.Dev}
 }
 
 // TryLoad downloads circuit c as a full-height strip at column x for

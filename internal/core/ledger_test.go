@@ -240,15 +240,6 @@ func TestLedgerPageOps(t *testing.T) {
 	}
 }
 
-func TestLedgerLintTarget(t *testing.T) {
-	e, led, _ := ledgerFixture(t)
-	led.Load("a", e.Lib["adder8"], 0, false)
-	tgt := led.LintTarget("test")
-	if tgt.Name != "test" || tgt.Device != e.Dev {
-		t.Fatalf("target = %+v", tgt)
-	}
-}
-
 // The attach/bind setters share the single-goroutine guard with the
 // transaction methods, so wiring an engine from a second goroutine
 // mid-operation trips the same assertion as any other concurrent use.

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/flat"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -19,13 +17,6 @@ import (
 // request; ties break to the lower board index (deterministic).
 type MultiManager struct {
 	Boards []*PartitionManager
-
-	// names are the boards' lint target names, made once for base (the
-	// boards' own target name) and kept across renewals while base stays;
-	// targets is the list LintTargets refills.
-	names   []string
-	base    string
-	targets []*lint.Target
 }
 
 var _ hostos.FPGA = (*MultiManager)(nil)
@@ -56,13 +47,6 @@ func NewMultiManager(k *sim.Kernel, engines []*Engine, cfg PartitionConfig, used
 		}
 		m.Boards = append(m.Boards, pm)
 	}
-	if base := m.Boards[0].name; base != m.base {
-		m.names, m.base = m.names[:0], base
-	}
-	for i := len(m.names); i < len(m.Boards); i++ {
-		m.names = append(m.names, fmt.Sprintf("board%d/%s", i, m.base))
-	}
-	m.targets = flat.Emptied(m.targets)
 	return m, nil
 }
 
@@ -205,16 +189,13 @@ func (m *MultiManager) TotalBlocks() int64 {
 	return n
 }
 
-// LintTargets implements LintTargeter: one target per board, so the
-// static verifier audits every device of the set. The list and its
-// targets are the manager's own, refilled by every call: they hold until
-// the next.
-func (m *MultiManager) LintTargets() []*lint.Target {
-	m.targets = m.targets[:0]
+// Check audits every board in turn, as PartitionManager.Check does, and
+// returns the first rule broken, its board named "board<i>/", or nil.
+func (m *MultiManager) Check() error {
 	for i, b := range m.Boards {
-		tgt := b.LintTarget()
-		tgt.Name = m.names[i]
-		m.targets = append(m.targets, tgt)
+		if err := b.Check(); err != nil {
+			return fmt.Errorf("board%d/%w", i, err)
+		}
 	}
-	return m.targets
+	return nil
 }

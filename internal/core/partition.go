@@ -117,7 +117,7 @@ func NewPartitionManager(k *sim.Kernel, e *Engine, cfg PartitionConfig, used *Pa
 }
 
 // carve builds the initial region map for cfg's mode, renewing used,
-// and names the manager's lint target after the mode.
+// and names the manager after the mode (the name its Check errors carry).
 func carve(cfg PartitionConfig, cols int, used *RegionMap) (*RegionMap, string, error) {
 	switch cfg.Mode {
 	case FixedPartitions:

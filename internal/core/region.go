@@ -221,6 +221,40 @@ func (rm *RegionMap) Move(s *Span, newX int) {
 	}
 }
 
+// Check reports the first rule the map breaks, or nil. Its rules: every
+// span is at least one column wide and lies inside [0, cols); spans are
+// in origin order and pairwise disjoint; a sliding map covers every
+// column, with no two free spans side by side; a fixed slot table has no
+// gap before its last slot and may leave a tail unused. These are the
+// allocator's promises to §4's partitions and to flexible-boundary
+// regions, stated once. Check allocates nothing on a clean map.
+func (rm *RegionMap) Check() error {
+	at := 0 // the first column past the spans already read
+	for i, s := range rm.spans {
+		switch {
+		case s.W <= 0:
+			return fmt.Errorf("span x=%d w=%d: non-positive width", s.X, s.W)
+		case s.X < 0 || s.X+s.W > rm.cols:
+			return fmt.Errorf("span x=%d w=%d: outside the device's %d columns", s.X, s.W, rm.cols)
+		case i > 0 && s.X < rm.spans[i-1].X:
+			return fmt.Errorf("span x=%d w=%d: out of origin order", s.X, s.W)
+		case s.X < at:
+			return fmt.Errorf("span x=%d w=%d: overlaps the previous span by %d column(s)", s.X, s.W, at-s.X)
+		case s.X > at && rm.fixed:
+			return fmt.Errorf("span x=%d w=%d: gap of %d column(s) before it in a fixed slot table", s.X, s.W, s.X-at)
+		case s.X > at:
+			return fmt.Errorf("columns %d..%d leaked: not covered by any span", at, s.X-1)
+		case !rm.fixed && i > 0 && s.Free() && rm.spans[i-1].Free():
+			return fmt.Errorf("span x=%d w=%d: free neighbours not coalesced", s.X, s.W)
+		}
+		at = s.X + s.W
+	}
+	if !rm.fixed && at < rm.cols {
+		return fmt.Errorf("columns %d..%d leaked: a sliding map must cover the device", at, rm.cols-1)
+	}
+	return nil
+}
+
 // Movable reports whether boundaries slide: spans split, merge and move.
 func (rm *RegionMap) Movable() bool { return !rm.fixed }
 

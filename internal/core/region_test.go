@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/fabric"
+	"repro/internal/hostos"
 	"repro/internal/rng"
+	"repro/internal/sim"
 )
 
 func spanLayout(t *testing.T, rm *RegionMap, want [][3]int) {
@@ -303,5 +307,119 @@ func TestRegionMapChurnAllocatesNothing(t *testing.T) {
 	round()
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Errorf("alloc/move/release churn allocates %v times per round, want 0", n)
+	}
+}
+
+// TestRegionMapCheck builds broken maps by hand, one fault a row, and
+// wants exactly the rule each breaks; the clean rows want none, and
+// Check formats only errors, so it allocates nothing on them.
+func TestRegionMapCheck(t *testing.T) {
+	cached := &strip{circuit: "b"} // resident, owned by no task
+	sliding := func(spans ...*Span) *RegionMap { return &RegionMap{cols: 12, spans: spans} }
+	fixed := func(spans ...*Span) *RegionMap { return &RegionMap{cols: 10, fixed: true, spans: spans} }
+	for _, c := range []struct {
+		name string
+		rm   *RegionMap
+		want string
+	}{
+		{"sliding/clean with a cached strip",
+			sliding(&Span{0, 4, "a"}, &Span{4, 3, cached}, &Span{7, 5, nil}), ""},
+		{"sliding/overlap",
+			sliding(&Span{0, 4, "a"}, &Span{3, 2, "b"}, &Span{5, 7, nil}),
+			"span x=3 w=2: overlaps the previous span by 1 column(s)"},
+		{"sliding/leaked gap",
+			sliding(&Span{0, 4, "a"}, &Span{5, 7, nil}),
+			"columns 4..4 leaked: not covered by any span"},
+		{"sliding/uncovered tail",
+			sliding(&Span{0, 4, "a"}),
+			"columns 4..11 leaked: a sliding map must cover the device"},
+		{"sliding/uncoalesced free neighbours",
+			sliding(&Span{0, 4, "a"}, &Span{4, 3, nil}, &Span{7, 5, nil}),
+			"span x=7 w=5: free neighbours not coalesced"},
+		{"sliding/zero width",
+			sliding(&Span{0, 4, "a"}, &Span{4, 0, nil}, &Span{4, 8, "b"}),
+			"span x=4 w=0: non-positive width"},
+		{"sliding/off the device",
+			sliding(&Span{0, 4, "a"}, &Span{4, 9, nil}),
+			"span x=4 w=9: outside the device's 12 columns"},
+		{"sliding/out of origin order",
+			sliding(&Span{0, 4, "a"}, &Span{4, 8, nil}, &Span{2, 1, "b"}),
+			"span x=2 w=1: out of origin order"},
+		{"fixed/clean with free neighbours and a tail",
+			fixed(&Span{0, 2, nil}, &Span{2, 2, nil}, &Span{4, 4, "a"}), ""},
+		{"fixed/overlap",
+			fixed(&Span{0, 4, "a"}, &Span{3, 2, nil}, &Span{5, 2, nil}),
+			"span x=3 w=2: overlaps the previous span by 1 column(s)"},
+		{"fixed/gap",
+			fixed(&Span{0, 4, "a"}, &Span{6, 2, nil}),
+			"span x=6 w=2: gap of 2 column(s) before it in a fixed slot table"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := ""
+			if err := c.rm.Check(); err != nil {
+				got = err.Error()
+			}
+			if got != c.want {
+				t.Errorf("Check() = %q, want %q", got, c.want)
+			}
+			if c.want != "" || raceEnabled { // the race detector defeats escape analysis
+				return
+			}
+			if n := testing.AllocsPerRun(100, func() { _ = c.rm.Check() }); n != 0 {
+				t.Errorf("Check of a clean map allocates %v times, want 0", n)
+			}
+		})
+	}
+}
+
+// A manager's Check names what failed: the manager, then the column map
+// or the device, and a multi-manager's board.
+func TestManagerCheckNamesTheFault(t *testing.T) {
+	opt := testOptions()
+	for _, c := range []struct {
+		name  string
+		build func(t *testing.T) (interface{ Check() error }, string)
+	}{
+		{"partition: an occupied span widened over its neighbour", func(t *testing.T) (interface{ Check() error }, string) {
+			h, pm := partHarness(t, opt, hostos.Config{Policy: hostos.FIFO}, PartitionConfig{Mode: VariablePartitions})
+			h.OS.Spawn("a", 0, []hostos.Op{fpgaOp("adder8", 100_000)})
+			h.OS.Spawn("b", 0, []hostos.Op{fpgaOp("parity16", 100_000)})
+			h.K.RunUntil(500 * sim.Microsecond)
+			if err := pm.Check(); err != nil {
+				t.Fatalf("live map fails its check before the fault: %v", err)
+			}
+			first, next := pm.rm.spans[0], pm.rm.spans[1]
+			if first.Free() {
+				t.Fatalf("no strip at column 0: %+v", pm.Regions())
+			}
+			first.W++
+			return pm, fmt.Sprintf("partitions(variable): column map: span x=%d w=%d: overlaps the previous span by 1 column(s)", next.X, next.W)
+		}},
+		{"multi: board 1's span widened over its neighbour", func(t *testing.T) (interface{ Check() error }, string) {
+			m, err := NewMultiManager(sim.New(), []*Engine{newEngine(t, opt), newEngine(t, opt)}, PartitionConfig{Mode: VariablePartitions}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rm := m.Boards[1].rm
+			s := rm.Alloc(rm.FindFree(4, FirstFit), 4, &strip{circuit: "adder8"})
+			if err := m.Check(); err != nil {
+				t.Fatalf("multi-manager fails its check before the fault: %v", err)
+			}
+			s.W += 2
+			return m, fmt.Sprintf("board1/partitions(variable): column map: span x=4 w=%d: overlaps the previous span by 2 column(s)", opt.Geometry.Cols-4)
+		}},
+		{"dynamic: a CLB reading blank fabric", func(t *testing.T) (interface{ Check() error }, string) {
+			e := newEngine(t, opt)
+			d := NewDynamicLoader(sim.New(), e, nil)
+			e.Dev.WriteCLB(0, 0, fabric.CLBConfig{Used: true, Inputs: [fabric.LUTInputs]fabric.Source{fabric.CLBSource(1, 1)}})
+			return d, "dynamic: CLB (0,0) input 0: reads unconfigured CLB (1,1)"
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mgr, want := c.build(t)
+			if err := mgr.Check(); fmt.Sprint(err) != want {
+				t.Errorf("Check() = %v, want %q", err, want)
+			}
+		})
 	}
 }

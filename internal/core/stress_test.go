@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -161,10 +160,10 @@ func TestStressPartitionsMergeBack(t *testing.T) {
 		if len(parts) != 1 || !parts[0].Free || parts[0].W != opt.Geometry.Cols {
 			t.Fatalf("rep %d: partitions did not merge back: %+v", rep, parts)
 		}
-		// The static verifier must agree: disjoint strips, no leaked
+		// The manager's check must agree: disjoint strips, no leaked
 		// columns, free space merged, device configuration consistent.
-		if errs := lint.Errors(lint.RunTarget(pm.LintTarget(), lint.Options{})); len(errs) > 0 {
-			t.Fatalf("rep %d: partition invariants violated: %v", rep, errs)
+		if err := pm.Check(); err != nil {
+			t.Fatalf("rep %d: partition invariants violated: %v", rep, err)
 		}
 		if free := h.E.FreePinCount(); free != opt.Geometry.NumPins() {
 			t.Fatalf("rep %d: %d pins free, want %d", rep, free, opt.Geometry.NumPins())

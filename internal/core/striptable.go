@@ -7,7 +7,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/flat"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/sim"
 )
 
@@ -72,24 +71,6 @@ func (st *stripTable) region(s *Span) fabric.Region {
 	return fabric.Region{X: s.X, Y: 0, W: s.W, H: st.E.Opt.Geometry.Rows}
 }
 
-// appendRegions appends a view of each span of the column map, sorted by
-// origin, to out. Cached strips report their circuit with an empty
-// owner.
-func (st *stripTable) appendRegions(out []lint.RegionView) []lint.RegionView {
-	for _, s := range st.rm.spans {
-		v := lint.RegionView{X: s.X, W: s.W, Free: s.Free()}
-		if !s.Free() {
-			p := s.Owner.(*strip)
-			v.Circuit = p.circuit
-			if p.owner != nil {
-				v.Owner = p.owner.Name
-			}
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 // Register implements hostos.FPGA: a circuit wider than the widest span
 // the map could ever give it can never load. For a sliding map that is
 // the device width.
@@ -108,31 +89,15 @@ func (st *stripTable) Register(t *hostos.Task, circuit string) error {
 // table counts each free slot separately; slots never merge).
 func (st *stripTable) Frag() FragStats { return st.rm.Frag() }
 
-// LintTarget exports the column map and the device under it as a
-// static-verifier target under the kernel's name, so callers can audit the
-// §4 invariants (disjoint strips, no leaked columns, merged free space) at
-// any point of a run:
-//
-//	diags := lint.RunTarget(pm.LintTarget(), lint.Options{})
-//
-// The target and its region views are the table's own, refilled by every
-// call: they hold until the next.
-func (st *stripTable) LintTarget() *lint.Target {
-	st.lt = lint.Target{
-		Name:       st.name,
-		Regions:    st.appendRegions(st.lt.Regions[:0]),
-		Cols:       st.rm.Cols(),
-		FixedSlots: !st.rm.Movable(),
-		Device:     st.E.Dev,
+// Check audits the column map and then the device under it, and
+// returns the first rule broken under the manager's name, or nil, so the
+// §4 invariants (disjoint strips, no leaked columns, merged free space)
+// can be audited at any point of a run.
+func (st *stripTable) Check() error {
+	if err := st.rm.Check(); err != nil {
+		return fmt.Errorf("%s: column map: %w", st.name, err)
 	}
-	return &st.lt
-}
-
-// LintTargets implements LintTargeter: one device, one target, in a list
-// that is the table's own, like the target.
-func (st *stripTable) LintTargets() []*lint.Target {
-	st.lts[0] = st.LintTarget()
-	return st.lts[:]
+	return st.TaskKernel.Check()
 }
 
 // holds reports whether t has anything on this device: a strip, displaced

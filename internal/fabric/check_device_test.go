@@ -1,6 +1,6 @@
-// External tests of the fabric-config pass over really compiled devices:
-// compile imports lint, so these cannot live in package lint.
-package lint_test
+// External tests of Device.Check over really compiled devices: compile
+// imports fabric, so these cannot live in package fabric.
+package fabric_test
 
 import (
 	"testing"
@@ -8,11 +8,8 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/compile"
 	"repro/internal/fabric"
-	"repro/internal/lint"
 	"repro/internal/netlist"
 )
-
-var fabricConfigOnly = lint.Options{Passes: []string{"fabric-config"}}
 
 // configuredDevice applies n copies of the compiled alu8 strip side by
 // side on a device wide enough to hold them.
@@ -48,19 +45,20 @@ func configuredDevice(tb testing.TB, n int) *fabric.Device {
 	return d
 }
 
-// Device.Check, which the pass calls, formats only errors and takes its
-// working set from an earlier call, so a repeat audit of a clean device
-// allocates what lint.Run does — the named pass list and the one
-// Reporter — whatever the number of configured CLBs (11 while the pass
-// made its four tables and the run a Reporter per pass, copying the pass
-// list).
-func TestFabricConfigCleanPathAllocs(t *testing.T) {
+// Check formats only errors and takes its working set from an earlier
+// call, so a repeat check of a clean device allocates nothing, whatever
+// the number of configured CLBs (2 while lint's fabric-config pass called
+// it through a pass list and a Reporter, 11 while the pass made its four
+// tables and the run a Reporter per pass).
+func TestCheckCleanPathAllocs(t *testing.T) {
+	if fabric.RaceEnabled {
+		t.Skip("the race detector defeats escape analysis")
+	}
 	allocs := func(copies int) (float64, int) {
 		d := configuredDevice(t, copies)
-		targets := []*lint.Target{{Name: "dev", Device: d}}
 		n := testing.AllocsPerRun(20, func() {
-			if diags, err := lint.Run(targets, fabricConfigOnly); err != nil || len(diags) != 0 {
-				t.Fatalf("%d copies: device not clean: %v %v", copies, err, diags)
+			if err := d.Check(); err != nil {
+				t.Fatalf("%d copies: device not clean: %v", copies, err)
 			}
 		})
 		return n, d.UsedCells()
@@ -70,21 +68,18 @@ func TestFabricConfigCleanPathAllocs(t *testing.T) {
 	if usedThree < 3*usedOne || usedOne == 0 {
 		t.Fatalf("used CLBs: %d for one copy, %d for three", usedOne, usedThree)
 	}
-	if three > one {
-		t.Errorf("allocations grew with used CLBs: %v at %d CLBs, %v at %d", one, usedOne, three, usedThree)
-	}
-	if one > 2 && !raceEnabled { // the race detector defeats escape analysis
-		t.Errorf("clean pass allocates %v times, want at most 2", one)
+	if one != 0 || three != 0 {
+		t.Errorf("a clean check allocates %v times at %d CLBs and %v at %d, want 0", one, usedOne, three, usedThree)
 	}
 }
 
-func BenchmarkFabricConfig(b *testing.B) {
-	targets := []*lint.Target{{Name: "dev", Device: configuredDevice(b, 1)}}
+func BenchmarkCheck(b *testing.B) {
+	d := configuredDevice(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if diags, err := lint.Run(targets, fabricConfigOnly); err != nil || len(diags) != 0 {
-			b.Fatalf("device not clean: %v %v", err, diags)
+		if err := d.Check(); err != nil {
+			b.Fatalf("device not clean: %v", err)
 		}
 	}
 }

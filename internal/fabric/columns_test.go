@@ -284,7 +284,7 @@ func randomSource(r *rand.Rand, ref *flatPlane, at int) Source {
 	return Source{}
 }
 
-// corruptSource draws one of the sources the static verifier is tested
+// corruptSource draws one of the sources Device.Check is tested
 // on: a CLB one step off the device's edge, an unknown kind.
 func corruptSource(r *rand.Rand, g Geometry) Source {
 	if r.Intn(2) == 0 {

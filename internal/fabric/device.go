@@ -13,7 +13,7 @@ import (
 // plane represents: every coordinate and index in it is an int16. A byte
 // would hold the default board's 192 pins and nothing larger, and the
 // fields are signed so that a corrupt reference one step off an edge
-// stays visible to the static verifier as the negative it is.
+// stays visible to Check as the negative it is.
 const MaxDim = math.MaxInt16
 
 // Coord narrows a column, row, pin or port index to the packed field
@@ -364,8 +364,8 @@ func takeCheckSet() *checkSet {
 // combinational logic is acyclic; a registered CLB's output is its
 // flip-flop, so a CLB reading it does not wait on its inputs. The CLB
 // inputs are checked first, in scan order, then the output pins, then
-// the loop. Eval and Step refuse a device with Check's error, and lint's
-// fabric-config pass reports it.
+// the loop. Eval and Step refuse a device with Check's error, and a
+// manager's Check reports it under the manager's name.
 func (d *Device) Check() error {
 	w := takeCheckSet()
 	defer checkSets.Give(struct{}{}, w)

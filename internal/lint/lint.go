@@ -1,14 +1,16 @@
 // Package lint is the static verification subsystem: a multi-pass
-// analyzer for the artifacts the VFPGA stack moves around — gate-level
-// netlists, relocatable bitstreams, partition-table snapshots and
-// configured devices.
+// analyzer for the artifacts the VFPGA flow produces — gate-level
+// netlists, segment chains and relocatable bitstreams.
 //
 // Every virtualization technique in the paper rests on invariants that
-// are otherwise only checked dynamically, if at all: partitions must
-// stay disjoint and merge cleanly, a paged bitstream must never write
-// outside its region, preemption requires the flip-flop state to be
-// readback-observable. The passes here check those invariants offline,
-// producing structured diagnostics instead of mid-simulation panics.
+// are otherwise only checked dynamically, if at all: a segment chain's
+// stages must agree on their boundary wires, a paged bitstream must never
+// write outside its region, preemption requires the flip-flop state to
+// be readback-observable. The passes here check those invariants
+// offline, producing structured diagnostics instead of mid-simulation
+// panics. Live state has owners of its own: a manager's column map is
+// checked by core.(*RegionMap).Check and a configured device by
+// fabric.(*Device).Check.
 //
 // Usage: fill a Target with whatever artifacts are at hand (nil fields
 // are skipped), then Run it through the registered passes:
@@ -97,26 +99,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s: %s", d.Severity, d.Pass, d.Pos, d.Msg)
 }
 
-// RegionView is a lint-side snapshot of one span of a manager's column
-// map (§4's partition table or an amorphous region map): a column range,
-// what circuit it holds, which task owns it ("" for a cached, unowned
-// resident), and whether it is free. The strip managers in core export
-// their state in this shape (the lint package cannot import core without
-// a cycle through compile).
-type RegionView struct {
-	X, W    int
-	Circuit string
-	Owner   string
-	Free    bool
-}
-
 // Target bundles the artifacts one lint run inspects. Any field may be
 // nil/empty; each pass checks only what is present.
 type Target struct {
-	// Name labels the target in diagnostics when no netlist or bitstream
-	// supplies one (e.g. pure region-state targets).
-	Name string
-
 	// Netlist is a gate-level circuit (the netlist-domain passes). It and
 	// every segment stage must have passed the netlist package's check,
 	// which each of its constructors ends in: the passes take the
@@ -131,20 +116,6 @@ type Target struct {
 	Bitstream *bitstream.Bitstream
 	// Geometry, when non-nil, bounds the bitstream against a device.
 	Geometry *fabric.Geometry
-
-	// Regions is a column-map snapshot and Cols the device width it must
-	// fit. FixedSlots marks a table of static slots (§4's fixed
-	// partitions): free neighbours never merge and a tail may stay
-	// uncovered, where a sliding map must tile the device exactly.
-	Regions    []RegionView
-	Cols       int
-	FixedSlots bool
-
-	// Device is a configured fabric to audit against the rules
-	// Device.Check states (dangling sources, configuration-level
-	// combinational loops); a broken device yields one error, the first
-	// rule it breaks.
-	Device *fabric.Device
 }
 
 // Reporter collects diagnostics on behalf of the pass running. One run
@@ -190,8 +161,6 @@ var builtin = []Pass{
 	{"dead-logic", "gates that cannot influence any primary output", passDeadLogic},
 	{"seq-preempt", "flip-flop state that is not fully readback-observable", passSeqPreempt},
 	{"bitstream-bounds", "cell writes, sources and pin bindings inside the claimed region", passBitstreamBounds},
-	{"region-state", "partition tables and region maps: no shared or leaked columns, coalesced free spans", passRegionState},
-	{"fabric-config", "configured devices: dangling sources, config-level loops", passFabricConfig},
 }
 
 // Passes returns the full ordered pass list.

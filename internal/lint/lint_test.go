@@ -193,98 +193,6 @@ func TestBitstreamBoundsDeviceExtents(t *testing.T) {
 	wantDiag(t, diags, Error, "exceeds device")
 }
 
-// TestRegionStateInvariants feeds the one column-map audit its inputs:
-// each case is a snapshot and the findings it must produce (none = clean).
-func TestRegionStateInvariants(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		target *Target
-		want   []string
-	}{
-		{"sliding-clean", &Target{
-			Name: "rm", Cols: 12,
-			Regions: []RegionView{
-				{X: 0, W: 4, Circuit: "a", Owner: "t1"},
-				{X: 4, W: 3, Circuit: "b"}, // cached resident: circuit, no owner
-				{X: 7, W: 5, Free: true},
-			},
-		}, nil},
-		{"sliding-broken", &Target{
-			Name: "rm", Cols: 12,
-			Regions: []RegionView{
-				{X: 0, W: 4, Circuit: "a", Owner: "t1"},
-				{X: 3, W: 2, Circuit: "b", Owner: "t2"},             // shares column 3 with a
-				{X: 6, W: 2, Free: true, Circuit: "c", Owner: "t3"}, // freed but still claimed; gap 5..5 leaked
-				{X: 8, W: 2, Free: true},                            // adjacent free spans uncoalesced
-				{X: 10, W: 2},                                       // occupied, no circuit
-			},
-		}, []string{"two regions share a column", "leaked", "still claims circuit", "still claims owner",
-			"not coalesced", "names no circuit"}},
-		{"sliding-must-tile", &Target{
-			Name: "rm", Cols: 12,
-			Regions: []RegionView{
-				{X: 0, W: 4, Circuit: "a"},
-				// columns 4..11 never accounted for: a sliding map has no tail.
-			},
-		}, []string{"must tile the device"}},
-		{"fixed-clean", &Target{
-			Name: "pt", Cols: 10, FixedSlots: true,
-			Regions: []RegionView{
-				{X: 0, W: 2, Free: true},
-				{X: 2, W: 2, Free: true}, // slots never merge
-				{X: 4, W: 4, Circuit: "a"},
-				// columns 8..9 are the uncovered tail of the fixed table: fine.
-			},
-		}, nil},
-		{"fixed-broken", &Target{
-			Name: "pt", Cols: 10, FixedSlots: true,
-			Regions: []RegionView{
-				{X: 0, W: 4, Circuit: "a"},
-				{X: 3, W: 2, Free: true},
-				{X: 6, W: 2, Free: true},
-			},
-		}, []string{"two regions share a column", "inside a fixed slot table"}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			diags := only(t, "region-state", c.target)
-			if len(c.want) == 0 {
-				wantNone(t, diags)
-			}
-			for _, frag := range c.want {
-				wantDiag(t, diags, Error, frag)
-			}
-		})
-	}
-}
-
-func TestFabricConfig(t *testing.T) {
-	g := fabric.Geometry{Cols: 4, Rows: 4, TracksPerChannel: 4, PinsPerSide: 2}
-	d := fabric.NewDevice(g)
-	// CLB (0,0) reads unconfigured CLB (2,2) and pin 1 (not an input).
-	d.WriteCLB(0, 0, fabric.CLBConfig{Used: true, Inputs: [fabric.LUTInputs]fabric.Source{
-		fabric.CLBSource(2, 2),
-		fabric.PinSource(1),
-	}})
-	wantDiag(t, only(t, "fabric-config", &Target{Device: d}), Error, "reads unconfigured CLB (2,2)")
-	// The pass names the first fault only: configuring (2,2) uncovers the
-	// second.
-	d.WriteCLB(2, 2, fabric.CLBConfig{Used: true})
-	wantDiag(t, only(t, "fabric-config", &Target{Device: d}), Error, "reads pin 1 which is not configured as an input")
-}
-
-func TestFabricConfigLoop(t *testing.T) {
-	g := fabric.Geometry{Cols: 4, Rows: 4, TracksPerChannel: 4, PinsPerSide: 2}
-	d := fabric.NewDevice(g)
-	d.WriteCLB(0, 0, fabric.CLBConfig{Used: true, Inputs: [fabric.LUTInputs]fabric.Source{fabric.CLBSource(1, 0)}})
-	d.WriteCLB(1, 0, fabric.CLBConfig{Used: true, Inputs: [fabric.LUTInputs]fabric.Source{fabric.CLBSource(0, 0)}})
-	diags := only(t, "fabric-config", &Target{Device: d})
-	wantDiag(t, diags, Error, "combinational loop")
-
-	// Registering one of the two CLBs breaks the cycle.
-	d.WriteCLB(1, 0, fabric.CLBConfig{Used: true, UseFF: true, Inputs: [fabric.LUTInputs]fabric.Source{fabric.CLBSource(0, 0)}})
-	wantNone(t, only(t, "fabric-config", &Target{Device: d}))
-}
-
 func TestRunOptions(t *testing.T) {
 	b := netlist.NewBuilder("dangle")
 	a := b.Input("a")

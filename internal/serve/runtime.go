@@ -16,14 +16,12 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/baseline"
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hostos"
-	"repro/internal/lint"
 	"repro/internal/workload"
 )
 
@@ -174,15 +172,9 @@ func run(st *baseline.Stack, set *workload.Set, withTrace bool) (*JobResult, err
 	for _, eng := range st.Engines {
 		res.Metrics = append(res.Metrics, eng.M.Snapshot(st.K.Now()))
 	}
-	diags, err := st.Lint()
-	if err != nil {
-		return nil, err
+	if err := st.Check(); err != nil {
+		res.LintClean, res.LintDiags = false, []string{err.Error()}
 	}
-	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pass < diags[j].Pass })
-	for _, d := range diags {
-		res.LintDiags = append(res.LintDiags, d.String())
-	}
-	res.LintClean = !lint.HasErrors(diags)
 	if withTrace {
 		res.Timeline = st.Timeline().Events
 	}

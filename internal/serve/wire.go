@@ -100,9 +100,10 @@ type JobResult struct {
 	Makespan    sim.Time               `json:"makespan_ns"`
 	CtxSwitches int64                  `json:"ctx_switches"`
 	Metrics     []core.MetricsSnapshot `json:"metrics"`
-	// LintClean reports that the post-run device-state audit (the same
-	// passes as vfpgasim -lint) found no errors; diagnostics, when any,
-	// are in LintDiags.
+	// LintClean reports that the post-run device-state audit
+	// (baseline.Stack.Check, as vfpgasim -lint runs it: the manager's
+	// column map and every device under it) found no rule broken; when
+	// one is, LintDiags holds the first, under the manager's name.
 	LintClean bool                  `json:"lint_clean"`
 	LintDiags []string              `json:"lint_diags,omitempty"`
 	Timeline  []trace.TimelineEvent `json:"timeline,omitempty"`
