@@ -48,11 +48,13 @@ build:
 # the harness's free list of dead stacks and of F10's replay states,
 # which rival goroutines take from and give back to while one sweep
 # point or one replay runs; and flat's memo, whose waiters park on one
-# build, and free list, whose values go from holder to holder: once is
-# not evidence.
+# build, and free list, whose values go from holder to holder; and the
+# strict JSON decoders rival goroutines take from and give back to their
+# free list between decodes that fail or leave bytes behind: once is not
+# evidence.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/netlist/... ./internal/workload/... ./internal/core/... ./internal/baseline/... ./internal/hostos/... ./internal/bench/... ./internal/flat/... ./internal/fabric/... ./internal/compile/... ./internal/techmap/... ./internal/place/... ./internal/route/... ./internal/lint/... ./internal/serve/... ./internal/fleet/... ./internal/loadgen/... ./cmd/vfpgaload/...
-	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree|TestBoardsShareCachedSet|TestDeliveredResultOutlivesBoard|TestStackFreeListConcurrent|TestReplayFreeListConcurrent|TestMemoSingleflight|TestFreeListConcurrent' ./internal/serve/ ./internal/bench/ ./internal/flat/
+	$(GO) test -race -count 200 -run 'TestFailedJobCountedBeforeDone|TestQueuedWorkConserved|TestPoolAndSimulateAgree|TestBoardsShareCachedSet|TestDeliveredResultOutlivesBoard|TestStackFreeListConcurrent|TestReplayFreeListConcurrent|TestMemoSingleflight|TestFreeListConcurrent|TestStrictDecodersConcurrent' ./internal/serve/ ./internal/bench/ ./internal/flat/ ./internal/workload/
 
 test:
 	$(GO) test ./...
@@ -129,7 +131,9 @@ fuzz-smoke:
 # the one statement of a column map's rules (regionmap-check-allows-overlap,
 # regionmap-check-allows-leak, regionmap-check-allows-uncoalesced), the host OS, the
 # daemon's pool and admission, the fleet's queueing kernel, the
-# workload spec, its set cache, a set's spawn and its request table
+# workload spec and the keep rule of the strict decoders that read it
+# (decoder-kept-after-error, decoder-kept-with-leftover,
+# decoder-size-cap-ignored), the spec's set cache, a set's spawn and its request table
 # (compute ops carry none; each paged reference has its own), the CAD
 # stages' reused results and work counts, the placer's net numbering
 # and sink slots the router reads (nets-by-driver, sinkslot-off-by-one),

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"time"
 	"unicode"
+
+	"repro/internal/workload"
 )
 
 // Backend is what the job API fronts: one board pool (this package's
@@ -108,11 +110,15 @@ func tenantError(name string) string {
 	return ""
 }
 
+// decodeSubmit decodes a POST /v1/jobs body into req, strictly, reading
+// at most maxSubmitBytes of it.
+func decodeSubmit(w http.ResponseWriter, r *http.Request, req *SubmitRequest) error {
+	return workload.DecodeStrict(http.MaxBytesReader(w, r.Body, maxSubmitBytes), req)
+}
+
 func (a *api) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeSubmit(w, r, &req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -46,7 +45,15 @@ func NewJobTable[J any](prefix string) *JobTable[J] {
 // NextID returns the id the next Put will issue.
 func (t *JobTable[J]) NextID() string {
 	if t.next == "" {
-		t.next = fmt.Sprintf("%s%06d", t.prefix, t.seq+1)
+		// prefix and the sequence number padded to six digits, formatted
+		// on the stack: the string is the one allocation.
+		var buf, digits [32]byte
+		d := strconv.AppendInt(digits[:0], t.seq+1, 10)
+		b := append(buf[:0], t.prefix...)
+		if len(d) < 6 {
+			b = append(b, "000000"[len(d):]...)
+		}
+		t.next = string(append(b, d...))
 	}
 	return t.next
 }

@@ -58,6 +58,27 @@ func TestJobTableRetention(t *testing.T) {
 	}
 }
 
+// TestJobIDFormat holds NextID to fmt.Sprintf("%s%06d") where the padding
+// starts, ends and overflows, and to one allocation an id.
+func TestJobIDFormat(t *testing.T) {
+	for _, prefix := range []string{"j", "n12-j"} {
+		for _, seq := range []int64{1, 999_999, 1_000_000, 1 << 40} {
+			tbl := NewJobTable[int](prefix)
+			tbl.seq = seq - 1
+			if got, want := tbl.NextID(), fmt.Sprintf("%s%06d", prefix, seq); got != want {
+				t.Errorf("NextID at %d: got %q, want %q", seq, got, want)
+			}
+		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the path's")
+	}
+	tbl := NewJobTable[int]("j")
+	if n := testing.AllocsPerRun(100, func() { tbl.next = ""; tbl.NextID() }); n != 1 {
+		t.Errorf("NextID allocates %.0f times, want 1", n)
+	}
+}
+
 // tinyJob is the cheapest job the daemon accepts: one task, one
 // evaluation of one circuit.
 func tinyJob(t *testing.T) string {

@@ -462,6 +462,42 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestSubmitDecodeReuse runs valid and refused bodies through one
+// handler, so each decode after the first takes a strict decoder a
+// decode before gave back: each status and body must be what a fresh
+// server returns for that body alone, a job's id apart.
+func TestSubmitDecodeReuse(t *testing.T) {
+	valid := submitBody(t, "a", "telecom")
+	bodies := []string{
+		valid,
+		valid + "x",
+		``,
+		`{"tenant":"a","workload":{"scenario":"multimedia"`,
+		`{"tenant":"` + strings.Repeat("a", maxSubmitBytes) + `","workload":{"scenario":"multimedia"}}`,
+		`{"tenant":"a","workload":{"scenario":"multimedia","telecom":{"sesions":4}}}`,
+		valid + "\n",
+		valid,
+	}
+	// response is rec's status and body, an accepted job's id cleared.
+	response := func(rec *httptest.ResponseRecorder) string {
+		var sub SubmitResponse
+		if rec.Code == http.StatusAccepted && json.Unmarshal(rec.Body.Bytes(), &sub) == nil && sub.ID != "" {
+			sub.ID = ""
+			b, _ := json.Marshal(sub)
+			return fmt.Sprintf("%d %s", rec.Code, b)
+		}
+		return fmt.Sprintf("%d %s", rec.Code, rec.Body)
+	}
+	shared := newTestServer(t, Config{})
+	for i, body := range bodies {
+		got := response(do(t, shared, "POST", "/v1/jobs", body))
+		want := response(do(t, newTestServer(t, Config{}), "POST", "/v1/jobs", body))
+		if got != want {
+			t.Errorf("body %d (%.60q): got %.200s, want %.200s", i, body, got, want)
+		}
+	}
+}
+
 // TestTenantNameBounded: a tenant name is bounded at the door — an
 // oversized or control-character name is a 400 before admission spends a
 // token or either tenant table learns the name.

@@ -13,7 +13,9 @@ package workload
 // seeds the ones that used to: diag_every 0, negative and 2^40 counts,
 // packets_per 0, a streams x frames product that overflows int). A valid
 // spec and its canonical re-decode share one SetCache entry: the key
-// sees through the defaults merge as the encoder does.
+// sees through the defaults merge as the encoder does. Every input is
+// decoded on a fresh strict decoder and, after each of predecessors, on
+// the list's decoders: the two decode alike, value and error text.
 
 import (
 	"bytes"
@@ -35,10 +37,14 @@ func FuzzSpecDecode(f *testing.F) {
 		`{"scenario":"synthetic","synthetic":{"pool":["alu8","nosuch"]}}`,
 		`{"scenario":"storage","telecom":{},"diagnosis":{}}`,
 		`not json at all`,
+		`{"scenario":"telecom","telecom":{"sessions":4}}x`,
+		`{"scenario":"telecom","telecom":{"sessions":4}}` + "\n",
+		bigPoolSpec(maxKeptRead + 1),
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstFresh(t, data)
 		spec, err := DecodeJSON(data)
 		if err != nil {
 			return // rejected inputs just must not panic

@@ -12,7 +12,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"slices"
+
+	"repro/internal/flat"
 )
 
 // ErrNoCircuits is returned by Build when a spec generates a workload
@@ -269,8 +273,67 @@ func DecodeJSON(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+// strictUnmarshal decodes the JSON value at the head of data into v as
+// DecodeStrict does.
+func strictUnmarshal(data []byte, v any) error { return decodeStrict(nil, data, v) }
+
+// DecodeStrict decodes one JSON value from r into v, rejecting unknown
+// fields. Bytes after the value are left unread or ignored, as a
+// json.Decoder leaves them.
+func DecodeStrict(r io.Reader, v any) error { return decodeStrict(r, nil, v) }
+
+// maxKeptRead is the most bytes a strict decoder may read in one use and
+// still be kept: about twenty builtin spec bodies. A decoder that read
+// more holds a buffer grown to match, so a large body or trace leaves it
+// to the collector.
+const maxKeptRead = 4 << 10
+
+// strictDecoder is a json.Decoder that rejects unknown fields, reading
+// through itself from the source of its current use.
+type strictDecoder struct {
+	dec  *json.Decoder
+	src  io.Reader    // the current use's source; nil on the list
+	data bytes.Reader // the source when a use decodes a []byte
+	n    int64        // bytes read from src in the current (or last) use
+}
+
+func (d *strictDecoder) Read(p []byte) (int, error) {
+	n, err := d.src.Read(p)
+	d.n += int64(n)
+	return n, err
+}
+
+// strictDecoders holds the strict decoders no call is using, at most
+// GOMAXPROCS of them: a daemon decodes each job submission, and the
+// spec inside it, on the request's goroutine. A json.Decoder cannot be
+// reset, so one goes back only when its next Decode runs as a new
+// decoder's would: its Decode succeeded (a syntax or read error sticks),
+// it buffered nothing past the value (the next Decode would start on
+// those bytes), and it read at most maxKeptRead. Only a SyntaxError's
+// Offset tells it from a new one: it counts from the decoder's first
+// use, and nothing in the repo reads it.
+var strictDecoders = flat.NewFreeList[struct{}, *strictDecoder](runtime.GOMAXPROCS(0))
+
+// decodeStrict decodes one JSON value from r, or from data when r is
+// nil, into v, on a strict decoder from strictDecoders or a new one.
+func decodeStrict(r io.Reader, data []byte, v any) error {
+	d := strictDecoders.Take(struct{}{})
+	if d == nil {
+		d = new(strictDecoder)
+		d.dec = json.NewDecoder(d)
+		d.dec.DisallowUnknownFields()
+	}
+	if r == nil {
+		d.data.Reset(data)
+		r = &d.data
+	}
+	start := d.dec.InputOffset()
+	d.src, d.n = r, 0
+	err := d.dec.Decode(v)
+	d.src = nil
+	d.data.Reset(nil)
+	if err == nil && d.dec.InputOffset()-start == d.n && d.n <= maxKeptRead {
+		strictDecoders.Give(struct{}{}, d)
+	}
+	return err
 }
